@@ -12,18 +12,29 @@
 //!   dependent conflicting workers (DCW, those sharing a task with another
 //!   conflicting worker) are resolved jointly by enumerating the copy
 //!   choices within their dependency group (Lemmas 6.1 and 6.2).
+//!
+//! Implementation notes — a node costs what its own sub-problem holds:
+//!
+//! * the sub-problems share the request's pair list and id space; a leaf is
+//!   handed to the sampling core as the adjacency rows of its own workers,
+//!   restricted to its own tasks, and never as a rebuilt candidate graph;
+//! * set membership ("is this task in the half / the leaf?") is a mark in
+//!   one dense per-task table of the `Workspace`, set and cleared by the
+//!   node that asks; the conflict components of a merge come from a dense
+//!   "last conflicting worker on this task" table the same way;
+//! * `SA_Merge` values a copy choice task by task; a task's value depends
+//!   only on the workers whose copies can land on it, so most of the `2^k`
+//!   choices of a group find it in the `ValuationMemo`,
+//!   and the rest rebuild it on a buffer truncated back to the
+//!   already-merged base.
 
-use crate::sampling::{sampling, SamplingConfig};
+use crate::sampling::{best_sample, ActiveTask, SamplingConfig, SamplingScratch};
 use crate::solver::SolveRequest;
+use crate::valuation::MAX_MEMBERS;
 use rand::Rng;
 use rdbsc_cluster::balanced_two_way_split;
-use rdbsc_model::objective::TaskPriors;
-use rdbsc_model::reliability::reliability;
-use rdbsc_model::valid_pairs::BipartiteCandidates;
-use rdbsc_model::{
-    rank_by_dominating_count, Assignment, Contribution, TaskId, WorkerId,
-};
-use std::collections::{HashMap, HashSet};
+use rdbsc_model::objective::{task_expected_std_with, task_reliability_of};
+use rdbsc_model::{Assignment, Contribution, TaskId, WorkerId};
 
 /// Configuration of the divide-and-conquer solver.
 #[derive(Debug, Clone, Copy)]
@@ -52,6 +63,70 @@ impl Default for DncConfig {
     }
 }
 
+/// Mark of a task outside the node at hand in [`Workspace::side`].
+const OUTSIDE: u8 = 0;
+/// "No conflicting worker seen yet" in [`Workspace::last_conflict`].
+const NONE: usize = usize::MAX;
+
+/// Buffers shared by every node of one solve. The dense tables are indexed
+/// by task and hold their neutral value between uses.
+struct Workspace {
+    sampling: SamplingScratch,
+    /// Which part of the node at hand a task belongs to: [`OUTSIDE`], or 1
+    /// or 2 for the halves of a split (1 for the tasks of a leaf).
+    side: Vec<u8>,
+    /// The tasks holding priors, ascending.
+    prior_tasks: Vec<ActiveTask>,
+    /// The tasks a leaf's samples are evaluated over.
+    active: Vec<ActiveTask>,
+    /// During a merge: the last conflicting worker (as an index into the
+    /// merge's conflict list) seen on a task.
+    last_conflict: Vec<usize>,
+    /// The tasks a conflict group affects.
+    affected_sets: Vec<AffectedSet>,
+}
+
+impl Workspace {
+    fn new(request: &SolveRequest<'_>) -> Self {
+        let num_tasks = request.instance.num_tasks();
+        let mut sampling = SamplingScratch::default();
+        let prior_tasks = (0..num_tasks)
+            .map(TaskId::from)
+            .filter(|&t| !request.priors_of(t).is_empty())
+            .map(|t| ActiveTask::new(request, t, &mut sampling.expected))
+            .collect();
+        Self {
+            sampling,
+            side: vec![OUTSIDE; num_tasks],
+            prior_tasks,
+            active: Vec::new(),
+            last_conflict: vec![NONE; num_tasks],
+            affected_sets: Vec::new(),
+        }
+    }
+}
+
+/// One task affected by a conflict group, during its resolution.
+#[derive(Debug, Default)]
+struct AffectedSet {
+    /// The first `base_len` are fixed; the rest belong to the choice vector
+    /// evaluated last.
+    contributions: Vec<Contribution>,
+    base_len: usize,
+    /// The copies that land on this task when chosen, in group order.
+    landings: Vec<Landing>,
+}
+
+/// A conflicting worker's copy in one of the two sub-answers.
+#[derive(Debug, Clone, Copy)]
+struct Landing {
+    /// Index of the worker in its group.
+    worker: usize,
+    /// Is this the copy of the second sub-answer?
+    second_half: bool,
+    contribution: Contribution,
+}
+
 /// Runs the divide-and-conquer solver.
 pub fn divide_and_conquer<R: Rng + ?Sized>(
     request: &SolveRequest<'_>,
@@ -61,48 +136,66 @@ pub fn divide_and_conquer<R: Rng + ?Sized>(
     let instance = request.instance;
     let all_tasks: Vec<TaskId> = instance.tasks.iter().map(|t| t.id).collect();
     let all_workers: Vec<WorkerId> = instance.workers.iter().map(|w| w.id).collect();
-    solve_recursive(request, config, &all_tasks, &all_workers, 0, rng)
+    let mut workspace = Workspace::new(request);
+    solve_recursive(
+        request,
+        config,
+        &all_tasks,
+        &all_workers,
+        0,
+        &mut workspace,
+        rng,
+    )
 }
 
-/// Restricts the candidate graph to a (task, worker) subset, keeping the
-/// global dense id space so sub-assignments compose directly.
-fn restrict_candidates(
-    full: &BipartiteCandidates,
-    tasks: &HashSet<TaskId>,
-    workers: &HashSet<WorkerId>,
-    num_tasks: usize,
-    num_workers: usize,
-) -> BipartiteCandidates {
-    let mut restricted = BipartiteCandidates::with_capacity(num_tasks, num_workers);
-    for pair in &full.pairs {
-        if tasks.contains(&pair.task) && workers.contains(&pair.worker) {
-            restricted.push(*pair);
-        }
-    }
-    restricted
-}
-
+/// Solves a sub-problem directly: the sampling solver on the candidate pairs
+/// between `workers` and `tasks`.
 fn solve_leaf<R: Rng + ?Sized>(
     request: &SolveRequest<'_>,
     config: &DncConfig,
     tasks: &[TaskId],
     workers: &[WorkerId],
+    workspace: &mut Workspace,
     rng: &mut R,
 ) -> Assignment {
-    let task_set: HashSet<TaskId> = tasks.iter().copied().collect();
-    let worker_set: HashSet<WorkerId> = workers.iter().copied().collect();
-    let restricted = restrict_candidates(
-        request.candidates,
-        &task_set,
-        &worker_set,
-        request.instance.num_tasks(),
-        request.instance.num_workers(),
-    );
-    let mut leaf_request = SolveRequest::new(request.instance, &restricted);
-    if let Some(priors) = request.priors {
-        leaf_request = leaf_request.with_priors(priors);
+    let candidates = request.candidates;
+    let Workspace {
+        sampling,
+        side,
+        prior_tasks,
+        active,
+        ..
+    } = workspace;
+    for t in tasks {
+        side[t.index()] = 1;
     }
-    sampling(&leaf_request, &config.sampling, rng)
+    sampling.adjacency.clear();
+    for w in workers {
+        sampling.adjacency.push_row(
+            candidates.by_worker[w.index()]
+                .iter()
+                .copied()
+                .filter(|&idx| side[candidates.pairs[idx].task.index()] != OUTSIDE),
+        );
+    }
+    // A sample is valued over the whole instance: the leaf's tasks plus
+    // every other task holding priors, in ascending id.
+    active.clear();
+    active.extend(
+        prior_tasks
+            .iter()
+            .filter(|a| side[a.task.index()] == OUTSIDE),
+    );
+    active.extend(
+        tasks
+            .iter()
+            .map(|&t| ActiveTask::new(request, t, &mut sampling.expected)),
+    );
+    active.sort_unstable_by_key(|a| a.task);
+    for t in tasks {
+        side[t.index()] = OUTSIDE;
+    }
+    best_sample(request, &config.sampling, active, sampling, rng)
 }
 
 fn solve_recursive<R: Rng + ?Sized>(
@@ -111,10 +204,11 @@ fn solve_recursive<R: Rng + ?Sized>(
     tasks: &[TaskId],
     workers: &[WorkerId],
     depth: usize,
+    workspace: &mut Workspace,
     rng: &mut R,
 ) -> Assignment {
     if tasks.len() <= config.gamma.max(1) || depth >= config.max_depth {
-        return solve_leaf(request, config, tasks, workers, rng);
+        return solve_leaf(request, config, tasks, workers, workspace, rng);
     }
 
     // ---- BG_Partition ----------------------------------------------------
@@ -124,13 +218,17 @@ fn solve_recursive<R: Rng + ?Sized>(
         .collect();
     let (idx1, idx2) = balanced_two_way_split(&points, rng);
     if idx1.is_empty() || idx2.is_empty() {
-        return solve_leaf(request, config, tasks, workers, rng);
+        return solve_leaf(request, config, tasks, workers, workspace, rng);
     }
     let t1: Vec<TaskId> = idx1.iter().map(|&i| tasks[i]).collect();
     let t2: Vec<TaskId> = idx2.iter().map(|&i| tasks[i]).collect();
-    let t1_set: HashSet<TaskId> = t1.iter().copied().collect();
-    let t2_set: HashSet<TaskId> = t2.iter().copied().collect();
-    let task_set: HashSet<TaskId> = tasks.iter().copied().collect();
+    let side = &mut workspace.side;
+    for t in &t1 {
+        side[t.index()] = 1;
+    }
+    for t in &t2 {
+        side[t.index()] = 2;
+    }
 
     let mut w1: Vec<WorkerId> = Vec::new();
     let mut w2: Vec<WorkerId> = Vec::new();
@@ -138,37 +236,34 @@ fn solve_recursive<R: Rng + ?Sized>(
         let mut in_t1 = false;
         let mut in_t2 = false;
         for pair in request.candidates.pairs_of_worker(w) {
-            if !task_set.contains(&pair.task) {
-                continue;
-            }
-            if t1_set.contains(&pair.task) {
-                in_t1 = true;
-            } else if t2_set.contains(&pair.task) {
-                in_t2 = true;
+            match side[pair.task.index()] {
+                1 => in_t1 = true,
+                2 => in_t2 = true,
+                _ => continue,
             }
             if in_t1 && in_t2 {
                 break;
             }
         }
-        match (in_t1, in_t2) {
-            (true, false) => w1.push(w),
-            (false, true) => w2.push(w),
-            (true, true) => {
-                // Worker can serve both halves: duplicate it (conflict
-                // resolution happens at merge time).
-                w1.push(w);
-                w2.push(w);
-            }
-            (false, false) => {}
+        // A worker that can serve both halves is duplicated (conflict
+        // resolution happens at merge time).
+        if in_t1 {
+            w1.push(w);
         }
+        if in_t2 {
+            w2.push(w);
+        }
+    }
+    for t in tasks {
+        side[t.index()] = OUTSIDE;
     }
 
     // ---- Recurse ----------------------------------------------------------
-    let s1 = solve_recursive(request, config, &t1, &w1, depth + 1, rng);
-    let s2 = solve_recursive(request, config, &t2, &w2, depth + 1, rng);
+    let s1 = solve_recursive(request, config, &t1, &w1, depth + 1, workspace, rng);
+    let s2 = solve_recursive(request, config, &t2, &w2, depth + 1, workspace, rng);
 
     // ---- SA_Merge ----------------------------------------------------------
-    merge_answers(request, config, &s1, &s2)
+    merge_answers(request, config, &s1, &s2, workspace)
 }
 
 /// Merges the answers of two subproblems by resolving conflicting workers.
@@ -177,25 +272,23 @@ fn merge_answers(
     config: &DncConfig,
     s1: &Assignment,
     s2: &Assignment,
+    workspace: &mut Workspace,
 ) -> Assignment {
     let instance = request.instance;
     let mut merged = Assignment::for_instance(instance);
 
     // Conflicting workers: assigned in both sub-answers (necessarily to
     // different tasks, since the task sets of the halves are disjoint).
-    let mut conflicting: Vec<WorkerId> = Vec::new();
-    for w in 0..instance.num_workers() {
-        let id = WorkerId::from(w);
-        if let (Some(_), Some(_)) = (s1.task_of(id), s2.task_of(id)) {
-            conflicting.push(id);
-        }
-    }
-    let conflict_set: HashSet<WorkerId> = conflicting.iter().copied().collect();
+    let is_conflicting = |w: WorkerId| s1.task_of(w).is_some() && s2.task_of(w).is_some();
+    let conflicting: Vec<WorkerId> = (0..instance.num_workers())
+        .map(WorkerId::from)
+        .filter(|&w| is_conflicting(w))
+        .collect();
 
     // Non-conflicting assignments are kept as they are (Lemma 6.1).
     for source in [s1, s2] {
         for (task, worker, contribution) in source.iter() {
-            if !conflict_set.contains(&worker) {
+            if !is_conflicting(worker) {
                 merged
                     .assign(task, worker, contribution)
                     .expect("disjoint halves cannot double-assign a non-conflicting worker");
@@ -209,56 +302,51 @@ fn merge_answers(
 
     // Group conflicting workers into dependency components: two conflicting
     // workers are dependent when they touch a common task in either
-    // sub-answer (Lemma 6.2).
-    let tasks_of = |w: WorkerId| -> Vec<TaskId> {
-        [s1.task_of(w), s2.task_of(w)].into_iter().flatten().collect()
-    };
-    let mut task_to_conflicts: HashMap<TaskId, Vec<WorkerId>> = HashMap::new();
-    for &w in &conflicting {
-        for t in tasks_of(w) {
-            task_to_conflicts.entry(t).or_default().push(w);
-        }
-    }
-    // Union-find over the conflicting workers.
-    let index_of: HashMap<WorkerId, usize> = conflicting
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| (w, i))
-        .collect();
+    // sub-answer (Lemma 6.2). Union-find over the conflicting workers, each
+    // joined to the previous one seen on either of its tasks.
+    let tasks_of = |w: WorkerId| [s1.task_of(w), s2.task_of(w)].into_iter().flatten();
     let mut parent: Vec<usize> = (0..conflicting.len()).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
+    fn find(parent: &mut [usize], x: usize) -> usize {
         if parent[x] != x {
             let root = find(parent, parent[x]);
             parent[x] = root;
         }
         parent[x]
     }
-    // The final partition is the same whatever order the conflict lists
-    // are unioned in, and groups are sorted before resolution below.
-    // lint:allow(D001): order-insensitive union-find merge
-    for members in task_to_conflicts.values() {
-        for pair in members.windows(2) {
-            let a = find(&mut parent, index_of[&pair[0]]);
-            let b = find(&mut parent, index_of[&pair[1]]);
-            if a != b {
+    let last_conflict = &mut workspace.last_conflict;
+    for (i, &w) in conflicting.iter().enumerate() {
+        for t in tasks_of(w) {
+            let last = std::mem::replace(&mut last_conflict[t.index()], i);
+            if last != NONE {
+                let a = find(&mut parent, i);
+                let b = find(&mut parent, last);
                 parent[a] = b;
             }
         }
     }
-    let mut groups: HashMap<usize, Vec<WorkerId>> = HashMap::new();
+    for &w in &conflicting {
+        for t in tasks_of(w) {
+            last_conflict[t.index()] = NONE;
+        }
+    }
+    // Components in order of their first (lowest) worker, members in
+    // worker order.
+    let mut group_of_root: Vec<usize> = vec![NONE; conflicting.len()];
+    let mut groups: Vec<Vec<WorkerId>> = Vec::new();
     for (i, &w) in conflicting.iter().enumerate() {
-        groups.entry(find(&mut parent, i)).or_default().push(w);
+        let root = find(&mut parent, i);
+        if group_of_root[root] == NONE {
+            group_of_root[root] = groups.len();
+            groups.push(Vec::new());
+        }
+        groups[group_of_root[root]].push(w);
     }
 
     // Resolve each group. Groups touch disjoint task sets, so they can be
     // resolved independently against the already-merged non-conflicting
     // assignments (Lemma 6.2).
-    // Members of each group keep `conflicting`'s deterministic order.
-    // lint:allow(D001): collected here, sorted on the next line
-    let mut group_list: Vec<Vec<WorkerId>> = groups.into_values().collect();
-    group_list.sort_by_key(|g| g.first().map(|w| w.index()).unwrap_or(0));
-    for group in group_list {
-        resolve_group(request, config, s1, s2, &group, &mut merged);
+    for group in &groups {
+        resolve_group(request, config, s1, s2, group, &mut merged, workspace);
     }
     merged
 }
@@ -274,16 +362,9 @@ fn resolve_group(
     s2: &Assignment,
     group: &[WorkerId],
     merged: &mut Assignment,
+    workspace: &mut Workspace,
 ) {
     let instance = request.instance;
-    let empty_priors;
-    let priors: &TaskPriors = match request.priors {
-        Some(p) => p,
-        None => {
-            empty_priors = TaskPriors::empty(instance.num_tasks());
-            &empty_priors
-        }
-    };
 
     // The tasks this group may affect.
     let mut affected: Vec<TaskId> = Vec::new();
@@ -295,65 +376,106 @@ fn resolve_group(
         }
     }
 
-    // Base contributions of each affected task (already-merged workers plus
-    // banked priors).
-    let base: HashMap<TaskId, Vec<Contribution>> = affected
-        .iter()
-        .map(|&t| {
-            let mut cs = merged.contributions_of(t);
-            cs.extend_from_slice(priors.of(t));
-            (t, cs)
-        })
-        .collect();
+    // Per affected task: its base contributions (already-merged workers
+    // plus banked priors) and the copies that may land on it, by group
+    // worker. A choice's copies are pushed on top of the base and truncated
+    // off again.
+    let sets = &mut workspace.affected_sets;
+    if sets.len() < affected.len() {
+        sets.resize_with(affected.len(), AffectedSet::default);
+    }
+    let sets = &mut sets[..affected.len()];
+    for (set, &t) in sets.iter_mut().zip(&affected) {
+        set.contributions.clear();
+        set.contributions
+            .extend(merged.workers_of(t).iter().map(|(_, c)| *c));
+        set.contributions.extend_from_slice(request.priors_of(t));
+        set.base_len = set.contributions.len();
+        set.landings.clear();
+    }
 
-    // The two copies of each group worker.
-    let copy_of = |source: &Assignment, w: WorkerId| -> Option<(TaskId, Contribution)> {
-        source.task_of(w).and_then(|t| {
-            source
-                .workers_of(t)
-                .iter()
-                .find(|(wid, _)| *wid == w)
-                .map(|(_, c)| (t, *c))
-        })
+    // The two copies of each group worker, as (slot in `affected`,
+    // contribution).
+    type AssignedCopy = Option<(usize, Contribution)>;
+    let copy_of = |source: &Assignment, w: WorkerId| -> AssignedCopy {
+        let t = source.task_of(w)?;
+        let (_, c) = source.workers_of(t).iter().find(|(wid, _)| *wid == w)?;
+        let slot = affected.iter().position(|&a| a == t)?;
+        Some((slot, *c))
     };
-    type AssignedCopy = Option<(TaskId, Contribution)>;
     let copies: Vec<(AssignedCopy, AssignedCopy)> = group
         .iter()
         .map(|&w| (copy_of(s1, w), copy_of(s2, w)))
         .collect();
-
-    // Evaluate one choice vector (bit i set = keep the second-half copy).
-    let evaluate_choice = |mask: usize| -> (f64, f64) {
-        let mut contributions: HashMap<TaskId, Vec<Contribution>> = base.clone();
-        for (i, copy) in copies.iter().enumerate() {
-            let chosen = if mask & (1 << i) != 0 { copy.1 } else { copy.0 };
-            if let Some((t, c)) = chosen {
-                contributions.entry(t).or_default().push(c);
+    for (i, &(first, second)) in copies.iter().enumerate() {
+        for (copy, second_half) in [(first, false), (second, true)] {
+            if let Some((slot, contribution)) = copy {
+                sets[slot].landings.push(Landing {
+                    worker: i,
+                    second_half,
+                    contribution,
+                });
             }
         }
+    }
+
+    // Evaluate one choice vector (bit i set = keep the second-half copy).
+    // A task's value depends on the choices of the workers landing on it
+    // only, which most of the 2^k vectors share: the memo is keyed by those.
+    let expected = &mut workspace.sampling.expected;
+    let memo = &mut workspace.sampling.memo;
+    memo.begin();
+    let mut evaluate_choice = |mask: usize| -> (f64, f64) {
         let mut min_rel = f64::INFINITY;
         let mut total_std = 0.0;
-        for &t in &affected {
-            let cs = contributions.get(&t).cloned().unwrap_or_default();
-            let confidences: Vec<_> = cs.iter().map(|c| c.confidence).collect();
-            let rel = reliability(&confidences);
-            if !cs.is_empty() {
-                min_rel = min_rel.min(rel);
+        for (slot, (set, &t)) in sets.iter_mut().zip(&affected).enumerate() {
+            let AffectedSet {
+                contributions,
+                base_len,
+                landings,
+            } = set;
+            let lands = |l: &Landing| (mask & (1 << l.worker) != 0) == l.second_half;
+            let mut evaluate = || {
+                contributions.truncate(*base_len);
+                contributions.extend(landings.iter().filter(|l| lands(l)).map(|l| l.contribution));
+                (
+                    task_reliability_of(contributions),
+                    task_expected_std_with(instance, t, contributions, expected),
+                )
+            };
+            let (rel, std) = if landings.len() <= MAX_MEMBERS {
+                let members = landings
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |members, (j, l)| members | (u64::from(lands(l)) << j));
+                memo.get_or_compute(slot, members, evaluate)
             } else {
-                min_rel = min_rel.min(0.0);
-            }
-            total_std += rdbsc_model::objective::task_expected_std_of(instance, t, &cs);
+                evaluate()
+            };
+            // An empty set has reliability 0.
+            min_rel = min_rel.min(rel);
+            total_std += std;
         }
         if min_rel == f64::INFINITY {
             min_rel = 1.0;
         }
         (min_rel, total_std)
     };
+    let chosen = |mask: usize, i: usize| {
+        if mask & (1 << i) != 0 {
+            copies[i].1
+        } else {
+            copies[i].0
+        }
+    };
 
+    let ranker = &mut workspace.sampling.ranker;
     let best_mask = if group.len() <= config.max_group_enumeration {
         // Exhaustive enumeration of the 2^k copy choices.
-        let options: Vec<(f64, f64)> = (0..(1usize << group.len())).map(evaluate_choice).collect();
-        rank_by_dominating_count(&options).unwrap_or(0)
+        let options: Vec<(f64, f64)> = (0..(1usize << group.len()))
+            .map(&mut evaluate_choice)
+            .collect();
+        ranker.rank(&options).unwrap_or(0)
     } else {
         // Greedy per-worker fallback for oversized groups: decide each worker
         // on its own, keeping earlier decisions fixed.
@@ -361,18 +483,17 @@ fn resolve_group(
         for i in 0..group.len() {
             let keep_first = evaluate_choice(mask);
             let keep_second = evaluate_choice(mask | (1 << i));
-            if let Some(1) = rank_by_dominating_count(&[keep_first, keep_second]) {
+            if let Some(1) = ranker.rank(&[keep_first, keep_second]) {
                 mask |= 1 << i;
             }
         }
         mask
     };
 
-    for (i, (&w, copy)) in group.iter().zip(copies.iter()).enumerate() {
-        let chosen = if best_mask & (1 << i) != 0 { copy.1 } else { copy.0 };
-        if let Some((t, c)) = chosen {
+    for (i, &w) in group.iter().enumerate() {
+        if let Some((slot, c)) = chosen(best_mask, i) {
             merged
-                .assign(t, w, c)
+                .assign(affected[slot], w, c)
                 .expect("conflicting worker is unassigned in the merged strategy until now");
         }
     }
@@ -381,6 +502,7 @@ fn resolve_group(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::sampling;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rdbsc_geo::{AngleRange, Point};
@@ -510,7 +632,8 @@ mod tests {
         let mut s2 = Assignment::for_instance(&instance);
         s2.assign_pair(&p2).unwrap();
         let request = SolveRequest::new(&instance, &candidates);
-        let merged = merge_answers(&request, &DncConfig::default(), &s1, &s2);
+        let mut workspace = Workspace::new(&request);
+        let merged = merge_answers(&request, &DncConfig::default(), &s1, &s2, &mut workspace);
         let wid = WorkerId::from(w);
         assert!(merged.task_of(wid).is_some());
         assert_eq!(merged.num_assigned(), 1);

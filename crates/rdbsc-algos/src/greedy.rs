@@ -8,22 +8,30 @@
 //! and commits the best pair. Rounds repeat until no assignable worker
 //! remains.
 //!
-//! Implementation notes:
+//! Implementation notes — what a round costs follows what the previous
+//! commit changed, not how many pairs are live:
 //!
 //! * the reliability increase of a pair is `−ln(1 − pⱼ)` (Section 4.3) and
 //!   never changes, so it is computed once per pair;
 //! * the diversity increase of a pair only changes when *its task* gains a
-//!   worker, so exact increases are cached per pair and invalidated per task
-//!   ("epoch" counters) — this is what makes the solver practical at the
-//!   paper's scales;
-//! * when [`GreedyConfig::use_pruning`] is set, the lower/upper bounds of
-//!   Section 4.3 (see [`crate::pruning`]) are used to skip the exact
-//!   re-computation for pairs that are provably dominated (Lemma 4.3).
+//!   worker, so exact increases **and** the Section 4.3 bounds are cached
+//!   per pair and invalidated per task ("epoch" counters); the task-side
+//!   half of the bounds is kept per task. A round therefore re-evaluates
+//!   only the pairs of the task that just gained a worker;
+//! * the live pairs are kept from round to round: committing a worker
+//!   removes its adjacency block;
+//! * when [`GreedyConfig::use_pruning`] is set, the lower/upper bounds (see
+//!   [`crate::pruning`]) are used to skip the exact re-computation for pairs
+//!   that are provably dominated (Lemma 4.3);
+//! * the skyline filter and the dominating-count ranking are one step,
+//!   [`DominanceRanker`], whose buffers — like the expected-diversity
+//!   kernel's — live for the whole solve.
 
-use crate::pruning::delta_std_bounds;
+use crate::pruning::{delta_bounds, expected_std_bounds_with, DiversityBounds};
 use crate::solver::SolveRequest;
-use rdbsc_model::expected::expected_std;
-use rdbsc_model::{rank_by_dominating_count, Assignment, Contribution, TaskId};
+use rdbsc_model::expected::ExpectedScratch;
+use rdbsc_model::objective::task_expected_std_with;
+use rdbsc_model::{Assignment, Contribution, DominanceRanker, TaskId};
 
 /// Configuration of the greedy solver.
 #[derive(Debug, Clone, Copy)]
@@ -49,27 +57,34 @@ pub fn greedy(request: &SolveRequest<'_>, config: &GreedyConfig) -> Assignment {
     if num_pairs == 0 {
         return assignment;
     }
+    let mut scratch = ExpectedScratch::default();
+    let mut sort_buffer: Vec<f64> = Vec::new();
+    let mut ranker = DominanceRanker::default();
 
     // Per-task state: current contributions (priors + assigned so far) and
-    // the current E[STD]; a per-task epoch invalidates cached pair deltas.
+    // the current E[STD]; a per-task epoch invalidates what is cached below.
     let m = instance.num_tasks();
     let mut task_contributions: Vec<Vec<Contribution>> = (0..m)
         .map(|i| request.priors_of(TaskId::from(i)).to_vec())
         .collect();
     let mut task_std: Vec<f64> = (0..m)
         .map(|i| {
-            let t = &instance.tasks[i];
-            expected_std(
+            task_expected_std_with(
+                instance,
+                TaskId::from(i),
                 &task_contributions[i],
-                t.window,
-                t.effective_beta(instance.beta),
+                &mut scratch,
             )
         })
         .collect();
     let mut task_epoch: Vec<u64> = vec![0; m];
 
-    // Cached exact ΔSTD per pair, tagged with the epoch it was computed at.
+    // Cached per pair, tagged with the task epoch they were computed at: the
+    // exact ΔSTD and its Lemma 4.3 bounds. Cached per task: the bounds of
+    // its current set, which every one of its pairs' bounds start from.
     let mut cached_delta: Vec<Option<(u64, f64)>> = vec![None; num_pairs];
+    let mut cached_bounds: Vec<Option<(u64, DiversityBounds)>> = vec![None; num_pairs];
+    let mut task_bounds: Vec<Option<(u64, DiversityBounds)>> = vec![None; m];
     // Reliability increase per pair is constant.
     let delta_rel: Vec<f64> = candidates
         .pairs
@@ -77,85 +92,79 @@ pub fn greedy(request: &SolveRequest<'_>, config: &GreedyConfig) -> Assignment {
         .map(|p| p.contribution.confidence.log_weight())
         .collect();
 
-    let exact_delta = |pair_idx: usize,
-                       task_contributions: &Vec<Vec<Contribution>>,
-                       task_std: &Vec<f64>| {
-        let pair = &candidates.pairs[pair_idx];
-        let ti = pair.task.index();
-        let t = &instance.tasks[ti];
-        let mut with_new = task_contributions[ti].clone();
-        with_new.push(pair.contribution);
-        let after = expected_std(&with_new, t.window, t.effective_beta(instance.beta));
-        (after - task_std[ti]).max(0.0)
-    };
+    // The candidate pairs of still-unassigned workers, by worker.
+    let mut live_pairs: Vec<usize> = candidates.by_worker.concat();
+    // This round's survivors of the bound pre-filter, and their increases.
+    let mut kept: Vec<usize> = Vec::new();
+    let mut values: Vec<(f64, f64)> = Vec::new();
 
-    loop {
-        // Collect the candidate pairs of still-unassigned workers.
-        let mut live_pairs: Vec<usize> = Vec::new();
-        for (w, adj) in candidates.by_worker.iter().enumerate() {
-            if adj.is_empty() || !assignment.is_unassigned(rdbsc_model::WorkerId::from(w)) {
-                continue;
-            }
-            live_pairs.extend_from_slice(adj);
-        }
-        if live_pairs.is_empty() {
-            break;
-        }
-
+    while !live_pairs.is_empty() {
         // Optional Lemma 4.3 pre-filter using cheap bounds: find the largest
         // diversity-increase lower bound among pairs with the maximal
         // reliability increase, and drop pairs whose upper bound falls below
         // it (they can never be the round winner).
+        let mut round_pairs: &[usize] = &live_pairs;
         if config.use_pruning && live_pairs.len() > 64 {
-            let mut best_lower = f64::NEG_INFINITY;
             let mut max_rel = f64::NEG_INFINITY;
-            let bounds: Vec<_> = live_pairs
-                .iter()
-                .map(|&idx| {
-                    let pair = &candidates.pairs[idx];
-                    let ti = pair.task.index();
-                    let t = &instance.tasks[ti];
-                    let b = delta_std_bounds(
-                        &task_contributions[ti],
-                        pair.contribution,
-                        t.window,
-                        t.effective_beta(instance.beta),
-                    );
-                    max_rel = max_rel.max(delta_rel[idx]);
-                    b
-                })
-                .collect();
-            for (i, &idx) in live_pairs.iter().enumerate() {
+            for &idx in &live_pairs {
+                max_rel = max_rel.max(delta_rel[idx]);
+                let pair = &candidates.pairs[idx];
+                let ti = pair.task.index();
+                let epoch = task_epoch[ti];
+                if matches!(cached_bounds[idx], Some((at, _)) if at == epoch) {
+                    continue;
+                }
+                let t = &instance.tasks[ti];
+                let beta = t.effective_beta(instance.beta);
+                let set = &mut task_contributions[ti];
+                let before = match task_bounds[ti] {
+                    Some((at, bounds)) if at == epoch => bounds,
+                    _ => {
+                        let bounds =
+                            expected_std_bounds_with(set, t.window, beta, &mut sort_buffer);
+                        task_bounds[ti] = Some((epoch, bounds));
+                        bounds
+                    }
+                };
+                set.push(pair.contribution);
+                let after = expected_std_bounds_with(set, t.window, beta, &mut sort_buffer);
+                set.pop();
+                cached_bounds[idx] = Some((epoch, delta_bounds(before, after)));
+            }
+            let bounds_of = |idx: usize| cached_bounds[idx].expect("refreshed in the pass above").1;
+            let mut best_lower = f64::NEG_INFINITY;
+            for &idx in &live_pairs {
                 if delta_rel[idx] >= max_rel - 1e-12 {
-                    best_lower = best_lower.max(bounds[i].lower);
+                    best_lower = best_lower.max(bounds_of(idx).lower);
                 }
             }
             if best_lower > f64::NEG_INFINITY {
-                let keep: Vec<usize> = live_pairs
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, &idx)| {
-                        // Keep a pair unless it is provably dominated: its
-                        // diversity upper bound is below the best lower bound
-                        // AND its reliability increase is not above all others.
-                        !(bounds[*i].upper < best_lower && delta_rel[idx] < max_rel - 1e-12)
-                    })
-                    .map(|(_, &idx)| idx)
-                    .collect();
-                if !keep.is_empty() {
-                    live_pairs = keep;
+                kept.clear();
+                // Keep a pair unless it is provably dominated: its diversity
+                // upper bound is below the best lower bound AND its
+                // reliability increase is not above all others.
+                kept.extend(live_pairs.iter().copied().filter(|&idx| {
+                    !(bounds_of(idx).upper < best_lower && delta_rel[idx] < max_rel - 1e-12)
+                }));
+                if !kept.is_empty() {
+                    round_pairs = &kept;
                 }
             }
         }
 
         // Exact increase pairs (ΔR, ΔSTD), using the per-task cache.
-        let mut values: Vec<(f64, f64)> = Vec::with_capacity(live_pairs.len());
-        for &idx in &live_pairs {
-            let ti = candidates.pairs[idx].task.index();
+        values.clear();
+        for &idx in round_pairs {
+            let pair = &candidates.pairs[idx];
+            let ti = pair.task.index();
             let delta = match cached_delta[idx] {
                 Some((epoch, v)) if epoch == task_epoch[ti] => v,
                 _ => {
-                    let v = exact_delta(idx, &task_contributions, &task_std);
+                    let set = &mut task_contributions[ti];
+                    set.push(pair.contribution);
+                    let after = task_expected_std_with(instance, pair.task, set, &mut scratch);
+                    set.pop();
+                    let v = (after - task_std[ti]).max(0.0);
                     cached_delta[idx] = Some((task_epoch[ti], v));
                     v
                 }
@@ -164,11 +173,10 @@ pub fn greedy(request: &SolveRequest<'_>, config: &GreedyConfig) -> Assignment {
         }
 
         // Rank by dominating count and commit the winner.
-        let Some(best_pos) = rank_by_dominating_count(&values) else {
+        let Some(best_pos) = ranker.rank(&values) else {
             break;
         };
-        let best_idx = live_pairs[best_pos];
-        let pair = &candidates.pairs[best_idx];
+        let pair = &candidates.pairs[round_pairs[best_pos]];
         assignment
             .assign_pair(pair)
             .expect("candidate pairs reference valid ids and unassigned workers");
@@ -176,13 +184,17 @@ pub fn greedy(request: &SolveRequest<'_>, config: &GreedyConfig) -> Assignment {
         // Update the task's state and bump its epoch.
         let ti = pair.task.index();
         task_contributions[ti].push(pair.contribution);
-        let t = &instance.tasks[ti];
-        task_std[ti] = expected_std(
-            &task_contributions[ti],
-            t.window,
-            t.effective_beta(instance.beta),
-        );
+        task_std[ti] =
+            task_expected_std_with(instance, pair.task, &task_contributions[ti], &mut scratch);
         task_epoch[ti] += 1;
+
+        // The worker's pairs leave the live set: one contiguous block.
+        let block = &candidates.by_worker[pair.worker.index()];
+        let at = live_pairs
+            .iter()
+            .position(|&idx| idx == block[0])
+            .expect("the committed worker was live");
+        live_pairs.drain(at..at + block.len());
     }
 
     assignment

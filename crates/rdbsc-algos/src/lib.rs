@@ -86,6 +86,7 @@ pub mod pruning;
 pub mod sample_size;
 pub mod sampling;
 pub mod solver;
+mod valuation;
 
 pub use baselines::{max_task_coverage_assignment, nearest_task_assignment};
 pub use dnc::{divide_and_conquer, DncConfig};

@@ -17,9 +17,11 @@
 //! Lemma 4.3 lets the greedy algorithm discard a pair whose upper bound is
 //! below another pair's lower bound.
 
-use rdbsc_model::diversity::{entropy_term, spatial_diversity, temporal_diversity};
-use rdbsc_model::{Contribution, TimeWindow};
 use rdbsc_geo::FULL_TURN;
+use rdbsc_model::diversity::{
+    entropy_term, spatial_diversity_in_place, temporal_diversity_in_place,
+};
+use rdbsc_model::{Contribution, TimeWindow};
 
 /// A `[lower, upper]` interval bounding an expected diversity value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,11 +72,13 @@ fn prob_at_least_two(contributions: &[Contribution]) -> f64 {
 
 /// The smallest spatial diversity attainable by any pair of the given rays
 /// (the closest pair of angles, which after sorting is an adjacent pair).
-fn min_pairwise_sd(contributions: &[Contribution]) -> f64 {
+/// `angles` is a buffer this overwrites.
+fn min_pairwise_sd(contributions: &[Contribution], angles: &mut Vec<f64>) -> f64 {
     if contributions.len() < 2 {
         return 0.0;
     }
-    let mut angles: Vec<f64> = contributions.iter().map(|c| c.angle).collect();
+    angles.clear();
+    angles.extend(contributions.iter().map(|c| c.angle));
     angles.sort_by(|a, b| a.partial_cmp(b).expect("angle not NaN"));
     let mut min_gap = f64::INFINITY;
     for i in 0..angles.len() {
@@ -107,15 +111,29 @@ pub fn expected_std_bounds(
     window: TimeWindow,
     beta: f64,
 ) -> DiversityBounds {
+    expected_std_bounds_with(contributions, window, beta, &mut Vec::new())
+}
+
+/// [`expected_std_bounds`] with its sort buffer passed in, for callers that
+/// bound many worker sets in a row.
+pub fn expected_std_bounds_with(
+    contributions: &[Contribution],
+    window: TimeWindow,
+    beta: f64,
+    buffer: &mut Vec<f64>,
+) -> DiversityBounds {
     if contributions.is_empty() {
         return DiversityBounds::zero();
     }
     let beta = beta.clamp(0.0, 1.0);
-    let angles: Vec<f64> = contributions.iter().map(|c| c.angle).collect();
-    let arrivals: Vec<f64> = contributions.iter().map(|c| c.arrival).collect();
-    let upper = beta * spatial_diversity(&angles)
-        + (1.0 - beta) * temporal_diversity(&arrivals, window);
-    let lower = beta * prob_at_least_two(contributions) * min_pairwise_sd(contributions)
+    buffer.clear();
+    buffer.extend(contributions.iter().map(|c| c.angle));
+    let sd = spatial_diversity_in_place(buffer);
+    buffer.clear();
+    buffer.extend(contributions.iter().map(|c| c.arrival));
+    let td = temporal_diversity_in_place(buffer, window);
+    let upper = beta * sd + (1.0 - beta) * td;
+    let lower = beta * prob_at_least_two(contributions) * min_pairwise_sd(contributions, buffer)
         + (1.0 - beta) * prob_at_least_one(contributions) * min_single_td(contributions, window);
     DiversityBounds {
         lower: lower.min(upper),
@@ -138,9 +156,16 @@ pub fn delta_std_bounds(
     let mut after: Vec<Contribution> = before.to_vec();
     after.push(new_worker);
     let bounds_after = expected_std_bounds(&after, window, beta);
+    delta_bounds(bounds_before, bounds_after)
+}
+
+/// The differencing step of [`delta_std_bounds`], for callers that already
+/// hold the bounds of the set before and after the addition (the greedy
+/// solver keeps the "before" bounds per task).
+pub fn delta_bounds(before: DiversityBounds, after: DiversityBounds) -> DiversityBounds {
     DiversityBounds {
-        lower: (bounds_after.lower - bounds_before.upper).max(0.0),
-        upper: (bounds_after.upper - bounds_before.lower).max(0.0),
+        lower: (after.lower - before.upper).max(0.0),
+        upper: (after.upper - before.lower).max(0.0),
     }
 }
 

@@ -1,21 +1,28 @@
 //! Property-based tests over randomly generated RDB-SC instances: every
 //! solver must always produce a feasible assignment, assign every connected
 //! worker, and never beat the exact per-objective optima on instances small
-//! enough to enumerate.
+//! enough to enumerate — and GREEDY, SAMPLING and D&C must return, bit for
+//! bit, what their pre-rewrite bodies (kept in [`reference`]) return.
+
+mod reference;
 
 use proptest::prelude::*;
 use std::f64::consts::TAU;
 use rand::rngs::StdRng;
+use rand::Rng;
 use rand::SeedableRng;
+use rdbsc_algos::pruning::{delta_std_bounds, expected_std_bounds};
 use rdbsc_algos::{
     divide_and_conquer, exact_best, greedy, max_task_coverage_assignment,
     nearest_task_assignment, sampling, DncConfig, ExactConfig, GreedyConfig, SamplingConfig,
     SolveRequest,
 };
 use rdbsc_geo::{AngleRange, Point};
+use rdbsc_model::objective::{evaluate_with_priors, MinReliabilityScope, TaskPriors};
 use rdbsc_model::{
-    compute_valid_pairs, evaluate, Confidence, ProblemInstance, Task, TaskId, TimeWindow, Worker,
-    WorkerId,
+    compute_valid_pairs, evaluate, expected_std, rank_by_dominating_count, Assignment,
+    BipartiteCandidates, Confidence, Contribution, ProblemInstance, Task, TaskId, TimeWindow,
+    Worker, WorkerId,
 };
 
 /// Strategy generating a small random instance.
@@ -126,5 +133,248 @@ proptest! {
             prop_assert!(value.min_reliability <= summary.max_min_reliability + 1e-9);
             prop_assert!(value.total_std <= summary.max_total_std + 1e-9);
         }
+    }
+}
+
+/// The instances of the differential tests: up to a few hundred valid pairs,
+/// so that GREEDY's live-pair count starts on either side of its pruning gate
+/// (64) and the pre-rewrite ranking on either side of its quadratic / Fenwick
+/// switch (256) — see `differential_instances_cross_both_gates`.
+fn differential_instance() -> impl Strategy<Value = ProblemInstance> {
+    instance_strategy(32, 72)
+}
+
+/// Banked answers for some tasks of an instance: `(task selector, confidence,
+/// angle, arrival)`, or none at all when `with_priors` is false.
+type PriorSpec = (bool, Vec<(f64, f64, f64, f64)>);
+
+fn prior_spec() -> impl Strategy<Value = PriorSpec> {
+    (
+        0u8..2,
+        proptest::collection::vec(
+            (0.0f64..1.0, 0.0f64..1.0, 0.0f64..TAU, 0.0f64..10.0),
+            1..=16,
+        ),
+    )
+        .prop_map(|(with, entries)| (with == 1, entries))
+}
+
+fn build_priors(instance: &ProblemInstance, spec: &PriorSpec) -> Option<TaskPriors> {
+    let (with_priors, entries) = spec;
+    with_priors.then(|| {
+        let mut priors = TaskPriors::empty(instance.num_tasks());
+        for &(selector, p, angle, arrival) in entries {
+            let task =
+                ((selector * instance.num_tasks() as f64) as usize).min(instance.num_tasks() - 1);
+            priors.add(
+                TaskId::from(task),
+                Contribution::new(Confidence::new(p).unwrap(), angle, arrival),
+            );
+        }
+        priors
+    })
+}
+
+fn request_with<'a>(
+    instance: &'a ProblemInstance,
+    candidates: &'a BipartiteCandidates,
+    priors: &'a Option<TaskPriors>,
+) -> SolveRequest<'a> {
+    let request = SolveRequest::new(instance, candidates);
+    match priors {
+        Some(priors) => request.with_priors(priors),
+        None => request,
+    }
+}
+
+/// Every committed pair with its float bits, task by task, in the order the
+/// task received its workers.
+fn committed(assignment: &Assignment) -> Vec<(u32, u32, u64, u64, u64)> {
+    assignment
+        .iter()
+        .map(|(t, w, c)| {
+            (
+                t.0,
+                w.0,
+                c.p().to_bits(),
+                c.angle.to_bits(),
+                c.arrival.to_bits(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn differential_instances_cross_both_gates() {
+    let strategy = differential_instance();
+    let pairs: Vec<usize> = (0..64)
+        .map(|case| {
+            let mut rng = proptest::fresh_rng(proptest::case_seed("gates", case));
+            compute_valid_pairs(&strategy.generate(&mut rng)).num_pairs()
+        })
+        .collect();
+    assert!(pairs.iter().any(|&p| p <= 64), "{pairs:?}");
+    assert!(pairs.iter().any(|&p| (65..=256).contains(&p)), "{pairs:?}");
+    assert!(pairs.iter().any(|&p| p > 256), "{pairs:?}");
+}
+
+/// A task with more candidate workers than a valuation-memo key has bits is
+/// valued without the memo; the result must not change.
+#[test]
+fn sampling_matches_its_reference_on_tasks_wider_than_a_memo_key() {
+    let tasks = (0..3)
+        .map(|i| {
+            Task::new(
+                TaskId(0),
+                Point::new(0.3 + 0.2 * i as f64, 0.5),
+                TimeWindow::new(0.0, 10.0).unwrap(),
+            )
+        })
+        .collect();
+    let workers = (0..90)
+        .map(|j| {
+            Worker::new(
+                WorkerId(0),
+                Point::new(0.011 * j as f64, 0.1 + 0.009 * j as f64),
+                0.5,
+                AngleRange::full(),
+                Confidence::new(0.5 + 0.005 * j as f64).unwrap(),
+            )
+            .unwrap()
+        })
+        .collect();
+    let instance = ProblemInstance::new(tasks, workers, 0.5);
+    let candidates = compute_valid_pairs(&instance);
+    assert!(candidates.by_task.iter().all(|adj| adj.len() > 64));
+    let request = SolveRequest::new(&instance, &candidates);
+    let config = SamplingConfig {
+        min_samples: 40,
+        max_samples: 40,
+        ..SamplingConfig::default()
+    };
+    let (mut rng, mut reference_rng) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+    assert_eq!(
+        committed(&sampling(&request, &config, &mut rng)),
+        committed(&reference::sampling(&request, &config, &mut reference_rng))
+    );
+    assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// GREEDY commits the pairs its pre-rewrite body commits, with the
+    /// Lemma 4.3 pre-filter on and off, with and without priors.
+    #[test]
+    fn greedy_matches_its_reference(
+        instance in differential_instance(),
+        spec in prior_spec(),
+    ) {
+        let candidates = compute_valid_pairs(&instance);
+        let priors = build_priors(&instance, &spec);
+        let request = request_with(&instance, &candidates, &priors);
+        for use_pruning in [true, false] {
+            let config = GreedyConfig { use_pruning };
+            prop_assert_eq!(
+                committed(&greedy(&request, &config)),
+                committed(&reference::greedy(&request, &config)),
+                "use_pruning={}, {} pairs", use_pruning, candidates.num_pairs()
+            );
+        }
+    }
+
+    /// SAMPLING draws what its pre-rewrite body draws, in the same order,
+    /// and returns the same sample.
+    #[test]
+    fn sampling_matches_its_reference(
+        instance in differential_instance(),
+        spec in prior_spec(),
+        seed in 0u64..1_000_000,
+        max_samples in 1usize..=48,
+    ) {
+        let candidates = compute_valid_pairs(&instance);
+        let priors = build_priors(&instance, &spec);
+        let request = request_with(&instance, &candidates, &priors);
+        let config = SamplingConfig { min_samples: 1, max_samples, ..SamplingConfig::default() };
+        let (mut rng, mut reference_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        prop_assert_eq!(
+            committed(&sampling(&request, &config, &mut rng)),
+            committed(&reference::sampling(&request, &config, &mut reference_rng))
+        );
+        prop_assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "RNG state differs");
+    }
+
+    /// D&C partitions, samples and merges like its pre-rewrite body: deep
+    /// recursions, exhaustive and per-worker conflict resolution.
+    #[test]
+    fn divide_and_conquer_matches_its_reference(
+        instance in differential_instance(),
+        spec in prior_spec(),
+        seed in 0u64..1_000_000,
+        gamma in 1usize..=6,
+        max_group_enumeration in 0usize..=6,
+    ) {
+        let candidates = compute_valid_pairs(&instance);
+        let priors = build_priors(&instance, &spec);
+        let request = request_with(&instance, &candidates, &priors);
+        let config = DncConfig {
+            gamma,
+            sampling: SamplingConfig { min_samples: 2, max_samples: 12, ..SamplingConfig::default() },
+            max_group_enumeration,
+            ..DncConfig::default()
+        };
+        let (mut rng, mut reference_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        prop_assert_eq!(
+            committed(&divide_and_conquer(&request, &config, &mut rng)),
+            committed(&reference::divide_and_conquer(&request, &config, &mut reference_rng))
+        );
+        prop_assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "RNG state differs");
+    }
+
+    /// The kernels under the solvers return the bits their allocating
+    /// predecessors returned: expected diversity, the Lemma 4.3 bounds, the
+    /// objective with priors, and the dominating-count winner.
+    #[test]
+    fn kernels_match_their_references(
+        instance in differential_instance(),
+        spec in prior_spec(),
+        beta in 0.0f64..=1.0,
+    ) {
+        use reference::kernels;
+        let candidates = compute_valid_pairs(&instance);
+        let priors = build_priors(&instance, &spec).unwrap_or_else(|| TaskPriors::empty(instance.num_tasks()));
+        // Everything every task could receive, priors last.
+        let mut everyone = Assignment::for_instance(&instance);
+        for pair in &candidates.pairs {
+            if everyone.is_unassigned(pair.worker) {
+                everyone.assign_pair(pair).unwrap();
+            }
+        }
+        let mut values = Vec::new();
+        for task in &instance.tasks {
+            let mut set = everyone.contributions_of(task.id);
+            set.extend_from_slice(priors.of(task.id));
+            let std = expected_std(&set, task.window, beta);
+            prop_assert_eq!(std.to_bits(), kernels::expected_std(&set, task.window, beta).to_bits());
+            let bounds = expected_std_bounds(&set, task.window, beta);
+            prop_assert_eq!(bounds, kernels::expected_std_bounds(&set, task.window, beta));
+            if let Some((&new, before)) = set.split_last() {
+                prop_assert_eq!(
+                    delta_std_bounds(before, new, task.window, beta),
+                    kernels::delta_std_bounds(before, new, task.window, beta)
+                );
+            }
+            // Coarse values: exact duplicates and equal-x / equal-y runs.
+            values.push(((std * 4.0).round() / 4.0, (bounds.upper * 4.0).round() / 4.0));
+        }
+        prop_assert_eq!(
+            rank_by_dominating_count(&values),
+            kernels::rank_by_dominating_count(&values)
+        );
+        let scope = MinReliabilityScope::NonEmptyTasks;
+        prop_assert_eq!(
+            evaluate_with_priors(&instance, &everyone, &priors, scope),
+            kernels::evaluate_with_priors(&instance, &everyone, &priors, scope)
+        );
     }
 }

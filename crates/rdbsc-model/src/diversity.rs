@@ -32,20 +32,28 @@ pub fn entropy_term(fraction: f64) -> f64 {
 /// The maximum value for `r` angles is `ln(r)`, attained when the rays are
 /// equally spaced.
 pub fn spatial_diversity(angles: &[f64]) -> f64 {
+    spatial_diversity_in_place(&mut angles.to_vec())
+}
+
+/// [`spatial_diversity`] without the copy: normalises and sorts `angles`
+/// where they lie.
+pub fn spatial_diversity_in_place(angles: &mut [f64]) -> f64 {
     if angles.len() < 2 {
         return 0.0;
     }
-    let mut sorted: Vec<f64> = angles.iter().map(|&a| normalize_angle(a)).collect();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("angle must not be NaN"));
-    let r = sorted.len();
+    for a in angles.iter_mut() {
+        *a = normalize_angle(*a);
+    }
+    angles.sort_by(|a, b| a.partial_cmp(b).expect("angle must not be NaN"));
+    let r = angles.len();
     let mut sum = 0.0;
     for j in 0..r {
         let next = if j + 1 == r {
-            sorted[0] + FULL_TURN
+            angles[0] + FULL_TURN
         } else {
-            sorted[j + 1]
+            angles[j + 1]
         };
-        let gap = next - sorted[j];
+        let gap = next - angles[j];
         sum += entropy_term(gap / FULL_TURN);
     }
     sum
@@ -61,15 +69,23 @@ pub fn spatial_diversity(angles: &[f64]) -> f64 {
 ///
 /// A degenerate window (`duration == 0`) has diversity 0.
 pub fn temporal_diversity(arrivals: &[f64], window: TimeWindow) -> f64 {
+    temporal_diversity_in_place(&mut arrivals.to_vec(), window)
+}
+
+/// [`temporal_diversity`] without the copy: clamps and sorts `arrivals`
+/// where they lie.
+pub fn temporal_diversity_in_place(arrivals: &mut [f64], window: TimeWindow) -> f64 {
     let duration = window.duration();
     if duration <= 0.0 || arrivals.is_empty() {
         return 0.0;
     }
-    let mut sorted: Vec<f64> = arrivals.iter().map(|&t| window.clamp(t)).collect();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("arrival must not be NaN"));
+    for t in arrivals.iter_mut() {
+        *t = window.clamp(*t);
+    }
+    arrivals.sort_by(|a, b| a.partial_cmp(b).expect("arrival must not be NaN"));
     let mut sum = 0.0;
     let mut prev = window.start;
-    for &t in &sorted {
+    for &t in arrivals.iter() {
         sum += entropy_term((t - prev) / duration);
         prev = t;
     }

@@ -19,40 +19,89 @@
 //! per-entry evaluation). Correctness is cross-checked against the
 //! exhaustive oracle in [`crate::possible_worlds`] by unit and property
 //! tests.
+//!
+//! There is one kernel per quantity, working on caller-provided buffers.
+//! The solvers call [`expected_std_with`] with an [`ExpectedScratch`] they
+//! keep for a whole solve; [`expected_sd`], [`expected_td`] and
+//! [`expected_std`] are thin wrappers that run the same kernels on a stack
+//! buffer (up to 16 workers) or a fresh heap one.
 
 use crate::diversity::entropy_term;
 use crate::task::TimeWindow;
 use crate::valid_pairs::Contribution;
 use rdbsc_geo::FULL_TURN;
 
-/// Expected spatial diversity `E[SD]` of a worker set under possible-worlds
-/// semantics.
-pub fn expected_sd(contributions: &[Contribution]) -> f64 {
+/// Worker sets up to this size are evaluated on a stack buffer by the
+/// allocating wrappers.
+const STACK_WORKERS: usize = 16;
+
+/// Reusable buffers of the expected-diversity kernels. Contents between
+/// calls are meaningless; only the capacity is kept.
+#[derive(Debug, Clone, Default)]
+pub struct ExpectedScratch {
+    /// `(sort key, success probability)` per worker, sorted by key.
+    keyed: Vec<(f64, f64)>,
+    /// Elementary angular gaps between consecutive rays.
+    gaps: Vec<f64>,
+}
+
+impl ExpectedScratch {
+    /// The two buffers, resized to `r` workers.
+    fn buffers(&mut self, r: usize) -> (&mut [(f64, f64)], &mut [f64]) {
+        self.keyed.resize(r, (0.0, 0.0));
+        self.gaps.resize(r, 0.0);
+        (&mut self.keyed, &mut self.gaps)
+    }
+}
+
+/// Runs `kernel` on buffers for `r` workers: on the stack when they fit.
+fn with_buffers<T>(r: usize, kernel: impl FnOnce(&mut [(f64, f64)], &mut [f64]) -> T) -> T {
+    if r <= STACK_WORKERS {
+        let mut keyed = [(0.0, 0.0); STACK_WORKERS];
+        let mut gaps = [0.0; STACK_WORKERS];
+        kernel(&mut keyed[..r], &mut gaps[..r])
+    } else {
+        let mut scratch = ExpectedScratch::default();
+        let (keyed, gaps) = scratch.buffers(r);
+        kernel(keyed, gaps)
+    }
+}
+
+/// Fills `keyed` with `(key(c), p(c))` and sorts it by key. The sort is
+/// stable, so workers with equal keys keep their input order — the order the
+/// running products below multiply them in.
+fn sort_by_key(
+    contributions: &[Contribution],
+    keyed: &mut [(f64, f64)],
+    key: impl Fn(&Contribution) -> f64,
+) {
+    for (slot, c) in keyed.iter_mut().zip(contributions) {
+        *slot = (key(c), c.p());
+    }
+    keyed.sort_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .expect("angles and arrivals must not be NaN")
+    });
+}
+
+/// The `E[SD]` kernel; `keyed` and `gaps` have one slot per worker.
+fn sd_kernel(contributions: &[Contribution], keyed: &mut [(f64, f64)], gaps: &mut [f64]) -> f64 {
     let r = contributions.len();
     if r < 2 {
         // With fewer than two successful workers SD is always 0.
         return 0.0;
     }
     // Sort rays by angle; remember each worker's success probability.
-    let mut order: Vec<usize> = (0..r).collect();
-    order.sort_by(|&a, &b| {
-        contributions[a]
-            .angle
-            .partial_cmp(&contributions[b].angle)
-            .expect("angle must not be NaN")
-    });
-    let angles: Vec<f64> = order.iter().map(|&i| contributions[i].angle).collect();
-    let probs: Vec<f64> = order.iter().map(|&i| contributions[i].p()).collect();
+    sort_by_key(contributions, keyed, |c| c.angle);
 
     // Elementary angular gaps between consecutive rays (cyclic, sums to 2π).
-    let mut gaps = vec![0.0; r];
     for x in 0..r {
         let next = if x + 1 == r {
-            angles[0] + FULL_TURN
+            keyed[0].0 + FULL_TURN
         } else {
-            angles[x + 1]
+            keyed[x + 1].0
         };
-        gaps[x] = (next - angles[x]).max(0.0);
+        gaps[x] = (next - keyed[x].0).max(0.0);
     }
 
     let mut expectation = 0.0;
@@ -61,15 +110,16 @@ pub fn expected_sd(contributions: &[Contribution]) -> f64 {
         // probability that all rays strictly between j and the current k fail.
         let mut absent = 1.0;
         let mut arc = 0.0;
-        for step in 1..r {
-            let k = (j + step) % r;
-            arc += gaps[(j + step - 1) % r];
-            let prob = probs[j] * probs[k] * absent;
+        let mut k = j;
+        for _ in 1..r {
+            arc += gaps[k];
+            k = if k + 1 == r { 0 } else { k + 1 };
+            let prob = keyed[j].1 * keyed[k].1 * absent;
             if prob > 0.0 {
                 expectation += prob * entropy_term(arc / FULL_TURN);
             }
-            absent *= 1.0 - probs[k];
-            if absent == 0.0 && probs[j] == 0.0 {
+            absent *= 1.0 - keyed[k].1;
+            if absent == 0.0 && keyed[j].1 == 0.0 {
                 break;
             }
         }
@@ -77,40 +127,31 @@ pub fn expected_sd(contributions: &[Contribution]) -> f64 {
     expectation
 }
 
-/// Expected temporal diversity `E[TD]` of a worker set under possible-worlds
-/// semantics.
-pub fn expected_td(contributions: &[Contribution], window: TimeWindow) -> f64 {
+/// The `E[TD]` kernel; `keyed` has one slot per worker.
+fn td_kernel(contributions: &[Contribution], window: TimeWindow, keyed: &mut [(f64, f64)]) -> f64 {
     let duration = window.duration();
     let r = contributions.len();
     if duration <= 0.0 || r == 0 {
         return 0.0;
     }
-    // Sort arrivals (clamped into the window).
-    let mut order: Vec<usize> = (0..r).collect();
-    order.sort_by(|&a, &b| {
-        contributions[a]
-            .arrival
-            .partial_cmp(&contributions[b].arrival)
-            .expect("arrival must not be NaN")
-    });
-    let arrivals: Vec<f64> = order
-        .iter()
-        .map(|&i| window.clamp(contributions[i].arrival))
-        .collect();
-    let probs: Vec<f64> = order.iter().map(|&i| contributions[i].p()).collect();
+    // Sort arrivals, then clamp them into the window.
+    sort_by_key(contributions, keyed, |c| c.arrival);
+    for slot in keyed.iter_mut() {
+        slot.0 = window.clamp(slot.0);
+    }
 
     let mut expectation = 0.0;
 
     // Sub-intervals bounded on the left by the window start.
     {
         let mut absent = 1.0;
-        for k in 0..r {
-            let length = arrivals[k] - window.start;
-            let prob = probs[k] * absent;
+        for &(arrival, p) in keyed.iter() {
+            let length = arrival - window.start;
+            let prob = p * absent;
             if prob > 0.0 {
                 expectation += prob * entropy_term(length / duration);
             }
-            absent *= 1.0 - probs[k];
+            absent *= 1.0 - p;
         }
         // The interval [start, end] with every worker absent has fraction 1
         // and entropy 0, so it never contributes.
@@ -119,18 +160,19 @@ pub fn expected_td(contributions: &[Contribution], window: TimeWindow) -> f64 {
     // Sub-intervals bounded by two worker arrivals, and those bounded on the
     // right by the window end.
     for j in 0..r {
+        let (arrival_j, p_j) = keyed[j];
         let mut absent = 1.0;
-        for k in (j + 1)..r {
-            let length = arrivals[k] - arrivals[j];
-            let prob = probs[j] * probs[k] * absent;
+        for &(arrival_k, p_k) in &keyed[j + 1..] {
+            let length = arrival_k - arrival_j;
+            let prob = p_j * p_k * absent;
             if prob > 0.0 {
                 expectation += prob * entropy_term(length / duration);
             }
-            absent *= 1.0 - probs[k];
+            absent *= 1.0 - p_k;
         }
         // [arrival_j, end] exists when j succeeds and every later worker fails.
-        let length = window.end - arrivals[j];
-        let prob = probs[j] * absent;
+        let length = window.end - arrival_j;
+        let prob = p_j * absent;
         if prob > 0.0 {
             expectation += prob * entropy_term(length / duration);
         }
@@ -138,20 +180,62 @@ pub fn expected_td(contributions: &[Contribution], window: TimeWindow) -> f64 {
     expectation
 }
 
-/// Expected combined diversity `E[STD] = β·E[SD] + (1−β)·E[TD]` (Lemma 3.1).
-pub fn expected_std(contributions: &[Contribution], window: TimeWindow, beta: f64) -> f64 {
+/// The `E[STD]` kernel (Lemma 3.1): the two kernels above, each skipped when
+/// `β` gives it no weight.
+fn std_kernel(
+    contributions: &[Contribution],
+    window: TimeWindow,
+    beta: f64,
+    keyed: &mut [(f64, f64)],
+    gaps: &mut [f64],
+) -> f64 {
     let beta = beta.clamp(0.0, 1.0);
     let sd = if beta > 0.0 {
-        expected_sd(contributions)
+        sd_kernel(contributions, keyed, gaps)
     } else {
         0.0
     };
     let td = if beta < 1.0 {
-        expected_td(contributions, window)
+        td_kernel(contributions, window, keyed)
     } else {
         0.0
     };
     beta * sd + (1.0 - beta) * td
+}
+
+/// Expected spatial diversity `E[SD]` of a worker set under possible-worlds
+/// semantics.
+pub fn expected_sd(contributions: &[Contribution]) -> f64 {
+    with_buffers(contributions.len(), |keyed, gaps| {
+        sd_kernel(contributions, keyed, gaps)
+    })
+}
+
+/// Expected temporal diversity `E[TD]` of a worker set under possible-worlds
+/// semantics.
+pub fn expected_td(contributions: &[Contribution], window: TimeWindow) -> f64 {
+    with_buffers(contributions.len(), |keyed, _| {
+        td_kernel(contributions, window, keyed)
+    })
+}
+
+/// Expected combined diversity `E[STD] = β·E[SD] + (1−β)·E[TD]` (Lemma 3.1).
+pub fn expected_std(contributions: &[Contribution], window: TimeWindow, beta: f64) -> f64 {
+    with_buffers(contributions.len(), |keyed, gaps| {
+        std_kernel(contributions, window, beta, keyed, gaps)
+    })
+}
+
+/// [`expected_std`] on reusable buffers: the variant the solvers call in
+/// their inner loops.
+pub fn expected_std_with(
+    contributions: &[Contribution],
+    window: TimeWindow,
+    beta: f64,
+    scratch: &mut ExpectedScratch,
+) -> f64 {
+    let (keyed, gaps) = scratch.buffers(contributions.len());
+    std_kernel(contributions, window, beta, keyed, gaps)
 }
 
 #[cfg(test)]
@@ -188,9 +272,9 @@ mod tests {
         assert!((expected_td(&cs, window()) - expected_td_exhaustive(&cs, window())).abs() < 1e-12);
     }
 
-    #[test]
-    fn matches_exhaustive_on_mixed_sets() {
-        let sets: Vec<Vec<Contribution>> = vec![
+    /// Worker sets with certain, impossible and exactly duplicated workers.
+    fn mixed_sets() -> Vec<Vec<Contribution>> {
+        vec![
             vec![
                 contribution(0.9, 0.1, 1.0),
                 contribution(0.5, 2.0, 4.0),
@@ -209,8 +293,12 @@ mod tests {
                 contribution(0.5, 3.0, 4.0), // exact duplicate contribution
                 contribution(0.7, 5.9, 9.9),
             ],
-        ];
-        for cs in sets {
+        ]
+    }
+
+    #[test]
+    fn matches_exhaustive_on_mixed_sets() {
+        for cs in mixed_sets() {
             let w = window();
             assert!(
                 (expected_sd(&cs) - expected_sd_exhaustive(&cs)).abs() < 1e-9,
@@ -291,5 +379,59 @@ mod tests {
         let v = expected_std(&cs, window(), 0.5);
         assert!(v.is_finite());
         assert!(v > 0.0);
+    }
+
+    #[test]
+    fn wrappers_and_scratch_variants_agree_to_the_bit() {
+        // The possible-worlds cases above, plus equal angles / arrivals with
+        // different probabilities (the stable sort decides their order) and
+        // one set beyond the stack buffer.
+        let mut sets = mixed_sets();
+        sets.push(vec![
+            contribution(0.3, 1.0, 4.0),
+            contribution(0.9, 1.0, 4.0),
+            contribution(0.6, 1.0, 12.0),
+            contribution(0.2, 4.0, -1.0),
+        ]);
+        sets.push(
+            (0..STACK_WORKERS + 5)
+                .map(|i| {
+                    contribution(
+                        0.05 * (i % 19) as f64,
+                        i as f64 * 0.61,
+                        (i % 7) as f64 * 1.5,
+                    )
+                })
+                .collect(),
+        );
+        let w = window();
+        // One scratch across all sets: stale contents must not leak.
+        let mut scratch = ExpectedScratch::default();
+        for cs in sets {
+            for len in 0..=cs.len() {
+                let cs = &cs[..len];
+                // β = 1 and β = 0 are the SD and the TD kernel alone.
+                assert_eq!(
+                    expected_sd(cs).to_bits(),
+                    expected_std_with(cs, w, 1.0, &mut scratch).to_bits()
+                );
+                assert_eq!(
+                    expected_td(cs, w).to_bits(),
+                    expected_std_with(cs, w, 0.0, &mut scratch).to_bits()
+                );
+                for beta in [0.0, 0.3, 0.5, 1.0] {
+                    let wrapper = expected_std(cs, w, beta);
+                    let scratched = expected_std_with(cs, w, beta, &mut scratch);
+                    assert_eq!(
+                        wrapper.to_bits(),
+                        scratched.to_bits(),
+                        "beta={beta}, {cs:?}"
+                    );
+                    if len <= 8 {
+                        assert!((wrapper - expected_std_exhaustive(cs, w, beta)).abs() < 1e-9);
+                    }
+                }
+            }
+        }
     }
 }

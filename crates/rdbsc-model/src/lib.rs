@@ -39,7 +39,7 @@ pub mod worker;
 pub use aggregation::{aggregate_answers, AggregationConfig, AnswerGroup};
 pub use assignment::Assignment;
 pub use diversity::{spatial_diversity, std_diversity, temporal_diversity};
-pub use dominance::{dominates, rank_by_dominating_count};
+pub use dominance::{dominates, rank_by_dominating_count, DominanceRanker};
 pub use error::ModelError;
 pub use expected::{expected_sd, expected_std, expected_td};
 pub use ids::{TaskId, WorkerId};

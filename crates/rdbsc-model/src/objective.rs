@@ -3,10 +3,9 @@
 //! **summed expected spatial/temporal diversity** `total_STD`.
 
 use crate::assignment::Assignment;
-use crate::expected::expected_std;
+use crate::expected::{expected_std, expected_std_with, ExpectedScratch};
 use crate::ids::TaskId;
 use crate::instance::ProblemInstance;
-use crate::reliability::{log_reliability, reliability};
 use crate::valid_pairs::Contribution;
 
 /// Contributions a task has *already* banked before the current assignment
@@ -120,9 +119,13 @@ pub fn evaluate_with_priors(
     let mut min_log_rel = f64::INFINITY;
     let mut total_std = 0.0;
     let mut assigned_tasks = 0usize;
+    // One contribution buffer and one kernel scratch for all tasks.
+    let mut contributions: Vec<Contribution> = Vec::new();
+    let mut scratch = ExpectedScratch::default();
 
     for task in &instance.tasks {
-        let mut contributions = assignment.contributions_of(task.id);
+        contributions.clear();
+        contributions.extend(assignment.workers_of(task.id).iter().map(|(_, c)| *c));
         contributions.extend_from_slice(priors.of(task.id));
         if contributions.is_empty() {
             if scope == MinReliabilityScope::AllTasks {
@@ -132,16 +135,13 @@ pub fn evaluate_with_priors(
             continue;
         }
         assigned_tasks += 1;
-        let confidences: Vec<_> = contributions.iter().map(|c| c.confidence).collect();
-        let rel = reliability(&confidences);
-        let log_rel = log_reliability(&confidences);
-        min_rel = min_rel.min(rel);
+        let log_rel: f64 = contributions
+            .iter()
+            .map(|c| c.confidence.log_weight())
+            .sum();
+        min_rel = min_rel.min(task_reliability_of(&contributions));
         min_log_rel = min_log_rel.min(log_rel);
-        total_std += expected_std(
-            &contributions,
-            task.window,
-            task.effective_beta(instance.beta),
-        );
+        total_std += task_expected_std_with(instance, task.id, &contributions, &mut scratch);
     }
 
     if min_rel == f64::INFINITY {
@@ -176,14 +176,27 @@ pub fn task_expected_std(
 }
 
 /// Expected STD of a single task from an explicit contribution set (newly
-/// assigned workers plus banked priors).
-pub fn task_expected_std_of(
+/// assigned workers plus banked priors), on reusable kernel buffers.
+pub fn task_expected_std_with(
     instance: &ProblemInstance,
     task: TaskId,
     contributions: &[Contribution],
+    scratch: &mut ExpectedScratch,
 ) -> f64 {
     let t = &instance.tasks[task.index()];
-    expected_std(contributions, t.window, t.effective_beta(instance.beta))
+    expected_std_with(
+        contributions,
+        t.window,
+        t.effective_beta(instance.beta),
+        scratch,
+    )
+}
+
+/// `rel = 1 − Π (1 − pⱼ)` (Eq. 1) of an explicit contribution set: the fold
+/// of [`reliability`](crate::reliability::reliability), in the same order.
+pub fn task_reliability_of(contributions: &[Contribution]) -> f64 {
+    let fail_all: f64 = contributions.iter().map(|c| 1.0 - c.p()).product();
+    1.0 - fail_all
 }
 
 #[cfg(test)]

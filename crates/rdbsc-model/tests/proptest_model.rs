@@ -9,9 +9,10 @@ use std::f64::consts::TAU;
 use rdbsc_model::possible_worlds::{
     expected_sd_exhaustive, expected_std_exhaustive, expected_td_exhaustive,
 };
+use rdbsc_model::dominance::{dominating_counts, BiObjective};
 use rdbsc_model::{
     expected_sd, expected_std, expected_td, log_reliability, reliability, spatial_diversity,
-    temporal_diversity, Confidence, Contribution, TimeWindow,
+    temporal_diversity, Confidence, Contribution, DominanceRanker, TimeWindow,
 };
 
 /// Strategy generating a small worker set as (p, angle, arrival) triples.
@@ -106,5 +107,58 @@ proptest! {
         prop_assert!(sd >= 0.0 && sd <= (angles.len() as f64).ln() + 1e-9);
         let td = temporal_diversity(&arrivals, window());
         prop_assert!(td >= 0.0 && td <= ((arrivals.len() + 1) as f64).ln() + 1e-9);
+    }
+}
+
+/// Candidates on a coarse lattice — exact duplicates, long equal-x and
+/// equal-y runs — some nudged by a few ulps so that sums tie within the
+/// ranking's `1e-15` tolerance without being equal.
+fn lattice_values(max_len: usize) -> impl Strategy<Value = Vec<BiObjective>> {
+    proptest::collection::vec((0u8..6, 0u8..6, 0u8..4, 0u8..4), 0..=max_len).prop_map(|cells| {
+        let nudge = |n: u8| [0.0, 2e-16, 6e-16, 3e-15][usize::from(n)];
+        cells
+            .into_iter()
+            .map(|(x, y, dx, dy)| {
+                (
+                    f64::from(x) * 0.25 + nudge(dx),
+                    f64::from(y) * 0.25 + nudge(dy),
+                )
+            })
+            .collect()
+    })
+}
+
+/// The ranking by definition: the first maximum of the quadratic counts,
+/// replaced by any later equal count whose sum is more than `1e-15` larger.
+fn rank_by_definition(values: &[BiObjective]) -> Option<usize> {
+    let counts = dominating_counts(values);
+    (0..values.len()).reduce(|best, i| {
+        let better = counts[i] > counts[best]
+            || (counts[i] == counts[best]
+                && values[i].0 + values[i].1 > values[best].0 + values[best].1 + 1e-15);
+        if better {
+            i
+        } else {
+            best
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The skyline-staircase ranking picks the candidate the quadratic
+    /// dominating counts and the tie-breaks pick, on either side of the 256
+    /// candidates where the ranking used to change algorithm, with one
+    /// ranker reused across inputs of different sizes.
+    #[test]
+    fn ranker_matches_the_quadratic_oracle(
+        small in lattice_values(40),
+        large in lattice_values(600),
+    ) {
+        let mut ranker = DominanceRanker::default();
+        for values in [&large, &small, &large] {
+            prop_assert_eq!(ranker.rank(values), rank_by_definition(values), "{} candidates", values.len());
+        }
     }
 }
