@@ -1,28 +1,24 @@
 //! Remote-partition benchmark: the partition protocol's wire overhead and
 //! its cross-process determinism contract, measured end to end.
 //!
-//! Replays one deterministic scripted metro timeline through seven
-//! topologies, **same seed everywhere** — every remote topology runs A/B
-//! under both wire transports:
+//! Replays one deterministic scripted metro timeline through five
+//! topologies, **same seed everywhere**:
 //!
 //! | label | topology |
 //! |---|---|
 //! | `plain` | a bare `AssignmentEngine`, no router |
 //! | `1p-local` | router + 1 in-process partition |
-//! | `1p-remote-http` | router + 1 `rdbsc-partitiond` daemon, HTTP/JSON |
-//! | `1p-remote` | router + 1 daemon, pipelined binary frames |
+//! | `1p-remote` | router + 1 `rdbsc-partitiond` daemon over binary frames |
 //! | `2p-local` | router + 2 in-process partitions |
-//! | `2p-mixed-http` | router + 1 in-process + 1 daemon, HTTP/JSON |
-//! | `2p-mixed` | router + 1 in-process + 1 daemon, binary frames |
+//! | `2p-mixed` | router + 1 in-process + 1 daemon |
 //!
 //! Determinism is asserted by FNV digests over every committed pair's ids
-//! *and float bit patterns*: `plain == 1p-local == 1p-remote-http ==
-//! 1p-remote` (a remote partition is byte-identical to the plain engine,
-//! on either transport) and `2p-local == 2p-mixed-http == 2p-mixed` (a
-//! mixed topology is byte-identical to the all-in-process router — and the
-//! two transports are byte-identical to *each other*). The wall ratios
+//! *and float bit patterns*: `plain == 1p-local == 1p-remote` (a remote
+//! partition is byte-identical to the plain engine) and `2p-local ==
+//! 2p-mixed` (a mixed topology is byte-identical to the all-in-process
+//! router). The wall ratios
 //! `1p-remote / 1p-local` and `2p-mixed / 2p-local` are the protocol's
-//! measured router overhead per transport, and each remote client's
+//! measured router overhead, and each remote client's
 //! protocol counters (requests, frames, bytes, command latency
 //! percentiles) are recorded alongside.
 //!
@@ -47,9 +43,7 @@ use rdbsc_platform::{
     PartitionedEngine, ProtocolStats,
 };
 use rdbsc_server::json::Json;
-use rdbsc_server::{
-    connect_remote_partition, PartitionDaemon, PartitiondConfig, RemoteTransport,
-};
+use rdbsc_server::{connect_remote_partition, PartitionDaemon, PartitiondConfig};
 use rdbsc_workloads::{generate_metro_instance, MetroConfig};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -274,14 +268,13 @@ fn run_plain(args: &Args, script: &Script) -> RunResult {
 }
 
 /// A routed topology: `partitions` regions, the first `remote` of them on
-/// freshly spawned loopback daemons reached over `transport`.
+/// freshly spawned loopback daemons.
 fn run_routed(
     args: &Args,
     script: &Script,
     label: &'static str,
     partitions: usize,
     remote: usize,
-    transport: RemoteTransport,
 ) -> RunResult {
     let geometry = GridGeometry::new(Rect::unit(), CELL_SIZE);
     let partition = if partitions == 1 {
@@ -312,7 +305,6 @@ fn run_routed(
                 CELL_SIZE,
                 &engine_config,
                 None,
-                transport,
             )
             .expect("daemon handshake");
             daemons.push(daemon);
@@ -344,14 +336,14 @@ fn run_routed(
     }
     let seconds = started.elapsed().as_secs_f64();
     let handoffs = engine.handoffs();
-    let remote_transports: Vec<_> = engine
+    let remote_clients: Vec<_> = engine
         .transport_stats()
         .into_iter()
         .filter(|t| t.kind != "in-process")
         .collect();
-    let remote_kind = remote_transports.first().map(|t| t.kind.to_string());
+    let remote_kind = remote_clients.first().map(|t| t.kind.to_string());
     let remote_stats: Vec<ProtocolStats> =
-        remote_transports.into_iter().map(|t| t.stats).collect();
+        remote_clients.into_iter().map(|t| t.stats).collect();
     engine.shutdown(); // drains + stops local threads and daemons alike
     for daemon in daemons {
         daemon.join();
@@ -378,12 +370,10 @@ fn main() {
 
     let runs = vec![
         run_plain(&args, &script),
-        run_routed(&args, &script, "1p-local", 1, 0, RemoteTransport::Binary),
-        run_routed(&args, &script, "1p-remote-http", 1, 1, RemoteTransport::Http),
-        run_routed(&args, &script, "1p-remote", 1, 1, RemoteTransport::Binary),
-        run_routed(&args, &script, "2p-local", 2, 0, RemoteTransport::Binary),
-        run_routed(&args, &script, "2p-mixed-http", 2, 1, RemoteTransport::Http),
-        run_routed(&args, &script, "2p-mixed", 2, 1, RemoteTransport::Binary),
+        run_routed(&args, &script, "1p-local", 1, 0),
+        run_routed(&args, &script, "1p-remote", 1, 1),
+        run_routed(&args, &script, "2p-local", 2, 0),
+        run_routed(&args, &script, "2p-mixed", 2, 1),
     ];
     for r in &runs {
         print!(
@@ -413,10 +403,9 @@ fn main() {
     let by_label = |label: &str| runs.iter().find(|r| r.label == label).expect("run exists");
     let mut failures: Vec<String> = Vec::new();
 
-    // The determinism contract, over the wire — on both transports, which
-    // also proves the transports byte-identical to each other.
+    // The determinism contract, over the wire.
     let plain = by_label("plain");
-    for label in ["1p-local", "1p-remote-http", "1p-remote"] {
+    for label in ["1p-local", "1p-remote"] {
         let run = by_label(label);
         if run.digest != plain.digest {
             failures.push(format!(
@@ -425,32 +414,15 @@ fn main() {
             ));
         }
     }
-    for label in ["2p-mixed-http", "2p-mixed"] {
-        if by_label(label).digest != by_label("2p-local").digest {
-            failures.push(format!(
-                "{label} digest {:#x} diverges from 2p-local {:#x}",
-                by_label(label).digest,
-                by_label("2p-local").digest
-            ));
-        }
-        if by_label(label).handoffs != by_label("2p-local").handoffs {
-            failures.push(format!("{label} handoff count differs across transports"));
-        }
+    let (local, mixed) = (by_label("2p-local"), by_label("2p-mixed"));
+    if mixed.digest != local.digest {
+        failures.push(format!(
+            "2p-mixed digest {:#x} diverges from 2p-local {:#x}",
+            mixed.digest, local.digest
+        ));
     }
-    // The negotiated transport must be what each A/B arm asked for — a
-    // silent fallback would fake the comparison.
-    for (label, expected) in [
-        ("1p-remote-http", "http"),
-        ("1p-remote", "binary"),
-        ("2p-mixed-http", "http"),
-        ("2p-mixed", "binary"),
-    ] {
-        let got = by_label(label).remote_kind.as_deref();
-        if got != Some(expected) {
-            failures.push(format!(
-                "{label} negotiated transport {got:?}, expected {expected:?}"
-            ));
-        }
+    if mixed.handoffs != local.handoffs {
+        failures.push("2p-mixed handoff count differs from 2p-local".to_string());
     }
     for r in &runs {
         if r.assignments == 0 {
@@ -462,24 +434,15 @@ fn main() {
     }
     if failures.is_empty() {
         println!(
-            "determinism: PASS (1 remote partition == plain engine; mixed == all-in-process; \
-             http == binary)"
+            "determinism: PASS (1 remote partition == plain engine; mixed == all-in-process)"
         );
     }
 
     let overhead_1p = by_label("1p-remote").seconds / by_label("1p-local").seconds.max(1e-12);
     let overhead_2p = by_label("2p-mixed").seconds / by_label("2p-local").seconds.max(1e-12);
-    let overhead_1p_http =
-        by_label("1p-remote-http").seconds / by_label("1p-local").seconds.max(1e-12);
-    let overhead_2p_http =
-        by_label("2p-mixed-http").seconds / by_label("2p-local").seconds.max(1e-12);
     println!(
-        "router overhead (binary): 1p-remote/1p-local {overhead_1p:.2}x, \
+        "router overhead: 1p-remote/1p-local {overhead_1p:.2}x, \
          2p-mixed/2p-local {overhead_2p:.2}x"
-    );
-    println!(
-        "router overhead (http):   1p-remote/1p-local {overhead_1p_http:.2}x, \
-         2p-mixed/2p-local {overhead_2p_http:.2}x"
     );
 
     if let Some(path) = &args.json_path {
@@ -545,8 +508,6 @@ fn main() {
             ("engine_parallelism", Json::Num(1.0)),
             ("router_overhead_1p", Json::Num(overhead_1p)),
             ("router_overhead_2p", Json::Num(overhead_2p)),
-            ("router_overhead_1p_http", Json::Num(overhead_1p_http)),
-            ("router_overhead_2p_http", Json::Num(overhead_2p_http)),
             (
                 "determinism",
                 Json::Str(if failures.is_empty() { "pass".into() } else { "fail".into() }),

@@ -195,7 +195,7 @@ impl BatchSolver for AdaptiveBatchSolver {
 }
 
 /// What one engine tick did.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TickReport {
     /// The tick's time (workers depart no earlier).
     pub now: f64,

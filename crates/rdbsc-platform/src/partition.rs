@@ -8,12 +8,12 @@
 //! [`PartitionClient`] per region and speaks the versioned partition
 //! protocol ([`crate::protocol`]), so a region's engine can be a thread in
 //! this process ([`InProcessClient`]) or a daemon on another host
-//! (`rdbsc-server::HttpPartitionClient` → `rdbsc-partitiond`):
+//! (`rdbsc-server::BinaryPartitionClient` → `rdbsc-partitiond`):
 //!
 //! ```text
 //!                         ┌► PartitionClient 0 ─ thread: engine over region 0
 //!   events ──► router ────┼► PartitionClient 1 ─ thread: engine over region 1
-//!   (by location)         └► PartitionClient 2 ─ HTTP ──► rdbsc-partitiond
+//!   (by location)         └► PartitionClient 2 ─ frames ► rdbsc-partitiond
 //!                              ▲ ticks begin on every client before any
 //!                              └ reply is collected → partitions solve
 //!                                concurrently, reports merge in order
@@ -126,7 +126,7 @@ struct WorkerEntry {
 pub struct PartitionHealth {
     /// The region index of the lost partition.
     pub partition: usize,
-    /// The backend kind (`"in-process"` / `"http"`).
+    /// The backend kind (`"in-process"` / `"binary"`).
     pub kind: &'static str,
     /// The thread label or network address that stopped answering.
     pub endpoint: String,
@@ -175,7 +175,7 @@ pub struct PromotionRecord {
 pub struct PartitionTransport {
     /// The region index.
     pub partition: usize,
-    /// The backend kind (`"in-process"` / `"http"`).
+    /// The backend kind (`"in-process"` / `"binary"`).
     pub kind: &'static str,
     /// The thread label or network address.
     pub endpoint: String,

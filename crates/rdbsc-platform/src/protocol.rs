@@ -19,10 +19,10 @@
 //! * [`InProcessClient`] — the thread-per-partition backend: today's
 //!   engine-on-an-OS-thread behind channels, now just one implementation of
 //!   the protocol.
-//! * `rdbsc-server::HttpPartitionClient` — the wire backend: the same
-//!   protocol over persistent keep-alive HTTP/1.1 to an `rdbsc-partitiond`
-//!   daemon hosting the partition's engine in its own process (or on its
-//!   own host).
+//! * `rdbsc-server::BinaryPartitionClient` — the wire backend: the same
+//!   protocol as length-prefixed binary frames on one persistent TCP
+//!   connection to an `rdbsc-partitiond` daemon hosting the partition's
+//!   engine in its own process (or on its own host).
 //!
 //! ## Split-phase commands
 //!
@@ -30,9 +30,9 @@
 //! **concurrently** — the round's wall time is the slowest partition's, not
 //! the sum. A synchronous `tick()` call per client would serialise remote
 //! solves, so the hot commands are split-phase: [`PartitionClient::begin_tick`]
-//! dispatches the command (channel send, or HTTP request write) and
+//! dispatches the command (channel send, or frame write) and
 //! [`PartitionClient::finish_tick`] collects the reply (channel receive, or
-//! HTTP response read). The router begins on every partition before
+//! frame read). The router begins on every partition before
 //! finishing any, so N daemons solve their regions at the same time. Submit
 //! gets the same treatment — it is the ingestion hot path.
 //!
@@ -47,8 +47,8 @@
 //! The protocol carries exactly the information the PR 4 router used, so
 //! the determinism contract is transport-independent: byte-identical event
 //! streams produce byte-identical tick replies whether a partition is a
-//! thread or a daemon (floats survive the wire because the JSON codec
-//! prints shortest-round-trip forms). `rdbsc-bench --bin remote_scale`
+//! thread or a daemon (floats cross the wire as their IEEE-754 bit
+//! patterns). `rdbsc-bench --bin remote_scale`
 //! asserts this end to end.
 
 use crate::engine::{AssignmentEngine, EngineConfig, EngineEvent, TickReport};
@@ -117,7 +117,7 @@ impl std::error::Error for PartitionError {}
 /// One lockstep tick's reply: what the tick did, plus the partition's
 /// post-tick committed worker set — the router's handoff oracle (a committed
 /// worker must stay with its task's partition until the commitment clears).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionTick {
     /// The partition engine's tick report.
     pub report: TickReport,
@@ -146,9 +146,9 @@ pub struct ProtocolCounters {
     pub bytes_sent: Counter,
     /// Response bytes read from the transport (0 for in-process).
     pub bytes_received: Counter,
-    /// Binary frames written (0 for in-process and HTTP backends).
+    /// Binary frames written (0 for in-process backends).
     pub frames_sent: Counter,
-    /// Binary frames read (0 for in-process and HTTP backends).
+    /// Binary frames read (0 for in-process backends).
     pub frames_received: Counter,
     /// Per-command latency (dispatch to reply, including the engine work).
     pub command_latency: LatencyHistogram,
@@ -204,7 +204,7 @@ impl ProtocolCounters {
 /// thread, and a `begin_*` must be paired with its `finish_*` before any
 /// other command is issued on the same client.
 pub trait PartitionClient: Send {
-    /// The backend kind: `"in-process"`, `"http"` or `"binary"`.
+    /// The backend kind: `"in-process"` or `"binary"`.
     fn kind(&self) -> &'static str;
 
     /// Where the partition lives (thread label or network address).
@@ -282,7 +282,7 @@ pub trait PartitionClient: Send {
 /// One partition's engine plus the serving counters its snapshots need —
 /// the state machine **both** protocol backends execute: the in-process
 /// client runs one on a thread, and `rdbsc-partitiond` runs one behind its
-/// HTTP routes, so a command means exactly the same thing on either side of
+/// frame dispatcher, so a command means exactly the same thing on either side of
 /// the wire.
 pub struct EnginePartition<I: SpatialIndex> {
     engine: AssignmentEngine<I>,

@@ -119,7 +119,9 @@ impl Encoder {
         self.f64(c.arrival);
     }
 
-    fn event(&mut self, e: &EngineEvent) {
+    /// Appends one engine event — also the event codec of the partition
+    /// wire's submit frame, so an event has exactly one binary encoding.
+    pub fn event(&mut self, e: &EngineEvent) {
         match e {
             EngineEvent::TaskArrived(t) => {
                 self.u8(0);
@@ -340,7 +342,9 @@ impl<'a> Decoder<'a> {
         })
     }
 
-    fn event(&mut self) -> Result<EngineEvent, WalError> {
+    /// Reads one engine event (the inverse of [`Encoder::event`]), rebuilt
+    /// through the validating model constructors.
+    pub fn event(&mut self) -> Result<EngineEvent, WalError> {
         match self.u8()? {
             0 => Ok(EngineEvent::TaskArrived(self.task()?)),
             1 => Ok(EngineEvent::TaskExpired(TaskId(self.u32()?))),

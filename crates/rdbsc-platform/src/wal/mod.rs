@@ -55,7 +55,9 @@
 mod codec;
 mod failpoint;
 
-pub use codec::{crc32, decode_record, encode_partition_state, encode_record, fnv1a};
+pub use codec::{
+    crc32, decode_record, encode_partition_state, encode_record, fnv1a, Decoder, Encoder,
+};
 pub use failpoint::{FailpointWriter, FaultPlan};
 
 use crate::engine::{EngineEvent, EngineState};

@@ -32,8 +32,8 @@ fn usage() -> ! {
          --follow HOST:PORT boots the daemon as a replication standby: it\n\
          bootstraps its state from the primary at that address, applies\n\
          shipped WAL records continuously (lag on /metrics), and refuses\n\
-         mutating client commands until POST /partition/repl/promote turns\n\
-         it into the serving primary — what a router with\n\
+         mutating client commands until a promote command turns it\n\
+         into the serving primary — what a router with\n\
          --standby-partition does on primary failure.\n\
          --slow-tick-ms N captures every tick slower than N ms (stage\n\
          breakdown + span tree) for GET /debug/slow-ticks; 0 captures\n\

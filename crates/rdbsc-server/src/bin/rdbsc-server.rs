@@ -3,7 +3,7 @@
 
 use rdbsc_index::IndexBackend;
 use rdbsc_platform::EngineConfig;
-use rdbsc_server::{RemoteTransport, Server, ServerConfig};
+use rdbsc_server::{Server, ServerConfig};
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -13,8 +13,7 @@ fn usage() -> ! {
          \x20                 [--beta F] [--cell-size F] [--time-scale F]\n\
          \x20                 [--backend grid|flat-grid] [--partitions N]\n\
          \x20                 [--remote-partition HOST:PORT]... [--data-dir PATH]\n\
-         \x20                 [--remote-transport http|binary]... [--slow-tick-ms N]\n\
-         \x20                 [--standby-partition HOST:PORT|-]...\n\
+         \x20                 [--standby-partition HOST:PORT|-]... [--slow-tick-ms N]\n\
          \n\
          --flush-interval-ms 0 enables manual tick mode: the engine only\n\
          advances on POST /tick. Stop the server with POST /admin/shutdown.\n\
@@ -26,11 +25,6 @@ fn usage() -> ! {
          rdbsc-partitiond daemon as a region: the k-th flag serves region\n\
          k, remaining regions run in-process. The router handshakes and\n\
          pushes each daemon its routing table and engine config at boot.\n\
-         --remote-transport http|binary (repeatable) picks the wire\n\
-         protocol per remote partition: the k-th flag applies to the k-th\n\
-         daemon, later daemons reuse the last flag. Default binary (the\n\
-         pipelined frame protocol), negotiated down to http per daemon\n\
-         when a daemon doesn't advertise binary support.\n\
          --data-dir PATH write-ahead logs every in-process partition under\n\
          PATH/part-NNNN and recovers from the logs on restart; remote\n\
          daemons are durable when started with their own --data-dir.\n\
@@ -108,9 +102,6 @@ fn main() {
             } else {
                 value.clone()
             }),
-            "--remote-transport" => config
-                .remote_transports
-                .push(RemoteTransport::parse(value).unwrap_or_else(|| parse_err(value))),
             "--data-dir" => config.data_dir = Some(value.into()),
             "--slow-tick-ms" => {
                 let ms: u64 = value.parse().unwrap_or_else(|_| parse_err(value));

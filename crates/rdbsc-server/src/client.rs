@@ -2,9 +2,10 @@
 //!
 //! This is the client half of the serving subsystem's closed loop — the
 //! end-to-end tests and the `rdbsc-bench` load generator drive the server
-//! through it — and the transport under
-//! [`HttpPartitionClient`](crate::remote::HttpPartitionClient), the wire
-//! backend of the partition protocol. Keep-alive by default, with the same
+//! through it — and the transport under the partition protocol's
+//! hello/configure handshake
+//! ([`PartitionHandshake`](crate::remote::PartitionHandshake)). Keep-alive
+//! by default, with the same
 //! RFC 9110 §7.6.1 `Connection` token-list reading as the server
 //! ([`connection_directive`]): a response carrying `close` anywhere in its
 //! token list drops the cached connection (the next request reconnects),

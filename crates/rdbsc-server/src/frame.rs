@@ -1,12 +1,15 @@
 //! Length-prefixed binary framing for the partition protocol — the hot
 //! command path between router and `rdbsc-partitiond` daemons.
 //!
-//! HTTP+JSON (the [`crate::protocol`] module) stays the debuggable
-//! fallback; this codec carries the *same* command surface with none of the
-//! text-path costs: floats travel as their IEEE-754 bit patterns verbatim
-//! (no shortest-round-trip formatting, no re-parse), integers are
-//! little-endian fixed-width, and every frame is length-prefixed so the
-//! reader never scans for delimiters.
+//! This is the only carrier of partition *data* commands (HTTP keeps the
+//! hello/configure handshake and the ops surface, see
+//! [`crate::partitiond`]): floats travel as their IEEE-754 bit patterns
+//! verbatim, integers are little-endian fixed-width, and every frame is
+//! length-prefixed so the reader never scans for delimiters. Frames carry
+//! the platform's own values — a submit's events are written and read by
+//! the WAL codec ([`rdbsc_platform::wal::Encoder::event`]), so an
+//! `EngineEvent` has one binary encoding whether it is logged, shipped to
+//! a standby or routed to a daemon.
 //!
 //! ## Frame layout
 //!
@@ -15,7 +18,7 @@
 //!   0       2     magic 0xB5 0xDC   (0xB5 is non-ASCII: one byte is
 //!                                    enough to tell a frame from "GET "
 //!                                    or "POST" on a shared listener)
-//!   2       1     frame version (1)
+//!   2       1     frame version (2)
 //!   3       1     command tag
 //!   4       8     request id, u64 LE
 //!   12      4     payload length, u32 LE
@@ -25,9 +28,8 @@
 //! Request tags are `0x01..=0x0E` (`0x0B..=0x0E` are the replication
 //! commands); the matching reply tag is the request
 //! tag with the high bit set (`0x81..=0x8E`), and `0xFF` is the error
-//! reply (status + detail, mirroring the HTTP status the JSON path would
-//! have answered). The request id is echoed in the reply header, which is
-//! what makes **pipelining** safe: a client may write several frames
+//! reply (an HTTP-style status + detail). The request id is echoed in the
+//! reply header, which is what makes **pipelining** safe: a client may write several frames
 //! before reading any reply, and replies come back in order, each naming
 //! the request it answers.
 //!
@@ -38,17 +40,18 @@
 //! [`FrameError::Malformed`], never a panic (property-tested in
 //! `tests/proptest_frame.rs`).
 
-use crate::dto::{
-    AnswerDto, AssignmentDto, HeartbeatDto, SnapshotDto, TaskDto, WalStatsDto, WorkerDto,
-};
-use crate::protocol::{EventDto, TickReplyDto};
+use crate::dto::{AnswerDto, AssignmentDto, SnapshotDto, WalStatsDto};
+use rdbsc_index::MaintenanceCounters;
+use rdbsc_model::WorkerId;
+use rdbsc_platform::wal::{Decoder as EventDecoder, Encoder as EventEncoder};
+use rdbsc_platform::{EngineEvent, PartitionTick, TickReport, WalError};
 use std::io::{BufRead, Write};
 
 /// The two magic bytes opening every frame.
 pub const MAGIC: [u8; 2] = [0xB5, 0xDC];
 /// The framing revision (independent of the logical
 /// `rdbsc_platform::PROTOCOL_VERSION`, which governs command semantics).
-pub const FRAME_VERSION: u8 = 1;
+pub const FRAME_VERSION: u8 = 2;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
 
@@ -271,15 +274,6 @@ impl Enc {
     fn f64(&mut self, v: f64) {
         self.0.extend_from_slice(&v.to_bits().to_le_bytes());
     }
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(v) => {
-                self.u8(1);
-                self.f64(v);
-            }
-            None => self.u8(0),
-        }
-    }
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
@@ -352,14 +346,6 @@ impl<'a> Dec<'a> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
-    fn opt_f64(&mut self, what: &str) -> Result<Option<f64>, FrameError> {
-        Ok(if self.bool(what)? {
-            Some(self.f64(what)?)
-        } else {
-            None
-        })
-    }
-
     fn str(&mut self, what: &str) -> Result<String, FrameError> {
         let len = self.u32(what)? as usize;
         let bytes = self.take(len, what)?;
@@ -402,91 +388,28 @@ impl<'a> Dec<'a> {
 // ---------------------------------------------------------------------------
 // DTO field codecs (shared by requests and replies).
 
-// Event tags inside a submit payload.
-const EV_TASK_ARRIVED: u8 = 1;
-const EV_TASK_EXPIRED: u8 = 2;
-const EV_WORKER_CHECK_IN: u8 = 3;
-const EV_WORKER_MOVED: u8 = 4;
-const EV_WORKER_LEFT: u8 = 5;
-
-fn put_event(e: &mut Enc, event: &EventDto) {
+/// Reads one submit event with the WAL codec, which rebuilds tasks and
+/// workers through the validating model constructors (what it rejects
+/// names the field), then makes the one check the wire makes that log
+/// recovery does not: a move to a non-finite position. A log only ever
+/// holds events that passed this boundary, so recovery stays as permissive
+/// as it was.
+fn get_event(r: &mut EventDecoder) -> Result<EngineEvent, String> {
+    let event = r.event().map_err(|e| match e {
+        WalError::Corrupt(what) => what,
+        io => io.to_string(),
+    })?;
     match event {
-        EventDto::TaskArrived(task) => {
-            e.u8(EV_TASK_ARRIVED);
-            e.u32(task.id);
-            e.f64(task.x);
-            e.f64(task.y);
-            e.f64(task.start);
-            e.f64(task.end);
-            e.opt_f64(task.beta);
+        EngineEvent::WorkerMoved(_, to) if !(to.x.is_finite() && to.y.is_finite()) => {
+            Err("worker_moved x/y must be finite numbers".to_string())
         }
-        EventDto::TaskExpired(id) => {
-            e.u8(EV_TASK_EXPIRED);
-            e.u32(*id);
-        }
-        EventDto::WorkerCheckIn(worker) => {
-            e.u8(EV_WORKER_CHECK_IN);
-            e.u32(worker.id);
-            e.f64(worker.x);
-            e.f64(worker.y);
-            e.f64(worker.speed);
-            match worker.heading {
-                Some((start, width)) => {
-                    e.u8(1);
-                    e.f64(start);
-                    e.f64(width);
-                }
-                None => e.u8(0),
-            }
-            e.f64(worker.confidence);
-            e.f64(worker.available_from);
-        }
-        EventDto::WorkerMoved(hb) => {
-            e.u8(EV_WORKER_MOVED);
-            e.u32(hb.id);
-            e.f64(hb.x);
-            e.f64(hb.y);
-        }
-        EventDto::WorkerLeft(id) => {
-            e.u8(EV_WORKER_LEFT);
-            e.u32(*id);
-        }
+        event => Ok(event),
     }
 }
 
-fn get_event(d: &mut Dec) -> Result<EventDto, FrameError> {
-    Ok(match d.u8("event tag")? {
-        EV_TASK_ARRIVED => EventDto::TaskArrived(TaskDto {
-            id: d.u32("task id")?,
-            x: d.f64("task x")?,
-            y: d.f64("task y")?,
-            start: d.f64("task start")?,
-            end: d.f64("task end")?,
-            beta: d.opt_f64("task beta")?,
-        }),
-        EV_TASK_EXPIRED => EventDto::TaskExpired(d.u32("expired id")?),
-        EV_WORKER_CHECK_IN => EventDto::WorkerCheckIn(WorkerDto {
-            id: d.u32("worker id")?,
-            x: d.f64("worker x")?,
-            y: d.f64("worker y")?,
-            speed: d.f64("worker speed")?,
-            heading: if d.bool("worker heading")? {
-                Some((d.f64("heading start")?, d.f64("heading width")?))
-            } else {
-                None
-            },
-            confidence: d.f64("worker confidence")?,
-            available_from: d.f64("worker available_from")?,
-        }),
-        EV_WORKER_MOVED => EventDto::WorkerMoved(HeartbeatDto {
-            id: d.u32("moved id")?,
-            x: d.f64("moved x")?,
-            y: d.f64("moved y")?,
-        }),
-        EV_WORKER_LEFT => EventDto::WorkerLeft(d.u32("left id")?),
-        other => return Err(malformed(format!("unknown event tag {other}"))),
-    })
-}
+/// The solver names the engine can report; decoding maps back onto these
+/// statics so a merged report compares equal to a local one.
+const KNOWN_STRATEGIES: [&str; 4] = ["GREEDY", "SAMPLING", "D&C", "G-TRUTH"];
 
 fn put_assignment(e: &mut Enc, a: &AssignmentDto) {
     e.u32(a.task);
@@ -589,7 +512,7 @@ pub enum RequestFrame {
         /// The trace id the batch is attributed to (`0` = untraced).
         trace: u64,
         /// The events, in routing order.
-        events: Vec<EventDto>,
+        events: Vec<EngineEvent>,
     },
     /// One lockstep engine round.
     Tick {
@@ -724,9 +647,11 @@ impl RequestFrame {
             RequestFrame::Submit { trace, events, .. } => {
                 e.u64(*trace);
                 e.count(events.len());
+                let mut w = EventEncoder::new();
                 for event in events {
-                    put_event(&mut e, event);
+                    w.event(event);
                 }
+                e.0.extend_from_slice(&w.into_bytes());
             }
             RequestFrame::Tick { trace, now, .. } => {
                 e.u64(*trace);
@@ -774,8 +699,17 @@ impl RequestFrame {
                 // The smallest event (TaskExpired / WorkerLeft) is 5 bytes.
                 let n = d.count(5, "submit events")?;
                 let mut events = Vec::with_capacity(n);
-                for _ in 0..n {
-                    events.push(get_event(&mut d)?);
+                let mut r = EventDecoder::new(d.take(d.remaining(), "submit events")?);
+                for i in 0..n {
+                    let event = get_event(&mut r)
+                        .map_err(|what| malformed(format!("submit event {i}: {what}")))?;
+                    events.push(event);
+                }
+                if r.remaining() != 0 {
+                    return Err(malformed(format!(
+                        "{} trailing bytes after the last event",
+                        r.remaining()
+                    )));
                 }
                 RequestFrame::Submit {
                     request_id: rid,
@@ -836,8 +770,15 @@ pub enum ReplyFrame {
         /// Events pending after the batch.
         buffered: u32,
     },
-    /// The full tick report (the reply's `request_id` lives in the DTO).
-    TickOk(Box<TickReplyDto>),
+    /// The full-fidelity tick: everything the router's merge needs, so a
+    /// remote partition's tick contributes to the merged report exactly
+    /// like a local one.
+    TickOk {
+        /// The echoed request id.
+        request_id: u64,
+        /// The tick report, committed set and echoed trace id.
+        tick: Box<PartitionTick>,
+    },
     /// Answer processed.
     AnswerOk {
         /// The echoed request id.
@@ -934,8 +875,8 @@ pub enum ReplyFrame {
         /// Stream records applied before the seal.
         applied: u64,
     },
-    /// The command failed; `status` mirrors the HTTP status the JSON path
-    /// would have answered (503 = draining).
+    /// The command failed; `status` is the HTTP-style status of the error
+    /// (400 = bad payload, 409 = conflict/standby, 503 = draining).
     Error {
         /// The echoed request id.
         request_id: u64,
@@ -951,7 +892,7 @@ impl ReplyFrame {
     pub fn tag(&self) -> u8 {
         match self {
             ReplyFrame::SubmitOk { .. } => tag::SUBMIT | tag::REPLY,
-            ReplyFrame::TickOk(_) => tag::TICK | tag::REPLY,
+            ReplyFrame::TickOk { .. } => tag::TICK | tag::REPLY,
             ReplyFrame::AnswerOk { .. } => tag::ANSWER | tag::REPLY,
             ReplyFrame::ReleaseOk { .. } => tag::RELEASE | tag::REPLY,
             ReplyFrame::AssignmentsOk { .. } => tag::ASSIGNMENTS | tag::REPLY,
@@ -972,6 +913,7 @@ impl ReplyFrame {
     pub fn request_id(&self) -> u64 {
         match self {
             ReplyFrame::SubmitOk { request_id, .. }
+            | ReplyFrame::TickOk { request_id, .. }
             | ReplyFrame::AnswerOk { request_id, .. }
             | ReplyFrame::ReleaseOk { request_id }
             | ReplyFrame::AssignmentsOk { request_id, .. }
@@ -985,7 +927,6 @@ impl ReplyFrame {
             | ReplyFrame::ReplStatusOk { request_id, .. }
             | ReplyFrame::ReplPromoteOk { request_id, .. }
             | ReplyFrame::Error { request_id, .. } => *request_id,
-            ReplyFrame::TickOk(dto) => dto.request_id,
         }
     }
 
@@ -994,36 +935,37 @@ impl ReplyFrame {
         let mut e = Enc::new();
         match self {
             ReplyFrame::SubmitOk { buffered, .. } => e.u32(*buffered),
-            ReplyFrame::TickOk(dto) => {
-                e.f64(dto.now);
-                e.u64(dto.events_applied);
-                e.u64(dto.tasks_expired);
-                e.u64(dto.num_shards);
-                e.u64(dto.largest_shard_pairs);
-                e.count(dto.strategies.len());
-                for s in &dto.strategies {
+            ReplyFrame::TickOk { tick, .. } => {
+                let r = &tick.report;
+                e.f64(r.now);
+                e.u64(r.events_applied as u64);
+                e.u64(r.tasks_expired as u64);
+                e.u64(r.num_shards as u64);
+                e.u64(r.largest_shard_pairs as u64);
+                e.count(r.strategies.len());
+                for s in &r.strategies {
                     e.str(s);
                 }
-                e.count(dto.new_assignments.len());
-                for a in &dto.new_assignments {
-                    put_assignment(&mut e, a);
+                e.count(r.new_assignments.len());
+                for pair in &r.new_assignments {
+                    put_assignment(&mut e, &AssignmentDto::from_pair(pair));
                 }
-                e.f64(dto.solve_seconds);
-                e.count(dto.shard_solve_seconds.len());
-                for s in &dto.shard_solve_seconds {
+                e.f64(r.solve_seconds);
+                e.count(r.shard_solve_seconds.len());
+                for s in &r.shard_solve_seconds {
                     e.f64(*s);
                 }
-                e.u64(dto.index_relocations);
-                e.u64(dto.index_cells_repaired);
-                e.u64(dto.index_tcell_rebuilds);
-                e.count(dto.committed.len());
-                for w in &dto.committed {
-                    e.u32(*w);
+                e.u64(r.index_maintenance.relocations);
+                e.u64(r.index_maintenance.cells_repaired);
+                e.u64(r.index_maintenance.tcell_rebuilds);
+                e.count(tick.committed.len());
+                for w in &tick.committed {
+                    e.u32(w.0);
                 }
-                for v in dto.stages.values() {
+                for v in r.stages.values() {
                     e.u64(v);
                 }
-                e.u64(dto.trace);
+                e.u64(tick.trace);
             }
             ReplyFrame::AnswerOk { banked, .. } => e.bool(*banked),
             ReplyFrame::AssignmentsOk { assignments, .. } => {
@@ -1098,19 +1040,32 @@ impl ReplyFrame {
             },
             t if t == tag::TICK | tag::REPLY => {
                 let now = d.f64("tick now")?;
-                let events_applied = d.u64("tick events_applied")?;
-                let tasks_expired = d.u64("tick tasks_expired")?;
-                let num_shards = d.u64("tick num_shards")?;
-                let largest_shard_pairs = d.u64("tick largest_shard_pairs")?;
+                let events_applied = d.u64("tick events_applied")? as usize;
+                let tasks_expired = d.u64("tick tasks_expired")? as usize;
+                let num_shards = d.u64("tick num_shards")? as usize;
+                let largest_shard_pairs = d.u64("tick largest_shard_pairs")? as usize;
                 let n = d.count(4, "tick strategies")?;
                 let mut strategies = Vec::with_capacity(n);
                 for _ in 0..n {
-                    strategies.push(d.str("tick strategy")?);
+                    // An unknown name (a newer daemon) decodes as
+                    // `"UNKNOWN"` rather than failing.
+                    let name = d.str("tick strategy")?;
+                    strategies.push(
+                        KNOWN_STRATEGIES
+                            .iter()
+                            .find(|known| **known == name)
+                            .copied()
+                            .unwrap_or("UNKNOWN"),
+                    );
                 }
                 let n = d.count(32, "tick new_assignments")?;
                 let mut new_assignments = Vec::with_capacity(n);
                 for _ in 0..n {
-                    new_assignments.push(get_assignment(&mut d)?);
+                    new_assignments.push(
+                        get_assignment(&mut d)?
+                            .into_pair()
+                            .map_err(|e| malformed(format!("tick assignment: {e}")))?,
+                    );
                 }
                 let solve_seconds = d.f64("tick solve_seconds")?;
                 let n = d.count(8, "tick shard_solve_seconds")?;
@@ -1118,37 +1073,41 @@ impl ReplyFrame {
                 for _ in 0..n {
                     shard_solve_seconds.push(d.f64("tick shard seconds")?);
                 }
-                let index_relocations = d.u64("tick index_relocations")?;
-                let index_cells_repaired = d.u64("tick index_cells_repaired")?;
-                let index_tcell_rebuilds = d.u64("tick index_tcell_rebuilds")?;
+                let index_maintenance = MaintenanceCounters {
+                    relocations: d.u64("tick index_relocations")?,
+                    cells_repaired: d.u64("tick index_cells_repaired")?,
+                    tcell_rebuilds: d.u64("tick index_tcell_rebuilds")?,
+                };
                 let n = d.count(4, "tick committed")?;
                 let mut committed = Vec::with_capacity(n);
                 for _ in 0..n {
-                    committed.push(d.u32("tick committed worker")?);
+                    committed.push(WorkerId(d.u32("tick committed worker")?));
                 }
                 let mut stages = [0u64; rdbsc_obs::NUM_STAGES];
                 for (i, slot) in stages.iter_mut().enumerate() {
                     *slot = d.u64(rdbsc_obs::StageTimings::NAMES[i])?;
                 }
                 let trace = d.u64("tick trace")?;
-                ReplyFrame::TickOk(Box::new(TickReplyDto {
+                ReplyFrame::TickOk {
                     request_id: rid,
-                    now,
-                    events_applied,
-                    tasks_expired,
-                    num_shards,
-                    largest_shard_pairs,
-                    strategies,
-                    new_assignments,
-                    solve_seconds,
-                    shard_solve_seconds,
-                    index_relocations,
-                    index_cells_repaired,
-                    index_tcell_rebuilds,
-                    committed,
-                    stages: rdbsc_obs::StageTimings::from_values(stages),
-                    trace,
-                }))
+                    tick: Box::new(PartitionTick {
+                        report: TickReport {
+                            now,
+                            events_applied,
+                            tasks_expired,
+                            num_shards,
+                            largest_shard_pairs,
+                            strategies,
+                            new_assignments,
+                            solve_seconds,
+                            shard_solve_seconds,
+                            index_maintenance,
+                            stages: rdbsc_obs::StageTimings::from_values(stages),
+                        },
+                        committed,
+                        trace,
+                    }),
+                }
             }
             t if t == tag::ANSWER | tag::REPLY => ReplyFrame::AnswerOk {
                 request_id: rid,
@@ -1234,6 +1193,9 @@ impl ReplyFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdbsc_geo::{AngleRange, Point};
+    use rdbsc_model::valid_pairs::ValidPair;
+    use rdbsc_model::{Confidence, Contribution, Task, TaskId, TimeWindow, Worker};
 
     fn round_trip_request(frame: RequestFrame) {
         let mut wire = Vec::new();
@@ -1257,30 +1219,30 @@ mod tests {
             request_id: 7,
             trace: 0xdead_beef_cafe_f00d,
             events: vec![
-                EventDto::TaskArrived(TaskDto {
-                    id: 1,
-                    x: 0.25,
-                    y: 0.1 + 0.2, // a value with no short decimal form
-                    start: 0.0,
-                    end: 9.5,
-                    beta: Some(0.75),
-                }),
-                EventDto::TaskExpired(2),
-                EventDto::WorkerCheckIn(WorkerDto {
-                    id: 3,
-                    x: f64::MIN_POSITIVE,
-                    y: 1.0,
-                    speed: 0.125,
-                    heading: Some((-1.5, 3.0)),
-                    confidence: 0.875,
-                    available_from: 4.5,
-                }),
-                EventDto::WorkerMoved(HeartbeatDto {
-                    id: 4,
-                    x: 0.5,
-                    y: 0.5,
-                }),
-                EventDto::WorkerLeft(5),
+                EngineEvent::TaskArrived(
+                    Task::with_beta(
+                        TaskId(1),
+                        // A value with no short decimal form.
+                        Point::new(0.25, 0.1 + 0.2),
+                        TimeWindow::new(0.0, 9.5).unwrap(),
+                        0.75,
+                    )
+                    .unwrap(),
+                ),
+                EngineEvent::TaskExpired(TaskId(2)),
+                EngineEvent::WorkerCheckIn(
+                    Worker::new(
+                        WorkerId(3),
+                        Point::new(f64::MIN_POSITIVE, 1.0),
+                        0.125,
+                        AngleRange::new(-1.5, 3.0),
+                        Confidence::new(0.875).unwrap(),
+                    )
+                    .unwrap()
+                    .with_available_from(4.5),
+                ),
+                EngineEvent::WorkerMoved(WorkerId(4), Point::new(0.5, 0.5)),
+                EngineEvent::WorkerLeft(WorkerId(5)),
             ],
         });
         round_trip_request(RequestFrame::Tick {
@@ -1327,30 +1289,34 @@ mod tests {
             request_id: 7,
             buffered: 42,
         });
-        round_trip_reply(ReplyFrame::TickOk(Box::new(TickReplyDto {
+        round_trip_reply(ReplyFrame::TickOk {
             request_id: 8,
-            now: 2.5,
-            events_applied: 10,
-            tasks_expired: 1,
-            num_shards: 3,
-            largest_shard_pairs: 17,
-            strategies: vec!["GREEDY".into(), "D&C".into()],
-            new_assignments: vec![AssignmentDto {
-                task: 1,
-                worker: 2,
-                confidence: 0.5,
-                angle: 0.25,
-                arrival: 3.5,
-            }],
-            solve_seconds: 0.001,
-            shard_solve_seconds: vec![0.0005, 0.0002],
-            index_relocations: 5,
-            index_cells_repaired: 2,
-            index_tcell_rebuilds: 1,
-            committed: vec![2, 9],
-            stages: rdbsc_obs::StageTimings::from_values([1, 2, 3, 4, 5, 6]),
-            trace: 0xabcd,
-        })));
+            tick: Box::new(PartitionTick {
+                report: TickReport {
+                    now: 2.5,
+                    events_applied: 10,
+                    tasks_expired: 1,
+                    num_shards: 3,
+                    largest_shard_pairs: 17,
+                    strategies: vec!["GREEDY", "D&C"],
+                    new_assignments: vec![ValidPair {
+                        task: TaskId(1),
+                        worker: WorkerId(2),
+                        contribution: Contribution::new(Confidence::new(0.5).unwrap(), 0.25, 3.5),
+                    }],
+                    solve_seconds: 0.001,
+                    shard_solve_seconds: vec![0.0005, 0.0002],
+                    index_maintenance: MaintenanceCounters {
+                        relocations: 5,
+                        cells_repaired: 2,
+                        tcell_rebuilds: 1,
+                    },
+                    stages: rdbsc_obs::StageTimings::from_values([1, 2, 3, 4, 5, 6]),
+                },
+                committed: vec![WorkerId(2), WorkerId(9)],
+                trace: 0xabcd,
+            }),
+        });
         round_trip_reply(ReplyFrame::AnswerOk {
             request_id: 9,
             banked: true,
@@ -1440,8 +1406,8 @@ mod tests {
 
     #[test]
     fn float_bits_survive_verbatim() {
-        // The JSON path formats floats; the binary path must carry the
-        // exact bit pattern, including negative zero and subnormals.
+        // The wire must carry the exact bit pattern, including negative
+        // zero and subnormals.
         for bits in [
             0x8000_0000_0000_0000u64, // -0.0
             0x0000_0000_0000_0001,    // smallest subnormal

@@ -49,10 +49,11 @@
 //! ## Distributed partitions
 //!
 //! The crate also ships the wire half of the **partition protocol**
-//! (`rdbsc_platform::protocol`): the [`protocol`] module defines the JSON
-//! DTOs for every partition command and reply, [`remote`] implements the
-//! router-side [`HttpPartitionClient`] over persistent keep-alive
-//! HTTP/1.1, and [`partitiond`] is the daemon hosting exactly one
+//! (`rdbsc_platform::protocol`): [`frame`] is the binary codec every
+//! partition command and reply travels in, [`protocol`] holds the JSON
+//! DTOs of the hello/configure handshake, [`remote`] implements the
+//! router-side [`BinaryPartitionClient`] over one persistent pipelined
+//! TCP connection, and [`partitiond`] is the daemon hosting exactly one
 //! partition's engine (binary: `rdbsc-partitiond`). The serving tier takes
 //! `--remote-partition ADDR` (repeatable) to mount daemon-hosted regions
 //! next to in-process ones — with every region remote, the server is a
@@ -84,12 +85,9 @@ pub use json::{parse, Json, JsonError};
 pub use listener::{HttpCore, ListenerConfig, ShutdownHandle};
 pub use metrics::{Counter, LatencyHistogram, ServerMetrics};
 pub use partitiond::{PartitionDaemon, PartitiondConfig};
-pub use protocol::{
-    ConfigureDto, EngineConfigDto, EventDto, HelloDto, ReplBootstrapDto, ReplFetchDto,
-    ReplPromoteDto, ReplStatusDto, RoutingTableDto, TickReplyDto,
-};
+pub use protocol::{ConfigureDto, EngineConfigDto, HelloDto, ReplStatusDto, RoutingTableDto};
 pub use remote::{
-    connect_remote_partition, BinaryPartitionClient, HttpPartitionClient, RemoteStandbyPromoter,
-    RemoteTransport,
+    connect_remote_partition, BinaryPartitionClient, FrameConn, PartitionHandshake,
+    RemoteStandbyPromoter,
 };
 pub use server::{Server, ServerConfig};

@@ -60,9 +60,10 @@ pub type Handler =
 /// Receives every decoded request frame ([`frame::RequestFrame`]) from
 /// connections that opened with the frame magic instead of an HTTP method
 /// line; the reply frame is written back on the same connection. Handlers
-/// report failures in-band as [`frame::ReplyFrame::Error`].
+/// report failures in-band as [`frame::ReplyFrame::Error`]. The request is
+/// handed over by value so a submit's events move into the engine.
 pub type FrameHandler =
-    dyn Fn(&frame::RequestFrame, &ShutdownHandle) -> frame::ReplyFrame + Send + Sync;
+    dyn Fn(frame::RequestFrame, &ShutdownHandle) -> frame::ReplyFrame + Send + Sync;
 
 /// The bounded hand-off between the acceptor and the worker pool.
 struct ConnectionQueue {
@@ -200,7 +201,7 @@ impl HttpCore {
     }
 
     /// Like [`HttpCore::start`], but additionally mounts a binary-frame
-    /// handler. Both transports share the one listener: a connection whose
+    /// handler. HTTP and frames share the one listener: a connection whose
     /// first byte is the frame magic (`0xB5` — not a byte any HTTP method
     /// line can start with) is served as a binary command stream, anything
     /// else as keep-alive HTTP.
@@ -468,7 +469,7 @@ fn serve_frames(
             // Framing held (exactly `payload_len` bytes were consumed), so
             // a payload-level decode error is answerable in-band and the
             // connection stays usable.
-            Ok(request) => handler(&request, shutdown),
+            Ok(request) => handler(request, shutdown),
             Err(e) => frame::ReplyFrame::Error {
                 request_id: raw.request_id,
                 status: 400,

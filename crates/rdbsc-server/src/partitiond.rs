@@ -16,33 +16,44 @@
 //!
 //! ## Command surface
 //!
-//! | Route | Protocol command |
+//! Every partition *data* command is a binary frame ([`crate::frame`]) on a
+//! connection that opens with the frame magic; one dispatcher
+//! (`execute_frame`) runs them behind one draining/standby refusal table:
+//!
+//! | Frame | Protocol command |
+//! |---|---|
+//! | `Submit` | routed event batch |
+//! | `Tick` | lockstep tick → report + committed set |
+//! | `Answer` / `Release` | bank an answer / release an en-route worker |
+//! | `Assignments`, `Snapshot`, `IsActive`, `HasWorker` | reads and probes |
+//! | `Drain` / `Shutdown` | refuse further mutating commands / drain + exit |
+//! | `ReplBootstrap` | replication: state + stream start |
+//! | `ReplFetch` | replication: shipped records + ack |
+//! | `ReplStatus` | replication: role, lag, watermark |
+//! | `ReplPromote` | replication: standby → primary |
+//!
+//! HTTP on the same port keeps what a human or an ops script reads, plus
+//! the handshake that has to work before any engine exists:
+//!
+//! | Route | Purpose |
 //! |---|---|
 //! | `GET /partition/hello` | version/state handshake |
 //! | `POST /partition/configure` | build the engine (idempotent) |
-//! | `POST /partition/submit` | routed event batch |
-//! | `POST /partition/tick` | lockstep tick → report + committed set |
-//! | `POST /partition/answer` | bank an answer |
-//! | `POST /partition/release` | release an en-route worker |
-//! | `POST /partition/assignments` | standing committed pairs |
-//! | `GET /partition/snapshot` | engine snapshot |
+//! | `GET /partition/snapshot` | engine snapshot + `state_digest` |
 //! | `GET /partition/active` | pending events / live tasks? |
-//! | `POST /partition/has_worker` | residency probe |
-//! | `POST /partition/drain` | refuse further mutating commands |
-//! | `POST /partition/shutdown` | drain + exit |
-//! | `POST /partition/repl/bootstrap` | replication: state + stream start |
-//! | `POST /partition/repl/fetch` | replication: shipped records + ack |
-//! | `POST /partition/repl/status` | replication: role, lag, watermark |
-//! | `POST /partition/repl/promote` | replication: standby → primary |
-//! | `GET /healthz`, `GET /metrics`, `POST /admin/shutdown` | ops surface |
+//! | `POST /partition/shutdown`, `POST /admin/shutdown` | drain + exit |
+//! | `GET /healthz`, `GET /metrics`, `/debug/*` | ops surface |
+//!
+//! The former JSON data routes (`POST /partition/submit`, `tick`, …) answer
+//! `404`.
 //!
 //! ## Draining
 //!
 //! After a drain (or as part of shutdown) the daemon answers **`503`** to
-//! mutating commands — a parseable refusal, not a dropped connection — so a
-//! router mid-flight sees a clean protocol error instead of an I/O failure.
-//! Reads (`snapshot`, `active`, `hello`, `/metrics`, `/healthz`) keep
-//! working so operators can observe the drain.
+//! mutating commands — an in-band [`ReplyFrame::Error`], not a dropped
+//! connection — so a router mid-flight sees a clean protocol error instead
+//! of an I/O failure. Reads (`Snapshot`, `IsActive`, hello, `/metrics`,
+//! `/healthz`) keep working so operators can observe the drain.
 //!
 //! ## Replication
 //!
@@ -56,14 +67,13 @@
 //! away from serving) and reports `repl.lag` on `/metrics`. The fetch ack
 //! doubles as the primary's retention watermark; if the standby falls off
 //! the retained window the primary answers `409` and the standby
-//! re-bootstraps. `POST /partition/repl/promote` finishes the replay, seals
+//! re-bootstraps. A `ReplPromote` frame finishes the replay, seals
 //! the stream (`ReplMeta{sealed}` + checkpoint + fsync on a fresh segment),
 //! clears the standby flag and returns the digest of the promoted state —
 //! the router compares it against its acknowledged watermark for
 //! digest-exact failover.
 
-use crate::client::HttpClient;
-use crate::dto::{num, AnswerDto, AssignmentDto, SnapshotDto};
+use crate::dto::{AssignmentDto, SnapshotDto};
 use crate::error::ServerError;
 use crate::frame::{ReplyFrame, RequestFrame};
 use crate::http::{Method, Request, Response};
@@ -71,10 +81,9 @@ use crate::json::{parse, Json};
 use crate::listener::{HttpCore, ListenerConfig, ShutdownHandle};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
-    request_id, slow_tick_threshold_us, submit_from_json, trace_field, uint, ConfigureDto,
-    EventDto, HelloDto, ReplBootstrapDto, ReplFetchDto, ReplPromoteDto, ReplStatusDto,
-    TickReplyDto,
+    request_id, slow_tick_threshold_us, ConfigureDto, HelloDto, ReplStatusDto,
 };
+use crate::remote::FrameConn;
 use rdbsc_geo::Rect;
 use rdbsc_index::DynSpatialIndex;
 use rdbsc_model::WorkerId;
@@ -120,7 +129,7 @@ pub struct PartitiondConfig {
     /// Primary address to follow (`host:port`). When set the daemon boots
     /// as a replication **standby**: it bootstraps its state from the
     /// primary, applies shipped WAL records continuously and refuses
-    /// mutating client commands until `POST /partition/repl/promote`.
+    /// mutating client commands until a `ReplPromote` frame.
     pub follow: Option<String>,
 }
 
@@ -251,7 +260,7 @@ impl PartitionDaemon {
                     route(request, &http_state, shutdown)
                 }),
                 Some(Arc::new(
-                    move |request: &RequestFrame, shutdown: &ShutdownHandle| {
+                    move |request: RequestFrame, shutdown: &ShutdownHandle| {
                         route_frame(request, &frame_state, shutdown)
                     },
                 )),
@@ -538,43 +547,6 @@ fn route(
     shutdown: &ShutdownHandle,
 ) -> Result<Response, ServerError> {
     let draining = state.draining.load(Ordering::Acquire) || shutdown.stopping();
-    // Mutating protocol commands get a parseable 503 while draining; reads
-    // and the ops surface keep working so the drain is observable.
-    if draining {
-        let refused = matches!(
-            (request.method, request.path.as_str()),
-            (Method::Post, "/partition/configure")
-                | (Method::Post, "/partition/submit")
-                | (Method::Post, "/partition/tick")
-                | (Method::Post, "/partition/answer")
-                | (Method::Post, "/partition/release")
-                | (Method::Post, "/partition/repl/promote")
-        );
-        if refused {
-            return Err(ServerError::ShuttingDown);
-        }
-    }
-    // A standby's state is owned by its primary: mutating client commands
-    // (and serving as a replication *source*) are refused with 409 until a
-    // promote. Reads keep working so the router's health checks and the
-    // failover choreography can observe it.
-    if state.standby.load(Ordering::Acquire) {
-        let refused = matches!(
-            (request.method, request.path.as_str()),
-            (Method::Post, "/partition/configure")
-                | (Method::Post, "/partition/submit")
-                | (Method::Post, "/partition/tick")
-                | (Method::Post, "/partition/answer")
-                | (Method::Post, "/partition/release")
-                | (Method::Post, "/partition/repl/bootstrap")
-                | (Method::Post, "/partition/repl/fetch")
-        );
-        if refused {
-            return Err(ServerError::Conflict(
-                "standby: refusing mutating commands until promoted".into(),
-            ));
-        }
-    }
     match (request.method, request.path.as_str()) {
         (Method::Get, "/healthz") => Ok(Response::json(
             200,
@@ -677,110 +649,9 @@ fn route(
             ))
         }
 
-        (Method::Post, "/partition/repl/bootstrap") => {
-            let rid = request_id(&parse_body(request)?)?;
-            let dto = repl_bootstrap(state, rid)?;
-            Ok(Response::json(200, dto.to_json().to_string_compact()))
-        }
-
-        (Method::Post, "/partition/repl/fetch") => {
-            let body = parse_body(request)?;
-            let rid = request_id(&body)?;
-            let from = uint(&body, "from")?;
-            let ack = uint(&body, "ack")?;
-            let max = uint(&body, "max")?.min(u32::MAX as u64) as u32;
-            let dto = repl_fetch_command(state, rid, from, ack, max)?;
-            Ok(Response::json(200, dto.to_json().to_string_compact()))
-        }
-
-        (Method::Post, "/partition/repl/status") => {
-            let rid = request_id(&parse_body(request)?)?;
-            Ok(reply(rid, [("repl", repl_status_dto(state).to_json())]))
-        }
-
-        (Method::Post, "/partition/repl/promote") => {
-            let rid = request_id(&parse_body(request)?)?;
-            let dto = repl_promote_command(state, rid)?;
-            Ok(Response::json(200, dto.to_json().to_string_compact()))
-        }
-
-        (Method::Post, "/partition/configure") => configure(state, &parse_body(request)?),
-
-        (Method::Post, "/partition/submit") => {
-            let (rid, events, trace) = submit_from_json(&parse_body(request)?)?;
-            let buffered = events.len();
-            with_engine(state, |part| {
-                part.set_trace(trace);
-                part.submit(events)
-            })?;
-            Ok(reply(rid, [("buffered", Json::Num(buffered as f64))]))
-        }
-
-        (Method::Post, "/partition/tick") => {
-            let body = parse_body(request)?;
-            let rid = request_id(&body)?;
-            let now = num(&body, "now")?;
-            if !now.is_finite() {
-                return Err(ServerError::BadField {
-                    field: "now",
-                    expected: "a finite number",
-                });
-            }
-            let trace = trace_field(&body)?;
-            if trace != 0 {
-                state.last_trace.store(trace, Ordering::Release);
-            }
-            let started = std::time::Instant::now();
-            let tick = with_engine(state, |part| {
-                part.set_trace(trace);
-                part.tick(now)
-            })?;
-            let elapsed = started.elapsed();
-            state.metrics.tick_latency.record(elapsed);
-            state.metrics.observe_tick(
-                trace,
-                now,
-                elapsed.as_micros().min(u64::MAX as u128) as u64,
-                &tick.report.stages,
-            );
-            Ok(Response::json(
-                200,
-                TickReplyDto::from_tick(rid, &tick).to_json().to_string_compact(),
-            ))
-        }
-
-        (Method::Post, "/partition/answer") => {
-            let body = parse_body(request)?;
-            let rid = request_id(&body)?;
-            let (worker, contribution) = AnswerDto::from_json(&body)?.into_answer()?;
-            let banked =
-                with_engine(state, |part| part.record_answer(worker, contribution))?;
-            Ok(reply(rid, [("banked", Json::Bool(banked))]))
-        }
-
-        (Method::Post, "/partition/release") => {
-            let body = parse_body(request)?;
-            let rid = request_id(&body)?;
-            let worker = crate::dto::id(&body, "worker")?;
-            with_engine(state, |part| part.release_worker(WorkerId(worker)))?;
-            Ok(reply(rid, []))
-        }
-
-        (Method::Post, "/partition/assignments") => {
-            let rid = request_id(&parse_body(request)?)?;
-            let pairs = with_engine(state, |part| part.assignments())?;
-            Ok(reply(
-                rid,
-                [(
-                    "assignments",
-                    Json::Arr(
-                        pairs
-                            .iter()
-                            .map(|p| AssignmentDto::from_pair(p).to_json())
-                            .collect(),
-                    ),
-                )],
-            ))
+        (Method::Post, "/partition/configure") => {
+            refuse(state, draining, MUTATING)?;
+            configure(state, &parse_body(request)?)
         }
 
         (Method::Get, "/partition/snapshot") => {
@@ -806,20 +677,6 @@ fn route(
             ))
         }
 
-        (Method::Post, "/partition/has_worker") => {
-            let body = parse_body(request)?;
-            let rid = request_id(&body)?;
-            let worker = crate::dto::id(&body, "id")?;
-            let present = with_engine(state, |part| part.has_worker(WorkerId(worker)))?;
-            Ok(reply(rid, [("present", Json::Bool(present))]))
-        }
-
-        (Method::Post, "/partition/drain") => {
-            let rid = request_id(&parse_body(request)?)?;
-            state.draining.store(true, Ordering::Release);
-            Ok(reply(rid, [("draining", Json::Bool(true))]))
-        }
-
         (Method::Post, "/partition/shutdown") | (Method::Post, "/admin/shutdown") => {
             state.draining.store(true, Ordering::Release);
             shutdown.trigger();
@@ -834,59 +691,72 @@ fn route(
     }
 }
 
-/// The binary-transport command router: same protocol semantics as
-/// [`route`] (draining 503s, unconfigured 409s, identical engine calls and
-/// tick metrics), with failures reported in-band as [`ReplyFrame::Error`]
-/// carrying the HTTP-equivalent status. Hello and configure stay HTTP-only
-/// — a binary connection only ever carries commands for an
-/// already-configured daemon.
-fn route_frame(request: &RequestFrame, state: &DaemonState, shutdown: &ShutdownHandle) -> ReplyFrame {
-    let rid = request.request_id();
+/// The refusal table — the one place that says which commands a draining
+/// daemon (first element → `503`) and an unpromoted standby (second → `409`)
+/// turn away. The mutating client commands are refused by both; a promote
+/// only by a drain (a drain is terminal); serving as a replication *source*
+/// only by a standby (its state is owned by its primary). Reads, probes and
+/// the lifecycle commands always run, so a drain and the failover
+/// choreography stay observable. `POST /partition/configure`, the one
+/// mutating command HTTP still carries, sits in the first row.
+fn refused_while(request: &RequestFrame) -> (bool, bool) {
+    match request {
+        RequestFrame::Submit { .. }
+        | RequestFrame::Tick { .. }
+        | RequestFrame::Answer { .. }
+        | RequestFrame::Release { .. } => MUTATING,
+        RequestFrame::ReplPromote { .. } => (true, false),
+        RequestFrame::ReplBootstrap { .. } | RequestFrame::ReplFetch { .. } => (false, true),
+        RequestFrame::Assignments { .. }
+        | RequestFrame::Snapshot { .. }
+        | RequestFrame::IsActive { .. }
+        | RequestFrame::HasWorker { .. }
+        | RequestFrame::Drain { .. }
+        | RequestFrame::Shutdown { .. }
+        | RequestFrame::ReplStatus { .. } => (false, false),
+    }
+}
+
+/// The [`refused_while`] row of a mutating client command.
+const MUTATING: (bool, bool) = (true, true);
+
+/// Applies one row of the refusal table: `503` while draining — a
+/// parseable refusal, not a dropped connection — then `409` while this
+/// daemon is an unpromoted standby.
+fn refuse(
+    state: &DaemonState,
+    draining: bool,
+    (while_draining, while_standby): (bool, bool),
+) -> Result<(), ServerError> {
+    if draining && while_draining {
+        return Err(ServerError::ShuttingDown);
+    }
+    if while_standby && state.standby.load(Ordering::Acquire) {
+        return Err(ServerError::Conflict(
+            "standby: refusing mutating commands until promoted".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The frame handler: the refusal table, then the command, with failures
+/// reported in-band as [`ReplyFrame::Error`] carrying an HTTP-style status
+/// (draining 503s, unconfigured and standby 409s, bad payloads 400s).
+fn route_frame(request: RequestFrame, state: &DaemonState, shutdown: &ShutdownHandle) -> ReplyFrame {
+    let request_id = request.request_id();
     let draining = state.draining.load(Ordering::Acquire) || shutdown.stopping();
-    if draining
-        && matches!(
-            request,
-            RequestFrame::Submit { .. }
-                | RequestFrame::Tick { .. }
-                | RequestFrame::Answer { .. }
-                | RequestFrame::Release { .. }
-                | RequestFrame::ReplPromote { .. }
-        )
-    {
-        return error_frame(rid, &ServerError::ShuttingDown);
-    }
-    if state.standby.load(Ordering::Acquire)
-        && matches!(
-            request,
-            RequestFrame::Submit { .. }
-                | RequestFrame::Tick { .. }
-                | RequestFrame::Answer { .. }
-                | RequestFrame::Release { .. }
-                | RequestFrame::ReplBootstrap { .. }
-                | RequestFrame::ReplFetch { .. }
-        )
-    {
-        return error_frame(
-            rid,
-            &ServerError::Conflict("standby: refusing mutating commands until promoted".into()),
-        );
-    }
-    match frame_command(request, state, shutdown) {
-        Ok(reply) => reply,
-        Err(e) => error_frame(rid, &e),
-    }
+    refuse(state, draining, refused_while(&request))
+        .and_then(|()| execute_frame(request, state, shutdown))
+        .unwrap_or_else(|e| ReplyFrame::Error {
+            request_id,
+            status: e.status(),
+            detail: e.to_string(),
+        })
 }
 
-fn error_frame(request_id: u64, e: &ServerError) -> ReplyFrame {
-    ReplyFrame::Error {
-        request_id,
-        status: e.status(),
-        detail: e.to_string(),
-    }
-}
-
-fn frame_command(
-    request: &RequestFrame,
+/// Executes one partition command — the daemon's only dispatcher.
+fn execute_frame(
+    request: RequestFrame,
     state: &DaemonState,
     shutdown: &ShutdownHandle,
 ) -> Result<ReplyFrame, ServerError> {
@@ -896,18 +766,13 @@ fn frame_command(
             trace,
             events,
         } => {
-            let events = events
-                .iter()
-                .cloned()
-                .map(EventDto::into_event)
-                .collect::<Result<Vec<_>, _>>()?;
             let buffered = events.len();
             with_engine(state, |part| {
-                part.set_trace(*trace);
+                part.set_trace(trace);
                 part.submit(events)
             })?;
             Ok(ReplyFrame::SubmitOk {
-                request_id: *request_id,
+                request_id,
                 buffered: buffered as u32,
             })
         }
@@ -923,48 +788,43 @@ fn frame_command(
                     expected: "a finite number",
                 });
             }
-            if *trace != 0 {
-                state.last_trace.store(*trace, Ordering::Release);
+            if trace != 0 {
+                state.last_trace.store(trace, Ordering::Release);
             }
             let started = std::time::Instant::now();
             let tick = with_engine(state, |part| {
-                part.set_trace(*trace);
-                part.tick(*now)
+                part.set_trace(trace);
+                part.tick(now)
             })?;
             let elapsed = started.elapsed();
             state.metrics.tick_latency.record(elapsed);
             state.metrics.observe_tick(
-                *trace,
-                *now,
+                trace,
+                now,
                 elapsed.as_micros().min(u64::MAX as u128) as u64,
                 &tick.report.stages,
             );
-            Ok(ReplyFrame::TickOk(Box::new(TickReplyDto::from_tick(
-                *request_id,
-                &tick,
-            ))))
+            Ok(ReplyFrame::TickOk {
+                request_id,
+                tick: Box::new(tick),
+            })
         }
 
         RequestFrame::Answer { request_id, answer } => {
-            let (worker, contribution) = answer.clone().into_answer()?;
+            let (worker, contribution) = answer.into_answer()?;
             let banked = with_engine(state, |part| part.record_answer(worker, contribution))?;
-            Ok(ReplyFrame::AnswerOk {
-                request_id: *request_id,
-                banked,
-            })
+            Ok(ReplyFrame::AnswerOk { request_id, banked })
         }
 
         RequestFrame::Release { request_id, worker } => {
-            with_engine(state, |part| part.release_worker(WorkerId(*worker)))?;
-            Ok(ReplyFrame::ReleaseOk {
-                request_id: *request_id,
-            })
+            with_engine(state, |part| part.release_worker(WorkerId(worker)))?;
+            Ok(ReplyFrame::ReleaseOk { request_id })
         }
 
         RequestFrame::Assignments { request_id } => {
             let pairs = with_engine(state, |part| part.assignments())?;
             Ok(ReplyFrame::AssignmentsOk {
-                request_id: *request_id,
+                request_id,
                 assignments: pairs.iter().map(AssignmentDto::from_pair).collect(),
             })
         }
@@ -972,86 +832,57 @@ fn frame_command(
         RequestFrame::Snapshot { request_id } => {
             let snapshot = with_engine(state, |part| part.snapshot())?;
             Ok(ReplyFrame::SnapshotOk {
-                request_id: *request_id,
+                request_id,
                 snapshot: Box::new(SnapshotDto::from_snapshot(&snapshot)),
             })
         }
 
         RequestFrame::IsActive { request_id } => {
             let active = with_engine(state, |part| part.is_active())?;
-            Ok(ReplyFrame::ActiveOk {
-                request_id: *request_id,
-                active,
-            })
+            Ok(ReplyFrame::ActiveOk { request_id, active })
         }
 
         RequestFrame::HasWorker { request_id, worker } => {
-            let present = with_engine(state, |part| part.has_worker(WorkerId(*worker)))?;
+            let present = with_engine(state, |part| part.has_worker(WorkerId(worker)))?;
             Ok(ReplyFrame::HasWorkerOk {
-                request_id: *request_id,
+                request_id,
                 present,
             })
         }
 
         RequestFrame::Drain { request_id } => {
             state.draining.store(true, Ordering::Release);
-            Ok(ReplyFrame::DrainOk {
-                request_id: *request_id,
-            })
+            Ok(ReplyFrame::DrainOk { request_id })
         }
 
         RequestFrame::Shutdown { request_id } => {
             state.draining.store(true, Ordering::Release);
             shutdown.trigger();
-            Ok(ReplyFrame::ShutdownOk {
-                request_id: *request_id,
-            })
+            Ok(ReplyFrame::ShutdownOk { request_id })
         }
 
-        RequestFrame::ReplBootstrap { request_id } => {
-            let dto = repl_bootstrap(state, *request_id)?;
-            Ok(ReplyFrame::ReplBootstrapOk {
-                request_id: *request_id,
-                start_lsn: dto.start_lsn,
-                state: dto.state,
-                configure: dto.configure,
-            })
-        }
+        RequestFrame::ReplBootstrap { request_id } => repl_bootstrap(state, request_id),
 
         RequestFrame::ReplFetch {
             request_id,
             from,
             ack,
             max,
-        } => {
-            let dto = repl_fetch_command(state, *request_id, *from, *ack, *max)?;
-            Ok(ReplyFrame::ReplFetchOk {
-                request_id: *request_id,
-                next_lsn: dto.next_lsn,
-                records: dto.records,
-            })
-        }
+        } => repl_fetch_command(state, request_id, from, ack, max),
 
         RequestFrame::ReplStatus { request_id } => Ok(ReplyFrame::ReplStatusOk {
-            request_id: *request_id,
+            request_id,
             status: repl_status_dto(state),
         }),
 
-        RequestFrame::ReplPromote { request_id } => {
-            let dto = repl_promote_command(state, *request_id)?;
-            Ok(ReplyFrame::ReplPromoteOk {
-                request_id: *request_id,
-                digest: dto.digest,
-                applied: dto.applied,
-            })
-        }
+        RequestFrame::ReplPromote { request_id } => repl_promote_command(state, request_id),
     }
 }
 
 // ---------------------------------------------------------------------------
 // Replication: primary-side command handlers and the standby's follower
-// thread. Shipped records travel as opaque platform-WAL-codec bytes on both
-// transports — `encode_record`/`decode_record` is the only codec on this
+// thread. Shipped records travel as the opaque bytes `encode_record`
+// produced — `encode_record`/`decode_record` is the only codec on this
 // path, so the follower applies byte-for-byte what the primary logged.
 
 /// How long an idle follower waits between fetches.
@@ -1061,7 +892,7 @@ const FOLLOW_IDLE: Duration = Duration::from_millis(20);
 /// shutdown, not the follower, decides what happens next).
 const FOLLOW_RETRY: Duration = Duration::from_millis(100);
 /// Records pulled per fetch.
-const FOLLOW_BATCH: u64 = 512;
+const FOLLOW_BATCH: u32 = 512;
 /// How long after a served fetch the primary still considers its follower
 /// alive, refusing a competing bootstrap. Comfortably above `FOLLOW_IDLE`
 /// and `FOLLOW_RETRY` (the live follower keeps the window fresh), small
@@ -1078,7 +909,7 @@ const FOLLOWER_LIVENESS: Duration = Duration::from_secs(2);
 /// is actively fetching — the single-standby topology is enforced here at
 /// the wire layer, because a bootstrap rebases the stream and would drop
 /// the retained tail the live follower needs.
-fn repl_bootstrap(state: &DaemonState, request_id: u64) -> Result<ReplBootstrapDto, ServerError> {
+fn repl_bootstrap(state: &DaemonState, request_id: u64) -> Result<ReplyFrame, ServerError> {
     let mut seen = state.repl_fetch_seen.lock().expect("follower liveness lock");
     if let Some(at) = *seen {
         if at.elapsed() < FOLLOWER_LIVENESS {
@@ -1097,7 +928,7 @@ fn repl_bootstrap(state: &DaemonState, request_id: u64) -> Result<ReplBootstrapD
         ServerError::Conflict("partition not configured — POST /partition/configure first".into())
     })?;
     let (pstate, start_lsn) = configured.part.enable_replication();
-    Ok(ReplBootstrapDto {
+    Ok(ReplyFrame::ReplBootstrapOk {
         request_id,
         start_lsn,
         state: encode_record(&WalRecord::Checkpoint(pstate)),
@@ -1116,7 +947,7 @@ fn repl_fetch_command(
     from: u64,
     ack: u64,
     max: u32,
-) -> Result<ReplFetchDto, ServerError> {
+) -> Result<ReplyFrame, ServerError> {
     let mut guard = state.engine.lock().expect("daemon engine lock");
     let configured = guard.as_mut().ok_or_else(|| {
         ServerError::Conflict("partition not configured — POST /partition/configure first".into())
@@ -1144,7 +975,7 @@ fn repl_fetch_command(
     if status.acked > before {
         configured.part.note_repl_watermark(status.acked);
     }
-    Ok(ReplFetchDto {
+    Ok(ReplyFrame::ReplFetchOk {
         request_id,
         next_lsn: status.next_lsn,
         records: records
@@ -1228,10 +1059,7 @@ fn repl_status_dto(state: &DaemonState) -> ReplStatusDto {
 /// checkpoint + fsync, a fresh log epoch) and the standby flag cleared so
 /// the daemon starts accepting commands. The returned digest is what the
 /// router compares against the dead primary's acknowledged state.
-fn repl_promote_command(
-    state: &DaemonState,
-    request_id: u64,
-) -> Result<ReplPromoteDto, ServerError> {
+fn repl_promote_command(state: &DaemonState, request_id: u64) -> Result<ReplyFrame, ServerError> {
     if !state.standby.load(Ordering::Acquire) {
         return Err(ServerError::Conflict(
             "not a standby — nothing to promote".into(),
@@ -1247,7 +1075,7 @@ fn repl_promote_command(
     state.repl_sealed.store(true, Ordering::Release);
     state.standby.store(false, Ordering::Release);
     eprintln!("rdbsc-partitiond: promoted to primary at stream lsn {applied} (digest {digest:016x})");
-    Ok(ReplPromoteDto {
+    Ok(ReplyFrame::ReplPromoteOk {
         request_id,
         digest,
         applied,
@@ -1292,71 +1120,75 @@ fn follow_once(state: &Arc<DaemonState>, primary: &str, rid: &mut u64) -> Result
         .map_err(|e| format!("resolving {primary}: {e}"))?
         .next()
         .ok_or_else(|| format!("{primary} resolves to no address"))?;
-    let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(5));
+    let mut conn = FrameConn::new(addr, Duration::from_secs(5));
     *rid += 1;
-    let body = Json::obj([("request_id", Json::Num(*rid as f64))]);
-    let response = client
-        .post("/partition/repl/bootstrap", &body)
-        .map_err(|e| format!("bootstrap: {e}"))?;
-    if !response.is_success() {
-        return Err(format!(
-            "bootstrap answered {}: {}",
-            response.status, response.body
-        ));
-    }
-    let boot = response
-        .json()
-        .and_then(|json| ReplBootstrapDto::from_json(&json))
-        .map_err(|e| format!("bootstrap reply: {e}"))?;
-    let record = decode_record(&boot.state).map_err(|e| format!("bootstrap state: {e}"))?;
+    let (start_lsn, boot_state, configure_text) =
+        match conn.exchange(&RequestFrame::ReplBootstrap { request_id: *rid }) {
+            Ok(ReplyFrame::ReplBootstrapOk {
+                start_lsn,
+                state,
+                configure,
+                ..
+            }) => (start_lsn, state, configure),
+            Ok(ReplyFrame::Error { status, detail, .. }) => {
+                return Err(format!("bootstrap answered {status}: {detail}"));
+            }
+            Ok(other) => {
+                return Err(format!(
+                    "bootstrap reply: unexpected reply tag {:#04x}",
+                    other.tag()
+                ));
+            }
+            Err(e) => return Err(format!("bootstrap: {e}")),
+        };
+    let record = decode_record(&boot_state).map_err(|e| format!("bootstrap state: {e}"))?;
     let WalRecord::Checkpoint(pstate) = record else {
         return Err("bootstrap state is not a checkpoint record".to_string());
     };
-    install_bootstrap(state, &boot.configure, &pstate, boot.start_lsn)?;
-    eprintln!(
-        "rdbsc-partitiond: standby bootstrapped from {primary} at stream lsn {}",
-        boot.start_lsn
-    );
+    install_bootstrap(state, &configure_text, &pstate, start_lsn)?;
+    eprintln!("rdbsc-partitiond: standby bootstrapped from {primary} at stream lsn {start_lsn}");
     loop {
         if follower_stopped(state) {
             return Ok(());
         }
         let from = state.repl_applied.load(Ordering::Acquire);
         *rid += 1;
-        let body = Json::obj([
-            ("request_id", Json::Num(*rid as f64)),
-            ("from", Json::Num(from as f64)),
-            ("ack", Json::Num(from as f64)),
-            ("max", Json::Num(FOLLOW_BATCH as f64)),
-        ]);
-        let response = match client.post("/partition/repl/fetch", &body) {
-            Ok(r) => r,
-            Err(_) => {
-                // The primary may simply be dead. Stay bootstrapped and
-                // keep knocking — promotion or shutdown ends the wait.
+        let fetch = RequestFrame::ReplFetch {
+            request_id: *rid,
+            from,
+            ack: from,
+            max: FOLLOW_BATCH,
+        };
+        let (next_lsn, records) = match conn.exchange(&fetch) {
+            Ok(ReplyFrame::ReplFetchOk {
+                next_lsn, records, ..
+            }) => (next_lsn, records),
+            Ok(ReplyFrame::Error {
+                status: 409,
+                detail,
+                ..
+            }) => return Err(format!("stream restarted on the primary: {detail}")),
+            Ok(ReplyFrame::Error { .. }) | Err(crate::frame::FrameError::Io(_)) => {
+                // The primary may simply be dead (or draining its last
+                // replies). Stay bootstrapped and keep knocking —
+                // promotion or shutdown ends the wait.
                 std::thread::sleep(FOLLOW_RETRY);
                 continue;
             }
+            Ok(other) => {
+                return Err(format!(
+                    "fetch reply: unexpected reply tag {:#04x}",
+                    other.tag()
+                ));
+            }
+            Err(e) => return Err(format!("fetch reply: {e}")),
         };
-        if response.status == 409 {
-            return Err(format!("stream restarted on the primary: {}", response.body));
-        }
-        if !response.is_success() {
-            std::thread::sleep(FOLLOW_RETRY);
-            continue;
-        }
-        let fetch = response
-            .json()
-            .and_then(|json| ReplFetchDto::from_json(&json))
-            .map_err(|e| format!("fetch reply: {e}"))?;
-        state
-            .repl_head
-            .store(fetch.next_lsn.max(from), Ordering::Release);
-        if fetch.records.is_empty() {
+        state.repl_head.store(next_lsn.max(from), Ordering::Release);
+        if records.is_empty() {
             std::thread::sleep(FOLLOW_IDLE);
             continue;
         }
-        apply_batch(state, &fetch.records)?;
+        apply_batch(state, &records)?;
     }
 }
 

@@ -1,22 +1,17 @@
-//! Wire DTOs for the partition command protocol.
-//!
+//! JSON DTOs for what the partition protocol still says over HTTP: the
+//! hello/configure handshake (protocol version, routing table, engine and
+//! durability config) and the replication status rendered under `/metrics`.
 //! The router side of the protocol is defined in
-//! [`rdbsc_platform::protocol`]; this module gives every command and reply
-//! a JSON encoding so the protocol can travel over the hand-rolled HTTP
-//! stack between a router ([`crate::remote::HttpPartitionClient`]) and an
-//! `rdbsc-partitiond` daemon ([`crate::partitiond`]).
+//! [`rdbsc_platform::protocol`]; the data commands themselves travel as
+//! binary frames ([`crate::frame`]) and have no JSON form.
 //!
 //! Conventions:
 //!
-//! * Every command body carries a `request_id` the daemon echoes in its
-//!   reply — the client checks the echo, so a desynced connection surfaces
-//!   as a protocol error instead of silently mismatched replies.
 //! * The protocol version is negotiated once per connection
-//!   (`GET /partition/hello`) and pinned by the configure command; the
-//!   command bodies themselves stay unversioned.
+//!   (`GET /partition/hello`) and pinned by the configure command.
 //! * Floats survive the wire exactly: the JSON codec prints
 //!   shortest-round-trip forms ([`crate::json::write_f64`]), which is what
-//!   makes the cross-process determinism contract hold byte for byte.
+//!   keeps the persisted configure fingerprint stable byte for byte.
 //! * `u64` quantities that can exceed 2^53 (the engine seed) are carried as
 //!   **strings**; everything bounded (ids are `u32`, counters are counts)
 //!   rides as JSON numbers.
@@ -26,19 +21,16 @@
 //! turned into the corresponding engine object, so a hostile daemon or
 //! router gets a clean 400, never a panic.
 
-use crate::dto::{id, num, string, AssignmentDto, HeartbeatDto, TaskDto, WorkerDto};
+use crate::dto::{id, num, string};
 use crate::error::ServerError;
 use crate::json::Json;
 use rdbsc_cluster::{CellRange, RegionPartition};
 use rdbsc_geo::Rect;
 use rdbsc_index::geometry::GridGeometry;
-use rdbsc_index::{IndexBackend, MaintenanceCounters};
-use rdbsc_model::{TaskId, WorkerId};
-use rdbsc_platform::{
-    EngineConfig, EngineEvent, PartitionTick, TickReport, PROTOCOL_VERSION,
-};
+use rdbsc_index::IndexBackend;
+use rdbsc_platform::{EngineConfig, PROTOCOL_VERSION};
 
-pub(crate) fn uint(value: &Json, field: &'static str) -> Result<u64, ServerError> {
+fn uint(value: &Json, field: &'static str) -> Result<u64, ServerError> {
     let n = num(value, field)?;
     if n.fract() != 0.0 || !(0.0..=9_007_199_254_740_992f64).contains(&n) {
         return Err(ServerError::BadField {
@@ -79,7 +71,7 @@ fn finite(value: f64, field: &'static str) -> Result<f64, ServerError> {
     Ok(value)
 }
 
-/// Reads and validates the `request_id` of a command or reply body.
+/// Reads and validates the `request_id` of a `/debug/slow-tick-ms` body.
 pub fn request_id(value: &Json) -> Result<u64, ServerError> {
     uint(value, "request_id")
 }
@@ -105,463 +97,6 @@ pub(crate) fn slow_tick_threshold_us(value: &Json) -> Result<u64, ServerError> {
 /// Encodes a trace id for the wire (16 hex digits, zero-padded).
 pub fn trace_to_hex(trace: u64) -> String {
     format!("{trace:016x}")
-}
-
-/// Reads the optional `trace` field of a command or reply body. Absent or
-/// `null` decodes as 0 (untraced) — pre-tracing peers simply never send it,
-/// which is what keeps the field compatible within `PROTOCOL_VERSION` 1.
-pub fn trace_field(value: &Json) -> Result<u64, ServerError> {
-    match value.get("trace") {
-        None | Some(Json::Null) => Ok(0),
-        Some(v) => u64::from_str_radix(
-            v.as_str().ok_or(ServerError::BadField {
-                field: "trace",
-                expected: "a hex trace id in a string",
-            })?,
-            16,
-        )
-        .map_err(|_| ServerError::BadField {
-            field: "trace",
-            expected: "a hex trace id in a string",
-        }),
-    }
-}
-
-/// One engine event on the wire, tagged by `type`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventDto {
-    /// `TaskArrived`.
-    TaskArrived(TaskDto),
-    /// `TaskExpired`.
-    TaskExpired(u32),
-    /// `WorkerCheckIn`.
-    WorkerCheckIn(WorkerDto),
-    /// `WorkerMoved`.
-    WorkerMoved(HeartbeatDto),
-    /// `WorkerLeft`.
-    WorkerLeft(u32),
-}
-
-impl EventDto {
-    /// Builds the DTO from an engine event.
-    pub fn from_event(event: &EngineEvent) -> Self {
-        match event {
-            EngineEvent::TaskArrived(task) => EventDto::TaskArrived(TaskDto::from_task(task)),
-            EngineEvent::TaskExpired(id) => EventDto::TaskExpired(id.0),
-            EngineEvent::WorkerCheckIn(worker) => {
-                EventDto::WorkerCheckIn(WorkerDto::from_worker(worker))
-            }
-            EngineEvent::WorkerMoved(id, to) => EventDto::WorkerMoved(HeartbeatDto {
-                id: id.0,
-                x: to.x,
-                y: to.y,
-            }),
-            EngineEvent::WorkerLeft(id) => EventDto::WorkerLeft(id.0),
-        }
-    }
-
-    /// Encodes the DTO.
-    pub fn to_json(&self) -> Json {
-        match self {
-            EventDto::TaskArrived(task) => Json::obj([
-                ("type", Json::Str("task_arrived".into())),
-                ("task", task.to_json()),
-            ]),
-            EventDto::TaskExpired(id) => Json::obj([
-                ("type", Json::Str("task_expired".into())),
-                ("id", Json::Num(*id as f64)),
-            ]),
-            EventDto::WorkerCheckIn(worker) => Json::obj([
-                ("type", Json::Str("worker_check_in".into())),
-                ("worker", worker.to_json()),
-            ]),
-            EventDto::WorkerMoved(heartbeat) => Json::obj([
-                ("type", Json::Str("worker_moved".into())),
-                ("move", heartbeat.to_json()),
-            ]),
-            EventDto::WorkerLeft(id) => Json::obj([
-                ("type", Json::Str("worker_left".into())),
-                ("id", Json::Num(*id as f64)),
-            ]),
-        }
-    }
-
-    /// Decodes the DTO.
-    pub fn from_json(value: &Json) -> Result<Self, ServerError> {
-        let kind = string(value, "type")?;
-        match kind.as_str() {
-            "task_arrived" => Ok(EventDto::TaskArrived(TaskDto::from_json(
-                value.get("task").ok_or(ServerError::MissingField("task"))?,
-            )?)),
-            "task_expired" => Ok(EventDto::TaskExpired(id(value, "id")?)),
-            "worker_check_in" => Ok(EventDto::WorkerCheckIn(WorkerDto::from_json(
-                value
-                    .get("worker")
-                    .ok_or(ServerError::MissingField("worker"))?,
-            )?)),
-            "worker_moved" => Ok(EventDto::WorkerMoved(HeartbeatDto::from_json(
-                value.get("move").ok_or(ServerError::MissingField("move"))?,
-            )?)),
-            "worker_left" => Ok(EventDto::WorkerLeft(id(value, "id")?)),
-            _ => Err(ServerError::BadField {
-                field: "type",
-                expected: "a known event type",
-            }),
-        }
-    }
-
-    /// Converts into a validated engine event.
-    pub fn into_event(self) -> Result<EngineEvent, ServerError> {
-        Ok(match self {
-            EventDto::TaskArrived(task) => EngineEvent::TaskArrived(task.into_task()?),
-            EventDto::TaskExpired(id) => EngineEvent::TaskExpired(TaskId(id)),
-            EventDto::WorkerCheckIn(worker) => EngineEvent::WorkerCheckIn(worker.into_worker()?),
-            EventDto::WorkerMoved(heartbeat) => {
-                finite(heartbeat.x, "x")?;
-                finite(heartbeat.y, "y")?;
-                EngineEvent::WorkerMoved(
-                    WorkerId(heartbeat.id),
-                    rdbsc_geo::Point::new(heartbeat.x, heartbeat.y),
-                )
-            }
-            EventDto::WorkerLeft(id) => EngineEvent::WorkerLeft(WorkerId(id)),
-        })
-    }
-}
-
-/// Encodes a routed event batch (`POST /partition/submit`). A zero trace id
-/// (untraced) omits the field, keeping bodies byte-identical to what
-/// pre-tracing routers send.
-pub fn submit_to_json(request_id: u64, events: &[EngineEvent], trace: u64) -> Json {
-    let mut obj = Json::obj([
-        ("request_id", Json::Num(request_id as f64)),
-        (
-            "events",
-            Json::Arr(
-                events
-                    .iter()
-                    .map(|e| EventDto::from_event(e).to_json())
-                    .collect(),
-            ),
-        ),
-    ]);
-    if let (Json::Obj(map), true) = (&mut obj, trace != 0) {
-        map.insert("trace".to_string(), Json::Str(trace_to_hex(trace)));
-    }
-    obj
-}
-
-/// Decodes a submit body into validated engine events plus the trace id
-/// (0 when the router sent none).
-pub fn submit_from_json(value: &Json) -> Result<(u64, Vec<EngineEvent>, u64), ServerError> {
-    let rid = request_id(value)?;
-    let events = value
-        .get("events")
-        .ok_or(ServerError::MissingField("events"))?
-        .as_arr()
-        .ok_or(ServerError::BadField {
-            field: "events",
-            expected: "an array",
-        })?
-        .iter()
-        .map(|e| EventDto::from_json(e)?.into_event())
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((rid, events, trace_field(value)?))
-}
-
-/// The full-fidelity tick report on the wire — everything the router's
-/// merge needs, so a remote partition's tick contributes to the merged
-/// [`TickReport`] exactly like a local one.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TickReplyDto {
-    /// The echoed request id.
-    pub request_id: u64,
-    /// The tick's time.
-    pub now: f64,
-    /// Events drained from the queue this tick.
-    pub events_applied: u64,
-    /// Tasks auto-expired at the start of the tick.
-    pub tasks_expired: u64,
-    /// Independent shards solved.
-    pub num_shards: u64,
-    /// Valid pairs in the largest shard.
-    pub largest_shard_pairs: u64,
-    /// Solver picked per shard, in shard order.
-    pub strategies: Vec<String>,
-    /// The pairs newly committed this tick.
-    pub new_assignments: Vec<AssignmentDto>,
-    /// Wall-clock seconds spent in the sharded solve.
-    pub solve_seconds: f64,
-    /// Per-shard solve seconds, in shard order.
-    pub shard_solve_seconds: Vec<f64>,
-    /// Index maintenance counters for this tick.
-    pub index_relocations: u64,
-    /// Cells repaired during this tick.
-    pub index_cells_repaired: u64,
-    /// `tcell_list` rebuilds during this tick.
-    pub index_tcell_rebuilds: u64,
-    /// Workers committed in this partition after the tick (the handoff
-    /// oracle), in the engine's listing order.
-    pub committed: Vec<u32>,
-    /// Per-stage microsecond breakdown of the tick (observational; a reply
-    /// from a pre-profiling daemon decodes as all zeros).
-    pub stages: rdbsc_obs::StageTimings,
-    /// The echoed trace id (0 when the command carried none).
-    pub trace: u64,
-}
-
-/// The solver names the engine can report; the wire decode maps back onto
-/// these statics so a merged report compares equal to a local one.
-const KNOWN_STRATEGIES: [&str; 4] = ["GREEDY", "SAMPLING", "D&C", "G-TRUTH"];
-
-impl TickReplyDto {
-    /// Builds the DTO from a partition tick.
-    pub fn from_tick(request_id: u64, tick: &PartitionTick) -> Self {
-        let r = &tick.report;
-        Self {
-            request_id,
-            now: r.now,
-            events_applied: r.events_applied as u64,
-            tasks_expired: r.tasks_expired as u64,
-            num_shards: r.num_shards as u64,
-            largest_shard_pairs: r.largest_shard_pairs as u64,
-            strategies: r.strategies.iter().map(|s| s.to_string()).collect(),
-            new_assignments: r.new_assignments.iter().map(AssignmentDto::from_pair).collect(),
-            solve_seconds: r.solve_seconds,
-            shard_solve_seconds: r.shard_solve_seconds.clone(),
-            index_relocations: r.index_maintenance.relocations,
-            index_cells_repaired: r.index_maintenance.cells_repaired,
-            index_tcell_rebuilds: r.index_maintenance.tcell_rebuilds,
-            committed: tick.committed.iter().map(|w| w.0).collect(),
-            stages: r.stages,
-            trace: tick.trace,
-        }
-    }
-
-    /// Encodes the DTO.
-    pub fn to_json(&self) -> Json {
-        let mut obj = Json::obj([
-            ("request_id", Json::Num(self.request_id as f64)),
-            ("now", Json::Num(self.now)),
-            ("events_applied", Json::Num(self.events_applied as f64)),
-            ("tasks_expired", Json::Num(self.tasks_expired as f64)),
-            ("num_shards", Json::Num(self.num_shards as f64)),
-            (
-                "largest_shard_pairs",
-                Json::Num(self.largest_shard_pairs as f64),
-            ),
-            (
-                "strategies",
-                Json::Arr(
-                    self.strategies
-                        .iter()
-                        .map(|s| Json::Str(s.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "new_assignments",
-                Json::Arr(self.new_assignments.iter().map(|a| a.to_json()).collect()),
-            ),
-            ("solve_seconds", Json::Num(self.solve_seconds)),
-            (
-                "shard_solve_seconds",
-                Json::Arr(
-                    self.shard_solve_seconds
-                        .iter()
-                        .map(|s| Json::Num(*s))
-                        .collect(),
-                ),
-            ),
-            ("index_relocations", Json::Num(self.index_relocations as f64)),
-            (
-                "index_cells_repaired",
-                Json::Num(self.index_cells_repaired as f64),
-            ),
-            (
-                "index_tcell_rebuilds",
-                Json::Num(self.index_tcell_rebuilds as f64),
-            ),
-            (
-                "committed",
-                Json::Arr(self.committed.iter().map(|w| Json::Num(*w as f64)).collect()),
-            ),
-            (
-                "stages",
-                Json::Arr(
-                    self.stages
-                        .values()
-                        .iter()
-                        .map(|us| Json::Num(*us as f64))
-                        .collect(),
-                ),
-            ),
-        ]);
-        if let (Json::Obj(map), true) = (&mut obj, self.trace != 0) {
-            map.insert("trace".to_string(), Json::Str(trace_to_hex(self.trace)));
-        }
-        obj
-    }
-
-    /// Decodes the DTO.
-    pub fn from_json(value: &Json) -> Result<Self, ServerError> {
-        let strategies = value
-            .get("strategies")
-            .ok_or(ServerError::MissingField("strategies"))?
-            .as_arr()
-            .ok_or(ServerError::BadField {
-                field: "strategies",
-                expected: "an array",
-            })?
-            .iter()
-            .map(|s| {
-                s.as_str().map(str::to_string).ok_or(ServerError::BadField {
-                    field: "strategies",
-                    expected: "an array of strings",
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let new_assignments = value
-            .get("new_assignments")
-            .ok_or(ServerError::MissingField("new_assignments"))?
-            .as_arr()
-            .ok_or(ServerError::BadField {
-                field: "new_assignments",
-                expected: "an array",
-            })?
-            .iter()
-            .map(AssignmentDto::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let shard_solve_seconds = value
-            .get("shard_solve_seconds")
-            .ok_or(ServerError::MissingField("shard_solve_seconds"))?
-            .as_arr()
-            .ok_or(ServerError::BadField {
-                field: "shard_solve_seconds",
-                expected: "an array",
-            })?
-            .iter()
-            .map(|s| {
-                s.as_num().ok_or(ServerError::BadField {
-                    field: "shard_solve_seconds",
-                    expected: "an array of numbers",
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let committed = value
-            .get("committed")
-            .ok_or(ServerError::MissingField("committed"))?
-            .as_arr()
-            .ok_or(ServerError::BadField {
-                field: "committed",
-                expected: "an array",
-            })?
-            .iter()
-            .map(|w| {
-                let n = w.as_num().ok_or(ServerError::BadField {
-                    field: "committed",
-                    expected: "an array of worker ids",
-                })?;
-                if n.fract() != 0.0 || !(0.0..=u32::MAX as f64).contains(&n) {
-                    return Err(ServerError::BadField {
-                        field: "committed",
-                        expected: "an array of worker ids",
-                    });
-                }
-                Ok(n as u32)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let stages = match value.get("stages") {
-            None | Some(Json::Null) => rdbsc_obs::StageTimings::default(),
-            Some(v) => {
-                let arr = v.as_arr().ok_or(ServerError::BadField {
-                    field: "stages",
-                    expected: "an array of stage microseconds",
-                })?;
-                if arr.len() != rdbsc_obs::NUM_STAGES {
-                    return Err(ServerError::BadField {
-                        field: "stages",
-                        expected: "one duration per tick stage",
-                    });
-                }
-                let mut values = [0u64; rdbsc_obs::NUM_STAGES];
-                for (slot, entry) in values.iter_mut().zip(arr) {
-                    let n = entry.as_num().ok_or(ServerError::BadField {
-                        field: "stages",
-                        expected: "an array of stage microseconds",
-                    })?;
-                    if n.fract() != 0.0 || !(0.0..=9_007_199_254_740_992f64).contains(&n) {
-                        return Err(ServerError::BadField {
-                            field: "stages",
-                            expected: "an array of stage microseconds",
-                        });
-                    }
-                    *slot = n as u64;
-                }
-                rdbsc_obs::StageTimings::from_values(values)
-            }
-        };
-        Ok(Self {
-            request_id: request_id(value)?,
-            now: num(value, "now")?,
-            events_applied: uint(value, "events_applied")?,
-            tasks_expired: uint(value, "tasks_expired")?,
-            num_shards: uint(value, "num_shards")?,
-            largest_shard_pairs: uint(value, "largest_shard_pairs")?,
-            strategies,
-            new_assignments,
-            solve_seconds: num(value, "solve_seconds")?,
-            shard_solve_seconds,
-            index_relocations: uint(value, "index_relocations")?,
-            index_cells_repaired: uint(value, "index_cells_repaired")?,
-            index_tcell_rebuilds: uint(value, "index_tcell_rebuilds")?,
-            committed,
-            stages,
-            trace: trace_field(value)?,
-        })
-    }
-
-    /// Converts into the router-side [`PartitionTick`]. Unknown strategy
-    /// names (a newer daemon) decode as `"UNKNOWN"` rather than failing.
-    pub fn into_tick(self) -> Result<PartitionTick, ServerError> {
-        let strategies = self
-            .strategies
-            .iter()
-            .map(|s| {
-                KNOWN_STRATEGIES
-                    .iter()
-                    .find(|known| *known == s)
-                    .copied()
-                    .unwrap_or("UNKNOWN")
-            })
-            .collect();
-        let new_assignments = self
-            .new_assignments
-            .into_iter()
-            .map(AssignmentDto::into_pair)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(PartitionTick {
-            report: TickReport {
-                now: self.now,
-                events_applied: self.events_applied as usize,
-                tasks_expired: self.tasks_expired as usize,
-                num_shards: self.num_shards as usize,
-                largest_shard_pairs: self.largest_shard_pairs as usize,
-                strategies,
-                new_assignments,
-                solve_seconds: self.solve_seconds,
-                shard_solve_seconds: self.shard_solve_seconds,
-                index_maintenance: MaintenanceCounters {
-                    relocations: self.index_relocations,
-                    cells_repaired: self.index_cells_repaired,
-                    tcell_rebuilds: self.index_tcell_rebuilds,
-                },
-                stages: self.stages,
-            },
-            committed: self.committed.into_iter().map(WorkerId).collect(),
-            trace: self.trace,
-        })
-    }
 }
 
 /// The routing table: grid geometry plus the canonical region list —
@@ -925,9 +460,9 @@ pub struct HelloDto {
     /// terminal, a standby is one promote away from serving. Absent on
     /// the wire means `false` — pre-replication daemons never send it.
     pub standby: bool,
-    /// The command transports the daemon accepts (`"http"`, `"binary"`).
-    /// A hello without the field — a pre-binary-transport daemon — means
-    /// `["http"]`, so routers negotiate down instead of failing.
+    /// The command transports the daemon accepts — `["binary"]` for this
+    /// build. A hello without the field (a daemon from before the frame
+    /// transport) decodes as none, and the router refuses it by address.
     pub transports: Vec<String>,
 }
 
@@ -940,7 +475,7 @@ impl HelloDto {
             region_index: configured,
             draining,
             standby,
-            transports: vec!["http".to_string(), "binary".to_string()],
+            transports: vec!["binary".to_string()],
         }
     }
 
@@ -979,7 +514,7 @@ impl HelloDto {
             Some(_) => Some(id(value, "region_index")?),
         };
         let transports = match value.get("transports") {
-            None | Some(Json::Null) => vec!["http".to_string()],
+            None | Some(Json::Null) => Vec::new(),
             Some(list) => list
                 .as_arr()
                 .ok_or(ServerError::BadField {
@@ -1011,42 +546,6 @@ impl HelloDto {
 
 // ---------------------------------------------------------------------------
 // Replication.
-
-/// Encodes opaque record bytes for the JSON transport (lowercase hex).
-pub fn bytes_to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-/// Decodes the JSON transport's hex record bytes. Rejects non-ASCII input
-/// up front — this decodes peer-supplied wire data, and slicing a str with
-/// multi-byte characters by byte offset would panic off a char boundary.
-pub fn hex_to_bytes(s: &str, field: &'static str) -> Result<Vec<u8>, ServerError> {
-    if !s.is_ascii() {
-        return Err(ServerError::BadField {
-            field,
-            expected: "a hex string",
-        });
-    }
-    if !s.len().is_multiple_of(2) {
-        return Err(ServerError::BadField {
-            field,
-            expected: "an even-length hex string",
-        });
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&s[i..i + 2], 16).map_err(|_| ServerError::BadField {
-                field,
-                expected: "a hex string",
-            })
-        })
-        .collect()
-}
 
 /// The replication counters a daemon reports — one shape for both roles,
 /// with the fields the other role doesn't track left at zero.
@@ -1092,158 +591,6 @@ impl ReplStatusDto {
             ("sealed", Json::Bool(self.sealed)),
         ])
     }
-
-    /// Decodes the DTO.
-    pub fn from_json(value: &Json) -> Result<Self, ServerError> {
-        Ok(Self {
-            role: string(value, "role")?,
-            next_lsn: uint(value, "next_lsn")?,
-            acked: uint(value, "acked")?,
-            retained: uint(value, "retained")?,
-            resets: uint(value, "resets")?,
-            applied: uint(value, "applied")?,
-            lag: uint(value, "lag")?,
-            sealed: bool_field(value, "sealed")?,
-        })
-    }
-}
-
-/// `POST /partition/repl/bootstrap` reply: the snapshot a standby restores
-/// from. `state` is an encoded `WalRecord::Checkpoint` in the platform's
-/// canonical codec (hex on the JSON transport) — the same bytes a local
-/// checkpoint would hold, so there is exactly one state codec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplBootstrapDto {
-    /// The echoed request id.
-    pub request_id: u64,
-    /// The stream lsn of the first record published after the snapshot.
-    pub start_lsn: u64,
-    /// The encoded checkpoint record.
-    pub state: Vec<u8>,
-    /// The primary's accepted configure payload (canonical JSON text,
-    /// carried verbatim so the standby's fingerprint matches byte for
-    /// byte).
-    pub configure: String,
-}
-
-impl ReplBootstrapDto {
-    /// Encodes the DTO.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("request_id", Json::Num(self.request_id as f64)),
-            ("start_lsn", Json::Num(self.start_lsn as f64)),
-            ("state", Json::Str(bytes_to_hex(&self.state))),
-            ("configure", Json::Str(self.configure.clone())),
-        ])
-    }
-
-    /// Decodes the DTO.
-    pub fn from_json(value: &Json) -> Result<Self, ServerError> {
-        Ok(Self {
-            request_id: request_id(value)?,
-            start_lsn: uint(value, "start_lsn")?,
-            state: hex_to_bytes(&string(value, "state")?, "state")?,
-            configure: string(value, "configure")?,
-        })
-    }
-}
-
-/// `POST /partition/repl/fetch` reply: a batch of shipped records, each an
-/// encoded `WalRecord` in the canonical codec (hex on the JSON transport).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplFetchDto {
-    /// The echoed request id.
-    pub request_id: u64,
-    /// The primary's stream head (what lag is measured against).
-    pub next_lsn: u64,
-    /// `(lsn, record)` pairs, lsn-ascending.
-    pub records: Vec<(u64, Vec<u8>)>,
-}
-
-impl ReplFetchDto {
-    /// Encodes the DTO.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("request_id", Json::Num(self.request_id as f64)),
-            ("next_lsn", Json::Num(self.next_lsn as f64)),
-            (
-                "records",
-                Json::Arr(
-                    self.records
-                        .iter()
-                        .map(|(lsn, bytes)| {
-                            Json::obj([
-                                ("lsn", Json::Num(*lsn as f64)),
-                                ("bytes", Json::Str(bytes_to_hex(bytes))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decodes the DTO.
-    pub fn from_json(value: &Json) -> Result<Self, ServerError> {
-        let records = value
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or(ServerError::BadField {
-                field: "records",
-                expected: "an array of {lsn, bytes} records",
-            })?
-            .iter()
-            .map(|entry| {
-                Ok((
-                    uint(entry, "lsn")?,
-                    hex_to_bytes(&string(entry, "bytes")?, "bytes")?,
-                ))
-            })
-            .collect::<Result<Vec<_>, ServerError>>()?;
-        Ok(Self {
-            request_id: request_id(value)?,
-            next_lsn: uint(value, "next_lsn")?,
-            records,
-        })
-    }
-}
-
-/// `POST /partition/repl/promote` reply: the promoted state digest (hex on
-/// the JSON transport, like `/partition/snapshot`'s `state_digest`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplPromoteDto {
-    /// The echoed request id.
-    pub request_id: u64,
-    /// The promoted state digest.
-    pub digest: u64,
-    /// Stream records applied before the seal.
-    pub applied: u64,
-}
-
-impl ReplPromoteDto {
-    /// Encodes the DTO.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("request_id", Json::Num(self.request_id as f64)),
-            ("digest", Json::Str(format!("{:016x}", self.digest))),
-            ("applied", Json::Num(self.applied as f64)),
-        ])
-    }
-
-    /// Decodes the DTO.
-    pub fn from_json(value: &Json) -> Result<Self, ServerError> {
-        let digest = u64::from_str_radix(&string(value, "digest")?, 16).map_err(|_| {
-            ServerError::BadField {
-                field: "digest",
-                expected: "a 16-digit hex digest",
-            }
-        })?;
-        Ok(Self {
-            request_id: request_id(value)?,
-            digest,
-            applied: uint(value, "applied")?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1251,64 +598,6 @@ mod tests {
     use super::*;
     use crate::json::parse;
     use rdbsc_cluster::RegionPartitioner;
-    use rdbsc_geo::{AngleRange, Point};
-    use rdbsc_model::{Confidence, Task, TimeWindow, Worker};
-    use rdbsc_platform::PROTOCOL_VERSION;
-
-    fn events() -> Vec<EngineEvent> {
-        vec![
-            EngineEvent::TaskArrived(Task::new(
-                TaskId(1),
-                Point::new(0.25, 0.75),
-                TimeWindow::new(0.5, 4.5).unwrap(),
-            )),
-            EngineEvent::TaskExpired(TaskId(2)),
-            EngineEvent::WorkerCheckIn(
-                Worker::new(
-                    WorkerId(3),
-                    Point::new(0.1, 0.9),
-                    0.4,
-                    AngleRange::full(),
-                    Confidence::new(0.8).unwrap(),
-                )
-                .unwrap(),
-            ),
-            EngineEvent::WorkerMoved(WorkerId(4), Point::new(0.6, 0.6)),
-            EngineEvent::WorkerLeft(WorkerId(5)),
-        ]
-    }
-
-    #[test]
-    fn submit_bodies_round_trip() {
-        let events = events();
-        let body = submit_to_json(42, &events, 0).to_string_compact();
-        assert!(!body.contains("trace"), "untraced bodies omit the field");
-        let (rid, decoded, trace) = submit_from_json(&parse(&body).unwrap()).unwrap();
-        assert_eq!(rid, 42);
-        assert_eq!(trace, 0);
-        assert_eq!(decoded.len(), events.len());
-        // Spot-check exact payload survival through the typed layer.
-        let reencoded = submit_to_json(42, &decoded, 0).to_string_compact();
-        assert_eq!(reencoded, body);
-    }
-
-    #[test]
-    fn submit_trace_rides_as_hex_and_round_trips() {
-        let events = events();
-        let body = submit_to_json(7, &events, 0xdead_beef_0042_0001).to_string_compact();
-        assert!(body.contains(r#""trace":"deadbeef00420001""#), "{body}");
-        let (_, _, trace) = submit_from_json(&parse(&body).unwrap()).unwrap();
-        assert_eq!(trace, 0xdead_beef_0042_0001);
-        // A hostile trace field is a clean 400, not a panic.
-        assert!(submit_from_json(
-            &parse(r#"{"request_id":1,"events":[],"trace":"zz"}"#).unwrap()
-        )
-        .is_err());
-        assert!(submit_from_json(
-            &parse(r#"{"request_id":1,"events":[],"trace":12}"#).unwrap()
-        )
-        .is_err());
-    }
 
     #[test]
     fn routing_tables_survive_eta_hostile_cell_sizes() {
@@ -1390,70 +679,14 @@ mod tests {
         let old = HelloDto::current(Some(1), false, false).to_json().to_string_compact();
         let old = old.replace(",\"standby\":false", "");
         assert!(!HelloDto::from_json(&parse(&old).unwrap()).unwrap().standby);
+        // A hello from before the frame transport names none — not binary.
+        let old = r#"{"protocol_version":1,"configured":false,"draining":false}"#;
+        assert!(!HelloDto::from_json(&parse(old).unwrap()).unwrap().speaks_binary());
         assert_eq!(HelloDto::current(None, false, false).protocol_version, PROTOCOL_VERSION);
     }
 
     #[test]
-    fn repl_dtos_round_trip() {
-        let boot = ReplBootstrapDto {
-            request_id: 5,
-            start_lsn: 12,
-            state: vec![0x05, 0x00, 0xff, 0x7f],
-            configure: r#"{"region_index":1}"#.into(),
-        };
-        let wire = boot.to_json().to_string_compact();
-        assert_eq!(ReplBootstrapDto::from_json(&parse(&wire).unwrap()).unwrap(), boot);
-
-        let fetch = ReplFetchDto {
-            request_id: 6,
-            next_lsn: 15,
-            records: vec![(12, vec![2, 1, 2, 3]), (13, vec![])],
-        };
-        let wire = fetch.to_json().to_string_compact();
-        assert_eq!(ReplFetchDto::from_json(&parse(&wire).unwrap()).unwrap(), fetch);
-
-        let status = ReplStatusDto {
-            role: "primary".into(),
-            next_lsn: 15,
-            acked: 13,
-            retained: 2,
-            resets: 0,
-            applied: 0,
-            lag: 2,
-            sealed: false,
-        };
-        let wire = status.to_json().to_string_compact();
-        assert_eq!(ReplStatusDto::from_json(&parse(&wire).unwrap()).unwrap(), status);
-
-        let promote = ReplPromoteDto {
-            request_id: 7,
-            digest: 0x0123_4567_89ab_cdef,
-            applied: 13,
-        };
-        let wire = promote.to_json().to_string_compact();
-        assert!(wire.contains("0123456789abcdef"), "digest travels as hex: {wire}");
-        assert_eq!(ReplPromoteDto::from_json(&parse(&wire).unwrap()).unwrap(), promote);
-
-        // Hostile hex is rejected, never panics.
-        assert!(hex_to_bytes("0g", "bytes").is_err());
-        assert!(hex_to_bytes("012", "bytes").is_err());
-        assert!(hex_to_bytes("éé", "bytes").is_err(), "multi-byte UTF-8 must not panic");
-        assert!(hex_to_bytes("ab\u{e9}\u{e9}ab", "bytes").is_err());
-        assert_eq!(hex_to_bytes("", "bytes").unwrap(), Vec::<u8>::new());
-    }
-
-    #[test]
     fn malformed_protocol_bodies_are_rejected_not_panicking() {
-        for hostile in [
-            "{}",
-            r#"{"request_id":-1,"events":[]}"#,
-            r#"{"request_id":1,"events":[{"type":"nope"}]}"#,
-            r#"{"request_id":1,"events":[{"type":"task_arrived"}]}"#,
-            r#"{"request_id":1.5,"events":[]}"#,
-            r#"{"request_id":1,"events":"no"}"#,
-        ] {
-            assert!(submit_from_json(&parse(hostile).unwrap()).is_err(), "{hostile}");
-        }
         assert!(RoutingTableDto::from_json(&parse("{}").unwrap()).is_err());
         assert!(EngineConfigDto::from_json(
             &parse(r#"{"beta":0.5,"parallelism":0,"seed":42,"auto_expire":true}"#).unwrap()

@@ -1,44 +1,33 @@
-//! The wire backends of the partition protocol:
-//! [`HttpPartitionClient`] drives one `rdbsc-partitiond` daemon over
-//! persistent keep-alive HTTP/1.1; [`BinaryPartitionClient`] drives it over
-//! length-prefixed binary frames ([`crate::frame`]) on a dedicated TCP
-//! connection, with per-connection pipelining.
+//! The router's side of the partition wire: the HTTP handshake
+//! ([`PartitionHandshake`]) and the frame transport that carries every
+//! data command ([`BinaryPartitionClient`] over [`FrameConn`]).
 //!
-//! * **Handshake.** [`connect_remote_partition`] opens the connection, reads
-//!   `GET /partition/hello` (refusing a daemon speaking a different
-//!   [`PROTOCOL_VERSION`]) and pushes the configure payload — routing table,
-//!   region index, backend, engine config — so router and daemon provably
-//!   agree on the region geometry before the first event is routed.
-//! * **Request ids.** Every command carries a `request_id` the daemon
+//! * **Handshake.** [`connect_remote_partition`] reads
+//!   `GET /partition/hello` (refusing a daemon that speaks a different
+//!   [`PROTOCOL_VERSION`], is draining, is an unpromoted standby, or does
+//!   not advertise the `"binary"` transport) and pushes the configure
+//!   payload — routing table, region index, backend, engine config — so
+//!   router and daemon provably agree on the region geometry before the
+//!   first event is routed. Then it opens the one frame connection all
+//!   commands travel on.
+//! * **Request ids.** Every frame carries a `request_id` the daemon
 //!   echoes; a mismatched echo is a protocol error, so a desynced
 //!   connection can never pair a reply with the wrong command.
-//! * **Split phases.** `begin_tick`/`begin_submit` only *write* the request;
+//! * **Split phases.** `begin_tick`/`begin_submit` only *write* the frame;
 //!   the daemon starts working as soon as the bytes land, and the router
 //!   collects replies after dispatching to every partition — N daemons
 //!   solve concurrently.
-//! * **Connection discipline.** The underlying [`HttpClient`] honours
-//!   RFC 9110 `Connection` token lists on responses (reconnect on `close`,
-//!   reuse on `keep-alive`) and retries a command exactly once when a
-//!   *reused* keep-alive connection turns out stale — the daemon never saw
-//!   the request, so at-most-once execution holds. Retries, reconnects,
-//!   bytes and per-command latency all land in the shared
-//!   [`ProtocolCounters`], surfaced per partition on the router's
-//!   `/metrics`.
-//! * **Transport negotiation.** Hello and configure always run over HTTP.
-//!   When the router asks for [`RemoteTransport::Binary`] and the daemon's
-//!   hello advertises `"binary"`, a second raw TCP connection is opened for
-//!   command frames; otherwise the HTTP client is kept — old daemons keep
-//!   working unchanged.
+//! * **Connection discipline.** A command is retried exactly once when a
+//!   *reused idle* connection turns out stale — the daemon never saw the
+//!   frame, so at-most-once execution holds. Retries, reconnects, bytes
+//!   and per-command latency all land in the shared [`ProtocolCounters`],
+//!   surfaced per partition on the router's `/metrics`.
 
-use crate::client::{ClientResponse, HttpClient};
-use crate::dto::{AnswerDto, AssignmentDto, SnapshotDto};
+use crate::client::HttpClient;
+use crate::dto::AnswerDto;
 use crate::error::ServerError;
 use crate::frame::{self, FrameError, ReplyFrame, RequestFrame};
-use crate::json::Json;
-use crate::protocol::{
-    self, ConfigureDto, EngineConfigDto, EventDto, HelloDto, ReplPromoteDto, RoutingTableDto,
-    TickReplyDto,
-};
+use crate::protocol::{ConfigureDto, DurabilityDto, EngineConfigDto, HelloDto, RoutingTableDto};
 use rdbsc_cluster::RegionPartition;
 use rdbsc_index::IndexBackend;
 use rdbsc_model::valid_pairs::ValidPair;
@@ -57,66 +46,26 @@ use std::time::{Duration, Instant};
 /// gives the partition up. Ticks solve whole regions, so this is generous.
 const COMMAND_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// The largest reply payload the binary client will accept. Tick replies
-/// scale with new assignments (~40 bytes each), so this is generous.
+/// The largest reply payload a frame connection will accept. Tick replies
+/// scale with new assignments (~40 bytes each) and a bootstrap reply holds
+/// a whole checkpoint, so this is generous.
 const MAX_REPLY_PAYLOAD: usize = 64 << 20;
 
-/// Which wire protocol the router speaks to remote partition daemons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RemoteTransport {
-    /// JSON over persistent keep-alive HTTP/1.1. Always available; the
-    /// interoperability fallback.
-    Http,
-    /// Length-prefixed binary frames ([`crate::frame`]) over persistent
-    /// TCP, with per-connection pipelining. Negotiated via the hello
-    /// handshake; falls back to [`RemoteTransport::Http`] against a daemon
-    /// that does not advertise `"binary"`.
-    #[default]
-    Binary,
-}
-
-impl RemoteTransport {
-    /// Parses the CLI spelling (`"http"` or `"binary"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "http" => Some(Self::Http),
-            "binary" => Some(Self::Binary),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Http => "http",
-            Self::Binary => "binary",
-        }
-    }
-}
-
-/// A split-phase command whose reply has not been collected yet.
-struct Pending {
-    request_id: u64,
-    started: Instant,
-}
-
-/// The partition protocol over HTTP/1.1 (see the [module docs](self)).
-pub struct HttpPartitionClient {
-    endpoint: String,
-    client: HttpClient,
-    counters: Arc<ProtocolCounters>,
-    next_request_id: u64,
-    trace: u64,
-    pending_submit: Option<Pending>,
-    pending_tick: Option<Pending>,
-    speaks_binary: bool,
+fn resolve(addr: &str) -> Result<SocketAddr, ServerError> {
+    addr.to_socket_addrs()
+        .map_err(|e| {
+            ServerError::BadRequest(format!("cannot resolve partition address {addr:?}: {e}"))
+        })?
+        .next()
+        .ok_or_else(|| {
+            ServerError::BadRequest(format!("partition address {addr:?} resolves to nothing"))
+        })
 }
 
 /// Resolves, handshakes and configures one remote partition, returning the
 /// boxed protocol client the router mounts for that region. Fails when the
-/// daemon is unreachable, speaks a different protocol version, or is
-/// already configured as part of a different topology.
-#[allow(clippy::too_many_arguments)]
+/// daemon is unreachable, speaks a different protocol version or no frame
+/// transport, or is already configured as part of a different topology.
 pub fn connect_remote_partition(
     addr: &str,
     partition: &RegionPartition,
@@ -125,42 +74,33 @@ pub fn connect_remote_partition(
     cell_size: f64,
     engine: &EngineConfig,
     durability: Option<&rdbsc_platform::WalConfig>,
-    transport: RemoteTransport,
 ) -> Result<Box<dyn PartitionClient>, ServerError> {
-    let mut client = HttpPartitionClient::connect(addr)?;
-    client.configure(partition, region_index, backend, cell_size, engine, durability)?;
-    if transport == RemoteTransport::Binary && client.speaks_binary {
-        return Ok(Box::new(BinaryPartitionClient::connect(addr)?));
-    }
-    Ok(Box::new(client))
+    PartitionHandshake::connect(addr)?.configure(
+        partition,
+        region_index,
+        backend,
+        cell_size,
+        engine,
+        durability,
+    )?;
+    Ok(Box::new(BinaryPartitionClient::connect(addr)?))
 }
 
-impl HttpPartitionClient {
-    /// Opens the transport and performs the protocol-version handshake.
+/// The HTTP half of attaching a daemon: hello, then configure. Everything
+/// after it travels as frames.
+pub struct PartitionHandshake {
+    endpoint: String,
+    client: HttpClient,
+}
+
+impl PartitionHandshake {
+    /// Reads the daemon's hello and refuses one this router cannot mount.
     pub fn connect(addr: &str) -> Result<Self, ServerError> {
-        let socket: SocketAddr = addr
-            .to_socket_addrs()
-            .map_err(|e| {
-                ServerError::BadRequest(format!("cannot resolve partition address {addr:?}: {e}"))
-            })?
-            .next()
-            .ok_or_else(|| {
-                ServerError::BadRequest(format!("partition address {addr:?} resolves to nothing"))
-            })?;
-        let counters = Arc::new(ProtocolCounters::default());
-        let mut client = Self {
+        let mut handshake = Self {
             endpoint: addr.to_string(),
-            client: HttpClient::new(socket)
-                .with_timeout(COMMAND_TIMEOUT)
-                .with_counters(Arc::clone(&counters)),
-            counters,
-            next_request_id: 0,
-            trace: 0,
-            pending_submit: None,
-            pending_tick: None,
-            speaks_binary: false,
+            client: HttpClient::new(resolve(addr)?).with_timeout(COMMAND_TIMEOUT),
         };
-        let hello = client.hello()?;
+        let hello = handshake.hello()?;
         if hello.protocol_version != PROTOCOL_VERSION {
             return Err(ServerError::Conflict(format!(
                 "partition {addr} speaks protocol v{} but this router speaks v{}",
@@ -177,8 +117,14 @@ impl HttpPartitionClient {
                 "partition {addr} is a replication standby; promote it before attaching it"
             )));
         }
-        client.speaks_binary = hello.speaks_binary();
-        Ok(client)
+        if !hello.speaks_binary() {
+            return Err(ServerError::Conflict(format!(
+                "partition {addr} does not advertise the binary frame transport \
+                 (hello transports: {:?}); upgrade the daemon",
+                hello.transports
+            )));
+        }
+        Ok(handshake)
     }
 
     /// Reads the daemon's hello.
@@ -214,7 +160,7 @@ impl HttpPartitionClient {
             backend: backend.name().to_string(),
             cell_size,
             engine: EngineConfigDto::from_config(engine),
-            durability: durability.map(crate::protocol::DurabilityDto::from_wal_config),
+            durability: durability.map(DurabilityDto::from_wal_config),
         };
         let response = self.client.post("/partition/configure", &dto.to_json())?;
         if !response.is_success() {
@@ -223,274 +169,6 @@ impl HttpPartitionClient {
                 self.endpoint, response.status, response.body
             )));
         }
-        Ok(())
-    }
-
-    fn next_rid(&mut self) -> u64 {
-        self.next_request_id += 1;
-        self.next_request_id
-    }
-
-    fn transport(&self, e: ServerError) -> PartitionError {
-        PartitionError::Transport {
-            endpoint: self.endpoint.clone(),
-            detail: e.to_string(),
-        }
-    }
-
-    fn protocol_err(&self, detail: impl Into<String>) -> PartitionError {
-        PartitionError::Protocol {
-            endpoint: self.endpoint.clone(),
-            detail: detail.into(),
-        }
-    }
-
-    /// Validates a reply: 2xx, parseable, and echoing `request_id`. Records
-    /// the command in the counters on success.
-    fn check_reply(
-        &mut self,
-        response: ClientResponse,
-        rid: u64,
-        started: Instant,
-    ) -> Result<Json, PartitionError> {
-        if response.status == 503 {
-            return Err(PartitionError::Draining {
-                endpoint: self.endpoint.clone(),
-            });
-        }
-        if !response.is_success() {
-            return Err(self.protocol_err(format!(
-                "command failed with {}: {}",
-                response.status, response.body
-            )));
-        }
-        let body = response
-            .json()
-            .map_err(|e| self.protocol_err(format!("unparseable reply: {e}")))?;
-        let echoed = protocol::request_id(&body)
-            .map_err(|e| self.protocol_err(format!("reply without request_id: {e}")))?;
-        if echoed != rid {
-            return Err(self.protocol_err(format!(
-                "reply echoes request {echoed} but {rid} is in flight — connection desynced"
-            )));
-        }
-        self.counters.requests.incr();
-        self.counters.command_latency.record(started.elapsed());
-        Ok(body)
-    }
-
-    /// One full command round trip with a request id.
-    fn roundtrip(&mut self, path: &str, body: Json) -> Result<(u64, Json), PartitionError> {
-        let rid = protocol::request_id(&body).expect("caller embeds the request id");
-        let started = Instant::now();
-        let response = self
-            .client
-            .post(path, &body)
-            .map_err(|e| self.transport(e))?;
-        Ok((rid, self.check_reply(response, rid, started)?))
-    }
-
-    /// A `GET` round trip (no request id in the reply).
-    fn get(&mut self, path: &str) -> Result<Json, PartitionError> {
-        let started = Instant::now();
-        let response = self.client.get(path).map_err(|e| self.transport(e))?;
-        if response.status == 503 {
-            return Err(PartitionError::Draining {
-                endpoint: self.endpoint.clone(),
-            });
-        }
-        if !response.is_success() {
-            return Err(self.protocol_err(format!(
-                "GET {path} failed with {}: {}",
-                response.status, response.body
-            )));
-        }
-        let body = response
-            .json()
-            .map_err(|e| self.protocol_err(format!("unparseable reply: {e}")))?;
-        self.counters.requests.incr();
-        self.counters.command_latency.record(started.elapsed());
-        Ok(body)
-    }
-}
-
-impl PartitionClient for HttpPartitionClient {
-    fn kind(&self) -> &'static str {
-        "http"
-    }
-
-    fn endpoint(&self) -> String {
-        self.endpoint.clone()
-    }
-
-    fn counters(&self) -> Arc<ProtocolCounters> {
-        Arc::clone(&self.counters)
-    }
-
-    fn set_trace(&mut self, trace: u64) {
-        self.trace = trace;
-    }
-
-    fn begin_submit(&mut self, events: Vec<EngineEvent>) -> Result<(), PartitionError> {
-        if self.pending_submit.is_some() || self.pending_tick.is_some() {
-            return Err(self.protocol_err("begin_submit while another command is in flight"));
-        }
-        let rid = self.next_rid();
-        let body = protocol::submit_to_json(rid, &events, self.trace);
-        let started = Instant::now();
-        self.client
-            .send("POST", "/partition/submit", Some(body.to_string_compact()))
-            .map_err(|e| self.transport(e))?;
-        self.pending_submit = Some(Pending {
-            request_id: rid,
-            started,
-        });
-        Ok(())
-    }
-
-    fn finish_submit(&mut self) -> Result<(), PartitionError> {
-        let pending = self
-            .pending_submit
-            .take()
-            .ok_or_else(|| self.protocol_err("finish_submit without begin_submit"))?;
-        let response = self.client.receive().map_err(|e| self.transport(e))?;
-        self.check_reply(response, pending.request_id, pending.started)?;
-        Ok(())
-    }
-
-    fn begin_tick(&mut self, now: f64) -> Result<(), PartitionError> {
-        if self.pending_submit.is_some() || self.pending_tick.is_some() {
-            return Err(self.protocol_err("begin_tick while another command is in flight"));
-        }
-        let rid = self.next_rid();
-        let mut body = Json::obj([
-            ("request_id", Json::Num(rid as f64)),
-            ("now", Json::Num(now)),
-        ]);
-        if let (Json::Obj(map), true) = (&mut body, self.trace != 0) {
-            map.insert(
-                "trace".to_string(),
-                Json::Str(protocol::trace_to_hex(self.trace)),
-            );
-        }
-        let started = Instant::now();
-        self.client
-            .send("POST", "/partition/tick", Some(body.to_string_compact()))
-            .map_err(|e| self.transport(e))?;
-        self.pending_tick = Some(Pending {
-            request_id: rid,
-            started,
-        });
-        Ok(())
-    }
-
-    fn finish_tick(&mut self) -> Result<PartitionTick, PartitionError> {
-        let pending = self
-            .pending_tick
-            .take()
-            .ok_or_else(|| self.protocol_err("finish_tick without begin_tick"))?;
-        let response = self.client.receive().map_err(|e| self.transport(e))?;
-        let body = self.check_reply(response, pending.request_id, pending.started)?;
-        TickReplyDto::from_json(&body)
-            .and_then(TickReplyDto::into_tick)
-            .map_err(|e| self.protocol_err(format!("malformed tick reply: {e}")))
-    }
-
-    fn record_answer(
-        &mut self,
-        worker: WorkerId,
-        contribution: Contribution,
-    ) -> Result<bool, PartitionError> {
-        let rid = self.next_rid();
-        let body = Json::obj([
-            ("request_id", Json::Num(rid as f64)),
-            ("worker", Json::Num(worker.0 as f64)),
-            ("confidence", Json::Num(contribution.p())),
-            ("angle", Json::Num(contribution.angle)),
-            ("arrival", Json::Num(contribution.arrival)),
-        ]);
-        let (_, reply) = self.roundtrip("/partition/answer", body)?;
-        reply
-            .get("banked")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| self.protocol_err("answer reply without 'banked'"))
-    }
-
-    fn release_worker(&mut self, worker: WorkerId) -> Result<(), PartitionError> {
-        let rid = self.next_rid();
-        let body = Json::obj([
-            ("request_id", Json::Num(rid as f64)),
-            ("worker", Json::Num(worker.0 as f64)),
-        ]);
-        self.roundtrip("/partition/release", body)?;
-        Ok(())
-    }
-
-    fn assignments(&mut self) -> Result<Vec<ValidPair>, PartitionError> {
-        let rid = self.next_rid();
-        let body = Json::obj([("request_id", Json::Num(rid as f64))]);
-        let (_, reply) = self.roundtrip("/partition/assignments", body)?;
-        reply
-            .get("assignments")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| self.protocol_err("assignments reply without the list"))?
-            .iter()
-            .map(|pair| {
-                AssignmentDto::from_json(pair)
-                    .and_then(AssignmentDto::into_pair)
-                    .map_err(|e| self.protocol_err(format!("malformed assignment: {e}")))
-            })
-            .collect()
-    }
-
-    fn snapshot(&mut self) -> Result<EngineSnapshot, PartitionError> {
-        let body = self.get("/partition/snapshot")?;
-        SnapshotDto::from_json(&body)
-            .and_then(SnapshotDto::into_snapshot)
-            .map_err(|e| self.protocol_err(format!("malformed snapshot: {e}")))
-    }
-
-    fn is_active(&mut self) -> Result<bool, PartitionError> {
-        let body = self.get("/partition/active")?;
-        body.get("active")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| self.protocol_err("active reply without 'active'"))
-    }
-
-    fn has_worker(&mut self, id: WorkerId) -> Result<bool, PartitionError> {
-        let rid = self.next_rid();
-        let body = Json::obj([
-            ("request_id", Json::Num(rid as f64)),
-            ("id", Json::Num(id.0 as f64)),
-        ]);
-        let (_, reply) = self.roundtrip("/partition/has_worker", body)?;
-        reply
-            .get("present")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| self.protocol_err("has_worker reply without 'present'"))
-    }
-
-    fn drain(&mut self) -> Result<(), PartitionError> {
-        let rid = self.next_rid();
-        let body = Json::obj([("request_id", Json::Num(rid as f64))]);
-        self.roundtrip("/partition/drain", body)?;
-        Ok(())
-    }
-
-    fn shutdown(&mut self) -> Result<(), PartitionError> {
-        let started = Instant::now();
-        let response = self
-            .client
-            .post("/partition/shutdown", &Json::obj([]))
-            .map_err(|e| self.transport(e))?;
-        if !response.is_success() {
-            return Err(self.protocol_err(format!(
-                "shutdown refused with {}: {}",
-                response.status, response.body
-            )));
-        }
-        self.counters.requests.incr();
-        self.counters.command_latency.record(started.elapsed());
         Ok(())
     }
 }
@@ -516,7 +194,7 @@ const PROMOTE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The router's [`StandbyPromoter`] over the wire: health-check the
 /// `--follow` standby, tell it to finish its replay and seal the stream
-/// (`POST /partition/repl/promote`), then re-attach it through the ordinary
+/// (a [`RequestFrame::ReplPromote`]), then re-attach it through the ordinary
 /// connect path — the re-pushed configure matches the standby's fingerprint
 /// byte for byte, because the primary shipped its accepted payload verbatim
 /// at bootstrap.
@@ -528,14 +206,12 @@ pub struct RemoteStandbyPromoter {
     cell_size: f64,
     engine: EngineConfig,
     durability: Option<rdbsc_platform::WalConfig>,
-    transport: RemoteTransport,
 }
 
 impl RemoteStandbyPromoter {
     /// Builds a promoter for `addr`, holding everything the re-attach needs
     /// — the same arguments [`connect_remote_partition`] took for the slot's
     /// original primary.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         addr: &str,
         partition: RegionPartition,
@@ -544,7 +220,6 @@ impl RemoteStandbyPromoter {
         cell_size: f64,
         engine: EngineConfig,
         durability: Option<rdbsc_platform::WalConfig>,
-        transport: RemoteTransport,
     ) -> Self {
         Self {
             addr: addr.to_string(),
@@ -554,18 +229,15 @@ impl RemoteStandbyPromoter {
             cell_size,
             engine,
             durability,
-            transport,
         }
     }
 
+    fn socket(&self) -> Result<SocketAddr, String> {
+        resolve(&self.addr).map_err(|e| format!("standby: {e}"))
+    }
+
     fn raw_client(&self, timeout: Duration) -> Result<HttpClient, String> {
-        let socket: SocketAddr = self
-            .addr
-            .to_socket_addrs()
-            .map_err(|e| format!("cannot resolve standby address {:?}: {e}", self.addr))?
-            .next()
-            .ok_or_else(|| format!("standby address {:?} resolves to nothing", self.addr))?;
-        Ok(HttpClient::new(socket).with_timeout(timeout))
+        Ok(HttpClient::new(self.socket()?).with_timeout(timeout))
     }
 }
 
@@ -606,25 +278,29 @@ impl StandbyPromoter for RemoteStandbyPromoter {
         // daemon that is no longer a standby was promoted by an earlier
         // attempt that died before re-attaching; just re-attach it.
         if hello.standby {
-            let mut client = self.raw_client(PROMOTE_TIMEOUT)?;
-            let body = Json::obj([("request_id", Json::Num(1.0))]);
-            let response = client
-                .post("/partition/repl/promote", &body)
-                .map_err(|e| format!("promoting {}: {e}", self.addr))?;
-            if !response.is_success() {
-                return Err(format!(
-                    "promoting {} failed with {}: {}",
-                    self.addr, response.status, response.body
-                ));
+            let mut conn = FrameConn::new(self.socket()?, PROMOTE_TIMEOUT);
+            match conn.exchange(&RequestFrame::ReplPromote { request_id: 1 }) {
+                Ok(ReplyFrame::ReplPromoteOk {
+                    digest, applied, ..
+                }) => eprintln!(
+                    "rdbsc-server: promoted standby {} at stream lsn {applied} (digest {digest:016x})",
+                    self.addr
+                ),
+                Ok(ReplyFrame::Error { status, detail, .. }) => {
+                    return Err(format!(
+                        "promoting {} failed with {status}: {detail}",
+                        self.addr
+                    ));
+                }
+                Ok(other) => {
+                    return Err(format!(
+                        "promote reply from {}: unexpected reply tag {:#04x}",
+                        self.addr,
+                        other.tag()
+                    ));
+                }
+                Err(e) => return Err(format!("promoting {}: {e}", self.addr)),
             }
-            let dto = response
-                .json()
-                .and_then(|json| ReplPromoteDto::from_json(&json))
-                .map_err(|e| format!("promote reply from {}: {e}", self.addr))?;
-            eprintln!(
-                "rdbsc-server: promoted standby {} at stream lsn {} (digest {:016x})",
-                self.addr, dto.applied, dto.digest
-            );
         }
         connect_remote_partition(
             &self.addr,
@@ -634,7 +310,6 @@ impl StandbyPromoter for RemoteStandbyPromoter {
             self.cell_size,
             &self.engine,
             self.durability.as_ref(),
-            self.transport,
         )
         .inspect(|_| {
             eprintln!(
@@ -648,7 +323,7 @@ impl StandbyPromoter for RemoteStandbyPromoter {
     fn shutdown(&mut self) -> Result<(), String> {
         let mut client = self.raw_client(PROMOTE_TIMEOUT)?;
         let response = client
-            .post("/partition/shutdown", &Json::obj([]))
+            .post("/partition/shutdown", &crate::json::Json::obj([]))
             .map_err(|e| format!("stopping unfired standby {}: {e}", self.addr))?;
         if !response.is_success() {
             return Err(format!(
@@ -661,86 +336,196 @@ impl StandbyPromoter for RemoteStandbyPromoter {
 }
 
 // ---------------------------------------------------------------------------
-// Binary transport.
+// Frame transport.
 
-/// What the oldest unanswered frame on the binary connection was.
+/// One frame connection to a daemon, opened lazily and reopened after a
+/// failure: the raw write-a-request / read-a-reply exchange under the
+/// router's pipelining [`BinaryPartitionClient`], the standby's follower
+/// and the promoter. `TCP_NODELAY` keeps small command frames from waiting
+/// behind Nagle's algorithm; `timeout` bounds every read and write.
+pub struct FrameConn {
+    socket: SocketAddr,
+    timeout: Duration,
+    stream: Option<BufReader<TcpStream>>,
+}
+
+impl FrameConn {
+    /// A connection to `socket`; nothing is opened until the first use.
+    pub fn new(socket: SocketAddr, timeout: Duration) -> Self {
+        Self {
+            socket,
+            timeout,
+            stream: None,
+        }
+    }
+
+    /// Is a connection currently open?
+    pub fn is_open(&self) -> bool {
+        self.stream.is_some()
+    }
+
+    /// Drops the connection; the next use opens a fresh one.
+    pub fn close(&mut self) {
+        self.stream = None;
+    }
+
+    /// Opens the connection if none is open; `true` when it just did.
+    pub fn ensure_open(&mut self) -> std::io::Result<bool> {
+        if self.stream.is_some() {
+            return Ok(false);
+        }
+        let stream = TcpStream::connect(self.socket)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(self.timeout))?;
+        stream.set_write_timeout(Some(self.timeout))?;
+        self.stream = Some(BufReader::new(stream));
+        Ok(true)
+    }
+
+    /// Writes one request frame; returns the bytes put on the wire.
+    pub fn send(&mut self, request: &RequestFrame) -> std::io::Result<usize> {
+        self.ensure_open()?;
+        let stream = self.stream.as_mut().expect("connection just ensured");
+        request.write_to(stream.get_mut())
+    }
+
+    /// Reads and decodes the next reply frame; returns it with the bytes
+    /// taken off the wire. The daemon hanging up instead is an I/O error.
+    pub fn receive(&mut self) -> Result<(ReplyFrame, usize), FrameError> {
+        let reader = self.stream.as_mut().ok_or_else(|| {
+            FrameError::Io(std::io::Error::new(
+                std::io::ErrorKind::NotConnected,
+                "reading a reply without a connection",
+            ))
+        })?;
+        let raw = frame::read_raw(reader, MAX_REPLY_PAYLOAD)?.ok_or_else(|| {
+            FrameError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "daemon closed the connection mid-command",
+            ))
+        })?;
+        let reply = ReplyFrame::decode(&raw)?;
+        Ok((reply, frame::HEADER_LEN + raw.payload.len()))
+    }
+
+    /// One full round trip, checking the request-id echo. Any failure
+    /// closes the connection (a later exchange starts on a fresh one); a
+    /// daemon-reported [`ReplyFrame::Error`] is a reply, not a failure.
+    pub fn exchange(&mut self, request: &RequestFrame) -> Result<ReplyFrame, FrameError> {
+        let result = self
+            .send(request)
+            .map_err(FrameError::Io)
+            .and_then(|_| self.receive())
+            .and_then(|(reply, _)| {
+                if reply.request_id() == request.request_id() {
+                    Ok(reply)
+                } else {
+                    Err(FrameError::Malformed(format!(
+                        "reply echoes request {} but {} was sent — connection desynced",
+                        reply.request_id(),
+                        request.request_id()
+                    )))
+                }
+            });
+        if result.is_err() {
+            self.close();
+        }
+        result
+    }
+}
+
+/// Which caller a written frame's reply belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SentKind {
     /// A `begin_submit` whose reply the router collects later.
     Submit,
     /// A `begin_tick` whose reply the router collects later.
     Tick,
+    /// A round-trip command (answer, snapshot, probes) waiting in
+    /// [`BinaryPartitionClient::immediate`].
+    Immediate,
 }
 
-/// A pipelined command whose reply has not been read yet.
+/// A written command whose reply has not been read yet. The frame is kept
+/// until then so it can be re-sent if the connection turns out stale.
 struct Sent {
     kind: SentKind,
-    request_id: u64,
+    request: RequestFrame,
     started: Instant,
+}
+
+/// The I/O failures a reaped idle connection shows on the first read after
+/// it: a clean hang-up or a reset, before any reply byte.
+fn stale_shaped(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::UnexpectedEof
+            | std::io::ErrorKind::ConnectionReset
+            | std::io::ErrorKind::BrokenPipe
+    )
 }
 
 /// The partition protocol over length-prefixed binary frames
 /// ([`crate::frame`]) on a dedicated persistent TCP connection.
 ///
-/// Unlike [`HttpPartitionClient`], this client *pipelines*: `begin_submit`
-/// and `begin_tick` only write their frame and park a record in `inflight`;
+/// The client *pipelines*: `begin_submit` and `begin_tick` only write
+/// their frame and park a record in `inflight`;
 /// the daemon answers strictly in arrival order, so replies are paired FIFO
 /// and validated by their echoed request id. The router exploits this
 /// (`supports_pipelining`) to stream a submit *and* the following tick to
 /// every partition before reading any reply — one wire round trip per tick
-/// instead of two. Immediate commands (answer, snapshot, probes) first
-/// drain any pipelined replies into the `submit_done`/`tick_done` caches,
-/// which the matching `finish_*` call later consumes.
+/// instead of two. Immediate commands (answer, snapshot, probes) queue
+/// behind them and first drain any pipelined replies into the
+/// `submit_done`/`tick_done` caches, which the matching `finish_*` call
+/// later consumes.
 ///
 /// Any transport or framing error *poisons* the connection: the stream is
 /// dropped and every in-flight command fails, because a desynced stream can
 /// never again pair bytes with the right command. A fresh connection is
-/// opened lazily on the next write; only an idle, previously-used
-/// connection is retried (the stale keep-alive case — the daemon never saw
-/// the frame, so at-most-once execution holds).
+/// opened lazily on the next write. The one exception is the stale
+/// keep-alive case: frames written to an *idle, previously-used*
+/// connection that fails the write, or hangs up before a single reply byte,
+/// were never read by the daemon (it reaped the connection while idle), so
+/// they are re-sent once on a fresh connection and at-most-once execution
+/// holds.
 pub struct BinaryPartitionClient {
     endpoint: String,
-    socket: SocketAddr,
-    stream: Option<BufReader<TcpStream>>,
+    conn: FrameConn,
     /// Connections opened so far (first one is free; the rest count as
     /// reconnects).
     connections: u64,
     /// Has the *current* connection completed a full frame exchange?
     exchanged: bool,
+    /// Was the oldest unanswered frame written to an idle, previously-used
+    /// connection that has not produced a reply since? Only then may a
+    /// hang-up be the daemon's idle reap rather than a failure.
+    maybe_stale: bool,
     counters: Arc<ProtocolCounters>,
     next_request_id: u64,
     trace: u64,
     inflight: VecDeque<Sent>,
     submit_done: Option<Result<(), PartitionError>>,
     tick_done: Option<Result<PartitionTick, PartitionError>>,
+    immediate_done: Option<Result<ReplyFrame, PartitionError>>,
 }
 
 impl BinaryPartitionClient {
-    /// Opens the binary command connection. The caller has already
-    /// handshaken and configured the daemon over HTTP and seen `"binary"`
-    /// advertised in its hello.
+    /// Opens the command connection. The caller has already handshaken
+    /// and configured the daemon over HTTP ([`PartitionHandshake`]).
     pub fn connect(addr: &str) -> Result<Self, ServerError> {
-        let socket: SocketAddr = addr
-            .to_socket_addrs()
-            .map_err(|e| {
-                ServerError::BadRequest(format!("cannot resolve partition address {addr:?}: {e}"))
-            })?
-            .next()
-            .ok_or_else(|| {
-                ServerError::BadRequest(format!("partition address {addr:?} resolves to nothing"))
-            })?;
         let mut client = Self {
             endpoint: addr.to_string(),
-            socket,
-            stream: None,
+            conn: FrameConn::new(resolve(addr)?, COMMAND_TIMEOUT),
             connections: 0,
             exchanged: false,
+            maybe_stale: false,
             counters: Arc::new(ProtocolCounters::default()),
             next_request_id: 0,
             trace: 0,
             inflight: VecDeque::new(),
             submit_done: None,
             tick_done: None,
+            immediate_done: None,
         };
         client.connection().map_err(|e| {
             ServerError::BadRequest(format!("cannot open binary transport to {addr}: {e}"))
@@ -767,29 +552,26 @@ impl BinaryPartitionClient {
         }
     }
 
-    /// The connection, opened lazily. `TCP_NODELAY` keeps small command
-    /// frames from waiting behind Nagle's algorithm.
-    fn connection(&mut self) -> std::io::Result<&mut BufReader<TcpStream>> {
-        if self.stream.is_none() {
-            let stream = TcpStream::connect(self.socket)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(COMMAND_TIMEOUT))?;
-            stream.set_write_timeout(Some(COMMAND_TIMEOUT))?;
+    /// The connection, opened lazily; every one after the first counts as
+    /// a reconnect.
+    fn connection(&mut self) -> std::io::Result<&mut FrameConn> {
+        if self.conn.ensure_open()? {
             if self.connections > 0 {
                 self.counters.reconnects.incr();
             }
             self.connections += 1;
             self.exchanged = false;
-            self.stream = Some(BufReader::new(stream));
+            self.maybe_stale = false;
         }
-        Ok(self.stream.as_mut().expect("connection just ensured"))
+        Ok(&mut self.conn)
     }
 
     /// Drops the connection and fails every in-flight split-phase command —
     /// once the stream desyncs or dies, no further bytes can be paired with
     /// the right command. Returns `err` for the caller to propagate.
     fn poison(&mut self, err: PartitionError) -> PartitionError {
-        self.stream = None;
+        self.conn.close();
+        self.maybe_stale = false;
         for sent in std::mem::take(&mut self.inflight) {
             let failure = PartitionError::Transport {
                 endpoint: self.endpoint.clone(),
@@ -798,6 +580,7 @@ impl BinaryPartitionClient {
             match sent.kind {
                 SentKind::Submit => self.submit_done = Some(Err(failure)),
                 SentKind::Tick => self.tick_done = Some(Err(failure)),
+                SentKind::Immediate => self.immediate_done = Some(Err(failure)),
             }
         }
         err
@@ -805,32 +588,29 @@ impl BinaryPartitionClient {
 
     /// Writes one frame and counts it.
     fn try_write(&mut self, frame: &RequestFrame) -> std::io::Result<()> {
-        let stream = self.connection()?;
-        let n = frame.write_to(stream.get_mut())?;
+        let n = self.connection()?.send(frame)?;
         self.counters.bytes_sent.add(n as u64);
         self.counters.frames_sent.incr();
         Ok(())
     }
 
-    /// Writes one request frame, retrying exactly once on a fresh
-    /// connection when a *reused idle* connection turns out stale (the
-    /// daemon never saw the frame, so at-most-once execution holds). A
-    /// write failure with replies in flight poisons the connection instead
-    /// — a rebuilt stream could never deliver them.
+    /// Writes one request frame. A failure on a possibly-stale connection
+    /// (this frame, or the unanswered ones before it, went to a *reused
+    /// idle* connection that has not replied since — the daemon never read
+    /// any of them, so at-most-once execution holds) re-sends everything
+    /// unanswered once on a fresh connection. Any other write failure with
+    /// replies in flight poisons the connection — a rebuilt stream could
+    /// never deliver them.
     fn write_request(&mut self, frame: &RequestFrame) -> Result<(), PartitionError> {
-        let retriable = self.exchanged && self.inflight.is_empty() && self.stream.is_some();
+        let idle_reused = self.exchanged && self.inflight.is_empty() && self.conn.is_open();
         match self.try_write(frame) {
-            Ok(()) => Ok(()),
-            Err(first) if retriable => {
-                self.stream = None;
-                self.counters.retries.incr();
-                self.try_write(frame).map_err(|e| {
-                    self.stream = None;
-                    self.transport_str(format!(
-                        "retry after stale connection ({first}) failed: {e}"
-                    ))
-                })
+            Ok(()) => {
+                self.maybe_stale |= idle_reused;
+                Ok(())
             }
+            Err(first) if idle_reused || self.maybe_stale => self
+                .resend_unanswered(None, Some(frame))
+                .map_err(|e| self.stale_retry_failed(&first, &e)),
             Err(e) => {
                 let err = self.transport_str(format!("writing command frame: {e}"));
                 Err(self.poison(err))
@@ -838,44 +618,64 @@ impl BinaryPartitionClient {
         }
     }
 
-    /// Reads and decodes the next reply frame; poisons on any failure.
-    fn read_reply(&mut self) -> Result<ReplyFrame, PartitionError> {
-        let reader = match self.stream.as_mut() {
-            Some(reader) => reader,
-            None => return Err(self.protocol_err("reading a reply without a connection")),
-        };
-        let raw = match frame::read_raw(reader, MAX_REPLY_PAYLOAD) {
-            Ok(Some(raw)) => raw,
-            Ok(None) => {
-                let err = self.transport_str("daemon closed the connection mid-command");
-                return Err(self.poison(err));
-            }
-            Err(FrameError::Io(e)) => {
-                let err = self.transport_str(format!("reading reply frame: {e}"));
-                return Err(self.poison(err));
-            }
-            Err(e) => {
-                let err = self.protocol_err(format!("malformed reply frame: {e}"));
-                return Err(self.poison(err));
-            }
-        };
-        self.counters
-            .bytes_received
-            .add((frame::HEADER_LEN + raw.payload.len()) as u64);
-        self.counters.frames_received.incr();
-        match ReplyFrame::decode(&raw) {
-            Ok(reply) => {
-                self.exchanged = true;
-                Ok(reply)
-            }
-            Err(e) => {
-                let err = self.protocol_err(format!("malformed reply frame: {e}"));
-                Err(self.poison(err))
+    /// Opens a fresh connection and writes every unanswered frame to it
+    /// again, in order: `oldest` (already popped off the queue by the
+    /// reader), the queue, then `newest` (not queued yet by the writer).
+    fn resend_unanswered(
+        &mut self,
+        oldest: Option<&RequestFrame>,
+        newest: Option<&RequestFrame>,
+    ) -> std::io::Result<()> {
+        self.conn.close();
+        self.counters.retries.incr();
+        let queued = std::mem::take(&mut self.inflight);
+        let result = oldest
+            .into_iter()
+            .chain(queued.iter().map(|sent| &sent.request))
+            .chain(newest)
+            .try_for_each(|frame| self.try_write(frame));
+        self.inflight = queued;
+        result
+    }
+
+    fn stale_retry_failed(&mut self, first: &std::io::Error, retry: &std::io::Error) -> PartitionError {
+        let err = self.transport_str(format!(
+            "retry after stale connection ({first}) failed: {retry}"
+        ));
+        self.poison(err)
+    }
+
+    /// Reads and decodes the reply to `oldest`, the FIFO-oldest unanswered
+    /// frame. A hang-up on a possibly-stale connection re-sends the
+    /// unanswered frames once; any other failure poisons.
+    fn read_reply(&mut self, oldest: &Sent) -> Result<ReplyFrame, PartitionError> {
+        loop {
+            match self.conn.receive() {
+                Ok((reply, n)) => {
+                    self.counters.bytes_received.add(n as u64);
+                    self.counters.frames_received.incr();
+                    self.exchanged = true;
+                    self.maybe_stale = false;
+                    return Ok(reply);
+                }
+                Err(FrameError::Io(first)) if self.maybe_stale && stale_shaped(&first) => {
+                    if let Err(e) = self.resend_unanswered(Some(&oldest.request), None) {
+                        return Err(self.stale_retry_failed(&first, &e));
+                    }
+                }
+                Err(FrameError::Io(e)) => {
+                    let err = self.transport_str(format!("reading reply frame: {e}"));
+                    return Err(self.poison(err));
+                }
+                Err(e) => {
+                    let err = self.protocol_err(format!("malformed reply frame: {e}"));
+                    return Err(self.poison(err));
+                }
             }
         }
     }
 
-    /// Maps a daemon-reported error status like the HTTP path would.
+    /// Maps a daemon-reported error status (503 = draining).
     fn status_error(&self, status: u16, detail: &str) -> PartitionError {
         if status == 503 {
             PartitionError::Draining {
@@ -891,12 +691,12 @@ impl BinaryPartitionClient {
     /// on success. A daemon [`ReplyFrame::Error`] maps to a command error
     /// *without* poisoning (the stream is still in sync).
     fn collect(&mut self, sent: &Sent) -> Result<ReplyFrame, PartitionError> {
-        let reply = self.read_reply()?;
-        if reply.request_id() != sent.request_id {
+        let reply = self.read_reply(sent)?;
+        if reply.request_id() != sent.request.request_id() {
             let err = self.protocol_err(format!(
                 "reply echoes request {} but {} is the oldest in flight — connection desynced",
                 reply.request_id(),
-                sent.request_id
+                sent.request.request_id()
             ));
             return Err(self.poison(err));
         }
@@ -909,8 +709,8 @@ impl BinaryPartitionClient {
     }
 
     /// Reads one reply off the wire and resolves the oldest in-flight
-    /// split-phase command into its cache slot (taken by the matching
-    /// `finish_*`). Failures land in the cache too, so this never needs to
+    /// command into its cache slot (taken by the matching `finish_*`, or by
+    /// `immediate`). Failures land in the cache too, so this never needs to
     /// report them directly.
     fn pump_one(&mut self) {
         let sent = self
@@ -927,12 +727,11 @@ impl BinaryPartitionClient {
             }
             SentKind::Tick => {
                 self.tick_done = Some(result.and_then(|reply| match reply {
-                    ReplyFrame::TickOk(dto) => dto
-                        .into_tick()
-                        .map_err(|e| self.protocol_err(format!("malformed tick reply: {e}"))),
+                    ReplyFrame::TickOk { tick, .. } => Ok(*tick),
                     other => Err(self.unexpected_reply("tick", &other)),
                 }));
             }
+            SentKind::Immediate => self.immediate_done = Some(result),
         }
     }
 
@@ -946,24 +745,28 @@ impl BinaryPartitionClient {
         self.poison(err)
     }
 
+    /// Writes a split-phase frame and queues it for its `finish_*`.
+    fn begin(&mut self, kind: SentKind, request: RequestFrame) -> Result<(), PartitionError> {
+        let started = Instant::now();
+        self.write_request(&request)?;
+        self.inflight.push_back(Sent {
+            kind,
+            request,
+            started,
+        });
+        Ok(())
+    }
+
     /// One full command round trip: write the frame, drain any pipelined
     /// replies queued ahead of ours into their caches, then read our own.
     fn immediate(&mut self, request: RequestFrame) -> Result<ReplyFrame, PartitionError> {
-        let sent = Sent {
-            kind: SentKind::Submit, // unused: collect() only reads request_id/started
-            request_id: request.request_id(),
-            started: Instant::now(),
-        };
-        self.write_request(&request)?;
-        while !self.inflight.is_empty() {
-            self.pump_one();
-            if self.stream.is_none() {
-                return Err(
-                    self.transport_str("connection poisoned while draining pipelined replies")
-                );
+        self.begin(SentKind::Immediate, request)?;
+        loop {
+            if let Some(done) = self.immediate_done.take() {
+                return done;
             }
+            self.pump_one();
         }
-        self.collect(&sent)
     }
 }
 
@@ -997,16 +800,9 @@ impl PartitionClient for BinaryPartitionClient {
         let request = RequestFrame::Submit {
             request_id: rid,
             trace: self.trace,
-            events: events.iter().map(EventDto::from_event).collect(),
+            events,
         };
-        let started = Instant::now();
-        self.write_request(&request)?;
-        self.inflight.push_back(Sent {
-            kind: SentKind::Submit,
-            request_id: rid,
-            started,
-        });
-        Ok(())
+        self.begin(SentKind::Submit, request)
     }
 
     fn finish_submit(&mut self) -> Result<(), PartitionError> {
@@ -1031,14 +827,7 @@ impl PartitionClient for BinaryPartitionClient {
             trace: self.trace,
             now,
         };
-        let started = Instant::now();
-        self.write_request(&request)?;
-        self.inflight.push_back(Sent {
-            kind: SentKind::Tick,
-            request_id: rid,
-            started,
-        });
-        Ok(())
+        self.begin(SentKind::Tick, request)
     }
 
     fn finish_tick(&mut self) -> Result<PartitionTick, PartitionError> {

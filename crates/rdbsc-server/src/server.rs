@@ -26,7 +26,7 @@ use crate::http::{Method, Request, Response};
 use crate::json::{parse, Json};
 use crate::listener::{HttpCore, ListenerConfig, ShutdownHandle};
 use crate::metrics::ServerMetrics;
-use crate::remote::{connect_remote_partition, RemoteTransport};
+use crate::remote::connect_remote_partition;
 use rdbsc_cluster::RegionPartitioner;
 use rdbsc_geo::{Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
@@ -108,12 +108,6 @@ pub struct ServerConfig {
     /// region lost. Standbys only make sense for regions listed in
     /// [`remote_partitions`](Self::remote_partitions).
     pub standby_partitions: Vec<String>,
-    /// Wire transports for [`remote_partitions`](Self::remote_partitions):
-    /// the k-th entry applies to the k-th daemon; daemons beyond the list
-    /// use the last entry (so one entry sets all), and an empty list means
-    /// [`RemoteTransport::Binary`] — the negotiated fast path, which falls
-    /// back to HTTP per daemon when a daemon doesn't advertise `"binary"`.
-    pub remote_transports: Vec<RemoteTransport>,
     /// The engine configuration (seed, β, parallelism, auto-expire).
     pub engine: EngineConfig,
     /// Data directory for durable in-process partitions. When set, every
@@ -152,7 +146,6 @@ impl Default for ServerConfig {
             partitions: 1,
             remote_partitions: Vec::new(),
             standby_partitions: Vec::new(),
-            remote_transports: Vec::new(),
             engine: EngineConfig::default(),
             data_dir: None,
             wal: rdbsc_platform::WalConfig::default(),
@@ -221,12 +214,6 @@ impl ServerConfig {
             Vec::with_capacity(partition.num_regions());
         for region in 0..partition.num_regions() {
             if let Some(addr) = self.remote_partitions.get(region) {
-                let transport = self
-                    .remote_transports
-                    .get(region)
-                    .or(self.remote_transports.last())
-                    .copied()
-                    .unwrap_or_default();
                 clients.push(connect_remote_partition(
                     addr,
                     &partition,
@@ -235,7 +222,6 @@ impl ServerConfig {
                     self.cell_size,
                     &self.engine,
                     Some(&self.wal),
-                    transport,
                 )?);
             } else if let Some(data_dir) = &self.data_dir {
                 let rect = partition.region_rect(region);
@@ -274,12 +260,6 @@ impl ServerConfig {
             if standby.is_empty() {
                 continue;
             }
-            let transport = self
-                .remote_transports
-                .get(region)
-                .or(self.remote_transports.last())
-                .copied()
-                .unwrap_or_default();
             handle.set_standby_promoter(
                 region,
                 Box::new(crate::remote::RemoteStandbyPromoter::new(
@@ -290,7 +270,6 @@ impl ServerConfig {
                     self.cell_size,
                     self.engine.clone(),
                     Some(self.wal),
-                    transport,
                 )),
             );
         }

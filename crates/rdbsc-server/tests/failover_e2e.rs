@@ -4,7 +4,7 @@
 //! (`standby_partitions`), the primary is SIGKILLed mid-run, and the
 //! promoted standby must serve the region with a state digest byte-equal
 //! to the pre-kill acknowledged digest. Plus the standby's refusal
-//! surface and the replication commands on the binary frame transport.
+//! surface and the replication commands, all on the frame transport.
 
 use rdbsc_cluster::RegionPartition;
 use rdbsc_geo::Rect;
@@ -12,8 +12,11 @@ use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::{FlatGridIndex, IndexBackend};
 use rdbsc_platform::wal::decode_record;
 use rdbsc_platform::{EngineConfig, EnginePartition, PartitionClient, WalRecord};
-use rdbsc_server::frame::{read_raw, ReplyFrame, RequestFrame};
-use rdbsc_server::{HttpClient, HttpPartitionClient, Json, Server, ServerConfig};
+use rdbsc_server::frame::{ReplyFrame, RequestFrame};
+use rdbsc_server::{
+    connect_remote_partition, FrameConn, HttpClient, Json, PartitionHandshake, Server,
+    ServerConfig,
+};
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -146,6 +149,30 @@ fn await_caught_up(primary: SocketAddr, standby: SocketAddr, deadline: Duration)
             repl.to_string_compact()
         );
         std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// Configures a daemon directly (no router involved) as the single region
+/// and returns the command client.
+fn attach_single_region(addr: SocketAddr) -> Box<dyn PartitionClient> {
+    connect_remote_partition(
+        &addr.to_string(),
+        &RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1)),
+        0,
+        IndexBackend::FlatGrid,
+        0.1,
+        &EngineConfig::default(),
+        None,
+    )
+    .expect("daemon handshake")
+}
+
+/// One frame round trip, flattened to `Err((status, detail))` for a
+/// daemon-reported error.
+fn exchange(conn: &mut FrameConn, request: RequestFrame) -> Result<ReplyFrame, (u16, String)> {
+    match conn.exchange(&request).expect("frame exchange") {
+        ReplyFrame::Error { status, detail, .. } => Err((status, detail)),
+        reply => Ok(reply),
     }
 }
 
@@ -306,14 +333,8 @@ fn sigkilled_primary_fails_over_to_a_digest_identical_standby() {
     // A promoted daemon can serve a fresh follower of its own: once a
     // bootstrap re-enables the stream, its *live* counters (not the sealed
     // short-circuit) reach /metrics — `sealed` itself stays latched.
-    let mut standby_http = HttpClient::new(standby.addr).with_timeout(Duration::from_secs(5));
-    assert!(standby_http
-        .post(
-            "/partition/repl/bootstrap",
-            &Json::obj([("request_id", Json::Num(50.0))])
-        )
-        .unwrap()
-        .is_success());
+    let mut standby_conn = FrameConn::new(standby.addr, Duration::from_secs(5));
+    assert!(exchange(&mut standby_conn, RequestFrame::ReplBootstrap { request_id: 50 }).is_ok());
     post_task(&mut http, 901, 0.45, 0.5, 3.5);
     post_worker(&mut http, 901, 0.45, 0.45);
     tick(&mut http, 3.5);
@@ -349,12 +370,7 @@ fn standby_refuses_mutating_commands_until_promoted() {
     let mut standby = DaemonProcess::spawn(&["--follow", &primary_addr]);
 
     // Configure the primary directly (no router involved) and feed it.
-    let partition = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1));
-    let config = EngineConfig::default();
-    let mut remote = HttpPartitionClient::connect(&primary_addr).unwrap();
-    remote
-        .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
-        .unwrap();
+    let mut remote = attach_single_region(primary.addr);
     remote.begin_tick(0.5).unwrap();
     remote.finish_tick().unwrap();
     await_caught_up(primary.addr, standby.addr, Duration::from_secs(20));
@@ -364,23 +380,26 @@ fn standby_refuses_mutating_commands_until_promoted() {
     assert_eq!(hello.get("standby"), Some(&Json::Bool(true)));
 
     // Mutating commands are refused with a structured conflict...
-    let body = Json::obj([("request_id", Json::Num(1.0)), ("now", Json::Num(1.0))]);
-    let refused = http.post("/partition/tick", &body).unwrap();
-    assert_eq!(refused.status, 409, "standby tick must 409: {}", refused.body);
-    let refused = http
-        .post(
-            "/partition/submit",
-            &Json::obj([("request_id", Json::Num(2.0)), ("events", Json::Arr(vec![]))]),
-        )
-        .unwrap();
-    assert_eq!(refused.status, 409);
+    let mut conn = FrameConn::new(standby.addr, Duration::from_secs(5));
+    let (status, detail) = exchange(
+        &mut conn,
+        RequestFrame::Tick { request_id: 1, trace: 0, now: 1.0 },
+    )
+    .expect_err("standby tick must be refused");
+    assert_eq!(status, 409, "standby tick must 409: {detail}");
+    let (status, _) = exchange(
+        &mut conn,
+        RequestFrame::Submit { request_id: 2, trace: 0, events: vec![] },
+    )
+    .expect_err("standby submit must be refused");
+    assert_eq!(status, 409);
     // ... while reads stay up.
     assert!(http.get("/partition/snapshot").unwrap().is_success());
     assert!(http.get("/metrics").unwrap().is_success());
 
     // The router-side client refuses to mount an unpromoted standby.
     assert!(
-        HttpPartitionClient::connect(&standby.addr.to_string()).is_err(),
+        PartitionHandshake::connect(&standby.addr.to_string()).is_err(),
         "mounting a standby as an ordinary partition must fail"
     );
 
@@ -402,45 +421,23 @@ fn standby_refuses_mutating_commands_until_promoted() {
 #[test]
 fn second_follower_bootstrap_is_refused_while_the_first_is_live() {
     let mut primary = DaemonProcess::spawn(&[]);
-    let partition = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1));
-    let config = EngineConfig::default();
-    let mut remote = HttpPartitionClient::connect(&primary.addr.to_string()).unwrap();
-    remote
-        .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
-        .unwrap();
+    let mut remote = attach_single_region(primary.addr);
 
-    let mut http = HttpClient::new(primary.addr).with_timeout(Duration::from_secs(5));
-    let bootstrap = |http: &mut HttpClient, rid: f64| {
-        http.post(
-            "/partition/repl/bootstrap",
-            &Json::obj([("request_id", Json::Num(rid))]),
-        )
-        .unwrap()
+    let mut conn = FrameConn::new(primary.addr, Duration::from_secs(5));
+    let bootstrap = |conn: &mut FrameConn, request_id: u64| {
+        exchange(conn, RequestFrame::ReplBootstrap { request_id })
     };
-    let fetch = |http: &mut HttpClient, rid: f64, from: f64, ack: f64| {
-        http.post(
-            "/partition/repl/fetch",
-            &Json::obj([
-                ("request_id", Json::Num(rid)),
-                ("from", Json::Num(from)),
-                ("ack", Json::Num(ack)),
-                ("max", Json::Num(64.0)),
-            ]),
-        )
-        .unwrap()
+    let fetch = |conn: &mut FrameConn, request_id: u64, from: u64, ack: u64| {
+        exchange(conn, RequestFrame::ReplFetch { request_id, from, ack, max: 64 })
     };
 
     // Follower #1 bootstraps and starts fetching.
-    assert!(bootstrap(&mut http, 1.0).is_success());
-    assert!(fetch(&mut http, 2.0, 0.0, 0.0).is_success());
+    assert!(bootstrap(&mut conn, 1).is_ok());
+    assert!(fetch(&mut conn, 2, 0, 0).is_ok());
 
     // A second follower knocking mid-stream is refused.
-    let refused = bootstrap(&mut http, 3.0);
-    assert_eq!(
-        refused.status, 409,
-        "second bootstrap must 409: {}",
-        refused.body
-    );
+    let (status, detail) = bootstrap(&mut conn, 3).expect_err("second bootstrap must be refused");
+    assert_eq!(status, 409, "second bootstrap must 409: {detail}");
 
     // Publish two records; follower #1 fetches and acks them, advancing
     // the retained base past lsn 0.
@@ -448,16 +445,16 @@ fn second_follower_bootstrap_is_refused_while_the_first_is_live() {
     remote.finish_tick().unwrap();
     remote.begin_tick(1.0).unwrap();
     remote.finish_tick().unwrap();
-    assert!(fetch(&mut http, 4.0, 0.0, 0.0).is_success());
-    assert!(fetch(&mut http, 5.0, 2.0, 2.0).is_success());
+    assert!(fetch(&mut conn, 4, 0, 0).is_ok());
+    assert!(fetch(&mut conn, 5, 2, 2).is_ok());
 
     // A fetch below the base is a gap — it 409s AND frees the follower
     // slot, so the re-bootstrap that must follow succeeds immediately
     // instead of being refused as a second follower.
-    let gap = fetch(&mut http, 6.0, 0.0, 2.0);
-    assert_eq!(gap.status, 409, "a fetch below the base must gap: {}", gap.body);
+    let (status, detail) = fetch(&mut conn, 6, 0, 2).expect_err("a fetch below the base must gap");
+    assert_eq!(status, 409, "a fetch below the base must gap: {detail}");
     assert!(
-        bootstrap(&mut http, 7.0).is_success(),
+        bootstrap(&mut conn, 7).is_ok(),
         "the gapped follower's own re-bootstrap must not be locked out"
     );
 
@@ -465,34 +462,19 @@ fn second_follower_bootstrap_is_refused_while_the_first_is_live() {
     primary.child.wait().ok();
 }
 
-/// The replication commands speak the binary frame transport too: a raw
-/// frame connection bootstraps, fetches and status-checks against a live
+/// The replication commands on the frame transport: a raw frame
+/// connection bootstraps, fetches and status-checks against a live
 /// primary, and a local replica built from those frames lands on the
 /// primary's exact digest.
 #[test]
 fn repl_commands_round_trip_over_the_binary_transport() {
     let mut primary = DaemonProcess::spawn(&[]);
-    let partition = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1));
     let config = EngineConfig::default();
-    let mut remote = HttpPartitionClient::connect(&primary.addr.to_string()).unwrap();
-    remote
-        .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
-        .unwrap();
+    let mut remote = attach_single_region(primary.addr);
 
-    let stream = std::net::TcpStream::connect(primary.addr).expect("frame connect");
-    stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .ok();
-    let mut writer = stream.try_clone().expect("clone stream");
-    let mut reader = std::io::BufReader::new(stream);
-    let mut exchange = |request: RequestFrame| -> ReplyFrame {
-        request.write_to(&mut writer).expect("write frame");
-        let raw = read_raw(&mut reader, 1 << 24)
-            .expect("read frame")
-            .expect("reply frame");
-        ReplyFrame::decode(&raw).expect("decode reply")
-    };
+    let mut conn = FrameConn::new(primary.addr, Duration::from_secs(10));
+    let mut exchange =
+        |request: RequestFrame| -> ReplyFrame { conn.exchange(&request).expect("frame exchange") };
 
     // Bootstrap over frames: the snapshot is a canonical Checkpoint record.
     let ReplyFrame::ReplBootstrapOk {

@@ -9,11 +9,12 @@ use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::IndexBackend;
 use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
-use rdbsc_platform::{EngineConfig, EngineEvent, PartitionClient};
+use rdbsc_platform::{EngineConfig, EngineEvent};
 use rdbsc_server::json::Json;
 use rdbsc_server::protocol::trace_to_hex;
 use rdbsc_server::{
-    HttpClient, HttpPartitionClient, PartitionDaemon, PartitiondConfig, Server, ServerConfig,
+    connect_remote_partition, HttpClient, PartitionDaemon, PartitiondConfig, Server,
+    ServerConfig,
 };
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -58,7 +59,7 @@ fn raw_get(addr: std::net::SocketAddr, path: &str) -> String {
 /// The tentpole wire contract: a router-issued trace id crosses to the
 /// daemon, shows up in the daemon's span buffer and slow-tick capture, and
 /// is echoed in the tick reply — while untraced requests keep working
-/// unchanged (the protocol-v1 compatibility path).
+/// unchanged.
 #[test]
 fn trace_ids_propagate_to_the_daemon_and_echo_back() {
     let daemon = PartitionDaemon::start(PartitiondConfig {
@@ -69,13 +70,19 @@ fn trace_ids_propagate_to_the_daemon_and_echo_back() {
     .unwrap();
     let partition = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1));
     let config = EngineConfig::default();
-    let mut client = HttpPartitionClient::connect(&daemon.addr().to_string()).unwrap();
-    client
-        .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
-        .unwrap();
+    let mut client = connect_remote_partition(
+        &daemon.addr().to_string(),
+        &partition,
+        0,
+        IndexBackend::FlatGrid,
+        0.1,
+        &config,
+        None,
+    )
+    .unwrap();
 
-    // Untraced first: the pre-tracing wire shape still works and the reply
-    // carries no trace.
+    // Untraced first: a zero trace id means none, and the reply carries
+    // none back.
     client.begin_submit(events()).unwrap();
     client.finish_submit().unwrap();
     client.begin_tick(0.0).unwrap();

@@ -1,7 +1,8 @@
 //! End-to-end tests of the partition protocol over the wire: a real
-//! `rdbsc-partitiond` daemon (in-process, loopback HTTP) driven by the real
-//! [`HttpPartitionClient`], checked byte for byte against the in-process
-//! protocol backend on the identical event stream.
+//! `rdbsc-partitiond` daemon (in-process, loopback) handshaken over HTTP and
+//! driven over the frame transport by the real router-side client, checked
+//! byte for byte against the in-process protocol backend on the identical
+//! event stream.
 
 use rdbsc_cluster::{RegionPartition, RegionPartitioner};
 use rdbsc_geo::{AngleRange, Point, Rect};
@@ -12,8 +13,10 @@ use rdbsc_platform::{
     AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, InProcessClient,
     PartitionClient, PartitionError, PartitionedEngine,
 };
+use rdbsc_server::frame::{ReplyFrame, RequestFrame};
 use rdbsc_server::{
-    HttpClient, HttpPartitionClient, Json, PartitionDaemon, PartitiondConfig,
+    connect_remote_partition, AnswerDto, BinaryPartitionClient, FrameConn, HttpClient, Json,
+    PartitionDaemon, PartitionHandshake, PartitiondConfig,
 };
 use std::time::Duration;
 
@@ -48,6 +51,26 @@ fn single_region() -> RegionPartition {
     RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1))
 }
 
+/// The router's boot sequence against one daemon: hello + configure over
+/// HTTP, then the frame connection every command travels on.
+fn attach(
+    daemon: &PartitionDaemon,
+    partition: &RegionPartition,
+    region: usize,
+    config: &EngineConfig,
+) -> Box<dyn PartitionClient> {
+    connect_remote_partition(
+        &daemon.addr().to_string(),
+        partition,
+        region,
+        IndexBackend::FlatGrid,
+        0.1,
+        config,
+        None,
+    )
+    .expect("daemon handshake")
+}
+
 fn events() -> Vec<EngineEvent> {
     let mut events = Vec::new();
     for i in 0..6u32 {
@@ -66,10 +89,7 @@ fn daemon_matches_the_local_engine_byte_for_byte() {
     let partition = single_region();
     let config = EngineConfig::default();
 
-    let mut remote = HttpPartitionClient::connect(&daemon.addr().to_string()).unwrap();
-    remote
-        .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
-        .unwrap();
+    let mut remote = attach(&daemon, &partition, 0, &config);
 
     let mut local = EnginePartition::new(AssignmentEngine::new(
         IndexBackend::FlatGrid.build(partition.region_rect(0), 0.1),
@@ -140,10 +160,7 @@ fn mixed_local_remote_topology_matches_all_in_process() {
     });
 
     let daemon = daemon();
-    let mut remote = HttpPartitionClient::connect(&daemon.addr().to_string()).unwrap();
-    remote
-        .configure(&partition, 1, IndexBackend::FlatGrid, 0.1, &config, None)
-        .unwrap();
+    let remote = attach(&daemon, &partition, 1, &config);
     let clients: Vec<Box<dyn PartitionClient>> = vec![
         Box::new(InProcessClient::spawn(
             0,
@@ -152,7 +169,7 @@ fn mixed_local_remote_topology_matches_all_in_process() {
                 config.clone(),
             ),
         )),
-        Box::new(remote),
+        remote,
     ];
     let mixed = PartitionedEngine::new(partition, clients);
 
@@ -207,24 +224,26 @@ fn configure_is_idempotent_and_conflicts_are_rejected() {
     let partition = single_region();
     let config = EngineConfig::default();
 
-    let mut client = HttpPartitionClient::connect(&daemon.addr().to_string()).unwrap();
+    let addr = daemon.addr().to_string();
+    let mut client = BinaryPartitionClient::connect(&addr).unwrap();
     // A command before configure: a clean protocol error, not a hang.
     assert!(matches!(
         client.is_active(),
         Err(PartitionError::Protocol { .. })
     ));
 
-    client
+    let mut handshake = PartitionHandshake::connect(&addr).unwrap();
+    handshake
         .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
         .unwrap();
     // Identical re-push (a stateless router restarting): accepted.
-    client
+    handshake
         .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
         .unwrap();
     // Different topology: refused, engine untouched.
     let other = RegionPartitioner::uniform()
         .split(GridGeometry::new(Rect::unit(), 0.1), 2, &[]);
-    assert!(client
+    assert!(handshake
         .configure(&other, 1, IndexBackend::FlatGrid, 0.1, &config, None)
         .is_err());
     assert!(client.is_active().is_ok(), "original engine still serving");
@@ -246,10 +265,7 @@ fn draining_daemon_answers_503_not_dropped_connections() {
     let daemon = daemon();
     let partition = single_region();
     let config = EngineConfig::default();
-    let mut client = HttpPartitionClient::connect(&daemon.addr().to_string()).unwrap();
-    client
-        .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
-        .unwrap();
+    let mut client = attach(&daemon, &partition, 0, &config);
     client.begin_submit(events()).unwrap();
     client.finish_submit().unwrap();
 
@@ -282,9 +298,9 @@ fn draining_daemon_answers_503_not_dropped_connections() {
     daemon.join();
 }
 
-/// A daemon that closes an idle keep-alive connection must not break the
-/// router: the next command transparently reconnects (client-side RFC 9110
-/// `Connection` handling + stale retry), observable in the counters.
+/// A daemon that closes an idle command connection must not break the
+/// router: the next command transparently reconnects (the stale-connection
+/// retry), observable in the counters.
 #[test]
 fn router_survives_daemon_idle_timeouts() {
     let daemon = PartitionDaemon::start(PartitiondConfig {
@@ -295,10 +311,7 @@ fn router_survives_daemon_idle_timeouts() {
     .unwrap();
     let partition = single_region();
     let config = EngineConfig::default();
-    let mut client = HttpPartitionClient::connect(&daemon.addr().to_string()).unwrap();
-    client
-        .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
-        .unwrap();
+    let mut client = attach(&daemon, &partition, 0, &config);
 
     client.begin_submit(events()).unwrap();
     client.finish_submit().unwrap();
@@ -316,6 +329,108 @@ fn router_survives_daemon_idle_timeouts() {
         "the reap must be visible as a reconnect/retry: {stats:?}"
     );
 
+    // Reaped again, this time under a pipelined submit + tick: both frames
+    // were written before the hang-up shows, and both are re-sent in order.
+    std::thread::sleep(Duration::from_millis(500));
+    client
+        .begin_submit(vec![EngineEvent::TaskArrived(task(90, 0.5, 0.5, 1.0, 6.0))])
+        .unwrap();
+    client.begin_tick(1.0).unwrap();
+    client.finish_submit().unwrap();
+    assert_eq!(client.finish_tick().unwrap().report.events_applied, 1);
+    assert!(client.counters().stats().retries > stats.retries);
+
     client.shutdown().unwrap();
     daemon.join();
+}
+
+/// Polls a daemon's snapshot route until it serves (a standby answers 409
+/// until its bootstrap has installed an engine).
+fn await_configured(addr: std::net::SocketAddr) {
+    let mut http = HttpClient::new(addr);
+    for _ in 0..200 {
+        if http.get("/partition/snapshot").is_ok_and(|r| r.is_success()) {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    panic!("daemon {addr} never became configured");
+}
+
+/// The refusal table is one table: for every command, a draining daemon and
+/// an unpromoted standby answer exactly the statuses the two per-transport
+/// tables used to give (0 = served). And the JSON data routes are gone — a
+/// well-formed `POST /partition/tick` is a 404, not a tick.
+#[test]
+fn every_command_meets_the_one_refusal_table() {
+    let partition = single_region();
+    let config = EngineConfig::default();
+    let primary = daemon();
+    let mut router = attach(&primary, &partition, 0, &config);
+    let standby = PartitionDaemon::start(PartitiondConfig {
+        addr: "127.0.0.1:0".to_string(),
+        follow: Some(primary.addr().to_string()),
+        ..PartitiondConfig::default()
+    })
+    .expect("standby start");
+    await_configured(standby.addr());
+    assert!(standby.is_standby());
+
+    let answer = AnswerDto {
+        worker: 1,
+        confidence: 0.9,
+        angle: 1.0,
+        arrival: 1.0,
+    };
+    // (command, status while draining, status while an unpromoted standby).
+    // Order matters only at the tail: the promote ends standby-hood, the
+    // drain and the shutdown end everything.
+    let table = [
+        (RequestFrame::Submit { request_id: 1, trace: 0, events: events() }, 503, 409),
+        (RequestFrame::Tick { request_id: 2, trace: 0, now: 0.5 }, 503, 409),
+        (RequestFrame::Answer { request_id: 3, answer }, 503, 409),
+        (RequestFrame::Release { request_id: 4, worker: 1 }, 503, 409),
+        (RequestFrame::Assignments { request_id: 5 }, 0, 0),
+        (RequestFrame::Snapshot { request_id: 6 }, 0, 0),
+        (RequestFrame::IsActive { request_id: 7 }, 0, 0),
+        (RequestFrame::HasWorker { request_id: 8, worker: 1 }, 0, 0),
+        (RequestFrame::ReplStatus { request_id: 9 }, 0, 0),
+        (RequestFrame::ReplBootstrap { request_id: 10 }, 0, 409),
+        (RequestFrame::ReplFetch { request_id: 11, from: 0, ack: 0, max: 8 }, 0, 409),
+        (RequestFrame::ReplPromote { request_id: 12 }, 503, 0),
+        (RequestFrame::Drain { request_id: 13 }, 0, 0),
+        (RequestFrame::Shutdown { request_id: 14 }, 0, 0),
+    ];
+    let status_of = |conn: &mut FrameConn, request: &RequestFrame| -> (u16, String) {
+        match conn.exchange(request).expect("a refusal is a reply, never a dropped connection") {
+            ReplyFrame::Error { status, detail, .. } => (status, detail),
+            _ => (0, String::new()),
+        }
+    };
+
+    // The standby first (it needs its primary alive to stay bootstrapped).
+    let mut conn = FrameConn::new(standby.addr(), Duration::from_secs(5));
+    for (request, _, want) in &table {
+        let (status, detail) = status_of(&mut conn, request);
+        assert_eq!(status, *want, "standby, {request:?}: {detail}");
+        if status == 409 {
+            assert!(detail.contains("standby"), "{request:?} refused for another reason: {detail}");
+        }
+    }
+    standby.join();
+
+    // Then the primary, drained. Its follower is gone, so the bootstrap
+    // and fetch rows exercise a free stream slot.
+    router.drain().unwrap();
+    std::thread::sleep(Duration::from_millis(2100)); // the follower-liveness window
+    let mut http = HttpClient::new(primary.addr());
+    let body = Json::obj([("request_id", Json::Num(1.0)), ("now", Json::Num(1.0))]);
+    let gone = http.post("/partition/tick", &body).unwrap();
+    assert_eq!(gone.status, 404, "the JSON tick route must be gone: {}", gone.body);
+    let mut conn = FrameConn::new(primary.addr(), Duration::from_secs(5));
+    for (request, want, _) in &table {
+        let (status, detail) = status_of(&mut conn, request);
+        assert_eq!(status, *want, "draining, {request:?}: {detail}");
+    }
+    primary.join();
 }

@@ -2,17 +2,30 @@
 //! reply round-trips through encode → read → decode for arbitrary field
 //! values (including hostile strings and extreme float bit patterns), and
 //! the decoder never panics on random bytes, truncated frames, or
-//! bit-flipped frames — it fails with [`FrameError`] instead. Mirrors the
-//! `proptest_protocol.rs` treatment of the JSON wire path.
+//! bit-flipped frames — it fails with [`FrameError`] instead. A submit that
+//! is well framed but carries a value the model rejects is answered `400`
+//! in-band by a live daemon, whose state does not move.
 
 use proptest::prelude::*;
+use rdbsc_cluster::RegionPartition;
+use rdbsc_geo::{AngleRange, Point, Rect};
+use rdbsc_index::geometry::GridGeometry;
+use rdbsc_index::{IndexBackend, MaintenanceCounters};
+use rdbsc_model::valid_pairs::ValidPair;
+use rdbsc_model::{
+    Confidence, Contribution, Task, TaskId, TimeWindow, Worker, WorkerId,
+};
+use rdbsc_platform::{EngineConfig, EngineEvent, PartitionTick, TickReport};
 use rdbsc_server::dto::WalStatsDto;
 use rdbsc_server::frame::{
     self, FrameError, RawFrame, ReplyFrame, RequestFrame, FRAME_VERSION, HEADER_LEN, MAGIC,
 };
-use rdbsc_server::protocol::{EventDto, TickReplyDto};
-use rdbsc_server::{AnswerDto, AssignmentDto, HeartbeatDto, SnapshotDto, TaskDto, WorkerDto};
+use rdbsc_server::{
+    AnswerDto, AssignmentDto, FrameConn, HttpClient, PartitionDaemon, PartitionHandshake,
+    PartitiondConfig, SnapshotDto,
+};
 use std::io::Cursor;
+use std::time::Duration;
 
 const MAX_PAYLOAD: usize = 1 << 20;
 
@@ -39,34 +52,38 @@ fn flag() -> impl Strategy<Value = bool> {
     (0u8..2).prop_map(|b| b == 1)
 }
 
-fn event() -> impl Strategy<Value = EventDto> {
+/// One valid engine event with arbitrary finite payloads — the frame
+/// carries model values, so only valid ones can be built to begin with.
+fn event() -> impl Strategy<Value = EngineEvent> {
     (
         0u32..5,
         0u32..=u32::MAX,
-        (finite(), finite(), finite(), finite(), finite(), finite()),
+        (finite(), finite(), 0.0f64..1.0e6, 0.0f64..=1.0, finite(), finite()),
         (flag(), flag()),
     )
-        .prop_map(|(kind, id, (a, b, c, d, e, f), (opt1, opt2))| match kind {
-            0 => EventDto::TaskArrived(TaskDto {
-                id,
-                x: a,
-                y: b,
-                start: c,
-                end: d,
-                beta: opt1.then_some(e),
-            }),
-            1 => EventDto::TaskExpired(id),
-            2 => EventDto::WorkerCheckIn(WorkerDto {
-                id,
-                x: a,
-                y: b,
-                speed: c,
-                heading: opt2.then_some((d, e)),
-                confidence: f,
-                available_from: c,
-            }),
-            3 => EventDto::WorkerMoved(HeartbeatDto { id, x: a, y: b }),
-            _ => EventDto::WorkerLeft(id),
+        .prop_map(|(kind, id, (a, b, c, unit, e, f), (opt1, opt2))| match kind {
+            0 => {
+                let window = TimeWindow::new(e, e + c).unwrap();
+                EngineEvent::TaskArrived(if opt1 {
+                    Task::with_beta(TaskId(id), Point::new(a, b), window, unit).unwrap()
+                } else {
+                    Task::new(TaskId(id), Point::new(a, b), window)
+                })
+            }
+            1 => EngineEvent::TaskExpired(TaskId(id)),
+            2 => EngineEvent::WorkerCheckIn(
+                Worker::new(
+                    WorkerId(id),
+                    Point::new(a, b),
+                    c,
+                    if opt2 { AngleRange::new(e, f) } else { AngleRange::full() },
+                    Confidence::new(unit).unwrap(),
+                )
+                .unwrap()
+                .with_available_from(f),
+            ),
+            3 => EngineEvent::WorkerMoved(WorkerId(id), Point::new(a, b)),
+            _ => EngineEvent::WorkerLeft(WorkerId(id)),
         })
 }
 
@@ -84,7 +101,7 @@ fn assignment() -> impl Strategy<Value = AssignmentDto> {
 
 fn request() -> impl Strategy<Value = RequestFrame> {
     (
-        0u32..10,
+        0u32..14,
         0u64..=u64::MAX,
         0u64..=u64::MAX,
         0u32..=u32::MAX,
@@ -118,56 +135,80 @@ fn request() -> impl Strategy<Value = RequestFrame> {
                 6 => RequestFrame::IsActive { request_id },
                 7 => RequestFrame::HasWorker { request_id, worker },
                 8 => RequestFrame::Drain { request_id },
-                _ => RequestFrame::Shutdown { request_id },
+                9 => RequestFrame::Shutdown { request_id },
+                10 => RequestFrame::ReplBootstrap { request_id },
+                // Lsns are u64 on the wire: values above 2^53 (which a JSON
+                // number could not hold exactly) must survive bit for bit.
+                11 => RequestFrame::ReplFetch {
+                    request_id,
+                    from: trace | (1 << 60),
+                    ack: trace | (1 << 59),
+                    max: worker,
+                },
+                12 => RequestFrame::ReplStatus { request_id },
+                _ => RequestFrame::ReplPromote { request_id },
             },
         )
 }
 
-fn tick_reply() -> impl Strategy<Value = TickReplyDto> {
+fn pair() -> impl Strategy<Value = ValidPair> {
+    (0u32..=u32::MAX, 0u32..=u32::MAX, 0.0f64..=1.0, finite(), finite()).prop_map(
+        |(task, worker, confidence, angle, arrival)| ValidPair {
+            task: TaskId(task),
+            worker: WorkerId(worker),
+            contribution: Contribution::new(Confidence::new(confidence).unwrap(), angle, arrival),
+        },
+    )
+}
+
+/// A full tick: every `StageTimings` slot non-zero and every counter
+/// allowed past 2^53.
+fn tick() -> impl Strategy<Value = PartitionTick> {
     (
         (
-            0u64..=u64::MAX,
             finite(),
-            proptest::collection::vec(0u64..=u64::MAX, 4),
-            proptest::collection::vec(text(), 0..4),
-            proptest::collection::vec(assignment(), 0..6),
+            proptest::collection::vec(0usize..=usize::MAX, 4),
+            proptest::collection::vec(0usize..4, 0..4),
+            proptest::collection::vec(pair(), 0..6),
         ),
         (
             finite(),
             proptest::collection::vec(finite(), 0..4),
             proptest::collection::vec(0u64..=u64::MAX, 3),
             proptest::collection::vec(0u32..=u32::MAX, 0..6),
-            proptest::collection::vec(0u64..=u64::MAX, 6),
+            proptest::collection::vec(1u64..=u64::MAX, 6),
             0u64..=u64::MAX,
         ),
     )
         .prop_map(
             |(
-                (request_id, now, counts, strategies, new_assignments),
+                (now, counts, strategy_picks, new_assignments),
                 (solve_seconds, shard_solve_seconds, index, committed, stage_us, trace),
-            )| TickReplyDto {
-                request_id,
-                now,
-                events_applied: counts[0],
-                tasks_expired: counts[1],
-                num_shards: counts[2],
-                largest_shard_pairs: counts[3],
-                strategies,
-                new_assignments,
-                solve_seconds,
-                shard_solve_seconds,
-                index_relocations: index[0],
-                index_cells_repaired: index[1],
-                index_tcell_rebuilds: index[2],
-                committed,
-                stages: rdbsc_obs::StageTimings {
-                    apply_us: stage_us[0],
-                    extract_us: stage_us[1],
-                    solve_us: stage_us[2],
-                    merge_us: stage_us[3],
-                    wal_append_us: stage_us[4],
-                    wal_fsync_us: stage_us[5],
+            )| PartitionTick {
+                report: TickReport {
+                    now,
+                    events_applied: counts[0],
+                    tasks_expired: counts[1],
+                    num_shards: counts[2],
+                    largest_shard_pairs: counts[3],
+                    strategies: strategy_picks
+                        .into_iter()
+                        .map(|i| ["GREEDY", "SAMPLING", "D&C", "G-TRUTH"][i])
+                        .collect(),
+                    new_assignments,
+                    solve_seconds,
+                    shard_solve_seconds,
+                    index_maintenance: MaintenanceCounters {
+                        relocations: index[0],
+                        cells_repaired: index[1],
+                        tcell_rebuilds: index[2],
+                    },
+                    stages: rdbsc_obs::StageTimings::from_values([
+                        stage_us[0], stage_us[1], stage_us[2], stage_us[3], stage_us[4],
+                        stage_us[5],
+                    ]),
                 },
+                committed: committed.into_iter().map(WorkerId).collect(),
                 trace,
             },
         )
@@ -213,10 +254,10 @@ fn snapshot() -> impl Strategy<Value = SnapshotDto> {
 
 fn reply() -> impl Strategy<Value = ReplyFrame> {
     (
-        (0u32..11, 0u64..=u64::MAX, 0u32..=u32::MAX, flag(), 0u16..=u16::MAX),
+        (0u32..13, 0u64..=u64::MAX, 0u32..=u32::MAX, flag(), 0u16..=u16::MAX),
         text(),
         proptest::collection::vec(assignment(), 0..6),
-        tick_reply(),
+        tick(),
         snapshot(),
     )
         .prop_map(
@@ -226,7 +267,10 @@ fn reply() -> impl Strategy<Value = ReplyFrame> {
                         request_id,
                         buffered,
                     },
-                    1 => ReplyFrame::TickOk(Box::new(tick)),
+                    1 => ReplyFrame::TickOk {
+                        request_id,
+                        tick: Box::new(tick),
+                    },
                     2 => ReplyFrame::AnswerOk {
                         request_id,
                         banked: yes,
@@ -250,6 +294,20 @@ fn reply() -> impl Strategy<Value = ReplyFrame> {
                     },
                     8 => ReplyFrame::DrainOk { request_id },
                     9 => ReplyFrame::ShutdownOk { request_id },
+                    // Shipped records are opaque bytes and lsns full u64s.
+                    10 => ReplyFrame::ReplFetchOk {
+                        request_id,
+                        next_lsn: request_id | (1 << 60),
+                        records: vec![
+                            (request_id | (1 << 59), detail.clone().into_bytes()),
+                            (u64::MAX, Vec::new()),
+                        ],
+                    },
+                    11 => ReplyFrame::ReplPromoteOk {
+                        request_id,
+                        digest: !request_id,
+                        applied: request_id | (1 << 58),
+                    },
                     _ => ReplyFrame::Error {
                         request_id,
                         status,
@@ -386,4 +444,112 @@ proptest! {
             Err(FrameError::Malformed(_)) | Err(FrameError::Io(_)) => {}
         }
     }
+}
+
+fn snapshot_digest(addr: std::net::SocketAddr) -> String {
+    let mut http = HttpClient::new(addr).with_timeout(Duration::from_secs(5));
+    let snapshot = http.get("/partition/snapshot").unwrap().json().unwrap();
+    snapshot
+        .get("state_digest")
+        .and_then(|d| d.as_str())
+        .expect("snapshot carries a state digest")
+        .to_string()
+}
+
+/// Well-framed submits whose *values* are hostile: a move to NaN/∞ (the one
+/// check the wire makes that log recovery does not) and every model error
+/// the event decoder can report. Each is answered `400` in-band with the
+/// field named, the connection stays usable, and the daemon's state digest
+/// does not move.
+#[test]
+fn hostile_submit_values_are_answered_400_and_change_nothing() {
+    let daemon = PartitionDaemon::start(PartitiondConfig {
+        addr: "127.0.0.1:0".to_string(),
+        ..PartitiondConfig::default()
+    })
+    .unwrap();
+    let partition = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1));
+    PartitionHandshake::connect(&daemon.addr().to_string())
+        .unwrap()
+        .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &EngineConfig::default(), None)
+        .unwrap();
+    let mut conn = FrameConn::new(daemon.addr(), Duration::from_secs(5));
+
+    let task = Task::new(TaskId(1), Point::new(0.4, 0.5), TimeWindow::new(0.0, 5.0).unwrap());
+    let worker = Worker::new(
+        WorkerId(1),
+        Point::new(0.4, 0.45),
+        0.3,
+        AngleRange::full(),
+        Confidence::new(0.9).unwrap(),
+    )
+    .unwrap();
+    let good = vec![
+        EngineEvent::TaskArrived(task),
+        EngineEvent::WorkerCheckIn(worker),
+    ];
+    let reply = conn
+        .exchange(&RequestFrame::Submit { request_id: 1, trace: 0, events: good })
+        .unwrap();
+    assert!(matches!(reply, ReplyFrame::SubmitOk { buffered: 2, .. }), "{reply:?}");
+    let before = snapshot_digest(daemon.addr());
+
+    // The model types keep their fields public, so values their
+    // constructors would refuse can still be put on the wire.
+    let moved = |x: f64, y: f64| EngineEvent::WorkerMoved(WorkerId(1), Point::new(x, y));
+    let mut backwards = task;
+    backwards.window.end = backwards.window.start - 1.0;
+    let mut beta = task;
+    beta.beta = Some(7.0);
+    let mut speed = worker;
+    speed.speed = -1.0;
+    let hostile = [
+        (moved(f64::NAN, 0.5), "worker_moved"),
+        (moved(0.5, f64::INFINITY), "worker_moved"),
+        (moved(f64::NEG_INFINITY, f64::NAN), "worker_moved"),
+        (EngineEvent::TaskArrived(backwards), "time window"),
+        (EngineEvent::TaskArrived(beta), "beta"),
+        (EngineEvent::WorkerCheckIn(speed), "worker"),
+    ];
+    for (i, (event, names)) in hostile.into_iter().enumerate() {
+        let request_id = 10 + i as u64;
+        // A valid event first: nothing of a refused batch may be applied.
+        let events = vec![moved(0.41, 0.46), event];
+        let reply = conn
+            .exchange(&RequestFrame::Submit { request_id, trace: 0, events })
+            .expect("a refused submit is a reply, not a dropped connection");
+        let ReplyFrame::Error { status, detail, .. } = reply else {
+            panic!("hostile submit {i} was accepted: {reply:?}");
+        };
+        assert_eq!(status, 400, "{detail}");
+        assert!(detail.contains(names), "error must name the field: {detail}");
+        assert_eq!(snapshot_digest(daemon.addr()), before, "hostile submit {i}");
+    }
+
+    // An invalid confidence cannot be built even through public fields:
+    // patch the bytes of an encoded check-in (tag, id, x, y, speed, heading
+    // start + width, then confidence).
+    let mut wire = Vec::new();
+    RequestFrame::Submit {
+        request_id: 99,
+        trace: 0,
+        events: vec![EngineEvent::WorkerCheckIn(worker)],
+    }
+    .write_to(&mut wire)
+    .unwrap();
+    let confidence_at = HEADER_LEN + 8 + 4 + 1 + 4 + 16 + 8 + 16;
+    wire[confidence_at..confidence_at + 8].copy_from_slice(&2.0f64.to_bits().to_le_bytes());
+    let raw = read_back(&wire).unwrap().expect("one frame");
+    match RequestFrame::decode(&raw) {
+        Err(FrameError::Malformed(detail)) => {
+            assert!(detail.contains("confidence"), "{detail}")
+        }
+        other => panic!("an out-of-range confidence decoded: {other:?}"),
+    }
+
+    // The connection survived all of it.
+    let reply = conn.exchange(&RequestFrame::IsActive { request_id: 100 }).unwrap();
+    assert!(matches!(reply, ReplyFrame::ActiveOk { active: true, .. }), "{reply:?}");
+    daemon.shutdown();
+    daemon.join();
 }

@@ -1,146 +1,20 @@
-//! Property tests for the partition protocol's wire DTOs: every command and
-//! reply round-trips through encode → parse → decode for arbitrary field
-//! values, routing tables survive serialization with region geometry intact,
-//! and hostile input is rejected without panicking — mirroring the
-//! `proptest_backends.rs` / `proptest_json.rs` style.
+//! Property tests for the partition protocol's handshake DTOs: routing
+//! tables survive serialization with region geometry intact, engine configs
+//! and hellos round-trip for arbitrary field values, and hostile input is
+//! rejected without panicking — mirroring the `proptest_backends.rs` /
+//! `proptest_json.rs` style. (The data commands are binary frames; their
+//! round trips live in `proptest_frame.rs`.)
 
 use proptest::prelude::*;
 use rdbsc_cluster::RegionPartitioner;
-use rdbsc_geo::{AngleRange, Point, Rect};
+use rdbsc_geo::{Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
-use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
-use rdbsc_platform::{EngineConfig, EngineEvent, PartitionTick, TickReport};
+use rdbsc_platform::EngineConfig;
 use rdbsc_server::json::parse;
-use rdbsc_server::protocol::{
-    submit_from_json, submit_to_json, EngineConfigDto, EventDto, HelloDto, RoutingTableDto,
-    TickReplyDto,
-};
-use rdbsc_server::AssignmentDto;
-
-/// A strategy for one valid engine event with arbitrary (finite) payloads.
-fn event() -> impl Strategy<Value = EngineEvent> {
-    (
-        0u32..5,
-        0u32..=u32::MAX,
-        -1.0f64..2.0,
-        -1.0f64..2.0,
-        0.01f64..0.9,
-        0.0f64..0.99,
-        0.0f64..10.0,
-        0.1f64..10.0,
-    )
-        .prop_map(|(kind, id, x, y, speed, confidence, start, length)| match kind {
-            0 => EngineEvent::TaskArrived(Task::new(
-                TaskId(id),
-                Point::new(x, y),
-                TimeWindow::new(start, start + length).unwrap(),
-            )),
-            1 => EngineEvent::TaskExpired(TaskId(id)),
-            2 => EngineEvent::WorkerCheckIn(
-                Worker::new(
-                    WorkerId(id),
-                    Point::new(x, y),
-                    speed,
-                    AngleRange::full(),
-                    Confidence::new(confidence).unwrap(),
-                )
-                .unwrap(),
-            ),
-            3 => EngineEvent::WorkerMoved(WorkerId(id), Point::new(x, y)),
-            _ => EngineEvent::WorkerLeft(WorkerId(id)),
-        })
-}
-
-fn assignment() -> impl Strategy<Value = AssignmentDto> {
-    (0u32..=u32::MAX, 0u32..=u32::MAX, 0.0f64..=1.0, -10.0f64..10.0, 0.0f64..100.0).prop_map(
-        |(task, worker, confidence, angle, arrival)| AssignmentDto {
-            task,
-            worker,
-            confidence,
-            angle,
-            arrival,
-        },
-    )
-}
+use rdbsc_server::protocol::{ConfigureDto, EngineConfigDto, HelloDto, RoutingTableDto};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Submit bodies: events → JSON → events is the identity (checked by
-    /// re-encoding, since `EngineEvent` has no `PartialEq`).
-    #[test]
-    fn submit_round_trips(
-        request_id in 0u64..(1 << 53),
-        events in proptest::collection::vec(event(), 0..12),
-        trace in (0u64..=u64::MAX).prop_map(|t| if t % 4 == 0 { 0 } else { t }),
-    ) {
-        let wire = submit_to_json(request_id, &events, trace).to_string_compact();
-        let (rid, decoded, echoed_trace) = submit_from_json(&parse(&wire).unwrap()).unwrap();
-        prop_assert_eq!(rid, request_id);
-        prop_assert_eq!(echoed_trace, trace);
-        prop_assert_eq!(decoded.len(), events.len());
-        let rewire = submit_to_json(request_id, &decoded, echoed_trace).to_string_compact();
-        prop_assert_eq!(rewire, wire, "decode must invert encode exactly");
-    }
-
-    /// Tick replies carry the full report (float bit patterns included) and
-    /// the committed set across the wire unchanged.
-    #[test]
-    fn tick_replies_round_trip(
-        request_id in 0u64..(1 << 53),
-        now in 0.0f64..1e6,
-        counts in proptest::collection::vec(0u64..(1 << 40), 6),
-        pairs in proptest::collection::vec(assignment(), 0..8),
-        shard_seconds in proptest::collection::vec(0.0f64..10.0, 0..6),
-        committed in proptest::collection::vec(0u32..=u32::MAX, 0..8),
-        strategy_picks in proptest::collection::vec(0usize..4, 0..6),
-        stage_us in proptest::collection::vec(0u64..(1 << 40), 6),
-        trace in (0u64..=u64::MAX).prop_map(|t| if t % 4 == 0 { 0 } else { t }),
-    ) {
-        let strategies: Vec<&'static str> = strategy_picks
-            .iter()
-            .map(|i| ["GREEDY", "SAMPLING", "D&C", "G-TRUTH"][*i])
-            .collect();
-        let tick = PartitionTick {
-            report: TickReport {
-                now,
-                events_applied: counts[0] as usize,
-                tasks_expired: counts[1] as usize,
-                num_shards: counts[2] as usize,
-                largest_shard_pairs: counts[3] as usize,
-                strategies: strategies.clone(),
-                new_assignments: pairs
-                    .iter()
-                    .cloned()
-                    .map(|p| p.into_pair().unwrap())
-                    .collect(),
-                solve_seconds: counts[4] as f64 * 1e-6,
-                shard_solve_seconds: shard_seconds.clone(),
-                index_maintenance: rdbsc_index::MaintenanceCounters {
-                    relocations: counts[5],
-                    cells_repaired: counts[0],
-                    tcell_rebuilds: counts[1],
-                },
-                stages: rdbsc_obs::StageTimings::from_values([
-                    stage_us[0], stage_us[1], stage_us[2], stage_us[3], stage_us[4], stage_us[5],
-                ]),
-            },
-            committed: committed.iter().copied().map(WorkerId).collect(),
-            trace,
-        };
-        let dto = TickReplyDto::from_tick(request_id, &tick);
-        let wire = dto.to_json().to_string_compact();
-        let decoded = TickReplyDto::from_json(&parse(&wire).unwrap()).unwrap();
-        prop_assert_eq!(&decoded, &dto);
-        let rebuilt = decoded.into_tick().unwrap();
-        prop_assert_eq!(rebuilt.report.new_assignments, tick.report.new_assignments);
-        prop_assert_eq!(rebuilt.report.strategies, strategies);
-        prop_assert_eq!(rebuilt.report.shard_solve_seconds, shard_seconds);
-        prop_assert_eq!(rebuilt.committed, tick.committed);
-        prop_assert_eq!(rebuilt.report.events_applied, tick.report.events_applied);
-        prop_assert_eq!(rebuilt.report.stages, tick.report.stages);
-        prop_assert_eq!(rebuilt.trace, trace);
-    }
 
     /// Routing tables round-trip with the region geometry — and therefore
     /// the router/daemon agreement — intact, for both partition strategies.
@@ -198,38 +72,62 @@ proptest! {
         prop_assert_eq!(rebuilt.auto_expire, config.auto_expire);
     }
 
+    /// Hellos round-trip for every state a daemon can report.
+    #[test]
+    fn hellos_round_trip(
+        region in 0u32..=u32::MAX,
+        configured_pick in 0u32..2,
+        draining_pick in 0u32..2,
+        standby_pick in 0u32..2,
+    ) {
+        let region = (configured_pick == 1).then_some(region);
+        let hello = HelloDto::current(region, draining_pick == 1, standby_pick == 1);
+        let wire = hello.to_json().to_string_compact();
+        let decoded = HelloDto::from_json(&parse(&wire).unwrap()).unwrap();
+        prop_assert!(decoded.speaks_binary());
+        prop_assert_eq!(decoded, hello);
+    }
+
     /// Hostile input: arbitrary JSON documents thrown at every protocol
     /// decoder produce clean errors (or valid decodes), never panics.
     #[test]
     fn hostile_documents_never_panic(
         numbers in proptest::collection::vec(-1.0e12f64..1.0e12, 0..6),
         kinds in proptest::collection::vec(0u32..6, 0..6),
-        request_id in -1.0e12f64..1.0e12,
+        version in -1.0e12f64..1.0e12,
     ) {
         use rdbsc_server::json::Json;
-        // Assemble a structurally plausible but semantically wrong body.
-        let events: Vec<Json> = kinds
+        // Assemble a structurally plausible but semantically wrong body:
+        // the handshake's field names over values of the wrong shape.
+        let junk: Vec<Json> = kinds
             .iter()
             .zip(numbers.iter().cycle())
             .map(|(kind, n)| match kind {
-                0 => Json::obj([("type", Json::Str("task_arrived".into()))]),
-                1 => Json::obj([("type", Json::Str("worker_left".into())), ("id", Json::Num(*n))]),
-                2 => Json::obj([("type", Json::Num(*n))]),
+                0 => Json::obj([("col0", Json::Num(*n)), ("row0", Json::Str("x".into()))]),
+                1 => Json::obj([("min_x", Json::Num(*n)), ("max_x", Json::Null)]),
+                2 => Json::Str("binary".into()),
                 3 => Json::Num(*n),
                 4 => Json::Null,
-                _ => Json::obj([("type", Json::Str("worker_moved".into())), ("move", Json::Num(*n))]),
+                _ => Json::obj([("seed", Json::Num(*n)), ("beta", Json::Bool(true))]),
             })
             .collect();
+        let pick = |i: usize| junk.get(i).cloned().unwrap_or(Json::Null);
         let body = Json::obj([
-            ("request_id", Json::Num(request_id)),
-            ("events", Json::Arr(events)),
+            ("protocol_version", Json::Num(version)),
+            ("configured", pick(0)),
+            ("draining", pick(1)),
+            ("transports", Json::Arr(junk.clone())),
+            ("space", pick(2)),
+            ("cells_per_axis", Json::Num(version)),
+            ("regions", Json::Arr(junk.clone())),
+            ("routing", pick(3)),
+            ("engine", pick(4)),
+            ("durability", pick(5)),
         ]);
-        let _ = submit_from_json(&body); // must not panic
-        let _ = TickReplyDto::from_json(&body);
-        let _ = RoutingTableDto::from_json(&body);
+        let _ = RoutingTableDto::from_json(&body); // must not panic
         let _ = EngineConfigDto::from_json(&body);
         let _ = HelloDto::from_json(&body);
-        let _ = EventDto::from_json(&body);
+        let _ = ConfigureDto::from_json(&body);
     }
 
     /// Raw hostile *strings* through the parser and then the decoders.
@@ -237,10 +135,10 @@ proptest! {
     fn hostile_strings_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..64)) {
         let text = String::from_utf8_lossy(&bytes).into_owned();
         if let Ok(doc) = parse(&text) {
-            let _ = submit_from_json(&doc);
-            let _ = TickReplyDto::from_json(&doc);
             let _ = RoutingTableDto::from_json(&doc);
             let _ = EngineConfigDto::from_json(&doc);
+            let _ = HelloDto::from_json(&doc);
+            let _ = ConfigureDto::from_json(&doc);
         }
     }
 }

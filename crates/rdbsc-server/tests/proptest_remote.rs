@@ -1,7 +1,7 @@
 //! Property test for the determinism contract **over the wire**: under
 //! randomized metro churn, a mixed local/remote topology (one region on a
-//! real `rdbsc-partitiond` daemon over loopback — randomly HTTP/JSON or the
-//! pipelined binary frame transport) produces output byte-identical to the
+//! real `rdbsc-partitiond` daemon over loopback, on the pipelined binary
+//! frame transport) produces output byte-identical to the
 //! all-in-process router on the same event stream — and a single *remote*
 //! partition is byte-identical to the plain engine.
 
@@ -17,9 +17,7 @@ use rdbsc_platform::{
     AssignmentEngine, EngineConfig, EngineEvent, InProcessClient, PartitionClient,
     PartitionedEngine,
 };
-use rdbsc_server::{
-    connect_remote_partition, PartitionDaemon, PartitiondConfig, RemoteTransport,
-};
+use rdbsc_server::{connect_remote_partition, PartitionDaemon, PartitiondConfig};
 
 fn worker(id: u32, x: f64, y: f64, speed: f64) -> Worker {
     Worker::new(
@@ -81,7 +79,6 @@ fn mixed_engine(
     partition: &RegionPartition,
     config: &EngineConfig,
     remote_region: usize,
-    transport: RemoteTransport,
 ) -> (PartitionedEngine, PartitionDaemon) {
     let daemon = PartitionDaemon::start(PartitiondConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -99,7 +96,6 @@ fn mixed_engine(
                     0.1,
                     config,
                     None,
-                    transport,
                 )
                 .expect("daemon handshake")
             } else {
@@ -129,17 +125,15 @@ proptest! {
         seed in 0u64..1_000,
         remote_region in 0usize..2,
         ticks in 2usize..5,
-        binary in 0u8..2,
     ) {
         let geometry = GridGeometry::new(Rect::unit(), 0.1);
         let partition = RegionPartitioner::uniform().split(geometry, 2, &[]);
         let config = EngineConfig { seed, ..EngineConfig::default() };
-        let transport = if binary == 1 { RemoteTransport::Binary } else { RemoteTransport::Http };
 
         let mut local = PartitionedEngine::build(partition.clone(), config.clone(), |rect| {
             rdbsc_index::FlatGridIndex::new(rect, 0.1)
         });
-        let (mut mixed, daemon) = mixed_engine(&partition, &config, remote_region, transport);
+        let (mut mixed, daemon) = mixed_engine(&partition, &config, remote_region);
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0xd15);
         for round in 0..ticks {
@@ -186,19 +180,17 @@ proptest! {
     fn single_remote_partition_is_byte_identical_to_the_plain_engine(
         seed in 0u64..1_000,
         ticks in 2usize..5,
-        binary in 0u8..2,
     ) {
         let geometry = GridGeometry::new(Rect::unit(), 0.1);
         let partition = RegionPartition::single(geometry);
         let rect = partition.region_rect(0);
         let config = EngineConfig { seed, ..EngineConfig::default() };
-        let transport = if binary == 1 { RemoteTransport::Binary } else { RemoteTransport::Http };
 
         let mut plain = AssignmentEngine::new(
             IndexBackend::FlatGrid.build(rect, 0.1),
             config.clone(),
         );
-        let (mut remote, daemon) = mixed_engine(&partition, &config, 0, transport);
+        let (mut remote, daemon) = mixed_engine(&partition, &config, 0);
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9a7);
         for round in 0..ticks {

@@ -10,9 +10,11 @@ use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::IndexBackend;
 use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
 use rdbsc_platform::{
-    AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, PartitionClient, WalConfig,
+    AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, WalConfig,
 };
-use rdbsc_server::{HttpClient, HttpPartitionClient, Json, Server, ServerConfig};
+use rdbsc_server::{
+    connect_remote_partition, HttpClient, Json, PartitionHandshake, Server, ServerConfig,
+};
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -156,17 +158,16 @@ fn sigkilled_daemon_recovers_the_acknowledged_state_exactly() {
     };
 
     let daemon = DaemonProcess::spawn(&["--data-dir", data_dir.to_str().unwrap()]);
-    let mut remote = HttpPartitionClient::connect(&daemon.addr.to_string()).unwrap();
-    remote
-        .configure(
-            &partition,
-            0,
-            IndexBackend::FlatGrid,
-            0.1,
-            &engine_config,
-            Some(&wal_config),
-        )
-        .unwrap();
+    let mut remote = connect_remote_partition(
+        &daemon.addr.to_string(),
+        &partition,
+        0,
+        IndexBackend::FlatGrid,
+        0.1,
+        &engine_config,
+        Some(&wal_config),
+    )
+    .unwrap();
 
     // The offline oracle: a plain in-memory partition fed every command the
     // daemon acknowledges.
@@ -208,8 +209,18 @@ fn sigkilled_daemon_recovers_the_acknowledged_state_exactly() {
         "recovered state differs from the acknowledged command stream"
     );
 
-    // The recovered daemon is fully serviceable and still deterministic.
-    let mut remote = HttpPartitionClient::connect(&rebooted.addr.to_string()).unwrap();
+    // The recovered daemon is fully serviceable and still deterministic
+    // (the router's identical configure re-push is idempotent).
+    let mut remote = connect_remote_partition(
+        &rebooted.addr.to_string(),
+        &partition,
+        0,
+        IndexBackend::FlatGrid,
+        0.1,
+        &engine_config,
+        Some(&wal_config),
+    )
+    .unwrap();
     for round in 7..9u32 {
         let events = round_events(round);
         remote.begin_submit(events.clone()).unwrap();
@@ -240,20 +251,27 @@ fn rebooted_daemon_rejects_a_conflicting_configure() {
     let config = EngineConfig::default();
 
     let daemon = DaemonProcess::spawn(&["--data-dir", data_dir.to_str().unwrap()]);
-    let mut remote = HttpPartitionClient::connect(&daemon.addr.to_string()).unwrap();
-    remote
+    PartitionHandshake::connect(&daemon.addr.to_string())
+        .unwrap()
         .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
         .unwrap();
     daemon.sigkill();
 
     let mut rebooted = DaemonProcess::spawn(&["--data-dir", data_dir.to_str().unwrap()]);
     // Identical payload: idempotent.
-    let mut same = HttpPartitionClient::connect(&rebooted.addr.to_string()).unwrap();
-    same.configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
-        .unwrap();
+    let mut same = connect_remote_partition(
+        &rebooted.addr.to_string(),
+        &partition,
+        0,
+        IndexBackend::FlatGrid,
+        0.1,
+        &config,
+        None,
+    )
+    .unwrap();
     // Different topology: structured 409, not a silent re-route.
     let other = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.2));
-    let mut conflicting = HttpPartitionClient::connect(&rebooted.addr.to_string()).unwrap();
+    let mut conflicting = PartitionHandshake::connect(&rebooted.addr.to_string()).unwrap();
     let refused = conflicting.configure(&other, 0, IndexBackend::FlatGrid, 0.2, &config, None);
     assert!(refused.is_err(), "conflicting configure must be refused");
 
