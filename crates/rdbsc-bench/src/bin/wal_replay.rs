@@ -1,25 +1,22 @@
-//! Durability micro-benchmark: what the write-ahead log costs on the hot
-//! path, and what recovery costs after a crash.
+//! Durability smoke check: the write-ahead log changes nothing but
+//! durability.
 //!
-//! Replays one deterministic scripted timeline through three phases:
+//! Replays one deterministic scripted timeline three ways and requires one
+//! FNV state digest:
 //!
 //! 1. **baseline** — a plain in-memory [`EnginePartition`] (no log);
 //! 2. **durable** — the identical partition behind a WAL
-//!    ([`EnginePartition::open_durable`] on a fresh directory), measuring
-//!    the append + group-commit overhead;
+//!    ([`EnginePartition::open_durable`] on a fresh directory);
 //! 3. **recovery** — drop the durable partition mid-flight (a simulated
-//!    crash: no drain, no final sync) and re-open the directory, measuring
-//!    checkpoint-load + tail-replay time and asserting the recovered FNV
-//!    state digest equals the uninterrupted baseline's.
+//!    crash: no drain, no final sync) and re-open the directory.
 //!
 //! ```text
-//! cargo run --release -p rdbsc-bench --bin wal_replay -- --json BENCH_wal.json
 //! cargo run --release -p rdbsc-bench --bin wal_replay -- --smoke
 //! ```
 //!
-//! `--smoke` runs a tiny workload and exits nonzero when the recovered
-//! digest diverges, recovery found no checkpoint despite one being due, or
-//! the log never rotated — the CI mode.
+//! Exits nonzero when a digest diverges, recovery found no checkpoint
+//! despite one being due, or the log never rotated — the CI step. It prints
+//! no timings: what the log costs is `heartbeat_storm` in `benchmark/`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,105 +26,57 @@ use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
 use rdbsc_platform::{
     AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, WalConfig, WalStats,
 };
-use rdbsc_server::json::Json;
 use std::path::PathBuf;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 const CELL_SIZE: f64 = 0.05;
 
-struct Args {
-    smoke: bool,
-    seed: u64,
-    ticks: usize,
-    tasks_per_tick: usize,
-    workers: usize,
-    segment_bytes: u64,
-    checkpoint_every: u64,
-    json_path: Option<String>,
-    data_dir: Option<String>,
-}
+// Small enough for CI, large enough that the log rotates, checkpoints
+// twice and recovers from a checkpoint plus a tail.
+const TICKS: usize = 8;
+const TASKS_PER_TICK: usize = 8;
+const WORKERS: usize = 120;
+const SEGMENT_BYTES: u64 = 8 << 10;
+const CHECKPOINT_EVERY: u64 = 3;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: wal_replay [--smoke] [--seed N] [--ticks N] [--tasks-per-tick N]\n\
-         \x20                 [--workers N] [--segment-bytes N] [--checkpoint-every N]\n\
-         \x20                 [--data-dir PATH] [--json FILE]"
-    );
+    eprintln!("usage: wal_replay --smoke [--seed N]");
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        seed: 11,
-        ticks: 48,
-        tasks_per_tick: 16,
-        workers: 400,
-        segment_bytes: 256 << 10,
-        checkpoint_every: 12,
-        json_path: None,
-        data_dir: None,
-    };
+/// The script seed (`--smoke` is the only mode and must be given).
+fn parse_args() -> u64 {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut seed = 11;
+    let mut smoke = false;
     let mut i = 0;
     while i < argv.len() {
-        let flag = argv[i].as_str();
-        i += 1;
-        match flag {
-            "--help" | "-h" => usage(),
-            "--smoke" => {
-                args.smoke = true;
-                args.ticks = 8;
-                args.tasks_per_tick = 8;
-                args.workers = 120;
-                args.segment_bytes = 8 << 10;
-                args.checkpoint_every = 3;
-            }
-            "--seed" | "--ticks" | "--tasks-per-tick" | "--workers" | "--segment-bytes"
-            | "--checkpoint-every" | "--data-dir" | "--json" => {
-                let Some(value) = argv.get(i) else {
-                    eprintln!("{flag} requires a value");
-                    usage();
-                };
+        match argv[i].as_str() {
+            "--smoke" => smoke = true,
+            "--seed" => {
                 i += 1;
-                let bad = |v: &str| -> ! {
-                    eprintln!("{flag}: cannot parse {v:?}");
+                let Some(value) = argv.get(i).and_then(|v| v.parse().ok()) else {
+                    eprintln!("--seed requires a number");
                     usage();
                 };
-                match flag {
-                    "--seed" => args.seed = value.parse().unwrap_or_else(|_| bad(value)),
-                    "--ticks" => args.ticks = value.parse().unwrap_or_else(|_| bad(value)),
-                    "--tasks-per-tick" => {
-                        args.tasks_per_tick = value.parse().unwrap_or_else(|_| bad(value))
-                    }
-                    "--workers" => args.workers = value.parse().unwrap_or_else(|_| bad(value)),
-                    "--segment-bytes" => {
-                        args.segment_bytes = value.parse().unwrap_or_else(|_| bad(value))
-                    }
-                    "--checkpoint-every" => {
-                        args.checkpoint_every = value.parse().unwrap_or_else(|_| bad(value))
-                    }
-                    "--data-dir" => args.data_dir = Some(value.clone()),
-                    "--json" => args.json_path = Some(value.clone()),
-                    _ => unreachable!(),
-                }
+                seed = value;
             }
-            _ => {
-                eprintln!("unknown flag {flag}");
-                usage();
-            }
+            _ => usage(),
         }
+        i += 1;
     }
-    args
+    if !smoke {
+        usage();
+    }
+    seed
 }
 
 /// The deterministic replay script: per-round event batches plus the tick
 /// time, identical for every phase.
-fn build_script(args: &Args) -> Vec<(Vec<EngineEvent>, f64)> {
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let mut rounds = Vec::with_capacity(args.ticks);
+fn build_script(seed: u64) -> Vec<(Vec<EngineEvent>, f64)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rounds = Vec::with_capacity(TICKS);
     let mut first: Vec<EngineEvent> = Vec::new();
-    for j in 0..args.workers {
+    for j in 0..WORKERS {
         let x = rng.gen_range(0.02..0.98);
         let y = rng.gen_range(0.02..0.98);
         first.push(EngineEvent::WorkerCheckIn(
@@ -143,10 +92,10 @@ fn build_script(args: &Args) -> Vec<(Vec<EngineEvent>, f64)> {
     }
     let mut next_task = 0u32;
     let dt = 0.1;
-    for round in 0..args.ticks {
+    for round in 0..TICKS {
         let now = round as f64 * dt;
         let mut events = if round == 0 { std::mem::take(&mut first) } else { Vec::new() };
-        for _ in 0..args.tasks_per_tick {
+        for _ in 0..TASKS_PER_TICK {
             let x = rng.gen_range(0.02..0.98);
             let y = rng.gen_range(0.02..0.98);
             events.push(EngineEvent::TaskArrived(Task::new(
@@ -157,7 +106,7 @@ fn build_script(args: &Args) -> Vec<(Vec<EngineEvent>, f64)> {
             next_task += 1;
         }
         // A slice of the workers drifts each round, keeping the index busy.
-        for j in (0..args.workers).filter(|j| j % 7 == round % 7) {
+        for j in (0..WORKERS).filter(|j| j % 7 == round % 7) {
             events.push(EngineEvent::WorkerMoved(
                 WorkerId(j as u32),
                 Point::new(rng.gen_range(0.02..0.98), rng.gen_range(0.02..0.98)),
@@ -169,7 +118,6 @@ fn build_script(args: &Args) -> Vec<(Vec<EngineEvent>, f64)> {
 }
 
 struct RunOutcome {
-    seconds: f64,
     assignments: u64,
     digest: u64,
     wal: Option<WalStats>,
@@ -178,7 +126,6 @@ struct RunOutcome {
 /// Replays the script; answers every fresh pair immediately so answers and
 /// releases hit the log too.
 fn drive(part: &mut EnginePartition<FlatGridIndex>, script: &[(Vec<EngineEvent>, f64)]) -> RunOutcome {
-    let started = Instant::now();
     let mut assignments = 0u64;
     for (events, now) in script {
         part.submit(events.clone());
@@ -189,7 +136,6 @@ fn drive(part: &mut EnginePartition<FlatGridIndex>, script: &[(Vec<EngineEvent>,
         }
     }
     RunOutcome {
-        seconds: started.elapsed().as_secs_f64(),
         assignments,
         digest: part.state_digest(),
         wal: part.wal_stats(),
@@ -201,36 +147,26 @@ fn fresh_engine() -> AssignmentEngine<FlatGridIndex> {
 }
 
 fn main() {
-    let args = parse_args();
-    let script = build_script(&args);
+    let script = build_script(parse_args());
     let total_events: usize = script.iter().map(|(e, _)| e.len()).sum();
     println!(
         "workload: {} ticks, {} events total, segment {} B, checkpoint every {} ticks",
-        args.ticks, total_events, args.segment_bytes, args.checkpoint_every
+        TICKS, total_events, SEGMENT_BYTES, CHECKPOINT_EVERY
     );
 
-    let dir = PathBuf::from(args.data_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir()
-            .join(format!("rdbsc-wal-replay-{}", std::process::id()))
-            .to_string_lossy()
-            .into_owned()
-    }));
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("rdbsc-wal-replay-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let wal_config = WalConfig {
-        segment_bytes: args.segment_bytes,
-        checkpoint_every_ticks: args.checkpoint_every,
+        segment_bytes: SEGMENT_BYTES,
+        checkpoint_every_ticks: CHECKPOINT_EVERY,
         fsync_on_tick: true,
     };
 
     // Phase 1: the in-memory baseline.
     let mut baseline_part = EnginePartition::new(fresh_engine());
     let baseline = drive(&mut baseline_part, &script);
-    println!(
-        "baseline : {:>7.3}s  {:>8.0} events/s  {} assignments",
-        baseline.seconds,
-        total_events as f64 / baseline.seconds,
-        baseline.assignments
-    );
+    println!("baseline : {} assignments, digest {:#018x}", baseline.assignments, baseline.digest);
 
     // Phase 2: the same replay behind the log.
     let (mut durable_part, _) = EnginePartition::open_durable(
@@ -241,14 +177,8 @@ fn main() {
     )
     .expect("open durable partition");
     let durable = drive(&mut durable_part, &script);
-    let overhead = (durable.seconds - baseline.seconds) / baseline.seconds.max(1e-12);
     let stats = durable.wal.expect("durable run has wal stats");
-    println!(
-        "durable  : {:>7.3}s  {:>8.0} events/s  append overhead {:+.1}%",
-        durable.seconds,
-        total_events as f64 / durable.seconds,
-        overhead * 100.0
-    );
+    println!("durable  : digest {:#018x}", durable.digest);
     println!(
         "log      : {} records, {} KiB, {} fsyncs, {} checkpoints, {} segments retired",
         stats.records_appended,
@@ -260,7 +190,6 @@ fn main() {
 
     // Phase 3: crash (drop without drain) and recover.
     drop(durable_part);
-    let recover_started = Instant::now();
     let (recovered_part, _) = EnginePartition::open_durable(
         &dir,
         wal_config,
@@ -268,11 +197,12 @@ fn main() {
         || FlatGridIndex::new(Rect::unit(), CELL_SIZE),
     )
     .expect("recover partition");
-    let recovery_seconds = recover_started.elapsed().as_secs_f64();
     let recovered_stats = recovered_part.wal_stats().expect("recovered wal stats");
     println!(
-        "recovery : {:>7.3}s  ({} records replayed, checkpoint loaded: {})",
-        recovery_seconds, recovered_stats.recovered_records, recovered_stats.recovered_checkpoint
+        "recovery : digest {:#018x} ({} records replayed, checkpoint loaded: {})",
+        recovered_part.state_digest(),
+        recovered_stats.recovered_records,
+        recovered_stats.recovered_checkpoint
     );
 
     let mut failures: Vec<String> = Vec::new();
@@ -292,59 +222,17 @@ fn main() {
     if baseline.assignments == 0 {
         failures.push("workload made zero assignments".into());
     }
-    if args.checkpoint_every > 0 && args.ticks as u64 > args.checkpoint_every {
-        if stats.checkpoints == 0 {
-            failures.push("a checkpoint was due but never written".into());
-        }
-        if !recovered_stats.recovered_checkpoint {
-            failures.push("recovery replayed from scratch despite a checkpoint".into());
-        }
+    if stats.checkpoints == 0 {
+        failures.push("a checkpoint was due but never written".into());
+    }
+    if !recovered_stats.recovered_checkpoint {
+        failures.push("recovery replayed from scratch despite a checkpoint".into());
     }
     if stats.segments + stats.segments_retired < 2 {
         failures.push("the log never rotated — segment_bytes too large for the workload".into());
     }
 
-    if let Some(path) = &args.json_path {
-        let unix_now = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let report = Json::obj([
-            ("bench", Json::Str("rdbsc wal append overhead + recovery".into())),
-            ("unix_time", Json::Num(unix_now as f64)),
-            ("seed", Json::Num(args.seed as f64)),
-            ("ticks", Json::Num(args.ticks as f64)),
-            ("total_events", Json::Num(total_events as f64)),
-            ("segment_bytes", Json::Num(args.segment_bytes as f64)),
-            ("checkpoint_every_ticks", Json::Num(args.checkpoint_every as f64)),
-            ("baseline_seconds", Json::Num(baseline.seconds)),
-            ("durable_seconds", Json::Num(durable.seconds)),
-            ("append_overhead_frac", Json::Num(overhead)),
-            ("recovery_seconds", Json::Num(recovery_seconds)),
-            ("recovered_records", Json::Num(recovered_stats.recovered_records as f64)),
-            (
-                "recovered_from_checkpoint",
-                Json::Bool(recovered_stats.recovered_checkpoint),
-            ),
-            ("records_appended", Json::Num(stats.records_appended as f64)),
-            ("bytes_appended", Json::Num(stats.bytes_appended as f64)),
-            ("fsyncs", Json::Num(stats.fsyncs as f64)),
-            ("checkpoints", Json::Num(stats.checkpoints as f64)),
-            ("segments_retired", Json::Num(stats.segments_retired as f64)),
-            ("assignments", Json::Num(baseline.assignments as f64)),
-            ("digests_match", Json::Bool(failures.is_empty())),
-        ]);
-        if let Err(e) = std::fs::write(path, report.to_string_compact()) {
-            eprintln!("cannot write {path}: {e}");
-            failures.push(format!("cannot write {path}"));
-        } else {
-            println!("report : {path}");
-        }
-    }
-
-    if args.data_dir.is_none() {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let _ = std::fs::remove_dir_all(&dir);
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("FAIL: {f}");

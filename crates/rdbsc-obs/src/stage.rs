@@ -3,7 +3,7 @@
 //! A tick passes through a fixed pipeline — apply queued events (index
 //! maintenance), extract connected-component shards, solve shards in
 //! parallel, merge/commit the winners, and (on a durable partition) append
-//! and fsync the WAL record. [`StageTimings`] carries one measured duration
+//! the tick's WAL records and wait for their fsync. [`StageTimings`] carries one measured duration
 //! per stage inside every `TickReport`; [`StageSet`] aggregates them into
 //! per-stage log-bucketed histograms registered on a [`crate::Registry`],
 //! which is what `/metrics` serves on both the router and the daemons.
@@ -20,9 +20,10 @@ pub const NUM_STAGES: usize = 6;
 
 /// Wall-clock microseconds spent in each stage of one tick.
 ///
-/// The router's merged report takes the per-stage **max** across partitions
-/// (stages run concurrently, so the slowest partition bounds the tick —
-/// the same semantics as the merged `solve_seconds`).
+/// The stages are what the tick's thread spent its time on, in order, so
+/// they sum to the tick. The router's merged report carries the stages of
+/// its **slowest** partition (partitions tick concurrently, so that one
+/// bounds the round): a real tick's breakdown, never a mix of several.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StageTimings {
     /// Draining the event queue into the index + auto-expiring tasks.
@@ -33,9 +34,13 @@ pub struct StageTimings {
     pub solve_us: u64,
     /// Merging shard results and committing assignments.
     pub merge_us: u64,
-    /// Appending the tick's WAL record (durable partitions only).
+    /// Every record appended for this tick, its submits' event batches
+    /// included (and a due checkpoint); durable partitions only.
     pub wal_append_us: u64,
-    /// The group-commit fsync (durable partitions with `fsync_on_tick`).
+    /// What the group-commit fsync cost the tick's own thread: starting it
+    /// beside the engine round, then blocked waiting for it — the part of
+    /// the device time the round did not hide (durable partitions with
+    /// `fsync_on_tick`).
     pub wal_fsync_us: u64,
 }
 
@@ -81,15 +86,14 @@ impl StageTimings {
         }
     }
 
-    /// Folds another tick's timings in, keeping the per-stage maximum —
-    /// the merge rule for concurrent partitions.
-    pub fn merge_max(&mut self, other: &StageTimings) {
-        self.apply_us = self.apply_us.max(other.apply_us);
-        self.extract_us = self.extract_us.max(other.extract_us);
-        self.solve_us = self.solve_us.max(other.solve_us);
-        self.merge_us = self.merge_us.max(other.merge_us);
-        self.wal_append_us = self.wal_append_us.max(other.wal_append_us);
-        self.wal_fsync_us = self.wal_fsync_us.max(other.wal_fsync_us);
+    /// Folds a concurrent partition's timings in: whichever tick took
+    /// longer in total stays, whole (a tie keeps the one already here, so
+    /// folding in partition order favours the lowest index). A per-stage
+    /// maximum would sum to more than any partition's tick.
+    pub fn merge_slowest(&mut self, other: &StageTimings) {
+        if other.total_us() > self.total_us() {
+            *self = *other;
+        }
     }
 
     /// Total microseconds across all stages.
@@ -146,12 +150,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_max_is_elementwise() {
-        let mut a = StageTimings::from_values([1, 20, 3, 40, 5, 60]);
-        let b = StageTimings::from_values([10, 2, 30, 4, 50, 6]);
-        a.merge_max(&b);
-        assert_eq!(a.values(), [10, 20, 30, 40, 50, 60]);
-        assert_eq!(a.total_us(), 210);
+    fn merge_slowest_keeps_one_whole_tick() {
+        let fast = StageTimings::from_values([1, 20, 3, 40, 5, 60]);
+        let slow = StageTimings::from_values([10, 2, 30, 4, 50, 34]);
+        let tied = StageTimings::from_values([130, 0, 0, 0, 0, 0]);
+        let mut merged = StageTimings::default();
+        for region in [&fast, &slow, &tied] {
+            merged.merge_slowest(region);
+        }
+        assert_eq!(merged, slow, "the slowest region, not a mix; a tie keeps the first");
+        assert_eq!(merged.total_us(), 130);
     }
 
     #[test]

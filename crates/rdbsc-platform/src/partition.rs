@@ -760,7 +760,7 @@ impl PartitionedEngine {
             // Partitions solve concurrently: the round's wall time is the
             // slowest partition's, not the sum.
             merged.solve_seconds = merged.solve_seconds.max(report.solve_seconds);
-            merged.stages.merge_max(&report.stages);
+            merged.stages.merge_slowest(&report.stages);
             merged
                 .shard_solve_seconds
                 .extend(report.shard_solve_seconds);

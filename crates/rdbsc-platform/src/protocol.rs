@@ -303,6 +303,22 @@ pub struct EnginePartition<I: SpatialIndex> {
     /// The trace id commands are currently attributed to (`0` = untraced).
     /// Set by [`EnginePartition::set_trace`]; purely observational.
     trace: u64,
+    /// Nanoseconds `submit` spent appending event batches since the last
+    /// tick; the next tick reports them in `stages.wal_append_us`, so the
+    /// stages sum to submit + tick. Observational only.
+    submit_append_ns: u64,
+}
+
+/// A log write failed: a partition that cannot persist its commands must
+/// not keep acknowledging them, and a reboot recovers the logged prefix.
+fn crash_on(result: Result<(), WalError>) {
+    if let Err(e) = result {
+        panic!("partition wal append failed (crash-and-recover): {e}");
+    }
+}
+
+fn elapsed_ns(started: Instant) -> u64 {
+    started.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
 impl<I: SpatialIndex> EnginePartition<I> {
@@ -316,6 +332,7 @@ impl<I: SpatialIndex> EnginePartition<I> {
             wal: None,
             repl: None,
             trace: 0,
+            submit_append_ns: 0,
         }
     }
 
@@ -389,18 +406,20 @@ impl<I: SpatialIndex> EnginePartition<I> {
         }
     }
 
-    fn log<R>(wal: &mut Option<Wal>, write: impl FnOnce(&mut Wal) -> Result<R, WalError>) {
+    fn log(wal: &mut Option<Wal>, write: impl FnOnce(&mut Wal) -> Result<(), WalError>) {
         if let Some(wal) = wal {
-            if let Err(e) = write(wal) {
-                panic!("partition wal append failed (crash-and-recover): {e}");
-            }
+            crash_on(write(wal));
         }
     }
 
     /// Queues a routed event batch for the next tick.
     pub fn submit(&mut self, events: Vec<EngineEvent>) {
         let _span = rdbsc_obs::span(self.trace, 0, "partition.submit");
-        Self::log(&mut self.wal, |wal| wal.append_events(&events));
+        if let Some(wal) = &mut self.wal {
+            let started = Instant::now();
+            crash_on(wal.append_events(&events));
+            self.submit_append_ns += elapsed_ns(started);
+        }
         if let Some(repl) = &mut self.repl {
             if !events.is_empty() {
                 repl.publish(WalRecord::Events(events.clone()));
@@ -409,50 +428,94 @@ impl<I: SpatialIndex> EnginePartition<I> {
         self.engine.submit_all(events);
     }
 
+    /// Runs `round` (the engine round) on this thread while the group-commit
+    /// fsync runs on a scoped one, joins it, and returns the round's report
+    /// plus the nanoseconds the sync cost this thread: starting it, then
+    /// blocked at the join. The log and the engine are disjoint state, and
+    /// nothing the round computed leaves this function before the sync has
+    /// succeeded: a sync error panics here, after the join.
+    fn overlap_sync(
+        wal: &mut Wal,
+        round: impl FnOnce() -> TickReport,
+        trace: u64,
+        parent: u64,
+    ) -> (TickReport, u64) {
+        let started = Instant::now();
+        let overlapped = std::thread::scope(|scope| {
+            let spawned = std::thread::Builder::new()
+                .name("rdbsc-wal-sync".into())
+                .spawn_scoped(scope, || wal.sync());
+            let Ok(sync) = spawned else {
+                return Err(round);
+            };
+            let spawn_ns = elapsed_ns(started);
+            let report = round();
+            let blocked = Instant::now();
+            let _span = rdbsc_obs::span(trace, parent, "wal.fsync");
+            let synced = sync
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            Ok((report, synced, spawn_ns + elapsed_ns(blocked)))
+        });
+        match overlapped {
+            Ok((report, synced, sync_ns)) => {
+                crash_on(synced);
+                (report, sync_ns)
+            }
+            // No thread to be had: sync, then run the round.
+            Err(round) => {
+                let _span = rdbsc_obs::span(trace, parent, "wal.fsync");
+                crash_on(wal.sync());
+                let sync_ns = elapsed_ns(started);
+                (round(), sync_ns)
+            }
+        }
+    }
+
     /// Runs one engine round and returns the report plus the post-tick
     /// committed worker set (the handoff oracle). On a durable partition
-    /// the tick command is logged and the log fsynced *before* the engine
-    /// runs (the group-commit boundary), and a checkpoint is written every
-    /// [`WalConfig::checkpoint_every_ticks`] ticks.
+    /// the tick command is logged and fsynced *before the tick's outcome
+    /// leaves the partition* (the group-commit boundary): the fsync runs
+    /// beside the engine round and is joined before the reply is built, a
+    /// checkpoint is written, or the tick is published for shipping. A
+    /// checkpoint is written every [`WalConfig::checkpoint_every_ticks`]
+    /// ticks.
     ///
     /// When a trace is set ([`EnginePartition::set_trace`]) the tick emits
-    /// spans — live `wal.append`/`wal.fsync` spans around the log I/O, the
-    /// engine's stage spans synthesized from [`TickReport::stages`] — under
-    /// a `partition.tick` root, and the report's WAL stage timings are
-    /// filled in. All observational: timings ride the report without
-    /// feeding back into engine decisions.
+    /// spans — live `wal.append`/`wal.fsync` spans around the log append and
+    /// the wait for the sync, the engine's stage spans synthesized from
+    /// [`TickReport::stages`] — under a `partition.tick` root. The report's
+    /// WAL stage timings are filled in either way. All observational:
+    /// timings ride the report without feeding back into engine decisions.
     pub fn tick(&mut self, now: f64) -> PartitionTick {
         let trace = self.trace;
         let root = rdbsc_obs::span(trace, 0, "partition.tick");
-        let mut wal_append_us = 0u64;
-        let mut wal_fsync_us = 0u64;
-        if self.wal.is_some() {
-            // Wal::append_tick, split so append and fsync time separately.
+        let mut wal_append_ns = std::mem::take(&mut self.submit_append_ns);
+        if let Some(wal) = &mut self.wal {
             let started = Instant::now();
-            {
-                let _span = rdbsc_obs::span(trace, root.id(), "wal.append");
-                Self::log(&mut self.wal, |wal| wal.append(&WalRecord::Tick { now }));
-            }
-            wal_append_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            if self.wal.as_ref().is_some_and(|wal| wal.config().fsync_on_tick) {
-                let started = Instant::now();
-                {
-                    let _span = rdbsc_obs::span(trace, root.id(), "wal.fsync");
-                    Self::log(&mut self.wal, Wal::sync);
-                }
-                wal_fsync_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            }
+            let _span = rdbsc_obs::span(trace, root.id(), "wal.append");
+            crash_on(wal.append(&WalRecord::Tick { now }));
+            wal_append_ns += elapsed_ns(started);
         }
+        let engine = &mut self.engine;
+        let root_id = root.id();
+        let mut round = move || {
+            let report = engine.tick(now);
+            // The engine computes its stage timings but stays tracing-free;
+            // synthesize its spans here (report.stages still has the WAL
+            // stages zeroed at this point; their spans are recorded live).
+            rdbsc_obs::record_stage_spans(trace, root_id, &report.stages);
+            report
+        };
+        let group_commit = self.wal.as_mut().filter(|wal| wal.config().fsync_on_tick);
+        let (mut report, wal_fsync_ns) = match group_commit {
+            Some(wal) => Self::overlap_sync(wal, round, trace, root_id),
+            None => (round(), 0),
+        };
+        // From here on the tick is durable.
         if let Some(repl) = &mut self.repl {
             repl.publish(WalRecord::Tick { now });
         }
-        let mut report = self.engine.tick(now);
-        // The engine computes its stage timings but stays tracing-free;
-        // synthesize its spans here (the WAL stages were traced live above,
-        // and report.stages still has them zeroed at this point).
-        rdbsc_obs::record_stage_spans(trace, root.id(), &report.stages);
-        report.stages.wal_append_us = wal_append_us;
-        report.stages.wal_fsync_us = wal_fsync_us;
         self.last_now = now;
         self.events_applied += report.events_applied as u64;
         self.total_assignments += report.new_assignments.len() as u64;
@@ -467,11 +530,15 @@ impl<I: SpatialIndex> EnginePartition<I> {
             every > 0 && self.engine.num_ticks().is_multiple_of(every)
         });
         if checkpoint_due {
+            let started = Instant::now();
             let _span = rdbsc_obs::span(trace, root.id(), "wal.checkpoint");
             let state = self.dump_state();
             let tick = self.engine.num_ticks();
             Self::log(&mut self.wal, |wal| wal.append_checkpoint(&state, tick));
+            wal_append_ns += elapsed_ns(started);
         }
+        report.stages.wal_append_us = wal_append_ns / 1_000;
+        report.stages.wal_fsync_us = wal_fsync_ns / 1_000;
         PartitionTick {
             report,
             committed,
@@ -479,24 +546,26 @@ impl<I: SpatialIndex> EnginePartition<I> {
         }
     }
 
+    /// Logs a command and, on a replication primary, publishes it.
+    fn log_and_publish(&mut self, record: WalRecord) {
+        Self::log(&mut self.wal, |wal| wal.append(&record));
+        if let Some(repl) = &mut self.repl {
+            repl.publish(record);
+        }
+    }
+
     /// Banks an answer; `false` when the worker was not en route.
     pub fn record_answer(&mut self, worker: WorkerId, contribution: Contribution) -> bool {
-        Self::log(&mut self.wal, |wal| wal.append_answer(worker, contribution));
-        if let Some(repl) = &mut self.repl {
-            repl.publish(WalRecord::Answer {
-                worker,
-                contribution,
-            });
-        }
+        self.log_and_publish(WalRecord::Answer {
+            worker,
+            contribution,
+        });
         self.engine.record_answer(worker, contribution)
     }
 
     /// Releases an en-route worker without banking.
     pub fn release_worker(&mut self, worker: WorkerId) {
-        Self::log(&mut self.wal, |wal| wal.append_release(worker));
-        if let Some(repl) = &mut self.repl {
-            repl.publish(WalRecord::Release { worker });
-        }
+        self.log_and_publish(WalRecord::Release { worker });
         self.engine.release_worker(worker);
     }
 
@@ -1017,6 +1086,220 @@ mod tests {
             "stage spans hang off the tick root: {spans:?}"
         );
         c.shutdown().unwrap();
+    }
+
+    type Part = EnginePartition<GridIndex>;
+
+    fn engine() -> AssignmentEngine<GridIndex> {
+        AssignmentEngine::new(GridIndex::new(Rect::unit(), 0.2), EngineConfig::default())
+    }
+
+    fn tempdir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "rdbsc-protocol-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn open_durable(dir: &Path, wal_config: WalConfig) -> Part {
+        let make_index = || GridIndex::new(Rect::unit(), 0.2);
+        Part::open_durable(dir, wal_config, EngineConfig::default(), make_index)
+            .unwrap()
+            .0
+    }
+
+    /// A fresh durable partition whose segment files come from `wrap`.
+    fn durable_with<F: crate::wal::WalFile + 'static>(
+        dir: &Path,
+        mut wrap: impl FnMut(std::fs::File) -> F + Send + 'static,
+    ) -> Part {
+        let factory: crate::wal::SegmentFactory = Box::new(move |path| {
+            let file = std::fs::OpenOptions::new().write(true).create_new(true).open(path)?;
+            Ok(Box::new(wrap(file)) as Box<dyn crate::wal::WalFile>)
+        });
+        let (wal, _) = Wal::open_with_factory(dir, WalConfig::default(), factory).unwrap();
+        let mut part = EnginePartition::new(engine());
+        part.wal = Some(wal);
+        part
+    }
+
+    fn batch(round: u32) -> Vec<EngineEvent> {
+        let at = 0.3 + 0.1 * round as f64;
+        vec![
+            EngineEvent::TaskArrived(task(round, at + 0.1, at + 0.1)),
+            EngineEvent::WorkerCheckIn(worker(round, at, at)),
+        ]
+    }
+
+    fn shipped_kinds(part: &mut Part) -> Vec<&'static str> {
+        let shipped = part.repl_fetch(0, 0, 10).unwrap();
+        shipped.iter().map(|(_, record)| record.kind()).collect()
+    }
+
+    /// Runs a tick that must crash the partition; returns the panic message.
+    fn crashing_tick(part: &mut Part, now: f64) -> String {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| part.tick(now)));
+        let panic = outcome.expect_err("the tick must not produce an outcome");
+        panic.downcast_ref::<String>().expect("panic message").clone()
+    }
+
+    /// A segment file whose `sync` announces itself, then waits to be
+    /// released — the disk that is slower than the engine round.
+    struct GatedFile {
+        file: std::fs::File,
+        entered: Sender<()>,
+        release: Arc<std::sync::Mutex<Receiver<()>>>,
+        order: Arc<std::sync::Mutex<Vec<&'static str>>>,
+    }
+
+    impl crate::wal::WalFile for GatedFile {
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            std::io::Write::write_all(&mut self.file, buf)
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.order.lock().unwrap().push("sync entered");
+            self.entered.send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+            self.file.sync_data()?;
+            self.order.lock().unwrap().push("sync done");
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn tick_outcome_waits_for_the_overlapped_fsync() {
+        let dir = tempdir("gated");
+        let (entered_tx, entered) = channel();
+        let (release, release_rx) = channel();
+        let release_rx = Arc::new(std::sync::Mutex::new(release_rx));
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let file_order = Arc::clone(&order);
+        let mut part = durable_with(&dir, move |file| GatedFile {
+            file,
+            entered: entered_tx.clone(),
+            release: Arc::clone(&release_rx),
+            order: Arc::clone(&file_order),
+        });
+        part.enable_replication();
+        part.submit(batch(0));
+
+        let (returned_tx, returned) = channel();
+        let tick_order = Arc::clone(&order);
+        let ticking = std::thread::spawn(move || {
+            let tick = part.tick(0.0);
+            tick_order.lock().unwrap().push("tick returned");
+            returned_tx.send(()).unwrap();
+            (part, tick)
+        });
+        // The sync is in flight and the engine round runs beside it, but
+        // with the disk held the tick cannot return: a correct partition
+        // waits here for as long as we care to hold it.
+        entered.recv().unwrap();
+        assert!(
+            returned.recv_timeout(std::time::Duration::from_millis(300)).is_err(),
+            "tick returned while its fsync was still in flight"
+        );
+        release.send(()).unwrap();
+        let (mut part, tick) = ticking.join().unwrap();
+        assert_eq!(*order.lock().unwrap(), ["sync entered", "sync done", "tick returned"]);
+        assert_eq!(tick.report.new_assignments.len(), 1);
+        assert_eq!(part.wal_stats().unwrap().fsyncs, 1);
+
+        // Durable now, hence shippable: the stream ends with this tick.
+        assert_eq!(shipped_kinds(&mut part), ["events", "tick"]);
+        drop(part);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_overlapped_fsync_panics_and_recovers_the_durable_prefix() {
+        use crate::wal::{FailpointWriter, FaultPlan};
+        let dir = tempdir("syncfail");
+        let plan = FaultPlan::new();
+        let file_plan = plan.clone();
+        let mut part = durable_with(&dir, move |file| {
+            FailpointWriter::new(file, file_plan.clone())
+        });
+        part.enable_replication();
+        let mut oracle = EnginePartition::new(engine());
+        for p in [&mut part, &mut oracle] {
+            p.submit(batch(0));
+            p.tick(0.0);
+        }
+
+        // The disk goes away: nothing offered from here on persists, and
+        // the next sync says so.
+        plan.persist_at_most(plan.bytes_offered());
+        plan.fail_sync();
+        part.submit(batch(1));
+        let message = crashing_tick(&mut part, 1.0);
+        assert!(message.contains("crash-and-recover"), "{message}");
+        // The failed tick never became shippable.
+        assert_eq!(shipped_kinds(&mut part), ["events", "tick", "events"]);
+        drop(part);
+
+        let recovered = open_durable(&dir, WalConfig::default());
+        assert_eq!(recovered.state_digest(), oracle.state_digest());
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oversize_checkpoint_crashes_the_partition_with_its_log_intact() {
+        let dir = tempdir("oversize");
+        let wal_config = WalConfig {
+            checkpoint_every_ticks: 2,
+            ..WalConfig::default()
+        };
+        let mut part = open_durable(&dir, wal_config);
+        let mut oracle = EnginePartition::new(engine());
+        for p in [&mut part, &mut oracle] {
+            p.submit(batch(0));
+            p.tick(0.0);
+            p.submit(batch(1));
+        }
+        oracle.tick(1.0);
+        let checkpoint = crate::wal::encode_record(&WalRecord::Checkpoint(oracle.dump_state()));
+        let wal = part.wal.as_mut().unwrap();
+        wal.set_max_record_bytes(checkpoint.len() as u32 - 1);
+
+        // The second tick is durable before its checkpoint is attempted;
+        // the checkpoint is refused, and nothing was retired for it.
+        let message = crashing_tick(&mut part, 1.0);
+        assert!(message.contains("exceeds"), "{message}");
+        assert_eq!(part.wal_stats().unwrap().segments_retired, 0);
+        drop(part);
+
+        let recovered = open_durable(&dir, wal_config);
+        assert_eq!(recovered.state_digest(), oracle.state_digest());
+        let stats = recovered.wal_stats().unwrap();
+        assert!(!stats.recovered_checkpoint);
+        assert_eq!(stats.recovered_records, 4, "two event batches, two ticks");
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wal_stages_cover_the_submit_time_append_and_the_join_wait() {
+        let dir = tempdir("stages");
+        let mut part = open_durable(&dir, WalConfig::default());
+        part.submit(batch(0));
+        assert!(part.submit_append_ns > 0, "submit times its append");
+        let tick = part.tick(0.0);
+        assert_eq!(part.submit_append_ns, 0, "the tick took the submit-time append over");
+        assert!(tick.report.stages.wal_append_us > 0);
+
+        // A non-durable partition enters neither stage.
+        let mut plain = EnginePartition::new(engine());
+        plain.submit(batch(0));
+        let tick = plain.tick(0.0);
+        assert_eq!(tick.report.stages.wal_append_us, 0);
+        assert_eq!(tick.report.stages.wal_fsync_us, 0);
+        drop(part);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

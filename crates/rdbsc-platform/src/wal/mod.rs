@@ -32,9 +32,13 @@
 //! ([`WalConfig::fsync_on_tick`]), so one `fsync` amortises over a whole
 //! micro-batch of events — the classic group-commit trade: a crash may
 //! lose the commands *after* the last tick boundary, never a prefix hole.
-//! A tick logged-but-not-applied is recomputed identically on replay (its
-//! reply was never externalised), which is what makes write-ahead redo
-//! sound here.
+//! The contract is that a tick is logged and fsynced **before its outcome
+//! leaves the partition**, not before the engine runs: the partition
+//! starts [`Wal::sync`] on a scoped thread, runs the engine round beside
+//! it, and joins before it builds the reply, writes a checkpoint or
+//! publishes the tick for shipping. A tick logged-but-not-acknowledged is
+//! recomputed identically on replay (its reply was never externalised),
+//! which is what makes write-ahead redo sound here.
 //!
 //! ## Recovery invariant
 //!
@@ -84,6 +88,15 @@ pub enum WalError {
     Io(io::Error),
     /// Bytes that should have been a record (or header) were not.
     Corrupt(String),
+    /// A record's payload exceeds [`MAX_RECORD_BYTES`]. Recovery rejects
+    /// such a frame as a torn tail, so it is refused before a byte of it is
+    /// written (and before a checkpoint retires anything).
+    RecordTooLarge {
+        /// The encoded payload size.
+        bytes: u64,
+        /// The limit it exceeds.
+        limit: u32,
+    },
 }
 
 impl std::fmt::Display for WalError {
@@ -91,6 +104,9 @@ impl std::fmt::Display for WalError {
         match self {
             WalError::Io(e) => write!(f, "wal i/o error: {e}"),
             WalError::Corrupt(what) => write!(f, "wal corruption: {what}"),
+            WalError::RecordTooLarge { bytes, limit } => {
+                write!(f, "wal record of {bytes} bytes exceeds the {limit}-byte limit")
+            }
         }
     }
 }
@@ -599,6 +615,11 @@ pub struct Wal {
     next_lsn: u64,
     stats: WalStats,
     dirty: bool,
+    /// The one buffer every record is framed in: header reserved, payload
+    /// encoded in place, length/CRC/lsn patched, then a single `write_all`.
+    frame: Encoder,
+    /// [`MAX_RECORD_BYTES`], lowered only by tests.
+    max_record_bytes: u32,
 }
 
 impl Wal {
@@ -647,6 +668,8 @@ impl Wal {
                 ..WalStats::default()
             },
             dirty: false,
+            frame: Encoder::new(),
+            max_record_bytes: MAX_RECORD_BYTES,
         };
         wal.start_segment(seqno)?;
         Ok((wal, scan))
@@ -669,24 +692,36 @@ impl Wal {
         Ok(())
     }
 
-    /// Appends one record, rotating first if the current segment is full.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        if self.segment_bytes >= self.config.segment_bytes
-            && self.segment_bytes > HEADER_BYTES as u64
-        {
+    /// Frames and appends the record `encode` writes, rotating first if the
+    /// current segment is full (`fresh_segment`: rotate unless it is empty).
+    /// The payload is encoded and size-checked before anything touches the
+    /// file, so an oversize record leaves the log exactly as it was.
+    fn append_with(
+        &mut self,
+        fresh_segment: bool,
+        encode: impl FnOnce(&mut Encoder),
+    ) -> Result<(), WalError> {
+        self.frame.buf.clear();
+        self.frame.buf.resize(FRAME_HEADER_BYTES, 0);
+        encode(&mut self.frame);
+        let payload_bytes = self.frame.buf.len() - FRAME_HEADER_BYTES;
+        if payload_bytes as u64 > self.max_record_bytes as u64 {
+            return Err(WalError::RecordTooLarge {
+                bytes: payload_bytes as u64,
+                limit: self.max_record_bytes,
+            });
+        }
+        let full = fresh_segment || self.segment_bytes >= self.config.segment_bytes;
+        if full && self.segment_bytes > HEADER_BYTES as u64 {
             self.sync()?;
             self.start_segment(self.seqno + 1)?;
         }
-        let payload = encode_record(record);
-        debug_assert!(payload.len() as u64 <= MAX_RECORD_BYTES as u64);
-        let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&[0u8; 4]); // crc placeholder
-        frame.extend_from_slice(&self.next_lsn.to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let frame = &mut self.frame.buf;
+        frame[0..4].copy_from_slice(&(payload_bytes as u32).to_le_bytes());
+        frame[8..16].copy_from_slice(&self.next_lsn.to_le_bytes());
         let crc = crc32(&frame[8..]);
         frame[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.file.write_all(&frame)?;
+        self.file.write_all(frame)?;
         self.segment_bytes += frame.len() as u64;
         self.stats.bytes_appended += frame.len() as u64;
         self.stats.records_appended += 1;
@@ -695,40 +730,17 @@ impl Wal {
         Ok(())
     }
 
+    /// Appends one record, rotating first if the current segment is full.
+    pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
+        self.append_with(false, |e| e.record(record))
+    }
+
     /// Logs a routed event batch (no-op for an empty batch).
     pub fn append_events(&mut self, events: &[EngineEvent]) -> Result<(), WalError> {
         if events.is_empty() {
             return Ok(());
         }
-        self.append(&WalRecord::Events(events.to_vec()))
-    }
-
-    /// Logs a tick command and, per [`WalConfig::fsync_on_tick`], forces
-    /// everything logged so far to stable storage — the group-commit
-    /// boundary: commands up to here survive any later crash.
-    pub fn append_tick(&mut self, now: f64) -> Result<(), WalError> {
-        self.append(&WalRecord::Tick { now })?;
-        if self.config.fsync_on_tick {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Logs a banked answer.
-    pub fn append_answer(
-        &mut self,
-        worker: WorkerId,
-        contribution: Contribution,
-    ) -> Result<(), WalError> {
-        self.append(&WalRecord::Answer {
-            worker,
-            contribution,
-        })
-    }
-
-    /// Logs a worker release.
-    pub fn append_release(&mut self, worker: WorkerId) -> Result<(), WalError> {
-        self.append(&WalRecord::Release { worker })
+        self.append_with(false, |e| e.events_record(events))
     }
 
     /// Logs a checkpoint of `state` taken at engine tick `tick`, fsyncs it,
@@ -741,11 +753,7 @@ impl Wal {
         state: &PartitionState,
         tick: u64,
     ) -> Result<(), WalError> {
-        if self.segment_bytes > HEADER_BYTES as u64 {
-            self.sync()?;
-            self.start_segment(self.seqno + 1)?;
-        }
-        self.append(&WalRecord::Checkpoint(state.clone()))?;
+        self.append_with(true, |e| e.checkpoint_record(state))?;
         self.sync()?;
         self.stats.checkpoints += 1;
         self.stats.last_checkpoint_tick = tick;
@@ -767,6 +775,12 @@ impl Wal {
             self.dirty = false;
         }
         Ok(())
+    }
+
+    /// Lowers the record size limit so a test can trip it with small data.
+    #[cfg(test)]
+    pub(crate) fn set_max_record_bytes(&mut self, limit: u32) {
+        self.max_record_bytes = limit;
     }
 
     /// Point-in-time log counters.
@@ -827,8 +841,8 @@ mod tests {
         let (mut wal, scan) = Wal::open(&dir, WalConfig::default()).unwrap();
         assert!(scan.records.is_empty());
         wal.append_events(&[task_event(0), task_event(1)]).unwrap();
-        wal.append_tick(0.5).unwrap();
-        wal.append_release(WorkerId(3)).unwrap();
+        wal.append(&WalRecord::Tick { now: 0.5 }).unwrap();
+        wal.append(&WalRecord::Release { worker: WorkerId(3) }).unwrap();
         wal.sync().unwrap();
         let stats = wal.stats();
         assert_eq!(stats.records_appended, 3);
@@ -918,7 +932,7 @@ mod tests {
         for i in 0..12 {
             wal.append_events(&[task_event(i)]).unwrap();
         }
-        wal.append_tick(1.5).unwrap();
+        wal.append(&WalRecord::Tick { now: 1.5 }).unwrap();
         wal.sync().unwrap();
         drop(wal);
 
@@ -978,8 +992,6 @@ mod tests {
 
     #[test]
     fn checkpoints_retire_older_segments() {
-        use crate::engine::{AssignmentEngine, EngineConfig};
-        use rdbsc_index::GridIndex;
         let dir = tempdir("retire");
         let config = WalConfig {
             segment_bytes: 200,
@@ -992,16 +1004,7 @@ mod tests {
         let before = wal.stats().segments;
         assert!(before > 2);
 
-        let engine: AssignmentEngine<GridIndex> = AssignmentEngine::new(
-            GridIndex::new(rdbsc_geo::Rect::unit(), 0.25),
-            EngineConfig::default(),
-        );
-        let state = PartitionState {
-            last_now: 1.0,
-            events_applied: 30,
-            total_assignments: 0,
-            engine: engine.dump_state(),
-        };
+        let state = sample_state(30);
         wal.append_checkpoint(&state, 7).unwrap();
         let stats = wal.stats();
         assert_eq!(stats.segments, 1, "only the checkpoint's segment survives");
@@ -1018,6 +1021,178 @@ mod tests {
         assert_eq!(recovered.events_applied, 30);
         assert_eq!(recovered.digest(), state.digest());
         assert!(tail.is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn sample_state(events_applied: u64) -> PartitionState {
+        use crate::engine::{AssignmentEngine, EngineConfig};
+        use rdbsc_index::GridIndex;
+        let mut engine: AssignmentEngine<GridIndex> = AssignmentEngine::new(
+            GridIndex::new(rdbsc_geo::Rect::unit(), 0.25),
+            EngineConfig::default(),
+        );
+        engine.submit_all((0..events_applied as u32).map(task_event));
+        engine.tick(1.0);
+        PartitionState {
+            last_now: 1.0,
+            events_applied,
+            total_assignments: 0,
+            engine: engine.dump_state(),
+        }
+    }
+
+    /// A [`WalFile`] that keeps every byte written to it, per segment path,
+    /// so the test still sees segments a checkpoint has retired.
+    struct CaptureFile(PathBuf, std::sync::Arc<std::sync::Mutex<CapturedSegments>>);
+    type CapturedSegments = std::collections::BTreeMap<PathBuf, Vec<u8>>;
+    impl WalFile for CaptureFile {
+        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+            let mut captured = self.1.lock().unwrap();
+            captured.entry(self.0.clone()).or_default().extend_from_slice(buf);
+            Ok(())
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The framing this module used before records were encoded in place:
+    /// `encode_record` into its own buffer, a second buffer for the frame,
+    /// the bytewise CRC, rotation decided record by record.
+    struct ReferenceLog {
+        segments: Vec<Vec<u8>>,
+        next_lsn: u64,
+        segment_bytes: usize,
+    }
+    impl ReferenceLog {
+        fn start_segment(&mut self) {
+            let mut header = SEGMENT_MAGIC.to_vec();
+            header.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
+            header.extend_from_slice(&(self.segments.len() as u64).to_le_bytes());
+            header.extend_from_slice(&self.next_lsn.to_le_bytes());
+            self.segments.push(header);
+        }
+        fn append(&mut self, record: &WalRecord) {
+            let current = self.segments.last().unwrap().len();
+            let full = matches!(record, WalRecord::Checkpoint(_)) || current >= self.segment_bytes;
+            if full && current > HEADER_BYTES {
+                self.start_segment();
+            }
+            let payload = encode_record(record);
+            let mut checked = self.next_lsn.to_le_bytes().to_vec();
+            checked.extend_from_slice(&payload);
+            let segment = self.segments.last_mut().unwrap();
+            segment.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            segment.extend_from_slice(&codec::crc32_bytewise(&checked).to_le_bytes());
+            segment.extend_from_slice(&checked);
+            self.next_lsn += 1;
+        }
+    }
+
+    #[test]
+    fn in_place_framing_writes_the_same_segment_bytes() {
+        let dir = tempdir("identity");
+        let config = WalConfig {
+            segment_bytes: 300, // rotate every few records
+            ..WalConfig::default()
+        };
+        let captured = std::sync::Arc::new(std::sync::Mutex::new(CapturedSegments::new()));
+        let sink = std::sync::Arc::clone(&captured);
+        let factory: SegmentFactory = Box::new(move |path| {
+            Ok(Box::new(CaptureFile(path.to_path_buf(), std::sync::Arc::clone(&sink)))
+                as Box<dyn WalFile>)
+        });
+        let (mut wal, _) = Wal::open_with_factory(&dir, config, factory).unwrap();
+        let mut reference = ReferenceLog {
+            segments: Vec::new(),
+            next_lsn: 0,
+            segment_bytes: 300,
+        };
+        reference.start_segment();
+
+        let contribution = Contribution {
+            confidence: rdbsc_model::Confidence::new(0.9).unwrap(),
+            angle: 1.25,
+            arrival: 3.5,
+        };
+        let state = sample_state(9);
+        for round in 0..6u32 {
+            let events: Vec<EngineEvent> = (0..=round).map(|i| task_event(round * 10 + i)).collect();
+            wal.append_events(&events).unwrap();
+            reference.append(&WalRecord::Events(events));
+            for record in [
+                WalRecord::Tick { now: round as f64 },
+                WalRecord::Answer {
+                    worker: WorkerId(round),
+                    contribution,
+                },
+                WalRecord::Release {
+                    worker: WorkerId(round + 1),
+                },
+                WalRecord::ReplMeta {
+                    acked: round as u64,
+                    sealed: round == 5,
+                },
+            ] {
+                wal.append(&record).unwrap();
+                reference.append(&record);
+            }
+            if round % 3 == 2 {
+                wal.append_checkpoint(&state, round as u64).unwrap();
+                reference.append(&WalRecord::Checkpoint(state.clone()));
+            }
+        }
+        wal.append_events(&[]).unwrap(); // an empty batch logs nothing
+
+        let captured = captured.lock().unwrap();
+        assert!(reference.segments.len() > 4, "rotation expected");
+        assert_eq!(captured.len(), reference.segments.len());
+        for (seqno, expected) in reference.segments.iter().enumerate() {
+            let written = &captured[&segment_path(&dir, seqno as u64)];
+            assert_eq!(written, expected, "segment {seqno}");
+        }
+        assert_eq!(wal.stats().records_appended, reference.next_lsn);
+        let total: usize = reference.segments.iter().map(Vec::len).sum();
+        assert_eq!(wal.stats().bytes_appended, total as u64);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oversize_records_are_refused_before_anything_is_written_or_retired() {
+        let dir = tempdir("oversize");
+        let config = WalConfig {
+            segment_bytes: 200,
+            ..WalConfig::default()
+        };
+        let (mut wal, _) = Wal::open(&dir, config).unwrap();
+        for i in 0..12 {
+            wal.append_events(&[task_event(i)]).unwrap();
+        }
+        wal.sync().unwrap();
+        let before = wal.stats();
+        assert!(before.segments > 2);
+        let files_before: Vec<_> = list_segments(&dir).unwrap();
+
+        let state = sample_state(12);
+        let payload = encode_record(&WalRecord::Checkpoint(state.clone())).len() as u64;
+        wal.set_max_record_bytes(payload as u32 - 1);
+        match wal.append_checkpoint(&state, 3) {
+            Err(WalError::RecordTooLarge { bytes, limit }) => {
+                assert_eq!((bytes, limit as u64), (payload, payload - 1));
+            }
+            other => panic!("expected RecordTooLarge, got {other:?}"),
+        }
+        // Nothing happened: same files, same counters, and the log still
+        // takes records that fit.
+        assert_eq!(wal.stats(), before);
+        assert_eq!(list_segments(&dir).unwrap(), files_before);
+        wal.append_events(&[task_event(99)]).unwrap();
+        wal.set_max_record_bytes(payload as u32);
+        wal.append_checkpoint(&state, 3).unwrap();
+        drop(wal);
+        let scan = scan_dir(&dir).unwrap();
+        assert!(!scan.found_damage());
+        assert_eq!(scan.recovery_plan().0.map(PartitionState::digest), Some(state.digest()));
         fs::remove_dir_all(&dir).unwrap();
     }
 
