@@ -29,7 +29,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdbsc_platform::EngineEvent;
+use rdbsc_cluster::RegionPartitioner;
+use rdbsc_index::geometry::GridGeometry;
+use rdbsc_index::GridIndex;
+use rdbsc_platform::{AssignmentEngine, EngineEvent, EngineHandle, PartitionedEngine};
 use rdbsc_server::dto::{AssignmentDto, SnapshotDto, TaskDto, WorkerDto};
 use rdbsc_server::json::Json;
 use rdbsc_server::{HttpClient, PartitionDaemon, PartitiondConfig, Server, ServerConfig};
@@ -210,16 +213,31 @@ fn run_verify(seed: u64, partitions: usize, remote_partitions: usize) -> Result<
         remote_partitions: remote_addrs,
         ..ServerConfig::default()
     };
-    // The offline replica is the identically partitioned engine the server
-    // config describes, but deliberately all-in-process and on the *classic
-    // grid* backend while the spawned server serves on its default flat
-    // backend (and, with --remote-partitions, over the wire) — so this
-    // equivalence check exercises the spatial-index layer's cross-backend
-    // determinism contract, the partition router's determinism on top of
-    // it, and the partition protocol's wire fidelity all at once.
-    let mut offline_config = config.clone();
-    offline_config.backend = rdbsc_index::IndexBackend::Grid;
-    offline_config.remote_partitions = Vec::new();
+    // The offline replica is the region split the server config describes,
+    // but deliberately all-in-process and on the *reference grid* while the
+    // spawned server runs the flat serving index (and, with
+    // --remote-partitions, over the wire) — so this equivalence check
+    // exercises the index determinism contract, the partition router's
+    // determinism on top of it, and the partition protocol's wire fidelity
+    // all at once. One region is a plain engine over the whole area, as in
+    // the server.
+    let cell_size = config.cell_size;
+    let offline_handle: EngineHandle = if partitions <= 1 {
+        EngineHandle::new(AssignmentEngine::new(
+            GridIndex::new(config.area, cell_size),
+            config.engine.clone(),
+        ))
+    } else {
+        EngineHandle::new_partitioned(PartitionedEngine::build(
+            RegionPartitioner::uniform().split(
+                GridGeometry::new(config.area, cell_size),
+                partitions,
+                &[],
+            ),
+            config.engine.clone(),
+            |rect| GridIndex::new(rect, cell_size),
+        ))
+    };
     let server = Server::start(config).map_err(|e| format!("server start: {e}"))?;
     let mut client = HttpClient::new(server.addr());
 
@@ -256,9 +274,6 @@ fn run_verify(seed: u64, partitions: usize, remote_partitions: usize) -> Result<
         .collect::<Result<_, _>>()?;
 
     // The identical stream, straight into the offline replica.
-    let offline_handle = offline_config
-        .build_handle()
-        .map_err(|e| format!("offline replica: {e}"))?;
     for t in &tasks {
         offline_handle.submit(EngineEvent::TaskArrived(
             t.clone().into_task().map_err(|e| e.to_string())?,

@@ -35,7 +35,7 @@ use rand::{Rng, SeedableRng};
 use rdbsc_cluster::{RegionPartition, RegionPartitioner};
 use rdbsc_geo::{Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
-use rdbsc_index::IndexBackend;
+use rdbsc_index::FlatGridIndex;
 use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_obs::digest::Fnv1a;
 use rdbsc_platform::{
@@ -48,7 +48,6 @@ use rdbsc_workloads::{generate_metro_instance, MetroConfig};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 const CELL_SIZE: f64 = 0.05;
-const BACKEND: IndexBackend = IndexBackend::FlatGrid;
 
 struct Args {
     smoke: bool,
@@ -233,7 +232,7 @@ struct RunResult {
 /// The plain-engine baseline: no router at all.
 fn run_plain(args: &Args, script: &Script) -> RunResult {
     let mut engine = AssignmentEngine::new(
-        BACKEND.build(Rect::unit(), CELL_SIZE),
+        FlatGridIndex::new(Rect::unit(), CELL_SIZE),
         EngineConfig {
             seed: args.seed,
             parallelism: 1,
@@ -301,7 +300,6 @@ fn run_routed(
                 &daemon.addr().to_string(),
                 &partition,
                 region,
-                BACKEND,
                 CELL_SIZE,
                 &engine_config,
                 None,
@@ -311,7 +309,7 @@ fn run_routed(
             clients.push(client);
         } else {
             let engine = AssignmentEngine::new(
-                BACKEND.build(partition.region_rect(region), CELL_SIZE),
+                FlatGridIndex::new(partition.region_rect(region), CELL_SIZE),
                 engine_config.clone(),
             );
             clients.push(Box::new(InProcessClient::spawn(region, engine)));
@@ -504,7 +502,6 @@ fn main() {
             ("initial_tasks", Json::Num(args.tasks as f64)),
             ("workers", Json::Num(args.workers as f64)),
             ("total_events", Json::Num(script.total_events as f64)),
-            ("backend", Json::Str(BACKEND.name().into())),
             ("engine_parallelism", Json::Num(1.0)),
             ("router_overhead_1p", Json::Num(overhead_1p)),
             ("router_overhead_2p", Json::Num(overhead_2p)),

@@ -14,80 +14,7 @@
 //! module solves it numerically (and also offers a simple grid-search
 //! minimiser of the full cost, used as a cross-check in tests).
 
-use crate::traits::DynSpatialIndex;
 use rdbsc_geo::{Point, Rect};
-
-/// The spatial-index backends the system can run on (see
-/// [`crate::SpatialIndex`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexBackend {
-    /// The paper's RDB-SC-Grid ([`crate::GridIndex`]): `BTreeSet` occupancy
-    /// sets and eager per-event summary repair.
-    Grid,
-    /// The flat dense grid ([`crate::FlatGridIndex`]): slot-arena storage,
-    /// O(1) relocation, lazy batched summary repair.
-    FlatGrid,
-}
-
-impl IndexBackend {
-    /// The backend's stable name, matching
-    /// [`crate::SpatialIndex::backend_name`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            IndexBackend::Grid => "grid",
-            IndexBackend::FlatGrid => "flat-grid",
-        }
-    }
-
-    /// Parses a backend name (`"grid"` / `"flat-grid"`, with `"flat"`
-    /// accepted as an alias).
-    pub fn parse(name: &str) -> Option<IndexBackend> {
-        match name {
-            "grid" => Some(IndexBackend::Grid),
-            "flat-grid" | "flat" => Some(IndexBackend::FlatGrid),
-            _ => None,
-        }
-    }
-
-    /// Builds an empty boxed index of this backend over `space` with cell
-    /// side `eta`.
-    pub fn build(&self, space: Rect, eta: f64) -> DynSpatialIndex {
-        match self {
-            IndexBackend::Grid => Box::new(crate::GridIndex::new(space, eta)),
-            IndexBackend::FlatGrid => Box::new(crate::FlatGridIndex::new(space, eta)),
-        }
-    }
-}
-
-/// The workload shape the backend-selection heuristic reads: how crowded the
-/// cells are and how hard the objects churn.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadProfile {
-    /// Expected live objects (tasks + workers) per *occupied* cell.
-    pub objects_per_cell: f64,
-    /// Expected cross-cell relocations per object per engine tick (1.0 =
-    /// every object changes cell every tick; 0.0 = static).
-    pub churn_per_object: f64,
-}
-
-/// Picks the index backend for a workload: **object density × churn rate**.
-///
-/// The grid backend pays `O(cell population)` eager summary repair plus
-/// occupancy-set churn on *every* cross-cell move, so its per-tick
-/// maintenance cost scales with `density × churn`. The flat backend batches
-/// repair per touched cell and relocates in O(1), but carries slightly more
-/// fixed machinery (occupancy compaction, dirty lists) that near-static
-/// sparse workloads never amortise. The crossover is well below one repaired
-/// object per cell per tick, so anything that *moves* should run flat; the
-/// classic grid remains the choice for mostly-static snapshot analysis.
-pub fn choose_backend(profile: &WorkloadProfile) -> IndexBackend {
-    let score = profile.objects_per_cell.max(0.0) * profile.churn_per_object.max(0.0);
-    if score >= 0.05 {
-        IndexBackend::FlatGrid
-    } else {
-        IndexBackend::Grid
-    }
-}
 
 /// Parameters of the grid cost model.
 #[derive(Debug, Clone, Copy)]
@@ -248,46 +175,6 @@ pub fn estimate_fractal_dimension(points: &[Point], space: Rect) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_choice_follows_density_times_churn() {
-        // Static snapshot analysis: the classic grid.
-        let static_profile = WorkloadProfile {
-            objects_per_cell: 20.0,
-            churn_per_object: 0.0,
-        };
-        assert_eq!(choose_backend(&static_profile), IndexBackend::Grid);
-        // Sparse near-static serving: still grid.
-        let sparse = WorkloadProfile {
-            objects_per_cell: 0.5,
-            churn_per_object: 0.05,
-        };
-        assert_eq!(choose_backend(&sparse), IndexBackend::Grid);
-        // Worker-movement-heavy serving: flat.
-        let heavy = WorkloadProfile {
-            objects_per_cell: 4.0,
-            churn_per_object: 0.5,
-        };
-        assert_eq!(choose_backend(&heavy), IndexBackend::FlatGrid);
-    }
-
-    #[test]
-    fn backend_names_round_trip() {
-        for backend in [IndexBackend::Grid, IndexBackend::FlatGrid] {
-            assert_eq!(IndexBackend::parse(backend.name()), Some(backend));
-        }
-        assert_eq!(IndexBackend::parse("flat"), Some(IndexBackend::FlatGrid));
-        assert_eq!(IndexBackend::parse("r-tree"), None);
-    }
-
-    #[test]
-    fn built_backends_report_their_names() {
-        use crate::SpatialIndex;
-        for backend in [IndexBackend::Grid, IndexBackend::FlatGrid] {
-            let index = backend.build(Rect::unit(), 0.25);
-            assert_eq!(index.backend_name(), backend.name());
-        }
-    }
 
     #[test]
     fn update_cost_decreases_then_increases_in_eta() {

@@ -1,4 +1,5 @@
-//! A flat dense-grid backend optimised for worker-movement-heavy workloads.
+//! The serving index: a flat dense grid built for worker-movement-heavy
+//! workloads.
 //!
 //! [`FlatGridIndex`] keeps the RDB-SC-Grid cell layout (shared
 //! [`crate::geometry`]) but swaps the bookkeeping around it, following the
@@ -23,10 +24,9 @@
 //!   unchanged (the list is a pure function of the summaries, so an
 //!   unchanged summary proves the list is still exact).
 //!
-//! The backend honours the cross-backend determinism contract (see
-//! [`crate::traits`]): for the same `(space, η)` and live state it yields
-//! candidate sequences and shard decompositions identical to
-//! [`crate::GridIndex`]'s.
+//! The index honours the determinism contract (see [`crate::traits`]): for
+//! the same `(space, η)` and live state it yields candidate sequences and
+//! shard decompositions identical to the reference [`crate::GridIndex`]'s.
 
 use crate::geometry::GridGeometry;
 use crate::shard::{extract_shards_via, ProblemShard};
@@ -263,7 +263,6 @@ fn detach<Id: Ord + Copy>(ids: &mut Vec<Id>, slots: &mut Vec<u32>, id: Id) {
 ///     TimeWindow::new(0.0, 5.0).unwrap(),
 /// ));
 /// assert_eq!(index.num_tasks(), 1);
-/// assert_eq!(index.backend_name(), "flat-grid");
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlatGridIndex {
@@ -359,10 +358,6 @@ impl FlatGridIndex {
 }
 
 impl SpatialIndex for FlatGridIndex {
-    fn backend_name(&self) -> &'static str {
-        "flat-grid"
-    }
-
     fn depart_at(&self) -> f64 {
         self.depart_at
     }

@@ -17,9 +17,9 @@
 //! `O(worker_cells · changed_cells)` instead of the full
 //! `O(worker_cells · cells)` rebuild the seed implementation performed.
 //!
-//! `GridIndex` is one backend of the [`SpatialIndex`] abstraction; see
-//! [`crate::FlatGridIndex`] for the dense-cell alternative optimised for
-//! worker-movement-heavy workloads.
+//! `GridIndex` is the reference implementation of [`SpatialIndex`]: the
+//! figure harness reproduces the paper on it and the differential tests hold
+//! [`crate::FlatGridIndex`], the index the serving stack runs, to its output.
 
 use crate::cost_model::{optimal_eta, CostModelParams};
 use crate::geometry::GridGeometry;
@@ -710,9 +710,6 @@ impl CellTopology for GridIndex {
 }
 
 impl SpatialIndex for GridIndex {
-    fn backend_name(&self) -> &'static str {
-        "grid"
-    }
     fn depart_at(&self) -> f64 {
         self.depart_at
     }

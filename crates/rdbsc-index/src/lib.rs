@@ -1,15 +1,16 @@
 //! # rdbsc-index
 //!
-//! The pluggable spatial-index layer: a [`SpatialIndex`] trait covering the
-//! full maintenance + query surface the online engine uses, with two
-//! backends — the paper's cost-model-based grid (**RDB-SC-Grid**, Section 7)
-//! and a flat dense grid optimised for worker-movement-heavy workloads —
-//! plus incremental maintenance and spatial sharding shared across them.
+//! The spatial-index layer: one serving index, [`FlatGridIndex`] — a flat
+//! dense grid built for worker-movement-heavy workloads — and the paper's
+//! cost-model-based grid (**RDB-SC-Grid**, Section 7), [`GridIndex`], kept
+//! as the reference the experiments reproduce and the oracle the tests
+//! compare the serving index against. Both implement the [`SpatialIndex`]
+//! trait and share their geometry, pruning and shard extraction.
 //!
-//! Every backend partitions the data space into square cells of side `η`,
-//! stores per-cell task and worker lists together with summary bounds
+//! Both partition the data space into square cells of side `η`,
+//! store per-cell task and worker lists together with summary bounds
 //! (maximum worker speed, angular hull of worker headings, latest task
-//! deadline), and maintains for every cell a `tcell_list` — the cells that
+//! deadline), and maintain for every cell a `tcell_list` — the cells that
 //! are *reachable* for at least one of its workers. Cell-level pruning
 //! (minimum inter-cell distance over maximum speed vs. the latest deadline,
 //! plus an angular-hull test) keeps the lists small, which makes retrieving
@@ -18,19 +19,19 @@
 //!
 //! The capabilities on top of that structure:
 //!
-//! * **The [`SpatialIndex`] abstraction** ([`traits`]): insert/remove/
+//! * **The [`SpatialIndex`] trait** ([`traits`]): insert/remove/
 //!   relocate tasks and workers, pruned candidate retrieval, shard
-//!   extraction and maintenance counters — backend-generic, with a
-//!   cross-backend determinism contract (identical candidate sequences and
-//!   shard decompositions for the same live state).
-//! * **Two backends**: [`GridIndex`] ([`grid`]) with `BTreeSet` occupancy
-//!   sets and eager per-event summary repair, and [`FlatGridIndex`]
-//!   ([`flat`]) with slot-arena storage behind generational handles, O(1)
-//!   relocation and lazy batched summary repair.
-//! * **Cost-model `η` and backend selection** ([`cost_model`]): the cell
-//!   side is chosen by minimising the expected update cost of Appendix I
-//!   (via the correlation fractal dimension of the task distribution), and
-//!   [`choose_backend`] picks a backend from object density × churn rate.
+//!   extraction and maintenance counters, with a determinism contract
+//!   (identical candidate sequences and shard decompositions for the same
+//!   live state, whichever implementation holds it).
+//! * **The serving index**, [`FlatGridIndex`] ([`flat`]): slot-arena
+//!   storage behind generational handles, O(1) relocation and lazy batched
+//!   summary repair. Every tier of the serving stack runs it by type.
+//! * **The reference**, [`GridIndex`] ([`grid`]): `BTreeSet` occupancy
+//!   sets and eager per-event summary repair, as the paper describes it.
+//! * **Cost-model `η`** ([`cost_model`]): the cell side is chosen by
+//!   minimising the expected update cost of Appendix I (via the
+//!   correlation fractal dimension of the task distribution).
 //! * **Spatial sharding** ([`shard`]): the connected components of the
 //!   cell-reachability relation partition the live instance into independent
 //!   sub-problems that the online engine solves in parallel.
@@ -77,8 +78,8 @@
 //! assert!(shards.is_empty(), "no tasks left, nothing to shard");
 //! ```
 //!
-//! Swap [`FlatGridIndex`] in for the same behaviour with a different cost
-//! profile — see the [`SpatialIndex`] docs for the shared surface.
+//! [`FlatGridIndex`] answers the same calls with the same results — see the
+//! [`SpatialIndex`] docs for the shared surface.
 
 #![deny(missing_docs)]
 
@@ -90,13 +91,8 @@ pub mod shard;
 mod topology;
 pub mod traits;
 
-pub use cost_model::{
-    choose_backend, estimate_fractal_dimension, optimal_eta, update_cost, CostModelParams,
-    IndexBackend, WorkloadProfile,
-};
+pub use cost_model::{estimate_fractal_dimension, optimal_eta, update_cost, CostModelParams};
 pub use flat::FlatGridIndex;
 pub use grid::{GridIndex, GridStats};
 pub use shard::ProblemShard;
-pub use traits::{
-    populate_from_instance, DynSpatialIndex, MaintenanceCounters, SpatialIndex,
-};
+pub use traits::{populate_from_instance, MaintenanceCounters, SpatialIndex};

@@ -1,30 +1,31 @@
-//! The pluggable spatial-index abstraction.
+//! The spatial-index trait.
 //!
 //! [`SpatialIndex`] covers the full maintenance + query surface the online
 //! engine uses: incremental inserts/removals/relocations of tasks and
 //! workers, candidate-pair generation with cell-level pruning,
-//! connected-component shard extraction, and maintenance-cost counters. Any
-//! backend implementing it can be dropped into
-//! `rdbsc_platform::AssignmentEngine`, the serving stack and the benches
-//! without touching them.
+//! connected-component shard extraction, and maintenance-cost counters.
+//! `rdbsc_platform::AssignmentEngine` is generic over it, which is how the
+//! same engine code is driven on the serving index and on the reference.
 //!
-//! Two backends ship today:
+//! Two implementations exist, with different jobs:
 //!
+//! * [`crate::FlatGridIndex`] — the serving index, a flat dense grid in the
+//!   spirit of `flat_spatial`: slot-arena object storage behind generational
+//!   handles, O(1) cross-cell relocation, *lazy* cell-summary repair batched
+//!   into [`SpatialIndex::refresh`], and reachability-list rebuilds skipped
+//!   when a repaired summary turns out unchanged. The server, the partition
+//!   daemon and the benchmark all construct it by name.
 //! * [`crate::GridIndex`] — the paper's RDB-SC-Grid (Section 7): `BTreeSet`
 //!   occupancy sets, eager per-event summary repair, dirty-cell `tcell_list`
-//!   maintenance.
-//! * [`crate::FlatGridIndex`] — a flat dense-grid backend in the spirit of
-//!   `flat_spatial`: slot-arena object storage behind generational handles,
-//!   O(1) cross-cell relocation, *lazy* cell-summary repair batched into
-//!   [`SpatialIndex::refresh`], and reachability-list rebuilds skipped when a
-//!   repaired summary turns out unchanged.
+//!   maintenance. It is what `experiments` reproduces and the oracle the
+//!   differential tests hold the serving index to.
 //!
 //! **Determinism contract.** For the same `(space, η)` and the same live
-//! object set, every backend must produce the *identical* candidate-pair
-//! sequence from [`SpatialIndex::retrieve_valid_pairs`] and the identical
-//! shard decomposition from [`SpatialIndex::extract_shards`] — element order
-//! included. The engine's byte-for-byte reproducibility across backends
-//! rests on this; the cross-backend property tests enforce it.
+//! object set, every implementation must produce the *identical*
+//! candidate-pair sequence from [`SpatialIndex::retrieve_valid_pairs`] and
+//! the identical shard decomposition from [`SpatialIndex::extract_shards`] —
+//! element order included. The engine's byte-for-byte reproducibility rests
+//! on this; the property tests against the reference enforce it.
 
 use crate::shard::ProblemShard;
 use rdbsc_geo::Point;
@@ -64,13 +65,12 @@ impl MaintenanceCounters {
 /// A dynamically maintained spatial index over moving workers and
 /// time-constrained tasks.
 ///
-/// See the [module docs](self) for the backend line-up and the determinism
-/// contract. The trait is object-safe; [`DynSpatialIndex`] is the boxed form
-/// the server uses to pick a backend at runtime.
+/// See the [module docs](self) for the two implementations and the
+/// determinism contract.
 ///
 /// # Examples
 ///
-/// Drive either backend through the common surface:
+/// Drive either implementation through the common surface:
 ///
 /// ```
 /// use rdbsc_geo::{AngleRange, Point, Rect};
@@ -105,15 +105,11 @@ impl MaintenanceCounters {
 /// assert_eq!(grid.maintenance_counters().relocations, 1);
 /// ```
 pub trait SpatialIndex: Send {
-    /// A short, stable backend identifier (`"grid"`, `"flat-grid"`), exposed
-    /// on the server's `/metrics` and snapshot endpoints.
-    fn backend_name(&self) -> &'static str;
-
     /// Time at which assignments depart (workers leave no earlier).
     fn depart_at(&self) -> f64;
 
     /// Sets the departure time. Moving it *backwards* grows reachability, so
-    /// backends must detect the rewind and rebuild their cached pruning
+    /// implementations must detect the rewind and rebuild their cached pruning
     /// state on the next [`SpatialIndex::refresh`].
     fn set_depart_at(&mut self, at: f64);
 
@@ -173,7 +169,7 @@ pub trait SpatialIndex: Send {
     fn refresh(&mut self) -> usize;
 
     /// Retrieves every valid task-and-worker pair using the index's
-    /// cell-level pruning, in the backend-independent deterministic order.
+    /// cell-level pruning, in the contract's deterministic order.
     fn retrieve_valid_pairs(&mut self) -> BipartiteCandidates;
 
     /// Retrieves every valid pair by brute force (no pruning); used to
@@ -189,87 +185,9 @@ pub trait SpatialIndex: Send {
     fn maintenance_counters(&self) -> MaintenanceCounters;
 }
 
-/// A boxed, dynamically chosen spatial index (the server's engine type).
-pub type DynSpatialIndex = Box<dyn SpatialIndex>;
-
-impl<I: SpatialIndex + ?Sized> SpatialIndex for Box<I> {
-    fn backend_name(&self) -> &'static str {
-        (**self).backend_name()
-    }
-    fn depart_at(&self) -> f64 {
-        (**self).depart_at()
-    }
-    fn set_depart_at(&mut self, at: f64) {
-        (**self).set_depart_at(at);
-    }
-    fn allow_wait(&self) -> bool {
-        (**self).allow_wait()
-    }
-    fn set_allow_wait(&mut self, allow: bool) {
-        (**self).set_allow_wait(allow);
-    }
-    fn num_tasks(&self) -> usize {
-        (**self).num_tasks()
-    }
-    fn num_workers(&self) -> usize {
-        (**self).num_workers()
-    }
-    fn task(&self, id: TaskId) -> Option<&Task> {
-        (**self).task(id)
-    }
-    fn worker(&self, id: WorkerId) -> Option<&Worker> {
-        (**self).worker(id)
-    }
-    fn expired_tasks(&self, now: f64) -> Vec<TaskId> {
-        (**self).expired_tasks(now)
-    }
-    fn live_tasks(&self) -> Vec<Task> {
-        (**self).live_tasks()
-    }
-    fn live_workers(&self) -> Vec<Worker> {
-        (**self).live_workers()
-    }
-    fn insert_task(&mut self, task: Task) {
-        (**self).insert_task(task);
-    }
-    fn remove_task(&mut self, id: TaskId) {
-        (**self).remove_task(id);
-    }
-    fn relocate_task(&mut self, id: TaskId, to: Point) {
-        (**self).relocate_task(id, to);
-    }
-    fn insert_worker(&mut self, worker: Worker) {
-        (**self).insert_worker(worker);
-    }
-    fn remove_worker(&mut self, id: WorkerId) {
-        (**self).remove_worker(id);
-    }
-    fn relocate_worker(&mut self, id: WorkerId, to: Point) {
-        (**self).relocate_worker(id, to);
-    }
-    fn refresh(&mut self) -> usize {
-        (**self).refresh()
-    }
-    fn retrieve_valid_pairs(&mut self) -> BipartiteCandidates {
-        (**self).retrieve_valid_pairs()
-    }
-    fn retrieve_valid_pairs_bruteforce(&self) -> BipartiteCandidates {
-        (**self).retrieve_valid_pairs_bruteforce()
-    }
-    fn extract_shards(&mut self, beta: f64) -> Vec<ProblemShard> {
-        (**self).extract_shards(beta)
-    }
-    fn maintenance_counters(&self) -> MaintenanceCounters {
-        (**self).maintenance_counters()
-    }
-}
-
 /// Loads a problem instance into an (empty) index: copies the departure time
 /// and waiting policy, then inserts every task and worker.
-pub fn populate_from_instance<I: SpatialIndex + ?Sized>(
-    index: &mut I,
-    instance: &ProblemInstance,
-) {
+pub fn populate_from_instance<I: SpatialIndex>(index: &mut I, instance: &ProblemInstance) {
     index.set_depart_at(instance.depart_at);
     index.set_allow_wait(instance.allow_wait);
     for task in &instance.tasks {

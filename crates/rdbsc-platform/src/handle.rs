@@ -67,8 +67,6 @@ pub struct EngineSnapshot {
     pub total_assignments: u64,
     /// The online objective over the standing state.
     pub objective: EngineObjective,
-    /// The active spatial-index backend (`"grid"` / `"flat-grid"`).
-    pub backend: &'static str,
     /// The index's cumulative maintenance counters.
     pub index_counters: MaintenanceCounters,
     /// Durable-log counters when the engine runs with a write-ahead log
@@ -182,7 +180,6 @@ impl EngineSnapshot {
             banked_answers: engine.num_banked_answers(),
             total_assignments,
             objective: engine.current_objective(),
-            backend: engine.index().backend_name(),
             index_counters: engine.index().maintenance_counters(),
             wal: None,
         }
@@ -569,30 +566,35 @@ mod tests {
         assert_eq!(snap.total_assignments, 1);
         assert_eq!(snap.banked_answers, 1);
         assert!(snap.objective.min_reliability > 0.0);
-        assert_eq!(snap.backend, "grid");
         assert!(snap.index_counters.tcell_rebuilds > 0);
     }
 
     #[test]
-    fn handle_is_backend_generic() {
-        use rdbsc_index::{DynSpatialIndex, FlatGridIndex};
-        // A flat-backed handle and a boxed (runtime-chosen) handle both
-        // drive the same command API.
-        let flat = EngineHandle::new(AssignmentEngine::new(
-            FlatGridIndex::new(Rect::unit(), 0.2),
-            EngineConfig::default(),
-        ));
-        flat.submit_task(task(0, 0.6, 0.6));
-        flat.check_in(worker(0, 0.5, 0.5));
-        assert_eq!(flat.tick(0.0).new_assignments.len(), 1);
-        assert_eq!(flat.snapshot().backend, "flat-grid");
-
-        let boxed: DynSpatialIndex = Box::new(FlatGridIndex::new(Rect::unit(), 0.2));
-        let handle = EngineHandle::new(AssignmentEngine::new(boxed, EngineConfig::default()));
-        handle.submit_task(task(0, 0.6, 0.6));
-        handle.check_in(worker(0, 0.5, 0.5));
-        assert_eq!(handle.tick(0.0).new_assignments.len(), 1);
-        assert_eq!(handle.snapshot().backend, "flat-grid");
+    fn handle_drives_the_reference_and_the_serving_index_alike() {
+        use rdbsc_index::FlatGridIndex;
+        fn drive<I: SpatialIndex>(index: I) -> (TickReport, EngineSnapshot) {
+            let h = EngineHandle::new(AssignmentEngine::new(index, EngineConfig::default()));
+            h.submit_task(task(0, 0.6, 0.6));
+            h.check_in(worker(0, 0.5, 0.5));
+            h.check_in(worker(1, 0.1, 0.9));
+            h.tick(0.0);
+            h.move_worker(WorkerId(1), Point::new(0.7, 0.7));
+            let report = h.tick(0.1);
+            (report, h.snapshot())
+        }
+        let (grid_report, mut grid) = drive(GridIndex::new(Rect::unit(), 0.2));
+        let (flat_report, mut flat) = drive(FlatGridIndex::new(Rect::unit(), 0.2));
+        assert_eq!(grid_report.new_assignments, flat_report.new_assignments);
+        assert_eq!(grid.total_assignments, 2);
+        // The repair counters are each implementation's own cost, not part
+        // of the contract; everything else must agree.
+        assert_eq!(
+            grid.index_counters.relocations,
+            flat.index_counters.relocations
+        );
+        grid.index_counters = MaintenanceCounters::default();
+        flat.index_counters = MaintenanceCounters::default();
+        assert_eq!(grid, flat);
     }
 
     #[test]

@@ -996,7 +996,6 @@ pub fn merge_snapshots(parts: &[EngineSnapshot]) -> EngineSnapshot {
             total_std: 0.0,
             covered_tasks: 0,
         },
-        backend: parts.first().map(|p| p.backend).unwrap_or("none"),
         index_counters: MaintenanceCounters::default(),
         wal: None,
     };

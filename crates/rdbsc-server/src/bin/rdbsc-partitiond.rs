@@ -3,8 +3,8 @@
 //!
 //! The daemon boots unconfigured; the router that mounts it (an
 //! `rdbsc-server` started with `--remote-partition ADDR`) performs the
-//! protocol-version handshake and pushes the routing table, region index,
-//! backend and engine configuration over `POST /partition/configure`. Stop
+//! protocol-version handshake and pushes the routing table, region index
+//! and engine configuration over `POST /partition/configure`. Stop
 //! it with `POST /partition/shutdown` (what a router's graceful shutdown
 //! sends) or `POST /admin/shutdown`.
 

@@ -1,7 +1,6 @@
 //! The `rdbsc-server` binary: parse flags, start the serving subsystem,
 //! block until it shuts down (via `POST /admin/shutdown`).
 
-use rdbsc_index::IndexBackend;
 use rdbsc_platform::EngineConfig;
 use rdbsc_server::{Server, ServerConfig};
 use std::time::Duration;
@@ -11,14 +10,12 @@ fn usage() -> ! {
         "usage: rdbsc-server [--addr HOST:PORT] [--threads N] [--queue N]\n\
          \x20                 [--flush-interval-ms N] [--max-batch N] [--seed N]\n\
          \x20                 [--beta F] [--cell-size F] [--time-scale F]\n\
-         \x20                 [--backend grid|flat-grid] [--partitions N]\n\
-         \x20                 [--remote-partition HOST:PORT]... [--data-dir PATH]\n\
-         \x20                 [--standby-partition HOST:PORT|-]... [--slow-tick-ms N]\n\
+         \x20                 [--partitions N] [--remote-partition HOST:PORT]...\n\
+         \x20                 [--data-dir PATH] [--standby-partition HOST:PORT|-]...\n\
+         \x20                 [--slow-tick-ms N]\n\
          \n\
          --flush-interval-ms 0 enables manual tick mode: the engine only\n\
          advances on POST /tick. Stop the server with POST /admin/shutdown.\n\
-         --backend picks the spatial index (default flat-grid; results are\n\
-         identical across backends, only the cost profile changes).\n\
          --partitions N serves N spatial regions, one engine per region,\n\
          with cross-region worker handoff (default 1).\n\
          --remote-partition ADDR (repeatable) mounts a running\n\
@@ -84,10 +81,6 @@ fn main() {
             }
             "--time-scale" => {
                 config.time_scale = value.parse().unwrap_or_else(|_| parse_err(value))
-            }
-            "--backend" => {
-                config.backend =
-                    IndexBackend::parse(value).unwrap_or_else(|| parse_err(value))
             }
             "--partitions" => {
                 config.partitions = value.parse().unwrap_or_else(|_| parse_err(value));

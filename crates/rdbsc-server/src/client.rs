@@ -11,10 +11,8 @@
 //! token list drops the cached connection (the next request reconnects),
 //! one carrying `keep-alive` keeps it.
 //!
-//! Requests are **split-phase**: [`HttpClient::send`] writes the request and
-//! [`HttpClient::receive`] reads the response, so a caller fanning one
-//! command out to N servers can have them all working concurrently before
-//! collecting any reply ([`HttpClient::request`] is the two glued together).
+//! [`HttpClient::request`] (with [`HttpClient::get`] / [`HttpClient::post`]
+//! over it) writes one request and reads its response.
 //! A request sent on a *reused* keep-alive connection that turns out to be
 //! stale — the server closed it while idle, surfacing as a write failure or
 //! a clean EOF before any response byte — is transparently re-sent once on
@@ -25,10 +23,8 @@
 use crate::error::ServerError;
 use crate::http::connection_directive;
 use crate::json::{parse, Json};
-use rdbsc_platform::ProtocolCounters;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A response as seen by the client.
@@ -68,7 +64,6 @@ pub struct HttpClient {
     inflight: Option<(Vec<u8>, Vec<u8>)>,
     /// Connections opened over the client's lifetime.
     connections_opened: u64,
-    counters: Option<Arc<ProtocolCounters>>,
 }
 
 impl HttpClient {
@@ -82,22 +77,12 @@ impl HttpClient {
             sent_on_reused: false,
             inflight: None,
             connections_opened: 0,
-            counters: None,
         }
     }
 
     /// Overrides the per-operation socket timeout (default 10 s).
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
-        self
-    }
-
-    /// Attaches shared protocol counters: wire bytes, reconnects and
-    /// stale-connection retries are recorded as they happen. (Command
-    /// counts and latency stay with the caller, which knows where a
-    /// logical command starts and ends across the split phases.)
-    pub fn with_counters(mut self, counters: Arc<ProtocolCounters>) -> Self {
-        self.counters = Some(counters);
         self
     }
 
@@ -125,11 +110,6 @@ impl HttpClient {
             self.stream = Some(BufReader::new(stream));
             self.exchanged = false;
             self.connections_opened += 1;
-            if self.connections_opened > 1 {
-                if let Some(c) = &self.counters {
-                    c.reconnects.incr();
-                }
-            }
         }
         Ok(self.stream.as_mut().expect("connection just set"))
     }
@@ -154,9 +134,6 @@ impl HttpClient {
                 // Stale keep-alive: the server closed the idle connection.
                 // The request never reached a live reader, so resend once.
                 self.drop_connection();
-                if let Some(c) = &self.counters {
-                    c.retries.incr();
-                }
                 let stream = self.connection()?.get_mut();
                 crate::frame::write_all_vectored(stream, head, body)?;
                 stream.flush()?;
@@ -167,15 +144,12 @@ impl HttpClient {
                 return Err(e.into());
             }
         }
-        if let Some(c) = &self.counters {
-            c.bytes_sent.add((head.len() + body.len()) as u64);
-        }
         Ok(())
     }
 
     /// Phase 1: sends one request (its response must be collected with
-    /// [`HttpClient::receive`] before the next send).
-    pub fn send(
+    /// `receive` before the next send).
+    fn send(
         &mut self,
         method: &str,
         path: &str,
@@ -192,11 +166,11 @@ impl HttpClient {
         Ok(())
     }
 
-    /// Phase 2: reads the response of the last [`HttpClient::send`]. A clean
+    /// Phase 2: reads the response of the last `send`. A clean
     /// EOF before any response byte on a reused connection re-sends the
     /// request once on a fresh connection (the server closed the idle
     /// keep-alive before reading it).
-    pub fn receive(&mut self) -> Result<ClientResponse, ServerError> {
+    fn receive(&mut self) -> Result<ClientResponse, ServerError> {
         match self.receive_inner() {
             Ok(outcome) => {
                 self.inflight = None;
@@ -209,9 +183,6 @@ impl HttpClient {
                     )
                 })?;
                 self.drop_connection();
-                if let Some(c) = &self.counters {
-                    c.retries.incr();
-                }
                 self.write_wire(&head, &body)?;
                 match self.receive_inner() {
                     Ok(outcome) => outcome,
@@ -235,7 +206,6 @@ impl HttpClient {
                 "receive without a connection".into(),
             )));
         };
-        let mut bytes_read = 0u64;
         let mut status_line = String::new();
         match reader.read_line(&mut status_line) {
             Ok(0) if sent_on_reused => return Err(StaleConnection),
@@ -244,7 +214,7 @@ impl HttpClient {
                     "server closed the connection before responding".into(),
                 )))
             }
-            Ok(n) => bytes_read += n as u64,
+            Ok(_) => {}
             // A reset instead of a clean FIN is still the stale-keep-alive
             // shape when no response byte has arrived: the server tore the
             // idle connection down before reading the request.
@@ -261,7 +231,7 @@ impl HttpClient {
             }
             Err(e) => return Ok(Err(e.into())),
         }
-        let result = (|| -> Result<(ClientResponse, bool, u64), ServerError> {
+        let result = (|| -> Result<(ClientResponse, bool), ServerError> {
             let status: u16 = status_line
                 .split_whitespace()
                 .nth(1)
@@ -272,16 +242,13 @@ impl HttpClient {
 
             let mut content_length = 0usize;
             let mut connection_values = Vec::new();
-            let mut inner_bytes = 0u64;
             loop {
                 let mut line = String::new();
-                let n = reader.read_line(&mut line)?;
-                if n == 0 {
+                if reader.read_line(&mut line)? == 0 {
                     return Err(ServerError::BadRequest(
                         "eof inside response headers".into(),
                     ));
                 }
-                inner_bytes += n as u64;
                 let line = line.trim_end_matches(['\r', '\n']);
                 if line.is_empty() {
                     break;
@@ -307,21 +274,16 @@ impl HttpClient {
             .unwrap_or(false);
             let mut body = vec![0u8; content_length];
             reader.read_exact(&mut body)?;
-            inner_bytes += content_length as u64;
             let response = ClientResponse {
                 status,
                 body: String::from_utf8(body).map_err(|_| {
                     ServerError::BadRequest("response body is not UTF-8".into())
                 })?,
             };
-            Ok((response, close, inner_bytes))
+            Ok((response, close))
         })();
         Ok(match result {
-            Ok((response, close, inner_bytes)) => {
-                bytes_read += inner_bytes;
-                if let Some(c) = &self.counters {
-                    c.bytes_received.add(bytes_read);
-                }
+            Ok((response, close)) => {
                 if close {
                     self.drop_connection();
                 } else {
@@ -346,8 +308,7 @@ impl HttpClient {
         self.request("POST", path, Some(body.to_string_compact()))
     }
 
-    /// Sends one request and reads the response ([`HttpClient::send`] +
-    /// [`HttpClient::receive`]).
+    /// Sends one request and reads the response.
     pub fn request(
         &mut self,
         method: &str,
@@ -497,17 +458,16 @@ mod tests {
                 .write_all(canned("{\"n\":2}", None).as_bytes())
                 .unwrap();
         });
-        let counters = Arc::new(ProtocolCounters::default());
-        let mut client = HttpClient::new(addr).with_counters(Arc::clone(&counters));
+        let mut client = HttpClient::new(addr);
         assert_eq!(client.get("/one").unwrap().body, "{\"n\":1}");
         // Give the server's close a moment to land in our socket.
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(client.get("/two").unwrap().body, "{\"n\":2}");
         server.join().unwrap();
-        assert_eq!(client.connections_opened(), 2);
-        let stats = counters.stats();
-        assert_eq!(stats.retries, 1, "exactly one stale retry");
-        assert_eq!(stats.reconnects, 1);
-        assert!(stats.bytes_sent > 0 && stats.bytes_received > 0);
+        assert_eq!(
+            client.connections_opened(),
+            2,
+            "exactly one stale retry, on one fresh connection"
+        );
     }
 }

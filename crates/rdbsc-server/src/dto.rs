@@ -434,8 +434,6 @@ pub struct SnapshotDto {
     pub total_std: f64,
     /// Tasks with at least one contribution.
     pub covered_tasks: f64,
-    /// The active spatial-index backend (`"grid"` / `"flat-grid"`).
-    pub backend: String,
     /// Cross-cell relocations applied by the index so far.
     pub index_relocations: f64,
     /// Index cells whose cached reachability state was repaired so far.
@@ -549,7 +547,6 @@ impl SnapshotDto {
             min_reliability: s.objective.min_reliability,
             total_std: s.objective.total_std,
             covered_tasks: s.objective.covered_tasks as f64,
-            backend: s.backend.to_string(),
             index_relocations: s.index_counters.relocations as f64,
             index_cells_repaired: s.index_counters.cells_repaired as f64,
             index_tcell_rebuilds: s.index_counters.tcell_rebuilds as f64,
@@ -558,15 +555,10 @@ impl SnapshotDto {
     }
 
     /// Converts back into an [`EngineSnapshot`] — the partition protocol
-    /// ships per-partition snapshots across the wire. The backend string is
-    /// mapped to the matching backend's static name (`"unknown"` if a newer
-    /// daemon reports a backend this build does not know).
+    /// ships per-partition snapshots across the wire.
     pub fn into_snapshot(self) -> Result<EngineSnapshot, ServerError> {
-        use rdbsc_index::{IndexBackend, MaintenanceCounters};
+        use rdbsc_index::MaintenanceCounters;
         use rdbsc_platform::EngineObjective;
-        let backend = IndexBackend::parse(&self.backend)
-            .map(|b| b.name())
-            .unwrap_or("unknown");
         Ok(EngineSnapshot {
             now: self.now,
             ticks: self.ticks as u64,
@@ -582,7 +574,6 @@ impl SnapshotDto {
                 total_std: self.total_std,
                 covered_tasks: self.covered_tasks as usize,
             },
-            backend,
             index_counters: MaintenanceCounters {
                 relocations: self.index_relocations as u64,
                 cells_repaired: self.index_cells_repaired as u64,
@@ -607,7 +598,6 @@ impl SnapshotDto {
             ("min_reliability", Json::Num(self.min_reliability)),
             ("total_std", Json::Num(self.total_std)),
             ("covered_tasks", Json::Num(self.covered_tasks)),
-            ("backend", Json::Str(self.backend.clone())),
             ("index_relocations", Json::Num(self.index_relocations)),
             ("index_cells_repaired", Json::Num(self.index_cells_repaired)),
             ("index_tcell_rebuilds", Json::Num(self.index_tcell_rebuilds)),
@@ -633,7 +623,6 @@ impl SnapshotDto {
             min_reliability: num(value, "min_reliability")?,
             total_std: num(value, "total_std")?,
             covered_tasks: num(value, "covered_tasks")?,
-            backend: string(value, "backend")?,
             index_relocations: num(value, "index_relocations")?,
             index_cells_repaired: num(value, "index_cells_repaired")?,
             index_tcell_rebuilds: num(value, "index_tcell_rebuilds")?,

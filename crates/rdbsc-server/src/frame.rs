@@ -18,7 +18,7 @@
 //!   0       2     magic 0xB5 0xDC   (0xB5 is non-ASCII: one byte is
 //!                                    enough to tell a frame from "GET "
 //!                                    or "POST" on a shared listener)
-//!   2       1     frame version (2)
+//!   2       1     frame version (3)
 //!   3       1     command tag
 //!   4       8     request id, u64 LE
 //!   12      4     payload length, u32 LE
@@ -51,7 +51,7 @@ use std::io::{BufRead, Write};
 pub const MAGIC: [u8; 2] = [0xB5, 0xDC];
 /// The framing revision (independent of the logical
 /// `rdbsc_platform::PROTOCOL_VERSION`, which governs command semantics).
-pub const FRAME_VERSION: u8 = 2;
+pub const FRAME_VERSION: u8 = 3;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
 
@@ -442,7 +442,6 @@ fn put_snapshot(e: &mut Enc, s: &SnapshotDto) {
     e.f64(s.min_reliability);
     e.f64(s.total_std);
     e.f64(s.covered_tasks);
-    e.str(&s.backend);
     e.f64(s.index_relocations);
     e.f64(s.index_cells_repaired);
     e.f64(s.index_tcell_rebuilds);
@@ -477,7 +476,6 @@ fn get_snapshot(d: &mut Dec) -> Result<SnapshotDto, FrameError> {
         min_reliability: d.f64("snapshot min_reliability")?,
         total_std: d.f64("snapshot total_std")?,
         covered_tasks: d.f64("snapshot covered_tasks")?,
-        backend: d.str("snapshot backend")?,
         index_relocations: d.f64("snapshot index_relocations")?,
         index_cells_repaired: d.f64("snapshot index_cells_repaired")?,
         index_tcell_rebuilds: d.f64("snapshot index_tcell_rebuilds")?,
@@ -1341,7 +1339,6 @@ mod tests {
                 min_reliability: 0.5,
                 total_std: 0.25,
                 covered_tasks: 10.0,
-                backend: "flat-grid".into(),
                 index_relocations: 11.0,
                 index_cells_repaired: 12.0,
                 index_tcell_rebuilds: 13.0,
@@ -1444,13 +1441,21 @@ mod tests {
         // Bad magic (an HTTP request hitting a binary reader).
         let err = read_raw(&mut &b"GET /partition/hello HTTP/1.1\r\n\r\n"[..], 1024).unwrap_err();
         assert!(matches!(err, FrameError::Malformed(_)));
-        // Future frame version.
-        let mut wire = header(tag::DRAIN, 1, 0);
-        wire[2] = 9;
-        assert!(matches!(
-            read_raw(&mut &wire[..], 1024).unwrap_err(),
-            FrameError::Malformed(_)
-        ));
+        // Another frame version, older or newer: refused at the header, so
+        // a version-2 snapshot reply (which carried a backend string) is
+        // never decoded against this build's shorter layout.
+        for version in [2, 9] {
+            let mut wire = header(tag::DRAIN, 1, 0);
+            wire[2] = version;
+            let err = read_raw(&mut &wire[..], 1024).unwrap_err();
+            assert!(matches!(err, FrameError::Malformed(_)));
+            assert!(
+                err.to_string().contains(&format!(
+                    "frame version {version} but this build speaks 3"
+                )),
+                "{err}"
+            );
+        }
         // Payload length beyond the cap never allocates.
         let wire = header(tag::SUBMIT, 1, 1 << 30);
         assert!(matches!(

@@ -5,8 +5,8 @@
 //! about the data space. The first router to connect performs the
 //! handshake: `GET /partition/hello` (protocol-version check) and
 //! `POST /partition/configure`, which ships the **routing table** (grid
-//! geometry + canonical region list), the region index this daemon serves,
-//! the index backend and the engine configuration. The daemon validates
+//! geometry + canonical region list), the region index this daemon serves
+//! and the engine configuration. The daemon validates
 //! the table with [`rdbsc_cluster::RegionPartition::from_regions`] and
 //! builds its engine over exactly the region rectangle the router routes to
 //! it — a single source of truth for the geometry on both sides of the
@@ -85,7 +85,7 @@ use crate::protocol::{
 };
 use crate::remote::FrameConn;
 use rdbsc_geo::Rect;
-use rdbsc_index::DynSpatialIndex;
+use rdbsc_index::FlatGridIndex;
 use rdbsc_model::WorkerId;
 use rdbsc_platform::wal::{decode_record, encode_record};
 use rdbsc_platform::{
@@ -150,7 +150,7 @@ impl Default for PartitiondConfig {
 
 /// The configured engine plus what it was configured with.
 struct Configured {
-    part: EnginePartition<DynSpatialIndex>,
+    part: EnginePartition<FlatGridIndex>,
     region_index: u32,
     region: Rect,
     /// The canonical JSON of the accepted configure payload, for the
@@ -191,6 +191,26 @@ struct DaemonState {
     repl_fetch_seen: Mutex<Option<Instant>>,
 }
 
+impl DaemonState {
+    /// An unconfigured daemon: a standby iff the config names a primary.
+    fn new(config: &PartitiondConfig, metrics: Arc<ServerMetrics>) -> Self {
+        Self {
+            engine: Mutex::new(None),
+            draining: AtomicBool::new(false),
+            metrics,
+            last_trace: AtomicU64::new(0),
+            data_dir: config.data_dir.clone(),
+            standby: AtomicBool::new(config.follow.is_some()),
+            follow: config.follow.clone(),
+            repl_applied: AtomicU64::new(0),
+            repl_head: AtomicU64::new(0),
+            repl_sealed: AtomicBool::new(false),
+            repl_stop: AtomicBool::new(false),
+            repl_fetch_seen: Mutex::new(None),
+        }
+    }
+}
+
 /// A running partition daemon. [`PartitionDaemon::start`] boots it
 /// unconfigured; a router configures it over the wire. Stop it with
 /// [`PartitionDaemon::shutdown`] + [`PartitionDaemon::join`], with
@@ -209,20 +229,7 @@ impl PartitionDaemon {
         let metrics = Arc::new(ServerMetrics::with_slow_threshold_us(
             config.slow_tick_threshold_us,
         ));
-        let state = Arc::new(DaemonState {
-            engine: Mutex::new(None),
-            draining: AtomicBool::new(false),
-            metrics: metrics.clone(),
-            last_trace: std::sync::atomic::AtomicU64::new(0),
-            data_dir: config.data_dir.clone(),
-            standby: AtomicBool::new(config.follow.is_some()),
-            follow: config.follow.clone(),
-            repl_applied: AtomicU64::new(0),
-            repl_head: AtomicU64::new(0),
-            repl_sealed: AtomicBool::new(false),
-            repl_stop: AtomicBool::new(false),
-            repl_fetch_seen: Mutex::new(None),
-        });
+        let state = Arc::new(DaemonState::new(&config, metrics.clone()));
         // Recover BEFORE the listener binds: a restarted daemon that has a
         // persisted configure must come back already configured (checkpoint
         // loaded, tail replayed) so the first router request it sees finds
@@ -320,7 +327,7 @@ impl PartitionDaemon {
 /// Runs a closure on the configured engine, or 409s before any configure.
 fn with_engine<R>(
     state: &DaemonState,
-    f: impl FnOnce(&mut EnginePartition<DynSpatialIndex>) -> R,
+    f: impl FnOnce(&mut EnginePartition<FlatGridIndex>) -> R,
 ) -> Result<R, ServerError> {
     let mut guard = state.engine.lock().expect("daemon engine lock");
     match guard.as_mut() {
@@ -353,7 +360,6 @@ fn configure(state: &DaemonState, body: &Json) -> Result<Response, ServerError> 
     }
     let dto = ConfigureDto::from_json(body)?;
     let fingerprint = dto.to_json().to_string_compact();
-    let backend = dto.backend_kind()?;
     let partition = dto.routing.clone().into_partition()?;
     if dto.region_index as usize >= partition.num_regions() {
         return Err(ServerError::BadField {
@@ -400,7 +406,7 @@ fn configure(state: &DaemonState, body: &Json) -> Result<Response, ServerError> 
             };
             let (part, scan) =
                 EnginePartition::open_durable(dir, wal_config, engine_config, move || {
-                    backend.build(region, cell_size)
+                    FlatGridIndex::new(region, cell_size)
                 })
                 .map_err(|e| match e {
                     WalError::Io(io) => ServerError::Io(io),
@@ -423,7 +429,7 @@ fn configure(state: &DaemonState, body: &Json) -> Result<Response, ServerError> 
             part
         }
         None => EnginePartition::new(AssignmentEngine::new(
-            backend.build(region, cell_size),
+            FlatGridIndex::new(region, cell_size),
             engine_config,
         )),
     };
@@ -903,9 +909,9 @@ const FOLLOWER_LIVENESS: Duration = Duration::from_secs(2);
 
 /// Serves a follower's bootstrap: enables replication (idempotent — a
 /// re-bootstrap rebases the stream to its head), ships the full state as
-/// one encoded checkpoint record plus the accepted configure payload
-/// verbatim, so the standby's fingerprint matches a router's re-push byte
-/// for byte at promotion time. Refused with `409` while another follower
+/// one encoded checkpoint record plus the accepted configure payload, so
+/// the standby's fingerprint matches a router's re-push byte for byte at
+/// promotion time. Refused with `409` while another follower
 /// is actively fetching — the single-standby topology is enforced here at
 /// the wire layer, because a bootstrap rebases the stream and would drop
 /// the retained tail the live follower needs.
@@ -1196,8 +1202,10 @@ fn follow_once(state: &Arc<DaemonState>, primary: &str, rid: &mut u64) -> Result
 /// standby wipes its data directory first — the shipped checkpoint opens
 /// a fresh log epoch and whatever the directory held belonged to an older
 /// stream (re-seeding a *former primary's* log automatically is the known
-/// gap; see ROADMAP). The configure text is installed verbatim as the
-/// fingerprint so the idempotency check matches a router's re-push.
+/// gap; see ROADMAP). The fingerprint kept (and persisted) is the canonical
+/// re-encoding of the shipped configure text — what `configure` stores —
+/// so the idempotency check matches a router's re-push even when the
+/// primary's text carries a field this build no longer writes.
 ///
 /// The wipe, the restore and the engine swap all happen under the engine
 /// lock, with the stop flag re-checked once the lock is held: a promote
@@ -1220,7 +1228,7 @@ fn install_bootstrap(
         ));
     }
     let dto = ConfigureDto::from_json(&body).map_err(|e| e.to_string())?;
-    let backend = dto.backend_kind().map_err(|e| e.to_string())?;
+    let fingerprint = dto.to_json().to_string_compact();
     let partition = dto
         .routing
         .clone()
@@ -1253,21 +1261,21 @@ fn install_bootstrap(
                 wal_config,
                 engine_config,
                 pstate,
-                move || backend.build(region, cell_size),
+                move || FlatGridIndex::new(region, cell_size),
             )
             .map_err(|e| format!("restoring in {}: {e}", dir.display()))?;
-            persist_configure(dir, configure_text).map_err(|e| e.to_string())?;
+            persist_configure(dir, &fingerprint).map_err(|e| e.to_string())?;
             part
         }
         None => EnginePartition::from_state(pstate, engine_config, move || {
-            backend.build(region, cell_size)
+            FlatGridIndex::new(region, cell_size)
         }),
     };
     *guard = Some(Configured {
         part,
         region_index: dto.region_index,
         region,
-        fingerprint: configure_text.to_string(),
+        fingerprint,
     });
     // The cursors move with the swap, still under the lock, so a promote
     // waiting on it seals the freshly installed engine at a matching lsn.
@@ -1308,7 +1316,7 @@ fn apply_batch(state: &DaemonState, records: &[(u64, Vec<u8>)]) -> Result<(), St
 /// Replays one shipped record through the partition's ordinary command
 /// methods — the same calls crash-recovery replay makes, so the standby's
 /// state (and digest) is identical to the primary's at the same lsn.
-fn apply_shipped(part: &mut EnginePartition<DynSpatialIndex>, record: WalRecord) {
+fn apply_shipped(part: &mut EnginePartition<FlatGridIndex>, record: WalRecord) {
     match record {
         WalRecord::Events(events) => part.submit(events),
         WalRecord::Tick { now } => {
@@ -1324,5 +1332,74 @@ fn apply_shipped(part: &mut EnginePartition<DynSpatialIndex>, record: WalRecord)
         // Self-contained state and stream notes are never shipped as
         // commands; ignore them defensively rather than trust the wire.
         WalRecord::Checkpoint(_) | WalRecord::ReplMeta { .. } => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{EngineConfigDto, RoutingTableDto};
+    use rdbsc_cluster::RegionPartition;
+    use rdbsc_index::geometry::GridGeometry;
+    use rdbsc_platform::EngineConfig;
+
+    /// A primary built before the `backend` field was dropped ships a
+    /// configure text that still carries it. The standby must keep — and
+    /// persist — the canonical re-encoding, or the router's re-push after
+    /// promotion (which this build encodes without the field) is refused
+    /// as a different topology.
+    #[test]
+    fn bootstrap_from_a_text_with_a_backend_field_keeps_the_canonical_fingerprint() {
+        let dir = std::env::temp_dir().join(format!(
+            "rdbsc-partitiond-bootstrap-fingerprint-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let partition = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1));
+        let engine_config = EngineConfig::default();
+        let pushed = ConfigureDto {
+            protocol_version: PROTOCOL_VERSION,
+            routing: RoutingTableDto::from_partition(&partition),
+            region_index: 0,
+            cell_size: 0.1,
+            engine: EngineConfigDto::from_config(&engine_config),
+            durability: None,
+        }
+        .to_json();
+        let canonical = pushed.to_string_compact();
+        let mut shipped = pushed.clone();
+        let Json::Obj(fields) = &mut shipped else {
+            panic!("configure payload is an object");
+        };
+        fields.insert("backend".to_string(), Json::Str("flat-grid".into()));
+        let shipped = shipped.to_string_compact();
+        assert_ne!(shipped, canonical);
+
+        let state = DaemonState::new(
+            &PartitiondConfig {
+                data_dir: Some(dir.clone()),
+                follow: Some("127.0.0.1:1".to_string()),
+                ..PartitiondConfig::default()
+            },
+            Arc::new(ServerMetrics::with_slow_threshold_us(u64::MAX)),
+        );
+        let primary = EnginePartition::new(AssignmentEngine::new(
+            FlatGridIndex::new(partition.region_rect(0), 0.1),
+            engine_config,
+        ));
+        install_bootstrap(&state, &shipped, &primary.dump_state(), 0).unwrap();
+
+        let installed = state.engine.lock().unwrap();
+        assert_eq!(installed.as_ref().unwrap().fingerprint, canonical);
+        drop(installed);
+        assert_eq!(
+            std::fs::read_to_string(dir.join("configure.json")).unwrap(),
+            canonical
+        );
+        // The router's re-push after promotion is the idempotent case.
+        let reply = configure(&state, &pushed).unwrap();
+        let reply = String::from_utf8(reply.body).unwrap();
+        assert!(reply.contains("\"already_configured\":true"), "{reply}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

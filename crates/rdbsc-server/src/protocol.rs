@@ -27,7 +27,6 @@ use crate::json::Json;
 use rdbsc_cluster::{CellRange, RegionPartition};
 use rdbsc_geo::Rect;
 use rdbsc_index::geometry::GridGeometry;
-use rdbsc_index::IndexBackend;
 use rdbsc_platform::{EngineConfig, PROTOCOL_VERSION};
 
 fn uint(value: &Json, field: &'static str) -> Result<u64, ServerError> {
@@ -368,7 +367,9 @@ impl DurabilityDto {
 }
 
 /// `POST /partition/configure`: the routing table, which of its regions
-/// this daemon serves, the index backend and the engine configuration.
+/// this daemon serves and the engine configuration. Payloads written by
+/// earlier builds (a router's push, a persisted `configure.json`) also carry
+/// a `backend` string; it is not read, so they decode to the same value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfigureDto {
     /// The router's protocol version.
@@ -377,8 +378,6 @@ pub struct ConfigureDto {
     pub routing: RoutingTableDto,
     /// The region (partition index) this daemon serves.
     pub region_index: u32,
-    /// The spatial-index backend name (`"grid"` / `"flat-grid"`).
-    pub backend: String,
     /// The **raw configured cell size** the daemon must build its region
     /// index with — the same value in-process regions are built with. The
     /// routing table's effective `η` is derived from it but not identical
@@ -401,7 +400,6 @@ impl ConfigureDto {
             ("protocol_version", Json::Num(self.protocol_version as f64)),
             ("routing", self.routing.to_json()),
             ("region_index", Json::Num(self.region_index as f64)),
-            ("backend", Json::Str(self.backend.clone())),
             ("cell_size", Json::Num(self.cell_size)),
             ("engine", self.engine.to_json()),
         ]);
@@ -421,7 +419,6 @@ impl ConfigureDto {
                     .ok_or(ServerError::MissingField("routing"))?,
             )?,
             region_index: id(value, "region_index")?,
-            backend: string(value, "backend")?,
             cell_size: num(value, "cell_size")?,
             engine: EngineConfigDto::from_json(
                 value
@@ -432,14 +429,6 @@ impl ConfigureDto {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(DurabilityDto::from_json(v)?),
             },
-        })
-    }
-
-    /// Validates the backend name.
-    pub fn backend_kind(&self) -> Result<IndexBackend, ServerError> {
-        IndexBackend::parse(&self.backend).ok_or(ServerError::BadField {
-            field: "backend",
-            expected: "a known index backend (grid / flat-grid)",
         })
     }
 }

@@ -6,7 +6,7 @@
 //!   `GET /partition/hello` (refusing a daemon that speaks a different
 //!   [`PROTOCOL_VERSION`], is draining, is an unpromoted standby, or does
 //!   not advertise the `"binary"` transport) and pushes the configure
-//!   payload — routing table, region index, backend, engine config — so
+//!   payload — routing table, region index, engine config — so
 //!   router and daemon provably agree on the region geometry before the
 //!   first event is routed. Then it opens the one frame connection all
 //!   commands travel on.
@@ -29,7 +29,6 @@ use crate::error::ServerError;
 use crate::frame::{self, FrameError, ReplyFrame, RequestFrame};
 use crate::protocol::{ConfigureDto, DurabilityDto, EngineConfigDto, HelloDto, RoutingTableDto};
 use rdbsc_cluster::RegionPartition;
-use rdbsc_index::IndexBackend;
 use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{Contribution, WorkerId};
 use rdbsc_platform::{
@@ -70,7 +69,6 @@ pub fn connect_remote_partition(
     addr: &str,
     partition: &RegionPartition,
     region_index: usize,
-    backend: IndexBackend,
     cell_size: f64,
     engine: &EngineConfig,
     durability: Option<&rdbsc_platform::WalConfig>,
@@ -78,7 +76,6 @@ pub fn connect_remote_partition(
     PartitionHandshake::connect(addr)?.configure(
         partition,
         region_index,
-        backend,
         cell_size,
         engine,
         durability,
@@ -148,8 +145,7 @@ impl PartitionHandshake {
         &mut self,
         partition: &RegionPartition,
         region_index: usize,
-        backend: IndexBackend,
-        cell_size: f64,
+            cell_size: f64,
         engine: &EngineConfig,
         durability: Option<&rdbsc_platform::WalConfig>,
     ) -> Result<(), ServerError> {
@@ -157,7 +153,6 @@ impl PartitionHandshake {
             protocol_version: PROTOCOL_VERSION,
             routing: RoutingTableDto::from_partition(partition),
             region_index: region_index as u32,
-            backend: backend.name().to_string(),
             cell_size,
             engine: EngineConfigDto::from_config(engine),
             durability: durability.map(DurabilityDto::from_wal_config),
@@ -196,13 +191,12 @@ const PROMOTE_TIMEOUT: Duration = Duration::from_secs(10);
 /// `--follow` standby, tell it to finish its replay and seal the stream
 /// (a [`RequestFrame::ReplPromote`]), then re-attach it through the ordinary
 /// connect path — the re-pushed configure matches the standby's fingerprint
-/// byte for byte, because the primary shipped its accepted payload verbatim
-/// at bootstrap.
+/// byte for byte, because both daemons keep the canonical re-encoding of the
+/// payload the primary accepted.
 pub struct RemoteStandbyPromoter {
     addr: String,
     partition: RegionPartition,
     region_index: usize,
-    backend: IndexBackend,
     cell_size: f64,
     engine: EngineConfig,
     durability: Option<rdbsc_platform::WalConfig>,
@@ -216,8 +210,7 @@ impl RemoteStandbyPromoter {
         addr: &str,
         partition: RegionPartition,
         region_index: usize,
-        backend: IndexBackend,
-        cell_size: f64,
+            cell_size: f64,
         engine: EngineConfig,
         durability: Option<rdbsc_platform::WalConfig>,
     ) -> Self {
@@ -225,7 +218,6 @@ impl RemoteStandbyPromoter {
             addr: addr.to_string(),
             partition,
             region_index,
-            backend,
             cell_size,
             engine,
             durability,
@@ -306,7 +298,6 @@ impl StandbyPromoter for RemoteStandbyPromoter {
             &self.addr,
             &self.partition,
             self.region_index,
-            self.backend,
             self.cell_size,
             &self.engine,
             self.durability.as_ref(),

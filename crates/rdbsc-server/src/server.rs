@@ -30,7 +30,7 @@ use crate::remote::connect_remote_partition;
 use rdbsc_cluster::RegionPartitioner;
 use rdbsc_geo::{Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
-use rdbsc_index::{DynSpatialIndex, IndexBackend};
+use rdbsc_index::FlatGridIndex;
 use rdbsc_model::{TaskId, WorkerId};
 use rdbsc_platform::{
     merge_snapshots, AssignmentEngine, EngineConfig, EngineEvent, EngineHandle, InProcessClient,
@@ -77,13 +77,6 @@ pub struct ServerConfig {
     pub area: Rect,
     /// Grid-index cell size.
     pub cell_size: f64,
-    /// The spatial-index backend the engine runs on. Serving is
-    /// worker-movement-heavy (heartbeats dominate), which is exactly the
-    /// flat backend's sweet spot per the cost model's
-    /// [`rdbsc_index::choose_backend`]; the engine's results are
-    /// byte-identical across backends, so this only changes the cost
-    /// profile.
-    pub backend: IndexBackend,
     /// Number of spatial partitions to serve. `1` (the default) runs the
     /// classic single engine; `N > 1` runs one engine per region behind the
     /// partitioned router (uniform grid-cell-aligned regions — the server
@@ -96,7 +89,7 @@ pub struct ServerConfig {
     /// partitions mix freely. Must not name more daemons than
     /// [`partitions`](Self::partitions). At boot the router performs the
     /// protocol-version handshake and pushes each daemon its routing table,
-    /// region index, backend and engine config — both sides agree on the
+    /// region index and engine config — both sides agree on the
     /// geometry or the boot fails.
     pub remote_partitions: Vec<String>,
     /// Standby daemon addresses armed for failover: the k-th entry names an
@@ -142,7 +135,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(10),
             area: Rect::unit(),
             cell_size: 0.1,
-            backend: IndexBackend::FlatGrid,
             partitions: 1,
             remote_partitions: Vec::new(),
             standby_partitions: Vec::new(),
@@ -172,12 +164,11 @@ impl ServerConfig {
     /// [`remote_partitions`](Self::remote_partitions) — one engine per
     /// uniform grid-cell-aligned region behind the partitioned router,
     /// each region in-process or on a remote daemon. Exposed so embedders
-    /// (the load generator's offline verification replica, tests) can
-    /// construct the byte-identical engine the server would serve.
+    /// can construct the engine the server would serve.
     ///
     /// Connecting remote partitions performs the protocol handshake and
     /// configure; an unreachable or incompatible daemon fails the build.
-    pub fn build_handle(&self) -> Result<EngineHandle<DynSpatialIndex>, ServerError> {
+    pub fn build_handle(&self) -> Result<EngineHandle<FlatGridIndex>, ServerError> {
         if self.remote_partitions.len() > self.partitions {
             return Err(ServerError::Conflict(format!(
                 "{} remote partitions named but only {} partitions configured",
@@ -203,7 +194,7 @@ impl ServerConfig {
         if self.partitions <= 1 && self.remote_partitions.is_empty() && self.data_dir.is_none()
         {
             return Ok(EngineHandle::new(AssignmentEngine::new(
-                self.backend.build(self.area, self.cell_size),
+                FlatGridIndex::new(self.area, self.cell_size),
                 self.engine.clone(),
             )));
         }
@@ -218,19 +209,18 @@ impl ServerConfig {
                     addr,
                     &partition,
                     region,
-                    self.backend,
                     self.cell_size,
                     &self.engine,
                     Some(&self.wal),
                 )?);
             } else if let Some(data_dir) = &self.data_dir {
                 let rect = partition.region_rect(region);
-                let (backend, cell_size) = (self.backend, self.cell_size);
+                let cell_size = self.cell_size;
                 let (part, _scan) = rdbsc_platform::EnginePartition::open_durable(
                     &data_dir.join(format!("part-{region:04}")),
                     self.wal,
                     self.engine.clone(),
-                    move || backend.build(rect, cell_size),
+                    move || FlatGridIndex::new(rect, cell_size),
                 )
                 .map_err(|e| match e {
                     rdbsc_platform::WalError::Io(io) => ServerError::Io(io),
@@ -243,8 +233,7 @@ impl ServerConfig {
                 ));
             } else {
                 let engine = AssignmentEngine::new(
-                    self.backend
-                        .build(partition.region_rect(region), self.cell_size),
+                    FlatGridIndex::new(partition.region_rect(region), self.cell_size),
                     self.engine.clone(),
                 );
                 clients.push(Box::new(InProcessClient::spawn(region, engine)));
@@ -266,7 +255,6 @@ impl ServerConfig {
                     standby,
                     partition.clone(),
                     region,
-                    self.backend,
                     self.cell_size,
                     self.engine.clone(),
                     Some(self.wal),
@@ -285,13 +273,10 @@ pub struct Server {
     shared: Arc<Shared>,
     core: HttpCore,
     flusher: Option<std::thread::JoinHandle<()>>,
-    /// Did [`Server::start`] build the engine (vs. serving a caller's
-    /// handle)? Only then does [`Server::join`] tear the topology down.
-    owns_engine: bool,
 }
 
 struct Shared {
-    handle: EngineHandle<DynSpatialIndex>,
+    handle: EngineHandle<FlatGridIndex>,
     batcher: Arc<MicroBatcher>,
     metrics: Arc<ServerMetrics>,
     clock: Clock,
@@ -319,24 +304,6 @@ impl Server {
     /// `config.addr`.
     pub fn start(config: ServerConfig) -> Result<Server, ServerError> {
         let handle = config.build_handle()?;
-        Self::start_inner(config, handle, true)
-    }
-
-    /// Starts serving an existing engine handle (tests and embedded use).
-    /// The caller keeps ownership of the engine's lifecycle: a
-    /// [`Server::join`] will not shut partition engines down.
-    pub fn start_with_handle(
-        config: ServerConfig,
-        handle: EngineHandle<DynSpatialIndex>,
-    ) -> Result<Server, ServerError> {
-        Self::start_inner(config, handle, false)
-    }
-
-    fn start_inner(
-        config: ServerConfig,
-        handle: EngineHandle<DynSpatialIndex>,
-        owns_engine: bool,
-    ) -> Result<Server, ServerError> {
         let metrics = Arc::new(ServerMetrics::with_slow_threshold_us(
             config.slow_tick_threshold_us,
         ));
@@ -391,7 +358,6 @@ impl Server {
             shared,
             core,
             flusher,
-            owns_engine,
         })
     }
 
@@ -401,7 +367,7 @@ impl Server {
     }
 
     /// The engine handle the server is driving.
-    pub fn handle(&self) -> &EngineHandle<DynSpatialIndex> {
+    pub fn handle(&self) -> &EngineHandle<FlatGridIndex> {
         &self.shared.handle
     }
 
@@ -416,8 +382,8 @@ impl Server {
         self.shared.trigger_shutdown(&self.core.stopper());
     }
 
-    /// Waits for every server thread to exit, then — when this server built
-    /// its own engine — tears the engine topology down in drain order: any
+    /// Waits for every server thread to exit, then tears the engine topology
+    /// down in drain order: any
     /// event a request thread buffered after the flusher's final drain is
     /// handed to the engine, and a partitioned core runs one final drain
     /// tick before its partitions (local threads *and* remote daemons) are
@@ -430,15 +396,12 @@ impl Server {
         }
         // A request thread may have buffered an event after the flusher's
         // final drain; park any such leftovers in the engine's own queue so
-        // they ride the partition drain tick (or, for an embedder's handle,
-        // stay queued for the embedder to resume).
+        // they ride the partition drain tick.
         let leftovers = self.shared.batcher.drain();
         if !leftovers.is_empty() {
             self.shared.handle.submit_all(leftovers);
         }
-        if self.owns_engine {
-            self.shared.handle.shutdown_partitions();
-        }
+        self.shared.handle.shutdown_partitions();
     }
 }
 

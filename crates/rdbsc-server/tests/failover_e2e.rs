@@ -9,7 +9,7 @@
 use rdbsc_cluster::RegionPartition;
 use rdbsc_geo::Rect;
 use rdbsc_index::geometry::GridGeometry;
-use rdbsc_index::{FlatGridIndex, IndexBackend};
+use rdbsc_index::FlatGridIndex;
 use rdbsc_platform::wal::decode_record;
 use rdbsc_platform::{EngineConfig, EnginePartition, PartitionClient, WalRecord};
 use rdbsc_server::frame::{ReplyFrame, RequestFrame};
@@ -159,7 +159,6 @@ fn attach_single_region(addr: SocketAddr) -> Box<dyn PartitionClient> {
         &addr.to_string(),
         &RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1)),
         0,
-        IndexBackend::FlatGrid,
         0.1,
         &EngineConfig::default(),
         None,

@@ -7,7 +7,6 @@
 use rdbsc_cluster::RegionPartition;
 use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
-use rdbsc_index::IndexBackend;
 use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
 use rdbsc_platform::{EngineConfig, EngineEvent};
 use rdbsc_server::json::Json;
@@ -74,7 +73,6 @@ fn trace_ids_propagate_to_the_daemon_and_echo_back() {
         &daemon.addr().to_string(),
         &partition,
         0,
-        IndexBackend::FlatGrid,
         0.1,
         &config,
         None,

@@ -7,7 +7,7 @@
 use rdbsc_cluster::{RegionPartition, RegionPartitioner};
 use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
-use rdbsc_index::IndexBackend;
+use rdbsc_index::FlatGridIndex;
 use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
 use rdbsc_platform::{
     AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, InProcessClient,
@@ -63,7 +63,6 @@ fn attach(
         &daemon.addr().to_string(),
         partition,
         region,
-        IndexBackend::FlatGrid,
         0.1,
         config,
         None,
@@ -92,7 +91,7 @@ fn daemon_matches_the_local_engine_byte_for_byte() {
     let mut remote = attach(&daemon, &partition, 0, &config);
 
     let mut local = EnginePartition::new(AssignmentEngine::new(
-        IndexBackend::FlatGrid.build(partition.region_rect(0), 0.1),
+        FlatGridIndex::new(partition.region_rect(0), 0.1),
         config,
     ));
 
@@ -165,7 +164,7 @@ fn mixed_local_remote_topology_matches_all_in_process() {
         Box::new(InProcessClient::spawn(
             0,
             AssignmentEngine::new(
-                IndexBackend::FlatGrid.build(partition.region_rect(0), 0.1),
+                FlatGridIndex::new(partition.region_rect(0), 0.1),
                 config.clone(),
             ),
         )),
@@ -234,17 +233,17 @@ fn configure_is_idempotent_and_conflicts_are_rejected() {
 
     let mut handshake = PartitionHandshake::connect(&addr).unwrap();
     handshake
-        .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
+        .configure(&partition, 0, 0.1, &config, None)
         .unwrap();
     // Identical re-push (a stateless router restarting): accepted.
     handshake
-        .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
+        .configure(&partition, 0, 0.1, &config, None)
         .unwrap();
     // Different topology: refused, engine untouched.
     let other = RegionPartitioner::uniform()
         .split(GridGeometry::new(Rect::unit(), 0.1), 2, &[]);
     assert!(handshake
-        .configure(&other, 1, IndexBackend::FlatGrid, 0.1, &config, None)
+        .configure(&other, 1, 0.1, &config, None)
         .is_err());
     assert!(client.is_active().is_ok(), "original engine still serving");
 

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rdbsc_cluster::RegionPartition;
 use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
-use rdbsc_index::{IndexBackend, MaintenanceCounters};
+use rdbsc_index::MaintenanceCounters;
 use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{
     Confidence, Contribution, Task, TaskId, TimeWindow, Worker, WorkerId,
@@ -217,11 +217,10 @@ fn tick() -> impl Strategy<Value = PartitionTick> {
 fn snapshot() -> impl Strategy<Value = SnapshotDto> {
     (
         proptest::collection::vec(finite(), 15),
-        text(),
         (flag(), flag()),
         proptest::collection::vec(finite(), 8),
     )
-        .prop_map(|(head, backend, (has_wal, recovered_checkpoint), w)| SnapshotDto {
+        .prop_map(|(head, (has_wal, recovered_checkpoint), w)| SnapshotDto {
             now: head[0],
             ticks: head[1],
             events_applied: head[2],
@@ -234,7 +233,6 @@ fn snapshot() -> impl Strategy<Value = SnapshotDto> {
             min_reliability: head[9],
             total_std: head[10],
             covered_tasks: head[11],
-            backend,
             index_relocations: head[12],
             index_cells_repaired: head[13],
             index_tcell_rebuilds: head[14],
@@ -471,7 +469,7 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
     let partition = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1));
     PartitionHandshake::connect(&daemon.addr().to_string())
         .unwrap()
-        .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &EngineConfig::default(), None)
+        .configure(&partition, 0, 0.1, &EngineConfig::default(), None)
         .unwrap();
     let mut conn = FrameConn::new(daemon.addr(), Duration::from_secs(5));
 

@@ -158,7 +158,7 @@ proptest! {
 
     #[test]
     fn report_dtos_round_trip(v in proptest::collection::vec(0.0f64..1.0e9, 15)) {
-        let flat = (v[0] as u64).is_multiple_of(2);
+        let durable = (v[0] as u64).is_multiple_of(2);
         let snapshot = SnapshotDto {
             now: v[0],
             ticks: v[1].trunc(),
@@ -172,13 +172,12 @@ proptest! {
             min_reliability: finite(v[9] / 1.0e9),
             total_std: v[10],
             covered_tasks: v[11].trunc(),
-            backend: if flat { "flat-grid" } else { "grid" }.to_string(),
             index_relocations: v[12].trunc(),
             index_cells_repaired: v[13].trunc(),
             index_tcell_rebuilds: v[14].trunc(),
             // Alternate between a durable and a non-durable snapshot so both
             // the present-field and absent-field decodes are exercised.
-            wal: flat.then(|| WalStatsDto {
+            wal: durable.then(|| WalStatsDto {
                 segments: v[0].trunc(),
                 segments_retired: v[1].trunc(),
                 bytes_appended: v[2].trunc(),

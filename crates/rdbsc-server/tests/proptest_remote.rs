@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use rdbsc_cluster::{RegionPartition, RegionPartitioner};
 use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
-use rdbsc_index::IndexBackend;
+use rdbsc_index::FlatGridIndex;
 use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
 use rdbsc_platform::{
     AssignmentEngine, EngineConfig, EngineEvent, InProcessClient, PartitionClient,
@@ -92,7 +92,6 @@ fn mixed_engine(
                     &daemon.addr().to_string(),
                     partition,
                     region,
-                    IndexBackend::FlatGrid,
                     0.1,
                     config,
                     None,
@@ -102,7 +101,7 @@ fn mixed_engine(
                 Box::new(InProcessClient::spawn(
                     region,
                     AssignmentEngine::new(
-                        IndexBackend::FlatGrid.build(partition.region_rect(region), 0.1),
+                        FlatGridIndex::new(partition.region_rect(region), 0.1),
                         config.clone(),
                     ),
                 ))
@@ -187,7 +186,7 @@ proptest! {
         let config = EngineConfig { seed, ..EngineConfig::default() };
 
         let mut plain = AssignmentEngine::new(
-            IndexBackend::FlatGrid.build(rect, 0.1),
+            FlatGridIndex::new(rect, 0.1),
             config.clone(),
         );
         let (mut remote, daemon) = mixed_engine(&partition, &config, 0);

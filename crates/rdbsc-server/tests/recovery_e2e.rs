@@ -7,7 +7,7 @@
 use rdbsc_cluster::RegionPartition;
 use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
-use rdbsc_index::IndexBackend;
+use rdbsc_index::FlatGridIndex;
 use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
 use rdbsc_platform::{
     AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, WalConfig,
@@ -162,7 +162,6 @@ fn sigkilled_daemon_recovers_the_acknowledged_state_exactly() {
         &daemon.addr.to_string(),
         &partition,
         0,
-        IndexBackend::FlatGrid,
         0.1,
         &engine_config,
         Some(&wal_config),
@@ -172,7 +171,7 @@ fn sigkilled_daemon_recovers_the_acknowledged_state_exactly() {
     // The offline oracle: a plain in-memory partition fed every command the
     // daemon acknowledges.
     let mut oracle = EnginePartition::new(AssignmentEngine::new(
-        IndexBackend::FlatGrid.build(partition.region_rect(0), 0.1),
+        FlatGridIndex::new(partition.region_rect(0), 0.1),
         engine_config.clone(),
     ));
 
@@ -215,7 +214,6 @@ fn sigkilled_daemon_recovers_the_acknowledged_state_exactly() {
         &rebooted.addr.to_string(),
         &partition,
         0,
-        IndexBackend::FlatGrid,
         0.1,
         &engine_config,
         Some(&wal_config),
@@ -253,7 +251,7 @@ fn rebooted_daemon_rejects_a_conflicting_configure() {
     let daemon = DaemonProcess::spawn(&["--data-dir", data_dir.to_str().unwrap()]);
     PartitionHandshake::connect(&daemon.addr.to_string())
         .unwrap()
-        .configure(&partition, 0, IndexBackend::FlatGrid, 0.1, &config, None)
+        .configure(&partition, 0, 0.1, &config, None)
         .unwrap();
     daemon.sigkill();
 
@@ -263,7 +261,6 @@ fn rebooted_daemon_rejects_a_conflicting_configure() {
         &rebooted.addr.to_string(),
         &partition,
         0,
-        IndexBackend::FlatGrid,
         0.1,
         &config,
         None,
@@ -272,12 +269,68 @@ fn rebooted_daemon_rejects_a_conflicting_configure() {
     // Different topology: structured 409, not a silent re-route.
     let other = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.2));
     let mut conflicting = PartitionHandshake::connect(&rebooted.addr.to_string()).unwrap();
-    let refused = conflicting.configure(&other, 0, IndexBackend::FlatGrid, 0.2, &config, None);
+    let refused = conflicting.configure(&other, 0, 0.2, &config, None);
     assert!(refused.is_err(), "conflicting configure must be refused");
 
     same.shutdown().unwrap();
     rebooted.child.wait().ok();
     let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// A data dir whose `configure.json` was persisted by a build that still
+/// named an index backend (either one: recovered state does not depend on
+/// it) must boot on this build: self-configure, recover the pre-crash
+/// digest, take the router's identical re-push as the idempotent case, and
+/// leave the canonical payload — without the field — on disk.
+#[test]
+fn a_configure_json_naming_a_backend_still_boots_and_takes_the_re_push() {
+    for named in ["flat-grid", "grid"] {
+        let data_dir = tempdir(&format!("legacy-{named}"));
+        let dir_arg = data_dir.to_str().unwrap();
+        let partition = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1));
+        let config = EngineConfig::default();
+
+        let daemon = DaemonProcess::spawn(&["--data-dir", dir_arg]);
+        let mut remote =
+            connect_remote_partition(&daemon.addr.to_string(), &partition, 0, 0.1, &config, None)
+                .unwrap();
+        for round in 0..3u32 {
+            remote.begin_submit(round_events(round)).unwrap();
+            remote.finish_submit().unwrap();
+            remote.begin_tick(round as f64 * 0.5).unwrap();
+            remote.finish_tick().unwrap();
+        }
+        let digest = remote_digest(daemon.addr);
+        daemon.sigkill();
+
+        // Put back the field the earlier build persisted.
+        let persisted = data_dir.join("configure.json");
+        let canonical = std::fs::read_to_string(&persisted).unwrap();
+        let pushed = rdbsc_server::json::parse(&canonical).unwrap();
+        let mut legacy = pushed.clone();
+        let Json::Obj(fields) = &mut legacy else {
+            panic!("configure.json is not an object: {canonical}");
+        };
+        fields.insert("backend".to_string(), Json::Str(named.to_string()));
+        std::fs::write(&persisted, legacy.to_string_compact()).unwrap();
+
+        let mut rebooted = DaemonProcess::spawn(&["--data-dir", dir_arg]);
+        assert_eq!(remote_digest(rebooted.addr), digest, "backend {named:?}");
+        let mut http = HttpClient::new(rebooted.addr).with_timeout(Duration::from_secs(5));
+        let reply = http.post("/partition/configure", &pushed).unwrap();
+        assert!(reply.is_success(), "re-push refused: {}", reply.body);
+        assert_eq!(
+            reply.json().unwrap().get("already_configured"),
+            Some(&Json::Bool(true)),
+            "{}",
+            reply.body
+        );
+        assert_eq!(std::fs::read_to_string(&persisted).unwrap(), canonical);
+
+        http.post("/partition/shutdown", &Json::obj([])).unwrap();
+        rebooted.child.wait().ok();
+        let _ = std::fs::remove_dir_all(&data_dir);
+    }
 }
 
 /// Regression for the router's lost-partition panic: SIGKILL a mounted

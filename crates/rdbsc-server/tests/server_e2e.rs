@@ -2,8 +2,10 @@
 //! HTTP client, checked against an offline engine run on the same event
 //! stream.
 
+use rdbsc_cluster::RegionPartitioner;
+use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::GridIndex;
-use rdbsc_platform::{AssignmentEngine, EngineEvent, EngineHandle};
+use rdbsc_platform::{AssignmentEngine, EngineEvent, EngineHandle, PartitionedEngine};
 use rdbsc_server::dto::{AssignmentDto, SnapshotDto, TaskDto, WorkerDto};
 use rdbsc_server::json::Json;
 use rdbsc_server::{HttpClient, Server, ServerConfig};
@@ -112,8 +114,8 @@ fn server_matches_offline_engine_on_the_same_event_stream() {
         .map(AssignmentDto::from_pair)
         .collect();
 
-    // The server defaults to the flat backend while the offline engine ran
-    // on the classic grid — matching outputs here is the cross-backend
+    // The server runs the flat serving index while the offline engine ran
+    // on the reference grid — matching outputs here is the index
     // determinism contract observed end to end over the wire.
     assert_eq!(online, offline, "served assignments must equal the offline run");
 
@@ -122,7 +124,6 @@ fn server_matches_offline_engine_on_the_same_event_stream() {
     assert_eq!(snapshot.total_assignments as usize, online.len());
     assert_eq!(snapshot.live_tasks as usize, tasks.len());
     assert_eq!(snapshot.live_workers as usize, workers.len());
-    assert_eq!(snapshot.backend, "flat-grid", "default serving backend");
     assert!(
         snapshot.index_tcell_rebuilds >= 1.0,
         "the tick must have built reachability lists"
@@ -136,15 +137,23 @@ fn server_matches_offline_engine_on_the_same_event_stream() {
 fn partitioned_server_matches_its_offline_replica() {
     // Two partitions over the unit square (uniform split: left/right
     // halves); the scenario's two clusters land one per partition. The
-    // offline replica is the byte-identical partitioned engine the server
-    // config describes, but on the classic grid backend — so this exercises
-    // the router determinism AND the cross-backend contract over the wire.
+    // offline replica is the same region split the server config describes,
+    // built by hand on the reference grid — so this exercises the router
+    // determinism AND the index determinism contract over the wire.
     let config = ServerConfig {
         partitions: 2,
         ..manual_tick_config()
     };
-    let mut offline_config = config.clone();
-    offline_config.backend = rdbsc_index::IndexBackend::Grid;
+    let cell_size = config.cell_size;
+    let offline_handle: EngineHandle = EngineHandle::new_partitioned(PartitionedEngine::build(
+        RegionPartitioner::uniform().split(
+            GridGeometry::new(config.area, cell_size),
+            config.partitions,
+            &[],
+        ),
+        config.engine.clone(),
+        |rect| GridIndex::new(rect, cell_size),
+    ));
     let server = Server::start(config).expect("server must start");
     let mut client = HttpClient::new(server.addr());
 
@@ -181,7 +190,6 @@ fn partitioned_server_matches_its_offline_replica() {
         .collect();
     assert!(!online.is_empty(), "the scenario must produce assignments");
 
-    let offline_handle = offline_config.build_handle().expect("offline replica");
     for t in &tasks {
         offline_handle.submit(EngineEvent::TaskArrived(t.clone().into_task().unwrap()));
     }
@@ -334,9 +342,8 @@ fn metrics_report_counters_and_latencies() {
     let latency = metrics.get("request_latency").unwrap();
     assert!(latency.get("count").unwrap().as_num().unwrap() >= 6.0);
     let engine = metrics.get("engine").unwrap();
-    // The active index backend and its maintenance counters are scraped
-    // alongside the serving counters.
-    assert_eq!(engine.get("backend").unwrap().as_str(), Some("flat-grid"));
+    // The index's maintenance counters are scraped alongside the serving
+    // counters.
     assert!(engine.get("index_relocations").unwrap().as_num().is_some());
     assert!(engine.get("index_cells_repaired").unwrap().as_num().is_some());
     assert!(engine.get("index_tcell_rebuilds").unwrap().as_num().is_some());
@@ -389,4 +396,20 @@ fn graceful_shutdown_via_the_admin_route() {
     server.join();
     // And the port is actually released.
     assert!(std::net::TcpListener::bind(addr).is_ok());
+}
+
+#[test]
+fn the_backend_flag_is_refused_as_unknown() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rdbsc-server"))
+        .args(["--backend", "grid"])
+        .output()
+        .expect("run rdbsc-server");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --backend"), "{stderr}");
+    assert_eq!(
+        stderr.matches("--backend").count(),
+        1,
+        "the usage text must not list the flag: {stderr}"
+    );
 }

@@ -48,7 +48,7 @@
 //! | [`geo`] | points, angle ranges, the worker motion/reachability model |
 //! | [`model`] | tasks, workers, assignments, reliability, diversity, possible worlds |
 //! | [`cluster`] | 2-D k-means (used by the divide-and-conquer partitioner) |
-//! | [`index`] | the pluggable spatial-index layer: [`SpatialIndex`](rdbsc_index::SpatialIndex), the RDB-SC-Grid backend, the flat dense-grid backend |
+//! | [`index`] | the spatial-index layer: [`SpatialIndex`](rdbsc_index::SpatialIndex), the flat dense-grid serving index, the paper's RDB-SC-Grid as reference |
 //! | [`algos`] | greedy / sampling / divide-and-conquer / exact / incremental solvers |
 //! | [`workloads`] | UNIFORM & SKEWED generators, simulated POI / trajectory data, Table 2 config |
 //! | [`platform`] | the platform simulator, the parallel assignment engine + [`EngineHandle`](rdbsc_platform::EngineHandle) |
@@ -75,8 +75,7 @@ pub mod prelude {
     };
     pub use rdbsc_geo::{AngleRange, MotionModel, Point, Rect, Sector};
     pub use rdbsc_index::{
-        choose_backend, DynSpatialIndex, FlatGridIndex, GridIndex, GridStats, IndexBackend,
-        MaintenanceCounters, SpatialIndex, WorkloadProfile,
+        FlatGridIndex, GridIndex, GridStats, MaintenanceCounters, SpatialIndex,
     };
     pub use rdbsc_model::{
         aggregate_answers, compute_valid_pairs, evaluate, expected_std, reliability, spatial_diversity,
