@@ -187,14 +187,24 @@ impl AngleRange {
     /// consecutive sorted angles). Returns the full circle for an empty
     /// slice.
     pub fn covering_arc(angles: &[f64]) -> AngleRange {
+        Self::covering_arc_in_place(&mut angles.to_vec())
+    }
+
+    /// [`AngleRange::covering_arc`] without the copy: normalises and sorts
+    /// `angles` where they lie, so a caller with a fixed-size buffer
+    /// allocates nothing.
+    pub fn covering_arc_in_place(angles: &mut [f64]) -> AngleRange {
         if angles.is_empty() {
             return AngleRange::full();
         }
         if angles.len() == 1 {
             return AngleRange::singleton(angles[0]);
         }
-        let mut sorted: Vec<f64> = angles.iter().map(|&a| normalize_angle(a)).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("angles must not be NaN"));
+        for a in angles.iter_mut() {
+            *a = normalize_angle(*a);
+        }
+        angles.sort_unstable_by(|a, b| a.partial_cmp(b).expect("angles must not be NaN"));
+        let sorted = &*angles;
         // Find the largest gap between consecutive angles (circularly).
         let mut best_gap = -1.0;
         let mut best_after = 0usize; // the arc starts right after this index

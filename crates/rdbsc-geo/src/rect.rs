@@ -136,23 +136,42 @@ impl Rect {
     /// `other`, as a covering [`AngleRange`].
     ///
     /// For *disjoint* convex sets this is exact: the direction set is the
-    /// angular extent of the Minkowski difference `other ⊖ self`, a convex
-    /// polygon not containing the origin, whose angular extremes are attained
-    /// at vertex pairs. When the rectangles intersect, every direction is
-    /// possible and the full circle is returned.
+    /// angular extent of the Minkowski difference `other ⊖ self` — for two
+    /// rectangles the rectangle `[other.min − self.max, other.max − self.min]`
+    /// — a convex polygon not containing the origin, whose angular extremes
+    /// are attained at its corners. When the rectangles intersect, every
+    /// direction is possible and the full circle is returned.
     pub fn direction_range_to(&self, other: &Rect) -> AngleRange {
         if self.intersects(other) {
             return AngleRange::full();
         }
-        let mut angles = Vec::with_capacity(16);
-        for a in self.corners() {
-            for b in other.corners() {
-                if a != b {
-                    angles.push(a.direction_to(b));
-                }
+        Rect {
+            min_x: other.min_x - self.max_x,
+            min_y: other.min_y - self.max_y,
+            max_x: other.max_x - self.min_x,
+            max_y: other.max_y - self.min_y,
+        }
+        .directions_from_origin()
+    }
+
+    /// The set of directions from the origin towards points of the
+    /// rectangle: the covering arc of its four corners (four `atan2`, no
+    /// allocation). The full circle when the origin lies strictly inside; a
+    /// half-plane or quadrant when it lies on an edge or at a corner (a
+    /// corner *at* the origin has no direction and is skipped).
+    pub fn directions_from_origin(&self) -> AngleRange {
+        if self.min_x < 0.0 && self.max_x > 0.0 && self.min_y < 0.0 && self.max_y > 0.0 {
+            return AngleRange::full();
+        }
+        let mut angles = [0.0f64; 4];
+        let mut n = 0;
+        for corner in self.corners() {
+            if corner != Point::ORIGIN {
+                angles[n] = Point::ORIGIN.direction_to(corner);
+                n += 1;
             }
         }
-        AngleRange::covering_arc(&angles)
+        AngleRange::covering_arc_in_place(&mut angles[..n])
     }
 }
 

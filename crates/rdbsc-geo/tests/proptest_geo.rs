@@ -101,6 +101,32 @@ proptest! {
         }
     }
 
+    /// The four-corner Minkowski form of `direction_range_to` agrees with the
+    /// sixteen-corner-pair form it replaced: same arc on disjoint rectangles,
+    /// the full circle exactly when they intersect.
+    #[test]
+    fn rect_direction_range_matches_the_corner_pair_form(
+        ax in -5.0f64..5.0, ay in -5.0f64..5.0, aw in 0.01f64..2.0, ah in 0.01f64..2.0,
+        bx in -5.0f64..5.0, by in -5.0f64..5.0, bw in 0.01f64..2.0, bh in 0.01f64..2.0,
+    ) {
+        let ra = Rect::new(ax, ay, ax + aw, ay + ah);
+        let rb = Rect::new(bx, by, bx + bw, by + bh);
+        let dir = ra.direction_range_to(&rb);
+        prop_assert_eq!(dir.is_full(), ra.intersects(&rb));
+        if !ra.intersects(&rb) {
+            let mut angles = Vec::with_capacity(16);
+            for a in ra.corners() {
+                for b in rb.corners() {
+                    angles.push(a.direction_to(b));
+                }
+            }
+            let old = AngleRange::covering_arc(&angles);
+            let start_gap = (dir.start() - old.start()).abs();
+            prop_assert!(start_gap.min(FULL_TURN - start_gap) < 1e-12, "{dir:?} vs {old:?}");
+            prop_assert!((dir.width() - old.width()).abs() < 1e-12, "{dir:?} vs {old:?}");
+        }
+    }
+
     /// A worker can always reach a task at its own location with a generous
     /// window, and arrival times grow with distance along an allowed direction.
     #[test]

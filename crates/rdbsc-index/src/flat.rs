@@ -16,23 +16,64 @@
 //!   slot's cell pointer and the two membership vectors — no `BTreeSet`
 //!   occupancy updates (occupancy lists are compacted lazily) and no eager
 //!   summary recomputation.
-//! * **Lazy cell-summary repair.** Maintenance events only *mark* cells
-//!   dirty; [`SpatialIndex::refresh`] recomputes each dirty cell's summary
-//!   once, however many events touched it — a burst of moves through one
-//!   cell costs one repair instead of one per event. Reachability-list
-//!   rebuilds are further skipped when the repaired summary turns out
-//!   unchanged (the list is a pure function of the summaries, so an
-//!   unchanged summary proves the list is still exact).
+//! * **Lazy, demand-driven cell-summary repair.** Maintenance events only
+//!   *mark* cells dirty; [`SpatialIndex::refresh`] recomputes a dirty cell's
+//!   summary once, however many events touched it, and rebuilds its
+//!   reachability list only when the summary changed. A dirty cell no live
+//!   task can be reached from is not even summarised — it is *parked* (below).
 //!
-//! The index honours the determinism contract (see [`crate::traits`]): for
-//! the same `(space, η)` and live state it yields candidate sequences and
-//! shard decompositions identical to the reference [`crate::GridIndex`]'s.
+//! # The reachability-list contract
+//!
+//! Whether task cell `j` is on worker cell `i`'s `tcell_list` is re-decided
+//! only in a refresh where `i`'s worker summary or `j`'s task summary
+//! changed, or after a `depart_at` rewind; a later departure alone re-decides
+//! nothing, so entries that were true when decided survive (see
+//! [`crate::traits`]). The lists feed the shard decomposition, so this
+//! index applies exactly the reference [`crate::GridIndex`]'s re-decision
+//! rule — with one shortcut that provably cannot show.
+//!
+//! # Parking
+//!
+//! A dirty worker cell is **parked** — summary left stale, dirty mark kept,
+//! no rebuild, skipped by the task-side membership edits — exactly when its
+//! list is empty **and** no occupied task cell passes the time test
+//! `depart_at + d_min / V ≤ e_max`, where `V` is an index-wide upper bound on
+//! worker speed that only ever grows. The test is evaluated again at every
+//! refresh while the cell stays parked; when it passes, or on a rewind, the
+//! cell gets a fresh summary and an unconditional list rebuild.
+//!
+//! Why this equals the eager policy. The bound test failing for `j` implies
+//! the real predicate fails for `(i, j)` whatever `i`'s workers are (they
+//! leave no earlier than `depart_at` and move no faster than `V`, and the
+//! time test is monotone in both), so every decision the eager policy takes
+//! for a parked cell comes out "unreachable": the cell ends each such
+//! refresh with an empty list whether or not its summary changed. At
+//! un-park time take any pair `(i, j)` and the refresh that last decided it
+//! under the eager policy. If that was before `i` was parked, the answer was
+//! "unreachable" (the list was empty when parking began); if it was while
+//! parked, likewise. Neither summary has changed since (or the pair would
+//! have been re-decided later) and the time test only gets harder as
+//! `depart_at` grows, so a fresh decision now says "unreachable" too. The
+//! pairs left are those re-decided in this very refresh. A fresh rebuild
+//! therefore equals the list the eager policy holds. Parking a cell whose
+//! list is *non-empty* would diverge: its surviving entries are the
+//! stale-true ones of the contract above, which the rebuild at un-park
+//! would drop (the short-reach property test in `tests/proptest_backends.rs`
+//! fails within a few cases if that half of the condition is removed).
+//!
+//! Parked cells are neither repaired nor rebuilt, so the
+//! [`MaintenanceCounters`] of a movement-heavy run with few live tasks fall
+//! accordingly; the counters themselves mean what they always meant.
+//!
+//! The index honours the determinism contract (see [`crate::traits`]):
+//! driven through the same calls it yields candidate sequences and shard
+//! decompositions identical to the reference [`crate::GridIndex`]'s.
 
-use crate::geometry::GridGeometry;
+use crate::geometry::{CellSite, GridGeometry};
 use crate::shard::{extract_shards_via, ProblemShard};
 use crate::topology::{
-    bruteforce_pairs, cell_pair_reachable, retrieve_pairs_via, with_scratch, CellTopology,
-    PairScratch, TaskCellSummary, WorkerCellSummary,
+    bruteforce_pairs, cell_pair_reachable, retrieve_pairs_via, time_reachable, with_scratch,
+    CellTopology, DirectionMemo, PairScratch, TaskCellSummary, WorkerCellSummary,
 };
 use crate::traits::{MaintenanceCounters, SpatialIndex};
 use rdbsc_geo::{Point, Rect};
@@ -213,6 +254,9 @@ struct FlatCell {
     worker_summary: WorkerCellSummary,
     task_summary: TaskCellSummary,
     tcell_list: Vec<usize>,
+    /// Parked (see the [module docs](self)): `worker_summary` is stale and
+    /// the cell sits in the dirty list until a task comes within reach.
+    parked: bool,
 }
 
 impl Default for FlatCell {
@@ -225,6 +269,7 @@ impl Default for FlatCell {
             worker_summary: WorkerCellSummary::EMPTY,
             task_summary: TaskCellSummary::EMPTY,
             tcell_list: Vec::new(),
+            parked: false,
         }
     }
 }
@@ -281,10 +326,15 @@ pub struct FlatGridIndex {
     /// The `depart_at` the reachability lists were last refreshed under
     /// (rewinds grow reachability and force a full rebuild).
     tcell_depart_at: f64,
+    /// Upper bound on the speed of every worker ever indexed (never lowered:
+    /// parking only needs a bound, and a bound that shrank could un-park
+    /// nothing anyway).
+    speed_bound: f64,
     depart_at: f64,
     allow_wait: bool,
     counters: MaintenanceCounters,
     scratch: PairScratch,
+    directions: DirectionMemo,
 }
 
 impl FlatGridIndex {
@@ -306,10 +356,12 @@ impl FlatGridIndex {
             dirty_worker_cells: DirtyList::with_cells(num_cells),
             dirty_task_cells: DirtyList::with_cells(num_cells),
             tcell_depart_at: 0.0,
+            speed_bound: 0.0,
             depart_at: 0.0,
             allow_wait: true,
             counters: MaintenanceCounters::default(),
             scratch: PairScratch::default(),
+            directions: DirectionMemo::new(geometry.eta()),
         }
     }
 
@@ -355,7 +407,54 @@ impl FlatGridIndex {
             .unwrap_or(0);
         (max_task, max_worker)
     }
+
+    /// The worker summary of a cell, recomputed from its current members.
+    fn fresh_worker_summary(&self, cell: usize) -> WorkerCellSummary {
+        WorkerCellSummary::compute(
+            self.cells[cell]
+                .worker_slots
+                .iter()
+                .map(|&s| self.workers.value_at(s)),
+        )
+    }
+
+    /// The parking time test: could a worker as fast as the index-wide speed
+    /// bound, leaving `cell` at `depart_at`, make any occupied task cell's
+    /// latest deadline?
+    fn in_bound_reach(&self, cell: usize, task_cells: &[TaskCellView]) -> bool {
+        let rect = self.geometry.rect_of(cell);
+        task_cells.iter().any(|(_, site, to)| {
+            let d_min = rect.min_distance(&site.rect);
+            time_reachable(self.depart_at, d_min, self.speed_bound, to.e_max)
+        })
+    }
+
+    /// The parking invariant: under its *current* workers, a parked cell
+    /// reaches no occupied task cell by the full predicate.
+    fn parked_cells_reach_nothing(
+        &mut self,
+        parked: &[usize],
+        task_cells: &[TaskCellView],
+    ) -> bool {
+        parked.iter().all(|&c| {
+            let from_site = self.geometry.site(c);
+            let from = self.fresh_worker_summary(c);
+            !task_cells.iter().any(|(_, to_site, to)| {
+                cell_pair_reachable(
+                    self.depart_at,
+                    &from_site,
+                    &from,
+                    to_site,
+                    to,
+                    &mut self.directions,
+                )
+            })
+        })
+    }
 }
+
+/// An occupied task cell as one refresh sees it: index, site, fresh summary.
+type TaskCellView = (usize, CellSite, TaskCellSummary);
 
 impl SpatialIndex for FlatGridIndex {
     fn depart_at(&self) -> f64 {
@@ -487,6 +586,7 @@ impl SpatialIndex for FlatGridIndex {
             self.occupied_worker_cells.insert(cell_idx);
         }
         self.dirty_worker_cells.mark(cell_idx);
+        self.speed_bound = self.speed_bound.max(worker.speed);
     }
 
     fn remove_worker(&mut self, id: WorkerId) {
@@ -542,24 +642,9 @@ impl SpatialIndex for FlatGridIndex {
                 .compact(|c| !cells[c].worker_ids.is_empty());
         }
 
-        // 2. Lazy summary repair: each dirty cell is recomputed once, no
-        // matter how many events touched it since the last refresh. A cell
-        // whose repaired summary is *unchanged* provably needs no further
-        // work — its reachability state is a pure function of the summaries.
-        let mut rebuild: Vec<usize> = Vec::new();
-        for c in self.dirty_worker_cells.drain_sorted() {
-            let summary = WorkerCellSummary::compute(
-                self.cells[c]
-                    .worker_slots
-                    .iter()
-                    .map(|&s| self.workers.value_at(s)),
-            );
-            let cell = &mut self.cells[c];
-            if cell.worker_summary != summary {
-                cell.worker_summary = summary;
-                rebuild.push(c);
-            }
-        }
+        // 2. Task summaries first (the parking decision reads them): each
+        // dirty cell is recomputed once, no matter how many events touched
+        // it since the last refresh.
         let mut changed_task_cells: Vec<usize> = Vec::new();
         for c in self.dirty_task_cells.drain_sorted() {
             let summary = TaskCellSummary::compute(
@@ -574,62 +659,97 @@ impl SpatialIndex for FlatGridIndex {
                 changed_task_cells.push(c);
             }
         }
+        let task_cells: Vec<TaskCellView> = self
+            .occupied_task_cells
+            .as_slice()
+            .iter()
+            .map(|&j| (j, self.geometry.site(j), self.cells[j].task_summary))
+            .collect();
 
         // 3. A departure rewind grows reachability: every worker cell's
-        // cached list may be missing cells, so rebuild them all.
-        if self.depart_at < self.tcell_depart_at {
-            rebuild.extend(self.occupied_worker_cells.as_slice().iter().copied());
-            rebuild.sort_unstable();
-            rebuild.dedup();
-        }
+        // cached list may be missing cells, so nothing is parked and every
+        // list is rebuilt.
+        let rewind = self.depart_at < self.tcell_depart_at;
         self.tcell_depart_at = self.depart_at;
 
-        // 4. Full list rebuilds for cells whose worker summary changed.
-        let occupied_tasks: Vec<usize> = self.occupied_task_cells.as_slice().to_vec();
-        let mut rebuilt = 0usize;
-        for &c in &rebuild {
+        // 4. Worker summaries, on demand: a dirty cell no task can be
+        // reached from is parked instead of repaired; the others are
+        // recomputed once and rebuilt if the summary changed (or had gone
+        // stale while parked).
+        let mut rebuild: Vec<usize> = Vec::new();
+        let mut parked: Vec<usize> = Vec::new();
+        for c in self.dirty_worker_cells.drain_sorted() {
             if self.cells[c].worker_ids.is_empty() {
-                self.cells[c].tcell_list.clear();
+                let cell = &mut self.cells[c];
+                cell.worker_summary = WorkerCellSummary::EMPTY;
+                cell.tcell_list.clear();
+                cell.parked = false;
                 continue;
             }
-            let from_rect = self.geometry.rect_of(c);
+            if !rewind
+                && self.cells[c].tcell_list.is_empty()
+                && !self.in_bound_reach(c, &task_cells)
+            {
+                self.cells[c].parked = true;
+                parked.push(c);
+                continue;
+            }
+            let summary = self.fresh_worker_summary(c);
+            let cell = &mut self.cells[c];
+            let was_parked = std::mem::take(&mut cell.parked);
+            if was_parked || cell.worker_summary != summary {
+                cell.worker_summary = summary;
+                rebuild.push(c);
+            }
+        }
+        for &c in &parked {
+            self.dirty_worker_cells.mark(c);
+        }
+        if rewind {
+            rebuild = self.occupied_worker_cells.as_slice().to_vec();
+        }
+
+        // 5. Full list rebuilds (`rebuild` is ascending and holds occupied
+        // cells only).
+        for &c in &rebuild {
+            let from_site = self.geometry.site(c);
             let from = self.cells[c].worker_summary;
             let mut list = std::mem::take(&mut self.cells[c].tcell_list);
             list.clear();
-            for &j in &occupied_tasks {
+            for (j, to_site, to) in &task_cells {
                 if cell_pair_reachable(
                     self.depart_at,
-                    &from_rect,
+                    &from_site,
                     &from,
-                    &self.geometry.rect_of(j),
-                    &self.cells[j].task_summary,
+                    to_site,
+                    to,
+                    &mut self.directions,
                 ) {
-                    list.push(j); // ascending: occupied_tasks is sorted
+                    list.push(*j); // ascending: task_cells is sorted
                 }
             }
             self.cells[c].tcell_list = list;
-            rebuilt += 1;
         }
-        self.counters.tcell_rebuilds += rebuilt as u64;
+        self.counters.tcell_rebuilds += rebuild.len() as u64;
 
-        // 5. Targeted membership edits for cells whose task summary changed
-        // (cells rebuilt above already saw the new task summaries).
-        let occupied_workers: Vec<usize> = self.occupied_worker_cells.as_slice().to_vec();
+        // 6. Targeted membership edits for cells whose task summary changed
+        // (cells rebuilt above already saw the new task summaries; parked
+        // cells are out of even the speed bound's reach of them).
         let mut edited: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
         for &j in &changed_task_cells {
-            let to_rect = self.geometry.rect_of(j);
+            let to_site = self.geometry.site(j);
             let to = self.cells[j].task_summary;
-            for &i in &occupied_workers {
-                if rebuild.binary_search(&i).is_ok() {
-                    continue; // already fully rebuilt above
+            for &i in self.occupied_worker_cells.as_slice() {
+                if self.cells[i].parked || rebuild.binary_search(&i).is_ok() {
+                    continue;
                 }
-                let from_rect = self.geometry.rect_of(i);
                 let reachable = cell_pair_reachable(
                     self.depart_at,
-                    &from_rect,
+                    &self.geometry.site(i),
                     &self.cells[i].worker_summary,
-                    &to_rect,
+                    &to_site,
                     &to,
+                    &mut self.directions,
                 );
                 let list = &mut self.cells[i].tcell_list;
                 match (list.binary_search(&j), reachable) {
@@ -646,7 +766,11 @@ impl SpatialIndex for FlatGridIndex {
             }
         }
 
-        let repaired = rebuilt + edited.len();
+        debug_assert!(
+            self.parked_cells_reach_nothing(&parked, &task_cells),
+            "a parked cell reaches a task cell"
+        );
+        let repaired = rebuild.len() + edited.len();
         self.counters.cells_repaired += repaired as u64;
         repaired
     }
@@ -692,8 +816,8 @@ impl CellTopology for FlatGridIndex {
     fn num_cells(&self) -> usize {
         self.cells.len()
     }
-    fn worker_cell_indices(&self) -> Vec<usize> {
-        self.occupied_worker_cells.as_slice().to_vec()
+    fn fill_worker_cells(&self, out: &mut Vec<usize>) {
+        out.extend_from_slice(self.occupied_worker_cells.as_slice());
     }
     fn tcell_list_of(&self, cell: usize) -> &[usize] {
         &self.cells[cell].tcell_list
@@ -863,6 +987,119 @@ mod tests {
         assert_eq!(index.retrieve_valid_pairs().num_pairs(), 0);
         index.set_depart_at(0.0); // rewind: the pair is reachable again
         assert_eq!(index.retrieve_valid_pairs().num_pairs(), 1);
+    }
+
+    /// One short-window task with a worker beside it in the south-west, and
+    /// a 40-strong crowd in the north-east that nothing can reach in time.
+    fn short_task_and_far_crowd() -> FlatGridIndex {
+        let mut index = FlatGridIndex::new(Rect::unit(), 0.1);
+        index.insert_task(task(0, 0.05, 0.05, 0.0, 0.2));
+        index.insert_worker(worker(100, 0.06, 0.06, 0.2));
+        for j in 0..40u32 {
+            index.insert_worker(worker(
+                j,
+                0.6 + 0.008 * j as f64,
+                0.8,
+                0.1 + 0.005 * j as f64,
+            ));
+        }
+        index
+    }
+
+    fn churn_the_crowd(index: &mut FlatGridIndex, round: u32) {
+        for j in 0..40u32 {
+            let x = 0.55 + ((j * 7 + round * 13) % 40) as f64 * 0.01;
+            let y = 0.6 + ((j * 3 + round) % 30) as f64 * 0.01;
+            index.relocate_worker(WorkerId(j), Point::new(x, y));
+        }
+    }
+
+    fn parked_cells(index: &FlatGridIndex) -> usize {
+        index.cells.iter().filter(|c| c.parked).count()
+    }
+
+    #[test]
+    fn a_far_crowd_churning_beside_a_short_task_costs_no_rebuilds() {
+        let mut index = short_task_and_far_crowd();
+        assert_eq!(
+            pair_set(&index.retrieve_valid_pairs()),
+            vec![(TaskId(0), WorkerId(100))]
+        );
+        assert!(parked_cells(&index) > 0);
+        let before = index.maintenance_counters();
+        for round in 0..5 {
+            churn_the_crowd(&mut index, round);
+            assert_eq!(
+                pair_set(&index.retrieve_valid_pairs()),
+                pair_set(&index.retrieve_valid_pairs_bruteforce()),
+            );
+        }
+        let delta = index.maintenance_counters().delta_since(&before);
+        assert!(delta.relocations > 0);
+        assert_eq!(delta.tcell_rebuilds, 0);
+        assert_eq!(delta.cells_repaired, 0);
+    }
+
+    #[test]
+    fn a_task_arriving_beside_a_parked_cell_unparks_it() {
+        let mut index = short_task_and_far_crowd();
+        index.refresh();
+        churn_the_crowd(&mut index, 1); // summaries of the parked cells go stale
+        index.refresh();
+        let crowd_cell = index.geometry.cell_of(Point::new(0.75, 0.75));
+        assert!(index.cells[crowd_cell].parked);
+        index.insert_task(task(1, 0.75, 0.75, 0.0, 0.3));
+        let pairs = index.retrieve_valid_pairs();
+        assert!(
+            pairs.num_pairs() > 1,
+            "the crowd around the new task can serve it"
+        );
+        assert_eq!(
+            pair_set(&pairs),
+            pair_set(&index.retrieve_valid_pairs_bruteforce())
+        );
+        assert!(!index.cells[crowd_cell].parked);
+        assert!(!index.cells[crowd_cell].tcell_list.is_empty());
+        // Cells of the crowd the new task's window cannot be made from stay
+        // parked.
+        assert!(parked_cells(&index) > 0);
+    }
+
+    #[test]
+    fn a_rewind_unparks_everything() {
+        let mut index = short_task_and_far_crowd();
+        index.set_depart_at(0.1);
+        index.refresh();
+        assert!(parked_cells(&index) > 0);
+        churn_the_crowd(&mut index, 2);
+        index.set_depart_at(0.0);
+        let repaired = index.refresh();
+        assert_eq!(parked_cells(&index), 0);
+        assert_eq!(repaired, index.occupied_worker_cells.as_slice().len());
+        assert_eq!(
+            pair_set(&index.retrieve_valid_pairs()),
+            pair_set(&index.retrieve_valid_pairs_bruteforce()),
+        );
+    }
+
+    #[test]
+    fn a_faster_worker_checking_in_widens_the_speed_bound_and_unparks() {
+        let mut index = short_task_and_far_crowd();
+        index.refresh();
+        let crowd_cells = parked_cells(&index);
+        assert!(crowd_cells > 0);
+        let before = index.maintenance_counters();
+        // Far from the task and from the crowd, but fast enough to put the
+        // whole space within the bound's reach of the task.
+        index.insert_worker(worker(200, 0.95, 0.05, 10.0));
+        let pairs = index.retrieve_valid_pairs();
+        assert_eq!(parked_cells(&index), 0);
+        let delta = index.maintenance_counters().delta_since(&before);
+        assert_eq!(delta.tcell_rebuilds as usize, crowd_cells + 1);
+        assert_eq!(
+            pair_set(&pairs),
+            vec![(TaskId(0), WorkerId(100)), (TaskId(0), WorkerId(200))]
+        );
     }
 
     #[test]

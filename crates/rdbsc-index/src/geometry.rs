@@ -9,6 +9,16 @@
 
 use rdbsc_geo::{Point, Rect};
 
+/// A cell as the reachability predicate sees it: its grid coordinates (what
+/// the direction memo is keyed by) and its rectangle (what distances are
+/// measured between).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellSite {
+    pub(crate) col: i32,
+    pub(crate) row: i32,
+    pub(crate) rect: Rect,
+}
+
 /// The immutable grid layout: data space, effective cell side `η` and the
 /// number of cells per axis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,11 +97,20 @@ impl GridGeometry {
 
     /// The rectangle of a cell by index.
     pub fn rect_of(&self, idx: usize) -> Rect {
+        self.site(idx).rect
+    }
+
+    /// Grid coordinates and rectangle of a cell by index.
+    pub(crate) fn site(&self, idx: usize) -> CellSite {
         let row = idx / self.cells_per_axis;
         let col = idx % self.cells_per_axis;
         let min_x = self.space.min_x + col as f64 * self.eta;
         let min_y = self.space.min_y + row as f64 * self.eta;
-        Rect::new(min_x, min_y, min_x + self.eta, min_y + self.eta)
+        CellSite {
+            col: col as i32,
+            row: row as i32,
+            rect: Rect::new(min_x, min_y, min_x + self.eta, min_y + self.eta),
+        }
     }
 }
 

@@ -17,15 +17,22 @@
 //! `O(worker_cells · changed_cells)` instead of the full
 //! `O(worker_cells · cells)` rebuild the seed implementation performed.
 //!
+//! The lists have memory: a pair's membership is the reachability
+//! predicate's answer at the `depart_at` of the refresh that last re-decided
+//! it, and stays until one of its two summaries changes or the departure
+//! time rewinds (the contract in [`crate::traits`]).
+//!
 //! `GridIndex` is the reference implementation of [`SpatialIndex`]: the
 //! figure harness reproduces the paper on it and the differential tests hold
 //! [`crate::FlatGridIndex`], the index the serving stack runs, to its output.
+//! It repairs eagerly and parks nothing, which is what makes it the oracle
+//! for the flat index's demand-driven repair.
 
 use crate::cost_model::{optimal_eta, CostModelParams};
 use crate::geometry::GridGeometry;
 use crate::topology::{
-    bruteforce_pairs, cell_pair_reachable, retrieve_pairs_via, CellTopology, PairScratch,
-    TaskCellSummary, WorkerCellSummary,
+    bruteforce_pairs, cell_pair_reachable, retrieve_pairs_via, CellTopology, DirectionMemo,
+    PairScratch, TaskCellSummary, WorkerCellSummary,
 };
 use crate::traits::{MaintenanceCounters, SpatialIndex};
 use rdbsc_geo::{Point, Rect};
@@ -42,12 +49,13 @@ pub(crate) struct Cell {
     workers: Vec<WorkerId>,
     worker_summary: WorkerCellSummary,
     task_summary: TaskCellSummary,
-    /// The worker summary the `tcell_list` was last decided under. The list
-    /// is a pure function of the summaries, so at refresh time a rebuild is
-    /// needed exactly when the current summary differs — the same trigger
-    /// the flat backend uses, which keeps the two backends' cached lists
-    /// (and therefore shard decompositions) identical even across A-B-A
-    /// changes between refreshes.
+    /// The worker summary the `tcell_list` was last decided under. At
+    /// refresh time the list is rebuilt exactly when the current summary
+    /// differs — the re-decision rule of the determinism contract (see
+    /// [`crate::traits`]), the same trigger the flat backend uses, which
+    /// keeps the two backends' cached lists (and therefore shard
+    /// decompositions) identical even across A-B-A changes between
+    /// refreshes.
     listed_worker_summary: WorkerCellSummary,
     /// The task summary this cell's membership in the worker cells' lists
     /// was last decided under (same refresh-time-compare contract).
@@ -186,6 +194,8 @@ pub struct GridIndex {
     counters: MaintenanceCounters,
     /// Reusable candidate-generation buffers (hot path, no per-cell allocs).
     scratch: PairScratch,
+    /// Cell-pair direction ranges by offset (see [`DirectionMemo`]).
+    directions: DirectionMemo,
     /// Time at which assignments depart (mirrors `ProblemInstance::depart_at`).
     pub depart_at: f64,
     /// Whether early-arriving workers may wait for a task's window to open.
@@ -214,6 +224,7 @@ impl GridIndex {
             tcell_depart_at: 0.0,
             counters: MaintenanceCounters::default(),
             scratch: PairScratch::default(),
+            directions: DirectionMemo::new(geometry.eta()),
             depart_at: 0.0,
             allow_wait: true,
         }
@@ -459,10 +470,11 @@ impl GridIndex {
 
         // Candidate cells: membership changed since the last refresh (plus
         // every worker cell on a rewind). A rebuild actually happens only
-        // when the *summary* the list was last decided under differs — the
-        // list is a pure function of the summaries, so an unchanged summary
-        // proves the cached list is still exact. Iterate over a snapshot
-        // because the loop needs simultaneous borrow of `self`.
+        // when the *summary* the list was last decided under differs: with
+        // the summary unchanged, every entry stands as last decided, which
+        // is what the contract asks for (a later `depart_at` alone
+        // re-decides nothing). Iterate over a snapshot because the loop
+        // needs simultaneous borrow of `self`.
         let mut dirty_worker_cells: Vec<usize> = (0..self.cells.len())
             .filter(|&i| self.cells[i].tcell_dirty)
             .collect();
@@ -485,17 +497,18 @@ impl GridIndex {
                 self.cells[i].tcell_list.clear();
                 continue;
             }
-            let from_rect = self.geometry.rect_of(i);
+            let from_site = self.geometry.site(i);
             let from = self.cells[i].worker_summary;
             let mut list = std::mem::take(&mut self.cells[i].tcell_list);
             list.clear();
             for &j in &task_cells {
                 if cell_pair_reachable(
                     self.depart_at,
-                    &from_rect,
+                    &from_site,
                     &from,
-                    &self.geometry.rect_of(j),
+                    &self.geometry.site(j),
                     &self.cells[j].task_summary,
+                    &mut self.directions,
                 ) {
                     list.push(j); // ascending: task_cells is sorted
                 }
@@ -520,7 +533,7 @@ impl GridIndex {
                 continue; // membership decisions are still exact
             }
             self.cells[j].listed_task_summary = self.cells[j].task_summary;
-            let to_rect = self.geometry.rect_of(j);
+            let to_site = self.geometry.site(j);
             let to = self.cells[j].task_summary;
             for &i in &worker_cells {
                 if rebuilt.contains(&i) {
@@ -528,10 +541,11 @@ impl GridIndex {
                 }
                 let reachable = cell_pair_reachable(
                     self.depart_at,
-                    &self.geometry.rect_of(i),
+                    &self.geometry.site(i),
                     &self.cells[i].worker_summary,
-                    &to_rect,
+                    &to_site,
                     &to,
+                    &mut self.directions,
                 );
                 let list = &mut self.cells[i].tcell_list;
                 match (list.binary_search(&j), reachable) {
@@ -674,8 +688,8 @@ impl CellTopology for GridIndex {
     fn num_cells(&self) -> usize {
         self.cells.len()
     }
-    fn worker_cell_indices(&self) -> Vec<usize> {
-        self.worker_cell_set.iter().copied().collect()
+    fn fill_worker_cells(&self, out: &mut Vec<usize>) {
+        out.extend(self.worker_cell_set.iter().copied());
     }
     fn tcell_list_of(&self, cell: usize) -> &[usize] {
         &self.cells[cell].tcell_list

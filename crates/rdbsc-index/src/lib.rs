@@ -22,8 +22,8 @@
 //! * **The [`SpatialIndex`] trait** ([`traits`]): insert/remove/
 //!   relocate tasks and workers, pruned candidate retrieval, shard
 //!   extraction and maintenance counters, with a determinism contract
-//!   (identical candidate sequences and shard decompositions for the same
-//!   live state, whichever implementation holds it).
+//!   (identical candidate sequences and shard decompositions from the same
+//!   calls, whichever implementation receives them).
 //! * **The serving index**, [`FlatGridIndex`] ([`flat`]): slot-arena
 //!   storage behind generational handles, O(1) relocation and lazy batched
 //!   summary repair. Every tier of the serving stack runs it by type.

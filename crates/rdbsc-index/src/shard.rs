@@ -23,7 +23,6 @@ use crate::topology::{for_each_cell_pruned_pair, CellTopology, PairScratch};
 use rdbsc_model::instance::SubInstanceMapping;
 use rdbsc_model::valid_pairs::{BipartiteCandidates, ValidPair};
 use rdbsc_model::{ProblemInstance, Task, TaskId, Worker, WorkerId};
-use std::collections::HashMap;
 
 /// One independent sub-problem extracted from the live index.
 #[derive(Debug, Clone)]
@@ -54,15 +53,20 @@ impl ProblemShard {
     }
 }
 
-/// Union-find over cell indices with path halving.
-struct DisjointSets {
+/// Union-find over cell indices with path halving. Kept in the index's
+/// scratch between extractions: every call leaves it all-singleton again by
+/// resetting the cells it touched, so a tick pays for the cells in play, not
+/// for the grid.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DisjointSets {
     parent: Vec<usize>,
 }
 
 impl DisjointSets {
-    fn new(n: usize) -> Self {
-        Self {
-            parent: (0..n).collect(),
+    /// Sizes the forest for `n` cells (a no-op after the first call).
+    fn ensure_cells(&mut self, n: usize) {
+        if self.parent.len() != n {
+            self.parent = (0..n).collect();
         }
     }
 
@@ -82,6 +86,10 @@ impl DisjointSets {
             self.parent[hi] = lo;
         }
     }
+
+    fn reset(&mut self, x: usize) {
+        self.parent[x] = x;
+    }
 }
 
 /// The backend-shared extraction body. The caller must have refreshed the
@@ -91,30 +99,39 @@ pub(crate) fn extract_shards_via<C: CellTopology + ?Sized>(
     beta: f64,
     scratch: &mut PairScratch,
 ) -> Vec<ProblemShard> {
-    let mut sets = DisjointSets::new(index.num_cells());
-    let worker_cells: Vec<usize> = index.worker_cell_indices();
-    for &i in &worker_cells {
+    let PairScratch {
+        objects,
+        worker_cells,
+        components,
+    } = scratch;
+    worker_cells.clear();
+    index.fill_worker_cells(worker_cells);
+    components.ensure_cells(index.num_cells());
+    for &i in worker_cells.iter() {
         for &j in index.tcell_list_of(i) {
-            sets.union(i, j);
+            components.union(i, j);
         }
     }
 
-    // Group worker cells by component root; only components with both kinds
-    // of cells can produce valid pairs.
-    let mut comp_worker_cells: HashMap<usize, Vec<usize>> = HashMap::new();
-    for &i in &worker_cells {
-        if !index.tcell_list_of(i).is_empty() {
-            comp_worker_cells.entry(sets.find(i)).or_default().push(i);
+    // Group worker cells by component root (ascending root, then ascending
+    // cell); only components with both kinds of cells can produce valid
+    // pairs.
+    let mut rooted_cells: Vec<(usize, usize)> = worker_cells
+        .iter()
+        .filter(|&&i| !index.tcell_list_of(i).is_empty())
+        .map(|&i| (components.find(i), i))
+        .collect();
+    rooted_cells.sort_unstable();
+    for &i in worker_cells.iter() {
+        components.reset(i);
+        for &j in index.tcell_list_of(i) {
+            components.reset(j);
         }
     }
 
-    // lint:allow(D001): collected here, sorted on the next line
-    let mut roots: Vec<usize> = comp_worker_cells.keys().copied().collect();
-    roots.sort_unstable();
-
-    let mut shards = Vec::with_capacity(roots.len());
-    for root in roots {
-        let cells = &comp_worker_cells[&root];
+    let mut shards = Vec::new();
+    for component in rooted_cells.chunk_by(|a, b| a.0 == b.0) {
+        let cells: Vec<usize> = component.iter().map(|&(_, cell)| cell).collect();
 
         let mut worker_ids: Vec<WorkerId> = cells
             .iter()
@@ -143,40 +160,32 @@ pub(crate) fn extract_shards_via<C: CellTopology + ?Sized>(
             .iter()
             .map(|id| index.worker_by_id(*id))
             .collect();
-
-        let local_task: HashMap<TaskId, TaskId> = task_ids
-            .iter()
-            .enumerate()
-            .map(|(local, live)| (*live, TaskId::from(local)))
-            .collect();
-        let local_worker: HashMap<WorkerId, WorkerId> = worker_ids
-            .iter()
-            .enumerate()
-            .map(|(local, live)| (*live, WorkerId::from(local)))
-            .collect();
-
-        let mapping = SubInstanceMapping {
-            tasks: task_ids.clone(),
-            workers: worker_ids.clone(),
-        };
         let mut instance = ProblemInstance::new(tasks, workers, beta);
         instance.depart_at = index.depart_at();
         instance.allow_wait = index.allow_wait();
 
-        // Cell-pruned pair retrieval, re-expressed in shard-local ids.
+        // Cell-pruned pair retrieval, re-expressed in shard-local ids: a
+        // live id's local id is its position in the ascending id list.
         let mut candidates =
             BipartiteCandidates::with_capacity(instance.num_tasks(), instance.num_workers());
-        for_each_cell_pruned_pair(index, cells, scratch, |task, worker, contribution| {
+        for_each_cell_pruned_pair(index, &cells, objects, |task, worker, contribution| {
+            let local_task = task_ids.binary_search(&task.id).expect("task of the shard");
+            let local_worker = worker_ids
+                .binary_search(&worker.id)
+                .expect("worker of the shard");
             candidates.push(ValidPair {
-                task: local_task[&task.id],
-                worker: local_worker[&worker.id],
+                task: TaskId::from(local_task),
+                worker: WorkerId::from(local_worker),
                 contribution,
             });
         });
 
         shards.push(ProblemShard {
             instance,
-            mapping,
+            mapping: SubInstanceMapping {
+                tasks: task_ids,
+                workers: worker_ids,
+            },
             candidates,
         });
     }

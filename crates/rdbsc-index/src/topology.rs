@@ -7,7 +7,14 @@
 //! backends cannot drift. The hot candidate loop reuses one [`PairScratch`]
 //! (owned by the index, threaded through by `&mut`) instead of allocating
 //! per-cell worker/task vectors on every tick.
+//!
+//! What a `tcell_list` holds is the outcome of [`cell_pair_reachable`] *at
+//! the time each pair was last decided*, not a function of the current
+//! summaries; the rule for when pairs are re-decided is part of the
+//! determinism contract and is written down in [`crate::traits`].
 
+use crate::geometry::CellSite;
+use crate::shard::DisjointSets;
 use rdbsc_geo::{AngleRange, Rect};
 use rdbsc_model::valid_pairs::{check_pair, BipartiteCandidates, ValidPair};
 use rdbsc_model::{Contribution, Task, TaskId, Worker, WorkerId};
@@ -90,19 +97,39 @@ impl TaskCellSummary {
     }
 }
 
+/// The paper's minimum-travel-time test: can something leaving at `depart`
+/// with speed at most `v_max` cover `d_min` by `e_max`?
+///
+/// Monotone in each argument (later departure, longer distance, lower speed
+/// or earlier deadline never turn `false` into `true`, in floats as in the
+/// reals), which is what lets [`crate::FlatGridIndex`] run it with an
+/// index-wide speed bound and the bare `depart_at` to rule a cell out
+/// without knowing the cell's own summary.
+pub(crate) fn time_reachable(depart: f64, d_min: f64, v_max: f64, e_max: f64) -> bool {
+    if d_min > 0.0 {
+        v_max > 0.0 && depart + d_min / v_max <= e_max
+    } else {
+        // Overlapping or identical cells: a worker may be arbitrarily close
+        // to (or on top of) a task; only the deadline must be in the future.
+        depart <= e_max
+    }
+}
+
 /// Can any worker of the `from` cell possibly serve any task of the `to`
 /// cell?
 ///
-/// Conservative: never prunes a reachable pair. Combines the paper's
-/// minimum-travel-time test (`d_min / v_max` vs. latest deadline) with an
-/// angular-hull test on the workers' heading cones. Shared verbatim by both
-/// backends so their `tcell_list`s stay byte-identical.
+/// Conservative: never prunes a reachable pair. Combines
+/// [`time_reachable`] (`d_min / v_max` vs. latest deadline) with an
+/// angular-hull test on the workers' heading cones, which overlapping cells
+/// are exempt from. Shared verbatim by both backends so their `tcell_list`s
+/// stay byte-identical.
 pub(crate) fn cell_pair_reachable(
     depart_at: f64,
-    from_rect: &Rect,
+    from_site: &CellSite,
     from: &WorkerCellSummary,
-    to_rect: &Rect,
+    to_site: &CellSite,
     to: &TaskCellSummary,
+    directions: &mut DirectionMemo,
 ) -> bool {
     if !to.has_tasks() {
         return false;
@@ -110,41 +137,85 @@ pub(crate) fn cell_pair_reachable(
     let Some(hull) = from.heading_hull else {
         return false; // no workers
     };
-    // Minimum possible arrival time at the target cell.
     let depart = depart_at.max(from.min_available_from);
-    let d_min = from_rect.min_distance(to_rect);
-    if d_min > 0.0 {
-        if from.v_max <= 0.0 {
-            return false;
-        }
-        let t_min = depart + d_min / from.v_max;
-        if t_min > to.e_max {
-            return false;
-        }
-        // Angular pruning: the directions towards the target cell must
-        // overlap the workers' heading hull.
-        let directions = from_rect.direction_range_to(to_rect);
-        if !hull.intersects(&directions) {
-            return false;
-        }
-    } else {
-        // Overlapping or identical cells: a worker may be arbitrarily close
-        // to (or on top of) a task, so never prune; still require the
-        // deadline to be in the future.
-        if depart > to.e_max {
-            return false;
-        }
-    }
-    true
+    let d_min = from_site.rect.min_distance(&to_site.rect);
+    time_reachable(depart, d_min, from.v_max, to.e_max)
+        && (d_min == 0.0 || hull.intersects(&directions.between(from_site, to_site)))
 }
 
-/// Reusable buffers for the candidate-generation hot path. Owned by each
-/// index and threaded through by `&mut`, so steady-state retrieval does no
-/// per-cell allocation.
+/// The directions from one cell towards another, remembered per
+/// `(Δcol, Δrow)` offset: on a regular grid the range depends on nothing
+/// else, while [`cell_pair_reachable`] asks for it once per cell *pair*.
+///
+/// A direct-mapped table of fixed size, allocated on first use: a grid of up
+/// to 32 cells per axis has a slot for every offset, a larger one recomputes
+/// on a collision. Each entry is a pure function of `(η, offset)` — derived
+/// from the offset's Minkowski-difference rectangle in multiples of `η`, not
+/// from the rectangles of whichever pair asked first — so what the table
+/// happens to hold never shows in an answer.
+#[derive(Debug, Clone)]
+pub(crate) struct DirectionMemo {
+    eta: f64,
+    /// `(offset key, range)`; key 0 marks an empty slot.
+    slots: Vec<(u32, AngleRange)>,
+}
+
+impl DirectionMemo {
+    /// log2 of the slots per axis: 64 × 64 slots ≈ 96 KB.
+    const AXIS_BITS: u32 = 6;
+
+    pub(crate) fn new(eta: f64) -> Self {
+        Self {
+            eta,
+            slots: Vec::new(),
+        }
+    }
+
+    /// The directions from points of `from` to points of `to`. Only asked
+    /// for cells at a positive distance; rounding in the cell rectangles can
+    /// give *adjacent* cells one, and their entry is the half-plane or
+    /// quadrant the exact rectangles would touch along.
+    fn between(&mut self, from: &CellSite, to: &CellSite) -> AngleRange {
+        let (dcol, drow) = (to.col - from.col, to.row - from.row);
+        if self.slots.is_empty() {
+            self.slots = vec![(0, AngleRange::full()); 1 << (2 * Self::AXIS_BITS)];
+        }
+        // Offsets lie in ±1023 (the geometry's axis clamp), so biased by
+        // 1024 each fits 12 bits and the key is never 0.
+        let key = (((dcol + 1024) as u32) << 12) | (drow + 1024) as u32;
+        let mask = (1 << Self::AXIS_BITS) - 1;
+        let slot = &mut self.slots[(((dcol & mask) << Self::AXIS_BITS) | (drow & mask)) as usize];
+        if slot.0 != key {
+            let (dx, dy) = (dcol as f64, drow as f64);
+            let difference = Rect {
+                min_x: (dx - 1.0) * self.eta,
+                min_y: (dy - 1.0) * self.eta,
+                max_x: (dx + 1.0) * self.eta,
+                max_y: (dy + 1.0) * self.eta,
+            };
+            *slot = (key, difference.directions_from_origin());
+        }
+        slot.1
+    }
+}
+
+/// The per-cell object buffers of the candidate loop.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PairScratch {
+pub(crate) struct ObjectBuffers {
     workers: Vec<Worker>,
     tasks: Vec<Task>,
+}
+
+/// Reusable buffers for the retrieval and shard-extraction hot paths. Owned
+/// by each index and threaded through by `&mut`, so steady state allocates
+/// neither per cell nor per call.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PairScratch {
+    pub(crate) objects: ObjectBuffers,
+    /// The occupied worker cells of the call in progress, ascending.
+    pub(crate) worker_cells: Vec<usize>,
+    /// Cell components of the extraction in progress (left all-singleton).
+    pub(crate) components: DisjointSets,
 }
 
 /// The cell-level view a backend exposes to the shared retrieval and shard
@@ -157,8 +228,8 @@ pub(crate) trait CellTopology {
     fn allow_wait(&self) -> bool;
     /// Total number of cells.
     fn num_cells(&self) -> usize;
-    /// Cells currently holding at least one worker, ascending.
-    fn worker_cell_indices(&self) -> Vec<usize>;
+    /// Appends the cells currently holding at least one worker, ascending.
+    fn fill_worker_cells(&self, out: &mut Vec<usize>);
     /// The cell's reachable task-bearing cells, ascending. Only valid after
     /// a refresh.
     fn tcell_list_of(&self, cell: usize) -> &[usize];
@@ -204,7 +275,7 @@ pub(crate) fn with_scratch<C: CellTopology + ?Sized, R>(
 pub(crate) fn for_each_cell_pruned_pair<C: CellTopology + ?Sized, F>(
     index: &C,
     worker_cells: &[usize],
-    scratch: &mut PairScratch,
+    scratch: &mut ObjectBuffers,
     mut sink: F,
 ) where
     F: FnMut(&Task, &Worker, Contribution),
@@ -240,8 +311,14 @@ pub(crate) fn retrieve_pairs_via<C: CellTopology + ?Sized>(
 ) -> BipartiteCandidates {
     let (task_cap, worker_cap) = index.candidate_capacity();
     let mut graph = BipartiteCandidates::with_capacity(task_cap, worker_cap);
-    let worker_cells = index.worker_cell_indices();
-    for_each_cell_pruned_pair(index, &worker_cells, scratch, |task, worker, contribution| {
+    let PairScratch {
+        objects,
+        worker_cells,
+        ..
+    } = scratch;
+    worker_cells.clear();
+    index.fill_worker_cells(worker_cells);
+    for_each_cell_pruned_pair(index, worker_cells, objects, |task, worker, contribution| {
         graph.push(ValidPair {
             task: task.id,
             worker: worker.id,

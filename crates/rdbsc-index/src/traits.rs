@@ -11,21 +11,37 @@
 //!
 //! * [`crate::FlatGridIndex`] — the serving index, a flat dense grid in the
 //!   spirit of `flat_spatial`: slot-arena object storage behind generational
-//!   handles, O(1) cross-cell relocation, *lazy* cell-summary repair batched
-//!   into [`SpatialIndex::refresh`], and reachability-list rebuilds skipped
-//!   when a repaired summary turns out unchanged. The server, the partition
-//!   daemon and the benchmark all construct it by name.
+//!   handles, O(1) cross-cell relocation, and *lazy, demand-driven*
+//!   cell-summary repair batched into [`SpatialIndex::refresh`] — a touched
+//!   cell is summarised once per refresh, its reachability list rebuilt only
+//!   if the summary changed, and a cell no live task can be reached from is
+//!   parked without either. The server, the partition daemon and the
+//!   benchmark all construct it by name.
 //! * [`crate::GridIndex`] — the paper's RDB-SC-Grid (Section 7): `BTreeSet`
 //!   occupancy sets, eager per-event summary repair, dirty-cell `tcell_list`
-//!   maintenance. It is what `experiments` reproduces and the oracle the
-//!   differential tests hold the serving index to.
+//!   maintenance, nothing parked. It is what `experiments` reproduces and
+//!   the oracle the differential tests hold the serving index to.
 //!
-//! **Determinism contract.** For the same `(space, η)` and the same live
-//! object set, every implementation must produce the *identical*
-//! candidate-pair sequence from [`SpatialIndex::retrieve_valid_pairs`] and
-//! the identical shard decomposition from [`SpatialIndex::extract_shards`] —
-//! element order included. The engine's byte-for-byte reproducibility rests
-//! on this; the property tests against the reference enforce it.
+//! **Determinism contract.** Driven through the same calls, every
+//! implementation must produce the *identical* candidate-pair sequence from
+//! [`SpatialIndex::retrieve_valid_pairs`] and the identical shard
+//! decomposition from [`SpatialIndex::extract_shards`] — element order
+//! included. The engine's byte-for-byte reproducibility rests on this; the
+//! property tests against the reference enforce it.
+//!
+//! **What a reachability list is a function of.** The candidate sequence
+//! is a function of the live objects and `depart_at` alone (the exact
+//! per-pair check decides it, in cell order). The `tcell_list`s — and so
+//! the shard decomposition — are not: whether task cell `j` is on worker cell
+//! `i`'s list is re-decided, by the one shared cell-pair predicate under the
+//! `depart_at` of that moment, only in a refresh where `i`'s worker summary
+//! or `j`'s task summary differs from what the last decision saw, and for
+//! every pair after a `depart_at` rewind. A later departure alone re-decides
+//! nothing, so an entry that was true when decided stays listed after time
+//! has made it false. That is sound (the predicate only shrinks as
+//! `depart_at` grows; the per-pair check filters what the list lets
+//! through) and it is part of the contract: implementations must share the
+//! re-decision rule, not merely the predicate, or their components differ.
 
 use crate::shard::ProblemShard;
 use rdbsc_geo::Point;
@@ -47,6 +63,11 @@ pub struct MaintenanceCounters {
     pub cells_repaired: u64,
     /// Full `tcell_list` rebuilds performed (each costs one reachability
     /// test per task-bearing cell).
+    ///
+    /// Both repair counters count work done, not events seen: a cell
+    /// [`crate::FlatGridIndex`] parks is neither repaired nor rebuilt, so on
+    /// a movement-heavy run with few live tasks they sit far below the
+    /// reference's.
     pub tcell_rebuilds: u64,
 }
 
@@ -137,8 +158,9 @@ pub trait SpatialIndex: Send {
 
     /// Every live task, in ascending id order. Checkpointing uses this to
     /// capture the full indexed state; rebuilding an index by re-inserting
-    /// the returned set reproduces identical query results (the determinism
-    /// contract is content-based, not history-based).
+    /// the returned set reproduces the candidate sequence, with the
+    /// reachability lists decided afresh (see the [module docs](self) on
+    /// what they otherwise remember).
     fn live_tasks(&self) -> Vec<Task>;
 
     /// Every live worker, in ascending id order (see

@@ -465,6 +465,7 @@ impl<I: SpatialIndex> AssignmentEngine<I> {
         // Restrict every shard to available (non-committed) workers and
         // carry the banked + en-route contributions in as priors (see
         // `shard_priors` for the append-order contract).
+        let en_route = self.commitments_by_worker();
         let prepared: Vec<(ProblemShard, BipartiteCandidates, TaskPriors)> = shards
             .into_iter()
             .filter_map(|shard| {
@@ -481,14 +482,7 @@ impl<I: SpatialIndex> AssignmentEngine<I> {
                 if available.pairs.is_empty() {
                     return None;
                 }
-                let live_to_local: HashMap<TaskId, TaskId> = shard
-                    .mapping
-                    .tasks
-                    .iter()
-                    .enumerate()
-                    .map(|(local, live)| (*live, TaskId::from(local)))
-                    .collect();
-                let priors = self.shard_priors(&live_to_local, shard.instance.num_tasks());
+                let priors = self.shard_priors(&shard.mapping.tasks, &en_route);
                 Some((shard, available, priors))
             })
             .collect();
@@ -574,42 +568,49 @@ impl<I: SpatialIndex> AssignmentEngine<I> {
         }
     }
 
+    /// The standing commitments in ascending worker order — the order every
+    /// float fold over them must use (`HashMap` order differs between
+    /// replicas, and between a live engine and one rebuilt by
+    /// `restore_state`).
+    fn commitments_by_worker(&self) -> Vec<(WorkerId, TaskId, Contribution)> {
+        let mut committed: Vec<(WorkerId, TaskId, Contribution)> = self
+            // lint:allow(D001): collected here, sorted before returning
+            .committed
+            .iter()
+            .map(|(worker, (task, contribution))| (*worker, *task, *contribution))
+            .collect();
+        committed.sort_unstable_by_key(|(worker, _, _)| *worker);
+        committed
+    }
+
     /// Builds one shard's priors: the banked and en-route (committed)
     /// contributions of the shard's live tasks, remapped to local ids.
+    /// `shard_tasks` is the shard's ascending live-id list (a task's local
+    /// id is its position), `en_route` is [`Self::commitments_by_worker`],
+    /// taken once per tick.
     ///
     /// The **append order is part of the determinism contract**: priors
     /// land in per-task float buckets whose downstream statistics fold in
-    /// bucket order, so the order must be identical in every process. Two
-    /// workers en route to the same task would otherwise append in
-    /// `HashMap` iteration order, which differs between replicas (and
-    /// between a live engine and one rebuilt by `restore_state`). This
-    /// method therefore iterates sorted snapshots — banked first in
-    /// ascending task order, then commitments in ascending worker order —
-    /// and the regression test compares its output across engines restored
-    /// from permuted state vectors.
+    /// bucket order, so the order must be identical in every process —
+    /// banked first in ascending task order, then commitments in ascending
+    /// worker order — and the regression test compares the output across
+    /// engines restored from permuted state vectors. The cost follows the
+    /// shard and the en-route set, not the banked map, which grows for the
+    /// engine's lifetime.
     fn shard_priors(
         &self,
-        live_to_local: &HashMap<TaskId, TaskId>,
-        num_tasks: usize,
+        shard_tasks: &[TaskId],
+        en_route: &[(WorkerId, TaskId, Contribution)],
     ) -> TaskPriors {
-        let mut priors = TaskPriors::empty(num_tasks);
-        // lint:allow(D001): collected here, sorted on the next line
-        let mut banked_sorted: Vec<(&TaskId, &Vec<Contribution>)> = self.banked.iter().collect();
-        banked_sorted.sort_unstable_by_key(|(task, _)| **task);
-        let mut committed_sorted: Vec<(&WorkerId, &(TaskId, Contribution))> =
-            // lint:allow(D001): collected here, sorted on the next line
-            self.committed.iter().collect();
-        committed_sorted.sort_unstable_by_key(|(worker, _)| **worker);
-        for (live, contributions) in banked_sorted {
-            if let Some(local) = live_to_local.get(live) {
-                for c in contributions {
-                    priors.add(*local, *c);
-                }
+        let mut priors = TaskPriors::empty(shard_tasks.len());
+        for (local, live) in shard_tasks.iter().enumerate() {
+            for c in self.banked.get(live).into_iter().flatten() {
+                priors.add(TaskId::from(local), *c);
             }
         }
-        for (_, (task, contribution)) in committed_sorted {
-            if let Some(local) = live_to_local.get(task) {
-                priors.add(*local, *contribution);
+        for (_, task, contribution) in en_route {
+            if let Ok(local) = shard_tasks.binary_search(task) {
+                priors.add(TaskId::from(local), *contribution);
             }
         }
         priors
@@ -624,15 +625,8 @@ impl<I: SpatialIndex> AssignmentEngine<I> {
         // Built in ascending worker order (not HashMap order) so each
         // task's contribution vector — and therefore the float fold inside
         // expected_std — is identical on every engine with the same state.
-        let mut committed: Vec<(WorkerId, (TaskId, Contribution))> = self
-            // lint:allow(D001): collected here, sorted two lines down
-            .committed
-            .iter()
-            .map(|(w, tc)| (*w, *tc))
-            .collect();
-        committed.sort_unstable_by_key(|(worker, _)| *worker);
         let mut en_route: HashMap<TaskId, Vec<Contribution>> = HashMap::new();
-        for (_, (worker_task, contribution)) in committed {
+        for (_, worker_task, contribution) in self.commitments_by_worker() {
             en_route
                 .entry(worker_task)
                 .or_default()
@@ -747,13 +741,7 @@ impl<I: SpatialIndex> AssignmentEngine<I> {
     /// determinism contract is content-based, so rebuilding by re-insertion
     /// loses nothing; only maintenance counters differ).
     pub fn dump_state(&self) -> EngineState {
-        let mut committed: Vec<(WorkerId, TaskId, Contribution)> = self
-            // lint:allow(D001): collected here, sorted two lines down
-            .committed
-            .iter()
-            .map(|(w, (t, c))| (*w, *t, *c))
-            .collect();
-        committed.sort_unstable_by_key(|(w, _, _)| *w);
+        let committed = self.commitments_by_worker();
         // Banked contribution vectors keep their arrival order: the float
         // folds in `current_objective` are order-sensitive, so the inner
         // order is part of the state.
@@ -920,7 +908,9 @@ mod tests {
     /// engines restored from permuted state vectors appended a task's
     /// en-route contributions in different orders — caught here by
     /// `TaskPriors`'s order-sensitive equality, independently of whether
-    /// the divergence survives downstream float rounding.
+    /// the divergence survives downstream float rounding. Nor may it depend
+    /// on what is banked for tasks outside the shard: an engine that has
+    /// been up for 10 k retired tasks builds the same priors.
     #[test]
     fn shard_priors_are_insertion_order_independent() {
         fn contribution(seed: u64) -> Contribution {
@@ -931,7 +921,7 @@ mod tests {
                 0.05 * seed as f64 + 0.01,
             )
         }
-        fn restore(rotation: usize) -> AssignmentEngine {
+        fn restore(rotation: usize, retired_banked: u32) -> AssignmentEngine {
             let mut committed: Vec<(WorkerId, TaskId, Contribution)> = vec![
                 (WorkerId(10), TaskId(2), contribution(1)),
                 (WorkerId(11), TaskId(2), contribution(2)),
@@ -943,6 +933,7 @@ mod tests {
                 (TaskId(0), vec![contribution(6), contribution(7)]),
                 (TaskId(2), vec![contribution(8)]),
             ];
+            banked.extend((0..retired_banked).map(|i| (TaskId(100 + i), vec![contribution(9)])));
             let committed_rot = rotation % committed.len();
             committed.rotate_left(committed_rot);
             let banked_rot = rotation % banked.len();
@@ -972,17 +963,20 @@ mod tests {
                 state,
             )
         }
-        let live_to_local: HashMap<TaskId, TaskId> =
-            (0..3).map(|i| (TaskId(i), TaskId(i))).collect();
-        let reference = restore(0).shard_priors(&live_to_local, 3);
+        let priors = |engine: AssignmentEngine| {
+            let shard_tasks = [TaskId(0), TaskId(1), TaskId(2)];
+            engine.shard_priors(&shard_tasks, &engine.commitments_by_worker())
+        };
+        let reference = priors(restore(0, 0));
         assert!(!reference.is_empty());
         for rotation in 1..5 {
             assert_eq!(
-                restore(rotation).shard_priors(&live_to_local, 3),
+                priors(restore(rotation, 0)),
                 reference,
                 "priors bucket order diverged at rotation {rotation}"
             );
         }
+        assert_eq!(priors(restore(3, 10_000)), reference);
     }
 
     #[test]

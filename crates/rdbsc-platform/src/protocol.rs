@@ -429,11 +429,12 @@ impl<I: SpatialIndex> EnginePartition<I> {
     }
 
     /// Runs `round` (the engine round) on this thread while the group-commit
-    /// fsync runs on a scoped one, joins it, and returns the round's report
-    /// plus the nanoseconds the sync cost this thread: starting it, then
-    /// blocked at the join. The log and the engine are disjoint state, and
-    /// nothing the round computed leaves this function before the sync has
-    /// succeeded: a sync error panics here, after the join.
+    /// fsync runs on the log's sync thread, waits for it, and returns the
+    /// round's report plus the nanoseconds the sync cost this thread:
+    /// starting it, then blocked waiting. The log and the engine are
+    /// disjoint state, and nothing the round computed leaves this function
+    /// before the sync has succeeded: a sync error panics here, after the
+    /// wait.
     fn overlap_sync(
         wal: &mut Wal,
         round: impl FnOnce() -> TickReport,
@@ -441,35 +442,13 @@ impl<I: SpatialIndex> EnginePartition<I> {
         parent: u64,
     ) -> (TickReport, u64) {
         let started = Instant::now();
-        let overlapped = std::thread::scope(|scope| {
-            let spawned = std::thread::Builder::new()
-                .name("rdbsc-wal-sync".into())
-                .spawn_scoped(scope, || wal.sync());
-            let Ok(sync) = spawned else {
-                return Err(round);
-            };
-            let spawn_ns = elapsed_ns(started);
-            let report = round();
-            let blocked = Instant::now();
-            let _span = rdbsc_obs::span(trace, parent, "wal.fsync");
-            let synced = sync
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            Ok((report, synced, spawn_ns + elapsed_ns(blocked)))
-        });
-        match overlapped {
-            Ok((report, synced, sync_ns)) => {
-                crash_on(synced);
-                (report, sync_ns)
-            }
-            // No thread to be had: sync, then run the round.
-            Err(round) => {
-                let _span = rdbsc_obs::span(trace, parent, "wal.fsync");
-                crash_on(wal.sync());
-                let sync_ns = elapsed_ns(started);
-                (round(), sync_ns)
-            }
-        }
+        let begun = wal.begin_sync();
+        let begin_ns = elapsed_ns(started);
+        let report = round();
+        let blocked = Instant::now();
+        let _span = rdbsc_obs::span(trace, parent, "wal.fsync");
+        crash_on(begun.and_then(|()| wal.end_sync()));
+        (report, begin_ns + elapsed_ns(blocked))
     }
 
     /// Runs one engine round and returns the report plus the post-tick

@@ -34,11 +34,12 @@
 //! lose the commands *after* the last tick boundary, never a prefix hole.
 //! The contract is that a tick is logged and fsynced **before its outcome
 //! leaves the partition**, not before the engine runs: the partition
-//! starts [`Wal::sync`] on a scoped thread, runs the engine round beside
-//! it, and joins before it builds the reply, writes a checkpoint or
-//! publishes the tick for shipping. A tick logged-but-not-acknowledged is
-//! recomputed identically on replay (its reply was never externalised),
-//! which is what makes write-ahead redo sound here.
+//! hands the sync to the log's sync thread ([`Wal::begin_sync`]), runs the
+//! engine round beside it, and waits for it ([`Wal::end_sync`]) before it
+//! builds the reply, writes a checkpoint or publishes the tick for
+//! shipping. A tick logged-but-not-acknowledged is recomputed identically
+//! on replay (its reply was never externalised), which is what makes
+//! write-ahead redo sound here.
 //!
 //! ## Recovery invariant
 //!
@@ -69,6 +70,8 @@ use rdbsc_model::{Contribution, WorkerId};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
 
 /// The segment header magic.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"RDBSCWAL";
@@ -600,6 +603,55 @@ fn read_frame(bytes: &[u8], expected_lsn: u64) -> Option<(WalRecord, usize)> {
     Some((record, total))
 }
 
+/// The thread a log's overlapped syncs run on: it is handed the segment
+/// file, syncs it and hands it back with the outcome.
+///
+/// One thread for the life of the log, not one per sync. A parked thread
+/// wakes on an idle core; a thread spawned per tick is placed by the
+/// kernel's fork balancing, which on a two-core box can keep it queued
+/// behind the ticking thread for whole runs — the sync then starts when
+/// the engine round ends, and a tick costs round *plus* fsync in some
+/// processes and the longer of the two in others.
+struct Syncer {
+    /// `None` only while dropping.
+    jobs: Option<Sender<Box<dyn WalFile>>>,
+    done: Receiver<(Box<dyn WalFile>, io::Result<()>)>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Syncer {
+    fn spawn() -> io::Result<Self> {
+        let (jobs, inbox) = channel::<Box<dyn WalFile>>();
+        let (outbox, done) = channel();
+        let thread = std::thread::Builder::new()
+            .name("rdbsc-wal-sync".into())
+            .spawn(move || {
+                for mut file in inbox {
+                    let synced = file.sync();
+                    if outbox.send((file, synced)).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(Self {
+            jobs: Some(jobs),
+            done,
+            thread: Some(thread),
+        })
+    }
+}
+
+impl Drop for Syncer {
+    fn drop(&mut self) {
+        // Closing the job channel ends the thread's loop (after a sync
+        // still in flight, if the log is dropped under one).
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 /// The segmented append-only log: one open handle per partition.
 ///
 /// All appends return `Result`; the partition layer treats an error as
@@ -620,6 +672,10 @@ pub struct Wal {
     frame: Encoder,
     /// [`MAX_RECORD_BYTES`], lowered only by tests.
     max_record_bytes: u32,
+    /// Started by the first [`Wal::begin_sync`].
+    syncer: Option<Syncer>,
+    /// Whether `file` is out with the sync thread.
+    sync_in_flight: bool,
 }
 
 impl Wal {
@@ -670,6 +726,8 @@ impl Wal {
             dirty: false,
             frame: Encoder::new(),
             max_record_bytes: MAX_RECORD_BYTES,
+            syncer: None,
+            sync_in_flight: false,
         };
         wal.start_segment(seqno)?;
         Ok((wal, scan))
@@ -777,6 +835,54 @@ impl Wal {
         Ok(())
     }
 
+    /// Starts [`Wal::sync`] on the log's sync thread and returns at once;
+    /// [`Wal::end_sync`] waits for it. In between the segment file is with
+    /// that thread and an append fails. Syncs inline when no thread is to
+    /// be had.
+    pub fn begin_sync(&mut self) -> Result<(), WalError> {
+        if !self.dirty {
+            return Ok(());
+        }
+        if self.syncer.is_none() {
+            self.syncer = Syncer::spawn().ok();
+        }
+        let Some(jobs) = self.syncer.as_ref().and_then(|s| s.jobs.as_ref()) else {
+            return self.sync();
+        };
+        let file = std::mem::replace(&mut self.file, Box::new(NullFile));
+        match jobs.send(file) {
+            Ok(()) => {
+                self.sync_in_flight = true;
+                Ok(())
+            }
+            // The thread is gone: a file's `sync` panicked on it, and the
+            // `end_sync` of that sync has already said so.
+            Err(returned) => {
+                self.file = returned.0;
+                Err(io::Error::other("the wal sync thread died").into())
+            }
+        }
+    }
+
+    /// Waits for the sync [`Wal::begin_sync`] started, takes the segment
+    /// file back and returns the sync's outcome (no-op when none is in
+    /// flight).
+    pub fn end_sync(&mut self) -> Result<(), WalError> {
+        if !std::mem::take(&mut self.sync_in_flight) {
+            return Ok(());
+        }
+        let syncer = self.syncer.as_ref().expect("a sync in flight has its thread");
+        let (file, synced) = syncer
+            .done
+            .recv()
+            .map_err(|_| io::Error::other("the wal sync thread died with the segment file"))?;
+        self.file = file;
+        synced?;
+        self.stats.fsyncs += 1;
+        self.dirty = false;
+        Ok(())
+    }
+
     /// Lowers the record size limit so a test can trip it with small data.
     #[cfg(test)]
     pub(crate) fn set_max_record_bytes(&mut self, limit: u32) {
@@ -799,15 +905,16 @@ impl Wal {
     }
 }
 
-/// Placeholder file used only during `open` before the first segment
-/// starts; every write to it is a bug.
+/// Stands in for the segment file while there is none — during `open`
+/// before the first segment starts, and while the file is out with the sync
+/// thread; every write to it is a bug.
 struct NullFile;
 impl WalFile for NullFile {
     fn write_all(&mut self, _buf: &[u8]) -> io::Result<()> {
-        Err(io::Error::other("wal segment not started"))
+        Err(io::Error::other("wal segment not started, or out for a sync"))
     }
     fn sync(&mut self) -> io::Result<()> {
-        Err(io::Error::other("wal segment not started"))
+        Err(io::Error::other("wal segment not started, or out for a sync"))
     }
 }
 
@@ -858,6 +965,58 @@ mod tests {
         assert_eq!(rescan.records[1], WalRecord::Tick { now: 0.5 });
         assert_eq!(rescan.records[2], WalRecord::Release { worker: WorkerId(3) });
         assert!(!rescan.found_damage());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A [`WalFile`] whose `sync` records the thread it ran on.
+    struct WhereSynced(fs::File, std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>);
+    impl WalFile for WhereSynced {
+        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+            io::Write::write_all(&mut self.0, buf)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            self.1.lock().unwrap().push(std::thread::current().id());
+            self.0.sync_data()
+        }
+    }
+
+    #[test]
+    fn overlapped_syncs_share_one_thread_and_hold_the_file_meanwhile() {
+        let dir = tempdir("syncer");
+        let synced_on = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = std::sync::Arc::clone(&synced_on);
+        let factory: SegmentFactory = Box::new(move |path| {
+            let file = fs::OpenOptions::new().write(true).create_new(true).open(path)?;
+            Ok(Box::new(WhereSynced(file, std::sync::Arc::clone(&log))) as Box<dyn WalFile>)
+        });
+        let (mut wal, _) = Wal::open_with_factory(&dir, WalConfig::default(), factory).unwrap();
+        for round in 0..3 {
+            wal.append_events(&[task_event(round)]).unwrap();
+            wal.begin_sync().unwrap();
+            // The file is with the sync thread: nothing can be appended
+            // behind the sync's back, and nothing counts until it is back.
+            assert!(wal.append(&WalRecord::Tick { now: 0.0 }).is_err());
+            assert_eq!(wal.stats().fsyncs, round as u64);
+            wal.end_sync().unwrap();
+            assert_eq!(wal.stats().fsyncs, round as u64 + 1);
+        }
+        // Clean log, or no sync begun: both are no-ops.
+        wal.begin_sync().unwrap();
+        wal.end_sync().unwrap();
+        wal.end_sync().unwrap();
+        assert_eq!(wal.stats().fsyncs, 3);
+
+        let threads = synced_on.lock().unwrap().clone();
+        assert_eq!(threads.len(), 3);
+        assert!(threads.iter().all(|t| *t == threads[0]), "one thread for the log's life");
+        assert_ne!(threads[0], std::thread::current().id());
+
+        // Dropped under a sync in flight: the drop waits the sync out.
+        wal.append_events(&[task_event(9)]).unwrap();
+        wal.begin_sync().unwrap();
+        drop(wal);
+        assert_eq!(synced_on.lock().unwrap().len(), 4);
+        assert_eq!(scan_dir(&dir).unwrap().records.len(), 4);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdbsc::index::{FlatGridIndex, GridIndex, SpatialIndex};
 use rdbsc::prelude::*;
+use std::f64::consts::TAU;
 
 /// One scripted churn operation, decoded from plain numbers so the whole
 /// script is reproducible from a seed.
@@ -19,7 +20,7 @@ enum Op {
     RemoveWorker(u32),
     RemoveTask(u32),
     InsertTask(u32, f64, f64, f64, f64),
-    InsertWorker(u32, f64, f64, f64),
+    InsertWorker(u32, f64, f64, f64, AngleRange),
     Depart(f64),
 }
 
@@ -36,9 +37,57 @@ fn script(seed: u64, len: usize, ids: u32) -> Vec<Op> {
                 7 => Op::RemoveWorker(id),
                 8 => Op::RemoveTask(id),
                 9 => Op::InsertTask(id, x, y, rng.gen_range(0.0..1.0), rng.gen_range(0.5..4.0)),
-                10 => Op::InsertWorker(id, x, y, rng.gen_range(0.05..0.6)),
+                10 => Op::InsertWorker(id, x, y, rng.gen_range(0.05..0.6), AngleRange::full()),
                 // Departure time only moves forward, as in the engine.
                 _ => Op::Depart(rng.gen_range(0.0..2.0)),
+            }
+        })
+        .collect()
+}
+
+/// A script in the **time-pruned regime**: task windows of 0.02–0.3 opening
+/// around the current time, speeds of 0.05–0.4 (so a worker covers a cell or
+/// two before a deadline), heading cones, and a clock creeping forward by at
+/// most 0.08 a step. Most worker cells are out of every task's reach most of
+/// the time, so the flat index parks and un-parks them as tasks come and go
+/// — which the metro script above (windows 0.5–4) never makes it do. The
+/// first `population` operations are arrivals.
+fn short_reach_script(seed: u64, population: usize, len: usize, ids: u32) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5408);
+    let mut now = 0.0f64;
+    (0..population + len)
+        .map(|step| {
+            let id = rng.gen_range(0..ids);
+            let (x, y) = (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0));
+            let kind = if step < population {
+                9 + (step % 3 != 0) as u32 // one task per two workers
+            } else {
+                rng.gen_range(0..12u32)
+            };
+            match kind {
+                0..=5 => Op::MoveWorker(id, x, y),
+                6 => Op::MoveTask(id, x, y),
+                7 => Op::RemoveWorker(id),
+                8 => Op::RemoveTask(id),
+                9 => Op::InsertTask(
+                    id,
+                    x,
+                    y,
+                    (now + rng.gen_range(-0.05..0.1)).max(0.0),
+                    rng.gen_range(0.02..0.3),
+                ),
+                10 => Op::InsertWorker(
+                    id,
+                    x,
+                    y,
+                    rng.gen_range(0.05..0.4),
+                    AngleRange::new(rng.gen_range(0.0..TAU), rng.gen_range(0.5..TAU)),
+                ),
+                _ => {
+                    let step = rng.gen_range(0.0..0.08);
+                    now += step;
+                    Op::Depart(step)
+                }
             }
         })
         .collect()
@@ -57,12 +106,12 @@ fn apply<I: SpatialIndex>(index: &mut I, op: Op, now: &mut f64) {
                 TimeWindow::new(start, start + len).unwrap(),
             ),
         ),
-        Op::InsertWorker(id, x, y, speed) => index.insert_worker(
+        Op::InsertWorker(id, x, y, speed, heading) => index.insert_worker(
             Worker::new(
                 WorkerId(id),
                 Point::new(x, y),
                 speed,
-                AngleRange::full(),
+                heading,
                 Confidence::new(0.9).unwrap(),
             )
             .unwrap(),
@@ -180,5 +229,50 @@ proptest! {
         // Idle refreshes repair nothing further.
         prop_assert_eq!(grid.refresh_tcell_lists(), 0);
         prop_assert_eq!(SpatialIndex::refresh(&mut flat), 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The same agreement in the time-pruned regime, with the **shard
+    /// decomposition compared after every step**: a reachability list that
+    /// differs between the backends without changing the candidate stream
+    /// (an entry the exact check filters anyway) still moves a component
+    /// boundary. This is the test that fails if the flat index parks a cell
+    /// whose list is non-empty.
+    #[test]
+    fn backends_agree_step_by_step_when_reach_is_short(
+        seed in 0u64..100_000,
+        eta in 0.03f64..0.15,
+        steps in 1usize..120,
+    ) {
+        let mut grid = GridIndex::new(Rect::unit(), eta);
+        let mut flat = FlatGridIndex::new(Rect::unit(), eta);
+        let population = 60;
+        let ops = short_reach_script(seed, population, steps, 50);
+        let mut now_grid = 0.0;
+        let mut now_flat = 0.0;
+        for (step, op) in ops.iter().enumerate() {
+            apply(&mut grid, *op, &mut now_grid);
+            apply(&mut flat, *op, &mut now_flat);
+            if step + 1 < population {
+                continue;
+            }
+            prop_assert_eq!(
+                pair_stream(&grid.retrieve_valid_pairs()),
+                pair_stream(&SpatialIndex::retrieve_valid_pairs(&mut flat)),
+                "candidate streams diverged after step {} ({:?})",
+                step,
+                op
+            );
+            prop_assert_eq!(
+                shard_fingerprint(&grid.extract_shards(0.5)),
+                shard_fingerprint(&SpatialIndex::extract_shards(&mut flat, 0.5)),
+                "shard decompositions diverged after step {} ({:?})",
+                step,
+                op
+            );
+        }
     }
 }
