@@ -14,7 +14,7 @@
 //! ten); `--scale paper` restores the paper's instance sizes, which takes
 //! considerably longer.
 
-use rdbsc_bench::{all_figure_ids, run_figure, Figure, HarnessOptions};
+use rdbsc_bench::{all_figure_ids, resolve_figure_ids, run_figure, Figure, HarnessOptions};
 use rdbsc_workloads::Scale;
 use std::time::Instant;
 
@@ -33,7 +33,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let mut figure_ids: Vec<String> = Vec::new();
+    let mut requested: Vec<&str> = Vec::new();
     let mut options = HarnessOptions::default();
     let mut json_path: Option<String> = None;
 
@@ -73,30 +73,25 @@ fn main() {
                 print_usage();
                 return;
             }
-            "all" => figure_ids.extend(all_figure_ids().iter().map(|s| s.to_string())),
-            other => figure_ids.push(other.to_string()),
+            name => requested.push(name),
         }
         i += 1;
     }
-    figure_ids.dedup();
+    let figure_ids = resolve_figure_ids(&requested).unwrap_or_else(|unknown| {
+        eprintln!("unknown figure id: {unknown}");
+        print_usage();
+        std::process::exit(2);
+    });
 
     let mut rendered: Vec<Figure> = Vec::new();
-    for id in &figure_ids {
+    for id in figure_ids {
         let started = Instant::now();
-        match run_figure(id, &options) {
-            Some(panels) => {
-                for panel in &panels {
-                    println!("{}", panel.render());
-                }
-                eprintln!("[{} done in {:.1?}]", id, started.elapsed());
-                rendered.extend(panels);
-            }
-            None => {
-                eprintln!("unknown figure id: {id}");
-                print_usage();
-                std::process::exit(2);
-            }
+        let panels = run_figure(id, &options).expect("a resolved id has a figure");
+        for panel in &panels {
+            println!("{}", panel.render());
         }
+        eprintln!("[{} done in {:.1?}]", id, started.elapsed());
+        rendered.extend(panels);
     }
 
     if let Some(path) = json_path {

@@ -96,9 +96,8 @@ impl Figure {
 
 /// Serialises rendered figures to pretty-printed JSON. The float formatting
 /// and string escaping are the workspace-shared helpers from
-/// [`rdbsc_server::json`], so figure dumps, `/metrics` scrapes and
-/// `BENCH_*.json` reports all format values identically (and parse back
-/// losslessly).
+/// [`rdbsc_server::json`], so figure dumps and `/metrics` scrapes format
+/// values identically (and parse back losslessly).
 pub fn figures_to_json(figures: &[Figure]) -> String {
     use rdbsc_server::json::{escape_str as escape, format_f64 as number};
     let mut out = String::from("[\n");
@@ -139,6 +138,30 @@ pub fn all_figure_ids() -> Vec<&'static str> {
         "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig22",
         "fig23", "fig24", "fig25", "fig26", "fig27",
     ]
+}
+
+/// Resolves what the `experiments` command line names — figure ids and
+/// `all` — to the figures to run: each once, in order of first mention. An
+/// unknown name is the error.
+pub fn resolve_figure_ids<'a>(requested: &[&'a str]) -> Result<Vec<&'static str>, &'a str> {
+    let known = all_figure_ids();
+    let mut resolved: Vec<&'static str> = Vec::new();
+    for &name in requested {
+        let named: Vec<&'static str> = known
+            .iter()
+            .copied()
+            .filter(|id| name == "all" || *id == name)
+            .collect();
+        if named.is_empty() {
+            return Err(name);
+        }
+        for id in named {
+            if !resolved.contains(&id) {
+                resolved.push(id);
+            }
+        }
+    }
+    Ok(resolved)
 }
 
 /// How the workload for a sweep point is produced.
@@ -668,10 +691,26 @@ mod tests {
     }
 
     #[test]
+    fn figure_ids_resolve_once_each_in_order_of_first_mention() {
+        // `Vec::dedup` only dropped adjacent repeats: both of these ran
+        // fig13 twice.
+        let all = all_figure_ids();
+        assert_eq!(resolve_figure_ids(&["all", "fig13"]).unwrap(), all);
+        let mut fig13_first = resolve_figure_ids(&["fig13", "all"]).unwrap();
+        assert_eq!(fig13_first[0], "fig13");
+        fig13_first.sort_unstable();
+        assert_eq!(fig13_first, all, "every id once");
+        assert_eq!(
+            resolve_figure_ids(&["fig14", "fig12", "fig14"]).unwrap(),
+            ["fig14", "fig12"]
+        );
+        assert_eq!(resolve_figure_ids(&["fig13", "fig99", "all"]), Err("fig99"));
+    }
+
+    #[test]
     fn every_figure_id_is_known_to_the_dispatcher() {
         // Only checks dispatch, not execution (full figures are exercised by
-        // the `experiments` binary and the benches, which run in release
-        // mode).
+        // the `experiments` binary, which runs in release mode).
         assert!(run_figure("definitely-not-a-figure", &smoke_options()).is_none());
         for id in all_figure_ids() {
             let known = matches!(

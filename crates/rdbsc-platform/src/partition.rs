@@ -56,8 +56,8 @@
 //!   config seed, ticks are lockstep, and merged listings are ordered by
 //!   `(partition, task, worker)` — so the output is independent of thread
 //!   scheduling *and* of which transport hosts each partition
-//!   (`rdbsc-bench --bin remote_scale` proves a mixed local/remote topology
-//!   byte-identical to the all-in-process one).
+//!   (`rdbsc-server`'s `proptest_remote` test proves a mixed local/remote
+//!   topology byte-identical to the all-in-process one).
 //!
 //! ## Failure model
 //!

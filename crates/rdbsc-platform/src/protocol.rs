@@ -48,8 +48,8 @@
 //! the determinism contract is transport-independent: byte-identical event
 //! streams produce byte-identical tick replies whether a partition is a
 //! thread or a daemon (floats cross the wire as their IEEE-754 bit
-//! patterns). `rdbsc-bench --bin remote_scale`
-//! asserts this end to end.
+//! patterns). `rdbsc-server`'s `proptest_remote` and `partitiond_e2e` tests
+//! assert this end to end.
 
 use crate::engine::{AssignmentEngine, EngineConfig, EngineEvent, TickReport};
 use crate::handle::EngineSnapshot;
@@ -374,17 +374,21 @@ impl<I: SpatialIndex> EnginePartition<I> {
             part.total_assignments = state.total_assignments;
         }
         for record in tail {
-            part.replay(record.clone());
+            part.apply_record(record.clone());
         }
         part.wal = Some(wal);
         Ok((part, scan))
     }
 
-    /// Applies one recovered record through the ordinary command path (the
-    /// log is not attached yet, so nothing is re-logged). Replayed ticks
-    /// recompute their assignments deterministically — the engine's
-    /// determinism contract is what makes redo recovery exact.
-    fn replay(&mut self, record: WalRecord) {
+    /// Applies one logged or shipped record through the ordinary command
+    /// path — the one `WalRecord` → command dispatch: crash recovery replays
+    /// the logged tail through it (the log is not attached yet, so nothing is
+    /// re-logged) and a `--follow` standby applies each shipped record
+    /// through it (log-then-apply into its own log), so the two are the same
+    /// code. Replayed ticks recompute their assignments deterministically —
+    /// the engine's determinism contract is what makes redo recovery, and a
+    /// standby's digest at the same lsn, exact.
+    pub fn apply_record(&mut self, record: WalRecord) {
         match record {
             WalRecord::Events(events) => self.submit(events),
             WalRecord::Tick { now } => {
@@ -397,12 +401,12 @@ impl<I: SpatialIndex> EnginePartition<I> {
                 self.record_answer(worker, contribution);
             }
             WalRecord::Release { worker } => self.release_worker(worker),
-            // recovery_plan() splits at the *latest* checkpoint; an older
-            // one surviving in the tail would be a scan bug, but replay is
-            // defensive: the record is self-contained state, not a command.
-            WalRecord::Checkpoint(_) => {}
-            // Replication watermarks are observational notes, not commands.
-            WalRecord::ReplMeta { .. } => {}
+            // Self-contained state and stream notes, not commands:
+            // recovery_plan() splits at the *latest* checkpoint (an older
+            // one surviving in the tail would be a scan bug), replication
+            // watermarks are observational, and neither is ever shipped —
+            // ignored defensively rather than trusting the scan or the wire.
+            WalRecord::Checkpoint(_) | WalRecord::ReplMeta { .. } => {}
         }
     }
 

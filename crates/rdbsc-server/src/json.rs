@@ -146,9 +146,9 @@ impl fmt::Display for Json {
 /// written as `null` (JSON has no NaN/Infinity).
 ///
 /// This is *the* float formatting of the whole workspace — the serialiser
-/// here and the bench harness's report writers all go through it, so every
-/// JSON artifact (`/metrics`, `BENCH_*.json`, figure dumps) formats numbers
-/// identically and parses back losslessly.
+/// here and the figure harness's dump both go through it, so every JSON
+/// artifact (`/metrics`, figure dumps) formats numbers identically and
+/// parses back losslessly.
 pub fn write_f64(n: f64, out: &mut String) {
     if !n.is_finite() {
         out.push_str("null");

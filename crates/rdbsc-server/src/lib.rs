@@ -43,8 +43,9 @@
 //!
 //! Event-submitting routes answer `202 Accepted` immediately — assignment
 //! happens at the next micro-batch flush. Run the binary with
-//! `cargo run --release -p rdbsc-server -- --help`, and drive it with the
-//! closed-loop load generator in `rdbsc-bench` (`--bin loadgen`).
+//! `cargo run --release -p rdbsc-server -- --help`, and put live traffic on
+//! it with the closed-loop generator in `rdbsc-bench`
+//! (`--bin loadgen -- --addr HOST:PORT`).
 //!
 //! ## Distributed partitions
 //!

@@ -1306,33 +1306,11 @@ fn apply_batch(state: &DaemonState, records: &[(u64, Vec<u8>)]) -> Result<(), St
             return Err(format!("stream skipped from {next} to {lsn}"));
         }
         let record = decode_record(bytes).map_err(|e| format!("shipped record {lsn}: {e}"))?;
-        apply_shipped(&mut configured.part, record);
+        configured.part.apply_record(record);
         next = lsn + 1;
         state.repl_applied.store(next, Ordering::Release);
     }
     Ok(())
-}
-
-/// Replays one shipped record through the partition's ordinary command
-/// methods — the same calls crash-recovery replay makes, so the standby's
-/// state (and digest) is identical to the primary's at the same lsn.
-fn apply_shipped(part: &mut EnginePartition<FlatGridIndex>, record: WalRecord) {
-    match record {
-        WalRecord::Events(events) => part.submit(events),
-        WalRecord::Tick { now } => {
-            part.tick(now);
-        }
-        WalRecord::Answer {
-            worker,
-            contribution,
-        } => {
-            part.record_answer(worker, contribution);
-        }
-        WalRecord::Release { worker } => part.release_worker(worker),
-        // Self-contained state and stream notes are never shipped as
-        // commands; ignore them defensively rather than trust the wire.
-        WalRecord::Checkpoint(_) | WalRecord::ReplMeta { .. } => {}
-    }
 }
 
 #[cfg(test)]

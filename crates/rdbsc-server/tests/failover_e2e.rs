@@ -269,6 +269,12 @@ fn sigkilled_primary_fails_over_to_a_digest_identical_standby() {
         acknowledged,
         "a caught-up standby must already hold the primary's digest"
     );
+    let served = http.get("/snapshot").unwrap().json().unwrap();
+    assert!(
+        served.get("total_assignments").and_then(Json::as_num) > Some(0.0),
+        "the acknowledged state must hold committed pairs: {}",
+        served.to_string_compact()
+    );
 
     let armed = http.get("/metrics").unwrap().json().unwrap();
     assert_eq!(armed.get("standbys_armed").and_then(Json::as_num), Some(1.0));
@@ -523,15 +529,10 @@ fn repl_commands_round_trip_over_the_binary_transport() {
     for (i, (lsn, bytes)) in records.iter().enumerate() {
         assert_eq!(*lsn, start_lsn + i as u64, "lsns must be dense");
         match decode_record(bytes).expect("shipped record decodes") {
-            WalRecord::Events(events) => replica.submit(events),
-            WalRecord::Tick { now } => {
-                replica.tick(now);
+            other @ (WalRecord::Checkpoint(_) | WalRecord::ReplMeta { .. }) => {
+                panic!("unshippable record arrived: {other:?}")
             }
-            WalRecord::Answer { worker, contribution } => {
-                replica.record_answer(worker, contribution);
-            }
-            WalRecord::Release { worker } => replica.release_worker(worker),
-            other => panic!("unshippable record arrived: {other:?}"),
+            command => replica.apply_record(command),
         }
     }
     assert_eq!(

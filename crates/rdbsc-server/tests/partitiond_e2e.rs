@@ -173,6 +173,7 @@ fn mixed_local_remote_topology_matches_all_in_process() {
     let mixed = PartitionedEngine::new(partition, clients);
 
     let mut engines = [all_local, mixed];
+    let mut assigned = 0;
     // Two-sided churn with boundary crossings, three rounds.
     for round in 0..3 {
         let now = round as f64 * 0.4;
@@ -199,6 +200,7 @@ fn mixed_local_remote_topology_matches_all_in_process() {
         assert_eq!(a.committed_assignments(), b.committed_assignments());
         assert_eq!(a.partition_snapshots(), b.partition_snapshots());
         assert_eq!(a.handoffs(), b.handoffs());
+        assigned += reports[0].new_assignments.len();
         // Answer every new pair on both sides so commitments clear.
         for pair in reports[0].new_assignments.clone() {
             assert_eq!(
@@ -209,6 +211,11 @@ fn mixed_local_remote_topology_matches_all_in_process() {
     }
 
     let [a, mut b] = engines;
+    assert!(
+        assigned > 0 && b.handoffs() > 0,
+        "the comparison must not be vacuous: {assigned} pairs, {} handoffs",
+        b.handoffs()
+    );
     drop(a);
     let final_snapshot = b.shutdown(); // drains + stops the daemon too
     assert_eq!(final_snapshot.pending_events, 0);

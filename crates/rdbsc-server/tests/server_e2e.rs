@@ -8,7 +8,7 @@ use rdbsc_index::GridIndex;
 use rdbsc_platform::{AssignmentEngine, EngineEvent, EngineHandle, PartitionedEngine};
 use rdbsc_server::dto::{AssignmentDto, SnapshotDto, TaskDto, WorkerDto};
 use rdbsc_server::json::Json;
-use rdbsc_server::{HttpClient, Server, ServerConfig};
+use rdbsc_server::{HttpClient, PartitionDaemon, PartitiondConfig, Server, ServerConfig};
 use std::time::{Duration, Instant};
 
 fn manual_tick_config() -> ServerConfig {
@@ -135,13 +135,32 @@ fn server_matches_offline_engine_on_the_same_event_stream() {
 
 #[test]
 fn partitioned_server_matches_its_offline_replica() {
+    // All in-process, then with region 0 on a partition daemon over the
+    // binary frame transport: the replica stays all-in-process, so the
+    // second case adds the partition protocol's wire fidelity.
+    for remote_regions in [0, 1] {
+        partitioned_server_matches_replica(remote_regions);
+    }
+}
+
+fn partitioned_server_matches_replica(remote_regions: usize) {
     // Two partitions over the unit square (uniform split: left/right
     // halves); the scenario's two clusters land one per partition. The
     // offline replica is the same region split the server config describes,
     // built by hand on the reference grid — so this exercises the router
     // determinism AND the index determinism contract over the wire.
+    let daemons: Vec<PartitionDaemon> = (0..remote_regions)
+        .map(|_| {
+            PartitionDaemon::start(PartitiondConfig {
+                addr: "127.0.0.1:0".to_string(),
+                ..PartitiondConfig::default()
+            })
+            .expect("daemon must start")
+        })
+        .collect();
     let config = ServerConfig {
         partitions: 2,
+        remote_partitions: daemons.iter().map(|d| d.addr().to_string()).collect(),
         ..manual_tick_config()
     };
     let cell_size = config.cell_size;
@@ -208,7 +227,10 @@ fn partitioned_server_matches_its_offline_replica() {
         .iter()
         .map(AssignmentDto::from_pair)
         .collect();
-    assert_eq!(online, offline, "partitioned serving must match its replica");
+    assert_eq!(
+        online, offline,
+        "partitioned serving ({remote_regions} remote) must match its replica"
+    );
 
     // The merged snapshot covers both partitions; /metrics breaks them out.
     let snapshot =
@@ -222,6 +244,10 @@ fn partitioned_server_matches_its_offline_replica() {
     );
     let partitions = metrics.get("partitions").unwrap().as_arr().unwrap();
     assert_eq!(partitions.len(), 2);
+    assert_eq!(
+        metrics.get("remote_partitions").unwrap().as_num(),
+        Some(remote_regions as f64)
+    );
     let live_per_partition: Vec<f64> = partitions
         .iter()
         .map(|p| p.get("live_tasks").unwrap().as_num().unwrap())
@@ -237,7 +263,10 @@ fn partitioned_server_matches_its_offline_replica() {
     }
 
     server.shutdown();
-    server.join();
+    server.join(); // drains and stops the daemons too
+    for daemon in daemons {
+        daemon.join();
+    }
 }
 
 #[test]

@@ -131,22 +131,6 @@ fn apply(part: &mut EnginePartition<FlatGridIndex>, cmd: &Cmd) {
     }
 }
 
-/// The standby's record dispatch — the same arm `rdbsc-partitiond --follow`
-/// runs for every shipped record.
-fn apply_shipped(part: &mut EnginePartition<FlatGridIndex>, record: WalRecord) {
-    match record {
-        WalRecord::Events(events) => part.submit(events),
-        WalRecord::Tick { now } => {
-            part.tick(now);
-        }
-        WalRecord::Answer { worker, contribution } => {
-            part.record_answer(worker, contribution);
-        }
-        WalRecord::Release { worker } => part.release_worker(worker),
-        WalRecord::Checkpoint(_) | WalRecord::ReplMeta { .. } => {}
-    }
-}
-
 fn fresh_index() -> FlatGridIndex {
     FlatGridIndex::new(Rect::unit(), 0.1)
 }
@@ -206,7 +190,7 @@ proptest! {
                 // Full wire round trip, exactly like the daemon follower.
                 let record = decode_record(&encode_record(&record)).unwrap();
                 shipped.push(record.clone());
-                apply_shipped(&mut standby, record);
+                standby.apply_record(record);
                 applied += 1;
             }
         }
@@ -225,7 +209,7 @@ proptest! {
         let mut oracle =
             EnginePartition::from_state(&boot_state, EngineConfig::default(), fresh_index);
         for record in shipped {
-            apply_shipped(&mut oracle, record);
+            oracle.apply_record(record);
         }
         for cmd in &commands[crash_at..] {
             apply(&mut standby, cmd);
@@ -267,7 +251,7 @@ proptest! {
         let mut standby =
             EnginePartition::from_state(&boot_state, EngineConfig::default(), fresh_index);
         for bytes in &wire[..tear_at] {
-            apply_shipped(&mut standby, decode_record(bytes).unwrap());
+            standby.apply_record(decode_record(bytes).unwrap());
         }
         let torn = &wire[tear_at];
         let cut = (((torn.len()) as f64) * cut_frac) as usize;
@@ -284,9 +268,17 @@ proptest! {
         // The retry re-delivers from the applied cursor; the standby
         // converges and promotion seals at the primary's final state.
         for bytes in &wire[tear_at..] {
-            apply_shipped(&mut standby, decode_record(bytes).unwrap());
+            standby.apply_record(decode_record(bytes).unwrap());
         }
         prop_assert_eq!(standby.state_digest(), *digests.last().unwrap());
+        // A follower that kept up: its next pull acknowledges the head,
+        // finds nothing to fetch, leaves nothing retained, and never reset.
+        prop_assert!(primary.repl_fetch(head, head, 1).unwrap().is_empty());
+        let status = primary.repl_status().unwrap();
+        prop_assert_eq!(
+            (status.next_lsn, status.acked, status.retained, status.resets),
+            (head, head, 0, 0)
+        );
         prop_assert_eq!(standby.seal_replication(head), primary.state_digest());
     }
 
@@ -385,7 +377,7 @@ proptest! {
                 let mut restored =
                     EnginePartition::from_state(state, EngineConfig::default(), fresh_index);
                 for record in tail {
-                    apply_shipped(&mut restored, record.clone());
+                    restored.apply_record(record.clone());
                 }
                 let prefix = tail.len();
                 prop_assert_eq!(

@@ -116,6 +116,7 @@ fn a_data_dir_written_by_the_previous_build_recovers_digest_identical() {
     }
     let scan = scan_dir(&dir).unwrap();
     assert!(!scan.found_damage(), "every old frame's CRC verifies");
+    assert!(scan.segments >= 2, "the writer's log rotated");
     let mut kinds: Vec<&str> = scan.records.iter().map(|r| r.kind()).collect();
     kinds.dedup();
     assert_eq!(kinds[0], "checkpoint");
