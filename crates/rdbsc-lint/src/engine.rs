@@ -28,10 +28,6 @@ fn wall_clock_scope(rel: &str) -> bool {
         || rel.starts_with("crates/rdbsc-platform/src/wal/")
 }
 
-/// The frame-tag table and the daemon routing file (W001).
-const FRAME_RS: &str = "crates/rdbsc-server/src/frame.rs";
-const PARTITIOND_RS: &str = "crates/rdbsc-server/src/partitiond.rs";
-
 /// Runs the full rule set over the workspace rooted at `root`.
 ///
 /// Returns the surviving findings, sorted by (file, line, rule). An empty
@@ -46,13 +42,6 @@ pub fn run_on(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for f in files {
         findings.extend(check_file(f));
-    }
-    // W001 needs two specific files together.
-    let frame = files.iter().find(|f| f.rel == FRAME_RS);
-    let partitiond = files.iter().find(|f| f.rel == PARTITIOND_RS);
-    if let Some(frame) = frame {
-        let raw = rules::w001::check(frame, partitiond);
-        findings.extend(filter_suppressed(frame, raw));
     }
     findings.sort();
     findings.dedup();

@@ -1,6 +1,6 @@
 //! # rdbsc-lint
 //!
-//! A workspace determinism & wire-invariant static analyzer, run as a hard
+//! A workspace determinism static analyzer, run as a hard
 //! CI gate (`cargo run -p rdbsc-lint --release`).
 //!
 //! The system's correctness story rests on byte-identical determinism: FNV

@@ -29,7 +29,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "rdbsc-lint: workspace determinism & wire-invariant analyzer\n\
+                    "rdbsc-lint: workspace determinism analyzer\n\
                      \n\
                      usage: rdbsc-lint [--root PATH] [--json] [--list-rules]\n\
                      \n\

@@ -8,7 +8,6 @@
 //! | D002 | wall-clock / thread-id reads in engine, solver, WAL code |
 //! | D003 | float accumulation over unordered containers |
 //! | F001 | re-rolled FNV-1a constants outside `rdbsc-obs::digest` |
-//! | W001 | frame-tag table drift (duplicates, reply mapping, routing) |
 //! | M001 | crate roots without `#![deny(missing_docs)]` |
 //! | S001 | suppressions without a reason, or naming unknown rules |
 //!
@@ -21,7 +20,6 @@ pub mod d002;
 pub mod d003;
 pub mod f001;
 pub mod m001;
-pub mod w001;
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -76,11 +74,6 @@ pub const ALL_RULES: &[RuleInfo] = &[
         id: "F001",
         summary: "re-rolled FNV-1a constants — use rdbsc_obs::digest \
                   instead of copy-pasting the fold",
-    },
-    RuleInfo {
-        id: "W001",
-        summary: "partition frame-tag audit: unique tags, tag|0x80 reply \
-                  mapping, every request tag decoded and routed",
     },
     RuleInfo {
         id: "M001",

@@ -203,9 +203,12 @@ mod tests {
 
     #[test]
     fn block_comment_allow() {
-        let f = file("/* lint:allow(W001): tags are audited by hand here */\n");
+        let f = file("/* lint:allow(D002): the clock is read for a log line only */\n");
         let s = f.suppressions();
-        assert_eq!(s[0].rule, "W001");
-        assert_eq!(s[0].reason.as_deref(), Some("tags are audited by hand here"));
+        assert_eq!(s[0].rule, "D002");
+        assert_eq!(
+            s[0].reason.as_deref(),
+            Some("the clock is read for a log line only")
+        );
     }
 }

@@ -91,27 +91,6 @@ fn m001_golden() {
 }
 
 #[test]
-fn w001_golden() {
-    let frame = fixture("w001/frame.rs", "crates/rdbsc-server/src/frame.rs");
-    let partitiond = fixture(
-        "w001/partitiond.rs",
-        "crates/rdbsc-server/src/partitiond.rs",
-    );
-    let exp = expected(&frame);
-    assert!(!exp.is_empty(), "fixture lost its markers");
-    let findings = engine::run_on(&[frame, partitiond]);
-    assert_eq!(reported(&findings), exp, "{:#?}", rendered(&findings));
-    // The six defect classes, by message.
-    let all = rendered(&findings).join("\n");
-    assert!(all.contains("duplicates `QUERY`"), "{all}");
-    assert!(all.contains("no reply mapping"), "{all}");
-    assert!(all.contains("routing arm"), "{all}");
-    assert!(all.contains("0x01..=0x7E"), "{all}");
-    assert!(all.contains("inside the replication block"), "{all}");
-    assert!(all.contains("has a hole at 0x0E"), "{all}");
-}
-
-#[test]
 fn suppress_golden() {
     let f = fixture("suppress.rs", "crates/rdbsc-model/src/suppress_fixture.rs");
     let exp = expected(&f);

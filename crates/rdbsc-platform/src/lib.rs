@@ -61,8 +61,8 @@ pub use partition::{
     StandbyPromoter,
 };
 pub use protocol::{
-    EnginePartition, InProcessClient, PartitionClient, PartitionError, PartitionTick,
-    ProtocolCounters, ProtocolStats, PROTOCOL_VERSION,
+    CommandOutcome, EnginePartition, InProcessClient, PartitionClient, PartitionCommand,
+    PartitionError, PartitionTick, ProtocolCounters, ProtocolStats, PROTOCOL_VERSION,
 };
 pub use repl::{ReplError, ReplStatus, ReplicationLog};
 pub use sim::{PlatformConfig, PlatformSim, RoundStats, SimulationReport};

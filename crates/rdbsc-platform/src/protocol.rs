@@ -130,6 +130,97 @@ pub struct PartitionTick {
     pub trace: u64,
 }
 
+/// One input of the deterministic state machine a partition is — the unit
+/// at every tier: the log appends it ([`WalRecord::Command`]), the
+/// replication stream ships it ([`crate::repl`]), the partition wire
+/// carries it, and every executor — in-process thread, daemon, recovery
+/// replay, standby — hands it to [`EnginePartition::apply`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum PartitionCommand {
+    /// A routed event batch queued for the next tick.
+    Submit(Vec<EngineEvent>),
+    /// One lockstep engine round (the fsync boundary of a durable log).
+    Tick {
+        /// The tick's time.
+        now: f64,
+    },
+    /// An en-route worker's delivered answer, to bank.
+    Answer {
+        /// The answering worker.
+        worker: WorkerId,
+        /// Its contribution.
+        contribution: Contribution,
+    },
+    /// An en-route worker released without banking (gave up / rejected).
+    Release {
+        /// The released worker.
+        worker: WorkerId,
+    },
+}
+
+impl PartitionCommand {
+    /// [`PartitionCommand::Submit`]'s tag.
+    pub const SUBMIT: u8 = 1;
+    /// [`PartitionCommand::Tick`]'s tag.
+    pub const TICK: u8 = 2;
+    /// [`PartitionCommand::Answer`]'s tag.
+    pub const ANSWER: u8 = 3;
+    /// [`PartitionCommand::Release`]'s tag.
+    pub const RELEASE: u8 = 4;
+
+    /// The command's tag: the first byte of its log record and its request
+    /// tag on the partition wire.
+    pub fn tag(&self) -> u8 {
+        match self {
+            PartitionCommand::Submit(_) => Self::SUBMIT,
+            PartitionCommand::Tick { .. } => Self::TICK,
+            PartitionCommand::Answer { .. } => Self::ANSWER,
+            PartitionCommand::Release { .. } => Self::RELEASE,
+        }
+    }
+
+    /// The command's name in diagnostics (`wal_dump`).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            PartitionCommand::Submit(_) => "events",
+            PartitionCommand::Tick { .. } => "tick",
+            PartitionCommand::Answer { .. } => "answer",
+            PartitionCommand::Release { .. } => "release",
+        }
+    }
+}
+
+/// What applying a [`PartitionCommand`] produced — one variant per command.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CommandOutcome {
+    /// The batch was queued.
+    Submitted {
+        /// The size of the batch just queued (not the number pending).
+        events: u32,
+    },
+    /// The round ran.
+    Ticked(Box<PartitionTick>),
+    /// The answer was processed.
+    Answered {
+        /// Was the worker committed here (and the answer banked)?
+        banked: bool,
+    },
+    /// The release was processed.
+    Released,
+}
+
+impl CommandOutcome {
+    /// The [`PartitionCommand::tag`] of the command this is the outcome of.
+    pub fn tag(&self) -> u8 {
+        match self {
+            CommandOutcome::Submitted { .. } => PartitionCommand::SUBMIT,
+            CommandOutcome::Ticked(_) => PartitionCommand::TICK,
+            CommandOutcome::Answered { .. } => PartitionCommand::ANSWER,
+            CommandOutcome::Released => PartitionCommand::RELEASE,
+        }
+    }
+}
+
 /// Per-partition protocol counters the router keeps for each client, so
 /// cross-process overhead is observable on `/metrics`: commands issued,
 /// wire retries/reconnects, bytes moved, command latency percentiles.
@@ -297,11 +388,11 @@ pub struct EnginePartition<I: SpatialIndex> {
     /// prefix.
     wal: Option<Wal>,
     /// The replication stream, when this partition runs as a primary: a
-    /// copy of every logged command record, retained until the follower
+    /// copy of every logged command, retained until the follower
     /// acknowledges it (see [`crate::repl`]).
     repl: Option<ReplicationLog>,
     /// The trace id commands are currently attributed to (`0` = untraced).
-    /// Set by [`EnginePartition::set_trace`]; purely observational.
+    /// Set by [`EnginePartition::apply`]; purely observational.
     trace: u64,
     /// Nanoseconds `submit` spent appending event batches since the last
     /// tick; the next tick reports them in `stages.wal_append_us`, so the
@@ -336,13 +427,36 @@ impl<I: SpatialIndex> EnginePartition<I> {
         }
     }
 
-    /// Attributes subsequent commands to `trace` (`0` = untraced). The
-    /// partition's spans — WAL append/fsync, the synthesized engine stage
-    /// spans — carry this id, so a router-issued trace correlates across
-    /// the wire. Observational only: tracing never changes what the engine
-    /// computes.
-    pub fn set_trace(&mut self, trace: u64) {
+    /// Applies one command — the one place a [`PartitionCommand`] is
+    /// executed. Each arm's body logs the command (write-ahead), executes it
+    /// and, on a replication primary, publishes it, so live traffic,
+    /// crash-recovery replay (the log is not attached yet, so nothing is
+    /// re-logged) and a standby applying shipped commands (log-then-apply
+    /// into its own log) are the same code; the engine's determinism is what
+    /// makes a replayed tick, and a standby's digest at the same lsn, exact.
+    ///
+    /// The partition's spans carry `trace` (`0` = untraced), so a
+    /// router-issued trace correlates across the wire. Observational only.
+    pub fn apply(&mut self, trace: u64, command: PartitionCommand) -> CommandOutcome {
         self.trace = trace;
+        match command {
+            PartitionCommand::Submit(events) => {
+                let batch = events.len() as u32;
+                self.submit(events);
+                CommandOutcome::Submitted { events: batch }
+            }
+            PartitionCommand::Tick { now } => CommandOutcome::Ticked(Box::new(self.tick(now))),
+            PartitionCommand::Answer {
+                worker,
+                contribution,
+            } => CommandOutcome::Answered {
+                banked: self.record_answer(worker, contribution),
+            },
+            PartitionCommand::Release { worker } => {
+                self.release_worker(worker);
+                CommandOutcome::Released
+            }
+        }
     }
 
     /// Opens (or creates) the durable log in `dir` and recovers the
@@ -359,55 +473,19 @@ impl<I: SpatialIndex> EnginePartition<I> {
     ) -> Result<(Self, ScannedLog), WalError> {
         let (wal, scan) = Wal::open(dir, wal_config)?;
         let (checkpoint, tail) = scan.recovery_plan();
-        let engine = match checkpoint {
-            Some(state) => AssignmentEngine::restore_state(
-                make_index(),
-                engine_config,
-                state.engine.clone(),
-            ),
-            None => AssignmentEngine::new(make_index(), engine_config),
+        let mut part = match checkpoint {
+            Some(state) => Self::from_state(state, engine_config, make_index),
+            None => Self::new(AssignmentEngine::new(make_index(), engine_config)),
         };
-        let mut part = Self::new(engine);
-        if let Some(state) = checkpoint {
-            part.last_now = state.last_now;
-            part.events_applied = state.events_applied;
-            part.total_assignments = state.total_assignments;
-        }
         for record in tail {
-            part.apply_record(record.clone());
+            // Not commands: recovery_plan() splits at the *latest*
+            // checkpoint, and replication notes are observational.
+            if let WalRecord::Command(command) = record {
+                part.apply(0, command.clone());
+            }
         }
         part.wal = Some(wal);
         Ok((part, scan))
-    }
-
-    /// Applies one logged or shipped record through the ordinary command
-    /// path — the one `WalRecord` → command dispatch: crash recovery replays
-    /// the logged tail through it (the log is not attached yet, so nothing is
-    /// re-logged) and a `--follow` standby applies each shipped record
-    /// through it (log-then-apply into its own log), so the two are the same
-    /// code. Replayed ticks recompute their assignments deterministically —
-    /// the engine's determinism contract is what makes redo recovery, and a
-    /// standby's digest at the same lsn, exact.
-    pub fn apply_record(&mut self, record: WalRecord) {
-        match record {
-            WalRecord::Events(events) => self.submit(events),
-            WalRecord::Tick { now } => {
-                self.tick(now);
-            }
-            WalRecord::Answer {
-                worker,
-                contribution,
-            } => {
-                self.record_answer(worker, contribution);
-            }
-            WalRecord::Release { worker } => self.release_worker(worker),
-            // Self-contained state and stream notes, not commands:
-            // recovery_plan() splits at the *latest* checkpoint (an older
-            // one surviving in the tail would be a scan bug), replication
-            // watermarks are observational, and neither is ever shipped —
-            // ignored defensively rather than trusting the scan or the wire.
-            WalRecord::Checkpoint(_) | WalRecord::ReplMeta { .. } => {}
-        }
     }
 
     fn log(wal: &mut Option<Wal>, write: impl FnOnce(&mut Wal) -> Result<(), WalError>) {
@@ -426,7 +504,7 @@ impl<I: SpatialIndex> EnginePartition<I> {
         }
         if let Some(repl) = &mut self.repl {
             if !events.is_empty() {
-                repl.publish(WalRecord::Events(events.clone()));
+                repl.publish(PartitionCommand::Submit(events.clone()));
             }
         }
         self.engine.submit_all(events);
@@ -464,7 +542,7 @@ impl<I: SpatialIndex> EnginePartition<I> {
     /// checkpoint is written every [`WalConfig::checkpoint_every_ticks`]
     /// ticks.
     ///
-    /// When a trace is set ([`EnginePartition::set_trace`]) the tick emits
+    /// When the tick is attributed to a trace ([`EnginePartition::apply`]) it emits
     /// spans — live `wal.append`/`wal.fsync` spans around the log append and
     /// the wait for the sync, the engine's stage spans synthesized from
     /// [`TickReport::stages`] — under a `partition.tick` root. The report's
@@ -477,7 +555,7 @@ impl<I: SpatialIndex> EnginePartition<I> {
         if let Some(wal) = &mut self.wal {
             let started = Instant::now();
             let _span = rdbsc_obs::span(trace, root.id(), "wal.append");
-            crash_on(wal.append(&WalRecord::Tick { now }));
+            crash_on(wal.append_command(&PartitionCommand::Tick { now }));
             wal_append_ns += elapsed_ns(started);
         }
         let engine = &mut self.engine;
@@ -497,7 +575,7 @@ impl<I: SpatialIndex> EnginePartition<I> {
         };
         // From here on the tick is durable.
         if let Some(repl) = &mut self.repl {
-            repl.publish(WalRecord::Tick { now });
+            repl.publish(PartitionCommand::Tick { now });
         }
         self.last_now = now;
         self.events_applied += report.events_applied as u64;
@@ -530,16 +608,16 @@ impl<I: SpatialIndex> EnginePartition<I> {
     }
 
     /// Logs a command and, on a replication primary, publishes it.
-    fn log_and_publish(&mut self, record: WalRecord) {
-        Self::log(&mut self.wal, |wal| wal.append(&record));
+    fn log_and_publish(&mut self, command: PartitionCommand) {
+        Self::log(&mut self.wal, |wal| wal.append_command(&command));
         if let Some(repl) = &mut self.repl {
-            repl.publish(record);
+            repl.publish(command);
         }
     }
 
     /// Banks an answer; `false` when the worker was not en route.
     pub fn record_answer(&mut self, worker: WorkerId, contribution: Contribution) -> bool {
-        self.log_and_publish(WalRecord::Answer {
+        self.log_and_publish(PartitionCommand::Answer {
             worker,
             contribution,
         });
@@ -548,7 +626,7 @@ impl<I: SpatialIndex> EnginePartition<I> {
 
     /// Releases an en-route worker without banking.
     pub fn release_worker(&mut self, worker: WorkerId) {
-        self.log_and_publish(WalRecord::Release { worker });
+        self.log_and_publish(PartitionCommand::Release { worker });
         self.engine.release_worker(worker);
     }
 
@@ -621,14 +699,14 @@ impl<I: SpatialIndex> EnginePartition<I> {
 
     /// Serves one follower pull: advances the acknowledgement watermark to
     /// `ack` (records below it are released from retention), then returns
-    /// up to `max` records from stream lsn `from`. A gap means the
+    /// up to `max` commands from stream lsn `from`. A gap means the
     /// follower fell behind retention and must re-bootstrap.
     pub fn repl_fetch(
         &mut self,
         from: u64,
         ack: u64,
         max: usize,
-    ) -> Result<Vec<(u64, WalRecord)>, ReplError> {
+    ) -> Result<Vec<(u64, PartitionCommand)>, ReplError> {
         let repl = self.repl.as_mut().ok_or(ReplError::NotEnabled)?;
         repl.ack(ack);
         repl.fetch(from, max)
@@ -714,23 +792,11 @@ impl<I: SpatialIndex> EnginePartition<I> {
     }
 }
 
-/// A command processed by one in-process partition's engine thread.
+/// A message to one in-process partition's engine thread; every variant
+/// but `Shutdown` carries the channel its answer goes back on.
 enum Command {
-    Submit {
-        events: Vec<EngineEvent>,
-        trace: u64,
-    },
-    Tick {
-        now: f64,
-        trace: u64,
-        reply: Sender<PartitionTick>,
-    },
-    RecordAnswer {
-        worker: WorkerId,
-        contribution: Contribution,
-        reply: Sender<bool>,
-    },
-    Release(WorkerId),
+    /// One of the four partition commands, with its trace id.
+    Apply(PartitionCommand, u64, Sender<CommandOutcome>),
     Assignments(Sender<Vec<ValidPair>>),
     Snapshot(Sender<EngineSnapshot>),
     IsActive(Sender<bool>),
@@ -743,22 +809,9 @@ enum Command {
 fn slot_loop<I: SpatialIndex>(mut part: EnginePartition<I>, commands: Receiver<Command>) {
     while let Ok(command) = commands.recv() {
         match command {
-            Command::Submit { events, trace } => {
-                part.set_trace(trace);
-                part.submit(events);
+            Command::Apply(command, trace, reply) => {
+                let _ = reply.send(part.apply(trace, command));
             }
-            Command::Tick { now, trace, reply } => {
-                part.set_trace(trace);
-                let _ = reply.send(part.tick(now));
-            }
-            Command::RecordAnswer {
-                worker,
-                contribution,
-                reply,
-            } => {
-                let _ = reply.send(part.record_answer(worker, contribution));
-            }
-            Command::Release(worker) => part.release_worker(worker),
             Command::Assignments(reply) => {
                 let _ = reply.send(part.assignments());
             }
@@ -776,6 +829,12 @@ fn slot_loop<I: SpatialIndex>(mut part: EnginePartition<I>, commands: Receiver<C
     }
 }
 
+/// A sent message whose answer has not been collected yet.
+struct Pending<R> {
+    reply: Receiver<R>,
+    started: Instant,
+}
+
 /// The thread-per-partition protocol backend: one [`AssignmentEngine`] on
 /// its own named OS thread behind an `mpsc` command channel — PR 4's
 /// hard-wired router plumbing, now just one [`PartitionClient`] impl.
@@ -784,8 +843,8 @@ pub struct InProcessClient {
     sender: Option<Sender<Command>>,
     thread: Option<JoinHandle<()>>,
     counters: Arc<ProtocolCounters>,
-    pending_tick: Option<(Receiver<PartitionTick>, Instant)>,
-    submit_started: Option<Instant>,
+    /// The split-phase command begun and not yet finished.
+    pending: Option<Pending<CommandOutcome>>,
     trace: u64,
 }
 
@@ -813,39 +872,77 @@ impl InProcessClient {
             sender: Some(tx),
             thread: Some(thread),
             counters: Arc::new(ProtocolCounters::default()),
-            pending_tick: None,
-            submit_started: None,
+            pending: None,
             trace: 0,
         }
     }
 
-    fn send(&self, command: Command) -> Result<(), PartitionError> {
-        let sender = self.sender.as_ref().ok_or_else(|| PartitionError::Transport {
+    fn transport(&self, detail: &str) -> PartitionError {
+        PartitionError::Transport {
             endpoint: self.label.clone(),
-            detail: "partition already shut down".into(),
-        })?;
-        sender.send(command).map_err(|_| PartitionError::Transport {
-            endpoint: self.label.clone(),
-            detail: "partition thread is gone".into(),
-        })
+            detail: detail.into(),
+        }
     }
 
-    /// One synchronous round trip: send, then receive on a fresh reply
-    /// channel, recording the command in the counters.
-    fn round_trip<R>(
-        &mut self,
-        make: impl FnOnce(Sender<R>) -> Command,
-    ) -> Result<R, PartitionError> {
-        let started = Instant::now();
-        let (tx, rx) = channel();
-        self.send(make(tx))?;
-        let reply = rx.recv().map_err(|_| PartitionError::Transport {
+    fn protocol(&self, detail: String) -> PartitionError {
+        PartitionError::Protocol {
             endpoint: self.label.clone(),
-            detail: "partition thread died mid-command".into(),
-        })?;
+            detail,
+        }
+    }
+
+    /// Sends one message on a fresh reply channel.
+    fn dispatch<R>(
+        &self,
+        make: impl FnOnce(Sender<R>) -> Command,
+    ) -> Result<Pending<R>, PartitionError> {
+        let started = Instant::now();
+        let (tx, reply) = channel();
+        self.sender
+            .as_ref()
+            .ok_or_else(|| self.transport("partition already shut down"))?
+            .send(make(tx))
+            .map_err(|_| self.transport("partition thread is gone"))?;
+        Ok(Pending { reply, started })
+    }
+
+    /// Waits for a dispatched message's answer — the one place a command is
+    /// counted and timed, so both happen exactly when an answer arrived.
+    fn collect<R>(&self, pending: Pending<R>) -> Result<R, PartitionError> {
+        let reply = pending
+            .reply
+            .recv()
+            .map_err(|_| self.transport("partition thread died mid-command"))?;
         self.counters.requests.incr();
-        self.counters.command_latency.record(started.elapsed());
+        self.counters
+            .command_latency
+            .record(pending.started.elapsed());
         Ok(reply)
+    }
+
+    fn round_trip<R>(&self, make: impl FnOnce(Sender<R>) -> Command) -> Result<R, PartitionError> {
+        self.collect(self.dispatch(make)?)
+    }
+
+    /// Dispatches a partition command under the current trace.
+    fn begin(&mut self, command: PartitionCommand) -> Result<(), PartitionError> {
+        let trace = self.trace;
+        self.pending = Some(self.dispatch(|reply| Command::Apply(command, trace, reply))?);
+        Ok(())
+    }
+
+    /// Collects the outcome of the command [`Self::begin`] dispatched.
+    fn finish(&mut self, what: &str) -> Result<CommandOutcome, PartitionError> {
+        let pending = self
+            .pending
+            .take()
+            .ok_or_else(|| self.protocol(format!("finish_{what} without begin_{what}")))?;
+        self.collect(pending)
+    }
+
+    /// `finish_*` collected the outcome of a different `begin_*`.
+    fn mismatched(&self, outcome: CommandOutcome) -> PartitionError {
+        self.protocol(format!("finished another command's outcome: {outcome:?}"))
     }
 }
 
@@ -867,46 +964,25 @@ impl PartitionClient for InProcessClient {
     }
 
     fn begin_submit(&mut self, events: Vec<EngineEvent>) -> Result<(), PartitionError> {
-        self.submit_started = Some(Instant::now());
-        self.send(Command::Submit {
-            events,
-            trace: self.trace,
-        })
+        self.begin(PartitionCommand::Submit(events))
     }
 
     fn finish_submit(&mut self) -> Result<(), PartitionError> {
-        // Submits have no reply in-process: the channel preserves order, so
-        // the batch lands before any later tick command.
-        if let Some(started) = self.submit_started.take() {
-            self.counters.requests.incr();
-            self.counters.command_latency.record(started.elapsed());
+        match self.finish("submit")? {
+            CommandOutcome::Submitted { .. } => Ok(()),
+            other => Err(self.mismatched(other)),
         }
-        Ok(())
     }
 
     fn begin_tick(&mut self, now: f64) -> Result<(), PartitionError> {
-        let (tx, rx) = channel();
-        self.send(Command::Tick {
-            now,
-            trace: self.trace,
-            reply: tx,
-        })?;
-        self.pending_tick = Some((rx, Instant::now()));
-        Ok(())
+        self.begin(PartitionCommand::Tick { now })
     }
 
     fn finish_tick(&mut self) -> Result<PartitionTick, PartitionError> {
-        let (rx, started) = self.pending_tick.take().ok_or_else(|| PartitionError::Protocol {
-            endpoint: self.label.clone(),
-            detail: "finish_tick without begin_tick".into(),
-        })?;
-        let reply = rx.recv().map_err(|_| PartitionError::Transport {
-            endpoint: self.label.clone(),
-            detail: "partition thread died mid-tick".into(),
-        })?;
-        self.counters.requests.incr();
-        self.counters.command_latency.record(started.elapsed());
-        Ok(reply)
+        match self.finish("tick")? {
+            CommandOutcome::Ticked(tick) => Ok(*tick),
+            other => Err(self.mismatched(other)),
+        }
     }
 
     fn record_answer(
@@ -914,16 +990,22 @@ impl PartitionClient for InProcessClient {
         worker: WorkerId,
         contribution: Contribution,
     ) -> Result<bool, PartitionError> {
-        self.round_trip(|reply| Command::RecordAnswer {
+        self.begin(PartitionCommand::Answer {
             worker,
             contribution,
-            reply,
-        })
+        })?;
+        match self.finish("answer")? {
+            CommandOutcome::Answered { banked } => Ok(banked),
+            other => Err(self.mismatched(other)),
+        }
     }
 
     fn release_worker(&mut self, worker: WorkerId) -> Result<(), PartitionError> {
-        self.counters.requests.incr();
-        self.send(Command::Release(worker))
+        self.begin(PartitionCommand::Release { worker })?;
+        match self.finish("release")? {
+            CommandOutcome::Released => Ok(()),
+            other => Err(self.mismatched(other)),
+        }
     }
 
     fn assignments(&mut self) -> Result<Vec<ValidPair>, PartitionError> {
@@ -954,10 +1036,9 @@ impl PartitionClient for InProcessClient {
             let _ = sender.send(Command::Shutdown);
         }
         if let Some(thread) = self.thread.take() {
-            thread.join().map_err(|_| PartitionError::Transport {
-                endpoint: self.label.clone(),
-                detail: "partition thread panicked".into(),
-            })?;
+            thread
+                .join()
+                .map_err(|_| self.transport("partition thread panicked"))?;
         }
         Ok(())
     }
@@ -1036,6 +1117,33 @@ mod tests {
         c.drain().unwrap();
         c.shutdown().unwrap();
         assert!(c.is_active().is_err(), "commands after shutdown fail");
+    }
+
+    /// Every command is counted where its latency is recorded: once, when
+    /// its answer arrives. (A release used to be counted before it was even
+    /// sent, and never timed.)
+    #[test]
+    fn every_in_process_command_is_counted_and_timed_once() {
+        let mut c = client();
+        c.begin_submit(vec![
+            EngineEvent::TaskArrived(task(0, 0.6, 0.6)),
+            EngineEvent::WorkerCheckIn(worker(0, 0.5, 0.5)),
+        ])
+        .unwrap();
+        c.finish_submit().unwrap();
+        c.begin_tick(0.0).unwrap();
+        let pair = c.finish_tick().unwrap().report.new_assignments[0];
+        assert!(c.record_answer(pair.worker, pair.contribution).unwrap());
+        c.release_worker(pair.worker).unwrap();
+        let counters = c.counters();
+        assert_eq!(counters.stats().requests, 4);
+        assert_eq!(counters.command_latency.count(), 4);
+
+        // A partition that is gone answers nothing: nothing is counted.
+        c.shutdown().unwrap();
+        assert!(c.release_worker(pair.worker).is_err());
+        assert_eq!(counters.stats().requests, counters.command_latency.count());
+        assert_eq!(counters.stats().requests, 4);
     }
 
     #[test]

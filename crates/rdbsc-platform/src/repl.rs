@@ -5,15 +5,17 @@
 //! shipping: a standby that starts from a state snapshot and applies the
 //! same command records in the same order is **byte-identical by
 //! construction** — the same property the WAL's crash recovery rests on,
-//! now stretched over the wire. The stream therefore reuses the WAL's
-//! vocabulary wholesale: shipped units are [`WalRecord`]s in the canonical
-//! codec, and bootstrap is the checkpoint+tail recovery path served
-//! remotely (a `Checkpoint` record as the snapshot, then the live tail).
+//! now stretched over the wire. The stream ships the partition's
+//! [`PartitionCommand`]s themselves, in the log's codec
+//! ([`crate::wal::encode_command`]): the unit the primary logged and
+//! applied is the unit the standby logs and applies. Bootstrap is the
+//! checkpoint+tail recovery path served remotely (an encoded `Checkpoint`
+//! record as the snapshot, then the live tail).
 //!
 //! ## The retained tail and its watermarks
 //!
 //! A [`ReplicationLog`] is the primary's in-memory publication buffer: every
-//! command record the partition logs is also published here under a dense
+//! command the partition logs is also published here under a dense
 //! **stream lsn** (independent of WAL lsns, which restart across reboots —
 //! a primary reboot always re-bootstraps the follower). The follower pulls
 //! batches with [`ReplicationLog::fetch`] and acknowledges application with
@@ -25,11 +27,11 @@
 //! reports a gap ([`ReplError::Gap`]) and it re-bootstraps from a fresh
 //! snapshot.
 //!
-//! Checkpoints and [`WalRecord::ReplMeta`] notes are *not* shipped: the
-//! follower takes its own checkpoints at its own tick cadence, and repl
-//! metadata is always local to the log that wrote it.
+//! Checkpoints and `ReplMeta` notes cannot be shipped — the stream's type
+//! has no place for them: the follower takes its own checkpoints at its own
+//! tick cadence, and repl metadata is always local to the log that wrote it.
 
-use crate::wal::WalRecord;
+use crate::protocol::PartitionCommand;
 use std::collections::VecDeque;
 
 /// Default cap on unacknowledged retained records before the stream resets
@@ -83,7 +85,7 @@ pub struct ReplStatus {
 /// The primary's publication buffer — see the [module docs](self).
 pub struct ReplicationLog {
     base: u64,
-    tail: VecDeque<WalRecord>,
+    tail: VecDeque<PartitionCommand>,
     acked: u64,
     max_retained: usize,
     resets: u64,
@@ -106,16 +108,16 @@ impl ReplicationLog {
         self.base + self.tail.len() as u64
     }
 
-    /// Publishes one record at the stream head. Past the retention cap the
+    /// Publishes one command at the stream head. Past the retention cap the
     /// oldest unacknowledged record is discarded (stream reset — the
     /// follower will observe a gap and re-bootstrap).
-    pub fn publish(&mut self, record: WalRecord) {
+    pub fn publish(&mut self, command: PartitionCommand) {
         if self.tail.len() >= self.max_retained {
             self.tail.pop_front();
             self.base += 1;
             self.resets += 1;
         }
-        self.tail.push_back(record);
+        self.tail.push_back(command);
     }
 
     /// Advances the acknowledgement watermark to `upto` (exclusive lsn of
@@ -136,7 +138,7 @@ impl ReplicationLog {
     /// Records from `from` (inclusive), at most `max` of them, paired with
     /// their lsns. A `from` below the retained base is a gap: the follower
     /// must re-bootstrap.
-    pub fn fetch(&self, from: u64, max: usize) -> Result<Vec<(u64, WalRecord)>, ReplError> {
+    pub fn fetch(&self, from: u64, max: usize) -> Result<Vec<(u64, PartitionCommand)>, ReplError> {
         if from < self.base {
             return Err(ReplError::Gap { base: self.base });
         }
@@ -148,7 +150,7 @@ impl ReplicationLog {
             .take(max)
             .cloned()
             .enumerate()
-            .map(|(i, record)| (from + i as u64, record))
+            .map(|(i, command)| (from + i as u64, command))
             .collect())
     }
 
@@ -178,8 +180,8 @@ impl ReplicationLog {
 mod tests {
     use super::*;
 
-    fn tick(now: f64) -> WalRecord {
-        WalRecord::Tick { now }
+    fn tick(now: f64) -> PartitionCommand {
+        PartitionCommand::Tick { now }
     }
 
     #[test]

@@ -14,10 +14,16 @@
 
 use super::{PartitionState, WalError, WalRecord};
 use crate::engine::{EngineEvent, EngineState};
+use crate::protocol::PartitionCommand;
 use rdbsc_geo::{AngleRange, Point};
 use rdbsc_model::{Confidence, Contribution, Task, TaskId, TimeWindow, Worker, WorkerId};
 
 const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Record tags `1..=4` are [`PartitionCommand::tag`]s; these two are the
+/// log's own.
+const TAG_CHECKPOINT: u8 = 5;
+const TAG_REPL_META: u8 = 6;
 
 /// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
 /// is the CRC of byte `b` followed by `k` zero bytes, which is what lets
@@ -88,7 +94,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     rdbsc_obs::digest::fnv1a_bytes(bytes)
 }
 
-/// An append-only byte sink with the codec's primitive writers.
+/// An append-only byte sink with the codec's primitive writers; with
+/// [`Decoder`], the one little-endian cursor pair behind the log, the
+/// replication stream and the partition wire's payloads.
 #[derive(Debug, Default)]
 pub struct Encoder {
     /// The log appender frames records in place around these bytes.
@@ -106,20 +114,38 @@ impl Encoder {
         self.buf
     }
 
-    fn u8(&mut self, v: u8) {
+    /// Appends one byte.
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn bool(&mut self, v: bool) {
+    /// Appends a flag as one `0`/`1` byte.
+    pub fn bool(&mut self, v: bool) {
         self.u8(v as u8);
     }
-    fn u32(&mut self, v: u32) {
+    /// Appends a little-endian `u16`.
+    pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
+    /// Appends a little-endian `u32`.
+    pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn f64(&mut self, v: f64) {
+    /// Appends a little-endian `u64`.
+    pub fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+    /// Appends a float as its IEEE-754 bit pattern, verbatim.
+    pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
+    }
+    /// Appends length-prefixed (`u32`) opaque bytes.
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.u32(b.len() as u32);
+        self.buf.extend_from_slice(b);
+    }
+    /// Appends a length-prefixed UTF-8 string.
+    pub fn str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
     }
     fn point(&mut self, p: Point) {
         self.f64(p.x);
@@ -150,15 +176,14 @@ impl Encoder {
         self.f64(w.available_from);
     }
 
-    fn contribution(&mut self, c: &Contribution) {
+    /// Appends a contribution: confidence, angle, arrival.
+    pub fn contribution(&mut self, c: &Contribution) {
         self.f64(c.confidence.value());
         self.f64(c.angle);
         self.f64(c.arrival);
     }
 
-    /// Appends one engine event — also the event codec of the partition
-    /// wire's submit frame, so an event has exactly one binary encoding.
-    pub fn event(&mut self, e: &EngineEvent) {
+    fn event(&mut self, e: &EngineEvent) {
         match e {
             EngineEvent::TaskArrived(t) => {
                 self.u8(0);
@@ -227,46 +252,58 @@ impl Encoder {
         self.engine_state(&s.engine);
     }
 
-    // The two records big enough to matter take a borrow, so the log
-    // appender encodes them straight from the caller's data into its frame
-    // buffer; `record` (hence `encode_record`) is the same bytes by
-    // construction.
-
-    pub(super) fn events_record(&mut self, events: &[EngineEvent]) {
-        self.u8(1);
+    fn events(&mut self, events: &[EngineEvent]) {
         self.u32(events.len() as u32);
         for event in events {
             self.event(event);
         }
     }
 
+    /// Appends a command's fields without its tag: its log record's body,
+    /// and its request payload on the wire (the tag is in the frame header).
+    pub fn command_body(&mut self, command: &PartitionCommand) {
+        match command {
+            PartitionCommand::Submit(events) => self.events(events),
+            PartitionCommand::Tick { now } => self.f64(*now),
+            PartitionCommand::Answer {
+                worker,
+                contribution,
+            } => {
+                self.u32(worker.0);
+                self.contribution(contribution);
+            }
+            PartitionCommand::Release { worker } => self.u32(worker.0),
+        }
+    }
+
+    /// Appends a command as its tag plus [`Encoder::command_body`] — the
+    /// log record and the shipped unit.
+    pub fn command(&mut self, command: &PartitionCommand) {
+        self.u8(command.tag());
+        self.command_body(command);
+    }
+
+    // The two records big enough to matter take a borrow, so the log
+    // appender encodes them straight from the caller's data into its frame
+    // buffer; `record` (hence `encode_record`) is the same bytes by
+    // construction.
+
+    pub(super) fn events_record(&mut self, events: &[EngineEvent]) {
+        self.u8(PartitionCommand::SUBMIT);
+        self.events(events);
+    }
+
     pub(super) fn checkpoint_record(&mut self, state: &PartitionState) {
-        self.u8(5);
+        self.u8(TAG_CHECKPOINT);
         self.partition_state(state);
     }
 
     pub(super) fn record(&mut self, record: &WalRecord) {
         match record {
-            WalRecord::Events(events) => self.events_record(events),
-            WalRecord::Tick { now } => {
-                self.u8(2);
-                self.f64(*now);
-            }
-            WalRecord::Answer {
-                worker,
-                contribution,
-            } => {
-                self.u8(3);
-                self.u32(worker.0);
-                self.contribution(contribution);
-            }
-            WalRecord::Release { worker } => {
-                self.u8(4);
-                self.u32(worker.0);
-            }
+            WalRecord::Command(command) => self.command(command),
             WalRecord::Checkpoint(state) => self.checkpoint_record(state),
             WalRecord::ReplMeta { acked, sealed } => {
-                self.u8(6);
+                self.u8(TAG_REPL_META);
                 self.u64(*acked);
                 self.bool(*sealed);
             }
@@ -278,6 +315,13 @@ impl Encoder {
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
     let mut e = Encoder::new();
     e.record(record);
+    e.into_bytes()
+}
+
+/// Encodes a command as the replication stream ships it: its log record.
+pub fn encode_command(command: &PartitionCommand) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.command(command);
     e.into_bytes()
 }
 
@@ -319,24 +363,50 @@ impl<'a> Decoder<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, WalError> {
+    /// Fails unless every byte was consumed.
+    pub fn finish(&self) -> Result<(), WalError> {
+        match self.remaining() {
+            0 => Ok(()),
+            _ => Err(corrupt("trailing bytes after the last field")),
+        }
+    }
+
+    /// Reads one byte.
+    pub fn u8(&mut self) -> Result<u8, WalError> {
         Ok(self.take(1)?[0])
     }
-    fn bool(&mut self) -> Result<bool, WalError> {
+    /// Reads a flag; any byte but `0`/`1` is corruption.
+    pub fn bool(&mut self) -> Result<bool, WalError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(corrupt("invalid bool")),
         }
     }
-    fn u32(&mut self) -> Result<u32, WalError> {
+    /// Reads a little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, WalError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    }
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, WalError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
-    fn u64(&mut self) -> Result<u64, WalError> {
+    /// Reads a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, WalError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn f64(&mut self) -> Result<f64, WalError> {
+    /// Reads a float from its IEEE-754 bit pattern.
+    pub fn f64(&mut self) -> Result<f64, WalError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+    /// Reads length-prefixed opaque bytes (length checked before copying).
+    pub fn bytes(&mut self) -> Result<Vec<u8>, WalError> {
+        let n = self.u32()? as usize;
+        Ok(self.take(n)?.to_vec())
+    }
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<String, WalError> {
+        String::from_utf8(self.bytes()?).map_err(|_| corrupt("invalid utf-8"))
     }
     fn point(&mut self) -> Result<Point, WalError> {
         Ok(Point::new(self.f64()?, self.f64()?))
@@ -345,7 +415,7 @@ impl<'a> Decoder<'a> {
     /// A collection length, sanity-checked against the remaining bytes so a
     /// garbage length can never trigger a huge allocation (`min_bytes` is
     /// the smallest possible encoding of one element).
-    fn len(&mut self, min_bytes: usize) -> Result<usize, WalError> {
+    pub fn count(&mut self, min_bytes: usize) -> Result<usize, WalError> {
         let n = self.u32()? as usize;
         if n.saturating_mul(min_bytes) > self.remaining() {
             return Err(corrupt("length exceeds payload"));
@@ -382,7 +452,9 @@ impl<'a> Decoder<'a> {
             .map(|w| w.with_available_from(available_from))
     }
 
-    fn contribution(&mut self) -> Result<Contribution, WalError> {
+    /// Reads a contribution: a validated confidence, then angle and arrival
+    /// as written.
+    pub fn contribution(&mut self) -> Result<Contribution, WalError> {
         let confidence =
             Confidence::new(self.f64()?).map_err(|_| corrupt("invalid confidence"))?;
         Ok(Contribution {
@@ -392,9 +464,9 @@ impl<'a> Decoder<'a> {
         })
     }
 
-    /// Reads one engine event (the inverse of [`Encoder::event`]), rebuilt
-    /// through the validating model constructors.
-    pub fn event(&mut self) -> Result<EngineEvent, WalError> {
+    /// Reads one engine event, rebuilt through the validating model
+    /// constructors.
+    fn event(&mut self) -> Result<EngineEvent, WalError> {
         match self.u8()? {
             0 => Ok(EngineEvent::TaskArrived(self.task()?)),
             1 => Ok(EngineEvent::TaskExpired(TaskId(self.u32()?))),
@@ -405,44 +477,68 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// Reads the fields of the command `tag` names (the inverse of
+    /// [`Encoder::command_body`]).
+    pub fn command_body(&mut self, tag: u8) -> Result<PartitionCommand, WalError> {
+        match tag {
+            PartitionCommand::SUBMIT => {
+                let num_events = self.count(5)?;
+                let mut events = Vec::with_capacity(num_events);
+                for _ in 0..num_events {
+                    events.push(self.event()?);
+                }
+                Ok(PartitionCommand::Submit(events))
+            }
+            PartitionCommand::TICK => Ok(PartitionCommand::Tick { now: self.f64()? }),
+            PartitionCommand::ANSWER => Ok(PartitionCommand::Answer {
+                worker: WorkerId(self.u32()?),
+                contribution: self.contribution()?,
+            }),
+            PartitionCommand::RELEASE => Ok(PartitionCommand::Release {
+                worker: WorkerId(self.u32()?),
+            }),
+            _ => Err(corrupt("invalid command tag")),
+        }
+    }
+
     fn engine_state(&mut self) -> Result<EngineState, WalError> {
         let depart_at = self.f64()?;
         let allow_wait = self.bool()?;
         let tick_count = self.u64()?;
-        let num_tasks = self.len(37)?;
+        let num_tasks = self.count(37)?;
         let mut tasks = Vec::with_capacity(num_tasks);
         for _ in 0..num_tasks {
             tasks.push(self.task()?);
         }
-        let num_workers = self.len(60)?;
+        let num_workers = self.count(60)?;
         let mut workers = Vec::with_capacity(num_workers);
         for _ in 0..num_workers {
             workers.push(self.worker()?);
         }
-        let num_pending = self.len(5)?;
+        let num_pending = self.count(5)?;
         let mut pending = Vec::with_capacity(num_pending);
         for _ in 0..num_pending {
             pending.push(self.event()?);
         }
-        let num_committed = self.len(32)?;
+        let num_committed = self.count(32)?;
         let mut committed = Vec::with_capacity(num_committed);
         for _ in 0..num_committed {
             let w = WorkerId(self.u32()?);
             let t = TaskId(self.u32()?);
             committed.push((w, t, self.contribution()?));
         }
-        let num_banked = self.len(8)?;
+        let num_banked = self.count(8)?;
         let mut banked = Vec::with_capacity(num_banked);
         for _ in 0..num_banked {
             let t = TaskId(self.u32()?);
-            let num_cs = self.len(24)?;
+            let num_cs = self.count(24)?;
             let mut cs = Vec::with_capacity(num_cs);
             for _ in 0..num_cs {
                 cs.push(self.contribution()?);
             }
             banked.push((t, cs));
         }
-        let num_retired = self.len(37)?;
+        let num_retired = self.count(37)?;
         let mut retired = Vec::with_capacity(num_retired);
         for _ in 0..num_retired {
             retired.push(self.task()?);
@@ -475,33 +571,25 @@ impl<'a> Decoder<'a> {
 pub fn decode_record(payload: &[u8]) -> Result<WalRecord, WalError> {
     let mut d = Decoder::new(payload);
     let record = match d.u8()? {
-        1 => {
-            let num_events = d.len(5)?;
-            let mut events = Vec::with_capacity(num_events);
-            for _ in 0..num_events {
-                events.push(d.event()?);
-            }
-            WalRecord::Events(events)
-        }
-        2 => WalRecord::Tick { now: d.f64()? },
-        3 => WalRecord::Answer {
-            worker: WorkerId(d.u32()?),
-            contribution: d.contribution()?,
-        },
-        4 => WalRecord::Release {
-            worker: WorkerId(d.u32()?),
-        },
-        5 => WalRecord::Checkpoint(d.partition_state()?),
-        6 => WalRecord::ReplMeta {
+        TAG_CHECKPOINT => WalRecord::Checkpoint(d.partition_state()?),
+        TAG_REPL_META => WalRecord::ReplMeta {
             acked: d.u64()?,
             sealed: d.bool()?,
         },
-        _ => return Err(corrupt("invalid record tag")),
+        tag => WalRecord::Command(d.command_body(tag)?),
     };
-    if d.remaining() != 0 {
-        return Err(corrupt("trailing bytes after record"));
-    }
+    d.finish()?;
     Ok(record)
+}
+
+/// Decodes one shipped unit of the replication stream. It carries commands
+/// only: a checkpoint or a replication note is corruption here.
+pub fn decode_command(bytes: &[u8]) -> Result<PartitionCommand, WalError> {
+    let mut d = Decoder::new(bytes);
+    let tag = d.u8()?;
+    let command = d.command_body(tag)?;
+    d.finish()?;
+    Ok(command)
 }
 
 #[cfg(test)]
@@ -575,14 +663,17 @@ mod tests {
             angle: 1.25,
             arrival: 3.5,
         };
-        let records = vec![
-            WalRecord::Events(sample_events()),
-            WalRecord::Tick { now: 4.25 },
-            WalRecord::Answer {
+        let commands = [
+            PartitionCommand::Submit(sample_events()),
+            PartitionCommand::Tick { now: 4.25 },
+            PartitionCommand::Answer {
                 worker: WorkerId(3),
                 contribution,
             },
-            WalRecord::Release { worker: WorkerId(9) },
+            PartitionCommand::Release { worker: WorkerId(9) },
+        ];
+        let mut records: Vec<WalRecord> = commands.iter().cloned().map(WalRecord::Command).collect();
+        records.extend([
             WalRecord::ReplMeta {
                 acked: 412,
                 sealed: false,
@@ -591,10 +682,18 @@ mod tests {
                 acked: u64::MAX,
                 sealed: true,
             },
-        ];
-        for record in records {
-            let bytes = encode_record(&record);
-            assert_eq!(decode_record(&bytes).unwrap(), record);
+        ]);
+        for record in &records {
+            let bytes = encode_record(record);
+            assert_eq!(decode_record(&bytes).unwrap(), *record);
+            // The stream's codec is the log's, restricted to commands.
+            match record {
+                WalRecord::Command(command) => {
+                    assert_eq!(encode_command(command), bytes);
+                    assert_eq!(decode_command(&bytes).unwrap(), *command);
+                }
+                _ => assert!(decode_command(&bytes).is_err(), "{record:?}"),
+            }
         }
     }
 

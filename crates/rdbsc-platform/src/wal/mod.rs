@@ -22,9 +22,9 @@
 //! ```
 //!
 //! All integers are little-endian; the CRC covers `lsn ‖ payload`. Records
-//! carry [`WalRecord`]s — routed event batches, tick commands, banked
-//! answers, worker releases and periodic [`PartitionState`] checkpoints —
-//! in the module's canonical binary encoding.
+//! carry [`WalRecord`]s — the partition's [`PartitionCommand`]s exactly as
+//! they were applied, periodic [`PartitionState`] checkpoints and a
+//! follower's replication notes — in the module's canonical binary encoding.
 //!
 //! ## Durability discipline
 //!
@@ -61,12 +61,13 @@ mod codec;
 mod failpoint;
 
 pub use codec::{
-    crc32, decode_record, encode_partition_state, encode_record, fnv1a, Decoder, Encoder,
+    crc32, decode_command, decode_record, encode_command, encode_partition_state, encode_record,
+    fnv1a, Decoder, Encoder,
 };
 pub use failpoint::{FailpointWriter, FaultPlan};
 
 use crate::engine::{EngineEvent, EngineState};
-use rdbsc_model::{Contribution, WorkerId};
+use crate::protocol::PartitionCommand;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -122,28 +123,14 @@ impl From<io::Error> for WalError {
     }
 }
 
-/// One logged command — the redo stream's unit.
+/// One log record: a command of the redo stream, or one of the two notes
+/// the log keeps for itself.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A routed event batch queued for the next tick.
-    Events(Vec<EngineEvent>),
-    /// A lockstep tick command (the fsync boundary).
-    Tick {
-        /// The tick's time.
-        now: f64,
-    },
-    /// An en-route worker's banked answer.
-    Answer {
-        /// The answering worker.
-        worker: WorkerId,
-        /// Its contribution.
-        contribution: Contribution,
-    },
-    /// An en-route worker released without banking.
-    Release {
-        /// The released worker.
-        worker: WorkerId,
-    },
+    /// A partition command, logged before it was applied — the redo
+    /// stream's unit, and the only kind of record replay executes or a
+    /// primary ships.
+    Command(PartitionCommand),
     /// A full-state checkpoint; replay restarts from the latest one.
     Checkpoint(PartitionState),
     /// Replication-stream metadata a follower notes in its own log: the
@@ -165,10 +152,7 @@ impl WalRecord {
     /// The record's type tag, for diagnostics (`wal-dump`).
     pub fn kind(&self) -> &'static str {
         match self {
-            WalRecord::Events(_) => "events",
-            WalRecord::Tick { .. } => "tick",
-            WalRecord::Answer { .. } => "answer",
-            WalRecord::Release { .. } => "release",
+            WalRecord::Command(command) => command.kind(),
             WalRecord::Checkpoint(_) => "checkpoint",
             WalRecord::ReplMeta { .. } => "repl-meta",
         }
@@ -523,10 +507,13 @@ pub fn inspect_dir(dir: &Path) -> Result<Vec<SegmentInfo>, WalError> {
 /// The one-line content summary [`inspect_dir`] attaches to each frame.
 fn record_detail(record: &WalRecord) -> String {
     match record {
-        WalRecord::Events(events) => format!("{} events", events.len()),
-        WalRecord::Tick { now } => format!("now={now}"),
-        WalRecord::Answer { worker, .. } => format!("worker={}", worker.0),
-        WalRecord::Release { worker } => format!("worker={}", worker.0),
+        WalRecord::Command(PartitionCommand::Submit(events)) => {
+            format!("{} events", events.len())
+        }
+        WalRecord::Command(PartitionCommand::Tick { now }) => format!("now={now}"),
+        WalRecord::Command(
+            PartitionCommand::Answer { worker, .. } | PartitionCommand::Release { worker },
+        ) => format!("worker={}", worker.0),
         WalRecord::Checkpoint(state) => format!(
             "digest={:016x} last_now={} events_applied={}",
             state.digest(),
@@ -793,7 +780,12 @@ impl Wal {
         self.append_with(false, |e| e.record(record))
     }
 
-    /// Logs a routed event batch (no-op for an empty batch).
+    /// Logs one command.
+    pub fn append_command(&mut self, command: &PartitionCommand) -> Result<(), WalError> {
+        self.append_with(false, |e| e.command(command))
+    }
+
+    /// Logs a submit from the batch it borrows (no-op for an empty batch).
     pub fn append_events(&mut self, events: &[EngineEvent]) -> Result<(), WalError> {
         if events.is_empty() {
             return Ok(());
@@ -922,7 +914,17 @@ impl WalFile for NullFile {
 mod tests {
     use super::*;
     use rdbsc_geo::Point;
-    use rdbsc_model::{Task, TaskId, TimeWindow};
+    use rdbsc_model::{Contribution, Task, TaskId, TimeWindow, WorkerId};
+
+    fn tick(now: f64) -> PartitionCommand {
+        PartitionCommand::Tick { now }
+    }
+
+    fn release(worker: u32) -> PartitionCommand {
+        PartitionCommand::Release {
+            worker: WorkerId(worker),
+        }
+    }
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -948,8 +950,8 @@ mod tests {
         let (mut wal, scan) = Wal::open(&dir, WalConfig::default()).unwrap();
         assert!(scan.records.is_empty());
         wal.append_events(&[task_event(0), task_event(1)]).unwrap();
-        wal.append(&WalRecord::Tick { now: 0.5 }).unwrap();
-        wal.append(&WalRecord::Release { worker: WorkerId(3) }).unwrap();
+        wal.append_command(&tick(0.5)).unwrap();
+        wal.append_command(&release(3)).unwrap();
         wal.sync().unwrap();
         let stats = wal.stats();
         assert_eq!(stats.records_appended, 3);
@@ -959,11 +961,14 @@ mod tests {
         let rescan = scan_dir(&dir).unwrap();
         assert_eq!(rescan.records.len(), 3);
         assert_eq!(
-            rescan.records[0],
-            WalRecord::Events(vec![task_event(0), task_event(1)])
+            rescan.records,
+            [
+                PartitionCommand::Submit(vec![task_event(0), task_event(1)]),
+                tick(0.5),
+                release(3),
+            ]
+            .map(WalRecord::Command)
         );
-        assert_eq!(rescan.records[1], WalRecord::Tick { now: 0.5 });
-        assert_eq!(rescan.records[2], WalRecord::Release { worker: WorkerId(3) });
         assert!(!rescan.found_damage());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -995,7 +1000,7 @@ mod tests {
             wal.begin_sync().unwrap();
             // The file is with the sync thread: nothing can be appended
             // behind the sync's back, and nothing counts until it is back.
-            assert!(wal.append(&WalRecord::Tick { now: 0.0 }).is_err());
+            assert!(wal.append_command(&tick(0.0)).is_err());
             assert_eq!(wal.stats().fsyncs, round as u64);
             wal.end_sync().unwrap();
             assert_eq!(wal.stats().fsyncs, round as u64 + 1);
@@ -1091,7 +1096,7 @@ mod tests {
         for i in 0..12 {
             wal.append_events(&[task_event(i)]).unwrap();
         }
-        wal.append(&WalRecord::Tick { now: 1.5 }).unwrap();
+        wal.append_command(&tick(1.5)).unwrap();
         wal.sync().unwrap();
         drop(wal);
 
@@ -1278,16 +1283,14 @@ mod tests {
         for round in 0..6u32 {
             let events: Vec<EngineEvent> = (0..=round).map(|i| task_event(round * 10 + i)).collect();
             wal.append_events(&events).unwrap();
-            reference.append(&WalRecord::Events(events));
+            reference.append(&WalRecord::Command(PartitionCommand::Submit(events)));
             for record in [
-                WalRecord::Tick { now: round as f64 },
-                WalRecord::Answer {
+                WalRecord::Command(tick(round as f64)),
+                WalRecord::Command(PartitionCommand::Answer {
                     worker: WorkerId(round),
                     contribution,
-                },
-                WalRecord::Release {
-                    worker: WorkerId(round + 1),
-                },
+                }),
+                WalRecord::Command(release(round + 1)),
                 WalRecord::ReplMeta {
                     acked: round as u64,
                     sealed: round == 5,

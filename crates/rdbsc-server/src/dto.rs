@@ -366,24 +366,6 @@ impl AssignmentDto {
         }
     }
 
-    /// Converts back into an engine pair — the partition protocol carries
-    /// committed pairs across the wire, and the JSON codec's
-    /// shortest-round-trip float printing makes the reconstruction exact.
-    pub fn into_pair(self) -> Result<ValidPair, ServerError> {
-        if !self.angle.is_finite() || !self.arrival.is_finite() {
-            return Err(ServerError::BadField {
-                field: "angle/arrival",
-                expected: "finite numbers",
-            });
-        }
-        let confidence = Confidence::new(self.confidence)?;
-        Ok(ValidPair {
-            task: TaskId(self.task),
-            worker: WorkerId(self.worker),
-            contribution: Contribution::new(confidence, self.angle, self.arrival),
-        })
-    }
-
     /// Encodes the DTO.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -485,21 +467,6 @@ impl WalStatsDto {
         }
     }
 
-    /// Converts back into the platform's counter struct.
-    pub fn into_stats(self) -> rdbsc_platform::WalStats {
-        rdbsc_platform::WalStats {
-            segments: self.segments as u64,
-            segments_retired: self.segments_retired as u64,
-            bytes_appended: self.bytes_appended as u64,
-            records_appended: self.records_appended as u64,
-            fsyncs: self.fsyncs as u64,
-            checkpoints: self.checkpoints as u64,
-            last_checkpoint_tick: self.last_checkpoint_tick as u64,
-            recovered_records: self.recovered_records as u64,
-            recovered_checkpoint: self.recovered_checkpoint,
-        }
-    }
-
     /// Encodes the DTO.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -552,35 +519,6 @@ impl SnapshotDto {
             index_tcell_rebuilds: s.index_counters.tcell_rebuilds as f64,
             wal: s.wal.as_ref().map(WalStatsDto::from_stats),
         }
-    }
-
-    /// Converts back into an [`EngineSnapshot`] — the partition protocol
-    /// ships per-partition snapshots across the wire.
-    pub fn into_snapshot(self) -> Result<EngineSnapshot, ServerError> {
-        use rdbsc_index::MaintenanceCounters;
-        use rdbsc_platform::EngineObjective;
-        Ok(EngineSnapshot {
-            now: self.now,
-            ticks: self.ticks as u64,
-            events_applied: self.events_applied as u64,
-            pending_events: self.pending_events as usize,
-            live_tasks: self.live_tasks as usize,
-            live_workers: self.live_workers as usize,
-            committed_workers: self.committed_workers as usize,
-            banked_answers: self.banked_answers as usize,
-            total_assignments: self.total_assignments as u64,
-            objective: EngineObjective {
-                min_reliability: self.min_reliability,
-                total_std: self.total_std,
-                covered_tasks: self.covered_tasks as usize,
-            },
-            index_counters: MaintenanceCounters {
-                relocations: self.index_relocations as u64,
-                cells_repaired: self.index_cells_repaired as u64,
-                tcell_rebuilds: self.index_tcell_rebuilds as u64,
-            },
-            wal: self.wal.map(WalStatsDto::into_stats),
-        })
     }
 
     /// Encodes the DTO.

@@ -424,7 +424,7 @@ fn serve_connection(
 }
 
 /// Serves one connection as a binary command stream: read a frame, decode,
-/// handle, write the reply — in arrival order, which is what lets the
+/// admit, handle, write the reply — in arrival order, which is what lets the
 /// router pipeline commands and pair replies FIFO.
 fn serve_frames(
     mut reader: BufReader<TcpStream>,
@@ -465,10 +465,11 @@ fn serve_frames(
         };
         let started = Instant::now();
         shared.metrics.requests_total.incr();
-        let reply = match frame::RequestFrame::decode(&raw) {
+        let admitted = frame::RequestFrame::decode(&raw).and_then(frame::RequestFrame::admit);
+        let reply = match admitted {
             // Framing held (exactly `payload_len` bytes were consumed), so
-            // a payload-level decode error is answerable in-band and the
-            // connection stays usable.
+            // a payload the decoder or the admission check refuses is
+            // answerable in-band and the connection stays usable.
             Ok(request) => handler(request, shutdown),
             Err(e) => frame::ReplyFrame::Error {
                 request_id: raw.request_id,

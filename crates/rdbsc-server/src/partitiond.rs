@@ -22,9 +22,7 @@
 //!
 //! | Frame | Protocol command |
 //! |---|---|
-//! | `Submit` | routed event batch |
-//! | `Tick` | lockstep tick → report + committed set |
-//! | `Answer` / `Release` | bank an answer / release an en-route worker |
+//! | `Command` | one of the four [`rdbsc_platform::PartitionCommand`]s — submit, tick, answer, release — handed to `EnginePartition::apply` |
 //! | `Assignments`, `Snapshot`, `IsActive`, `HasWorker` | reads and probes |
 //! | `Drain` / `Shutdown` | refuse further mutating commands / drain + exit |
 //! | `ReplBootstrap` | replication: state + stream start |
@@ -60,9 +58,9 @@
 //! Started with `--follow PRIMARY_ADDR` the daemon is a **standby**: a
 //! background thread bootstraps from the primary (one encoded checkpoint
 //! record plus the configure fingerprint, exactly the checkpoint + tail
-//! shape crash recovery uses) and then pulls shipped WAL records, applying
-//! each through the ordinary log-then-apply path, so the standby's own log
-//! is a valid recovery source at every point. A standby refuses mutating
+//! shape crash recovery uses) and then pulls shipped commands, handing each
+//! to the same `EnginePartition::apply` (log-then-apply), so the standby's
+//! own log is a valid recovery source at every point. A standby refuses mutating
 //! *client* commands with `409` (it is not draining — it is one promote
 //! away from serving) and reports `repl.lag` on `/metrics`. The fetch ack
 //! doubles as the primary's retention watermark; if the standby falls off
@@ -73,7 +71,7 @@
 //! the router compares it against its acknowledged watermark for
 //! digest-exact failover.
 
-use crate::dto::{AssignmentDto, SnapshotDto};
+use crate::dto::SnapshotDto;
 use crate::error::ServerError;
 use crate::frame::{ReplyFrame, RequestFrame};
 use crate::http::{Method, Request, Response};
@@ -86,11 +84,10 @@ use crate::protocol::{
 use crate::remote::FrameConn;
 use rdbsc_geo::Rect;
 use rdbsc_index::FlatGridIndex;
-use rdbsc_model::WorkerId;
-use rdbsc_platform::wal::{decode_record, encode_record};
+use rdbsc_platform::wal::{decode_command, decode_record, encode_command, encode_record};
 use rdbsc_platform::{
-    AssignmentEngine, EnginePartition, PartitionState, WalConfig, WalError, WalRecord,
-    PROTOCOL_VERSION,
+    AssignmentEngine, CommandOutcome, EnginePartition, PartitionState, WalConfig, WalError,
+    WalRecord, PROTOCOL_VERSION,
 };
 use std::net::ToSocketAddrs;
 use std::path::{Path, PathBuf};
@@ -128,7 +125,7 @@ pub struct PartitiondConfig {
     pub slow_tick_threshold_us: u64,
     /// Primary address to follow (`host:port`). When set the daemon boots
     /// as a replication **standby**: it bootstraps its state from the
-    /// primary, applies shipped WAL records continuously and refuses
+    /// primary, applies shipped commands continuously and refuses
     /// mutating client commands until a `ReplPromote` frame.
     pub follow: Option<String>,
 }
@@ -707,10 +704,7 @@ fn route(
 /// mutating command HTTP still carries, sits in the first row.
 fn refused_while(request: &RequestFrame) -> (bool, bool) {
     match request {
-        RequestFrame::Submit { .. }
-        | RequestFrame::Tick { .. }
-        | RequestFrame::Answer { .. }
-        | RequestFrame::Release { .. } => MUTATING,
+        RequestFrame::Command { .. } => MUTATING,
         RequestFrame::ReplPromote { .. } => (true, false),
         RequestFrame::ReplBootstrap { .. } | RequestFrame::ReplFetch { .. } => (false, true),
         RequestFrame::Assignments { .. }
@@ -767,71 +761,37 @@ fn execute_frame(
     shutdown: &ShutdownHandle,
 ) -> Result<ReplyFrame, ServerError> {
     match request {
-        RequestFrame::Submit {
+        RequestFrame::Command {
             request_id,
             trace,
-            events,
+            command,
         } => {
-            let buffered = events.len();
-            with_engine(state, |part| {
-                part.set_trace(trace);
-                part.submit(events)
-            })?;
-            Ok(ReplyFrame::SubmitOk {
-                request_id,
-                buffered: buffered as u32,
-            })
-        }
-
-        RequestFrame::Tick {
-            request_id,
-            trace,
-            now,
-        } => {
-            if !now.is_finite() {
-                return Err(ServerError::BadField {
-                    field: "now",
-                    expected: "a finite number",
-                });
+            let started = Instant::now();
+            let outcome = with_engine(state, |part| part.apply(trace, command))?;
+            if let CommandOutcome::Ticked(tick) = &outcome {
+                let elapsed = started.elapsed();
+                if trace != 0 {
+                    state.last_trace.store(trace, Ordering::Release);
+                }
+                state.metrics.tick_latency.record(elapsed);
+                state.metrics.observe_tick(
+                    trace,
+                    tick.report.now,
+                    elapsed.as_micros().min(u64::MAX as u128) as u64,
+                    &tick.report.stages,
+                );
             }
-            if trace != 0 {
-                state.last_trace.store(trace, Ordering::Release);
-            }
-            let started = std::time::Instant::now();
-            let tick = with_engine(state, |part| {
-                part.set_trace(trace);
-                part.tick(now)
-            })?;
-            let elapsed = started.elapsed();
-            state.metrics.tick_latency.record(elapsed);
-            state.metrics.observe_tick(
-                trace,
-                now,
-                elapsed.as_micros().min(u64::MAX as u128) as u64,
-                &tick.report.stages,
-            );
-            Ok(ReplyFrame::TickOk {
+            Ok(ReplyFrame::Applied {
                 request_id,
-                tick: Box::new(tick),
+                outcome,
             })
-        }
-
-        RequestFrame::Answer { request_id, answer } => {
-            let (worker, contribution) = answer.into_answer()?;
-            let banked = with_engine(state, |part| part.record_answer(worker, contribution))?;
-            Ok(ReplyFrame::AnswerOk { request_id, banked })
-        }
-
-        RequestFrame::Release { request_id, worker } => {
-            with_engine(state, |part| part.release_worker(WorkerId(worker)))?;
-            Ok(ReplyFrame::ReleaseOk { request_id })
         }
 
         RequestFrame::Assignments { request_id } => {
-            let pairs = with_engine(state, |part| part.assignments())?;
+            let assignments = with_engine(state, |part| part.assignments())?;
             Ok(ReplyFrame::AssignmentsOk {
                 request_id,
-                assignments: pairs.iter().map(AssignmentDto::from_pair).collect(),
+                assignments,
             })
         }
 
@@ -839,7 +799,7 @@ fn execute_frame(
             let snapshot = with_engine(state, |part| part.snapshot())?;
             Ok(ReplyFrame::SnapshotOk {
                 request_id,
-                snapshot: Box::new(SnapshotDto::from_snapshot(&snapshot)),
+                snapshot: Box::new(snapshot),
             })
         }
 
@@ -849,7 +809,7 @@ fn execute_frame(
         }
 
         RequestFrame::HasWorker { request_id, worker } => {
-            let present = with_engine(state, |part| part.has_worker(WorkerId(worker)))?;
+            let present = with_engine(state, |part| part.has_worker(worker))?;
             Ok(ReplyFrame::HasWorkerOk {
                 request_id,
                 present,
@@ -887,9 +847,10 @@ fn execute_frame(
 
 // ---------------------------------------------------------------------------
 // Replication: primary-side command handlers and the standby's follower
-// thread. Shipped records travel as the opaque bytes `encode_record`
-// produced — `encode_record`/`decode_record` is the only codec on this
-// path, so the follower applies byte-for-byte what the primary logged.
+// thread. Shipped commands travel as the opaque bytes `encode_command`
+// produced — the bytes of their log records — and `decode_command` is the
+// only way back, so the follower applies byte-for-byte what the primary
+// logged and nothing but a command can arrive.
 
 /// How long an idle follower waits between fetches.
 const FOLLOW_IDLE: Duration = Duration::from_millis(20);
@@ -897,7 +858,7 @@ const FOLLOW_IDLE: Duration = Duration::from_millis(20);
 /// unreachable primary is *normal* — it may be dead, and promotion or
 /// shutdown, not the follower, decides what happens next).
 const FOLLOW_RETRY: Duration = Duration::from_millis(100);
-/// Records pulled per fetch.
+/// Commands pulled per fetch.
 const FOLLOW_BATCH: u32 = 512;
 /// How long after a served fetch the primary still considers its follower
 /// alive, refusing a competing bootstrap. Comfortably above `FOLLOW_IDLE`
@@ -943,7 +904,7 @@ fn repl_bootstrap(state: &DaemonState, request_id: u64) -> Result<ReplyFrame, Se
 }
 
 /// Serves one follower pull: advances the acknowledgement watermark
-/// (bounding retention), then returns records from `from`. A watermark
+/// (bounding retention), then returns commands from `from`. A watermark
 /// that actually moved is noted in the primary's own log so `wal_dump`
 /// shows how far the standby got. A gap (the follower fell off the
 /// retained window) answers `409` — the follower re-bootstraps.
@@ -986,7 +947,7 @@ fn repl_fetch_command(
         next_lsn: status.next_lsn,
         records: records
             .into_iter()
-            .map(|(lsn, record)| (lsn, encode_record(&record)))
+            .map(|(lsn, command)| (lsn, encode_command(&command)))
             .collect(),
     })
 }
@@ -1286,12 +1247,16 @@ fn install_bootstrap(
 
 /// Applies one fetched batch under the engine lock through the ordinary
 /// command path (log-then-apply — a durable standby's own log stays a
-/// valid recovery source at every point). Shipped lsns must be dense from
-/// the applied cursor; a skip means the stream and cursor disagree and
-/// the only safe move is a re-bootstrap. A batch that lost a race with a
-/// promotion (the stop flag is set by the time the lock is held) is
-/// discarded whole: nothing in it was acknowledged, and a sealed stream
-/// must not grow.
+/// valid recovery source at every point). The whole batch is decoded before
+/// any of it is applied, and the stream carries commands only: bytes that
+/// are not a command (a checkpoint, a replication note, garbage) fail the
+/// batch with the cursor where it was, so the standby never acknowledges an
+/// lsn it applied nothing for — it re-bootstraps instead. Shipped lsns must
+/// be dense from the applied cursor; a skip means the stream and cursor
+/// disagree and the only safe move is, again, a re-bootstrap. A batch that
+/// lost a race with a promotion (the stop flag is set by the time the lock
+/// is held) is discarded whole: nothing in it was acknowledged, and a
+/// sealed stream must not grow.
 fn apply_batch(state: &DaemonState, records: &[(u64, Vec<u8>)]) -> Result<(), String> {
     let mut guard = state.engine.lock().expect("daemon engine lock");
     if state.repl_stop.load(Ordering::Acquire) {
@@ -1300,15 +1265,17 @@ fn apply_batch(state: &DaemonState, records: &[(u64, Vec<u8>)]) -> Result<(), St
     let configured = guard
         .as_mut()
         .ok_or_else(|| "engine vanished mid-stream".to_string())?;
-    let mut next = state.repl_applied.load(Ordering::Acquire);
-    for (lsn, bytes) in records {
-        if *lsn != next {
-            return Err(format!("stream skipped from {next} to {lsn}"));
+    let applied = state.repl_applied.load(Ordering::Acquire);
+    let mut commands = Vec::with_capacity(records.len());
+    for (expected, (lsn, bytes)) in (applied..).zip(records) {
+        if *lsn != expected {
+            return Err(format!("stream skipped from {expected} to {lsn}"));
         }
-        let record = decode_record(bytes).map_err(|e| format!("shipped record {lsn}: {e}"))?;
-        configured.part.apply_record(record);
-        next = lsn + 1;
-        state.repl_applied.store(next, Ordering::Release);
+        commands.push(decode_command(bytes).map_err(|e| format!("shipped command {lsn}: {e}"))?);
+    }
+    for command in commands {
+        configured.part.apply(0, command);
+        state.repl_applied.fetch_add(1, Ordering::AcqRel);
     }
     Ok(())
 }
@@ -1319,7 +1286,80 @@ mod tests {
     use crate::protocol::{EngineConfigDto, RoutingTableDto};
     use rdbsc_cluster::RegionPartition;
     use rdbsc_index::geometry::GridGeometry;
-    use rdbsc_platform::EngineConfig;
+    use rdbsc_platform::{EngineConfig, PartitionCommand};
+
+    fn unit_partition() -> RegionPartition {
+        RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1))
+    }
+
+    fn configure_text(partition: &RegionPartition, engine: &EngineConfig) -> Json {
+        ConfigureDto {
+            protocol_version: PROTOCOL_VERSION,
+            routing: RoutingTableDto::from_partition(partition),
+            region_index: 0,
+            cell_size: 0.1,
+            engine: EngineConfigDto::from_config(engine),
+            durability: None,
+        }
+        .to_json()
+    }
+
+    fn standby_state(data_dir: Option<PathBuf>) -> DaemonState {
+        DaemonState::new(
+            &PartitiondConfig {
+                data_dir,
+                follow: Some("127.0.0.1:1".to_string()),
+                ..PartitiondConfig::default()
+            },
+            Arc::new(ServerMetrics::with_slow_threshold_us(u64::MAX)),
+        )
+    }
+
+    /// The stream ships commands. A fetch reply that carries anything else
+    /// — here a checkpoint record, hand-encoded where a command belongs —
+    /// used to be decoded as a `WalRecord`, dropped by the replay dispatch,
+    /// and *acknowledged*: the cursor moved past an lsn that applied
+    /// nothing. It must fail the batch whole instead.
+    #[test]
+    fn a_shipped_record_that_is_not_a_command_fails_the_batch_and_moves_nothing() {
+        let partition = unit_partition();
+        let engine_config = EngineConfig::default();
+        let state = standby_state(None);
+        let primary = EnginePartition::new(AssignmentEngine::new(
+            FlatGridIndex::new(partition.region_rect(0), 0.1),
+            engine_config.clone(),
+        ));
+        let text = configure_text(&partition, &engine_config).to_string_compact();
+        install_bootstrap(&state, &text, &primary.dump_state(), 40).unwrap();
+        let digest = |state: &DaemonState| with_engine(state, |part| part.state_digest()).unwrap();
+        let before = digest(&state);
+
+        let tick = |now| encode_command(&PartitionCommand::Tick { now });
+        let checkpoint = encode_record(&WalRecord::Checkpoint(primary.dump_state()));
+        let reply = ReplyFrame::ReplFetchOk {
+            request_id: 1,
+            next_lsn: 43,
+            records: vec![(40, tick(0.5)), (41, checkpoint), (42, tick(1.0))],
+        };
+        // The transport carries the bytes as they are...
+        let mut wire = Vec::new();
+        reply.write_to(&mut wire).unwrap();
+        let raw = crate::frame::read_raw(&mut &wire[..], 1 << 20).unwrap().unwrap();
+        let ReplyFrame::ReplFetchOk { records, .. } = ReplyFrame::decode(&raw).unwrap() else {
+            panic!("a fetch reply decodes as one");
+        };
+        // ... and the follower refuses the batch: not even the good command
+        // ahead of the checkpoint is applied, and the cursor stays.
+        let refusal = apply_batch(&state, &records).unwrap_err();
+        assert!(refusal.contains("shipped command 41"), "{refusal}");
+        assert_eq!(state.repl_applied.load(Ordering::Acquire), 40);
+        assert_eq!(digest(&state), before);
+
+        // The same batch without the stray record applies and acknowledges.
+        apply_batch(&state, &[(40, tick(0.5)), (41, tick(1.0))]).unwrap();
+        assert_eq!(state.repl_applied.load(Ordering::Acquire), 42);
+        assert_ne!(digest(&state), before);
+    }
 
     /// A primary built before the `backend` field was dropped ships a
     /// configure text that still carries it. The standby must keep — and
@@ -1333,17 +1373,9 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let partition = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1));
+        let partition = unit_partition();
         let engine_config = EngineConfig::default();
-        let pushed = ConfigureDto {
-            protocol_version: PROTOCOL_VERSION,
-            routing: RoutingTableDto::from_partition(&partition),
-            region_index: 0,
-            cell_size: 0.1,
-            engine: EngineConfigDto::from_config(&engine_config),
-            durability: None,
-        }
-        .to_json();
+        let pushed = configure_text(&partition, &engine_config);
         let canonical = pushed.to_string_compact();
         let mut shipped = pushed.clone();
         let Json::Obj(fields) = &mut shipped else {
@@ -1353,14 +1385,7 @@ mod tests {
         let shipped = shipped.to_string_compact();
         assert_ne!(shipped, canonical);
 
-        let state = DaemonState::new(
-            &PartitiondConfig {
-                data_dir: Some(dir.clone()),
-                follow: Some("127.0.0.1:1".to_string()),
-                ..PartitiondConfig::default()
-            },
-            Arc::new(ServerMetrics::with_slow_threshold_us(u64::MAX)),
-        );
+        let state = standby_state(Some(dir.clone()));
         let primary = EnginePartition::new(AssignmentEngine::new(
             FlatGridIndex::new(partition.region_rect(0), 0.1),
             engine_config,

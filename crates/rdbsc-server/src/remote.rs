@@ -24,7 +24,6 @@
 //!   surfaced per partition on the router's `/metrics`.
 
 use crate::client::HttpClient;
-use crate::dto::AnswerDto;
 use crate::error::ServerError;
 use crate::frame::{self, FrameError, ReplyFrame, RequestFrame};
 use crate::protocol::{ConfigureDto, DurabilityDto, EngineConfigDto, HelloDto, RoutingTableDto};
@@ -32,8 +31,8 @@ use rdbsc_cluster::RegionPartition;
 use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{Contribution, WorkerId};
 use rdbsc_platform::{
-    EngineConfig, EngineEvent, EngineSnapshot, PartitionClient, PartitionError, PartitionTick,
-    ProtocolCounters, StandbyPromoter, PROTOCOL_VERSION,
+    CommandOutcome, EngineConfig, EngineEvent, EngineSnapshot, PartitionClient, PartitionCommand,
+    PartitionError, PartitionTick, ProtocolCounters, StandbyPromoter, PROTOCOL_VERSION,
 };
 use std::collections::VecDeque;
 use std::io::BufReader;
@@ -712,13 +711,19 @@ impl BinaryPartitionClient {
         match sent.kind {
             SentKind::Submit => {
                 self.submit_done = Some(result.and_then(|reply| match reply {
-                    ReplyFrame::SubmitOk { .. } => Ok(()),
+                    ReplyFrame::Applied {
+                        outcome: CommandOutcome::Submitted { .. },
+                        ..
+                    } => Ok(()),
                     other => Err(self.unexpected_reply("submit", &other)),
                 }));
             }
             SentKind::Tick => {
                 self.tick_done = Some(result.and_then(|reply| match reply {
-                    ReplyFrame::TickOk { tick, .. } => Ok(*tick),
+                    ReplyFrame::Applied {
+                        outcome: CommandOutcome::Ticked(tick),
+                        ..
+                    } => Ok(*tick),
                     other => Err(self.unexpected_reply("tick", &other)),
                 }));
             }
@@ -734,6 +739,16 @@ impl BinaryPartitionClient {
             reply.tag()
         ));
         self.poison(err)
+    }
+
+    /// The request frame of `command`, under the next request id and — for
+    /// the commands that carry one — the current trace.
+    fn command(&mut self, command: PartitionCommand) -> RequestFrame {
+        RequestFrame::Command {
+            request_id: self.next_rid(),
+            trace: self.trace,
+            command,
+        }
     }
 
     /// Writes a split-phase frame and queues it for its `finish_*`.
@@ -787,12 +802,7 @@ impl PartitionClient for BinaryPartitionClient {
         {
             return Err(self.protocol_err("begin_submit while a submit is unconfirmed"));
         }
-        let rid = self.next_rid();
-        let request = RequestFrame::Submit {
-            request_id: rid,
-            trace: self.trace,
-            events,
-        };
+        let request = self.command(PartitionCommand::Submit(events));
         self.begin(SentKind::Submit, request)
     }
 
@@ -812,12 +822,7 @@ impl PartitionClient for BinaryPartitionClient {
         if self.tick_done.is_some() || self.inflight.iter().any(|s| s.kind == SentKind::Tick) {
             return Err(self.protocol_err("begin_tick while a tick is unconfirmed"));
         }
-        let rid = self.next_rid();
-        let request = RequestFrame::Tick {
-            request_id: rid,
-            trace: self.trace,
-            now,
-        };
+        let request = self.command(PartitionCommand::Tick { now });
         self.begin(SentKind::Tick, request)
     }
 
@@ -838,30 +843,26 @@ impl PartitionClient for BinaryPartitionClient {
         worker: WorkerId,
         contribution: Contribution,
     ) -> Result<bool, PartitionError> {
-        let rid = self.next_rid();
-        let request = RequestFrame::Answer {
-            request_id: rid,
-            answer: AnswerDto {
-                worker: worker.0,
-                confidence: contribution.p(),
-                angle: contribution.angle,
-                arrival: contribution.arrival,
-            },
-        };
+        let request = self.command(PartitionCommand::Answer {
+            worker,
+            contribution,
+        });
         match self.immediate(request)? {
-            ReplyFrame::AnswerOk { banked, .. } => Ok(banked),
+            ReplyFrame::Applied {
+                outcome: CommandOutcome::Answered { banked },
+                ..
+            } => Ok(banked),
             other => Err(self.unexpected_reply("answer", &other)),
         }
     }
 
     fn release_worker(&mut self, worker: WorkerId) -> Result<(), PartitionError> {
-        let rid = self.next_rid();
-        let request = RequestFrame::Release {
-            request_id: rid,
-            worker: worker.0,
-        };
+        let request = self.command(PartitionCommand::Release { worker });
         match self.immediate(request)? {
-            ReplyFrame::ReleaseOk { .. } => Ok(()),
+            ReplyFrame::Applied {
+                outcome: CommandOutcome::Released,
+                ..
+            } => Ok(()),
             other => Err(self.unexpected_reply("release", &other)),
         }
     }
@@ -870,13 +871,7 @@ impl PartitionClient for BinaryPartitionClient {
         let rid = self.next_rid();
         let request = RequestFrame::Assignments { request_id: rid };
         match self.immediate(request)? {
-            ReplyFrame::AssignmentsOk { assignments, .. } => assignments
-                .into_iter()
-                .map(|pair| {
-                    pair.into_pair()
-                        .map_err(|e| self.protocol_err(format!("malformed assignment: {e}")))
-                })
-                .collect(),
+            ReplyFrame::AssignmentsOk { assignments, .. } => Ok(assignments),
             other => Err(self.unexpected_reply("assignments", &other)),
         }
     }
@@ -885,9 +880,7 @@ impl PartitionClient for BinaryPartitionClient {
         let rid = self.next_rid();
         let request = RequestFrame::Snapshot { request_id: rid };
         match self.immediate(request)? {
-            ReplyFrame::SnapshotOk { snapshot, .. } => snapshot
-                .into_snapshot()
-                .map_err(|e| self.protocol_err(format!("malformed snapshot: {e}"))),
+            ReplyFrame::SnapshotOk { snapshot, .. } => Ok(*snapshot),
             other => Err(self.unexpected_reply("snapshot", &other)),
         }
     }
@@ -905,7 +898,7 @@ impl PartitionClient for BinaryPartitionClient {
         let rid = self.next_rid();
         let request = RequestFrame::HasWorker {
             request_id: rid,
-            worker: id.0,
+            worker: id,
         };
         match self.immediate(request)? {
             ReplyFrame::HasWorkerOk { present, .. } => Ok(present),

@@ -10,8 +10,10 @@ use rdbsc_cluster::RegionPartition;
 use rdbsc_geo::Rect;
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::FlatGridIndex;
-use rdbsc_platform::wal::decode_record;
-use rdbsc_platform::{EngineConfig, EnginePartition, PartitionClient, WalRecord};
+use rdbsc_platform::wal::{decode_command, decode_record};
+use rdbsc_platform::{
+    EngineConfig, EnginePartition, PartitionClient, PartitionCommand, WalRecord,
+};
 use rdbsc_server::frame::{ReplyFrame, RequestFrame};
 use rdbsc_server::{
     connect_remote_partition, FrameConn, HttpClient, Json, PartitionHandshake, Server,
@@ -388,13 +390,21 @@ fn standby_refuses_mutating_commands_until_promoted() {
     let mut conn = FrameConn::new(standby.addr, Duration::from_secs(5));
     let (status, detail) = exchange(
         &mut conn,
-        RequestFrame::Tick { request_id: 1, trace: 0, now: 1.0 },
+        RequestFrame::Command {
+            request_id: 1,
+            trace: 0,
+            command: PartitionCommand::Tick { now: 1.0 },
+        },
     )
     .expect_err("standby tick must be refused");
     assert_eq!(status, 409, "standby tick must 409: {detail}");
     let (status, _) = exchange(
         &mut conn,
-        RequestFrame::Submit { request_id: 2, trace: 0, events: vec![] },
+        RequestFrame::Command {
+            request_id: 2,
+            trace: 0,
+            command: PartitionCommand::Submit(vec![]),
+        },
     )
     .expect_err("standby submit must be refused");
     assert_eq!(status, 409);
@@ -528,12 +538,7 @@ fn repl_commands_round_trip_over_the_binary_transport() {
     assert_eq!(records.len(), 2);
     for (i, (lsn, bytes)) in records.iter().enumerate() {
         assert_eq!(*lsn, start_lsn + i as u64, "lsns must be dense");
-        match decode_record(bytes).expect("shipped record decodes") {
-            other @ (WalRecord::Checkpoint(_) | WalRecord::ReplMeta { .. }) => {
-                panic!("unshippable record arrived: {other:?}")
-            }
-            command => replica.apply_record(command),
-        }
+        replica.apply(0, decode_command(bytes).expect("shipped command decodes"));
     }
     assert_eq!(
         replica.state_digest(),

@@ -8,14 +8,14 @@ use rdbsc_cluster::{RegionPartition, RegionPartitioner};
 use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::FlatGridIndex;
-use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
+use rdbsc_model::{Confidence, Contribution, Task, TaskId, TimeWindow, Worker, WorkerId};
 use rdbsc_platform::{
     AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, InProcessClient,
-    PartitionClient, PartitionError, PartitionedEngine,
+    PartitionClient, PartitionCommand, PartitionError, PartitionedEngine,
 };
 use rdbsc_server::frame::{ReplyFrame, RequestFrame};
 use rdbsc_server::{
-    connect_remote_partition, AnswerDto, BinaryPartitionClient, FrameConn, HttpClient, Json,
+    connect_remote_partition, BinaryPartitionClient, FrameConn, HttpClient, Json,
     PartitionDaemon, PartitionHandshake, PartitiondConfig,
 };
 use std::time::Duration;
@@ -382,24 +382,27 @@ fn every_command_meets_the_one_refusal_table() {
     await_configured(standby.addr());
     assert!(standby.is_standby());
 
-    let answer = AnswerDto {
-        worker: 1,
-        confidence: 0.9,
-        angle: 1.0,
-        arrival: 1.0,
+    let command = |request_id, command| RequestFrame::Command {
+        request_id,
+        trace: 0,
+        command,
+    };
+    let answer = PartitionCommand::Answer {
+        worker: WorkerId(1),
+        contribution: Contribution::new(Confidence::new(0.9).unwrap(), 1.0, 1.0),
     };
     // (command, status while draining, status while an unpromoted standby).
     // Order matters only at the tail: the promote ends standby-hood, the
     // drain and the shutdown end everything.
     let table = [
-        (RequestFrame::Submit { request_id: 1, trace: 0, events: events() }, 503, 409),
-        (RequestFrame::Tick { request_id: 2, trace: 0, now: 0.5 }, 503, 409),
-        (RequestFrame::Answer { request_id: 3, answer }, 503, 409),
-        (RequestFrame::Release { request_id: 4, worker: 1 }, 503, 409),
+        (command(1, PartitionCommand::Submit(events())), 503, 409),
+        (command(2, PartitionCommand::Tick { now: 0.5 }), 503, 409),
+        (command(3, answer), 503, 409),
+        (command(4, PartitionCommand::Release { worker: WorkerId(1) }), 503, 409),
         (RequestFrame::Assignments { request_id: 5 }, 0, 0),
         (RequestFrame::Snapshot { request_id: 6 }, 0, 0),
         (RequestFrame::IsActive { request_id: 7 }, 0, 0),
-        (RequestFrame::HasWorker { request_id: 8, worker: 1 }, 0, 0),
+        (RequestFrame::HasWorker { request_id: 8, worker: WorkerId(1) }, 0, 0),
         (RequestFrame::ReplStatus { request_id: 9 }, 0, 0),
         (RequestFrame::ReplBootstrap { request_id: 10 }, 0, 409),
         (RequestFrame::ReplFetch { request_id: 11, from: 0, ack: 0, max: 8 }, 0, 409),

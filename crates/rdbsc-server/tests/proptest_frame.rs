@@ -2,9 +2,10 @@
 //! reply round-trips through encode → read → decode for arbitrary field
 //! values (including hostile strings and extreme float bit patterns), and
 //! the decoder never panics on random bytes, truncated frames, or
-//! bit-flipped frames — it fails with [`FrameError`] instead. A submit that
-//! is well framed but carries a value the model rejects is answered `400`
-//! in-band by a live daemon, whose state does not move.
+//! bit-flipped frames — it fails with [`FrameError`] instead. A command that
+//! is well framed but carries a value the model or the admission check
+//! rejects is answered `400` in-band by a live daemon, whose state does not
+//! move.
 
 use proptest::prelude::*;
 use rdbsc_cluster::RegionPartition;
@@ -15,16 +16,17 @@ use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{
     Confidence, Contribution, Task, TaskId, TimeWindow, Worker, WorkerId,
 };
-use rdbsc_platform::{EngineConfig, EngineEvent, PartitionTick, TickReport};
-use rdbsc_server::dto::WalStatsDto;
+use rdbsc_platform::{
+    CommandOutcome, EngineConfig, EngineEvent, EngineObjective, EngineSnapshot, PartitionCommand,
+    PartitionTick, TickReport, WalStats,
+};
 use rdbsc_server::frame::{
     self, FrameError, RawFrame, ReplyFrame, RequestFrame, FRAME_VERSION, HEADER_LEN, MAGIC,
 };
 use rdbsc_server::{
-    AnswerDto, AssignmentDto, FrameConn, HttpClient, PartitionDaemon, PartitionHandshake,
-    PartitiondConfig, SnapshotDto,
+    FrameConn, HttpClient, PartitionDaemon, PartitionHandshake, PartitiondConfig,
 };
-use std::io::Cursor;
+use std::io::{Cursor, Write};
 use std::time::Duration;
 
 const MAX_PAYLOAD: usize = 1 << 20;
@@ -87,53 +89,47 @@ fn event() -> impl Strategy<Value = EngineEvent> {
         })
 }
 
-fn assignment() -> impl Strategy<Value = AssignmentDto> {
-    (0u32..=u32::MAX, 0u32..=u32::MAX, finite(), finite(), finite()).prop_map(
-        |(task, worker, confidence, angle, arrival)| AssignmentDto {
-            task,
-            worker,
-            confidence,
-            angle,
-            arrival,
-        },
-    )
-}
-
 fn request() -> impl Strategy<Value = RequestFrame> {
     (
         0u32..14,
         0u64..=u64::MAX,
         0u64..=u64::MAX,
         0u32..=u32::MAX,
-        (finite(), finite(), finite(), finite()),
+        (finite(), 0.0f64..=1.0, finite(), finite()),
         proptest::collection::vec(event(), 0..8),
     )
-        .prop_map(
-            |(kind, request_id, trace, worker, (w, x, y, z), events)| match kind {
-                0 => RequestFrame::Submit {
-                    request_id,
-                    trace,
-                    events,
-                },
-                1 => RequestFrame::Tick {
-                    request_id,
-                    trace,
-                    now: w,
-                },
-                2 => RequestFrame::Answer {
-                    request_id,
-                    answer: AnswerDto {
-                        worker,
-                        confidence: x,
-                        angle: y,
-                        arrival: z,
+        .prop_map(|(kind, request_id, trace, worker, (w, unit, y, z), events)| {
+            let worker_id = WorkerId(worker);
+            // Only a submit's or a tick's trace id crosses the wire.
+            let command = |trace, command| RequestFrame::Command {
+                request_id,
+                trace,
+                command,
+            };
+            match kind {
+                0 => command(trace, PartitionCommand::Submit(events)),
+                1 => command(trace, PartitionCommand::Tick { now: w }),
+                // The angle as written, not normalised: decoding must not
+                // touch it (admission does, later).
+                2 => command(
+                    0,
+                    PartitionCommand::Answer {
+                        worker: worker_id,
+                        contribution: Contribution {
+                            confidence: Confidence::new(unit).unwrap(),
+                            angle: y,
+                            arrival: z,
+                        },
                     },
-                },
-                3 => RequestFrame::Release { request_id, worker },
+                ),
+                3 => command(0, PartitionCommand::Release { worker: worker_id }),
                 4 => RequestFrame::Assignments { request_id },
                 5 => RequestFrame::Snapshot { request_id },
                 6 => RequestFrame::IsActive { request_id },
-                7 => RequestFrame::HasWorker { request_id, worker },
+                7 => RequestFrame::HasWorker {
+                    request_id,
+                    worker: worker_id,
+                },
                 8 => RequestFrame::Drain { request_id },
                 9 => RequestFrame::Shutdown { request_id },
                 10 => RequestFrame::ReplBootstrap { request_id },
@@ -147,8 +143,8 @@ fn request() -> impl Strategy<Value = RequestFrame> {
                 },
                 12 => RequestFrame::ReplStatus { request_id },
                 _ => RequestFrame::ReplPromote { request_id },
-            },
-        )
+            }
+        })
 }
 
 fn pair() -> impl Strategy<Value = ValidPair> {
@@ -214,66 +210,73 @@ fn tick() -> impl Strategy<Value = PartitionTick> {
         )
 }
 
-fn snapshot() -> impl Strategy<Value = SnapshotDto> {
+/// A snapshot whose counters stay below 2^53: they cross the wire as
+/// `f64`s.
+fn snapshot() -> impl Strategy<Value = EngineSnapshot> {
+    let counter = || 0u64..(1 << 53);
     (
-        proptest::collection::vec(finite(), 15),
+        (finite(), finite(), finite()),
+        proptest::collection::vec(counter(), 12),
         (flag(), flag()),
-        proptest::collection::vec(finite(), 8),
+        proptest::collection::vec(counter(), 8),
     )
-        .prop_map(|(head, (has_wal, recovered_checkpoint), w)| SnapshotDto {
-            now: head[0],
-            ticks: head[1],
-            events_applied: head[2],
-            pending_events: head[3],
-            live_tasks: head[4],
-            live_workers: head[5],
-            committed_workers: head[6],
-            banked_answers: head[7],
-            total_assignments: head[8],
-            min_reliability: head[9],
-            total_std: head[10],
-            covered_tasks: head[11],
-            index_relocations: head[12],
-            index_cells_repaired: head[13],
-            index_tcell_rebuilds: head[14],
-            wal: has_wal.then_some(WalStatsDto {
-                segments: w[0],
-                segments_retired: w[1],
-                bytes_appended: w[2],
-                records_appended: w[3],
-                fsyncs: w[4],
-                checkpoints: w[5],
-                last_checkpoint_tick: w[6],
-                recovered_records: w[7],
-                recovered_checkpoint,
-            }),
-        })
+        .prop_map(
+            |((now, min_reliability, total_std), c, (has_wal, recovered_checkpoint), w)| {
+                EngineSnapshot {
+                    now,
+                    ticks: c[0],
+                    events_applied: c[1],
+                    pending_events: c[2] as usize,
+                    live_tasks: c[3] as usize,
+                    live_workers: c[4] as usize,
+                    committed_workers: c[5] as usize,
+                    banked_answers: c[6] as usize,
+                    total_assignments: c[7],
+                    objective: EngineObjective {
+                        min_reliability,
+                        total_std,
+                        covered_tasks: c[8] as usize,
+                    },
+                    index_counters: MaintenanceCounters {
+                        relocations: c[9],
+                        cells_repaired: c[10],
+                        tcell_rebuilds: c[11],
+                    },
+                    wal: has_wal.then_some(WalStats {
+                        segments: w[0],
+                        segments_retired: w[1],
+                        bytes_appended: w[2],
+                        records_appended: w[3],
+                        fsyncs: w[4],
+                        checkpoints: w[5],
+                        last_checkpoint_tick: w[6],
+                        recovered_records: w[7],
+                        recovered_checkpoint,
+                    }),
+                }
+            },
+        )
 }
 
 fn reply() -> impl Strategy<Value = ReplyFrame> {
     (
         (0u32..13, 0u64..=u64::MAX, 0u32..=u32::MAX, flag(), 0u16..=u16::MAX),
         text(),
-        proptest::collection::vec(assignment(), 0..6),
+        proptest::collection::vec(pair(), 0..6),
         tick(),
         snapshot(),
     )
         .prop_map(
-            |((kind, request_id, buffered, yes, status), detail, assignments, tick, snap)| {
+            |((kind, request_id, events, yes, status), detail, assignments, tick, snap)| {
+                let applied = |outcome| ReplyFrame::Applied {
+                    request_id,
+                    outcome,
+                };
                 match kind {
-                    0 => ReplyFrame::SubmitOk {
-                        request_id,
-                        buffered,
-                    },
-                    1 => ReplyFrame::TickOk {
-                        request_id,
-                        tick: Box::new(tick),
-                    },
-                    2 => ReplyFrame::AnswerOk {
-                        request_id,
-                        banked: yes,
-                    },
-                    3 => ReplyFrame::ReleaseOk { request_id },
+                    0 => applied(CommandOutcome::Submitted { events }),
+                    1 => applied(CommandOutcome::Ticked(Box::new(tick))),
+                    2 => applied(CommandOutcome::Answered { banked: yes }),
+                    3 => applied(CommandOutcome::Released),
                     4 => ReplyFrame::AssignmentsOk {
                         request_id,
                         assignments,
@@ -329,7 +332,7 @@ proptest! {
         prop_assert_eq!(wire[2], FRAME_VERSION);
 
         let raw = read_back(&wire).unwrap().expect("one frame");
-        prop_assert_eq!(raw.tag, request.tag());
+        prop_assert_eq!(raw.tag, request.tag() as u8);
         prop_assert_eq!(raw.request_id, request.request_id());
         let decoded = RequestFrame::decode(&raw).unwrap();
         prop_assert_eq!(decoded, request);
@@ -361,7 +364,11 @@ proptest! {
         trace in 0u64..=u64::MAX,
         bits in 0u64..=u64::MAX,
     ) {
-        let request = RequestFrame::Tick { request_id, trace, now: f64::from_bits(bits) };
+        let request = RequestFrame::Command {
+            request_id,
+            trace,
+            command: PartitionCommand::Tick { now: f64::from_bits(bits) },
+        };
         let mut wire = Vec::new();
         request.write_to(&mut wire).unwrap();
         let raw = read_back(&wire).unwrap().expect("one frame");
@@ -454,11 +461,12 @@ fn snapshot_digest(addr: std::net::SocketAddr) -> String {
         .to_string()
 }
 
-/// Well-framed submits whose *values* are hostile: a move to NaN/∞ (the one
-/// check the wire makes that log recovery does not) and every model error
-/// the event decoder can report. Each is answered `400` in-band with the
-/// field named, the connection stays usable, and the daemon's state digest
-/// does not move.
+/// Well-framed commands whose *values* are hostile: everything the
+/// admission check refuses (a move to NaN/∞, a tick at NaN, an answer at an
+/// infinite angle — what the wire checks and log recovery does not) and
+/// every model error the command decoder can report. Each is answered `400`
+/// in-band with the field named, the connection stays usable, and the
+/// daemon's state digest does not move.
 #[test]
 fn hostile_submit_values_are_answered_400_and_change_nothing() {
     let daemon = PartitionDaemon::start(PartitiondConfig {
@@ -472,6 +480,11 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
         .configure(&partition, 0, 0.1, &EngineConfig::default(), None)
         .unwrap();
     let mut conn = FrameConn::new(daemon.addr(), Duration::from_secs(5));
+    let command = |request_id, command| RequestFrame::Command {
+        request_id,
+        trace: 0,
+        command,
+    };
 
     let task = Task::new(TaskId(1), Point::new(0.4, 0.5), TimeWindow::new(0.0, 5.0).unwrap());
     let worker = Worker::new(
@@ -486,68 +499,110 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
         EngineEvent::TaskArrived(task),
         EngineEvent::WorkerCheckIn(worker),
     ];
-    let reply = conn
-        .exchange(&RequestFrame::Submit { request_id: 1, trace: 0, events: good })
-        .unwrap();
-    assert!(matches!(reply, ReplyFrame::SubmitOk { buffered: 2, .. }), "{reply:?}");
+    let reply = conn.exchange(&command(1, PartitionCommand::Submit(good))).unwrap();
+    let submitted = CommandOutcome::Submitted { events: 2 };
+    assert!(
+        matches!(&reply, ReplyFrame::Applied { outcome, .. } if *outcome == submitted),
+        "{reply:?}"
+    );
+    // Commit the worker, so an admitted answer for it *would* change state.
+    let reply = conn.exchange(&command(2, PartitionCommand::Tick { now: 0.0 })).unwrap();
+    let ReplyFrame::Applied { outcome: CommandOutcome::Ticked(tick), .. } = reply else {
+        panic!("tick reply: {reply:?}");
+    };
+    assert_eq!(tick.committed, [WorkerId(1)]);
     let before = snapshot_digest(daemon.addr());
 
     // The model types keep their fields public, so values their
     // constructors would refuse can still be put on the wire.
     let moved = |x: f64, y: f64| EngineEvent::WorkerMoved(WorkerId(1), Point::new(x, y));
+    // A valid event first: nothing of a refused batch may be applied.
+    let batch = |event| PartitionCommand::Submit(vec![moved(0.41, 0.46), event]);
     let mut backwards = task;
     backwards.window.end = backwards.window.start - 1.0;
     let mut beta = task;
     beta.beta = Some(7.0);
     let mut speed = worker;
     speed.speed = -1.0;
+    let answer_at = |angle: f64| PartitionCommand::Answer {
+        worker: WorkerId(1),
+        contribution: Contribution {
+            confidence: Confidence::new(0.9).unwrap(),
+            angle,
+            arrival: 1.0,
+        },
+    };
     let hostile = [
-        (moved(f64::NAN, 0.5), "worker_moved"),
-        (moved(0.5, f64::INFINITY), "worker_moved"),
-        (moved(f64::NEG_INFINITY, f64::NAN), "worker_moved"),
-        (EngineEvent::TaskArrived(backwards), "time window"),
-        (EngineEvent::TaskArrived(beta), "beta"),
-        (EngineEvent::WorkerCheckIn(speed), "worker"),
+        (batch(moved(f64::NAN, 0.5)), "worker_moved"),
+        (batch(moved(0.5, f64::INFINITY)), "worker_moved"),
+        (batch(moved(f64::NEG_INFINITY, f64::NAN)), "worker_moved"),
+        (batch(EngineEvent::TaskArrived(backwards)), "time window"),
+        (batch(EngineEvent::TaskArrived(beta)), "beta"),
+        (batch(EngineEvent::WorkerCheckIn(speed)), "worker"),
+        (PartitionCommand::Tick { now: f64::NAN }, "now"),
+        (answer_at(f64::INFINITY), "angle"),
     ];
-    for (i, (event, names)) in hostile.into_iter().enumerate() {
-        let request_id = 10 + i as u64;
-        // A valid event first: nothing of a refused batch may be applied.
-        let events = vec![moved(0.41, 0.46), event];
+    for (i, (hostile, names)) in hostile.into_iter().enumerate() {
         let reply = conn
-            .exchange(&RequestFrame::Submit { request_id, trace: 0, events })
-            .expect("a refused submit is a reply, not a dropped connection");
+            .exchange(&command(10 + i as u64, hostile))
+            .expect("a refused command is a reply, not a dropped connection");
         let ReplyFrame::Error { status, detail, .. } = reply else {
-            panic!("hostile submit {i} was accepted: {reply:?}");
+            panic!("hostile command {i} was accepted: {reply:?}");
         };
         assert_eq!(status, 400, "{detail}");
         assert!(detail.contains(names), "error must name the field: {detail}");
-        assert_eq!(snapshot_digest(daemon.addr()), before, "hostile submit {i}");
+        assert_eq!(snapshot_digest(daemon.addr()), before, "hostile command {i}");
     }
 
     // An invalid confidence cannot be built even through public fields:
-    // patch the bytes of an encoded check-in (tag, id, x, y, speed, heading
-    // start + width, then confidence).
-    let mut wire = Vec::new();
-    RequestFrame::Submit {
-        request_id: 99,
-        trace: 0,
-        events: vec![EngineEvent::WorkerCheckIn(worker)],
-    }
-    .write_to(&mut wire)
-    .unwrap();
-    let confidence_at = HEADER_LEN + 8 + 4 + 1 + 4 + 16 + 8 + 16;
-    wire[confidence_at..confidence_at + 8].copy_from_slice(&2.0f64.to_bits().to_le_bytes());
-    let raw = read_back(&wire).unwrap().expect("one frame");
-    match RequestFrame::decode(&raw) {
-        Err(FrameError::Malformed(detail)) => {
-            assert!(detail.contains("confidence"), "{detail}")
+    // patch the bytes of an encoded check-in (trace, count, then tag, id,
+    // x, y, speed, heading start + width, then confidence) and of an
+    // encoded answer (worker, then confidence).
+    let check_in = command(98, PartitionCommand::Submit(vec![EngineEvent::WorkerCheckIn(worker)]));
+    let patched = [
+        (check_in, HEADER_LEN + 8 + 4 + 1 + 4 + 16 + 8 + 16),
+        (command(99, answer_at(1.0)), HEADER_LEN + 4),
+    ];
+    let mut raw_conn = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    raw_conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut replies = std::io::BufReader::new(raw_conn.try_clone().unwrap());
+    for (request, confidence_at) in patched {
+        let mut wire = Vec::new();
+        request.write_to(&mut wire).unwrap();
+        wire[confidence_at..confidence_at + 8].copy_from_slice(&2.0f64.to_bits().to_le_bytes());
+        let raw = read_back(&wire).unwrap().expect("one frame");
+        match RequestFrame::decode(&raw) {
+            Err(FrameError::Malformed(detail)) => {
+                assert!(detail.contains("confidence"), "{detail}")
+            }
+            other => panic!("an out-of-range confidence decoded: {other:?}"),
         }
-        other => panic!("an out-of-range confidence decoded: {other:?}"),
+        // And a daemon handed those bytes says the same, in-band.
+        raw_conn.write_all(&wire).unwrap();
+        let raw = frame::read_raw(&mut replies, MAX_PAYLOAD).unwrap().expect("a reply");
+        let reply = ReplyFrame::decode(&raw).unwrap();
+        let ReplyFrame::Error { status, detail, .. } = &reply else {
+            panic!("patched {request:?} was accepted: {reply:?}");
+        };
+        assert_eq!((*status, reply.request_id()), (400, request.request_id()), "{detail}");
+        assert!(detail.contains("confidence"), "{detail}");
+        assert_eq!(snapshot_digest(daemon.addr()), before, "patched {request:?}");
     }
 
-    // The connection survived all of it.
-    let reply = conn.exchange(&RequestFrame::IsActive { request_id: 100 }).unwrap();
+    // Both connections survived all of it — and what admission passes is
+    // normalised before it is applied: an answer at angle −1 banks, and
+    // lands in [0, 2π).
+    RequestFrame::IsActive { request_id: 100 }.write_to(&mut raw_conn).unwrap();
+    let raw = frame::read_raw(&mut replies, MAX_PAYLOAD).unwrap().expect("a reply");
+    let reply = ReplyFrame::decode(&raw).unwrap();
     assert!(matches!(reply, ReplyFrame::ActiveOk { active: true, .. }), "{reply:?}");
+    let reply = conn.exchange(&command(101, answer_at(-1.0))).unwrap();
+    let banked = CommandOutcome::Answered { banked: true };
+    assert!(
+        matches!(&reply, ReplyFrame::Applied { outcome, .. } if *outcome == banked),
+        "{reply:?}"
+    );
+    assert_ne!(snapshot_digest(daemon.addr()), before);
     daemon.shutdown();
     daemon.join();
 }

@@ -24,10 +24,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdbsc::platform::engine::{AssignmentEngine, EngineConfig, EngineEvent};
 use rdbsc::platform::wal::{
-    decode_record, encode_partition_state, encode_record, FailpointWriter, FaultPlan,
+    decode_command, encode_command, encode_partition_state, FailpointWriter, FaultPlan,
     SegmentFactory, Wal, WalConfig, WalFile, WalRecord,
 };
-use rdbsc::platform::EnginePartition;
+use rdbsc::platform::{EnginePartition, PartitionCommand};
 use rdbsc::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,18 +179,18 @@ proptest! {
         let target = ((available as f64) * applied_frac) as usize;
         let mut standby =
             EnginePartition::from_state(&boot_state, EngineConfig::default(), fresh_index);
-        let mut shipped: Vec<WalRecord> = Vec::new();
+        let mut shipped: Vec<PartitionCommand> = Vec::new();
         let mut applied = start_lsn;
         while ((applied - start_lsn) as usize) < target {
             let want = batch.min(target - (applied - start_lsn) as usize);
             let fetched = primary.repl_fetch(applied, applied, want).unwrap();
             prop_assert!(!fetched.is_empty(), "records below the head must be fetchable");
-            for (lsn, record) in fetched {
+            for (lsn, command) in fetched {
                 prop_assert_eq!(lsn, applied, "shipped lsns must be dense");
                 // Full wire round trip, exactly like the daemon follower.
-                let record = decode_record(&encode_record(&record)).unwrap();
-                shipped.push(record.clone());
-                standby.apply_record(record);
+                let command = decode_command(&encode_command(&command)).unwrap();
+                shipped.push(command.clone());
+                standby.apply(0, command);
                 applied += 1;
             }
         }
@@ -208,8 +208,8 @@ proptest! {
         // through fresh post-promotion traffic.
         let mut oracle =
             EnginePartition::from_state(&boot_state, EngineConfig::default(), fresh_index);
-        for record in shipped {
-            oracle.apply_record(record);
+        for command in shipped {
+            oracle.apply(0, command);
         }
         for cmd in &commands[crash_at..] {
             apply(&mut standby, cmd);
@@ -241,7 +241,7 @@ proptest! {
             .repl_fetch(start_lsn, start_lsn, (head - start_lsn) as usize)
             .unwrap()
             .into_iter()
-            .map(|(_, record)| encode_record(&record))
+            .map(|(_, command)| encode_command(&command))
             .collect();
         prop_assert_eq!(wire.len(), commands.len());
 
@@ -251,13 +251,13 @@ proptest! {
         let mut standby =
             EnginePartition::from_state(&boot_state, EngineConfig::default(), fresh_index);
         for bytes in &wire[..tear_at] {
-            standby.apply_record(decode_record(bytes).unwrap());
+            standby.apply(0, decode_command(bytes).unwrap());
         }
         let torn = &wire[tear_at];
         let cut = (((torn.len()) as f64) * cut_frac) as usize;
         let cut = cut.min(torn.len() - 1);
         prop_assert!(
-            decode_record(&torn[..cut]).is_err(),
+            decode_command(&torn[..cut]).is_err(),
             "a torn record must never decode ({}of {} bytes)", cut, torn.len()
         );
         prop_assert_eq!(
@@ -268,7 +268,7 @@ proptest! {
         // The retry re-delivers from the applied cursor; the standby
         // converges and promotion seals at the primary's final state.
         for bytes in &wire[tear_at..] {
-            standby.apply_record(decode_record(bytes).unwrap());
+            standby.apply(0, decode_command(bytes).unwrap());
         }
         prop_assert_eq!(standby.state_digest(), *digests.last().unwrap());
         // A follower that kept up: its next pull acknowledges the head,
@@ -339,9 +339,9 @@ proptest! {
             let fetched = primary
                 .repl_fetch(start_lsn, start_lsn, (head - start_lsn) as usize)
                 .unwrap();
-            for (_, record) in fetched {
-                let record = decode_record(&encode_record(&record)).unwrap();
-                if swal.append(&record).is_err() {
+            for (_, command) in fetched {
+                let command = decode_command(&encode_command(&command)).unwrap();
+                if swal.append_command(&command).is_err() {
                     break;
                 }
                 logged += 1;
@@ -377,7 +377,10 @@ proptest! {
                 let mut restored =
                     EnginePartition::from_state(state, EngineConfig::default(), fresh_index);
                 for record in tail {
-                    restored.apply_record(record.clone());
+                    let WalRecord::Command(command) = record else {
+                        panic!("a standby's tail after its bootstrap checkpoint holds commands only: {record:?}");
+                    };
+                    restored.apply(0, command.clone());
                 }
                 let prefix = tail.len();
                 prop_assert_eq!(

@@ -23,7 +23,7 @@ use rdbsc::platform::wal::{
     encode_partition_state, scan_dir, FailpointWriter, FaultPlan, SegmentFactory, Wal, WalConfig,
     WalFile, WalRecord,
 };
-use rdbsc::platform::EnginePartition;
+use rdbsc::platform::{EnginePartition, PartitionCommand};
 use rdbsc::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,13 +139,13 @@ fn random_records(seed: u64, n: usize) -> Vec<WalRecord> {
     let mut next_id = 0u32;
     (0..n)
         .map(|i| match rng.gen_range(0..4) {
-            0 => WalRecord::Events(
+            0 => PartitionCommand::Submit(
                 (0..rng.gen_range(1..3))
                     .map(|_| random_event(&mut rng, &mut next_id, i as f64))
                     .collect(),
             ),
-            1 => WalRecord::Tick { now: i as f64 * 0.25 },
-            2 => WalRecord::Answer {
+            1 => PartitionCommand::Tick { now: i as f64 * 0.25 },
+            2 => PartitionCommand::Answer {
                 worker: WorkerId(rng.gen_range(0..64)),
                 contribution: Contribution::new(
                     Confidence::new(0.5).unwrap(),
@@ -153,10 +153,11 @@ fn random_records(seed: u64, n: usize) -> Vec<WalRecord> {
                     i as f64,
                 ),
             },
-            _ => WalRecord::Release {
+            _ => PartitionCommand::Release {
                 worker: WorkerId(rng.gen_range(0..64)),
             },
         })
+        .map(WalRecord::Command)
         .collect()
 }
 
@@ -250,14 +251,15 @@ proptest! {
         let (mut wal, opened) = Wal::open(&dir, WalConfig::default()).unwrap();
         prop_assert_eq!(opened.records.len(), prefix);
         // The appender resumed past the garbage: new appends recover.
-        wal.append(&WalRecord::Tick { now: 1.0 }).unwrap();
+        let tick = PartitionCommand::Tick { now: 1.0 };
+        wal.append_command(&tick).unwrap();
         wal.sync().unwrap();
         drop(wal);
         let after = scan_dir(&dir).unwrap();
         prop_assert_eq!(after.records.len(), prefix + 1);
         prop_assert_eq!(
             after.records.last(),
-            Some(&WalRecord::Tick { now: 1.0 })
+            Some(&WalRecord::Command(tick))
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
