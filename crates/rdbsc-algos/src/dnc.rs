@@ -45,8 +45,9 @@ pub struct DncConfig {
     /// Sampling configuration used for the leaf subproblems.
     pub sampling: SamplingConfig,
     /// Maximum size of a dependent-conflicting-worker group that is resolved
-    /// by exhaustive enumeration (`2^k` combinations); larger groups fall back
-    /// to a per-worker greedy resolution.
+    /// by exhaustive enumeration (`2^k` combinations, so never more than
+    /// `usize::BITS − 1` workers); larger groups fall back to a per-worker
+    /// greedy resolution.
     pub max_group_enumeration: usize,
     /// Hard cap on the recursion depth (degenerate partitions stop early).
     pub max_depth: usize,
@@ -419,13 +420,14 @@ fn resolve_group(
         }
     }
 
-    // Evaluate one choice vector (bit i set = keep the second-half copy).
-    // A task's value depends on the choices of the workers landing on it
-    // only, which most of the 2^k vectors share: the memo is keyed by those.
+    // Evaluate one choice vector (`second[i]` = keep worker i's second-half
+    // copy). A task's value depends on the choices of the workers landing on
+    // it only, which most of the 2^k vectors share: the memo is keyed by
+    // those.
     let expected = &mut workspace.sampling.expected;
     let memo = &mut workspace.sampling.memo;
     memo.begin();
-    let mut evaluate_choice = |mask: usize| -> (f64, f64) {
+    let mut evaluate_choice = |second: &[bool]| -> (f64, f64) {
         let mut min_rel = f64::INFINITY;
         let mut total_std = 0.0;
         for (slot, (set, &t)) in sets.iter_mut().zip(&affected).enumerate() {
@@ -434,7 +436,7 @@ fn resolve_group(
                 base_len,
                 landings,
             } = set;
-            let lands = |l: &Landing| (mask & (1 << l.worker) != 0) == l.second_half;
+            let lands = |l: &Landing| second[l.worker] == l.second_half;
             let mut evaluate = || {
                 contributions.truncate(*base_len);
                 contributions.extend(landings.iter().filter(|l| lands(l)).map(|l| l.contribution));
@@ -461,37 +463,38 @@ fn resolve_group(
         }
         (min_rel, total_std)
     };
-    let chosen = |mask: usize, i: usize| {
-        if mask & (1 << i) != 0 {
-            copies[i].1
-        } else {
-            copies[i].0
+    let ranker = &mut workspace.sampling.ranker;
+    let mut second = vec![false; group.len()];
+    let set_mask = |second: &mut [bool], mask: usize| {
+        for (i, s) in second.iter_mut().enumerate() {
+            *s = mask & (1 << i) != 0;
         }
     };
-
-    let ranker = &mut workspace.sampling.ranker;
-    let best_mask = if group.len() <= config.max_group_enumeration {
-        // Exhaustive enumeration of the 2^k copy choices.
+    // `1 << k` must fit a `usize` whatever the configured limit.
+    if group.len() <= config.max_group_enumeration && group.len() < usize::BITS as usize {
+        // Exhaustive enumeration of the 2^k copy choices, as the bits of a
+        // mask.
         let options: Vec<(f64, f64)> = (0..(1usize << group.len()))
-            .map(&mut evaluate_choice)
+            .map(|mask| {
+                set_mask(&mut second, mask);
+                evaluate_choice(&second)
+            })
             .collect();
-        ranker.rank(&options).unwrap_or(0)
+        set_mask(&mut second, ranker.rank(&options).unwrap_or(0));
     } else {
         // Greedy per-worker fallback for oversized groups: decide each worker
         // on its own, keeping earlier decisions fixed.
-        let mut mask = 0usize;
         for i in 0..group.len() {
-            let keep_first = evaluate_choice(mask);
-            let keep_second = evaluate_choice(mask | (1 << i));
-            if let Some(1) = ranker.rank(&[keep_first, keep_second]) {
-                mask |= 1 << i;
-            }
+            let keep_first = evaluate_choice(&second);
+            second[i] = true;
+            let keep_second = evaluate_choice(&second);
+            second[i] = ranker.rank(&[keep_first, keep_second]) == Some(1);
         }
-        mask
-    };
+    }
 
     for (i, &w) in group.iter().enumerate() {
-        if let Some((slot, c)) = chosen(best_mask, i) {
+        let chosen = if second[i] { copies[i].1 } else { copies[i].0 };
+        if let Some((slot, c)) = chosen {
             merged
                 .assign(affected[slot], w, c)
                 .expect("conflicting worker is unassigned in the merged strategy until now");
@@ -637,6 +640,64 @@ mod tests {
         let wid = WorkerId::from(w);
         assert!(merged.task_of(wid).is_some());
         assert_eq!(merged.num_assigned(), 1);
+    }
+
+    #[test]
+    fn merge_keeps_a_choice_per_worker_in_groups_wider_than_a_word() {
+        // One conflict group of 66 workers, joined through a hub task. Worker
+        // 0 does better on its second copy (an empty task), worker 64 on its
+        // first (another empty task); everyone else moves between the hub
+        // and a fourth task. Worker 64's choice must not alias worker 0's.
+        let task = |x: f64| {
+            Task::new(
+                TaskId(0),
+                Point::new(x, 0.5),
+                TimeWindow::new(0.0, 10.0).unwrap(),
+            )
+        };
+        let (hub, only_0, only_64, other) = (TaskId(0), TaskId(1), TaskId(2), TaskId(3));
+        let worker = Worker::new(
+            WorkerId(0),
+            Point::new(0.5, 0.5),
+            0.1,
+            AngleRange::full(),
+            conf(0.9),
+        )
+        .unwrap();
+        let instance = ProblemInstance::new(
+            vec![task(0.2), task(0.4), task(0.6), task(0.8)],
+            vec![worker; 66],
+            0.5,
+        );
+        let candidates = compute_valid_pairs(&instance);
+        let request = SolveRequest::new(&instance, &candidates);
+        let copy = Contribution::new(conf(0.9), 1.0, 5.0);
+        let (mut s1, mut s2) = (
+            Assignment::for_instance(&instance),
+            Assignment::for_instance(&instance),
+        );
+        for w in (0..66).map(WorkerId::from) {
+            let (first, second) = match w.index() {
+                0 => (hub, only_0),
+                64 => (only_64, hub),
+                _ => (hub, other),
+            };
+            s1.assign(first, w, copy).unwrap();
+            s2.assign(second, w, copy).unwrap();
+        }
+        // Past the enumeration limit, including one no group could be
+        // enumerated under: both take the per-worker fallback.
+        for max_group_enumeration in [12, usize::MAX] {
+            let config = DncConfig {
+                max_group_enumeration,
+                ..DncConfig::default()
+            };
+            let mut workspace = Workspace::new(&request);
+            let merged = merge_answers(&request, &config, &s1, &s2, &mut workspace);
+            assert_eq!(merged.num_assigned(), 66);
+            assert_eq!(merged.task_of(WorkerId(0)), Some(only_0));
+            assert_eq!(merged.task_of(WorkerId(64)), Some(only_64));
+        }
     }
 
     #[test]

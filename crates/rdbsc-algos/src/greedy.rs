@@ -18,6 +18,13 @@
 //!   per pair and invalidated per task ("epoch" counters); the task-side
 //!   half of the bounds is kept per task. A round therefore re-evaluates
 //!   only the pairs of the task that just gained a worker;
+//! * a pair's exact increase is priced against the recorded `E[STD]` terms
+//!   of its task's current set ([`BasePlusOne`]), whose value is the task's
+//!   current `E[STD]`: only the entropies its worker changes are computed,
+//!   and the result has the full kernel's bits. A record takes `O(r²)`
+//!   memory, so one task's is held at a time and a round prices its
+//!   uncached pairs grouped by task; a task without pairs to price is never
+//!   recorded;
 //! * the live pairs are kept from round to round: committing a worker
 //!   removes its adjacency block;
 //! * when [`GreedyConfig::use_pruning`] is set, the lower/upper bounds (see
@@ -30,8 +37,7 @@
 use crate::pruning::{delta_bounds, expected_std_bounds_with, DiversityBounds};
 use crate::solver::SolveRequest;
 use rdbsc_model::expected::ExpectedScratch;
-use rdbsc_model::objective::task_expected_std_with;
-use rdbsc_model::{Assignment, Contribution, DominanceRanker, TaskId};
+use rdbsc_model::{Assignment, BasePlusOne, Contribution, DominanceRanker, TaskId};
 
 /// Configuration of the greedy solver.
 #[derive(Debug, Clone, Copy)]
@@ -61,23 +67,17 @@ pub fn greedy(request: &SolveRequest<'_>, config: &GreedyConfig) -> Assignment {
     let mut sort_buffer: Vec<f64> = Vec::new();
     let mut ranker = DominanceRanker::default();
 
-    // Per-task state: current contributions (priors + assigned so far) and
-    // the current E[STD]; a per-task epoch invalidates what is cached below.
+    // Per-task state: current contributions (priors + assigned so far); a
+    // per-task epoch invalidates what is cached below.
     let m = instance.num_tasks();
     let mut task_contributions: Vec<Vec<Contribution>> = (0..m)
         .map(|i| request.priors_of(TaskId::from(i)).to_vec())
         .collect();
-    let mut task_std: Vec<f64> = (0..m)
-        .map(|i| {
-            task_expected_std_with(
-                instance,
-                TaskId::from(i),
-                &task_contributions[i],
-                &mut scratch,
-            )
-        })
-        .collect();
     let mut task_epoch: Vec<u64> = vec![0; m];
+    // The recorded E[STD] terms of one (task, epoch)'s set: they take O(r²)
+    // memory, so one task's at a time.
+    let mut base = BasePlusOne::default();
+    let mut base_of: Option<(usize, u64)> = None;
 
     // Cached per pair, tagged with the task epoch they were computed at: the
     // exact ΔSTD and its Lemma 4.3 bounds. Cached per task: the bounds of
@@ -94,8 +94,10 @@ pub fn greedy(request: &SolveRequest<'_>, config: &GreedyConfig) -> Assignment {
 
     // The candidate pairs of still-unassigned workers, by worker.
     let mut live_pairs: Vec<usize> = candidates.by_worker.concat();
-    // This round's survivors of the bound pre-filter, and their increases.
+    // This round's survivors of the bound pre-filter, those of them whose
+    // exact increase is not cached, and their increases.
     let mut kept: Vec<usize> = Vec::new();
+    let mut pricing: Vec<usize> = Vec::new();
     let mut values: Vec<(f64, f64)> = Vec::new();
 
     while !live_pairs.is_empty() {
@@ -152,25 +154,37 @@ pub fn greedy(request: &SolveRequest<'_>, config: &GreedyConfig) -> Assignment {
             }
         }
 
-        // Exact increase pairs (ΔR, ΔSTD), using the per-task cache.
-        values.clear();
-        for &idx in round_pairs {
+        // Exact increase pairs (ΔR, ΔSTD), using the per-pair cache. The
+        // pairs it lacks are priced task by task, so a task's terms are
+        // recorded once per epoch in the common case.
+        let stale = |idx: &usize| {
+            let ti = candidates.pairs[*idx].task.index();
+            !matches!(cached_delta[*idx], Some((epoch, _)) if epoch == task_epoch[ti])
+        };
+        pricing.clear();
+        pricing.extend(round_pairs.iter().filter(|idx| stale(idx)));
+        pricing.sort_unstable_by_key(|&idx| candidates.pairs[idx].task);
+        for &idx in &pricing {
             let pair = &candidates.pairs[idx];
             let ti = pair.task.index();
-            let delta = match cached_delta[idx] {
-                Some((epoch, v)) if epoch == task_epoch[ti] => v,
-                _ => {
-                    let set = &mut task_contributions[ti];
-                    set.push(pair.contribution);
-                    let after = task_expected_std_with(instance, pair.task, set, &mut scratch);
-                    set.pop();
-                    let v = (after - task_std[ti]).max(0.0);
-                    cached_delta[idx] = Some((task_epoch[ti], v));
-                    v
-                }
-            };
-            values.push((delta_rel[idx], delta));
+            let epoch = task_epoch[ti];
+            if base_of != Some((ti, epoch)) {
+                let t = &instance.tasks[ti];
+                base.record(
+                    &task_contributions[ti],
+                    t.window,
+                    t.effective_beta(instance.beta),
+                );
+                base_of = Some((ti, epoch));
+            }
+            let after = base.plus_one(&pair.contribution, &mut scratch);
+            cached_delta[idx] = Some((epoch, (after - base.value()).max(0.0)));
         }
+        values.clear();
+        values.extend(round_pairs.iter().map(|&idx| {
+            let (_, delta) = cached_delta[idx].expect("priced above");
+            (delta_rel[idx], delta)
+        }));
 
         // Rank by dominating count and commit the winner.
         let Some(best_pos) = ranker.rank(&values) else {
@@ -184,8 +198,6 @@ pub fn greedy(request: &SolveRequest<'_>, config: &GreedyConfig) -> Assignment {
         // Update the task's state and bump its epoch.
         let ti = pair.task.index();
         task_contributions[ti].push(pair.contribution);
-        task_std[ti] =
-            task_expected_std_with(instance, pair.task, &task_contributions[ti], &mut scratch);
         task_epoch[ti] += 1;
 
         // The worker's pairs leave the live set: one contiguous block.

@@ -18,11 +18,12 @@ use rdbsc_algos::{
     SolveRequest,
 };
 use rdbsc_geo::{AngleRange, Point};
+use rdbsc_model::expected::ExpectedScratch;
 use rdbsc_model::objective::{evaluate_with_priors, MinReliabilityScope, TaskPriors};
 use rdbsc_model::{
     compute_valid_pairs, evaluate, expected_std, rank_by_dominating_count, Assignment,
-    BipartiteCandidates, Confidence, Contribution, ProblemInstance, Task, TaskId, TimeWindow,
-    Worker, WorkerId,
+    BasePlusOne, BipartiteCandidates, Confidence, Contribution, ProblemInstance, Task, TaskId,
+    TimeWindow, Worker, WorkerId,
 };
 
 /// Strategy generating a small random instance.
@@ -159,6 +160,34 @@ fn prior_spec() -> impl Strategy<Value = PriorSpec> {
         .prop_map(|(with, entries)| (with == 1, entries))
 }
 
+/// The instances of the deep-prior differential: at most four tasks, so
+/// that [`deep_prior_spec`]'s answers pile up on each of them.
+fn deep_prior_instance() -> impl Strategy<Value = ProblemInstance> {
+    instance_strategy(4, 40)
+}
+
+/// 20–60 banked answers over an instance's few tasks, far more per task than
+/// [`prior_spec`] gives: angles and arrivals on coarse lattices, so they
+/// repeat within a task, and confidences of exactly 0 and 1 among them.
+fn deep_prior_spec() -> impl Strategy<Value = PriorSpec> {
+    proptest::collection::vec((0.0f64..1.0, 0u8..4, 0.0f64..1.0, 0u8..8, 0u8..11), 20..=60)
+        .prop_map(|entries| {
+            let entries = entries
+                .into_iter()
+                .map(|(selector, p_sel, p, angle, arrival)| {
+                    let p = [0.0, 1.0, p, p][usize::from(p_sel)];
+                    (
+                        selector,
+                        p,
+                        f64::from(angle) * TAU / 8.0,
+                        f64::from(arrival),
+                    )
+                })
+                .collect();
+            (true, entries)
+        })
+}
+
 fn build_priors(instance: &ProblemInstance, spec: &PriorSpec) -> Option<TaskPriors> {
     let (with_priors, entries) = spec;
     with_priors.then(|| {
@@ -216,6 +245,28 @@ fn differential_instances_cross_both_gates() {
     assert!(pairs.iter().any(|&p| p <= 64), "{pairs:?}");
     assert!(pairs.iter().any(|&p| (65..=256).contains(&p)), "{pairs:?}");
     assert!(pairs.iter().any(|&p| p > 256), "{pairs:?}");
+}
+
+/// The deep-prior family starts on either side of GREEDY's pruning gate and
+/// gives some task a set (priors plus candidates) of 40 workers or more.
+#[test]
+fn deep_prior_instances_cross_the_gate_with_deep_tasks() {
+    let (instances, specs) = (deep_prior_instance(), deep_prior_spec());
+    let (mut pairs, mut deepest) = (Vec::new(), 0);
+    for case in 0..64 {
+        let mut rng = proptest::fresh_rng(proptest::case_seed("deep", case));
+        let instance = instances.generate(&mut rng);
+        let priors = build_priors(&instance, &specs.generate(&mut rng)).unwrap();
+        let candidates = compute_valid_pairs(&instance);
+        pairs.push(candidates.num_pairs());
+        for task in &instance.tasks {
+            let depth = priors.of(task.id).len() + candidates.by_task[task.id.index()].len();
+            deepest = deepest.max(depth);
+        }
+    }
+    assert!(pairs.iter().any(|&p| p <= 64), "{pairs:?}");
+    assert!(pairs.iter().any(|&p| p > 64), "{pairs:?}");
+    assert!(deepest >= 40, "{deepest}");
 }
 
 /// A task with more candidate workers than a valuation-memo key has bits is
@@ -351,11 +402,21 @@ proptest! {
             }
         }
         let mut values = Vec::new();
+        let (mut recorded, mut scratch) = (BasePlusOne::default(), ExpectedScratch::default());
         for task in &instance.tasks {
             let mut set = everyone.contributions_of(task.id);
             set.extend_from_slice(priors.of(task.id));
             let std = expected_std(&set, task.window, beta);
             prop_assert_eq!(std.to_bits(), kernels::expected_std(&set, task.window, beta).to_bits());
+            if let Some((extra, base)) = set.split_last() {
+                // One record reused across tasks: stale terms must not leak.
+                recorded.record(base, task.window, beta);
+                prop_assert_eq!(
+                    recorded.value().to_bits(),
+                    kernels::expected_std(base, task.window, beta).to_bits()
+                );
+                prop_assert_eq!(recorded.plus_one(extra, &mut scratch).to_bits(), std.to_bits());
+            }
             let bounds = expected_std_bounds(&set, task.window, beta);
             prop_assert_eq!(bounds, kernels::expected_std_bounds(&set, task.window, beta));
             if let Some((&new, before)) = set.split_last() {
@@ -376,5 +437,31 @@ proptest! {
             evaluate_with_priors(&instance, &everyone, &priors, scope),
             kernels::evaluate_with_priors(&instance, &everyone, &priors, scope)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// GREEDY commits what its pre-rewrite body commits when a task's set
+    /// is tens of workers deep, with repeated angles and arrivals and
+    /// workers that never or always succeed, with the Lemma 4.3 pre-filter
+    /// on and off.
+    #[test]
+    fn greedy_matches_its_reference_through_deep_priors(
+        instance in deep_prior_instance(),
+        spec in deep_prior_spec(),
+    ) {
+        let candidates = compute_valid_pairs(&instance);
+        let priors = build_priors(&instance, &spec);
+        let request = request_with(&instance, &candidates, &priors);
+        for use_pruning in [true, false] {
+            let config = GreedyConfig { use_pruning };
+            prop_assert_eq!(
+                committed(&greedy(&request, &config)),
+                committed(&reference::greedy(&request, &config)),
+                "use_pruning={}, {} pairs", use_pruning, candidates.num_pairs()
+            );
+        }
     }
 }

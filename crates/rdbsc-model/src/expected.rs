@@ -25,11 +25,45 @@
 //! keep for a whole solve; [`expected_sd`], [`expected_td`] and
 //! [`expected_std`] are thin wrappers that run the same kernels on a stack
 //! buffer (up to 16 workers) or a fresh heap one.
+//!
+//! # One more worker: [`BasePlusOne`]
+//!
+//! GREEDY asks for `expected_std(base ++ [c])` for many candidates `c` of
+//! one base set. [`BasePlusOne`] evaluates the base once, recording the
+//! entropy of every term, and then answers each candidate with the bits the
+//! kernel above returns. It runs the kernel's loops over the extended set in
+//! the kernel's order — every running product, arc and sum is formed as the
+//! kernel forms it — and takes a term's entropy, its one `ln`, from the
+//! record wherever the term's fraction is provably the base's. The stable
+//! sort puts `c` after its equal keys, at one position `q` of each sorted
+//! order, and every term of the extended set is one of these:
+//!
+//! * **Bounded by `c`.** `c`'s own walk, the step of every other walk onto
+//!   `c`, and `c`'s `O(r)` time intervals: the entropy is new.
+//! * **A time interval `c` does not bound.** Its length is the base's, so
+//!   its entropy is recorded, whether or not it spans `q`.
+//! * **An `E[SD]` step before its walk reaches `c`.** It crossed the same
+//!   gaps as in the base, so its arc and entropy are the base's.
+//! * **An `E[SD]` step past `c`.** Its arc was summed over one more gap
+//!   than the base arc one ray shorter, which ends at the same ray. The
+//!   base entropy is taken when the two arcs have the same bits; otherwise
+//!   it is recomputed. The base arc is re-summed alongside: it crosses the
+//!   extended set's gaps, except that one base gap stands for the two that
+//!   `c` splits it into.
+//!
+//! A recorded entropy is read only for a term whose probability is
+//! positive, and the base term's probability was positive too: the
+//! extended product only inserts the factor `1 − p_c ≤ 1`, and inserting a
+//! factor `≤ 1` into a rounded product never raises it. What remains is
+//! `O(r²)` additions and multiplications but only `O(r)` logarithms plus
+//! one per arc whose bits moved, against `O(r²)` logarithms for a full
+//! evaluation.
 
 use crate::diversity::entropy_term;
 use crate::task::TimeWindow;
 use crate::valid_pairs::Contribution;
 use rdbsc_geo::FULL_TURN;
+use std::cmp::Ordering;
 
 /// Worker sets up to this size are evaluated on a stack buffer by the
 /// allocating wrappers.
@@ -84,6 +118,17 @@ fn sort_by_key(
     });
 }
 
+/// The angular gap from sorted ray `x` counter-clockwise to the next one,
+/// cyclically.
+fn ray_gap(rays: &[(f64, f64)], x: usize) -> f64 {
+    let next = if x + 1 == rays.len() {
+        rays[0].0 + FULL_TURN
+    } else {
+        rays[x + 1].0
+    };
+    (next - rays[x].0).max(0.0)
+}
+
 /// The `E[SD]` kernel; `keyed` and `gaps` have one slot per worker.
 fn sd_kernel(contributions: &[Contribution], keyed: &mut [(f64, f64)], gaps: &mut [f64]) -> f64 {
     let r = contributions.len();
@@ -95,13 +140,8 @@ fn sd_kernel(contributions: &[Contribution], keyed: &mut [(f64, f64)], gaps: &mu
     sort_by_key(contributions, keyed, |c| c.angle);
 
     // Elementary angular gaps between consecutive rays (cyclic, sums to 2π).
-    for x in 0..r {
-        let next = if x + 1 == r {
-            keyed[0].0 + FULL_TURN
-        } else {
-            keyed[x + 1].0
-        };
-        gaps[x] = (next - keyed[x].0).max(0.0);
+    for (x, gap) in gaps.iter_mut().enumerate() {
+        *gap = ray_gap(keyed, x);
     }
 
     let mut expectation = 0.0;
@@ -236,6 +276,315 @@ pub fn expected_std_with(
 ) -> f64 {
     let (keyed, gaps) = scratch.buffers(contributions.len());
     std_kernel(contributions, window, beta, keyed, gaps)
+}
+
+/// The terms of one base set's `E[STD]`: what `expected_std(base ++ [extra])`
+/// needs, to the bit, beyond the entropies `extra` changes (see the module
+/// docs). A record takes 8 bytes a term, `O(r²)` for `r` workers.
+#[derive(Debug, Clone)]
+pub struct BasePlusOne {
+    window: TimeWindow,
+    /// `β` clamped into `[0, 1]`.
+    beta: f64,
+    value: f64,
+    /// `(angle, p)` per worker, sorted by angle.
+    rays: Vec<(f64, f64)>,
+    /// Row `j` holds the entropy of steps `1..r` of the walk from ray `j`.
+    /// Rows of rays with `p = 0`, and the entropy of a term whose
+    /// probability is not positive, are not recorded (and never read).
+    sd_entropy: Vec<f64>,
+    /// Raw arrivals, sorted: where an extra worker sorts in.
+    arrivals: Vec<f64>,
+    /// `(arrival clamped into the window, p)` per worker, in arrival order.
+    times: Vec<(f64, f64)>,
+    /// The entropy of `[start, arrival_k]` per worker.
+    td_left: Vec<f64>,
+    /// Row `j` holds the entropy of `[arrival_j, arrival_k]` for every
+    /// `k > j`, then that of `[arrival_j, end]`.
+    td_rows: Vec<f64>,
+}
+
+impl Default for BasePlusOne {
+    /// The record of the empty set over an empty window.
+    fn default() -> Self {
+        Self {
+            window: TimeWindow {
+                start: 0.0,
+                end: 0.0,
+            },
+            beta: 0.0,
+            value: 0.0,
+            rays: Vec::new(),
+            sd_entropy: Vec::new(),
+            arrivals: Vec::new(),
+            times: Vec::new(),
+            td_left: Vec::new(),
+            td_rows: Vec::new(),
+        }
+    }
+}
+
+impl BasePlusOne {
+    /// Records the terms of `base` in place of the current ones, keeping the
+    /// buffers.
+    pub fn record(&mut self, base: &[Contribution], window: TimeWindow, beta: f64) {
+        self.window = window;
+        self.beta = beta.clamp(0.0, 1.0);
+        let sd = if self.beta > 0.0 {
+            self.record_sd(base)
+        } else {
+            0.0
+        };
+        let td = if self.beta < 1.0 {
+            self.record_td(base)
+        } else {
+            0.0
+        };
+        self.value = self.beta * sd + (1.0 - self.beta) * td;
+    }
+
+    /// `expected_std(base, window, beta)`, to the bit.
+    pub fn value(&self) -> f64 {
+        self.value
+    }
+
+    /// `expected_std(base ++ [extra], window, beta)`, to the bit. `scratch`
+    /// holds the extended set while it is summed.
+    pub fn plus_one(&self, extra: &Contribution, scratch: &mut ExpectedScratch) -> f64 {
+        let sd = if self.beta > 0.0 {
+            self.plus_one_sd(extra, scratch)
+        } else {
+            0.0
+        };
+        let td = if self.beta < 1.0 {
+            self.plus_one_td(extra, scratch)
+        } else {
+            0.0
+        };
+        self.beta * sd + (1.0 - self.beta) * td
+    }
+
+    /// [`sd_kernel`] on `base`, keeping the entropies.
+    fn record_sd(&mut self, base: &[Contribution]) -> f64 {
+        let r = base.len();
+        let Self {
+            rays, sd_entropy, ..
+        } = self;
+        rays.resize(r, (0.0, 0.0));
+        sort_by_key(base, rays, |c| c.angle);
+        if r < 2 {
+            return 0.0;
+        }
+        sd_entropy.resize(r * (r - 1), 0.0);
+        let mut expectation = 0.0;
+        for (j, row) in sd_entropy.chunks_exact_mut(r - 1).enumerate() {
+            let p_j = rays[j].1;
+            if p_j == 0.0 {
+                // No term of this walk has a positive probability.
+                continue;
+            }
+            let mut absent = 1.0;
+            let mut arc = 0.0;
+            let mut k = j;
+            for entropy in row {
+                arc += ray_gap(rays, k);
+                k = if k + 1 == r { 0 } else { k + 1 };
+                let prob = p_j * rays[k].1 * absent;
+                if prob > 0.0 {
+                    *entropy = entropy_term(arc / FULL_TURN);
+                    expectation += prob * *entropy;
+                }
+                absent *= 1.0 - rays[k].1;
+            }
+        }
+        expectation
+    }
+
+    /// [`sd_kernel`] on `base ++ [extra]`, with the recorded entropies.
+    fn plus_one_sd(&self, extra: &Contribution, scratch: &mut ExpectedScratch) -> f64 {
+        let r = self.rays.len();
+        let n = r + 1;
+        if n < 2 {
+            return 0.0;
+        }
+        // The stable sort puts `extra` after every ray with an equal angle.
+        let q = self
+            .rays
+            .partition_point(|&(angle, _)| angle <= extra.angle);
+        // The base's gap from `extra`'s predecessor to its successor.
+        let crossed = ray_gap(&self.rays, (q + r - 1) % r);
+        let (rays, gaps) = scratch.buffers(n);
+        rays[..q].copy_from_slice(&self.rays[..q]);
+        rays[q] = (extra.angle, extra.p());
+        rays[q + 1..].copy_from_slice(&self.rays[q..]);
+        for (x, gap) in gaps.iter_mut().enumerate() {
+            *gap = ray_gap(rays, x);
+        }
+
+        let mut expectation = 0.0;
+        for j in 0..n {
+            let p_j = rays[j].1;
+            if p_j == 0.0 {
+                continue;
+            }
+            // The base walk from this ray (none from `extra`), and the step
+            // at which this walk reaches `extra` (0 for `extra`'s own).
+            let row = if j == q {
+                &[][..]
+            } else {
+                let base_j = j - usize::from(j > q);
+                &self.sd_entropy[base_j * (r - 1)..(base_j + 1) * (r - 1)]
+            };
+            let reach = (q + n - j) % n;
+            let mut absent = 1.0;
+            let mut arc = 0.0;
+            // Past `extra`: the base walk's arc to the ray this step reaches.
+            let mut shorter = 0.0;
+            let mut k = j;
+            for step in 1..n {
+                if step == reach {
+                    shorter = arc + crossed;
+                }
+                arc += gaps[k];
+                k = if k + 1 == n { 0 } else { k + 1 };
+                let prob = p_j * rays[k].1 * absent;
+                if prob > 0.0 {
+                    let entropy = if step < reach {
+                        row[step - 1]
+                    } else if step > reach && reach > 0 && arc.to_bits() == shorter.to_bits() {
+                        row[step - 2]
+                    } else {
+                        entropy_term(arc / FULL_TURN)
+                    };
+                    expectation += prob * entropy;
+                }
+                absent *= 1.0 - rays[k].1;
+                if step > reach {
+                    shorter += gaps[k];
+                }
+            }
+        }
+        expectation
+    }
+
+    /// [`td_kernel`] on `base`, keeping the entropies.
+    fn record_td(&mut self, base: &[Contribution]) -> f64 {
+        let window = self.window;
+        let duration = window.duration();
+        if duration <= 0.0 {
+            return 0.0;
+        }
+        let Self {
+            arrivals,
+            times,
+            td_left,
+            td_rows,
+            ..
+        } = self;
+        times.resize(base.len(), (0.0, 0.0));
+        sort_by_key(base, times, |c| c.arrival);
+        arrivals.clear();
+        arrivals.extend(times.iter().map(|&(arrival, _)| arrival));
+        for slot in times.iter_mut() {
+            slot.0 = window.clamp(slot.0);
+        }
+        let mut expectation = 0.0;
+        let mut term = |entropies: &mut Vec<f64>, prob: f64, length: f64| {
+            let mut entropy = 0.0;
+            if prob > 0.0 {
+                entropy = entropy_term(length / duration);
+                expectation += prob * entropy;
+            }
+            entropies.push(entropy);
+        };
+
+        td_left.clear();
+        let mut absent = 1.0;
+        for &(arrival, p) in times.iter() {
+            term(td_left, p * absent, arrival - window.start);
+            absent *= 1.0 - p;
+        }
+        td_rows.clear();
+        for (j, &(arrival_j, p_j)) in times.iter().enumerate() {
+            let mut absent = 1.0;
+            for &(arrival_k, p_k) in &times[j + 1..] {
+                term(td_rows, p_j * p_k * absent, arrival_k - arrival_j);
+                absent *= 1.0 - p_k;
+            }
+            term(td_rows, p_j * absent, window.end - arrival_j);
+        }
+        expectation
+    }
+
+    /// [`td_kernel`] on `base ++ [extra]`, with the recorded entropies.
+    fn plus_one_td(&self, extra: &Contribution, scratch: &mut ExpectedScratch) -> f64 {
+        let window = self.window;
+        let duration = window.duration();
+        if duration <= 0.0 {
+            return 0.0;
+        }
+        let r = self.times.len();
+        // The stable sort puts `extra` after every equal raw arrival.
+        let q = self
+            .arrivals
+            .partition_point(|&arrival| arrival <= extra.arrival);
+        let (times, _) = scratch.buffers(r + 1);
+        times[..q].copy_from_slice(&self.times[..q]);
+        times[q] = (window.clamp(extra.arrival), extra.p());
+        times[q + 1..].copy_from_slice(&self.times[q..]);
+        let fresh = |length: f64| entropy_term(length / duration);
+
+        let mut expectation = 0.0;
+        let mut absent = 1.0;
+        for (x, &(arrival, p)) in times.iter().enumerate() {
+            let prob = p * absent;
+            if prob > 0.0 {
+                let entropy = match x.cmp(&q) {
+                    Ordering::Less => self.td_left[x],
+                    Ordering::Equal => fresh(arrival - window.start),
+                    Ordering::Greater => self.td_left[x - 1],
+                };
+                expectation += prob * entropy;
+            }
+            absent *= 1.0 - p;
+        }
+
+        let mut rows = self.td_rows.as_slice();
+        for (j, &(arrival_j, p_j)) in times.iter().enumerate() {
+            // This worker's base row (none for `extra`): its pairs with every
+            // later worker, then its end.
+            let row = if j == q {
+                &[][..]
+            } else {
+                let (row, rest) = rows.split_at(r - (j - usize::from(j > q)));
+                rows = rest;
+                row
+            };
+            let mut absent = 1.0;
+            for (k, &(arrival_k, p_k)) in times.iter().enumerate().skip(j + 1) {
+                let prob = p_j * p_k * absent;
+                if prob > 0.0 {
+                    let entropy = if j == q || k == q {
+                        fresh(arrival_k - arrival_j)
+                    } else {
+                        // In base positions, `extra` is left out between j and k.
+                        row[k - j - 1 - usize::from(j < q && q < k)]
+                    };
+                    expectation += prob * entropy;
+                }
+                absent *= 1.0 - p_k;
+            }
+            let prob = p_j * absent;
+            if prob > 0.0 {
+                let entropy = match row.last() {
+                    Some(&end) => end,
+                    None => fresh(window.end - arrival_j),
+                };
+                expectation += prob * entropy;
+            }
+        }
+        expectation
+    }
 }
 
 #[cfg(test)]

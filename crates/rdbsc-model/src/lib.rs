@@ -41,7 +41,7 @@ pub use assignment::Assignment;
 pub use diversity::{spatial_diversity, std_diversity, temporal_diversity};
 pub use dominance::{dominates, rank_by_dominating_count, DominanceRanker};
 pub use error::ModelError;
-pub use expected::{expected_sd, expected_std, expected_td};
+pub use expected::{expected_sd, expected_std, expected_td, BasePlusOne};
 pub use ids::{TaskId, WorkerId};
 pub use instance::ProblemInstance;
 pub use objective::{evaluate, evaluate_with_priors, MinReliabilityScope, ObjectiveValue, TaskPriors};

@@ -10,9 +10,10 @@ use rdbsc_model::possible_worlds::{
     expected_sd_exhaustive, expected_std_exhaustive, expected_td_exhaustive,
 };
 use rdbsc_model::dominance::{dominating_counts, BiObjective};
+use rdbsc_model::expected::ExpectedScratch;
 use rdbsc_model::{
     expected_sd, expected_std, expected_td, log_reliability, reliability, spatial_diversity,
-    temporal_diversity, Confidence, Contribution, DominanceRanker, TimeWindow,
+    temporal_diversity, BasePlusOne, Confidence, Contribution, DominanceRanker, TimeWindow,
 };
 
 /// Strategy generating a small worker set as (p, angle, arrival) triples.
@@ -107,6 +108,83 @@ proptest! {
         prop_assert!(sd >= 0.0 && sd <= (angles.len() as f64).ln() + 1e-9);
         let td = temporal_diversity(&arrivals, window());
         prop_assert!(td >= 0.0 && td <= ((arrivals.len() + 1) as f64).ln() + 1e-9);
+    }
+}
+
+/// A contribution with `p` ∈ {0, 1, interior}, the angle on an eight-ray
+/// lattice or anywhere strictly inside `(0, 2π)`, and the arrival on a
+/// lattice through both ends of `[0, 10]` or anywhere in `[-3, 13]`.
+fn edgy_contribution() -> impl Strategy<Value = Contribution> {
+    (
+        0u8..4,
+        0.0f64..1.0,
+        0u8..2,
+        1u8..8,
+        0.1f64..TAU - 0.1,
+        0u8..2,
+        0u8..6,
+        -3.0f64..13.0,
+    )
+        .prop_map(|(p_sel, p, a_sel, a_lattice, a, t_sel, t_lattice, t)| {
+            let p = match p_sel {
+                0 => 0.0,
+                1 => 1.0,
+                _ => p,
+            };
+            let angle = if a_sel == 0 {
+                f64::from(a_lattice) * TAU / 8.0
+            } else {
+                a
+            };
+            let arrival = if t_sel == 0 {
+                f64::from(t_lattice) * 2.0
+            } else {
+                t
+            };
+            Contribution::new(Confidence::new(p).unwrap(), angle, arrival)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `BasePlusOne` returns the full kernel's bits for the base and for the
+    /// base plus one extra worker. The extra sorts before every base worker,
+    /// after every one, after equal keys copied from a base worker, or
+    /// anywhere; windows have length 10 or 0, and β is 0, 1 or interior.
+    #[test]
+    fn base_plus_one_is_the_kernel_to_the_bit(
+        base in proptest::collection::vec(edgy_contribution(), 0..=48),
+        anywhere in edgy_contribution(),
+        extra_spec in (0u8..4, 0.0f64..1.0, 0u8..3, 0.0f64..1.0),
+        set_spec in (0u8..4, 0u8..3, 0.0f64..1.0),
+    ) {
+        let (placement, copied, p_sel, p) = extra_spec;
+        let (window_sel, beta_sel, beta) = set_spec;
+        let p = Confidence::new([0.0, 1.0, p][usize::from(p_sel)]).unwrap();
+        let extra = match placement {
+            // Angle 0 and arrival −5 sort before every base worker.
+            0 => Contribution::new(p, 0.0, -5.0),
+            // The largest angle below 2π and arrival 20 sort after them.
+            1 => Contribution::new(p, TAU.next_down(), 20.0),
+            2 if !base.is_empty() => {
+                let twin = base[((copied * base.len() as f64) as usize).min(base.len() - 1)];
+                Contribution::new(p, twin.angle, twin.arrival)
+            }
+            _ => anywhere,
+        };
+        let window = if window_sel == 0 { TimeWindow::new(5.0, 5.0).unwrap() } else { window() };
+        let beta = [0.0, 1.0, beta][usize::from(beta_sel)];
+        let mut recorded = BasePlusOne::default();
+        recorded.record(&base, window, beta);
+        prop_assert_eq!(recorded.value().to_bits(), expected_std(&base, window, beta).to_bits());
+        let mut extended = base.clone();
+        extended.push(extra);
+        prop_assert_eq!(
+            recorded.plus_one(&extra, &mut ExpectedScratch::default()).to_bits(),
+            expected_std(&extended, window, beta).to_bits(),
+            "{} base workers, extra {:?}", base.len(), extra
+        );
     }
 }
 
