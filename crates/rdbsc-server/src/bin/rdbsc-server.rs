@@ -14,6 +14,11 @@ fn usage() -> ! {
          \x20                 [--data-dir PATH] [--standby-partition HOST:PORT|-]...\n\
          \x20                 [--slow-tick-ms N]\n\
          \n\
+         --flush-interval-ms N (default 20) and --max-batch N (default 512)\n\
+         bound how long and how many heartbeats, expirations and leaves\n\
+         coalesce before a tick. A new task or worker check-in ticks at once\n\
+         instead, but an early tick waits until as long as the previous early\n\
+         tick took has passed since it ended.\n\
          --flush-interval-ms 0 enables manual tick mode: the engine only\n\
          advances on POST /tick. Stop the server with POST /admin/shutdown.\n\
          --partitions N serves N spatial regions, one engine per region,\n\

@@ -17,7 +17,7 @@
 //!                   └─► 429 (load shed)        events ────────────┤
 //!                                                ▼                │ queries
 //!                                          MicroBatcher           │
-//!                                 flush interval / full batch     │
+//!                  new task or check-in / full batch / interval   │
 //!                                                ▼                ▼
 //!                                          EngineHandle  ◄────────┘
 //!                                                ▼

@@ -55,6 +55,9 @@ pub struct ServerMetrics {
     pub events_buffered: Arc<Counter>,
     /// Micro-batch flushes (engine ticks triggered by the batcher).
     pub batch_flushes: Arc<Counter>,
+    /// The flushes a task arrival or worker check-in triggered before the
+    /// flush interval elapsed (a subset of `batch_flushes`).
+    pub batch_flushes_early: Arc<Counter>,
     /// Per-request handling latency (parse → response written).
     pub request_latency: Arc<LatencyHistogram>,
     /// Engine tick latency as seen by the flusher (router) or the command
@@ -88,6 +91,10 @@ impl Default for ServerMetrics {
         );
         let batch_flushes =
             registry.counter("batch_flushes_total", "Micro-batch flushes (engine ticks)");
+        let batch_flushes_early = registry.counter(
+            "batch_flushes_early_total",
+            "Micro-batch flushes a task arrival or worker check-in triggered early",
+        );
         let request_latency = registry.histogram(
             "request_latency_us",
             "Per-request handling latency (parse to response written)",
@@ -105,6 +112,7 @@ impl Default for ServerMetrics {
             responses_5xx,
             events_buffered,
             batch_flushes,
+            batch_flushes_early,
             request_latency,
             tick_latency,
             tick_stages,
@@ -170,6 +178,10 @@ impl ServerMetrics {
                 Json::obj([
                     ("events_buffered", Json::Num(self.events_buffered.get() as f64)),
                     ("flushes", Json::Num(self.batch_flushes.get() as f64)),
+                    (
+                        "early_flushes",
+                        Json::Num(self.batch_flushes_early.get() as f64),
+                    ),
                 ]),
             ),
             ("request_latency", latency_to_json(&self.request_latency)),
@@ -351,6 +363,9 @@ mod tests {
     #[test]
     fn json_shape_is_backward_compatible_plus_stages() {
         let m = ServerMetrics::default();
+        m.batch_flushes.incr();
+        m.batch_flushes.incr();
+        m.batch_flushes_early.incr();
         m.observe_tick(0, 1.0, 1_500, &StageTimings::from_values([100, 200, 900, 300, 0, 0]));
         let rendered = m.to_json().to_string_compact();
         for key in [
@@ -364,12 +379,19 @@ mod tests {
             assert!(rendered.contains(key), "{key} missing in {rendered}");
         }
         assert!(rendered.contains("\"solve\":{\"count\":1"), "{rendered}");
+        let batching = m.to_json().get("batching").cloned().expect("batching");
+        assert_eq!(batching.get("flushes").and_then(Json::as_num), Some(2.0));
+        assert_eq!(
+            batching.get("early_flushes").and_then(Json::as_num),
+            Some(1.0)
+        );
     }
 
     #[test]
     fn prom_rendering_validates_and_carries_every_instrument() {
         let m = ServerMetrics::default();
         m.requests_total.incr();
+        m.batch_flushes_early.incr();
         m.request_latency.record(Duration::from_micros(250));
         m.observe_tick(0, 0.0, 42, &StageTimings::from_values([1, 2, 3, 4, 5, 6]));
         let mut w = PromWriter::new();
@@ -381,6 +403,7 @@ mod tests {
             "# TYPE request_latency_us histogram",
             "tick_stage_solve_us_count 1",
             "slow_ticks_captured_total 0",
+            "batch_flushes_early_total 1",
         ] {
             assert!(text.contains(series), "{series} missing in:\n{text}");
         }

@@ -58,10 +58,16 @@ pub struct ServerConfig {
     /// latency-sensitive serving, and keep the queue shallow so overload
     /// turns into fast 429s instead of deep queueing.
     pub queue_capacity: usize,
-    /// Micro-batch coalescing window. `Duration::ZERO` disables the flusher
-    /// entirely (*manual tick mode*: only `POST /tick` advances the engine).
+    /// Micro-batch coalescing window: the longest a buffered heartbeat,
+    /// expiration or leave waits for a tick. A task arrival or worker
+    /// check-in does not wait it out — it wakes the flusher at once, subject
+    /// to the rest rule in [`crate::batch`]. `Duration::ZERO` disables the
+    /// flusher entirely (*manual tick mode*: only `POST /tick` advances the
+    /// engine).
     pub flush_interval: Duration,
-    /// Flush early once this many events are buffered.
+    /// Flush early once this many events are buffered. Like the interval,
+    /// this bounds how many heartbeats, expirations and leaves coalesce; new
+    /// tasks and check-ins flush sooner on their own.
     pub max_batch: usize,
     /// Hard cap on buffered (not yet ticked) events; beyond it, event
     /// routes answer 429 until the flusher (or `POST /tick`) drains.
@@ -405,10 +411,16 @@ impl Server {
     }
 }
 
-/// 202 on a buffered event, 429 when the micro-batch buffer is saturated
-/// (the flusher or `POST /tick` must drain before more events are taken).
-fn accepted_body(push_result: Result<usize, EngineEvent>) -> Result<Response, ServerError> {
-    let buffered = push_result.map_err(|_| ServerError::Overloaded)?;
+/// Buffers one event for the next micro-batch: 202 with the buffer length,
+/// or 429 when the buffer is saturated (the flusher or `POST /tick` must
+/// drain before more events are taken). Only accepted events are counted in
+/// `events_buffered`.
+fn buffer_event(shared: &Shared, event: EngineEvent) -> Result<Response, ServerError> {
+    let buffered = shared
+        .batcher
+        .push(event)
+        .map_err(|_| ServerError::Overloaded)?;
+    shared.metrics.events_buffered.incr();
     Ok(Response::json(
         202,
         Json::obj([
@@ -758,45 +770,29 @@ fn route(
         (Method::Post, "/tasks") => {
             let task = TaskDto::from_json(&parse_body(request)?)?.into_task()?;
             require_finite_point(task.location.x, task.location.y)?;
-            let buffered = shared.batcher.push(EngineEvent::TaskArrived(task));
-            shared.metrics.events_buffered.incr();
-            accepted_body(buffered)
+            buffer_event(shared, EngineEvent::TaskArrived(task))
         }
 
         (Method::Post, "/tasks/expire") => {
             let dto = IdDto::from_json(&parse_body(request)?)?;
-            let buffered = shared
-                .batcher
-                .push(EngineEvent::TaskExpired(TaskId(dto.id)));
-            shared.metrics.events_buffered.incr();
-            accepted_body(buffered)
+            buffer_event(shared, EngineEvent::TaskExpired(TaskId(dto.id)))
         }
 
         (Method::Post, "/workers") => {
             let worker = WorkerDto::from_json(&parse_body(request)?)?.into_worker()?;
             require_finite_point(worker.location.x, worker.location.y)?;
-            let buffered = shared.batcher.push(EngineEvent::WorkerCheckIn(worker));
-            shared.metrics.events_buffered.incr();
-            accepted_body(buffered)
+            buffer_event(shared, EngineEvent::WorkerCheckIn(worker))
         }
 
         (Method::Post, "/workers/heartbeat") => {
             let dto = HeartbeatDto::from_json(&parse_body(request)?)?;
             let to = require_finite_point(dto.x, dto.y)?;
-            let buffered = shared
-                .batcher
-                .push(EngineEvent::WorkerMoved(WorkerId(dto.id), to));
-            shared.metrics.events_buffered.incr();
-            accepted_body(buffered)
+            buffer_event(shared, EngineEvent::WorkerMoved(WorkerId(dto.id), to))
         }
 
         (Method::Post, "/workers/leave") => {
             let dto = IdDto::from_json(&parse_body(request)?)?;
-            let buffered = shared
-                .batcher
-                .push(EngineEvent::WorkerLeft(WorkerId(dto.id)));
-            shared.metrics.events_buffered.incr();
-            accepted_body(buffered)
+            buffer_event(shared, EngineEvent::WorkerLeft(WorkerId(dto.id)))
         }
 
         (Method::Post, "/answers") => {

@@ -320,6 +320,67 @@ fn auto_flush_assigns_without_explicit_ticks() {
 }
 
 #[test]
+fn a_posted_task_is_assigned_without_waiting_out_the_flush_interval() {
+    let server = Server::start(ServerConfig {
+        flush_interval: Duration::from_secs(3600),
+        ..manual_tick_config()
+    })
+    .expect("server must start");
+    let mut client = HttpClient::new(server.addr());
+    let (tasks, workers) = scenario();
+    let (task, worker) = (&tasks[0], &workers[0]);
+    for (path, body) in [("/workers", worker.to_json()), ("/tasks", task.to_json())] {
+        assert_eq!(client.post(path, &body).unwrap().status, 202);
+    }
+
+    // Only the arrivals themselves can have woken the flusher.
+    let started = Instant::now();
+    let mut pairs = Json::Arr(Vec::new());
+    while pairs.as_arr().unwrap().is_empty() && started.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(2));
+        pairs = client.get("/assignments").unwrap().json().unwrap();
+    }
+    let pair = pairs.as_arr().unwrap().first().expect("a pair within 5 s");
+    let pair = AssignmentDto::from_json(pair).unwrap();
+    assert_eq!((pair.task, pair.worker), (task.id, worker.id));
+    let metrics = client.get("/metrics").unwrap().json().unwrap();
+    let early = metrics.get("batching").and_then(|b| b.get("early_flushes"));
+    assert!(early.and_then(Json::as_num).unwrap() >= 1.0, "{early:?}");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn shed_events_are_not_counted_as_buffered() {
+    let server = Server::start(ServerConfig {
+        max_batch: 2,
+        max_buffered_events: 2,
+        ..manual_tick_config()
+    })
+    .expect("server must start");
+    let mut client = HttpClient::new(server.addr());
+    let heartbeat = Json::obj([
+        ("id", Json::Num(0.0)),
+        ("x", Json::Num(0.5)),
+        ("y", Json::Num(0.5)),
+    ]);
+    let mut statuses = Vec::new();
+    for _ in 0..3 {
+        let reply = client.post("/workers/heartbeat", &heartbeat).unwrap();
+        statuses.push(reply.status);
+    }
+    assert_eq!(statuses, [202, 202, 429]);
+    let metrics = client.get("/metrics").unwrap().json().unwrap();
+    let batching = metrics.get("batching").unwrap();
+    let buffered = batching.get("events_buffered").and_then(Json::as_num);
+    assert_eq!(buffered, Some(2.0));
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn bad_requests_get_400s_not_crashes() {
     let server = Server::start(manual_tick_config()).expect("server must start");
     let mut client = HttpClient::new(server.addr());
