@@ -1,46 +1,44 @@
-//! A thread-safe command facade over the assignment engine — single or
-//! region-partitioned.
+//! A thread-safe command facade over the region-partitioned engine.
 //!
 //! The engine itself is a plain `&mut self` state machine, which is right
 //! for the simulation driver but useless to a network server whose request
 //! handlers, micro-batch flusher and metrics scrapers all live on different
-//! threads. [`EngineHandle`] wraps one engine behind an `Arc<Mutex<_>>` and
-//! exposes a *command API* — submit a task, move a worker, expire a task,
-//! run a tick, query the standing assignments or a consistent snapshot —
-//! so any number of threads can drive the same live instance.
+//! threads. [`EngineHandle`] wraps one [`PartitionedEngine`] behind an
+//! `Arc<Mutex<_>>` and exposes a *command API* — submit a task, move a
+//! worker, expire a task, run a tick, query the standing assignments or a
+//! consistent snapshot — so any number of threads can drive the same live
+//! instance.
 //!
-//! The handle is **partition-aware**: it drives either a single
-//! [`AssignmentEngine`] ([`EngineHandle::new`]) or a
-//! [`PartitionedEngine`] running one
-//! engine per spatial region ([`EngineHandle::new_partitioned`]) behind the
-//! same command surface. Partition-specific introspection
-//! ([`EngineHandle::num_partitions`], [`EngineHandle::partition_snapshots`],
-//! [`EngineHandle::handoffs`]) degrades gracefully on a single engine.
+//! There is one serving core: the plain engine is the one-region topology.
+//! A [`PartitionedEngine`] with a single region is byte-identical to an
+//! [`AssignmentEngine`] fed the same events (see the determinism contract in
+//! [`crate::partition`]), so the handle always drives the router, whether
+//! it fronts one in-process region or many regions on threads and daemons.
 //!
 //! Design notes:
 //!
 //! * **Short critical sections.** Every command except [`EngineHandle::tick`]
-//!   holds the lock for `O(1)`-ish work (event submissions only push onto the
-//!   engine's pending queue). The tick holds it for the sharded solve, which
+//!   holds the lock for `O(1)`-ish work (event submissions only route onto
+//!   the partitions' pending queues). The tick holds it for the round, which
 //!   is the intended serialisation point: the engine's determinism contract
-//!   (per-`(tick, shard)` seeding) requires ticks to be totally ordered. On a
-//!   partitioned core the tick broadcast fans the solve out to the partition
-//!   threads, which run concurrently while the handle lock is held.
-//! * **Cumulative serving stats.** The handle counts events, ticks and
-//!   assignments across the engine's lifetime so a `/metrics` endpoint can
-//!   report totals without replaying tick reports.
+//!   (per-`(tick, shard)` seeding) requires ticks to be totally ordered. The
+//!   tick broadcast fans the solve out to the partition threads, which run
+//!   concurrently while the handle lock is held.
+//! * **Lifetime counters live with the partitions.** Each partition counts
+//!   its applied events and assignments, so [`EngineHandle::snapshot`]
+//!   reports totals without replaying tick reports.
 //! * **Cloning is sharing.** `EngineHandle::clone` hands out another handle
 //!   to the *same* engine, like `Arc`.
 
-use crate::engine::{AssignmentEngine, EngineObjective, TickReport};
-use crate::partition::PartitionedEngine;
+use crate::engine::{AssignmentEngine, EngineEvent, EngineObjective, TickReport};
+use crate::partition::{
+    PartitionHealth, PartitionTransport, PartitionedEngine, PromotionRecord, StandbyPromoter,
+};
 use rdbsc_geo::Point;
-use rdbsc_index::{GridIndex, MaintenanceCounters, SpatialIndex};
+use rdbsc_index::{MaintenanceCounters, SpatialIndex};
 use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{Contribution, Task, TaskId, Worker, WorkerId};
-use std::sync::{Arc, Mutex};
-
-use crate::engine::EngineEvent;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A consistent point-in-time view of the engine's serving state, cheap to
 /// take (no per-task work beyond the objective fold) and safe to expose on a
@@ -75,94 +73,10 @@ pub struct EngineSnapshot {
     pub wal: Option<crate::wal::WalStats>,
 }
 
-/// What the handle drives: one engine over the whole space, or one engine
-/// per region behind the partitioned router.
-// Both variants boxed: each holds hundreds of bytes of engine/router
-// state, and the enum sits inside every handle's mutex.
-enum Core<I: SpatialIndex> {
-    Single(Box<AssignmentEngine<I>>),
-    Partitioned(Box<PartitionedEngine>),
-}
-
-impl<I: SpatialIndex> Core<I> {
-    fn submit(&mut self, event: EngineEvent) {
-        match self {
-            Core::Single(engine) => engine.submit(event),
-            Core::Partitioned(engine) => engine.submit(event),
-        }
-    }
-
-    fn submit_all<E: IntoIterator<Item = EngineEvent>>(&mut self, events: E) {
-        match self {
-            Core::Single(engine) => engine.submit_all(events),
-            Core::Partitioned(engine) => engine.submit_all(events),
-        }
-    }
-
-    /// Runs one round and returns the report plus the trace id it ran
-    /// under. A partitioned core generates the id itself (it must reach the
-    /// partitions before their spans record); the single core gets one here
-    /// and synthesizes its stage spans from the report — the engine itself
-    /// stays tracing-free.
-    fn tick(&mut self, now: f64) -> (TickReport, u64) {
-        match self {
-            Core::Single(engine) => {
-                let trace = rdbsc_obs::next_trace_id();
-                let root = rdbsc_obs::span(trace, 0, "router.tick");
-                let report = engine.tick(now);
-                rdbsc_obs::record_stage_spans(trace, root.id(), &report.stages);
-                (report, trace)
-            }
-            Core::Partitioned(engine) => {
-                let report = engine.tick(now);
-                (report, engine.last_trace())
-            }
-        }
-    }
-
-    fn is_active(&mut self) -> bool {
-        match self {
-            Core::Single(engine) => {
-                engine.num_pending_events() > 0 || engine.num_tasks() > 0
-            }
-            Core::Partitioned(engine) => engine.is_active(),
-        }
-    }
-
-    fn record_answer(&mut self, worker: WorkerId, contribution: Contribution) -> bool {
-        match self {
-            Core::Single(engine) => engine.record_answer(worker, contribution),
-            Core::Partitioned(engine) => engine.record_answer(worker, contribution),
-        }
-    }
-
-    fn release_worker(&mut self, worker: WorkerId) {
-        match self {
-            Core::Single(engine) => engine.release_worker(worker),
-            Core::Partitioned(engine) => engine.release_worker(worker),
-        }
-    }
-
-    fn is_committed(&self, worker: WorkerId) -> bool {
-        match self {
-            Core::Single(engine) => engine.is_committed(worker),
-            Core::Partitioned(engine) => engine.is_committed(worker),
-        }
-    }
-
-    fn committed_assignments(&mut self) -> Vec<ValidPair> {
-        match self {
-            Core::Single(engine) => engine.committed_assignments(),
-            Core::Partitioned(engine) => engine.committed_assignments(),
-        }
-    }
-}
-
 impl EngineSnapshot {
     /// Captures an engine's serving state alongside the lifetime counters
-    /// its driver keeps (the handle for a single engine, each partition
-    /// thread for a partitioned one) — the one place the field wiring
-    /// lives, so the single and partitioned views cannot drift.
+    /// its partition keeps — the one place the field wiring lives, so every
+    /// transport's snapshot is built the same way.
     pub(crate) fn capture<I: SpatialIndex>(
         engine: &AssignmentEngine<I>,
         now: f64,
@@ -186,28 +100,24 @@ impl EngineSnapshot {
     }
 }
 
-struct Shared<I: SpatialIndex> {
-    core: Core<I>,
-    last_now: f64,
-    events_applied: u64,
-    total_assignments: u64,
-    /// Trace id of the most recent tick (0 before the first) — what
-    /// `/debug/spans` resolves by default.
-    last_trace: u64,
-}
-
-/// A clonable, thread-safe handle to a shared [`AssignmentEngine`].
+/// A clonable, thread-safe handle to a shared [`PartitionedEngine`].
 ///
 /// ```
+/// use rdbsc_cluster::RegionPartition;
 /// use rdbsc_geo::{AngleRange, Point, Rect};
+/// use rdbsc_index::geometry::GridGeometry;
 /// use rdbsc_index::GridIndex;
 /// use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
-/// use rdbsc_platform::engine::{AssignmentEngine, EngineConfig};
+/// use rdbsc_platform::engine::EngineConfig;
 /// use rdbsc_platform::handle::EngineHandle;
+/// use rdbsc_platform::PartitionedEngine;
 ///
-/// let handle = EngineHandle::new(AssignmentEngine::new(
-///     GridIndex::new(Rect::unit(), 0.25),
+/// // One region over the unit square: the plain engine's topology.
+/// let region = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.25));
+/// let handle = EngineHandle::new(PartitionedEngine::build(
+///     region,
 ///     EngineConfig::default(),
+///     |rect| GridIndex::new(rect, 0.25),
 /// ));
 /// handle.submit_task(Task::new(
 ///     TaskId(0),
@@ -224,64 +134,42 @@ struct Shared<I: SpatialIndex> {
 ///     )
 ///     .unwrap(),
 /// );
-/// let report = handle.tick(0.0);
+/// let (report, _trace) = handle.tick(0.0);
 /// assert_eq!(report.new_assignments.len(), 1);
 /// assert_eq!(handle.assignments().len(), 1);
 /// assert_eq!(handle.snapshot().total_assignments, 1);
 /// ```
-pub struct EngineHandle<I: SpatialIndex = GridIndex> {
-    shared: Arc<Mutex<Shared<I>>>,
+#[derive(Clone)]
+pub struct EngineHandle {
+    engine: Arc<Mutex<PartitionedEngine>>,
 }
 
-impl<I: SpatialIndex> Clone for EngineHandle<I> {
-    fn clone(&self) -> Self {
-        Self {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<I: SpatialIndex> EngineHandle<I> {
-    /// Wraps an engine (typically freshly constructed) in a shared handle.
-    pub fn new(engine: AssignmentEngine<I>) -> Self {
-        Self::with_core(Core::Single(Box::new(engine)))
-    }
-
-    /// Wraps a region-partitioned multi-engine
-    /// ([`PartitionedEngine`]) in a shared handle. The command API is
-    /// identical; events are routed by location, ticks run lockstep across
+impl EngineHandle {
+    /// Wraps a partitioned engine (typically freshly built) in a shared
+    /// handle: events are routed by location, ticks run lockstep across
     /// every partition, and queries return merged views.
-    pub fn new_partitioned(engine: PartitionedEngine) -> Self {
-        Self::with_core(Core::Partitioned(Box::new(engine)))
-    }
-
-    fn with_core(core: Core<I>) -> Self {
+    pub fn new(engine: PartitionedEngine) -> Self {
         Self {
-            shared: Arc::new(Mutex::new(Shared {
-                core,
-                last_now: 0.0,
-                events_applied: 0,
-                total_assignments: 0,
-                last_trace: 0,
-            })),
+            engine: Arc::new(Mutex::new(engine)),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Shared<I>> {
-        // A poisoned engine lock means a solver thread panicked mid-tick;
-        // the state may be mid-merge, so serving must stop rather than hand
-        // out corrupt assignments.
-        self.shared.lock().expect("engine lock poisoned")
+    fn lock(&self) -> MutexGuard<'_, PartitionedEngine> {
+        // A partition that panics is marked unhealthy by the router; a
+        // poisoned lock means the router itself panicked mid-command, so its
+        // routing state may be half-updated and serving must stop rather
+        // than hand out corrupt assignments.
+        self.engine.lock().expect("engine lock poisoned")
     }
 
     /// Queues a raw engine event for the next tick.
     pub fn submit(&self, event: EngineEvent) {
-        self.lock().core.submit(event);
+        self.lock().submit(event);
     }
 
     /// Queues many events (in order) for the next tick.
     pub fn submit_all<E: IntoIterator<Item = EngineEvent>>(&self, events: E) {
-        self.lock().core.submit_all(events);
+        self.lock().submit_all(events);
     }
 
     /// Command: a new task was posted.
@@ -312,206 +200,123 @@ impl<I: SpatialIndex> EngineHandle<I> {
     /// Command: an en-route worker delivered its answer. Returns `false`
     /// (and banks nothing) when the worker was not committed.
     pub fn record_answer(&self, worker: WorkerId, contribution: Contribution) -> bool {
-        self.lock().core.record_answer(worker, contribution)
+        self.lock().record_answer(worker, contribution)
     }
 
     /// Command: an en-route worker gave up; it becomes available again.
     pub fn release_worker(&self, worker: WorkerId) {
-        self.lock().core.release_worker(worker);
+        self.lock().release_worker(worker);
     }
 
-    /// Runs one engine round at time `now` (see [`AssignmentEngine::tick`]).
+    /// Runs one lockstep round at time `now` (see
+    /// [`PartitionedEngine::tick`]) and returns its report with the trace id
+    /// it ran under, both read under one lock acquisition — so the trace is
+    /// this round's even when another thread ticks right after.
     ///
     /// Ticks are serialised: concurrent callers run one after another, which
     /// is what the engine's per-`(tick, shard)` seeding needs.
-    pub fn tick(&self, now: f64) -> TickReport {
-        let mut shared = self.lock();
-        let (report, trace) = shared.core.tick(now);
-        shared.last_now = now;
-        shared.last_trace = trace;
-        shared.events_applied += report.events_applied as u64;
-        shared.total_assignments += report.new_assignments.len() as u64;
-        report
+    pub fn tick(&self, now: f64) -> (TickReport, u64) {
+        let mut engine = self.lock();
+        let report = engine.tick(now);
+        (report, engine.last_trace())
     }
 
-    /// Like [`EngineHandle::tick`], but skips (returning `None`) when the
-    /// engine has nothing to do — no pending events and no live tasks. This
-    /// keeps an idle serving loop from burning ticks (and advancing the
-    /// deterministic tick counter) while the platform is quiet. On a
-    /// partitioned core one active partition ticks all of them (ticks are
-    /// lockstep).
-    pub fn tick_if_active(&self, now: f64) -> Option<TickReport> {
-        let mut shared = self.lock();
-        if !shared.core.is_active() {
+    /// Like [`EngineHandle::tick`], but skips (returning `None`) when no
+    /// partition has anything to do — no pending events and no live tasks.
+    /// This keeps an idle serving loop from burning ticks (and advancing the
+    /// deterministic tick counter) while the platform is quiet. One active
+    /// partition ticks all of them (ticks are lockstep).
+    pub fn tick_if_active(&self, now: f64) -> Option<(TickReport, u64)> {
+        let mut engine = self.lock();
+        if !engine.is_active() {
             return None;
         }
-        let (report, trace) = shared.core.tick(now);
-        shared.last_now = now;
-        shared.last_trace = trace;
-        shared.events_applied += report.events_applied as u64;
-        shared.total_assignments += report.new_assignments.len() as u64;
-        Some(report)
+        let report = engine.tick(now);
+        Some((report, engine.last_trace()))
     }
 
     /// Query: the trace id of the most recent tick (`0` before the first).
-    /// [`rdbsc_obs::collect_spans`] on it returns that round's span tree —
-    /// on a partitioned core, including every in-process partition's spans.
+    /// [`rdbsc_obs::collect_spans`] on it returns that round's span tree,
+    /// including every in-process partition's spans.
     pub fn last_trace(&self) -> u64 {
-        self.lock().last_trace
+        self.lock().last_trace()
     }
 
     /// Query: is the worker currently en route?
     pub fn is_committed(&self, worker: WorkerId) -> bool {
-        self.lock().core.is_committed(worker)
+        self.lock().is_committed(worker)
     }
 
-    /// Query: the standing committed pairs — sorted by `(task, worker)` on
-    /// a single engine, by `(partition, task, worker)` on a partitioned one.
+    /// Query: the standing committed pairs, sorted by
+    /// `(partition, task, worker)`.
     pub fn assignments(&self) -> Vec<ValidPair> {
-        self.lock().core.committed_assignments()
+        self.lock().committed_assignments()
     }
 
-    /// Query: a consistent snapshot of the serving state (the merged
-    /// platform-wide view when partitioned).
+    /// Query: a consistent snapshot of the merged platform-wide serving
+    /// state.
     pub fn snapshot(&self) -> EngineSnapshot {
-        let mut shared = self.lock();
-        let shared = &mut *shared;
-        match &mut shared.core {
-            Core::Single(engine) => EngineSnapshot::capture(
-                engine,
-                shared.last_now,
-                shared.events_applied,
-                shared.total_assignments,
-            ),
-            Core::Partitioned(engine) => engine.snapshot(),
-        }
+        self.lock().snapshot()
     }
 
-    /// Query: the number of partitions behind this handle (1 for a plain
-    /// single-engine handle).
+    /// Query: the number of partitions behind this handle.
     pub fn num_partitions(&self) -> usize {
-        match &self.lock().core {
-            Core::Single(_) => 1,
-            Core::Partitioned(engine) => engine.num_partitions(),
-        }
+        self.lock().num_partitions()
     }
 
-    /// Query: one snapshot per partition, in partition order (a single
-    /// engine reports itself as its only partition).
+    /// Query: one snapshot per surviving partition, in partition order.
     pub fn partition_snapshots(&self) -> Vec<EngineSnapshot> {
-        {
-            let mut shared = self.lock();
-            if let Core::Partitioned(engine) = &mut shared.core {
-                return engine.partition_snapshots();
-            }
-        } // release the lock before snapshot() re-takes it
-        vec![self.snapshot()]
+        self.lock().partition_snapshots()
     }
 
-    /// Query: cross-partition worker handoffs performed so far (0 on a
-    /// single engine).
+    /// Query: cross-partition worker handoffs performed so far.
     pub fn handoffs(&self) -> u64 {
-        match &self.lock().core {
-            Core::Single(_) => 0,
-            Core::Partitioned(engine) => engine.handoffs(),
-        }
+        self.lock().handoffs()
     }
 
     /// Query: each partition's transport identity (backend kind, endpoint)
-    /// plus its protocol counters — empty on a single engine, which has no
-    /// partition protocol in the path.
-    pub fn partition_transports(&self) -> Vec<crate::partition::PartitionTransport> {
-        match &self.lock().core {
-            Core::Single(_) => Vec::new(),
-            Core::Partitioned(engine) => engine.transport_stats(),
-        }
+    /// plus its protocol counters.
+    pub fn partition_transports(&self) -> Vec<PartitionTransport> {
+        self.lock().transport_stats()
     }
 
-    /// Query: the partitions the router has marked lost (empty on a single
-    /// engine and on a fully healthy topology) — see the failure model in
-    /// [`crate::partition`].
-    pub fn unhealthy_partitions(&self) -> Vec<crate::partition::PartitionHealth> {
-        match &self.lock().core {
-            Core::Single(_) => Vec::new(),
-            Core::Partitioned(engine) => engine.unhealthy_partitions(),
-        }
+    /// Query: the partitions the router has marked lost (empty on a fully
+    /// healthy topology) — see the failure model in [`crate::partition`].
+    pub fn unhealthy_partitions(&self) -> Vec<PartitionHealth> {
+        self.lock().unhealthy_partitions()
     }
 
-    /// Query: events routed to a lost partition and dropped (always 0 on a
-    /// single engine).
+    /// Query: events routed to a lost partition and dropped.
     pub fn events_dropped(&self) -> u64 {
-        match &self.lock().core {
-            Core::Single(_) => 0,
-            Core::Partitioned(engine) => engine.events_dropped(),
-        }
+        self.lock().events_dropped()
     }
 
-    /// Arms a standby promoter on a partitioned slot: the first transport
-    /// failure there fails over to the standby instead of degrading — see
-    /// the failure model in [`crate::partition`].
-    ///
-    /// # Panics
-    ///
-    /// On a single-engine handle or an out-of-range slot.
-    pub fn set_standby_promoter(
-        &self,
-        slot: usize,
-        promoter: Box<dyn crate::partition::StandbyPromoter>,
-    ) {
-        match &mut self.lock().core {
-            Core::Single(_) => {
-                panic!("standby promotion is only available on a partitioned handle")
-            }
-            Core::Partitioned(engine) => engine.set_standby_promoter(slot, promoter),
-        }
+    /// Arms a standby promoter on a slot: the first transport failure there
+    /// fails over to the standby instead of degrading — see the failure
+    /// model in [`crate::partition`]. Panics on an out-of-range slot.
+    pub fn set_standby_promoter(&self, slot: usize, promoter: Box<dyn StandbyPromoter>) {
+        self.lock().set_standby_promoter(slot, promoter);
     }
 
-    /// Query: completed standby promotions, in the order they happened
-    /// (empty on a single engine) — what `/metrics` renders under
-    /// `partitions_promoted`.
-    pub fn promotions(&self) -> Vec<crate::partition::PromotionRecord> {
-        match &self.lock().core {
-            Core::Single(_) => Vec::new(),
-            Core::Partitioned(engine) => engine.promotions().to_vec(),
-        }
+    /// Query: completed standby promotions, in the order they happened —
+    /// what `/metrics` renders under `partitions_promoted`.
+    pub fn promotions(&self) -> Vec<PromotionRecord> {
+        self.lock().promotions().to_vec()
     }
 
-    /// Query: slots with a standby currently armed (0 on a single engine).
+    /// Query: slots with a standby currently armed.
     pub fn standbys_armed(&self) -> usize {
-        match &self.lock().core {
-            Core::Single(_) => 0,
-            Core::Partitioned(engine) => engine.standbys_armed(),
-        }
+        self.lock().standbys_armed()
     }
 
-    /// Gracefully shuts down a partitioned core: ships buffered routed
-    /// events, runs one final drain tick (so nothing queued is dropped and
-    /// deferred handoffs resolve), then drains and stops every partition —
-    /// including remote daemons, which exit on their shutdown command.
-    /// Returns the final merged snapshot, or `None` on a single-engine
-    /// handle (whose engine needs no teardown). Commands issued after this
-    /// panic; it is the last call on a serving topology.
-    pub fn shutdown_partitions(&self) -> Option<EngineSnapshot> {
-        match &mut self.lock().core {
-            Core::Single(_) => None,
-            Core::Partitioned(engine) => Some(engine.shutdown()),
-        }
-    }
-
-    /// Runs a closure with the locked engine, for callers that need an
-    /// operation the command API does not cover (tests, admin endpoints).
-    ///
-    /// # Panics
-    ///
-    /// On a partitioned handle — the engines live on their own threads and
-    /// cannot be borrowed; use the command API instead.
-    pub fn with_engine<R>(&self, f: impl FnOnce(&mut AssignmentEngine<I>) -> R) -> R {
-        match &mut self.lock().core {
-            Core::Single(engine) => f(engine),
-            Core::Partitioned(_) => {
-                panic!("with_engine is only available on a single-engine handle")
-            }
-        }
+    /// Gracefully shuts the topology down: ships buffered routed events,
+    /// runs one final drain tick (so nothing queued is dropped and deferred
+    /// handoffs resolve), then drains and stops every partition — including
+    /// remote daemons, which exit on their shutdown command. Returns the
+    /// final merged snapshot. Commands issued after this panic; it is the
+    /// last call on a serving topology.
+    pub fn shutdown_partitions(&self) -> EngineSnapshot {
+        self.lock().shutdown()
     }
 }
 
@@ -519,15 +324,24 @@ impl<I: SpatialIndex> EngineHandle<I> {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use rdbsc_cluster::RegionPartition;
     use rdbsc_geo::{AngleRange, Rect};
-    use rdbsc_index::GridIndex;
+    use rdbsc_index::geometry::GridGeometry;
+    use rdbsc_index::{FlatGridIndex, GridIndex};
     use rdbsc_model::{Confidence, TimeWindow};
 
-    fn handle() -> EngineHandle {
-        EngineHandle::new(AssignmentEngine::new(
-            GridIndex::new(Rect::unit(), 0.2),
+    /// A one-region handle whose region indexes with `make_index`.
+    fn one_region<I: SpatialIndex + 'static>(make_index: fn(Rect) -> I) -> EngineHandle {
+        let region = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.2));
+        EngineHandle::new(PartitionedEngine::build(
+            region,
             EngineConfig::default(),
+            make_index,
         ))
+    }
+
+    fn handle() -> EngineHandle {
+        one_region(|rect| GridIndex::new(rect, 0.2))
     }
 
     fn task(id: u32, x: f64, y: f64) -> Task {
@@ -550,7 +364,7 @@ mod tests {
         let h = handle();
         h.submit_task(task(0, 0.6, 0.6));
         h.check_in(worker(0, 0.5, 0.5));
-        let report = h.tick(0.0);
+        let (report, _) = h.tick(0.0);
         assert_eq!(report.new_assignments.len(), 1);
         let pair = report.new_assignments[0];
         assert!(h.is_committed(pair.worker));
@@ -567,23 +381,23 @@ mod tests {
         assert_eq!(snap.banked_answers, 1);
         assert!(snap.objective.min_reliability > 0.0);
         assert!(snap.index_counters.tcell_rebuilds > 0);
+        assert_eq!(h.num_partitions(), 1);
+        assert_eq!(h.handoffs(), 0);
     }
 
     #[test]
     fn handle_drives_the_reference_and_the_serving_index_alike() {
-        use rdbsc_index::FlatGridIndex;
-        fn drive<I: SpatialIndex>(index: I) -> (TickReport, EngineSnapshot) {
-            let h = EngineHandle::new(AssignmentEngine::new(index, EngineConfig::default()));
+        fn drive(h: EngineHandle) -> (TickReport, EngineSnapshot) {
             h.submit_task(task(0, 0.6, 0.6));
             h.check_in(worker(0, 0.5, 0.5));
             h.check_in(worker(1, 0.1, 0.9));
             h.tick(0.0);
             h.move_worker(WorkerId(1), Point::new(0.7, 0.7));
-            let report = h.tick(0.1);
+            let (report, _) = h.tick(0.1);
             (report, h.snapshot())
         }
-        let (grid_report, mut grid) = drive(GridIndex::new(Rect::unit(), 0.2));
-        let (flat_report, mut flat) = drive(FlatGridIndex::new(Rect::unit(), 0.2));
+        let (grid_report, mut grid) = drive(handle());
+        let (flat_report, mut flat) = drive(one_region(|rect| FlatGridIndex::new(rect, 0.2)));
         assert_eq!(grid_report.new_assignments, flat_report.new_assignments);
         assert_eq!(grid.total_assignments, 2);
         // The repair counters are each implementation's own cost, not part
@@ -609,6 +423,32 @@ mod tests {
         h.expire_task(TaskId(0));
         assert!(h.tick_if_active(0.3).is_some()); // applies the expiration
         assert!(h.tick_if_active(0.4).is_none()); // now truly idle
+    }
+
+    #[test]
+    fn every_tick_returns_its_own_trace() {
+        let h = handle();
+        h.submit_task(task(0, 0.6, 0.6));
+        let mut seen = Vec::new();
+        for round in 0..4 {
+            h.check_in(worker(round, 0.5, 0.5));
+            let (_, trace) = if round % 2 == 0 {
+                h.tick(f64::from(round))
+            } else {
+                h.tick_if_active(f64::from(round))
+                    .expect("a live task keeps it active")
+            };
+            assert_ne!(trace, 0);
+            assert!(!seen.contains(&trace), "round {round} reused a trace");
+            assert_eq!(h.last_trace(), trace);
+            seen.push(trace);
+
+            let spans = rdbsc_obs::collect_spans(trace);
+            let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+            let root = spans.iter().find(|s| s.name == "router.tick");
+            assert_eq!(root.map(|s| s.parent), Some(0), "{names:?}");
+            assert!(names.contains(&"partition.tick"), "{names:?}");
+        }
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! boundaries. The [`protocol`] module defines the **partition command
 //! protocol** the router speaks — an object-safe [`PartitionClient`] trait
 //! whose backends host a partition's engine on a local thread
-//! ([`protocol::InProcessClient`]) or, via `rdbsc-server`'s HTTP backend
-//! and the `rdbsc-partitiond` daemon, in another process or on another
-//! host. The [`handle`] module wraps either form in a thread-safe
+//! ([`protocol::InProcessClient`]) or, via `rdbsc-server`'s binary frame
+//! backend and the `rdbsc-partitiond` daemon, in another process or on
+//! another host. The [`handle`] module wraps a [`PartitionedEngine`] — one
+//! region is the plain engine's topology — in a thread-safe
 //! [`EngineHandle`] command API so network servers (see the `rdbsc-server`
 //! crate) and other multi-threaded drivers can share one live instance.
 //! The [`wal`] module makes a partition durable: an append-only segmented

@@ -187,9 +187,10 @@ pub struct PartitionTransport {
 /// through a [`PartitionClient`] (see the [module docs](self) for the
 /// architecture, the handoff protocol and the determinism contract).
 ///
-/// The API deliberately mirrors the single engine's — `submit`, `tick`,
-/// `record_answer`, `committed_assignments` — so
-/// [`crate::handle::EngineHandle`] can drive either interchangeably.
+/// The API mirrors the plain engine's — `submit`, `tick`, `record_answer`,
+/// `committed_assignments` — and with one region it *is* the plain engine,
+/// byte for byte, which is why [`crate::handle::EngineHandle`] drives
+/// nothing else.
 pub struct PartitionedEngine {
     partition: RegionPartition,
     clients: Vec<Box<dyn PartitionClient>>,
@@ -798,10 +799,9 @@ impl PartitionedEngine {
         merged
     }
 
-    /// Does any partition have pending events or live tasks? (The partitioned
-    /// analogue of the idle check behind
-    /// [`crate::handle::EngineHandle::tick_if_active`]; ticks stay lockstep,
-    /// so one active partition ticks all of them.)
+    /// Does any partition have pending events or live tasks? (The idle
+    /// check behind [`crate::handle::EngineHandle::tick_if_active`]; ticks
+    /// stay lockstep, so one active partition ticks all of them.)
     pub fn is_active(&mut self) -> bool {
         for slot in 0..self.clients.len() {
             if !self.healthy(slot) {
@@ -1673,5 +1673,42 @@ mod tests {
         assert_eq!(final_snapshot.pending_events, 0, "handoff events were applied");
         assert_eq!(final_snapshot.banked_answers, 1);
         assert_eq!(final_snapshot.live_workers, 1);
+    }
+
+    #[test]
+    fn merging_one_snapshot_is_the_identity() {
+        // One region's snapshot is what a one-region topology reports, so
+        // the merge must hand it back unchanged: idle and covered,
+        // non-durable and durable.
+        let mut split = partitioned(1);
+        let idle = split.snapshot();
+        assert_eq!(idle.objective.covered_tasks, 0);
+        split.submit_all(two_sided_events());
+        let pair = split.tick(0.0).new_assignments[0];
+        assert!(split.record_answer(pair.worker, pair.contribution));
+        split.tick(0.5);
+        let covered = split.partition_snapshots().remove(0);
+        assert!(covered.objective.covered_tasks > 0);
+        assert!(covered.objective.total_std > 0.0);
+        let wal = crate::wal::WalStats {
+            segments: 2,
+            segments_retired: 1,
+            bytes_appended: 4096,
+            records_appended: 17,
+            fsyncs: 9,
+            checkpoints: 1,
+            last_checkpoint_tick: 64,
+            recovered_records: 3,
+            recovered_checkpoint: true,
+        };
+        for snapshot in [idle, covered] {
+            let durable = EngineSnapshot {
+                wal: Some(wal),
+                ..snapshot.clone()
+            };
+            for s in [snapshot, durable] {
+                assert_eq!(merge_snapshots(std::slice::from_ref(&s)), s);
+            }
+        }
     }
 }

@@ -24,7 +24,6 @@
 //! verification uses.
 
 use crate::metrics::ServerMetrics;
-use rdbsc_index::SpatialIndex;
 use rdbsc_platform::{EngineEvent, EngineHandle, TickReport};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -148,12 +147,9 @@ impl MicroBatcher {
     }
 
     /// Drains the buffer into the engine and runs one tick at `now`,
-    /// regardless of the flush policy (the manual-tick path).
-    pub fn flush_and_tick<I: SpatialIndex>(
-        &self,
-        handle: &EngineHandle<I>,
-        now: f64,
-    ) -> TickReport {
+    /// regardless of the flush policy (the manual-tick path). Returns the
+    /// round's report with its trace id (see [`EngineHandle::tick`]).
+    pub fn flush_and_tick(&self, handle: &EngineHandle, now: f64) -> (TickReport, u64) {
         let events = self.drain();
         if !events.is_empty() {
             handle.submit_all(events);
@@ -208,9 +204,9 @@ impl MicroBatcher {
 /// on an arrival, a full batch or the `interval` (see the module docs),
 /// until `stop` is raised, then does one final drain-and-tick so no accepted
 /// event is lost on shutdown.
-pub fn run_flusher<I: SpatialIndex>(
+pub fn run_flusher(
     batcher: Arc<MicroBatcher>,
-    handle: EngineHandle<I>,
+    handle: EngineHandle,
     clock: Clock,
     interval: Duration,
     stop: Arc<AtomicBool>,
@@ -228,7 +224,7 @@ pub fn run_flusher<I: SpatialIndex>(
             handle.submit_all(events);
         }
         let tick_started = Instant::now();
-        if let Some(report) = handle.tick_if_active(clock.now()) {
+        if let Some((report, trace)) = handle.tick_if_active(clock.now()) {
             metrics.batch_flushes.incr();
             if trigger == Trigger::Arrival {
                 metrics.batch_flushes_early.incr();
@@ -236,7 +232,7 @@ pub fn run_flusher<I: SpatialIndex>(
             let elapsed = tick_started.elapsed();
             metrics.tick_latency.record(elapsed);
             metrics.observe_tick(
-                handle.last_trace(),
+                trace,
                 report.now,
                 elapsed.as_micros().min(u64::MAX as u128) as u64,
                 &report.stages,
@@ -256,15 +252,18 @@ pub fn run_flusher<I: SpatialIndex>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdbsc_cluster::RegionPartition;
     use rdbsc_geo::{AngleRange, Point, Rect};
+    use rdbsc_index::geometry::GridGeometry;
     use rdbsc_index::GridIndex;
     use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
-    use rdbsc_platform::{AssignmentEngine, EngineConfig};
+    use rdbsc_platform::{EngineConfig, PartitionedEngine};
 
     fn handle() -> EngineHandle {
-        EngineHandle::new(AssignmentEngine::new(
-            GridIndex::new(Rect::unit(), 0.2),
+        EngineHandle::new(PartitionedEngine::build(
+            RegionPartition::single(GridGeometry::new(Rect::unit(), 0.2)),
             EngineConfig::default(),
+            |rect| GridIndex::new(rect, 0.2),
         ))
     }
 
@@ -296,7 +295,7 @@ mod tests {
         batcher.push(arrival(0)).unwrap();
         batcher.push(check_in(0)).unwrap();
         assert_eq!(batcher.len(), 2);
-        let report = batcher.flush_and_tick(&h, 0.0);
+        let (report, _) = batcher.flush_and_tick(&h, 0.0);
         assert!(batcher.is_empty());
         assert_eq!(report.events_applied, 2);
         assert_eq!(report.new_assignments.len(), 1);

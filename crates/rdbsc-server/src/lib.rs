@@ -21,7 +21,9 @@
 //!                                                ▼                ▼
 //!                                          EngineHandle  ◄────────┘
 //!                                                ▼
-//!                                  sharded parallel solve (tick)
+//!                              region router (1 region by default)
+//!                                                ▼
+//!                        per-region sharded parallel solve (tick)
 //! ```
 //!
 //! ## Routes

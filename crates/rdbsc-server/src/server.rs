@@ -8,14 +8,15 @@
 //!                              queries ────────────────► EngineHandle
 //! ```
 //!
-//! The engine behind the handle is chosen by [`ServerConfig`]: one engine
-//! over the whole area, an in-process region-partitioned multi-engine
-//! (`partitions > 1`), or — with [`ServerConfig::remote_partitions`] — a
-//! **mixed topology** where some regions are served by `rdbsc-partitiond`
-//! daemons over the partition protocol and the rest stay in-process. With
-//! every region remote the server is a *thin stateless router*: all engine
-//! state lives in the daemons, and the tier can be restarted or scaled out
-//! independently of them.
+//! The handle always drives the region router; [`ServerConfig`] chooses its
+//! regions: one in-process region over the whole area (the default — the
+//! plain engine's topology), `partitions > 1` in-process regions, or — with
+//! [`ServerConfig::remote_partitions`] — a **mixed topology** where some
+//! regions are served by `rdbsc-partitiond` daemons over the partition
+//! protocol and the rest stay in-process. With every region remote the
+//! server is a *thin stateless router*: all engine state lives in the
+//! daemons, and the tier can be restarted or scaled out independently of
+//! them.
 
 use crate::batch::{run_flusher, Clock, MicroBatcher};
 use crate::dto::{
@@ -83,11 +84,13 @@ pub struct ServerConfig {
     pub area: Rect,
     /// Grid-index cell size.
     pub cell_size: f64,
-    /// Number of spatial partitions to serve. `1` (the default) runs the
-    /// classic single engine; `N > 1` runs one engine per region behind the
-    /// partitioned router (uniform grid-cell-aligned regions — the server
-    /// has no workload sample at boot), with events routed by location and
-    /// workers handed off across region boundaries.
+    /// Number of spatial partitions to serve: one engine per region behind
+    /// the region router (uniform grid-cell-aligned regions — the server has
+    /// no workload sample at boot), with events routed by location and
+    /// workers handed off across region boundaries. `1` (the default) is one
+    /// in-process region over the whole area, byte-identical to a plain
+    /// engine. At most one region per grid cell: a larger count fails the
+    /// build.
     pub partitions: usize,
     /// Addresses of `rdbsc-partitiond` daemons serving regions remotely
     /// over the partition protocol. The k-th address serves region k;
@@ -111,10 +114,9 @@ pub struct ServerConfig {
     pub engine: EngineConfig,
     /// Data directory for durable in-process partitions. When set, every
     /// in-process region runs behind a write-ahead log under
-    /// `{data_dir}/part-NNNN/` and recovers its state on boot (a single
-    /// engine is served as a 1-partition topology, which the determinism
-    /// contract makes byte-identical). `None` (the default) serves
-    /// non-durably; remote daemons manage their own `--data-dir`.
+    /// `{data_dir}/part-NNNN/` and recovers its state on boot. `None` (the
+    /// default) serves non-durably; remote daemons manage their own
+    /// `--data-dir`.
     pub data_dir: Option<std::path::PathBuf>,
     /// Write-ahead-log knobs for durable partitions — applied to in-process
     /// regions when [`data_dir`](Self::data_dir) is set, and pushed to
@@ -164,17 +166,22 @@ impl ServerConfig {
         }
     }
 
-    /// Builds the engine handle this configuration describes: a single
-    /// engine over the whole area, or — with
-    /// [`partitions`](Self::partitions) `> 1` or any
-    /// [`remote_partitions`](Self::remote_partitions) — one engine per
-    /// uniform grid-cell-aligned region behind the partitioned router,
-    /// each region in-process or on a remote daemon. Exposed so embedders
-    /// can construct the engine the server would serve.
+    /// Builds the engine handle this configuration describes: one engine
+    /// per uniform grid-cell-aligned region behind the region router, each
+    /// region in-process or on a remote daemon. Exposed so embedders can
+    /// construct the engine the server would serve.
     ///
     /// Connecting remote partitions performs the protocol handshake and
     /// configure; an unreachable or incompatible daemon fails the build.
-    pub fn build_handle(&self) -> Result<EngineHandle<FlatGridIndex>, ServerError> {
+    pub fn build_handle(&self) -> Result<EngineHandle, ServerError> {
+        let geometry = GridGeometry::new(self.area, self.cell_size);
+        if self.partitions > geometry.num_cells() {
+            return Err(ServerError::Conflict(format!(
+                "{} partitions requested but the grid has only {} cells",
+                self.partitions,
+                geometry.num_cells()
+            )));
+        }
         if self.remote_partitions.len() > self.partitions {
             return Err(ServerError::Conflict(format!(
                 "{} remote partitions named but only {} partitions configured",
@@ -197,14 +204,6 @@ impl ServerConfig {
                 )));
             }
         }
-        if self.partitions <= 1 && self.remote_partitions.is_empty() && self.data_dir.is_none()
-        {
-            return Ok(EngineHandle::new(AssignmentEngine::new(
-                FlatGridIndex::new(self.area, self.cell_size),
-                self.engine.clone(),
-            )));
-        }
-        let geometry = GridGeometry::new(self.area, self.cell_size);
         let partition =
             RegionPartitioner::uniform().split(geometry, self.partitions, &[]);
         let mut clients: Vec<Box<dyn PartitionClient>> =
@@ -245,7 +244,7 @@ impl ServerConfig {
                 clients.push(Box::new(InProcessClient::spawn(region, engine)));
             }
         }
-        let handle = EngineHandle::new_partitioned(PartitionedEngine::new(
+        let handle = EngineHandle::new(PartitionedEngine::new(
             partition.clone(),
             clients,
         ));
@@ -282,7 +281,7 @@ pub struct Server {
 }
 
 struct Shared {
-    handle: EngineHandle<FlatGridIndex>,
+    handle: EngineHandle,
     batcher: Arc<MicroBatcher>,
     metrics: Arc<ServerMetrics>,
     clock: Clock,
@@ -305,7 +304,7 @@ impl Shared {
 }
 
 impl Server {
-    /// Builds a fresh engine from the config — single, partitioned, or a
+    /// Builds a fresh engine from the config — one region, several, or a
     /// mixed local/remote partition topology — and starts serving on
     /// `config.addr`.
     pub fn start(config: ServerConfig) -> Result<Server, ServerError> {
@@ -373,7 +372,7 @@ impl Server {
     }
 
     /// The engine handle the server is driving.
-    pub fn handle(&self) -> &EngineHandle<FlatGridIndex> {
+    pub fn handle(&self) -> &EngineHandle {
         &self.shared.handle
     }
 
@@ -391,8 +390,8 @@ impl Server {
     /// Waits for every server thread to exit, then tears the engine topology
     /// down in drain order: any
     /// event a request thread buffered after the flusher's final drain is
-    /// handed to the engine, and a partitioned core runs one final drain
-    /// tick before its partitions (local threads *and* remote daemons) are
+    /// handed to the engine, and the router runs one final drain tick
+    /// before its partitions (local threads *and* remote daemons) are
     /// stopped, so nothing accepted is dropped. Call [`Server::shutdown`]
     /// first (or this blocks until someone hits `POST /admin/shutdown`).
     pub fn join(self) {
@@ -456,12 +455,7 @@ fn router_prom(shared: &Shared) -> String {
     shared.metrics.render_prom_into(&mut w);
 
     let snapshots = shared.handle.partition_snapshots();
-    let merged = if snapshots.len() == 1 {
-        snapshots[0].clone()
-    } else {
-        merge_snapshots(&snapshots)
-    };
-    crate::metrics::snapshot_to_prom(&mut w, &merged);
+    crate::metrics::snapshot_to_prom(&mut w, &merge_snapshots(&snapshots));
 
     let transports = shared.handle.partition_transports();
     w.gauge(
@@ -501,43 +495,41 @@ fn router_prom(shared: &Shared) -> String {
             shared.handle.handoffs(),
         );
     }
-    if !transports.is_empty() {
-        w.counter(
-            "partition_commands_total",
-            "Partition protocol commands completed, all transports",
-            transports.iter().map(|t| t.stats.requests).sum(),
-        );
-        w.counter(
-            "partition_retries_total",
-            "Stale keep-alive retries, all transports",
-            transports.iter().map(|t| t.stats.retries).sum(),
-        );
-        w.counter(
-            "partition_reconnects_total",
-            "Transport reconnects, all transports",
-            transports.iter().map(|t| t.stats.reconnects).sum(),
-        );
-        w.counter(
-            "partition_bytes_sent_total",
-            "Bytes sent to partitions, all transports",
-            transports.iter().map(|t| t.stats.bytes_sent).sum(),
-        );
-        w.counter(
-            "partition_bytes_received_total",
-            "Bytes received from partitions, all transports",
-            transports.iter().map(|t| t.stats.bytes_received).sum(),
-        );
-        w.counter(
-            "partition_frames_sent_total",
-            "Binary frames sent to partitions (binary transport only)",
-            transports.iter().map(|t| t.stats.frames_sent).sum(),
-        );
-        w.counter(
-            "partition_frames_received_total",
-            "Binary frames received from partitions (binary transport only)",
-            transports.iter().map(|t| t.stats.frames_received).sum(),
-        );
-    }
+    w.counter(
+        "partition_commands_total",
+        "Partition protocol commands completed, all transports",
+        transports.iter().map(|t| t.stats.requests).sum(),
+    );
+    w.counter(
+        "partition_retries_total",
+        "Stale keep-alive retries, all transports",
+        transports.iter().map(|t| t.stats.retries).sum(),
+    );
+    w.counter(
+        "partition_reconnects_total",
+        "Transport reconnects, all transports",
+        transports.iter().map(|t| t.stats.reconnects).sum(),
+    );
+    w.counter(
+        "partition_bytes_sent_total",
+        "Bytes sent to partitions, all transports",
+        transports.iter().map(|t| t.stats.bytes_sent).sum(),
+    );
+    w.counter(
+        "partition_bytes_received_total",
+        "Bytes received from partitions, all transports",
+        transports.iter().map(|t| t.stats.bytes_received).sum(),
+    );
+    w.counter(
+        "partition_frames_sent_total",
+        "Binary frames sent to partitions (binary transport only)",
+        transports.iter().map(|t| t.stats.frames_sent).sum(),
+    );
+    w.counter(
+        "partition_frames_received_total",
+        "Binary frames received from partitions (binary transport only)",
+        transports.iter().map(|t| t.stats.frames_received).sum(),
+    );
     w.into_string()
 }
 
@@ -568,14 +560,9 @@ fn route(
                 // merge_snapshots also covers the 0-snapshot case (every
                 // partition lost): the merged view degrades to zeros rather
                 // than panicking the metrics scrape.
-                let merged = if snapshots.len() == 1 {
-                    snapshots[0].clone()
-                } else {
-                    merge_snapshots(&snapshots)
-                };
                 map.insert(
                     "engine".to_string(),
-                    SnapshotDto::from_snapshot(&merged).to_json(),
+                    SnapshotDto::from_snapshot(&merge_snapshots(&snapshots)).to_json(),
                 );
                 map.insert(
                     "partitions_count".to_string(),
@@ -591,43 +578,41 @@ fn route(
                         transports.iter().filter(|t| t.kind != "in-process").count() as f64,
                     ),
                 );
-                if !transports.is_empty() {
-                    let entries = transports
-                        .iter()
-                        .map(|t| {
-                            Json::obj([
-                                ("partition", Json::Num(t.partition as f64)),
-                                ("kind", Json::Str(t.kind.to_string())),
-                                ("endpoint", Json::Str(t.endpoint.clone())),
-                                ("requests", Json::Num(t.stats.requests as f64)),
-                                ("retries", Json::Num(t.stats.retries as f64)),
-                                ("reconnects", Json::Num(t.stats.reconnects as f64)),
-                                ("bytes_sent", Json::Num(t.stats.bytes_sent as f64)),
-                                (
-                                    "bytes_received",
-                                    Json::Num(t.stats.bytes_received as f64),
-                                ),
-                                ("frames_sent", Json::Num(t.stats.frames_sent as f64)),
-                                (
-                                    "frames_received",
-                                    Json::Num(t.stats.frames_received as f64),
-                                ),
-                                (
-                                    "command_latency",
-                                    Json::obj([
-                                        ("p50_us", Json::Num(t.stats.latency_p50_us)),
-                                        ("p99_us", Json::Num(t.stats.latency_p99_us)),
-                                        (
-                                            "max_us",
-                                            Json::Num(t.stats.latency_max_us as f64),
-                                        ),
-                                    ]),
-                                ),
-                            ])
-                        })
-                        .collect();
-                    map.insert("transports".to_string(), Json::Arr(entries));
-                }
+                let entries = transports
+                    .iter()
+                    .map(|t| {
+                        Json::obj([
+                            ("partition", Json::Num(t.partition as f64)),
+                            ("kind", Json::Str(t.kind.to_string())),
+                            ("endpoint", Json::Str(t.endpoint.clone())),
+                            ("requests", Json::Num(t.stats.requests as f64)),
+                            ("retries", Json::Num(t.stats.retries as f64)),
+                            ("reconnects", Json::Num(t.stats.reconnects as f64)),
+                            ("bytes_sent", Json::Num(t.stats.bytes_sent as f64)),
+                            (
+                                "bytes_received",
+                                Json::Num(t.stats.bytes_received as f64),
+                            ),
+                            ("frames_sent", Json::Num(t.stats.frames_sent as f64)),
+                            (
+                                "frames_received",
+                                Json::Num(t.stats.frames_received as f64),
+                            ),
+                            (
+                                "command_latency",
+                                Json::obj([
+                                    ("p50_us", Json::Num(t.stats.latency_p50_us)),
+                                    ("p99_us", Json::Num(t.stats.latency_p99_us)),
+                                    (
+                                        "max_us",
+                                        Json::Num(t.stats.latency_max_us as f64),
+                                    ),
+                                ]),
+                            ),
+                        ])
+                    })
+                    .collect();
+                map.insert("transports".to_string(), Json::Arr(entries));
                 // Partition health: how many regions the router has lost,
                 // which, and how many routed events were dropped for them —
                 // the serving-tier view of the failure model in
@@ -825,12 +810,12 @@ fn route(
                 });
             }
             let tick_started = std::time::Instant::now();
-            let report = shared.batcher.flush_and_tick(&shared.handle, now);
+            let (report, trace) = shared.batcher.flush_and_tick(&shared.handle, now);
             shared.metrics.batch_flushes.incr();
             let elapsed = tick_started.elapsed();
             shared.metrics.tick_latency.record(elapsed);
             shared.metrics.observe_tick(
-                shared.handle.last_trace(),
+                trace,
                 report.now,
                 elapsed.as_micros().min(u64::MAX as u128) as u64,
                 &report.stages,
@@ -880,5 +865,33 @@ fn route(
                 Err(ServerError::NotFound(path.to_string()))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn more_partitions_than_grid_cells_is_refused() {
+        // A 2 × 2 grid holds at most four regions; a fifth would be clamped
+        // away by the splitter, silently serving fewer regions than named.
+        let config = ServerConfig {
+            cell_size: 0.5,
+            partitions: 5,
+            ..ServerConfig::default()
+        };
+        match config.build_handle() {
+            Err(ServerError::Conflict(message)) => {
+                assert!(message.contains('5') && message.contains('4'), "{message}");
+            }
+            Err(other) => panic!("expected a conflict, got {other}"),
+            Ok(handle) => panic!("built {} regions", handle.num_partitions()),
+        }
+        let four = ServerConfig {
+            partitions: 4,
+            ..config
+        };
+        assert_eq!(four.build_handle().unwrap().num_partitions(), 4);
     }
 }

@@ -94,29 +94,26 @@ fn server_matches_offline_engine_on_the_same_event_stream() {
         .collect();
     assert!(!online.is_empty(), "the scenario must produce assignments");
 
-    // The same event stream, straight into an offline engine.
-    let offline_handle = EngineHandle::new(AssignmentEngine::new(
-        GridIndex::new(area, cell_size),
-        engine_config,
-    ));
+    // The same event stream, straight into a plain engine — no handle, no
+    // router: the default server is its one-region topology.
+    let mut offline = AssignmentEngine::new(GridIndex::new(area, cell_size), engine_config);
     for t in &tasks {
-        offline_handle.submit(EngineEvent::TaskArrived(t.clone().into_task().unwrap()));
+        offline.submit(EngineEvent::TaskArrived(t.clone().into_task().unwrap()));
     }
     for w in &workers {
-        offline_handle.submit(EngineEvent::WorkerCheckIn(
-            w.clone().into_worker().unwrap(),
-        ));
+        offline.submit(EngineEvent::WorkerCheckIn(w.clone().into_worker().unwrap()));
     }
-    offline_handle.tick(0.0);
-    let offline: Vec<AssignmentDto> = offline_handle
-        .assignments()
+    offline.tick(0.0);
+    let offline: Vec<AssignmentDto> = offline
+        .committed_assignments()
         .iter()
         .map(AssignmentDto::from_pair)
         .collect();
 
-    // The server runs the flat serving index while the offline engine ran
-    // on the reference grid — matching outputs here is the index
-    // determinism contract observed end to end over the wire.
+    // The server runs the flat serving index behind the region router while
+    // the offline engine ran on the reference grid — matching outputs here
+    // is the router's and the index's determinism contracts observed end to
+    // end over the wire.
     assert_eq!(online, offline, "served assignments must equal the offline run");
 
     let snapshot = SnapshotDto::from_json(&client.get("/snapshot").unwrap().json().unwrap())
@@ -127,6 +124,19 @@ fn server_matches_offline_engine_on_the_same_event_stream() {
     assert!(
         snapshot.index_tcell_rebuilds >= 1.0,
         "the tick must have built reachability lists"
+    );
+
+    // One in-process region behind the router.
+    let metrics = client.get("/metrics").unwrap().json().unwrap();
+    assert_eq!(
+        metrics.get("partitions_count").and_then(Json::as_num),
+        Some(1.0)
+    );
+    let transports = metrics.get("transports").and_then(Json::as_arr).unwrap();
+    assert_eq!(transports.len(), 1);
+    assert_eq!(
+        transports[0].get("kind"),
+        Some(&Json::Str("in-process".to_string()))
     );
 
     server.shutdown();
@@ -164,7 +174,7 @@ fn partitioned_server_matches_replica(remote_regions: usize) {
         ..manual_tick_config()
     };
     let cell_size = config.cell_size;
-    let offline_handle: EngineHandle = EngineHandle::new_partitioned(PartitionedEngine::build(
+    let offline_handle = EngineHandle::new(PartitionedEngine::build(
         RegionPartitioner::uniform().split(
             GridGeometry::new(config.area, cell_size),
             config.partitions,

@@ -51,7 +51,7 @@
 //! | [`index`] | the spatial-index layer: [`SpatialIndex`](rdbsc_index::SpatialIndex), the flat dense-grid serving index, the paper's RDB-SC-Grid as reference |
 //! | [`algos`] | greedy / sampling / divide-and-conquer / exact / incremental solvers |
 //! | [`workloads`] | UNIFORM & SKEWED generators, simulated POI / trajectory data, Table 2 config |
-//! | [`platform`] | the platform simulator, the parallel assignment engine + [`EngineHandle`](rdbsc_platform::EngineHandle) |
+//! | [`platform`] | the platform simulator, the parallel assignment engine, the region router + its [`EngineHandle`](rdbsc_platform::EngineHandle) |
 //! | [`server`] | the HTTP/1.1 online serving subsystem (admission control, micro-batching, metrics) |
 
 #![deny(missing_docs)]

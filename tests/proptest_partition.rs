@@ -5,8 +5,9 @@
 //! 1. **Single-partition byte-identity** — a `PartitionedEngine` with one
 //!    region is indistinguishable from a plain `AssignmentEngine` fed the
 //!    identical event stream: same per-tick assignments, same event
-//!    accounting, same standing state, under randomized metro churn
-//!    (arrivals, expirations, check-ins, moves, leaves, answers).
+//!    accounting, same standing state — commitments, objective bits, index
+//!    counters, lifetime counters — under randomized metro churn (arrivals,
+//!    expirations, check-ins, moves, leaves, answers, releases).
 //! 2. **Handoff conservation** — workers oscillating across a partition
 //!    boundary every step are never lost, never duplicated (resident in
 //!    exactly one engine once queues drain), and never double-committed.
@@ -75,6 +76,53 @@ fn churn_events(rng: &mut StdRng, now: f64, ids: u32, per_tick: usize) -> Vec<En
         .collect()
 }
 
+/// The serving state a one-region `PartitionedEngine` reports against the
+/// plain engine's own: who is en route, the objective to the bit, the index
+/// counters, and the lifetime event / assignment totals (`applied` /
+/// `assigned`, summed from the plain engine's tick reports).
+fn assert_same_serving_state(
+    plain: &AssignmentEngine<GridIndex>,
+    split: &mut PartitionedEngine,
+    ids: u32,
+    (applied, assigned): (u64, u64),
+    when: &str,
+) -> Result<(), TestCaseError> {
+    for id in 0..ids {
+        let id = WorkerId(id);
+        prop_assert_eq!(
+            plain.is_committed(id),
+            split.is_committed(id),
+            "{} {:?}",
+            when,
+            id
+        );
+    }
+    let snapshot = split.snapshot();
+    let (want, got) = (plain.current_objective(), snapshot.objective);
+    prop_assert_eq!(
+        want.min_reliability.to_bits(),
+        got.min_reliability.to_bits(),
+        "{} min reliability",
+        when
+    );
+    prop_assert_eq!(
+        want.total_std.to_bits(),
+        got.total_std.to_bits(),
+        "{} total std",
+        when
+    );
+    prop_assert_eq!(want.covered_tasks, got.covered_tasks, "{} covered", when);
+    prop_assert_eq!(
+        plain.index().maintenance_counters(),
+        snapshot.index_counters,
+        "{} index counters",
+        when
+    );
+    prop_assert_eq!(applied, snapshot.events_applied, "{} events applied", when);
+    prop_assert_eq!(assigned, snapshot.total_assignments, "{} assignments", when);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -96,15 +144,19 @@ proptest! {
             GridIndex::new(r, eta)
         });
 
+        const IDS: u32 = 24;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9a7);
+        let mut totals = (0u64, 0u64);
         for round in 0..ticks {
             let now = round as f64 * 0.25;
-            let events = churn_events(&mut rng, now, 24, 16);
+            let events = churn_events(&mut rng, now, IDS, 16);
             plain.submit_all(events.clone());
             split.submit_all(events);
 
             let a = plain.tick(now);
             let b = split.tick(now);
+            totals.0 += a.events_applied as u64;
+            totals.1 += a.new_assignments.len() as u64;
             prop_assert_eq!(&a.new_assignments, &b.new_assignments, "round {}", round);
             prop_assert_eq!(a.events_applied, b.events_applied, "round {}", round);
             prop_assert_eq!(a.tasks_expired, b.tasks_expired, "round {}", round);
@@ -115,6 +167,9 @@ proptest! {
                 "round {}", round
             );
 
+            let when = format!("round {round}");
+            assert_same_serving_state(&plain, &mut split, IDS, totals, &when)?;
+
             // Answer a deterministic prefix of the new pairs on both sides.
             for pair in a.new_assignments.iter().take(3) {
                 prop_assert_eq!(
@@ -122,6 +177,14 @@ proptest! {
                     split.record_answer(pair.worker, pair.contribution)
                 );
             }
+            assert_same_serving_state(&plain, &mut split, IDS, totals, &format!("{when} answered"))?;
+
+            // Release every other remaining new pair: those workers give up.
+            for pair in a.new_assignments.iter().skip(3).step_by(2) {
+                plain.release_worker(pair.worker);
+                split.release_worker(pair.worker);
+            }
+            assert_same_serving_state(&plain, &mut split, IDS, totals, &format!("{when} released"))?;
         }
 
         prop_assert_eq!(split.handoffs(), 0, "one region cannot hand off");
