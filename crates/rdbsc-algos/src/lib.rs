@@ -75,6 +75,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baselines;
 pub mod dnc;

@@ -14,6 +14,8 @@
 //! ten); `--scale paper` restores the paper's instance sizes, which takes
 //! considerably longer.
 
+#![forbid(unsafe_code)]
+
 use rdbsc_bench::{all_figure_ids, resolve_figure_ids, run_figure, Figure, HarnessOptions};
 use rdbsc_workloads::Scale;
 use std::time::Instant;

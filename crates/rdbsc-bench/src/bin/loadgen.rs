@@ -20,6 +20,8 @@
 //! numbers are `served_cluster` in `benchmark/`, and served == offline
 //! equivalence is `rdbsc-server`'s `server_e2e` test.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdbsc_server::dto::{AssignmentDto, SnapshotDto, TaskDto, WorkerDto};

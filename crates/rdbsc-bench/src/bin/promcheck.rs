@@ -13,6 +13,8 @@
 //! cargo run -p rdbsc-bench --bin promcheck -- scrape.prom
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::Read;
 
 fn main() {

@@ -19,6 +19,8 @@
 //! usage or I/O errors. Never writes: diagnosing a torn tail here does not
 //! repair it (re-opening the log with the engine does).
 
+#![forbid(unsafe_code)]
+
 use rdbsc_platform::{inspect_dir, SegmentInfo};
 use std::path::PathBuf;
 

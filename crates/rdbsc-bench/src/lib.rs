@@ -16,6 +16,7 @@
 //! crate's job: that is the `benchmark/` package at the repository root.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod figures;
 pub mod runner;

@@ -14,6 +14,7 @@
 //! `rdbsc-platform`.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod kmeans;
 pub mod partition;

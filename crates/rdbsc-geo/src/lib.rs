@@ -18,6 +18,7 @@
 //! * [`Sector`] — the fan-shaped working area described in Section 8.1.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod angle;
 pub mod motion;

@@ -82,6 +82,7 @@
 //! [`SpatialIndex`] docs for the shared surface.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cost_model;
 pub mod flat;

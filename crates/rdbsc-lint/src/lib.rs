@@ -20,6 +20,7 @@
 //! reason is mandatory).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod engine;

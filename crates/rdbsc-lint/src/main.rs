@@ -7,6 +7,8 @@
 //! Exit status 0 when the workspace is clean, 1 when there are findings,
 //! 2 on usage or I/O errors.
 
+#![forbid(unsafe_code)]
+
 use rdbsc_lint::{engine, rules};
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -20,6 +20,7 @@
 //! | Skyline dominance / top-k dominating ranks | [`dominance`] |
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod aggregation;
 pub mod assignment;

@@ -34,6 +34,7 @@
 //! decisions either, it only asserts they were identical.)
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod digest;
 pub mod metrics;

@@ -38,6 +38,8 @@
 //! on primary failure.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod accuracy;
 pub mod coverage;

@@ -460,25 +460,16 @@ pub fn inspect_dir(dir: &Path) -> Result<Vec<SegmentInfo>, WalError> {
             infos.push(info);
             continue;
         }
-        let header_ok = bytes.len() >= HEADER_BYTES
-            && &bytes[..8] == SEGMENT_MAGIC
-            && u32::from_le_bytes(bytes[8..12].try_into().unwrap()) == SEGMENT_VERSION
-            && u64::from_le_bytes(bytes[12..20].try_into().unwrap()) == seqno;
-        if header_ok {
-            info.first_lsn = Some(u64::from_le_bytes(bytes[20..28].try_into().unwrap()));
-        }
-        let chain_ok = match (expected_lsn, info.first_lsn) {
-            (Some(expected), Some(first)) => expected == first,
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        if !header_ok || !chain_ok {
+        info.first_lsn = segment_first_lsn(&bytes, seqno);
+        let chained = info
+            .first_lsn
+            .filter(|&first| expected_lsn.is_none_or(|expected| expected == first));
+        let Some(mut lsn) = chained else {
             info.unreadable = true;
             broken = true;
             infos.push(info);
             continue;
-        }
-        let mut lsn = info.first_lsn.expect("header parsed");
+        };
         let mut pos = HEADER_BYTES;
         while let Some((record, total)) = read_frame(&bytes[pos..], lsn) {
             info.frames.push(FrameInfo {
@@ -533,14 +524,9 @@ fn scan_segment(
     expected_lsn: Option<u64>,
     records: &mut Vec<WalRecord>,
 ) -> SegmentScan {
-    if bytes.len() < HEADER_BYTES
-        || &bytes[..8] != SEGMENT_MAGIC
-        || u32::from_le_bytes(bytes[8..12].try_into().unwrap()) != SEGMENT_VERSION
-        || u64::from_le_bytes(bytes[12..20].try_into().unwrap()) != seqno
-    {
+    let Some(first_lsn) = segment_first_lsn(bytes, seqno) else {
         return SegmentScan::Unreadable;
-    }
-    let first_lsn = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
+    };
     let mut lsn = match expected_lsn {
         Some(expected) if expected != first_lsn => return SegmentScan::Unreadable,
         Some(expected) => expected,
@@ -564,29 +550,42 @@ fn scan_segment(
     }
 }
 
+/// The `N` bytes at `at`, for `from_le_bytes`; `None` when `bytes` ends
+/// first.
+fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
+    bytes.get(at..at.checked_add(N)?)?.try_into().ok()
+}
+
+/// The first lsn a segment's header records, if the header is whole and
+/// names this format and `seqno`; `None` otherwise.
+fn segment_first_lsn(bytes: &[u8], seqno: u64) -> Option<u64> {
+    if bytes.get(..8)? != SEGMENT_MAGIC
+        || u32::from_le_bytes(le_bytes(bytes, 8)?) != SEGMENT_VERSION
+        || u64::from_le_bytes(le_bytes(bytes, 12)?) != seqno
+    {
+        return None;
+    }
+    Some(u64::from_le_bytes(le_bytes(bytes, 20)?))
+}
+
 /// Reads and validates one frame at the start of `bytes`; `None` on any
 /// violation (truncation, bad CRC, lsn mismatch, undecodable payload).
 fn read_frame(bytes: &[u8], expected_lsn: u64) -> Option<(WalRecord, usize)> {
-    if bytes.len() < FRAME_HEADER_BYTES {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
+    let len = u32::from_le_bytes(le_bytes(bytes, 0)?);
     if len > MAX_RECORD_BYTES {
         return None;
     }
     let total = FRAME_HEADER_BYTES + len as usize;
-    if bytes.len() < total {
-        return None;
-    }
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    let lsn = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    let crc = u32::from_le_bytes(le_bytes(bytes, 4)?);
+    let lsn = u64::from_le_bytes(le_bytes(bytes, 8)?);
     if lsn != expected_lsn {
         return None;
     }
-    if crc32(&bytes[8..total]) != crc {
+    let checked = bytes.get(8..total)?;
+    if crc32(checked) != crc {
         return None;
     }
-    let record = decode_record(&bytes[16..total]).ok()?;
+    let record = decode_record(&checked[8..]).ok()?;
     Some((record, total))
 }
 
@@ -863,7 +862,11 @@ impl Wal {
         if !std::mem::take(&mut self.sync_in_flight) {
             return Ok(());
         }
-        let syncer = self.syncer.as_ref().expect("a sync in flight has its thread");
+        // `begin_sync` marks a sync in flight only once its thread has the
+        // file, and the thread lives as long as the log.
+        let Some(syncer) = &self.syncer else {
+            return Err(io::Error::other("a wal sync is in flight with no sync thread").into());
+        };
         let (file, synced) = syncer
             .done
             .recv()
@@ -1304,6 +1307,15 @@ mod tests {
                 reference.append(&WalRecord::Checkpoint(state.clone()));
             }
         }
+        // A multi-KB submit: its frame crosses many of the checksum's
+        // 64-byte folds and ends in a partial 16-byte block.
+        let moves: Vec<EngineEvent> = (0..400)
+            .map(|i| EngineEvent::WorkerMoved(WorkerId(i), Point::new(i as f64 / 400.0, 0.5)))
+            .collect();
+        let submit = WalRecord::Command(PartitionCommand::Submit(moves.clone()));
+        assert_ne!((8 + encode_record(&submit).len()) % 16, 0);
+        wal.append_events(&moves).unwrap();
+        reference.append(&submit);
         wal.append_events(&[]).unwrap(); // an empty batch logs nothing
 
         let captured = captured.lock().unwrap();

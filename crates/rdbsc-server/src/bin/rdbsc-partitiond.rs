@@ -8,6 +8,8 @@
 //! it with `POST /partition/shutdown` (what a router's graceful shutdown
 //! sends) or `POST /admin/shutdown`.
 
+#![forbid(unsafe_code)]
+
 use rdbsc_server::{PartitionDaemon, PartitiondConfig};
 use std::time::Duration;
 

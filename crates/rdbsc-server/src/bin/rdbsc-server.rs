@@ -1,6 +1,8 @@
 //! The `rdbsc-server` binary: parse flags, start the serving subsystem,
 //! block until it shuts down (via `POST /admin/shutdown`).
 
+#![forbid(unsafe_code)]
+
 use rdbsc_platform::EngineConfig;
 use rdbsc_server::{Server, ServerConfig};
 use std::time::Duration;

@@ -63,6 +63,7 @@
 //! thin stateless router.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod client;

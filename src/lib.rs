@@ -55,6 +55,7 @@
 //! | [`server`] | the HTTP/1.1 online serving subsystem (admission control, micro-batching, metrics) |
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use rdbsc_algos as algos;
 pub use rdbsc_cluster as cluster;
