@@ -2,11 +2,11 @@
 //! engine over the partition protocol.
 //!
 //! The daemon boots unconfigured; the router that mounts it (an
-//! `rdbsc-server` started with `--remote-partition ADDR`) performs the
-//! protocol-version handshake and pushes the routing table, region index
-//! and engine configuration over `POST /partition/configure`. Stop
-//! it with `POST /partition/shutdown` (what a router's graceful shutdown
-//! sends) or `POST /admin/shutdown`.
+//! `rdbsc-server` started with `--remote-partition ADDR`) says hello and
+//! pushes the routing table, region index and engine configuration as the
+//! first two frames on its command connection. Stop it with a `Shutdown`
+//! frame (what a router's graceful shutdown sends) or
+//! `POST /admin/shutdown`.
 
 #![forbid(unsafe_code)]
 
@@ -23,8 +23,7 @@ fn usage() -> ! {
          Serves one spatial partition's engine over the partition protocol.\n\
          The daemon starts unconfigured; a router (rdbsc-server with\n\
          --remote-partition pointing here) pushes the routing table and\n\
-         engine configuration at boot. Stop with POST /partition/shutdown\n\
-         or POST /admin/shutdown.\n\
+         engine configuration at boot. Stop with POST /admin/shutdown.\n\
          \n\
          --data-dir PATH makes the daemon durable: events and tick commands\n\
          are write-ahead logged to PATH before application, and on restart\n\

@@ -1,11 +1,10 @@
 //! A minimal blocking HTTP/1.1 client for loopback and cluster use.
 //!
-//! This is the client half of the serving subsystem's closed loop — the
-//! end-to-end tests and the `rdbsc-bench` load generator drive the server
-//! through it — and the transport under the partition protocol's
-//! hello/configure handshake
-//! ([`PartitionHandshake`](crate::remote::PartitionHandshake)). Keep-alive
-//! by default, with the same
+//! This is the client half of the serving subsystem's closed loop: the
+//! end-to-end tests, the `rdbsc-bench` load generator and the benchmark
+//! drive the server through it, and ops scripts read a daemon's `/metrics`
+//! and `/debug/*` with it. The partition protocol itself is frames
+//! ([`crate::remote`]). Keep-alive by default, with the same
 //! RFC 9110 §7.6.1 `Connection` token-list reading as the server
 //! ([`connection_directive`]): a response carrying `close` anywhere in its
 //! token list drops the cached connection (the next request reconnects),

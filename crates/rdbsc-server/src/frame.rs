@@ -1,11 +1,12 @@
 //! Length-prefixed binary framing for the partition protocol — the hot
 //! command path between router and `rdbsc-partitiond` daemons.
 //!
-//! This is the only carrier of partition *data* commands (HTTP keeps the
-//! hello/configure handshake and the ops surface, see
-//! [`crate::partitiond`]): floats travel as their IEEE-754 bit patterns
-//! verbatim, integers are little-endian fixed-width, and every frame is
-//! length-prefixed so the reader never scans for delimiters. Frames carry
+//! This is the only protocol between router and daemon — the handshake
+//! (`Hello`, `Configure`) and every command after it; a daemon's HTTP is
+//! the ops surface only, see [`crate::partitiond`]. Floats travel as their
+//! IEEE-754 bit patterns verbatim, integers are little-endian fixed-width,
+//! and every frame is length-prefixed so the reader never scans for
+//! delimiters. Frames carry
 //! the platform's own values, written and read by the platform's own codec
 //! ([`rdbsc_platform::wal::Encoder`] / [`rdbsc_platform::wal::Decoder`]): a
 //! [`PartitionCommand`] has one binary encoding whether it is logged,
@@ -40,6 +41,7 @@
 //! | `0x05`–`0x08` | assignments, snapshot, is_active, has_worker | — / worker |
 //! | `0x09`, `0x0A` | drain, shutdown | — |
 //! | `0x0B`–`0x0E` | repl bootstrap / fetch / status / promote | see [`RequestFrame`] |
+//! | `0x0F`, `0x10` | hello, configure | — / the configure JSON text |
 //!
 //! The matching reply tag is the request tag with the high bit ([`REPLY`])
 //! set, and [`ERROR`] (`0xFF`) is the error reply (an HTTP-style status +
@@ -59,6 +61,7 @@
 //! `tests/proptest_frame.rs`). What a well-formed command may *say* is a
 //! second, separate step — [`RequestFrame::admit`].
 
+use crate::protocol::{Hello, ReplStatusDto};
 use rdbsc_index::MaintenanceCounters;
 use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{Contribution, TaskId, WorkerId};
@@ -132,6 +135,12 @@ request_tags! {
     /// `repl_promote` — promote a standby: seal the stream, start a fresh
     /// log epoch, accept mutating commands.
     ReplPromote = 0x0E,
+    /// `hello` — the daemon's protocol version and state; the first
+    /// exchange of an attach and of a promotion.
+    Hello = 0x0F,
+    /// `configure` — build the engine from the routing table, region index
+    /// and engine config (idempotent for the identical payload).
+    Configure = 0x10,
 }
 
 impl TryFrom<u8> for Tag {
@@ -587,6 +596,20 @@ pub enum RequestFrame {
         /// The request id.
         request_id: u64,
     },
+    /// The daemon's version and state.
+    Hello {
+        /// The request id.
+        request_id: u64,
+    },
+    /// Build the engine.
+    Configure {
+        /// The request id.
+        request_id: u64,
+        /// The canonical configure JSON text
+        /// ([`crate::protocol::ConfigureDto`]) — the bytes the daemon keeps
+        /// as its fingerprint and persists as `configure.json`.
+        configure: String,
+    },
 }
 
 impl RequestFrame {
@@ -606,6 +629,8 @@ impl RequestFrame {
             RequestFrame::ReplFetch { .. } => Tag::ReplFetch,
             RequestFrame::ReplStatus { .. } => Tag::ReplStatus,
             RequestFrame::ReplPromote { .. } => Tag::ReplPromote,
+            RequestFrame::Hello { .. } => Tag::Hello,
+            RequestFrame::Configure { .. } => Tag::Configure,
         }
     }
 
@@ -622,7 +647,9 @@ impl RequestFrame {
             | RequestFrame::ReplBootstrap { request_id }
             | RequestFrame::ReplFetch { request_id, .. }
             | RequestFrame::ReplStatus { request_id }
-            | RequestFrame::ReplPromote { request_id } => *request_id,
+            | RequestFrame::ReplPromote { request_id }
+            | RequestFrame::Hello { request_id }
+            | RequestFrame::Configure { request_id, .. } => *request_id,
         }
     }
 
@@ -646,6 +673,7 @@ impl RequestFrame {
                 e.u64(*ack);
                 e.u32(*max);
             }
+            RequestFrame::Configure { configure, .. } => e.str(configure),
             RequestFrame::Assignments { .. }
             | RequestFrame::Snapshot { .. }
             | RequestFrame::IsActive { .. }
@@ -653,7 +681,8 @@ impl RequestFrame {
             | RequestFrame::Shutdown { .. }
             | RequestFrame::ReplBootstrap { .. }
             | RequestFrame::ReplStatus { .. }
-            | RequestFrame::ReplPromote { .. } => {}
+            | RequestFrame::ReplPromote { .. }
+            | RequestFrame::Hello { .. } => {}
         }
         e.into_bytes()
     }
@@ -705,6 +734,11 @@ impl RequestFrame {
             },
             Tag::ReplStatus => RequestFrame::ReplStatus { request_id },
             Tag::ReplPromote => RequestFrame::ReplPromote { request_id },
+            Tag::Hello => RequestFrame::Hello { request_id },
+            Tag::Configure => RequestFrame::Configure {
+                request_id,
+                configure: d.str()?,
+            },
         };
         d.finish()?;
         Ok(frame)
@@ -836,7 +870,7 @@ pub enum ReplyFrame {
         /// The echoed request id.
         request_id: u64,
         /// The counters.
-        status: crate::protocol::ReplStatusDto,
+        status: ReplStatusDto,
     },
     /// Promotion done: the standby sealed its stream and now accepts
     /// mutating commands.
@@ -849,6 +883,20 @@ pub enum ReplyFrame {
         digest: u64,
         /// Stream commands applied before the seal.
         applied: u64,
+    },
+    /// The daemon's version and state.
+    HelloOk {
+        /// The echoed request id.
+        request_id: u64,
+        /// What the daemon reports.
+        hello: Hello,
+    },
+    /// The engine is built.
+    ConfigureOk {
+        /// The echoed request id.
+        request_id: u64,
+        /// Was it already built from the identical payload?
+        already_configured: bool,
     },
     /// The command failed; `status` is the HTTP-style status of the error
     /// (400 = bad payload, 409 = conflict/standby, 503 = draining).
@@ -878,6 +926,8 @@ impl ReplyFrame {
             ReplyFrame::ReplFetchOk { .. } => Tag::ReplFetch,
             ReplyFrame::ReplStatusOk { .. } => Tag::ReplStatus,
             ReplyFrame::ReplPromoteOk { .. } => Tag::ReplPromote,
+            ReplyFrame::HelloOk { .. } => Tag::Hello,
+            ReplyFrame::ConfigureOk { .. } => Tag::Configure,
         };
         request as u8 | REPLY
     }
@@ -896,6 +946,8 @@ impl ReplyFrame {
             | ReplyFrame::ReplFetchOk { request_id, .. }
             | ReplyFrame::ReplStatusOk { request_id, .. }
             | ReplyFrame::ReplPromoteOk { request_id, .. }
+            | ReplyFrame::HelloOk { request_id, .. }
+            | ReplyFrame::ConfigureOk { request_id, .. }
             | ReplyFrame::Error { request_id, .. } => *request_id,
         }
     }
@@ -950,6 +1002,18 @@ impl ReplyFrame {
                 e.u64(*digest);
                 e.u64(*applied);
             }
+            ReplyFrame::HelloOk { hello, .. } => {
+                e.u32(hello.protocol_version);
+                e.bool(hello.region_index.is_some());
+                if let Some(region) = hello.region_index {
+                    e.u32(region);
+                }
+                e.bool(hello.draining);
+                e.bool(hello.standby);
+            }
+            ReplyFrame::ConfigureOk {
+                already_configured, ..
+            } => e.bool(*already_configured),
             ReplyFrame::Error { status, detail, .. } => {
                 e.u16(*status);
                 e.str(detail);
@@ -1029,7 +1093,7 @@ impl ReplyFrame {
             }
             Tag::ReplStatus => ReplyFrame::ReplStatusOk {
                 request_id,
-                status: crate::protocol::ReplStatusDto {
+                status: ReplStatusDto {
                     role: d.str()?,
                     next_lsn: d.u64()?,
                     acked: d.u64()?,
@@ -1044,6 +1108,19 @@ impl ReplyFrame {
                 request_id,
                 digest: d.u64()?,
                 applied: d.u64()?,
+            },
+            Tag::Hello => ReplyFrame::HelloOk {
+                request_id,
+                hello: Hello {
+                    protocol_version: d.u32()?,
+                    region_index: if d.bool()? { Some(d.u32()?) } else { None },
+                    draining: d.bool()?,
+                    standby: d.bool()?,
+                },
+            },
+            Tag::Configure => ReplyFrame::ConfigureOk {
+                request_id,
+                already_configured: d.bool()?,
             },
         };
         d.finish()?;
@@ -1172,6 +1249,11 @@ mod tests {
         });
         round_trip_request(RequestFrame::ReplStatus { request_id: 19 });
         round_trip_request(RequestFrame::ReplPromote { request_id: 20 });
+        round_trip_request(RequestFrame::Hello { request_id: 21 });
+        round_trip_request(RequestFrame::Configure {
+            request_id: 22,
+            configure: r#"{"region_index":1,"cell_size":0.1}"#.into(),
+        });
     }
 
     #[test]
@@ -1278,7 +1360,7 @@ mod tests {
         });
         round_trip_reply(ReplyFrame::ReplStatusOk {
             request_id: 20,
-            status: crate::protocol::ReplStatusDto {
+            status: ReplStatusDto {
                 role: "standby".into(),
                 next_lsn: 44,
                 acked: 40,
@@ -1293,6 +1375,21 @@ mod tests {
             request_id: 21,
             digest: 0xfeed_face_dead_beef,
             applied: 42,
+        });
+        for (region_index, draining, standby) in [(None, false, true), (Some(3), true, false)] {
+            round_trip_reply(ReplyFrame::HelloOk {
+                request_id: 22,
+                hello: Hello {
+                    protocol_version: 7,
+                    region_index,
+                    draining,
+                    standby,
+                },
+            });
+        }
+        round_trip_reply(ReplyFrame::ConfigureOk {
+            request_id: 23,
+            already_configured: true,
         });
         round_trip_reply(ReplyFrame::Error {
             request_id: 17,
@@ -1344,7 +1441,7 @@ mod tests {
     #[test]
     fn hostile_frames_are_rejected_not_panicking() {
         // Bad magic (an HTTP request hitting a binary reader).
-        let err = read_raw(&mut &b"GET /partition/hello HTTP/1.1\r\n\r\n"[..], 1024).unwrap_err();
+        let err = read_raw(&mut &b"GET /metrics HTTP/1.1\r\n\r\n"[..], 1024).unwrap_err();
         assert!(matches!(err, FrameError::Malformed(_)));
         // Another frame version, older or newer: refused at the header, so
         // a version-2 snapshot reply (which carried a backend string) is

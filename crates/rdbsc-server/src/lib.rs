@@ -53,10 +53,10 @@
 //!
 //! The crate also ships the wire half of the **partition protocol**
 //! (`rdbsc_platform::protocol`): [`frame`] is the binary codec every
-//! partition command and reply travels in, [`protocol`] holds the JSON
-//! DTOs of the hello/configure handshake, [`remote`] implements the
-//! router-side [`BinaryPartitionClient`] over one persistent pipelined
-//! TCP connection, and [`partitiond`] is the daemon hosting exactly one
+//! handshake, command and reply between router and daemon travels in,
+//! [`protocol`] holds the configure payload and the daemon's hello,
+//! [`remote`] implements the router-side [`BinaryPartitionClient`] over
+//! one persistent pipelined TCP connection, and [`partitiond`] is the daemon hosting exactly one
 //! partition's engine (binary: `rdbsc-partitiond`). The serving tier takes
 //! `--remote-partition ADDR` (repeatable) to mount daemon-hosted regions
 //! next to in-process ones — with every region remote, the server is a
@@ -89,9 +89,8 @@ pub use json::{parse, Json, JsonError};
 pub use listener::{HttpCore, ListenerConfig, ShutdownHandle};
 pub use metrics::{Counter, LatencyHistogram, ServerMetrics};
 pub use partitiond::{PartitionDaemon, PartitiondConfig};
-pub use protocol::{ConfigureDto, EngineConfigDto, HelloDto, ReplStatusDto, RoutingTableDto};
+pub use protocol::{ConfigureDto, EngineConfigDto, Hello, ReplStatusDto, RoutingTableDto};
 pub use remote::{
-    connect_remote_partition, BinaryPartitionClient, FrameConn, PartitionHandshake,
-    RemoteStandbyPromoter,
+    connect_remote_partition, BinaryPartitionClient, FrameConn, RemoteStandbyPromoter,
 };
 pub use server::{Server, ServerConfig};

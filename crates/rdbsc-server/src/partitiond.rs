@@ -3,25 +3,27 @@
 //!
 //! A daemon boots *unconfigured* — it knows its listen address and nothing
 //! about the data space. The first router to connect performs the
-//! handshake: `GET /partition/hello` (protocol-version check) and
-//! `POST /partition/configure`, which ships the **routing table** (grid
-//! geometry + canonical region list), the region index this daemon serves
-//! and the engine configuration. The daemon validates
-//! the table with [`rdbsc_cluster::RegionPartition::from_regions`] and
-//! builds its engine over exactly the region rectangle the router routes to
-//! it — a single source of truth for the geometry on both sides of the
-//! wire. Re-configures with the identical payload are idempotent (a
+//! handshake as the first two frames on its command connection: `Hello`
+//! (protocol version and daemon state) and `Configure`, which ships the
+//! **routing table** (grid geometry + canonical region list), the region
+//! index this daemon serves and the engine configuration. The daemon
+//! validates the table with [`rdbsc_cluster::RegionPartition::from_regions`]
+//! and builds its engine over exactly the region rectangle the router
+//! routes to it — a single source of truth for the geometry on both sides
+//! of the wire. Re-configures with the identical payload are idempotent (a
 //! stateless router restarting re-pushes its config); a *different* payload
 //! is answered `409 Conflict`, never silently adopted.
 //!
 //! ## Command surface
 //!
-//! Every partition *data* command is a binary frame ([`crate::frame`]) on a
-//! connection that opens with the frame magic; one dispatcher
-//! (`execute_frame`) runs them behind one draining/standby refusal table:
+//! Everything a router, a promoter or a follower says to a daemon is a
+//! binary frame ([`crate::frame`]) on a connection that opens with the frame
+//! magic; one dispatcher (`execute_frame`) runs them behind one
+//! draining/standby refusal table (`refused_while`):
 //!
 //! | Frame | Protocol command |
 //! |---|---|
+//! | `Hello`, `Configure` | the handshake: version/state, build the engine (idempotent) |
 //! | `Command` | one of the four [`rdbsc_platform::PartitionCommand`]s — submit, tick, answer, release — handed to `EnginePartition::apply` |
 //! | `Assignments`, `Snapshot`, `IsActive`, `HasWorker` | reads and probes |
 //! | `Drain` / `Shutdown` | refuse further mutating commands / drain + exit |
@@ -30,27 +32,25 @@
 //! | `ReplStatus` | replication: role, lag, watermark |
 //! | `ReplPromote` | replication: standby → primary |
 //!
-//! HTTP on the same port keeps what a human or an ops script reads, plus
-//! the handshake that has to work before any engine exists:
+//! HTTP on the same port is the ops surface — what a human, an ops script
+//! or CI reads — and nothing else:
 //!
 //! | Route | Purpose |
 //! |---|---|
-//! | `GET /partition/hello` | version/state handshake |
-//! | `POST /partition/configure` | build the engine (idempotent) |
-//! | `GET /partition/snapshot` | engine snapshot + `state_digest` |
-//! | `GET /partition/active` | pending events / live tasks? |
-//! | `POST /partition/shutdown`, `POST /admin/shutdown` | drain + exit |
-//! | `GET /healthz`, `GET /metrics`, `/debug/*` | ops surface |
+//! | `GET /healthz`, `GET /metrics` | liveness; counters, `configured`, replication state |
+//! | `GET /debug/snapshot` | engine snapshot + `state_digest` |
+//! | `GET /debug/slow-ticks`, `POST /debug/slow-tick-ms`, `GET /debug/spans` | tick captures and traces |
+//! | `POST /admin/shutdown` | drain + exit |
 //!
-//! The former JSON data routes (`POST /partition/submit`, `tick`, …) answer
-//! `404`.
+//! The former partition routes — the HTTP handshake, snapshot and activity
+//! probes, shutdown and the JSON data commands — answer `404`.
 //!
 //! ## Draining
 //!
 //! After a drain (or as part of shutdown) the daemon answers **`503`** to
 //! mutating commands — an in-band [`ReplyFrame::Error`], not a dropped
 //! connection — so a router mid-flight sees a clean protocol error instead
-//! of an I/O failure. Reads (`Snapshot`, `IsActive`, hello, `/metrics`,
+//! of an I/O failure. Reads (`Snapshot`, `IsActive`, `Hello`, `/metrics`,
 //! `/healthz`) keep working so operators can observe the drain.
 //!
 //! ## Replication
@@ -78,21 +78,19 @@ use crate::http::{Method, Request, Response};
 use crate::json::{parse, Json};
 use crate::listener::{HttpCore, ListenerConfig, ShutdownHandle};
 use crate::metrics::ServerMetrics;
-use crate::protocol::{
-    request_id, slow_tick_threshold_us, ConfigureDto, HelloDto, ReplStatusDto,
-};
+use crate::protocol::{request_id, slow_tick_threshold_us, ConfigureDto, Hello, ReplStatusDto};
 use crate::remote::FrameConn;
 use rdbsc_geo::Rect;
 use rdbsc_index::FlatGridIndex;
 use rdbsc_platform::wal::{decode_command, decode_record, encode_command, encode_record};
 use rdbsc_platform::{
-    AssignmentEngine, CommandOutcome, EnginePartition, PartitionState, WalConfig, WalError,
-    WalRecord, PROTOCOL_VERSION,
+    AssignmentEngine, CommandOutcome, EngineConfig, EnginePartition, PartitionState, WalConfig,
+    WalError, WalRecord, PROTOCOL_VERSION,
 };
 use std::net::ToSocketAddrs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Configuration of one partition daemon.
@@ -149,7 +147,6 @@ impl Default for PartitiondConfig {
 struct Configured {
     part: EnginePartition<FlatGridIndex>,
     region_index: u32,
-    region: Rect,
     /// The canonical JSON of the accepted configure payload, for the
     /// idempotency check.
     fingerprint: String,
@@ -206,13 +203,45 @@ impl DaemonState {
             repl_fetch_seen: Mutex::new(None),
         }
     }
+
+    /// The engine slot, locked — the daemon's one engine-lock site. Lock
+    /// poisoning is the one panic it lets through: a holder that panicked
+    /// left the engine mid-apply, and serving on from that state would
+    /// break the digest identity every replica is checked against.
+    fn slot(&self) -> MutexGuard<'_, Option<Configured>> {
+        self.engine.lock().expect("daemon engine lock poisoned by a panicking holder")
+    }
+
+    /// When this daemon (as primary) last served a follower fetch, locked.
+    /// Its holders only read or overwrite an `Instant`, so a poisoned lock
+    /// means a panic elsewhere on that thread, never a torn value.
+    fn fetch_seen(&self) -> MutexGuard<'_, Option<Instant>> {
+        self.repl_fetch_seen.lock().expect("follower liveness lock poisoned")
+    }
+
+    /// Runs `f` on the configured engine under the lock, or refuses with
+    /// the one not-configured error.
+    fn with_configured<R>(&self, f: impl FnOnce(&mut Configured) -> R) -> Result<R, ServerError> {
+        match self.slot().as_mut() {
+            Some(configured) => Ok(f(configured)),
+            None => Err(ServerError::Conflict(
+                "partition not configured: no Configure frame and no standby bootstrap yet"
+                    .into(),
+            )),
+        }
+    }
+
+    /// Is the daemon draining, or its listener stopping?
+    fn is_draining(&self, shutdown: &ShutdownHandle) -> bool {
+        self.draining.load(Ordering::Acquire) || shutdown.stopping()
+    }
 }
 
 /// A running partition daemon. [`PartitionDaemon::start`] boots it
 /// unconfigured; a router configures it over the wire. Stop it with
-/// [`PartitionDaemon::shutdown`] + [`PartitionDaemon::join`], with
-/// `POST /partition/shutdown` (what a router's graceful shutdown sends), or
-/// with `POST /admin/shutdown`.
+/// [`PartitionDaemon::shutdown`] + [`PartitionDaemon::join`], with a
+/// `Shutdown` frame (what a router's graceful shutdown sends), or with
+/// `POST /admin/shutdown`.
 pub struct PartitionDaemon {
     core: HttpCore,
     state: Arc<DaemonState>,
@@ -238,8 +267,7 @@ impl PartitionDaemon {
                 let persisted = dir.join("configure.json");
                 if persisted.exists() {
                     let text = std::fs::read_to_string(&persisted)?;
-                    let body = parse(&text)?;
-                    configure(&state, &body).map_err(|e| {
+                    configure(&state, &text).map_err(|e| {
                         ServerError::Conflict(format!(
                             "boot recovery from {} failed: {e}",
                             persisted.display()
@@ -304,7 +332,8 @@ impl PartitionDaemon {
         self.state.standby.load(Ordering::Acquire)
     }
 
-    /// Begins the drain + stop sequence (what the shutdown routes do).
+    /// Begins the drain + stop sequence (what a `Shutdown` frame and
+    /// `POST /admin/shutdown` do).
     pub fn shutdown(&self) {
         self.state.draining.store(true, Ordering::Release);
         self.state.repl_stop.store(true, Ordering::Release);
@@ -321,20 +350,6 @@ impl PartitionDaemon {
     }
 }
 
-/// Runs a closure on the configured engine, or 409s before any configure.
-fn with_engine<R>(
-    state: &DaemonState,
-    f: impl FnOnce(&mut EnginePartition<FlatGridIndex>) -> R,
-) -> Result<R, ServerError> {
-    let mut guard = state.engine.lock().expect("daemon engine lock");
-    match guard.as_mut() {
-        Some(configured) => Ok(f(&mut configured.part)),
-        None => Err(ServerError::Conflict(
-            "partition not configured — POST /partition/configure first".into(),
-        )),
-    }
-}
-
 fn parse_body(request: &Request) -> Result<Json, ServerError> {
     Ok(parse(request.body_utf8()?)?)
 }
@@ -345,18 +360,44 @@ fn reply(request_id: u64, extra: impl IntoIterator<Item = (&'static str, Json)>)
     Response::json(200, Json::obj(pairs).to_string_compact())
 }
 
-fn configure(state: &DaemonState, body: &Json) -> Result<Response, ServerError> {
-    // Version first, before decoding the rest: a router from a different
-    // protocol revision must get the version conflict, not a decode error
-    // about fields that revision may not even have.
-    let version = crate::dto::id(body, "protocol_version")?;
+/// A configure payload that passed every check.
+struct Accepted {
+    region_index: u32,
+    region: Rect,
+    cell_size: f64,
+    engine: EngineConfig,
+    wal: WalConfig,
+    /// The canonical re-encoding of the payload.
+    fingerprint: String,
+}
+
+impl Accepted {
+    /// Builds the spatial index the engine runs on: the region rectangle at
+    /// the router's RAW cell size — exactly what the router's in-process
+    /// regions use — never the routing table's derived η: a different
+    /// resolution would resolve different candidate cells and silently
+    /// break cross-transport determinism.
+    fn index(&self) -> impl FnOnce() -> FlatGridIndex {
+        let (region, cell_size) = (self.region, self.cell_size);
+        move || FlatGridIndex::new(region, cell_size)
+    }
+}
+
+/// The one configure check, for a router's `Configure` frame, a persisted
+/// `configure.json` and a standby's bootstrap alike. In order: the version
+/// (first, so a peer from a different protocol revision gets the version
+/// conflict, not a decode error about fields that revision may not have),
+/// the decode, the routing table, the region index, the cell size, the
+/// engine and WAL config; then the canonical fingerprint.
+fn accept_configure(text: &str) -> Result<Accepted, ServerError> {
+    let body = parse(text)?;
+    let version = crate::dto::id(&body, "protocol_version")?;
     if version != PROTOCOL_VERSION {
         return Err(ServerError::Conflict(format!(
-            "protocol version mismatch: daemon speaks v{PROTOCOL_VERSION}, router sent v{version}"
+            "protocol version mismatch: daemon speaks v{PROTOCOL_VERSION}, peer sent v{version}"
         )));
     }
-    let dto = ConfigureDto::from_json(body)?;
-    let fingerprint = dto.to_json().to_string_compact();
+    let dto = ConfigureDto::from_json(&body)?;
     let partition = dto.routing.clone().into_partition()?;
     if dto.region_index as usize >= partition.num_regions() {
         return Err(ServerError::BadField {
@@ -364,25 +405,34 @@ fn configure(state: &DaemonState, body: &Json) -> Result<Response, ServerError> 
             expected: "an index into the routing table's regions",
         });
     }
-    let engine_config = dto.engine.clone().into_config()?;
-    let region = partition.region_rect(dto.region_index as usize);
-    // The index is built with the router's RAW cell size — exactly what
-    // the router's in-process regions use — never the routing table's
-    // derived η: a different resolution would resolve different candidate
-    // cells and silently break cross-transport determinism.
-    let cell_size = dto.cell_size;
-    if !cell_size.is_finite() || cell_size <= 0.0 {
+    if !dto.cell_size.is_finite() || dto.cell_size <= 0.0 {
         return Err(ServerError::BadField {
             field: "cell_size",
             expected: "a positive finite cell size",
         });
     }
+    Ok(Accepted {
+        region_index: dto.region_index,
+        region: partition.region_rect(dto.region_index as usize),
+        cell_size: dto.cell_size,
+        engine: dto.engine.clone().into_config()?,
+        wal: match &dto.durability {
+            Some(d) => d.clone().into_wal_config()?,
+            None => WalConfig::default(),
+        },
+        fingerprint: dto.to_json().to_string_compact(),
+    })
+}
 
-    let mut guard = state.engine.lock().expect("daemon engine lock");
-    if let Some(existing) = guard.as_ref() {
-        if existing.fingerprint == fingerprint {
+/// Builds the engine a configure payload describes; `Ok(true)` when the
+/// daemon already runs the identical payload.
+fn configure(state: &DaemonState, text: &str) -> Result<bool, ServerError> {
+    let accepted = accept_configure(text)?;
+    let mut slot = state.slot();
+    if let Some(existing) = slot.as_ref() {
+        if existing.fingerprint == accepted.fingerprint {
             // A stateless router re-pushing its config after a restart.
-            return Ok(configured_response(existing, true));
+            return Ok(true);
         }
         return Err(ServerError::Conflict(format!(
             "already configured as region {} of a different topology; \
@@ -390,6 +440,7 @@ fn configure(state: &DaemonState, body: &Json) -> Result<Response, ServerError> 
             existing.region_index
         )));
     }
+    let index = accepted.index();
     let part = match &state.data_dir {
         Some(dir) => {
             // Durable daemon: the engine runs behind a write-ahead log in the
@@ -397,48 +448,36 @@ fn configure(state: &DaemonState, body: &Json) -> Result<Response, ServerError> 
             // (load last checkpoint, replay the tail) — the configure payload
             // must describe the same topology, which the persisted-fingerprint
             // boot path and the idempotency check above guarantee.
-            let wal_config = match &dto.durability {
-                Some(d) => d.clone().into_wal_config()?,
-                None => WalConfig::default(),
-            };
             let (part, scan) =
-                EnginePartition::open_durable(dir, wal_config, engine_config, move || {
-                    FlatGridIndex::new(region, cell_size)
-                })
-                .map_err(|e| match e {
-                    WalError::Io(io) => ServerError::Io(io),
-                    corrupt => ServerError::Conflict(format!(
-                        "wal recovery in {} failed: {corrupt}",
-                        dir.display()
-                    )),
-                })?;
+                EnginePartition::open_durable(dir, accepted.wal, accepted.engine, index)
+            .map_err(|e| match e {
+                WalError::Io(io) => ServerError::Io(io),
+                corrupt => ServerError::Conflict(format!(
+                    "wal recovery in {} failed: {corrupt}",
+                    dir.display()
+                )),
+            })?;
             if !scan.records.is_empty() {
                 let (checkpoint, tail) = scan.recovery_plan();
                 eprintln!(
                     "rdbsc-partitiond: recovered region {} from {} ({} record(s) replayed, checkpoint {})",
-                    dto.region_index,
+                    accepted.region_index,
                     dir.display(),
                     tail.len(),
                     if checkpoint.is_some() { "loaded" } else { "none" },
                 );
             }
-            persist_configure(dir, &fingerprint)?;
+            persist_configure(dir, &accepted.fingerprint)?;
             part
         }
-        None => EnginePartition::new(AssignmentEngine::new(
-            FlatGridIndex::new(region, cell_size),
-            engine_config,
-        )),
+        None => EnginePartition::new(AssignmentEngine::new(index(), accepted.engine)),
     };
-    let configured = Configured {
+    *slot = Some(Configured {
         part,
-        region_index: dto.region_index,
-        region,
-        fingerprint,
-    };
-    let response = configured_response(&configured, false);
-    *guard = Some(configured);
-    Ok(response)
+        region_index: accepted.region_index,
+        fingerprint: accepted.fingerprint,
+    });
+    Ok(false)
 }
 
 /// Persists the accepted configure payload so a restarted daemon can
@@ -450,27 +489,6 @@ fn persist_configure(dir: &Path, fingerprint: &str) -> Result<(), ServerError> {
     std::fs::write(&tmp, fingerprint)?;
     std::fs::rename(&tmp, dir.join("configure.json"))?;
     Ok(())
-}
-
-fn configured_response(configured: &Configured, already: bool) -> Response {
-    Response::json(
-        200,
-        Json::obj([
-            ("protocol_version", Json::Num(PROTOCOL_VERSION as f64)),
-            ("region_index", Json::Num(configured.region_index as f64)),
-            ("already_configured", Json::Bool(already)),
-            (
-                "region",
-                Json::obj([
-                    ("min_x", Json::Num(configured.region.min_x)),
-                    ("min_y", Json::Num(configured.region.min_y)),
-                    ("max_x", Json::Num(configured.region.max_x)),
-                    ("max_y", Json::Num(configured.region.max_y)),
-                ]),
-            ),
-        ])
-        .to_string_compact(),
-    )
 }
 
 /// The Prometheus body of a daemon's `/metrics?format=prom`: the metric
@@ -528,8 +546,7 @@ fn daemon_prom(state: &DaemonState, draining: bool) -> String {
         "Times the primary's retention cap forced a stream reset",
         repl.resets as f64,
     );
-    let guard = state.engine.lock().expect("daemon engine lock");
-    match guard.as_ref() {
+    match state.slot().as_ref() {
         Some(configured) => {
             w.gauge("configured", "Has a configure taken effect?", 1.0);
             w.gauge(
@@ -549,7 +566,7 @@ fn route(
     state: &DaemonState,
     shutdown: &ShutdownHandle,
 ) -> Result<Response, ServerError> {
-    let draining = state.draining.load(Ordering::Acquire) || shutdown.stopping();
+    let draining = state.is_draining(shutdown);
     match (request.method, request.path.as_str()) {
         (Method::Get, "/healthz") => Ok(Response::json(
             200,
@@ -573,8 +590,7 @@ fn route(
                 map.insert("draining".to_string(), Json::Bool(draining));
                 map.insert("durable".to_string(), Json::Bool(state.data_dir.is_some()));
                 map.insert("repl".to_string(), repl_status_dto(state).to_json());
-                let guard = state.engine.lock().expect("daemon engine lock");
-                match guard.as_ref() {
+                match state.slot().as_ref() {
                     Some(configured) => {
                         map.insert("configured".to_string(), Json::Bool(true));
                         map.insert(
@@ -637,29 +653,9 @@ fn route(
             Ok(Response::json(200, body.to_string_compact()))
         }
 
-        (Method::Get, "/partition/hello") => {
-            let region = state
-                .engine
-                .lock()
-                .expect("daemon engine lock")
-                .as_ref()
-                .map(|c| c.region_index);
-            Ok(Response::json(
-                200,
-                HelloDto::current(region, draining, state.standby.load(Ordering::Acquire))
-                    .to_json()
-                    .to_string_compact(),
-            ))
-        }
-
-        (Method::Post, "/partition/configure") => {
-            refuse(state, draining, MUTATING)?;
-            configure(state, &parse_body(request)?)
-        }
-
-        (Method::Get, "/partition/snapshot") => {
+        (Method::Get, "/debug/snapshot") => {
             let (snapshot, digest) =
-                with_engine(state, |part| (part.snapshot(), part.state_digest()))?;
+                state.with_configured(|c| (c.part.snapshot(), c.part.state_digest()))?;
             let mut body = SnapshotDto::from_snapshot(&snapshot).to_json();
             if let Json::Obj(map) = &mut body {
                 // Hex string, not a number: u64 digests don't survive the
@@ -672,15 +668,7 @@ fn route(
             Ok(Response::json(200, body.to_string_compact()))
         }
 
-        (Method::Get, "/partition/active") => {
-            let active = with_engine(state, |part| part.is_active())?;
-            Ok(Response::json(
-                200,
-                Json::obj([("active", Json::Bool(active))]).to_string_compact(),
-            ))
-        }
-
-        (Method::Post, "/partition/shutdown") | (Method::Post, "/admin/shutdown") => {
+        (Method::Post, "/admin/shutdown") => {
             state.draining.store(true, Ordering::Release);
             shutdown.trigger();
             Ok(Response::json(
@@ -696,15 +684,14 @@ fn route(
 
 /// The refusal table — the one place that says which commands a draining
 /// daemon (first element → `503`) and an unpromoted standby (second → `409`)
-/// turn away. The mutating client commands are refused by both; a promote
-/// only by a drain (a drain is terminal); serving as a replication *source*
-/// only by a standby (its state is owned by its primary). Reads, probes and
-/// the lifecycle commands always run, so a drain and the failover
-/// choreography stay observable. `POST /partition/configure`, the one
-/// mutating command HTTP still carries, sits in the first row.
+/// turn away. The mutating client commands (configure among them) are
+/// refused by both; a promote only by a drain (a drain is terminal); serving
+/// as a replication *source* only by a standby (its state is owned by its
+/// primary). Reads, probes, the hello and the lifecycle commands always
+/// run, so a drain and the failover choreography stay observable.
 fn refused_while(request: &RequestFrame) -> (bool, bool) {
     match request {
-        RequestFrame::Command { .. } => MUTATING,
+        RequestFrame::Command { .. } | RequestFrame::Configure { .. } => (true, true),
         RequestFrame::ReplPromote { .. } => (true, false),
         RequestFrame::ReplBootstrap { .. } | RequestFrame::ReplFetch { .. } => (false, true),
         RequestFrame::Assignments { .. }
@@ -713,45 +700,33 @@ fn refused_while(request: &RequestFrame) -> (bool, bool) {
         | RequestFrame::HasWorker { .. }
         | RequestFrame::Drain { .. }
         | RequestFrame::Shutdown { .. }
-        | RequestFrame::ReplStatus { .. } => (false, false),
+        | RequestFrame::ReplStatus { .. }
+        | RequestFrame::Hello { .. } => (false, false),
     }
 }
 
-/// The [`refused_while`] row of a mutating client command.
-const MUTATING: (bool, bool) = (true, true);
-
-/// Applies one row of the refusal table: `503` while draining — a
-/// parseable refusal, not a dropped connection — then `409` while this
-/// daemon is an unpromoted standby.
-fn refuse(
-    state: &DaemonState,
-    draining: bool,
-    (while_draining, while_standby): (bool, bool),
-) -> Result<(), ServerError> {
-    if draining && while_draining {
-        return Err(ServerError::ShuttingDown);
-    }
-    if while_standby && state.standby.load(Ordering::Acquire) {
-        return Err(ServerError::Conflict(
-            "standby: refusing mutating commands until promoted".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// The frame handler: the refusal table, then the command, with failures
-/// reported in-band as [`ReplyFrame::Error`] carrying an HTTP-style status
-/// (draining 503s, unconfigured and standby 409s, bad payloads 400s).
+/// The frame handler: the row of the refusal table — `503` while draining,
+/// a parseable refusal rather than a dropped connection, then `409` while
+/// this daemon is an unpromoted standby — and then the command, with
+/// failures reported in-band as [`ReplyFrame::Error`] carrying an
+/// HTTP-style status (unconfigured 409s and bad payloads 400s too).
 fn route_frame(request: RequestFrame, state: &DaemonState, shutdown: &ShutdownHandle) -> ReplyFrame {
     let request_id = request.request_id();
-    let draining = state.draining.load(Ordering::Acquire) || shutdown.stopping();
-    refuse(state, draining, refused_while(&request))
-        .and_then(|()| execute_frame(request, state, shutdown))
-        .unwrap_or_else(|e| ReplyFrame::Error {
-            request_id,
-            status: e.status(),
-            detail: e.to_string(),
-        })
+    let (while_draining, while_standby) = refused_while(&request);
+    let result = if while_draining && state.is_draining(shutdown) {
+        Err(ServerError::ShuttingDown)
+    } else if while_standby && state.standby.load(Ordering::Acquire) {
+        Err(ServerError::Conflict(
+            "standby: refusing mutating commands until promoted".into(),
+        ))
+    } else {
+        execute_frame(request, state, shutdown)
+    };
+    result.unwrap_or_else(|e| ReplyFrame::Error {
+        request_id,
+        status: e.status(),
+        detail: e.to_string(),
+    })
 }
 
 /// Executes one partition command — the daemon's only dispatcher.
@@ -767,7 +742,7 @@ fn execute_frame(
             command,
         } => {
             let started = Instant::now();
-            let outcome = with_engine(state, |part| part.apply(trace, command))?;
+            let outcome = state.with_configured(|c| c.part.apply(trace, command))?;
             if let CommandOutcome::Ticked(tick) = &outcome {
                 let elapsed = started.elapsed();
                 if trace != 0 {
@@ -788,7 +763,7 @@ fn execute_frame(
         }
 
         RequestFrame::Assignments { request_id } => {
-            let assignments = with_engine(state, |part| part.assignments())?;
+            let assignments = state.with_configured(|c| c.part.assignments())?;
             Ok(ReplyFrame::AssignmentsOk {
                 request_id,
                 assignments,
@@ -796,7 +771,7 @@ fn execute_frame(
         }
 
         RequestFrame::Snapshot { request_id } => {
-            let snapshot = with_engine(state, |part| part.snapshot())?;
+            let snapshot = state.with_configured(|c| c.part.snapshot())?;
             Ok(ReplyFrame::SnapshotOk {
                 request_id,
                 snapshot: Box::new(snapshot),
@@ -804,12 +779,12 @@ fn execute_frame(
         }
 
         RequestFrame::IsActive { request_id } => {
-            let active = with_engine(state, |part| part.is_active())?;
+            let active = state.with_configured(|c| c.part.is_active())?;
             Ok(ReplyFrame::ActiveOk { request_id, active })
         }
 
         RequestFrame::HasWorker { request_id, worker } => {
-            let present = with_engine(state, |part| part.has_worker(worker))?;
+            let present = state.with_configured(|c| c.part.has_worker(worker))?;
             Ok(ReplyFrame::HasWorkerOk {
                 request_id,
                 present,
@@ -842,6 +817,24 @@ fn execute_frame(
         }),
 
         RequestFrame::ReplPromote { request_id } => repl_promote_command(state, request_id),
+
+        RequestFrame::Hello { request_id } => Ok(ReplyFrame::HelloOk {
+            request_id,
+            hello: Hello {
+                protocol_version: PROTOCOL_VERSION,
+                region_index: state.slot().as_ref().map(|c| c.region_index),
+                draining: state.is_draining(shutdown),
+                standby: state.standby.load(Ordering::Acquire),
+            },
+        }),
+
+        RequestFrame::Configure {
+            request_id,
+            configure: text,
+        } => Ok(ReplyFrame::ConfigureOk {
+            request_id,
+            already_configured: configure(state, &text)?,
+        }),
     }
 }
 
@@ -877,7 +870,7 @@ const FOLLOWER_LIVENESS: Duration = Duration::from_secs(2);
 /// the wire layer, because a bootstrap rebases the stream and would drop
 /// the retained tail the live follower needs.
 fn repl_bootstrap(state: &DaemonState, request_id: u64) -> Result<ReplyFrame, ServerError> {
-    let mut seen = state.repl_fetch_seen.lock().expect("follower liveness lock");
+    let mut seen = state.fetch_seen();
     if let Some(at) = *seen {
         if at.elapsed() < FOLLOWER_LIVENESS {
             return Err(ServerError::Conflict(
@@ -890,16 +883,14 @@ fn repl_bootstrap(state: &DaemonState, request_id: u64) -> Result<ReplyFrame, Se
     // The slot is free (or stale): this bootstrap claims the stream.
     *seen = None;
     drop(seen);
-    let mut guard = state.engine.lock().expect("daemon engine lock");
-    let configured = guard.as_mut().ok_or_else(|| {
-        ServerError::Conflict("partition not configured — POST /partition/configure first".into())
-    })?;
-    let (pstate, start_lsn) = configured.part.enable_replication();
-    Ok(ReplyFrame::ReplBootstrapOk {
-        request_id,
-        start_lsn,
-        state: encode_record(&WalRecord::Checkpoint(pstate)),
-        configure: configured.fingerprint.clone(),
+    state.with_configured(|configured| {
+        let (pstate, start_lsn) = configured.part.enable_replication();
+        ReplyFrame::ReplBootstrapOk {
+            request_id,
+            start_lsn,
+            state: encode_record(&WalRecord::Checkpoint(pstate)),
+            configure: configured.fingerprint.clone(),
+        }
     })
 }
 
@@ -915,41 +906,39 @@ fn repl_fetch_command(
     ack: u64,
     max: u32,
 ) -> Result<ReplyFrame, ServerError> {
-    let mut guard = state.engine.lock().expect("daemon engine lock");
-    let configured = guard.as_mut().ok_or_else(|| {
-        ServerError::Conflict("partition not configured — POST /partition/configure first".into())
-    })?;
-    let before = configured.part.repl_status().map_or(0, |s| s.acked);
-    let records = match configured.part.repl_fetch(from, ack, max as usize) {
-        Ok(records) => {
-            // A served fetch marks the follower alive, holding the stream
-            // against a competing bootstrap (see `repl_bootstrap`).
-            *state.repl_fetch_seen.lock().expect("follower liveness lock") = Some(Instant::now());
-            records
+    state.with_configured(|configured| {
+        let part = &mut configured.part;
+        let before = part.repl_status().map_or(0, |s| s.acked);
+        let records = match part.repl_fetch(from, ack, max as usize) {
+            Ok(records) => {
+                // A served fetch marks the follower alive, holding the stream
+                // against a competing bootstrap (see `repl_bootstrap`).
+                *state.fetch_seen() = Some(Instant::now());
+                records
+            }
+            Err(e) => {
+                // A gap (or a disabled stream) sends this follower back to
+                // bootstrap — release the liveness window so its own
+                // re-bootstrap is not refused as a second follower.
+                *state.fetch_seen() = None;
+                return Err(ServerError::Conflict(format!("replication fetch: {e}")));
+            }
+        };
+        let status = part
+            .repl_status()
+            .expect("repl_fetch succeeded, so replication is enabled");
+        if status.acked > before {
+            part.note_repl_watermark(status.acked);
         }
-        Err(e) => {
-            // A gap (or a disabled stream) sends this follower back to
-            // bootstrap — release the liveness window so its own
-            // re-bootstrap is not refused as a second follower.
-            *state.repl_fetch_seen.lock().expect("follower liveness lock") = None;
-            return Err(ServerError::Conflict(format!("replication fetch: {e}")));
-        }
-    };
-    let status = configured
-        .part
-        .repl_status()
-        .expect("repl_fetch succeeded, so replication is enabled");
-    if status.acked > before {
-        configured.part.note_repl_watermark(status.acked);
-    }
-    Ok(ReplyFrame::ReplFetchOk {
-        request_id,
-        next_lsn: status.next_lsn,
-        records: records
-            .into_iter()
-            .map(|(lsn, command)| (lsn, encode_command(&command)))
-            .collect(),
-    })
+        Ok(ReplyFrame::ReplFetchOk {
+            request_id,
+            next_lsn: status.next_lsn,
+            records: records
+                .into_iter()
+                .map(|(lsn, command)| (lsn, encode_command(&command)))
+                .collect(),
+        })
+    })?
 }
 
 /// The daemon's replication status from whichever side it is on: a
@@ -977,8 +966,7 @@ fn repl_status_dto(state: &DaemonState) -> ReplStatusDto {
             sealed,
         };
     }
-    let guard = state.engine.lock().expect("daemon engine lock");
-    match guard.as_ref().and_then(|c| c.part.repl_status()) {
+    match state.slot().as_ref().and_then(|c| c.part.repl_status()) {
         Some(s) => ReplStatusDto {
             role: "primary".to_string(),
             next_lsn: s.next_lsn,
@@ -1033,14 +1021,13 @@ fn repl_promote_command(state: &DaemonState, request_id: u64) -> Result<ReplyFra
         ));
     }
     state.repl_stop.store(true, Ordering::Release);
-    let mut guard = state.engine.lock().expect("daemon engine lock");
-    let configured = guard.as_mut().ok_or_else(|| {
-        ServerError::Conflict("standby has not finished bootstrapping yet".into())
+    let (digest, applied) = state.with_configured(|configured| {
+        let applied = state.repl_applied.load(Ordering::Acquire);
+        let digest = configured.part.seal_replication(applied);
+        state.repl_sealed.store(true, Ordering::Release);
+        state.standby.store(false, Ordering::Release);
+        (digest, applied)
     })?;
-    let applied = state.repl_applied.load(Ordering::Acquire);
-    let digest = configured.part.seal_replication(applied);
-    state.repl_sealed.store(true, Ordering::Release);
-    state.standby.store(false, Ordering::Release);
     eprintln!("rdbsc-partitiond: promoted to primary at stream lsn {applied} (digest {digest:016x})");
     Ok(ReplyFrame::ReplPromoteOk {
         request_id,
@@ -1181,27 +1168,10 @@ fn install_bootstrap(
     pstate: &PartitionState,
     start_lsn: u64,
 ) -> Result<(), String> {
-    let body = parse(configure_text).map_err(|e| format!("configure fingerprint: {e}"))?;
-    let version = crate::dto::id(&body, "protocol_version").map_err(|e| e.to_string())?;
-    if version != PROTOCOL_VERSION {
-        return Err(format!(
-            "primary speaks protocol v{version}, this standby speaks v{PROTOCOL_VERSION}"
-        ));
-    }
-    let dto = ConfigureDto::from_json(&body).map_err(|e| e.to_string())?;
-    let fingerprint = dto.to_json().to_string_compact();
-    let partition = dto
-        .routing
-        .clone()
-        .into_partition()
-        .map_err(|e| e.to_string())?;
-    if dto.region_index as usize >= partition.num_regions() {
-        return Err("region_index outside the routing table".to_string());
-    }
-    let engine_config = dto.engine.clone().into_config().map_err(|e| e.to_string())?;
-    let region = partition.region_rect(dto.region_index as usize);
-    let cell_size = dto.cell_size;
-    let mut guard = state.engine.lock().expect("daemon engine lock");
+    let accepted =
+        accept_configure(configure_text).map_err(|e| format!("configure fingerprint: {e}"))?;
+    let index = accepted.index();
+    let mut slot = state.slot();
     if state.repl_stop.load(Ordering::Acquire) {
         return Err("promotion raced this bootstrap; install discarded".to_string());
     }
@@ -1213,30 +1183,18 @@ fn install_bootstrap(
             }
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("creating {}: {e}", dir.display()))?;
-            let wal_config = match &dto.durability {
-                Some(d) => d.clone().into_wal_config().map_err(|e| e.to_string())?,
-                None => WalConfig::default(),
-            };
-            let part = EnginePartition::restore_durable(
-                dir,
-                wal_config,
-                engine_config,
-                pstate,
-                move || FlatGridIndex::new(region, cell_size),
-            )
-            .map_err(|e| format!("restoring in {}: {e}", dir.display()))?;
-            persist_configure(dir, &fingerprint).map_err(|e| e.to_string())?;
+            let part =
+                EnginePartition::restore_durable(dir, accepted.wal, accepted.engine, pstate, index)
+                    .map_err(|e| format!("restoring in {}: {e}", dir.display()))?;
+            persist_configure(dir, &accepted.fingerprint).map_err(|e| e.to_string())?;
             part
         }
-        None => EnginePartition::from_state(pstate, engine_config, move || {
-            FlatGridIndex::new(region, cell_size)
-        }),
+        None => EnginePartition::from_state(pstate, accepted.engine, index),
     };
-    *guard = Some(Configured {
+    *slot = Some(Configured {
         part,
-        region_index: dto.region_index,
-        region,
-        fingerprint,
+        region_index: accepted.region_index,
+        fingerprint: accepted.fingerprint,
     });
     // The cursors move with the swap, still under the lock, so a promote
     // waiting on it seals the freshly installed engine at a matching lsn.
@@ -1258,26 +1216,28 @@ fn install_bootstrap(
 /// is held) is discarded whole: nothing in it was acknowledged, and a
 /// sealed stream must not grow.
 fn apply_batch(state: &DaemonState, records: &[(u64, Vec<u8>)]) -> Result<(), String> {
-    let mut guard = state.engine.lock().expect("daemon engine lock");
-    if state.repl_stop.load(Ordering::Acquire) {
-        return Ok(());
-    }
-    let configured = guard
-        .as_mut()
-        .ok_or_else(|| "engine vanished mid-stream".to_string())?;
-    let applied = state.repl_applied.load(Ordering::Acquire);
-    let mut commands = Vec::with_capacity(records.len());
-    for (expected, (lsn, bytes)) in (applied..).zip(records) {
-        if *lsn != expected {
-            return Err(format!("stream skipped from {expected} to {lsn}"));
-        }
-        commands.push(decode_command(bytes).map_err(|e| format!("shipped command {lsn}: {e}"))?);
-    }
-    for command in commands {
-        configured.part.apply(0, command);
-        state.repl_applied.fetch_add(1, Ordering::AcqRel);
-    }
-    Ok(())
+    state
+        .with_configured(|configured| {
+            if state.repl_stop.load(Ordering::Acquire) {
+                return Ok(());
+            }
+            let applied = state.repl_applied.load(Ordering::Acquire);
+            let mut commands = Vec::with_capacity(records.len());
+            for (expected, (lsn, bytes)) in (applied..).zip(records) {
+                if *lsn != expected {
+                    return Err(format!("stream skipped from {expected} to {lsn}"));
+                }
+                commands.push(
+                    decode_command(bytes).map_err(|e| format!("shipped command {lsn}: {e}"))?,
+                );
+            }
+            for command in commands {
+                configured.part.apply(0, command);
+                state.repl_applied.fetch_add(1, Ordering::AcqRel);
+            }
+            Ok(())
+        })
+        .map_err(|e| e.to_string())?
 }
 
 #[cfg(test)]
@@ -1302,6 +1262,13 @@ mod tests {
             durability: None,
         }
         .to_json()
+    }
+
+    fn daemon_state() -> DaemonState {
+        DaemonState::new(
+            &PartitiondConfig::default(),
+            Arc::new(ServerMetrics::with_slow_threshold_us(u64::MAX)),
+        )
     }
 
     fn standby_state(data_dir: Option<PathBuf>) -> DaemonState {
@@ -1331,7 +1298,8 @@ mod tests {
         ));
         let text = configure_text(&partition, &engine_config).to_string_compact();
         install_bootstrap(&state, &text, &primary.dump_state(), 40).unwrap();
-        let digest = |state: &DaemonState| with_engine(state, |part| part.state_digest()).unwrap();
+        let digest =
+            |state: &DaemonState| state.with_configured(|c| c.part.state_digest()).unwrap();
         let before = digest(&state);
 
         let tick = |now| encode_command(&PartitionCommand::Tick { now });
@@ -1400,9 +1368,36 @@ mod tests {
             canonical
         );
         // The router's re-push after promotion is the idempotent case.
-        let reply = configure(&state, &pushed).unwrap();
-        let reply = String::from_utf8(reply.body).unwrap();
-        assert!(reply.contains("\"already_configured\":true"), "{reply}");
+        let already_configured = configure(&state, &canonical).unwrap();
+        assert!(already_configured);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A router's push and a primary's bootstrap text go through the one
+    /// configure check: a cell size the push path refuses must not be
+    /// installed on a standby either, where the index would clamp it to
+    /// some other resolution.
+    #[test]
+    fn a_bootstrap_with_a_cell_size_the_push_refuses_is_refused_too() {
+        let partition = unit_partition();
+        let engine_config = EngineConfig::default();
+        let primary = EnginePartition::new(AssignmentEngine::new(
+            FlatGridIndex::new(partition.region_rect(0), 0.1),
+            engine_config.clone(),
+        ));
+        for cell_size in [-0.1, 0.0] {
+            let mut text = configure_text(&partition, &engine_config);
+            let Json::Obj(fields) = &mut text else {
+                panic!("configure payload is an object");
+            };
+            fields.insert("cell_size".to_string(), Json::Num(cell_size));
+            let text = text.to_string_compact();
+            let state = standby_state(None);
+            let refusal = install_bootstrap(&state, &text, &primary.dump_state(), 0).unwrap_err();
+            assert!(refusal.contains("cell_size"), "{cell_size}: {refusal}");
+            assert!(state.slot().is_none(), "{cell_size}: nothing installed");
+            let pushed = configure(&daemon_state(), &text).unwrap_err();
+            assert!(pushed.to_string().contains("cell_size"), "{cell_size}: {pushed}");
+        }
     }
 }

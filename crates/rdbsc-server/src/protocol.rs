@@ -1,14 +1,15 @@
-//! JSON DTOs for what the partition protocol still says over HTTP: the
-//! hello/configure handshake (protocol version, routing table, engine and
-//! durability config) and the replication status rendered under `/metrics`.
+//! The partition protocol's values that are not commands: the configure
+//! payload (protocol version, routing table, engine and durability config),
+//! which travels as canonical JSON text inside a `Configure` frame and is
+//! persisted as `configure.json`; the daemon's [`Hello`]; and the
+//! replication status, carried by a frame and rendered under `/metrics`.
 //! The router side of the protocol is defined in
-//! [`rdbsc_platform::protocol`]; the data commands themselves travel as
-//! binary frames ([`crate::frame`]) and have no JSON form.
+//! [`rdbsc_platform::protocol`]; the frames themselves are [`crate::frame`].
 //!
 //! Conventions:
 //!
-//! * The protocol version is negotiated once per connection
-//!   (`GET /partition/hello`) and pinned by the configure command.
+//! * The protocol version is checked twice per attach: by the router on the
+//!   daemon's [`Hello`], and by the daemon on the configure payload.
 //! * Floats survive the wire exactly: the JSON codec prints
 //!   shortest-round-trip forms ([`crate::json::write_f64`]), which is what
 //!   keeps the persisted configure fingerprint stable byte for byte.
@@ -27,7 +28,7 @@ use crate::json::Json;
 use rdbsc_cluster::{CellRange, RegionPartition};
 use rdbsc_geo::Rect;
 use rdbsc_index::geometry::GridGeometry;
-use rdbsc_platform::{EngineConfig, PROTOCOL_VERSION};
+use rdbsc_platform::EngineConfig;
 
 fn uint(value: &Json, field: &'static str) -> Result<u64, ServerError> {
     let n = num(value, field)?;
@@ -366,7 +367,7 @@ impl DurabilityDto {
     }
 }
 
-/// `POST /partition/configure`: the routing table, which of its regions
+/// The `Configure` frame's payload: the routing table, which of its regions
 /// this daemon serves and the engine configuration. Payloads written by
 /// earlier builds (a router's push, a persisted `configure.json`) also carry
 /// a `backend` string; it is not read, so they decode to the same value.
@@ -433,104 +434,21 @@ impl ConfigureDto {
     }
 }
 
-/// `GET /partition/hello`: what a daemon tells a connecting router.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HelloDto {
+/// What a daemon answers a `Hello` frame with — the first exchange of an
+/// attach and of a promotion, so a router can refuse a daemon it cannot
+/// mount before it sends anything that changes state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hello {
     /// The daemon's protocol version.
     pub protocol_version: u32,
-    /// Whether a configure has taken effect.
-    pub configured: bool,
-    /// The configured region index, when configured.
+    /// The configured region index (`None` before any configure).
     pub region_index: Option<u32>,
-    /// Whether the daemon is draining (refusing commands).
+    /// Whether the daemon is draining (refusing mutating commands).
     pub draining: bool,
     /// Whether the daemon is a replication standby (refusing mutating
     /// commands until promoted). Distinct from draining: a drain is
-    /// terminal, a standby is one promote away from serving. Absent on
-    /// the wire means `false` — pre-replication daemons never send it.
+    /// terminal, a standby is one promote away from serving.
     pub standby: bool,
-    /// The command transports the daemon accepts — `["binary"]` for this
-    /// build. A hello without the field (a daemon from before the frame
-    /// transport) decodes as none, and the router refuses it by address.
-    pub transports: Vec<String>,
-}
-
-impl HelloDto {
-    /// The hello for this build at the given state.
-    pub fn current(configured: Option<u32>, draining: bool, standby: bool) -> Self {
-        Self {
-            protocol_version: PROTOCOL_VERSION,
-            configured: configured.is_some(),
-            region_index: configured,
-            draining,
-            standby,
-            transports: vec!["binary".to_string()],
-        }
-    }
-
-    /// Does the daemon speak the binary frame transport?
-    pub fn speaks_binary(&self) -> bool {
-        self.transports.iter().any(|t| t == "binary")
-    }
-
-    /// Encodes the DTO.
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("protocol_version", Json::Num(self.protocol_version as f64)),
-            ("configured", Json::Bool(self.configured)),
-            ("draining", Json::Bool(self.draining)),
-            ("standby", Json::Bool(self.standby)),
-            (
-                "transports",
-                Json::Arr(
-                    self.transports
-                        .iter()
-                        .map(|t| Json::Str(t.clone()))
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(region) = self.region_index {
-            pairs.push(("region_index", Json::Num(region as f64)));
-        }
-        Json::obj(pairs)
-    }
-
-    /// Decodes the DTO.
-    pub fn from_json(value: &Json) -> Result<Self, ServerError> {
-        let region_index = match value.get("region_index") {
-            None | Some(Json::Null) => None,
-            Some(_) => Some(id(value, "region_index")?),
-        };
-        let transports = match value.get("transports") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(list) => list
-                .as_arr()
-                .ok_or(ServerError::BadField {
-                    field: "transports",
-                    expected: "an array of transport names",
-                })?
-                .iter()
-                .map(|t| {
-                    t.as_str().map(str::to_string).ok_or(ServerError::BadField {
-                        field: "transports",
-                        expected: "transport names as strings",
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        Ok(Self {
-            protocol_version: id(value, "protocol_version")?,
-            configured: bool_field(value, "configured")?,
-            region_index,
-            draining: bool_field(value, "draining")?,
-            standby: match value.get("standby") {
-                None | Some(Json::Null) => false,
-                Some(_) => bool_field(value, "standby")?,
-            },
-            transports,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -656,22 +574,24 @@ mod tests {
 
     #[test]
     fn hello_round_trips() {
-        for hello in [
-            HelloDto::current(None, false, false),
-            HelloDto::current(Some(2), true, false),
-            HelloDto::current(Some(0), false, true),
-        ] {
-            let wire = hello.to_json().to_string_compact();
-            assert_eq!(HelloDto::from_json(&parse(&wire).unwrap()).unwrap(), hello);
+        use crate::frame::{read_raw, ReplyFrame};
+        for (region_index, draining, standby) in
+            [(None, false, false), (Some(2), true, false), (Some(0), false, true)]
+        {
+            let reply = ReplyFrame::HelloOk {
+                request_id: 1,
+                hello: Hello {
+                    protocol_version: rdbsc_platform::PROTOCOL_VERSION,
+                    region_index,
+                    draining,
+                    standby,
+                },
+            };
+            let mut wire = Vec::new();
+            reply.write_to(&mut wire).unwrap();
+            let raw = read_raw(&mut &wire[..], 1 << 10).unwrap().unwrap();
+            assert_eq!(ReplyFrame::decode(&raw).unwrap(), reply);
         }
-        // A pre-replication hello (no standby field) decodes as not-standby.
-        let old = HelloDto::current(Some(1), false, false).to_json().to_string_compact();
-        let old = old.replace(",\"standby\":false", "");
-        assert!(!HelloDto::from_json(&parse(&old).unwrap()).unwrap().standby);
-        // A hello from before the frame transport names none — not binary.
-        let old = r#"{"protocol_version":1,"configured":false,"draining":false}"#;
-        assert!(!HelloDto::from_json(&parse(old).unwrap()).unwrap().speaks_binary());
-        assert_eq!(HelloDto::current(None, false, false).protocol_version, PROTOCOL_VERSION);
     }
 
     #[test]

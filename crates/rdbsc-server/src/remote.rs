@@ -1,15 +1,13 @@
-//! The router's side of the partition wire: the HTTP handshake
-//! ([`PartitionHandshake`]) and the frame transport that carries every
-//! data command ([`BinaryPartitionClient`] over [`FrameConn`]).
+//! The router's side of the partition wire: one frame connection per
+//! daemon ([`BinaryPartitionClient`] over [`FrameConn`]) that opens with the
+//! handshake and then carries every command.
 //!
-//! * **Handshake.** [`connect_remote_partition`] reads
-//!   `GET /partition/hello` (refusing a daemon that speaks a different
-//!   [`PROTOCOL_VERSION`], is draining, is an unpromoted standby, or does
-//!   not advertise the `"binary"` transport) and pushes the configure
-//!   payload — routing table, region index, engine config — so
-//!   router and daemon provably agree on the region geometry before the
-//!   first event is routed. Then it opens the one frame connection all
-//!   commands travel on.
+//! * **Handshake.** [`connect_remote_partition`] makes the connection's
+//!   first two exchanges a `Hello` — refusing a daemon that speaks a
+//!   different [`PROTOCOL_VERSION`], is draining, is an unpromoted standby,
+//!   or predates the `Hello` frame — and a `Configure` carrying the routing
+//!   table, region index and engine config, so router and daemon provably
+//!   agree on the region geometry before the first event is routed.
 //! * **Request ids.** Every frame carries a `request_id` the daemon
 //!   echoes; a mismatched echo is a protocol error, so a desynced
 //!   connection can never pair a reply with the wrong command.
@@ -23,10 +21,9 @@
 //!   and per-command latency all land in the shared [`ProtocolCounters`],
 //!   surfaced per partition on the router's `/metrics`.
 
-use crate::client::HttpClient;
 use crate::error::ServerError;
 use crate::frame::{self, FrameError, ReplyFrame, RequestFrame};
-use crate::protocol::{ConfigureDto, DurabilityDto, EngineConfigDto, HelloDto, RoutingTableDto};
+use crate::protocol::{ConfigureDto, DurabilityDto, EngineConfigDto, Hello, RoutingTableDto};
 use rdbsc_cluster::RegionPartition;
 use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{Contribution, WorkerId};
@@ -60,10 +57,60 @@ fn resolve(addr: &str) -> Result<SocketAddr, ServerError> {
         })
 }
 
-/// Resolves, handshakes and configures one remote partition, returning the
-/// boxed protocol client the router mounts for that region. Fails when the
-/// daemon is unreachable, speaks a different protocol version or no frame
-/// transport, or is already configured as part of a different topology.
+/// Why a handshake or lifecycle exchange with `addr` did not get the reply
+/// it wanted: the daemon's in-band refusal, a reply of the wrong kind, or a
+/// transport failure.
+fn failed_exchange(addr: &str, what: &str, reply: Result<ReplyFrame, FrameError>) -> String {
+    match reply {
+        Ok(ReplyFrame::Error { status, detail, .. }) => {
+            format!("{what} on {addr} failed with {status}: {detail}")
+        }
+        Ok(other) => format!("{what} on {addr}: unexpected reply tag {:#04x}", other.tag()),
+        Err(e) => format!("{what} on {addr}: {e}"),
+    }
+}
+
+/// The one hello check, for an attach and a promotion alike: the daemon
+/// must answer the `Hello` frame, speak this router's [`PROTOCOL_VERSION`]
+/// and not be draining. Whether a standby is acceptable is the caller's
+/// call — an attach refuses one, a promotion promotes it.
+fn hello(conn: &mut FrameConn, addr: &str, request_id: u64) -> Result<Hello, ServerError> {
+    let hello = match conn.exchange(&RequestFrame::Hello { request_id }) {
+        Ok(ReplyFrame::HelloOk { hello, .. }) => hello,
+        // A daemon from before the Hello frame answers its tag as malformed.
+        Ok(ReplyFrame::Error {
+            status: 400,
+            detail,
+            ..
+        }) => {
+            return Err(ServerError::Conflict(format!(
+                "partition {addr} does not speak the Hello frame ({detail}); upgrade the daemon"
+            )));
+        }
+        other => return Err(ServerError::BadRequest(failed_exchange(addr, "hello", other))),
+    };
+    if hello.protocol_version != PROTOCOL_VERSION {
+        return Err(ServerError::Conflict(format!(
+            "partition {addr} speaks protocol v{} but this router speaks v{PROTOCOL_VERSION}",
+            hello.protocol_version
+        )));
+    }
+    if hello.draining {
+        return Err(ServerError::Conflict(format!(
+            "partition {addr} is draining and cannot join a topology"
+        )));
+    }
+    Ok(hello)
+}
+
+/// Attaches one remote partition: opens the frame connection, says hello
+/// (refusing a daemon this router cannot mount), pushes the routing table,
+/// region index and engine config, and returns the boxed protocol client
+/// the router mounts for that region — the same connection, now carrying
+/// commands. The daemon builds its engine over exactly the table's region
+/// rectangle, with an index at the router's raw `cell_size` (the value the
+/// router's in-process regions use); an identical re-push is idempotent, a
+/// conflicting one is refused.
 pub fn connect_remote_partition(
     addr: &str,
     partition: &RegionPartition,
@@ -72,99 +119,36 @@ pub fn connect_remote_partition(
     engine: &EngineConfig,
     durability: Option<&rdbsc_platform::WalConfig>,
 ) -> Result<Box<dyn PartitionClient>, ServerError> {
-    PartitionHandshake::connect(addr)?.configure(
-        partition,
-        region_index,
+    let mut client = BinaryPartitionClient::connect(addr)?;
+    let request_id = client.next_rid();
+    if hello(&mut client.conn, addr, request_id)?.standby {
+        return Err(ServerError::Conflict(format!(
+            "partition {addr} is a replication standby; promote it before attaching it"
+        )));
+    }
+    let configure = ConfigureDto {
+        protocol_version: PROTOCOL_VERSION,
+        routing: RoutingTableDto::from_partition(partition),
+        region_index: region_index as u32,
         cell_size,
-        engine,
-        durability,
-    )?;
-    Ok(Box::new(BinaryPartitionClient::connect(addr)?))
-}
-
-/// The HTTP half of attaching a daemon: hello, then configure. Everything
-/// after it travels as frames.
-pub struct PartitionHandshake {
-    endpoint: String,
-    client: HttpClient,
-}
-
-impl PartitionHandshake {
-    /// Reads the daemon's hello and refuses one this router cannot mount.
-    pub fn connect(addr: &str) -> Result<Self, ServerError> {
-        let mut handshake = Self {
-            endpoint: addr.to_string(),
-            client: HttpClient::new(resolve(addr)?).with_timeout(COMMAND_TIMEOUT),
-        };
-        let hello = handshake.hello()?;
-        if hello.protocol_version != PROTOCOL_VERSION {
-            return Err(ServerError::Conflict(format!(
-                "partition {addr} speaks protocol v{} but this router speaks v{}",
-                hello.protocol_version, PROTOCOL_VERSION
-            )));
-        }
-        if hello.draining {
-            return Err(ServerError::Conflict(format!(
-                "partition {addr} is draining and cannot join a topology"
-            )));
-        }
-        if hello.standby {
-            return Err(ServerError::Conflict(format!(
-                "partition {addr} is a replication standby; promote it before attaching it"
-            )));
-        }
-        if !hello.speaks_binary() {
-            return Err(ServerError::Conflict(format!(
-                "partition {addr} does not advertise the binary frame transport \
-                 (hello transports: {:?}); upgrade the daemon",
-                hello.transports
-            )));
-        }
-        Ok(handshake)
+        engine: EngineConfigDto::from_config(engine),
+        durability: durability.map(DurabilityDto::from_wal_config),
     }
-
-    /// Reads the daemon's hello.
-    pub fn hello(&mut self) -> Result<HelloDto, ServerError> {
-        let response = self.client.get("/partition/hello")?;
-        if !response.is_success() {
-            return Err(ServerError::BadRequest(format!(
-                "hello from {} failed with {}: {}",
-                self.endpoint, response.status, response.body
-            )));
+    .to_json()
+    .to_string_compact();
+    let request = RequestFrame::Configure {
+        request_id: client.next_rid(),
+        configure,
+    };
+    match client.conn.exchange(&request) {
+        Ok(ReplyFrame::ConfigureOk { .. }) => {}
+        other => {
+            let what = format!("configuring region {region_index}");
+            return Err(ServerError::Conflict(failed_exchange(addr, &what, other)));
         }
-        HelloDto::from_json(&response.json()?)
     }
-
-    /// Pushes the routing table + engine config for `region_index`. The
-    /// daemon builds its engine over exactly this table's region rectangle,
-    /// with an index at the router's raw `cell_size` — the same value the
-    /// router's in-process regions use (idempotent for an identical
-    /// re-push; 409 for a conflicting one).
-    pub fn configure(
-        &mut self,
-        partition: &RegionPartition,
-        region_index: usize,
-            cell_size: f64,
-        engine: &EngineConfig,
-        durability: Option<&rdbsc_platform::WalConfig>,
-    ) -> Result<(), ServerError> {
-        let dto = ConfigureDto {
-            protocol_version: PROTOCOL_VERSION,
-            routing: RoutingTableDto::from_partition(partition),
-            region_index: region_index as u32,
-            cell_size,
-            engine: EngineConfigDto::from_config(engine),
-            durability: durability.map(DurabilityDto::from_wal_config),
-        };
-        let response = self.client.post("/partition/configure", &dto.to_json())?;
-        if !response.is_success() {
-            return Err(ServerError::Conflict(format!(
-                "configuring partition {} as region {region_index} failed with {}: {}",
-                self.endpoint, response.status, response.body
-            )));
-        }
-        Ok(())
-    }
+    client.exchanged = true;
+    Ok(Box::new(client))
 }
 
 // ---------------------------------------------------------------------------
@@ -187,11 +171,11 @@ const PROMOTE_HELLO_TIMEOUT: Duration = Duration::from_secs(2);
 const PROMOTE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The router's [`StandbyPromoter`] over the wire: health-check the
-/// `--follow` standby, tell it to finish its replay and seal the stream
-/// (a [`RequestFrame::ReplPromote`]), then re-attach it through the ordinary
-/// connect path — the re-pushed configure matches the standby's fingerprint
-/// byte for byte, because both daemons keep the canonical re-encoding of the
-/// payload the primary accepted.
+/// `--follow` standby with a `Hello`, tell it to finish its replay and seal
+/// the stream (a [`RequestFrame::ReplPromote`]), then re-attach it through
+/// the ordinary connect path — the re-pushed configure matches the
+/// standby's fingerprint byte for byte, because both daemons keep the
+/// canonical re-encoding of the payload the primary accepted.
 pub struct RemoteStandbyPromoter {
     addr: String,
     partition: RegionPartition,
@@ -209,7 +193,7 @@ impl RemoteStandbyPromoter {
         addr: &str,
         partition: RegionPartition,
         region_index: usize,
-            cell_size: f64,
+        cell_size: f64,
         engine: EngineConfig,
         durability: Option<rdbsc_platform::WalConfig>,
     ) -> Self {
@@ -223,12 +207,9 @@ impl RemoteStandbyPromoter {
         }
     }
 
-    fn socket(&self) -> Result<SocketAddr, String> {
-        resolve(&self.addr).map_err(|e| format!("standby: {e}"))
-    }
-
-    fn raw_client(&self, timeout: Duration) -> Result<HttpClient, String> {
-        Ok(HttpClient::new(self.socket()?).with_timeout(timeout))
+    fn conn(&self, timeout: Duration) -> Result<FrameConn, String> {
+        let socket = resolve(&self.addr).map_err(|e| format!("standby: {e}"))?;
+        Ok(FrameConn::new(socket, timeout))
     }
 }
 
@@ -238,38 +219,17 @@ impl StandbyPromoter for RemoteStandbyPromoter {
     }
 
     fn promote(&mut self) -> Result<Box<dyn PartitionClient>, String> {
-        let mut client = self.raw_client(PROMOTE_HELLO_TIMEOUT)?;
         // Health-check first, on a short leash: an unreachable, draining or
         // merely sluggish standby fails the promotion cleanly and leaves
         // the slot on the unhealthy path.
-        let response = client
-            .get("/partition/hello")
-            .map_err(|e| format!("standby {} unreachable: {e}", self.addr))?;
-        if !response.is_success() {
-            return Err(format!(
-                "standby {} hello failed with {}: {}",
-                self.addr, response.status, response.body
-            ));
-        }
-        let hello = response
-            .json()
-            .and_then(|json| HelloDto::from_json(&json))
-            .map_err(|e| format!("standby {} hello: {e}", self.addr))?;
-        if hello.protocol_version != PROTOCOL_VERSION {
-            return Err(format!(
-                "standby {} speaks protocol v{} but this router speaks v{}",
-                self.addr, hello.protocol_version, PROTOCOL_VERSION
-            ));
-        }
-        if hello.draining {
-            return Err(format!("standby {} is draining", self.addr));
-        }
+        let mut conn = self.conn(PROMOTE_HELLO_TIMEOUT)?;
+        let hello = hello(&mut conn, &self.addr, 1).map_err(|e| format!("standby: {e}"))?;
         // Promote — the daemon finishes its in-flight replay under the
         // engine lock, seals the stream and starts accepting commands. A
         // daemon that is no longer a standby was promoted by an earlier
         // attempt that died before re-attaching; just re-attach it.
         if hello.standby {
-            let mut conn = FrameConn::new(self.socket()?, PROMOTE_TIMEOUT);
+            let mut conn = self.conn(PROMOTE_TIMEOUT)?;
             match conn.exchange(&RequestFrame::ReplPromote { request_id: 1 }) {
                 Ok(ReplyFrame::ReplPromoteOk {
                     digest, applied, ..
@@ -277,20 +237,7 @@ impl StandbyPromoter for RemoteStandbyPromoter {
                     "rdbsc-server: promoted standby {} at stream lsn {applied} (digest {digest:016x})",
                     self.addr
                 ),
-                Ok(ReplyFrame::Error { status, detail, .. }) => {
-                    return Err(format!(
-                        "promoting {} failed with {status}: {detail}",
-                        self.addr
-                    ));
-                }
-                Ok(other) => {
-                    return Err(format!(
-                        "promote reply from {}: unexpected reply tag {:#04x}",
-                        self.addr,
-                        other.tag()
-                    ));
-                }
-                Err(e) => return Err(format!("promoting {}: {e}", self.addr)),
+                other => return Err(failed_exchange(&self.addr, "promote", other)),
             }
         }
         connect_remote_partition(
@@ -311,17 +258,13 @@ impl StandbyPromoter for RemoteStandbyPromoter {
     }
 
     fn shutdown(&mut self) -> Result<(), String> {
-        let mut client = self.raw_client(PROMOTE_TIMEOUT)?;
-        let response = client
-            .post("/partition/shutdown", &crate::json::Json::obj([]))
-            .map_err(|e| format!("stopping unfired standby {}: {e}", self.addr))?;
-        if !response.is_success() {
-            return Err(format!(
-                "unfired standby {} refused shutdown with {}: {}",
-                self.addr, response.status, response.body
-            ));
+        match self
+            .conn(PROMOTE_TIMEOUT)?
+            .exchange(&RequestFrame::Shutdown { request_id: 1 })
+        {
+            Ok(ReplyFrame::ShutdownOk { .. }) => Ok(()),
+            other => Err(failed_exchange(&self.addr, "stopping unfired standby", other)),
         }
-        Ok(())
     }
 }
 
@@ -500,8 +443,9 @@ pub struct BinaryPartitionClient {
 }
 
 impl BinaryPartitionClient {
-    /// Opens the command connection. The caller has already handshaken
-    /// and configured the daemon over HTTP ([`PartitionHandshake`]).
+    /// Opens the command connection. A router attaches a daemon with
+    /// [`connect_remote_partition`], which says hello and configures on
+    /// this connection before handing it over.
     pub fn connect(addr: &str) -> Result<Self, ServerError> {
         let mut client = Self {
             endpoint: addr.to_string(),

@@ -16,8 +16,7 @@ use rdbsc_platform::{
 };
 use rdbsc_server::frame::{ReplyFrame, RequestFrame};
 use rdbsc_server::{
-    connect_remote_partition, FrameConn, HttpClient, Json, PartitionHandshake, Server,
-    ServerConfig,
+    connect_remote_partition, FrameConn, HttpClient, Json, Server, ServerConfig,
 };
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -91,12 +90,12 @@ impl Drop for DaemonProcess {
     }
 }
 
-/// Fetches a daemon's state digest off the snapshot route (a hex string —
+/// Fetches a daemon's state digest off `/debug/snapshot` (a hex string —
 /// u64 digests don't survive JSON's f64 numbers). `None` while the daemon
 /// is unconfigured (a standby that has not bootstrapped yet answers 409).
 fn try_remote_digest(addr: SocketAddr) -> Option<u64> {
     let mut http = HttpClient::new(addr).with_timeout(Duration::from_secs(5));
-    let response = http.get("/partition/snapshot").ok()?;
+    let response = http.get("/debug/snapshot").ok()?;
     if !response.is_success() {
         return None;
     }
@@ -383,11 +382,13 @@ fn standby_refuses_mutating_commands_until_promoted() {
     await_caught_up(primary.addr, standby.addr, Duration::from_secs(20));
 
     let mut http = HttpClient::new(standby.addr).with_timeout(Duration::from_secs(5));
-    let hello = http.get("/partition/hello").unwrap().json().unwrap();
-    assert_eq!(hello.get("standby"), Some(&Json::Bool(true)));
+    let mut conn = FrameConn::new(standby.addr, Duration::from_secs(5));
+    match exchange(&mut conn, RequestFrame::Hello { request_id: 9 }) {
+        Ok(ReplyFrame::HelloOk { hello, .. }) => assert!(hello.standby, "{hello:?}"),
+        other => panic!("hello: {other:?}"),
+    }
 
     // Mutating commands are refused with a structured conflict...
-    let mut conn = FrameConn::new(standby.addr, Duration::from_secs(5));
     let (status, detail) = exchange(
         &mut conn,
         RequestFrame::Command {
@@ -409,20 +410,27 @@ fn standby_refuses_mutating_commands_until_promoted() {
     .expect_err("standby submit must be refused");
     assert_eq!(status, 409);
     // ... while reads stay up.
-    assert!(http.get("/partition/snapshot").unwrap().is_success());
+    assert!(http.get("/debug/snapshot").unwrap().is_success());
     assert!(http.get("/metrics").unwrap().is_success());
 
     // The router-side client refuses to mount an unpromoted standby.
-    assert!(
-        PartitionHandshake::connect(&standby.addr.to_string()).is_err(),
-        "mounting a standby as an ordinary partition must fail"
-    );
+    let refused = connect_remote_partition(
+        &standby.addr.to_string(),
+        &RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1)),
+        0,
+        0.1,
+        &EngineConfig::default(),
+        None,
+    )
+    .err()
+    .expect("mounting a standby as an ordinary partition must fail");
+    assert!(refused.to_string().contains("replication standby"), "{refused}");
 
     standby.child.kill().ok();
     standby.child.wait().ok();
     let mut primary_http = HttpClient::new(primary.addr).with_timeout(Duration::from_secs(5));
     assert!(primary_http
-        .post("/partition/shutdown", &Json::obj([]))
+        .post("/admin/shutdown", &Json::obj([]))
         .unwrap()
         .is_success());
     primary.child.wait().ok();

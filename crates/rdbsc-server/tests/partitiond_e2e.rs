@@ -1,6 +1,6 @@
 //! End-to-end tests of the partition protocol over the wire: a real
-//! `rdbsc-partitiond` daemon (in-process, loopback) handshaken over HTTP and
-//! driven over the frame transport by the real router-side client, checked
+//! `rdbsc-partitiond` daemon (in-process, loopback) attached and driven over
+//! the frame transport by the real router-side client, checked
 //! byte for byte against the in-process protocol backend on the identical
 //! event stream.
 
@@ -15,8 +15,8 @@ use rdbsc_platform::{
 };
 use rdbsc_server::frame::{ReplyFrame, RequestFrame};
 use rdbsc_server::{
-    connect_remote_partition, BinaryPartitionClient, FrameConn, HttpClient, Json,
-    PartitionDaemon, PartitionHandshake, PartitiondConfig,
+    connect_remote_partition, BinaryPartitionClient, ConfigureDto, EngineConfigDto, FrameConn,
+    HttpClient, Json, PartitionDaemon, PartitiondConfig, RoutingTableDto,
 };
 use std::time::Duration;
 
@@ -51,8 +51,8 @@ fn single_region() -> RegionPartition {
     RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1))
 }
 
-/// The router's boot sequence against one daemon: hello + configure over
-/// HTTP, then the frame connection every command travels on.
+/// The router's boot sequence against one daemon: hello + configure, then
+/// commands, all on one frame connection.
 fn attach(
     daemon: &PartitionDaemon,
     partition: &RegionPartition,
@@ -238,27 +238,25 @@ fn configure_is_idempotent_and_conflicts_are_rejected() {
         Err(PartitionError::Protocol { .. })
     ));
 
-    let mut handshake = PartitionHandshake::connect(&addr).unwrap();
-    handshake
-        .configure(&partition, 0, 0.1, &config, None)
-        .unwrap();
+    let attach = |partition: &RegionPartition, region| {
+        connect_remote_partition(&addr, partition, region, 0.1, &config, None)
+    };
+    assert!(attach(&partition, 0).is_ok());
     // Identical re-push (a stateless router restarting): accepted.
-    handshake
-        .configure(&partition, 0, 0.1, &config, None)
-        .unwrap();
+    assert!(attach(&partition, 0).is_ok());
     // Different topology: refused, engine untouched.
     let other = RegionPartitioner::uniform()
         .split(GridGeometry::new(Rect::unit(), 0.1), 2, &[]);
-    assert!(handshake
-        .configure(&other, 1, 0.1, &config, None)
-        .is_err());
+    assert!(attach(&other, 1).is_err());
     assert!(client.is_active().is_ok(), "original engine still serving");
 
     // A router speaking a different protocol version is refused outright.
-    let mut raw = HttpClient::new(daemon.addr());
-    let body = Json::obj([("protocol_version", Json::Num(99.0))]);
-    let response = raw.post("/partition/configure", &body).unwrap();
-    assert_eq!(response.status, 409, "{}", response.body);
+    let mut conn = FrameConn::new(daemon.addr(), Duration::from_secs(5));
+    let configure = Json::obj([("protocol_version", Json::Num(99.0))]).to_string_compact();
+    match conn.exchange(&RequestFrame::Configure { request_id: 1, configure }).unwrap() {
+        ReplyFrame::Error { status, detail, .. } => assert_eq!(status, 409, "{detail}"),
+        other => panic!("a version-99 configure was accepted: {other:?}"),
+    }
 
     daemon.shutdown();
     daemon.join();
@@ -355,7 +353,7 @@ fn router_survives_daemon_idle_timeouts() {
 fn await_configured(addr: std::net::SocketAddr) {
     let mut http = HttpClient::new(addr);
     for _ in 0..200 {
-        if http.get("/partition/snapshot").is_ok_and(|r| r.is_success()) {
+        if http.get("/debug/snapshot").is_ok_and(|r| r.is_success()) {
             return;
         }
         std::thread::sleep(Duration::from_millis(25));
@@ -365,8 +363,9 @@ fn await_configured(addr: std::net::SocketAddr) {
 
 /// The refusal table is one table: for every command, a draining daemon and
 /// an unpromoted standby answer exactly the statuses the two per-transport
-/// tables used to give (0 = served). And the JSON data routes are gone — a
-/// well-formed `POST /partition/tick` is a 404, not a tick.
+/// tables used to give (0 = served). And no partition route is left on
+/// HTTP — not the JSON data routes (a well-formed tick is a 404, not a
+/// tick), and not the handshake, the probes or the shutdown.
 #[test]
 fn every_command_meets_the_one_refusal_table() {
     let partition = single_region();
@@ -391,6 +390,17 @@ fn every_command_meets_the_one_refusal_table() {
         worker: WorkerId(1),
         contribution: Contribution::new(Confidence::new(0.9).unwrap(), 1.0, 1.0),
     };
+    // The primary's own payload: served, it would be the idempotent re-push.
+    let configure = ConfigureDto {
+        protocol_version: rdbsc_platform::PROTOCOL_VERSION,
+        routing: RoutingTableDto::from_partition(&partition),
+        region_index: 0,
+        cell_size: 0.1,
+        engine: EngineConfigDto::from_config(&config),
+        durability: None,
+    }
+    .to_json()
+    .to_string_compact();
     // (command, status while draining, status while an unpromoted standby).
     // Order matters only at the tail: the promote ends standby-hood, the
     // drain and the shutdown end everything.
@@ -404,6 +414,8 @@ fn every_command_meets_the_one_refusal_table() {
         (RequestFrame::IsActive { request_id: 7 }, 0, 0),
         (RequestFrame::HasWorker { request_id: 8, worker: WorkerId(1) }, 0, 0),
         (RequestFrame::ReplStatus { request_id: 9 }, 0, 0),
+        (RequestFrame::Hello { request_id: 15 }, 0, 0),
+        (RequestFrame::Configure { request_id: 16, configure }, 503, 409),
         (RequestFrame::ReplBootstrap { request_id: 10 }, 0, 409),
         (RequestFrame::ReplFetch { request_id: 11, from: 0, ack: 0, max: 8 }, 0, 409),
         (RequestFrame::ReplPromote { request_id: 12 }, 503, 0),
@@ -436,6 +448,14 @@ fn every_command_meets_the_one_refusal_table() {
     let body = Json::obj([("request_id", Json::Num(1.0)), ("now", Json::Num(1.0))]);
     let gone = http.post("/partition/tick", &body).unwrap();
     assert_eq!(gone.status, 404, "the JSON tick route must be gone: {}", gone.body);
+    for route in ["/partition/hello", "/partition/active"] {
+        let gone = http.get(route).unwrap();
+        assert_eq!(gone.status, 404, "GET {route} must be gone: {}", gone.body);
+    }
+    for route in ["/partition/configure", "/partition/shutdown"] {
+        let gone = http.post(route, &Json::obj([])).unwrap();
+        assert_eq!(gone.status, 404, "POST {route} must be gone: {}", gone.body);
+    }
     let mut conn = FrameConn::new(primary.addr(), Duration::from_secs(5));
     for (request, want, _) in &table {
         let (status, detail) = status_of(&mut conn, request);

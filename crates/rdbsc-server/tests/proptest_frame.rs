@@ -24,7 +24,7 @@ use rdbsc_server::frame::{
     self, FrameError, RawFrame, ReplyFrame, RequestFrame, FRAME_VERSION, HEADER_LEN, MAGIC,
 };
 use rdbsc_server::{
-    FrameConn, HttpClient, PartitionDaemon, PartitionHandshake, PartitiondConfig,
+    connect_remote_partition, FrameConn, Hello, HttpClient, PartitionDaemon, PartitiondConfig,
 };
 use std::io::{Cursor, Write};
 use std::time::Duration;
@@ -91,14 +91,15 @@ fn event() -> impl Strategy<Value = EngineEvent> {
 
 fn request() -> impl Strategy<Value = RequestFrame> {
     (
-        0u32..14,
+        0u32..16,
         0u64..=u64::MAX,
         0u64..=u64::MAX,
         0u32..=u32::MAX,
         (finite(), 0.0f64..=1.0, finite(), finite()),
         proptest::collection::vec(event(), 0..8),
+        text(),
     )
-        .prop_map(|(kind, request_id, trace, worker, (w, unit, y, z), events)| {
+        .prop_map(|(kind, request_id, trace, worker, (w, unit, y, z), events, configure)| {
             let worker_id = WorkerId(worker);
             // Only a submit's or a tick's trace id crosses the wire.
             let command = |trace, command| RequestFrame::Command {
@@ -142,7 +143,13 @@ fn request() -> impl Strategy<Value = RequestFrame> {
                     max: worker,
                 },
                 12 => RequestFrame::ReplStatus { request_id },
-                _ => RequestFrame::ReplPromote { request_id },
+                13 => RequestFrame::ReplPromote { request_id },
+                14 => RequestFrame::Hello { request_id },
+                // The configure text is opaque to the codec: any string.
+                _ => RequestFrame::Configure {
+                    request_id,
+                    configure,
+                },
             }
         })
 }
@@ -260,7 +267,7 @@ fn snapshot() -> impl Strategy<Value = EngineSnapshot> {
 
 fn reply() -> impl Strategy<Value = ReplyFrame> {
     (
-        (0u32..13, 0u64..=u64::MAX, 0u32..=u32::MAX, flag(), 0u16..=u16::MAX),
+        (0u32..15, 0u64..=u64::MAX, 0u32..=u32::MAX, flag(), 0u16..=u16::MAX),
         text(),
         proptest::collection::vec(pair(), 0..6),
         tick(),
@@ -308,6 +315,21 @@ fn reply() -> impl Strategy<Value = ReplyFrame> {
                         request_id,
                         digest: !request_id,
                         applied: request_id | (1 << 58),
+                    },
+                    // Region and version are full u32s; the flags vary
+                    // apart from each other.
+                    12 => ReplyFrame::HelloOk {
+                        request_id,
+                        hello: Hello {
+                            protocol_version: events,
+                            region_index: yes.then_some(events.rotate_left(7)),
+                            draining: status % 2 == 1,
+                            standby: status % 4 >= 2,
+                        },
+                    },
+                    13 => ReplyFrame::ConfigureOk {
+                        request_id,
+                        already_configured: yes,
                     },
                     _ => ReplyFrame::Error {
                         request_id,
@@ -453,7 +475,7 @@ proptest! {
 
 fn snapshot_digest(addr: std::net::SocketAddr) -> String {
     let mut http = HttpClient::new(addr).with_timeout(Duration::from_secs(5));
-    let snapshot = http.get("/partition/snapshot").unwrap().json().unwrap();
+    let snapshot = http.get("/debug/snapshot").unwrap().json().unwrap();
     snapshot
         .get("state_digest")
         .and_then(|d| d.as_str())
@@ -475,10 +497,17 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
     })
     .unwrap();
     let partition = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1));
-    PartitionHandshake::connect(&daemon.addr().to_string())
-        .unwrap()
-        .configure(&partition, 0, 0.1, &EngineConfig::default(), None)
-        .unwrap();
+    drop(
+        connect_remote_partition(
+            &daemon.addr().to_string(),
+            &partition,
+            0,
+            0.1,
+            &EngineConfig::default(),
+            None,
+        )
+        .unwrap(),
+    );
     let mut conn = FrameConn::new(daemon.addr(), Duration::from_secs(5));
     let command = |request_id, command| RequestFrame::Command {
         request_id,

@@ -1,17 +1,18 @@
-//! Property tests for the partition protocol's handshake DTOs: routing
+//! Property tests for the partition protocol's handshake values: routing
 //! tables survive serialization with region geometry intact, engine configs
-//! and hellos round-trip for arbitrary field values, and hostile input is
-//! rejected without panicking — mirroring the `proptest_backends.rs` /
-//! `proptest_json.rs` style. (The data commands are binary frames; their
-//! round trips live in `proptest_frame.rs`.)
+//! round-trip through the configure JSON and hellos through their frame for
+//! arbitrary field values, and hostile input is rejected without panicking
+//! — mirroring the `proptest_backends.rs` / `proptest_json.rs` style. (The
+//! commands' frame round trips live in `proptest_frame.rs`.)
 
 use proptest::prelude::*;
 use rdbsc_cluster::RegionPartitioner;
 use rdbsc_geo::{Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_platform::EngineConfig;
+use rdbsc_server::frame::{read_raw, ReplyFrame};
 use rdbsc_server::json::parse;
-use rdbsc_server::protocol::{ConfigureDto, EngineConfigDto, HelloDto, RoutingTableDto};
+use rdbsc_server::protocol::{ConfigureDto, EngineConfigDto, Hello, RoutingTableDto};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -72,20 +73,30 @@ proptest! {
         prop_assert_eq!(rebuilt.auto_expire, config.auto_expire);
     }
 
-    /// Hellos round-trip for every state a daemon can report.
+    /// Hellos round-trip through their reply frame for every state a
+    /// daemon can report, at any version.
     #[test]
     fn hellos_round_trip(
+        version in 0u32..=u32::MAX,
         region in 0u32..=u32::MAX,
+        request_id in 0u64..=u64::MAX,
         configured_pick in 0u32..2,
         draining_pick in 0u32..2,
         standby_pick in 0u32..2,
     ) {
-        let region = (configured_pick == 1).then_some(region);
-        let hello = HelloDto::current(region, draining_pick == 1, standby_pick == 1);
-        let wire = hello.to_json().to_string_compact();
-        let decoded = HelloDto::from_json(&parse(&wire).unwrap()).unwrap();
-        prop_assert!(decoded.speaks_binary());
-        prop_assert_eq!(decoded, hello);
+        let reply = ReplyFrame::HelloOk {
+            request_id,
+            hello: Hello {
+                protocol_version: version,
+                region_index: (configured_pick == 1).then_some(region),
+                draining: draining_pick == 1,
+                standby: standby_pick == 1,
+            },
+        };
+        let mut wire = Vec::new();
+        reply.write_to(&mut wire).unwrap();
+        let raw = read_raw(&mut &wire[..], 1 << 10).unwrap().unwrap();
+        prop_assert_eq!(ReplyFrame::decode(&raw).unwrap(), reply);
     }
 
     /// Hostile input: arbitrary JSON documents thrown at every protocol
@@ -116,7 +127,6 @@ proptest! {
             ("protocol_version", Json::Num(version)),
             ("configured", pick(0)),
             ("draining", pick(1)),
-            ("transports", Json::Arr(junk.clone())),
             ("space", pick(2)),
             ("cells_per_axis", Json::Num(version)),
             ("regions", Json::Arr(junk.clone())),
@@ -126,7 +136,6 @@ proptest! {
         ]);
         let _ = RoutingTableDto::from_json(&body); // must not panic
         let _ = EngineConfigDto::from_json(&body);
-        let _ = HelloDto::from_json(&body);
         let _ = ConfigureDto::from_json(&body);
     }
 
@@ -137,7 +146,6 @@ proptest! {
         if let Ok(doc) = parse(&text) {
             let _ = RoutingTableDto::from_json(&doc);
             let _ = EngineConfigDto::from_json(&doc);
-            let _ = HelloDto::from_json(&doc);
             let _ = ConfigureDto::from_json(&doc);
         }
     }

@@ -12,8 +12,9 @@ use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
 use rdbsc_platform::{
     AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, WalConfig,
 };
+use rdbsc_server::frame::{ReplyFrame, RequestFrame};
 use rdbsc_server::{
-    connect_remote_partition, HttpClient, Json, PartitionHandshake, Server, ServerConfig,
+    connect_remote_partition, FrameConn, HttpClient, Json, Server, ServerConfig, ServerError,
 };
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -127,11 +128,11 @@ fn round_events(round: u32) -> Vec<EngineEvent> {
     events
 }
 
-/// Fetches the daemon's recovery digest off the snapshot route (a hex
+/// Fetches the daemon's recovery digest off `/debug/snapshot` (a hex
 /// string — u64 digests don't survive JSON's f64 numbers).
 fn remote_digest(addr: SocketAddr) -> u64 {
     let mut http = HttpClient::new(addr).with_timeout(Duration::from_secs(5));
-    let response = http.get("/partition/snapshot").expect("snapshot request");
+    let response = http.get("/debug/snapshot").expect("snapshot request");
     assert!(response.is_success(), "snapshot failed: {}", response.body);
     let json = response.json().expect("snapshot json");
     let Some(Json::Str(hex)) = json.get("state_digest") else {
@@ -249,10 +250,10 @@ fn rebooted_daemon_rejects_a_conflicting_configure() {
     let config = EngineConfig::default();
 
     let daemon = DaemonProcess::spawn(&["--data-dir", data_dir.to_str().unwrap()]);
-    PartitionHandshake::connect(&daemon.addr.to_string())
-        .unwrap()
-        .configure(&partition, 0, 0.1, &config, None)
-        .unwrap();
+    drop(
+        connect_remote_partition(&daemon.addr.to_string(), &partition, 0, 0.1, &config, None)
+            .unwrap(),
+    );
     daemon.sigkill();
 
     let mut rebooted = DaemonProcess::spawn(&["--data-dir", data_dir.to_str().unwrap()]);
@@ -268,9 +269,14 @@ fn rebooted_daemon_rejects_a_conflicting_configure() {
     .unwrap();
     // Different topology: structured 409, not a silent re-route.
     let other = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.2));
-    let mut conflicting = PartitionHandshake::connect(&rebooted.addr.to_string()).unwrap();
-    let refused = conflicting.configure(&other, 0, 0.2, &config, None);
-    assert!(refused.is_err(), "conflicting configure must be refused");
+    let refused =
+        connect_remote_partition(&rebooted.addr.to_string(), &other, 0, 0.2, &config, None)
+            .err()
+            .expect("conflicting configure must be refused");
+    assert!(
+        matches!(&refused, ServerError::Conflict(why) if why.contains("failed with 409")),
+        "{refused}"
+    );
 
     same.shutdown().unwrap();
     rebooted.child.wait().ok();
@@ -316,18 +322,21 @@ fn a_configure_json_naming_a_backend_still_boots_and_takes_the_re_push() {
 
         let mut rebooted = DaemonProcess::spawn(&["--data-dir", dir_arg]);
         assert_eq!(remote_digest(rebooted.addr), digest, "backend {named:?}");
-        let mut http = HttpClient::new(rebooted.addr).with_timeout(Duration::from_secs(5));
-        let reply = http.post("/partition/configure", &pushed).unwrap();
-        assert!(reply.is_success(), "re-push refused: {}", reply.body);
-        assert_eq!(
-            reply.json().unwrap().get("already_configured"),
-            Some(&Json::Bool(true)),
-            "{}",
-            reply.body
-        );
+        let mut conn = FrameConn::new(rebooted.addr, Duration::from_secs(5));
+        let repush = RequestFrame::Configure {
+            request_id: 1,
+            configure: pushed.to_string_compact(),
+        };
+        match conn.exchange(&repush).unwrap() {
+            ReplyFrame::ConfigureOk {
+                already_configured, ..
+            } => assert!(already_configured, "backend {named:?}"),
+            other => panic!("re-push refused: {other:?}"),
+        }
         assert_eq!(std::fs::read_to_string(&persisted).unwrap(), canonical);
 
-        http.post("/partition/shutdown", &Json::obj([])).unwrap();
+        let mut http = HttpClient::new(rebooted.addr).with_timeout(Duration::from_secs(5));
+        http.post("/admin/shutdown", &Json::obj([])).unwrap();
         rebooted.child.wait().ok();
         let _ = std::fs::remove_dir_all(&data_dir);
     }

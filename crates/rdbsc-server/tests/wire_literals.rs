@@ -1,18 +1,21 @@
 //! Pins the partition wire byte for byte. `proptest_frame` only proves that
 //! encode and decode agree with *each other*; this file records what the
-//! bytes *are*, as hex literals taken at frame version 3, for the four
-//! partition commands and the `Assignments` / `Snapshot` reads — one request
-//! and one reply frame each, checked in both directions on both tiers:
+//! bytes *are*, as hex literals taken at frame version 3, for the `Hello` /
+//! `Configure` handshake, the four partition commands and the
+//! `Assignments` / `Snapshot` reads — one request and one reply frame each,
+//! checked in both directions on both tiers:
 //!
 //! * the router-side client must **write** exactly the request literals and
 //!   **read** the reply literals back into exactly the platform values
-//!   ([`client_writes_the_request_literals_and_reads_the_reply_literals`]);
+//!   ([`client_writes_the_request_literals_and_reads_the_reply_literals`],
+//!   [`attach_writes_the_handshake_literals_and_reads_the_replies`]);
 //! * a daemon must **read** the same request literals and **write** exactly
 //!   the recorded replies ([`daemon_reads_the_request_literals_and_writes_the_recorded_replies`]).
 //!
-//! Only [`PartitionClient`]'s methods, the daemon and raw sockets are used —
-//! no frame type is named — so this file compiles unchanged against any
-//! build that keeps the bytes, whatever its frame enums look like.
+//! Only [`PartitionClient`]'s methods, [`connect_remote_partition`], the
+//! daemon and raw sockets are used — no frame type is named — so this file
+//! compiles unchanged against any build that keeps the bytes, whatever its
+//! frame enums look like.
 
 use rdbsc_cluster::RegionPartition;
 use rdbsc_geo::{AngleRange, Point, Rect};
@@ -24,9 +27,13 @@ use rdbsc_platform::{
     EngineConfig, EngineEvent, EngineObjective, EngineSnapshot, PartitionClient, PartitionTick,
     TickReport, WalStats,
 };
-use rdbsc_server::{BinaryPartitionClient, PartitionDaemon, PartitionHandshake, PartitiondConfig};
+use rdbsc_server::{
+    connect_remote_partition, BinaryPartitionClient, PartitionDaemon, PartitiondConfig,
+    ServerError,
+};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -34,6 +41,24 @@ use std::time::Duration;
 // payload length u32 LE; then the payload.
 
 const TRACE: u64 = 0x1122_3344_5566_7788;
+
+/// `hello`, request 1: empty payload.
+const HELLO_REQUEST: &str = "b5dc030f010000000000000000000000";
+/// `configure`, request 2: the canonical configure text of one region over
+/// the unit square at cell size 0.1 with the default engine config (the
+/// bytes a daemon keeps as its fingerprint), as a length-prefixed string.
+const CONFIGURE_REQUEST: &str = concat!(
+    "b5dc0310020000000000000006010000020100007b2263656c6c5f73697a65223a302e31",
+    "2c22656e67696e65223a7b226175746f5f657870697265223a747275652c226265746122",
+    "3a302e352c22706172616c6c656c69736d223a302c2273656564223a223432227d2c2270",
+    "726f746f636f6c5f76657273696f6e223a312c22726567696f6e5f696e646578223a302c",
+    "22726f7574696e67223a7b2263656c6c735f7065725f61786973223a31302c2272656769",
+    "6f6e73223a5b7b22636f6c30223a302c22636f6c31223a31302c22726f7730223a302c22",
+    "726f7731223a31307d5d2c227370616365223a7b226d61785f78223a312c226d61785f79",
+    "223a312c226d696e5f78223a302c226d696e5f79223a307d7d7d",
+);
+/// `hello`, request 3, sent once configured.
+const HELLO_AGAIN_REQUEST: &str = "b5dc030f030000000000000000000000";
 
 /// `submit`, request 1: trace, 6 events — task 1 (β 0.75), worker 7 (cone
 /// 1.0+1.5, available from 0.25), worker 8, a move, an expiry, a check-out.
@@ -59,6 +84,19 @@ const ANSWER_REQUEST: &str = concat!(
 const RELEASE_REQUEST: &str = "b5dc030405000000000000000400000008000000";
 /// `snapshot`, request 6: empty payload.
 const SNAPSHOT_REQUEST: &str = "b5dc0306060000000000000000000000";
+
+/// Protocol v1, no region yet, not draining, not a standby.
+const HELLO_REPLY: &str = "b5dc038f01000000000000000700000001000000000000";
+/// Configured now (not before).
+const CONFIGURE_REPLY: &str = "b5dc039002000000000000000100000000";
+/// Protocol v1, region 0, not draining, not a standby.
+const HELLO_AGAIN_REPLY: &str = "b5dc038f03000000000000000b0000000100000001000000000000";
+/// What a daemon from before the `Hello` frame answers it with: an in-band
+/// `400` naming the unknown tag.
+const UNKNOWN_TAG_REPLY: &str = concat!(
+    "b5dc03ff01000000000000002f0000009001290000006d616c666f726d6564206672616d",
+    "653a20756e6b6e6f776e20636f6d6d616e64207461672030783066",
+);
 
 /// Submit accepted, 6 events in the batch.
 const SUBMIT_REPLY: &str = "b5dc038101000000000000000400000006000000";
@@ -295,32 +333,69 @@ fn mask_tick_timings(frame: &mut [u8]) {
 
 // ---------------------------------------------------------------------------
 
+/// A scripted peer: answers the n-th frame it reads with the n-th reply
+/// literal and hands back, as hex, what it read.
+fn scripted_peer(replies: &'static [&'static str]) -> (String, JoinHandle<Vec<String>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut requests = Vec::new();
+        for reply in replies {
+            requests.push(hex(&read_frame(&mut stream)));
+            stream.write_all(&unhex(reply)).unwrap();
+        }
+        requests
+    });
+    (addr, peer)
+}
+
+fn unit_region() -> RegionPartition {
+    RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1))
+}
+
+#[test]
+fn attach_writes_the_handshake_literals_and_reads_the_replies() {
+    let (addr, peer) = scripted_peer(&[HELLO_REPLY, CONFIGURE_REPLY]);
+    let attached =
+        connect_remote_partition(&addr, &unit_region(), 0, 0.1, &EngineConfig::default(), None);
+    assert!(attached.is_ok(), "{:?}", attached.err());
+    assert_eq!(peer.join().unwrap(), [HELLO_REQUEST, CONFIGURE_REQUEST]);
+}
+
+/// A daemon built before the `Hello` frame answers its tag with an in-band
+/// `400`: the attach is a typed conflict that names the daemon and says
+/// what to do, and nothing else is sent.
+#[test]
+fn a_daemon_without_the_hello_frame_is_refused_with_a_typed_conflict() {
+    let (addr, peer) = scripted_peer(&[UNKNOWN_TAG_REPLY]);
+    let refusal =
+        connect_remote_partition(&addr, &unit_region(), 0, 0.1, &EngineConfig::default(), None)
+            .err()
+            .expect("a daemon without the Hello frame cannot be attached");
+    match &refusal {
+        ServerError::Conflict(why) => {
+            assert!(why.contains(&addr), "{why}");
+            assert!(why.contains("upgrade the daemon"), "{why}");
+        }
+        other => panic!("expected a conflict, got {other}"),
+    }
+    assert_eq!(peer.join().unwrap(), [HELLO_REQUEST]);
+}
+
 #[test]
 fn client_writes_the_request_literals_and_reads_the_reply_literals() {
-    // A scripted peer: answers the n-th frame it reads with the n-th reply
-    // literal and hands back what it read.
-    let replies = [
+    let (addr, peer) = scripted_peer(&[
         SUBMIT_REPLY,
         TICK_REPLY,
         ASSIGNMENTS_REPLY,
         ANSWER_REPLY,
         RELEASE_REPLY,
         SNAPSHOT_REPLY,
-    ];
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let peer = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let mut requests = Vec::new();
-        for reply in replies {
-            requests.push(read_frame(&mut stream));
-            stream.write_all(&unhex(reply)).unwrap();
-        }
-        requests
-    });
+    ]);
 
-    let mut client = BinaryPartitionClient::connect(&addr.to_string()).unwrap();
+    let mut client = BinaryPartitionClient::connect(&addr).unwrap();
     client.set_trace(TRACE);
     client.begin_submit(events()).unwrap();
     client.finish_submit().unwrap();
@@ -332,10 +407,8 @@ fn client_writes_the_request_literals_and_reads_the_reply_literals() {
     client.release_worker(WorkerId(8)).unwrap();
     assert_eq!(client.snapshot().unwrap(), snapshot_value());
 
-    let requests = peer.join().unwrap();
-    let written: Vec<String> = requests.iter().map(|frame| hex(frame)).collect();
     assert_eq!(
-        written,
+        peer.join().unwrap(),
         [
             SUBMIT_REQUEST,
             TICK_REQUEST,
@@ -354,11 +427,6 @@ fn daemon_reads_the_request_literals_and_writes_the_recorded_replies() {
         ..PartitiondConfig::default()
     })
     .unwrap();
-    let partition = RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1));
-    PartitionHandshake::connect(&daemon.addr().to_string())
-        .unwrap()
-        .configure(&partition, 0, 0.1, &EngineConfig::default(), None)
-        .unwrap();
 
     let mut stream = TcpStream::connect(daemon.addr()).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -366,6 +434,9 @@ fn daemon_reads_the_request_literals_and_writes_the_recorded_replies() {
         stream.write_all(&unhex(request)).unwrap();
         read_frame(&mut stream)
     };
+    assert_eq!(hex(&exchange(HELLO_REQUEST)), HELLO_REPLY);
+    assert_eq!(hex(&exchange(CONFIGURE_REQUEST)), CONFIGURE_REPLY);
+    assert_eq!(hex(&exchange(HELLO_AGAIN_REQUEST)), HELLO_AGAIN_REPLY);
     assert_eq!(hex(&exchange(SUBMIT_REQUEST)), SUBMIT_REPLY);
     let mut tick = exchange(TICK_REQUEST);
     mask_tick_timings(&mut tick);
@@ -378,3 +449,4 @@ fn daemon_reads_the_request_literals_and_writes_the_recorded_replies() {
     daemon.shutdown();
     daemon.join();
 }
+
