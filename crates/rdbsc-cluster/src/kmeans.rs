@@ -1,145 +1,72 @@
-//! Lloyd's k-means for 2-D points, with k-means++ seeding and a balanced
-//! two-way split used by `BG_Partition`.
+//! The balanced two-way split behind `BG_Partition`: Lloyd's 2-means with
+//! k-means++ seeding, then a rebalance to two almost even halves.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rdbsc_geo::Point;
 
-/// Configuration of a k-means run.
-#[derive(Debug, Clone, Copy)]
-pub struct KMeansConfig {
-    /// Number of clusters `k`.
-    pub k: usize,
-    /// Maximum number of Lloyd iterations.
-    pub max_iterations: usize,
-    /// Convergence threshold on total centroid movement.
-    pub tolerance: f64,
-}
+/// Maximum number of Lloyd iterations.
+const MAX_ITERATIONS: usize = 64;
 
-impl Default for KMeansConfig {
-    fn default() -> Self {
-        Self {
-            k: 2,
-            max_iterations: 64,
-            tolerance: 1e-9,
-        }
-    }
-}
+/// Convergence threshold on one iteration's total centroid movement.
+const TOLERANCE: f64 = 1e-9;
 
-/// Result of a k-means run.
-#[derive(Debug, Clone)]
-pub struct KMeansResult {
-    /// Final centroids (length `min(k, points.len())`).
-    pub centroids: Vec<Point>,
-    /// Cluster index of each input point.
-    pub labels: Vec<usize>,
-    /// Number of Lloyd iterations executed.
-    pub iterations: usize,
-}
-
-impl KMeansResult {
-    /// Indices of the points in each cluster.
-    pub fn clusters(&self) -> Vec<Vec<usize>> {
-        let k = self.centroids.len();
-        let mut clusters = vec![Vec::new(); k];
-        for (i, &label) in self.labels.iter().enumerate() {
-            clusters[label].push(i);
-        }
-        clusters
-    }
-}
-
-/// k-means++ seeding: spread the initial centroids out proportionally to the
-/// squared distance from the nearest already-chosen centroid.
-fn seed_centroids<R: Rng + ?Sized>(points: &[Point], k: usize, rng: &mut R) -> Vec<Point> {
-    let mut centroids = Vec::with_capacity(k);
-    let first = points.choose(rng).copied().unwrap_or(Point::ORIGIN);
-    centroids.push(first);
-    let mut dist_sq: Vec<f64> = points.iter().map(|p| p.distance_sq(first)).collect();
-    while centroids.len() < k {
-        let total: f64 = dist_sq.iter().sum();
-        let chosen = if total <= 0.0 {
-            // All remaining points coincide with a centroid; pick any.
-            points.choose(rng).copied().unwrap_or(first)
-        } else {
-            let mut target = rng.gen::<f64>() * total;
-            let mut picked = points.len() - 1;
-            for (i, &d) in dist_sq.iter().enumerate() {
-                target -= d;
-                if target <= 0.0 {
-                    picked = i;
-                    break;
-                }
+/// k-means++ seeding for two centroids: the first is a uniform pick, the
+/// second is drawn proportionally to the squared distance from the first.
+fn seed_centroids<R: Rng + ?Sized>(points: &[Point], rng: &mut R) -> [Point; 2] {
+    let first = *points.choose(rng).expect("2-means needs points");
+    let dist_sq: Vec<f64> = points.iter().map(|p| p.distance_sq(first)).collect();
+    let total: f64 = dist_sq.iter().sum();
+    let second = if total <= 0.0 {
+        // Every point coincides with the first centroid; pick any.
+        *points.choose(rng).expect("2-means needs points")
+    } else {
+        let mut target = rng.gen::<f64>() * total;
+        let mut picked = points.len() - 1;
+        for (i, &d) in dist_sq.iter().enumerate() {
+            target -= d;
+            if target <= 0.0 {
+                picked = i;
+                break;
             }
-            points[picked]
-        };
-        centroids.push(chosen);
-        for (i, p) in points.iter().enumerate() {
-            dist_sq[i] = dist_sq[i].min(p.distance_sq(chosen));
         }
-    }
-    centroids
+        points[picked]
+    };
+    [first, second]
 }
 
-/// Runs Lloyd's k-means on `points`.
-///
-/// When `points.len() <= k`, each point becomes its own cluster. Empty input
-/// yields an empty result.
-pub fn kmeans<R: Rng + ?Sized>(points: &[Point], config: KMeansConfig, rng: &mut R) -> KMeansResult {
-    if points.is_empty() {
-        return KMeansResult {
-            centroids: Vec::new(),
-            labels: Vec::new(),
-            iterations: 0,
-        };
-    }
-    let k = config.k.max(1).min(points.len());
-    let mut centroids = seed_centroids(points, k, rng);
+/// Runs Lloyd's 2-means on at least two points: the final centroids and the
+/// cluster (0 or 1) of each point.
+fn two_means<R: Rng + ?Sized>(points: &[Point], rng: &mut R) -> ([Point; 2], Vec<usize>) {
+    let mut centroids = seed_centroids(points, rng);
     let mut labels = vec![0usize; points.len()];
-    let mut iterations = 0;
-
-    for _ in 0..config.max_iterations {
-        iterations += 1;
-        // Assignment step.
-        for (i, p) in points.iter().enumerate() {
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for (c, centroid) in centroids.iter().enumerate() {
-                let d = p.distance_sq(*centroid);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            labels[i] = best;
+    for _ in 0..MAX_ITERATIONS {
+        // Assignment step: the nearer centroid, the first one on a tie.
+        for (label, p) in labels.iter_mut().zip(points) {
+            *label = usize::from(p.distance_sq(centroids[1]) < p.distance_sq(centroids[0]));
         }
         // Update step.
-        let mut sums = vec![(0.0f64, 0.0f64, 0usize); k];
-        for (i, p) in points.iter().enumerate() {
-            let s = &mut sums[labels[i]];
+        let mut sums = [(0.0f64, 0.0f64, 0usize); 2];
+        for (&label, p) in labels.iter().zip(points) {
+            let s = &mut sums[label];
             s.0 += p.x;
             s.1 += p.y;
             s.2 += 1;
         }
         let mut movement = 0.0;
-        for (c, s) in sums.iter().enumerate() {
+        for (centroid, s) in centroids.iter_mut().zip(&sums) {
             if s.2 > 0 {
                 let new = Point::new(s.0 / s.2 as f64, s.1 / s.2 as f64);
-                movement += centroids[c].distance(new);
-                centroids[c] = new;
+                movement += centroid.distance(new);
+                *centroid = new;
             }
-            // Empty clusters keep their previous centroid.
+            // An empty cluster keeps its previous centroid.
         }
-        if movement <= config.tolerance {
+        if movement <= TOLERANCE {
             break;
         }
     }
-
-    KMeansResult {
-        centroids,
-        labels,
-        iterations,
-    }
+    (centroids, labels)
 }
 
 /// Splits `points` into two *balanced* spatially coherent halves.
@@ -148,36 +75,26 @@ pub fn kmeans<R: Rng + ?Sized>(points: &[Point], config: KMeansConfig, rng: &mut
 /// larger cluster that are closest to the other centroid until the sizes
 /// differ by at most one — the "two almost even subsets" required by
 /// `BG_Partition` (Figure 7). Returns the two index sets.
-pub fn balanced_two_way_split<R: Rng + ?Sized>(points: &[Point], rng: &mut R) -> (Vec<usize>, Vec<usize>) {
+pub fn balanced_two_way_split<R: Rng + ?Sized>(
+    points: &[Point],
+    rng: &mut R,
+) -> (Vec<usize>, Vec<usize>) {
     if points.is_empty() {
         return (Vec::new(), Vec::new());
     }
     if points.len() == 1 {
         return (vec![0], Vec::new());
     }
-    let result = kmeans(
-        points,
-        KMeansConfig {
-            k: 2,
-            ..KMeansConfig::default()
-        },
-        rng,
-    );
-    let clusters = result.clusters();
-    let (mut a, mut b) = (clusters[0].clone(), clusters.get(1).cloned().unwrap_or_default());
-    let centroids = if result.centroids.len() == 2 {
-        (result.centroids[0], result.centroids[1])
-    } else {
-        (result.centroids[0], result.centroids[0])
-    };
+    let (centroids, labels) = two_means(points, rng);
+    let (mut a, mut b): (Vec<usize>, Vec<usize>) = (0..points.len()).partition(|&i| labels[i] == 0);
 
     // Rebalance: move points of the larger side that are closest to the other
     // centroid.
     loop {
         let (larger, smaller, target_centroid) = if a.len() > b.len() + 1 {
-            (&mut a, &mut b, centroids.1)
+            (&mut a, &mut b, centroids[1])
         } else if b.len() > a.len() + 1 {
-            (&mut b, &mut a, centroids.0)
+            (&mut b, &mut a, centroids[0])
         } else {
             break;
         };
@@ -214,56 +131,32 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_singleton_inputs() {
-        let r = kmeans(&[], KMeansConfig::default(), &mut rng());
-        assert!(r.centroids.is_empty() && r.labels.is_empty());
-        let r = kmeans(&[Point::new(0.5, 0.5)], KMeansConfig::default(), &mut rng());
-        assert_eq!(r.centroids.len(), 1);
-        assert_eq!(r.labels, vec![0]);
-    }
-
-    #[test]
     fn separates_two_obvious_blobs() {
         let pts = two_blobs();
-        let r = kmeans(&pts, KMeansConfig::default(), &mut rng());
-        assert_eq!(r.centroids.len(), 2);
+        let (_, labels) = two_means(&pts, &mut rng());
         // Points 0,2,4,... are in one blob, 1,3,5,... in the other; all
         // even-indexed labels must agree and differ from odd-indexed ones.
-        let first = r.labels[0];
-        let second = r.labels[1];
+        let first = labels[0];
+        let second = labels[1];
         assert_ne!(first, second);
         for i in (0..pts.len()).step_by(2) {
-            assert_eq!(r.labels[i], first);
+            assert_eq!(labels[i], first);
         }
         for i in (1..pts.len()).step_by(2) {
-            assert_eq!(r.labels[i], second);
+            assert_eq!(labels[i], second);
         }
     }
 
     #[test]
     fn labels_point_to_nearest_centroid() {
         let pts = two_blobs();
-        let r = kmeans(&pts, KMeansConfig::default(), &mut rng());
+        let (centroids, labels) = two_means(&pts, &mut rng());
         for (i, p) in pts.iter().enumerate() {
-            let assigned = r.centroids[r.labels[i]];
-            for c in &r.centroids {
+            let assigned = centroids[labels[i]];
+            for c in &centroids {
                 assert!(p.distance_sq(assigned) <= p.distance_sq(*c) + 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn more_clusters_than_points_degrades_gracefully() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)];
-        let r = kmeans(
-            &pts,
-            KMeansConfig {
-                k: 5,
-                ..Default::default()
-            },
-            &mut rng(),
-        );
-        assert_eq!(r.centroids.len(), 2);
     }
 
     #[test]
@@ -306,8 +199,8 @@ mod tests {
     #[test]
     fn identical_points_do_not_hang() {
         let pts = vec![Point::new(0.5, 0.5); 9];
-        let r = kmeans(&pts, KMeansConfig::default(), &mut rng());
-        assert_eq!(r.labels.len(), 9);
+        let (_, labels) = two_means(&pts, &mut rng());
+        assert_eq!(labels.len(), 9);
         let (a, b) = balanced_two_way_split(&pts, &mut rng());
         assert_eq!(a.len() + b.len(), 9);
         assert!((a.len() as isize - b.len() as isize).abs() <= 1);

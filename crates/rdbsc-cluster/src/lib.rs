@@ -1,25 +1,21 @@
 //! # rdbsc-cluster
 //!
-//! A small 2-D k-means clustering substrate.
+//! The two ways the workspace splits space.
 //!
-//! The divide-and-conquer RDB-SC solver partitions the task set into two
-//! spatially coherent, roughly even halves ("partition tasks into two even
-//! sets with KMeans", Figure 7 of the paper). This crate provides Lloyd's
-//! algorithm with k-means++-style seeding plus a balanced two-way split
-//! helper tailored to that use.
-//!
-//! The [`partition`] module builds on the same k-means substrate to produce
-//! **static spatial region partitions** — grid-cell-aligned rectangles with
-//! data-driven boundaries — for the multi-engine serving layer in
-//! `rdbsc-platform`.
+//! * [`balanced_two_way_split`] — the divide-and-conquer RDB-SC solver
+//!   partitions the task set into "two even sets" with k-means (Figure 7 of
+//!   the paper): Lloyd's 2-means with k-means++ seeding, then a rebalance
+//!   to two spatially coherent, almost even halves.
+//! * [`RegionPartition`] — **static spatial region partitions** for the
+//!   multi-engine serving layer in `rdbsc-platform`: grid-cell-aligned
+//!   rectangles from [`RegionPartition::uniform`], or a routing table
+//!   validated by [`RegionPartition::from_regions`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod kmeans;
+mod kmeans;
 pub mod partition;
 
-pub use kmeans::{balanced_two_way_split, kmeans, KMeansConfig, KMeansResult};
-pub use partition::{
-    mix_seed, CellRange, PartitionStrategy, RegionPartition, RegionPartitioner,
-};
+pub use kmeans::balanced_two_way_split;
+pub use partition::{CellRange, RegionPartition};

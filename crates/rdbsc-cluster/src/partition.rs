@@ -4,45 +4,17 @@
 //! but one engine still owns the whole data space behind one lock. The
 //! partitioned platform layer (`rdbsc-platform`) instead runs one engine per
 //! **region** — a rectangular, grid-cell-aligned slice of the data space —
-//! and routes events by location. This module produces those regions.
-//!
-//! Two strategies:
-//!
-//! * [`PartitionStrategy::Uniform`] — a static baseline: recursively halve
-//!   the region with the most cells at its middle cell boundary. Data-free,
-//!   so it is what a server uses at boot when no workload sample exists yet.
-//! * [`PartitionStrategy::KMeans`] — data-driven boundaries: recursively
-//!   split the region holding the most sample points, placing the cut at the
-//!   midpoint of the two 2-means centroids (snapped to a cell boundary), so
-//!   dense metro areas end up in their own partitions instead of being
-//!   bisected.
-//!
-//! Everything is deterministic: the k-means runs are seeded per split, every
-//! tie-break is explicit, and the final regions are sorted by their
-//! `(row, col)` origin — the same inputs always yield the same partition
-//! indices. Regions are aligned to the grid cells of a
-//! [`GridGeometry`], so a per-region index over the region's rectangle uses
-//! exactly the cell boundaries of the global grid.
+//! and routes events by location. This module produces those regions with
+//! [`RegionPartition::uniform`]: recursively halve the region with the most
+//! cells at its middle cell boundary. The split needs no workload data, so
+//! a server builds it at boot. Every tie-break is explicit and the regions
+//! are sorted by their `(row, col)` origin, so the same grid and count
+//! always yield the same partition indices. Regions are aligned to the grid
+//! cells of a [`GridGeometry`], so a per-region index over the region's
+//! rectangle uses exactly the cell boundaries of the global grid.
 
-use crate::kmeans::{kmeans, KMeansConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rdbsc_geo::{Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
-
-/// How [`RegionPartitioner::split`] places region boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionStrategy {
-    /// Static near-even splits at middle cell boundaries (no data needed).
-    Uniform,
-    /// 2-means-seeded boundaries between the densest sample clusters; the
-    /// seed makes the centroid initialisation (and thus the whole layout)
-    /// deterministic.
-    KMeans {
-        /// Base seed; every split derives its own generator from it.
-        seed: u64,
-    },
-}
 
 /// A half-open rectangle of grid cells: columns `[col0, col1)`, rows
 /// `[row0, row1)`.
@@ -79,7 +51,9 @@ impl CellRange {
 
 /// A complete, disjoint cover of a grid's cells by rectangular regions.
 ///
-/// Built by [`RegionPartitioner::split`]; consumed by the partitioned engine
+/// Built by [`RegionPartition::uniform`] (or [`RegionPartition::single`],
+/// or from a routing table with [`RegionPartition::from_regions`]);
+/// consumed by the partitioned engine
 /// to (a) construct one spatial index per region rectangle and (b) route
 /// events with [`RegionPartition::partition_of`].
 #[derive(Debug, Clone, PartialEq)]
@@ -103,10 +77,47 @@ impl RegionPartition {
         }
     }
 
+    /// Splits the grid into `regions` near-even rectangles: while there are
+    /// too few, the region with the most cells (the earliest on a tie) is
+    /// halved across its wider side (columns on a square) at the middle cell
+    /// boundary. The count is clamped to `[1, cells]`; the result always
+    /// tiles the grid exactly.
+    pub fn uniform(geometry: GridGeometry, regions: usize) -> Self {
+        let target = regions.clamp(1, geometry.num_cells());
+        let mut pending = Self::single(geometry).regions;
+        while pending.len() < target {
+            // Fewer regions than cells, so the largest has at least two.
+            let pick = (0..pending.len()).fold(0, |best, i| {
+                if pending[i].num_cells() > pending[best].num_cells() {
+                    i
+                } else {
+                    best
+                }
+            });
+            let r = pending[pick];
+            let (low, high) = if r.cols() >= r.rows() {
+                let mid = r.col0 + r.cols() / 2;
+                (CellRange { col1: mid, ..r }, CellRange { col0: mid, ..r })
+            } else {
+                let mid = r.row0 + r.rows() / 2;
+                (CellRange { row1: mid, ..r }, CellRange { row0: mid, ..r })
+            };
+            pending[pick] = low;
+            pending.insert(pick + 1, high);
+        }
+        // Canonical region order: by (row, col) origin — partition indices
+        // must not depend on the split sequence.
+        pending.sort_by_key(|r| (r.row0, r.col0));
+        Self {
+            geometry,
+            regions: pending,
+        }
+    }
+
     /// Rebuilds a partition from its parts — the deserialization half of the
     /// routing table a router ships to `rdbsc-partitiond` daemons, so both
     /// sides agree on the region geometry down to the cell. Validates what
-    /// [`RegionPartitioner::split`] guarantees by construction:
+    /// [`RegionPartition::uniform`] guarantees by construction:
     ///
     /// * every range is non-empty and within the grid,
     /// * the ranges tile the grid **exactly** (disjoint, complete cover),
@@ -208,215 +219,6 @@ impl RegionPartition {
     }
 }
 
-/// Splits a grid into rectangular regions (see the [module docs](self)).
-#[derive(Debug, Clone, Copy)]
-pub struct RegionPartitioner {
-    /// The boundary-placement strategy.
-    pub strategy: PartitionStrategy,
-}
-
-impl RegionPartitioner {
-    /// The static uniform splitter.
-    pub fn uniform() -> Self {
-        Self {
-            strategy: PartitionStrategy::Uniform,
-        }
-    }
-
-    /// The k-means-seeded data-driven splitter.
-    pub fn kmeans(seed: u64) -> Self {
-        Self {
-            strategy: PartitionStrategy::KMeans { seed },
-        }
-    }
-
-    /// Splits the grid into (up to) `regions` rectangular cell-aligned
-    /// regions. `sample` is the workload sample the k-means strategy places
-    /// boundaries from (task and worker locations, typically); the uniform
-    /// strategy ignores it. The region count is clamped to the number of
-    /// grid cells; the result always tiles the grid exactly.
-    pub fn split(
-        &self,
-        geometry: GridGeometry,
-        regions: usize,
-        sample: &[Point],
-    ) -> RegionPartition {
-        let per_axis = geometry.cells_per_axis();
-        let target = regions.clamp(1, geometry.num_cells());
-        let full = CellRange {
-            col0: 0,
-            row0: 0,
-            col1: per_axis,
-            row1: per_axis,
-        };
-        // Each pending region carries the indices of the sample points in it.
-        let mut pending: Vec<(CellRange, Vec<usize>)> =
-            vec![(full, (0..sample.len()).collect())];
-        let mut split_counter = 0u64;
-
-        while pending.len() < target {
-            let Some(pick) = self.pick_region(&pending) else {
-                break; // nothing splittable left (all regions single cells)
-            };
-            let (range, points) = pending[pick].clone();
-            let (axis, boundary) = self.place_boundary(&geometry, range, &points, sample, {
-                split_counter += 1;
-                split_counter
-            });
-            let (left, right) = split_range(range, axis, boundary);
-            let (mut left_pts, mut right_pts) = (Vec::new(), Vec::new());
-            for i in points {
-                let idx = geometry.cell_of(sample[i]);
-                let coord = match axis {
-                    Axis::Cols => idx % per_axis,
-                    Axis::Rows => idx / per_axis,
-                };
-                if coord < boundary {
-                    left_pts.push(i);
-                } else {
-                    right_pts.push(i);
-                }
-            }
-            pending[pick] = (left, left_pts);
-            pending.insert(pick + 1, (right, right_pts));
-        }
-
-        // Canonical region order: by (row, col) origin — partition indices
-        // must not depend on the split sequence.
-        let mut regions: Vec<CellRange> = pending.into_iter().map(|(r, _)| r).collect();
-        regions.sort_by_key(|r| (r.row0, r.col0));
-        RegionPartition { geometry, regions }
-    }
-
-    /// The region to split next, or `None` when no region is splittable.
-    /// Uniform picks the most cells; k-means the most sample points (cells,
-    /// then position, break ties) — always the lowest index on a full tie.
-    fn pick_region(&self, pending: &[(CellRange, Vec<usize>)]) -> Option<usize> {
-        pending
-            .iter()
-            .enumerate()
-            .filter(|(_, (r, _))| r.cols() > 1 || r.rows() > 1)
-            .max_by(|(ia, (ra, pa)), (ib, (rb, pb))| {
-                let key = |r: &CellRange, pts: &Vec<usize>| match self.strategy {
-                    PartitionStrategy::Uniform => (r.num_cells(), 0usize),
-                    PartitionStrategy::KMeans { .. } => (pts.len(), r.num_cells()),
-                };
-                key(ra, pa)
-                    .cmp(&key(rb, pb))
-                    // max_by returns the *last* maximum; prefer the lower
-                    // index on ties by treating it as larger.
-                    .then(ib.cmp(ia))
-            })
-            .map(|(i, _)| i)
-    }
-
-    /// Chooses the split axis and the cell boundary on it (within the open
-    /// interval of the region, so both halves keep at least one cell).
-    fn place_boundary(
-        &self,
-        geometry: &GridGeometry,
-        range: CellRange,
-        points: &[usize],
-        sample: &[Point],
-        split_counter: u64,
-    ) -> (Axis, usize) {
-        if let PartitionStrategy::KMeans { seed } = self.strategy {
-            if points.len() >= 2 {
-                let pts: Vec<Point> = points.iter().map(|&i| sample[i]).collect();
-                let mut rng = StdRng::seed_from_u64(mix_seed(seed, split_counter));
-                let result = kmeans(
-                    &pts,
-                    KMeansConfig {
-                        k: 2,
-                        ..KMeansConfig::default()
-                    },
-                    &mut rng,
-                );
-                if result.centroids.len() == 2 {
-                    let (a, b) = (result.centroids[0], result.centroids[1]);
-                    let (dx, dy) = ((a.x - b.x).abs(), (a.y - b.y).abs());
-                    // The axis with the larger centroid separation, provided
-                    // the region is at least two cells wide on it.
-                    let prefer_cols = dx >= dy;
-                    let axis = match (prefer_cols, range.cols() > 1, range.rows() > 1) {
-                        (true, true, _) | (false, true, false) => Axis::Cols,
-                        (false, _, true) | (true, false, true) => Axis::Rows,
-                        _ => Axis::Cols,
-                    };
-                    let space = geometry.space();
-                    let (mid, origin) = match axis {
-                        Axis::Cols => (0.5 * (a.x + b.x), space.min_x),
-                        Axis::Rows => (0.5 * (a.y + b.y), space.min_y),
-                    };
-                    let snapped = ((mid - origin) / geometry.eta()).round() as isize;
-                    let (lo, hi) = match axis {
-                        Axis::Cols => (range.col0 + 1, range.col1 - 1),
-                        Axis::Rows => (range.row0 + 1, range.row1 - 1),
-                    };
-                    let boundary = (snapped.max(0) as usize).clamp(lo, hi);
-                    return (axis, boundary);
-                }
-            }
-        }
-        // Uniform placement (and the k-means fallback for point-free
-        // regions): halve the wider side at its middle cell boundary.
-        let axis = if range.cols() >= range.rows() {
-            Axis::Cols
-        } else {
-            Axis::Rows
-        };
-        let boundary = match axis {
-            Axis::Cols => range.col0 + range.cols() / 2,
-            Axis::Rows => range.row0 + range.rows() / 2,
-        };
-        (axis, boundary)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Axis {
-    Cols,
-    Rows,
-}
-
-fn split_range(range: CellRange, axis: Axis, boundary: usize) -> (CellRange, CellRange) {
-    match axis {
-        Axis::Cols => (
-            CellRange {
-                col1: boundary,
-                ..range
-            },
-            CellRange {
-                col0: boundary,
-                ..range
-            },
-        ),
-        Axis::Rows => (
-            CellRange {
-                row1: boundary,
-                ..range
-            },
-            CellRange {
-                row0: boundary,
-                ..range
-            },
-        ),
-    }
-}
-
-/// SplitMix64-style seed mixing: derives an independent, deterministic
-/// sub-seed from a base seed and a salt. Shared by the partitioner's
-/// per-split k-means runs and the assignment engine's per-`(tick, shard)`
-/// generators, so seed-derivation tweaks cannot silently diverge.
-pub fn mix_seed(seed: u64, salt: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(salt.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,7 +245,7 @@ mod tests {
     #[test]
     fn uniform_split_tiles_and_balances() {
         for n in [1, 2, 3, 4, 7, 8] {
-            let partition = RegionPartitioner::uniform().split(geometry(), n, &[]);
+            let partition = RegionPartition::uniform(geometry(), n);
             assert_eq!(partition.num_regions(), n);
             assert_tiles(&partition);
             let cells: Vec<usize> =
@@ -464,16 +266,16 @@ mod tests {
     #[test]
     fn region_count_is_clamped_to_the_cell_count() {
         let tiny = GridGeometry::new(Rect::unit(), 0.5); // 2 × 2 cells
-        let partition = RegionPartitioner::uniform().split(tiny, 64, &[]);
+        let partition = RegionPartition::uniform(tiny, 64);
         assert_eq!(partition.num_regions(), 4);
         assert_tiles(&partition);
-        let partition = RegionPartitioner::uniform().split(tiny, 0, &[]);
+        let partition = RegionPartition::uniform(tiny, 0);
         assert_eq!(partition.num_regions(), 1);
     }
 
     #[test]
     fn partition_of_is_total_and_consistent_with_rects() {
-        let partition = RegionPartitioner::uniform().split(geometry(), 4, &[]);
+        let partition = RegionPartition::uniform(geometry(), 4);
         for i in 0..40 {
             for j in 0..40 {
                 let p = Point::new(i as f64 / 40.0, j as f64 / 40.0);
@@ -493,41 +295,18 @@ mod tests {
     }
 
     #[test]
-    fn kmeans_split_separates_two_blobs() {
-        let mut sample = Vec::new();
-        for i in 0..50 {
-            sample.push(Point::new(0.15 + 0.001 * i as f64, 0.5));
-            sample.push(Point::new(0.85 + 0.001 * i as f64, 0.5));
-        }
-        let partition = RegionPartitioner::kmeans(7).split(geometry(), 2, &sample);
-        assert_eq!(partition.num_regions(), 2);
-        assert_tiles(&partition);
-        let left = partition.partition_of(Point::new(0.15, 0.5));
-        let right = partition.partition_of(Point::new(0.85, 0.5));
-        assert_ne!(left, right, "the two blobs must land in different regions");
-        // The boundary sits between the blobs, not through either of them.
-        for p in &sample {
-            let own = partition.partition_of(*p);
-            let expect = if p.x < 0.5 { left } else { right };
-            assert_eq!(own, expect, "sample point {p:?} split off its blob");
-        }
-    }
-
-    #[test]
     fn split_is_deterministic() {
-        let sample: Vec<Point> = (0..100)
-            .map(|i| Point::new((i as f64 * 0.37) % 1.0, (i as f64 * 0.61) % 1.0))
-            .collect();
-        for partitioner in [RegionPartitioner::uniform(), RegionPartitioner::kmeans(3)] {
-            let a = partitioner.split(geometry(), 5, &sample);
-            let b = partitioner.split(geometry(), 5, &sample);
-            assert_eq!(a, b);
+        for n in [1, 5, 13] {
+            assert_eq!(
+                RegionPartition::uniform(geometry(), n),
+                RegionPartition::uniform(geometry(), n)
+            );
         }
     }
 
     #[test]
     fn regions_are_ordered_by_origin() {
-        let partition = RegionPartitioner::uniform().split(geometry(), 6, &[]);
+        let partition = RegionPartition::uniform(geometry(), 6);
         let origins: Vec<(usize, usize)> = (0..6)
             .map(|i| (partition.cells(i).row0, partition.cells(i).col0))
             .collect();
@@ -539,7 +318,7 @@ mod tests {
     #[test]
     fn region_rects_align_with_global_cell_boundaries() {
         let geometry = geometry();
-        let partition = RegionPartitioner::uniform().split(geometry, 4, &[]);
+        let partition = RegionPartition::uniform(geometry, 4);
         for i in 0..partition.num_regions() {
             let rect = partition.region_rect(i);
             for coord in [rect.min_x, rect.min_y, rect.max_x, rect.max_y] {
@@ -555,7 +334,7 @@ mod tests {
     #[test]
     fn routing_tables_round_trip_through_their_parts() {
         for n in [1, 2, 3, 4, 7] {
-            let partition = RegionPartitioner::uniform().split(geometry(), n, &[]);
+            let partition = RegionPartition::uniform(geometry(), n);
             let rebuilt = RegionPartition::from_regions(
                 *partition.geometry(),
                 partition.regions().to_vec(),

@@ -824,9 +824,17 @@ pub struct EngineState {
     pub tick_count: u64,
 }
 
-// Per-tick / per-shard seed derivation: the shared SplitMix64-style mixer
-// (also used by the region partitioner's per-split k-means seeding).
-use rdbsc_cluster::mix_seed;
+/// SplitMix64-style seed mixing: derives an independent, deterministic
+/// sub-seed from a base seed and a salt — the per-tick and per-shard
+/// solver generators.
+fn mix_seed(seed: u64, salt: u64) -> u64 {
+    let mut z = seed
+        .wrapping_add(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(salt.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 #[cfg(test)]
 mod tests {

@@ -19,9 +19,9 @@
 //!                                concurrently, reports merge in order
 //! ```
 //!
-//! Regions come from [`rdbsc_cluster::RegionPartitioner`]: rectangular,
-//! aligned to the grid cells of the index geometry, with either static
-//! uniform boundaries or k-means-seeded data-driven ones.
+//! Regions come from [`rdbsc_cluster::RegionPartition::uniform`]:
+//! rectangular, aligned to the grid cells of the index geometry, with
+//! static near-even boundaries.
 //!
 //! ## Cross-partition worker handoff
 //!
@@ -1044,7 +1044,7 @@ pub fn merge_snapshots(parts: &[EngineSnapshot]) -> EngineSnapshot {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use rdbsc_cluster::RegionPartitioner;
+    use rdbsc_cluster::RegionPartition;
     use rdbsc_geo::{AngleRange, Point};
     use rdbsc_index::geometry::GridGeometry;
     use rdbsc_index::GridIndex;
@@ -1071,7 +1071,7 @@ mod tests {
 
     fn partitioned(n: usize) -> PartitionedEngine {
         let geometry = GridGeometry::new(Rect::unit(), 0.1);
-        let partition = RegionPartitioner::uniform().split(geometry, n, &[]);
+        let partition = RegionPartition::uniform(geometry, n);
         PartitionedEngine::build(partition, EngineConfig::default(), |rect| {
             GridIndex::new(rect, 0.1)
         })
@@ -1391,7 +1391,7 @@ mod tests {
         use std::sync::Arc;
 
         let geometry = GridGeometry::new(Rect::unit(), 0.1);
-        let partition = RegionPartitioner::uniform().split(geometry, 2, &[]);
+        let partition = RegionPartition::uniform(geometry, 2);
         let config = EngineConfig::default();
         let dead = Arc::new(AtomicBool::new(false));
         let clients: Vec<Box<dyn PartitionClient>> = (0..2)
@@ -1490,7 +1490,7 @@ mod tests {
         use std::sync::Arc;
 
         let geometry = GridGeometry::new(Rect::unit(), 0.1);
-        let partition = RegionPartitioner::uniform().split(geometry, 2, &[]);
+        let partition = RegionPartition::uniform(geometry, 2);
         let config = EngineConfig::default();
         let standby = AssignmentEngine::new(
             GridIndex::new(partition.region_rect(1), 0.1),

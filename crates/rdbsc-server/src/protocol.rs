@@ -504,7 +504,7 @@ impl ReplStatusDto {
 mod tests {
     use super::*;
     use crate::json::parse;
-    use rdbsc_cluster::RegionPartitioner;
+    use rdbsc_cluster::RegionPartition;
 
     #[test]
     fn routing_tables_survive_eta_hostile_cell_sizes() {
@@ -518,7 +518,7 @@ mod tests {
         for cells in (1..=1024usize).step_by(23).chain([49, 98, 103, 107, 1024]) {
             let geometry =
                 GridGeometry::with_cells_per_axis(Rect::unit(), cells);
-            let partition = RegionPartitioner::uniform().split(geometry, 2, &[]);
+            let partition = RegionPartition::uniform(geometry, 2);
             let wire = RoutingTableDto::from_partition(&partition)
                 .to_json()
                 .to_string_compact();
@@ -530,7 +530,7 @@ mod tests {
         }
         // The concrete cell size from the bug report.
         let geometry = GridGeometry::new(Rect::unit(), 0.009751);
-        let partition = RegionPartitioner::uniform().split(geometry, 2, &[]);
+        let partition = RegionPartition::uniform(geometry, 2);
         let rebuilt = RoutingTableDto::from_partition(&partition)
             .into_partition()
             .expect("a split's own table must validate");
@@ -540,7 +540,7 @@ mod tests {
     #[test]
     fn routing_tables_round_trip_and_validate() {
         let geometry = GridGeometry::new(Rect::unit(), 0.1);
-        let partition = RegionPartitioner::uniform().split(geometry, 3, &[]);
+        let partition = RegionPartition::uniform(geometry, 3);
         let dto = RoutingTableDto::from_partition(&partition);
         let wire = dto.to_json().to_string_compact();
         let decoded = RoutingTableDto::from_json(&parse(&wire).unwrap()).unwrap();

@@ -28,7 +28,7 @@ use crate::json::{parse, Json};
 use crate::listener::{HttpCore, ListenerConfig, ShutdownHandle};
 use crate::metrics::ServerMetrics;
 use crate::remote::connect_remote_partition;
-use rdbsc_cluster::RegionPartitioner;
+use rdbsc_cluster::RegionPartition;
 use rdbsc_geo::{Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::FlatGridIndex;
@@ -85,12 +85,11 @@ pub struct ServerConfig {
     /// Grid-index cell size.
     pub cell_size: f64,
     /// Number of spatial partitions to serve: one engine per region behind
-    /// the region router (uniform grid-cell-aligned regions — the server has
-    /// no workload sample at boot), with events routed by location and
-    /// workers handed off across region boundaries. `1` (the default) is one
-    /// in-process region over the whole area, byte-identical to a plain
-    /// engine. At most one region per grid cell: a larger count fails the
-    /// build.
+    /// the region router (uniform grid-cell-aligned regions), with events
+    /// routed by location and workers handed off across region boundaries.
+    /// `1` (the default) is one in-process region over the whole area,
+    /// byte-identical to a plain engine. Between one and one region per
+    /// grid cell: a count outside that range fails the build.
     pub partitions: usize,
     /// Addresses of `rdbsc-partitiond` daemons serving regions remotely
     /// over the partition protocol. The k-th address serves region k;
@@ -175,6 +174,11 @@ impl ServerConfig {
     /// configure; an unreachable or incompatible daemon fails the build.
     pub fn build_handle(&self) -> Result<EngineHandle, ServerError> {
         let geometry = GridGeometry::new(self.area, self.cell_size);
+        if self.partitions == 0 {
+            return Err(ServerError::Conflict(
+                "0 partitions requested but at least one region is needed".into(),
+            ));
+        }
         if self.partitions > geometry.num_cells() {
             return Err(ServerError::Conflict(format!(
                 "{} partitions requested but the grid has only {} cells",
@@ -204,8 +208,7 @@ impl ServerConfig {
                 )));
             }
         }
-        let partition =
-            RegionPartitioner::uniform().split(geometry, self.partitions, &[]);
+        let partition = RegionPartition::uniform(geometry, self.partitions);
         let mut clients: Vec<Box<dyn PartitionClient>> =
             Vec::with_capacity(partition.num_regions());
         for region in 0..partition.num_regions() {
@@ -874,8 +877,21 @@ mod tests {
 
     #[test]
     fn more_partitions_than_grid_cells_is_refused() {
-        // A 2 × 2 grid holds at most four regions; a fifth would be clamped
-        // away by the splitter, silently serving fewer regions than named.
+        // A 2 × 2 grid holds one to four regions; the splitter would clamp a
+        // count outside that range, silently serving a different number of
+        // regions than named.
+        let none = ServerConfig {
+            cell_size: 0.5,
+            partitions: 0,
+            ..ServerConfig::default()
+        };
+        match none.build_handle() {
+            Err(ServerError::Conflict(message)) => {
+                assert!(message.contains("0 partitions"), "{message}");
+            }
+            Err(other) => panic!("expected a conflict, got {other}"),
+            Ok(handle) => panic!("built {} regions", handle.num_partitions()),
+        }
         let config = ServerConfig {
             cell_size: 0.5,
             partitions: 5,

@@ -4,7 +4,7 @@
 //! byte for byte against the in-process protocol backend on the identical
 //! event stream.
 
-use rdbsc_cluster::{RegionPartition, RegionPartitioner};
+use rdbsc_cluster::RegionPartition;
 use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::FlatGridIndex;
@@ -151,7 +151,7 @@ fn daemon_matches_the_local_engine_byte_for_byte() {
 #[test]
 fn mixed_local_remote_topology_matches_all_in_process() {
     let geometry = GridGeometry::new(Rect::unit(), 0.1);
-    let partition = RegionPartitioner::uniform().split(geometry, 2, &[]);
+    let partition = RegionPartition::uniform(geometry, 2);
     let config = EngineConfig::default();
 
     let all_local = PartitionedEngine::build(partition.clone(), config.clone(), |rect| {
@@ -245,8 +245,7 @@ fn configure_is_idempotent_and_conflicts_are_rejected() {
     // Identical re-push (a stateless router restarting): accepted.
     assert!(attach(&partition, 0).is_ok());
     // Different topology: refused, engine untouched.
-    let other = RegionPartitioner::uniform()
-        .split(GridGeometry::new(Rect::unit(), 0.1), 2, &[]);
+    let other = RegionPartition::uniform(GridGeometry::new(Rect::unit(), 0.1), 2);
     assert!(attach(&other, 1).is_err());
     assert!(client.is_active().is_ok(), "original engine still serving");
 

@@ -6,7 +6,7 @@
 //! commands' frame round trips live in `proptest_frame.rs`.)
 
 use proptest::prelude::*;
-use rdbsc_cluster::RegionPartitioner;
+use rdbsc_cluster::{CellRange, RegionPartition};
 use rdbsc_geo::{Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_platform::EngineConfig;
@@ -14,28 +14,61 @@ use rdbsc_server::frame::{read_raw, ReplyFrame};
 use rdbsc_server::json::parse;
 use rdbsc_server::protocol::{ConfigureDto, EngineConfigDto, Hello, RoutingTableDto};
 
+/// A random guillotine tiling of a `per_axis` × `per_axis` grid: each cut
+/// `(region, axis, offset)` splits a region at any cell boundary strictly
+/// inside it, across its columns when `axis` is 1 (or it is one row high),
+/// and the tiles come back in canonical `(row, col)` order. The
+/// uniform splitter only ever cuts at midpoints, but a daemon accepts any
+/// valid table from the wire.
+fn guillotine_tiling(per_axis: usize, cuts: &[(usize, u32, usize)]) -> Vec<CellRange> {
+    let mut tiles = vec![CellRange {
+        col0: 0,
+        row0: 0,
+        col1: per_axis,
+        row1: per_axis,
+    }];
+    for &(region, axis, offset) in cuts {
+        let i = region % tiles.len();
+        let r = tiles[i];
+        let (cols, rows) = (r.col1 - r.col0, r.row1 - r.row0);
+        let (low, high) = if cols > 1 && (axis == 1 || rows == 1) {
+            let at = r.col0 + 1 + offset % (cols - 1);
+            (CellRange { col1: at, ..r }, CellRange { col0: at, ..r })
+        } else if rows > 1 {
+            let at = r.row0 + 1 + offset % (rows - 1);
+            (CellRange { row1: at, ..r }, CellRange { row0: at, ..r })
+        } else {
+            continue; // a single cell
+        };
+        tiles[i] = low;
+        tiles.push(high);
+    }
+    tiles.sort_by_key(|r| (r.row0, r.col0));
+    tiles
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Routing tables round-trip with the region geometry — and therefore
-    /// the router/daemon agreement — intact, for both partition strategies.
+    /// the router/daemon agreement — intact, for uniform tables and for
+    /// arbitrary guillotine tilings.
     #[test]
     fn routing_tables_round_trip(
         eta_cells in 4usize..32,
         regions in 1usize..9,
-        kmeans_pick in 0u32..2,
-        seed in 0u64..1000,
+        guillotine_pick in 0u32..2,
+        cuts in proptest::collection::vec((0usize..64, 0u32..2, 0usize..64), 0..9),
         samples in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..40),
     ) {
-        let kmeans = kmeans_pick == 1;
         let geometry = GridGeometry::new(Rect::unit(), 1.0 / eta_cells as f64);
         let sample: Vec<Point> = samples.iter().map(|(x, y)| Point::new(*x, *y)).collect();
-        let partitioner = if kmeans {
-            RegionPartitioner::kmeans(seed)
+        let partition = if guillotine_pick == 1 {
+            let tiles = guillotine_tiling(geometry.cells_per_axis(), &cuts);
+            RegionPartition::from_regions(geometry, tiles).unwrap()
         } else {
-            RegionPartitioner::uniform()
+            RegionPartition::uniform(geometry, regions)
         };
-        let partition = partitioner.split(geometry, regions, &sample);
         let dto = RoutingTableDto::from_partition(&partition);
         let wire = dto.to_json().to_string_compact();
         let decoded = RoutingTableDto::from_json(&parse(&wire).unwrap()).unwrap();
@@ -43,9 +76,16 @@ proptest! {
         let rebuilt = decoded.into_partition().unwrap();
         prop_assert_eq!(&rebuilt, &partition);
         // Routing agreement: every sample point maps to the same region on
-        // both sides of the wire.
+        // both sides of the wire, and that region's rectangle holds it.
         for p in &sample {
-            prop_assert_eq!(rebuilt.partition_of(*p), partition.partition_of(*p));
+            let region = rebuilt.partition_of(*p);
+            prop_assert_eq!(region, partition.partition_of(*p));
+            let rect = rebuilt.region_rect(region);
+            prop_assert!(
+                p.x >= rect.min_x - 1e-12 && p.x <= rect.max_x + 1e-12
+                    && p.y >= rect.min_y - 1e-12 && p.y <= rect.max_y + 1e-12,
+                "{:?} routed to region {} with rect {:?}", p, region, rect
+            );
         }
     }
 

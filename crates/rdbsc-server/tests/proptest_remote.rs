@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdbsc_cluster::{RegionPartition, RegionPartitioner};
+use rdbsc_cluster::RegionPartition;
 use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::FlatGridIndex;
@@ -126,7 +126,7 @@ proptest! {
         ticks in 2usize..5,
     ) {
         let geometry = GridGeometry::new(Rect::unit(), 0.1);
-        let partition = RegionPartitioner::uniform().split(geometry, 2, &[]);
+        let partition = RegionPartition::uniform(geometry, 2);
         let config = EngineConfig { seed, ..EngineConfig::default() };
 
         let mut local = PartitionedEngine::build(partition.clone(), config.clone(), |rect| {

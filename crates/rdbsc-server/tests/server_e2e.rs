@@ -2,7 +2,7 @@
 //! HTTP client, checked against an offline engine run on the same event
 //! stream.
 
-use rdbsc_cluster::RegionPartitioner;
+use rdbsc_cluster::RegionPartition;
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::GridIndex;
 use rdbsc_platform::{AssignmentEngine, EngineEvent, EngineHandle, PartitionedEngine};
@@ -175,11 +175,7 @@ fn partitioned_server_matches_replica(remote_regions: usize) {
     };
     let cell_size = config.cell_size;
     let offline_handle = EngineHandle::new(PartitionedEngine::build(
-        RegionPartitioner::uniform().split(
-            GridGeometry::new(config.area, cell_size),
-            config.partitions,
-            &[],
-        ),
+        RegionPartition::uniform(GridGeometry::new(config.area, cell_size), config.partitions),
         config.engine.clone(),
         |rect| GridIndex::new(rect, cell_size),
     ));

@@ -1,9 +1,10 @@
 //! Region-partitioned multi-engine serving on the metro workload.
 //!
-//! Cuts the unit square into k-means-seeded regions (one per metro area),
-//! runs one assignment engine per region on its own thread, and drives a few
-//! rounds of churn with workers commuting between cities — exercising event
-//! routing, lockstep ticks and cross-partition worker handoff. Finishes by
+//! Cuts the unit square into four uniform regions (one per metro area: the
+//! cities sit at the quadrant centres), runs one assignment engine per
+//! region on its own thread, and drives a few rounds of churn with workers
+//! commuting between cities — exercising event routing, lockstep ticks and
+//! cross-partition worker handoff. Finishes by
 //! checking the single-partition determinism contract: one region produces
 //! byte-identical output to a plain engine.
 //!
@@ -15,7 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdbsc::cluster::{RegionPartition, RegionPartitioner};
+use rdbsc::cluster::RegionPartition;
 use rdbsc::index::geometry::GridGeometry;
 use rdbsc::platform::engine::{AssignmentEngine, EngineConfig, EngineEvent};
 use rdbsc::platform::PartitionedEngine;
@@ -26,20 +27,14 @@ const CELL: f64 = 0.05;
 
 fn main() {
     // Four metro areas; worker reach is small compared to the gaps between
-    // them, so the k-means boundaries fall in the empty corridors.
+    // them, so the quadrant boundaries fall in the empty corridors.
     let config = MetroConfig::default().with_tasks(200).with_workers(800);
     let mut rng = StdRng::seed_from_u64(9);
     let instance = generate_metro_instance(&config, &mut rng);
-    let sample: Vec<Point> = instance
-        .tasks
-        .iter()
-        .map(|t| t.location)
-        .chain(instance.workers.iter().map(|w| w.location))
-        .collect();
 
     let geometry = GridGeometry::new(Rect::unit(), CELL);
-    let partition = RegionPartitioner::kmeans(9).split(geometry, 4, &sample);
-    println!("regions (grid-cell-aligned, k-means-seeded boundaries):");
+    let partition = RegionPartition::uniform(geometry, 4);
+    println!("regions (grid-cell-aligned, uniform boundaries):");
     for i in 0..partition.num_regions() {
         let r = partition.region_rect(i);
         println!(

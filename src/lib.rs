@@ -47,7 +47,7 @@
 //! |---|---|
 //! | [`geo`] | points, angle ranges, the worker motion/reachability model |
 //! | [`model`] | tasks, workers, assignments, reliability, diversity, possible worlds |
-//! | [`cluster`] | 2-D k-means (used by the divide-and-conquer partitioner) |
+//! | [`cluster`] | the balanced 2-means behind divide-and-conquer, and the serving layer's uniform region tables |
 //! | [`index`] | the spatial-index layer: [`SpatialIndex`](rdbsc_index::SpatialIndex), the flat dense-grid serving index, the paper's RDB-SC-Grid as reference |
 //! | [`algos`] | greedy / sampling / divide-and-conquer / exact / incremental solvers |
 //! | [`workloads`] | UNIFORM & SKEWED generators, simulated POI / trajectory data, Table 2 config |

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdbsc::cluster::{RegionPartition, RegionPartitioner};
+use rdbsc::cluster::RegionPartition;
 use rdbsc::index::geometry::GridGeometry;
 use rdbsc::platform::engine::{AssignmentEngine, EngineConfig, EngineEvent};
 use rdbsc::platform::PartitionedEngine;
@@ -206,7 +206,7 @@ proptest! {
         ticks in 3usize..9,
     ) {
         let geometry = GridGeometry::new(Rect::unit(), 0.1);
-        let partition = RegionPartitioner::uniform().split(geometry, 2, &[]);
+        let partition = RegionPartition::uniform(geometry, 2);
         let mut split = PartitionedEngine::build(partition, EngineConfig {
             seed,
             ..EngineConfig::default()
