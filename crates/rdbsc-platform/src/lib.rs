@@ -65,7 +65,8 @@ pub use partition::{
 };
 pub use protocol::{
     CommandOutcome, EnginePartition, InProcessClient, PartitionClient, PartitionCommand,
-    PartitionError, PartitionTick, ProtocolCounters, ProtocolStats, PROTOCOL_VERSION,
+    PartitionError, PartitionReply, PartitionRequest, PartitionTick, ProtocolCounters,
+    ProtocolStats, PROTOCOL_VERSION,
 };
 pub use repl::{ReplError, ReplStatus, ReplicationLog};
 pub use sim::{PlatformConfig, PlatformSim, RoundStats, SimulationReport};

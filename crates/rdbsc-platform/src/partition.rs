@@ -221,21 +221,21 @@ pub struct PartitionedEngine {
     /// Completed failovers, in order.
     promotions: Vec<PromotionRecord>,
     /// Per-slot client generation, bumped when a promotion swaps the
-    /// client. Round-scoped completions (`finish_tick`, deferred pipelined
-    /// submits) compare generations so a reply begun on the dead primary is
-    /// never collected from its successor.
+    /// client. Round-scoped completions (`finish_tick`, deferred submits)
+    /// compare generations so a reply begun on the dead primary is never
+    /// collected from its successor.
     client_gen: Vec<u64>,
     /// Events routed to a partition after it was marked unhealthy — dropped
     /// instead of shipped, and surfaced so operators can size the loss.
     events_dropped: u64,
-    /// Submits dispatched to pipelining clients whose replies are still on
-    /// the wire: `(slot, batch_len, client_gen)`. A pipelining transport preserves
-    /// per-connection order, so the router leaves the submit unconfirmed,
-    /// streams the same slot's tick command behind it, and collects both
-    /// replies together — one round trip per round instead of two. At most
-    /// one entry per slot (the depth cap): the next dispatch to a slot
+    /// Per slot, the submit sent and not yet confirmed:
+    /// `(batch_len, client_gen)`. Every client answers in send order, so
+    /// the router leaves a submit unconfirmed, sends the same slot's next
+    /// request behind it, and receives the submit's reply just before that
+    /// request's — a submit-then-tick round costs one round trip, not two.
+    /// At most one per slot (the depth cap): the next submit to a slot
     /// collects the previous reply first.
-    pending_submits: Vec<(usize, u64, u64)>,
+    pending_submits: Vec<Option<(u64, u64)>>,
     /// The most recent tick time (what the graceful-shutdown drain tick
     /// runs at).
     last_now: f64,
@@ -259,6 +259,7 @@ impl PartitionedEngine {
         let health = (0..clients.len()).map(|_| None).collect();
         let promoters = (0..clients.len()).map(|_| None).collect();
         let client_gen = vec![0; clients.len()];
+        let pending_submits = vec![None; clients.len()];
         Self {
             partition,
             clients,
@@ -273,7 +274,7 @@ impl PartitionedEngine {
             promotions: Vec::new(),
             client_gen,
             events_dropped: 0,
-            pending_submits: Vec::new(),
+            pending_submits,
             last_now: 0.0,
             last_trace: 0,
             shut: false,
@@ -441,83 +442,69 @@ impl PartitionedEngine {
         self.outbox[slot].push(event);
     }
 
-    /// Ships every buffered event, one split-phase submit per partition:
-    /// all dispatches go out before any completion is awaited, so remote
-    /// partitions ingest concurrently. For pipelining clients the
-    /// completion is deferred entirely ([`Self::pending_submits`]): the
-    /// reply is collected just before the slot's next command dispatch, so
-    /// a submit-then-tick round writes both commands before reading
-    /// anything.
+    /// Ships every buffered event, one submit per partition, under the most
+    /// recent round's trace. No reply is awaited here: the slot's next
+    /// request — usually the round's tick — is sent behind the submit, and
+    /// the submit's reply is received just before that request's.
     fn flush_outbox(&mut self) {
-        let mut inflight = Vec::new();
         for slot in 0..self.outbox.len() {
             if self.outbox[slot].is_empty() {
                 continue;
             }
             let batch = std::mem::take(&mut self.outbox[slot]);
-            if !self.healthy(slot) {
-                self.events_dropped += batch.len() as u64;
-                continue;
-            }
-            // Depth cap: collect the slot's previous pipelined submit (if
-            // any) before dispatching the next one.
+            let batch_len = batch.len() as u64;
+            // Depth cap: collect the slot's previous submit before sending
+            // the next one.
             self.finish_pending_submit(slot);
             if !self.healthy(slot) {
-                self.events_dropped += batch.len() as u64;
-                continue;
-            }
-            let batch_len = batch.len() as u64;
-            if let Err(e) = self.clients[slot].begin_submit(batch) {
-                self.mark_unhealthy(slot, e);
                 self.events_dropped += batch_len;
                 continue;
             }
-            if self.clients[slot].supports_pipelining() {
-                self.pending_submits
-                    .push((slot, batch_len, self.client_gen[slot]));
-            } else {
-                inflight.push((slot, batch_len));
-            }
-        }
-        for (slot, batch_len) in inflight {
-            if let Err(e) = self.clients[slot].finish_submit() {
-                // Unconfirmed means unapplied as far as the router can
-                // know: count the batch lost.
-                self.mark_unhealthy(slot, e);
-                self.events_dropped += batch_len;
+            match self.clients[slot].begin_submit(self.last_trace, batch) {
+                Ok(()) => self.pending_submits[slot] = Some((batch_len, self.client_gen[slot])),
+                Err(e) => {
+                    self.mark_unhealthy(slot, e);
+                    self.events_dropped += batch_len;
+                }
             }
         }
     }
 
-    /// Collects `slot`'s deferred pipelined submit reply, if one is
-    /// outstanding, with the same loss accounting as an eager completion.
-    /// A generation mismatch means a promotion replaced the client since
-    /// the dispatch: the batch died with the primary and is counted lost.
+    /// Collects `slot`'s outstanding submit reply, if there is one. A batch
+    /// the router cannot see confirmed is unapplied as far as it can know,
+    /// and counted lost: the slot was lost since the send, a promotion
+    /// replaced the client (the batch died with the primary), or the reply
+    /// is an error.
     fn finish_pending_submit(&mut self, slot: usize) {
-        let Some(pos) = self.pending_submits.iter().position(|(s, _, _)| *s == slot) else {
+        let Some((batch_len, gen)) = self.pending_submits[slot].take() else {
             return;
         };
-        let (_, batch_len, gen) = self.pending_submits.remove(pos);
-        if self.client_gen[slot] != gen {
+        if !self.healthy(slot) || self.client_gen[slot] != gen {
             self.events_dropped += batch_len;
-            return;
-        }
-        if let Err(e) = self.clients[slot].finish_submit() {
+        } else if let Err(e) = self.clients[slot].finish_submit() {
             self.mark_unhealthy(slot, e);
             self.events_dropped += batch_len;
         }
     }
 
-    /// Collects every outstanding pipelined submit reply.
-    fn finish_all_pending_submits(&mut self) {
-        for (slot, batch_len, gen) in std::mem::take(&mut self.pending_submits) {
-            if self.client_gen[slot] != gen {
-                self.events_dropped += batch_len;
-                continue;
-            }
-            if let Err(e) = self.clients[slot].finish_submit() {
+    /// One immediate exchange with `slot`: collects the slot's outstanding
+    /// submit first (its reply comes back ahead of this one), then runs
+    /// `exchange` on the client. `None` when the slot is lost, or is lost by
+    /// this exchange.
+    fn call<T>(
+        &mut self,
+        slot: usize,
+        exchange: impl FnOnce(&mut dyn PartitionClient) -> Result<T, PartitionError>,
+    ) -> Option<T> {
+        self.finish_pending_submit(slot);
+        if !self.healthy(slot) {
+            return None;
+        }
+        match exchange(self.clients[slot].as_mut()) {
+            Ok(value) => Some(value),
+            Err(e) => {
                 self.mark_unhealthy(slot, e);
-                self.events_dropped += batch_len;
+                None
             }
         }
     }
@@ -704,17 +691,18 @@ impl PartitionedEngine {
             if !self.healthy(slot) {
                 continue;
             }
-            self.clients[slot].set_trace(trace);
-            match self.clients[slot].begin_tick(now) {
+            match self.clients[slot].begin_tick(trace, now) {
                 Ok(()) => ticking.push((slot, self.client_gen[slot])),
                 Err(e) => self.mark_unhealthy(slot, e),
             }
         }
-        // Pipelined submit replies are collected only now, after the tick
-        // fan-out: each connection's submit reply precedes its tick reply
-        // (FIFO), and deferring the read this far means the submit round
-        // trips overlapped with every partition's solve.
-        self.finish_all_pending_submits();
+        // Submit replies are collected only now, after the tick fan-out:
+        // each slot's submit reply precedes its tick reply (send order),
+        // and deferring the read this far means the submit round trips
+        // overlapped with every partition's solve.
+        for slot in 0..self.clients.len() {
+            self.finish_pending_submit(slot);
+        }
         let mut results = Vec::with_capacity(ticking.len());
         for (slot, gen) in ticking {
             if !self.healthy(slot) {
@@ -803,17 +791,7 @@ impl PartitionedEngine {
     /// check behind [`crate::handle::EngineHandle::tick_if_active`]; ticks
     /// stay lockstep, so one active partition ticks all of them.)
     pub fn is_active(&mut self) -> bool {
-        for slot in 0..self.clients.len() {
-            if !self.healthy(slot) {
-                continue;
-            }
-            match self.clients[slot].is_active() {
-                Ok(true) => return true,
-                Ok(false) => {}
-                Err(e) => self.mark_unhealthy(slot, e),
-            }
-        }
-        false
+        (0..self.clients.len()).any(|slot| self.call(slot, |c| c.is_active()) == Some(true))
     }
 
     /// Banks an en-route worker's answer in its partition; a now-free
@@ -824,15 +802,8 @@ impl PartitionedEngine {
         let Some(entry) = self.worker_home.get(&worker).copied() else {
             return false;
         };
-        if !self.healthy(entry.home) {
+        let Some(banked) = self.call(entry.home, |c| c.record_answer(worker, contribution)) else {
             return false;
-        }
-        let banked = match self.clients[entry.home].record_answer(worker, contribution) {
-            Ok(banked) => banked,
-            Err(e) => {
-                self.mark_unhealthy(entry.home, e);
-                return false;
-            }
         };
         if banked {
             self.committed.remove(&worker);
@@ -852,11 +823,10 @@ impl PartitionedEngine {
         let Some(entry) = self.worker_home.get(&worker).copied() else {
             return;
         };
-        if !self.healthy(entry.home) {
-            return;
-        }
-        if let Err(e) = self.clients[entry.home].release_worker(worker) {
-            self.mark_unhealthy(entry.home, e);
+        if self
+            .call(entry.home, |c| c.release_worker(worker))
+            .is_none()
+        {
             return;
         }
         self.committed.remove(&worker);
@@ -877,33 +847,18 @@ impl PartitionedEngine {
     /// `(partition, task, worker)` — partition-major concatenation of the
     /// per-engine sorted listings.
     pub fn committed_assignments(&mut self) -> Vec<ValidPair> {
-        let mut merged = Vec::new();
-        for slot in 0..self.clients.len() {
-            if !self.healthy(slot) {
-                continue;
-            }
-            match self.clients[slot].assignments() {
-                Ok(pairs) => merged.extend(pairs),
-                Err(e) => self.mark_unhealthy(slot, e),
-            }
-        }
-        merged
+        (0..self.clients.len())
+            .filter_map(|slot| self.call(slot, |c| c.assignments()))
+            .flatten()
+            .collect()
     }
 
     /// One consistent snapshot per surviving partition, in partition order
     /// (lost partitions are absent — see the module docs' failure model).
     pub fn partition_snapshots(&mut self) -> Vec<EngineSnapshot> {
-        let mut snapshots = Vec::with_capacity(self.clients.len());
-        for slot in 0..self.clients.len() {
-            if !self.healthy(slot) {
-                continue;
-            }
-            match self.clients[slot].snapshot() {
-                Ok(snapshot) => snapshots.push(snapshot),
-                Err(e) => self.mark_unhealthy(slot, e),
-            }
-        }
-        snapshots
+        (0..self.clients.len())
+            .filter_map(|slot| self.call(slot, |c| c.snapshot()))
+            .collect()
     }
 
     /// The merged serving snapshot: counters summed, objective folded
@@ -916,18 +871,9 @@ impl PartitionedEngine {
     /// invariant says this has at most one element once queues are drained;
     /// the property tests assert exactly that.
     pub fn partitions_holding(&mut self, id: WorkerId) -> Vec<usize> {
-        let mut holding = Vec::new();
-        for slot in 0..self.clients.len() {
-            if !self.healthy(slot) {
-                continue;
-            }
-            match self.clients[slot].has_worker(id) {
-                Ok(true) => holding.push(slot),
-                Ok(false) => {}
-                Err(e) => self.mark_unhealthy(slot, e),
-            }
-        }
-        holding
+        (0..self.clients.len())
+            .filter(|&slot| self.call(slot, |c| c.has_worker(id)) == Some(true))
+            .collect()
     }
 
     /// Graceful shutdown with drain ordering: ship any buffered routed
@@ -943,7 +889,6 @@ impl PartitionedEngine {
     pub fn shutdown(&mut self) -> EngineSnapshot {
         assert!(!self.shut, "PartitionedEngine::shutdown called twice");
         self.flush_outbox();
-        self.finish_all_pending_submits();
         if self.is_active() {
             // The drain tick: applies whatever the queues hold and fires
             // any deferred handoffs whose commitment has cleared. Re-using
@@ -1331,57 +1276,16 @@ mod tests {
         fn counters(&self) -> std::sync::Arc<crate::protocol::ProtocolCounters> {
             self.inner.counters()
         }
-        fn begin_submit(&mut self, events: Vec<EngineEvent>) -> Result<(), PartitionError> {
-            self.fail()?;
-            self.inner.begin_submit(events)
-        }
-        fn finish_submit(&mut self) -> Result<(), PartitionError> {
-            self.fail()?;
-            self.inner.finish_submit()
-        }
-        fn begin_tick(&mut self, now: f64) -> Result<(), PartitionError> {
-            self.fail()?;
-            self.inner.begin_tick(now)
-        }
-        fn finish_tick(&mut self) -> Result<crate::protocol::PartitionTick, PartitionError> {
-            self.fail()?;
-            self.inner.finish_tick()
-        }
-        fn record_answer(
+        fn send(
             &mut self,
-            worker: WorkerId,
-            contribution: Contribution,
-        ) -> Result<bool, PartitionError> {
+            request: crate::protocol::PartitionRequest,
+        ) -> Result<(), PartitionError> {
             self.fail()?;
-            self.inner.record_answer(worker, contribution)
+            self.inner.send(request)
         }
-        fn release_worker(&mut self, worker: WorkerId) -> Result<(), PartitionError> {
+        fn recv(&mut self) -> Result<crate::protocol::PartitionReply, PartitionError> {
             self.fail()?;
-            self.inner.release_worker(worker)
-        }
-        fn assignments(&mut self) -> Result<Vec<ValidPair>, PartitionError> {
-            self.fail()?;
-            self.inner.assignments()
-        }
-        fn snapshot(&mut self) -> Result<EngineSnapshot, PartitionError> {
-            self.fail()?;
-            self.inner.snapshot()
-        }
-        fn is_active(&mut self) -> Result<bool, PartitionError> {
-            self.fail()?;
-            self.inner.is_active()
-        }
-        fn has_worker(&mut self, id: WorkerId) -> Result<bool, PartitionError> {
-            self.fail()?;
-            self.inner.has_worker(id)
-        }
-        fn drain(&mut self) -> Result<(), PartitionError> {
-            self.fail()?;
-            self.inner.drain()
-        }
-        fn shutdown(&mut self) -> Result<(), PartitionError> {
-            self.fail()?;
-            self.inner.shutdown()
+            self.inner.recv()
         }
     }
 
@@ -1448,6 +1352,31 @@ mod tests {
         // Shutdown stays graceful: drains the survivor, skips the corpse.
         let final_snapshot = split.shutdown();
         assert_eq!(final_snapshot.pending_events, 0);
+    }
+
+    /// A submit is confirmed only when its reply is received, behind the
+    /// slot's next request. A slot lost before that has not confirmed the
+    /// batch, so as far as the router can know it was never applied: it is
+    /// counted dropped, once.
+    #[test]
+    fn a_slot_lost_with_a_submit_in_flight_counts_the_batch_as_dropped() {
+        use std::sync::atomic::Ordering;
+
+        let (mut split, dead, _standby) = killable_split();
+        split.submit_all(two_sided_events());
+        dead.store(true, Ordering::SeqCst);
+        split.tick(0.0);
+        let lost = split.unhealthy_partitions();
+        assert_eq!(lost.len(), 1);
+        assert_eq!(lost[0].partition, 1);
+        assert_eq!(
+            split.events_dropped(),
+            6,
+            "slot 1's three tasks and three workers"
+        );
+        split.tick(0.5);
+        assert_eq!(split.events_dropped(), 6, "the lost batch is counted once");
+        split.shutdown();
     }
 
     /// Hands out a pre-built standby client when promoted; the in-process
@@ -1534,9 +1463,9 @@ mod tests {
             sub.push(EngineEvent::WorkerCheckIn(worker(i, 0.8, 0.45, 0.3)));
         }
         let mut standby = InProcessClient::spawn(1, standby);
-        standby.begin_submit(sub).unwrap();
+        standby.begin_submit(0, sub).unwrap();
         standby.finish_submit().unwrap();
-        standby.begin_tick(0.0).unwrap();
+        standby.begin_tick(0, 0.0).unwrap();
         standby.finish_tick().unwrap();
 
         let shut = Arc::new(AtomicBool::new(false));

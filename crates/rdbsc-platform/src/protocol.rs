@@ -16,25 +16,26 @@
 //!   one `Box<dyn PartitionClient>` per region and nothing else — whether
 //!   the engine lives on a thread or on another host is the backend's
 //!   business.
-//! * [`InProcessClient`] — the thread-per-partition backend: today's
-//!   engine-on-an-OS-thread behind channels, now just one implementation of
-//!   the protocol.
+//! * [`InProcessClient`] — the thread-per-partition backend: the engine on
+//!   an OS thread behind a request channel and a reply channel.
 //! * `rdbsc-server::BinaryPartitionClient` — the wire backend: the same
 //!   protocol as length-prefixed binary frames on one persistent TCP
 //!   connection to an `rdbsc-partitiond` daemon hosting the partition's
 //!   engine in its own process (or on its own host).
 //!
-//! ## Split-phase commands
+//! ## One pipe, answered in send order
 //!
-//! The lockstep tick is the one operation where partitions must run
-//! **concurrently** — the round's wall time is the slowest partition's, not
-//! the sum. A synchronous `tick()` call per client would serialise remote
-//! solves, so the hot commands are split-phase: [`PartitionClient::begin_tick`]
-//! dispatches the command (channel send, or frame write) and
-//! [`PartitionClient::finish_tick`] collects the reply (channel receive, or
-//! frame read). The router begins on every partition before
-//! finishing any, so N daemons solve their regions at the same time. Submit
-//! gets the same treatment — it is the ingestion hot path.
+//! A backend implements two messaging methods: [`PartitionClient::send`]
+//! puts a [`PartitionRequest`] on the pipe without waiting, and
+//! [`PartitionClient::recv`] takes the [`PartitionReply`] to the oldest
+//! request not yet answered — replies come back strictly in send order.
+//! Every typed method is written once over that pipe. The lockstep tick is
+//! where partitions must run **concurrently** (the round's wall time is the
+//! slowest partition's, not the sum), so its two halves are separate
+//! methods: [`PartitionClient::begin_tick`] sends and
+//! [`PartitionClient::finish_tick`] receives. The router sends a round's
+//! submit *and* tick to every partition before receiving any reply, so N
+//! daemons solve their regions at the same time, one round trip per round.
 //!
 //! ## Versioning
 //!
@@ -59,6 +60,7 @@ use crate::wal::{PartitionState, ScannedLog, Wal, WalConfig, WalError, WalRecord
 use rdbsc_index::SpatialIndex;
 use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{Contribution, WorkerId};
+use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -125,8 +127,8 @@ pub struct PartitionTick {
     /// the engine's deterministic `(task, worker)` listing order.
     pub committed: Vec<WorkerId>,
     /// The trace id the partition attributed this tick to — the echo of the
-    /// router's [`PartitionClient::set_trace`], proving the id survived the
-    /// transport (`0` = the tick ran untraced). Observational only.
+    /// one [`PartitionClient::begin_tick`] carried, proving the id survived
+    /// the transport (`0` = the tick ran untraced). Observational only.
     pub trace: u64,
 }
 
@@ -226,8 +228,8 @@ impl CommandOutcome {
 /// wire retries/reconnects, bytes moved, command latency percentiles.
 #[derive(Debug, Default)]
 pub struct ProtocolCounters {
-    /// Protocol commands completed (one per logical command, both phases of
-    /// a split-phase command counted once).
+    /// Requests answered: one per reply received, counted where its
+    /// latency is recorded.
     pub requests: Counter,
     /// Commands re-sent after a stale-connection reconnect (wire backends).
     pub retries: Counter,
@@ -288,12 +290,82 @@ impl ProtocolCounters {
     }
 }
 
+/// One message to a partition: a [`PartitionCommand`] under its trace id,
+/// or one of the reads and lifecycle messages around the commands — what
+/// [`PartitionClient::send`] puts on the pipe.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PartitionRequest {
+    /// One of the four partition commands.
+    Apply {
+        /// The trace id the partition's spans carry (`0` = untraced).
+        trace: u64,
+        /// The command.
+        command: PartitionCommand,
+    },
+    /// The standing committed pairs.
+    Assignments,
+    /// The partition's serving-state snapshot.
+    Snapshot,
+    /// Pending events or live tasks?
+    IsActive,
+    /// Does the index hold the worker?
+    HasWorker(WorkerId),
+    /// Stop taking new commands.
+    Drain,
+    /// Stop the partition's engine.
+    Shutdown,
+}
+
+/// A partition's answer to one [`PartitionRequest`], variant for variant.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PartitionReply {
+    /// What applying the command produced.
+    Applied(CommandOutcome),
+    /// The standing committed pairs, sorted by `(task, worker)`.
+    Assignments(Vec<ValidPair>),
+    /// The serving-state snapshot.
+    Snapshot(Box<EngineSnapshot>),
+    /// Pending events or live tasks?
+    Active(bool),
+    /// Is the worker resident?
+    HasWorker(bool),
+    /// Drain acknowledged.
+    Drained,
+    /// Shutdown acknowledged.
+    ShutDown,
+}
+
+/// One request's full round trip on `client`'s pipe.
+fn exchange<C: PartitionClient + ?Sized>(
+    client: &mut C,
+    request: PartitionRequest,
+) -> Result<PartitionReply, PartitionError> {
+    client.send(request)?;
+    client.recv()
+}
+
+/// The oldest reply on the pipe answers some other request than the typed
+/// method expected: the caller's `begin_*`/`finish_*` pairing is off.
+fn unexpected<C: PartitionClient + ?Sized>(
+    client: &C,
+    what: &str,
+    reply: PartitionReply,
+) -> PartitionError {
+    PartitionError::Protocol {
+        endpoint: client.endpoint(),
+        detail: format!("{what} received the reply to another request: {reply:?}"),
+    }
+}
+
 /// The full command surface one partition serves to the router — object-safe
 /// and `Send`, so the router can hold `Box<dyn PartitionClient>` per region
-/// regardless of where the engine runs. See the [module docs](self) for the
-/// split-phase rules; every method is driven from the router's single
-/// thread, and a `begin_*` must be paired with its `finish_*` before any
-/// other command is issued on the same client.
+/// regardless of where the engine runs.
+///
+/// A backend implements five methods: its identity, its counters, and one
+/// pipe — [`send`](Self::send) and [`recv`](Self::recv), answered strictly
+/// in send order (see the [module docs](self)). The typed methods are
+/// written once, over that pipe. Every method is driven from the router's
+/// single thread.
 pub trait PartitionClient: Send {
     /// The backend kind: `"in-process"` or `"binary"`.
     fn kind(&self) -> &'static str;
@@ -304,36 +376,43 @@ pub trait PartitionClient: Send {
     /// The client's protocol counters (shared, lock-free).
     fn counters(&self) -> Arc<ProtocolCounters>;
 
-    /// May the router leave this client's `begin_submit` unfinished while
-    /// it issues the same slot's `begin_tick`? Pipelining backends answer
-    /// `true`: their transport preserves per-connection command order and
-    /// pairs replies to requests by id, so the router can stream a round's
-    /// submit **and** tick frames to every partition before reading any
-    /// reply. The default is `false` — one split-phase command in flight
-    /// at a time, the contract every pre-pipelining backend was written
-    /// against.
-    fn supports_pipelining(&self) -> bool {
-        false
+    /// Puts one request on the pipe without waiting for its reply.
+    fn send(&mut self, request: PartitionRequest) -> Result<(), PartitionError>;
+
+    /// Takes the reply to the oldest request not yet answered — the one
+    /// place a request is counted and timed. With nothing in flight this is
+    /// a [`PartitionError::Protocol`].
+    fn recv(&mut self) -> Result<PartitionReply, PartitionError>;
+
+    /// Sends a routed event batch for the partition's next tick, attributed
+    /// to `trace` (`0` = untraced).
+    fn begin_submit(&mut self, trace: u64, events: Vec<EngineEvent>) -> Result<(), PartitionError> {
+        let command = PartitionCommand::Submit(events);
+        self.send(PartitionRequest::Apply { trace, command })
     }
 
-    /// Sets the trace id subsequent submit/tick commands are attributed to
-    /// (`0` = untraced). Purely observational — backends propagate the id
-    /// to the partition so its spans correlate with the router's, and the
-    /// partition echoes it in [`PartitionTick::trace`]. The default is a
-    /// no-op so wrappers and test doubles without tracing keep compiling.
-    fn set_trace(&mut self, _trace: u64) {}
+    /// Receives the reply to a [`begin_submit`](Self::begin_submit).
+    fn finish_submit(&mut self) -> Result<(), PartitionError> {
+        match self.recv()? {
+            PartitionReply::Applied(CommandOutcome::Submitted { .. }) => Ok(()),
+            other => Err(unexpected(self, "finish_submit", other)),
+        }
+    }
 
-    /// Dispatches a routed event batch for the partition's next tick.
-    fn begin_submit(&mut self, events: Vec<EngineEvent>) -> Result<(), PartitionError>;
+    /// Sends one lockstep engine round at time `now`, attributed to `trace`;
+    /// the partition echoes it in [`PartitionTick::trace`].
+    fn begin_tick(&mut self, trace: u64, now: f64) -> Result<(), PartitionError> {
+        let command = PartitionCommand::Tick { now };
+        self.send(PartitionRequest::Apply { trace, command })
+    }
 
-    /// Completes a [`begin_submit`](Self::begin_submit).
-    fn finish_submit(&mut self) -> Result<(), PartitionError>;
-
-    /// Dispatches one lockstep engine round at time `now`.
-    fn begin_tick(&mut self, now: f64) -> Result<(), PartitionError>;
-
-    /// Collects the tick reply of a [`begin_tick`](Self::begin_tick).
-    fn finish_tick(&mut self) -> Result<PartitionTick, PartitionError>;
+    /// Receives the tick reply of a [`begin_tick`](Self::begin_tick).
+    fn finish_tick(&mut self) -> Result<PartitionTick, PartitionError> {
+        match self.recv()? {
+            PartitionReply::Applied(CommandOutcome::Ticked(tick)) => Ok(*tick),
+            other => Err(unexpected(self, "finish_tick", other)),
+        }
+    }
 
     /// Banks an en-route worker's answer; `Ok(false)` when it was not
     /// committed here.
@@ -341,33 +420,78 @@ pub trait PartitionClient: Send {
         &mut self,
         worker: WorkerId,
         contribution: Contribution,
-    ) -> Result<bool, PartitionError>;
+    ) -> Result<bool, PartitionError> {
+        let command = PartitionCommand::Answer {
+            worker,
+            contribution,
+        };
+        match exchange(self, PartitionRequest::Apply { trace: 0, command })? {
+            PartitionReply::Applied(CommandOutcome::Answered { banked }) => Ok(banked),
+            other => Err(unexpected(self, "record_answer", other)),
+        }
+    }
 
     /// Releases an en-route worker (gave up / rejected) without banking.
-    fn release_worker(&mut self, worker: WorkerId) -> Result<(), PartitionError>;
+    fn release_worker(&mut self, worker: WorkerId) -> Result<(), PartitionError> {
+        let command = PartitionCommand::Release { worker };
+        match exchange(self, PartitionRequest::Apply { trace: 0, command })? {
+            PartitionReply::Applied(CommandOutcome::Released) => Ok(()),
+            other => Err(unexpected(self, "release_worker", other)),
+        }
+    }
 
     /// The partition's standing committed pairs, sorted by `(task, worker)`.
-    fn assignments(&mut self) -> Result<Vec<ValidPair>, PartitionError>;
+    fn assignments(&mut self) -> Result<Vec<ValidPair>, PartitionError> {
+        match exchange(self, PartitionRequest::Assignments)? {
+            PartitionReply::Assignments(pairs) => Ok(pairs),
+            other => Err(unexpected(self, "assignments", other)),
+        }
+    }
 
     /// A consistent snapshot of the partition's serving state.
-    fn snapshot(&mut self) -> Result<EngineSnapshot, PartitionError>;
+    fn snapshot(&mut self) -> Result<EngineSnapshot, PartitionError> {
+        match exchange(self, PartitionRequest::Snapshot)? {
+            PartitionReply::Snapshot(snapshot) => Ok(*snapshot),
+            other => Err(unexpected(self, "snapshot", other)),
+        }
+    }
 
     /// Does the partition have pending events or live tasks?
-    fn is_active(&mut self) -> Result<bool, PartitionError>;
+    fn is_active(&mut self) -> Result<bool, PartitionError> {
+        match exchange(self, PartitionRequest::IsActive)? {
+            PartitionReply::Active(active) => Ok(active),
+            other => Err(unexpected(self, "is_active", other)),
+        }
+    }
 
     /// Does the partition's index hold the worker? (Residency probe for
     /// tests and debugging.)
-    fn has_worker(&mut self, id: WorkerId) -> Result<bool, PartitionError>;
+    fn has_worker(&mut self, id: WorkerId) -> Result<bool, PartitionError> {
+        match exchange(self, PartitionRequest::HasWorker(id))? {
+            PartitionReply::HasWorker(present) => Ok(present),
+            other => Err(unexpected(self, "has_worker", other)),
+        }
+    }
 
     /// Asks the partition to stop taking new commands (a daemon answers 503
     /// to commands received after this). Part of the graceful-shutdown
-    /// ordering; in-process partitions, reachable only through this client,
-    /// treat it as a no-op.
-    fn drain(&mut self) -> Result<(), PartitionError>;
+    /// ordering; an in-process partition, reachable only through this
+    /// client, just acknowledges it.
+    fn drain(&mut self) -> Result<(), PartitionError> {
+        match exchange(self, PartitionRequest::Drain)? {
+            PartitionReply::Drained => Ok(()),
+            other => Err(unexpected(self, "drain", other)),
+        }
+    }
 
     /// Stops the partition's engine: joins the engine thread, or tells the
-    /// daemon process to exit.
-    fn shutdown(&mut self) -> Result<(), PartitionError>;
+    /// daemon process to exit. Any request after it is an error.
+    fn shutdown(&mut self) -> Result<(), PartitionError> {
+        match exchange(self, PartitionRequest::Shutdown)? {
+            PartitionReply::ShutDown => Ok(()),
+            other => Err(unexpected(self, "shutdown", other)),
+        }
+    }
 }
 
 /// One partition's engine plus the serving counters its snapshots need —
@@ -792,60 +916,47 @@ impl<I: SpatialIndex> EnginePartition<I> {
     }
 }
 
-/// A message to one in-process partition's engine thread; every variant
-/// but `Shutdown` carries the channel its answer goes back on.
-enum Command {
-    /// One of the four partition commands, with its trace id.
-    Apply(PartitionCommand, u64, Sender<CommandOutcome>),
-    Assignments(Sender<Vec<ValidPair>>),
-    Snapshot(Sender<EngineSnapshot>),
-    IsActive(Sender<bool>),
-    HasWorker(WorkerId, Sender<bool>),
-    Shutdown,
-}
-
-/// The per-partition engine thread: an [`EnginePartition`] drained off a
-/// channel.
-fn slot_loop<I: SpatialIndex>(mut part: EnginePartition<I>, commands: Receiver<Command>) {
-    while let Ok(command) = commands.recv() {
-        match command {
-            Command::Apply(command, trace, reply) => {
-                let _ = reply.send(part.apply(trace, command));
+/// The per-partition engine thread: an [`EnginePartition`] answering the
+/// request channel on the reply channel, in order.
+fn slot_loop<I: SpatialIndex>(
+    mut part: EnginePartition<I>,
+    requests: Receiver<PartitionRequest>,
+    replies: Sender<PartitionReply>,
+) {
+    while let Ok(request) = requests.recv() {
+        let reply = match request {
+            PartitionRequest::Apply { trace, command } => {
+                PartitionReply::Applied(part.apply(trace, command))
             }
-            Command::Assignments(reply) => {
-                let _ = reply.send(part.assignments());
+            PartitionRequest::Assignments => PartitionReply::Assignments(part.assignments()),
+            PartitionRequest::Snapshot => PartitionReply::Snapshot(Box::new(part.snapshot())),
+            PartitionRequest::IsActive => PartitionReply::Active(part.is_active()),
+            PartitionRequest::HasWorker(id) => PartitionReply::HasWorker(part.has_worker(id)),
+            PartitionRequest::Drain => PartitionReply::Drained,
+            PartitionRequest::Shutdown => {
+                let _ = replies.send(PartitionReply::ShutDown);
+                return;
             }
-            Command::Snapshot(reply) => {
-                let _ = reply.send(part.snapshot());
-            }
-            Command::IsActive(reply) => {
-                let _ = reply.send(part.is_active());
-            }
-            Command::HasWorker(id, reply) => {
-                let _ = reply.send(part.has_worker(id));
-            }
-            Command::Shutdown => return,
+        };
+        if replies.send(reply).is_err() {
+            return;
         }
     }
 }
 
-/// A sent message whose answer has not been collected yet.
-struct Pending<R> {
-    reply: Receiver<R>,
-    started: Instant,
-}
-
 /// The thread-per-partition protocol backend: one [`AssignmentEngine`] on
-/// its own named OS thread behind an `mpsc` command channel — PR 4's
-/// hard-wired router plumbing, now just one [`PartitionClient`] impl.
+/// its own named OS thread behind a request channel and a reply channel.
+/// The thread answers in arrival order, so the client pipelines the way the
+/// wire backend does: any number of requests may be in flight.
 pub struct InProcessClient {
     label: String,
-    sender: Option<Sender<Command>>,
+    /// `None` once a shutdown was sent: nothing may follow it.
+    requests: Option<Sender<PartitionRequest>>,
+    replies: Receiver<PartitionReply>,
     thread: Option<JoinHandle<()>>,
     counters: Arc<ProtocolCounters>,
-    /// The split-phase command begun and not yet finished.
-    pending: Option<Pending<CommandOutcome>>,
-    trace: u64,
+    /// When each request not yet answered was sent, oldest first.
+    in_flight: VecDeque<Instant>,
 }
 
 impl InProcessClient {
@@ -862,18 +973,19 @@ impl InProcessClient {
         part: EnginePartition<I>,
     ) -> Self {
         let label = format!("rdbsc-partition-{index}");
-        let (tx, rx) = channel();
+        let (requests, requests_rx) = channel();
+        let (replies_tx, replies) = channel();
         let thread = std::thread::Builder::new()
             .name(label.clone())
-            .spawn(move || slot_loop(part, rx))
+            .spawn(move || slot_loop(part, requests_rx, replies_tx))
             .expect("spawn partition thread");
         Self {
             label,
-            sender: Some(tx),
+            requests: Some(requests),
+            replies,
             thread: Some(thread),
             counters: Arc::new(ProtocolCounters::default()),
-            pending: None,
-            trace: 0,
+            in_flight: VecDeque::new(),
         }
     }
 
@@ -882,67 +994,6 @@ impl InProcessClient {
             endpoint: self.label.clone(),
             detail: detail.into(),
         }
-    }
-
-    fn protocol(&self, detail: String) -> PartitionError {
-        PartitionError::Protocol {
-            endpoint: self.label.clone(),
-            detail,
-        }
-    }
-
-    /// Sends one message on a fresh reply channel.
-    fn dispatch<R>(
-        &self,
-        make: impl FnOnce(Sender<R>) -> Command,
-    ) -> Result<Pending<R>, PartitionError> {
-        let started = Instant::now();
-        let (tx, reply) = channel();
-        self.sender
-            .as_ref()
-            .ok_or_else(|| self.transport("partition already shut down"))?
-            .send(make(tx))
-            .map_err(|_| self.transport("partition thread is gone"))?;
-        Ok(Pending { reply, started })
-    }
-
-    /// Waits for a dispatched message's answer — the one place a command is
-    /// counted and timed, so both happen exactly when an answer arrived.
-    fn collect<R>(&self, pending: Pending<R>) -> Result<R, PartitionError> {
-        let reply = pending
-            .reply
-            .recv()
-            .map_err(|_| self.transport("partition thread died mid-command"))?;
-        self.counters.requests.incr();
-        self.counters
-            .command_latency
-            .record(pending.started.elapsed());
-        Ok(reply)
-    }
-
-    fn round_trip<R>(&self, make: impl FnOnce(Sender<R>) -> Command) -> Result<R, PartitionError> {
-        self.collect(self.dispatch(make)?)
-    }
-
-    /// Dispatches a partition command under the current trace.
-    fn begin(&mut self, command: PartitionCommand) -> Result<(), PartitionError> {
-        let trace = self.trace;
-        self.pending = Some(self.dispatch(|reply| Command::Apply(command, trace, reply))?);
-        Ok(())
-    }
-
-    /// Collects the outcome of the command [`Self::begin`] dispatched.
-    fn finish(&mut self, what: &str) -> Result<CommandOutcome, PartitionError> {
-        let pending = self
-            .pending
-            .take()
-            .ok_or_else(|| self.protocol(format!("finish_{what} without begin_{what}")))?;
-        self.collect(pending)
-    }
-
-    /// `finish_*` collected the outcome of a different `begin_*`.
-    fn mismatched(&self, outcome: CommandOutcome) -> PartitionError {
-        self.protocol(format!("finished another command's outcome: {outcome:?}"))
     }
 }
 
@@ -959,94 +1010,51 @@ impl PartitionClient for InProcessClient {
         Arc::clone(&self.counters)
     }
 
-    fn set_trace(&mut self, trace: u64) {
-        self.trace = trace;
-    }
-
-    fn begin_submit(&mut self, events: Vec<EngineEvent>) -> Result<(), PartitionError> {
-        self.begin(PartitionCommand::Submit(events))
-    }
-
-    fn finish_submit(&mut self) -> Result<(), PartitionError> {
-        match self.finish("submit")? {
-            CommandOutcome::Submitted { .. } => Ok(()),
-            other => Err(self.mismatched(other)),
+    fn send(&mut self, request: PartitionRequest) -> Result<(), PartitionError> {
+        let started = Instant::now();
+        let last = matches!(request, PartitionRequest::Shutdown);
+        self.requests
+            .as_ref()
+            .ok_or_else(|| self.transport("partition already shut down"))?
+            .send(request)
+            .map_err(|_| self.transport("partition thread is gone"))?;
+        if last {
+            self.requests = None;
         }
-    }
-
-    fn begin_tick(&mut self, now: f64) -> Result<(), PartitionError> {
-        self.begin(PartitionCommand::Tick { now })
-    }
-
-    fn finish_tick(&mut self) -> Result<PartitionTick, PartitionError> {
-        match self.finish("tick")? {
-            CommandOutcome::Ticked(tick) => Ok(*tick),
-            other => Err(self.mismatched(other)),
-        }
-    }
-
-    fn record_answer(
-        &mut self,
-        worker: WorkerId,
-        contribution: Contribution,
-    ) -> Result<bool, PartitionError> {
-        self.begin(PartitionCommand::Answer {
-            worker,
-            contribution,
-        })?;
-        match self.finish("answer")? {
-            CommandOutcome::Answered { banked } => Ok(banked),
-            other => Err(self.mismatched(other)),
-        }
-    }
-
-    fn release_worker(&mut self, worker: WorkerId) -> Result<(), PartitionError> {
-        self.begin(PartitionCommand::Release { worker })?;
-        match self.finish("release")? {
-            CommandOutcome::Released => Ok(()),
-            other => Err(self.mismatched(other)),
-        }
-    }
-
-    fn assignments(&mut self) -> Result<Vec<ValidPair>, PartitionError> {
-        self.round_trip(Command::Assignments)
-    }
-
-    fn snapshot(&mut self) -> Result<EngineSnapshot, PartitionError> {
-        self.round_trip(Command::Snapshot)
-    }
-
-    fn is_active(&mut self) -> Result<bool, PartitionError> {
-        self.round_trip(Command::IsActive)
-    }
-
-    fn has_worker(&mut self, id: WorkerId) -> Result<bool, PartitionError> {
-        self.round_trip(|reply| Command::HasWorker(id, reply))
-    }
-
-    fn drain(&mut self) -> Result<(), PartitionError> {
-        // The engine thread only hears commands through this client, so
-        // there is nothing to refuse: the router has already stopped
-        // sending by the time it drains.
+        self.in_flight.push_back(started);
         Ok(())
     }
 
-    fn shutdown(&mut self) -> Result<(), PartitionError> {
-        if let Some(sender) = self.sender.take() {
-            let _ = sender.send(Command::Shutdown);
-        }
-        if let Some(thread) = self.thread.take() {
+    fn recv(&mut self) -> Result<PartitionReply, PartitionError> {
+        let started = self
+            .in_flight
+            .pop_front()
+            .ok_or_else(|| PartitionError::Protocol {
+                endpoint: self.label.clone(),
+                detail: "recv with no request in flight".into(),
+            })?;
+        let reply = self
+            .replies
+            .recv()
+            .map_err(|_| self.transport("partition thread died mid-command"))?;
+        if let (PartitionReply::ShutDown, Some(thread)) = (&reply, self.thread.take()) {
             thread
                 .join()
                 .map_err(|_| self.transport("partition thread panicked"))?;
         }
-        Ok(())
+        self.counters.requests.incr();
+        self.counters.command_latency.record(started.elapsed());
+        Ok(reply)
     }
 }
 
 impl Drop for InProcessClient {
     fn drop(&mut self) {
-        let _ = self.shutdown();
+        // A closed request channel ends the engine thread's loop.
+        self.requests = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -1086,18 +1094,21 @@ mod tests {
         assert_eq!(c.kind(), "in-process");
         assert_eq!(c.endpoint(), "rdbsc-partition-0");
 
-        c.begin_submit(vec![
-            crate::engine::EngineEvent::TaskArrived(task(0, 0.6, 0.6)),
-            crate::engine::EngineEvent::WorkerCheckIn(worker(0, 0.5, 0.5)),
-        ])
+        c.begin_submit(
+            0,
+            vec![
+                crate::engine::EngineEvent::TaskArrived(task(0, 0.6, 0.6)),
+                crate::engine::EngineEvent::WorkerCheckIn(worker(0, 0.5, 0.5)),
+            ],
+        )
         .unwrap();
         c.finish_submit().unwrap();
         assert!(c.is_active().unwrap());
 
-        c.begin_tick(0.0).unwrap();
+        c.begin_tick(0, 0.0).unwrap();
         let tick = c.finish_tick().unwrap();
         assert_eq!(tick.report.new_assignments.len(), 1);
-        assert_eq!(tick.trace, 0, "ticks run untraced unless set_trace is called");
+        assert_eq!(tick.trace, 0, "a tick begun under trace 0 runs untraced");
         assert_eq!(tick.committed, vec![WorkerId(0)]);
         assert!(c.has_worker(WorkerId(0)).unwrap());
         assert!(!c.has_worker(WorkerId(9)).unwrap());
@@ -1125,13 +1136,16 @@ mod tests {
     #[test]
     fn every_in_process_command_is_counted_and_timed_once() {
         let mut c = client();
-        c.begin_submit(vec![
-            EngineEvent::TaskArrived(task(0, 0.6, 0.6)),
-            EngineEvent::WorkerCheckIn(worker(0, 0.5, 0.5)),
-        ])
+        c.begin_submit(
+            0,
+            vec![
+                EngineEvent::TaskArrived(task(0, 0.6, 0.6)),
+                EngineEvent::WorkerCheckIn(worker(0, 0.5, 0.5)),
+            ],
+        )
         .unwrap();
         c.finish_submit().unwrap();
-        c.begin_tick(0.0).unwrap();
+        c.begin_tick(0, 0.0).unwrap();
         let pair = c.finish_tick().unwrap().report.new_assignments[0];
         assert!(c.record_answer(pair.worker, pair.contribution).unwrap());
         c.release_worker(pair.worker).unwrap();
@@ -1139,25 +1153,28 @@ mod tests {
         assert_eq!(counters.stats().requests, 4);
         assert_eq!(counters.command_latency.count(), 4);
 
-        // A partition that is gone answers nothing: nothing is counted.
+        // The shutdown is an exchange like any other; a partition that is
+        // gone answers nothing, so nothing after it is counted.
         c.shutdown().unwrap();
         assert!(c.release_worker(pair.worker).is_err());
         assert_eq!(counters.stats().requests, counters.command_latency.count());
-        assert_eq!(counters.stats().requests, 4);
+        assert_eq!(counters.stats().requests, 5);
     }
 
     #[test]
     fn set_trace_propagates_across_the_thread_and_echoes() {
         let mut c = client();
         let trace = rdbsc_obs::next_trace_id();
-        c.set_trace(trace);
-        c.begin_submit(vec![
-            crate::engine::EngineEvent::TaskArrived(task(0, 0.6, 0.6)),
-            crate::engine::EngineEvent::WorkerCheckIn(worker(0, 0.5, 0.5)),
-        ])
+        c.begin_submit(
+            trace,
+            vec![
+                crate::engine::EngineEvent::TaskArrived(task(0, 0.6, 0.6)),
+                crate::engine::EngineEvent::WorkerCheckIn(worker(0, 0.5, 0.5)),
+            ],
+        )
         .unwrap();
         c.finish_submit().unwrap();
-        c.begin_tick(0.0).unwrap();
+        c.begin_tick(trace, 0.0).unwrap();
         let tick = c.finish_tick().unwrap();
         assert_eq!(tick.trace, trace, "the partition echoes the trace id");
 

@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn client_connections_enable_nodelay() {
-        // Regression: the split-phase partition protocol writes a frame and
+        // Regression: the pipelined partition protocol writes a frame and
         // may not read for a while — a Nagle-delayed request would stall
         // every pipelined round by ~40 ms.
         let (addr, server) = scripted_server(vec![canned("{}", None)]);

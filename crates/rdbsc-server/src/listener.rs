@@ -26,11 +26,11 @@ use crate::error::ServerError;
 use crate::frame;
 use crate::http::{read_request, write_response, Request, Response};
 use crate::metrics::ServerMetrics;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Configuration of one serving core.
@@ -81,10 +81,17 @@ impl ConnectionQueue {
         }
     }
 
+    /// Unwraps the result of locking the queue or of waiting on it — the
+    /// queue's one lock site. Its holders only push, pop and measure a
+    /// `VecDeque`, none of which panics, so the lock is never poisoned.
+    fn held<T>(result: LockResult<T>) -> T {
+        result.expect("connection queue lock poisoned")
+    }
+
     /// Tries to enqueue; hands the stream back when the queue is saturated
     /// so the acceptor can shed it with a 429.
     fn offer(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut queue = self.queue.lock().expect("connection queue lock");
+        let mut queue = Self::held(self.queue.lock());
         if queue.len() >= self.capacity {
             return Err(stream);
         }
@@ -95,14 +102,11 @@ impl ConnectionQueue {
 
     /// Pops a connection, waiting up to `timeout`.
     fn poll(&self, timeout: Duration) -> Option<TcpStream> {
-        let mut queue = self.queue.lock().expect("connection queue lock");
+        let mut queue = Self::held(self.queue.lock());
         if let Some(stream) = queue.pop_front() {
             return Some(stream);
         }
-        let (mut queue, _) = self
-            .ready
-            .wait_timeout(queue, timeout)
-            .expect("connection queue lock");
+        let (mut queue, _) = Self::held(self.ready.wait_timeout(queue, timeout));
         queue.pop_front()
     }
 }
@@ -113,35 +117,33 @@ impl ConnectionQueue {
 /// stays usable for an in-flight response.
 #[derive(Default)]
 struct ConnectionRegistry {
-    streams: Mutex<std::collections::HashMap<u64, TcpStream>>,
+    streams: Mutex<HashMap<u64, TcpStream>>,
     next_id: AtomicU64,
 }
 
 impl ConnectionRegistry {
+    /// The registered streams, locked — the registry's one lock site. Its
+    /// holders only insert, remove and shut down reads, none of which
+    /// panics, so the lock is never poisoned.
+    fn streams(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.streams
+            .lock()
+            .expect("connection registry lock poisoned")
+    }
+
     fn register(&self, stream: &TcpStream) -> Option<u64> {
         let clone = stream.try_clone().ok()?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.streams
-            .lock()
-            .expect("connection registry lock")
-            .insert(id, clone);
+        self.streams().insert(id, clone);
         Some(id)
     }
 
     fn deregister(&self, id: u64) {
-        self.streams
-            .lock()
-            .expect("connection registry lock")
-            .remove(&id);
+        self.streams().remove(&id);
     }
 
     fn shutdown_reads(&self) {
-        for stream in self
-            .streams
-            .lock()
-            .expect("connection registry lock")
-            .values()
-        {
+        for stream in self.streams().values() {
             let _ = stream.shutdown(std::net::Shutdown::Read);
         }
     }
@@ -224,26 +226,33 @@ impl HttpCore {
         let queue = Arc::new(ConnectionQueue::new(config.queue_capacity));
 
         let mut threads = Vec::new();
-        for i in 0..config.threads.max(1) {
-            let (q, sh, h) = (queue.clone(), shared.clone(), handler.clone());
-            let f = frame_handler.clone();
-            threads.push(
-                std::thread::Builder::new()
+        let spawned = (0..config.threads.max(1))
+            .try_for_each(|i| {
+                let (q, sh, h) = (queue.clone(), shared.clone(), handler.clone());
+                let f = frame_handler.clone();
+                let worker = std::thread::Builder::new()
                     .name(format!("rdbsc-worker-{i}"))
-                    .spawn(move || worker_loop(q, sh, h, f))
-                    .expect("spawn worker"),
-            );
-        }
-        {
-            let (q, sh) = (queue.clone(), shared.clone());
-            threads.push(
-                std::thread::Builder::new()
+                    .spawn(move || worker_loop(q, sh, h, f))?;
+                threads.push(worker);
+                Ok::<_, std::io::Error>(())
+            })
+            .and_then(|()| {
+                let (q, sh) = (queue.clone(), shared.clone());
+                let acceptor = std::thread::Builder::new()
                     .name("rdbsc-acceptor".into())
-                    .spawn(move || acceptor_loop(listener, q, sh))
-                    .expect("spawn acceptor"),
-            );
+                    .spawn(move || acceptor_loop(listener, q, sh))?;
+                threads.push(acceptor);
+                Ok(())
+            });
+        let core = HttpCore { shared, threads };
+        if let Err(e) = spawned {
+            // The acceptor is spawned last, so only workers run here, and
+            // a worker exits once it sees the stop flag.
+            core.shared.stop.store(true, Ordering::Release);
+            core.join();
+            return Err(e.into());
         }
-        Ok(HttpCore { shared, threads })
+        Ok(core)
     }
 
     /// The bound address (resolves port 0 to the actual ephemeral port).

@@ -11,10 +11,11 @@
 //! * **Request ids.** Every frame carries a `request_id` the daemon
 //!   echoes; a mismatched echo is a protocol error, so a desynced
 //!   connection can never pair a reply with the wrong command.
-//! * **Split phases.** `begin_tick`/`begin_submit` only *write* the frame;
-//!   the daemon starts working as soon as the bytes land, and the router
-//!   collects replies after dispatching to every partition — N daemons
-//!   solve concurrently.
+//! * **One pipe.** `send` only *writes* a request's frame and `recv` reads
+//!   the oldest unanswered one's reply: the daemon answers in arrival
+//!   order, starting as soon as the bytes land, so the router sends a
+//!   round's submit and tick to every partition before reading any reply
+//!   — N daemons solve concurrently.
 //! * **Connection discipline.** A command is retried exactly once when a
 //!   *reused idle* connection turns out stale — the daemon never saw the
 //!   frame, so at-most-once execution holds. Retries, reconnects, bytes
@@ -25,11 +26,9 @@ use crate::error::ServerError;
 use crate::frame::{self, FrameError, ReplyFrame, RequestFrame};
 use crate::protocol::{ConfigureDto, DurabilityDto, EngineConfigDto, Hello, RoutingTableDto};
 use rdbsc_cluster::RegionPartition;
-use rdbsc_model::valid_pairs::ValidPair;
-use rdbsc_model::{Contribution, WorkerId};
 use rdbsc_platform::{
-    CommandOutcome, EngineConfig, EngineEvent, EngineSnapshot, PartitionClient, PartitionCommand,
-    PartitionError, PartitionTick, ProtocolCounters, StandbyPromoter, PROTOCOL_VERSION,
+    EngineConfig, PartitionClient, PartitionError, PartitionReply, PartitionRequest,
+    ProtocolCounters, StandbyPromoter, PROTOCOL_VERSION,
 };
 use std::collections::VecDeque;
 use std::io::BufReader;
@@ -367,22 +366,10 @@ impl FrameConn {
     }
 }
 
-/// Which caller a written frame's reply belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SentKind {
-    /// A `begin_submit` whose reply the router collects later.
-    Submit,
-    /// A `begin_tick` whose reply the router collects later.
-    Tick,
-    /// A round-trip command (answer, snapshot, probes) waiting in
-    /// [`BinaryPartitionClient::immediate`].
-    Immediate,
-}
-
-/// A written command whose reply has not been read yet. The frame is kept
-/// until then so it can be re-sent if the connection turns out stale.
+/// A written request whose reply has not been read yet. The frame is kept
+/// until then so it can be re-sent if the connection turns out stale, and
+/// so its reply can be checked against it.
 struct Sent {
-    kind: SentKind,
     request: RequestFrame,
     started: Instant,
 }
@@ -401,26 +388,20 @@ fn stale_shaped(e: &std::io::Error) -> bool {
 /// The partition protocol over length-prefixed binary frames
 /// ([`crate::frame`]) on a dedicated persistent TCP connection.
 ///
-/// The client *pipelines*: `begin_submit` and `begin_tick` only write
-/// their frame and park a record in `inflight`;
-/// the daemon answers strictly in arrival order, so replies are paired FIFO
-/// and validated by their echoed request id. The router exploits this
-/// (`supports_pipelining`) to stream a submit *and* the following tick to
-/// every partition before reading any reply — one wire round trip per tick
-/// instead of two. Immediate commands (answer, snapshot, probes) queue
-/// behind them and first drain any pipelined replies into the
-/// `submit_done`/`tick_done` caches, which the matching `finish_*` call
-/// later consumes.
+/// The client *pipelines*: `send` only writes a frame and parks a record
+/// in `inflight`; the daemon answers strictly in arrival order, so `recv`
+/// pairs each reply with the oldest record and checks both its echoed
+/// request id and its tag.
 ///
-/// Any transport or framing error *poisons* the connection: the stream is
-/// dropped and every in-flight command fails, because a desynced stream can
-/// never again pair bytes with the right command. A fresh connection is
-/// opened lazily on the next write. The one exception is the stale
-/// keep-alive case: frames written to an *idle, previously-used*
-/// connection that fails the write, or hangs up before a single reply byte,
-/// were never read by the daemon (it reaped the connection while idle), so
-/// they are re-sent once on a fresh connection and at-most-once execution
-/// holds.
+/// Any transport or framing error, and either mismatch, *poisons* the
+/// connection: the stream is dropped and every in-flight request fails,
+/// because a desynced stream can never again pair bytes with the right
+/// request. A fresh connection is opened lazily on the next write. The one
+/// exception is the stale keep-alive case: frames written to an *idle,
+/// previously-used* connection that fails the write, or hangs up before a
+/// single reply byte, were never read by the daemon (it reaped the
+/// connection while idle), so they are re-sent once on a fresh connection
+/// and at-most-once execution holds.
 pub struct BinaryPartitionClient {
     endpoint: String,
     conn: FrameConn,
@@ -435,11 +416,7 @@ pub struct BinaryPartitionClient {
     maybe_stale: bool,
     counters: Arc<ProtocolCounters>,
     next_request_id: u64,
-    trace: u64,
     inflight: VecDeque<Sent>,
-    submit_done: Option<Result<(), PartitionError>>,
-    tick_done: Option<Result<PartitionTick, PartitionError>>,
-    immediate_done: Option<Result<ReplyFrame, PartitionError>>,
 }
 
 impl BinaryPartitionClient {
@@ -455,11 +432,7 @@ impl BinaryPartitionClient {
             maybe_stale: false,
             counters: Arc::new(ProtocolCounters::default()),
             next_request_id: 0,
-            trace: 0,
             inflight: VecDeque::new(),
-            submit_done: None,
-            tick_done: None,
-            immediate_done: None,
         };
         client.connection().map_err(|e| {
             ServerError::BadRequest(format!("cannot open binary transport to {addr}: {e}"))
@@ -500,23 +473,14 @@ impl BinaryPartitionClient {
         Ok(&mut self.conn)
     }
 
-    /// Drops the connection and fails every in-flight split-phase command —
-    /// once the stream desyncs or dies, no further bytes can be paired with
-    /// the right command. Returns `err` for the caller to propagate.
+    /// Drops the connection and every in-flight request — once the stream
+    /// desyncs or dies, no further bytes can be paired with the right
+    /// request, and a later `recv` finds nothing in flight. Returns `err`
+    /// for the caller to propagate.
     fn poison(&mut self, err: PartitionError) -> PartitionError {
         self.conn.close();
         self.maybe_stale = false;
-        for sent in std::mem::take(&mut self.inflight) {
-            let failure = PartitionError::Transport {
-                endpoint: self.endpoint.clone(),
-                detail: format!("connection poisoned: {err}"),
-            };
-            match sent.kind {
-                SentKind::Submit => self.submit_done = Some(Err(failure)),
-                SentKind::Tick => self.tick_done = Some(Err(failure)),
-                SentKind::Immediate => self.immediate_done = Some(Err(failure)),
-            }
-        }
+        self.inflight.clear();
         err
     }
 
@@ -620,104 +584,38 @@ impl BinaryPartitionClient {
         }
     }
 
-    /// Reads the reply for `sent` — the FIFO-oldest unanswered frame — and
-    /// validates the request-id echo. Records the command in the counters
-    /// on success. A daemon [`ReplyFrame::Error`] maps to a command error
-    /// *without* poisoning (the stream is still in sync).
-    fn collect(&mut self, sent: &Sent) -> Result<ReplyFrame, PartitionError> {
-        let reply = self.read_reply(sent)?;
-        if reply.request_id() != sent.request.request_id() {
-            let err = self.protocol_err(format!(
-                "reply echoes request {} but {} is the oldest in flight — connection desynced",
-                reply.request_id(),
-                sent.request.request_id()
-            ));
-            return Err(self.poison(err));
-        }
-        if let ReplyFrame::Error { status, detail, .. } = &reply {
-            return Err(self.status_error(*status, detail));
-        }
-        self.counters.requests.incr();
-        self.counters.command_latency.record(sent.started.elapsed());
-        Ok(reply)
-    }
-
-    /// Reads one reply off the wire and resolves the oldest in-flight
-    /// command into its cache slot (taken by the matching `finish_*`, or by
-    /// `immediate`). Failures land in the cache too, so this never needs to
-    /// report them directly.
-    fn pump_one(&mut self) {
-        let sent = self
-            .inflight
-            .pop_front()
-            .expect("pump_one needs a command in flight");
-        let result = self.collect(&sent);
-        match sent.kind {
-            SentKind::Submit => {
-                self.submit_done = Some(result.and_then(|reply| match reply {
-                    ReplyFrame::Applied {
-                        outcome: CommandOutcome::Submitted { .. },
-                        ..
-                    } => Ok(()),
-                    other => Err(self.unexpected_reply("submit", &other)),
-                }));
-            }
-            SentKind::Tick => {
-                self.tick_done = Some(result.and_then(|reply| match reply {
-                    ReplyFrame::Applied {
-                        outcome: CommandOutcome::Ticked(tick),
-                        ..
-                    } => Ok(*tick),
-                    other => Err(self.unexpected_reply("tick", &other)),
-                }));
-            }
-            SentKind::Immediate => self.immediate_done = Some(result),
+    /// The frame of `request` under the next request id.
+    fn frame(&mut self, request: PartitionRequest) -> RequestFrame {
+        let request_id = self.next_rid();
+        match request {
+            PartitionRequest::Apply { trace, command } => RequestFrame::Command {
+                request_id,
+                trace,
+                command,
+            },
+            PartitionRequest::Assignments => RequestFrame::Assignments { request_id },
+            PartitionRequest::Snapshot => RequestFrame::Snapshot { request_id },
+            PartitionRequest::IsActive => RequestFrame::IsActive { request_id },
+            PartitionRequest::HasWorker(worker) => RequestFrame::HasWorker { request_id, worker },
+            PartitionRequest::Drain => RequestFrame::Drain { request_id },
+            PartitionRequest::Shutdown => RequestFrame::Shutdown { request_id },
         }
     }
+}
 
-    /// A reply whose id matched but whose tag didn't — the connection is
-    /// hopelessly desynced, so poison it.
-    fn unexpected_reply(&mut self, what: &str, reply: &ReplyFrame) -> PartitionError {
-        let err = self.protocol_err(format!(
-            "{what} answered with reply tag {:#04x} — connection desynced",
-            reply.tag()
-        ));
-        self.poison(err)
-    }
-
-    /// The request frame of `command`, under the next request id and — for
-    /// the commands that carry one — the current trace.
-    fn command(&mut self, command: PartitionCommand) -> RequestFrame {
-        RequestFrame::Command {
-            request_id: self.next_rid(),
-            trace: self.trace,
-            command,
-        }
-    }
-
-    /// Writes a split-phase frame and queues it for its `finish_*`.
-    fn begin(&mut self, kind: SentKind, request: RequestFrame) -> Result<(), PartitionError> {
-        let started = Instant::now();
-        self.write_request(&request)?;
-        self.inflight.push_back(Sent {
-            kind,
-            request,
-            started,
-        });
-        Ok(())
-    }
-
-    /// One full command round trip: write the frame, drain any pipelined
-    /// replies queued ahead of ours into their caches, then read our own.
-    fn immediate(&mut self, request: RequestFrame) -> Result<ReplyFrame, PartitionError> {
-        self.begin(SentKind::Immediate, request)?;
-        loop {
-            if let Some(done) = self.immediate_done.take() {
-                return done;
-            }
-            self.pump_one();
-        }
-    }
+/// A reply frame as the partition reply it carries; `None` for the replies
+/// no partition request is answered with.
+fn partition_reply(reply: ReplyFrame) -> Option<PartitionReply> {
+    Some(match reply {
+        ReplyFrame::Applied { outcome, .. } => PartitionReply::Applied(outcome),
+        ReplyFrame::AssignmentsOk { assignments, .. } => PartitionReply::Assignments(assignments),
+        ReplyFrame::SnapshotOk { snapshot, .. } => PartitionReply::Snapshot(snapshot),
+        ReplyFrame::ActiveOk { active, .. } => PartitionReply::Active(active),
+        ReplyFrame::HasWorkerOk { present, .. } => PartitionReply::HasWorker(present),
+        ReplyFrame::DrainOk { .. } => PartitionReply::Drained,
+        ReplyFrame::ShutdownOk { .. } => PartitionReply::ShutDown,
+        _ => return None,
+    })
 }
 
 impl PartitionClient for BinaryPartitionClient {
@@ -733,138 +631,45 @@ impl PartitionClient for BinaryPartitionClient {
         Arc::clone(&self.counters)
     }
 
-    fn supports_pipelining(&self) -> bool {
-        true
+    fn send(&mut self, request: PartitionRequest) -> Result<(), PartitionError> {
+        let started = Instant::now();
+        let request = self.frame(request);
+        self.write_request(&request)?;
+        self.inflight.push_back(Sent { request, started });
+        Ok(())
     }
 
-    fn set_trace(&mut self, trace: u64) {
-        self.trace = trace;
-    }
-
-    fn begin_submit(&mut self, events: Vec<EngineEvent>) -> Result<(), PartitionError> {
-        if self.submit_done.is_some() || self.inflight.iter().any(|s| s.kind == SentKind::Submit)
-        {
-            return Err(self.protocol_err("begin_submit while a submit is unconfirmed"));
+    /// Reads the reply to the oldest unanswered frame and checks its echoed
+    /// request id and its tag; either mismatch poisons the connection. A
+    /// daemon [`ReplyFrame::Error`] is a request error *without* poisoning
+    /// (the stream is still in sync). Only a reply is counted.
+    fn recv(&mut self) -> Result<PartitionReply, PartitionError> {
+        let sent = self
+            .inflight
+            .pop_front()
+            .ok_or_else(|| self.protocol_err("recv with no request in flight"))?;
+        let reply = self.read_reply(&sent)?;
+        if reply.request_id() != sent.request.request_id() {
+            let err = self.protocol_err(format!(
+                "reply echoes request {} but {} is the oldest in flight — connection desynced",
+                reply.request_id(),
+                sent.request.request_id()
+            ));
+            return Err(self.poison(err));
         }
-        let request = self.command(PartitionCommand::Submit(events));
-        self.begin(SentKind::Submit, request)
-    }
-
-    fn finish_submit(&mut self) -> Result<(), PartitionError> {
-        loop {
-            if let Some(done) = self.submit_done.take() {
-                return done;
-            }
-            if !self.inflight.iter().any(|s| s.kind == SentKind::Submit) {
-                return Err(self.protocol_err("finish_submit without begin_submit"));
-            }
-            self.pump_one();
+        if let ReplyFrame::Error { status, detail, .. } = &reply {
+            return Err(self.status_error(*status, detail));
         }
-    }
-
-    fn begin_tick(&mut self, now: f64) -> Result<(), PartitionError> {
-        if self.tick_done.is_some() || self.inflight.iter().any(|s| s.kind == SentKind::Tick) {
-            return Err(self.protocol_err("begin_tick while a tick is unconfirmed"));
-        }
-        let request = self.command(PartitionCommand::Tick { now });
-        self.begin(SentKind::Tick, request)
-    }
-
-    fn finish_tick(&mut self) -> Result<PartitionTick, PartitionError> {
-        loop {
-            if let Some(done) = self.tick_done.take() {
-                return done;
-            }
-            if !self.inflight.iter().any(|s| s.kind == SentKind::Tick) {
-                return Err(self.protocol_err("finish_tick without begin_tick"));
-            }
-            self.pump_one();
-        }
-    }
-
-    fn record_answer(
-        &mut self,
-        worker: WorkerId,
-        contribution: Contribution,
-    ) -> Result<bool, PartitionError> {
-        let request = self.command(PartitionCommand::Answer {
-            worker,
-            contribution,
-        });
-        match self.immediate(request)? {
-            ReplyFrame::Applied {
-                outcome: CommandOutcome::Answered { banked },
-                ..
-            } => Ok(banked),
-            other => Err(self.unexpected_reply("answer", &other)),
-        }
-    }
-
-    fn release_worker(&mut self, worker: WorkerId) -> Result<(), PartitionError> {
-        let request = self.command(PartitionCommand::Release { worker });
-        match self.immediate(request)? {
-            ReplyFrame::Applied {
-                outcome: CommandOutcome::Released,
-                ..
-            } => Ok(()),
-            other => Err(self.unexpected_reply("release", &other)),
-        }
-    }
-
-    fn assignments(&mut self) -> Result<Vec<ValidPair>, PartitionError> {
-        let rid = self.next_rid();
-        let request = RequestFrame::Assignments { request_id: rid };
-        match self.immediate(request)? {
-            ReplyFrame::AssignmentsOk { assignments, .. } => Ok(assignments),
-            other => Err(self.unexpected_reply("assignments", &other)),
-        }
-    }
-
-    fn snapshot(&mut self) -> Result<EngineSnapshot, PartitionError> {
-        let rid = self.next_rid();
-        let request = RequestFrame::Snapshot { request_id: rid };
-        match self.immediate(request)? {
-            ReplyFrame::SnapshotOk { snapshot, .. } => Ok(*snapshot),
-            other => Err(self.unexpected_reply("snapshot", &other)),
-        }
-    }
-
-    fn is_active(&mut self) -> Result<bool, PartitionError> {
-        let rid = self.next_rid();
-        let request = RequestFrame::IsActive { request_id: rid };
-        match self.immediate(request)? {
-            ReplyFrame::ActiveOk { active, .. } => Ok(active),
-            other => Err(self.unexpected_reply("active", &other)),
-        }
-    }
-
-    fn has_worker(&mut self, id: WorkerId) -> Result<bool, PartitionError> {
-        let rid = self.next_rid();
-        let request = RequestFrame::HasWorker {
-            request_id: rid,
-            worker: id,
+        let tag = reply.tag();
+        let expected = sent.request.tag() as u8 | frame::REPLY;
+        let Some(answer) = partition_reply(reply).filter(|_| tag == expected) else {
+            let err = self.protocol_err(format!(
+                "request tag {expected:#04x} answered with reply tag {tag:#04x} — connection desynced"
+            ));
+            return Err(self.poison(err));
         };
-        match self.immediate(request)? {
-            ReplyFrame::HasWorkerOk { present, .. } => Ok(present),
-            other => Err(self.unexpected_reply("has_worker", &other)),
-        }
-    }
-
-    fn drain(&mut self) -> Result<(), PartitionError> {
-        let rid = self.next_rid();
-        let request = RequestFrame::Drain { request_id: rid };
-        match self.immediate(request)? {
-            ReplyFrame::DrainOk { .. } => Ok(()),
-            other => Err(self.unexpected_reply("drain", &other)),
-        }
-    }
-
-    fn shutdown(&mut self) -> Result<(), PartitionError> {
-        let rid = self.next_rid();
-        let request = RequestFrame::Shutdown { request_id: rid };
-        match self.immediate(request)? {
-            ReplyFrame::ShutdownOk { .. } => Ok(()),
-            other => Err(self.unexpected_reply("shutdown", &other)),
-        }
+        self.counters.requests.incr();
+        self.counters.command_latency.record(sent.started.elapsed());
+        Ok(answer)
     }
 }

@@ -377,7 +377,7 @@ fn standby_refuses_mutating_commands_until_promoted() {
 
     // Configure the primary directly (no router involved) and feed it.
     let mut remote = attach_single_region(primary.addr);
-    remote.begin_tick(0.5).unwrap();
+    remote.begin_tick(0, 0.5).unwrap();
     remote.finish_tick().unwrap();
     await_caught_up(primary.addr, standby.addr, Duration::from_secs(20));
 
@@ -464,9 +464,9 @@ fn second_follower_bootstrap_is_refused_while_the_first_is_live() {
 
     // Publish two records; follower #1 fetches and acks them, advancing
     // the retained base past lsn 0.
-    remote.begin_tick(0.5).unwrap();
+    remote.begin_tick(0, 0.5).unwrap();
     remote.finish_tick().unwrap();
-    remote.begin_tick(1.0).unwrap();
+    remote.begin_tick(0, 1.0).unwrap();
     remote.finish_tick().unwrap();
     assert!(fetch(&mut conn, 4, 0, 0).is_ok());
     assert!(fetch(&mut conn, 5, 2, 2).is_ok());
@@ -526,9 +526,9 @@ fn repl_commands_round_trip_over_the_binary_transport() {
     });
 
     // Publish some records, then fetch them over frames.
-    remote.begin_tick(0.5).unwrap();
+    remote.begin_tick(0, 0.5).unwrap();
     remote.finish_tick().unwrap();
-    remote.begin_tick(1.0).unwrap();
+    remote.begin_tick(0, 1.0).unwrap();
     remote.finish_tick().unwrap();
 
     let ReplyFrame::ReplFetchOk {

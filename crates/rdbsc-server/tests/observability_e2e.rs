@@ -81,9 +81,9 @@ fn trace_ids_propagate_to_the_daemon_and_echo_back() {
 
     // Untraced first: a zero trace id means none, and the reply carries
     // none back.
-    client.begin_submit(events()).unwrap();
+    client.begin_submit(0, events()).unwrap();
     client.finish_submit().unwrap();
-    client.begin_tick(0.0).unwrap();
+    client.begin_tick(0, 0.0).unwrap();
     let untraced = client.finish_tick().unwrap();
     assert_eq!(untraced.trace, 0, "no trace was requested");
     assert!(
@@ -91,18 +91,16 @@ fn trace_ids_propagate_to_the_daemon_and_echo_back() {
         "the scenario must assign"
     );
 
-    // Traced: the id set on the client rides both submit and tick and the
-    // daemon echoes it.
+    // Traced: the id rides both submit and tick and the daemon echoes it.
     let trace = rdbsc_obs::next_trace_id();
-    client.set_trace(trace);
     client
-        .begin_submit(vec![EngineEvent::WorkerMoved(
-            WorkerId(0),
-            Point::new(0.3, 0.5),
-        )])
+        .begin_submit(
+            trace,
+            vec![EngineEvent::WorkerMoved(WorkerId(0), Point::new(0.3, 0.5))],
+        )
         .unwrap();
     client.finish_submit().unwrap();
-    client.begin_tick(0.5).unwrap();
+    client.begin_tick(trace, 0.5).unwrap();
     let traced = client.finish_tick().unwrap();
     assert_eq!(traced.trace, trace, "the daemon must echo the trace id");
 

@@ -8,9 +8,10 @@ use rdbsc_cluster::RegionPartition;
 use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::FlatGridIndex;
+use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{Confidence, Contribution, Task, TaskId, TimeWindow, Worker, WorkerId};
 use rdbsc_platform::{
-    AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, InProcessClient,
+    AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, EngineSnapshot, InProcessClient,
     PartitionClient, PartitionCommand, PartitionError, PartitionedEngine,
 };
 use rdbsc_server::frame::{ReplyFrame, RequestFrame};
@@ -97,12 +98,12 @@ fn daemon_matches_the_local_engine_byte_for_byte() {
 
     let stream = events();
     local.submit(stream.clone());
-    remote.begin_submit(stream).unwrap();
+    remote.begin_submit(0, stream).unwrap();
     remote.finish_submit().unwrap();
     assert!(remote.is_active().unwrap());
 
     let local_tick = local.tick(0.0);
-    remote.begin_tick(0.0).unwrap();
+    remote.begin_tick(0, 0.0).unwrap();
     let remote_tick = remote.finish_tick().unwrap();
     assert_eq!(
         local_tick.report.new_assignments, remote_tick.report.new_assignments,
@@ -143,6 +144,94 @@ fn daemon_matches_the_local_engine_byte_for_byte() {
 
     remote.shutdown().unwrap();
     daemon.join();
+}
+
+/// What one request script saw, minus the tick's wall-clock timings.
+#[derive(Debug, PartialEq)]
+struct Transcript {
+    tick_assignments: Vec<ValidPair>,
+    tick_strategies: Vec<&'static str>,
+    tick_events_applied: usize,
+    tick_committed: Vec<WorkerId>,
+    banked: bool,
+    assignments: Vec<ValidPair>,
+    snapshot: EngineSnapshot,
+    active: bool,
+    has_worker: bool,
+}
+
+/// A pipelined submit and tick, then every other request once, ending with
+/// drain and shutdown — ten requests.
+fn run_script(client: &mut dyn PartitionClient) -> Transcript {
+    client.begin_submit(0, events()).unwrap();
+    client.begin_tick(0, 0.0).unwrap();
+    client.finish_submit().unwrap();
+    let tick = client.finish_tick().unwrap();
+    assert!(
+        matches!(client.finish_tick(), Err(PartitionError::Protocol { .. })),
+        "{}: finish_tick with nothing in flight is a protocol error",
+        client.kind()
+    );
+    let new = &tick.report.new_assignments;
+    assert!(
+        new.len() >= 2,
+        "the script must answer one pair and release another"
+    );
+    let banked = client
+        .record_answer(new[0].worker, new[0].contribution)
+        .unwrap();
+    client.release_worker(new[1].worker).unwrap();
+    let transcript = Transcript {
+        tick_assignments: new.clone(),
+        tick_strategies: tick.report.strategies.clone(),
+        tick_events_applied: tick.report.events_applied,
+        tick_committed: tick.committed.clone(),
+        banked,
+        assignments: client.assignments().unwrap(),
+        snapshot: client.snapshot().unwrap(),
+        active: client.is_active().unwrap(),
+        has_worker: client.has_worker(new[0].worker).unwrap(),
+    };
+    client.drain().unwrap();
+    client.shutdown().unwrap();
+    transcript
+}
+
+/// One request script on both backends with the same engine config — an
+/// in-process thread, and a binary client attached to an in-process daemon
+/// — gives equal replies. Both count and time every request exactly once,
+/// drain and shutdown included, and both refuse a request after shutdown.
+#[test]
+fn one_script_gives_equal_replies_on_both_backends() {
+    let partition = single_region();
+    let config = EngineConfig::default();
+    let daemon = daemon();
+    let mut in_process = InProcessClient::spawn(
+        0,
+        AssignmentEngine::new(
+            FlatGridIndex::new(partition.region_rect(0), 0.1),
+            config.clone(),
+        ),
+    );
+    let mut binary = attach(&daemon, &partition, 0, &config);
+
+    let local = run_script(&mut in_process);
+    let remote = run_script(binary.as_mut());
+    daemon.join();
+    assert_eq!(local, remote, "the two backends answer the script alike");
+    assert!(local.banked && local.has_worker);
+
+    for client in [&mut in_process as &mut dyn PartitionClient, binary.as_mut()] {
+        let counters = client.counters();
+        assert_eq!(counters.stats().requests, 10, "{}", client.kind());
+        assert_eq!(counters.command_latency.count(), 10, "{}", client.kind());
+        assert!(
+            client.is_active().is_err(),
+            "{}: a request after shutdown",
+            client.kind()
+        );
+        assert_eq!(counters.stats().requests, 10, "{}", client.kind());
+    }
 }
 
 /// A mixed topology (region 0 in-process, region 1 on a daemon) must be
@@ -269,7 +358,7 @@ fn draining_daemon_answers_503_not_dropped_connections() {
     let partition = single_region();
     let config = EngineConfig::default();
     let mut client = attach(&daemon, &partition, 0, &config);
-    client.begin_submit(events()).unwrap();
+    client.begin_submit(0, events()).unwrap();
     client.finish_submit().unwrap();
 
     client.drain().unwrap();
@@ -277,11 +366,13 @@ fn draining_daemon_answers_503_not_dropped_connections() {
 
     // Mutating commands: clean 503s surfaced as Draining.
     assert!(matches!(
-        client.begin_submit(events()).and_then(|_| client.finish_submit()),
+        client
+            .begin_submit(0, events())
+            .and_then(|_| client.finish_submit()),
         Err(PartitionError::Draining { .. })
     ));
     assert!(matches!(
-        client.begin_tick(0.0).and_then(|_| {
+        client.begin_tick(0, 0.0).and_then(|_| {
             client.finish_tick()?;
             Ok(())
         }),
@@ -316,11 +407,11 @@ fn router_survives_daemon_idle_timeouts() {
     let config = EngineConfig::default();
     let mut client = attach(&daemon, &partition, 0, &config);
 
-    client.begin_submit(events()).unwrap();
+    client.begin_submit(0, events()).unwrap();
     client.finish_submit().unwrap();
     // Let the daemon's idle timeout reap the cached connection.
     std::thread::sleep(Duration::from_millis(500));
-    client.begin_tick(0.0).unwrap();
+    client.begin_tick(0, 0.0).unwrap();
     let tick = client.finish_tick().unwrap();
     assert!(
         !tick.report.new_assignments.is_empty(),
@@ -336,9 +427,12 @@ fn router_survives_daemon_idle_timeouts() {
     // were written before the hang-up shows, and both are re-sent in order.
     std::thread::sleep(Duration::from_millis(500));
     client
-        .begin_submit(vec![EngineEvent::TaskArrived(task(90, 0.5, 0.5, 1.0, 6.0))])
+        .begin_submit(
+            0,
+            vec![EngineEvent::TaskArrived(task(90, 0.5, 0.5, 1.0, 6.0))],
+        )
         .unwrap();
-    client.begin_tick(1.0).unwrap();
+    client.begin_tick(0, 1.0).unwrap();
     client.finish_submit().unwrap();
     assert_eq!(client.finish_tick().unwrap().report.events_applied, 1);
     assert!(client.counters().stats().retries > stats.retries);

@@ -178,12 +178,12 @@ fn sigkilled_daemon_recovers_the_acknowledged_state_exactly() {
 
     for round in 0..7u32 {
         let events = round_events(round);
-        remote.begin_submit(events.clone()).unwrap();
+        remote.begin_submit(0, events.clone()).unwrap();
         remote.finish_submit().unwrap();
         oracle.submit(events);
 
         let now = round as f64 * 0.5;
-        remote.begin_tick(now).unwrap();
+        remote.begin_tick(0, now).unwrap();
         let remote_tick = remote.finish_tick().unwrap();
         let oracle_tick = oracle.tick(now);
         assert_eq!(
@@ -222,11 +222,11 @@ fn sigkilled_daemon_recovers_the_acknowledged_state_exactly() {
     .unwrap();
     for round in 7..9u32 {
         let events = round_events(round);
-        remote.begin_submit(events.clone()).unwrap();
+        remote.begin_submit(0, events.clone()).unwrap();
         remote.finish_submit().unwrap();
         oracle.submit(events);
         let now = round as f64 * 0.5;
-        remote.begin_tick(now).unwrap();
+        remote.begin_tick(0, now).unwrap();
         let remote_tick = remote.finish_tick().unwrap();
         let oracle_tick = oracle.tick(now);
         assert_eq!(
@@ -301,9 +301,9 @@ fn a_configure_json_naming_a_backend_still_boots_and_takes_the_re_push() {
             connect_remote_partition(&daemon.addr.to_string(), &partition, 0, 0.1, &config, None)
                 .unwrap();
         for round in 0..3u32 {
-            remote.begin_submit(round_events(round)).unwrap();
+            remote.begin_submit(0, round_events(round)).unwrap();
             remote.finish_submit().unwrap();
-            remote.begin_tick(round as f64 * 0.5).unwrap();
+            remote.begin_tick(0, round as f64 * 0.5).unwrap();
             remote.finish_tick().unwrap();
         }
         let digest = remote_digest(daemon.addr);

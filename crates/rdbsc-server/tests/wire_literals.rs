@@ -396,10 +396,9 @@ fn client_writes_the_request_literals_and_reads_the_reply_literals() {
     ]);
 
     let mut client = BinaryPartitionClient::connect(&addr).unwrap();
-    client.set_trace(TRACE);
-    client.begin_submit(events()).unwrap();
+    client.begin_submit(TRACE, events()).unwrap();
     client.finish_submit().unwrap();
-    client.begin_tick(1.5).unwrap();
+    client.begin_tick(TRACE, 1.5).unwrap();
     assert_eq!(client.finish_tick().unwrap(), tick_value());
     assert_eq!(client.assignments().unwrap(), pairs_value());
     let (worker, contribution) = answer();
