@@ -23,6 +23,17 @@
 //!   connection to an `rdbsc-partitiond` daemon hosting the partition's
 //!   engine in its own process (or on its own host).
 //!
+//! ## One vocabulary, one server
+//!
+//! Both backends carry the same [`PartitionRequest`] and
+//! [`PartitionReply`] values: the channel carries them as they are, and a
+//! wire frame is a request id around them. Both servers answer with the
+//! same [`EnginePartition::serve`], the only place a request is dispatched.
+//! What each server adds around it is its own: the thread refuses
+//! mutations after a drain and stops after a shutdown; the daemon does the
+//! same through its refusal table, times its ticks and answers the control
+//! frames (handshake, replication) that are not partition requests.
+//!
 //! ## One pipe, answered in send order
 //!
 //! A backend implements two messaging methods: [`PartitionClient::send`]
@@ -291,8 +302,11 @@ impl ProtocolCounters {
 }
 
 /// One message to a partition: a [`PartitionCommand`] under its trace id,
-/// or one of the reads and lifecycle messages around the commands — what
-/// [`PartitionClient::send`] puts on the pipe.
+/// or one of the reads and lifecycle messages around the commands. It is
+/// the one vocabulary from router to engine: [`PartitionClient::send`] puts
+/// it on the pipe, the partition wire carries it as it is (a frame is a
+/// request id around it), and [`EnginePartition::serve`] answers it, on the
+/// in-process thread and in `rdbsc-partitiond` alike.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PartitionRequest {
     /// One of the four partition commands.
@@ -314,6 +328,16 @@ pub enum PartitionRequest {
     Drain,
     /// Stop the partition's engine.
     Shutdown,
+}
+
+impl PartitionRequest {
+    /// Does the request change the partition's state? Only an
+    /// [`Apply`](PartitionRequest::Apply) does. It is what a drained
+    /// partition refuses with [`PartitionError::Draining`], and what an
+    /// unpromoted standby daemon refuses; every other request answers.
+    pub fn mutates(&self) -> bool {
+        matches!(self, PartitionRequest::Apply { .. })
+    }
 }
 
 /// A partition's answer to one [`PartitionRequest`], variant for variant.
@@ -473,10 +497,10 @@ pub trait PartitionClient: Send {
         }
     }
 
-    /// Asks the partition to stop taking new commands (a daemon answers 503
-    /// to commands received after this). Part of the graceful-shutdown
-    /// ordering; an in-process partition, reachable only through this
-    /// client, just acknowledges it.
+    /// Asks the partition to stop taking new commands: on either backend,
+    /// every later request that [mutates](PartitionRequest::mutates) is
+    /// answered [`PartitionError::Draining`] (a daemon's `503`), while reads
+    /// still answer. Part of the graceful-shutdown ordering.
     fn drain(&mut self) -> Result<(), PartitionError> {
         match exchange(self, PartitionRequest::Drain)? {
             PartitionReply::Drained => Ok(()),
@@ -497,8 +521,8 @@ pub trait PartitionClient: Send {
 /// One partition's engine plus the serving counters its snapshots need —
 /// the state machine **both** protocol backends execute: the in-process
 /// client runs one on a thread, and `rdbsc-partitiond` runs one behind its
-/// frame dispatcher, so a command means exactly the same thing on either side of
-/// the wire.
+/// frame listener, and both answer through [`EnginePartition::serve`], so a
+/// request means exactly the same thing on either side of the wire.
 pub struct EnginePartition<I: SpatialIndex> {
     engine: AssignmentEngine<I>,
     last_now: f64,
@@ -580,6 +604,25 @@ impl<I: SpatialIndex> EnginePartition<I> {
                 self.release_worker(worker);
                 CommandOutcome::Released
             }
+        }
+    }
+
+    /// Answers one [`PartitionRequest`] — the one place a request is
+    /// dispatched, whichever server received it: the in-process thread
+    /// behind [`InProcessClient`] and `rdbsc-partitiond` both call this, and
+    /// wrap it only in what their server alone does (refusing mutations
+    /// after a drain, stopping after a shutdown, the daemon's tick metrics).
+    pub fn serve(&mut self, request: PartitionRequest) -> PartitionReply {
+        match request {
+            PartitionRequest::Apply { trace, command } => {
+                PartitionReply::Applied(self.apply(trace, command))
+            }
+            PartitionRequest::Assignments => PartitionReply::Assignments(self.assignments()),
+            PartitionRequest::Snapshot => PartitionReply::Snapshot(Box::new(self.snapshot())),
+            PartitionRequest::IsActive => PartitionReply::Active(self.is_active()),
+            PartitionRequest::HasWorker(id) => PartitionReply::HasWorker(self.has_worker(id)),
+            PartitionRequest::Drain => PartitionReply::Drained,
+            PartitionRequest::Shutdown => PartitionReply::ShutDown,
         }
     }
 
@@ -916,29 +959,28 @@ impl<I: SpatialIndex> EnginePartition<I> {
     }
 }
 
-/// The per-partition engine thread: an [`EnginePartition`] answering the
-/// request channel on the reply channel, in order.
+/// The per-partition engine thread: [`EnginePartition::serve`] answering
+/// the request channel on the reply channel, in order, until a shutdown.
+/// After a drain it refuses every request that
+/// [mutates](PartitionRequest::mutates), as a daemon does.
 fn slot_loop<I: SpatialIndex>(
     mut part: EnginePartition<I>,
+    label: String,
     requests: Receiver<PartitionRequest>,
-    replies: Sender<PartitionReply>,
+    replies: Sender<Result<PartitionReply, PartitionError>>,
 ) {
+    let mut draining = false;
     while let Ok(request) = requests.recv() {
-        let reply = match request {
-            PartitionRequest::Apply { trace, command } => {
-                PartitionReply::Applied(part.apply(trace, command))
-            }
-            PartitionRequest::Assignments => PartitionReply::Assignments(part.assignments()),
-            PartitionRequest::Snapshot => PartitionReply::Snapshot(Box::new(part.snapshot())),
-            PartitionRequest::IsActive => PartitionReply::Active(part.is_active()),
-            PartitionRequest::HasWorker(id) => PartitionReply::HasWorker(part.has_worker(id)),
-            PartitionRequest::Drain => PartitionReply::Drained,
-            PartitionRequest::Shutdown => {
-                let _ = replies.send(PartitionReply::ShutDown);
-                return;
-            }
+        let last = matches!(request, PartitionRequest::Shutdown);
+        draining |= matches!(request, PartitionRequest::Drain);
+        let reply = if draining && request.mutates() {
+            Err(PartitionError::Draining {
+                endpoint: label.clone(),
+            })
+        } else {
+            Ok(part.serve(request))
         };
-        if replies.send(reply).is_err() {
+        if replies.send(reply).is_err() || last {
             return;
         }
     }
@@ -952,7 +994,7 @@ pub struct InProcessClient {
     label: String,
     /// `None` once a shutdown was sent: nothing may follow it.
     requests: Option<Sender<PartitionRequest>>,
-    replies: Receiver<PartitionReply>,
+    replies: Receiver<Result<PartitionReply, PartitionError>>,
     thread: Option<JoinHandle<()>>,
     counters: Arc<ProtocolCounters>,
     /// When each request not yet answered was sent, oldest first.
@@ -975,9 +1017,10 @@ impl InProcessClient {
         let label = format!("rdbsc-partition-{index}");
         let (requests, requests_rx) = channel();
         let (replies_tx, replies) = channel();
+        let thread_label = label.clone();
         let thread = std::thread::Builder::new()
             .name(label.clone())
-            .spawn(move || slot_loop(part, requests_rx, replies_tx))
+            .spawn(move || slot_loop(part, thread_label, requests_rx, replies_tx))
             .expect("spawn partition thread");
         Self {
             label,
@@ -1036,7 +1079,7 @@ impl PartitionClient for InProcessClient {
         let reply = self
             .replies
             .recv()
-            .map_err(|_| self.transport("partition thread died mid-command"))?;
+            .map_err(|_| self.transport("partition thread died mid-command"))??;
         if let (PartitionReply::ShutDown, Some(thread)) = (&reply, self.thread.take()) {
             thread
                 .join()

@@ -60,7 +60,7 @@ pub type Handler =
 /// Receives every decoded request frame ([`frame::RequestFrame`]) from
 /// connections that opened with the frame magic instead of an HTTP method
 /// line; the reply frame is written back on the same connection. Handlers
-/// report failures in-band as [`frame::ReplyFrame::Error`]. The request is
+/// report failures in-band as [`frame::ReplyBody::Error`]. The request is
 /// handed over by value so a submit's events move into the engine.
 pub type FrameHandler =
     dyn Fn(frame::RequestFrame, &ShutdownHandle) -> frame::ReplyFrame + Send + Sync;
@@ -480,14 +480,16 @@ fn serve_frames(
             // a payload the decoder or the admission check refuses is
             // answerable in-band and the connection stays usable.
             Ok(request) => handler(request, shutdown),
-            Err(e) => frame::ReplyFrame::Error {
+            Err(e) => frame::ReplyFrame {
                 request_id: raw.request_id,
-                status: 400,
-                detail: e.to_string(),
+                body: frame::ReplyBody::Error {
+                    status: 400,
+                    detail: e.to_string(),
+                },
             },
         };
-        let status = match &reply {
-            frame::ReplyFrame::Error { status, .. } => *status,
+        let status = match &reply.body {
+            frame::ReplyBody::Error { status, .. } => *status,
             _ => 200,
         };
         shared.metrics.count_status(status);

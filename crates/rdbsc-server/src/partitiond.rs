@@ -21,12 +21,10 @@
 //! magic; one dispatcher (`execute_frame`) runs them behind one
 //! draining/standby refusal table (`refused_while`):
 //!
-//! | Frame | Protocol command |
+//! | Frame body | Protocol request |
 //! |---|---|
 //! | `Hello`, `Configure` | the handshake: version/state, build the engine (idempotent) |
-//! | `Command` | one of the four [`rdbsc_platform::PartitionCommand`]s — submit, tick, answer, release — handed to `EnginePartition::apply` |
-//! | `Assignments`, `Snapshot`, `IsActive`, `HasWorker` | reads and probes |
-//! | `Drain` / `Shutdown` | refuse further mutating commands / drain + exit |
+//! | `Partition` | one [`rdbsc_platform::PartitionRequest`] — the four commands (submit, tick, answer, release), the reads and probes, drain and shutdown — answered by `EnginePartition::serve`, the same call the in-process backend makes |
 //! | `ReplBootstrap` | replication: state + stream start |
 //! | `ReplFetch` | replication: shipped records + ack |
 //! | `ReplStatus` | replication: role, lag, watermark |
@@ -48,7 +46,7 @@
 //! ## Draining
 //!
 //! After a drain (or as part of shutdown) the daemon answers **`503`** to
-//! mutating commands — an in-band [`ReplyFrame::Error`], not a dropped
+//! mutating commands — an in-band [`ReplyBody::Error`], not a dropped
 //! connection — so a router mid-flight sees a clean protocol error instead
 //! of an I/O failure. Reads (`Snapshot`, `IsActive`, `Hello`, `/metrics`,
 //! `/healthz`) keep working so operators can observe the drain.
@@ -73,7 +71,7 @@
 
 use crate::dto::SnapshotDto;
 use crate::error::ServerError;
-use crate::frame::{ReplyFrame, RequestFrame};
+use crate::frame::{ReplyBody, ReplyFrame, RequestBody, RequestFrame};
 use crate::http::{Method, Request, Response};
 use crate::json::{parse, Json};
 use crate::listener::{HttpCore, ListenerConfig, ShutdownHandle};
@@ -84,8 +82,8 @@ use rdbsc_geo::Rect;
 use rdbsc_index::FlatGridIndex;
 use rdbsc_platform::wal::{decode_command, decode_record, encode_command, encode_record};
 use rdbsc_platform::{
-    AssignmentEngine, CommandOutcome, EngineConfig, EnginePartition, PartitionState, WalConfig,
-    WalError, WalRecord, PROTOCOL_VERSION,
+    AssignmentEngine, CommandOutcome, EngineConfig, EnginePartition, PartitionReply,
+    PartitionRequest, PartitionState, WalConfig, WalError, WalRecord, PROTOCOL_VERSION,
 };
 use std::net::ToSocketAddrs;
 use std::path::{Path, PathBuf};
@@ -682,37 +680,31 @@ fn route(
     }
 }
 
-/// The refusal table — the one place that says which commands a draining
+/// The refusal table — the one place that says which requests a draining
 /// daemon (first element → `503`) and an unpromoted standby (second → `409`)
-/// turn away. The mutating client commands (configure among them) are
-/// refused by both; a promote only by a drain (a drain is terminal); serving
-/// as a replication *source* only by a standby (its state is owned by its
-/// primary). Reads, probes, the hello and the lifecycle commands always
-/// run, so a drain and the failover choreography stay observable.
-fn refused_while(request: &RequestFrame) -> (bool, bool) {
-    match request {
-        RequestFrame::Command { .. } | RequestFrame::Configure { .. } => (true, true),
-        RequestFrame::ReplPromote { .. } => (true, false),
-        RequestFrame::ReplBootstrap { .. } | RequestFrame::ReplFetch { .. } => (false, true),
-        RequestFrame::Assignments { .. }
-        | RequestFrame::Snapshot { .. }
-        | RequestFrame::IsActive { .. }
-        | RequestFrame::HasWorker { .. }
-        | RequestFrame::Drain { .. }
-        | RequestFrame::Shutdown { .. }
-        | RequestFrame::ReplStatus { .. }
-        | RequestFrame::Hello { .. } => (false, false),
+/// turn away. A partition request is refused by both exactly when it
+/// [mutates](PartitionRequest::mutates); reads, probes and the lifecycle
+/// requests always run, so a drain and the failover choreography stay
+/// observable. Of the control requests, a configure is refused by both; a
+/// promote only by a drain (a drain is terminal); serving as a replication
+/// *source* only by a standby (its state is owned by its primary).
+fn refused_while(body: &RequestBody) -> (bool, bool) {
+    match body {
+        RequestBody::Partition(request) => (request.mutates(), request.mutates()),
+        RequestBody::Configure(_) => (true, true),
+        RequestBody::ReplPromote => (true, false),
+        RequestBody::ReplBootstrap | RequestBody::ReplFetch { .. } => (false, true),
+        RequestBody::ReplStatus | RequestBody::Hello => (false, false),
     }
 }
 
 /// The frame handler: the row of the refusal table — `503` while draining,
 /// a parseable refusal rather than a dropped connection, then `409` while
-/// this daemon is an unpromoted standby — and then the command, with
-/// failures reported in-band as [`ReplyFrame::Error`] carrying an
+/// this daemon is an unpromoted standby — and then the request, with
+/// failures reported in-band as [`ReplyBody::Error`] carrying an
 /// HTTP-style status (unconfigured 409s and bad payloads 400s too).
 fn route_frame(request: RequestFrame, state: &DaemonState, shutdown: &ShutdownHandle) -> ReplyFrame {
-    let request_id = request.request_id();
-    let (while_draining, while_standby) = refused_while(&request);
+    let (while_draining, while_standby) = refused_while(&request.body);
     let result = if while_draining && state.is_draining(shutdown) {
         Err(ServerError::ShuttingDown)
     } else if while_standby && state.standby.load(Ordering::Acquire) {
@@ -720,119 +712,70 @@ fn route_frame(request: RequestFrame, state: &DaemonState, shutdown: &ShutdownHa
             "standby: refusing mutating commands until promoted".into(),
         ))
     } else {
-        execute_frame(request, state, shutdown)
+        execute_frame(request.body, state, shutdown)
     };
-    result.unwrap_or_else(|e| ReplyFrame::Error {
-        request_id,
-        status: e.status(),
-        detail: e.to_string(),
-    })
+    ReplyFrame {
+        request_id: request.request_id,
+        body: result.unwrap_or_else(|e| ReplyBody::Error {
+            status: e.status(),
+            detail: e.to_string(),
+        }),
+    }
 }
 
-/// Executes one partition command — the daemon's only dispatcher.
+/// Executes one request — the daemon's only dispatcher. A partition
+/// request is answered by `EnginePartition::serve`, wrapped in what only a
+/// daemon does: a drain sets the draining flag and a shutdown also stops
+/// the listener (both answer on an unconfigured daemon too), and a tick is
+/// timed and observed. Each control request has its own arm.
 fn execute_frame(
-    request: RequestFrame,
+    body: RequestBody,
     state: &DaemonState,
     shutdown: &ShutdownHandle,
-) -> Result<ReplyFrame, ServerError> {
-    match request {
-        RequestFrame::Command {
-            request_id,
-            trace,
-            command,
-        } => {
+) -> Result<ReplyBody, ServerError> {
+    match body {
+        RequestBody::Partition(request) => {
+            let stop = matches!(request, PartitionRequest::Shutdown);
+            let drain = stop || matches!(request, PartitionRequest::Drain);
+            if drain {
+                state.draining.store(true, Ordering::Release);
+            }
+            if stop {
+                shutdown.trigger();
+            }
             let started = Instant::now();
-            let outcome = state.with_configured(|c| c.part.apply(trace, command))?;
-            if let CommandOutcome::Ticked(tick) = &outcome {
+            let reply = match state.with_configured(|c| c.part.serve(request)) {
+                Ok(reply) => reply,
+                Err(_) if stop => PartitionReply::ShutDown,
+                Err(_) if drain => PartitionReply::Drained,
+                Err(e) => return Err(e),
+            };
+            if let PartitionReply::Applied(CommandOutcome::Ticked(tick)) = &reply {
                 let elapsed = started.elapsed();
-                if trace != 0 {
-                    state.last_trace.store(trace, Ordering::Release);
+                if tick.trace != 0 {
+                    state.last_trace.store(tick.trace, Ordering::Release);
                 }
                 state.metrics.tick_latency.record(elapsed);
                 state.metrics.observe_tick(
-                    trace,
+                    tick.trace,
                     tick.report.now,
                     elapsed.as_micros().min(u64::MAX as u128) as u64,
                     &tick.report.stages,
                 );
             }
-            Ok(ReplyFrame::Applied {
-                request_id,
-                outcome,
-            })
+            Ok(ReplyBody::Partition(reply))
         }
-
-        RequestFrame::Assignments { request_id } => {
-            let assignments = state.with_configured(|c| c.part.assignments())?;
-            Ok(ReplyFrame::AssignmentsOk {
-                request_id,
-                assignments,
-            })
-        }
-
-        RequestFrame::Snapshot { request_id } => {
-            let snapshot = state.with_configured(|c| c.part.snapshot())?;
-            Ok(ReplyFrame::SnapshotOk {
-                request_id,
-                snapshot: Box::new(snapshot),
-            })
-        }
-
-        RequestFrame::IsActive { request_id } => {
-            let active = state.with_configured(|c| c.part.is_active())?;
-            Ok(ReplyFrame::ActiveOk { request_id, active })
-        }
-
-        RequestFrame::HasWorker { request_id, worker } => {
-            let present = state.with_configured(|c| c.part.has_worker(worker))?;
-            Ok(ReplyFrame::HasWorkerOk {
-                request_id,
-                present,
-            })
-        }
-
-        RequestFrame::Drain { request_id } => {
-            state.draining.store(true, Ordering::Release);
-            Ok(ReplyFrame::DrainOk { request_id })
-        }
-
-        RequestFrame::Shutdown { request_id } => {
-            state.draining.store(true, Ordering::Release);
-            shutdown.trigger();
-            Ok(ReplyFrame::ShutdownOk { request_id })
-        }
-
-        RequestFrame::ReplBootstrap { request_id } => repl_bootstrap(state, request_id),
-
-        RequestFrame::ReplFetch {
-            request_id,
-            from,
-            ack,
-            max,
-        } => repl_fetch_command(state, request_id, from, ack, max),
-
-        RequestFrame::ReplStatus { request_id } => Ok(ReplyFrame::ReplStatusOk {
-            request_id,
-            status: repl_status_dto(state),
-        }),
-
-        RequestFrame::ReplPromote { request_id } => repl_promote_command(state, request_id),
-
-        RequestFrame::Hello { request_id } => Ok(ReplyFrame::HelloOk {
-            request_id,
-            hello: Hello {
-                protocol_version: PROTOCOL_VERSION,
-                region_index: state.slot().as_ref().map(|c| c.region_index),
-                draining: state.is_draining(shutdown),
-                standby: state.standby.load(Ordering::Acquire),
-            },
-        }),
-
-        RequestFrame::Configure {
-            request_id,
-            configure: text,
-        } => Ok(ReplyFrame::ConfigureOk {
-            request_id,
+        RequestBody::ReplBootstrap => repl_bootstrap(state),
+        RequestBody::ReplFetch { from, ack, max } => repl_fetch_command(state, from, ack, max),
+        RequestBody::ReplStatus => Ok(ReplyBody::ReplStatus(repl_status_dto(state))),
+        RequestBody::ReplPromote => repl_promote_command(state),
+        RequestBody::Hello => Ok(ReplyBody::Hello(Hello {
+            protocol_version: PROTOCOL_VERSION,
+            region_index: state.slot().as_ref().map(|c| c.region_index),
+            draining: state.is_draining(shutdown),
+            standby: state.standby.load(Ordering::Acquire),
+        })),
+        RequestBody::Configure(text) => Ok(ReplyBody::Configure {
             already_configured: configure(state, &text)?,
         }),
     }
@@ -869,7 +812,7 @@ const FOLLOWER_LIVENESS: Duration = Duration::from_secs(2);
 /// is actively fetching — the single-standby topology is enforced here at
 /// the wire layer, because a bootstrap rebases the stream and would drop
 /// the retained tail the live follower needs.
-fn repl_bootstrap(state: &DaemonState, request_id: u64) -> Result<ReplyFrame, ServerError> {
+fn repl_bootstrap(state: &DaemonState) -> Result<ReplyBody, ServerError> {
     let mut seen = state.fetch_seen();
     if let Some(at) = *seen {
         if at.elapsed() < FOLLOWER_LIVENESS {
@@ -885,8 +828,7 @@ fn repl_bootstrap(state: &DaemonState, request_id: u64) -> Result<ReplyFrame, Se
     drop(seen);
     state.with_configured(|configured| {
         let (pstate, start_lsn) = configured.part.enable_replication();
-        ReplyFrame::ReplBootstrapOk {
-            request_id,
+        ReplyBody::ReplBootstrap {
             start_lsn,
             state: encode_record(&WalRecord::Checkpoint(pstate)),
             configure: configured.fingerprint.clone(),
@@ -901,11 +843,10 @@ fn repl_bootstrap(state: &DaemonState, request_id: u64) -> Result<ReplyFrame, Se
 /// retained window) answers `409` — the follower re-bootstraps.
 fn repl_fetch_command(
     state: &DaemonState,
-    request_id: u64,
     from: u64,
     ack: u64,
     max: u32,
-) -> Result<ReplyFrame, ServerError> {
+) -> Result<ReplyBody, ServerError> {
     state.with_configured(|configured| {
         let part = &mut configured.part;
         let before = part.repl_status().map_or(0, |s| s.acked);
@@ -924,14 +865,13 @@ fn repl_fetch_command(
                 return Err(ServerError::Conflict(format!("replication fetch: {e}")));
             }
         };
-        let status = part
-            .repl_status()
-            .expect("repl_fetch succeeded, so replication is enabled");
+        let status = part.repl_status().ok_or_else(|| {
+            ServerError::Conflict("replication fetch: the stream is not enabled".into())
+        })?;
         if status.acked > before {
             part.note_repl_watermark(status.acked);
         }
-        Ok(ReplyFrame::ReplFetchOk {
-            request_id,
+        Ok(ReplyBody::ReplFetch {
             next_lsn: status.next_lsn,
             records: records
                 .into_iter()
@@ -1014,7 +954,7 @@ fn repl_status_dto(state: &DaemonState) -> ReplStatusDto {
 /// checkpoint + fsync, a fresh log epoch) and the standby flag cleared so
 /// the daemon starts accepting commands. The returned digest is what the
 /// router compares against the dead primary's acknowledged state.
-fn repl_promote_command(state: &DaemonState, request_id: u64) -> Result<ReplyFrame, ServerError> {
+fn repl_promote_command(state: &DaemonState) -> Result<ReplyBody, ServerError> {
     if !state.standby.load(Ordering::Acquire) {
         return Err(ServerError::Conflict(
             "not a standby — nothing to promote".into(),
@@ -1029,11 +969,7 @@ fn repl_promote_command(state: &DaemonState, request_id: u64) -> Result<ReplyFra
         (digest, applied)
     })?;
     eprintln!("rdbsc-partitiond: promoted to primary at stream lsn {applied} (digest {digest:016x})");
-    Ok(ReplyFrame::ReplPromoteOk {
-        request_id,
-        digest,
-        applied,
-    })
+    Ok(ReplyBody::ReplPromote { digest, applied })
 }
 
 fn follower_stopped(state: &DaemonState) -> bool {
@@ -1076,25 +1012,27 @@ fn follow_once(state: &Arc<DaemonState>, primary: &str, rid: &mut u64) -> Result
         .ok_or_else(|| format!("{primary} resolves to no address"))?;
     let mut conn = FrameConn::new(addr, Duration::from_secs(5));
     *rid += 1;
-    let (start_lsn, boot_state, configure_text) =
-        match conn.exchange(&RequestFrame::ReplBootstrap { request_id: *rid }) {
-            Ok(ReplyFrame::ReplBootstrapOk {
-                start_lsn,
-                state,
-                configure,
-                ..
-            }) => (start_lsn, state, configure),
-            Ok(ReplyFrame::Error { status, detail, .. }) => {
-                return Err(format!("bootstrap answered {status}: {detail}"));
-            }
-            Ok(other) => {
-                return Err(format!(
-                    "bootstrap reply: unexpected reply tag {:#04x}",
-                    other.tag()
-                ));
-            }
-            Err(e) => return Err(format!("bootstrap: {e}")),
-        };
+    let bootstrap = RequestFrame {
+        request_id: *rid,
+        body: RequestBody::ReplBootstrap,
+    };
+    let (start_lsn, boot_state, configure_text) = match conn.exchange(&bootstrap) {
+        Ok(ReplyBody::ReplBootstrap {
+            start_lsn,
+            state,
+            configure,
+        }) => (start_lsn, state, configure),
+        Ok(ReplyBody::Error { status, detail }) => {
+            return Err(format!("bootstrap answered {status}: {detail}"));
+        }
+        Ok(other) => {
+            return Err(format!(
+                "bootstrap reply: unexpected reply tag {:#04x}",
+                other.tag()
+            ));
+        }
+        Err(e) => return Err(format!("bootstrap: {e}")),
+    };
     let record = decode_record(&boot_state).map_err(|e| format!("bootstrap state: {e}"))?;
     let WalRecord::Checkpoint(pstate) = record else {
         return Err("bootstrap state is not a checkpoint record".to_string());
@@ -1107,22 +1045,21 @@ fn follow_once(state: &Arc<DaemonState>, primary: &str, rid: &mut u64) -> Result
         }
         let from = state.repl_applied.load(Ordering::Acquire);
         *rid += 1;
-        let fetch = RequestFrame::ReplFetch {
+        let fetch = RequestFrame {
             request_id: *rid,
-            from,
-            ack: from,
-            max: FOLLOW_BATCH,
+            body: RequestBody::ReplFetch {
+                from,
+                ack: from,
+                max: FOLLOW_BATCH,
+            },
         };
         let (next_lsn, records) = match conn.exchange(&fetch) {
-            Ok(ReplyFrame::ReplFetchOk {
-                next_lsn, records, ..
-            }) => (next_lsn, records),
-            Ok(ReplyFrame::Error {
+            Ok(ReplyBody::ReplFetch { next_lsn, records }) => (next_lsn, records),
+            Ok(ReplyBody::Error {
                 status: 409,
                 detail,
-                ..
             }) => return Err(format!("stream restarted on the primary: {detail}")),
-            Ok(ReplyFrame::Error { .. }) | Err(crate::frame::FrameError::Io(_)) => {
+            Ok(ReplyBody::Error { .. }) | Err(crate::frame::FrameError::Io(_)) => {
                 // The primary may simply be dead (or draining its last
                 // replies). Stay bootstrapped and keep knocking —
                 // promotion or shutdown ends the wait.
@@ -1304,16 +1241,18 @@ mod tests {
 
         let tick = |now| encode_command(&PartitionCommand::Tick { now });
         let checkpoint = encode_record(&WalRecord::Checkpoint(primary.dump_state()));
-        let reply = ReplyFrame::ReplFetchOk {
+        let reply = ReplyFrame {
             request_id: 1,
-            next_lsn: 43,
-            records: vec![(40, tick(0.5)), (41, checkpoint), (42, tick(1.0))],
+            body: ReplyBody::ReplFetch {
+                next_lsn: 43,
+                records: vec![(40, tick(0.5)), (41, checkpoint), (42, tick(1.0))],
+            },
         };
         // The transport carries the bytes as they are...
         let mut wire = Vec::new();
         reply.write_to(&mut wire).unwrap();
         let raw = crate::frame::read_raw(&mut &wire[..], 1 << 20).unwrap().unwrap();
-        let ReplyFrame::ReplFetchOk { records, .. } = ReplyFrame::decode(&raw).unwrap() else {
+        let ReplyBody::ReplFetch { records, .. } = ReplyFrame::decode(&raw).unwrap().body else {
             panic!("a fetch reply decodes as one");
         };
         // ... and the follower refuses the batch: not even the good command

@@ -574,18 +574,18 @@ mod tests {
 
     #[test]
     fn hello_round_trips() {
-        use crate::frame::{read_raw, ReplyFrame};
+        use crate::frame::{read_raw, ReplyBody, ReplyFrame};
         for (region_index, draining, standby) in
             [(None, false, false), (Some(2), true, false), (Some(0), false, true)]
         {
-            let reply = ReplyFrame::HelloOk {
+            let reply = ReplyFrame {
                 request_id: 1,
-                hello: Hello {
+                body: ReplyBody::Hello(Hello {
                     protocol_version: rdbsc_platform::PROTOCOL_VERSION,
                     region_index,
                     draining,
                     standby,
-                },
+                }),
             };
             let mut wire = Vec::new();
             reply.write_to(&mut wire).unwrap();

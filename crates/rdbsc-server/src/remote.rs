@@ -23,7 +23,7 @@
 //!   surfaced per partition on the router's `/metrics`.
 
 use crate::error::ServerError;
-use crate::frame::{self, FrameError, ReplyFrame, RequestFrame};
+use crate::frame::{self, FrameError, ReplyBody, ReplyFrame, RequestBody, RequestFrame};
 use crate::protocol::{ConfigureDto, DurabilityDto, EngineConfigDto, Hello, RoutingTableDto};
 use rdbsc_cluster::RegionPartition;
 use rdbsc_platform::{
@@ -59,9 +59,9 @@ fn resolve(addr: &str) -> Result<SocketAddr, ServerError> {
 /// Why a handshake or lifecycle exchange with `addr` did not get the reply
 /// it wanted: the daemon's in-band refusal, a reply of the wrong kind, or a
 /// transport failure.
-fn failed_exchange(addr: &str, what: &str, reply: Result<ReplyFrame, FrameError>) -> String {
+fn failed_exchange(addr: &str, what: &str, reply: Result<ReplyBody, FrameError>) -> String {
     match reply {
-        Ok(ReplyFrame::Error { status, detail, .. }) => {
+        Ok(ReplyBody::Error { status, detail }) => {
             format!("{what} on {addr} failed with {status}: {detail}")
         }
         Ok(other) => format!("{what} on {addr}: unexpected reply tag {:#04x}", other.tag()),
@@ -74,13 +74,16 @@ fn failed_exchange(addr: &str, what: &str, reply: Result<ReplyFrame, FrameError>
 /// and not be draining. Whether a standby is acceptable is the caller's
 /// call — an attach refuses one, a promotion promotes it.
 fn hello(conn: &mut FrameConn, addr: &str, request_id: u64) -> Result<Hello, ServerError> {
-    let hello = match conn.exchange(&RequestFrame::Hello { request_id }) {
-        Ok(ReplyFrame::HelloOk { hello, .. }) => hello,
+    let request = RequestFrame {
+        request_id,
+        body: RequestBody::Hello,
+    };
+    let hello = match conn.exchange(&request) {
+        Ok(ReplyBody::Hello(hello)) => hello,
         // A daemon from before the Hello frame answers its tag as malformed.
-        Ok(ReplyFrame::Error {
+        Ok(ReplyBody::Error {
             status: 400,
             detail,
-            ..
         }) => {
             return Err(ServerError::Conflict(format!(
                 "partition {addr} does not speak the Hello frame ({detail}); upgrade the daemon"
@@ -135,12 +138,12 @@ pub fn connect_remote_partition(
     }
     .to_json()
     .to_string_compact();
-    let request = RequestFrame::Configure {
+    let request = RequestFrame {
         request_id: client.next_rid(),
-        configure,
+        body: RequestBody::Configure(configure),
     };
     match client.conn.exchange(&request) {
-        Ok(ReplyFrame::ConfigureOk { .. }) => {}
+        Ok(ReplyBody::Configure { .. }) => {}
         other => {
             let what = format!("configuring region {region_index}");
             return Err(ServerError::Conflict(failed_exchange(addr, &what, other)));
@@ -171,7 +174,7 @@ const PROMOTE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The router's [`StandbyPromoter`] over the wire: health-check the
 /// `--follow` standby with a `Hello`, tell it to finish its replay and seal
-/// the stream (a [`RequestFrame::ReplPromote`]), then re-attach it through
+/// the stream (a [`RequestBody::ReplPromote`]), then re-attach it through
 /// the ordinary connect path — the re-pushed configure matches the
 /// standby's fingerprint byte for byte, because both daemons keep the
 /// canonical re-encoding of the payload the primary accepted.
@@ -228,11 +231,12 @@ impl StandbyPromoter for RemoteStandbyPromoter {
         // daemon that is no longer a standby was promoted by an earlier
         // attempt that died before re-attaching; just re-attach it.
         if hello.standby {
-            let mut conn = self.conn(PROMOTE_TIMEOUT)?;
-            match conn.exchange(&RequestFrame::ReplPromote { request_id: 1 }) {
-                Ok(ReplyFrame::ReplPromoteOk {
-                    digest, applied, ..
-                }) => eprintln!(
+            let request = RequestFrame {
+                request_id: 1,
+                body: RequestBody::ReplPromote,
+            };
+            match self.conn(PROMOTE_TIMEOUT)?.exchange(&request) {
+                Ok(ReplyBody::ReplPromote { digest, applied }) => eprintln!(
                     "rdbsc-server: promoted standby {} at stream lsn {applied} (digest {digest:016x})",
                     self.addr
                 ),
@@ -257,11 +261,12 @@ impl StandbyPromoter for RemoteStandbyPromoter {
     }
 
     fn shutdown(&mut self) -> Result<(), String> {
-        match self
-            .conn(PROMOTE_TIMEOUT)?
-            .exchange(&RequestFrame::Shutdown { request_id: 1 })
-        {
-            Ok(ReplyFrame::ShutdownOk { .. }) => Ok(()),
+        let request = RequestFrame {
+            request_id: 1,
+            body: RequestBody::Partition(PartitionRequest::Shutdown),
+        };
+        match self.conn(PROMOTE_TIMEOUT)?.exchange(&request) {
+            Ok(ReplyBody::Partition(PartitionReply::ShutDown)) => Ok(()),
             other => Err(failed_exchange(&self.addr, "stopping unfired standby", other)),
         }
     }
@@ -301,24 +306,31 @@ impl FrameConn {
         self.stream = None;
     }
 
+    fn open(&self) -> std::io::Result<BufReader<TcpStream>> {
+        let stream = TcpStream::connect(self.socket)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(self.timeout))?;
+        stream.set_write_timeout(Some(self.timeout))?;
+        Ok(BufReader::new(stream))
+    }
+
     /// Opens the connection if none is open; `true` when it just did.
     pub fn ensure_open(&mut self) -> std::io::Result<bool> {
         if self.stream.is_some() {
             return Ok(false);
         }
-        let stream = TcpStream::connect(self.socket)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        self.stream = Some(BufReader::new(stream));
+        self.stream = Some(self.open()?);
         Ok(true)
     }
 
-    /// Writes one request frame; returns the bytes put on the wire.
+    /// Writes one request frame, opening the connection if none is open;
+    /// returns the bytes put on the wire.
     pub fn send(&mut self, request: &RequestFrame) -> std::io::Result<usize> {
-        self.ensure_open()?;
-        let stream = self.stream.as_mut().expect("connection just ensured");
-        request.write_to(stream.get_mut())
+        let stream = match self.stream.take() {
+            Some(stream) => stream,
+            None => self.open()?,
+        };
+        request.write_to(self.stream.insert(stream).get_mut())
     }
 
     /// Reads and decodes the next reply frame; returns it with the bytes
@@ -340,22 +352,22 @@ impl FrameConn {
         Ok((reply, frame::HEADER_LEN + raw.payload.len()))
     }
 
-    /// One full round trip, checking the request-id echo. Any failure
-    /// closes the connection (a later exchange starts on a fresh one); a
-    /// daemon-reported [`ReplyFrame::Error`] is a reply, not a failure.
-    pub fn exchange(&mut self, request: &RequestFrame) -> Result<ReplyFrame, FrameError> {
+    /// One full round trip, checking the request-id echo; returns the
+    /// reply's body. Any failure closes the connection (a later exchange
+    /// starts on a fresh one); a daemon-reported [`ReplyBody::Error`] is a
+    /// reply, not a failure.
+    pub fn exchange(&mut self, request: &RequestFrame) -> Result<ReplyBody, FrameError> {
         let result = self
             .send(request)
             .map_err(FrameError::Io)
             .and_then(|_| self.receive())
             .and_then(|(reply, _)| {
-                if reply.request_id() == request.request_id() {
-                    Ok(reply)
+                if reply.request_id == request.request_id {
+                    Ok(reply.body)
                 } else {
                     Err(FrameError::Malformed(format!(
                         "reply echoes request {} but {} was sent — connection desynced",
-                        reply.request_id(),
-                        request.request_id()
+                        reply.request_id, request.request_id
                     )))
                 }
             });
@@ -583,39 +595,6 @@ impl BinaryPartitionClient {
             self.protocol_err(format!("command failed with {status}: {detail}"))
         }
     }
-
-    /// The frame of `request` under the next request id.
-    fn frame(&mut self, request: PartitionRequest) -> RequestFrame {
-        let request_id = self.next_rid();
-        match request {
-            PartitionRequest::Apply { trace, command } => RequestFrame::Command {
-                request_id,
-                trace,
-                command,
-            },
-            PartitionRequest::Assignments => RequestFrame::Assignments { request_id },
-            PartitionRequest::Snapshot => RequestFrame::Snapshot { request_id },
-            PartitionRequest::IsActive => RequestFrame::IsActive { request_id },
-            PartitionRequest::HasWorker(worker) => RequestFrame::HasWorker { request_id, worker },
-            PartitionRequest::Drain => RequestFrame::Drain { request_id },
-            PartitionRequest::Shutdown => RequestFrame::Shutdown { request_id },
-        }
-    }
-}
-
-/// A reply frame as the partition reply it carries; `None` for the replies
-/// no partition request is answered with.
-fn partition_reply(reply: ReplyFrame) -> Option<PartitionReply> {
-    Some(match reply {
-        ReplyFrame::Applied { outcome, .. } => PartitionReply::Applied(outcome),
-        ReplyFrame::AssignmentsOk { assignments, .. } => PartitionReply::Assignments(assignments),
-        ReplyFrame::SnapshotOk { snapshot, .. } => PartitionReply::Snapshot(snapshot),
-        ReplyFrame::ActiveOk { active, .. } => PartitionReply::Active(active),
-        ReplyFrame::HasWorkerOk { present, .. } => PartitionReply::HasWorker(present),
-        ReplyFrame::DrainOk { .. } => PartitionReply::Drained,
-        ReplyFrame::ShutdownOk { .. } => PartitionReply::ShutDown,
-        _ => return None,
-    })
 }
 
 impl PartitionClient for BinaryPartitionClient {
@@ -633,7 +612,10 @@ impl PartitionClient for BinaryPartitionClient {
 
     fn send(&mut self, request: PartitionRequest) -> Result<(), PartitionError> {
         let started = Instant::now();
-        let request = self.frame(request);
+        let request = RequestFrame {
+            request_id: self.next_rid(),
+            body: RequestBody::Partition(request),
+        };
         self.write_request(&request)?;
         self.inflight.push_back(Sent { request, started });
         Ok(())
@@ -641,7 +623,7 @@ impl PartitionClient for BinaryPartitionClient {
 
     /// Reads the reply to the oldest unanswered frame and checks its echoed
     /// request id and its tag; either mismatch poisons the connection. A
-    /// daemon [`ReplyFrame::Error`] is a request error *without* poisoning
+    /// daemon [`ReplyBody::Error`] is a request error *without* poisoning
     /// (the stream is still in sync). Only a reply is counted.
     fn recv(&mut self) -> Result<PartitionReply, PartitionError> {
         let sent = self
@@ -649,27 +631,28 @@ impl PartitionClient for BinaryPartitionClient {
             .pop_front()
             .ok_or_else(|| self.protocol_err("recv with no request in flight"))?;
         let reply = self.read_reply(&sent)?;
-        if reply.request_id() != sent.request.request_id() {
+        if reply.request_id != sent.request.request_id {
             let err = self.protocol_err(format!(
                 "reply echoes request {} but {} is the oldest in flight — connection desynced",
-                reply.request_id(),
-                sent.request.request_id()
+                reply.request_id, sent.request.request_id
             ));
             return Err(self.poison(err));
         }
-        if let ReplyFrame::Error { status, detail, .. } = &reply {
-            return Err(self.status_error(*status, detail));
+        let tag = reply.body.tag();
+        let expected = sent.request.body.tag() as u8 | frame::REPLY;
+        match reply.body {
+            ReplyBody::Error { status, detail } => Err(self.status_error(status, &detail)),
+            ReplyBody::Partition(answer) if tag == expected => {
+                self.counters.requests.incr();
+                self.counters.command_latency.record(sent.started.elapsed());
+                Ok(answer)
+            }
+            _ => {
+                let err = self.protocol_err(format!(
+                    "request tag {expected:#04x} answered with reply tag {tag:#04x} — connection desynced"
+                ));
+                Err(self.poison(err))
+            }
         }
-        let tag = reply.tag();
-        let expected = sent.request.tag() as u8 | frame::REPLY;
-        let Some(answer) = partition_reply(reply).filter(|_| tag == expected) else {
-            let err = self.protocol_err(format!(
-                "request tag {expected:#04x} answered with reply tag {tag:#04x} — connection desynced"
-            ));
-            return Err(self.poison(err));
-        };
-        self.counters.requests.incr();
-        self.counters.command_latency.record(sent.started.elapsed());
-        Ok(answer)
     }
 }

@@ -12,9 +12,9 @@ use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::FlatGridIndex;
 use rdbsc_platform::wal::{decode_command, decode_record};
 use rdbsc_platform::{
-    EngineConfig, EnginePartition, PartitionClient, PartitionCommand, WalRecord,
+    EngineConfig, EnginePartition, PartitionClient, PartitionCommand, PartitionRequest, WalRecord,
 };
-use rdbsc_server::frame::{ReplyFrame, RequestFrame};
+use rdbsc_server::frame::{ReplyBody, RequestBody, RequestFrame};
 use rdbsc_server::{
     connect_remote_partition, FrameConn, HttpClient, Json, Server, ServerConfig,
 };
@@ -169,9 +169,13 @@ fn attach_single_region(addr: SocketAddr) -> Box<dyn PartitionClient> {
 
 /// One frame round trip, flattened to `Err((status, detail))` for a
 /// daemon-reported error.
-fn exchange(conn: &mut FrameConn, request: RequestFrame) -> Result<ReplyFrame, (u16, String)> {
-    match conn.exchange(&request).expect("frame exchange") {
-        ReplyFrame::Error { status, detail, .. } => Err((status, detail)),
+fn exchange(
+    conn: &mut FrameConn,
+    request_id: u64,
+    body: RequestBody,
+) -> Result<ReplyBody, (u16, String)> {
+    match conn.exchange(&RequestFrame { request_id, body }).expect("frame exchange") {
+        ReplyBody::Error { status, detail } => Err((status, detail)),
         reply => Ok(reply),
     }
 }
@@ -340,7 +344,7 @@ fn sigkilled_primary_fails_over_to_a_digest_identical_standby() {
     // bootstrap re-enables the stream, its *live* counters (not the sealed
     // short-circuit) reach /metrics — `sealed` itself stays latched.
     let mut standby_conn = FrameConn::new(standby.addr, Duration::from_secs(5));
-    assert!(exchange(&mut standby_conn, RequestFrame::ReplBootstrap { request_id: 50 }).is_ok());
+    assert!(exchange(&mut standby_conn, 50, RequestBody::ReplBootstrap).is_ok());
     post_task(&mut http, 901, 0.45, 0.5, 3.5);
     post_worker(&mut http, 901, 0.45, 0.45);
     tick(&mut http, 3.5);
@@ -383,30 +387,17 @@ fn standby_refuses_mutating_commands_until_promoted() {
 
     let mut http = HttpClient::new(standby.addr).with_timeout(Duration::from_secs(5));
     let mut conn = FrameConn::new(standby.addr, Duration::from_secs(5));
-    match exchange(&mut conn, RequestFrame::Hello { request_id: 9 }) {
-        Ok(ReplyFrame::HelloOk { hello, .. }) => assert!(hello.standby, "{hello:?}"),
+    match exchange(&mut conn, 9, RequestBody::Hello) {
+        Ok(ReplyBody::Hello(hello)) => assert!(hello.standby, "{hello:?}"),
         other => panic!("hello: {other:?}"),
     }
 
     // Mutating commands are refused with a structured conflict...
-    let (status, detail) = exchange(
-        &mut conn,
-        RequestFrame::Command {
-            request_id: 1,
-            trace: 0,
-            command: PartitionCommand::Tick { now: 1.0 },
-        },
-    )
+    let apply = |command| RequestBody::Partition(PartitionRequest::Apply { trace: 0, command });
+    let (status, detail) = exchange(&mut conn, 1, apply(PartitionCommand::Tick { now: 1.0 }))
     .expect_err("standby tick must be refused");
     assert_eq!(status, 409, "standby tick must 409: {detail}");
-    let (status, _) = exchange(
-        &mut conn,
-        RequestFrame::Command {
-            request_id: 2,
-            trace: 0,
-            command: PartitionCommand::Submit(vec![]),
-        },
-    )
+    let (status, _) = exchange(&mut conn, 2, apply(PartitionCommand::Submit(vec![])))
     .expect_err("standby submit must be refused");
     assert_eq!(status, 409);
     // ... while reads stay up.
@@ -448,10 +439,10 @@ fn second_follower_bootstrap_is_refused_while_the_first_is_live() {
 
     let mut conn = FrameConn::new(primary.addr, Duration::from_secs(5));
     let bootstrap = |conn: &mut FrameConn, request_id: u64| {
-        exchange(conn, RequestFrame::ReplBootstrap { request_id })
+        exchange(conn, request_id, RequestBody::ReplBootstrap)
     };
     let fetch = |conn: &mut FrameConn, request_id: u64, from: u64, ack: u64| {
-        exchange(conn, RequestFrame::ReplFetch { request_id, from, ack, max: 64 })
+        exchange(conn, request_id, RequestBody::ReplFetch { from, ack, max: 64 })
     };
 
     // Follower #1 bootstraps and starts fetching.
@@ -496,20 +487,20 @@ fn repl_commands_round_trip_over_the_binary_transport() {
     let mut remote = attach_single_region(primary.addr);
 
     let mut conn = FrameConn::new(primary.addr, Duration::from_secs(10));
-    let mut exchange =
-        |request: RequestFrame| -> ReplyFrame { conn.exchange(&request).expect("frame exchange") };
+    // The exchange checks the request-id echo itself.
+    let mut exchange = |request_id, body| -> ReplyBody {
+        conn.exchange(&RequestFrame { request_id, body }).expect("frame exchange")
+    };
 
     // Bootstrap over frames: the snapshot is a canonical Checkpoint record.
-    let ReplyFrame::ReplBootstrapOk {
-        request_id,
+    let ReplyBody::ReplBootstrap {
         start_lsn,
         state,
         configure,
-    } = exchange(RequestFrame::ReplBootstrap { request_id: 7 })
+    } = exchange(7, RequestBody::ReplBootstrap)
     else {
         panic!("expected ReplBootstrapOk");
     };
-    assert_eq!(request_id, 7);
     let WalRecord::Checkpoint(boot_state) = decode_record(&state).expect("snapshot decodes")
     else {
         panic!("bootstrap state must be a Checkpoint record");
@@ -531,15 +522,14 @@ fn repl_commands_round_trip_over_the_binary_transport() {
     remote.begin_tick(0, 1.0).unwrap();
     remote.finish_tick().unwrap();
 
-    let ReplyFrame::ReplFetchOk {
-        next_lsn, records, ..
-    } = exchange(RequestFrame::ReplFetch {
-        request_id: 8,
-        from: start_lsn,
-        ack: start_lsn,
-        max: 64,
-    })
-    else {
+    let ReplyBody::ReplFetch { next_lsn, records } = exchange(
+        8,
+        RequestBody::ReplFetch {
+            from: start_lsn,
+            ack: start_lsn,
+            max: 64,
+        },
+    ) else {
         panic!("expected ReplFetchOk");
     };
     assert_eq!(next_lsn, start_lsn + 2, "two ticks published two records");
@@ -555,18 +545,14 @@ fn repl_commands_round_trip_over_the_binary_transport() {
     );
 
     // Status over frames: the ack watermark advanced with the fetch.
-    let ReplyFrame::ReplStatusOk { status, .. } =
-        exchange(RequestFrame::ReplStatus { request_id: 9 })
-    else {
+    let ReplyBody::ReplStatus(status) = exchange(9, RequestBody::ReplStatus) else {
         panic!("expected ReplStatusOk");
     };
     assert_eq!(status.role, "primary");
     assert_eq!(status.next_lsn, start_lsn + 2);
 
     // Promoting a daemon that is not a standby is a structured conflict.
-    let ReplyFrame::Error { status, detail, .. } =
-        exchange(RequestFrame::ReplPromote { request_id: 10 })
-    else {
+    let ReplyBody::Error { status, detail } = exchange(10, RequestBody::ReplPromote) else {
         panic!("expected an error reply");
     };
     assert_eq!(status, 409, "promote on a primary must conflict: {detail}");

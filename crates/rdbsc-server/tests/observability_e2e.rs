@@ -127,12 +127,29 @@ fn trace_ids_propagate_to_the_daemon_and_echo_back() {
         .iter()
         .any(|c| c.get("trace").and_then(|t| t.as_str()) == Some(&hex)));
 
-    // The daemon's Prometheus exposition parses and carries stage data.
+    // With no `?trace=`, /debug/spans serves the last traced tick; an
+    // untraced tick after it leaves that choice alone.
+    let default_trace = |raw: &mut HttpClient| {
+        let spans = raw.get("/debug/spans").unwrap().json().unwrap();
+        spans.get("trace").unwrap().as_str().unwrap().to_string()
+    };
+    assert_eq!(default_trace(&mut raw), hex);
+    client.begin_tick(0, 1.0).unwrap();
+    assert_eq!(client.finish_tick().unwrap().trace, 0);
+    assert_eq!(default_trace(&mut raw), hex, "an untraced tick is not the last trace");
+
+    // The daemon's Prometheus exposition parses, carries stage data, and
+    // timed every tick it served: three.
     let prom = raw.get("/metrics?format=prom").unwrap();
     assert_eq!(prom.status, 200);
     rdbsc_obs::validate_prom(&prom.body).unwrap_or_else(|e| panic!("{e}\n{}", prom.body));
     assert!(prom.body.contains("tick_stage_solve_us"), "{}", prom.body);
     assert!(prom.body.contains("engine_ticks_total"), "{}", prom.body);
+    assert!(
+        prom.body.lines().any(|line| line == "tick_latency_us_count 3"),
+        "{}",
+        prom.body
+    );
 
     client.shutdown().unwrap();
     daemon.join();

@@ -12,9 +12,9 @@ use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{Confidence, Contribution, Task, TaskId, TimeWindow, Worker, WorkerId};
 use rdbsc_platform::{
     AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, EngineSnapshot, InProcessClient,
-    PartitionClient, PartitionCommand, PartitionError, PartitionedEngine,
+    PartitionClient, PartitionCommand, PartitionError, PartitionRequest, PartitionedEngine,
 };
-use rdbsc_server::frame::{ReplyFrame, RequestFrame};
+use rdbsc_server::frame::{ReplyBody, RequestBody, RequestFrame};
 use rdbsc_server::{
     connect_remote_partition, BinaryPartitionClient, ConfigureDto, EngineConfigDto, FrameConn,
     HttpClient, Json, PartitionDaemon, PartitiondConfig, RoutingTableDto,
@@ -161,7 +161,7 @@ struct Transcript {
 }
 
 /// A pipelined submit and tick, then every other request once, ending with
-/// drain and shutdown — ten requests.
+/// drain, a submit the drain refuses, and shutdown — ten requests answered.
 fn run_script(client: &mut dyn PartitionClient) -> Transcript {
     client.begin_submit(0, events()).unwrap();
     client.begin_tick(0, 0.0).unwrap();
@@ -193,14 +193,23 @@ fn run_script(client: &mut dyn PartitionClient) -> Transcript {
         has_worker: client.has_worker(new[0].worker).unwrap(),
     };
     client.drain().unwrap();
+    assert!(
+        matches!(
+            client.begin_submit(0, events()).and_then(|_| client.finish_submit()),
+            Err(PartitionError::Draining { .. })
+        ),
+        "{}: a submit after the drain is refused",
+        client.kind()
+    );
     client.shutdown().unwrap();
     transcript
 }
 
 /// One request script on both backends with the same engine config — an
 /// in-process thread, and a binary client attached to an in-process daemon
-/// — gives equal replies. Both count and time every request exactly once,
-/// drain and shutdown included, and both refuse a request after shutdown.
+/// — gives equal replies. Both count and time every answered request exactly
+/// once, drain and shutdown included; both refuse a mutation after the
+/// drain (counted by neither) and any request after shutdown.
 #[test]
 fn one_script_gives_equal_replies_on_both_backends() {
     let partition = single_region();
@@ -341,8 +350,9 @@ fn configure_is_idempotent_and_conflicts_are_rejected() {
     // A router speaking a different protocol version is refused outright.
     let mut conn = FrameConn::new(daemon.addr(), Duration::from_secs(5));
     let configure = Json::obj([("protocol_version", Json::Num(99.0))]).to_string_compact();
-    match conn.exchange(&RequestFrame::Configure { request_id: 1, configure }).unwrap() {
-        ReplyFrame::Error { status, detail, .. } => assert_eq!(status, 409, "{detail}"),
+    let request = RequestFrame { request_id: 1, body: RequestBody::Configure(configure) };
+    match conn.exchange(&request).unwrap() {
+        ReplyBody::Error { status, detail } => assert_eq!(status, 409, "{detail}"),
         other => panic!("a version-99 configure was accepted: {other:?}"),
     }
 
@@ -474,11 +484,10 @@ fn every_command_meets_the_one_refusal_table() {
     await_configured(standby.addr());
     assert!(standby.is_standby());
 
-    let command = |request_id, command| RequestFrame::Command {
-        request_id,
-        trace: 0,
-        command,
-    };
+    let frame = |request_id, body| RequestFrame { request_id, body };
+    let request = |request_id, request| frame(request_id, RequestBody::Partition(request));
+    let command =
+        |request_id, command| request(request_id, PartitionRequest::Apply { trace: 0, command });
     let answer = PartitionCommand::Answer {
         worker: WorkerId(1),
         contribution: Contribution::new(Confidence::new(0.9).unwrap(), 1.0, 1.0),
@@ -502,22 +511,22 @@ fn every_command_meets_the_one_refusal_table() {
         (command(2, PartitionCommand::Tick { now: 0.5 }), 503, 409),
         (command(3, answer), 503, 409),
         (command(4, PartitionCommand::Release { worker: WorkerId(1) }), 503, 409),
-        (RequestFrame::Assignments { request_id: 5 }, 0, 0),
-        (RequestFrame::Snapshot { request_id: 6 }, 0, 0),
-        (RequestFrame::IsActive { request_id: 7 }, 0, 0),
-        (RequestFrame::HasWorker { request_id: 8, worker: WorkerId(1) }, 0, 0),
-        (RequestFrame::ReplStatus { request_id: 9 }, 0, 0),
-        (RequestFrame::Hello { request_id: 15 }, 0, 0),
-        (RequestFrame::Configure { request_id: 16, configure }, 503, 409),
-        (RequestFrame::ReplBootstrap { request_id: 10 }, 0, 409),
-        (RequestFrame::ReplFetch { request_id: 11, from: 0, ack: 0, max: 8 }, 0, 409),
-        (RequestFrame::ReplPromote { request_id: 12 }, 503, 0),
-        (RequestFrame::Drain { request_id: 13 }, 0, 0),
-        (RequestFrame::Shutdown { request_id: 14 }, 0, 0),
+        (request(5, PartitionRequest::Assignments), 0, 0),
+        (request(6, PartitionRequest::Snapshot), 0, 0),
+        (request(7, PartitionRequest::IsActive), 0, 0),
+        (request(8, PartitionRequest::HasWorker(WorkerId(1))), 0, 0),
+        (frame(9, RequestBody::ReplStatus), 0, 0),
+        (frame(15, RequestBody::Hello), 0, 0),
+        (frame(16, RequestBody::Configure(configure)), 503, 409),
+        (frame(10, RequestBody::ReplBootstrap), 0, 409),
+        (frame(11, RequestBody::ReplFetch { from: 0, ack: 0, max: 8 }), 0, 409),
+        (frame(12, RequestBody::ReplPromote), 503, 0),
+        (request(13, PartitionRequest::Drain), 0, 0),
+        (request(14, PartitionRequest::Shutdown), 0, 0),
     ];
     let status_of = |conn: &mut FrameConn, request: &RequestFrame| -> (u16, String) {
         match conn.exchange(request).expect("a refusal is a reply, never a dropped connection") {
-            ReplyFrame::Error { status, detail, .. } => (status, detail),
+            ReplyBody::Error { status, detail } => (status, detail),
             _ => (0, String::new()),
         }
     };

@@ -18,10 +18,11 @@ use rdbsc_model::{
 };
 use rdbsc_platform::{
     CommandOutcome, EngineConfig, EngineEvent, EngineObjective, EngineSnapshot, PartitionCommand,
-    PartitionTick, TickReport, WalStats,
+    PartitionReply, PartitionRequest, PartitionTick, TickReport, WalStats,
 };
 use rdbsc_server::frame::{
-    self, FrameError, RawFrame, ReplyFrame, RequestFrame, FRAME_VERSION, HEADER_LEN, MAGIC,
+    self, FrameError, RawFrame, ReplyBody, ReplyFrame, RequestBody, RequestFrame, FRAME_VERSION,
+    HEADER_LEN, MAGIC,
 };
 use rdbsc_server::{
     connect_remote_partition, FrameConn, Hello, HttpClient, PartitionDaemon, PartitiondConfig,
@@ -89,30 +90,25 @@ fn event() -> impl Strategy<Value = EngineEvent> {
         })
 }
 
-fn request() -> impl Strategy<Value = RequestFrame> {
+/// One partition request with arbitrary fields: the data-path body.
+fn partition_request() -> impl Strategy<Value = PartitionRequest> {
     (
-        0u32..16,
-        0u64..=u64::MAX,
+        0u32..10,
         0u64..=u64::MAX,
         0u32..=u32::MAX,
         (finite(), 0.0f64..=1.0, finite(), finite()),
         proptest::collection::vec(event(), 0..8),
-        text(),
     )
-        .prop_map(|(kind, request_id, trace, worker, (w, unit, y, z), events, configure)| {
+        .prop_map(|(kind, trace, worker, (w, unit, y, z), events)| {
             let worker_id = WorkerId(worker);
             // Only a submit's or a tick's trace id crosses the wire.
-            let command = |trace, command| RequestFrame::Command {
-                request_id,
-                trace,
-                command,
-            };
+            let apply = |trace, command| PartitionRequest::Apply { trace, command };
             match kind {
-                0 => command(trace, PartitionCommand::Submit(events)),
-                1 => command(trace, PartitionCommand::Tick { now: w }),
+                0 => apply(trace, PartitionCommand::Submit(events)),
+                1 => apply(trace, PartitionCommand::Tick { now: w }),
                 // The angle as written, not normalised: decoding must not
                 // touch it (admission does, later).
-                2 => command(
+                2 => apply(
                     0,
                     PartitionCommand::Answer {
                         worker: worker_id,
@@ -123,34 +119,46 @@ fn request() -> impl Strategy<Value = RequestFrame> {
                         },
                     },
                 ),
-                3 => command(0, PartitionCommand::Release { worker: worker_id }),
-                4 => RequestFrame::Assignments { request_id },
-                5 => RequestFrame::Snapshot { request_id },
-                6 => RequestFrame::IsActive { request_id },
-                7 => RequestFrame::HasWorker {
-                    request_id,
-                    worker: worker_id,
-                },
-                8 => RequestFrame::Drain { request_id },
-                9 => RequestFrame::Shutdown { request_id },
-                10 => RequestFrame::ReplBootstrap { request_id },
+                3 => apply(0, PartitionCommand::Release { worker: worker_id }),
+                4 => PartitionRequest::Assignments,
+                5 => PartitionRequest::Snapshot,
+                6 => PartitionRequest::IsActive,
+                7 => PartitionRequest::HasWorker(worker_id),
+                8 => PartitionRequest::Drain,
+                _ => PartitionRequest::Shutdown,
+            }
+        })
+}
+
+/// A partition request on ten of sixteen draws, so every request tag is
+/// drawn alike.
+fn request() -> impl Strategy<Value = RequestFrame> {
+    (
+        0u32..16,
+        0u64..=u64::MAX,
+        partition_request(),
+        0u64..=u64::MAX,
+        0u32..=u32::MAX,
+        text(),
+    )
+        .prop_map(|(kind, request_id, partition, lsn, max, configure)| {
+            let body = match kind {
+                0..=9 => RequestBody::Partition(partition),
+                10 => RequestBody::ReplBootstrap,
                 // Lsns are u64 on the wire: values above 2^53 (which a JSON
                 // number could not hold exactly) must survive bit for bit.
-                11 => RequestFrame::ReplFetch {
-                    request_id,
-                    from: trace | (1 << 60),
-                    ack: trace | (1 << 59),
-                    max: worker,
+                11 => RequestBody::ReplFetch {
+                    from: lsn | (1 << 60),
+                    ack: lsn | (1 << 59),
+                    max,
                 },
-                12 => RequestFrame::ReplStatus { request_id },
-                13 => RequestFrame::ReplPromote { request_id },
-                14 => RequestFrame::Hello { request_id },
+                12 => RequestBody::ReplStatus,
+                13 => RequestBody::ReplPromote,
+                14 => RequestBody::Hello,
                 // The configure text is opaque to the codec: any string.
-                _ => RequestFrame::Configure {
-                    request_id,
-                    configure,
-                },
-            }
+                _ => RequestBody::Configure(configure),
+            };
+            RequestFrame { request_id, body }
         })
 }
 
@@ -275,68 +283,45 @@ fn reply() -> impl Strategy<Value = ReplyFrame> {
     )
         .prop_map(
             |((kind, request_id, events, yes, status), detail, assignments, tick, snap)| {
-                let applied = |outcome| ReplyFrame::Applied {
-                    request_id,
-                    outcome,
-                };
-                match kind {
+                let partition = ReplyBody::Partition;
+                let applied = |outcome| partition(PartitionReply::Applied(outcome));
+                let body = match kind {
                     0 => applied(CommandOutcome::Submitted { events }),
                     1 => applied(CommandOutcome::Ticked(Box::new(tick))),
                     2 => applied(CommandOutcome::Answered { banked: yes }),
                     3 => applied(CommandOutcome::Released),
-                    4 => ReplyFrame::AssignmentsOk {
-                        request_id,
-                        assignments,
-                    },
-                    5 => ReplyFrame::SnapshotOk {
-                        request_id,
-                        snapshot: Box::new(snap),
-                    },
-                    6 => ReplyFrame::ActiveOk {
-                        request_id,
-                        active: yes,
-                    },
-                    7 => ReplyFrame::HasWorkerOk {
-                        request_id,
-                        present: yes,
-                    },
-                    8 => ReplyFrame::DrainOk { request_id },
-                    9 => ReplyFrame::ShutdownOk { request_id },
+                    4 => partition(PartitionReply::Assignments(assignments)),
+                    5 => partition(PartitionReply::Snapshot(Box::new(snap))),
+                    6 => partition(PartitionReply::Active(yes)),
+                    7 => partition(PartitionReply::HasWorker(yes)),
+                    8 => partition(PartitionReply::Drained),
+                    9 => partition(PartitionReply::ShutDown),
                     // Shipped records are opaque bytes and lsns full u64s.
-                    10 => ReplyFrame::ReplFetchOk {
-                        request_id,
+                    10 => ReplyBody::ReplFetch {
                         next_lsn: request_id | (1 << 60),
                         records: vec![
                             (request_id | (1 << 59), detail.clone().into_bytes()),
                             (u64::MAX, Vec::new()),
                         ],
                     },
-                    11 => ReplyFrame::ReplPromoteOk {
-                        request_id,
+                    11 => ReplyBody::ReplPromote {
                         digest: !request_id,
                         applied: request_id | (1 << 58),
                     },
                     // Region and version are full u32s; the flags vary
                     // apart from each other.
-                    12 => ReplyFrame::HelloOk {
-                        request_id,
-                        hello: Hello {
-                            protocol_version: events,
-                            region_index: yes.then_some(events.rotate_left(7)),
-                            draining: status % 2 == 1,
-                            standby: status % 4 >= 2,
-                        },
-                    },
-                    13 => ReplyFrame::ConfigureOk {
-                        request_id,
+                    12 => ReplyBody::Hello(Hello {
+                        protocol_version: events,
+                        region_index: yes.then_some(events.rotate_left(7)),
+                        draining: status % 2 == 1,
+                        standby: status % 4 >= 2,
+                    }),
+                    13 => ReplyBody::Configure {
                         already_configured: yes,
                     },
-                    _ => ReplyFrame::Error {
-                        request_id,
-                        status,
-                        detail,
-                    },
-                }
+                    _ => ReplyBody::Error { status, detail },
+                };
+                ReplyFrame { request_id, body }
             },
         )
 }
@@ -354,8 +339,8 @@ proptest! {
         prop_assert_eq!(wire[2], FRAME_VERSION);
 
         let raw = read_back(&wire).unwrap().expect("one frame");
-        prop_assert_eq!(raw.tag, request.tag() as u8);
-        prop_assert_eq!(raw.request_id, request.request_id());
+        prop_assert_eq!(raw.tag, request.body.tag() as u8);
+        prop_assert_eq!(raw.request_id, request.request_id);
         let decoded = RequestFrame::decode(&raw).unwrap();
         prop_assert_eq!(decoded, request);
 
@@ -371,8 +356,8 @@ proptest! {
         let mut wire = Vec::new();
         reply.write_to(&mut wire).unwrap();
         let raw = read_back(&wire).unwrap().expect("one frame");
-        prop_assert_eq!(raw.tag, reply.tag());
-        prop_assert_eq!(raw.request_id, reply.request_id());
+        prop_assert_eq!(raw.tag, reply.body.tag());
+        prop_assert_eq!(raw.request_id, reply.request_id);
         let decoded = ReplyFrame::decode(&raw).unwrap();
         prop_assert_eq!(decoded, reply);
     }
@@ -386,10 +371,12 @@ proptest! {
         trace in 0u64..=u64::MAX,
         bits in 0u64..=u64::MAX,
     ) {
-        let request = RequestFrame::Command {
+        let request = RequestFrame {
             request_id,
-            trace,
-            command: PartitionCommand::Tick { now: f64::from_bits(bits) },
+            body: RequestBody::Partition(PartitionRequest::Apply {
+                trace,
+                command: PartitionCommand::Tick { now: f64::from_bits(bits) },
+            }),
         };
         let mut wire = Vec::new();
         request.write_to(&mut wire).unwrap();
@@ -509,10 +496,9 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
         .unwrap(),
     );
     let mut conn = FrameConn::new(daemon.addr(), Duration::from_secs(5));
-    let command = |request_id, command| RequestFrame::Command {
+    let command = |request_id, command| RequestFrame {
         request_id,
-        trace: 0,
-        command,
+        body: RequestBody::Partition(PartitionRequest::Apply { trace: 0, command }),
     };
 
     let task = Task::new(TaskId(1), Point::new(0.4, 0.5), TimeWindow::new(0.0, 5.0).unwrap());
@@ -531,12 +517,12 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
     let reply = conn.exchange(&command(1, PartitionCommand::Submit(good))).unwrap();
     let submitted = CommandOutcome::Submitted { events: 2 };
     assert!(
-        matches!(&reply, ReplyFrame::Applied { outcome, .. } if *outcome == submitted),
+        matches!(&reply, ReplyBody::Partition(PartitionReply::Applied(outcome)) if *outcome == submitted),
         "{reply:?}"
     );
     // Commit the worker, so an admitted answer for it *would* change state.
     let reply = conn.exchange(&command(2, PartitionCommand::Tick { now: 0.0 })).unwrap();
-    let ReplyFrame::Applied { outcome: CommandOutcome::Ticked(tick), .. } = reply else {
+    let ReplyBody::Partition(PartitionReply::Applied(CommandOutcome::Ticked(tick))) = reply else {
         panic!("tick reply: {reply:?}");
     };
     assert_eq!(tick.committed, [WorkerId(1)]);
@@ -575,7 +561,7 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
         let reply = conn
             .exchange(&command(10 + i as u64, hostile))
             .expect("a refused command is a reply, not a dropped connection");
-        let ReplyFrame::Error { status, detail, .. } = reply else {
+        let ReplyBody::Error { status, detail } = reply else {
             panic!("hostile command {i} was accepted: {reply:?}");
         };
         assert_eq!(status, 400, "{detail}");
@@ -610,10 +596,10 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
         raw_conn.write_all(&wire).unwrap();
         let raw = frame::read_raw(&mut replies, MAX_PAYLOAD).unwrap().expect("a reply");
         let reply = ReplyFrame::decode(&raw).unwrap();
-        let ReplyFrame::Error { status, detail, .. } = &reply else {
+        let ReplyBody::Error { status, detail } = &reply.body else {
             panic!("patched {request:?} was accepted: {reply:?}");
         };
-        assert_eq!((*status, reply.request_id()), (400, request.request_id()), "{detail}");
+        assert_eq!((*status, reply.request_id), (400, request.request_id), "{detail}");
         assert!(detail.contains("confidence"), "{detail}");
         assert_eq!(snapshot_digest(daemon.addr()), before, "patched {request:?}");
     }
@@ -621,14 +607,15 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
     // Both connections survived all of it — and what admission passes is
     // normalised before it is applied: an answer at angle −1 banks, and
     // lands in [0, 2π).
-    RequestFrame::IsActive { request_id: 100 }.write_to(&mut raw_conn).unwrap();
+    let is_active = RequestBody::Partition(PartitionRequest::IsActive);
+    RequestFrame { request_id: 100, body: is_active }.write_to(&mut raw_conn).unwrap();
     let raw = frame::read_raw(&mut replies, MAX_PAYLOAD).unwrap().expect("a reply");
-    let reply = ReplyFrame::decode(&raw).unwrap();
-    assert!(matches!(reply, ReplyFrame::ActiveOk { active: true, .. }), "{reply:?}");
+    let reply = ReplyFrame::decode(&raw).unwrap().body;
+    assert!(matches!(reply, ReplyBody::Partition(PartitionReply::Active(true))), "{reply:?}");
     let reply = conn.exchange(&command(101, answer_at(-1.0))).unwrap();
     let banked = CommandOutcome::Answered { banked: true };
     assert!(
-        matches!(&reply, ReplyFrame::Applied { outcome, .. } if *outcome == banked),
+        matches!(&reply, ReplyBody::Partition(PartitionReply::Applied(outcome)) if *outcome == banked),
         "{reply:?}"
     );
     assert_ne!(snapshot_digest(daemon.addr()), before);

@@ -10,7 +10,7 @@ use rdbsc_cluster::{CellRange, RegionPartition};
 use rdbsc_geo::{Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_platform::EngineConfig;
-use rdbsc_server::frame::{read_raw, ReplyFrame};
+use rdbsc_server::frame::{read_raw, ReplyBody, ReplyFrame};
 use rdbsc_server::json::parse;
 use rdbsc_server::protocol::{ConfigureDto, EngineConfigDto, Hello, RoutingTableDto};
 
@@ -124,14 +124,14 @@ proptest! {
         draining_pick in 0u32..2,
         standby_pick in 0u32..2,
     ) {
-        let reply = ReplyFrame::HelloOk {
+        let reply = ReplyFrame {
             request_id,
-            hello: Hello {
+            body: ReplyBody::Hello(Hello {
                 protocol_version: version,
                 region_index: (configured_pick == 1).then_some(region),
                 draining: draining_pick == 1,
                 standby: standby_pick == 1,
-            },
+            }),
         };
         let mut wire = Vec::new();
         reply.write_to(&mut wire).unwrap();

@@ -12,7 +12,7 @@ use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
 use rdbsc_platform::{
     AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, WalConfig,
 };
-use rdbsc_server::frame::{ReplyFrame, RequestFrame};
+use rdbsc_server::frame::{ReplyBody, RequestBody, RequestFrame};
 use rdbsc_server::{
     connect_remote_partition, FrameConn, HttpClient, Json, Server, ServerConfig, ServerError,
 };
@@ -323,14 +323,14 @@ fn a_configure_json_naming_a_backend_still_boots_and_takes_the_re_push() {
         let mut rebooted = DaemonProcess::spawn(&["--data-dir", dir_arg]);
         assert_eq!(remote_digest(rebooted.addr), digest, "backend {named:?}");
         let mut conn = FrameConn::new(rebooted.addr, Duration::from_secs(5));
-        let repush = RequestFrame::Configure {
+        let repush = RequestFrame {
             request_id: 1,
-            configure: pushed.to_string_compact(),
+            body: RequestBody::Configure(pushed.to_string_compact()),
         };
         match conn.exchange(&repush).unwrap() {
-            ReplyFrame::ConfigureOk {
-                already_configured, ..
-            } => assert!(already_configured, "backend {named:?}"),
+            ReplyBody::Configure { already_configured } => {
+                assert!(already_configured, "backend {named:?}")
+            }
             other => panic!("re-push refused: {other:?}"),
         }
         assert_eq!(std::fs::read_to_string(&persisted).unwrap(), canonical);
