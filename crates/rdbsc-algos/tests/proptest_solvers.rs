@@ -188,6 +188,51 @@ fn deep_prior_spec() -> impl Strategy<Value = PriorSpec> {
         })
 }
 
+/// [`deep_prior_instance`] in the paper's confidence range: every worker's
+/// `p` is moved into `[0.9, 1]`.
+fn paper_range_instance() -> impl Strategy<Value = ProblemInstance> {
+    deep_prior_instance().prop_map(|mut instance| {
+        for worker in &mut instance.workers {
+            worker.confidence = Confidence::new(0.9 + 0.1 * worker.confidence.value()).unwrap();
+        }
+        instance
+    })
+}
+
+/// A contribution in the paper's confidence range: `p` in `[0.9, 1)` or
+/// exactly 0 or 1, the angle on an eight-ray lattice or anywhere, and the
+/// arrival on a lattice through both ends of `[0, 10]` or anywhere in
+/// `[-3, 13]`.
+fn paper_range_contribution() -> impl Strategy<Value = Contribution> {
+    (0u8..4, 0.9f64..1.0, 0u8..2, 0u8..8, 0.0f64..TAU, 0u8..2, 0u8..6, -3.0f64..13.0).prop_map(
+        |(p_sel, p, a_sel, a_lattice, a, t_sel, t_lattice, t)| {
+            let p = [0.0, 1.0, p, p][usize::from(p_sel)];
+            let angle = if a_sel == 0 { f64::from(a_lattice) * TAU / 8.0 } else { a };
+            let arrival = if t_sel == 0 { f64::from(t_lattice) * 2.0 } else { t };
+            Contribution::new(Confidence::new(p).unwrap(), angle, arrival)
+        },
+    )
+}
+
+/// 16–80 banked answers in the paper's confidence range, all on one task
+/// of the instance: angles and arrivals on coarse lattices, so they repeat.
+fn paper_range_prior_spec() -> impl Strategy<Value = PriorSpec> {
+    (
+        0.0f64..1.0,
+        proptest::collection::vec((0u8..4, 0.9f64..1.0, 0u8..8, 0u8..11), 16..=80),
+    )
+        .prop_map(|(selector, entries)| {
+            let entries = entries
+                .into_iter()
+                .map(|(p_sel, p, angle, arrival)| {
+                    let p = [0.0, 1.0, p, p][usize::from(p_sel)];
+                    (selector, p, f64::from(angle) * TAU / 8.0, f64::from(arrival))
+                })
+                .collect();
+            (true, entries)
+        })
+}
+
 fn build_priors(instance: &ProblemInstance, spec: &PriorSpec) -> Option<TaskPriors> {
     let (with_priors, entries) = spec;
     with_priors.then(|| {
@@ -452,16 +497,68 @@ proptest! {
         instance in deep_prior_instance(),
         spec in deep_prior_spec(),
     ) {
-        let candidates = compute_valid_pairs(&instance);
-        let priors = build_priors(&instance, &spec);
-        let request = request_with(&instance, &candidates, &priors);
-        for use_pruning in [true, false] {
-            let config = GreedyConfig { use_pruning };
+        check_greedy_through_priors(&instance, &spec)?;
+    }
+
+    /// [`greedy_matches_its_reference_through_deep_priors`] in the paper's
+    /// confidence range, with one task 16–80 banked answers deep: GREEDY
+    /// prices its candidates over walks that stop on negligible tails, the
+    /// reference over walks that run to the end.
+    #[test]
+    fn greedy_matches_its_reference_through_paper_range_priors(
+        instance in paper_range_instance(),
+        spec in paper_range_prior_spec(),
+    ) {
+        check_greedy_through_priors(&instance, &spec)?;
+    }
+
+    /// The shipped kernels return the bits of the references, which walk
+    /// every term, on paper-range sets of 16–80 workers, where the shipped
+    /// walks stop on negligible tails: `E[SD]` alone (β = 1), `E[TD]` alone
+    /// (β = 0), both, and `BasePlusOne` on the set less its last worker.
+    #[test]
+    fn kernels_match_their_references_at_paper_depth(
+        set in proptest::collection::vec(paper_range_contribution(), 16..=80),
+        beta in 0.0f64..1.0,
+    ) {
+        use reference::kernels;
+        let window = TimeWindow::new(0.0, 10.0).unwrap();
+        let (extra, base) = set.split_last().unwrap();
+        let mut recorded = BasePlusOne::default();
+        for beta in [0.0, 0.5, 1.0, beta] {
+            let full = kernels::expected_std(&set, window, beta);
+            prop_assert_eq!(expected_std(&set, window, beta).to_bits(), full.to_bits(), "beta={}", beta);
+            recorded.record(base, window, beta);
             prop_assert_eq!(
-                committed(&greedy(&request, &config)),
-                committed(&reference::greedy(&request, &config)),
-                "use_pruning={}, {} pairs", use_pruning, candidates.num_pairs()
+                recorded.value().to_bits(),
+                kernels::expected_std(base, window, beta).to_bits(),
+                "beta={}", beta
+            );
+            prop_assert_eq!(
+                recorded.plus_one(extra, &mut ExpectedScratch::default()).to_bits(),
+                full.to_bits(),
+                "beta={}", beta
             );
         }
     }
+}
+
+/// GREEDY commits what its pre-rewrite body commits on `instance` with the
+/// banked answers of `spec`, with the Lemma 4.3 pre-filter on and off.
+fn check_greedy_through_priors(
+    instance: &ProblemInstance,
+    spec: &PriorSpec,
+) -> Result<(), TestCaseError> {
+    let candidates = compute_valid_pairs(instance);
+    let priors = build_priors(instance, spec);
+    let request = request_with(instance, &candidates, &priors);
+    for use_pruning in [true, false] {
+        let config = GreedyConfig { use_pruning };
+        prop_assert_eq!(
+            committed(&greedy(&request, &config)),
+            committed(&reference::greedy(&request, &config)),
+            "use_pruning={}, {} pairs", use_pruning, candidates.num_pairs()
+        );
+    }
+    Ok(())
 }

@@ -58,6 +58,65 @@
 //! `O(r²)` additions and multiplications but only `O(r)` logarithms plus
 //! one per arc whose bits moved, against `O(r²)` logarithms for a full
 //! evaluation.
+//!
+//! A record may be truncated: the base walk stopped early (see *Negligible
+//! tails*), and the extended walk goes further. An unrecorded term's
+//! entropy is then computed in place. Its arc or length is the base's by the
+//! cases above, so `entropy_term` gives the bits the record would hold.
+//!
+//! # Negligible tails
+//!
+//! A walk — from ray `j` in `E[SD]`, or from arrival `j` along a pair row
+//! of `E[TD]` with its end term `[arrival_j, end]` — stops once the rest of
+//! it provably cannot move the running sum `E`. After each step it asks
+//! whether `2·fl(p_j·absent) < g`, where `g = |E| − pred(|E|)` is the
+//! spacing of the floats just below `|E|` (`pred(0)` is the negative
+//! smallest subnormal, so `g = 2⁻¹⁰⁷⁴` when `E` is 0 or subnormal). If so,
+//! every later term `t` rounds away (`fl(E + t) = E`), and stopping returns
+//! the bits of the full walk:
+//!
+//! 1. *Probabilities only shrink.* A later term's probability is
+//!    `prob′ = fl(fl(p_j·p_k)·absent′)`, rounded as the kernel forms it.
+//!    Every factor `fl(1 − p)` lies in `[0, 1]`, so `absent′ ≤ absent`;
+//!    `p_k ≤ 1` gives `fl(p_j·p_k) ≤ p_j`; and rounding is monotone, so
+//!    `prob′ ≤ fl(p_j·absent) =: B`. The end term's `fl(p_j·absent′)` is
+//!    bounded the same way. With `p_k = 1`, `absent` is exactly 0 and every
+//!    later term has probability 0. A walk from `p_j = 0` has nothing but
+//!    zero-probability terms, so it is not started at all.
+//! 2. *Entropies are below 1/2 in magnitude.* `entropy_term(f)` is 0 for
+//!    `f ≤ 0` and at most `1/e` plus rounding on `(0, 1]`. A `TD` fraction
+//!    is at most 1: both ends lie in the window, so `fl(b − a) ≤ fl(end −
+//!    start)`. (An infinite or NaN duration makes every fraction 0 or NaN:
+//!    `E` stays 0, which stops a walk only where every later probability is
+//!    0, or turns NaN, which stops nothing.) An `SD` arc is a float sum of
+//!    at most `r` gaps, and the gaps are themselves rounded. The exact arc
+//!    is at most `2π`, so `f < 1 + (r + 6)·2⁻⁵³`, far below `5/4`. Such an
+//!    `f` just above 1 (a full turn less a zero gap, rounded up) gives a
+//!    slightly *negative* entropy, `−f·ln f`, of magnitude below
+//!    `f·(f − 1)`. The arc bound needs every ray in `[0, 2π)`, which
+//!    `Contribution::new` guarantees; a set with a ray outside (only a
+//!    hand-built `Contribution` has one) is walked in full.
+//! 3. *Such a term cannot move `E`.* With `B > 0`, `prob′·|entropy| <
+//!    B/2 < g/4`. `g` is a power of two: when `g ≥ 2⁻¹⁰⁷²`, `g/4` is
+//!    a float and monotone rounding gives `|t| ≤ g/4`; when `g = 2⁻¹⁰⁷³`
+//!    the product is below half the smallest subnormal and rounds to 0;
+//!    when `g = 2⁻¹⁰⁷⁴`, `2B < g` forces `B = 0`, so every later term has
+//!    probability 0 and is skipped. The floats next to `E` lie at least `g`
+//!    away on both sides (at a power of two the spacing above is `2g`), so
+//!    `|t| < g/2` rounds `E + t` back to `E`, with no tie to break.
+//!    By induction `E` keeps its bits to the end of the walk. The next walk
+//!    starts from the same `E`, so the whole sum keeps its bits. An
+//!    infinite `E` absorbs every finite term, and a NaN one never stops a
+//!    walk.
+//!
+//! The question is asked only once `absent` is below `TAIL_START`, 2⁻⁵⁰.
+//! That decides when the rule is checked, never what it answers. Below a
+//! sum of 16, `g ≤ 2⁻⁴⁹`, so no walk stops before `p_j·absent < 2⁻⁵⁰`: for
+//! the confident workers of the paper (`p_j` near 1) the gate costs at most
+//! a step, and every step before it pays one comparison and no more. In the
+//! paper's confidence range `(0.9, 1)`, `absent` shrinks by 10× or more a
+//! step, and a walk over a sum near 1 stops after 13–17 steps, whatever `r`
+//! is.
 
 use crate::diversity::entropy_term;
 use crate::task::TimeWindow;
@@ -68,6 +127,26 @@ use std::cmp::Ordering;
 /// Worker sets up to this size are evaluated on a stack buffer by the
 /// allocating wrappers.
 const STACK_WORKERS: usize = 16;
+
+/// `absent` below which a walk asks whether its tail still counts (see
+/// *Negligible tails*): `2⁻⁵⁰`.
+const TAIL_START: f64 = 1.0 / (1u64 << 50) as f64;
+
+/// [`TAIL_START`] for the walks over `rays` sorted by angle, or 0 (never ask)
+/// unless every ray lies in `[0, 2π)`.
+fn sd_tail_start(rays: &[(f64, f64)]) -> f64 {
+    match (rays.first(), rays.last()) {
+        (Some(&(first, _)), Some(&(last, _))) if first >= 0.0 && last < FULL_TURN => TAIL_START,
+        _ => 0.0,
+    }
+}
+
+/// Whether no later term of a walk can move `expectation`: `bound` is
+/// `p_j · absent` after the current step (see *Negligible tails*).
+fn tail_rounds_away(bound: f64, expectation: f64) -> bool {
+    let e = expectation.abs();
+    bound + bound < e - e.next_down()
+}
 
 /// Reusable buffers of the expected-diversity kernels. Contents between
 /// calls are meaningless; only the capacity is kept.
@@ -144,23 +223,29 @@ fn sd_kernel(contributions: &[Contribution], keyed: &mut [(f64, f64)], gaps: &mu
         *gap = ray_gap(keyed, x);
     }
 
+    let tail = sd_tail_start(keyed);
     let mut expectation = 0.0;
     for j in 0..r {
-        // Walk counter-clockwise from ray j; `absent` accumulates the
-        // probability that all rays strictly between j and the current k fail.
-        let mut absent = 1.0;
-        let mut arc = 0.0;
-        let mut k = j;
-        for _ in 1..r {
-            arc += gaps[k];
-            k = if k + 1 == r { 0 } else { k + 1 };
-            let prob = keyed[j].1 * keyed[k].1 * absent;
-            if prob > 0.0 {
-                expectation += prob * entropy_term(arc / FULL_TURN);
-            }
-            absent *= 1.0 - keyed[k].1;
-            if absent == 0.0 && keyed[j].1 == 0.0 {
-                break;
+        let p_j = keyed[j].1;
+        // No term of a walk from `p = 0` has a positive probability.
+        if p_j > 0.0 {
+            // Walk counter-clockwise from ray j; `absent` accumulates the
+            // probability that all rays strictly between j and the current k
+            // fail.
+            let mut absent = 1.0;
+            let mut arc = 0.0;
+            let mut k = j;
+            for _ in 1..r {
+                arc += gaps[k];
+                k = if k + 1 == r { 0 } else { k + 1 };
+                let prob = p_j * keyed[k].1 * absent;
+                if prob > 0.0 {
+                    expectation += prob * entropy_term(arc / FULL_TURN);
+                }
+                absent *= 1.0 - keyed[k].1;
+                if absent < tail && tail_rounds_away(p_j * absent, expectation) {
+                    break;
+                }
             }
         }
     }
@@ -201,20 +286,29 @@ fn td_kernel(contributions: &[Contribution], window: TimeWindow, keyed: &mut [(f
     // right by the window end.
     for j in 0..r {
         let (arrival_j, p_j) = keyed[j];
-        let mut absent = 1.0;
-        for &(arrival_k, p_k) in &keyed[j + 1..] {
-            let length = arrival_k - arrival_j;
-            let prob = p_j * p_k * absent;
-            if prob > 0.0 {
-                expectation += prob * entropy_term(length / duration);
+        // No term of a row from `p = 0` has a positive probability.
+        if p_j > 0.0 {
+            let mut absent = 1.0;
+            'walk: {
+                for &(arrival_k, p_k) in &keyed[j + 1..] {
+                    let length = arrival_k - arrival_j;
+                    let prob = p_j * p_k * absent;
+                    if prob > 0.0 {
+                        expectation += prob * entropy_term(length / duration);
+                    }
+                    absent *= 1.0 - p_k;
+                    if absent < TAIL_START && tail_rounds_away(p_j * absent, expectation) {
+                        break 'walk;
+                    }
+                }
+                // [arrival_j, end] exists when j succeeds and every later
+                // worker fails.
+                let length = window.end - arrival_j;
+                let prob = p_j * absent;
+                if prob > 0.0 {
+                    expectation += prob * entropy_term(length / duration);
+                }
             }
-            absent *= 1.0 - p_k;
-        }
-        // [arrival_j, end] exists when j succeeds and every later worker fails.
-        let length = window.end - arrival_j;
-        let prob = p_j * absent;
-        if prob > 0.0 {
-            expectation += prob * entropy_term(length / duration);
         }
     }
     expectation
@@ -289,19 +383,26 @@ pub struct BasePlusOne {
     value: f64,
     /// `(angle, p)` per worker, sorted by angle.
     rays: Vec<(f64, f64)>,
-    /// Row `j` holds the entropy of steps `1..r` of the walk from ray `j`.
-    /// Rows of rays with `p = 0`, and the entropy of a term whose
-    /// probability is not positive, are not recorded (and never read).
+    /// Row `j`, `sd_entropy[sd_rows[j]..sd_rows[j + 1]]`, holds the entropy
+    /// of the steps from `1` on of the walk from ray `j`, as far as the walk
+    /// went. Rows of rays with `p = 0` are empty. A term whose probability is
+    /// not positive holds 0, which is never read.
     sd_entropy: Vec<f64>,
+    /// Where each row of `sd_entropy` starts, and one past the last row.
+    sd_rows: Vec<usize>,
     /// Raw arrivals, sorted: where an extra worker sorts in.
     arrivals: Vec<f64>,
     /// `(arrival clamped into the window, p)` per worker, in arrival order.
     times: Vec<(f64, f64)>,
     /// The entropy of `[start, arrival_k]` per worker.
     td_left: Vec<f64>,
-    /// Row `j` holds the entropy of `[arrival_j, arrival_k]` for every
-    /// `k > j`, then that of `[arrival_j, end]`.
-    td_rows: Vec<f64>,
+    /// Row `j`, `td_pairs[td_rows[j]..td_rows[j + 1]]`, holds the entropy of
+    /// `[arrival_j, arrival_k]` for every `k > j`, then that of
+    /// `[arrival_j, end]`, as far as the walk went. Rows of workers with
+    /// `p = 0` are empty.
+    td_pairs: Vec<f64>,
+    /// Where each row of `td_pairs` starts, and one past the last row.
+    td_rows: Vec<usize>,
 }
 
 impl Default for BasePlusOne {
@@ -316,9 +417,11 @@ impl Default for BasePlusOne {
             value: 0.0,
             rays: Vec::new(),
             sd_entropy: Vec::new(),
+            sd_rows: Vec::new(),
             arrivals: Vec::new(),
             times: Vec::new(),
             td_left: Vec::new(),
+            td_pairs: Vec::new(),
             td_rows: Vec::new(),
         }
     }
@@ -368,34 +471,42 @@ impl BasePlusOne {
     fn record_sd(&mut self, base: &[Contribution]) -> f64 {
         let r = base.len();
         let Self {
-            rays, sd_entropy, ..
+            rays,
+            sd_entropy,
+            sd_rows,
+            ..
         } = self;
         rays.resize(r, (0.0, 0.0));
         sort_by_key(base, rays, |c| c.angle);
-        if r < 2 {
-            return 0.0;
-        }
-        sd_entropy.resize(r * (r - 1), 0.0);
+        sd_entropy.clear();
+        sd_rows.clear();
+        sd_rows.push(0);
+        let tail = sd_tail_start(rays);
         let mut expectation = 0.0;
-        for (j, row) in sd_entropy.chunks_exact_mut(r - 1).enumerate() {
+        for j in 0..r {
             let p_j = rays[j].1;
-            if p_j == 0.0 {
-                // No term of this walk has a positive probability.
-                continue;
-            }
-            let mut absent = 1.0;
-            let mut arc = 0.0;
-            let mut k = j;
-            for entropy in row {
-                arc += ray_gap(rays, k);
-                k = if k + 1 == r { 0 } else { k + 1 };
-                let prob = p_j * rays[k].1 * absent;
-                if prob > 0.0 {
-                    *entropy = entropy_term(arc / FULL_TURN);
-                    expectation += prob * *entropy;
+            // No term of a walk from `p = 0` has a positive probability.
+            if p_j > 0.0 {
+                let mut absent = 1.0;
+                let mut arc = 0.0;
+                let mut k = j;
+                for _ in 1..r {
+                    arc += ray_gap(rays, k);
+                    k = if k + 1 == r { 0 } else { k + 1 };
+                    let prob = p_j * rays[k].1 * absent;
+                    let mut entropy = 0.0;
+                    if prob > 0.0 {
+                        entropy = entropy_term(arc / FULL_TURN);
+                        expectation += prob * entropy;
+                    }
+                    sd_entropy.push(entropy);
+                    absent *= 1.0 - rays[k].1;
+                    if absent < tail && tail_rounds_away(p_j * absent, expectation) {
+                        break;
+                    }
                 }
-                absent *= 1.0 - rays[k].1;
             }
+            sd_rows.push(sd_entropy.len());
         }
         expectation
     }
@@ -421,46 +532,57 @@ impl BasePlusOne {
             *gap = ray_gap(rays, x);
         }
 
+        let tail = sd_tail_start(rays);
         let mut expectation = 0.0;
         for j in 0..n {
             let p_j = rays[j].1;
-            if p_j == 0.0 {
-                continue;
-            }
-            // The base walk from this ray (none from `extra`), and the step
-            // at which this walk reaches `extra` (0 for `extra`'s own).
-            let row = if j == q {
-                &[][..]
-            } else {
-                let base_j = j - usize::from(j > q);
-                &self.sd_entropy[base_j * (r - 1)..(base_j + 1) * (r - 1)]
-            };
-            let reach = (q + n - j) % n;
-            let mut absent = 1.0;
-            let mut arc = 0.0;
-            // Past `extra`: the base walk's arc to the ray this step reaches.
-            let mut shorter = 0.0;
-            let mut k = j;
-            for step in 1..n {
-                if step == reach {
-                    shorter = arc + crossed;
-                }
-                arc += gaps[k];
-                k = if k + 1 == n { 0 } else { k + 1 };
-                let prob = p_j * rays[k].1 * absent;
-                if prob > 0.0 {
-                    let entropy = if step < reach {
-                        row[step - 1]
-                    } else if step > reach && reach > 0 && arc.to_bits() == shorter.to_bits() {
-                        row[step - 2]
-                    } else {
-                        entropy_term(arc / FULL_TURN)
-                    };
-                    expectation += prob * entropy;
-                }
-                absent *= 1.0 - rays[k].1;
-                if step > reach {
-                    shorter += gaps[k];
+            // No term of a walk from `p = 0` has a positive probability.
+            if p_j > 0.0 {
+                // The base walk from this ray as far as it went (none from
+                // `extra`), and the step at which this walk reaches `extra`
+                // (0 for `extra`'s own).
+                let row = if j == q {
+                    &[][..]
+                } else {
+                    let base_j = j - usize::from(j > q);
+                    &self.sd_entropy[self.sd_rows[base_j]..self.sd_rows[base_j + 1]]
+                };
+                let reach = (q + n - j) % n;
+                let mut absent = 1.0;
+                let mut arc = 0.0;
+                // Past `extra`: the base walk's arc to the ray this step
+                // reaches.
+                let mut shorter = 0.0;
+                let mut k = j;
+                for step in 1..n {
+                    if step == reach {
+                        shorter = arc + crossed;
+                    }
+                    arc += gaps[k];
+                    k = if k + 1 == n { 0 } else { k + 1 };
+                    let prob = p_j * rays[k].1 * absent;
+                    if prob > 0.0 {
+                        let recorded = if step < reach {
+                            row.get(step - 1)
+                        } else if step > reach && reach > 0 && arc.to_bits() == shorter.to_bits()
+                        {
+                            row.get(step - 2)
+                        } else {
+                            None
+                        };
+                        let entropy = match recorded {
+                            Some(&entropy) => entropy,
+                            None => entropy_term(arc / FULL_TURN),
+                        };
+                        expectation += prob * entropy;
+                    }
+                    absent *= 1.0 - rays[k].1;
+                    if step > reach {
+                        shorter += gaps[k];
+                    }
+                    if absent < tail && tail_rounds_away(p_j * absent, expectation) {
+                        break;
+                    }
                 }
             }
         }
@@ -478,6 +600,7 @@ impl BasePlusOne {
             arrivals,
             times,
             td_left,
+            td_pairs,
             td_rows,
             ..
         } = self;
@@ -489,11 +612,11 @@ impl BasePlusOne {
             slot.0 = window.clamp(slot.0);
         }
         let mut expectation = 0.0;
-        let mut term = |entropies: &mut Vec<f64>, prob: f64, length: f64| {
+        let term = |expectation: &mut f64, entropies: &mut Vec<f64>, prob: f64, length: f64| {
             let mut entropy = 0.0;
             if prob > 0.0 {
                 entropy = entropy_term(length / duration);
-                expectation += prob * entropy;
+                *expectation += prob * entropy;
             }
             entropies.push(entropy);
         };
@@ -501,17 +624,39 @@ impl BasePlusOne {
         td_left.clear();
         let mut absent = 1.0;
         for &(arrival, p) in times.iter() {
-            term(td_left, p * absent, arrival - window.start);
+            term(
+                &mut expectation,
+                td_left,
+                p * absent,
+                arrival - window.start,
+            );
             absent *= 1.0 - p;
         }
+        td_pairs.clear();
         td_rows.clear();
+        td_rows.push(0);
         for (j, &(arrival_j, p_j)) in times.iter().enumerate() {
-            let mut absent = 1.0;
-            for &(arrival_k, p_k) in &times[j + 1..] {
-                term(td_rows, p_j * p_k * absent, arrival_k - arrival_j);
-                absent *= 1.0 - p_k;
+            // No term of a row from `p = 0` has a positive probability.
+            if p_j > 0.0 {
+                let mut absent = 1.0;
+                'walk: {
+                    for &(arrival_k, p_k) in &times[j + 1..] {
+                        let prob = p_j * p_k * absent;
+                        term(&mut expectation, td_pairs, prob, arrival_k - arrival_j);
+                        absent *= 1.0 - p_k;
+                        if absent < TAIL_START && tail_rounds_away(p_j * absent, expectation) {
+                            break 'walk;
+                        }
+                    }
+                    term(
+                        &mut expectation,
+                        td_pairs,
+                        p_j * absent,
+                        window.end - arrival_j,
+                    );
+                }
             }
-            term(td_rows, p_j * absent, window.end - arrival_j);
+            td_rows.push(td_pairs.len());
         }
         expectation
     }
@@ -549,38 +694,51 @@ impl BasePlusOne {
             absent *= 1.0 - p;
         }
 
-        let mut rows = self.td_rows.as_slice();
         for (j, &(arrival_j, p_j)) in times.iter().enumerate() {
-            // This worker's base row (none for `extra`): its pairs with every
-            // later worker, then its end.
-            let row = if j == q {
-                &[][..]
-            } else {
-                let (row, rest) = rows.split_at(r - (j - usize::from(j > q)));
-                rows = rest;
-                row
-            };
-            let mut absent = 1.0;
-            for (k, &(arrival_k, p_k)) in times.iter().enumerate().skip(j + 1) {
-                let prob = p_j * p_k * absent;
-                if prob > 0.0 {
-                    let entropy = if j == q || k == q {
-                        fresh(arrival_k - arrival_j)
-                    } else {
-                        // In base positions, `extra` is left out between j and k.
-                        row[k - j - 1 - usize::from(j < q && q < k)]
-                    };
-                    expectation += prob * entropy;
-                }
-                absent *= 1.0 - p_k;
-            }
-            let prob = p_j * absent;
-            if prob > 0.0 {
-                let entropy = match row.last() {
-                    Some(&end) => end,
-                    None => fresh(window.end - arrival_j),
+            // No term of a row from `p = 0` has a positive probability.
+            if p_j > 0.0 {
+                // This worker's base row as far as it went (none for
+                // `extra`): its pairs with every later worker, then, at
+                // `end_at`, its end.
+                let (row, end_at) = if j == q {
+                    (&[][..], 0)
+                } else {
+                    let base_j = j - usize::from(j > q);
+                    let row = &self.td_pairs[self.td_rows[base_j]..self.td_rows[base_j + 1]];
+                    (row, r - base_j - 1)
                 };
-                expectation += prob * entropy;
+                let mut absent = 1.0;
+                'walk: {
+                    for (k, &(arrival_k, p_k)) in times.iter().enumerate().skip(j + 1) {
+                        let prob = p_j * p_k * absent;
+                        if prob > 0.0 {
+                            let recorded = if j == q || k == q {
+                                None
+                            } else {
+                                // In base positions, `extra` is left out
+                                // between j and k.
+                                row.get(k - j - 1 - usize::from(j < q && q < k))
+                            };
+                            let entropy = match recorded {
+                                Some(&entropy) => entropy,
+                                None => fresh(arrival_k - arrival_j),
+                            };
+                            expectation += prob * entropy;
+                        }
+                        absent *= 1.0 - p_k;
+                        if absent < TAIL_START && tail_rounds_away(p_j * absent, expectation) {
+                            break 'walk;
+                        }
+                    }
+                    let prob = p_j * absent;
+                    if prob > 0.0 {
+                        let entropy = match row.get(end_at) {
+                            Some(&end) => end,
+                            None => fresh(window.end - arrival_j),
+                        };
+                        expectation += prob * entropy;
+                    }
+                }
             }
         }
         expectation
@@ -728,6 +886,121 @@ mod tests {
         let v = expected_std(&cs, window(), 0.5);
         assert!(v.is_finite());
         assert!(v > 0.0);
+    }
+
+    /// `r` workers in the paper's confidence range `(0.9, 1)`, with angles
+    /// and arrivals spread over the turn and the window.
+    fn paper_range_set(r: usize) -> Vec<Contribution> {
+        (0..r)
+            .map(|i| {
+                let p = 0.9 + 0.0997 * ((i * 17) % 41) as f64 / 41.0;
+                contribution(p, i as f64 * 0.157, (i * 7 % 40) as f64 * 0.25)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn negligible_tails_are_not_walked() {
+        // `absent` falls 10× or more a step, so every walk stops after a
+        // handful.
+        let r = 40;
+        let cs = paper_range_set(r);
+        let w = window();
+        let mut recorded = BasePlusOne::default();
+        recorded.record(&cs, w, 0.5);
+        assert_eq!(
+            recorded.value().to_bits(),
+            expected_std(&cs, w, 0.5).to_bits()
+        );
+        // Every walk is recorded as far as it went.
+        assert_eq!(recorded.sd_rows.len(), r + 1);
+        assert_eq!(recorded.td_rows.len(), r + 1);
+        let sd_steps = recorded.sd_entropy.len();
+        assert!(sd_steps < r * (r - 1) / 2, "{sd_steps} SD steps walked");
+        let td_steps = recorded.td_pairs.len();
+        assert!(td_steps < r * (r + 1) / 3, "{td_steps} TD steps walked");
+        // The extended sum reads the truncated record and computes what it
+        // lacks.
+        let extra = contribution(0.95, 2.0, 4.1);
+        let mut extended = cs.clone();
+        extended.push(extra);
+        assert_eq!(
+            recorded
+                .plus_one(&extra, &mut ExpectedScratch::default())
+                .to_bits(),
+            expected_std(&extended, w, 0.5).to_bits()
+        );
+    }
+
+    #[test]
+    fn rays_outside_the_turn_are_walked_in_full() {
+        // A ray outside `[0, 2π)` (only a hand-built `Contribution` has one)
+        // can make arcs many turns long and their entropies large: the
+        // bound fails, so no walk stops early.
+        let r = 40;
+        let mut cs = paper_range_set(r);
+        cs[0].angle = 100.0;
+        let mut recorded = BasePlusOne::default();
+        recorded.record(&cs, window(), 1.0);
+        assert_eq!(recorded.sd_entropy.len(), r * (r - 1));
+        assert_eq!(recorded.value().to_bits(), expected_sd(&cs).to_bits());
+    }
+
+    /// `record` with every row cut to at most `keep(len)` of its `len`
+    /// entries, as if each walk had stopped there.
+    fn cut_rows(recorded: &BasePlusOne, keep: fn(usize) -> usize) -> BasePlusOne {
+        let cut = |entries: &[f64], rows: &[usize]| {
+            let (mut kept, mut starts) = (Vec::new(), vec![0]);
+            for row in rows.windows(2) {
+                let len = row[1] - row[0];
+                kept.extend_from_slice(&entries[row[0]..row[0] + keep(len).min(len)]);
+                starts.push(kept.len());
+            }
+            (kept, starts)
+        };
+        let mut cut_record = recorded.clone();
+        (cut_record.sd_entropy, cut_record.sd_rows) = cut(&recorded.sd_entropy, &recorded.sd_rows);
+        (cut_record.td_pairs, cut_record.td_rows) = cut(&recorded.td_pairs, &recorded.td_rows);
+        cut_record
+    }
+
+    #[test]
+    fn a_record_cut_anywhere_answers_with_the_kernel_bits() {
+        // Where the extended walk goes further than the base walk went, it
+        // computes the missing entropies itself. Cutting every row shorter
+        // than its walk went forces that on most terms.
+        let w = window();
+        let mut sets = mixed_sets();
+        sets.push(paper_range_set(40));
+        let keeps: [fn(usize) -> usize; 3] = [|_| 0, |len| len / 2, |len| len.saturating_sub(1)];
+        let mut scratch = ExpectedScratch::default();
+        for cs in sets {
+            let (last, rest) = cs.split_last().unwrap();
+            let extras = [
+                (rest, *last),
+                (&cs[..], contribution(0.93, 0.0, -1.0)),
+                (&cs[..], contribution(0.97, 2.0 * PI - 1e-9, 12.0)),
+                (&cs[..], contribution(0.91, cs[1].angle, cs[1].arrival)),
+            ];
+            for (base, extra) in extras {
+                let mut extended = base.to_vec();
+                extended.push(extra);
+                for beta in [0.0, 0.5, 1.0] {
+                    let full = expected_std(&extended, w, beta);
+                    let mut recorded = BasePlusOne::default();
+                    recorded.record(base, w, beta);
+                    for keep in keeps {
+                        let cut = cut_rows(&recorded, keep);
+                        assert_eq!(
+                            cut.plus_one(&extra, &mut scratch).to_bits(),
+                            full.to_bits(),
+                            "beta={beta}, {} base workers, extra {extra:?}",
+                            base.len()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use std::f64::consts::TAU;
+use std::ops::Range;
 use rdbsc_model::possible_worlds::{
     expected_sd_exhaustive, expected_std_exhaustive, expected_td_exhaustive,
 };
@@ -115,9 +116,14 @@ proptest! {
 /// lattice or anywhere strictly inside `(0, 2π)`, and the arrival on a
 /// lattice through both ends of `[0, 10]` or anywhere in `[-3, 13]`.
 fn edgy_contribution() -> impl Strategy<Value = Contribution> {
+    edgy_contribution_in(0.0..1.0)
+}
+
+/// [`edgy_contribution`] with its interior `p` drawn from `interior`.
+fn edgy_contribution_in(interior: Range<f64>) -> impl Strategy<Value = Contribution> {
     (
         0u8..4,
-        0.0f64..1.0,
+        interior,
         0u8..2,
         1u8..8,
         0.1f64..TAU - 0.1,
@@ -145,13 +151,65 @@ fn edgy_contribution() -> impl Strategy<Value = Contribution> {
         })
 }
 
+/// How the extra worker is drawn: `(placement, twin selector, p selector,
+/// interior p)`.
+type ExtraSpec = (u8, f64, u8, f64);
+/// How the window and `β` are drawn: `(window selector, β selector,
+/// interior β)`.
+type SetSpec = (u8, u8, f64);
+
+/// `BasePlusOne` on `base` returns the full kernel's bits for the base and
+/// for the base plus one extra worker. The extra sorts before every base
+/// worker, after every one, after equal keys copied from a base worker, or
+/// anywhere; windows have length 10 or 0, and β is 0, 1 or interior.
+fn check_base_plus_one(
+    base: &[Contribution],
+    anywhere: Contribution,
+    (placement, copied, p_sel, p): ExtraSpec,
+    (window_sel, beta_sel, beta): SetSpec,
+) -> Result<(), TestCaseError> {
+    let p = Confidence::new([0.0, 1.0, p][usize::from(p_sel)]).unwrap();
+    let extra = match placement {
+        // Angle 0 and arrival −5 sort before every base worker.
+        0 => Contribution::new(p, 0.0, -5.0),
+        // The largest angle below 2π and arrival 20 sort after them.
+        1 => Contribution::new(p, TAU.next_down(), 20.0),
+        2 if !base.is_empty() => {
+            let twin = base[((copied * base.len() as f64) as usize).min(base.len() - 1)];
+            Contribution::new(p, twin.angle, twin.arrival)
+        }
+        _ => anywhere,
+    };
+    let window = if window_sel == 0 {
+        TimeWindow::new(5.0, 5.0).unwrap()
+    } else {
+        window()
+    };
+    let beta = [0.0, 1.0, beta][usize::from(beta_sel)];
+    let mut recorded = BasePlusOne::default();
+    recorded.record(base, window, beta);
+    prop_assert_eq!(
+        recorded.value().to_bits(),
+        expected_std(base, window, beta).to_bits()
+    );
+    let mut extended = base.to_vec();
+    extended.push(extra);
+    prop_assert_eq!(
+        recorded
+            .plus_one(&extra, &mut ExpectedScratch::default())
+            .to_bits(),
+        expected_std(&extended, window, beta).to_bits(),
+        "{} base workers, extra {:?}",
+        base.len(),
+        extra
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// `BasePlusOne` returns the full kernel's bits for the base and for the
-    /// base plus one extra worker. The extra sorts before every base worker,
-    /// after every one, after equal keys copied from a base worker, or
-    /// anywhere; windows have length 10 or 0, and β is 0, 1 or interior.
+    /// [`check_base_plus_one`] with `p` anywhere in `[0, 1]`.
     #[test]
     fn base_plus_one_is_the_kernel_to_the_bit(
         base in proptest::collection::vec(edgy_contribution(), 0..=48),
@@ -159,32 +217,21 @@ proptest! {
         extra_spec in (0u8..4, 0.0f64..1.0, 0u8..3, 0.0f64..1.0),
         set_spec in (0u8..4, 0u8..3, 0.0f64..1.0),
     ) {
-        let (placement, copied, p_sel, p) = extra_spec;
-        let (window_sel, beta_sel, beta) = set_spec;
-        let p = Confidence::new([0.0, 1.0, p][usize::from(p_sel)]).unwrap();
-        let extra = match placement {
-            // Angle 0 and arrival −5 sort before every base worker.
-            0 => Contribution::new(p, 0.0, -5.0),
-            // The largest angle below 2π and arrival 20 sort after them.
-            1 => Contribution::new(p, TAU.next_down(), 20.0),
-            2 if !base.is_empty() => {
-                let twin = base[((copied * base.len() as f64) as usize).min(base.len() - 1)];
-                Contribution::new(p, twin.angle, twin.arrival)
-            }
-            _ => anywhere,
-        };
-        let window = if window_sel == 0 { TimeWindow::new(5.0, 5.0).unwrap() } else { window() };
-        let beta = [0.0, 1.0, beta][usize::from(beta_sel)];
-        let mut recorded = BasePlusOne::default();
-        recorded.record(&base, window, beta);
-        prop_assert_eq!(recorded.value().to_bits(), expected_std(&base, window, beta).to_bits());
-        let mut extended = base.clone();
-        extended.push(extra);
-        prop_assert_eq!(
-            recorded.plus_one(&extra, &mut ExpectedScratch::default()).to_bits(),
-            expected_std(&extended, window, beta).to_bits(),
-            "{} base workers, extra {:?}", base.len(), extra
-        );
+        check_base_plus_one(&base, anywhere, extra_spec, set_spec)?;
+    }
+
+    /// [`check_base_plus_one`] in the paper's confidence range: interior
+    /// `p` in `[0.9, 1)`, plus exact 0s and 1s, over 16–80 workers. Here
+    /// `absent` shrinks 10× or more a step, so walks stop on a negligible
+    /// tail, in the base record and in the extended sum at different steps.
+    #[test]
+    fn base_plus_one_is_the_kernel_to_the_bit_at_paper_range(
+        base in proptest::collection::vec(edgy_contribution_in(0.9..1.0), 16..=80),
+        anywhere in edgy_contribution_in(0.9..1.0),
+        extra_spec in (0u8..4, 0.0f64..1.0, 0u8..3, 0.9f64..1.0),
+        set_spec in (0u8..4, 0u8..3, 0.0f64..1.0),
+    ) {
+        check_base_plus_one(&base, anywhere, extra_spec, set_spec)?;
     }
 }
 

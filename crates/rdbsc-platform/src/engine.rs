@@ -34,11 +34,10 @@ use rdbsc_algos::solver::{BatchSolver, SolveRequest};
 use rdbsc_algos::{DncConfig, GreedyConfig, SamplingConfig, Solver};
 use rdbsc_index::cost_model::estimate_fractal_dimension;
 use rdbsc_index::{GridIndex, MaintenanceCounters, ProblemShard, SpatialIndex};
-use rdbsc_model::objective::TaskPriors;
+use rdbsc_model::expected::{expected_std_with, ExpectedScratch};
+use rdbsc_model::objective::{task_reliability_of, TaskPriors};
 use rdbsc_model::valid_pairs::{BipartiteCandidates, ValidPair};
-use rdbsc_model::{
-    expected_std, reliability, Assignment, Contribution, Task, TaskId, Worker, WorkerId,
-};
+use rdbsc_model::{Assignment, Contribution, Task, TaskId, Worker, WorkerId};
 use rdbsc_geo::{Point, Rect};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -624,7 +623,8 @@ impl<I: SpatialIndex> AssignmentEngine<I> {
         // need a merged contribution vector.
         // Built in ascending worker order (not HashMap order) so each
         // task's contribution vector — and therefore the float fold inside
-        // expected_std — is identical on every engine with the same state.
+        // expected_std_with — is identical on every engine with the same
+        // state.
         let mut en_route: HashMap<TaskId, Vec<Contribution>> = HashMap::new();
         for (_, worker_task, contribution) in self.commitments_by_worker() {
             en_route
@@ -637,6 +637,8 @@ impl<I: SpatialIndex> AssignmentEngine<I> {
         let mut total_std = 0.0;
         let mut covered_tasks = 0usize;
         let mut merged = Vec::new();
+        // One kernel scratch for every scored task.
+        let mut scratch = ExpectedScratch::default();
         let mut score = |task_id: &TaskId, contributions: &[Contribution]| {
             if contributions.is_empty() {
                 return;
@@ -649,12 +651,12 @@ impl<I: SpatialIndex> AssignmentEngine<I> {
                 return;
             };
             covered_tasks += 1;
-            let confidences: Vec<_> = contributions.iter().map(|c| c.confidence).collect();
-            min_reliability = min_reliability.min(reliability(&confidences));
-            total_std += expected_std(
+            min_reliability = min_reliability.min(task_reliability_of(contributions));
+            total_std += expected_std_with(
                 contributions,
                 task.window,
                 task.effective_beta(self.config.beta),
+                &mut scratch,
             );
         };
         // Fold in ascending task order: float addition is not associative,
