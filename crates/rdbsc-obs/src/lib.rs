@@ -7,14 +7,11 @@
 //! Three layers, bottom up:
 //!
 //! * **Metric primitives** ([`metrics`]): lock-free [`Counter`], [`Gauge`]
-//!   and log-bucketed [`LatencyHistogram`] (grown out of
-//!   `rdbsc-platform::stats`, which now re-exports them), plus histogram
-//!   merging so per-partition histograms compose into a fleet view.
-//! * **Registry + rendering** ([`registry`], [`prom`]): a [`Registry`] of
-//!   named instruments that renders itself as Prometheus text exposition
-//!   format 0.0.4, with [`PromWriter`] for snapshot-derived samples
-//!   (engine gauges, WAL stats, transport counters) appended at scrape
-//!   time, and [`validate_prom`] — a small format checker used by CI.
+//!   and log-bucketed [`LatencyHistogram`], plus histogram merging so
+//!   per-partition histograms compose into a fleet view.
+//! * **Prometheus rendering** ([`prom`]): [`PromWriter`] renders text
+//!   exposition format 0.0.4, and [`validate_prom`] is the small format
+//!   checker CI gates every scrape with.
 //! * **Tracing** ([`trace`], [`stage`], [`slow`]): tick-anchored spans
 //!   ([`span`], [`SpanGuard`]) recorded into lock-free per-thread ring
 //!   buffers and collected by trace id ([`collect_spans`]); the per-stage
@@ -39,7 +36,6 @@
 pub mod digest;
 pub mod metrics;
 pub mod prom;
-pub mod registry;
 pub mod slow;
 pub mod stage;
 pub mod trace;
@@ -47,7 +43,6 @@ pub mod trace;
 pub use digest::{fnv1a_bytes, Fnv1a};
 pub use metrics::{Counter, Gauge, LatencyHistogram, BUCKET_BOUNDS_US};
 pub use prom::{validate_prom, PromWriter};
-pub use registry::Registry;
 pub use slow::{SlowTick, SlowTickBuffer};
 pub use stage::{StageSet, StageTimings, NUM_STAGES};
 pub use trace::{

@@ -1,14 +1,12 @@
 //! Lock-free metric primitives: counters, gauges and log-bucketed latency
 //! histograms.
 //!
-//! [`Counter`] and [`LatencyHistogram`] started life inside `rdbsc-server`'s
-//! metrics endpoint, moved to `rdbsc-platform::stats` when the partition
-//! protocol needed them, and now live here at the bottom of the dependency
-//! stack where every tier (router, daemons, WAL, benches) shares one
-//! implementation. Everything is updated lock-free from any thread and read
-//! without stopping the world; the histogram gives exact counts and
-//! sub-bucket-resolution percentile estimates (linear interpolation inside
-//! the winning bucket), which is plenty for p50/p99 over log-spaced buckets.
+//! They live here, at the bottom of the dependency stack, so every tier
+//! (router, daemons, WAL, benches) shares one implementation. Everything
+//! is updated lock-free from any thread and read without stopping the
+//! world; the histogram gives exact counts and sub-bucket-resolution
+//! percentile estimates (linear interpolation inside the winning bucket),
+//! which is plenty for p50/p99 over log-spaced buckets.
 //!
 //! Histograms additionally expose their raw bucket counts
 //! ([`LatencyHistogram::bucket_counts`]) and support merging

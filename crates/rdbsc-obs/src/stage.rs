@@ -5,15 +5,13 @@
 //! parallel, merge/commit the winners, and (on a durable partition) append
 //! the tick's WAL records and wait for their fsync. [`StageTimings`] carries one measured duration
 //! per stage inside every `TickReport`; [`StageSet`] aggregates them into
-//! per-stage log-bucketed histograms registered on a [`crate::Registry`],
-//! which is what `/metrics` serves on both the router and the daemons.
+//! per-stage log-bucketed histograms, which is what `/metrics` serves on
+//! both the router and the daemons.
 //!
 //! All values are observational (microsecond stopwatch readings); none of
 //! them feed back into engine decisions.
 
 use crate::metrics::LatencyHistogram;
-use crate::registry::Registry;
-use std::sync::Arc;
 
 /// The number of profiled tick stages.
 pub const NUM_STAGES: usize = 6;
@@ -102,25 +100,13 @@ impl StageTimings {
     }
 }
 
-/// One log-bucketed histogram per tick stage, registered on a [`Registry`]
-/// under `<prefix>_stage_<name>_us`.
-#[derive(Debug, Clone)]
+/// One log-bucketed histogram per tick stage.
+#[derive(Debug, Default)]
 pub struct StageSet {
-    hists: [Arc<LatencyHistogram>; NUM_STAGES],
+    hists: [LatencyHistogram; NUM_STAGES],
 }
 
 impl StageSet {
-    /// Registers the six per-stage histograms on `registry`.
-    pub fn register(registry: &Registry, prefix: &str) -> Self {
-        let hists = StageTimings::NAMES.map(|name| {
-            registry.histogram(
-                &format!("{prefix}_stage_{name}_us"),
-                &format!("Microseconds per tick in the {name} stage"),
-            )
-        });
-        Self { hists }
-    }
-
     /// Records one tick's stage breakdown. The WAL stages are only recorded
     /// when nonzero (non-durable engines never enter them, and a histogram
     /// full of synthetic zeros would poison the percentiles).
@@ -135,13 +121,8 @@ impl StageSet {
     }
 
     /// The stage histograms in pipeline order, with their stage names.
-    pub fn histograms(&self) -> [(&'static str, &Arc<LatencyHistogram>); NUM_STAGES] {
-        let mut idx = 0;
-        StageTimings::NAMES.map(|name| {
-            let pair = (name, &self.hists[idx]);
-            idx += 1;
-            pair
-        })
+    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &LatencyHistogram)> {
+        StageTimings::NAMES.into_iter().zip(&self.hists)
     }
 }
 
@@ -170,13 +151,11 @@ mod tests {
 
     #[test]
     fn stage_set_records_wal_stages_only_when_entered() {
-        let registry = Registry::default();
-        let set = StageSet::register(&registry, "tick");
+        let set = StageSet::default();
         set.record(&StageTimings::from_values([1, 2, 3, 4, 0, 0]));
         set.record(&StageTimings::from_values([1, 2, 3, 4, 9, 9]));
         let by_name: std::collections::BTreeMap<_, _> = set
             .histograms()
-            .into_iter()
             .map(|(name, h)| (name, h.count()))
             .collect();
         assert_eq!(by_name["apply"], 2);

@@ -34,10 +34,9 @@ use crate::engine::{AssignmentEngine, EngineEvent, EngineObjective, TickReport};
 use crate::partition::{
     PartitionHealth, PartitionTransport, PartitionedEngine, PromotionRecord, StandbyPromoter,
 };
-use rdbsc_geo::Point;
 use rdbsc_index::{MaintenanceCounters, SpatialIndex};
 use rdbsc_model::valid_pairs::ValidPair;
-use rdbsc_model::{Contribution, Task, TaskId, Worker, WorkerId};
+use rdbsc_model::{Contribution, WorkerId};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A consistent point-in-time view of the engine's serving state, cheap to
@@ -108,7 +107,7 @@ impl EngineSnapshot {
 /// use rdbsc_index::geometry::GridGeometry;
 /// use rdbsc_index::GridIndex;
 /// use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
-/// use rdbsc_platform::engine::EngineConfig;
+/// use rdbsc_platform::engine::{EngineConfig, EngineEvent};
 /// use rdbsc_platform::handle::EngineHandle;
 /// use rdbsc_platform::PartitionedEngine;
 ///
@@ -119,12 +118,12 @@ impl EngineSnapshot {
 ///     EngineConfig::default(),
 ///     |rect| GridIndex::new(rect, 0.25),
 /// ));
-/// handle.submit_task(Task::new(
+/// handle.submit(EngineEvent::TaskArrived(Task::new(
 ///     TaskId(0),
 ///     Point::new(0.6, 0.6),
 ///     TimeWindow::new(0.0, 10.0).unwrap(),
-/// ));
-/// handle.check_in(
+/// )));
+/// handle.submit(EngineEvent::WorkerCheckIn(
 ///     Worker::new(
 ///         WorkerId(0),
 ///         Point::new(0.5, 0.5),
@@ -133,7 +132,7 @@ impl EngineSnapshot {
 ///         Confidence::new(0.9).unwrap(),
 ///     )
 ///     .unwrap(),
-/// );
+/// ));
 /// let (report, _trace) = handle.tick(0.0);
 /// assert_eq!(report.new_assignments.len(), 1);
 /// assert_eq!(handle.assignments().len(), 1);
@@ -170,31 +169,6 @@ impl EngineHandle {
     /// Queues many events (in order) for the next tick.
     pub fn submit_all<E: IntoIterator<Item = EngineEvent>>(&self, events: E) {
         self.lock().submit_all(events);
-    }
-
-    /// Command: a new task was posted.
-    pub fn submit_task(&self, task: Task) {
-        self.submit(EngineEvent::TaskArrived(task));
-    }
-
-    /// Command: a task was withdrawn or expired server-side.
-    pub fn expire_task(&self, id: TaskId) {
-        self.submit(EngineEvent::TaskExpired(id));
-    }
-
-    /// Command: a worker checked in (or re-registered).
-    pub fn check_in(&self, worker: Worker) {
-        self.submit(EngineEvent::WorkerCheckIn(worker));
-    }
-
-    /// Command: a worker heartbeat reported a new position.
-    pub fn move_worker(&self, id: WorkerId, to: Point) {
-        self.submit(EngineEvent::WorkerMoved(id, to));
-    }
-
-    /// Command: a worker checked out.
-    pub fn worker_left(&self, id: WorkerId) {
-        self.submit(EngineEvent::WorkerLeft(id));
     }
 
     /// Command: an en-route worker delivered its answer. Returns `false`
@@ -240,11 +214,6 @@ impl EngineHandle {
     /// including every in-process partition's spans.
     pub fn last_trace(&self) -> u64 {
         self.lock().last_trace()
-    }
-
-    /// Query: is the worker currently en route?
-    pub fn is_committed(&self, worker: WorkerId) -> bool {
-        self.lock().is_committed(worker)
     }
 
     /// Query: the standing committed pairs, sorted by
@@ -325,10 +294,10 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use rdbsc_cluster::RegionPartition;
-    use rdbsc_geo::{AngleRange, Rect};
+    use rdbsc_geo::{AngleRange, Point, Rect};
     use rdbsc_index::geometry::GridGeometry;
     use rdbsc_index::{FlatGridIndex, GridIndex};
-    use rdbsc_model::{Confidence, TimeWindow};
+    use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker};
 
     /// A one-region handle whose region indexes with `make_index`.
     fn one_region<I: SpatialIndex + 'static>(make_index: fn(Rect) -> I) -> EngineHandle {
@@ -362,16 +331,15 @@ mod tests {
     #[test]
     fn commands_flow_through_to_the_engine() {
         let h = handle();
-        h.submit_task(task(0, 0.6, 0.6));
-        h.check_in(worker(0, 0.5, 0.5));
+        h.submit(EngineEvent::TaskArrived(task(0, 0.6, 0.6)));
+        h.submit(EngineEvent::WorkerCheckIn(worker(0, 0.5, 0.5)));
         let (report, _) = h.tick(0.0);
         assert_eq!(report.new_assignments.len(), 1);
         let pair = report.new_assignments[0];
-        assert!(h.is_committed(pair.worker));
         assert_eq!(h.assignments(), vec![pair]);
 
         assert!(h.record_answer(pair.worker, pair.contribution));
-        assert!(!h.is_committed(pair.worker));
+        assert!(h.assignments().is_empty(), "the answer releases the worker");
         assert!(!h.record_answer(pair.worker, pair.contribution));
 
         let snap = h.snapshot();
@@ -388,11 +356,11 @@ mod tests {
     #[test]
     fn handle_drives_the_reference_and_the_serving_index_alike() {
         fn drive(h: EngineHandle) -> (TickReport, EngineSnapshot) {
-            h.submit_task(task(0, 0.6, 0.6));
-            h.check_in(worker(0, 0.5, 0.5));
-            h.check_in(worker(1, 0.1, 0.9));
+            h.submit(EngineEvent::TaskArrived(task(0, 0.6, 0.6)));
+            h.submit(EngineEvent::WorkerCheckIn(worker(0, 0.5, 0.5)));
+            h.submit(EngineEvent::WorkerCheckIn(worker(1, 0.1, 0.9)));
             h.tick(0.0);
-            h.move_worker(WorkerId(1), Point::new(0.7, 0.7));
+            h.submit(EngineEvent::WorkerMoved(WorkerId(1), Point::new(0.7, 0.7)));
             let (report, _) = h.tick(0.1);
             (report, h.snapshot())
         }
@@ -416,11 +384,11 @@ mod tests {
         let h = handle();
         assert!(h.tick_if_active(0.0).is_none());
         assert_eq!(h.snapshot().ticks, 0);
-        h.submit_task(task(0, 0.5, 0.5));
+        h.submit(EngineEvent::TaskArrived(task(0, 0.5, 0.5)));
         assert!(h.tick_if_active(0.1).is_some());
         // Live task keeps the loop active even with no new events.
         assert!(h.tick_if_active(0.2).is_some());
-        h.expire_task(TaskId(0));
+        h.submit(EngineEvent::TaskExpired(TaskId(0)));
         assert!(h.tick_if_active(0.3).is_some()); // applies the expiration
         assert!(h.tick_if_active(0.4).is_none()); // now truly idle
     }
@@ -428,10 +396,10 @@ mod tests {
     #[test]
     fn every_tick_returns_its_own_trace() {
         let h = handle();
-        h.submit_task(task(0, 0.6, 0.6));
+        h.submit(EngineEvent::TaskArrived(task(0, 0.6, 0.6)));
         let mut seen = Vec::new();
         for round in 0..4 {
-            h.check_in(worker(round, 0.5, 0.5));
+            h.submit(EngineEvent::WorkerCheckIn(worker(round, 0.5, 0.5)));
             let (_, trace) = if round % 2 == 0 {
                 h.tick(f64::from(round))
             } else {
@@ -459,7 +427,7 @@ mod tests {
                 let h = h.clone();
                 std::thread::spawn(move || {
                     for i in 0..25u32 {
-                        h.check_in(worker(t * 25 + i, 0.5, 0.5));
+                        h.submit(EngineEvent::WorkerCheckIn(worker(t * 25 + i, 0.5, 0.5)));
                     }
                 })
             })

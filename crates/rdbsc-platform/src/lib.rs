@@ -50,7 +50,6 @@ pub mod partition;
 pub mod protocol;
 pub mod repl;
 pub mod sim;
-pub mod stats;
 pub mod wal;
 
 pub use accuracy::{answer_accuracy, answer_error, AnswerRecord};
@@ -70,7 +69,6 @@ pub use protocol::{
 };
 pub use repl::{ReplError, ReplStatus, ReplicationLog};
 pub use sim::{PlatformConfig, PlatformSim, RoundStats, SimulationReport};
-pub use stats::{Counter, LatencyHistogram};
 pub use wal::{
     inspect_dir, FailpointWriter, FaultPlan, FrameInfo, PartitionState, SegmentInfo, Wal,
     WalConfig, WalError, WalRecord, WalStats,

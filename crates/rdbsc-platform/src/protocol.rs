@@ -66,11 +66,11 @@
 use crate::engine::{AssignmentEngine, EngineConfig, EngineEvent, TickReport};
 use crate::handle::EngineSnapshot;
 use crate::repl::{ReplError, ReplStatus, ReplicationLog, DEFAULT_MAX_RETAINED};
-use crate::stats::{Counter, LatencyHistogram};
 use crate::wal::{PartitionState, ScannedLog, Wal, WalConfig, WalError, WalRecord, WalStats};
 use rdbsc_index::SpatialIndex;
 use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{Contribution, WorkerId};
+use rdbsc_obs::{Counter, LatencyHistogram};
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::mpsc::{channel, Receiver, Sender};

@@ -9,6 +9,7 @@
 
 use crate::error::ServerError;
 use crate::json::Json;
+use crate::metrics::Scrape;
 use rdbsc_geo::{AngleRange, Point};
 use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{Confidence, Contribution, Task, TaskId, TimeWindow, Worker, WorkerId};
@@ -467,21 +468,6 @@ impl WalStatsDto {
         }
     }
 
-    /// Encodes the DTO.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("segments", Json::Num(self.segments)),
-            ("segments_retired", Json::Num(self.segments_retired)),
-            ("bytes_appended", Json::Num(self.bytes_appended)),
-            ("records_appended", Json::Num(self.records_appended)),
-            ("fsyncs", Json::Num(self.fsyncs)),
-            ("checkpoints", Json::Num(self.checkpoints)),
-            ("last_checkpoint_tick", Json::Num(self.last_checkpoint_tick)),
-            ("recovered_records", Json::Num(self.recovered_records)),
-            ("recovered_checkpoint", Json::Bool(self.recovered_checkpoint)),
-        ])
-    }
-
     /// Decodes the DTO.
     pub fn from_json(value: &Json) -> Result<Self, ServerError> {
         Ok(Self {
@@ -521,29 +507,12 @@ impl SnapshotDto {
         }
     }
 
-    /// Encodes the DTO.
+    /// Encodes the DTO through the field table `/metrics` renders its
+    /// engine views with.
     pub fn to_json(&self) -> Json {
-        let mut obj = Json::obj([
-            ("now", Json::Num(self.now)),
-            ("ticks", Json::Num(self.ticks)),
-            ("events_applied", Json::Num(self.events_applied)),
-            ("pending_events", Json::Num(self.pending_events)),
-            ("live_tasks", Json::Num(self.live_tasks)),
-            ("live_workers", Json::Num(self.live_workers)),
-            ("committed_workers", Json::Num(self.committed_workers)),
-            ("banked_answers", Json::Num(self.banked_answers)),
-            ("total_assignments", Json::Num(self.total_assignments)),
-            ("min_reliability", Json::Num(self.min_reliability)),
-            ("total_std", Json::Num(self.total_std)),
-            ("covered_tasks", Json::Num(self.covered_tasks)),
-            ("index_relocations", Json::Num(self.index_relocations)),
-            ("index_cells_repaired", Json::Num(self.index_cells_repaired)),
-            ("index_tcell_rebuilds", Json::Num(self.index_tcell_rebuilds)),
-        ]);
-        if let (Json::Obj(map), Some(wal)) = (&mut obj, &self.wal) {
-            map.insert("wal".to_string(), wal.to_json());
-        }
-        obj
+        let mut scrape = Scrape::new(false);
+        scrape.snapshot("", self);
+        scrape.into_json()
     }
 
     /// Decodes the DTO.

@@ -87,7 +87,7 @@ pub use dto::{
 pub use error::ServerError;
 pub use json::{parse, Json, JsonError};
 pub use listener::{HttpCore, ListenerConfig, ShutdownHandle};
-pub use metrics::{Counter, LatencyHistogram, ServerMetrics};
+pub use metrics::ServerMetrics;
 pub use partitiond::{PartitionDaemon, PartitiondConfig};
 pub use protocol::{ConfigureDto, EngineConfigDto, Hello, ReplStatusDto, RoutingTableDto};
 pub use remote::{

@@ -40,8 +40,11 @@
 //! | `GET /debug/slow-ticks`, `POST /debug/slow-tick-ms`, `GET /debug/spans` | tick captures and traces |
 //! | `POST /admin/shutdown` | drain + exit |
 //!
-//! The former partition routes — the HTTP handshake, snapshot and activity
-//! probes, shutdown and the JSON data commands — answer `404`.
+//! `/metrics` and the three `/debug/*` tick routes are
+//! [`crate::metrics::serve_ops`], the router's handler too. A route asked
+//! with another method answers `405`; the former partition routes — the
+//! HTTP handshake, snapshot and activity probes, shutdown and the JSON data
+//! commands — answer `404`.
 //!
 //! ## Draining
 //!
@@ -75,8 +78,8 @@ use crate::frame::{ReplyBody, ReplyFrame, RequestBody, RequestFrame};
 use crate::http::{Method, Request, Response};
 use crate::json::{parse, Json};
 use crate::listener::{HttpCore, ListenerConfig, ShutdownHandle};
-use crate::metrics::ServerMetrics;
-use crate::protocol::{request_id, slow_tick_threshold_us, ConfigureDto, Hello, ReplStatusDto};
+use crate::metrics::{scrape_daemon, serve_ops, Scrape, ServerMetrics};
+use crate::protocol::{ConfigureDto, Hello, ReplStatusDto};
 use crate::remote::FrameConn;
 use rdbsc_geo::Rect;
 use rdbsc_index::FlatGridIndex;
@@ -348,16 +351,6 @@ impl PartitionDaemon {
     }
 }
 
-fn parse_body(request: &Request) -> Result<Json, ServerError> {
-    Ok(parse(request.body_utf8()?)?)
-}
-
-fn reply(request_id: u64, extra: impl IntoIterator<Item = (&'static str, Json)>) -> Response {
-    let mut pairs = vec![("request_id", Json::Num(request_id as f64))];
-    pairs.extend(extra);
-    Response::json(200, Json::obj(pairs).to_string_compact())
-}
-
 /// A configure payload that passed every check.
 struct Accepted {
     region_index: u32,
@@ -489,82 +482,22 @@ fn persist_configure(dir: &Path, fingerprint: &str) -> Result<(), ServerError> {
     Ok(())
 }
 
-/// The Prometheus body of a daemon's `/metrics?format=prom`: the metric
-/// registry, the daemon's state gauges, and (when configured) the engine
-/// snapshot with its WAL totals.
-fn daemon_prom(state: &DaemonState, draining: bool) -> String {
-    let mut w = rdbsc_obs::PromWriter::new();
-    state.metrics.render_prom_into(&mut w);
-    w.gauge(
-        "protocol_version",
-        "The partition protocol version this daemon speaks",
-        PROTOCOL_VERSION as f64,
-    );
-    w.gauge("draining", "Is the daemon refusing mutating commands?", draining as u64 as f64);
-    w.gauge(
-        "durable",
-        "Is the daemon running a write-ahead log?",
-        state.data_dir.is_some() as u64 as f64,
-    );
-    // Replication gauges come from repl_status_dto, which takes the engine
-    // lock itself — render them before this function takes the same lock.
-    let repl = repl_status_dto(state);
-    w.gauge(
-        "repl_standby",
-        "Is this daemon an unpromoted replication standby?",
-        repl.role.eq("standby") as u64 as f64,
-    );
-    w.gauge(
-        "repl_sealed",
-        "Was the incoming replication stream sealed by a promotion?",
-        repl.sealed as u64 as f64,
-    );
-    w.gauge(
-        "repl_lag",
-        "Replication lag in records (unacked on a primary, unapplied on a standby)",
-        repl.lag as f64,
-    );
-    w.gauge(
-        "repl_next_lsn",
-        "The replication stream head (next lsn to publish or fetch)",
-        repl.next_lsn as f64,
-    );
-    w.gauge(
-        "repl_acked_lsn",
-        "The acknowledgement watermark bounding primary-side retention",
-        repl.acked as f64,
-    );
-    w.gauge(
-        "repl_applied_lsn",
-        "Shipped records this standby has applied (next lsn it will fetch)",
-        repl.applied as f64,
-    );
-    w.gauge(
-        "repl_stream_resets",
-        "Times the primary's retention cap forced a stream reset",
-        repl.resets as f64,
-    );
-    match state.slot().as_ref() {
-        Some(configured) => {
-            w.gauge("configured", "Has a configure taken effect?", 1.0);
-            w.gauge(
-                "region_index",
-                "The region this daemon serves",
-                configured.region_index as f64,
-            );
-            crate::metrics::snapshot_to_prom(&mut w, &configured.part.snapshot());
-        }
-        None => w.gauge("configured", "Has a configure taken effect?", 0.0),
-    }
-    w.into_string()
-}
-
 fn route(
     request: &Request,
     state: &DaemonState,
     shutdown: &ShutdownHandle,
 ) -> Result<Response, ServerError> {
     let draining = state.is_draining(shutdown);
+    let scrape = |s: &mut Scrape| {
+        // repl_status_dto takes the engine lock itself: read it first.
+        let repl = repl_status_dto(state);
+        let configured = state.slot().as_ref().map(|c| (c.region_index, c.part.snapshot()));
+        scrape_daemon(s, draining, state.data_dir.is_some(), &repl, configured);
+    };
+    let last_trace = || state.last_trace.load(Ordering::Acquire);
+    if let Some(response) = serve_ops(request, &state.metrics, scrape, last_trace) {
+        return response;
+    }
     match (request.method, request.path.as_str()) {
         (Method::Get, "/healthz") => Ok(Response::json(
             200,
@@ -574,82 +507,6 @@ fn route(
             ])
             .to_string_compact(),
         )),
-
-        (Method::Get, "/metrics") => {
-            if crate::http::query_param(&request.query, "format") == Some("prom") {
-                return Ok(Response::prom_text(daemon_prom(state, draining)));
-            }
-            let mut body = state.metrics.to_json();
-            if let Json::Obj(map) = &mut body {
-                map.insert(
-                    "protocol_version".to_string(),
-                    Json::Num(PROTOCOL_VERSION as f64),
-                );
-                map.insert("draining".to_string(), Json::Bool(draining));
-                map.insert("durable".to_string(), Json::Bool(state.data_dir.is_some()));
-                map.insert("repl".to_string(), repl_status_dto(state).to_json());
-                match state.slot().as_ref() {
-                    Some(configured) => {
-                        map.insert("configured".to_string(), Json::Bool(true));
-                        map.insert(
-                            "region_index".to_string(),
-                            Json::Num(configured.region_index as f64),
-                        );
-                        map.insert(
-                            "engine".to_string(),
-                            SnapshotDto::from_snapshot(&configured.part.snapshot()).to_json(),
-                        );
-                    }
-                    None => {
-                        map.insert("configured".to_string(), Json::Bool(false));
-                    }
-                }
-            }
-            Ok(Response::json(200, body.to_string_compact()))
-        }
-
-        (Method::Get, "/debug/slow-ticks") => Ok(Response::json(
-            200,
-            state.metrics.slow_ticks_json().to_string_compact(),
-        )),
-
-        (Method::Post, "/debug/slow-tick-ms") => {
-            let body = parse_body(request)?;
-            let rid = request_id(&body)?;
-            let threshold_us = slow_tick_threshold_us(&body)?;
-            state.metrics.slow_ticks.set_threshold_us(threshold_us);
-            Ok(reply(
-                rid,
-                [(
-                    "threshold_us",
-                    if threshold_us == u64::MAX {
-                        Json::Num(-1.0)
-                    } else {
-                        Json::Num(threshold_us as f64)
-                    },
-                )],
-            ))
-        }
-
-        (Method::Get, "/debug/spans") => {
-            let trace = match crate::http::query_param(&request.query, "trace") {
-                Some(hex) => u64::from_str_radix(hex, 16).map_err(|_| {
-                    ServerError::BadField {
-                        field: "trace",
-                        expected: "a hex trace id",
-                    }
-                })?,
-                None => state.last_trace.load(Ordering::Acquire),
-            };
-            let body = Json::obj([
-                ("trace", Json::Str(crate::protocol::trace_to_hex(trace))),
-                (
-                    "spans",
-                    crate::metrics::spans_to_json(&rdbsc_obs::collect_spans(trace)),
-                ),
-            ]);
-            Ok(Response::json(200, body.to_string_compact()))
-        }
 
         (Method::Get, "/debug/snapshot") => {
             let (snapshot, digest) =
@@ -676,6 +533,7 @@ fn route(
             .with_close())
         }
 
+        (_, "/healthz" | "/debug/snapshot" | "/admin/shutdown") => Err(ServerError::MethodNotAllowed),
         (_, path) => Err(ServerError::NotFound(path.to_string())),
     }
 }

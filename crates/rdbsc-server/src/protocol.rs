@@ -484,22 +484,6 @@ pub struct ReplStatusDto {
     pub sealed: bool,
 }
 
-impl ReplStatusDto {
-    /// Encodes the DTO.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("role", Json::Str(self.role.clone())),
-            ("next_lsn", Json::Num(self.next_lsn as f64)),
-            ("acked", Json::Num(self.acked as f64)),
-            ("retained", Json::Num(self.retained as f64)),
-            ("resets", Json::Num(self.resets as f64)),
-            ("applied", Json::Num(self.applied as f64)),
-            ("lag", Json::Num(self.lag as f64)),
-            ("sealed", Json::Bool(self.sealed)),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

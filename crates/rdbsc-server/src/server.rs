@@ -26,7 +26,7 @@ use crate::error::ServerError;
 use crate::http::{Method, Request, Response};
 use crate::json::{parse, Json};
 use crate::listener::{HttpCore, ListenerConfig, ShutdownHandle};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{scrape_router, serve_ops, ServerMetrics};
 use crate::remote::connect_remote_partition;
 use rdbsc_cluster::RegionPartition;
 use rdbsc_geo::{Point, Rect};
@@ -34,8 +34,8 @@ use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::FlatGridIndex;
 use rdbsc_model::{TaskId, WorkerId};
 use rdbsc_platform::{
-    merge_snapshots, AssignmentEngine, EngineConfig, EngineEvent, EngineHandle, InProcessClient,
-    PartitionClient, PartitionedEngine,
+    AssignmentEngine, EngineConfig, EngineEvent, EngineHandle, InProcessClient, PartitionClient,
+    PartitionedEngine,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -449,93 +449,6 @@ fn require_finite_point(x: f64, y: f64) -> Result<Point, ServerError> {
     Ok(Point::new(x, y))
 }
 
-/// The Prometheus body of the router's `/metrics?format=prom`: the metric
-/// registry first, then the scrape-time values that only exist as handle
-/// queries — merged engine snapshot, partition topology/health, aggregated
-/// transport counters and WAL totals.
-fn router_prom(shared: &Shared) -> String {
-    let mut w = rdbsc_obs::PromWriter::new();
-    shared.metrics.render_prom_into(&mut w);
-
-    let snapshots = shared.handle.partition_snapshots();
-    crate::metrics::snapshot_to_prom(&mut w, &merge_snapshots(&snapshots));
-
-    let transports = shared.handle.partition_transports();
-    w.gauge(
-        "partitions_count",
-        "Partitions behind this router",
-        snapshots.len() as f64,
-    );
-    w.gauge(
-        "remote_partitions",
-        "Partitions served by remote daemons",
-        transports.iter().filter(|t| t.kind != "in-process").count() as f64,
-    );
-    w.gauge(
-        "partitions_unhealthy",
-        "Partitions the router has lost",
-        shared.handle.unhealthy_partitions().len() as f64,
-    );
-    w.counter(
-        "events_dropped_total",
-        "Routed events dropped for unhealthy partitions",
-        shared.handle.events_dropped(),
-    );
-    w.gauge(
-        "standbys_armed",
-        "Slots with an unfired standby promoter armed",
-        shared.handle.standbys_armed() as f64,
-    );
-    w.counter(
-        "partitions_promoted_total",
-        "Completed standby promotions (failovers)",
-        shared.handle.promotions().len() as u64,
-    );
-    if snapshots.len() > 1 {
-        w.counter(
-            "handoffs_total",
-            "Cross-partition worker handoffs",
-            shared.handle.handoffs(),
-        );
-    }
-    w.counter(
-        "partition_commands_total",
-        "Partition protocol commands completed, all transports",
-        transports.iter().map(|t| t.stats.requests).sum(),
-    );
-    w.counter(
-        "partition_retries_total",
-        "Stale keep-alive retries, all transports",
-        transports.iter().map(|t| t.stats.retries).sum(),
-    );
-    w.counter(
-        "partition_reconnects_total",
-        "Transport reconnects, all transports",
-        transports.iter().map(|t| t.stats.reconnects).sum(),
-    );
-    w.counter(
-        "partition_bytes_sent_total",
-        "Bytes sent to partitions, all transports",
-        transports.iter().map(|t| t.stats.bytes_sent).sum(),
-    );
-    w.counter(
-        "partition_bytes_received_total",
-        "Bytes received from partitions, all transports",
-        transports.iter().map(|t| t.stats.bytes_received).sum(),
-    );
-    w.counter(
-        "partition_frames_sent_total",
-        "Binary frames sent to partitions (binary transport only)",
-        transports.iter().map(|t| t.stats.frames_sent).sum(),
-    );
-    w.counter(
-        "partition_frames_received_total",
-        "Binary frames received from partitions (binary transport only)",
-        transports.iter().map(|t| t.stats.frames_received).sum(),
-    );
-    w.into_string()
-}
-
 fn route(
     request: &Request,
     shared: &Shared,
@@ -544,198 +457,17 @@ fn route(
     if shutdown.stopping() && request.path != "/healthz" {
         return Err(ServerError::ShuttingDown);
     }
+    let handle = &shared.handle;
+    if let Some(response) =
+        serve_ops(request, &shared.metrics, |s| scrape_router(s, handle), || handle.last_trace())
+    {
+        return response;
+    }
     match (request.method, request.path.as_str()) {
         (Method::Get, "/healthz") => Ok(Response::json(
             200,
             Json::obj([("status", Json::Str("ok".into()))]).to_string_compact(),
         )),
-
-        (Method::Get, "/metrics") => {
-            if crate::http::query_param(&request.query, "format") == Some("prom") {
-                return Ok(Response::prom_text(router_prom(shared)));
-            }
-            let mut body = shared.metrics.to_json();
-            if let Json::Obj(map) = &mut body {
-                // One snapshot pass feeds both the merged "engine" view and
-                // the per-partition breakdown, so the two always reconcile
-                // (separate handle queries could interleave with a tick).
-                let snapshots = shared.handle.partition_snapshots();
-                // merge_snapshots also covers the 0-snapshot case (every
-                // partition lost): the merged view degrades to zeros rather
-                // than panicking the metrics scrape.
-                map.insert(
-                    "engine".to_string(),
-                    SnapshotDto::from_snapshot(&merge_snapshots(&snapshots)).to_json(),
-                );
-                map.insert(
-                    "partitions_count".to_string(),
-                    Json::Num(snapshots.len() as f64),
-                );
-                // Per-partition protocol counters: how each region is
-                // reached and what the protocol costs — the observability
-                // for cross-process overhead.
-                let transports = shared.handle.partition_transports();
-                map.insert(
-                    "remote_partitions".to_string(),
-                    Json::Num(
-                        transports.iter().filter(|t| t.kind != "in-process").count() as f64,
-                    ),
-                );
-                let entries = transports
-                    .iter()
-                    .map(|t| {
-                        Json::obj([
-                            ("partition", Json::Num(t.partition as f64)),
-                            ("kind", Json::Str(t.kind.to_string())),
-                            ("endpoint", Json::Str(t.endpoint.clone())),
-                            ("requests", Json::Num(t.stats.requests as f64)),
-                            ("retries", Json::Num(t.stats.retries as f64)),
-                            ("reconnects", Json::Num(t.stats.reconnects as f64)),
-                            ("bytes_sent", Json::Num(t.stats.bytes_sent as f64)),
-                            (
-                                "bytes_received",
-                                Json::Num(t.stats.bytes_received as f64),
-                            ),
-                            ("frames_sent", Json::Num(t.stats.frames_sent as f64)),
-                            (
-                                "frames_received",
-                                Json::Num(t.stats.frames_received as f64),
-                            ),
-                            (
-                                "command_latency",
-                                Json::obj([
-                                    ("p50_us", Json::Num(t.stats.latency_p50_us)),
-                                    ("p99_us", Json::Num(t.stats.latency_p99_us)),
-                                    (
-                                        "max_us",
-                                        Json::Num(t.stats.latency_max_us as f64),
-                                    ),
-                                ]),
-                            ),
-                        ])
-                    })
-                    .collect();
-                map.insert("transports".to_string(), Json::Arr(entries));
-                // Partition health: how many regions the router has lost,
-                // which, and how many routed events were dropped for them —
-                // the serving-tier view of the failure model in
-                // `rdbsc_platform::partition`.
-                let unhealthy = shared.handle.unhealthy_partitions();
-                map.insert(
-                    "partitions_unhealthy".to_string(),
-                    Json::Num(unhealthy.len() as f64),
-                );
-                map.insert(
-                    "events_dropped".to_string(),
-                    Json::Num(shared.handle.events_dropped() as f64),
-                );
-                // Failover: armed standbys and every completed promotion
-                // (slot, lost primary, promoted successor, trigger).
-                map.insert(
-                    "standbys_armed".to_string(),
-                    Json::Num(shared.handle.standbys_armed() as f64),
-                );
-                let promotions = shared.handle.promotions();
-                map.insert(
-                    "partitions_promoted".to_string(),
-                    Json::Num(promotions.len() as f64),
-                );
-                if !promotions.is_empty() {
-                    let entries = promotions
-                        .iter()
-                        .map(|p| {
-                            Json::obj([
-                                ("partition", Json::Num(p.partition as f64)),
-                                ("old_endpoint", Json::Str(p.old_endpoint.clone())),
-                                ("new_endpoint", Json::Str(p.new_endpoint.clone())),
-                                ("error", Json::Str(p.error.clone())),
-                            ])
-                        })
-                        .collect();
-                    map.insert("promotions".to_string(), Json::Arr(entries));
-                }
-                if !unhealthy.is_empty() {
-                    let entries = unhealthy
-                        .iter()
-                        .map(|h| {
-                            Json::obj([
-                                ("partition", Json::Num(h.partition as f64)),
-                                ("kind", Json::Str(h.kind.to_string())),
-                                ("endpoint", Json::Str(h.endpoint.clone())),
-                                ("error", Json::Str(h.error.clone())),
-                            ])
-                        })
-                        .collect();
-                    map.insert("unhealthy".to_string(), Json::Arr(entries));
-                }
-                if snapshots.len() > 1 {
-                    map.insert(
-                        "handoffs".to_string(),
-                        Json::Num(shared.handle.handoffs() as f64),
-                    );
-                    let partitions = snapshots
-                        .iter()
-                        .enumerate()
-                        .map(|(i, snapshot)| {
-                            let mut entry = SnapshotDto::from_snapshot(snapshot).to_json();
-                            if let Json::Obj(fields) = &mut entry {
-                                fields.insert("partition".to_string(), Json::Num(i as f64));
-                            }
-                            entry
-                        })
-                        .collect();
-                    map.insert("partitions".to_string(), Json::Arr(partitions));
-                }
-            }
-            Ok(Response::json(200, body.to_string_compact()))
-        }
-
-        (Method::Get, "/debug/slow-ticks") => Ok(Response::json(
-            200,
-            shared.metrics.slow_ticks_json().to_string_compact(),
-        )),
-
-        (Method::Post, "/debug/slow-tick-ms") => {
-            let body = parse_body(request)?;
-            let rid = crate::protocol::request_id(&body)?;
-            let threshold_us = crate::protocol::slow_tick_threshold_us(&body)?;
-            shared.metrics.slow_ticks.set_threshold_us(threshold_us);
-            Ok(Response::json(
-                200,
-                Json::obj([
-                    ("request_id", Json::Num(rid as f64)),
-                    (
-                        "threshold_us",
-                        if threshold_us == u64::MAX {
-                            Json::Num(-1.0)
-                        } else {
-                            Json::Num(threshold_us as f64)
-                        },
-                    ),
-                ])
-                .to_string_compact(),
-            ))
-        }
-
-        (Method::Get, "/debug/spans") => {
-            let trace = match crate::http::query_param(&request.query, "trace") {
-                Some(hex) => u64::from_str_radix(hex, 16).map_err(|_| {
-                    ServerError::BadField {
-                        field: "trace",
-                        expected: "a hex trace id",
-                    }
-                })?,
-                None => shared.handle.last_trace(),
-            };
-            let body = Json::obj([
-                ("trace", Json::Str(crate::protocol::trace_to_hex(trace))),
-                (
-                    "spans",
-                    crate::metrics::spans_to_json(&rdbsc_obs::collect_spans(trace)),
-                ),
-            ]);
-            Ok(Response::json(200, body.to_string_compact()))
-        }
 
         (Method::Get, "/snapshot") => Ok(Response::json(
             200,
@@ -838,36 +570,12 @@ fn route(
             .with_close())
         }
 
-        (method, path) => {
-            let known_get = [
-                "/healthz",
-                "/metrics",
-                "/snapshot",
-                "/assignments",
-                "/debug/slow-ticks",
-                "/debug/spans",
-            ];
-            let known_post = [
-                "/tasks",
-                "/tasks/expire",
-                "/workers",
-                "/workers/heartbeat",
-                "/workers/leave",
-                "/answers",
-                "/tick",
-                "/admin/shutdown",
-                "/debug/slow-tick-ms",
-            ];
-            let exists_for_other_method = match method {
-                Method::Get => known_post.contains(&path),
-                Method::Post => known_get.contains(&path),
-            };
-            if exists_for_other_method {
-                Err(ServerError::MethodNotAllowed)
-            } else {
-                Err(ServerError::NotFound(path.to_string()))
-            }
-        }
+        (
+            _,
+            "/healthz" | "/snapshot" | "/assignments" | "/tasks" | "/tasks/expire" | "/workers"
+            | "/workers/heartbeat" | "/workers/leave" | "/answers" | "/tick" | "/admin/shutdown",
+        ) => Err(ServerError::MethodNotAllowed),
+        (_, path) => Err(ServerError::NotFound(path.to_string())),
     }
 }
 

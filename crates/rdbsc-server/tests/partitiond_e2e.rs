@@ -565,3 +565,23 @@ fn every_command_meets_the_one_refusal_table() {
     }
     primary.join();
 }
+
+/// The daemon's HTTP answers a wrong method on one of its paths with `405`,
+/// as the router does, and a path it does not serve — retired partition
+/// routes included — with `404`.
+#[test]
+fn a_wrong_method_is_405_and_an_unknown_path_404() {
+    let daemon = daemon();
+    let mut http = HttpClient::new(daemon.addr());
+    for path in ["/admin/shutdown", "/debug/slow-tick-ms"] {
+        assert_eq!(http.get(path).unwrap().status, 405, "GET {path}");
+    }
+    for path in ["/healthz", "/metrics", "/debug/snapshot", "/debug/slow-ticks", "/debug/spans"] {
+        assert_eq!(http.post(path, &Json::obj([])).unwrap().status, 405, "POST {path}");
+    }
+    assert_eq!(http.get("/nope").unwrap().status, 404);
+    assert_eq!(http.post("/partition/tick", &Json::obj([])).unwrap().status, 404);
+    assert_eq!(http.get("/healthz").unwrap().status, 200);
+    daemon.shutdown();
+    daemon.join();
+}
