@@ -1,16 +1,23 @@
 //! Pins the partition wire byte for byte. `proptest_frame` only proves that
 //! encode and decode agree with *each other*; this file records what the
 //! bytes *are*, as hex literals taken at frame version 3, for the `Hello` /
-//! `Configure` handshake, the four partition commands and the
-//! `Assignments` / `Snapshot` reads — one request and one reply frame each,
-//! checked in both directions on both tiers:
+//! `Configure` handshake, the four partition commands, the
+//! `Assignments` / `Snapshot` reads and the four replication requests
+//! (bootstrap, fetch, status, promote) — request and reply frames, checked
+//! in both directions on both tiers:
 //!
 //! * the router-side client must **write** exactly the request literals and
 //!   **read** the reply literals back into exactly the platform values
 //!   ([`client_writes_the_request_literals_and_reads_the_reply_literals`],
 //!   [`attach_writes_the_handshake_literals_and_reads_the_replies`]);
 //! * a daemon must **read** the same request literals and **write** exactly
-//!   the recorded replies ([`daemon_reads_the_request_literals_and_writes_the_recorded_replies`]).
+//!   the recorded replies ([`daemon_reads_the_request_literals_and_writes_the_recorded_replies`]);
+//! * a standby's follower must **write** the bootstrap and fetch literals
+//!   to a scripted primary and hold exactly what the replies carried
+//!   ([`follower_writes_the_repl_request_literals_and_reads_the_reply_literals`]),
+//!   and a primary and its standby must answer the replication literals
+//!   with the recorded replies
+//!   ([`daemons_read_the_repl_request_literals_and_write_the_recorded_replies`]).
 //!
 //! Only [`PartitionClient`]'s methods, [`connect_remote_partition`], the
 //! daemon and raw sockets are used — no frame type is named — so this file
@@ -449,3 +456,171 @@ fn daemon_reads_the_request_literals_and_writes_the_recorded_replies() {
     daemon.join();
 }
 
+
+// ---------------------------------------------------------------------------
+// Replication. A primary answers the bootstrap, fetch and status requests of
+// its follower; a standby answers status and promote. The request ids are
+// the ones a standby's follower uses: 1 for its first bootstrap, then one
+// more per fetch.
+
+/// `repl_bootstrap`, request 1: empty payload.
+const REPL_BOOTSTRAP_REQUEST: &str = "b5dc030b010000000000000000000000";
+/// `repl_fetch`, request 2: from 0, ack 0, at most 512 records.
+const REPL_FETCH_REQUEST: &str =
+    "b5dc030c0200000000000000140000000000000000000000000000000000000000020000";
+/// `repl_fetch`, request 3: from 2, ack 2, at most 512 records.
+const REPL_FETCH_NEXT_REQUEST: &str =
+    "b5dc030c0300000000000000140000000200000000000000020000000000000000020000";
+/// `repl_status`, request 4: empty payload.
+const REPL_STATUS_REQUEST: &str = "b5dc030d040000000000000000000000";
+/// `repl_promote`, request 5: empty payload.
+const REPL_PROMOTE_REQUEST: &str = "b5dc030e050000000000000000000000";
+
+/// A configured daemon's stream at lsn 0: the fresh engine's state as an
+/// encoded checkpoint record, then the canonical configure text.
+const REPL_BOOTSTRAP_REPLY: &str = concat!(
+    "b5dc038b0100000000000000540100000000000000000000420000000500000000000000",
+    "000000000000000000000000000000000000000000000000000100000000000000000000",
+    "00000000000000000000000000000000000000000000020100007b2263656c6c5f73697a",
+    "65223a302e312c22656e67696e65223a7b226175746f5f657870697265223a747275652c",
+    "2262657461223a302e352c22706172616c6c656c69736d223a302c2273656564223a2234",
+    "32227d2c2270726f746f636f6c5f76657273696f6e223a312c22726567696f6e5f696e64",
+    "6578223a302c22726f7574696e67223a7b2263656c6c735f7065725f61786973223a3130",
+    "2c22726567696f6e73223a5b7b22636f6c30223a302c22636f6c31223a31302c22726f77",
+    "30223a302c22726f7731223a31307d5d2c227370616365223a7b226d61785f78223a312c",
+    "226d61785f79223a312c226d696e5f78223a302c226d696e5f79223a307d7d7d",
+);
+/// Stream head 2: the submit and the tick of [`SUBMIT_REQUEST`] and
+/// [`TICK_REQUEST`], each as the bytes of its log record.
+const REPL_FETCH_REPLY: &str = concat!(
+    "b5dc038c0200000000000000f90000000200000000000000020000000000000000000000",
+    "cc000000010600000000010000009a9999999999d93f000000000000e03f000000000000",
+    "0000000000000000144001000000000000e83f02070000009a9999999999d93fcdcccccc",
+    "ccccdc3f333333333333d33f000000000000f03f000000000000f83f000000000000ec3f",
+    "000000000000d03f0208000000cdccccccccccdc3f000000000000e03f9a9999999999c9",
+    "3f0000000000000000182d4454fb211940cdccccccccccec3f0000000000000000030800",
+    "0000000000000000e03f000000000000e03f016300000004620000000100000000000000",
+    "0900000002000000000000f83f",
+);
+/// Stream head 2, nothing new.
+const REPL_FETCH_IDLE_REPLY: &str = "b5dc038c03000000000000000c000000020000000000000000000000";
+/// Role `none`: an unconfigured daemon that is no standby.
+const REPL_STATUS_NONE_REPLY: &str = concat!(
+    "b5dc038d040000000000000039000000040000006e6f6e65000000000000000000000000",
+    "000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00",
+);
+/// Role `primary`: head 2, nothing acknowledged, both records retained.
+const REPL_STATUS_PRIMARY_REPLY: &str = concat!(
+    "b5dc038d04000000000000003c000000070000007072696d617279020000000000000000",
+    "000000000000000200000000000000000000000000000000000000000000000200000000",
+    "00000000",
+);
+/// Role `standby`: head 2, both records applied, no lag.
+const REPL_STATUS_STANDBY_REPLY: &str = concat!(
+    "b5dc038d04000000000000003c000000070000007374616e646279020000000000000002",
+    "000000000000000000000000000000000000000000000002000000000000000000000000",
+    "00000000",
+);
+/// Role `primary`, sealed by a promotion at lsn 2.
+const REPL_STATUS_SEALED_REPLY: &str = concat!(
+    "b5dc038d04000000000000003c000000070000007072696d617279020000000000000002",
+    "000000000000000000000000000000000000000000000002000000000000000000000000",
+    "00000001",
+);
+/// Promoted at lsn 2: the digest of the state after the submit and the
+/// tick.
+const REPL_PROMOTE_REPLY: &str = "b5dc038e0500000000000000100000001ff31d5f96b841df0200000000000000";
+
+/// Sends `request` on `stream` until the reply is `want` or 20 s pass;
+/// returns the last reply.
+fn await_reply(stream: &mut TcpStream, request: &str, want: &str) -> String {
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    loop {
+        stream.write_all(&unhex(request)).unwrap();
+        let reply = hex(&read_frame(stream));
+        if reply == want || std::time::Instant::now() > deadline {
+            return reply;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn follower_writes_the_repl_request_literals_and_reads_the_reply_literals() {
+    let (primary, peer) =
+        scripted_peer(&[REPL_BOOTSTRAP_REPLY, REPL_FETCH_REPLY, REPL_FETCH_IDLE_REPLY]);
+    let standby = PartitionDaemon::start(PartitiondConfig {
+        addr: "127.0.0.1:0".to_string(),
+        follow: Some(primary),
+        ..PartitiondConfig::default()
+    })
+    .unwrap();
+    assert_eq!(
+        peer.join().unwrap(),
+        [REPL_BOOTSTRAP_REQUEST, REPL_FETCH_REQUEST, REPL_FETCH_NEXT_REQUEST]
+    );
+
+    // The standby holds exactly what the replies carried: it reports the
+    // recorded standby status and promotes to the recorded digest.
+    let mut stream = TcpStream::connect(standby.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert_eq!(
+        await_reply(&mut stream, REPL_STATUS_REQUEST, REPL_STATUS_STANDBY_REPLY),
+        REPL_STATUS_STANDBY_REPLY
+    );
+    stream.write_all(&unhex(REPL_PROMOTE_REQUEST)).unwrap();
+    assert_eq!(hex(&read_frame(&mut stream)), REPL_PROMOTE_REPLY);
+
+    standby.shutdown();
+    standby.join();
+}
+
+#[test]
+fn daemons_read_the_repl_request_literals_and_write_the_recorded_replies() {
+    let primary = PartitionDaemon::start(PartitiondConfig {
+        addr: "127.0.0.1:0".to_string(),
+        ..PartitiondConfig::default()
+    })
+    .unwrap();
+    let mut stream = TcpStream::connect(primary.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut exchange = |request: &str| {
+        stream.write_all(&unhex(request)).unwrap();
+        read_frame(&mut stream)
+    };
+    assert_eq!(hex(&exchange(REPL_STATUS_REQUEST)), REPL_STATUS_NONE_REPLY);
+    assert_eq!(hex(&exchange(CONFIGURE_REQUEST)), CONFIGURE_REPLY);
+    assert_eq!(hex(&exchange(REPL_BOOTSTRAP_REQUEST)), REPL_BOOTSTRAP_REPLY);
+    assert_eq!(hex(&exchange(SUBMIT_REQUEST)), SUBMIT_REPLY);
+    let mut tick = exchange(TICK_REQUEST);
+    mask_tick_timings(&mut tick);
+    assert_eq!(hex(&tick), DAEMON_TICK_REPLY);
+    assert_eq!(hex(&exchange(REPL_FETCH_REQUEST)), REPL_FETCH_REPLY);
+    assert_eq!(hex(&exchange(REPL_STATUS_REQUEST)), REPL_STATUS_PRIMARY_REPLY);
+
+    // A standby of this primary: once its own bootstrap is let in (after
+    // the fetch above stops holding the stream), it reports the standby
+    // status, promotes to the recorded digest and then reports sealed.
+    let standby = PartitionDaemon::start(PartitiondConfig {
+        addr: "127.0.0.1:0".to_string(),
+        follow: Some(primary.addr().to_string()),
+        ..PartitiondConfig::default()
+    })
+    .unwrap();
+    let mut stream = TcpStream::connect(standby.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert_eq!(
+        await_reply(&mut stream, REPL_STATUS_REQUEST, REPL_STATUS_STANDBY_REPLY),
+        REPL_STATUS_STANDBY_REPLY
+    );
+    stream.write_all(&unhex(REPL_PROMOTE_REQUEST)).unwrap();
+    assert_eq!(hex(&read_frame(&mut stream)), REPL_PROMOTE_REPLY);
+    stream.write_all(&unhex(REPL_STATUS_REQUEST)).unwrap();
+    assert_eq!(hex(&read_frame(&mut stream)), REPL_STATUS_SEALED_REPLY);
+
+    standby.shutdown();
+    standby.join();
+    primary.shutdown();
+    primary.join();
+}
