@@ -20,11 +20,12 @@ fn determinism_scope(rel: &str) -> bool {
         || rel.starts_with("crates/rdbsc-platform/src/wal/")
 }
 
-/// Engine/solver/WAL code where wall-clock reads are banned (D002): time
-/// must enter through the tick timestamp.
+/// Engine/solver/WAL code and the replication state machine (D002): time
+/// enters as the tick timestamp or a `now` argument, never from the clock.
 fn wall_clock_scope(rel: &str) -> bool {
     rel.starts_with("crates/rdbsc-algos/src/")
         || rel == "crates/rdbsc-platform/src/engine.rs"
+        || rel == "crates/rdbsc-platform/src/repl.rs"
         || rel.starts_with("crates/rdbsc-platform/src/wal/")
 }
 

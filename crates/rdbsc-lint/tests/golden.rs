@@ -66,6 +66,16 @@ fn d002_golden() {
     assert_eq!(reported(&findings), exp, "{:#?}", rendered(&findings));
 }
 
+/// The replication state machine reads no clock: D002 covers its file.
+#[test]
+fn d002_golden_covers_the_replication_state_machine() {
+    let f = fixture("d002.rs", "crates/rdbsc-platform/src/repl.rs");
+    let exp = expected(&f);
+    assert!(!exp.is_empty(), "fixture lost its markers");
+    let findings = engine::run_on(&[f]);
+    assert_eq!(reported(&findings), exp, "{:#?}", rendered(&findings));
+}
+
 #[test]
 fn d003_golden() {
     let f = fixture("d003.rs", "crates/rdbsc-model/src/d003_fixture.rs");

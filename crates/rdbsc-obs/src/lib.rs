@@ -6,8 +6,8 @@
 //!
 //! Three layers, bottom up:
 //!
-//! * **Metric primitives** ([`metrics`]): lock-free [`Counter`], [`Gauge`]
-//!   and log-bucketed [`LatencyHistogram`], plus histogram merging so
+//! * **Metric primitives** ([`metrics`]): lock-free [`Counter`] and
+//!   log-bucketed [`LatencyHistogram`], plus histogram merging so
 //!   per-partition histograms compose into a fleet view.
 //! * **Prometheus rendering** ([`prom`]): [`PromWriter`] renders text
 //!   exposition format 0.0.4, and [`validate_prom`] is the small format
@@ -41,7 +41,7 @@ pub mod stage;
 pub mod trace;
 
 pub use digest::{fnv1a_bytes, Fnv1a};
-pub use metrics::{Counter, Gauge, LatencyHistogram, BUCKET_BOUNDS_US};
+pub use metrics::{Counter, LatencyHistogram, BUCKET_BOUNDS_US};
 pub use prom::{validate_prom, PromWriter};
 pub use slow::{SlowTick, SlowTickBuffer};
 pub use stage::{StageSet, StageTimings, NUM_STAGES};

@@ -1,4 +1,4 @@
-//! Lock-free metric primitives: counters, gauges and log-bucketed latency
+//! Lock-free metric primitives: counters and log-bucketed latency
 //! histograms.
 //!
 //! They live here, at the bottom of the dependency stack, so every tier
@@ -42,29 +42,6 @@ impl Counter {
     /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A settable instantaneous value (stored as `f64` bits so gauges can carry
-/// both integral counts and fractional readings).
-#[derive(Debug)]
-pub struct Gauge(AtomicU64);
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Self(AtomicU64::new(0f64.to_bits()))
-    }
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, value: f64) {
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -190,16 +167,6 @@ mod tests {
         c.incr();
         c.add(4);
         assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn gauges_hold_the_last_value() {
-        let g = Gauge::default();
-        assert_eq!(g.get(), 0.0);
-        g.set(12.5);
-        assert_eq!(g.get(), 12.5);
-        g.set(-3.0);
-        assert_eq!(g.get(), -3.0);
     }
 
     #[test]

@@ -33,9 +33,9 @@
 //! write-ahead log that records every routed command before application,
 //! with periodic checkpoints and exact (digest-verified) crash recovery.
 //! The [`repl`] module stretches the same redo stream over the wire:
-//! log-shipping replication from a primary partition to a standby, with
-//! acknowledgement-watermark retention and digest-exact standby promotion
-//! on primary failure.
+//! log-shipping replication from a primary partition to a standby as one
+//! sans-IO state machine, with acknowledgement-watermark retention and
+//! digest-exact standby promotion on primary failure.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -67,7 +67,8 @@ pub use protocol::{
     PartitionError, PartitionReply, PartitionRequest, PartitionTick, ProtocolCounters,
     ProtocolStats, PROTOCOL_VERSION,
 };
-pub use repl::{ReplError, ReplStatus, ReplicationLog};
+pub use repl::{Poll, ReplEngine, ReplError, ReplFailure, ReplReply, ReplRequest, ReplRole};
+pub use repl::{ReplStatus, Replication, ReplicationLog};
 pub use sim::{PlatformConfig, PlatformSim, RoundStats, SimulationReport};
 pub use wal::{
     inspect_dir, FailpointWriter, FaultPlan, FrameInfo, PartitionState, SegmentInfo, Wal,

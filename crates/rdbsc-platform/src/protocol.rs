@@ -839,22 +839,13 @@ impl<I: SpatialIndex> EnginePartition<I> {
         self.wal.as_ref().map(Wal::stats)
     }
 
-    /// Forces the log to stable storage (no-op without one) — used by the
-    /// daemon's graceful shutdown so nothing acknowledged is lost.
-    pub fn sync_wal(&mut self) {
-        Self::log(&mut self.wal, Wal::sync);
-    }
-
     /// Turns this partition into a replication primary (idempotent) and
     /// starts — or restarts — the stream: returns the bootstrap snapshot
     /// the follower restores from plus the stream lsn of the first record
     /// published after it. Re-bootstrapping rebases the stream to its
     /// head: the fresh snapshot covers everything published before it, so
-    /// the retained tail is dropped wholesale. The stream therefore feeds
-    /// exactly **one** follower at a time; callers serving the wire must
-    /// refuse a bootstrap while another follower is live (the daemon does,
-    /// via its fetch-liveness window), or two standbys would mutually
-    /// invalidate each other's cursors in an endless re-bootstrap loop.
+    /// the retained tail is dropped wholesale and the stream feeds exactly
+    /// **one** follower at a time ([`crate::repl::FOLLOWER_LIVENESS`]).
     pub fn enable_replication(&mut self) -> (PartitionState, u64) {
         let state = self.dump_state();
         let repl = self
@@ -867,7 +858,9 @@ impl<I: SpatialIndex> EnginePartition<I> {
     /// Serves one follower pull: advances the acknowledgement watermark to
     /// `ack` (records below it are released from retention), then returns
     /// up to `max` commands from stream lsn `from`. A gap means the
-    /// follower fell behind retention and must re-bootstrap.
+    /// follower fell behind retention and must re-bootstrap. A watermark
+    /// that moved is noted in this partition's own log (observational —
+    /// replay ignores it — but `wal_dump` shows how far the standby got).
     pub fn repl_fetch(
         &mut self,
         from: u64,
@@ -875,26 +868,21 @@ impl<I: SpatialIndex> EnginePartition<I> {
         max: usize,
     ) -> Result<Vec<(u64, PartitionCommand)>, ReplError> {
         let repl = self.repl.as_mut().ok_or(ReplError::NotEnabled)?;
+        let before = repl.status().acked;
         repl.ack(ack);
-        repl.fetch(from, max)
+        let records = repl.fetch(from, max)?;
+        let acked = repl.status().acked;
+        if acked > before {
+            let note = WalRecord::ReplMeta { acked, sealed: false };
+            Self::log(&mut self.wal, |wal| wal.append(&note));
+        }
+        Ok(records)
     }
 
     /// The primary-side stream counters (`None` when this partition is not
     /// a replication primary).
     pub fn repl_status(&self) -> Option<ReplStatus> {
         self.repl.as_ref().map(ReplicationLog::status)
-    }
-
-    /// Notes a follower's acknowledgement watermark in this partition's
-    /// own log (no-op without one). Observational — replay ignores it —
-    /// but it lets `wal_dump` diagnose how far a standby's log got.
-    pub fn note_repl_watermark(&mut self, acked: u64) {
-        Self::log(&mut self.wal, |wal| {
-            wal.append(&WalRecord::ReplMeta {
-                acked,
-                sealed: false,
-            })
-        });
     }
 
     /// Seals a promoted standby's incoming stream: writes the sealed

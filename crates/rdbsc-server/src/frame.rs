@@ -63,14 +63,15 @@
 //! `tests/proptest_frame.rs`). What a well-formed command may *say* is a
 //! second, separate step — [`RequestFrame::admit`].
 
-use crate::protocol::{Hello, ReplStatusDto};
+use crate::protocol::Hello;
 use rdbsc_index::MaintenanceCounters;
 use rdbsc_model::valid_pairs::ValidPair;
 use rdbsc_model::{Contribution, TaskId, WorkerId};
 use rdbsc_platform::wal::{Decoder, Encoder};
 use rdbsc_platform::{
     CommandOutcome, EngineEvent, EngineObjective, EngineSnapshot, PartitionCommand, PartitionReply,
-    PartitionRequest, PartitionTick, TickReport, WalError, WalStats,
+    PartitionRequest, PartitionTick, ReplReply, ReplRequest, ReplRole, ReplStatus, TickReport,
+    WalError, WalStats,
 };
 use std::io::{BufRead, Write};
 
@@ -127,15 +128,13 @@ request_tags! {
     Drain = 0x09,
     /// `shutdown` — stop the daemon.
     Shutdown = 0x0A,
-    /// `repl_bootstrap` — start (or restart) the replication stream: a
-    /// state snapshot plus the stream lsn the live tail resumes at.
+    /// `repl_bootstrap` — [`ReplRequest::Bootstrap`], a state snapshot.
     ReplBootstrap = 0x0B,
-    /// `repl_fetch` — pull shipped commands and acknowledge applied ones.
+    /// `repl_fetch` — [`ReplRequest::Fetch`], shipped commands.
     ReplFetch = 0x0C,
-    /// `repl_status` — the replication counters (role, watermarks, lag).
+    /// `repl_status` — [`ReplRequest::Status`], the counters.
     ReplStatus = 0x0D,
-    /// `repl_promote` — promote a standby: seal the stream, start a fresh
-    /// log epoch, accept mutating commands.
+    /// `repl_promote` — [`ReplRequest::Promote`], standby to primary.
     ReplPromote = 0x0E,
     /// `hello` — the daemon's protocol version and state; the first
     /// exchange of an attach and of a promotion.
@@ -534,8 +533,8 @@ pub struct RequestFrame {
     pub body: RequestBody,
 }
 
-/// What a request frame asks: a [`PartitionRequest`], or one of the control
-/// requests only a daemon answers (the handshake and replication).
+/// What a request frame asks: a [`PartitionRequest`], a [`ReplRequest`], or
+/// one of the handshake requests only a daemon answers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestBody {
     /// A partition request, tags [`Tag::Submit`] to [`Tag::Shutdown`].
@@ -548,23 +547,9 @@ pub enum RequestBody {
     /// ([`crate::protocol::ConfigureDto`]) — the bytes the daemon keeps as
     /// its fingerprint and persists as `configure.json`.
     Configure(String),
-    /// Start (or restart) the replication stream from a fresh snapshot.
-    ReplBootstrap,
-    /// Pull shipped commands from `from`, acknowledging everything below
-    /// `ack`.
-    ReplFetch {
-        /// The first stream lsn wanted.
-        from: u64,
-        /// The acknowledgement watermark (exclusive): every command below
-        /// it was applied by the follower and may be released.
-        ack: u64,
-        /// At most this many commands.
-        max: u32,
-    },
-    /// The replication counters (role, watermarks, lag).
-    ReplStatus,
-    /// Promote a standby to primary.
-    ReplPromote,
+    /// A replication request, tags [`Tag::ReplBootstrap`] to
+    /// [`Tag::ReplPromote`].
+    Repl(ReplRequest),
 }
 
 impl RequestBody {
@@ -587,10 +572,12 @@ impl RequestBody {
             },
             RequestBody::Hello => Tag::Hello,
             RequestBody::Configure(_) => Tag::Configure,
-            RequestBody::ReplBootstrap => Tag::ReplBootstrap,
-            RequestBody::ReplFetch { .. } => Tag::ReplFetch,
-            RequestBody::ReplStatus => Tag::ReplStatus,
-            RequestBody::ReplPromote => Tag::ReplPromote,
+            RequestBody::Repl(request) => match request {
+                ReplRequest::Bootstrap => Tag::ReplBootstrap,
+                ReplRequest::Fetch { .. } => Tag::ReplFetch,
+                ReplRequest::Status => Tag::ReplStatus,
+                ReplRequest::Promote => Tag::ReplPromote,
+            },
         }
     }
 }
@@ -612,17 +599,13 @@ impl RequestFrame {
                 e.command_body(command);
             }
             RequestBody::Partition(PartitionRequest::HasWorker(worker)) => e.u32(worker.0),
-            RequestBody::ReplFetch { from, ack, max } => {
+            RequestBody::Repl(ReplRequest::Fetch { from, ack, max }) => {
                 e.u64(*from);
                 e.u64(*ack);
                 e.u32(*max);
             }
             RequestBody::Configure(text) => e.str(text),
-            RequestBody::Partition(_)
-            | RequestBody::Hello
-            | RequestBody::ReplBootstrap
-            | RequestBody::ReplStatus
-            | RequestBody::ReplPromote => {}
+            RequestBody::Partition(_) | RequestBody::Hello | RequestBody::Repl(_) => {}
         }
         write_frame(w, self.body.tag() as u8, self.request_id, &e.into_bytes())
     }
@@ -635,6 +618,7 @@ impl RequestFrame {
         let mut d = Decoder::new(&raw.payload);
         let partition = RequestBody::Partition;
         let apply = |trace, command| partition(PartitionRequest::Apply { trace, command });
+        let repl = RequestBody::Repl;
         let body = match tag {
             Tag::Submit | Tag::Tick => apply(d.u64()?, d.command_body(tag as u8)?),
             Tag::Answer | Tag::Release => apply(0, d.command_body(tag as u8)?),
@@ -644,14 +628,14 @@ impl RequestFrame {
             Tag::HasWorker => partition(PartitionRequest::HasWorker(WorkerId(d.u32()?))),
             Tag::Drain => partition(PartitionRequest::Drain),
             Tag::Shutdown => partition(PartitionRequest::Shutdown),
-            Tag::ReplBootstrap => RequestBody::ReplBootstrap,
-            Tag::ReplFetch => RequestBody::ReplFetch {
+            Tag::ReplBootstrap => repl(ReplRequest::Bootstrap),
+            Tag::ReplFetch => repl(ReplRequest::Fetch {
                 from: d.u64()?,
                 ack: d.u64()?,
                 max: d.u32()?,
-            },
-            Tag::ReplStatus => RequestBody::ReplStatus,
-            Tag::ReplPromote => RequestBody::ReplPromote,
+            }),
+            Tag::ReplStatus => repl(ReplRequest::Status),
+            Tag::ReplPromote => repl(ReplRequest::Promote),
             Tag::Hello => RequestBody::Hello,
             Tag::Configure => RequestBody::Configure(d.str()?),
         };
@@ -727,43 +711,9 @@ pub enum ReplyBody {
         /// Was it already built from the identical payload?
         already_configured: bool,
     },
-    /// The bootstrap snapshot: the primary's canonical state (an encoded
-    /// `Checkpoint` record in the platform's WAL codec), the stream lsn
-    /// the live tail resumes at, and the primary's accepted configure
-    /// payload (canonical JSON) so the standby can configure itself
-    /// identically.
-    ReplBootstrap {
-        /// The stream lsn of the first command published after the
-        /// snapshot.
-        start_lsn: u64,
-        /// The snapshot, as an encoded `WalRecord::Checkpoint` — the
-        /// platform's canonical codec, never re-encoded by the transport.
-        state: Vec<u8>,
-        /// The primary's configure fingerprint (canonical JSON text).
-        configure: String,
-    },
-    /// A batch of shipped commands.
-    ReplFetch {
-        /// The primary's stream head (what lag is measured against).
-        next_lsn: u64,
-        /// `(lsn, command)` pairs, lsn-ascending; each command travels as
-        /// the bytes of its log record
-        /// ([`rdbsc_platform::wal::encode_command`]), opaque to the
-        /// transport.
-        records: Vec<(u64, Vec<u8>)>,
-    },
-    /// The replication counters.
-    ReplStatus(ReplStatusDto),
-    /// Promotion done: the standby sealed its stream and now accepts
-    /// mutating commands.
-    ReplPromote {
-        /// The promoted state digest (FNV-1a of the canonical state
-        /// encoding) — what failover proofs compare against the dead
-        /// primary's last acknowledged digest.
-        digest: u64,
-        /// Stream commands applied before the seal.
-        applied: u64,
-    },
+    /// A replication reply. A bootstrap's configure payload is the
+    /// primary's canonical configure JSON.
+    Repl(ReplReply),
     /// The request failed; `status` is the HTTP-style status of the error
     /// (400 = bad payload, 409 = conflict/standby, 503 = draining).
     Error {
@@ -790,10 +740,12 @@ impl ReplyBody {
             ReplyBody::Error { .. } => return ERROR,
             ReplyBody::Hello(_) => Tag::Hello,
             ReplyBody::Configure { .. } => Tag::Configure,
-            ReplyBody::ReplBootstrap { .. } => Tag::ReplBootstrap,
-            ReplyBody::ReplFetch { .. } => Tag::ReplFetch,
-            ReplyBody::ReplStatus(_) => Tag::ReplStatus,
-            ReplyBody::ReplPromote { .. } => Tag::ReplPromote,
+            ReplyBody::Repl(reply) => match reply {
+                ReplReply::Bootstrap { .. } => Tag::ReplBootstrap,
+                ReplReply::Fetch { .. } => Tag::ReplFetch,
+                ReplReply::Status(_) => Tag::ReplStatus,
+                ReplReply::Promote { .. } => Tag::ReplPromote,
+            },
         };
         request as u8 | REPLY
     }
@@ -815,37 +767,37 @@ impl ReplyFrame {
                 | PartitionReply::Drained
                 | PartitionReply::ShutDown => {}
             },
-            ReplyBody::ReplBootstrap {
-                start_lsn,
-                state,
-                configure,
-            } => {
-                e.u64(*start_lsn);
-                e.bytes(state);
-                e.str(configure);
-            }
-            ReplyBody::ReplFetch { next_lsn, records } => {
-                e.u64(*next_lsn);
-                e.u32(records.len() as u32);
-                for (lsn, record) in records {
-                    e.u64(*lsn);
-                    e.bytes(record);
+            ReplyBody::Repl(reply) => match reply {
+                ReplReply::Bootstrap {
+                    start_lsn,
+                    state,
+                    configure,
+                } => {
+                    e.u64(*start_lsn);
+                    e.bytes(state);
+                    e.str(configure);
                 }
-            }
-            ReplyBody::ReplStatus(status) => {
-                e.str(&status.role);
-                e.u64(status.next_lsn);
-                e.u64(status.acked);
-                e.u64(status.retained);
-                e.u64(status.resets);
-                e.u64(status.applied);
-                e.u64(status.lag);
-                e.bool(status.sealed);
-            }
-            ReplyBody::ReplPromote { digest, applied } => {
-                e.u64(*digest);
-                e.u64(*applied);
-            }
+                ReplReply::Fetch { next_lsn, records } => {
+                    e.u64(*next_lsn);
+                    e.u32(records.len() as u32);
+                    for (lsn, record) in records {
+                        e.u64(*lsn);
+                        e.bytes(record);
+                    }
+                }
+                ReplReply::Status(status) => {
+                    e.str(status.role.as_str());
+                    let s = status;
+                    for value in [s.next_lsn, s.acked, s.retained, s.resets, s.applied, s.lag] {
+                        e.u64(value);
+                    }
+                    e.bool(s.sealed);
+                }
+                ReplReply::Promote { digest, applied } => {
+                    e.u64(*digest);
+                    e.u64(*applied);
+                }
+            },
             ReplyBody::Hello(hello) => {
                 e.u32(hello.protocol_version);
                 e.bool(hello.region_index.is_some());
@@ -889,6 +841,7 @@ impl ReplyFrame {
 fn decode_reply_body(tag: Tag, d: &mut Decoder) -> Result<ReplyBody, FrameError> {
     let partition = ReplyBody::Partition;
     let applied = |outcome| partition(PartitionReply::Applied(outcome));
+    let repl = ReplyBody::Repl;
     Ok(match tag {
         Tag::Submit => applied(CommandOutcome::Submitted { events: d.u32()? }),
         Tag::Tick => applied(CommandOutcome::Ticked(Box::new(get_tick(d)?))),
@@ -900,11 +853,11 @@ fn decode_reply_body(tag: Tag, d: &mut Decoder) -> Result<ReplyBody, FrameError>
         Tag::HasWorker => partition(PartitionReply::HasWorker(d.bool()?)),
         Tag::Drain => partition(PartitionReply::Drained),
         Tag::Shutdown => partition(PartitionReply::ShutDown),
-        Tag::ReplBootstrap => ReplyBody::ReplBootstrap {
+        Tag::ReplBootstrap => repl(ReplReply::Bootstrap {
             start_lsn: d.u64()?,
             state: d.bytes()?,
             configure: d.str()?,
-        },
+        }),
         Tag::ReplFetch => {
             let next_lsn = d.u64()?;
             // The smallest entry is an lsn plus an empty bytes field.
@@ -913,10 +866,10 @@ fn decode_reply_body(tag: Tag, d: &mut Decoder) -> Result<ReplyBody, FrameError>
             for _ in 0..n {
                 records.push((d.u64()?, d.bytes()?));
             }
-            ReplyBody::ReplFetch { next_lsn, records }
+            repl(ReplReply::Fetch { next_lsn, records })
         }
-        Tag::ReplStatus => ReplyBody::ReplStatus(ReplStatusDto {
-            role: d.str()?,
+        Tag::ReplStatus => repl(ReplReply::Status(ReplStatus {
+            role: ReplRole::parse(&d.str()?).ok_or_else(|| malformed("unknown replication role"))?,
             next_lsn: d.u64()?,
             acked: d.u64()?,
             retained: d.u64()?,
@@ -924,11 +877,11 @@ fn decode_reply_body(tag: Tag, d: &mut Decoder) -> Result<ReplyBody, FrameError>
             applied: d.u64()?,
             lag: d.u64()?,
             sealed: d.bool()?,
-        }),
-        Tag::ReplPromote => ReplyBody::ReplPromote {
+        })),
+        Tag::ReplPromote => repl(ReplReply::Promote {
             digest: d.u64()?,
             applied: d.u64()?,
-        },
+        }),
         Tag::Hello => ReplyBody::Hello(Hello {
             protocol_version: d.u32()?,
             region_index: if d.bool()? { Some(d.u32()?) } else { None },
@@ -1057,17 +1010,18 @@ mod tests {
         round_trip_request(14, partition(PartitionRequest::HasWorker(WorkerId(99))));
         round_trip_request(15, partition(PartitionRequest::Drain));
         round_trip_request(16, partition(PartitionRequest::Shutdown));
-        round_trip_request(17, RequestBody::ReplBootstrap);
+        let repl = RequestBody::Repl;
+        round_trip_request(17, repl(ReplRequest::Bootstrap));
         round_trip_request(
             18,
-            RequestBody::ReplFetch {
+            repl(ReplRequest::Fetch {
                 from: 42,
                 ack: 40,
                 max: 256,
-            },
+            }),
         );
-        round_trip_request(19, RequestBody::ReplStatus);
-        round_trip_request(20, RequestBody::ReplPromote);
+        round_trip_request(19, repl(ReplRequest::Status));
+        round_trip_request(20, repl(ReplRequest::Promote));
         round_trip_request(21, RequestBody::Hello);
         round_trip_request(
             22,
@@ -1150,40 +1104,43 @@ mod tests {
         round_trip_reply(14, partition(PartitionReply::HasWorker(true)));
         round_trip_reply(15, partition(PartitionReply::Drained));
         round_trip_reply(16, partition(PartitionReply::ShutDown));
+        let repl = ReplyBody::Repl;
         round_trip_reply(
             18,
-            ReplyBody::ReplBootstrap {
+            repl(ReplReply::Bootstrap {
                 start_lsn: 7,
                 state: vec![5, 0, 0, 0, 1, 2, 3],
                 configure: r#"{"region_index":1}"#.into(),
-            },
-        );
-        round_trip_reply(
-            19,
-            ReplyBody::ReplFetch {
-                next_lsn: 44,
-                records: vec![(42, vec![2, 1]), (43, vec![])],
-            },
-        );
-        round_trip_reply(
-            20,
-            ReplyBody::ReplStatus(ReplStatusDto {
-                role: "standby".into(),
-                next_lsn: 44,
-                acked: 40,
-                retained: 4,
-                resets: 0,
-                applied: 42,
-                lag: 2,
-                sealed: false,
             }),
         );
         round_trip_reply(
+            19,
+            repl(ReplReply::Fetch {
+                next_lsn: 44,
+                records: vec![(42, vec![2, 1]), (43, vec![])],
+            }),
+        );
+        for role in [ReplRole::None, ReplRole::Primary, ReplRole::Standby] {
+            round_trip_reply(
+                20,
+                repl(ReplReply::Status(ReplStatus {
+                    role,
+                    next_lsn: 44,
+                    acked: 40,
+                    retained: 4,
+                    resets: 0,
+                    applied: 42,
+                    lag: 2,
+                    sealed: false,
+                })),
+            );
+        }
+        round_trip_reply(
             21,
-            ReplyBody::ReplPromote {
+            repl(ReplReply::Promote {
                 digest: 0xfeed_face_dead_beef,
                 applied: 42,
-            },
+            }),
         );
         for (region_index, draining, standby) in [(None, false, true), (Some(3), true, false)] {
             round_trip_reply(

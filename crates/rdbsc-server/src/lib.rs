@@ -89,7 +89,7 @@ pub use json::{parse, Json, JsonError};
 pub use listener::{HttpCore, ListenerConfig, ShutdownHandle};
 pub use metrics::ServerMetrics;
 pub use partitiond::{PartitionDaemon, PartitiondConfig};
-pub use protocol::{ConfigureDto, EngineConfigDto, Hello, ReplStatusDto, RoutingTableDto};
+pub use protocol::{ConfigureDto, EngineConfigDto, Hello, RoutingTableDto};
 pub use remote::{
     connect_remote_partition, BinaryPartitionClient, FrameConn, RemoteStandbyPromoter,
 };

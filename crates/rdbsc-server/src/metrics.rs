@@ -19,8 +19,9 @@ use crate::dto::{SnapshotDto, WalStatsDto};
 use crate::error::ServerError;
 use crate::http::{query_param, Method, Request, Response};
 use crate::json::{parse, Json};
-use crate::protocol::{request_id, slow_tick_threshold_us, trace_to_hex, ReplStatusDto};
+use crate::protocol::{request_id, slow_tick_threshold_us, trace_to_hex};
 use rdbsc_obs::{Counter, LatencyHistogram, PromWriter, SlowTickBuffer, StageSet, StageTimings};
+use rdbsc_platform::repl::{ReplRole, ReplStatus};
 use rdbsc_platform::{merge_snapshots, EngineHandle, EngineSnapshot, ProtocolStats, PROTOCOL_VERSION};
 use std::collections::BTreeMap;
 
@@ -457,7 +458,7 @@ pub(crate) fn scrape_daemon(
     s: &mut Scrape,
     draining: bool,
     durable: bool,
-    repl: &ReplStatusDto,
+    repl: &ReplStatus,
     configured: Option<(u32, EngineSnapshot)>,
 ) {
     let name = "protocol_version";
@@ -469,8 +470,8 @@ pub(crate) fn scrape_daemon(
     ] {
         s.flag(name, name, help, on);
     }
-    s.json("repl.role", Json::Str(repl.role.clone()));
-    s.flag("", "repl_standby", "Is this daemon an unpromoted replication standby?", repl.role == "standby");
+    s.json("repl.role", Json::Str(repl.role.as_str().into()));
+    s.flag("", "repl_standby", "Is this daemon an unpromoted replication standby?", repl.role == ReplRole::Standby);
     s.flag("repl.sealed", "repl_sealed", "Was the incoming replication stream sealed by a promotion?", repl.sealed);
     for (path, name, help, value) in [
         ("repl.lag", "repl_lag", "Replication lag in records (unacked on a primary, unapplied on a standby)", repl.lag),

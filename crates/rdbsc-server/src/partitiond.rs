@@ -25,10 +25,7 @@
 //! |---|---|
 //! | `Hello`, `Configure` | the handshake: version/state, build the engine (idempotent) |
 //! | `Partition` | one [`rdbsc_platform::PartitionRequest`] — the four commands (submit, tick, answer, release), the reads and probes, drain and shutdown — answered by `EnginePartition::serve`, the same call the in-process backend makes |
-//! | `ReplBootstrap` | replication: state + stream start |
-//! | `ReplFetch` | replication: shipped records + ack |
-//! | `ReplStatus` | replication: role, lag, watermark |
-//! | `ReplPromote` | replication: standby → primary |
+//! | `Repl` | one [`rdbsc_platform::ReplRequest`] — bootstrap, fetch, status, promote — answered by [`Replication::serve`] |
 //!
 //! HTTP on the same port is the ops surface — what a human, an ops script
 //! or CI reads — and nothing else:
@@ -56,37 +53,35 @@
 //!
 //! ## Replication
 //!
-//! Started with `--follow PRIMARY_ADDR` the daemon is a **standby**: a
-//! background thread bootstraps from the primary (one encoded checkpoint
-//! record plus the configure fingerprint, exactly the checkpoint + tail
-//! shape crash recovery uses) and then pulls shipped commands, handing each
-//! to the same `EnginePartition::apply` (log-then-apply), so the standby's
-//! own log is a valid recovery source at every point. A standby refuses mutating
-//! *client* commands with `409` (it is not draining — it is one promote
-//! away from serving) and reports `repl.lag` on `/metrics`. The fetch ack
-//! doubles as the primary's retention watermark; if the standby falls off
-//! the retained window the primary answers `409` and the standby
-//! re-bootstraps. A `ReplPromote` frame finishes the replay, seals
-//! the stream (`ReplMeta{sealed}` + checkpoint + fsync on a fresh segment),
-//! clears the standby flag and returns the digest of the promoted state —
-//! the router compares it against its acknowledged watermark for
-//! digest-exact failover.
+//! Started with `--follow PRIMARY_ADDR` the daemon is a **standby**. All of
+//! replication is the [`rdbsc_platform::repl`] state machine: one
+//! [`Replication`] value beside the engine, under the engine lock, with time
+//! passed in. The daemon adds its I/O — a follower thread that carries the
+//! machine's requests to the primary on one [`FrameConn`] and waits when
+//! told to, `Repl` frames answered under the lock, and the engine install a
+//! bootstrap ends in (the one configure check; a durable standby's data
+//! directory wiped and restored from the shipped checkpoint). A standby
+//! applies shipped commands log-then-apply, refuses mutating *client*
+//! commands with `409` (it is one promote away from serving, not draining)
+//! and reports `repl.lag` on `/metrics`. A promote seals the stream and
+//! returns the promoted digest, which the router compares against its
+//! acknowledged watermark for digest-exact failover.
 
 use crate::dto::SnapshotDto;
 use crate::error::ServerError;
-use crate::frame::{ReplyBody, ReplyFrame, RequestBody, RequestFrame};
+use crate::frame::{FrameError, ReplyBody, ReplyFrame, RequestBody, RequestFrame};
 use crate::http::{Method, Request, Response};
 use crate::json::{parse, Json};
 use crate::listener::{HttpCore, ListenerConfig, ShutdownHandle};
 use crate::metrics::{scrape_daemon, serve_ops, Scrape, ServerMetrics};
-use crate::protocol::{ConfigureDto, Hello, ReplStatusDto};
+use crate::protocol::{ConfigureDto, Hello};
 use crate::remote::FrameConn;
 use rdbsc_geo::Rect;
 use rdbsc_index::FlatGridIndex;
-use rdbsc_platform::wal::{decode_command, decode_record, encode_command, encode_record};
 use rdbsc_platform::{
     AssignmentEngine, CommandOutcome, EngineConfig, EnginePartition, PartitionReply,
-    PartitionRequest, PartitionState, WalConfig, WalError, WalRecord, PROTOCOL_VERSION,
+    PartitionRequest, PartitionState, Poll, ReplEngine, ReplFailure, ReplReply, ReplRequest,
+    Replication, WalConfig, WalError, PROTOCOL_VERSION,
 };
 use std::net::ToSocketAddrs;
 use std::path::{Path, PathBuf};
@@ -125,7 +120,7 @@ pub struct PartitiondConfig {
     /// Primary address to follow (`host:port`). When set the daemon boots
     /// as a replication **standby**: it bootstraps its state from the
     /// primary, applies shipped commands continuously and refuses
-    /// mutating client commands until a `ReplPromote` frame.
+    /// mutating client commands until a promote (`ReplRequest::Promote`).
     pub follow: Option<String>,
 }
 
@@ -153,55 +148,34 @@ struct Configured {
     fingerprint: String,
 }
 
+/// What the daemon's one lock guards: the engine, once configured, and
+/// the replication state beside it.
+struct Slot {
+    configured: Option<Configured>,
+    repl: Replication,
+}
+
 struct DaemonState {
-    engine: Mutex<Option<Configured>>,
+    engine: Mutex<Slot>,
     draining: AtomicBool,
     metrics: Arc<ServerMetrics>,
     /// The trace id of the most recent traced tick (`/debug/spans` default).
     last_trace: std::sync::atomic::AtomicU64,
     /// Where the log and the persisted configure live (`None` = non-durable).
     data_dir: Option<PathBuf>,
-    /// Is this daemon a replication standby? A standby refuses mutating
-    /// client commands with `409 Conflict` — distinct from draining, which
-    /// is terminal — until a promote clears the flag.
-    standby: AtomicBool,
-    /// The primary address a follower pulls from (`None` = not a follower).
-    follow: Option<String>,
-    /// The follower's applied cursor: every stream lsn **below** this is
-    /// applied locally. Bootstrap sets it to the stream start.
-    repl_applied: AtomicU64,
-    /// The primary's stream head (`next_lsn`) from the last successful
-    /// fetch; `head - applied` is the standby's replication lag.
-    repl_head: AtomicU64,
-    /// Did a promotion seal the incoming stream? A sealed daemon serves as
-    /// primary and reports `lag = 0` permanently.
-    repl_sealed: AtomicBool,
-    /// Tells the follower thread to stop (set by promote and shutdown).
-    repl_stop: AtomicBool,
-    /// When this daemon (as primary) last served a follower fetch. The
-    /// stream supports exactly **one** standby — a concurrent pair would
-    /// mutually invalidate each other's cursors (each bootstrap rebases the
-    /// stream and drops the tail the other needs) in an endless
-    /// re-bootstrap loop — so a bootstrap while this is fresh is refused.
-    repl_fetch_seen: Mutex<Option<Instant>>,
 }
 
 impl DaemonState {
     /// An unconfigured daemon: a standby iff the config names a primary.
     fn new(config: &PartitiondConfig, metrics: Arc<ServerMetrics>) -> Self {
+        let standby = config.follow.is_some();
+        let repl = if standby { Replication::standby() } else { Replication::primary() };
         Self {
-            engine: Mutex::new(None),
+            engine: Mutex::new(Slot { configured: None, repl }),
             draining: AtomicBool::new(false),
             metrics,
             last_trace: AtomicU64::new(0),
             data_dir: config.data_dir.clone(),
-            standby: AtomicBool::new(config.follow.is_some()),
-            follow: config.follow.clone(),
-            repl_applied: AtomicU64::new(0),
-            repl_head: AtomicU64::new(0),
-            repl_sealed: AtomicBool::new(false),
-            repl_stop: AtomicBool::new(false),
-            repl_fetch_seen: Mutex::new(None),
         }
     }
 
@@ -209,21 +183,22 @@ impl DaemonState {
     /// poisoning is the one panic it lets through: a holder that panicked
     /// left the engine mid-apply, and serving on from that state would
     /// break the digest identity every replica is checked against.
-    fn slot(&self) -> MutexGuard<'_, Option<Configured>> {
+    fn slot(&self) -> MutexGuard<'_, Slot> {
         self.engine.lock().expect("daemon engine lock poisoned by a panicking holder")
     }
 
-    /// When this daemon (as primary) last served a follower fetch, locked.
-    /// Its holders only read or overwrite an `Instant`, so a poisoned lock
-    /// means a panic elsewhere on that thread, never a torn value.
-    fn fetch_seen(&self) -> MutexGuard<'_, Option<Instant>> {
-        self.repl_fetch_seen.lock().expect("follower liveness lock poisoned")
+    /// Runs `f` on the replication state and the engine, under the lock.
+    fn with_repl<R>(&self, f: impl FnOnce(&mut Replication, &mut Engine<'_>) -> R) -> R {
+        let mut slot = self.slot();
+        let Slot { configured, repl } = &mut *slot;
+        let data_dir = self.data_dir.as_deref();
+        f(repl, &mut Engine { configured, data_dir })
     }
 
     /// Runs `f` on the configured engine under the lock, or refuses with
     /// the one not-configured error.
     fn with_configured<R>(&self, f: impl FnOnce(&mut Configured) -> R) -> Result<R, ServerError> {
-        match self.slot().as_mut() {
+        match self.slot().configured.as_mut() {
             Some(configured) => Ok(f(configured)),
             None => Err(ServerError::Conflict(
                 "partition not configured: no Configure frame and no standby bootstrap yet"
@@ -263,7 +238,7 @@ impl PartitionDaemon {
         // the same partition it was before the crash. A follower skips this:
         // it always re-bootstraps from its primary, which replaces whatever
         // is on disk with the primary's current checkpoint.
-        if state.follow.is_none() {
+        if config.follow.is_none() {
             if let Some(dir) = &state.data_dir {
                 let persisted = dir.join("configure.json");
                 if persisted.exists() {
@@ -299,13 +274,13 @@ impl PartitionDaemon {
                 )),
             )?
         };
-        let follower = match state.follow.clone() {
+        let follower = match config.follow.clone() {
             Some(primary) => Some(
                 std::thread::Builder::new()
                     .name("repl-follower".into())
                     .spawn({
-                        let state = state.clone();
-                        move || run_follower(&state, &primary)
+                        let (state, stop) = (state.clone(), core.stopper());
+                        move || run_follower(&state, &primary, &stop)
                     })
                     .map_err(ServerError::Io)?,
             ),
@@ -330,21 +305,19 @@ impl PartitionDaemon {
 
     /// Is the daemon an unpromoted replication standby?
     pub fn is_standby(&self) -> bool {
-        self.state.standby.load(Ordering::Acquire)
+        self.state.slot().repl.is_standby()
     }
 
     /// Begins the drain + stop sequence (what a `Shutdown` frame and
     /// `POST /admin/shutdown` do).
     pub fn shutdown(&self) {
         self.state.draining.store(true, Ordering::Release);
-        self.state.repl_stop.store(true, Ordering::Release);
         self.core.stopper().trigger();
     }
 
     /// Waits for the serving core (and any follower thread) to exit.
     pub fn join(self) {
         self.core.join();
-        self.state.repl_stop.store(true, Ordering::Release);
         if let Some(follower) = self.follower {
             let _ = follower.join();
         }
@@ -420,7 +393,7 @@ fn accept_configure(text: &str) -> Result<Accepted, ServerError> {
 fn configure(state: &DaemonState, text: &str) -> Result<bool, ServerError> {
     let accepted = accept_configure(text)?;
     let mut slot = state.slot();
-    if let Some(existing) = slot.as_ref() {
+    if let Some(existing) = slot.configured.as_ref() {
         if existing.fingerprint == accepted.fingerprint {
             // A stateless router re-pushing its config after a restart.
             return Ok(true);
@@ -463,7 +436,7 @@ fn configure(state: &DaemonState, text: &str) -> Result<bool, ServerError> {
         }
         None => EnginePartition::new(AssignmentEngine::new(index(), accepted.engine)),
     };
-    *slot = Some(Configured {
+    slot.configured = Some(Configured {
         part,
         region_index: accepted.region_index,
         fingerprint: accepted.fingerprint,
@@ -489,9 +462,10 @@ fn route(
 ) -> Result<Response, ServerError> {
     let draining = state.is_draining(shutdown);
     let scrape = |s: &mut Scrape| {
-        // repl_status_dto takes the engine lock itself: read it first.
-        let repl = repl_status_dto(state);
-        let configured = state.slot().as_ref().map(|c| (c.region_index, c.part.snapshot()));
+        let slot = state.slot();
+        let configured = slot.configured.as_ref();
+        let repl = slot.repl.status(configured.map(|c| &c.part));
+        let configured = configured.map(|c| (c.region_index, c.part.snapshot()));
         scrape_daemon(s, draining, state.data_dir.is_some(), &repl, configured);
     };
     let last_trace = || state.last_trace.load(Ordering::Acquire);
@@ -550,9 +524,9 @@ fn refused_while(body: &RequestBody) -> (bool, bool) {
     match body {
         RequestBody::Partition(request) => (request.mutates(), request.mutates()),
         RequestBody::Configure(_) => (true, true),
-        RequestBody::ReplPromote => (true, false),
-        RequestBody::ReplBootstrap | RequestBody::ReplFetch { .. } => (false, true),
-        RequestBody::ReplStatus | RequestBody::Hello => (false, false),
+        RequestBody::Repl(ReplRequest::Promote) => (true, false),
+        RequestBody::Repl(ReplRequest::Bootstrap | ReplRequest::Fetch { .. }) => (false, true),
+        RequestBody::Repl(ReplRequest::Status) | RequestBody::Hello => (false, false),
     }
 }
 
@@ -565,7 +539,7 @@ fn route_frame(request: RequestFrame, state: &DaemonState, shutdown: &ShutdownHa
     let (while_draining, while_standby) = refused_while(&request.body);
     let result = if while_draining && state.is_draining(shutdown) {
         Err(ServerError::ShuttingDown)
-    } else if while_standby && state.standby.load(Ordering::Acquire) {
+    } else if while_standby && state.slot().repl.is_standby() {
         Err(ServerError::Conflict(
             "standby: refusing mutating commands until promoted".into(),
         ))
@@ -623,16 +597,24 @@ fn execute_frame(
             }
             Ok(ReplyBody::Partition(reply))
         }
-        RequestBody::ReplBootstrap => repl_bootstrap(state),
-        RequestBody::ReplFetch { from, ack, max } => repl_fetch_command(state, from, ack, max),
-        RequestBody::ReplStatus => Ok(ReplyBody::ReplStatus(repl_status_dto(state))),
-        RequestBody::ReplPromote => repl_promote_command(state),
-        RequestBody::Hello => Ok(ReplyBody::Hello(Hello {
-            protocol_version: PROTOCOL_VERSION,
-            region_index: state.slot().as_ref().map(|c| c.region_index),
-            draining: state.is_draining(shutdown),
-            standby: state.standby.load(Ordering::Acquire),
-        })),
+        RequestBody::Repl(request) => {
+            let reply = state
+                .with_repl(|repl, engine| repl.serve(Instant::now(), request, engine))
+                .map_err(ServerError::Conflict)?;
+            if let ReplReply::Promote { digest, applied } = &reply {
+                eprintln!("rdbsc-partitiond: promoted to primary at stream lsn {applied} (digest {digest:016x})");
+            }
+            Ok(ReplyBody::Repl(reply))
+        }
+        RequestBody::Hello => {
+            let slot = state.slot();
+            Ok(ReplyBody::Hello(Hello {
+                protocol_version: PROTOCOL_VERSION,
+                region_index: slot.configured.as_ref().map(|c| c.region_index),
+                draining: state.is_draining(shutdown),
+                standby: slot.repl.is_standby(),
+            }))
+        }
         RequestBody::Configure(text) => Ok(ReplyBody::Configure {
             already_configured: configure(state, &text)?,
         }),
@@ -640,399 +622,107 @@ fn execute_frame(
 }
 
 // ---------------------------------------------------------------------------
-// Replication: primary-side command handlers and the standby's follower
-// thread. Shipped commands travel as the opaque bytes `encode_command`
-// produced — the bytes of their log records — and `decode_command` is the
-// only way back, so the follower applies byte-for-byte what the primary
-// logged and nothing but a command can arrive.
+// Replication: the state machine is `rdbsc_platform::repl`. What is left
+// here is its I/O — the standby's driver thread and the engine install a
+// bootstrap ends in.
 
-/// How long an idle follower waits between fetches.
-const FOLLOW_IDLE: Duration = Duration::from_millis(20);
-/// How long the follower backs off after a failed bootstrap or fetch (an
-/// unreachable primary is *normal* — it may be dead, and promotion or
-/// shutdown, not the follower, decides what happens next).
-const FOLLOW_RETRY: Duration = Duration::from_millis(100);
-/// Commands pulled per fetch.
-const FOLLOW_BATCH: u32 = 512;
-/// How long after a served fetch the primary still considers its follower
-/// alive, refusing a competing bootstrap. Comfortably above `FOLLOW_IDLE`
-/// and `FOLLOW_RETRY` (the live follower keeps the window fresh), small
-/// enough that a genuinely dead follower frees the slot promptly. A fetch
-/// that hits a retention gap clears the window immediately — that follower
-/// is about to re-bootstrap itself and must not be locked out.
-const FOLLOWER_LIVENESS: Duration = Duration::from_secs(2);
-
-/// Serves a follower's bootstrap: enables replication (idempotent — a
-/// re-bootstrap rebases the stream to its head), ships the full state as
-/// one encoded checkpoint record plus the accepted configure payload, so
-/// the standby's fingerprint matches a router's re-push byte for byte at
-/// promotion time. Refused with `409` while another follower
-/// is actively fetching — the single-standby topology is enforced here at
-/// the wire layer, because a bootstrap rebases the stream and would drop
-/// the retained tail the live follower needs.
-fn repl_bootstrap(state: &DaemonState) -> Result<ReplyBody, ServerError> {
-    let mut seen = state.fetch_seen();
-    if let Some(at) = *seen {
-        if at.elapsed() < FOLLOWER_LIVENESS {
-            return Err(ServerError::Conflict(
-                "another follower is streaming from this primary \
-                 (single-standby topology); retry after it stops"
-                    .into(),
-            ));
-        }
-    }
-    // The slot is free (or stale): this bootstrap claims the stream.
-    *seen = None;
-    drop(seen);
-    state.with_configured(|configured| {
-        let (pstate, start_lsn) = configured.part.enable_replication();
-        ReplyBody::ReplBootstrap {
-            start_lsn,
-            state: encode_record(&WalRecord::Checkpoint(pstate)),
-            configure: configured.fingerprint.clone(),
-        }
-    })
-}
-
-/// Serves one follower pull: advances the acknowledgement watermark
-/// (bounding retention), then returns commands from `from`. A watermark
-/// that actually moved is noted in the primary's own log so `wal_dump`
-/// shows how far the standby got. A gap (the follower fell off the
-/// retained window) answers `409` — the follower re-bootstraps.
-fn repl_fetch_command(
-    state: &DaemonState,
-    from: u64,
-    ack: u64,
-    max: u32,
-) -> Result<ReplyBody, ServerError> {
-    state.with_configured(|configured| {
-        let part = &mut configured.part;
-        let before = part.repl_status().map_or(0, |s| s.acked);
-        let records = match part.repl_fetch(from, ack, max as usize) {
-            Ok(records) => {
-                // A served fetch marks the follower alive, holding the stream
-                // against a competing bootstrap (see `repl_bootstrap`).
-                *state.fetch_seen() = Some(Instant::now());
-                records
-            }
-            Err(e) => {
-                // A gap (or a disabled stream) sends this follower back to
-                // bootstrap — release the liveness window so its own
-                // re-bootstrap is not refused as a second follower.
-                *state.fetch_seen() = None;
-                return Err(ServerError::Conflict(format!("replication fetch: {e}")));
-            }
-        };
-        let status = part.repl_status().ok_or_else(|| {
-            ServerError::Conflict("replication fetch: the stream is not enabled".into())
-        })?;
-        if status.acked > before {
-            part.note_repl_watermark(status.acked);
-        }
-        Ok(ReplyBody::ReplFetch {
-            next_lsn: status.next_lsn,
-            records: records
-                .into_iter()
-                .map(|(lsn, command)| (lsn, encode_command(&command)))
-                .collect(),
-        })
-    })?
-}
-
-/// The daemon's replication status from whichever side it is on: a
-/// primary reports the stream counters (lag = published − acked), a
-/// standby its applied cursor (lag = head − applied), a *promoted* daemon
-/// `sealed` with zero lag — the shape the CI failover smoke greps for.
-/// A promoted daemon that later serves a follower of its own is a primary
-/// again: its live stream counters take precedence over the sealed
-/// short-circuit (only `sealed` itself stays latched), so its real
-/// acked/retained/resets reach `/metrics`.
-fn repl_status_dto(state: &DaemonState) -> ReplStatusDto {
-    let standby = state.standby.load(Ordering::Acquire);
-    let sealed = state.repl_sealed.load(Ordering::Acquire);
-    if standby {
-        let applied = state.repl_applied.load(Ordering::Acquire);
-        let head = state.repl_head.load(Ordering::Acquire).max(applied);
-        return ReplStatusDto {
-            role: "standby".to_string(),
-            next_lsn: head,
-            acked: applied,
-            retained: 0,
-            resets: 0,
-            applied,
-            lag: head - applied,
-            sealed,
-        };
-    }
-    match state.slot().as_ref().and_then(|c| c.part.repl_status()) {
-        Some(s) => ReplStatusDto {
-            role: "primary".to_string(),
-            next_lsn: s.next_lsn,
-            acked: s.acked,
-            retained: s.retained,
-            resets: s.resets,
-            applied: 0,
-            lag: s.next_lsn.saturating_sub(s.acked),
-            sealed,
-        },
-        None if sealed => {
-            // Promoted, not (yet) serving a follower: report the sealed
-            // cursor with zero lag — nothing is streaming.
-            let applied = state.repl_applied.load(Ordering::Acquire);
-            ReplStatusDto {
-                role: "primary".to_string(),
-                next_lsn: state.repl_head.load(Ordering::Acquire).max(applied),
-                acked: applied,
-                retained: 0,
-                resets: 0,
-                applied,
-                lag: 0,
-                sealed: true,
-            }
-        }
-        None => ReplStatusDto {
-            role: "none".to_string(),
-            next_lsn: 0,
-            acked: 0,
-            retained: 0,
-            resets: 0,
-            applied: 0,
-            lag: 0,
-            sealed: false,
-        },
-    }
-}
-
-/// Promotes this standby to primary. Setting the stop flag first and then
-/// taking the engine lock IS the "wait for replay to finish": the
-/// follower applies batches under the same lock, so once we hold it the
-/// last in-flight batch has fully applied and no later one will (the
-/// follower discards a batch that lost this race — nothing in it was
-/// acknowledged). The stream is then sealed (`ReplMeta{sealed}` +
-/// checkpoint + fsync, a fresh log epoch) and the standby flag cleared so
-/// the daemon starts accepting commands. The returned digest is what the
-/// router compares against the dead primary's acknowledged state.
-fn repl_promote_command(state: &DaemonState) -> Result<ReplyBody, ServerError> {
-    if !state.standby.load(Ordering::Acquire) {
-        return Err(ServerError::Conflict(
-            "not a standby — nothing to promote".into(),
-        ));
-    }
-    state.repl_stop.store(true, Ordering::Release);
-    let (digest, applied) = state.with_configured(|configured| {
-        let applied = state.repl_applied.load(Ordering::Acquire);
-        let digest = configured.part.seal_replication(applied);
-        state.repl_sealed.store(true, Ordering::Release);
-        state.standby.store(false, Ordering::Release);
-        (digest, applied)
-    })?;
-    eprintln!("rdbsc-partitiond: promoted to primary at stream lsn {applied} (digest {digest:016x})");
-    Ok(ReplyBody::ReplPromote { digest, applied })
-}
-
-fn follower_stopped(state: &DaemonState) -> bool {
-    state.repl_stop.load(Ordering::Acquire) || state.draining.load(Ordering::Acquire)
-}
-
-/// The standby's follower loop: bootstrap, then pull-and-apply until
-/// stopped by a promote or a shutdown. Every failure re-bootstraps — the
-/// primary rebases the stream on each bootstrap, so that is always safe.
-fn run_follower(state: &Arc<DaemonState>, primary: &str) {
-    let mut rid = 0u64;
-    let mut last_error = String::new();
-    loop {
-        if follower_stopped(state) {
-            return;
-        }
-        match follow_once(state, primary, &mut rid) {
-            Ok(()) => return,
-            Err(e) => {
-                // Only narrate *changes*: an unconfigured primary answers
-                // the same refusal every retry and would spam stderr.
-                if e != last_error {
-                    eprintln!("rdbsc-partitiond follower: {e}; retrying");
-                    last_error = e;
-                }
-                std::thread::sleep(FOLLOW_RETRY);
-            }
-        }
-    }
-}
-
-/// One bootstrap + fetch/apply session against the primary. `Ok(())`
-/// means the follower should exit (promote or shutdown); `Err` describes
-/// why the session ended and triggers a re-bootstrap.
-fn follow_once(state: &Arc<DaemonState>, primary: &str, rid: &mut u64) -> Result<(), String> {
-    let addr = primary
-        .to_socket_addrs()
-        .map_err(|e| format!("resolving {primary}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("{primary} resolves to no address"))?;
-    let mut conn = FrameConn::new(addr, Duration::from_secs(5));
-    *rid += 1;
-    let bootstrap = RequestFrame {
-        request_id: *rid,
-        body: RequestBody::ReplBootstrap,
-    };
-    let (start_lsn, boot_state, configure_text) = match conn.exchange(&bootstrap) {
-        Ok(ReplyBody::ReplBootstrap {
-            start_lsn,
-            state,
-            configure,
-        }) => (start_lsn, state, configure),
-        Ok(ReplyBody::Error { status, detail }) => {
-            return Err(format!("bootstrap answered {status}: {detail}"));
-        }
-        Ok(other) => {
-            return Err(format!(
-                "bootstrap reply: unexpected reply tag {:#04x}",
-                other.tag()
-            ));
-        }
-        Err(e) => return Err(format!("bootstrap: {e}")),
-    };
-    let record = decode_record(&boot_state).map_err(|e| format!("bootstrap state: {e}"))?;
-    let WalRecord::Checkpoint(pstate) = record else {
-        return Err("bootstrap state is not a checkpoint record".to_string());
-    };
-    install_bootstrap(state, &configure_text, &pstate, start_lsn)?;
-    eprintln!("rdbsc-partitiond: standby bootstrapped from {primary} at stream lsn {start_lsn}");
-    loop {
-        if follower_stopped(state) {
-            return Ok(());
-        }
-        let from = state.repl_applied.load(Ordering::Acquire);
-        *rid += 1;
-        let fetch = RequestFrame {
-            request_id: *rid,
-            body: RequestBody::ReplFetch {
-                from,
-                ack: from,
-                max: FOLLOW_BATCH,
-            },
-        };
-        let (next_lsn, records) = match conn.exchange(&fetch) {
-            Ok(ReplyBody::ReplFetch { next_lsn, records }) => (next_lsn, records),
-            Ok(ReplyBody::Error {
-                status: 409,
-                detail,
-            }) => return Err(format!("stream restarted on the primary: {detail}")),
-            Ok(ReplyBody::Error { .. }) | Err(crate::frame::FrameError::Io(_)) => {
-                // The primary may simply be dead (or draining its last
-                // replies). Stay bootstrapped and keep knocking —
-                // promotion or shutdown ends the wait.
-                std::thread::sleep(FOLLOW_RETRY);
+/// The standby's follower thread: asks the state machine what to do, sends
+/// that request to the primary, hands the outcome back under the engine
+/// lock, and sleeps when told to wait — until the machine stops (a
+/// promotion) or the daemon does.
+fn run_follower(state: &DaemonState, primary: &str, stop: &ShutdownHandle) {
+    let mut conn = None;
+    let mut request_id = 0;
+    while !state.is_draining(stop) {
+        let request = match state.slot().repl.poll(Instant::now()) {
+            Poll::Send(request) => request,
+            Poll::WaitUntil(at) => {
+                std::thread::sleep(at.saturating_duration_since(Instant::now()));
                 continue;
             }
-            Ok(other) => {
-                return Err(format!(
-                    "fetch reply: unexpected reply tag {:#04x}",
-                    other.tag()
-                ));
-            }
-            Err(e) => return Err(format!("fetch reply: {e}")),
+            Poll::Stop => return,
         };
-        state.repl_head.store(next_lsn.max(from), Ordering::Release);
-        if records.is_empty() {
-            std::thread::sleep(FOLLOW_IDLE);
-            continue;
+        request_id += 1;
+        let body = RequestBody::Repl(request);
+        let reply = exchange(&mut conn, primary, &RequestFrame { request_id, body });
+        let news = state.with_repl(|repl, engine| repl.on_reply(Instant::now(), reply, engine));
+        if let Some(news) = news {
+            eprintln!("rdbsc-partitiond follower of {primary}: {news}");
         }
-        apply_batch(state, &records)?;
     }
 }
 
-/// Installs a shipped bootstrap state as this daemon's engine. A durable
-/// standby wipes its data directory first — the shipped checkpoint opens
-/// a fresh log epoch and whatever the directory held belonged to an older
-/// stream (re-seeding a *former primary's* log automatically is the known
-/// gap; see ROADMAP). The fingerprint kept (and persisted) is the canonical
-/// re-encoding of the shipped configure text — what `configure` stores —
-/// so the idempotency check matches a router's re-push even when the
-/// primary's text carries a field this build no longer writes.
-///
-/// The wipe, the restore and the engine swap all happen under the engine
-/// lock, with the stop flag re-checked once the lock is held: a promote
-/// sets `repl_stop` *before* taking this lock, so observing the flag here
-/// means the current engine was (or is being) promoted and this bootstrap
-/// lost the race. Installing anyway would wipe the new primary's fresh
-/// log epoch and replace its acknowledged state with the snapshot —
-/// mirror `apply_batch` and discard the bootstrap instead.
-fn install_bootstrap(
-    state: &DaemonState,
-    configure_text: &str,
-    pstate: &PartitionState,
-    start_lsn: u64,
-) -> Result<(), String> {
-    let accepted =
-        accept_configure(configure_text).map_err(|e| format!("configure fingerprint: {e}"))?;
-    let index = accepted.index();
-    let mut slot = state.slot();
-    if state.repl_stop.load(Ordering::Acquire) {
-        return Err("promotion raced this bootstrap; install discarded".to_string());
-    }
-    let part = match &state.data_dir {
-        Some(dir) => {
-            if dir.exists() {
-                std::fs::remove_dir_all(dir)
-                    .map_err(|e| format!("wiping {}: {e}", dir.display()))?;
-            }
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("creating {}: {e}", dir.display()))?;
-            let part =
-                EnginePartition::restore_durable(dir, accepted.wal, accepted.engine, pstate, index)
-                    .map_err(|e| format!("restoring in {}: {e}", dir.display()))?;
-            persist_configure(dir, &accepted.fingerprint).map_err(|e| e.to_string())?;
-            part
+/// One exchange with the primary on the follower's connection (opened on
+/// first use, and again after a failure), as the state machine takes it.
+fn exchange(
+    conn: &mut Option<FrameConn>,
+    primary: &str,
+    request: &RequestFrame,
+) -> Result<ReplReply, ReplFailure> {
+    let conn = match conn {
+        Some(conn) => conn,
+        None => {
+            let addr = primary.to_socket_addrs().ok().and_then(|mut addrs| addrs.next());
+            let addr = addr.ok_or_else(|| ReplFailure::Io(format!("{primary} does not resolve")))?;
+            conn.insert(FrameConn::new(addr, Duration::from_secs(5)))
         }
-        None => EnginePartition::from_state(pstate, accepted.engine, index),
     };
-    *slot = Some(Configured {
-        part,
-        region_index: accepted.region_index,
-        fingerprint: accepted.fingerprint,
-    });
-    // The cursors move with the swap, still under the lock, so a promote
-    // waiting on it seals the freshly installed engine at a matching lsn.
-    state.repl_applied.store(start_lsn, Ordering::Release);
-    state.repl_head.store(start_lsn, Ordering::Release);
-    Ok(())
+    match conn.exchange(request) {
+        Ok(ReplyBody::Repl(reply)) => Ok(reply),
+        Ok(ReplyBody::Error { status, detail }) => Err(ReplFailure::Refused { status, detail }),
+        Ok(other) => Err(ReplFailure::Malformed(format!("reply tag {:#04x}", other.tag()))),
+        Err(FrameError::Io(e)) => Err(ReplFailure::Io(e.to_string())),
+        Err(malformed) => Err(ReplFailure::Malformed(malformed.to_string())),
+    }
 }
 
-/// Applies one fetched batch under the engine lock through the ordinary
-/// command path (log-then-apply — a durable standby's own log stays a
-/// valid recovery source at every point). The whole batch is decoded before
-/// any of it is applied, and the stream carries commands only: bytes that
-/// are not a command (a checkpoint, a replication note, garbage) fail the
-/// batch with the cursor where it was, so the standby never acknowledges an
-/// lsn it applied nothing for — it re-bootstraps instead. Shipped lsns must
-/// be dense from the applied cursor; a skip means the stream and cursor
-/// disagree and the only safe move is, again, a re-bootstrap. A batch that
-/// lost a race with a promotion (the stop flag is set by the time the lock
-/// is held) is discarded whole: nothing in it was acknowledged, and a
-/// sealed stream must not grow.
-fn apply_batch(state: &DaemonState, records: &[(u64, Vec<u8>)]) -> Result<(), String> {
-    state
-        .with_configured(|configured| {
-            if state.repl_stop.load(Ordering::Acquire) {
-                return Ok(());
-            }
-            let applied = state.repl_applied.load(Ordering::Acquire);
-            let mut commands = Vec::with_capacity(records.len());
-            for (expected, (lsn, bytes)) in (applied..).zip(records) {
-                if *lsn != expected {
-                    return Err(format!("stream skipped from {expected} to {lsn}"));
+/// The daemon's engine as the replication state machine sees it.
+struct Engine<'a> {
+    configured: &'a mut Option<Configured>,
+    data_dir: Option<&'a Path>,
+}
+
+impl ReplEngine for Engine<'_> {
+    type Index = FlatGridIndex;
+
+    fn configured(&mut self) -> Option<(&mut EnginePartition<FlatGridIndex>, &str)> {
+        self.configured.as_mut().map(|c| (&mut c.part, c.fingerprint.as_str()))
+    }
+
+    /// Installs a shipped bootstrap state as this daemon's engine, under
+    /// the engine lock. A durable standby wipes its data directory first —
+    /// the shipped checkpoint opens a fresh log epoch and whatever the
+    /// directory held belonged to an older stream (re-seeding a *former
+    /// primary's* log automatically is the known gap; see ROADMAP). The
+    /// fingerprint kept (and persisted) is the canonical re-encoding of the
+    /// shipped configure text — what `configure` stores — so the
+    /// idempotency check matches a router's re-push even when the
+    /// primary's text carries a field this build no longer writes.
+    fn install(&mut self, configure: &str, state: &PartitionState) -> Result<(), String> {
+        let accepted =
+            accept_configure(configure).map_err(|e| format!("configure fingerprint: {e}"))?;
+        let index = accepted.index();
+        let part = match self.data_dir {
+            Some(dir) => {
+                if dir.exists() {
+                    std::fs::remove_dir_all(dir)
+                        .map_err(|e| format!("wiping {}: {e}", dir.display()))?;
                 }
-                commands.push(
-                    decode_command(bytes).map_err(|e| format!("shipped command {lsn}: {e}"))?,
-                );
+                let part =
+                    EnginePartition::restore_durable(dir, accepted.wal, accepted.engine, state, index)
+                        .map_err(|e| format!("restoring in {}: {e}", dir.display()))?;
+                persist_configure(dir, &accepted.fingerprint).map_err(|e| e.to_string())?;
+                part
             }
-            for command in commands {
-                configured.part.apply(0, command);
-                state.repl_applied.fetch_add(1, Ordering::AcqRel);
-            }
-            Ok(())
-        })
-        .map_err(|e| e.to_string())?
+            None => EnginePartition::from_state(state, accepted.engine, index),
+        };
+        *self.configured = Some(Configured {
+            part,
+            region_index: accepted.region_index,
+            fingerprint: accepted.fingerprint,
+        });
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1041,7 +731,7 @@ mod tests {
     use crate::protocol::{EngineConfigDto, RoutingTableDto};
     use rdbsc_cluster::RegionPartition;
     use rdbsc_index::geometry::GridGeometry;
-    use rdbsc_platform::{EngineConfig, PartitionCommand};
+    use rdbsc_platform::EngineConfig;
 
     fn unit_partition() -> RegionPartition {
         RegionPartition::single(GridGeometry::new(Rect::unit(), 0.1))
@@ -1077,55 +767,6 @@ mod tests {
         )
     }
 
-    /// The stream ships commands. A fetch reply that carries anything else
-    /// — here a checkpoint record, hand-encoded where a command belongs —
-    /// used to be decoded as a `WalRecord`, dropped by the replay dispatch,
-    /// and *acknowledged*: the cursor moved past an lsn that applied
-    /// nothing. It must fail the batch whole instead.
-    #[test]
-    fn a_shipped_record_that_is_not_a_command_fails_the_batch_and_moves_nothing() {
-        let partition = unit_partition();
-        let engine_config = EngineConfig::default();
-        let state = standby_state(None);
-        let primary = EnginePartition::new(AssignmentEngine::new(
-            FlatGridIndex::new(partition.region_rect(0), 0.1),
-            engine_config.clone(),
-        ));
-        let text = configure_text(&partition, &engine_config).to_string_compact();
-        install_bootstrap(&state, &text, &primary.dump_state(), 40).unwrap();
-        let digest =
-            |state: &DaemonState| state.with_configured(|c| c.part.state_digest()).unwrap();
-        let before = digest(&state);
-
-        let tick = |now| encode_command(&PartitionCommand::Tick { now });
-        let checkpoint = encode_record(&WalRecord::Checkpoint(primary.dump_state()));
-        let reply = ReplyFrame {
-            request_id: 1,
-            body: ReplyBody::ReplFetch {
-                next_lsn: 43,
-                records: vec![(40, tick(0.5)), (41, checkpoint), (42, tick(1.0))],
-            },
-        };
-        // The transport carries the bytes as they are...
-        let mut wire = Vec::new();
-        reply.write_to(&mut wire).unwrap();
-        let raw = crate::frame::read_raw(&mut &wire[..], 1 << 20).unwrap().unwrap();
-        let ReplyBody::ReplFetch { records, .. } = ReplyFrame::decode(&raw).unwrap().body else {
-            panic!("a fetch reply decodes as one");
-        };
-        // ... and the follower refuses the batch: not even the good command
-        // ahead of the checkpoint is applied, and the cursor stays.
-        let refusal = apply_batch(&state, &records).unwrap_err();
-        assert!(refusal.contains("shipped command 41"), "{refusal}");
-        assert_eq!(state.repl_applied.load(Ordering::Acquire), 40);
-        assert_eq!(digest(&state), before);
-
-        // The same batch without the stray record applies and acknowledges.
-        apply_batch(&state, &[(40, tick(0.5)), (41, tick(1.0))]).unwrap();
-        assert_eq!(state.repl_applied.load(Ordering::Acquire), 42);
-        assert_ne!(digest(&state), before);
-    }
-
     /// A primary built before the `backend` field was dropped ships a
     /// configure text that still carries it. The standby must keep — and
     /// persist — the canonical re-encoding, or the router's re-push after
@@ -1155,10 +796,11 @@ mod tests {
             FlatGridIndex::new(partition.region_rect(0), 0.1),
             engine_config,
         ));
-        install_bootstrap(&state, &shipped, &primary.dump_state(), 0).unwrap();
+        let shipped_state = primary.dump_state();
+        state.with_repl(|_, engine| engine.install(&shipped, &shipped_state)).unwrap();
 
-        let installed = state.engine.lock().unwrap();
-        assert_eq!(installed.as_ref().unwrap().fingerprint, canonical);
+        let installed = state.slot();
+        assert_eq!(installed.configured.as_ref().unwrap().fingerprint, canonical);
         drop(installed);
         assert_eq!(
             std::fs::read_to_string(dir.join("configure.json")).unwrap(),
@@ -1190,9 +832,11 @@ mod tests {
             fields.insert("cell_size".to_string(), Json::Num(cell_size));
             let text = text.to_string_compact();
             let state = standby_state(None);
-            let refusal = install_bootstrap(&state, &text, &primary.dump_state(), 0).unwrap_err();
+            let shipped_state = primary.dump_state();
+            let refusal =
+                state.with_repl(|_, engine| engine.install(&text, &shipped_state)).unwrap_err();
             assert!(refusal.contains("cell_size"), "{cell_size}: {refusal}");
-            assert!(state.slot().is_none(), "{cell_size}: nothing installed");
+            assert!(state.slot().configured.is_none(), "{cell_size}: nothing installed");
             let pushed = configure(&daemon_state(), &text).unwrap_err();
             assert!(pushed.to_string().contains("cell_size"), "{cell_size}: {pushed}");
         }

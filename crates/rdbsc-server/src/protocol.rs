@@ -451,39 +451,6 @@ pub struct Hello {
     pub standby: bool,
 }
 
-// ---------------------------------------------------------------------------
-// Replication.
-
-/// The replication counters a daemon reports — one shape for both roles,
-/// with the fields the other role doesn't track left at zero.
-///
-/// * A **primary** fills `next_lsn`/`acked`/`retained`/`resets` from its
-///   publication buffer; `lag` is `next_lsn - acked` (records shipped but
-///   not yet acknowledged).
-/// * A **standby** fills `applied` (records applied to its engine) and
-///   `next_lsn` (the primary's stream head at the last fetch); `lag` is
-///   `next_lsn - applied`, and `sealed` flips when a promotion seals the
-///   incoming stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplStatusDto {
-    /// `"primary"`, `"standby"` or `"none"`.
-    pub role: String,
-    /// The stream head (next lsn to be published / last head seen).
-    pub next_lsn: u64,
-    /// The primary's acknowledgement watermark.
-    pub acked: u64,
-    /// Records the primary currently retains.
-    pub retained: u64,
-    /// Retention-cap stream resets (each one forced a re-bootstrap).
-    pub resets: u64,
-    /// Records a standby has applied.
-    pub applied: u64,
-    /// Unacknowledged (primary) or unapplied (standby) records.
-    pub lag: u64,
-    /// Did a promotion seal this stream?
-    pub sealed: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

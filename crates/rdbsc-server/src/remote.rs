@@ -28,7 +28,7 @@ use crate::protocol::{ConfigureDto, DurabilityDto, EngineConfigDto, Hello, Routi
 use rdbsc_cluster::RegionPartition;
 use rdbsc_platform::{
     EngineConfig, PartitionClient, PartitionError, PartitionReply, PartitionRequest,
-    ProtocolCounters, StandbyPromoter, PROTOCOL_VERSION,
+    ProtocolCounters, ReplReply, ReplRequest, StandbyPromoter, PROTOCOL_VERSION,
 };
 use std::collections::VecDeque;
 use std::io::BufReader;
@@ -174,7 +174,7 @@ const PROMOTE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The router's [`StandbyPromoter`] over the wire: health-check the
 /// `--follow` standby with a `Hello`, tell it to finish its replay and seal
-/// the stream (a [`RequestBody::ReplPromote`]), then re-attach it through
+/// the stream (a [`ReplRequest::Promote`]), then re-attach it through
 /// the ordinary connect path — the re-pushed configure matches the
 /// standby's fingerprint byte for byte, because both daemons keep the
 /// canonical re-encoding of the payload the primary accepted.
@@ -233,10 +233,10 @@ impl StandbyPromoter for RemoteStandbyPromoter {
         if hello.standby {
             let request = RequestFrame {
                 request_id: 1,
-                body: RequestBody::ReplPromote,
+                body: RequestBody::Repl(ReplRequest::Promote),
             };
             match self.conn(PROMOTE_TIMEOUT)?.exchange(&request) {
-                Ok(ReplyBody::ReplPromote { digest, applied }) => eprintln!(
+                Ok(ReplyBody::Repl(ReplReply::Promote { digest, applied })) => eprintln!(
                     "rdbsc-server: promoted standby {} at stream lsn {applied} (digest {digest:016x})",
                     self.addr
                 ),

@@ -12,7 +12,8 @@ use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::FlatGridIndex;
 use rdbsc_platform::wal::{decode_command, decode_record};
 use rdbsc_platform::{
-    EngineConfig, EnginePartition, PartitionClient, PartitionCommand, PartitionRequest, WalRecord,
+    EngineConfig, EnginePartition, PartitionClient, PartitionCommand, PartitionRequest, ReplReply,
+    ReplRequest, WalRecord,
 };
 use rdbsc_server::frame::{ReplyBody, RequestBody, RequestFrame};
 use rdbsc_server::{
@@ -344,7 +345,7 @@ fn sigkilled_primary_fails_over_to_a_digest_identical_standby() {
     // bootstrap re-enables the stream, its *live* counters (not the sealed
     // short-circuit) reach /metrics — `sealed` itself stays latched.
     let mut standby_conn = FrameConn::new(standby.addr, Duration::from_secs(5));
-    assert!(exchange(&mut standby_conn, 50, RequestBody::ReplBootstrap).is_ok());
+    assert!(exchange(&mut standby_conn, 50, RequestBody::Repl(ReplRequest::Bootstrap)).is_ok());
     post_task(&mut http, 901, 0.45, 0.5, 3.5);
     post_worker(&mut http, 901, 0.45, 0.45);
     tick(&mut http, 3.5);
@@ -439,10 +440,10 @@ fn second_follower_bootstrap_is_refused_while_the_first_is_live() {
 
     let mut conn = FrameConn::new(primary.addr, Duration::from_secs(5));
     let bootstrap = |conn: &mut FrameConn, request_id: u64| {
-        exchange(conn, request_id, RequestBody::ReplBootstrap)
+        exchange(conn, request_id, RequestBody::Repl(ReplRequest::Bootstrap))
     };
     let fetch = |conn: &mut FrameConn, request_id: u64, from: u64, ack: u64| {
-        exchange(conn, request_id, RequestBody::ReplFetch { from, ack, max: 64 })
+        exchange(conn, request_id, RequestBody::Repl(ReplRequest::Fetch { from, ack, max: 64 }))
     };
 
     // Follower #1 bootstraps and starts fetching.
@@ -493,11 +494,11 @@ fn repl_commands_round_trip_over_the_binary_transport() {
     };
 
     // Bootstrap over frames: the snapshot is a canonical Checkpoint record.
-    let ReplyBody::ReplBootstrap {
+    let ReplyBody::Repl(ReplReply::Bootstrap {
         start_lsn,
         state,
         configure,
-    } = exchange(7, RequestBody::ReplBootstrap)
+    }) = exchange(7, RequestBody::Repl(ReplRequest::Bootstrap))
     else {
         panic!("expected ReplBootstrapOk");
     };
@@ -522,13 +523,13 @@ fn repl_commands_round_trip_over_the_binary_transport() {
     remote.begin_tick(0, 1.0).unwrap();
     remote.finish_tick().unwrap();
 
-    let ReplyBody::ReplFetch { next_lsn, records } = exchange(
+    let ReplyBody::Repl(ReplReply::Fetch { next_lsn, records }) = exchange(
         8,
-        RequestBody::ReplFetch {
+        RequestBody::Repl(ReplRequest::Fetch {
             from: start_lsn,
             ack: start_lsn,
             max: 64,
-        },
+        }),
     ) else {
         panic!("expected ReplFetchOk");
     };
@@ -545,14 +546,16 @@ fn repl_commands_round_trip_over_the_binary_transport() {
     );
 
     // Status over frames: the ack watermark advanced with the fetch.
-    let ReplyBody::ReplStatus(status) = exchange(9, RequestBody::ReplStatus) else {
+    let ReplyBody::Repl(ReplReply::Status(status)) = exchange(9, RequestBody::Repl(ReplRequest::Status))
+    else {
         panic!("expected ReplStatusOk");
     };
-    assert_eq!(status.role, "primary");
+    assert_eq!(status.role.as_str(), "primary");
     assert_eq!(status.next_lsn, start_lsn + 2);
 
     // Promoting a daemon that is not a standby is a structured conflict.
-    let ReplyBody::Error { status, detail } = exchange(10, RequestBody::ReplPromote) else {
+    let ReplyBody::Error { status, detail } = exchange(10, RequestBody::Repl(ReplRequest::Promote))
+    else {
         panic!("expected an error reply");
     };
     assert_eq!(status, 409, "promote on a primary must conflict: {detail}");

@@ -13,6 +13,7 @@ use rdbsc_model::{Confidence, Contribution, Task, TaskId, TimeWindow, Worker, Wo
 use rdbsc_platform::{
     AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, EngineSnapshot, InProcessClient,
     PartitionClient, PartitionCommand, PartitionError, PartitionRequest, PartitionedEngine,
+    ReplRequest,
 };
 use rdbsc_server::frame::{ReplyBody, RequestBody, RequestFrame};
 use rdbsc_server::{
@@ -515,12 +516,12 @@ fn every_command_meets_the_one_refusal_table() {
         (request(6, PartitionRequest::Snapshot), 0, 0),
         (request(7, PartitionRequest::IsActive), 0, 0),
         (request(8, PartitionRequest::HasWorker(WorkerId(1))), 0, 0),
-        (frame(9, RequestBody::ReplStatus), 0, 0),
+        (frame(9, RequestBody::Repl(ReplRequest::Status)), 0, 0),
         (frame(15, RequestBody::Hello), 0, 0),
         (frame(16, RequestBody::Configure(configure)), 503, 409),
-        (frame(10, RequestBody::ReplBootstrap), 0, 409),
-        (frame(11, RequestBody::ReplFetch { from: 0, ack: 0, max: 8 }), 0, 409),
-        (frame(12, RequestBody::ReplPromote), 503, 0),
+        (frame(10, RequestBody::Repl(ReplRequest::Bootstrap)), 0, 409),
+        (frame(11, RequestBody::Repl(ReplRequest::Fetch { from: 0, ack: 0, max: 8 })), 0, 409),
+        (frame(12, RequestBody::Repl(ReplRequest::Promote)), 503, 0),
         (request(13, PartitionRequest::Drain), 0, 0),
         (request(14, PartitionRequest::Shutdown), 0, 0),
     ];
@@ -584,4 +585,45 @@ fn a_wrong_method_is_405_and_an_unknown_path_404() {
     assert_eq!(http.get("/healthz").unwrap().status, 200);
     daemon.shutdown();
     daemon.join();
+}
+
+/// A promote that a standby refuses because it has not bootstrapped yet
+/// (its primary is unconfigured) changes nothing: once the primary is
+/// configured, the standby's follower bootstraps as if no promote had come.
+#[test]
+fn a_refused_promote_leaves_the_follower_following() {
+    let primary = daemon();
+    let standby = PartitionDaemon::start(PartitiondConfig {
+        addr: "127.0.0.1:0".to_string(),
+        follow: Some(primary.addr().to_string()),
+        ..PartitiondConfig::default()
+    })
+    .expect("standby start");
+    let mut conn = FrameConn::new(standby.addr(), Duration::from_secs(5));
+    let mut exchange = |request_id, body| {
+        conn.exchange(&RequestFrame { request_id, body })
+            .expect("a refusal is a reply")
+    };
+    match exchange(1, RequestBody::Repl(ReplRequest::Promote)) {
+        ReplyBody::Error { status, detail } => assert_eq!(status, 409, "{detail}"),
+        other => panic!("a promote before any bootstrap must be refused: {other:?}"),
+    }
+
+    let mut router = attach(&primary, &single_region(), 0, &EngineConfig::default());
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let hello = loop {
+        match exchange(2, RequestBody::Hello) {
+            ReplyBody::Hello(hello) if hello.region_index.is_some() => break hello,
+            _ if std::time::Instant::now() > deadline => {
+                panic!("the standby never bootstrapped after the refused promote")
+            }
+            _ => std::thread::sleep(Duration::from_millis(25)),
+        }
+    };
+    assert!(hello.standby, "still an unpromoted standby: {hello:?}");
+
+    router.shutdown().unwrap();
+    standby.shutdown();
+    standby.join();
+    primary.join();
 }

@@ -18,7 +18,7 @@ use rdbsc_model::{
 };
 use rdbsc_platform::{
     CommandOutcome, EngineConfig, EngineEvent, EngineObjective, EngineSnapshot, PartitionCommand,
-    PartitionReply, PartitionRequest, PartitionTick, TickReport, WalStats,
+    PartitionReply, PartitionRequest, PartitionTick, ReplReply, ReplRequest, TickReport, WalStats,
 };
 use rdbsc_server::frame::{
     self, FrameError, RawFrame, ReplyBody, ReplyFrame, RequestBody, RequestFrame, FRAME_VERSION,
@@ -144,16 +144,16 @@ fn request() -> impl Strategy<Value = RequestFrame> {
         .prop_map(|(kind, request_id, partition, lsn, max, configure)| {
             let body = match kind {
                 0..=9 => RequestBody::Partition(partition),
-                10 => RequestBody::ReplBootstrap,
+                10 => RequestBody::Repl(ReplRequest::Bootstrap),
                 // Lsns are u64 on the wire: values above 2^53 (which a JSON
                 // number could not hold exactly) must survive bit for bit.
-                11 => RequestBody::ReplFetch {
+                11 => RequestBody::Repl(ReplRequest::Fetch {
                     from: lsn | (1 << 60),
                     ack: lsn | (1 << 59),
                     max,
-                },
-                12 => RequestBody::ReplStatus,
-                13 => RequestBody::ReplPromote,
+                }),
+                12 => RequestBody::Repl(ReplRequest::Status),
+                13 => RequestBody::Repl(ReplRequest::Promote),
                 14 => RequestBody::Hello,
                 // The configure text is opaque to the codec: any string.
                 _ => RequestBody::Configure(configure),
@@ -297,17 +297,17 @@ fn reply() -> impl Strategy<Value = ReplyFrame> {
                     8 => partition(PartitionReply::Drained),
                     9 => partition(PartitionReply::ShutDown),
                     // Shipped records are opaque bytes and lsns full u64s.
-                    10 => ReplyBody::ReplFetch {
+                    10 => ReplyBody::Repl(ReplReply::Fetch {
                         next_lsn: request_id | (1 << 60),
                         records: vec![
                             (request_id | (1 << 59), detail.clone().into_bytes()),
                             (u64::MAX, Vec::new()),
                         ],
-                    },
-                    11 => ReplyBody::ReplPromote {
+                    }),
+                    11 => ReplyBody::Repl(ReplReply::Promote {
                         digest: !request_id,
                         applied: request_id | (1 << 58),
-                    },
+                    }),
                     // Region and version are full u32s; the flags vary
                     // apart from each other.
                     12 => ReplyBody::Hello(Hello {

@@ -1,7 +1,9 @@
 //! Property tests for log-shipping replication (`rdbsc_platform::repl`).
 //!
 //! Three contracts, mirroring the fault families the daemon follower must
-//! survive:
+//! survive. The first two drive the follower itself — the
+//! [`Replication`] state machine a `--follow` daemon runs — against a
+//! primary's [`Replication`] over an in-memory transport:
 //!
 //! 1. **Primary death between records** — however far shipping got before
 //!    the primary died, promoting the standby seals it at *exactly* the
@@ -10,8 +12,8 @@
 //!    identically to an oracle constructed from the same prefix.
 //! 2. **Torn shipments** — a record cut anywhere mid-encoding never
 //!    decodes (and never panics); the standby applies only whole records,
-//!    sits at an exact prefix, and converges once the retry delivers the
-//!    rest.
+//!    sits at an exact prefix, and converges once its retry (a fresh
+//!    bootstrap) delivers the rest.
 //! 3. **Standby log faults** — the follower's own log-then-apply WAL is
 //!    struck by [`FailpointWriter`] faults (torn writes, flipped bytes,
 //!    failing appends, mid-bootstrap crash). Recovery from the damaged log
@@ -27,10 +29,15 @@ use rdbsc::platform::wal::{
     decode_command, encode_command, encode_partition_state, FailpointWriter, FaultPlan,
     SegmentFactory, Wal, WalConfig, WalFile, WalRecord,
 };
-use rdbsc::platform::{EnginePartition, PartitionCommand};
+use rdbsc::platform::{
+    EnginePartition, PartitionCommand, PartitionState, Poll, ReplEngine, ReplFailure, ReplReply,
+    ReplRequest, Replication,
+};
+use rdbsc::platform::repl::{FOLLOWER_LIVENESS, FOLLOW_BATCH};
 use rdbsc::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// A fresh, unique scratch directory per proptest case (cases share threads,
 /// so thread ids are not enough).
@@ -139,6 +146,99 @@ fn fresh_primary() -> EnginePartition<FlatGridIndex> {
     EnginePartition::new(AssignmentEngine::new(fresh_index(), EngineConfig::default()))
 }
 
+/// An engine slot for [`Replication`]: the partition (once there is one)
+/// and the configure payload it was built from. A standby's install
+/// restores a shipped state, as a non-durable daemon does.
+struct Slot(Option<(EnginePartition<FlatGridIndex>, String)>);
+
+impl ReplEngine for Slot {
+    type Index = FlatGridIndex;
+
+    fn configured(&mut self) -> Option<(&mut EnginePartition<FlatGridIndex>, &str)> {
+        self.0.as_mut().map(|(part, configure)| (part, configure.as_str()))
+    }
+
+    fn install(&mut self, configure: &str, state: &PartitionState) -> Result<(), String> {
+        let part = EnginePartition::from_state(state, EngineConfig::default(), fresh_index);
+        self.0 = Some((part, configure.to_string()));
+        Ok(())
+    }
+}
+
+impl Slot {
+    fn part(&mut self) -> &mut EnginePartition<FlatGridIndex> {
+        &mut self.0.as_mut().expect("configured").0
+    }
+}
+
+/// A primary and its standby, each a [`Replication`] beside its engine,
+/// joined by an in-memory transport: the standby's follower asks, the
+/// primary answers as a daemon would (a refusal is a `409`), and what
+/// travels is what a frame carries — shipped commands as the bytes of
+/// their log records.
+struct Pair {
+    primary: (Replication, Slot),
+    standby: (Replication, Slot),
+    now: Instant,
+}
+
+impl Pair {
+    fn new(primary: EnginePartition<FlatGridIndex>) -> Self {
+        let configure = "configure".to_string();
+        Self {
+            primary: (Replication::primary(), Slot(Some((primary, configure)))),
+            standby: (Replication::standby(), Slot(None)),
+            now: Instant::now(),
+        }
+    }
+
+    /// The follower's next request, after any wait it asks for.
+    fn request(&mut self) -> ReplRequest {
+        loop {
+            match self.standby.0.poll(self.now) {
+                Poll::Send(request) => return request,
+                Poll::WaitUntil(at) => self.now = at,
+                Poll::Stop => panic!("the follower stopped"),
+            }
+        }
+    }
+
+    /// The primary's answer to `request`.
+    fn answer(&mut self, request: ReplRequest) -> Result<ReplReply, ReplFailure> {
+        let (repl, slot) = &mut self.primary;
+        repl.serve(self.now, request, slot)
+            .map_err(|detail| ReplFailure::Refused { status: 409, detail })
+    }
+
+    /// Hands `reply` to the follower.
+    fn deliver(&mut self, reply: Result<ReplReply, ReplFailure>) {
+        let (repl, slot) = &mut self.standby;
+        repl.on_reply(self.now, reply, slot);
+    }
+
+    /// One whole exchange: the follower's request, answered and delivered.
+    fn exchange(&mut self) {
+        let request = self.request();
+        let reply = self.answer(request);
+        self.deliver(reply);
+    }
+
+    /// The follower's applied cursor.
+    fn applied(&mut self) -> u64 {
+        let (repl, slot) = &mut self.standby;
+        repl.status(slot.0.as_ref().map(|(part, _)| part)).applied
+    }
+
+    /// Promotes the standby; returns the sealed digest and cursor.
+    fn promote(&mut self) -> (u64, u64) {
+        let (repl, slot) = &mut self.standby;
+        match repl.serve(self.now, ReplRequest::Promote, slot) {
+            Ok(ReplReply::Promote { digest, applied }) => (digest, applied),
+            other => panic!("a bootstrapped standby promotes: {other:?}"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -161,42 +261,57 @@ proptest! {
         for cmd in &commands[..warmup] {
             apply(&mut primary, cmd);
         }
-        let (boot_state, start_lsn) = primary.enable_replication();
+        // The snapshot a bootstrap ships is the primary's state right now.
+        let boot_state = primary.dump_state();
+        let mut pair = Pair::new(primary);
+        pair.exchange();
+        let start_lsn = pair.applied();
 
         // digests[i] = the primary's digest after i post-bootstrap commands
         // (one published record each).
+        let primary = pair.primary.1.part();
         let mut digests = vec![primary.state_digest()];
+        prop_assert_eq!(pair.standby.1.part().state_digest(), digests[0]);
         let crash_at = warmup + (((commands.len() - warmup) as f64) * crash_frac) as usize;
         for cmd in &commands[warmup..crash_at] {
-            apply(&mut primary, cmd);
+            let primary = pair.primary.1.part();
+            apply(primary, cmd);
             digests.push(primary.state_digest());
         }
         let available = crash_at - warmup;
-        let status = primary.repl_status().unwrap();
+        let status = pair.primary.1.part().repl_status().unwrap();
         prop_assert_eq!(status.next_lsn - start_lsn, available as u64);
 
-        // The primary dies after shipping only part of the stream.
+        // The primary dies after shipping only part of the stream: the
+        // transport carries at most `batch` records a fetch, and no fetch
+        // past `target`.
         let target = ((available as f64) * applied_frac) as usize;
-        let mut standby =
-            EnginePartition::from_state(&boot_state, EngineConfig::default(), fresh_index);
         let mut shipped: Vec<PartitionCommand> = Vec::new();
-        let mut applied = start_lsn;
-        while ((applied - start_lsn) as usize) < target {
+        while ((pair.applied() - start_lsn) as usize) < target {
+            let applied = pair.applied();
+            let ReplRequest::Fetch { from, ack, max } = pair.request() else {
+                panic!("a bootstrapped follower fetches");
+            };
+            prop_assert_eq!((from, ack), (applied, applied));
             let want = batch.min(target - (applied - start_lsn) as usize);
-            let fetched = primary.repl_fetch(applied, applied, want).unwrap();
-            prop_assert!(!fetched.is_empty(), "records below the head must be fetchable");
-            for (lsn, command) in fetched {
-                prop_assert_eq!(lsn, applied, "shipped lsns must be dense");
-                // Full wire round trip, exactly like the daemon follower.
-                let command = decode_command(&encode_command(&command)).unwrap();
-                shipped.push(command.clone());
-                standby.apply(0, command);
-                applied += 1;
+            let reply = pair.answer(ReplRequest::Fetch { from, ack, max: max.min(want as u32) });
+            let Ok(ReplReply::Fetch { records, .. }) = &reply else {
+                panic!("records below the head must be fetchable: {reply:?}");
+            };
+            prop_assert!(!records.is_empty(), "records below the head must be fetchable");
+            for (_, bytes) in records {
+                shipped.push(decode_command(bytes).unwrap());
             }
+            pair.deliver(reply);
+            prop_assert_eq!(
+                pair.applied(), start_lsn + shipped.len() as u64,
+                "shipped lsns must be dense"
+            );
         }
-        drop(primary);
+        pair.primary.1 = Slot(None);
 
-        let sealed = standby.seal_replication(applied);
+        let (sealed, applied) = pair.promote();
+        prop_assert_eq!(applied, start_lsn + target as u64);
         prop_assert_eq!(
             sealed, digests[target],
             "promotion must seal exactly the acknowledged prefix \
@@ -211,8 +326,9 @@ proptest! {
         for command in shipped {
             oracle.apply(0, command);
         }
+        let standby = pair.standby.1.part();
         for cmd in &commands[crash_at..] {
-            apply(&mut standby, cmd);
+            apply(standby, cmd);
             apply(&mut oracle, cmd);
         }
         prop_assert_eq!(standby.state_digest(), oracle.state_digest());
@@ -229,57 +345,75 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let commands = random_commands(seed, steps);
-        let mut primary = fresh_primary();
-        let (boot_state, start_lsn) = primary.enable_replication();
-        let mut digests = vec![primary.state_digest()];
+        let mut pair = Pair::new(fresh_primary());
+        pair.exchange();
+        let start_lsn = pair.applied();
+        let mut digests = vec![pair.primary.1.part().state_digest()];
         for cmd in &commands {
-            apply(&mut primary, cmd);
+            let primary = pair.primary.1.part();
+            apply(primary, cmd);
             digests.push(primary.state_digest());
         }
-        let head = primary.repl_status().unwrap().next_lsn;
-        let wire: Vec<Vec<u8>> = primary
-            .repl_fetch(start_lsn, start_lsn, (head - start_lsn) as usize)
-            .unwrap()
-            .into_iter()
-            .map(|(_, command)| encode_command(&command))
-            .collect();
-        prop_assert_eq!(wire.len(), commands.len());
+        let head = pair.primary.1.part().repl_status().unwrap().next_lsn;
+        prop_assert_eq!((head - start_lsn) as usize, commands.len());
 
-        // Delivery tears inside record `tear_at`: a strict prefix of its
-        // bytes arrives.
-        let tear_at = (((wire.len() - 1) as f64) * tear_frac) as usize;
-        let mut standby =
-            EnginePartition::from_state(&boot_state, EngineConfig::default(), fresh_index);
-        for bytes in &wire[..tear_at] {
-            standby.apply(0, decode_command(bytes).unwrap());
+        // Delivery tears inside record `tear_at`: the records before it
+        // arrive whole, then a strict prefix of its bytes.
+        let tear_at = (((commands.len() - 1) as f64) * tear_frac) as usize;
+        if tear_at > 0 {
+            let ReplRequest::Fetch { from, ack, .. } = pair.request() else {
+                panic!("a bootstrapped follower fetches");
+            };
+            let whole = pair.answer(ReplRequest::Fetch { from, ack, max: tear_at as u32 });
+            pair.deliver(whole);
         }
-        let torn = &wire[tear_at];
+        prop_assert_eq!(pair.applied(), start_lsn + tear_at as u64);
+        let ReplRequest::Fetch { from, ack, .. } = pair.request() else {
+            panic!("a bootstrapped follower fetches");
+        };
+        let Ok(ReplReply::Fetch { next_lsn, mut records }) =
+            pair.answer(ReplRequest::Fetch { from, ack, max: 1 })
+        else {
+            panic!("the torn record is fetchable");
+        };
+        let torn = &mut records[0].1;
         let cut = (((torn.len()) as f64) * cut_frac) as usize;
         let cut = cut.min(torn.len() - 1);
         prop_assert!(
             decode_command(&torn[..cut]).is_err(),
             "a torn record must never decode ({}of {} bytes)", cut, torn.len()
         );
+        torn.truncate(cut);
+        pair.deliver(Ok(ReplReply::Fetch { next_lsn, records }));
         prop_assert_eq!(
-            standby.state_digest(), digests[tear_at],
+            pair.standby.1.part().state_digest(), digests[tear_at],
             "the standby must sit at the exact whole-record prefix"
         );
+        prop_assert_eq!(pair.applied(), start_lsn + tear_at as u64);
 
-        // The retry re-delivers from the applied cursor; the standby
-        // converges and promotion seals at the primary's final state.
-        for bytes in &wire[tear_at..] {
-            standby.apply(0, decode_command(bytes).unwrap());
-        }
-        prop_assert_eq!(standby.state_digest(), *digests.last().unwrap());
+        // The follower refused the batch and retries with a fresh
+        // bootstrap, let in once its own fetch no longer holds the
+        // primary's single-follower window; it converges, and promotion
+        // seals at the primary's final state.
+        prop_assert_eq!(pair.request(), ReplRequest::Bootstrap);
+        pair.now += FOLLOWER_LIVENESS;
+        pair.exchange();
+        prop_assert_eq!(pair.standby.1.part().state_digest(), *digests.last().unwrap());
         // A follower that kept up: its next pull acknowledges the head,
         // finds nothing to fetch, leaves nothing retained, and never reset.
-        prop_assert!(primary.repl_fetch(head, head, 1).unwrap().is_empty());
-        let status = primary.repl_status().unwrap();
+        let request = pair.request();
+        prop_assert_eq!(&request, &ReplRequest::Fetch { from: head, ack: head, max: FOLLOW_BATCH });
+        let Ok(ReplReply::Fetch { records, .. }) = pair.answer(request) else {
+            panic!("a fetch at the head is served");
+        };
+        prop_assert!(records.is_empty());
+        let status = pair.primary.1.part().repl_status().unwrap();
         prop_assert_eq!(
             (status.next_lsn, status.acked, status.retained, status.resets),
             (head, head, 0, 0)
         );
-        prop_assert_eq!(standby.seal_replication(head), primary.state_digest());
+        let final_digest = pair.primary.1.part().state_digest();
+        prop_assert_eq!(pair.promote(), (final_digest, head));
     }
 
     /// Contract 3: the standby's own log-then-apply WAL is struck by a
