@@ -627,30 +627,35 @@ impl<I: SpatialIndex> EnginePartition<I> {
     }
 
     /// Opens (or creates) the durable log in `dir` and recovers the
-    /// partition from it: the latest checkpoint is restored into a fresh
-    /// index from `make_index`, the logged tail is replayed through the
-    /// ordinary command path, and only then does the log attach — so
-    /// replayed commands are not re-logged. On an empty directory this is
-    /// simply a durable fresh partition.
+    /// partition from it in one pass over the log: each record is applied
+    /// by value as it is decoded — a command through the ordinary command
+    /// path, a checkpoint by replacing the partition built so far with one
+    /// restored into a fresh index from `make_index` — and only then does
+    /// the log attach, so replayed commands are not re-logged. On an empty
+    /// directory this is simply a durable fresh partition.
     pub fn open_durable(
         dir: &Path,
         wal_config: WalConfig,
         engine_config: EngineConfig,
-        make_index: impl FnOnce() -> I,
+        make_index: impl Fn() -> I,
     ) -> Result<(Self, ScannedLog), WalError> {
-        let (wal, scan) = Wal::open(dir, wal_config)?;
-        let (checkpoint, tail) = scan.recovery_plan();
-        let mut part = match checkpoint {
-            Some(state) => Self::from_state(state, engine_config, make_index),
-            None => Self::new(AssignmentEngine::new(make_index(), engine_config)),
-        };
-        for record in tail {
-            // Not commands: recovery_plan() splits at the *latest*
-            // checkpoint, and replication notes are observational.
-            if let WalRecord::Command(command) = record {
-                part.apply(0, command.clone());
+        let fresh = |config| Self::new(AssignmentEngine::new(make_index(), config));
+        let mut part = None;
+        let (wal, scan) = Wal::open(dir, wal_config, |record| match record {
+            WalRecord::Checkpoint(state) => {
+                // The latest checkpoint wins; drop the superseded engine
+                // before building its successor.
+                part = None;
+                part = Some(Self::from_state(state, engine_config.clone(), &make_index));
             }
-        }
+            WalRecord::Command(command) => {
+                part.get_or_insert_with(|| fresh(engine_config.clone()))
+                    .apply(0, command);
+            }
+            // Replication notes are observational.
+            WalRecord::ReplMeta { .. } => {}
+        })?;
+        let mut part = part.unwrap_or_else(|| fresh(engine_config));
         part.wal = Some(wal);
         Ok((part, scan))
     }
@@ -901,15 +906,15 @@ impl<I: SpatialIndex> EnginePartition<I> {
         state.digest()
     }
 
-    /// Rebuilds a partition from a shipped state snapshot (no durability)
-    /// — the in-memory half of the follower bootstrap path.
+    /// Rebuilds a partition from a state snapshot (no durability) — the
+    /// in-memory half of the follower bootstrap path, and what recovery
+    /// does with a checkpoint.
     pub fn from_state(
-        state: &PartitionState,
+        state: PartitionState,
         engine_config: EngineConfig,
         make_index: impl FnOnce() -> I,
     ) -> Self {
-        let engine =
-            AssignmentEngine::restore_state(make_index(), engine_config, state.engine.clone());
+        let engine = AssignmentEngine::restore_state(make_index(), engine_config, state.engine);
         let mut part = Self::new(engine);
         part.last_now = state.last_now;
         part.events_applied = state.events_applied;
@@ -926,12 +931,12 @@ impl<I: SpatialIndex> EnginePartition<I> {
         dir: &Path,
         wal_config: WalConfig,
         engine_config: EngineConfig,
-        state: &PartitionState,
+        state: PartitionState,
         make_index: impl FnOnce() -> I,
     ) -> Result<Self, WalError> {
-        let (mut wal, _scan) = Wal::open(dir, wal_config)?;
+        let (mut wal, _scan) = Wal::open(dir, wal_config, |_| {})?;
+        wal.append_checkpoint(&state, state.engine.tick_count)?;
         let mut part = Self::from_state(state, engine_config, make_index);
-        wal.append_checkpoint(state, part.engine.num_ticks())?;
         part.wal = Some(wal);
         Ok(part)
     }
@@ -1259,7 +1264,7 @@ mod tests {
             let file = std::fs::OpenOptions::new().write(true).create_new(true).open(path)?;
             Ok(Box::new(wrap(file)) as Box<dyn crate::wal::WalFile>)
         });
-        let (wal, _) = Wal::open_with_factory(dir, WalConfig::default(), factory).unwrap();
+        let (wal, _) = Wal::open_with_factory(dir, WalConfig::default(), factory, |_| {}).unwrap();
         let mut part = EnginePartition::new(engine());
         part.wal = Some(wal);
         part

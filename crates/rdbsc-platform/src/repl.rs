@@ -308,7 +308,7 @@ pub trait ReplEngine {
 
     /// Replaces the partition with `state` under the settings `configure`
     /// names (a bootstrap). On `Err` the engine is left as it was.
-    fn install(&mut self, configure: &str, state: &PartitionState) -> Result<(), String>;
+    fn install(&mut self, configure: &str, state: PartitionState) -> Result<(), String>;
 }
 
 /// What a standby's driver does next.
@@ -557,7 +557,7 @@ impl Follower {
         engine: &mut E,
     ) -> Result<Option<Duration>, String> {
         match decode_record(state).map_err(|e| format!("bootstrap state: {e}"))? {
-            WalRecord::Checkpoint(state) => engine.install(configure, &state)?,
+            WalRecord::Checkpoint(state) => engine.install(configure, state)?,
             _ => return Err("bootstrap state is not a checkpoint record".to_string()),
         }
         let cursor = Cursor { applied: start_lsn, head: start_lsn };
@@ -643,7 +643,7 @@ mod tests {
             self.0.as_mut().map(|(part, configure)| (part, configure.as_str()))
         }
 
-        fn install(&mut self, configure: &str, state: &PartitionState) -> Result<(), String> {
+        fn install(&mut self, configure: &str, state: PartitionState) -> Result<(), String> {
             let part = EnginePartition::from_state(state, EngineConfig::default(), index);
             self.0 = Some((part, configure.to_string()));
             Ok(())

@@ -53,6 +53,22 @@
 //! fault-injection proptests in `tests/proptest_wal.rs` hammer with
 //! [`FailpointWriter`].
 //!
+//! Replay streams over that prefix in one pass:
+//!
+//! - [`scan_dir`] hands each valid record to a visitor, by value, as soon
+//!   as its frame is read and decoded; nothing collects the prefix.
+//! - A segment is read frame by frame through one reusable buffer, never
+//!   whole; a directory with no frame allocates none.
+//! - `EnginePartition::open_durable` applies each command as it arrives.
+//! - A checkpoint replaces the partition built so far, so the latest
+//!   checkpoint wins without a second pass.
+//! - A record is valid or not by itself and the records before it, so
+//!   applying it before the rest of the log is read still replays exactly
+//!   the valid prefix.
+//! - Recovery's memory is one frame buffer (as large as the largest
+//!   frame), one decoded record and the engine, whatever the tail's
+//!   length; `tests/recovery_memory.rs` holds it to that.
+//!
 //! Checkpoints ride in the log as ordinary records; segments strictly older
 //! than the segment holding the latest fsynced checkpoint are retired
 //! (deleted) so the log's footprint is bounded by the checkpoint interval.
@@ -69,7 +85,7 @@ pub use failpoint::{FailpointWriter, FaultPlan};
 use crate::engine::{EngineEvent, EngineState};
 use crate::protocol::PartitionCommand;
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -286,12 +302,10 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
     Ok(segments)
 }
 
-/// What a read-only scan of a log directory found: the valid record prefix
-/// plus the repairs an appender must make before resuming.
+/// What a read-only scan of a log directory found: the repairs an appender
+/// must make before resuming, and the counts recovery reports.
 #[derive(Debug)]
 pub struct ScannedLog {
-    /// Every record of the valid prefix, in append (lsn) order.
-    pub records: Vec<WalRecord>,
     /// The lsn the next append gets.
     pub next_lsn: u64,
     /// Highest segment sequence number seen (valid or not).
@@ -300,6 +314,11 @@ pub struct ScannedLog {
     pub segments: u64,
     /// Bytes beyond the valid prefix (torn tail plus dropped segments).
     pub dropped_bytes: u64,
+    /// Valid records after the latest checkpoint (every valid record when
+    /// there is none), replication notes included.
+    pub recovered_records: u64,
+    /// Whether the valid prefix holds a checkpoint.
+    pub recovered_checkpoint: bool,
     /// Torn segment to truncate to its valid byte length.
     truncate: Option<(PathBuf, u64)>,
     /// Segment files entirely beyond the valid prefix, to delete.
@@ -307,88 +326,57 @@ pub struct ScannedLog {
 }
 
 impl ScannedLog {
-    /// Splits the prefix into the latest checkpoint (if any) and the tail
-    /// records after it — the recovery inputs.
-    pub fn recovery_plan(&self) -> (Option<&PartitionState>, &[WalRecord]) {
-        let checkpoint_at = self
-            .records
-            .iter()
-            .rposition(|r| matches!(r, WalRecord::Checkpoint(_)));
-        match checkpoint_at {
-            Some(i) => {
-                let WalRecord::Checkpoint(state) = &self.records[i] else {
-                    unreachable!("rposition found a checkpoint");
-                };
-                (Some(state), &self.records[i + 1..])
-            }
-            None => (None, &self.records[..]),
-        }
-    }
-
     /// Did the scan find damage (torn tail or unreadable segments)?
     pub fn found_damage(&self) -> bool {
         self.truncate.is_some() || !self.drop_files.is_empty()
     }
 }
 
-/// Scans a log directory read-only and returns its valid record prefix
-/// (see the [module docs](self) for the invariant). Unreadable or
-/// out-of-chain bytes end the prefix; they are *reported*, not repaired —
-/// [`Wal::open`] applies the repairs before resuming appends.
-pub fn scan_dir(dir: &Path) -> Result<ScannedLog, WalError> {
-    let segments = list_segments(dir)?;
+/// Scans a log directory read-only, handing `visit` each record of the
+/// valid prefix in append (lsn) order as soon as it is decoded (see the
+/// [module docs](self) for the invariant). Unreadable or out-of-chain bytes
+/// end the prefix; they are *reported*, not repaired — [`Wal::open`]
+/// applies the repairs before resuming appends.
+pub fn scan_dir(dir: &Path, mut visit: impl FnMut(WalRecord)) -> Result<ScannedLog, WalError> {
     let mut scan = ScannedLog {
-        records: Vec::new(),
         next_lsn: 0,
-        max_seqno: segments.last().map(|(seqno, _)| *seqno),
+        max_seqno: None,
         segments: 0,
         dropped_bytes: 0,
+        recovered_records: 0,
+        recovered_checkpoint: false,
         truncate: None,
         drop_files: Vec::new(),
     };
-    let mut expected_lsn: Option<u64> = None;
-    let mut broken = false;
-    for (seqno, path) in segments {
-        if broken {
-            scan.dropped_bytes += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            scan.drop_files.push(path);
-            continue;
+    scan.next_lsn = walk_dir(dir, |walked| match walked {
+        Walk::Frame { record, .. } => {
+            if let WalRecord::Checkpoint(_) = record {
+                scan.recovered_checkpoint = true;
+                scan.recovered_records = 0;
+            } else {
+                scan.recovered_records += 1;
+            }
+            visit(record);
         }
-        let bytes = fs::read(&path)?;
-        match scan_segment(&bytes, seqno, expected_lsn, &mut scan.records) {
-            SegmentScan::Clean { next_lsn } => {
-                expected_lsn = Some(next_lsn);
+        Walk::Segment(info) => {
+            scan.max_seqno = Some(info.seqno);
+            if info.unreadable || info.beyond_prefix {
+                // Nothing in this segment belongs to the prefix.
+                scan.dropped_bytes += info.file_bytes;
+                scan.drop_files.push(info.path);
+            } else {
                 scan.segments += 1;
-            }
-            SegmentScan::Torn {
-                valid_bytes,
-                next_lsn,
-            } => {
-                // The prefix ends inside this segment: truncate it and drop
-                // everything after. The appender resumes in a new segment.
-                expected_lsn = Some(next_lsn);
-                scan.segments += 1;
-                scan.dropped_bytes += bytes.len() as u64 - valid_bytes;
-                scan.truncate = Some((path, valid_bytes));
-                broken = true;
-            }
-            SegmentScan::Unreadable => {
-                // Not even a valid header: nothing in this segment (or any
-                // later one) belongs to the prefix.
-                scan.dropped_bytes += bytes.len() as u64;
-                scan.drop_files.push(path);
-                broken = true;
+                if info.torn_bytes > 0 {
+                    // The prefix ends inside this segment: truncate it and
+                    // drop everything after. The appender resumes in a new
+                    // segment.
+                    scan.dropped_bytes += info.torn_bytes;
+                    scan.truncate = Some((info.path, info.file_bytes - info.torn_bytes));
+                }
             }
         }
-    }
-    scan.next_lsn = expected_lsn.unwrap_or(0);
+    })?;
     Ok(scan)
-}
-
-enum SegmentScan {
-    Clean { next_lsn: u64 },
-    Torn { valid_bytes: u64, next_lsn: u64 },
-    Unreadable,
 }
 
 /// Read-only metadata of one valid frame, produced by [`inspect_dir`].
@@ -442,56 +430,27 @@ pub struct SegmentInfo {
 /// sees what a repair would delete before anything is deleted.
 pub fn inspect_dir(dir: &Path) -> Result<Vec<SegmentInfo>, WalError> {
     let mut infos = Vec::new();
-    let mut expected_lsn: Option<u64> = None;
-    let mut broken = false;
-    for (seqno, path) in list_segments(dir)? {
-        let bytes = fs::read(&path)?;
-        let mut info = SegmentInfo {
-            seqno,
-            path,
-            file_bytes: bytes.len() as u64,
-            first_lsn: None,
-            frames: Vec::new(),
-            torn_bytes: 0,
-            unreadable: false,
-            beyond_prefix: broken,
-        };
-        if broken {
+    let mut frames = Vec::new();
+    walk_dir(dir, |walked| match walked {
+        Walk::Frame {
+            lsn,
+            payload_bytes,
+            record,
+        } => frames.push(FrameInfo {
+            lsn,
+            kind: record.kind(),
+            payload_bytes,
+            detail: record_detail(&record),
+            repl: match record {
+                WalRecord::ReplMeta { acked, sealed } => Some((acked, sealed)),
+                _ => None,
+            },
+        }),
+        Walk::Segment(mut info) => {
+            info.frames = std::mem::take(&mut frames);
             infos.push(info);
-            continue;
         }
-        info.first_lsn = segment_first_lsn(&bytes, seqno);
-        let chained = info
-            .first_lsn
-            .filter(|&first| expected_lsn.is_none_or(|expected| expected == first));
-        let Some(mut lsn) = chained else {
-            info.unreadable = true;
-            broken = true;
-            infos.push(info);
-            continue;
-        };
-        let mut pos = HEADER_BYTES;
-        while let Some((record, total)) = read_frame(&bytes[pos..], lsn) {
-            info.frames.push(FrameInfo {
-                lsn,
-                kind: record.kind(),
-                payload_bytes: (total - FRAME_HEADER_BYTES) as u64,
-                detail: record_detail(&record),
-                repl: match record {
-                    WalRecord::ReplMeta { acked, sealed } => Some((acked, sealed)),
-                    _ => None,
-                },
-            });
-            pos += total;
-            lsn += 1;
-        }
-        if pos < bytes.len() {
-            info.torn_bytes = (bytes.len() - pos) as u64;
-            broken = true;
-        }
-        expected_lsn = Some(lsn);
-        infos.push(info);
-    }
+    })?;
     Ok(infos)
 }
 
@@ -515,39 +474,94 @@ fn record_detail(record: &WalRecord) -> String {
     }
 }
 
-/// Walks one segment's bytes, pushing valid records onto `records` until
-/// the frame chain breaks. `expected_lsn` is `None` for the first surviving
-/// segment (retirement makes its first lsn the chain base).
-fn scan_segment(
-    bytes: &[u8],
-    seqno: u64,
-    expected_lsn: Option<u64>,
-    records: &mut Vec<WalRecord>,
-) -> SegmentScan {
-    let Some(first_lsn) = segment_first_lsn(bytes, seqno) else {
-        return SegmentScan::Unreadable;
-    };
-    let mut lsn = match expected_lsn {
-        Some(expected) if expected != first_lsn => return SegmentScan::Unreadable,
-        Some(expected) => expected,
-        None => first_lsn,
-    };
-    let mut pos = HEADER_BYTES;
-    loop {
-        let Some(frame) = read_frame(&bytes[pos..], lsn) else {
-            return if pos == bytes.len() {
-                SegmentScan::Clean { next_lsn: lsn }
-            } else {
-                SegmentScan::Torn {
-                    valid_bytes: pos as u64,
-                    next_lsn: lsn,
-                }
-            };
+/// One step of [`walk_dir`], in file order.
+enum Walk {
+    /// A valid frame of the prefix.
+    Frame {
+        lsn: u64,
+        payload_bytes: u64,
+        record: WalRecord,
+    },
+    /// A segment, once its frames have been reported (its own `frames` is
+    /// left empty).
+    Segment(SegmentInfo),
+}
+
+/// The one frame walker [`scan_dir`] and [`inspect_dir`] share. Segments
+/// go in sequence order, and each frame is read through one buffer that
+/// grows to the largest frame (nothing is allocated for a directory with
+/// no frame). A frame is reported only once its header chain (magic,
+/// version, seqno, first lsn), length bound, lsn, CRC and decode all hold;
+/// the first violation ends the valid prefix, and later segments are
+/// reported [`SegmentInfo::beyond_prefix`] without being read. Returns the
+/// lsn after the prefix.
+fn walk_dir(dir: &Path, mut step: impl FnMut(Walk)) -> Result<u64, WalError> {
+    let mut buf = Vec::new();
+    let mut next_lsn: Option<u64> = None;
+    let mut broken = false;
+    for (seqno, path) in list_segments(dir)? {
+        let mut info = SegmentInfo {
+            seqno,
+            path,
+            file_bytes: 0,
+            first_lsn: None,
+            frames: Vec::new(),
+            torn_bytes: 0,
+            unreadable: false,
+            beyond_prefix: broken,
         };
-        records.push(frame.0);
-        pos += frame.1;
+        if broken {
+            info.file_bytes = fs::metadata(&info.path).map_or(0, |m| m.len());
+        } else {
+            match read_segment(&mut info, next_lsn, &mut buf, &mut step)? {
+                Some(lsn) => next_lsn = Some(lsn),
+                None => info.unreadable = true,
+            }
+            broken = info.unreadable || info.torn_bytes > 0;
+        }
+        step(Walk::Segment(info));
+    }
+    Ok(next_lsn.unwrap_or(0))
+}
+
+/// Reads one segment's valid frames into `step` and fills in `info`'s
+/// size, header lsn and torn bytes. Returns the lsn after its last valid
+/// frame, or `None` when the header is unreadable or does not continue the
+/// chain. `expected_lsn` is `None` for the first surviving segment
+/// (retirement makes its first lsn the chain base).
+fn read_segment(
+    info: &mut SegmentInfo,
+    expected_lsn: Option<u64>,
+    buf: &mut Vec<u8>,
+    step: &mut impl FnMut(Walk),
+) -> Result<Option<u64>, WalError> {
+    let mut file = fs::File::open(&info.path)?;
+    info.file_bytes = file.metadata()?.len();
+    if info.file_bytes >= HEADER_BYTES as u64 {
+        let mut header = [0u8; HEADER_BYTES];
+        file.read_exact(&mut header)?;
+        info.first_lsn = segment_first_lsn(&header, info.seqno);
+    }
+    let chained = info
+        .first_lsn
+        .filter(|&first| expected_lsn.is_none_or(|expected| expected == first));
+    let Some(mut lsn) = chained else {
+        return Ok(None);
+    };
+    let mut pos = HEADER_BYTES as u64;
+    while let Some((record, payload_bytes)) =
+        read_frame(&mut file, info.file_bytes - pos, lsn, buf)?
+    {
+        step(Walk::Frame {
+            lsn,
+            payload_bytes,
+            record,
+        });
+        pos += FRAME_HEADER_BYTES as u64 + payload_bytes;
         lsn += 1;
     }
+    info.torn_bytes = info.file_bytes - pos;
+    Ok(Some(lsn))
 }
 
 /// The `N` bytes at `at`, for `from_le_bytes`; `None` when `bytes` ends
@@ -568,25 +582,34 @@ fn segment_first_lsn(bytes: &[u8], seqno: u64) -> Option<u64> {
     Some(u64::from_le_bytes(le_bytes(bytes, 20)?))
 }
 
-/// Reads and validates one frame at the start of `bytes`; `None` on any
-/// violation (truncation, bad CRC, lsn mismatch, undecodable payload).
-fn read_frame(bytes: &[u8], expected_lsn: u64) -> Option<(WalRecord, usize)> {
-    let len = u32::from_le_bytes(le_bytes(bytes, 0)?);
-    if len > MAX_RECORD_BYTES {
-        return None;
+/// Reads and validates the frame at `file`'s position, `rest` bytes before
+/// its end, through `buf` (`lsn ‖ payload`, the bytes the CRC covers).
+/// Returns the record and its payload size, or `None` on any violation
+/// (truncation, oversize length, lsn mismatch, bad CRC, undecodable
+/// payload).
+fn read_frame(
+    file: &mut fs::File,
+    rest: u64,
+    expected_lsn: u64,
+    buf: &mut Vec<u8>,
+) -> io::Result<Option<(WalRecord, u64)>> {
+    if rest < FRAME_HEADER_BYTES as u64 {
+        return Ok(None);
     }
-    let total = FRAME_HEADER_BYTES + len as usize;
-    let crc = u32::from_le_bytes(le_bytes(bytes, 4)?);
-    let lsn = u64::from_le_bytes(le_bytes(bytes, 8)?);
-    if lsn != expected_lsn {
-        return None;
+    let mut head = [0u8; 8];
+    file.read_exact(&mut head)?;
+    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
+    let crc = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
+    if len > MAX_RECORD_BYTES || rest < (FRAME_HEADER_BYTES as u64 + len as u64) {
+        return Ok(None);
     }
-    let checked = bytes.get(8..total)?;
-    if crc32(checked) != crc {
-        return None;
+    buf.clear();
+    buf.resize(8 + len as usize, 0);
+    file.read_exact(buf)?;
+    if buf[..8] != expected_lsn.to_le_bytes() || crc32(buf) != crc {
+        return Ok(None);
     }
-    let record = decode_record(&checked[8..]).ok()?;
-    Some((record, total))
+    Ok(decode_record(&buf[8..]).ok().map(|record| (record, len as u64)))
 }
 
 /// The thread a log's overlapped syncs run on: it is handed the segment
@@ -666,12 +689,16 @@ pub struct Wal {
 
 impl Wal {
     /// Opens (or creates) the log in `dir`: scans the existing segments,
-    /// repairs any damage (truncates the torn tail, deletes out-of-chain
-    /// segments) and starts a fresh segment for new appends. Returns the
-    /// appender plus the scan — whose [`ScannedLog::recovery_plan`] the
-    /// partition replays before going live.
-    pub fn open(dir: &Path, config: WalConfig) -> Result<(Self, ScannedLog), WalError> {
-        Self::open_with_factory(dir, config, default_factory())
+    /// handing `visit` each record of the valid prefix as it is decoded
+    /// (the partition replays them — see [`scan_dir`]), repairs any damage
+    /// (truncates the torn tail, deletes out-of-chain segments) and starts a
+    /// fresh segment for new appends. Returns the appender plus the scan.
+    pub fn open(
+        dir: &Path,
+        config: WalConfig,
+        visit: impl FnMut(WalRecord),
+    ) -> Result<(Self, ScannedLog), WalError> {
+        Self::open_with_factory(dir, config, default_factory(), visit)
     }
 
     /// [`Wal::open`] with an explicit segment-file factory (fault tests
@@ -680,9 +707,10 @@ impl Wal {
         dir: &Path,
         config: WalConfig,
         factory: SegmentFactory,
+        visit: impl FnMut(WalRecord),
     ) -> Result<(Self, ScannedLog), WalError> {
         fs::create_dir_all(dir)?;
-        let scan = scan_dir(dir)?;
+        let scan = scan_dir(dir, visit)?;
         if let Some((path, valid_bytes)) = &scan.truncate {
             let file = fs::OpenOptions::new().write(true).open(path)?;
             file.set_len(*valid_bytes)?;
@@ -692,9 +720,6 @@ impl Wal {
             fs::remove_file(path)?;
         }
         let seqno = scan.max_seqno.map_or(0, |s| s + 1);
-        let (checkpoint, tail) = scan.recovery_plan();
-        let recovered_checkpoint = checkpoint.is_some();
-        let recovered_records = tail.len() as u64;
         let mut wal = Self {
             dir: dir.to_path_buf(),
             config,
@@ -705,8 +730,8 @@ impl Wal {
             next_lsn: scan.next_lsn,
             stats: WalStats {
                 segments: scan.segments,
-                recovered_records,
-                recovered_checkpoint,
+                recovered_records: scan.recovered_records,
+                recovered_checkpoint: scan.recovered_checkpoint,
                 ..WalStats::default()
             },
             dirty: false,
@@ -929,6 +954,14 @@ mod tests {
         }
     }
 
+    /// Every record of `dir`'s valid prefix, collected through the scan's
+    /// visitor, with the scan.
+    fn scan_records(dir: &Path) -> (Vec<WalRecord>, ScannedLog) {
+        let mut records = Vec::new();
+        let scan = scan_dir(dir, |r| records.push(r)).unwrap();
+        (records, scan)
+    }
+
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "rdbsc-wal-{tag}-{}-{:?}",
@@ -950,8 +983,7 @@ mod tests {
     #[test]
     fn append_and_rescan_round_trips() {
         let dir = tempdir("roundtrip");
-        let (mut wal, scan) = Wal::open(&dir, WalConfig::default()).unwrap();
-        assert!(scan.records.is_empty());
+        let (mut wal, _) = Wal::open(&dir, WalConfig::default(), |r| panic!("{r:?}")).unwrap();
         wal.append_events(&[task_event(0), task_event(1)]).unwrap();
         wal.append_command(&tick(0.5)).unwrap();
         wal.append_command(&release(3)).unwrap();
@@ -961,10 +993,10 @@ mod tests {
         assert!(stats.fsyncs >= 1);
         drop(wal);
 
-        let rescan = scan_dir(&dir).unwrap();
-        assert_eq!(rescan.records.len(), 3);
+        let (records, rescan) = scan_records(&dir);
+        assert_eq!(records.len(), 3);
         assert_eq!(
-            rescan.records,
+            records,
             [
                 PartitionCommand::Submit(vec![task_event(0), task_event(1)]),
                 tick(0.5),
@@ -997,7 +1029,8 @@ mod tests {
             let file = fs::OpenOptions::new().write(true).create_new(true).open(path)?;
             Ok(Box::new(WhereSynced(file, std::sync::Arc::clone(&log))) as Box<dyn WalFile>)
         });
-        let (mut wal, _) = Wal::open_with_factory(&dir, WalConfig::default(), factory).unwrap();
+        let (mut wal, _) =
+            Wal::open_with_factory(&dir, WalConfig::default(), factory, |_| {}).unwrap();
         for round in 0..3 {
             wal.append_events(&[task_event(round)]).unwrap();
             wal.begin_sync().unwrap();
@@ -1024,7 +1057,7 @@ mod tests {
         wal.begin_sync().unwrap();
         drop(wal);
         assert_eq!(synced_on.lock().unwrap().len(), 4);
-        assert_eq!(scan_dir(&dir).unwrap().records.len(), 4);
+        assert_eq!(scan_records(&dir).0.len(), 4);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1035,7 +1068,7 @@ mod tests {
             segment_bytes: 256, // force rotation every few records
             ..WalConfig::default()
         };
-        let (mut wal, _) = Wal::open(&dir, config).unwrap();
+        let (mut wal, _) = Wal::open(&dir, config, |_| {}).unwrap();
         for i in 0..20 {
             wal.append_events(&[task_event(i)]).unwrap();
         }
@@ -1044,20 +1077,20 @@ mod tests {
         drop(wal);
 
         // Re-open: all 20 records survive, and new appends chain on.
-        let (mut wal, scan) = Wal::open(&dir, config).unwrap();
-        assert_eq!(scan.records.len(), 20);
+        let mut reopened = 0;
+        let (mut wal, _) = Wal::open(&dir, config, |_| reopened += 1).unwrap();
+        assert_eq!(reopened, 20);
         wal.append_events(&[task_event(99)]).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let rescan = scan_dir(&dir).unwrap();
-        assert_eq!(rescan.records.len(), 21);
+        assert_eq!(scan_records(&dir).0.len(), 21);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_tail_is_dropped_and_repaired() {
         let dir = tempdir("torn");
-        let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+        let (mut wal, _) = Wal::open(&dir, WalConfig::default(), |_| {}).unwrap();
         for i in 0..5 {
             wal.append_events(&[task_event(i)]).unwrap();
         }
@@ -1071,19 +1104,19 @@ mod tests {
         file.set_len(len - 3).unwrap();
         drop(file);
 
-        let scan = scan_dir(&dir).unwrap();
-        assert_eq!(scan.records.len(), 4, "torn record drops, prefix stays");
+        let (records, scan) = scan_records(&dir);
+        assert_eq!(records.len(), 4, "torn record drops, prefix stays");
         assert!(scan.found_damage());
         assert!(scan.dropped_bytes > 0);
 
         // Re-open repairs and appends resume; the torn record never
         // reappears.
-        let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+        let (mut wal, _) = Wal::open(&dir, WalConfig::default(), |_| {}).unwrap();
         wal.append_events(&[task_event(50)]).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let rescan = scan_dir(&dir).unwrap();
-        assert_eq!(rescan.records.len(), 5);
+        let (records, rescan) = scan_records(&dir);
+        assert_eq!(records.len(), 5);
         assert!(!rescan.found_damage());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1095,7 +1128,7 @@ mod tests {
             segment_bytes: 256, // force rotation
             ..WalConfig::default()
         };
-        let (mut wal, _) = Wal::open(&dir, config).unwrap();
+        let (mut wal, _) = Wal::open(&dir, config, |_| {}).unwrap();
         for i in 0..12 {
             wal.append_events(&[task_event(i)]).unwrap();
         }
@@ -1138,7 +1171,7 @@ mod tests {
     #[test]
     fn flipped_byte_ends_the_prefix() {
         let dir = tempdir("flip");
-        let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+        let (mut wal, _) = Wal::open(&dir, WalConfig::default(), |_| {}).unwrap();
         for i in 0..5 {
             wal.append_events(&[task_event(i)]).unwrap();
         }
@@ -1151,8 +1184,8 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
 
-        let scan = scan_dir(&dir).unwrap();
-        assert!(scan.records.len() < 5, "corruption must end the prefix");
+        let (records, scan) = scan_records(&dir);
+        assert!(records.len() < 5, "corruption must end the prefix");
         assert!(scan.found_damage());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1164,7 +1197,7 @@ mod tests {
             segment_bytes: 200,
             ..WalConfig::default()
         };
-        let (mut wal, _) = Wal::open(&dir, config).unwrap();
+        let (mut wal, _) = Wal::open(&dir, config, |_| {}).unwrap();
         for i in 0..30 {
             wal.append_events(&[task_event(i)]).unwrap();
         }
@@ -1182,12 +1215,14 @@ mod tests {
 
         // Replay restarts from the checkpoint: the retired events are gone,
         // the checkpoint carries the state.
-        let scan = scan_dir(&dir).unwrap();
-        let (checkpoint, tail) = scan.recovery_plan();
-        let recovered = checkpoint.expect("checkpoint survives");
+        let (records, scan) = scan_records(&dir);
+        let [WalRecord::Checkpoint(recovered)] = &records[..] else {
+            panic!("only the checkpoint survives: {records:?}");
+        };
         assert_eq!(recovered.events_applied, 30);
         assert_eq!(recovered.digest(), state.digest());
-        assert!(tail.is_empty());
+        assert!(scan.recovered_checkpoint);
+        assert_eq!(scan.recovered_records, 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1269,7 +1304,7 @@ mod tests {
             Ok(Box::new(CaptureFile(path.to_path_buf(), std::sync::Arc::clone(&sink)))
                 as Box<dyn WalFile>)
         });
-        let (mut wal, _) = Wal::open_with_factory(&dir, config, factory).unwrap();
+        let (mut wal, _) = Wal::open_with_factory(&dir, config, factory, |_| {}).unwrap();
         let mut reference = ReferenceLog {
             segments: Vec::new(),
             next_lsn: 0,
@@ -1338,7 +1373,7 @@ mod tests {
             segment_bytes: 200,
             ..WalConfig::default()
         };
-        let (mut wal, _) = Wal::open(&dir, config).unwrap();
+        let (mut wal, _) = Wal::open(&dir, config, |_| {}).unwrap();
         for i in 0..12 {
             wal.append_events(&[task_event(i)]).unwrap();
         }
@@ -1364,9 +1399,14 @@ mod tests {
         wal.set_max_record_bytes(payload as u32);
         wal.append_checkpoint(&state, 3).unwrap();
         drop(wal);
-        let scan = scan_dir(&dir).unwrap();
+        let (records, scan) = scan_records(&dir);
         assert!(!scan.found_damage());
-        assert_eq!(scan.recovery_plan().0.map(PartitionState::digest), Some(state.digest()));
+        assert!(scan.recovered_checkpoint);
+        assert_eq!(scan.recovered_records, 0);
+        match records.last() {
+            Some(WalRecord::Checkpoint(last)) => assert_eq!(last.digest(), state.digest()),
+            other => panic!("the checkpoint is the last record: {other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1376,15 +1416,162 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         fs::write(segment_path(&dir, 0), b"not a wal segment at all").unwrap();
         fs::write(dir.join("configure.json"), b"{}").unwrap(); // ignored
-        let scan = scan_dir(&dir).unwrap();
-        assert!(scan.records.is_empty());
+        let (records, scan) = scan_records(&dir);
+        assert!(records.is_empty());
         assert!(scan.found_damage());
         // Opening repairs: the garbage segment is deleted, appends work.
-        let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+        let (mut wal, _) = Wal::open(&dir, WalConfig::default(), |_| {}).unwrap();
         wal.append_events(&[task_event(1)]).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        assert_eq!(scan_dir(&dir).unwrap().records.len(), 1);
+        assert_eq!(scan_records(&dir).0.len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    type Oracle = crate::protocol::EnginePartition<rdbsc_index::GridIndex>;
+
+    fn fresh_grid() -> rdbsc_index::GridIndex {
+        rdbsc_index::GridIndex::new(rdbsc_geo::Rect::unit(), 0.25)
+    }
+
+    /// Round `round`'s commands: a task and a worker arrive, then a tick.
+    fn round_commands(round: u32) -> [PartitionCommand; 2] {
+        let worker = rdbsc_model::Worker::new(
+            WorkerId(round),
+            Point::new(0.1 * f64::from(round % 10), 0.4),
+            0.3,
+            rdbsc_geo::AngleRange::full(),
+            rdbsc_model::Confidence::new(0.9).unwrap(),
+        )
+        .unwrap();
+        [
+            PartitionCommand::Submit(vec![task_event(round), EngineEvent::WorkerCheckIn(worker)]),
+            tick(0.5 * f64::from(round + 1)),
+        ]
+    }
+
+    /// Writes the log a durable partition writes for `rounds` rounds (each
+    /// command logged, then applied), checkpointing after each round in
+    /// `checkpoint_after`. Returns the uninterrupted partition and its
+    /// digest after each lsn.
+    fn write_log(
+        dir: &Path,
+        factory: SegmentFactory,
+        rounds: u32,
+        checkpoint_after: &[u32],
+    ) -> (Oracle, Vec<u64>) {
+        use crate::engine::{AssignmentEngine, EngineConfig};
+        let config = WalConfig {
+            segment_bytes: 400,
+            ..WalConfig::default()
+        };
+        let (mut wal, _) = Wal::open_with_factory(dir, config, factory, |_| {}).unwrap();
+        let mut oracle = Oracle::new(AssignmentEngine::new(fresh_grid(), EngineConfig::default()));
+        let mut digests = Vec::new();
+        for round in 0..rounds {
+            for command in round_commands(round) {
+                wal.append_command(&command).unwrap();
+                oracle.apply(0, command);
+                digests.push(oracle.state_digest());
+            }
+            if checkpoint_after.contains(&round) {
+                wal.append_checkpoint(&oracle.dump_state(), u64::from(round)).unwrap();
+                digests.push(oracle.state_digest());
+            }
+        }
+        (oracle, digests)
+    }
+
+    fn recover(dir: &Path) -> (Oracle, ScannedLog) {
+        let config = crate::engine::EngineConfig::default();
+        Oracle::open_durable(dir, WalConfig::default(), config, fresh_grid).unwrap()
+    }
+
+    /// A crash after a checkpoint's fsync but before retirement leaves the
+    /// segments behind it on disk: an older checkpoint, and the commands
+    /// that led up to the newer one. Replay applies them in one pass and
+    /// lets the newer checkpoint replace all of it, so it must end where the
+    /// uninterrupted partition is and count the tail the retired log counts.
+    #[test]
+    fn segments_a_checkpoint_has_not_retired_yet_replay_to_the_oracle() {
+        let captured = std::sync::Arc::new(std::sync::Mutex::new(CapturedSegments::new()));
+        let sink = std::sync::Arc::clone(&captured);
+        let factory: SegmentFactory = Box::new(move |path| {
+            Ok(Box::new(CaptureFile(path.to_path_buf(), std::sync::Arc::clone(&sink)))
+                as Box<dyn WalFile>)
+        });
+        let capture_dir = tempdir("unretired-capture");
+        let (oracle, _) = write_log(&capture_dir, factory, 8, &[2, 5]);
+        // The same log written for real: what retirement leaves.
+        let retired = tempdir("unretired-retired");
+        write_log(&retired, default_factory(), 8, &[2, 5]);
+        // Every segment ever written: the crash before retirement.
+        let unretired = tempdir("unretired-all");
+        fs::create_dir_all(&unretired).unwrap();
+        for (path, bytes) in captured.lock().unwrap().iter() {
+            fs::write(unretired.join(path.file_name().unwrap()), bytes).unwrap();
+        }
+        assert!(list_segments(&unretired).unwrap().len() > list_segments(&retired).unwrap().len());
+        let kinds: Vec<&str> = inspect_dir(&unretired)
+            .unwrap()
+            .iter()
+            .flat_map(|i| i.frames.iter().map(|f| f.kind))
+            .collect();
+        assert_ne!(kinds[0], "checkpoint", "commands precede the older checkpoint");
+        let checkpoints: Vec<usize> =
+            (0..kinds.len()).filter(|&i| kinds[i] == "checkpoint").collect();
+        assert_eq!(checkpoints.len(), 2);
+        assert!(checkpoints[1] - checkpoints[0] > 1, "commands between the two: {kinds:?}");
+
+        let (from_retired, _) = recover(&retired);
+        let (from_unretired, scan) = recover(&unretired);
+        assert!(!scan.found_damage());
+        let (r, u) = (from_retired.wal_stats().unwrap(), from_unretired.wal_stats().unwrap());
+        assert!(r.recovered_checkpoint && u.recovered_checkpoint);
+        assert_eq!(u.recovered_records, 4, "rounds 6 and 7: a submit and a tick each");
+        assert_eq!(u.recovered_records, r.recovered_records);
+        assert_eq!(from_retired.state_digest(), oracle.state_digest());
+        assert_eq!(from_unretired.state_digest(), oracle.state_digest());
+        for dir in [capture_dir, retired, unretired] {
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A frame torn inside the tail ends the replay there: the records
+    /// before it are applied, it and everything after it are not.
+    #[test]
+    fn a_torn_frame_inside_the_replayed_tail_ends_the_replay_there() {
+        let dir = tempdir("torn-replay");
+        // Lsns 0–3 are rounds 0–1, the checkpoint is lsn 4, the tail runs
+        // from lsn 5; lsn 7 is round 3's submit.
+        let (oracle, digests) = write_log(&dir, default_factory(), 8, &[1]);
+        let torn_lsn = 7;
+        let infos = inspect_dir(&dir).unwrap();
+        let (path, offset) = infos
+            .iter()
+            .find_map(|info| {
+                let mut offset = HEADER_BYTES as u64;
+                for frame in &info.frames {
+                    if frame.lsn == torn_lsn {
+                        return Some((info.path.clone(), offset));
+                    }
+                    offset += FRAME_HEADER_BYTES as u64 + frame.payload_bytes;
+                }
+                None
+            })
+            .unwrap();
+        assert!(infos.last().unwrap().frames.last().unwrap().lsn > torn_lsn + 2);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[offset as usize + FRAME_HEADER_BYTES] ^= 0x5A;
+        fs::write(&path, &bytes).unwrap();
+
+        let (part, scan) = recover(&dir);
+        assert!(scan.found_damage());
+        let stats = part.wal_stats().unwrap();
+        assert!(stats.recovered_checkpoint);
+        assert_eq!(stats.recovered_records, torn_lsn - 5);
+        assert_eq!(part.state_digest(), digests[torn_lsn as usize - 1]);
+        assert_ne!(part.state_digest(), oracle.state_digest());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -341,7 +341,7 @@ impl Accepted {
     /// regions use — never the routing table's derived η: a different
     /// resolution would resolve different candidate cells and silently
     /// break cross-transport determinism.
-    fn index(&self) -> impl FnOnce() -> FlatGridIndex {
+    fn index(&self) -> impl Fn() -> FlatGridIndex {
         let (region, cell_size) = (self.region, self.cell_size);
         move || FlatGridIndex::new(region, cell_size)
     }
@@ -412,7 +412,7 @@ fn configure(state: &DaemonState, text: &str) -> Result<bool, ServerError> {
             // (load last checkpoint, replay the tail) — the configure payload
             // must describe the same topology, which the persisted-fingerprint
             // boot path and the idempotency check above guarantee.
-            let (part, scan) =
+            let (part, _scan) =
                 EnginePartition::open_durable(dir, accepted.wal, accepted.engine, index)
             .map_err(|e| match e {
                 WalError::Io(io) => ServerError::Io(io),
@@ -421,14 +421,16 @@ fn configure(state: &DaemonState, text: &str) -> Result<bool, ServerError> {
                     dir.display()
                 )),
             })?;
-            if !scan.records.is_empty() {
-                let (checkpoint, tail) = scan.recovery_plan();
+            if let Some(stats) = part
+                .wal_stats()
+                .filter(|s| s.recovered_records > 0 || s.recovered_checkpoint)
+            {
                 eprintln!(
                     "rdbsc-partitiond: recovered region {} from {} ({} record(s) replayed, checkpoint {})",
                     accepted.region_index,
                     dir.display(),
-                    tail.len(),
-                    if checkpoint.is_some() { "loaded" } else { "none" },
+                    stats.recovered_records,
+                    if stats.recovered_checkpoint { "loaded" } else { "none" },
                 );
             }
             persist_configure(dir, &accepted.fingerprint)?;
@@ -698,7 +700,7 @@ impl ReplEngine for Engine<'_> {
     /// shipped configure text — what `configure` stores — so the
     /// idempotency check matches a router's re-push even when the
     /// primary's text carries a field this build no longer writes.
-    fn install(&mut self, configure: &str, state: &PartitionState) -> Result<(), String> {
+    fn install(&mut self, configure: &str, state: PartitionState) -> Result<(), String> {
         let accepted =
             accept_configure(configure).map_err(|e| format!("configure fingerprint: {e}"))?;
         let index = accepted.index();
@@ -797,7 +799,7 @@ mod tests {
             engine_config,
         ));
         let shipped_state = primary.dump_state();
-        state.with_repl(|_, engine| engine.install(&shipped, &shipped_state)).unwrap();
+        state.with_repl(|_, engine| engine.install(&shipped, shipped_state)).unwrap();
 
         let installed = state.slot();
         assert_eq!(installed.configured.as_ref().unwrap().fingerprint, canonical);
@@ -834,7 +836,7 @@ mod tests {
             let state = standby_state(None);
             let shipped_state = primary.dump_state();
             let refusal =
-                state.with_repl(|_, engine| engine.install(&text, &shipped_state)).unwrap_err();
+                state.with_repl(|_, engine| engine.install(&text, shipped_state)).unwrap_err();
             assert!(refusal.contains("cell_size"), "{cell_size}: {refusal}");
             assert!(state.slot().configured.is_none(), "{cell_size}: nothing installed");
             let pushed = configure(&daemon_state(), &text).unwrap_err();

@@ -513,7 +513,7 @@ fn repl_commands_round_trip_over_the_binary_transport() {
         .is_ok(),
         "the shipped configure fingerprint must parse standalone"
     );
-    let mut replica = EnginePartition::from_state(&boot_state, config.clone(), || {
+    let mut replica = EnginePartition::from_state(boot_state, config.clone(), || {
         FlatGridIndex::new(Rect::unit(), 0.1)
     });
 

@@ -158,7 +158,7 @@ impl ReplEngine for Slot {
         self.0.as_mut().map(|(part, configure)| (part, configure.as_str()))
     }
 
-    fn install(&mut self, configure: &str, state: &PartitionState) -> Result<(), String> {
+    fn install(&mut self, configure: &str, state: PartitionState) -> Result<(), String> {
         let part = EnginePartition::from_state(state, EngineConfig::default(), fresh_index);
         self.0 = Some((part, configure.to_string()));
         Ok(())
@@ -322,7 +322,7 @@ proptest! {
         // built from the same snapshot + record prefix stays digest-equal
         // through fresh post-promotion traffic.
         let mut oracle =
-            EnginePartition::from_state(&boot_state, EngineConfig::default(), fresh_index);
+            EnginePartition::from_state(boot_state, EngineConfig::default(), fresh_index);
         for command in shipped {
             oracle.apply(0, command);
         }
@@ -457,7 +457,7 @@ proptest! {
             checkpoint_every_ticks: 0,
             fsync_on_tick: true,
         };
-        let (mut swal, _) = Wal::open_with_factory(&dir, config, factory).unwrap();
+        let (mut swal, _) = Wal::open_with_factory(&dir, config, factory, |_| {}).unwrap();
         match fault_kind {
             0 => {}
             1 => plan.persist_at_most(fault_at),
@@ -485,8 +485,17 @@ proptest! {
         drop(swal); // the standby daemon dies with whatever its log holds
 
         // Recovery with the real filesystem writer repairs the damage.
-        let (_, scan) = Wal::open(&dir, config).unwrap();
-        let (checkpoint, tail) = scan.recovery_plan();
+        // The records arrive through the scan's visitor; its counts say
+        // where the latest checkpoint sits.
+        let mut records = Vec::new();
+        let (_, scan) = Wal::open(&dir, config, |r| records.push(r)).unwrap();
+        let tail_at = records.len() - scan.recovered_records as usize;
+        let tail = &records[tail_at..];
+        let checkpoint = match &records[..tail_at] {
+            [.., WalRecord::Checkpoint(state)] if scan.recovered_checkpoint => Some(state),
+            _ => None,
+        };
+        prop_assert_eq!(checkpoint.is_some(), scan.recovered_checkpoint);
         match checkpoint {
             None => {
                 // Mid-bootstrap crash: the snapshot never made it. The
@@ -494,7 +503,7 @@ proptest! {
                 // primary — and converges.
                 let (state2, _) = primary.enable_replication();
                 let standby2 =
-                    EnginePartition::from_state(&state2, EngineConfig::default(), fresh_index);
+                    EnginePartition::from_state(state2, EngineConfig::default(), fresh_index);
                 prop_assert_eq!(standby2.state_digest(), primary.state_digest());
             }
             Some(state) => {
@@ -508,8 +517,11 @@ proptest! {
                     "recovery produced {} records but only {logged} were logged",
                     tail.len()
                 );
-                let mut restored =
-                    EnginePartition::from_state(state, EngineConfig::default(), fresh_index);
+                let mut restored = EnginePartition::from_state(
+                    state.clone(),
+                    EngineConfig::default(),
+                    fresh_index,
+                );
                 for record in tail {
                     let WalRecord::Command(command) = record else {
                         panic!("a standby's tail after its bootstrap checkpoint holds commands only: {record:?}");

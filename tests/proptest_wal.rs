@@ -25,7 +25,7 @@ use rdbsc::platform::wal::{
 };
 use rdbsc::platform::{EnginePartition, PartitionCommand};
 use rdbsc::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fresh, unique scratch directory per proptest case (cases share threads,
@@ -39,6 +39,14 @@ fn tempdir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Every record of `dir`'s valid prefix, collected through the scan's
+/// visitor.
+fn scan_records(dir: &Path) -> Vec<WalRecord> {
+    let mut records = Vec::new();
+    scan_dir(dir, |r| records.push(r)).unwrap();
+    records
 }
 
 fn task(id: u32, x: f64, y: f64, start: f64, end: f64) -> Task {
@@ -188,8 +196,10 @@ proptest! {
             })
         };
         let config = WalConfig { segment_bytes, checkpoint_every_ticks: 0, fsync_on_tick: true };
-        let (mut wal, scan) = Wal::open_with_factory(&dir, config, factory).unwrap();
-        prop_assert!(scan.records.is_empty());
+        let mut found = 0usize;
+        let (mut wal, _) =
+            Wal::open_with_factory(&dir, config, factory, |_| found += 1).unwrap();
+        prop_assert_eq!(found, 0);
 
         match fault_kind {
             0 => {}
@@ -211,22 +221,22 @@ proptest! {
 
         // Re-open with the real filesystem writer: repairs the damage and
         // recovers the valid prefix.
-        let (recovered, reopen) = Wal::open(&dir, config).unwrap();
+        let mut reopened = Vec::new();
+        let (recovered, _) = Wal::open(&dir, config, |r| reopened.push(r)).unwrap();
         prop_assert!(
-            reopen.records.len() <= accepted,
+            reopened.len() <= accepted,
             "recovered {} records but only {accepted} were accepted",
-            reopen.records.len()
+            reopened.len()
         );
         prop_assert_eq!(
-            &reopen.records[..],
-            &offered[..reopen.records.len()],
+            &reopened[..],
+            &offered[..reopened.len()],
             "recovery must be an exact prefix of the appended stream"
         );
         drop(recovered);
 
         // The repair is stable: a second open sees the identical prefix.
-        let again = scan_dir(&dir).unwrap();
-        prop_assert_eq!(&again.records[..], &reopen.records[..]);
+        prop_assert_eq!(scan_records(&dir), reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -246,19 +256,19 @@ proptest! {
         std::fs::write(dir.join("wal-0000000001.log"), &second).unwrap();
         std::fs::write(dir.join("configure.json"), b"not a segment").unwrap();
 
-        let scan = scan_dir(&dir).unwrap();
-        let prefix = scan.records.len();
-        let (mut wal, opened) = Wal::open(&dir, WalConfig::default()).unwrap();
-        prop_assert_eq!(opened.records.len(), prefix);
+        let prefix = scan_records(&dir).len();
+        let mut opened = 0usize;
+        let (mut wal, _) = Wal::open(&dir, WalConfig::default(), |_| opened += 1).unwrap();
+        prop_assert_eq!(opened, prefix);
         // The appender resumed past the garbage: new appends recover.
         let tick = PartitionCommand::Tick { now: 1.0 };
         wal.append_command(&tick).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let after = scan_dir(&dir).unwrap();
-        prop_assert_eq!(after.records.len(), prefix + 1);
+        let after = scan_records(&dir);
+        prop_assert_eq!(after.len(), prefix + 1);
         prop_assert_eq!(
-            after.records.last(),
+            after.last(),
             Some(&WalRecord::Command(tick))
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -284,10 +294,10 @@ proptest! {
         let commands = random_commands(seed, steps);
         let crash_at = ((commands.len() as f64) * crash_frac) as usize;
 
-        let (mut durable, scan) =
+        let (mut durable, _) =
             EnginePartition::open_durable(&dir, wal_config, EngineConfig::default(), fresh_index)
                 .unwrap();
-        prop_assert!(scan.records.is_empty());
+        prop_assert_eq!(scan_records(&dir).len(), 0);
         let mut oracle =
             EnginePartition::new(AssignmentEngine::new(fresh_index(), EngineConfig::default()));
 
