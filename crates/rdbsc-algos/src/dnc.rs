@@ -586,7 +586,11 @@ mod tests {
             &config.sampling,
             &mut StdRng::seed_from_u64(5),
         );
-        let dnc = divide_and_conquer(&SolveRequest::new(&instance, &candidates), &config, &mut rng);
+        let dnc = divide_and_conquer(
+            &SolveRequest::new(&instance, &candidates),
+            &config,
+            &mut rng,
+        );
         let v1 = evaluate(&instance, &direct);
         let v2 = evaluate(&instance, &dnc);
         assert_eq!(v1.assigned_workers, v2.assigned_workers);
@@ -602,8 +606,11 @@ mod tests {
             ..DncConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(11);
-        let assignment =
-            divide_and_conquer(&SolveRequest::new(&instance, &candidates), &config, &mut rng);
+        let assignment = divide_and_conquer(
+            &SolveRequest::new(&instance, &candidates),
+            &config,
+            &mut rng,
+        );
         assert!(assignment.validate(&instance).is_ok());
         let connected = candidates
             .by_worker
@@ -712,7 +719,11 @@ mod tests {
             &SamplingConfig::default(),
             &mut StdRng::seed_from_u64(1),
         );
-        let d = divide_and_conquer(&request, &DncConfig::default(), &mut StdRng::seed_from_u64(1));
+        let d = divide_and_conquer(
+            &request,
+            &DncConfig::default(),
+            &mut StdRng::seed_from_u64(1),
+        );
         let vs = evaluate(&instance, &s);
         let vd = evaluate(&instance, &d);
         assert!(vd.total_std >= 0.5 * vs.total_std);

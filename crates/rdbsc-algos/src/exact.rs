@@ -150,7 +150,14 @@ mod tests {
             ),
         ];
         let mk = |x: f64, y: f64, p: f64| {
-            Worker::new(WorkerId(0), Point::new(x, y), 0.4, AngleRange::full(), conf(p)).unwrap()
+            Worker::new(
+                WorkerId(0),
+                Point::new(x, y),
+                0.4,
+                AngleRange::full(),
+                conf(p),
+            )
+            .unwrap()
         };
         let workers = vec![
             mk(0.1, 0.3, 0.9),

@@ -234,7 +234,14 @@ mod tests {
             TimeWindow::new(0.0, 10.0).unwrap(),
         );
         let mk = |x: f64, y: f64, p: f64| {
-            Worker::new(WorkerId(0), Point::new(x, y), 0.3, AngleRange::full(), conf(p)).unwrap()
+            Worker::new(
+                WorkerId(0),
+                Point::new(x, y),
+                0.3,
+                AngleRange::full(),
+                conf(p),
+            )
+            .unwrap()
         };
         let workers = vec![
             mk(0.1, 0.5, 0.9),
@@ -260,7 +267,14 @@ mod tests {
             ),
         ];
         let mk = |x: f64, y: f64, p: f64| {
-            Worker::new(WorkerId(0), Point::new(x, y), 0.3, AngleRange::full(), conf(p)).unwrap()
+            Worker::new(
+                WorkerId(0),
+                Point::new(x, y),
+                0.3,
+                AngleRange::full(),
+                conf(p),
+            )
+            .unwrap()
         };
         let workers = vec![
             mk(0.1, 0.2, 0.9),
@@ -275,7 +289,10 @@ mod tests {
     fn assigns_every_assignable_worker() {
         let instance = cross_instance();
         let candidates = compute_valid_pairs(&instance);
-        let assignment = greedy(&SolveRequest::new(&instance, &candidates), &GreedyConfig::default());
+        let assignment = greedy(
+            &SolveRequest::new(&instance, &candidates),
+            &GreedyConfig::default(),
+        );
         assert_eq!(assignment.num_assigned(), 4);
         assert!(assignment.validate(&instance).is_ok());
         let value = evaluate(&instance, &assignment);
@@ -288,7 +305,10 @@ mod tests {
     fn assigns_all_workers_with_multiple_tasks() {
         let instance = two_task_instance();
         let candidates = compute_valid_pairs(&instance);
-        let assignment = greedy(&SolveRequest::new(&instance, &candidates), &GreedyConfig::default());
+        let assignment = greedy(
+            &SolveRequest::new(&instance, &candidates),
+            &GreedyConfig::default(),
+        );
         assert!(assignment.validate(&instance).is_ok());
         let value = evaluate(&instance, &assignment);
         // Greedy always commits every assignable worker. Note that the paper
@@ -337,7 +357,10 @@ mod tests {
         let instance = ProblemInstance::new(vec![task], vec![worker], 0.5);
         let candidates = compute_valid_pairs(&instance);
         assert_eq!(candidates.num_pairs(), 0);
-        let assignment = greedy(&SolveRequest::new(&instance, &candidates), &GreedyConfig::default());
+        let assignment = greedy(
+            &SolveRequest::new(&instance, &candidates),
+            &GreedyConfig::default(),
+        );
         assert_eq!(assignment.num_assigned(), 0);
     }
 
@@ -367,7 +390,10 @@ mod tests {
         .unwrap();
         let instance = ProblemInstance::new(vec![task], vec![towards, away], 0.5);
         let candidates = compute_valid_pairs(&instance);
-        let assignment = greedy(&SolveRequest::new(&instance, &candidates), &GreedyConfig::default());
+        let assignment = greedy(
+            &SolveRequest::new(&instance, &candidates),
+            &GreedyConfig::default(),
+        );
         assert_eq!(assignment.num_assigned(), 1);
         assert_eq!(assignment.task_of(WorkerId(0)), Some(TaskId(0)));
         assert_eq!(assignment.task_of(WorkerId(1)), None);

@@ -110,10 +110,8 @@ impl IncrementalAssigner {
         rng: &mut R,
     ) -> RoundOutcome {
         // Filter out pairs whose worker is still committed.
-        let mut available = BipartiteCandidates::with_capacity(
-            instance.num_tasks(),
-            instance.num_workers(),
-        );
+        let mut available =
+            BipartiteCandidates::with_capacity(instance.num_tasks(), instance.num_workers());
         for pair in &candidates.pairs {
             if !self.is_committed(pair.worker) {
                 available.push(*pair);
@@ -132,11 +130,7 @@ impl IncrementalAssigner {
 
         let mut new_pairs = Vec::new();
         for (task, worker, contribution) in round_assignment.iter() {
-            if self
-                .committed
-                .assign(task, worker, contribution)
-                .is_ok()
-            {
+            if self.committed.assign(task, worker, contribution).is_ok() {
                 new_pairs.push(ValidPair {
                     task,
                     worker,
@@ -174,9 +168,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rdbsc_geo::{AngleRange, Point};
-    use rdbsc_model::{
-        compute_valid_pairs, Confidence, Task, TimeWindow, Worker,
-    };
+    use rdbsc_model::{compute_valid_pairs, Confidence, Task, TimeWindow, Worker};
 
     fn conf(p: f64) -> Confidence {
         Confidence::new(p).unwrap()
@@ -214,8 +206,11 @@ mod tests {
     fn first_round_assigns_available_workers() {
         let inst = instance();
         let candidates = compute_valid_pairs(&inst);
-        let mut assigner =
-            IncrementalAssigner::new(inst.num_tasks(), inst.num_workers(), IncrementalConfig::default());
+        let mut assigner = IncrementalAssigner::new(
+            inst.num_tasks(),
+            inst.num_workers(),
+            IncrementalConfig::default(),
+        );
         let mut rng = StdRng::seed_from_u64(1);
         let outcome = assigner.assign_round(&inst, &candidates, &mut rng);
         assert_eq!(outcome.new_pairs.len(), 6);
@@ -227,8 +222,11 @@ mod tests {
     fn committed_workers_are_not_reassigned() {
         let inst = instance();
         let candidates = compute_valid_pairs(&inst);
-        let mut assigner =
-            IncrementalAssigner::new(inst.num_tasks(), inst.num_workers(), IncrementalConfig::default());
+        let mut assigner = IncrementalAssigner::new(
+            inst.num_tasks(),
+            inst.num_workers(),
+            IncrementalConfig::default(),
+        );
         let mut rng = StdRng::seed_from_u64(2);
         let first = assigner.assign_round(&inst, &candidates, &mut rng);
         assert!(!first.new_pairs.is_empty());
@@ -241,8 +239,11 @@ mod tests {
     fn completions_free_workers_and_bank_answers() {
         let inst = instance();
         let candidates = compute_valid_pairs(&inst);
-        let mut assigner =
-            IncrementalAssigner::new(inst.num_tasks(), inst.num_workers(), IncrementalConfig::default());
+        let mut assigner = IncrementalAssigner::new(
+            inst.num_tasks(),
+            inst.num_workers(),
+            IncrementalConfig::default(),
+        );
         let mut rng = StdRng::seed_from_u64(3);
         let first = assigner.assign_round(&inst, &candidates, &mut rng);
         let done = first.new_pairs[0];
@@ -262,8 +263,11 @@ mod tests {
     fn released_workers_do_not_bank_answers() {
         let inst = instance();
         let candidates = compute_valid_pairs(&inst);
-        let mut assigner =
-            IncrementalAssigner::new(inst.num_tasks(), inst.num_workers(), IncrementalConfig::default());
+        let mut assigner = IncrementalAssigner::new(
+            inst.num_tasks(),
+            inst.num_workers(),
+            IncrementalConfig::default(),
+        );
         let mut rng = StdRng::seed_from_u64(4);
         let first = assigner.assign_round(&inst, &candidates, &mut rng);
         let dropped = first.new_pairs[0];
@@ -276,8 +280,11 @@ mod tests {
     fn objective_is_monotone_over_rounds_with_completions() {
         let inst = instance();
         let candidates = compute_valid_pairs(&inst);
-        let mut assigner =
-            IncrementalAssigner::new(inst.num_tasks(), inst.num_workers(), IncrementalConfig::default());
+        let mut assigner = IncrementalAssigner::new(
+            inst.num_tasks(),
+            inst.num_workers(),
+            IncrementalConfig::default(),
+        );
         let mut rng = StdRng::seed_from_u64(5);
         let mut last_std = 0.0;
         for round in 0..4 {

@@ -59,12 +59,13 @@ fn prob_at_least_two(contributions: &[Contribution]) -> f64 {
         .iter()
         .enumerate()
         .map(|(j, c)| {
-            c.p() * contributions
-                .iter()
-                .enumerate()
-                .filter(|(k, _)| *k != j)
-                .map(|(_, o)| 1.0 - o.p())
-                .product::<f64>()
+            c.p()
+                * contributions
+                    .iter()
+                    .enumerate()
+                    .filter(|(k, _)| *k != j)
+                    .map(|(_, o)| 1.0 - o.p())
+                    .product::<f64>()
         })
         .sum();
     (1.0 - none - exactly_one).max(0.0)
@@ -271,13 +272,22 @@ mod tests {
 
     #[test]
     fn pruning_rule_requires_both_conditions() {
-        let strong = DiversityBounds { lower: 0.5, upper: 0.8 };
-        let weak = DiversityBounds { lower: 0.1, upper: 0.3 };
+        let strong = DiversityBounds {
+            lower: 0.5,
+            upper: 0.8,
+        };
+        let weak = DiversityBounds {
+            lower: 0.1,
+            upper: 0.3,
+        };
         assert!(dominated_by_bounds(1.0, strong, 0.5, weak));
         // diversity alone is not enough when the reliability increase is lower
         assert!(!dominated_by_bounds(0.4, strong, 0.5, weak));
         // overlapping diversity bounds prevent pruning
-        let overlapping = DiversityBounds { lower: 0.2, upper: 0.9 };
+        let overlapping = DiversityBounds {
+            lower: 0.2,
+            upper: 0.9,
+        };
         assert!(!dominated_by_bounds(1.0, weak, 0.5, overlapping));
     }
 }

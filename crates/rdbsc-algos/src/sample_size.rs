@@ -89,12 +89,7 @@ pub fn simple_sample_size(epsilon: f64, delta: f64) -> usize {
 /// * `ln_population` — natural log of the population size
 ///   `N = Π deg(wⱼ)` (see `BipartiteCandidates::ln_population`).
 /// * The result is clamped into `[1, max_k]`.
-pub fn determine_sample_size(
-    ln_population: f64,
-    epsilon: f64,
-    delta: f64,
-    max_k: usize,
-) -> usize {
+pub fn determine_sample_size(ln_population: f64, epsilon: f64, delta: f64, max_k: usize) -> usize {
     let epsilon = epsilon.clamp(1e-6, 0.999_999);
     let delta = delta.clamp(0.0, 0.999_999);
     let max_k = max_k.max(1);
@@ -132,12 +127,7 @@ pub fn determine_sample_size(
 /// fraction; taking the maximum of the two bounds keeps the paper's
 /// procedure while restoring the (ε, δ) guarantee under uniform sampling
 /// (verified empirically in the tests).
-pub fn certified_sample_size(
-    ln_population: f64,
-    epsilon: f64,
-    delta: f64,
-    max_k: usize,
-) -> usize {
+pub fn certified_sample_size(ln_population: f64, epsilon: f64, delta: f64, max_k: usize) -> usize {
     let paper = determine_sample_size(ln_population, epsilon, delta, max_k);
     let classical = simple_sample_size(epsilon, delta);
     paper.max(classical).clamp(1, max_k.max(1))
@@ -231,6 +221,9 @@ mod tests {
             }
         }
         let rate = hits as f64 / trials as f64;
-        assert!(rate > delta - 0.05, "empirical success rate {rate} below δ={delta}");
+        assert!(
+            rate > delta - 0.05,
+            "empirical success rate {rate} below δ={delta}"
+        );
     }
 }

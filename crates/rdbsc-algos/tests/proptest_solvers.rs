@@ -7,24 +7,23 @@
 mod reference;
 
 use proptest::prelude::*;
-use std::f64::consts::TAU;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use rdbsc_algos::pruning::{delta_std_bounds, expected_std_bounds};
 use rdbsc_algos::{
-    divide_and_conquer, exact_best, greedy, max_task_coverage_assignment,
-    nearest_task_assignment, sampling, DncConfig, ExactConfig, GreedyConfig, SamplingConfig,
-    SolveRequest,
+    divide_and_conquer, exact_best, greedy, max_task_coverage_assignment, nearest_task_assignment,
+    sampling, DncConfig, ExactConfig, GreedyConfig, SamplingConfig, SolveRequest,
 };
 use rdbsc_geo::{AngleRange, Point};
 use rdbsc_model::expected::ExpectedScratch;
 use rdbsc_model::objective::{evaluate_with_priors, MinReliabilityScope, TaskPriors};
 use rdbsc_model::{
-    compute_valid_pairs, evaluate, expected_std, rank_by_dominating_count, Assignment,
-    BasePlusOne, BipartiteCandidates, Confidence, Contribution, ProblemInstance, Task, TaskId,
-    TimeWindow, Worker, WorkerId,
+    compute_valid_pairs, evaluate, expected_std, rank_by_dominating_count, Assignment, BasePlusOne,
+    BipartiteCandidates, Confidence, Contribution, ProblemInstance, Task, TaskId, TimeWindow,
+    Worker, WorkerId,
 };
+use std::f64::consts::TAU;
 
 /// Strategy generating a small random instance.
 fn instance_strategy(
@@ -37,13 +36,13 @@ fn instance_strategy(
     );
     let workers = proptest::collection::vec(
         (
-            0.0f64..1.0,          // x
-            0.0f64..1.0,          // y
-            0.01f64..0.5,         // speed
-            0.0f64..TAU,          // heading start
-            0.05f64..TAU,         // heading width
-            0.0f64..1.0,          // confidence
-            0.0f64..3.0,          // check-in time
+            0.0f64..1.0,  // x
+            0.0f64..1.0,  // y
+            0.01f64..0.5, // speed
+            0.0f64..TAU,  // heading start
+            0.05f64..TAU, // heading width
+            0.0f64..1.0,  // confidence
+            0.0f64..3.0,  // check-in time
         ),
         1..=max_workers,
     );
@@ -204,14 +203,30 @@ fn paper_range_instance() -> impl Strategy<Value = ProblemInstance> {
 /// arrival on a lattice through both ends of `[0, 10]` or anywhere in
 /// `[-3, 13]`.
 fn paper_range_contribution() -> impl Strategy<Value = Contribution> {
-    (0u8..4, 0.9f64..1.0, 0u8..2, 0u8..8, 0.0f64..TAU, 0u8..2, 0u8..6, -3.0f64..13.0).prop_map(
-        |(p_sel, p, a_sel, a_lattice, a, t_sel, t_lattice, t)| {
-            let p = [0.0, 1.0, p, p][usize::from(p_sel)];
-            let angle = if a_sel == 0 { f64::from(a_lattice) * TAU / 8.0 } else { a };
-            let arrival = if t_sel == 0 { f64::from(t_lattice) * 2.0 } else { t };
-            Contribution::new(Confidence::new(p).unwrap(), angle, arrival)
-        },
+    (
+        0u8..4,
+        0.9f64..1.0,
+        0u8..2,
+        0u8..8,
+        0.0f64..TAU,
+        0u8..2,
+        0u8..6,
+        -3.0f64..13.0,
     )
+        .prop_map(|(p_sel, p, a_sel, a_lattice, a, t_sel, t_lattice, t)| {
+            let p = [0.0, 1.0, p, p][usize::from(p_sel)];
+            let angle = if a_sel == 0 {
+                f64::from(a_lattice) * TAU / 8.0
+            } else {
+                a
+            };
+            let arrival = if t_sel == 0 {
+                f64::from(t_lattice) * 2.0
+            } else {
+                t
+            };
+            Contribution::new(Confidence::new(p).unwrap(), angle, arrival)
+        })
 }
 
 /// 16–80 banked answers in the paper's confidence range, all on one task
@@ -226,7 +241,12 @@ fn paper_range_prior_spec() -> impl Strategy<Value = PriorSpec> {
                 .into_iter()
                 .map(|(p_sel, p, angle, arrival)| {
                     let p = [0.0, 1.0, p, p][usize::from(p_sel)];
-                    (selector, p, f64::from(angle) * TAU / 8.0, f64::from(arrival))
+                    (
+                        selector,
+                        p,
+                        f64::from(angle) * TAU / 8.0,
+                        f64::from(arrival),
+                    )
                 })
                 .collect();
             (true, entries)
@@ -557,7 +577,9 @@ fn check_greedy_through_priors(
         prop_assert_eq!(
             committed(&greedy(&request, &config)),
             committed(&reference::greedy(&request, &config)),
-            "use_pruning={}, {} pairs", use_pruning, candidates.num_pairs()
+            "use_pruning={}, {} pairs",
+            use_pruning,
+            candidates.num_pairs()
         );
     }
     Ok(())

@@ -267,7 +267,9 @@ pub fn dominating_counts_fast(values: &[BiObjective]) -> Vec<usize> {
     // Count exact duplicates.
     let mut duplicates: HashMap<(u64, u64), usize> = HashMap::new();
     for v in values {
-        *duplicates.entry((v.0.to_bits(), v.1.to_bits())).or_insert(0) += 1;
+        *duplicates
+            .entry((v.0.to_bits(), v.1.to_bits()))
+            .or_insert(0) += 1;
     }
 
     // Sweep in increasing x order; candidates with equal x are processed as a
@@ -351,12 +353,13 @@ fn prob_at_least_two(contributions: &[Contribution]) -> f64 {
         .iter()
         .enumerate()
         .map(|(j, c)| {
-            c.p() * contributions
-                .iter()
-                .enumerate()
-                .filter(|(k, _)| *k != j)
-                .map(|(_, o)| 1.0 - o.p())
-                .product::<f64>()
+            c.p()
+                * contributions
+                    .iter()
+                    .enumerate()
+                    .filter(|(k, _)| *k != j)
+                    .map(|(_, o)| 1.0 - o.p())
+                    .product::<f64>()
         })
         .sum();
     (1.0 - none - exactly_one).max(0.0)
@@ -407,8 +410,8 @@ pub fn expected_std_bounds(
     let beta = beta.clamp(0.0, 1.0);
     let angles: Vec<f64> = contributions.iter().map(|c| c.angle).collect();
     let arrivals: Vec<f64> = contributions.iter().map(|c| c.arrival).collect();
-    let upper = beta * spatial_diversity(&angles)
-        + (1.0 - beta) * temporal_diversity(&arrivals, window);
+    let upper =
+        beta * spatial_diversity(&angles) + (1.0 - beta) * temporal_diversity(&arrivals, window);
     let lower = beta * prob_at_least_two(contributions) * min_pairwise_sd(contributions)
         + (1.0 - beta) * prob_at_least_one(contributions) * min_single_td(contributions, window);
     DiversityBounds {

@@ -59,17 +59,16 @@ pub fn greedy(request: &SolveRequest<'_>, config: &GreedyConfig) -> Assignment {
         .map(|p| p.contribution.confidence.log_weight())
         .collect();
 
-    let exact_delta = |pair_idx: usize,
-                       task_contributions: &Vec<Vec<Contribution>>,
-                       task_std: &Vec<f64>| {
-        let pair = &candidates.pairs[pair_idx];
-        let ti = pair.task.index();
-        let t = &instance.tasks[ti];
-        let mut with_new = task_contributions[ti].clone();
-        with_new.push(pair.contribution);
-        let after = expected_std(&with_new, t.window, t.effective_beta(instance.beta));
-        (after - task_std[ti]).max(0.0)
-    };
+    let exact_delta =
+        |pair_idx: usize, task_contributions: &Vec<Vec<Contribution>>, task_std: &Vec<f64>| {
+            let pair = &candidates.pairs[pair_idx];
+            let ti = pair.task.index();
+            let t = &instance.tasks[ti];
+            let mut with_new = task_contributions[ti].clone();
+            with_new.push(pair.contribution);
+            let after = expected_std(&with_new, t.window, t.effective_beta(instance.beta));
+            (after - task_std[ti]).max(0.0)
+        };
 
     loop {
         // Collect the candidate pairs of still-unassigned workers.
@@ -393,7 +392,10 @@ fn merge_answers(
     // workers are dependent when they touch a common task in either
     // sub-answer (Lemma 6.2).
     let tasks_of = |w: WorkerId| -> Vec<TaskId> {
-        [s1.task_of(w), s2.task_of(w)].into_iter().flatten().collect()
+        [s1.task_of(w), s2.task_of(w)]
+            .into_iter()
+            .flatten()
+            .collect()
     };
     let mut task_to_conflicts: HashMap<TaskId, Vec<WorkerId>> = HashMap::new();
     for &w in &conflicting {
@@ -549,7 +551,11 @@ fn resolve_group(
     };
 
     for (i, (&w, copy)) in group.iter().zip(copies.iter()).enumerate() {
-        let chosen = if best_mask & (1 << i) != 0 { copy.1 } else { copy.0 };
+        let chosen = if best_mask & (1 << i) != 0 {
+            copy.1
+        } else {
+            copy.0
+        };
         if let Some((t, c)) = chosen {
             merged
                 .assign(t, w, c)

@@ -56,13 +56,10 @@ fn main() {
             }
             "--seed" => {
                 i += 1;
-                options.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed requires an integer");
-                        std::process::exit(2);
-                    });
+                options.seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--seed requires an integer");
+                    std::process::exit(2);
+                });
             }
             "--json" => {
                 i += 1;

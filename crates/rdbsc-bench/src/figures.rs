@@ -173,11 +173,7 @@ enum WorkloadKind {
     SimulatedReal,
 }
 
-fn build_instance(
-    kind: &WorkloadKind,
-    config: &ExperimentConfig,
-    seed: u64,
-) -> ProblemInstance {
+fn build_instance(kind: &WorkloadKind, config: &ExperimentConfig, seed: u64) -> ProblemInstance {
     let mut rng = StdRng::seed_from_u64(seed);
     match kind {
         WorkloadKind::Synthetic => generate_instance(config, &mut rng),
@@ -655,7 +651,10 @@ mod tests {
             }
         }
         // Panel a is reliabilities (≤ 1), panel b diversities (≥ 0).
-        assert!(panels[0].rows[0].values.iter().all(|v| (0.0..=1.0).contains(v)));
+        assert!(panels[0].rows[0]
+            .values
+            .iter()
+            .all(|v| (0.0..=1.0).contains(v)));
         assert!(panels[1].rows[0].values.iter().all(|v| *v >= 0.0));
         // Rendering produces one line per row plus the two header lines.
         let rendered = panels[0].render();
@@ -687,7 +686,11 @@ mod tests {
             .unwrap()
             .to_vec();
         assert_eq!(values[0].as_num(), Some(0.1 + 0.2), "lossless float");
-        assert_eq!(values[1], rdbsc_server::json::Json::Null, "NaN becomes null");
+        assert_eq!(
+            values[1],
+            rdbsc_server::json::Json::Null,
+            "NaN becomes null"
+        );
     }
 
     #[test]
@@ -715,8 +718,21 @@ mod tests {
         for id in all_figure_ids() {
             let known = matches!(
                 id,
-                "fig11" | "fig12" | "fig13" | "fig14" | "fig15" | "fig16" | "fig17" | "fig18"
-                    | "fig19" | "fig22" | "fig23" | "fig24" | "fig25" | "fig26" | "fig27"
+                "fig11"
+                    | "fig12"
+                    | "fig13"
+                    | "fig14"
+                    | "fig15"
+                    | "fig16"
+                    | "fig17"
+                    | "fig18"
+                    | "fig19"
+                    | "fig22"
+                    | "fig23"
+                    | "fig24"
+                    | "fig25"
+                    | "fig26"
+                    | "fig27"
             );
             assert!(known, "unknown figure id {id}");
         }

@@ -124,10 +124,7 @@ impl RegionPartition {
     /// * the ranges arrive in canonical `(row0, col0)` order — region order
     ///   IS the partition index mapping, so a reordered table would silently
     ///   route events to the wrong engines if it were accepted.
-    pub fn from_regions(
-        geometry: GridGeometry,
-        regions: Vec<CellRange>,
-    ) -> Result<Self, String> {
+    pub fn from_regions(geometry: GridGeometry, regions: Vec<CellRange>) -> Result<Self, String> {
         if regions.is_empty() {
             return Err("a routing table needs at least one region".into());
         }
@@ -157,9 +154,10 @@ impl RegionPartition {
         if !covered.iter().all(|c| *c) {
             return Err("regions do not cover the whole grid".into());
         }
-        if !regions.windows(2).all(|w| {
-            (w[0].row0, w[0].col0) < (w[1].row0, w[1].col0)
-        }) {
+        if !regions
+            .windows(2)
+            .all(|w| (w[0].row0, w[0].col0) < (w[1].row0, w[1].col0))
+        {
             return Err(
                 "regions are not in canonical (row, col) order — the region \
                  order is the partition index mapping and must match the \
@@ -239,7 +237,10 @@ mod tests {
                 }
             }
         }
-        assert!(covered.iter().all(|&c| c == 1), "regions must tile exactly once");
+        assert!(
+            covered.iter().all(|&c| c == 1),
+            "regions must tile exactly once"
+        );
     }
 
     #[test]
@@ -248,12 +249,8 @@ mod tests {
             let partition = RegionPartition::uniform(geometry(), n);
             assert_eq!(partition.num_regions(), n);
             assert_tiles(&partition);
-            let cells: Vec<usize> =
-                (0..n).map(|i| partition.cells(i).num_cells()).collect();
-            let (min, max) = (
-                *cells.iter().min().unwrap(),
-                *cells.iter().max().unwrap(),
-            );
+            let cells: Vec<usize> = (0..n).map(|i| partition.cells(i).num_cells()).collect();
+            let (min, max) = (*cells.iter().min().unwrap(), *cells.iter().max().unwrap());
             // Halving at cell granularity cannot be perfectly even (an odd
             // 5-cell side splits 2/3), but no region may dwarf another.
             assert!(
@@ -335,11 +332,9 @@ mod tests {
     fn routing_tables_round_trip_through_their_parts() {
         for n in [1, 2, 3, 4, 7] {
             let partition = RegionPartition::uniform(geometry(), n);
-            let rebuilt = RegionPartition::from_regions(
-                *partition.geometry(),
-                partition.regions().to_vec(),
-            )
-            .expect("a split's own regions must validate");
+            let rebuilt =
+                RegionPartition::from_regions(*partition.geometry(), partition.regions().to_vec())
+                    .expect("a split's own regions must validate");
             assert_eq!(rebuilt, partition, "{n} regions");
         }
     }
@@ -347,7 +342,12 @@ mod tests {
     #[test]
     fn from_regions_rejects_malformed_tables() {
         let g = geometry();
-        let full = |col0, row0, col1, row1| CellRange { col0, row0, col1, row1 };
+        let full = |col0, row0, col1, row1| CellRange {
+            col0,
+            row0,
+            col1,
+            row1,
+        };
         // Empty table.
         assert!(RegionPartition::from_regions(g, vec![]).is_err());
         // Inverted region.
@@ -360,22 +360,16 @@ mod tests {
             "half the grid uncovered"
         );
         // Overlap.
-        assert!(RegionPartition::from_regions(
-            g,
-            vec![full(0, 0, 6, 10), full(5, 0, 10, 10)]
-        )
-        .is_err());
+        assert!(
+            RegionPartition::from_regions(g, vec![full(0, 0, 6, 10), full(5, 0, 10, 10)]).is_err()
+        );
         // Non-canonical order: the index mapping would silently differ.
-        assert!(RegionPartition::from_regions(
-            g,
-            vec![full(5, 0, 10, 10), full(0, 0, 5, 10)]
-        )
-        .is_err());
+        assert!(
+            RegionPartition::from_regions(g, vec![full(5, 0, 10, 10), full(0, 0, 5, 10)]).is_err()
+        );
         // The canonical version of the same split is fine.
-        assert!(RegionPartition::from_regions(
-            g,
-            vec![full(0, 0, 5, 10), full(5, 0, 10, 10)]
-        )
-        .is_ok());
+        assert!(
+            RegionPartition::from_regions(g, vec![full(0, 0, 5, 10), full(5, 0, 10, 10)]).is_ok()
+        );
     }
 }

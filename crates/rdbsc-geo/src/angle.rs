@@ -119,8 +119,8 @@ impl AngleRange {
             return true;
         }
         let delta = ccw_delta(self.start, angle);
-        delta <= self.width + crate::EPSILON
-            || (FULL_TURN - delta) <= crate::EPSILON // angle == start from the other side
+        delta <= self.width + crate::EPSILON || (FULL_TURN - delta) <= crate::EPSILON
+        // angle == start from the other side
     }
 
     /// The midpoint direction of the range.
@@ -148,8 +148,7 @@ impl AngleRange {
             return false;
         }
         let offset = ccw_delta(self.start, other.start);
-        offset <= self.width + crate::EPSILON
-            && offset + other.width <= self.width + crate::EPSILON
+        offset <= self.width + crate::EPSILON && offset + other.width <= self.width + crate::EPSILON
     }
 
     /// The smallest range containing both `self` and `other`.

@@ -115,8 +115,12 @@ impl Rect {
     /// worker in one cell needs at least `d_min / v_max` time to reach the
     /// other cell.
     pub fn min_distance(&self, other: &Rect) -> f64 {
-        let dx = (other.min_x - self.max_x).max(self.min_x - other.max_x).max(0.0);
-        let dy = (other.min_y - self.max_y).max(self.min_y - other.max_y).max(0.0);
+        let dx = (other.min_x - self.max_x)
+            .max(self.min_x - other.max_x)
+            .max(0.0);
+        let dy = (other.min_y - self.max_y)
+            .max(self.min_y - other.max_y)
+            .max(0.0);
         (dx * dx + dy * dy).sqrt()
     }
 

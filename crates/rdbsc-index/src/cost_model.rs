@@ -60,8 +60,8 @@ pub fn optimal_eta(params: &CostModelParams) -> f64 {
         return fallback_eta(params);
     }
     let d2 = params.d2.clamp(0.5, 2.0);
-    let rhs = 2.0 * std::f64::consts::PI.powf(1.0 - d2 / 2.0) * params.l_max
-        / (d2 * (n as f64 - 1.0));
+    let rhs =
+        2.0 * std::f64::consts::PI.powf(1.0 - d2 / 2.0) * params.l_max / (d2 * (n as f64 - 1.0));
     let residual = |eta: f64| (params.l_max + eta).powf(d2 - 2.0) * eta.powi(3) - rhs;
 
     // Bracket the root: the residual is negative at 0⁺ and grows without
@@ -93,7 +93,11 @@ pub fn optimal_eta(params: &CostModelParams) -> f64 {
 /// is available (uniform assumption, `D₂ = 2`).
 pub fn fallback_eta(params: &CostModelParams) -> f64 {
     let n = params.num_tasks.max(2) as f64;
-    let l = if params.l_max > 0.0 { params.l_max } else { 0.1 };
+    let l = if params.l_max > 0.0 {
+        params.l_max
+    } else {
+        0.1
+    };
     (l / (n - 1.0)).cbrt()
 }
 
@@ -228,10 +232,7 @@ mod tests {
         let mut pts = Vec::new();
         for i in 0..64 {
             for j in 0..64 {
-                pts.push(Point::new(
-                    (i as f64 + 0.5) / 64.0,
-                    (j as f64 + 0.5) / 64.0,
-                ));
+                pts.push(Point::new((i as f64 + 0.5) / 64.0, (j as f64 + 0.5) / 64.0));
             }
         }
         let d2 = estimate_fractal_dimension(&pts, Rect::unit());

@@ -520,7 +520,12 @@ impl SpatialIndex for FlatGridIndex {
         let handle = self.tasks.insert(task, cell_idx as u32);
         self.task_handles.insert(task.id, handle);
         let cell = &mut self.cells[cell_idx];
-        attach(&mut cell.task_ids, &mut cell.task_slots, task.id, handle.index);
+        attach(
+            &mut cell.task_ids,
+            &mut cell.task_slots,
+            task.id,
+            handle.index,
+        );
         if cell.task_ids.len() == 1 {
             self.occupied_task_cells.insert(cell_idx);
         }
@@ -625,7 +630,12 @@ impl SpatialIndex for FlatGridIndex {
         }
         self.dirty_worker_cells.mark(old_cell);
         let cell = &mut self.cells[new_cell];
-        attach(&mut cell.worker_ids, &mut cell.worker_slots, id, handle.index);
+        attach(
+            &mut cell.worker_ids,
+            &mut cell.worker_slots,
+            id,
+            handle.index,
+        );
         if cell.worker_ids.len() == 1 {
             self.occupied_worker_cells.insert(new_cell);
         }
@@ -848,7 +858,10 @@ impl CellTopology for FlatGridIndex {
         *self.tasks.get(self.task_handles[&id]).expect("live task")
     }
     fn worker_by_id(&self, id: WorkerId) -> Worker {
-        *self.workers.get(self.worker_handles[&id]).expect("live worker")
+        *self
+            .workers
+            .get(self.worker_handles[&id])
+            .expect("live worker")
     }
     fn candidate_capacity(&self) -> (usize, usize) {
         self.id_capacity()
@@ -897,10 +910,21 @@ mod tests {
     fn retrieval_matches_bruteforce_under_churn() {
         let mut index = FlatGridIndex::new(Rect::unit(), 0.2);
         for i in 0..12u32 {
-            index.insert_task(task(i, (i as f64 * 0.37) % 1.0, (i as f64 * 0.61) % 1.0, 0.0, 4.0));
+            index.insert_task(task(
+                i,
+                (i as f64 * 0.37) % 1.0,
+                (i as f64 * 0.61) % 1.0,
+                0.0,
+                4.0,
+            ));
         }
         for j in 0..12u32 {
-            index.insert_worker(worker(j, (j as f64 * 0.53) % 1.0, (j as f64 * 0.29) % 1.0, 0.3));
+            index.insert_worker(worker(
+                j,
+                (j as f64 * 0.53) % 1.0,
+                (j as f64 * 0.29) % 1.0,
+                0.3,
+            ));
         }
         assert_eq!(
             pair_set(&index.retrieve_valid_pairs()),
@@ -975,7 +999,10 @@ mod tests {
         index.relocate_worker(WorkerId(1), Point::new(0.4, 0.1));
         index.refresh();
         let delta = index.maintenance_counters().delta_since(&before);
-        assert_eq!(delta.tcell_rebuilds, 1, "only the destination cell rebuilds");
+        assert_eq!(
+            delta.tcell_rebuilds, 1,
+            "only the destination cell rebuilds"
+        );
     }
 
     #[test]

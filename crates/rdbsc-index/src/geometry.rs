@@ -88,10 +88,10 @@ impl GridGeometry {
     /// are clamped onto it).
     pub fn cell_of(&self, p: Point) -> usize {
         let clamped = self.space.clamp_point(p);
-        let col = (((clamped.x - self.space.min_x) / self.eta) as usize)
-            .min(self.cells_per_axis - 1);
-        let row = (((clamped.y - self.space.min_y) / self.eta) as usize)
-            .min(self.cells_per_axis - 1);
+        let col =
+            (((clamped.x - self.space.min_x) / self.eta) as usize).min(self.cells_per_axis - 1);
+        let row =
+            (((clamped.y - self.space.min_y) / self.eta) as usize).min(self.cells_per_axis - 1);
         row * self.cells_per_axis + col
     }
 
@@ -130,10 +130,7 @@ mod tests {
         // Every cell's rect contains the cell's own centre point.
         for idx in 0..g.num_cells() {
             let r = g.rect_of(idx);
-            let centre = Point::new(
-                0.5 * (r.min_x + r.max_x),
-                0.5 * (r.min_y + r.max_y),
-            );
+            let centre = Point::new(0.5 * (r.min_x + r.max_x), 0.5 * (r.min_y + r.max_y));
             assert_eq!(g.cell_of(centre), idx);
         }
     }
@@ -152,8 +149,7 @@ mod tests {
         }
         // And it matches what new() produces for the same effective count.
         let via_eta = GridGeometry::new(Rect::unit(), 0.25);
-        let via_count =
-            GridGeometry::with_cells_per_axis(Rect::unit(), via_eta.cells_per_axis());
+        let via_count = GridGeometry::with_cells_per_axis(Rect::unit(), via_eta.cells_per_axis());
         assert_eq!(via_count, via_eta);
     }
 

@@ -411,7 +411,10 @@ impl GridIndex {
     /// summary the list was last decided under.
     fn repair_worker_summary(&mut self, cell_idx: usize) {
         let summary = WorkerCellSummary::compute(
-            self.cells[cell_idx].workers.iter().map(|w| &self.workers[w]),
+            self.cells[cell_idx]
+                .workers
+                .iter()
+                .map(|w| &self.workers[w]),
         );
         let cell = &mut self.cells[cell_idx];
         cell.worker_summary = summary;
@@ -426,8 +429,7 @@ impl GridIndex {
         };
         let cell = &mut self.cells[cell_idx];
         sorted_remove(&mut cell.tasks, id);
-        cell.task_summary =
-            TaskCellSummary::compute(cell.tasks.iter().map(|t| &self.tasks[t]));
+        cell.task_summary = TaskCellSummary::compute(cell.tasks.iter().map(|t| &self.tasks[t]));
         if cell.tasks.is_empty() {
             self.task_cell_set.remove(&cell_idx);
         }
@@ -487,8 +489,7 @@ impl GridIndex {
         let mut rebuilt = BTreeSet::new();
         for i in dirty_worker_cells {
             self.cells[i].tcell_dirty = false;
-            let changed =
-                self.cells[i].worker_summary != self.cells[i].listed_worker_summary;
+            let changed = self.cells[i].worker_summary != self.cells[i].listed_worker_summary;
             if !(changed || force && self.cells[i].has_workers()) {
                 continue;
             }
@@ -612,7 +613,10 @@ impl GridIndex {
     /// workers, together with the mapping from the dense ids back to the live
     /// ids. Tasks and workers appear in ascending id order, so the view is
     /// deterministic.
-    pub fn to_instance(&self, beta: f64) -> (ProblemInstance, rdbsc_model::instance::SubInstanceMapping) {
+    pub fn to_instance(
+        &self,
+        beta: f64,
+    ) -> (ProblemInstance, rdbsc_model::instance::SubInstanceMapping) {
         // lint:allow(D001): collected here, sorted on the next line
         let mut tasks: Vec<Task> = self.tasks.values().copied().collect();
         tasks.sort_by_key(|t| t.id);
@@ -671,7 +675,10 @@ pub(crate) fn instance_eta(instance: &ProblemInstance) -> f64 {
     let l_max = instance
         .workers
         .iter()
-        .map(|w| w.motion().max_travel_distance(instance.depart_at, latest_deadline))
+        .map(|w| {
+            w.motion()
+                .max_travel_distance(instance.depart_at, latest_deadline)
+        })
         .fold(0.0f64, f64::max)
         .min(1.0);
     let params = CostModelParams::uniform(l_max.max(1e-3), instance.num_tasks().max(2));
@@ -865,8 +872,11 @@ mod tests {
         let mut index = GridIndex::from_instance_with_eta(&instance, 0.2);
         let with_index = index.retrieve_valid_pairs();
         let brute = index.retrieve_valid_pairs_bruteforce();
-        let mut a: Vec<(TaskId, WorkerId)> =
-            with_index.pairs.iter().map(|p| (p.task, p.worker)).collect();
+        let mut a: Vec<(TaskId, WorkerId)> = with_index
+            .pairs
+            .iter()
+            .map(|p| (p.task, p.worker))
+            .collect();
         let mut b: Vec<(TaskId, WorkerId)> =
             brute.pairs.iter().map(|p| (p.task, p.worker)).collect();
         a.sort();
@@ -907,7 +917,10 @@ mod tests {
         index.insert_task(task(3, 0.5, 0.5, 0.0, 10.0));
         let pairs = index.retrieve_valid_pairs();
         assert!(
-            pairs.pairs.iter().any(|p| p.task == TaskId(3) && p.worker == WorkerId(2)),
+            pairs
+                .pairs
+                .iter()
+                .any(|p| p.task == TaskId(3) && p.worker == WorkerId(2)),
             "the slow worker sits on the new task and must be able to serve it"
         );
         let brute = index.retrieve_valid_pairs_bruteforce();
@@ -982,7 +995,10 @@ mod tests {
         let mut index = GridIndex::from_instance_with_eta(&instance, 0.1);
         index.refresh_tcell_lists();
         let stats = index.stats();
-        assert_eq!(stats.avg_tcell_len, 0.0, "unreachable task cell must be pruned");
+        assert_eq!(
+            stats.avg_tcell_len, 0.0,
+            "unreachable task cell must be pruned"
+        );
         assert!(index.retrieve_valid_pairs().pairs.is_empty());
     }
 
@@ -990,7 +1006,10 @@ mod tests {
     fn angular_pruning_drops_cells_behind_the_worker() {
         // Worker heading strictly east; a task far to the west is open for a
         // long time (so the time test alone cannot prune it).
-        let tasks = vec![task(0, 0.05, 0.5, 0.0, 100.0), task(1, 0.95, 0.5, 0.0, 100.0)];
+        let tasks = vec![
+            task(0, 0.05, 0.5, 0.0, 100.0),
+            task(1, 0.95, 0.5, 0.0, 100.0),
+        ];
         let workers = vec![worker(0, 0.5, 0.5, 0.5, AngleRange::from_bounds(-0.3, 0.3))];
         let instance = ProblemInstance::new(tasks, workers, 0.5);
         let mut index = GridIndex::from_instance_with_eta(&instance, 0.1);

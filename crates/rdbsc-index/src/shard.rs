@@ -322,6 +322,9 @@ mod tests {
         let mut index = GridIndex::new(Rect::unit(), 0.25);
         assert!(index.extract_shards(0.5).is_empty());
         index.insert_worker(worker(0, 0.5, 0.5, 0.5));
-        assert!(index.extract_shards(0.5).is_empty(), "worker-only component is dropped");
+        assert!(
+            index.extract_shards(0.5).is_empty(),
+            "worker-only component is dropped"
+        );
     }
 }

@@ -56,7 +56,6 @@ impl WorkerCellSummary {
             None => worker.heading,
         });
     }
-
 }
 
 /// The cached task-side summary of one cell: everything the reachability
@@ -318,13 +317,18 @@ pub(crate) fn retrieve_pairs_via<C: CellTopology + ?Sized>(
     } = scratch;
     worker_cells.clear();
     index.fill_worker_cells(worker_cells);
-    for_each_cell_pruned_pair(index, worker_cells, objects, |task, worker, contribution| {
-        graph.push(ValidPair {
-            task: task.id,
-            worker: worker.id,
-            contribution,
-        });
-    });
+    for_each_cell_pruned_pair(
+        index,
+        worker_cells,
+        objects,
+        |task, worker, contribution| {
+            graph.push(ValidPair {
+                task: task.id,
+                worker: worker.id,
+                contribution,
+            });
+        },
+    );
     graph
 }
 

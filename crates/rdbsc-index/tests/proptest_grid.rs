@@ -7,20 +7,43 @@
 use proptest::prelude::*;
 use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::GridIndex;
-use rdbsc_model::{
-    Confidence, ProblemInstance, Task, TaskId, TimeWindow, Worker, WorkerId,
-};
+use rdbsc_model::{Confidence, ProblemInstance, Task, TaskId, TimeWindow, Worker, WorkerId};
 
 /// One scripted maintenance operation, decoded from generated floats so the
 /// whole script is a plain proptest strategy.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    InsertTask { id: u32, x: f64, y: f64, start: f64, len: f64 },
-    RemoveTask { id: u32 },
-    RelocateTask { id: u32, x: f64, y: f64 },
-    InsertWorker { id: u32, x: f64, y: f64, speed: f64, heading: f64, width: f64 },
-    RemoveWorker { id: u32 },
-    RelocateWorker { id: u32, x: f64, y: f64 },
+    InsertTask {
+        id: u32,
+        x: f64,
+        y: f64,
+        start: f64,
+        len: f64,
+    },
+    RemoveTask {
+        id: u32,
+    },
+    RelocateTask {
+        id: u32,
+        x: f64,
+        y: f64,
+    },
+    InsertWorker {
+        id: u32,
+        x: f64,
+        y: f64,
+        speed: f64,
+        heading: f64,
+        width: f64,
+    },
+    RemoveWorker {
+        id: u32,
+    },
+    RelocateWorker {
+        id: u32,
+        x: f64,
+        y: f64,
+    },
 }
 
 fn decode(kind: usize, id: u32, a: f64, b: f64, c: f64, d: f64) -> Op {
@@ -68,14 +91,27 @@ fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
 
 fn apply(index: &mut GridIndex, op: Op) {
     match op {
-        Op::InsertTask { id, x, y, start, len } => index.insert_task(Task::new(
+        Op::InsertTask {
+            id,
+            x,
+            y,
+            start,
+            len,
+        } => index.insert_task(Task::new(
             TaskId(id),
             Point::new(x, y),
             TimeWindow::new(start, start + len).unwrap(),
         )),
         Op::RemoveTask { id } => index.remove_task(TaskId(id)),
         Op::RelocateTask { id, x, y } => index.relocate_task(TaskId(id), Point::new(x, y)),
-        Op::InsertWorker { id, x, y, speed, heading, width } => index.insert_worker(
+        Op::InsertWorker {
+            id,
+            x,
+            y,
+            speed,
+            heading,
+            width,
+        } => index.insert_worker(
             Worker::new(
                 WorkerId(id),
                 Point::new(x, y),

@@ -86,7 +86,8 @@ fn type_heads_hash(f: &SourceFile, at: usize) -> bool {
                 let mut j = i + 1;
                 while f.code_text(j) == ":"
                     && f.code_text(j + 1) == ":"
-                    && f.code_token(j + 2).is_some_and(|t| t.kind == TokenKind::Ident)
+                    && f.code_token(j + 2)
+                        .is_some_and(|t| t.kind == TokenKind::Ident)
                 {
                     head = f.code_text(j + 2).to_string();
                     j += 3;
@@ -105,9 +106,7 @@ fn fn_body_spans(f: &SourceFile) -> Vec<Range<usize>> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < n {
-        if f.code_text(i) == "fn"
-            && f.code_token(i).map(|t| t.kind) == Some(TokenKind::Ident)
-        {
+        if f.code_text(i) == "fn" && f.code_token(i).map(|t| t.kind) == Some(TokenKind::Ident) {
             // Scan to the body `{` at bracket-depth 0; a `;` first means a
             // bodyless trait method (or an `fn(…)` pointer type ended by the
             // statement) — nothing to scope.
@@ -229,8 +228,7 @@ pub fn hash_bindings(f: &SourceFile) -> HashBindings {
                         "<" => angle += 1,
                         ">" => {
                             let arrow = f.code_text(j.wrapping_sub(1)) == "-"
-                                && f
-                                    .code_token(j - 1)
+                                && f.code_token(j - 1)
                                     .zip(f.code_token(j))
                                     .is_some_and(|(a, b)| a.end == b.start);
                             if !arrow && angle > 0 {
@@ -261,8 +259,7 @@ pub fn hash_bindings(f: &SourceFile) -> HashBindings {
                             }
                             _ => {
                                 if depth == 1
-                                    && f.code_token(j)
-                                        .is_some_and(|t| t.kind == TokenKind::Ident)
+                                    && f.code_token(j).is_some_and(|t| t.kind == TokenKind::Ident)
                                     && f.code_text(j + 1) == ":"
                                     && f.code_text(j + 2) != ":"
                                     && type_heads_hash(f, j + 2)
@@ -599,7 +596,11 @@ fn for_loop_site(f: &SourceFile, bindings: &HashBindings, at: usize) -> Option<I
     };
     // A trailing `.method()` chain is handled by the method-site matcher;
     // only a bare container between `in` and `{` counts here.
-    let expr_end = if f.code_text(k) == "self" { k + 3 } else { k + 1 };
+    let expr_end = if f.code_text(k) == "self" {
+        k + 3
+    } else {
+        k + 1
+    };
     if expr_end != body_open {
         return None;
     }
@@ -650,7 +651,10 @@ mod tests {
         let b = hash_bindings(&f);
         let has = |name: &str| b.locals.iter().any(|l| l.name == name);
         assert!(b.fields.contains("committed"));
-        assert!(!b.fields.contains("other"), "Vec<HashMap> is not a hash head");
+        assert!(
+            !b.fields.contains("other"),
+            "Vec<HashMap> is not a hash head"
+        );
         assert!(has("seen"));
         assert!(!has("v"));
         assert!(has("groups"));

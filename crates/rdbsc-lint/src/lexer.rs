@@ -368,7 +368,9 @@ mod tests {
         assert!(toks
             .iter()
             .any(|(k, t)| *k == TokenKind::Lifetime && *t == "'a"));
-        assert!(toks.iter().any(|(k, t)| *k == TokenKind::Char && *t == "'y'"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Char && *t == "'y'"));
         assert!(toks
             .iter()
             .any(|(k, t)| *k == TokenKind::Char && *t == "'\\n'"));

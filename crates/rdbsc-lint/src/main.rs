@@ -63,7 +63,9 @@ fn main() -> ExitCode {
     }) {
         Some(r) => r,
         None => {
-            eprintln!("could not locate the workspace root (no Cargo.toml with [workspace]); pass --root");
+            eprintln!(
+                "could not locate the workspace root (no Cargo.toml with [workspace]); pass --root"
+            );
             return ExitCode::from(2);
         }
     };

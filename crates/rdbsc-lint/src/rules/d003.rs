@@ -105,7 +105,9 @@ fn chain_accumulates(f: &SourceFile, mut at: usize) -> Option<(u32, String)> {
         // Find the matching close paren; peek the first argument token.
         let first_arg = f.code_text(j + 1).to_string();
         let first_arg_is_float = f.code_token(j + 1).map(|t| t.kind) == Some(TokenKind::Num)
-            && (first_arg.contains('.') || first_arg.ends_with("f32") || first_arg.ends_with("f64"));
+            && (first_arg.contains('.')
+                || first_arg.ends_with("f32")
+                || first_arg.ends_with("f64"));
         let mut depth = 0i32;
         let mut k = j;
         while k < n {

@@ -10,8 +10,7 @@ use crate::source::SourceFile;
 
 /// Is this file a crate root the rule applies to?
 pub fn is_crate_root(rel: &str) -> bool {
-    rel == "src/lib.rs"
-        || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"))
+    rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"))
 }
 
 /// Runs M001 on one file (the caller scopes it to crate roots).

@@ -37,7 +37,10 @@ pub struct Finding {
 impl Finding {
     /// Renders the canonical `file:line: RULE message` form.
     pub fn render(&self) -> String {
-        format!("{}:{}: {} {}", self.file, self.line, self.rule, self.message)
+        format!(
+            "{}:{}: {} {}",
+            self.file, self.line, self.rule, self.message
+        )
     }
 }
 

@@ -44,9 +44,7 @@ impl SourceFile {
         let code = tokens
             .iter()
             .enumerate()
-            .filter(|(_, t)| {
-                !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
-            })
+            .filter(|(_, t)| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
             .map(|(i, _)| i)
             .collect();
         Self {

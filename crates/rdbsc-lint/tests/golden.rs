@@ -114,8 +114,8 @@ fn suppress_golden() {
 /// `cargo test` honest about the same invariant.)
 #[test]
 fn workspace_is_clean() {
-    let root = engine::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("workspace root");
+    let root =
+        engine::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
     let findings = engine::run(&root).expect("walk workspace");
     assert!(
         findings.is_empty(),

@@ -108,7 +108,12 @@ pub fn aggregate_answers(
             (s + answers[i].angle.sin(), c + answers[i].angle.cos())
         });
         group.mean_angle = rdbsc_geo::normalize_angle(sin_sum.atan2(cos_sum));
-        group.mean_arrival = group.members.iter().map(|&i| answers[i].arrival).sum::<f64>() / n;
+        group.mean_arrival = group
+            .members
+            .iter()
+            .map(|&i| answers[i].arrival)
+            .sum::<f64>()
+            / n;
     }
     groups
 }
@@ -159,7 +164,10 @@ mod tests {
             .find(|g| g.members.contains(&0))
             .expect("first answer belongs to some group");
         assert!(west_group.members.contains(&1));
-        assert_eq!(west_group.representative, 1, "highest confidence represents the group");
+        assert_eq!(
+            west_group.representative, 1,
+            "highest confidence represents the group"
+        );
     }
 
     #[test]
@@ -179,10 +187,7 @@ mod tests {
 
     #[test]
     fn same_angle_different_times_stay_separate() {
-        let answers = [
-            contribution(0.9, 1.0, 0.5),
-            contribution(0.9, 1.0, 9.5),
-        ];
+        let answers = [contribution(0.9, 1.0, 0.5), contribution(0.9, 1.0, 9.5)];
         let groups = aggregate_answers(&answers, window(), &AggregationConfig::default());
         assert_eq!(groups.len(), 2);
     }
@@ -204,7 +209,13 @@ mod tests {
     #[test]
     fn every_answer_lands_in_exactly_one_group() {
         let answers: Vec<Contribution> = (0..25)
-            .map(|i| contribution(0.5 + 0.01 * (i % 10) as f64, (i as f64) * 0.7, (i % 11) as f64))
+            .map(|i| {
+                contribution(
+                    0.5 + 0.01 * (i % 10) as f64,
+                    (i as f64) * 0.7,
+                    (i % 11) as f64,
+                )
+            })
             .collect();
         let groups = aggregate_answers(&answers, window(), &AggregationConfig::default());
         let mut seen: Vec<usize> = groups.iter().flat_map(|g| g.members.clone()).collect();

@@ -135,10 +135,10 @@ impl Assignment {
 
     /// Iterates over all `(task, worker, contribution)` triples.
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, WorkerId, Contribution)> + '_ {
-        self.per_task.iter().enumerate().flat_map(|(i, ws)| {
-            ws.iter()
-                .map(move |(w, c)| (TaskId::from(i), *w, *c))
-        })
+        self.per_task
+            .iter()
+            .enumerate()
+            .flat_map(|(i, ws)| ws.iter().map(move |(w, c)| (TaskId::from(i), *w, *c)))
     }
 
     /// Merges another assignment into this one. Workers already assigned in
@@ -287,7 +287,8 @@ mod tests {
 
         // An assignment claiming the unreachable worker serves the task must fail.
         let mut bad = Assignment::for_instance(&instance);
-        bad.assign(TaskId(0), WorkerId(1), contribution(0.9)).unwrap();
+        bad.assign(TaskId(0), WorkerId(1), contribution(0.9))
+            .unwrap();
         assert!(matches!(
             bad.validate(&instance),
             Err(ModelError::InvalidPair { .. })

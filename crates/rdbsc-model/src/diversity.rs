@@ -103,11 +103,7 @@ pub fn std_diversity(beta: f64, sd: f64, td: f64) -> f64 {
 
 /// STD of a concrete set of worker contributions, given as
 /// `(approach_angle, arrival_time)` pairs.
-pub fn std_of_contributions(
-    contributions: &[(f64, f64)],
-    window: TimeWindow,
-    beta: f64,
-) -> f64 {
+pub fn std_of_contributions(contributions: &[(f64, f64)], window: TimeWindow, beta: f64) -> f64 {
     let angles: Vec<f64> = contributions.iter().map(|c| c.0).collect();
     let arrivals: Vec<f64> = contributions.iter().map(|c| c.1).collect();
     std_diversity(

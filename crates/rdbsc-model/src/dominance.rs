@@ -39,7 +39,12 @@ pub fn dominating_counts(values: &[BiObjective]) -> Vec<usize> {
 /// (the skyline / Pareto front).
 pub fn skyline(values: &[BiObjective]) -> Vec<usize> {
     (0..values.len())
-        .filter(|&i| !values.iter().enumerate().any(|(j, &v)| j != i && dominates(v, values[i])))
+        .filter(|&i| {
+            !values
+                .iter()
+                .enumerate()
+                .any(|(j, &v)| j != i && dominates(v, values[i]))
+        })
         .collect()
 }
 
@@ -178,7 +183,10 @@ mod tests {
         assert!(dominates((2.0, 2.0), (1.0, 1.0)));
         assert!(dominates((2.0, 1.0), (1.0, 1.0)));
         assert!(dominates((1.0, 2.0), (1.0, 1.0)));
-        assert!(!dominates((1.0, 1.0), (1.0, 1.0)), "equal points do not dominate");
+        assert!(
+            !dominates((1.0, 1.0), (1.0, 1.0)),
+            "equal points do not dominate"
+        );
         assert!(!dominates((2.0, 0.5), (1.0, 1.0)), "incomparable");
         assert!(!dominates((0.5, 2.0), (1.0, 1.0)), "incomparable");
     }

@@ -52,7 +52,9 @@ impl fmt::Display for ModelError {
             ModelError::InvalidPair { task, worker } => {
                 write!(f, "worker {worker} cannot serve task {task} under the direction/deadline constraints")
             }
-            ModelError::InvalidBeta(b) => write!(f, "diversity balance weight β = {b} is outside [0, 1]"),
+            ModelError::InvalidBeta(b) => {
+                write!(f, "diversity balance weight β = {b} is outside [0, 1]")
+            }
         }
     }
 }

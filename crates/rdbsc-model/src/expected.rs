@@ -564,8 +564,7 @@ impl BasePlusOne {
                     if prob > 0.0 {
                         let recorded = if step < reach {
                             row.get(step - 1)
-                        } else if step > reach && reach > 0 && arc.to_bits() == shorter.to_bits()
-                        {
+                        } else if step > reach && reach > 0 && arc.to_bits() == shorter.to_bits() {
                             row.get(step - 2)
                         } else {
                             None
@@ -835,9 +834,7 @@ mod tests {
         let w = window();
         let angles = [0.0, 2.0, 4.0];
         let arrivals = [2.0, 5.0, 8.0];
-        assert!(
-            (expected_sd(&cs) - crate::diversity::spatial_diversity(&angles)).abs() < 1e-12
-        );
+        assert!((expected_sd(&cs) - crate::diversity::spatial_diversity(&angles)).abs() < 1e-12);
         assert!(
             (expected_td(&cs, w) - crate::diversity::temporal_diversity(&arrivals, w)).abs()
                 < 1e-12
@@ -881,7 +878,13 @@ mod tests {
     #[test]
     fn larger_sets_stay_finite_and_positive() {
         let cs: Vec<Contribution> = (0..50)
-            .map(|i| contribution(0.5 + 0.005 * (i % 10) as f64, i as f64 * 0.37, (i % 11) as f64))
+            .map(|i| {
+                contribution(
+                    0.5 + 0.005 * (i % 10) as f64,
+                    i as f64 * 0.37,
+                    (i % 11) as f64,
+                )
+            })
             .collect();
         let v = expected_std(&cs, window(), 0.5);
         assert!(v.is_finite());

@@ -7,15 +7,11 @@
 use std::fmt;
 
 /// Identifier of a spatial task (index into the instance's task vector).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TaskId(pub u32);
 
 /// Identifier of a worker (index into the instance's worker vector).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct WorkerId(pub u32);
 
 impl TaskId {

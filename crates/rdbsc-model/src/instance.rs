@@ -72,7 +72,9 @@ impl ProblemInstance {
 
     /// Looks a task up by id.
     pub fn task(&self, id: TaskId) -> Result<&Task, ModelError> {
-        self.tasks.get(id.index()).ok_or(ModelError::UnknownTask(id))
+        self.tasks
+            .get(id.index())
+            .ok_or(ModelError::UnknownTask(id))
     }
 
     /// Looks a worker up by id.
@@ -216,7 +218,9 @@ mod tests {
 
     #[test]
     fn builder_setters() {
-        let inst = make_instance(1, 1).with_depart_at(3.0).with_allow_wait(false);
+        let inst = make_instance(1, 1)
+            .with_depart_at(3.0)
+            .with_allow_wait(false);
         assert_eq!(inst.depart_at, 3.0);
         assert!(!inst.allow_wait);
     }

@@ -45,7 +45,9 @@ pub use error::ModelError;
 pub use expected::{expected_sd, expected_std, expected_td, BasePlusOne};
 pub use ids::{TaskId, WorkerId};
 pub use instance::ProblemInstance;
-pub use objective::{evaluate, evaluate_with_priors, MinReliabilityScope, ObjectiveValue, TaskPriors};
+pub use objective::{
+    evaluate, evaluate_with_priors, MinReliabilityScope, ObjectiveValue, TaskPriors,
+};
 pub use possible_worlds::{expected_std_exhaustive, PossibleWorlds};
 pub use reliability::{log_reliability, reliability, Confidence};
 pub use task::{Task, TimeWindow};

@@ -165,11 +165,7 @@ pub fn evaluate_with_priors(
 
 /// Expected STD of a single task under an assignment (convenience used by the
 /// greedy algorithm's incremental updates).
-pub fn task_expected_std(
-    instance: &ProblemInstance,
-    assignment: &Assignment,
-    task: TaskId,
-) -> f64 {
+pub fn task_expected_std(instance: &ProblemInstance, assignment: &Assignment, task: TaskId) -> f64 {
     let contributions = assignment.contributions_of(task);
     let t = &instance.tasks[task.index()];
     expected_std(&contributions, t.window, t.effective_beta(instance.beta))
@@ -259,9 +255,8 @@ mod tests {
         assert_eq!(v.assigned_workers, 1);
         // single worker: E[STD] = (1-β)·p·TD({arrival})
         let c = graph.pairs[0].contribution;
-        let expected = 0.5
-            * 0.8
-            * crate::diversity::temporal_diversity(&[c.arrival], inst.tasks[0].window);
+        let expected =
+            0.5 * 0.8 * crate::diversity::temporal_diversity(&[c.arrival], inst.tasks[0].window);
         assert!((v.total_std - expected).abs() < 1e-9);
     }
 

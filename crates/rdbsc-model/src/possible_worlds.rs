@@ -145,10 +145,7 @@ mod tests {
     #[test]
     fn certain_workers_yield_deterministic_expectation() {
         // All p = 1: the only world with non-zero probability is the full set.
-        let cs = [
-            contribution(1.0, 0.0, 2.5),
-            contribution(1.0, PI, 5.0),
-        ];
+        let cs = [contribution(1.0, 0.0, 2.5), contribution(1.0, PI, 5.0)];
         let e_sd = expected_sd_exhaustive(&cs);
         assert!((e_sd - 2.0_f64.ln()).abs() < 1e-12);
         let e_td = expected_td_exhaustive(&cs, window());
@@ -158,10 +155,7 @@ mod tests {
 
     #[test]
     fn zero_confidence_workers_contribute_nothing() {
-        let cs = [
-            contribution(0.0, 0.0, 2.5),
-            contribution(0.0, PI, 5.0),
-        ];
+        let cs = [contribution(0.0, 0.0, 2.5), contribution(0.0, PI, 5.0)];
         assert_eq!(expected_std_exhaustive(&cs, window(), 0.5), 0.0);
     }
 
@@ -186,10 +180,7 @@ mod tests {
 
     #[test]
     fn expected_std_monotone_in_added_worker_lemma_4_2() {
-        let base = vec![
-            contribution(0.5, 0.3, 2.0),
-            contribution(0.7, 2.0, 7.0),
-        ];
+        let base = vec![contribution(0.5, 0.3, 2.0), contribution(0.7, 2.0, 7.0)];
         let mut extended = base.clone();
         extended.push(contribution(0.6, 4.0, 4.0));
         let w = window();

@@ -105,7 +105,7 @@ mod tests {
     }
 
     #[test]
-    fn log_form_is_consistent_with_probability_form(){
+    fn log_form_is_consistent_with_probability_form() {
         let ws = [c(0.5), c(0.6), c(0.9)];
         let r = log_reliability(&ws);
         assert!((reliability_from_log(r) - reliability(&ws)).abs() < 1e-12);

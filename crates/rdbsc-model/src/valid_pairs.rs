@@ -59,7 +59,12 @@ pub struct ValidPair {
 ///
 /// `depart_at` is the time at which the assignment is made (0 for the static
 /// problem; the current platform time for incremental re-assignments).
-pub fn check_pair(task: &Task, worker: &Worker, depart_at: f64, allow_wait: bool) -> Option<Contribution> {
+pub fn check_pair(
+    task: &Task,
+    worker: &Worker,
+    depart_at: f64,
+    allow_wait: bool,
+) -> Option<Contribution> {
     match worker.motion().reach(
         task.location,
         task.window.start,
@@ -135,7 +140,9 @@ impl BipartiteCandidates {
 
     /// Candidate pairs of a given worker.
     pub fn pairs_of_worker(&self, worker: WorkerId) -> impl Iterator<Item = &ValidPair> {
-        self.by_worker[worker.index()].iter().map(|&i| &self.pairs[i])
+        self.by_worker[worker.index()]
+            .iter()
+            .map(|&i| &self.pairs[i])
     }
 
     /// Candidate pairs of a given task.

@@ -5,29 +5,27 @@
 //! possible-worlds expectation, exercised over random worker sets.
 
 use proptest::prelude::*;
-use std::f64::consts::TAU;
-use std::ops::Range;
+use rdbsc_model::dominance::{dominating_counts, BiObjective};
+use rdbsc_model::expected::ExpectedScratch;
 use rdbsc_model::possible_worlds::{
     expected_sd_exhaustive, expected_std_exhaustive, expected_td_exhaustive,
 };
-use rdbsc_model::dominance::{dominating_counts, BiObjective};
-use rdbsc_model::expected::ExpectedScratch;
 use rdbsc_model::{
     expected_sd, expected_std, expected_td, log_reliability, reliability, spatial_diversity,
     temporal_diversity, BasePlusOne, Confidence, Contribution, DominanceRanker, TimeWindow,
 };
+use std::f64::consts::TAU;
+use std::ops::Range;
 
 /// Strategy generating a small worker set as (p, angle, arrival) triples.
 fn contribution_set(max_len: usize) -> impl Strategy<Value = Vec<Contribution>> {
-    proptest::collection::vec(
-        (0.0f64..=1.0, 0.0f64..TAU, 0.0f64..10.0),
-        0..=max_len,
+    proptest::collection::vec((0.0f64..=1.0, 0.0f64..TAU, 0.0f64..10.0), 0..=max_len).prop_map(
+        |v| {
+            v.into_iter()
+                .map(|(p, a, t)| Contribution::new(Confidence::new(p).unwrap(), a, t))
+                .collect()
+        },
     )
-    .prop_map(|v| {
-        v.into_iter()
-            .map(|(p, a, t)| Contribution::new(Confidence::new(p).unwrap(), a, t))
-            .collect()
-    })
 }
 
 fn window() -> TimeWindow {

@@ -138,7 +138,11 @@ impl LatencyHistogram {
         for (idx, bucket) in self.buckets.iter().enumerate() {
             let in_bucket = bucket.load(Ordering::Relaxed);
             if seen + in_bucket >= rank {
-                let lower = if idx == 0 { 0 } else { BUCKET_BOUNDS_US[idx - 1] };
+                let lower = if idx == 0 {
+                    0
+                } else {
+                    BUCKET_BOUNDS_US[idx - 1]
+                };
                 let upper = if idx < BUCKET_BOUNDS_US.len() {
                     BUCKET_BOUNDS_US[idx]
                 } else {

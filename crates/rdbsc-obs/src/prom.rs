@@ -119,7 +119,12 @@ impl PromWriter {
     /// `_count`) under an already-written header — callers labelling
     /// several partitions under one family write the header once and then
     /// one series per label set.
-    pub fn histogram_series(&mut self, name: &str, labels: &[(&str, &str)], hist: &LatencyHistogram) {
+    pub fn histogram_series(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        hist: &LatencyHistogram,
+    ) {
         let counts = hist.bucket_counts();
         let bucket_name = format!("{name}_bucket");
         let mut cumulative = 0u64;
@@ -173,7 +178,9 @@ fn parse_sample(line: &str, lineno: usize) -> Result<Sample, String> {
     let err = |msg: &str| format!("line {lineno}: {msg}: {line:?}");
     let (name_part, rest) = match line.find('{') {
         Some(open) => {
-            let close = line.rfind('}').ok_or_else(|| err("unterminated label set"))?;
+            let close = line
+                .rfind('}')
+                .ok_or_else(|| err("unterminated label set"))?;
             if close < open {
                 return Err(err("mismatched braces"));
             }
@@ -241,7 +248,10 @@ pub fn validate_prom(text: &str) -> Result<usize, String> {
             if !valid_metric_name(name) {
                 return Err(format!("line {lineno}: invalid metric name in TYPE"));
             }
-            if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+            if !matches!(
+                kind,
+                "counter" | "gauge" | "histogram" | "summary" | "untyped"
+            ) {
                 return Err(format!("line {lineno}: unknown metric type {kind:?}"));
             }
             if types.insert(name.to_string(), kind.to_string()).is_some() {
@@ -289,12 +299,13 @@ pub fn validate_prom(text: &str) -> Result<usize, String> {
             let mut prev = -1.0f64;
             for (_, count) in &buckets {
                 if *count < prev {
-                    return Err(format!("histogram {family}{{{key}}} buckets not cumulative"));
+                    return Err(format!(
+                        "histogram {family}{{{key}}} buckets not cumulative"
+                    ));
                 }
                 prev = *count;
             }
-            let (last_bound, last_count) =
-                *buckets.last().expect("non-empty bucket series");
+            let (last_bound, last_count) = *buckets.last().expect("non-empty bucket series");
             if last_bound != f64::INFINITY {
                 return Err(format!("histogram {family}{{{key}}} missing +Inf bucket"));
             }
@@ -356,7 +367,11 @@ mod tests {
     #[test]
     fn labelled_series_share_one_family() {
         let mut w = PromWriter::new();
-        w.header("cmd_latency_us", "histogram", "per-partition command latency");
+        w.header(
+            "cmd_latency_us",
+            "histogram",
+            "per-partition command latency",
+        );
         let h0 = LatencyHistogram::default();
         h0.record(Duration::from_micros(10));
         let h1 = LatencyHistogram::default();

@@ -45,8 +45,14 @@ pub struct StageTimings {
 impl StageTimings {
     /// Stage names, in pipeline order, as used for span labels and metric
     /// names (`stage.<name>` spans, `..._stage_<name>_us` histograms).
-    pub const NAMES: [&'static str; NUM_STAGES] =
-        ["apply", "extract", "solve", "merge", "wal_append", "wal_fsync"];
+    pub const NAMES: [&'static str; NUM_STAGES] = [
+        "apply",
+        "extract",
+        "solve",
+        "merge",
+        "wal_append",
+        "wal_fsync",
+    ];
 
     /// `(span label, duration)` per stage, in pipeline order.
     pub fn as_array(&self) -> [(&'static str, u64); NUM_STAGES] {
@@ -139,7 +145,10 @@ mod tests {
         for region in [&fast, &slow, &tied] {
             merged.merge_slowest(region);
         }
-        assert_eq!(merged, slow, "the slowest region, not a mix; a tie keeps the first");
+        assert_eq!(
+            merged, slow,
+            "the slowest region, not a mix; a tie keeps the first"
+        );
         assert_eq!(merged.total_us(), 130);
     }
 

@@ -297,10 +297,7 @@ pub fn collect_spans(trace: u64) -> Vec<SpanEvent> {
     if trace == 0 {
         return Vec::new();
     }
-    let names: Vec<&'static str> = names_table()
-        .lock()
-        .expect("span label table lock")
-        .clone();
+    let names: Vec<&'static str> = names_table().lock().expect("span label table lock").clone();
     let rings: Vec<std::sync::Arc<Ring>> = rings()
         .lock()
         .expect("span ring registry lock")

@@ -154,7 +154,10 @@ mod tests {
     #[test]
     fn overlapping_photos_do_not_double_count() {
         let c = angular_coverage(&[0.0, 0.01, 0.02], FRAC_PI_2);
-        assert!(c < 0.27, "clustered photos cover barely more than one, got {c}");
+        assert!(
+            c < 0.27,
+            "clustered photos cover barely more than one, got {c}"
+        );
     }
 
     #[test]
@@ -164,7 +167,10 @@ mod tests {
         assert!((c - 1.0 / FULL_TURN).abs() < 1e-9);
         // Two photos straddling the wrap point merge correctly.
         let c2 = angular_coverage(&[0.1, FULL_TURN - 0.1], 0.4);
-        assert!(c2 < 0.8 / FULL_TURN + 1e-9, "wrap-adjacent arcs overlap, got {c2}");
+        assert!(
+            c2 < 0.8 / FULL_TURN + 1e-9,
+            "wrap-adjacent arcs overlap, got {c2}"
+        );
         assert!(c2 > 0.5 / FULL_TURN);
     }
 
@@ -188,7 +194,10 @@ mod tests {
     fn temporal_coverage_clamps_at_the_window_edges() {
         let w = window();
         let c = temporal_coverage(&[0.0], w, 4.0);
-        assert!((c - 0.2).abs() < 1e-9, "half the tolerance falls outside the window");
+        assert!(
+            (c - 0.2).abs() < 1e-9,
+            "half the tolerance falls outside the window"
+        );
     }
 
     #[test]

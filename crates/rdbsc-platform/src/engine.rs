@@ -32,13 +32,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rdbsc_algos::solver::{BatchSolver, SolveRequest};
 use rdbsc_algos::{DncConfig, GreedyConfig, SamplingConfig, Solver};
+use rdbsc_geo::{Point, Rect};
 use rdbsc_index::cost_model::estimate_fractal_dimension;
 use rdbsc_index::{GridIndex, MaintenanceCounters, ProblemShard, SpatialIndex};
 use rdbsc_model::expected::{expected_std_with, ExpectedScratch};
 use rdbsc_model::objective::{task_reliability_of, TaskPriors};
 use rdbsc_model::valid_pairs::{BipartiteCandidates, ValidPair};
 use rdbsc_model::{Assignment, Contribution, Task, TaskId, Worker, WorkerId};
-use rdbsc_geo::{Point, Rect};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -508,8 +508,7 @@ impl<I: SpatialIndex> AssignmentEngine<I> {
             threads,
             |shard_idx, (shard, available, priors)| {
                 let shard_started = Instant::now(); // lint:allow(D002): stage stopwatch — observational timing only, reported but never read by a decision
-                let request =
-                    SolveRequest::new(&shard.instance, &available).with_priors(&priors);
+                let request = SolveRequest::new(&shard.instance, &available).with_priors(&priors);
                 let mut rng = StdRng::seed_from_u64(mix_seed(base_seed, shard_idx as u64));
                 let (strategy, assignment) = solver.solve_shard_named(&request, &mut rng);
                 (
@@ -627,10 +626,7 @@ impl<I: SpatialIndex> AssignmentEngine<I> {
         // state.
         let mut en_route: HashMap<TaskId, Vec<Contribution>> = HashMap::new();
         for (_, worker_task, contribution) in self.commitments_by_worker() {
-            en_route
-                .entry(worker_task)
-                .or_default()
-                .push(contribution);
+            en_route.entry(worker_task).or_default().push(contribution);
         }
 
         let mut min_reliability = f64::INFINITY;
@@ -925,8 +921,7 @@ mod tests {
     fn shard_priors_are_insertion_order_independent() {
         fn contribution(seed: u64) -> Contribution {
             Contribution::new(
-                Confidence::new(0.5 + 0.4 * ((seed * 2_654_435_761) % 100) as f64 / 100.0)
-                    .unwrap(),
+                Confidence::new(0.5 + 0.4 * ((seed * 2_654_435_761) % 100) as f64 / 100.0).unwrap(),
                 0.1 + seed as f64,
                 0.05 * seed as f64 + 0.01,
             )
@@ -993,7 +988,11 @@ mod tests {
     fn tick_assigns_and_commits_workers() {
         let mut engine = engine_with(clustered_events(4, 6), 1);
         let report = engine.tick(0.0);
-        assert!(report.num_shards >= 2, "clusters must shard: {}", report.num_shards);
+        assert!(
+            report.num_shards >= 2,
+            "clusters must shard: {}",
+            report.num_shards
+        );
         assert!(!report.new_assignments.is_empty());
         for pair in &report.new_assignments {
             assert!(engine.is_committed(pair.worker));
@@ -1053,7 +1052,10 @@ mod tests {
         );
         // A wave of cross-cell movement shows up as relocations.
         for id in 0..10u32 {
-            engine.submit(EngineEvent::WorkerMoved(WorkerId(id), Point::new(0.95, 0.05)));
+            engine.submit(EngineEvent::WorkerMoved(
+                WorkerId(id),
+                Point::new(0.95, 0.05),
+            ));
         }
         let second = engine.tick(0.1);
         assert!(second.index_maintenance.relocations > 0);
@@ -1077,7 +1079,10 @@ mod tests {
         };
         let sequential = run(1);
         let parallel = run(4);
-        assert_eq!(sequential, parallel, "thread count must not change the result");
+        assert_eq!(
+            sequential, parallel,
+            "thread count must not change the result"
+        );
     }
 
     #[test]
@@ -1119,7 +1124,10 @@ mod tests {
         }
         let engine_value = evaluate(&instance, &engine_assignment);
 
-        assert_eq!(engine_value.assigned_workers, baseline_value.assigned_workers);
+        assert_eq!(
+            engine_value.assigned_workers,
+            baseline_value.assigned_workers
+        );
         assert!(
             (engine_value.total_std - baseline_value.total_std).abs()
                 <= 0.05 * baseline_value.total_std.max(1e-9),
@@ -1152,10 +1160,8 @@ mod tests {
 
     #[test]
     fn expiration_retires_tasks_and_releases_travellers() {
-        let mut engine = AssignmentEngine::new(
-            GridIndex::new(Rect::unit(), 0.2),
-            EngineConfig::default(),
-        );
+        let mut engine =
+            AssignmentEngine::new(GridIndex::new(Rect::unit(), 0.2), EngineConfig::default());
         engine.submit(EngineEvent::TaskArrived(task(0, 0.5, 0.5, 0.0, 1.0)));
         engine.submit(EngineEvent::WorkerCheckIn(worker(0, 0.4, 0.4, 0.5)));
         let report = engine.tick(0.0);
@@ -1166,22 +1172,26 @@ mod tests {
         let late = engine.tick(2.0);
         assert_eq!(late.tasks_expired, 1);
         assert_eq!(engine.num_tasks(), 0);
-        assert!(!engine.is_committed(WorkerId(0)), "traveller must be released");
+        assert!(
+            !engine.is_committed(WorkerId(0)),
+            "traveller must be released"
+        );
     }
 
     #[test]
     fn worker_events_update_the_live_state() {
-        let mut engine = AssignmentEngine::new(
-            GridIndex::new(Rect::unit(), 0.2),
-            EngineConfig::default(),
-        );
+        let mut engine =
+            AssignmentEngine::new(GridIndex::new(Rect::unit(), 0.2), EngineConfig::default());
         engine.submit(EngineEvent::TaskArrived(task(0, 0.9, 0.9, 0.0, 2.0)));
         engine.submit(EngineEvent::WorkerCheckIn(worker(0, 0.1, 0.1, 0.05)));
         let report = engine.tick(0.0);
         assert!(report.new_assignments.is_empty(), "too slow from afar");
 
         // The worker wanders close to the task and becomes assignable.
-        engine.submit(EngineEvent::WorkerMoved(WorkerId(0), Point::new(0.85, 0.85)));
+        engine.submit(EngineEvent::WorkerMoved(
+            WorkerId(0),
+            Point::new(0.85, 0.85),
+        ));
         let report = engine.tick(0.1);
         assert_eq!(report.new_assignments.len(), 1);
 
@@ -1196,10 +1206,8 @@ mod tests {
     fn identical_task_repost_keeps_the_en_route_worker() {
         // At-least-once delivery: a wire retry of the same task post must
         // not tear down the standing assignment.
-        let mut engine = AssignmentEngine::new(
-            GridIndex::new(Rect::unit(), 0.2),
-            EngineConfig::default(),
-        );
+        let mut engine =
+            AssignmentEngine::new(GridIndex::new(Rect::unit(), 0.2), EngineConfig::default());
         let posted = task(0, 0.5, 0.5, 0.0, 5.0);
         engine.submit(EngineEvent::TaskArrived(posted));
         engine.submit(EngineEvent::WorkerCheckIn(worker(0, 0.4, 0.4, 0.5)));
@@ -1208,7 +1216,10 @@ mod tests {
 
         engine.submit(EngineEvent::TaskArrived(posted)); // identical retry
         let retry = engine.tick(0.1);
-        assert!(engine.is_committed(WorkerId(0)), "retry must keep the commitment");
+        assert!(
+            engine.is_committed(WorkerId(0)),
+            "retry must keep the commitment"
+        );
         assert!(
             retry.new_assignments.is_empty(),
             "no double-commit on an idempotent re-post"
@@ -1220,10 +1231,8 @@ mod tests {
         // The task moved: the worker's committed contribution (angle,
         // arrival) was computed against the old location, so the engine
         // releases it and re-solves against the new definition.
-        let mut engine = AssignmentEngine::new(
-            GridIndex::new(Rect::unit(), 0.2),
-            EngineConfig::default(),
-        );
+        let mut engine =
+            AssignmentEngine::new(GridIndex::new(Rect::unit(), 0.2), EngineConfig::default());
         engine.submit(EngineEvent::TaskArrived(task(0, 0.5, 0.5, 0.0, 5.0)));
         engine.submit(EngineEvent::WorkerCheckIn(worker(0, 0.4, 0.4, 0.5)));
         let first = engine.tick(0.0);

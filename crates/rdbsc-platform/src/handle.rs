@@ -314,7 +314,11 @@ mod tests {
     }
 
     fn task(id: u32, x: f64, y: f64) -> Task {
-        Task::new(TaskId(id), Point::new(x, y), TimeWindow::new(0.0, 10.0).unwrap())
+        Task::new(
+            TaskId(id),
+            Point::new(x, y),
+            TimeWindow::new(0.0, 10.0).unwrap(),
+        )
     }
 
     fn worker(id: u32, x: f64, y: f64) -> Worker {

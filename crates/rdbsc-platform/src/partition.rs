@@ -742,8 +742,7 @@ impl PartitionedEngine {
             merged.events_applied += report.events_applied;
             merged.tasks_expired += report.tasks_expired;
             merged.num_shards += report.num_shards;
-            merged.largest_shard_pairs =
-                merged.largest_shard_pairs.max(report.largest_shard_pairs);
+            merged.largest_shard_pairs = merged.largest_shard_pairs.max(report.largest_shard_pairs);
             merged.strategies.extend(report.strategies);
             merged.new_assignments.extend(report.new_assignments);
             // Partitions solve concurrently: the round's wall time is the
@@ -754,10 +753,8 @@ impl PartitionedEngine {
                 .shard_solve_seconds
                 .extend(report.shard_solve_seconds);
             merged.index_maintenance.relocations += report.index_maintenance.relocations;
-            merged.index_maintenance.cells_repaired +=
-                report.index_maintenance.cells_repaired;
-            merged.index_maintenance.tcell_rebuilds +=
-                report.index_maintenance.tcell_rebuilds;
+            merged.index_maintenance.cells_repaired += report.index_maintenance.cells_repaired;
+            merged.index_maintenance.tcell_rebuilds += report.index_maintenance.tcell_rebuilds;
             self.committed.extend(reply.committed);
         }
 
@@ -1036,10 +1033,8 @@ mod tests {
 
     #[test]
     fn single_partition_matches_plain_engine() {
-        let mut plain = AssignmentEngine::new(
-            GridIndex::new(Rect::unit(), 0.1),
-            EngineConfig::default(),
-        );
+        let mut plain =
+            AssignmentEngine::new(GridIndex::new(Rect::unit(), 0.1), EngineConfig::default());
         let mut split = partitioned(1);
         let events = two_sided_events();
         plain.submit_all(events.clone());
@@ -1329,7 +1324,11 @@ mod tests {
         assert_eq!(lost.len(), 1);
         assert_eq!(lost[0].partition, 1);
         assert_eq!(lost[0].endpoint, "rdbsc-partition-1");
-        assert!(lost[0].error.contains("connection refused"), "{}", lost[0].error);
+        assert!(
+            lost[0].error.contains("connection refused"),
+            "{}",
+            lost[0].error
+        );
         // The surviving region still reports (3 live tasks keep it active).
         assert!(split.is_active());
         assert_eq!(split.partition_snapshots().len(), 1);
@@ -1343,11 +1342,18 @@ mod tests {
         split.submit(EngineEvent::WorkerCheckIn(worker(11, 0.2, 0.25, 0.4)));
         let report = split.tick(1.0);
         assert_eq!(split.events_dropped(), 1);
-        assert!(report
-            .new_assignments
-            .iter()
-            .any(|p| p.worker == WorkerId(11)), "surviving region assigns");
-        assert_eq!(split.unhealthy_partitions().len(), 1, "first error wins, no duplicates");
+        assert!(
+            report
+                .new_assignments
+                .iter()
+                .any(|p| p.worker == WorkerId(11)),
+            "surviving region assigns"
+        );
+        assert_eq!(
+            split.unhealthy_partitions().len(),
+            1,
+            "first error wins, no duplicates"
+        );
 
         // Shutdown stays graceful: drains the survivor, skips the corpse.
         let final_snapshot = split.shutdown();
@@ -1490,7 +1496,10 @@ mod tests {
         // acknowledged pre-kill snapshot.
         dead.store(true, Ordering::SeqCst);
         split.tick(0.5);
-        assert!(split.unhealthy_partitions().is_empty(), "slot stayed healthy");
+        assert!(
+            split.unhealthy_partitions().is_empty(),
+            "slot stayed healthy"
+        );
         assert_eq!(split.standbys_armed(), 0, "promotion is one-shot");
         let promotions = split.promotions();
         assert_eq!(promotions.len(), 1);
@@ -1510,14 +1519,20 @@ mod tests {
         split.submit(EngineEvent::WorkerCheckIn(worker(10, 0.85, 0.45, 0.4)));
         let report = split.tick(1.0);
         assert!(
-            report.new_assignments.iter().any(|p| p.worker == WorkerId(10)),
+            report
+                .new_assignments
+                .iter()
+                .any(|p| p.worker == WorkerId(10)),
             "promoted region assigns new work"
         );
         assert_eq!(split.events_dropped(), 0, "no events lost across failover");
 
         let final_snapshot = split.shutdown();
         assert_eq!(final_snapshot.pending_events, 0);
-        assert!(!shut.load(Ordering::SeqCst), "fired promoter is not re-shut");
+        assert!(
+            !shut.load(Ordering::SeqCst),
+            "fired promoter is not re-shut"
+        );
     }
 
     #[test]
@@ -1547,7 +1562,11 @@ mod tests {
         assert_eq!(lost.len(), 1, "failed promotion degrades, not panics");
         assert_eq!(lost[0].partition, 1);
         assert!(split.promotions().is_empty());
-        assert_eq!(split.standbys_armed(), 0, "the attempt consumed the promoter");
+        assert_eq!(
+            split.standbys_armed(),
+            0,
+            "the attempt consumed the promoter"
+        );
         split.shutdown();
     }
 
@@ -1583,7 +1602,10 @@ mod tests {
         // Nothing has ticked yet: all 12 events are still queued.
         assert_eq!(split.snapshot().pending_events, 12);
         let final_snapshot = split.shutdown();
-        assert_eq!(final_snapshot.pending_events, 0, "drain tick applied the queue");
+        assert_eq!(
+            final_snapshot.pending_events, 0,
+            "drain tick applied the queue"
+        );
         assert_eq!(final_snapshot.events_applied, 12);
         assert_eq!(final_snapshot.live_tasks, 6);
         assert_eq!(final_snapshot.live_workers, 6);
@@ -1599,7 +1621,10 @@ mod tests {
         assert!(split.record_answer(pair.worker, pair.contribution));
         assert_eq!(split.handoffs(), 1, "answer released the deferred handoff");
         let final_snapshot = split.shutdown();
-        assert_eq!(final_snapshot.pending_events, 0, "handoff events were applied");
+        assert_eq!(
+            final_snapshot.pending_events, 0,
+            "handoff events were applied"
+        );
         assert_eq!(final_snapshot.banked_answers, 1);
         assert_eq!(final_snapshot.live_workers, 1);
     }

@@ -878,7 +878,10 @@ impl<I: SpatialIndex> EnginePartition<I> {
         let records = repl.fetch(from, max)?;
         let acked = repl.status().acked;
         if acked > before {
-            let note = WalRecord::ReplMeta { acked, sealed: false };
+            let note = WalRecord::ReplMeta {
+                acked,
+                sealed: false,
+            };
             Self::log(&mut self.wal, |wal| wal.append(&note));
         }
         Ok(records)
@@ -897,7 +900,10 @@ impl<I: SpatialIndex> EnginePartition<I> {
     /// compare against the dead primary's last acknowledged digest.
     pub fn seal_replication(&mut self, acked: u64) -> u64 {
         Self::log(&mut self.wal, |wal| {
-            wal.append(&WalRecord::ReplMeta { acked, sealed: true })
+            wal.append(&WalRecord::ReplMeta {
+                acked,
+                sealed: true,
+            })
         });
         let state = self.dump_state();
         let tick = self.engine.num_ticks();
@@ -1110,7 +1116,11 @@ mod tests {
     }
 
     fn task(id: u32, x: f64, y: f64) -> Task {
-        Task::new(TaskId(id), Point::new(x, y), TimeWindow::new(0.0, 10.0).unwrap())
+        Task::new(
+            TaskId(id),
+            Point::new(x, y),
+            TimeWindow::new(0.0, 10.0).unwrap(),
+        )
     }
 
     fn worker(id: u32, x: f64, y: f64) -> Worker {
@@ -1261,7 +1271,10 @@ mod tests {
         mut wrap: impl FnMut(std::fs::File) -> F + Send + 'static,
     ) -> Part {
         let factory: crate::wal::SegmentFactory = Box::new(move |path| {
-            let file = std::fs::OpenOptions::new().write(true).create_new(true).open(path)?;
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(path)?;
             Ok(Box::new(wrap(file)) as Box<dyn crate::wal::WalFile>)
         });
         let (wal, _) = Wal::open_with_factory(dir, WalConfig::default(), factory, |_| {}).unwrap();
@@ -1287,7 +1300,10 @@ mod tests {
     fn crashing_tick(part: &mut Part, now: f64) -> String {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| part.tick(now)));
         let panic = outcome.expect_err("the tick must not produce an outcome");
-        panic.downcast_ref::<String>().expect("panic message").clone()
+        panic
+            .downcast_ref::<String>()
+            .expect("panic message")
+            .clone()
     }
 
     /// A segment file whose `sync` announces itself, then waits to be
@@ -1343,12 +1359,17 @@ mod tests {
         // waits here for as long as we care to hold it.
         entered.recv().unwrap();
         assert!(
-            returned.recv_timeout(std::time::Duration::from_millis(300)).is_err(),
+            returned
+                .recv_timeout(std::time::Duration::from_millis(300))
+                .is_err(),
             "tick returned while its fsync was still in flight"
         );
         release.send(()).unwrap();
         let (mut part, tick) = ticking.join().unwrap();
-        assert_eq!(*order.lock().unwrap(), ["sync entered", "sync done", "tick returned"]);
+        assert_eq!(
+            *order.lock().unwrap(),
+            ["sync entered", "sync done", "tick returned"]
+        );
         assert_eq!(tick.report.new_assignments.len(), 1);
         assert_eq!(part.wal_stats().unwrap().fsyncs, 1);
 
@@ -1433,7 +1454,10 @@ mod tests {
         part.submit(batch(0));
         assert!(part.submit_append_ns > 0, "submit times its append");
         let tick = part.tick(0.0);
-        assert_eq!(part.submit_append_ns, 0, "the tick took the submit-time append over");
+        assert_eq!(
+            part.submit_append_ns, 0,
+            "the tick took the submit-time append over"
+        );
         assert!(tick.report.stages.wal_append_us > 0);
 
         // A non-durable partition enters neither stage.

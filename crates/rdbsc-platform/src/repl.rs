@@ -86,7 +86,10 @@ impl std::fmt::Display for ReplError {
         match self {
             ReplError::NotEnabled => write!(f, "replication is not enabled"),
             ReplError::Gap { base } => {
-                write!(f, "requested lsn precedes retained base {base}; re-bootstrap")
+                write!(
+                    f,
+                    "requested lsn precedes retained base {base}; re-bootstrap"
+                )
             }
         }
     }
@@ -390,12 +393,19 @@ pub struct Replication {
 impl Replication {
     /// A primary: serves a follower once one bootstraps.
     pub fn primary() -> Self {
-        Self { role: Role::Primary { sealed_at: None, fetched_at: None } }
+        Self {
+            role: Role::Primary {
+                sealed_at: None,
+                fetched_at: None,
+            },
+        }
     }
 
     /// A standby that has not bootstrapped yet.
     pub fn standby() -> Self {
-        Self { role: Role::Standby(Follower::default()) }
+        Self {
+            role: Role::Standby(Follower::default()),
+        }
     }
 
     /// Is this an unpromoted standby?
@@ -412,7 +422,11 @@ impl Replication {
                 _ if !f.streaming => Poll::Send(ReplRequest::Bootstrap),
                 _ => {
                     let (from, max) = (f.cursor.applied, FOLLOW_BATCH);
-                    Poll::Send(ReplRequest::Fetch { from, ack: from, max })
+                    Poll::Send(ReplRequest::Fetch {
+                        from,
+                        ack: from,
+                        max,
+                    })
                 }
             },
         }
@@ -435,9 +449,14 @@ impl Replication {
         };
         let bootstrapping = !f.streaming;
         let step = match (f.streaming, reply) {
-            (false, Ok(ReplReply::Bootstrap { start_lsn, state, configure })) => {
-                f.install(start_lsn, &state, &configure, engine)
-            }
+            (
+                false,
+                Ok(ReplReply::Bootstrap {
+                    start_lsn,
+                    state,
+                    configure,
+                }),
+            ) => f.install(start_lsn, &state, &configure, engine),
             (true, Ok(ReplReply::Fetch { next_lsn, records })) => {
                 f.cursor.head = next_lsn.max(f.cursor.applied);
                 match engine.configured() {
@@ -446,9 +465,13 @@ impl Replication {
                     None => Err("no engine to apply the stream to".to_string()),
                 }
             }
-            (true, Err(ReplFailure::Refused { status: 409, detail })) => {
-                Err(format!("stream restarted on the primary: {detail}"))
-            }
+            (
+                true,
+                Err(ReplFailure::Refused {
+                    status: 409,
+                    detail,
+                }),
+            ) => Err(format!("stream restarted on the primary: {detail}")),
             (true, Err(ReplFailure::Refused { .. } | ReplFailure::Io(_))) => Ok(Some(FOLLOW_RETRY)),
             (streaming, reply) => {
                 let asked = if streaming { "fetch" } else { "bootstrap" };
@@ -457,7 +480,9 @@ impl Replication {
                     Err(ReplFailure::Refused { status, detail }) => {
                         format!("{asked} answered {status}: {detail}")
                     }
-                    Err(ReplFailure::Io(why) | ReplFailure::Malformed(why)) => format!("{asked}: {why}"),
+                    Err(ReplFailure::Io(why) | ReplFailure::Malformed(why)) => {
+                        format!("{asked}: {why}")
+                    }
                 })
             }
         };
@@ -486,18 +511,26 @@ impl Replication {
         request: ReplRequest,
         engine: &mut E,
     ) -> Result<ReplReply, String> {
-        let configured = engine.configured().ok_or("not configured: nothing to replicate yet");
+        let configured = engine
+            .configured()
+            .ok_or("not configured: nothing to replicate yet");
         match (&mut self.role, request) {
-            (_, ReplRequest::Status) => {
-                Ok(ReplReply::Status(self.status(configured.ok().map(|(part, _)| &*part))))
-            }
+            (_, ReplRequest::Status) => Ok(ReplReply::Status(
+                self.status(configured.ok().map(|(part, _)| &*part)),
+            )),
             (Role::Standby(f), ReplRequest::Promote) => {
                 // Refused before anything changes if nothing is installed.
                 let (part, _) = configured?;
                 let cursor = f.cursor;
                 let digest = part.seal_replication(cursor.applied);
-                self.role = Role::Primary { sealed_at: Some(cursor), fetched_at: None };
-                Ok(ReplReply::Promote { digest, applied: cursor.applied })
+                self.role = Role::Primary {
+                    sealed_at: Some(cursor),
+                    fetched_at: None,
+                };
+                Ok(ReplReply::Promote {
+                    digest,
+                    applied: cursor.applied,
+                })
             }
             (Role::Standby(_), _) => Err("a standby is not a replication source".to_string()),
             (Role::Primary { .. }, ReplRequest::Promote) => {
@@ -511,8 +544,13 @@ impl Replication {
                 *fetched_at = records.is_ok().then_some(now);
                 let records = records.map_err(|e| format!("replication fetch: {e}"))?;
                 let next_lsn = part.repl_status().unwrap_or_default().next_lsn;
-                let records = records.into_iter().map(|(lsn, c)| (lsn, encode_command(&c)));
-                Ok(ReplReply::Fetch { next_lsn, records: records.collect() })
+                let records = records
+                    .into_iter()
+                    .map(|(lsn, c)| (lsn, encode_command(&c)));
+                Ok(ReplReply::Fetch {
+                    next_lsn,
+                    records: records.collect(),
+                })
             }
             (Role::Primary { fetched_at, .. }, ReplRequest::Bootstrap) => {
                 if fetched_at.is_some_and(|at| now - at < FOLLOWER_LIVENESS) {
@@ -524,7 +562,11 @@ impl Replication {
                 *fetched_at = None;
                 let (state, start_lsn) = part.enable_replication();
                 let state = encode_record(&WalRecord::Checkpoint(state));
-                Ok(ReplReply::Bootstrap { start_lsn, state, configure: configure.to_string() })
+                Ok(ReplReply::Bootstrap {
+                    start_lsn,
+                    state,
+                    configure: configure.to_string(),
+                })
             }
         }
     }
@@ -535,14 +577,31 @@ impl Replication {
     pub fn status<I: SpatialIndex>(&self, part: Option<&EnginePartition<I>>) -> ReplStatus {
         match (&self.role, part.and_then(EnginePartition::repl_status)) {
             (Role::Standby(f), _) => f.cursor.status(),
-            (Role::Primary { sealed_at, .. }, Some(live)) => {
-                ReplStatus { sealed: sealed_at.is_some(), ..live }
-            }
-            (Role::Primary { sealed_at: Some(cursor), .. }, None) => {
+            (Role::Primary { sealed_at, .. }, Some(live)) => ReplStatus {
+                sealed: sealed_at.is_some(),
+                ..live
+            },
+            (
+                Role::Primary {
+                    sealed_at: Some(cursor),
+                    ..
+                },
+                None,
+            ) => {
                 let (role, lag, sealed) = (ReplRole::Primary, 0, true);
-                ReplStatus { role, lag, sealed, ..cursor.status() }
+                ReplStatus {
+                    role,
+                    lag,
+                    sealed,
+                    ..cursor.status()
+                }
             }
-            (Role::Primary { sealed_at: None, .. }, None) => ReplStatus::default(),
+            (
+                Role::Primary {
+                    sealed_at: None, ..
+                },
+                None,
+            ) => ReplStatus::default(),
         }
     }
 }
@@ -560,8 +619,15 @@ impl Follower {
             WalRecord::Checkpoint(state) => engine.install(configure, state)?,
             _ => return Err("bootstrap state is not a checkpoint record".to_string()),
         }
-        let cursor = Cursor { applied: start_lsn, head: start_lsn };
-        *self = Follower { cursor, streaming: true, ..Follower::default() };
+        let cursor = Cursor {
+            applied: start_lsn,
+            head: start_lsn,
+        };
+        *self = Follower {
+            cursor,
+            streaming: true,
+            ..Follower::default()
+        };
         Ok(None)
     }
 }
@@ -613,8 +679,15 @@ mod tests {
 
     /// Round `i`'s traffic: a task and a worker beside it, then a tick.
     fn round(i: u32) -> [PartitionCommand; 2] {
-        let (x, y) = (0.1 + 0.07 * f64::from(i % 12), 0.2 + 0.05 * f64::from(i % 9));
-        let task = Task::new(TaskId(i), Point::new(x, y), TimeWindow::new(0.0, 50.0).unwrap());
+        let (x, y) = (
+            0.1 + 0.07 * f64::from(i % 12),
+            0.2 + 0.05 * f64::from(i % 9),
+        );
+        let task = Task::new(
+            TaskId(i),
+            Point::new(x, y),
+            TimeWindow::new(0.0, 50.0).unwrap(),
+        );
         let worker = Worker::new(
             WorkerId(i),
             Point::new(x, y - 0.03),
@@ -640,7 +713,9 @@ mod tests {
         type Index = FlatGridIndex;
 
         fn configured(&mut self) -> Option<(&mut EnginePartition<FlatGridIndex>, &str)> {
-            self.0.as_mut().map(|(part, configure)| (part, configure.as_str()))
+            self.0
+                .as_mut()
+                .map(|(part, configure)| (part, configure.as_str()))
         }
 
         fn install(&mut self, configure: &str, state: PartitionState) -> Result<(), String> {
@@ -691,7 +766,12 @@ mod tests {
         }
 
         fn digest_at(&self, lsn: u64) -> u64 {
-            self.digests.iter().rev().find(|(at, _)| *at == lsn).expect("a published lsn").1
+            self.digests
+                .iter()
+                .rev()
+                .find(|(at, _)| *at == lsn)
+                .expect("a published lsn")
+                .1
         }
 
         fn answer(&mut self, now: Instant, request: ReplRequest) -> Result<ReplReply, ReplFailure> {
@@ -700,7 +780,10 @@ mod tests {
                 let digest = self.slot.digest();
                 self.digests.push((*start_lsn, digest));
             }
-            reply.map_err(|detail| ReplFailure::Refused { status: 409, detail })
+            reply.map_err(|detail| ReplFailure::Refused {
+                status: 409,
+                detail,
+            })
         }
     }
 
@@ -756,7 +839,10 @@ mod tests {
 
         fn status(&self) -> ReplStatus {
             let part = self.slot.0.as_ref().map(|(part, _)| part);
-            self.repl.as_ref().expect("a replication state").status(part)
+            self.repl
+                .as_ref()
+                .expect("a replication state")
+                .status(part)
         }
     }
 
@@ -780,11 +866,17 @@ mod tests {
         assert_eq!(standby.status().role, ReplRole::Standby);
 
         // Bootstrap, then fetch and apply.
-        assert_eq!(standby.step(at(0), &mut primary), Poll::Send(ReplRequest::Bootstrap));
+        assert_eq!(
+            standby.step(at(0), &mut primary),
+            Poll::Send(ReplRequest::Bootstrap)
+        );
         let start = standby.status().applied;
         assert_eq!(start, 0, "the stream starts where replication was enabled");
         assert_eq!(standby.slot.digest(), primary.slot.digest());
-        assert_eq!(standby.slot.0.as_ref().unwrap().1, "the primary's configure");
+        assert_eq!(
+            standby.slot.0.as_ref().unwrap().1,
+            "the primary's configure"
+        );
         primary.run(2..5);
         assert_eq!(standby.step(at(0), &mut primary), Poll::Send(fetch(start)));
         assert_eq!(standby.slot.digest(), primary.slot.digest());
@@ -792,16 +884,28 @@ mod tests {
         assert_eq!((caught_up.applied, caught_up.lag), (start + 6, 0));
 
         // Idle: an empty fetch waits FOLLOW_IDLE.
-        assert_eq!(standby.step(at(0), &mut primary), Poll::Send(fetch(start + 6)));
-        assert_eq!(standby.repl().poll(at(1)), Poll::WaitUntil(at(0) + FOLLOW_IDLE));
+        assert_eq!(
+            standby.step(at(0), &mut primary),
+            Poll::Send(fetch(start + 6))
+        );
+        assert_eq!(
+            standby.repl().poll(at(1)),
+            Poll::WaitUntil(at(0) + FOLLOW_IDLE)
+        );
         assert_eq!(standby.request(at(0) + FOLLOW_IDLE), Some(fetch(start + 6)));
 
         // An I/O error waits FOLLOW_RETRY and stays bootstrapped: the next
         // request fetches from the same cursor.
         primary.run(5..6);
         standby.deliver(at(20), Err(ReplFailure::Io("connection reset".into())));
-        assert_eq!(standby.repl().poll(at(20)), Poll::WaitUntil(at(20) + FOLLOW_RETRY));
-        assert_eq!(standby.step(at(120), &mut primary), Poll::Send(fetch(start + 6)));
+        assert_eq!(
+            standby.repl().poll(at(20)),
+            Poll::WaitUntil(at(20) + FOLLOW_RETRY)
+        );
+        assert_eq!(
+            standby.step(at(120), &mut primary),
+            Poll::Send(fetch(start + 6))
+        );
         assert_eq!(standby.slot.digest(), primary.slot.digest());
         let applied = standby.status().applied;
         assert_eq!(applied, start + 8);
@@ -811,20 +915,32 @@ mod tests {
         let mut second = Standby::new();
         let fetched = at(120);
         let inside = fetched + Duration::from_secs(1);
-        assert_eq!(second.step(inside, &mut primary), Poll::Send(ReplRequest::Bootstrap));
+        assert_eq!(
+            second.step(inside, &mut primary),
+            Poll::Send(ReplRequest::Bootstrap)
+        );
         assert!(second.slot.0.is_none(), "refused inside the window");
         assert_eq!(second.status().applied, 0);
         primary.run(6..8);
         let after = fetched + FOLLOWER_LIVENESS;
-        assert_eq!(second.step(after, &mut primary), Poll::Send(ReplRequest::Bootstrap));
+        assert_eq!(
+            second.step(after, &mut primary),
+            Poll::Send(ReplRequest::Bootstrap)
+        );
         assert_eq!(second.slot.digest(), primary.slot.digest());
 
         // That bootstrap rebased the stream: the first follower's next
         // fetch is a 409 gap, and it re-bootstraps after FOLLOW_RETRY.
-        assert_eq!(standby.step(after, &mut primary), Poll::Send(fetch(applied)));
+        assert_eq!(
+            standby.step(after, &mut primary),
+            Poll::Send(fetch(applied))
+        );
         assert_ne!(standby.slot.digest(), primary.slot.digest());
         assert_eq!(standby.status().applied, applied, "a gap applies nothing");
-        assert_eq!(standby.repl().poll(after), Poll::WaitUntil(after + FOLLOW_RETRY));
+        assert_eq!(
+            standby.repl().poll(after),
+            Poll::WaitUntil(after + FOLLOW_RETRY)
+        );
         let retry = after + FOLLOW_RETRY;
 
         // A promote racing that re-bootstrap: the promote takes the engine
@@ -832,7 +948,10 @@ mod tests {
         let bootstrap = standby.request(retry).expect("a re-bootstrap");
         assert_eq!(bootstrap, ReplRequest::Bootstrap);
         let in_flight = primary.answer(retry, bootstrap);
-        assert!(matches!(in_flight, Ok(ReplReply::Bootstrap { .. })), "{in_flight:?}");
+        assert!(
+            matches!(in_flight, Ok(ReplReply::Bootstrap { .. })),
+            "{in_flight:?}"
+        );
         let sealed_at = primary.digest_at(applied);
         assert_eq!(
             standby.promote(retry),
@@ -842,7 +961,11 @@ mod tests {
             })
         );
         standby.deliver(retry, in_flight);
-        assert_eq!(standby.slot.digest(), sealed_at, "the bootstrap was discarded");
+        assert_eq!(
+            standby.slot.digest(),
+            sealed_at,
+            "the bootstrap was discarded"
+        );
         assert_eq!(standby.repl().poll(retry), Poll::Stop);
         let sealed = standby.status();
         assert_eq!(sealed.role, ReplRole::Primary);
@@ -859,7 +982,10 @@ mod tests {
         let Ok(ReplReply::Promote { digest, applied }) = second.promote(retry) else {
             panic!("a bootstrapped standby promotes");
         };
-        assert_eq!((digest, applied), (primary.digest_at(second_applied), second_applied));
+        assert_eq!(
+            (digest, applied),
+            (primary.digest_at(second_applied), second_applied)
+        );
         second.deliver(retry, in_flight);
         assert_eq!(second.slot.digest(), digest, "the batch was discarded");
         assert_eq!(second.status().applied, second_applied);

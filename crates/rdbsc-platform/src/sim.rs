@@ -16,13 +16,13 @@ use crate::coverage::{coverage_report, CoverageReport};
 use rand::Rng;
 use rand_distr::{Distribution as RandDistribution, Normal};
 use rdbsc_algos::{IncrementalAssigner, IncrementalConfig, Solver};
+use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::cost_model::{optimal_eta, CostModelParams};
 use rdbsc_index::{GridIndex, SpatialIndex};
 use rdbsc_model::{
     BipartiteCandidates, Confidence, ObjectiveValue, ProblemInstance, Task, TaskId, TimeWindow,
     ValidPair, Worker, WorkerId,
 };
-use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_workloads::{PeerRatingModel, RatedUser};
 use std::collections::HashMap;
 
@@ -179,7 +179,8 @@ impl<I: SpatialIndex> PlatformSim<I> {
         // Sites on a circle whose neighbouring distance is walkable in about
         // two minutes at the configured speed.
         let spacing = 2.0 * config.user_speed;
-        let radius = spacing / (2.0 * (std::f64::consts::PI / config.num_sites.max(1) as f64).sin());
+        let radius =
+            spacing / (2.0 * (std::f64::consts::PI / config.num_sites.max(1) as f64).sin());
         let center = Point::new(0.5, 0.5);
         let sites: Vec<Point> = (0..config.num_sites.max(1))
             .map(|i| {
@@ -238,11 +239,7 @@ impl<I: SpatialIndex> PlatformSim<I> {
             tasks,
             users,
             answers: HashMap::new(),
-            assigner: IncrementalAssigner::new(
-                num_tasks,
-                num_users,
-                IncrementalConfig { solver },
-            ),
+            assigner: IncrementalAssigner::new(num_tasks, num_users, IncrementalConfig { solver }),
             index,
         }
     }
@@ -332,10 +329,11 @@ impl<I: SpatialIndex> PlatformSim<I> {
                     let record = AnswerRecord::new(d_theta, d_t, task.window);
                     let direction = pair.contribution.angle + d_theta;
                     let answer_time = task.window.clamp(pair.contribution.arrival + d_t);
-                    self.answers
-                        .entry(pair.task)
-                        .or_default()
-                        .push((record, direction, answer_time));
+                    self.answers.entry(pair.task).or_default().push((
+                        record,
+                        direction,
+                        answer_time,
+                    ));
                     // The answer's realised contribution is banked.
                     let realised = rdbsc_model::Contribution::new(
                         self.users[i].confidence,
@@ -433,12 +431,18 @@ mod tests {
         assert!(sim.num_tasks() >= 5);
         let report = sim.run(&mut rng);
         assert_eq!(report.rounds.len(), 30);
-        assert!(report.total_answers > 0, "some answers must arrive in 30 minutes");
+        assert!(
+            report.total_answers > 0,
+            "some answers must arrive in 30 minutes"
+        );
         assert!(report.min_reliability > 0.0);
         assert!(report.total_std > 0.0);
         let acc = report.mean_accuracy.expect("answers exist");
         assert!((0.0..=1.0).contains(&acc));
-        assert!(acc > 0.5, "answers with modest noise should score well, got {acc}");
+        assert!(
+            acc > 0.5,
+            "answers with modest noise should score well, got {acc}"
+        );
     }
 
     #[test]
@@ -446,7 +450,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut sim = PlatformSim::new(quick_config(1.0), solver(), &mut rng);
         let report = sim.run(&mut rng);
-        let answered: Vec<_> = report.coverage.iter().filter(|(_, c)| c.answers > 0).collect();
+        let answered: Vec<_> = report
+            .coverage
+            .iter()
+            .filter(|(_, c)| c.answers > 0)
+            .collect();
         assert!(!answered.is_empty());
         for (_, c) in answered {
             assert!(c.angular >= 0.0 && c.angular <= 1.0);

@@ -35,7 +35,11 @@ static CRC_TABLES: [[u32; 256]; 8] = {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ CRC_POLY } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC_POLY
+            } else {
+                crc >> 1
+            };
             bit += 1;
         }
         tables[0][i] = crc;
@@ -189,7 +193,10 @@ mod clmul {
         // 128 bits to 64: fold the low half onto the high by k4, then the
         // low 32 bits of that onto the rest by k5.
         let low32 = _mm_set_epi32(0, 0, 0, !0);
-        let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, k3k4), _mm_srli_si128::<8>(x));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+            _mm_srli_si128::<8>(x),
+        );
         let x = _mm_xor_si128(
             _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
             _mm_srli_si128::<4>(x),
@@ -589,8 +596,7 @@ impl<'a> Decoder<'a> {
         let location = self.point()?;
         let speed = self.f64()?;
         let heading = AngleRange::new(self.f64()?, self.f64()?);
-        let confidence =
-            Confidence::new(self.f64()?).map_err(|_| corrupt("invalid confidence"))?;
+        let confidence = Confidence::new(self.f64()?).map_err(|_| corrupt("invalid confidence"))?;
         let available_from = self.f64()?;
         Worker::new(id, location, speed, heading, confidence)
             .map_err(|_| corrupt("invalid worker"))
@@ -600,8 +606,7 @@ impl<'a> Decoder<'a> {
     /// Reads a contribution: a validated confidence, then angle and arrival
     /// as written.
     pub fn contribution(&mut self) -> Result<Contribution, WalError> {
-        let confidence =
-            Confidence::new(self.f64()?).map_err(|_| corrupt("invalid confidence"))?;
+        let confidence = Confidence::new(self.f64()?).map_err(|_| corrupt("invalid confidence"))?;
         Ok(Contribution {
             confidence,
             angle: self.f64()?,
@@ -616,7 +621,10 @@ impl<'a> Decoder<'a> {
             0 => Ok(EngineEvent::TaskArrived(self.task()?)),
             1 => Ok(EngineEvent::TaskExpired(TaskId(self.u32()?))),
             2 => Ok(EngineEvent::WorkerCheckIn(self.worker()?)),
-            3 => Ok(EngineEvent::WorkerMoved(WorkerId(self.u32()?), self.point()?)),
+            3 => Ok(EngineEvent::WorkerMoved(
+                WorkerId(self.u32()?),
+                self.point()?,
+            )),
             4 => Ok(EngineEvent::WorkerLeft(WorkerId(self.u32()?))),
             _ => Err(corrupt("invalid event tag")),
         }
@@ -781,7 +789,11 @@ mod tests {
         for offset in 0..8 {
             for len in 0..=80 {
                 let bytes = &pool[offset..offset + len];
-                assert_eq!(crc32_sliced(bytes), crc32_bytewise(bytes), "offset {offset} len {len}");
+                assert_eq!(
+                    crc32_sliced(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset} len {len}"
+                );
             }
         }
         for _ in 0..200 {
@@ -874,9 +886,12 @@ mod tests {
                 worker: WorkerId(3),
                 contribution,
             },
-            PartitionCommand::Release { worker: WorkerId(9) },
+            PartitionCommand::Release {
+                worker: WorkerId(9),
+            },
         ];
-        let mut records: Vec<WalRecord> = commands.iter().cloned().map(WalRecord::Command).collect();
+        let mut records: Vec<WalRecord> =
+            commands.iter().cloned().map(WalRecord::Command).collect();
         records.extend([
             WalRecord::ReplMeta {
                 acked: 412,

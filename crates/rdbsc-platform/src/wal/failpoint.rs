@@ -107,7 +107,9 @@ impl<W: WalFile> WalFile for FailpointWriter<W> {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         let (persist, offset) = {
             let mut s = self.plan.lock();
-            if s.error_after_writes.is_some_and(|limit| s.writes_done >= limit) {
+            if s.error_after_writes
+                .is_some_and(|limit| s.writes_done >= limit)
+            {
                 return Err(io::Error::other("injected write failure"));
             }
             s.writes_done += 1;

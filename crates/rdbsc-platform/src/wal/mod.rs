@@ -125,7 +125,10 @@ impl std::fmt::Display for WalError {
             WalError::Io(e) => write!(f, "wal i/o error: {e}"),
             WalError::Corrupt(what) => write!(f, "wal corruption: {what}"),
             WalError::RecordTooLarge { bytes, limit } => {
-                write!(f, "wal record of {bytes} bytes exceeds the {limit}-byte limit")
+                write!(
+                    f,
+                    "wal record of {bytes} bytes exceeds the {limit}-byte limit"
+                )
             }
         }
     }
@@ -609,7 +612,9 @@ fn read_frame(
     if buf[..8] != expected_lsn.to_le_bytes() || crc32(buf) != crc {
         return Ok(None);
     }
-    Ok(decode_record(&buf[8..]).ok().map(|record| (record, len as u64)))
+    Ok(decode_record(&buf[8..])
+        .ok()
+        .map(|record| (record, len as u64)))
 }
 
 /// The thread a log's overlapped syncs run on: it is handed the segment
@@ -822,11 +827,7 @@ impl Wal {
     /// state, so the older history is dead weight. The checkpoint always
     /// opens a fresh segment (it becomes the segment's first record), which
     /// makes retirement exact: everything before its segment goes.
-    pub fn append_checkpoint(
-        &mut self,
-        state: &PartitionState,
-        tick: u64,
-    ) -> Result<(), WalError> {
+    pub fn append_checkpoint(&mut self, state: &PartitionState, tick: u64) -> Result<(), WalError> {
         self.append_with(true, |e| e.checkpoint_record(state))?;
         self.sync()?;
         self.stats.checkpoints += 1;
@@ -931,10 +932,14 @@ impl Wal {
 struct NullFile;
 impl WalFile for NullFile {
     fn write_all(&mut self, _buf: &[u8]) -> io::Result<()> {
-        Err(io::Error::other("wal segment not started, or out for a sync"))
+        Err(io::Error::other(
+            "wal segment not started, or out for a sync",
+        ))
     }
     fn sync(&mut self) -> io::Result<()> {
-        Err(io::Error::other("wal segment not started, or out for a sync"))
+        Err(io::Error::other(
+            "wal segment not started, or out for a sync",
+        ))
     }
 }
 
@@ -1009,7 +1014,10 @@ mod tests {
     }
 
     /// A [`WalFile`] whose `sync` records the thread it ran on.
-    struct WhereSynced(fs::File, std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>);
+    struct WhereSynced(
+        fs::File,
+        std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+    );
     impl WalFile for WhereSynced {
         fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
             io::Write::write_all(&mut self.0, buf)
@@ -1026,7 +1034,10 @@ mod tests {
         let synced_on = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let log = std::sync::Arc::clone(&synced_on);
         let factory: SegmentFactory = Box::new(move |path| {
-            let file = fs::OpenOptions::new().write(true).create_new(true).open(path)?;
+            let file = fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(path)?;
             Ok(Box::new(WhereSynced(file, std::sync::Arc::clone(&log))) as Box<dyn WalFile>)
         });
         let (mut wal, _) =
@@ -1049,7 +1060,10 @@ mod tests {
 
         let threads = synced_on.lock().unwrap().clone();
         assert_eq!(threads.len(), 3);
-        assert!(threads.iter().all(|t| *t == threads[0]), "one thread for the log's life");
+        assert!(
+            threads.iter().all(|t| *t == threads[0]),
+            "one thread for the log's life"
+        );
         assert_ne!(threads[0], std::thread::current().id());
 
         // Dropped under a sync in flight: the drop waits the sync out.
@@ -1150,7 +1164,10 @@ mod tests {
             }
         }
         assert_eq!(next_lsn, 13);
-        let kinds: Vec<&str> = infos.iter().flat_map(|i| i.frames.iter().map(|f| f.kind)).collect();
+        let kinds: Vec<&str> = infos
+            .iter()
+            .flat_map(|i| i.frames.iter().map(|f| f.kind))
+            .collect();
         assert_eq!(kinds.iter().filter(|k| **k == "events").count(), 12);
         assert_eq!(*kinds.last().unwrap(), "tick");
         let tick_frame = infos.last().unwrap().frames.last().unwrap();
@@ -1160,10 +1177,18 @@ mod tests {
         // prefix but are still listed, flagged beyond_prefix.
         let (_, first) = list_segments(&dir).unwrap().remove(0);
         let len = fs::metadata(&first).unwrap().len();
-        fs::OpenOptions::new().write(true).open(&first).unwrap().set_len(len - 3).unwrap();
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&first)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
         let infos = inspect_dir(&dir).unwrap();
         assert!(infos[0].torn_bytes > 0);
-        assert!(!infos[0].frames.is_empty(), "clean prefix of the torn segment survives");
+        assert!(
+            !infos[0].frames.is_empty(),
+            "clean prefix of the torn segment survives"
+        );
         assert!(infos[1..].iter().all(|i| i.beyond_prefix));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1208,7 +1233,10 @@ mod tests {
         wal.append_checkpoint(&state, 7).unwrap();
         let stats = wal.stats();
         assert_eq!(stats.segments, 1, "only the checkpoint's segment survives");
-        assert_eq!(stats.segments_retired, before, "checkpoint opens a fresh segment");
+        assert_eq!(
+            stats.segments_retired, before,
+            "checkpoint opens a fresh segment"
+        );
         assert_eq!(stats.checkpoints, 1);
         assert_eq!(stats.last_checkpoint_tick, 7);
         drop(wal);
@@ -1250,7 +1278,10 @@ mod tests {
     impl WalFile for CaptureFile {
         fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
             let mut captured = self.1.lock().unwrap();
-            captured.entry(self.0.clone()).or_default().extend_from_slice(buf);
+            captured
+                .entry(self.0.clone())
+                .or_default()
+                .extend_from_slice(buf);
             Ok(())
         }
         fn sync(&mut self) -> io::Result<()> {
@@ -1301,8 +1332,10 @@ mod tests {
         let captured = std::sync::Arc::new(std::sync::Mutex::new(CapturedSegments::new()));
         let sink = std::sync::Arc::clone(&captured);
         let factory: SegmentFactory = Box::new(move |path| {
-            Ok(Box::new(CaptureFile(path.to_path_buf(), std::sync::Arc::clone(&sink)))
-                as Box<dyn WalFile>)
+            Ok(Box::new(CaptureFile(
+                path.to_path_buf(),
+                std::sync::Arc::clone(&sink),
+            )) as Box<dyn WalFile>)
         });
         let (mut wal, _) = Wal::open_with_factory(&dir, config, factory, |_| {}).unwrap();
         let mut reference = ReferenceLog {
@@ -1319,7 +1352,8 @@ mod tests {
         };
         let state = sample_state(9);
         for round in 0..6u32 {
-            let events: Vec<EngineEvent> = (0..=round).map(|i| task_event(round * 10 + i)).collect();
+            let events: Vec<EngineEvent> =
+                (0..=round).map(|i| task_event(round * 10 + i)).collect();
             wal.append_events(&events).unwrap();
             reference.append(&WalRecord::Command(PartitionCommand::Submit(events)));
             for record in [
@@ -1475,7 +1509,8 @@ mod tests {
                 digests.push(oracle.state_digest());
             }
             if checkpoint_after.contains(&round) {
-                wal.append_checkpoint(&oracle.dump_state(), u64::from(round)).unwrap();
+                wal.append_checkpoint(&oracle.dump_state(), u64::from(round))
+                    .unwrap();
                 digests.push(oracle.state_digest());
             }
         }
@@ -1497,8 +1532,10 @@ mod tests {
         let captured = std::sync::Arc::new(std::sync::Mutex::new(CapturedSegments::new()));
         let sink = std::sync::Arc::clone(&captured);
         let factory: SegmentFactory = Box::new(move |path| {
-            Ok(Box::new(CaptureFile(path.to_path_buf(), std::sync::Arc::clone(&sink)))
-                as Box<dyn WalFile>)
+            Ok(Box::new(CaptureFile(
+                path.to_path_buf(),
+                std::sync::Arc::clone(&sink),
+            )) as Box<dyn WalFile>)
         });
         let capture_dir = tempdir("unretired-capture");
         let (oracle, _) = write_log(&capture_dir, factory, 8, &[2, 5]);
@@ -1517,18 +1554,31 @@ mod tests {
             .iter()
             .flat_map(|i| i.frames.iter().map(|f| f.kind))
             .collect();
-        assert_ne!(kinds[0], "checkpoint", "commands precede the older checkpoint");
-        let checkpoints: Vec<usize> =
-            (0..kinds.len()).filter(|&i| kinds[i] == "checkpoint").collect();
+        assert_ne!(
+            kinds[0], "checkpoint",
+            "commands precede the older checkpoint"
+        );
+        let checkpoints: Vec<usize> = (0..kinds.len())
+            .filter(|&i| kinds[i] == "checkpoint")
+            .collect();
         assert_eq!(checkpoints.len(), 2);
-        assert!(checkpoints[1] - checkpoints[0] > 1, "commands between the two: {kinds:?}");
+        assert!(
+            checkpoints[1] - checkpoints[0] > 1,
+            "commands between the two: {kinds:?}"
+        );
 
         let (from_retired, _) = recover(&retired);
         let (from_unretired, scan) = recover(&unretired);
         assert!(!scan.found_damage());
-        let (r, u) = (from_retired.wal_stats().unwrap(), from_unretired.wal_stats().unwrap());
+        let (r, u) = (
+            from_retired.wal_stats().unwrap(),
+            from_unretired.wal_stats().unwrap(),
+        );
         assert!(r.recovered_checkpoint && u.recovered_checkpoint);
-        assert_eq!(u.recovered_records, 4, "rounds 6 and 7: a submit and a tick each");
+        assert_eq!(
+            u.recovered_records, 4,
+            "rounds 6 and 7: a submit and a tick each"
+        );
         assert_eq!(u.recovered_records, r.recovered_records);
         assert_eq!(from_retired.state_digest(), oracle.state_digest());
         assert_eq!(from_unretired.state_digest(), oracle.state_digest());

@@ -79,7 +79,10 @@ fn base_state() -> EngineState {
     let banked: Vec<(TaskId, Vec<Contribution>)> = vec![
         (TaskId(1), vec![contribution(7), contribution(8)]),
         (TaskId(2), vec![contribution(9)]),
-        (TaskId(3), vec![contribution(10), contribution(11), contribution(12)]),
+        (
+            TaskId(3),
+            vec![contribution(10), contribution(11), contribution(12)],
+        ),
     ];
     EngineState {
         depart_at: 0.0,

@@ -65,12 +65,8 @@ fn main() {
         };
         match flag {
             "--addr" => config.addr = value.clone(),
-            "--threads" => {
-                config.threads = value.parse().unwrap_or_else(|_| parse_err(value))
-            }
-            "--queue" => {
-                config.queue_capacity = value.parse().unwrap_or_else(|_| parse_err(value))
-            }
+            "--threads" => config.threads = value.parse().unwrap_or_else(|_| parse_err(value)),
+            "--queue" => config.queue_capacity = value.parse().unwrap_or_else(|_| parse_err(value)),
             "--max-body-bytes" => {
                 config.max_body_bytes = value.parse().unwrap_or_else(|_| parse_err(value))
             }
@@ -105,7 +101,10 @@ fn main() {
         None if durable => " (durable; recovered state if a log was present)".to_string(),
         None => " (unconfigured; waiting for a router)".to_string(),
     };
-    println!("rdbsc-partitiond listening on http://{}{role}", daemon.addr());
+    println!(
+        "rdbsc-partitiond listening on http://{}{role}",
+        daemon.addr()
+    );
     daemon.join();
     println!("rdbsc-partitiond stopped");
 }

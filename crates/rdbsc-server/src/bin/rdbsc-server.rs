@@ -68,24 +68,16 @@ fn main() {
         };
         match flag {
             "--addr" => config.addr = value.clone(),
-            "--threads" => {
-                config.threads = value.parse().unwrap_or_else(|_| parse_err(value))
-            }
-            "--queue" => {
-                config.queue_capacity = value.parse().unwrap_or_else(|_| parse_err(value))
-            }
+            "--threads" => config.threads = value.parse().unwrap_or_else(|_| parse_err(value)),
+            "--queue" => config.queue_capacity = value.parse().unwrap_or_else(|_| parse_err(value)),
             "--flush-interval-ms" => {
                 let ms: u64 = value.parse().unwrap_or_else(|_| parse_err(value));
                 config.flush_interval = Duration::from_millis(ms);
             }
-            "--max-batch" => {
-                config.max_batch = value.parse().unwrap_or_else(|_| parse_err(value))
-            }
+            "--max-batch" => config.max_batch = value.parse().unwrap_or_else(|_| parse_err(value)),
             "--seed" => engine.seed = value.parse().unwrap_or_else(|_| parse_err(value)),
             "--beta" => engine.beta = value.parse().unwrap_or_else(|_| parse_err(value)),
-            "--cell-size" => {
-                config.cell_size = value.parse().unwrap_or_else(|_| parse_err(value))
-            }
+            "--cell-size" => config.cell_size = value.parse().unwrap_or_else(|_| parse_err(value)),
             "--time-scale" => {
                 config.time_scale = value.parse().unwrap_or_else(|_| parse_err(value))
             }
@@ -114,8 +106,7 @@ fn main() {
         }
     }
     config.engine = engine;
-    if !config.remote_partitions.is_empty() && config.partitions < config.remote_partitions.len()
-    {
+    if !config.remote_partitions.is_empty() && config.partitions < config.remote_partitions.len() {
         // `--remote-partition a --remote-partition b` with the default
         // partition count means a 2-region topology, not a config error.
         config.partitions = config.remote_partitions.len();
@@ -151,7 +142,10 @@ fn main() {
             std::process::exit(1);
         }
     };
-    println!("rdbsc-server listening on http://{} ({mode})", server.addr());
+    println!(
+        "rdbsc-server listening on http://{} ({mode})",
+        server.addr()
+    );
     server.join();
     println!("rdbsc-server stopped");
 }

@@ -148,12 +148,7 @@ impl HttpClient {
 
     /// Phase 1: sends one request (its response must be collected with
     /// `receive` before the next send).
-    fn send(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<String>,
-    ) -> Result<(), ServerError> {
+    fn send(&mut self, method: &str, path: &str, body: Option<String>) -> Result<(), ServerError> {
         let body = body.unwrap_or_default().into_bytes();
         let head = format!(
             "{method} {path} HTTP/1.1\r\nhost: rdbsc\r\ncontent-length: {}\r\n\r\n",
@@ -177,9 +172,7 @@ impl HttpClient {
             }
             Err(StaleConnection) => {
                 let (head, body) = self.inflight.take().ok_or_else(|| {
-                    ServerError::BadRequest(
-                        "server closed the connection before responding".into(),
-                    )
+                    ServerError::BadRequest("server closed the connection before responding".into())
                 })?;
                 self.drop_connection();
                 self.write_wire(&head, &body)?;
@@ -267,17 +260,14 @@ impl HttpClient {
             // The same token-list reading as the server's request parser:
             // `Connection: close, te` must drop the connection, a
             // `keep-alive` token must keep it.
-            let close = connection_directive(
-                connection_values.iter().map(String::as_str),
-            )
-            .unwrap_or(false);
+            let close =
+                connection_directive(connection_values.iter().map(String::as_str)).unwrap_or(false);
             let mut body = vec![0u8; content_length];
             reader.read_exact(&mut body)?;
             let response = ClientResponse {
                 status,
-                body: String::from_utf8(body).map_err(|_| {
-                    ServerError::BadRequest("response body is not UTF-8".into())
-                })?,
+                body: String::from_utf8(body)
+                    .map_err(|_| ServerError::BadRequest("response body is not UTF-8".into()))?,
             };
             Ok((response, close))
         })();
@@ -375,10 +365,8 @@ mod tests {
         // client only honoured an exact `Connection: close` value, so a
         // legal `close, te` token list left it reusing a connection the
         // server was about to close.
-        let (addr, server) = scripted_server(vec![
-            canned("{}", Some("close, te")),
-            canned("{}", None),
-        ]);
+        let (addr, server) =
+            scripted_server(vec![canned("{}", Some("close, te")), canned("{}", None)]);
         let mut client = HttpClient::new(addr);
         assert!(client.get("/a").unwrap().is_success());
         assert!(
@@ -410,7 +398,10 @@ mod tests {
         let (addr, server) = scripted_server(vec![canned("{}", None)]);
         let mut client = HttpClient::new(addr);
         assert!(client.get("/a").unwrap().is_success());
-        let stream = client.stream.as_ref().expect("keep-alive connection cached");
+        let stream = client
+            .stream
+            .as_ref()
+            .expect("keep-alive connection cached");
         assert!(
             stream.get_ref().nodelay().unwrap(),
             "client sockets must disable Nagle"

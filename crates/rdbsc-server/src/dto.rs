@@ -30,13 +30,10 @@ pub(crate) fn num(value: &Json, field: &'static str) -> Result<f64, ServerError>
 pub(crate) fn opt_num(value: &Json, field: &'static str) -> Result<Option<f64>, ServerError> {
     match value.get(field) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_num()
-            .map(Some)
-            .ok_or(ServerError::BadField {
-                field,
-                expected: "a number or null",
-            }),
+        Some(v) => v.as_num().map(Some).ok_or(ServerError::BadField {
+            field,
+            expected: "a number or null",
+        }),
     }
 }
 
@@ -285,7 +282,9 @@ impl IdDto {
 
     /// Decodes the DTO.
     pub fn from_json(value: &Json) -> Result<Self, ServerError> {
-        Ok(Self { id: id(value, "id")? })
+        Ok(Self {
+            id: id(value, "id")?,
+        })
     }
 }
 
@@ -661,7 +660,10 @@ mod tests {
             r#"{"id":4294967296,"x":0,"y":0}"#,
             r#"{"id":"7","x":0,"y":0}"#,
         ] {
-            assert!(HeartbeatDto::from_json(&parse(bad).unwrap()).is_err(), "{bad}");
+            assert!(
+                HeartbeatDto::from_json(&parse(bad).unwrap()).is_err(),
+                "{bad}"
+            );
         }
         let ok = r#"{"id":4294967295,"x":0.5,"y":0.5}"#;
         assert_eq!(

@@ -136,7 +136,11 @@ mod tests {
         assert_eq!(ServerError::NotFound("/x".into()).status(), 404);
         assert_eq!(ServerError::MethodNotAllowed.status(), 405);
         assert_eq!(
-            ServerError::PayloadTooLarge { length: 9, limit: 4 }.status(),
+            ServerError::PayloadTooLarge {
+                length: 9,
+                limit: 4
+            }
+            .status(),
             413
         );
         assert_eq!(ServerError::Overloaded.status(), 429);

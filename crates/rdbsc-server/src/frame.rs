@@ -869,7 +869,8 @@ fn decode_reply_body(tag: Tag, d: &mut Decoder) -> Result<ReplyBody, FrameError>
             repl(ReplReply::Fetch { next_lsn, records })
         }
         Tag::ReplStatus => repl(ReplReply::Status(ReplStatus {
-            role: ReplRole::parse(&d.str()?).ok_or_else(|| malformed("unknown replication role"))?,
+            role: ReplRole::parse(&d.str()?)
+                .ok_or_else(|| malformed("unknown replication role"))?,
             next_lsn: d.u64()?,
             acked: d.u64()?,
             retained: d.u64()?,
@@ -1224,9 +1225,8 @@ mod tests {
             let err = read_raw(&mut &wire[..], 1024).unwrap_err();
             assert!(matches!(err, FrameError::Malformed(_)));
             assert!(
-                err.to_string().contains(&format!(
-                    "frame version {version} but this build speaks 3"
-                )),
+                err.to_string()
+                    .contains(&format!("frame version {version} but this build speaks 3")),
                 "{err}"
             );
         }
@@ -1284,10 +1284,7 @@ mod tests {
                 self.out.extend_from_slice(&buf[..n]);
                 Ok(n)
             }
-            fn write_vectored(
-                &mut self,
-                bufs: &[std::io::IoSlice<'_>],
-            ) -> std::io::Result<usize> {
+            fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
                 let mut budget = self.cap;
                 let mut written = 0;
                 for buf in bufs {

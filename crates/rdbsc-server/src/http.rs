@@ -89,10 +89,13 @@ pub fn read_request(
     }
     let line = line.trim_end_matches(['\r', '\n']);
     let mut parts = line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
-    {
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m, t, v),
-        _ => return Err(ServerError::BadRequest(format!("bad request line {line:?}"))),
+        _ => {
+            return Err(ServerError::BadRequest(format!(
+                "bad request line {line:?}"
+            )))
+        }
     };
     let method = match method {
         "GET" => Method::Get,
@@ -112,8 +115,7 @@ pub fn read_request(
     let mut headers = Vec::new();
     let mut head_bytes = line.len();
     loop {
-        let header_line =
-            read_bounded_line(reader, MAX_HEAD_BYTES.saturating_sub(head_bytes))?;
+        let header_line = read_bounded_line(reader, MAX_HEAD_BYTES.saturating_sub(head_bytes))?;
         if header_line.is_empty() {
             return Err(ServerError::BadRequest("eof inside headers".into()));
         }
@@ -406,7 +408,10 @@ mod tests {
         let req = parse_raw(b"GET / HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n")
             .unwrap()
             .unwrap();
-        assert!(req.close, "close is the safe reading of a contradictory list");
+        assert!(
+            req.close,
+            "close is the safe reading of a contradictory list"
+        );
     }
 
     #[test]
@@ -416,9 +421,7 @@ mod tests {
         assert!(parse_raw(b"GET / HTTP/2\r\n\r\n").is_err());
         assert!(parse_raw(b"GET / HTTP/1.1\r\nbroken header\r\n\r\n").is_err());
         assert!(parse_raw(b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n").is_err());
-        assert!(
-            parse_raw(b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").is_err()
-        );
+        assert!(parse_raw(b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").is_err());
     }
 
     #[test]

@@ -42,12 +42,7 @@ pub enum Json {
 impl Json {
     /// Builds an object from `(key, value)` pairs.
     pub fn obj<I: IntoIterator<Item = (&'static str, Json)>>(pairs: I) -> Json {
-        Json::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// The value as a number, if it is one.
@@ -469,11 +464,9 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
-        let n: f64 = text
-            .parse()
-            .map_err(|_| self.err("number out of range"))?;
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        let n: f64 = text.parse().map_err(|_| self.err("number out of range"))?;
         if !n.is_finite() {
             return Err(self.err("number overflows f64"));
         }
@@ -521,10 +514,7 @@ mod tests {
             Json::Str("a\"b\\c/d\n\tA".into())
         );
         // 😀 is U+1F600 = surrogate pair D83D DE00.
-        assert_eq!(
-            parse(r#""\ud83d\ude00""#).unwrap(),
-            Json::Str("😀".into())
-        );
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Json::Str("😀".into()));
     }
 
     #[test]
@@ -548,16 +538,16 @@ mod tests {
             "\"unterminated",
             "\"bad escape \\q\"",
             "\"\\u12\"",
-            "\"\\ud800\"",       // lone high surrogate
-            "\"\\ude00\"",       // lone low surrogate
-            "01",                 // leading zero
+            "\"\\ud800\"", // lone high surrogate
+            "\"\\ude00\"", // lone low surrogate
+            "01",          // leading zero
             "-",
             "1.",
             "1e",
-            "1 2",                // trailing garbage
+            "1 2", // trailing garbage
             "{\"a\":1}x",
             "\u{1}",
-            "[1e400]",            // overflows f64
+            "[1e400]", // overflows f64
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }

@@ -53,8 +53,7 @@ pub struct ListenerConfig {
 /// A request handler mounted on the core. Receives every parsed request
 /// plus the core's [`ShutdownHandle`], so a route can both read the stop
 /// state (drain responses) and trigger the stop (admin shutdown routes).
-pub type Handler =
-    dyn Fn(&Request, &ShutdownHandle) -> Result<Response, ServerError> + Send + Sync;
+pub type Handler = dyn Fn(&Request, &ShutdownHandle) -> Result<Response, ServerError> + Send + Sync;
 
 /// A binary-frame handler mounted with [`HttpCore::start_with_frames`].
 /// Receives every decoded request frame ([`frame::RequestFrame`]) from
@@ -293,10 +292,8 @@ fn acceptor_loop(listener: TcpListener, queue: Arc<ConnectionQueue>, shared: Arc
             Err(mut stream) => {
                 shared.metrics.connections_shed.incr();
                 shared.metrics.count_status(429);
-                let _ = write_response(
-                    &mut stream,
-                    &Response::from_error(&ServerError::Overloaded),
-                );
+                let _ =
+                    write_response(&mut stream, &Response::from_error(&ServerError::Overloaded));
             }
         }
     }

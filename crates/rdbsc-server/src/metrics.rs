@@ -22,7 +22,9 @@ use crate::json::{parse, Json};
 use crate::protocol::{request_id, slow_tick_threshold_us, trace_to_hex};
 use rdbsc_obs::{Counter, LatencyHistogram, PromWriter, SlowTickBuffer, StageSet, StageTimings};
 use rdbsc_platform::repl::{ReplRole, ReplStatus};
-use rdbsc_platform::{merge_snapshots, EngineHandle, EngineSnapshot, ProtocolStats, PROTOCOL_VERSION};
+use rdbsc_platform::{
+    merge_snapshots, EngineHandle, EngineSnapshot, ProtocolStats, PROTOCOL_VERSION,
+};
 use std::collections::BTreeMap;
 
 /// How a scalar is exposed: a Prometheus counter or gauge, or a flag (a
@@ -123,7 +125,11 @@ impl Scrape {
     fn scalar(&mut self, kind: Kind, path: &str, name: &str, help: &str, value: f64) {
         match &mut self.prom {
             Some(writer) if !name.is_empty() => {
-                let kind = if matches!(kind, Kind::Counter) { "counter" } else { "gauge" };
+                let kind = if matches!(kind, Kind::Counter) {
+                    "counter"
+                } else {
+                    "gauge"
+                };
                 writer.header(name, kind, help);
                 writer.sample(name, &[], value);
             }
@@ -145,7 +151,10 @@ impl Scrape {
         let leaf = keys.next_back().expect("a split yields at least one piece");
         let mut map = &mut self.json;
         for key in keys {
-            map = match map.entry(key.to_string()).or_insert_with(|| Json::Obj(BTreeMap::new())) {
+            map = match map
+                .entry(key.to_string())
+                .or_insert_with(|| Json::Obj(BTreeMap::new()))
+            {
                 Json::Obj(inner) => inner,
                 _ => unreachable!("a scrape path descends through objects only"),
             };
@@ -164,39 +173,189 @@ fn join(path: &str, key: &str) -> String {
 
 /// One scalar of a snapshot table: JSON key, Prometheus name, kind, help
 /// and its reading.
-type Field<T> = (&'static str, &'static str, Kind, &'static str, fn(&T) -> f64);
+type Field<T> = (
+    &'static str,
+    &'static str,
+    Kind,
+    &'static str,
+    fn(&T) -> f64,
+);
 
 /// The engine snapshot's scalars: the one table behind `/snapshot`,
 /// `/debug/snapshot` and the `engine` and `partitions[]` parts of `/metrics`.
 const ENGINE_FIELDS: [Field<SnapshotDto>; 15] = [
-    ("now", "engine_now", Kind::Gauge, "Simulation time of the latest tick", |s| s.now),
-    ("ticks", "engine_ticks_total", Kind::Counter, "Engine ticks run", |s| s.ticks),
-    ("events_applied", "engine_events_applied_total", Kind::Counter, "Events applied by ticks", |s| s.events_applied),
-    ("pending_events", "engine_pending_events", Kind::Gauge, "Events submitted but not yet ticked", |s| s.pending_events),
-    ("live_tasks", "engine_live_tasks", Kind::Gauge, "Live tasks", |s| s.live_tasks),
-    ("live_workers", "engine_live_workers", Kind::Gauge, "Live workers", |s| s.live_workers),
-    ("committed_workers", "engine_committed_workers", Kind::Gauge, "Workers en route under the standing assignment", |s| s.committed_workers),
-    ("banked_answers", "engine_banked_answers_total", Kind::Counter, "Answers banked, over live and retired tasks", |s| s.banked_answers),
-    ("total_assignments", "engine_assignments_total", Kind::Counter, "Assignments committed across the engine's lifetime", |s| s.total_assignments),
-    ("min_reliability", "engine_min_reliability", Kind::Gauge, "Minimum reliability over the covered tasks", |s| s.min_reliability),
-    ("total_std", "engine_total_std", Kind::Gauge, "Total expected spatial/temporal diversity of the standing assignment", |s| s.total_std),
-    ("covered_tasks", "engine_covered_tasks", Kind::Gauge, "Tasks with at least one contribution", |s| s.covered_tasks),
-    ("index_relocations", "engine_index_relocations_total", Kind::Counter, "Cross-cell relocations applied by the index", |s| s.index_relocations),
-    ("index_cells_repaired", "engine_index_cells_repaired_total", Kind::Counter, "Index cells whose cached reachability was repaired", |s| s.index_cells_repaired),
-    ("index_tcell_rebuilds", "engine_index_tcell_rebuilds_total", Kind::Counter, "Full reachability-list rebuilds by the index", |s| s.index_tcell_rebuilds),
+    (
+        "now",
+        "engine_now",
+        Kind::Gauge,
+        "Simulation time of the latest tick",
+        |s| s.now,
+    ),
+    (
+        "ticks",
+        "engine_ticks_total",
+        Kind::Counter,
+        "Engine ticks run",
+        |s| s.ticks,
+    ),
+    (
+        "events_applied",
+        "engine_events_applied_total",
+        Kind::Counter,
+        "Events applied by ticks",
+        |s| s.events_applied,
+    ),
+    (
+        "pending_events",
+        "engine_pending_events",
+        Kind::Gauge,
+        "Events submitted but not yet ticked",
+        |s| s.pending_events,
+    ),
+    (
+        "live_tasks",
+        "engine_live_tasks",
+        Kind::Gauge,
+        "Live tasks",
+        |s| s.live_tasks,
+    ),
+    (
+        "live_workers",
+        "engine_live_workers",
+        Kind::Gauge,
+        "Live workers",
+        |s| s.live_workers,
+    ),
+    (
+        "committed_workers",
+        "engine_committed_workers",
+        Kind::Gauge,
+        "Workers en route under the standing assignment",
+        |s| s.committed_workers,
+    ),
+    (
+        "banked_answers",
+        "engine_banked_answers_total",
+        Kind::Counter,
+        "Answers banked, over live and retired tasks",
+        |s| s.banked_answers,
+    ),
+    (
+        "total_assignments",
+        "engine_assignments_total",
+        Kind::Counter,
+        "Assignments committed across the engine's lifetime",
+        |s| s.total_assignments,
+    ),
+    (
+        "min_reliability",
+        "engine_min_reliability",
+        Kind::Gauge,
+        "Minimum reliability over the covered tasks",
+        |s| s.min_reliability,
+    ),
+    (
+        "total_std",
+        "engine_total_std",
+        Kind::Gauge,
+        "Total expected spatial/temporal diversity of the standing assignment",
+        |s| s.total_std,
+    ),
+    (
+        "covered_tasks",
+        "engine_covered_tasks",
+        Kind::Gauge,
+        "Tasks with at least one contribution",
+        |s| s.covered_tasks,
+    ),
+    (
+        "index_relocations",
+        "engine_index_relocations_total",
+        Kind::Counter,
+        "Cross-cell relocations applied by the index",
+        |s| s.index_relocations,
+    ),
+    (
+        "index_cells_repaired",
+        "engine_index_cells_repaired_total",
+        Kind::Counter,
+        "Index cells whose cached reachability was repaired",
+        |s| s.index_cells_repaired,
+    ),
+    (
+        "index_tcell_rebuilds",
+        "engine_index_tcell_rebuilds_total",
+        Kind::Counter,
+        "Full reachability-list rebuilds by the index",
+        |s| s.index_tcell_rebuilds,
+    ),
 ];
 
 /// The write-ahead log's scalars, nested under a durable snapshot's `wal`.
 const WAL_FIELDS: [Field<WalStatsDto>; 9] = [
-    ("segments", "wal_segments", Kind::Gauge, "Live WAL segment files", |w| w.segments),
-    ("segments_retired", "wal_segments_retired_total", Kind::Counter, "WAL segments retired by checkpoints", |w| w.segments_retired),
-    ("bytes_appended", "wal_bytes_appended_total", Kind::Counter, "WAL bytes appended", |w| w.bytes_appended),
-    ("records_appended", "wal_records_appended_total", Kind::Counter, "WAL records appended", |w| w.records_appended),
-    ("fsyncs", "wal_fsyncs_total", Kind::Counter, "WAL fsyncs issued", |w| w.fsyncs),
-    ("checkpoints", "wal_checkpoints_total", Kind::Counter, "WAL checkpoints written", |w| w.checkpoints),
-    ("last_checkpoint_tick", "wal_last_checkpoint_tick", Kind::Gauge, "Engine tick of the latest checkpoint", |w| w.last_checkpoint_tick),
-    ("recovered_records", "wal_recovered_records", Kind::Gauge, "Records replayed by the boot-time recovery", |w| w.recovered_records),
-    ("recovered_checkpoint", "wal_recovered_checkpoint", Kind::Flag, "Did the boot-time recovery restart from a checkpoint?", |w| f64::from(u8::from(w.recovered_checkpoint))),
+    (
+        "segments",
+        "wal_segments",
+        Kind::Gauge,
+        "Live WAL segment files",
+        |w| w.segments,
+    ),
+    (
+        "segments_retired",
+        "wal_segments_retired_total",
+        Kind::Counter,
+        "WAL segments retired by checkpoints",
+        |w| w.segments_retired,
+    ),
+    (
+        "bytes_appended",
+        "wal_bytes_appended_total",
+        Kind::Counter,
+        "WAL bytes appended",
+        |w| w.bytes_appended,
+    ),
+    (
+        "records_appended",
+        "wal_records_appended_total",
+        Kind::Counter,
+        "WAL records appended",
+        |w| w.records_appended,
+    ),
+    (
+        "fsyncs",
+        "wal_fsyncs_total",
+        Kind::Counter,
+        "WAL fsyncs issued",
+        |w| w.fsyncs,
+    ),
+    (
+        "checkpoints",
+        "wal_checkpoints_total",
+        Kind::Counter,
+        "WAL checkpoints written",
+        |w| w.checkpoints,
+    ),
+    (
+        "last_checkpoint_tick",
+        "wal_last_checkpoint_tick",
+        Kind::Gauge,
+        "Engine tick of the latest checkpoint",
+        |w| w.last_checkpoint_tick,
+    ),
+    (
+        "recovered_records",
+        "wal_recovered_records",
+        Kind::Gauge,
+        "Records replayed by the boot-time recovery",
+        |w| w.recovered_records,
+    ),
+    (
+        "recovered_checkpoint",
+        "wal_recovered_checkpoint",
+        Kind::Flag,
+        "Did the boot-time recovery restart from a checkpoint?",
+        |w| f64::from(u8::from(w.recovered_checkpoint)),
+    ),
 ];
 
 /// Renders a histogram's summary (count, mean, p50/p90/p99, max) as JSON —
@@ -275,15 +434,60 @@ impl ServerMetrics {
     /// Writes every instrument into `scrape`.
     pub fn scrape_into(&self, scrape: &mut Scrape) {
         for (path, name, help, counter) in [
-            ("connections.accepted", "connections_accepted_total", "Connections accepted and queued", &self.connections_accepted),
-            ("connections.shed", "connections_shed_total", "Connections shed with 429 because the queue was full", &self.connections_shed),
-            ("requests.total", "requests_total", "Requests fully parsed and routed", &self.requests_total),
-            ("requests.responses_2xx", "responses_2xx_total", "2xx responses", &self.responses_2xx),
-            ("requests.responses_4xx", "responses_4xx_total", "4xx responses", &self.responses_4xx),
-            ("requests.responses_5xx", "responses_5xx_total", "5xx responses", &self.responses_5xx),
-            ("batching.events_buffered", "events_buffered_total", "Engine events accepted into the micro-batch buffer", &self.events_buffered),
-            ("batching.flushes", "batch_flushes_total", "Micro-batch flushes (engine ticks)", &self.batch_flushes),
-            ("batching.early_flushes", "batch_flushes_early_total", "Micro-batch flushes a task arrival or worker check-in triggered early", &self.batch_flushes_early),
+            (
+                "connections.accepted",
+                "connections_accepted_total",
+                "Connections accepted and queued",
+                &self.connections_accepted,
+            ),
+            (
+                "connections.shed",
+                "connections_shed_total",
+                "Connections shed with 429 because the queue was full",
+                &self.connections_shed,
+            ),
+            (
+                "requests.total",
+                "requests_total",
+                "Requests fully parsed and routed",
+                &self.requests_total,
+            ),
+            (
+                "requests.responses_2xx",
+                "responses_2xx_total",
+                "2xx responses",
+                &self.responses_2xx,
+            ),
+            (
+                "requests.responses_4xx",
+                "responses_4xx_total",
+                "4xx responses",
+                &self.responses_4xx,
+            ),
+            (
+                "requests.responses_5xx",
+                "responses_5xx_total",
+                "5xx responses",
+                &self.responses_5xx,
+            ),
+            (
+                "batching.events_buffered",
+                "events_buffered_total",
+                "Engine events accepted into the micro-batch buffer",
+                &self.events_buffered,
+            ),
+            (
+                "batching.flushes",
+                "batch_flushes_total",
+                "Micro-batch flushes (engine ticks)",
+                &self.batch_flushes,
+            ),
+            (
+                "batching.early_flushes",
+                "batch_flushes_early_total",
+                "Micro-batch flushes a task arrival or worker check-in triggered early",
+                &self.batch_flushes_early,
+            ),
         ] {
             scrape.counter(path, name, help, counter.get());
         }
@@ -293,7 +497,12 @@ impl ServerMetrics {
             "Per-request handling latency (parse to response written)",
             &self.request_latency,
         );
-        scrape.histogram("tick_latency", "tick_latency_us", "Engine tick latency, end to end", &self.tick_latency);
+        scrape.histogram(
+            "tick_latency",
+            "tick_latency_us",
+            "Engine tick latency, end to end",
+            &self.tick_latency,
+        );
         for (stage, h) in self.tick_stages.histograms() {
             scrape.histogram(
                 &format!("tick_stages.{stage}"),
@@ -328,7 +537,10 @@ impl ServerMetrics {
             })
             .collect();
         Json::obj([
-            ("threshold_us", threshold_json(self.slow_ticks.threshold_us())),
+            (
+                "threshold_us",
+                threshold_json(self.slow_ticks.threshold_us()),
+            ),
             (
                 "total_captured",
                 Json::Num(self.slow_ticks.total_captured() as f64),
@@ -340,16 +552,56 @@ impl ServerMetrics {
 
 /// A transport counter: its key in a `transports[]` record, the
 /// Prometheus name of its sum over all transports, help and reading.
-type TransportStat = (&'static str, &'static str, &'static str, fn(&ProtocolStats) -> u64);
+type TransportStat = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&ProtocolStats) -> u64,
+);
 
 const TRANSPORT_STATS: [TransportStat; 7] = [
-    ("requests", "partition_commands_total", "Partition protocol commands completed, all transports", |t| t.requests),
-    ("retries", "partition_retries_total", "Stale keep-alive retries, all transports", |t| t.retries),
-    ("reconnects", "partition_reconnects_total", "Transport reconnects, all transports", |t| t.reconnects),
-    ("bytes_sent", "partition_bytes_sent_total", "Bytes sent to partitions, all transports", |t| t.bytes_sent),
-    ("bytes_received", "partition_bytes_received_total", "Bytes received from partitions, all transports", |t| t.bytes_received),
-    ("frames_sent", "partition_frames_sent_total", "Binary frames sent to partitions (binary transport only)", |t| t.frames_sent),
-    ("frames_received", "partition_frames_received_total", "Binary frames received from partitions (binary transport only)", |t| t.frames_received),
+    (
+        "requests",
+        "partition_commands_total",
+        "Partition protocol commands completed, all transports",
+        |t| t.requests,
+    ),
+    (
+        "retries",
+        "partition_retries_total",
+        "Stale keep-alive retries, all transports",
+        |t| t.retries,
+    ),
+    (
+        "reconnects",
+        "partition_reconnects_total",
+        "Transport reconnects, all transports",
+        |t| t.reconnects,
+    ),
+    (
+        "bytes_sent",
+        "partition_bytes_sent_total",
+        "Bytes sent to partitions, all transports",
+        |t| t.bytes_sent,
+    ),
+    (
+        "bytes_received",
+        "partition_bytes_received_total",
+        "Bytes received from partitions, all transports",
+        |t| t.bytes_received,
+    ),
+    (
+        "frames_sent",
+        "partition_frames_sent_total",
+        "Binary frames sent to partitions (binary transport only)",
+        |t| t.frames_sent,
+    ),
+    (
+        "frames_received",
+        "partition_frames_received_total",
+        "Binary frames received from partitions (binary transport only)",
+        |t| t.frames_received,
+    ),
 ];
 
 /// The router's own values: the merged engine view, topology, health,
@@ -361,7 +613,10 @@ pub(crate) fn scrape_router(s: &mut Scrape, handle: &EngineHandle) {
     // the 0-snapshot case (every partition lost): the merged view degrades
     // to zeros rather than panicking the scrape.
     let snapshots = handle.partition_snapshots();
-    s.snapshot("engine", &SnapshotDto::from_snapshot(&merge_snapshots(&snapshots)));
+    s.snapshot(
+        "engine",
+        &SnapshotDto::from_snapshot(&merge_snapshots(&snapshots)),
+    );
     let transports = handle.partition_transports();
     // Partition health: how many regions the router has lost, which, and
     // how many routed events were dropped for them — the serving-tier view
@@ -369,10 +624,26 @@ pub(crate) fn scrape_router(s: &mut Scrape, handle: &EngineHandle) {
     let unhealthy = handle.unhealthy_partitions();
     let remote = transports.iter().filter(|t| t.kind != "in-process").count();
     for (name, help, value) in [
-        ("partitions_count", "Partitions behind this router", snapshots.len()),
-        ("remote_partitions", "Partitions served by remote daemons", remote),
-        ("partitions_unhealthy", "Partitions the router has lost", unhealthy.len()),
-        ("standbys_armed", "Slots with an unfired standby promoter armed", handle.standbys_armed()),
+        (
+            "partitions_count",
+            "Partitions behind this router",
+            snapshots.len(),
+        ),
+        (
+            "remote_partitions",
+            "Partitions served by remote daemons",
+            remote,
+        ),
+        (
+            "partitions_unhealthy",
+            "Partitions the router has lost",
+            unhealthy.len(),
+        ),
+        (
+            "standbys_armed",
+            "Slots with an unfired standby promoter armed",
+            handle.standbys_armed(),
+        ),
     ] {
         s.gauge(name, name, help, value as f64);
     }
@@ -418,7 +689,12 @@ pub(crate) fn scrape_router(s: &mut Scrape, handle: &EngineHandle) {
         );
     }
     if snapshots.len() > 1 {
-        s.counter("handoffs", "handoffs_total", "Cross-partition worker handoffs", handle.handoffs());
+        s.counter(
+            "handoffs",
+            "handoffs_total",
+            "Cross-partition worker handoffs",
+            handle.handoffs(),
+        );
         s.records(
             "partitions",
             snapshots.iter().enumerate().map(|(i, snapshot)| {
@@ -432,7 +708,12 @@ pub(crate) fn scrape_router(s: &mut Scrape, handle: &EngineHandle) {
     // How each region is reached and what the protocol costs: per
     // transport in JSON, summed over the transports in Prometheus.
     for (_, name, help, read) in TRANSPORT_STATS {
-        s.counter("", name, help, transports.iter().map(|t| read(&t.stats)).sum());
+        s.counter(
+            "",
+            name,
+            help,
+            transports.iter().map(|t| read(&t.stats)).sum(),
+        );
     }
     s.records(
         "transports",
@@ -446,7 +727,10 @@ pub(crate) fn scrape_router(s: &mut Scrape, handle: &EngineHandle) {
             }
             entry.json("command_latency.p50_us", Json::Num(t.stats.latency_p50_us));
             entry.json("command_latency.p99_us", Json::Num(t.stats.latency_p99_us));
-            entry.json("command_latency.max_us", Json::Num(t.stats.latency_max_us as f64));
+            entry.json(
+                "command_latency.max_us",
+                Json::Num(t.stats.latency_max_us as f64),
+            );
             entry.into_json()
         }),
     );
@@ -462,30 +746,92 @@ pub(crate) fn scrape_daemon(
     configured: Option<(u32, EngineSnapshot)>,
 ) {
     let name = "protocol_version";
-    s.gauge(name, name, "The partition protocol version this daemon speaks", f64::from(PROTOCOL_VERSION));
+    s.gauge(
+        name,
+        name,
+        "The partition protocol version this daemon speaks",
+        f64::from(PROTOCOL_VERSION),
+    );
     for (name, help, on) in [
-        ("draining", "Is the daemon refusing mutating commands?", draining),
-        ("durable", "Is the daemon running a write-ahead log?", durable),
-        ("configured", "Has a configure taken effect?", configured.is_some()),
+        (
+            "draining",
+            "Is the daemon refusing mutating commands?",
+            draining,
+        ),
+        (
+            "durable",
+            "Is the daemon running a write-ahead log?",
+            durable,
+        ),
+        (
+            "configured",
+            "Has a configure taken effect?",
+            configured.is_some(),
+        ),
     ] {
         s.flag(name, name, help, on);
     }
     s.json("repl.role", Json::Str(repl.role.as_str().into()));
-    s.flag("", "repl_standby", "Is this daemon an unpromoted replication standby?", repl.role == ReplRole::Standby);
-    s.flag("repl.sealed", "repl_sealed", "Was the incoming replication stream sealed by a promotion?", repl.sealed);
+    s.flag(
+        "",
+        "repl_standby",
+        "Is this daemon an unpromoted replication standby?",
+        repl.role == ReplRole::Standby,
+    );
+    s.flag(
+        "repl.sealed",
+        "repl_sealed",
+        "Was the incoming replication stream sealed by a promotion?",
+        repl.sealed,
+    );
     for (path, name, help, value) in [
-        ("repl.lag", "repl_lag", "Replication lag in records (unacked on a primary, unapplied on a standby)", repl.lag),
-        ("repl.next_lsn", "repl_next_lsn", "The replication stream head (next lsn to publish or fetch)", repl.next_lsn),
-        ("repl.acked", "repl_acked_lsn", "The acknowledgement watermark bounding primary-side retention", repl.acked),
-        ("repl.applied", "repl_applied_lsn", "Shipped records this standby has applied (next lsn it will fetch)", repl.applied),
-        ("repl.resets", "repl_stream_resets", "Times the primary's retention cap forced a stream reset", repl.resets),
-        ("repl.retained", "repl_retained", "Records the primary retains for its standby", repl.retained),
+        (
+            "repl.lag",
+            "repl_lag",
+            "Replication lag in records (unacked on a primary, unapplied on a standby)",
+            repl.lag,
+        ),
+        (
+            "repl.next_lsn",
+            "repl_next_lsn",
+            "The replication stream head (next lsn to publish or fetch)",
+            repl.next_lsn,
+        ),
+        (
+            "repl.acked",
+            "repl_acked_lsn",
+            "The acknowledgement watermark bounding primary-side retention",
+            repl.acked,
+        ),
+        (
+            "repl.applied",
+            "repl_applied_lsn",
+            "Shipped records this standby has applied (next lsn it will fetch)",
+            repl.applied,
+        ),
+        (
+            "repl.resets",
+            "repl_stream_resets",
+            "Times the primary's retention cap forced a stream reset",
+            repl.resets,
+        ),
+        (
+            "repl.retained",
+            "repl_retained",
+            "Records the primary retains for its standby",
+            repl.retained,
+        ),
     ] {
         s.gauge(path, name, help, value as f64);
     }
     if let Some((region, snapshot)) = configured {
         let name = "region_index";
-        s.gauge(name, name, "The region this daemon serves", f64::from(region));
+        s.gauge(
+            name,
+            name,
+            "The region this daemon serves",
+            f64::from(region),
+        );
         s.snapshot("engine", &SnapshotDto::from_snapshot(&snapshot));
     }
 }
@@ -508,9 +854,10 @@ pub fn serve_ops(
             scrape(&mut body);
             Ok(body.into_response())
         }
-        (Method::Get, "/debug/slow-ticks") => {
-            Ok(Response::json(200, metrics.slow_ticks_json().to_string_compact()))
-        }
+        (Method::Get, "/debug/slow-ticks") => Ok(Response::json(
+            200,
+            metrics.slow_ticks_json().to_string_compact(),
+        )),
         (Method::Post, "/debug/slow-tick-ms") => set_slow_tick_threshold(request, metrics),
         (Method::Get, "/debug/spans") => spans(request, last_trace),
         (_, "/metrics" | "/debug/slow-ticks" | "/debug/slow-tick-ms" | "/debug/spans") => {
@@ -521,7 +868,10 @@ pub fn serve_ops(
 }
 
 /// `POST /debug/slow-tick-ms`: sets the capture threshold and echoes it.
-fn set_slow_tick_threshold(request: &Request, metrics: &ServerMetrics) -> Result<Response, ServerError> {
+fn set_slow_tick_threshold(
+    request: &Request,
+    metrics: &ServerMetrics,
+) -> Result<Response, ServerError> {
     let body = parse(request.body_utf8()?)?;
     let rid = request_id(&body)?;
     let threshold_us = slow_tick_threshold_us(&body)?;
@@ -636,7 +986,12 @@ mod tests {
         m.batch_flushes.incr();
         m.batch_flushes.incr();
         m.batch_flushes_early.incr();
-        m.observe_tick(0, 1.0, 1_500, &StageTimings::from_values([100, 200, 900, 300, 0, 0]));
+        m.observe_tick(
+            0,
+            1.0,
+            1_500,
+            &StageTimings::from_values([100, 200, 900, 300, 0, 0]),
+        );
         let rendered = json_of(&m).to_string_compact();
         for key in [
             "\"connections\"",
@@ -686,6 +1041,9 @@ mod tests {
         let rendered = m.slow_ticks_json().to_string_compact();
         assert!(rendered.contains("\"total_captured\":1"), "{rendered}");
         assert!(rendered.contains("test.metrics-span"), "{rendered}");
-        assert!(rendered.contains(&crate::protocol::trace_to_hex(trace)), "{rendered}");
+        assert!(
+            rendered.contains(&crate::protocol::trace_to_hex(trace)),
+            "{rendered}"
+        );
     }
 }

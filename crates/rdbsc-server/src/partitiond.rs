@@ -169,9 +169,16 @@ impl DaemonState {
     /// An unconfigured daemon: a standby iff the config names a primary.
     fn new(config: &PartitiondConfig, metrics: Arc<ServerMetrics>) -> Self {
         let standby = config.follow.is_some();
-        let repl = if standby { Replication::standby() } else { Replication::primary() };
+        let repl = if standby {
+            Replication::standby()
+        } else {
+            Replication::primary()
+        };
         Self {
-            engine: Mutex::new(Slot { configured: None, repl }),
+            engine: Mutex::new(Slot {
+                configured: None,
+                repl,
+            }),
             draining: AtomicBool::new(false),
             metrics,
             last_trace: AtomicU64::new(0),
@@ -184,7 +191,9 @@ impl DaemonState {
     /// left the engine mid-apply, and serving on from that state would
     /// break the digest identity every replica is checked against.
     fn slot(&self) -> MutexGuard<'_, Slot> {
-        self.engine.lock().expect("daemon engine lock poisoned by a panicking holder")
+        self.engine
+            .lock()
+            .expect("daemon engine lock poisoned by a panicking holder")
     }
 
     /// Runs `f` on the replication state and the engine, under the lock.
@@ -192,7 +201,13 @@ impl DaemonState {
         let mut slot = self.slot();
         let Slot { configured, repl } = &mut *slot;
         let data_dir = self.data_dir.as_deref();
-        f(repl, &mut Engine { configured, data_dir })
+        f(
+            repl,
+            &mut Engine {
+                configured,
+                data_dir,
+            },
+        )
     }
 
     /// Runs `f` on the configured engine under the lock, or refuses with
@@ -201,8 +216,7 @@ impl DaemonState {
         match self.slot().configured.as_mut() {
             Some(configured) => Ok(f(configured)),
             None => Err(ServerError::Conflict(
-                "partition not configured: no Configure frame and no standby bootstrap yet"
-                    .into(),
+                "partition not configured: no Configure frame and no standby bootstrap yet".into(),
             )),
         }
     }
@@ -413,14 +427,15 @@ fn configure(state: &DaemonState, text: &str) -> Result<bool, ServerError> {
             // must describe the same topology, which the persisted-fingerprint
             // boot path and the idempotency check above guarantee.
             let (part, _scan) =
-                EnginePartition::open_durable(dir, accepted.wal, accepted.engine, index)
-            .map_err(|e| match e {
-                WalError::Io(io) => ServerError::Io(io),
-                corrupt => ServerError::Conflict(format!(
-                    "wal recovery in {} failed: {corrupt}",
-                    dir.display()
-                )),
-            })?;
+                EnginePartition::open_durable(dir, accepted.wal, accepted.engine, index).map_err(
+                    |e| match e {
+                        WalError::Io(io) => ServerError::Io(io),
+                        corrupt => ServerError::Conflict(format!(
+                            "wal recovery in {} failed: {corrupt}",
+                            dir.display()
+                        )),
+                    },
+                )?;
             if let Some(stats) = part
                 .wal_stats()
                 .filter(|s| s.recovered_records > 0 || s.recovered_checkpoint)
@@ -509,7 +524,9 @@ fn route(
             .with_close())
         }
 
-        (_, "/healthz" | "/debug/snapshot" | "/admin/shutdown") => Err(ServerError::MethodNotAllowed),
+        (_, "/healthz" | "/debug/snapshot" | "/admin/shutdown") => {
+            Err(ServerError::MethodNotAllowed)
+        }
         (_, path) => Err(ServerError::NotFound(path.to_string())),
     }
 }
@@ -537,7 +554,11 @@ fn refused_while(body: &RequestBody) -> (bool, bool) {
 /// this daemon is an unpromoted standby — and then the request, with
 /// failures reported in-band as [`ReplyBody::Error`] carrying an
 /// HTTP-style status (unconfigured 409s and bad payloads 400s too).
-fn route_frame(request: RequestFrame, state: &DaemonState, shutdown: &ShutdownHandle) -> ReplyFrame {
+fn route_frame(
+    request: RequestFrame,
+    state: &DaemonState,
+    shutdown: &ShutdownHandle,
+) -> ReplyFrame {
     let (while_draining, while_standby) = refused_while(&request.body);
     let result = if while_draining && state.is_draining(shutdown) {
         Err(ServerError::ShuttingDown)
@@ -664,15 +685,22 @@ fn exchange(
     let conn = match conn {
         Some(conn) => conn,
         None => {
-            let addr = primary.to_socket_addrs().ok().and_then(|mut addrs| addrs.next());
-            let addr = addr.ok_or_else(|| ReplFailure::Io(format!("{primary} does not resolve")))?;
+            let addr = primary
+                .to_socket_addrs()
+                .ok()
+                .and_then(|mut addrs| addrs.next());
+            let addr =
+                addr.ok_or_else(|| ReplFailure::Io(format!("{primary} does not resolve")))?;
             conn.insert(FrameConn::new(addr, Duration::from_secs(5)))
         }
     };
     match conn.exchange(request) {
         Ok(ReplyBody::Repl(reply)) => Ok(reply),
         Ok(ReplyBody::Error { status, detail }) => Err(ReplFailure::Refused { status, detail }),
-        Ok(other) => Err(ReplFailure::Malformed(format!("reply tag {:#04x}", other.tag()))),
+        Ok(other) => Err(ReplFailure::Malformed(format!(
+            "reply tag {:#04x}",
+            other.tag()
+        ))),
         Err(FrameError::Io(e)) => Err(ReplFailure::Io(e.to_string())),
         Err(malformed) => Err(ReplFailure::Malformed(malformed.to_string())),
     }
@@ -688,7 +716,9 @@ impl ReplEngine for Engine<'_> {
     type Index = FlatGridIndex;
 
     fn configured(&mut self) -> Option<(&mut EnginePartition<FlatGridIndex>, &str)> {
-        self.configured.as_mut().map(|c| (&mut c.part, c.fingerprint.as_str()))
+        self.configured
+            .as_mut()
+            .map(|c| (&mut c.part, c.fingerprint.as_str()))
     }
 
     /// Installs a shipped bootstrap state as this daemon's engine, under
@@ -710,9 +740,14 @@ impl ReplEngine for Engine<'_> {
                     std::fs::remove_dir_all(dir)
                         .map_err(|e| format!("wiping {}: {e}", dir.display()))?;
                 }
-                let part =
-                    EnginePartition::restore_durable(dir, accepted.wal, accepted.engine, state, index)
-                        .map_err(|e| format!("restoring in {}: {e}", dir.display()))?;
+                let part = EnginePartition::restore_durable(
+                    dir,
+                    accepted.wal,
+                    accepted.engine,
+                    state,
+                    index,
+                )
+                .map_err(|e| format!("restoring in {}: {e}", dir.display()))?;
                 persist_configure(dir, &accepted.fingerprint).map_err(|e| e.to_string())?;
                 part
             }
@@ -799,10 +834,15 @@ mod tests {
             engine_config,
         ));
         let shipped_state = primary.dump_state();
-        state.with_repl(|_, engine| engine.install(&shipped, shipped_state)).unwrap();
+        state
+            .with_repl(|_, engine| engine.install(&shipped, shipped_state))
+            .unwrap();
 
         let installed = state.slot();
-        assert_eq!(installed.configured.as_ref().unwrap().fingerprint, canonical);
+        assert_eq!(
+            installed.configured.as_ref().unwrap().fingerprint,
+            canonical
+        );
         drop(installed);
         assert_eq!(
             std::fs::read_to_string(dir.join("configure.json")).unwrap(),
@@ -835,12 +875,19 @@ mod tests {
             let text = text.to_string_compact();
             let state = standby_state(None);
             let shipped_state = primary.dump_state();
-            let refusal =
-                state.with_repl(|_, engine| engine.install(&text, shipped_state)).unwrap_err();
+            let refusal = state
+                .with_repl(|_, engine| engine.install(&text, shipped_state))
+                .unwrap_err();
             assert!(refusal.contains("cell_size"), "{cell_size}: {refusal}");
-            assert!(state.slot().configured.is_none(), "{cell_size}: nothing installed");
+            assert!(
+                state.slot().configured.is_none(),
+                "{cell_size}: nothing installed"
+            );
             let pushed = configure(&daemon_state(), &text).unwrap_err();
-            assert!(pushed.to_string().contains("cell_size"), "{cell_size}: {pushed}");
+            assert!(
+                pushed.to_string().contains("cell_size"),
+                "{cell_size}: {pushed}"
+            );
         }
     }
 }

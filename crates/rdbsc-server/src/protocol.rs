@@ -169,7 +169,9 @@ impl RoutingTableDto {
 
     /// Decodes the DTO.
     pub fn from_json(value: &Json) -> Result<Self, ServerError> {
-        let space = value.get("space").ok_or(ServerError::MissingField("space"))?;
+        let space = value
+            .get("space")
+            .ok_or(ServerError::MissingField("space"))?;
         let regions = value
             .get("regions")
             .ok_or(ServerError::MissingField("regions"))?
@@ -234,8 +236,7 @@ impl RoutingTableDto {
                 row1: row1 as usize,
             })
             .collect();
-        RegionPartition::from_regions(geometry, regions)
-            .map_err(ServerError::Conflict)
+        RegionPartition::from_regions(geometry, regions).map_err(ServerError::Conflict)
     }
 }
 
@@ -467,8 +468,7 @@ mod tests {
         // A stride over the axis range plus the counts known to trip the
         // float re-derivation (49, 98, 103, 107 are among the 67 bad ones).
         for cells in (1..=1024usize).step_by(23).chain([49, 98, 103, 107, 1024]) {
-            let geometry =
-                GridGeometry::with_cells_per_axis(Rect::unit(), cells);
+            let geometry = GridGeometry::with_cells_per_axis(Rect::unit(), cells);
             let partition = RegionPartition::uniform(geometry, 2);
             let wire = RoutingTableDto::from_partition(&partition)
                 .to_json()
@@ -526,9 +526,11 @@ mod tests {
     #[test]
     fn hello_round_trips() {
         use crate::frame::{read_raw, ReplyBody, ReplyFrame};
-        for (region_index, draining, standby) in
-            [(None, false, false), (Some(2), true, false), (Some(0), false, true)]
-        {
+        for (region_index, draining, standby) in [
+            (None, false, false),
+            (Some(2), true, false),
+            (Some(0), false, true),
+        ] {
             let reply = ReplyFrame {
                 request_id: 1,
                 body: ReplyBody::Hello(Hello {
@@ -548,9 +550,12 @@ mod tests {
     #[test]
     fn malformed_protocol_bodies_are_rejected_not_panicking() {
         assert!(RoutingTableDto::from_json(&parse("{}").unwrap()).is_err());
-        assert!(EngineConfigDto::from_json(
-            &parse(r#"{"beta":0.5,"parallelism":0,"seed":42,"auto_expire":true}"#).unwrap()
-        )
-        .is_err(), "a numeric seed is rejected (must be a string)");
+        assert!(
+            EngineConfigDto::from_json(
+                &parse(r#"{"beta":0.5,"parallelism":0,"seed":42,"auto_expire":true}"#).unwrap()
+            )
+            .is_err(),
+            "a numeric seed is rejected (must be a string)"
+        );
     }
 }

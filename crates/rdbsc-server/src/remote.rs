@@ -64,7 +64,10 @@ fn failed_exchange(addr: &str, what: &str, reply: Result<ReplyBody, FrameError>)
         Ok(ReplyBody::Error { status, detail }) => {
             format!("{what} on {addr} failed with {status}: {detail}")
         }
-        Ok(other) => format!("{what} on {addr}: unexpected reply tag {:#04x}", other.tag()),
+        Ok(other) => format!(
+            "{what} on {addr}: unexpected reply tag {:#04x}",
+            other.tag()
+        ),
         Err(e) => format!("{what} on {addr}: {e}"),
     }
 }
@@ -89,7 +92,11 @@ fn hello(conn: &mut FrameConn, addr: &str, request_id: u64) -> Result<Hello, Ser
                 "partition {addr} does not speak the Hello frame ({detail}); upgrade the daemon"
             )));
         }
-        other => return Err(ServerError::BadRequest(failed_exchange(addr, "hello", other))),
+        other => {
+            return Err(ServerError::BadRequest(failed_exchange(
+                addr, "hello", other,
+            )))
+        }
     };
     if hello.protocol_version != PROTOCOL_VERSION {
         return Err(ServerError::Conflict(format!(
@@ -267,7 +274,11 @@ impl StandbyPromoter for RemoteStandbyPromoter {
         };
         match self.conn(PROMOTE_TIMEOUT)?.exchange(&request) {
             Ok(ReplyBody::Partition(PartitionReply::ShutDown)) => Ok(()),
-            other => Err(failed_exchange(&self.addr, "stopping unfired standby", other)),
+            other => Err(failed_exchange(
+                &self.addr,
+                "stopping unfired standby",
+                other,
+            )),
         }
     }
 }
@@ -548,7 +559,11 @@ impl BinaryPartitionClient {
         result
     }
 
-    fn stale_retry_failed(&mut self, first: &std::io::Error, retry: &std::io::Error) -> PartitionError {
+    fn stale_retry_failed(
+        &mut self,
+        first: &std::io::Error,
+        retry: &std::io::Error,
+    ) -> PartitionError {
         let err = self.transport_str(format!(
             "retry after stale connection ({first}) failed: {retry}"
         ));

@@ -247,10 +247,7 @@ impl ServerConfig {
                 clients.push(Box::new(InProcessClient::spawn(region, engine)));
             }
         }
-        let handle = EngineHandle::new(PartitionedEngine::new(
-            partition.clone(),
-            clients,
-        ));
+        let handle = EngineHandle::new(PartitionedEngine::new(partition.clone(), clients));
         // Arm the failover path after the topology is up: slot k promotes
         // standby_partitions[k] when its transport dies mid-round.
         for (region, standby) in self.standby_partitions.iter().enumerate() {
@@ -458,9 +455,12 @@ fn route(
         return Err(ServerError::ShuttingDown);
     }
     let handle = &shared.handle;
-    if let Some(response) =
-        serve_ops(request, &shared.metrics, |s| scrape_router(s, handle), || handle.last_trace())
-    {
+    if let Some(response) = serve_ops(
+        request,
+        &shared.metrics,
+        |s| scrape_router(s, handle),
+        || handle.last_trace(),
+    ) {
         return response;
     }
     match (request.method, request.path.as_str()) {

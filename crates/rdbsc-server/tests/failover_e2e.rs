@@ -16,9 +16,7 @@ use rdbsc_platform::{
     ReplRequest, WalRecord,
 };
 use rdbsc_server::frame::{ReplyBody, RequestBody, RequestFrame};
-use rdbsc_server::{
-    connect_remote_partition, FrameConn, HttpClient, Json, Server, ServerConfig,
-};
+use rdbsc_server::{connect_remote_partition, FrameConn, HttpClient, Json, Server, ServerConfig};
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -117,9 +115,9 @@ fn repl_metrics(addr: SocketAddr) -> Json {
     let response = http.get("/metrics").expect("metrics request");
     assert!(response.is_success());
     let json = response.json().expect("metrics json");
-    json.get("repl").cloned().unwrap_or_else(|| {
-        panic!("daemon metrics missing repl: {}", json.to_string_compact())
-    })
+    json.get("repl")
+        .cloned()
+        .unwrap_or_else(|| panic!("daemon metrics missing repl: {}", json.to_string_compact()))
 }
 
 /// Polls until the standby holds exactly the primary's state: its applied
@@ -175,7 +173,10 @@ fn exchange(
     request_id: u64,
     body: RequestBody,
 ) -> Result<ReplyBody, (u16, String)> {
-    match conn.exchange(&RequestFrame { request_id, body }).expect("frame exchange") {
+    match conn
+        .exchange(&RequestFrame { request_id, body })
+        .expect("frame exchange")
+    {
         ReplyBody::Error { status, detail } => Err((status, detail)),
         reply => Ok(reply),
     }
@@ -203,12 +204,18 @@ fn post_worker(http: &mut HttpClient, id: u32, x: f64, y: f64) {
         confidence: 0.9,
         available_from: 0.0,
     };
-    assert!(http.post("/workers", &worker.to_json()).unwrap().is_success());
+    assert!(http
+        .post("/workers", &worker.to_json())
+        .unwrap()
+        .is_success());
 }
 
 fn tick(http: &mut HttpClient, now: f64) {
     let body = Json::obj([("now", Json::Num(now))]);
-    assert!(http.post("/tick", &body).expect("tick request").is_success());
+    assert!(http
+        .post("/tick", &body)
+        .expect("tick request")
+        .is_success());
 }
 
 /// The tentpole e2e: primary + standby + router, acknowledged traffic,
@@ -283,7 +290,10 @@ fn sigkilled_primary_fails_over_to_a_digest_identical_standby() {
     );
 
     let armed = http.get("/metrics").unwrap().json().unwrap();
-    assert_eq!(armed.get("standbys_armed").and_then(Json::as_num), Some(1.0));
+    assert_eq!(
+        armed.get("standbys_armed").and_then(Json::as_num),
+        Some(1.0)
+    );
     assert_eq!(
         armed.get("partitions_promoted").and_then(Json::as_num),
         Some(0.0)
@@ -345,27 +355,45 @@ fn sigkilled_primary_fails_over_to_a_digest_identical_standby() {
     // bootstrap re-enables the stream, its *live* counters (not the sealed
     // short-circuit) reach /metrics — `sealed` itself stays latched.
     let mut standby_conn = FrameConn::new(standby.addr, Duration::from_secs(5));
-    assert!(exchange(&mut standby_conn, 50, RequestBody::Repl(ReplRequest::Bootstrap)).is_ok());
+    assert!(exchange(
+        &mut standby_conn,
+        50,
+        RequestBody::Repl(ReplRequest::Bootstrap)
+    )
+    .is_ok());
     post_task(&mut http, 901, 0.45, 0.5, 3.5);
     post_worker(&mut http, 901, 0.45, 0.45);
     tick(&mut http, 3.5);
     let reseeding = repl_metrics(standby.addr);
-    assert_eq!(reseeding.get("role").and_then(Json::as_str), Some("primary"));
+    assert_eq!(
+        reseeding.get("role").and_then(Json::as_str),
+        Some("primary")
+    );
     assert_eq!(
         reseeding.get("sealed"),
         Some(&Json::Bool(true)),
         "sealed stays latched while re-seeding"
     );
     assert!(
-        reseeding.get("retained").and_then(Json::as_num).unwrap_or(0.0) > 0.0,
+        reseeding
+            .get("retained")
+            .and_then(Json::as_num)
+            .unwrap_or(0.0)
+            > 0.0,
         "a promoted daemon serving a follower reports live stream counters: {}",
         reseeding.to_string_compact()
     );
 
     // Clean admin shutdown propagates to the promoted daemon.
-    assert!(http.post("/admin/shutdown", &Json::obj([])).unwrap().is_success());
+    assert!(http
+        .post("/admin/shutdown", &Json::obj([]))
+        .unwrap()
+        .is_success());
     server.join();
-    standby.child.wait().expect("promoted standby exits with the router");
+    standby
+        .child
+        .wait()
+        .expect("promoted standby exits with the router");
 
     let _ = std::fs::remove_dir_all(&primary_dir);
     let _ = std::fs::remove_dir_all(&standby_dir);
@@ -396,10 +424,10 @@ fn standby_refuses_mutating_commands_until_promoted() {
     // Mutating commands are refused with a structured conflict...
     let apply = |command| RequestBody::Partition(PartitionRequest::Apply { trace: 0, command });
     let (status, detail) = exchange(&mut conn, 1, apply(PartitionCommand::Tick { now: 1.0 }))
-    .expect_err("standby tick must be refused");
+        .expect_err("standby tick must be refused");
     assert_eq!(status, 409, "standby tick must 409: {detail}");
     let (status, _) = exchange(&mut conn, 2, apply(PartitionCommand::Submit(vec![])))
-    .expect_err("standby submit must be refused");
+        .expect_err("standby submit must be refused");
     assert_eq!(status, 409);
     // ... while reads stay up.
     assert!(http.get("/debug/snapshot").unwrap().is_success());
@@ -416,7 +444,10 @@ fn standby_refuses_mutating_commands_until_promoted() {
     )
     .err()
     .expect("mounting a standby as an ordinary partition must fail");
-    assert!(refused.to_string().contains("replication standby"), "{refused}");
+    assert!(
+        refused.to_string().contains("replication standby"),
+        "{refused}"
+    );
 
     standby.child.kill().ok();
     standby.child.wait().ok();
@@ -443,7 +474,11 @@ fn second_follower_bootstrap_is_refused_while_the_first_is_live() {
         exchange(conn, request_id, RequestBody::Repl(ReplRequest::Bootstrap))
     };
     let fetch = |conn: &mut FrameConn, request_id: u64, from: u64, ack: u64| {
-        exchange(conn, request_id, RequestBody::Repl(ReplRequest::Fetch { from, ack, max: 64 }))
+        exchange(
+            conn,
+            request_id,
+            RequestBody::Repl(ReplRequest::Fetch { from, ack, max: 64 }),
+        )
     };
 
     // Follower #1 bootstraps and starts fetching.
@@ -490,7 +525,8 @@ fn repl_commands_round_trip_over_the_binary_transport() {
     let mut conn = FrameConn::new(primary.addr, Duration::from_secs(10));
     // The exchange checks the request-id echo itself.
     let mut exchange = |request_id, body| -> ReplyBody {
-        conn.exchange(&RequestFrame { request_id, body }).expect("frame exchange")
+        conn.exchange(&RequestFrame { request_id, body })
+            .expect("frame exchange")
     };
 
     // Bootstrap over frames: the snapshot is a canonical Checkpoint record.
@@ -502,8 +538,7 @@ fn repl_commands_round_trip_over_the_binary_transport() {
     else {
         panic!("expected ReplBootstrapOk");
     };
-    let WalRecord::Checkpoint(boot_state) = decode_record(&state).expect("snapshot decodes")
-    else {
+    let WalRecord::Checkpoint(boot_state) = decode_record(&state).expect("snapshot decodes") else {
         panic!("bootstrap state must be a Checkpoint record");
     };
     assert!(
@@ -546,7 +581,8 @@ fn repl_commands_round_trip_over_the_binary_transport() {
     );
 
     // Status over frames: the ack watermark advanced with the fetch.
-    let ReplyBody::Repl(ReplReply::Status(status)) = exchange(9, RequestBody::Repl(ReplRequest::Status))
+    let ReplyBody::Repl(ReplReply::Status(status)) =
+        exchange(9, RequestBody::Repl(ReplRequest::Status))
     else {
         panic!("expected ReplStatusOk");
     };

@@ -133,8 +133,17 @@ fn router(partitions: usize, remote_partitions: Vec<String>) -> Server {
 /// Posts a task and a worker beside it, then ticks once.
 fn drive(server: &Server) {
     let mut client = HttpClient::new(server.addr());
-    assert_eq!(client.post("/tasks", &task(0, 0.3, 0.3)).unwrap().status, 202);
-    assert_eq!(client.post("/workers", &worker(0, 0.25, 0.25)).unwrap().status, 202);
+    assert_eq!(
+        client.post("/tasks", &task(0, 0.3, 0.3)).unwrap().status,
+        202
+    );
+    assert_eq!(
+        client
+            .post("/workers", &worker(0, 0.25, 0.25))
+            .unwrap()
+            .status,
+        202
+    );
     assert_eq!(client.post("/tick", &Json::obj([])).unwrap().status, 200);
 }
 
@@ -152,8 +161,16 @@ fn one_region_router() {
     let server = router(1, Vec::new());
     drive(&server);
     let (json, prom) = surface(server.addr());
-    assert_listed("json", &json, json_listed(&[SHARED_JSON, SLOW_TICKS_JSON, ROUTER_JSON]));
-    assert_listed("prom", &prom, listed(&[SHARED_PROM, ROUTER_PROM, ENGINE_PROM_FROM_JSON]));
+    assert_listed(
+        "json",
+        &json,
+        json_listed(&[SHARED_JSON, SLOW_TICKS_JSON, ROUTER_JSON]),
+    );
+    assert_listed(
+        "prom",
+        &prom,
+        listed(&[SHARED_PROM, ROUTER_PROM, ENGINE_PROM_FROM_JSON]),
+    );
     server.shutdown();
     server.join();
 }
@@ -176,12 +193,31 @@ fn two_region_router_after_a_handoff() {
         ("x", Json::Num(0.9)),
         ("y", Json::Num(0.1)),
     ]);
-    assert_eq!(client.post("/workers/heartbeat", &moved).unwrap().status, 202);
+    assert_eq!(
+        client.post("/workers/heartbeat", &moved).unwrap().status,
+        202
+    );
     assert_eq!(client.post("/tick", &Json::obj([])).unwrap().status, 200);
-    assert!(server.handle().handoffs() >= 1, "the heartbeat must cross regions");
+    assert!(
+        server.handle().handoffs() >= 1,
+        "the heartbeat must cross regions"
+    );
     let (json, prom) = surface(server.addr());
-    assert_listed("json", &json, json_listed(&[SHARED_JSON, SLOW_TICKS_JSON, ROUTER_JSON, MULTI_REGION_JSON]));
-    assert_listed("prom", &prom, listed(&[SHARED_PROM, ROUTER_PROM, MULTI_REGION_PROM, ENGINE_PROM_FROM_JSON]));
+    assert_listed(
+        "json",
+        &json,
+        json_listed(&[SHARED_JSON, SLOW_TICKS_JSON, ROUTER_JSON, MULTI_REGION_JSON]),
+    );
+    assert_listed(
+        "prom",
+        &prom,
+        listed(&[
+            SHARED_PROM,
+            ROUTER_PROM,
+            MULTI_REGION_PROM,
+            ENGINE_PROM_FROM_JSON,
+        ]),
+    );
     server.shutdown();
     server.join();
 }
@@ -192,8 +228,16 @@ fn router_with_one_remote_daemon() {
     let server = router(1, vec![remote.addr().to_string()]);
     drive(&server);
     let (json, prom) = surface(server.addr());
-    assert_listed("json", &json, json_listed(&[SHARED_JSON, SLOW_TICKS_JSON, ROUTER_JSON]));
-    assert_listed("prom", &prom, listed(&[SHARED_PROM, ROUTER_PROM, ENGINE_PROM_FROM_JSON]));
+    assert_listed(
+        "json",
+        &json,
+        json_listed(&[SHARED_JSON, SLOW_TICKS_JSON, ROUTER_JSON]),
+    );
+    assert_listed(
+        "prom",
+        &prom,
+        listed(&[SHARED_PROM, ROUTER_PROM, ENGINE_PROM_FROM_JSON]),
+    );
     server.shutdown();
     server.join();
     remote.join();
@@ -241,7 +285,11 @@ fn configured_durable_daemon() {
     client.begin_tick(0, 0.0).unwrap();
     client.finish_tick().unwrap();
     let (json, prom) = surface(durable.addr());
-    assert_listed("json", &json, json_listed(&[SHARED_JSON, SLOW_TICKS_JSON, DAEMON_JSON, CONFIGURED_JSON]));
+    assert_listed(
+        "json",
+        &json,
+        json_listed(&[SHARED_JSON, SLOW_TICKS_JSON, DAEMON_JSON, CONFIGURED_JSON]),
+    );
     assert_listed(
         "prom",
         &prom,
@@ -264,8 +312,16 @@ fn configured_durable_daemon() {
 fn unconfigured_daemon() {
     let idle = daemon(None);
     let (json, prom) = surface(idle.addr());
-    assert_listed("json", &json, json_listed(&[SHARED_JSON, SLOW_TICKS_JSON, DAEMON_JSON]));
-    assert_listed("prom", &prom, listed(&[SHARED_PROM, DAEMON_PROM, REPL_PROM_FROM_JSON]));
+    assert_listed(
+        "json",
+        &json,
+        json_listed(&[SHARED_JSON, SLOW_TICKS_JSON, DAEMON_JSON]),
+    );
+    assert_listed(
+        "prom",
+        &prom,
+        listed(&[SHARED_PROM, DAEMON_PROM, REPL_PROM_FROM_JSON]),
+    );
     idle.shutdown();
     idle.join();
 }
@@ -413,9 +469,7 @@ const MULTI_REGION_JSON: &[&str] = &[
     "partitions[].total_std",
 ];
 
-const MULTI_REGION_PROM: &[&str] = &[
-    "# TYPE handoffs_total counter",
-];
+const MULTI_REGION_PROM: &[&str] = &["# TYPE handoffs_total counter"];
 
 /// What every daemon adds: its state and replication status.
 const DAEMON_JSON: &[&str] = &[

@@ -12,8 +12,7 @@ use rdbsc_platform::{EngineConfig, EngineEvent};
 use rdbsc_server::json::Json;
 use rdbsc_server::protocol::trace_to_hex;
 use rdbsc_server::{
-    connect_remote_partition, HttpClient, PartitionDaemon, PartitiondConfig, Server,
-    ServerConfig,
+    connect_remote_partition, HttpClient, PartitionDaemon, PartitiondConfig, Server, ServerConfig,
 };
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -136,7 +135,11 @@ fn trace_ids_propagate_to_the_daemon_and_echo_back() {
     assert_eq!(default_trace(&mut raw), hex);
     client.begin_tick(0, 1.0).unwrap();
     assert_eq!(client.finish_tick().unwrap().trace, 0);
-    assert_eq!(default_trace(&mut raw), hex, "an untraced tick is not the last trace");
+    assert_eq!(
+        default_trace(&mut raw),
+        hex,
+        "an untraced tick is not the last trace"
+    );
 
     // The daemon's Prometheus exposition parses, carries stage data, and
     // timed every tick it served: three.
@@ -146,7 +149,9 @@ fn trace_ids_propagate_to_the_daemon_and_echo_back() {
     assert!(prom.body.contains("tick_stage_solve_us"), "{}", prom.body);
     assert!(prom.body.contains("engine_ticks_total"), "{}", prom.body);
     assert!(
-        prom.body.lines().any(|line| line == "tick_latency_us_count 3"),
+        prom.body
+            .lines()
+            .any(|line| line == "tick_latency_us_count 3"),
         "{}",
         prom.body
     );
@@ -198,7 +203,13 @@ fn router_metrics_serve_prom_and_slow_ticks_with_content_types() {
 
     // The legacy JSON shape survives, with the additive stage breakdown.
     let metrics = client.get("/metrics").unwrap().json().unwrap();
-    for key in ["connections", "requests", "batching", "request_latency", "tick_latency"] {
+    for key in [
+        "connections",
+        "requests",
+        "batching",
+        "request_latency",
+        "tick_latency",
+    ] {
         assert!(metrics.get(key).is_some(), "legacy key {key} missing");
     }
     let stages = metrics.get("tick_stages").unwrap();
@@ -208,7 +219,11 @@ fn router_metrics_serve_prom_and_slow_ticks_with_content_types() {
     let prom = client.get("/metrics?format=prom").unwrap();
     rdbsc_obs::validate_prom(&prom.body).unwrap_or_else(|e| panic!("{e}\n{}", prom.body));
     assert!(prom.body.contains("partitions_count"), "{}", prom.body);
-    assert!(prom.body.contains("request_latency_us_bucket"), "{}", prom.body);
+    assert!(
+        prom.body.contains("request_latency_us_bucket"),
+        "{}",
+        prom.body
+    );
 
     // Zero threshold: the manual tick was captured with its stage split.
     let slow = client.get("/debug/slow-ticks").unwrap().json().unwrap();

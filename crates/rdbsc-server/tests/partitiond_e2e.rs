@@ -123,9 +123,13 @@ fn daemon_matches_the_local_engine_byte_for_byte() {
     assert!(remote.has_worker(pair.worker).unwrap());
     assert_eq!(
         local.record_answer(pair.worker, pair.contribution),
-        remote.record_answer(pair.worker, pair.contribution).unwrap()
+        remote
+            .record_answer(pair.worker, pair.contribution)
+            .unwrap()
     );
-    assert!(!remote.record_answer(pair.worker, pair.contribution).unwrap());
+    assert!(!remote
+        .record_answer(pair.worker, pair.contribution)
+        .unwrap());
     local.record_answer(pair.worker, pair.contribution);
 
     // Snapshots agree except for wall-clock-free fields... which is all of
@@ -196,7 +200,9 @@ fn run_script(client: &mut dyn PartitionClient) -> Transcript {
     client.drain().unwrap();
     assert!(
         matches!(
-            client.begin_submit(0, events()).and_then(|_| client.finish_submit()),
+            client
+                .begin_submit(0, events())
+                .and_then(|_| client.finish_submit()),
             Err(PartitionError::Draining { .. })
         ),
         "{}: a submit after the drain is refused",
@@ -351,7 +357,10 @@ fn configure_is_idempotent_and_conflicts_are_rejected() {
     // A router speaking a different protocol version is refused outright.
     let mut conn = FrameConn::new(daemon.addr(), Duration::from_secs(5));
     let configure = Json::obj([("protocol_version", Json::Num(99.0))]).to_string_compact();
-    let request = RequestFrame { request_id: 1, body: RequestBody::Configure(configure) };
+    let request = RequestFrame {
+        request_id: 1,
+        body: RequestBody::Configure(configure),
+    };
     match conn.exchange(&request).unwrap() {
         ReplyBody::Error { status, detail } => assert_eq!(status, 409, "{detail}"),
         other => panic!("a version-99 configure was accepted: {other:?}"),
@@ -396,8 +405,15 @@ fn draining_daemon_answers_503_not_dropped_connections() {
     assert_eq!(health.status, 200);
     assert!(health.body.contains("\"draining\":true"), "{}", health.body);
     let metrics = raw.get("/metrics").unwrap();
-    assert!(metrics.body.contains("\"configured\":true"), "{}", metrics.body);
-    assert!(client.snapshot().is_ok(), "snapshot still served while draining");
+    assert!(
+        metrics.body.contains("\"configured\":true"),
+        "{}",
+        metrics.body
+    );
+    assert!(
+        client.snapshot().is_ok(),
+        "snapshot still served while draining"
+    );
 
     client.shutdown().unwrap();
     daemon.join();
@@ -511,7 +527,16 @@ fn every_command_meets_the_one_refusal_table() {
         (command(1, PartitionCommand::Submit(events())), 503, 409),
         (command(2, PartitionCommand::Tick { now: 0.5 }), 503, 409),
         (command(3, answer), 503, 409),
-        (command(4, PartitionCommand::Release { worker: WorkerId(1) }), 503, 409),
+        (
+            command(
+                4,
+                PartitionCommand::Release {
+                    worker: WorkerId(1),
+                },
+            ),
+            503,
+            409,
+        ),
         (request(5, PartitionRequest::Assignments), 0, 0),
         (request(6, PartitionRequest::Snapshot), 0, 0),
         (request(7, PartitionRequest::IsActive), 0, 0),
@@ -520,13 +545,27 @@ fn every_command_meets_the_one_refusal_table() {
         (frame(15, RequestBody::Hello), 0, 0),
         (frame(16, RequestBody::Configure(configure)), 503, 409),
         (frame(10, RequestBody::Repl(ReplRequest::Bootstrap)), 0, 409),
-        (frame(11, RequestBody::Repl(ReplRequest::Fetch { from: 0, ack: 0, max: 8 })), 0, 409),
+        (
+            frame(
+                11,
+                RequestBody::Repl(ReplRequest::Fetch {
+                    from: 0,
+                    ack: 0,
+                    max: 8,
+                }),
+            ),
+            0,
+            409,
+        ),
         (frame(12, RequestBody::Repl(ReplRequest::Promote)), 503, 0),
         (request(13, PartitionRequest::Drain), 0, 0),
         (request(14, PartitionRequest::Shutdown), 0, 0),
     ];
     let status_of = |conn: &mut FrameConn, request: &RequestFrame| -> (u16, String) {
-        match conn.exchange(request).expect("a refusal is a reply, never a dropped connection") {
+        match conn
+            .exchange(request)
+            .expect("a refusal is a reply, never a dropped connection")
+        {
             ReplyBody::Error { status, detail } => (status, detail),
             _ => (0, String::new()),
         }
@@ -538,7 +577,10 @@ fn every_command_meets_the_one_refusal_table() {
         let (status, detail) = status_of(&mut conn, request);
         assert_eq!(status, *want, "standby, {request:?}: {detail}");
         if status == 409 {
-            assert!(detail.contains("standby"), "{request:?} refused for another reason: {detail}");
+            assert!(
+                detail.contains("standby"),
+                "{request:?} refused for another reason: {detail}"
+            );
         }
     }
     standby.join();
@@ -550,7 +592,11 @@ fn every_command_meets_the_one_refusal_table() {
     let mut http = HttpClient::new(primary.addr());
     let body = Json::obj([("request_id", Json::Num(1.0)), ("now", Json::Num(1.0))]);
     let gone = http.post("/partition/tick", &body).unwrap();
-    assert_eq!(gone.status, 404, "the JSON tick route must be gone: {}", gone.body);
+    assert_eq!(
+        gone.status, 404,
+        "the JSON tick route must be gone: {}",
+        gone.body
+    );
     for route in ["/partition/hello", "/partition/active"] {
         let gone = http.get(route).unwrap();
         assert_eq!(gone.status, 404, "GET {route} must be gone: {}", gone.body);
@@ -577,11 +623,24 @@ fn a_wrong_method_is_405_and_an_unknown_path_404() {
     for path in ["/admin/shutdown", "/debug/slow-tick-ms"] {
         assert_eq!(http.get(path).unwrap().status, 405, "GET {path}");
     }
-    for path in ["/healthz", "/metrics", "/debug/snapshot", "/debug/slow-ticks", "/debug/spans"] {
-        assert_eq!(http.post(path, &Json::obj([])).unwrap().status, 405, "POST {path}");
+    for path in [
+        "/healthz",
+        "/metrics",
+        "/debug/snapshot",
+        "/debug/slow-ticks",
+        "/debug/spans",
+    ] {
+        assert_eq!(
+            http.post(path, &Json::obj([])).unwrap().status,
+            405,
+            "POST {path}"
+        );
     }
     assert_eq!(http.get("/nope").unwrap().status, 404);
-    assert_eq!(http.post("/partition/tick", &Json::obj([])).unwrap().status, 404);
+    assert_eq!(
+        http.post("/partition/tick", &Json::obj([])).unwrap().status,
+        404
+    );
     assert_eq!(http.get("/healthz").unwrap().status, 200);
     daemon.shutdown();
     daemon.join();

@@ -13,9 +13,7 @@ use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::MaintenanceCounters;
 use rdbsc_model::valid_pairs::ValidPair;
-use rdbsc_model::{
-    Confidence, Contribution, Task, TaskId, TimeWindow, Worker, WorkerId,
-};
+use rdbsc_model::{Confidence, Contribution, Task, TaskId, TimeWindow, Worker, WorkerId};
 use rdbsc_platform::{
     CommandOutcome, EngineConfig, EngineEvent, EngineObjective, EngineSnapshot, PartitionCommand,
     PartitionReply, PartitionRequest, PartitionTick, ReplReply, ReplRequest, TickReport, WalStats,
@@ -61,33 +59,46 @@ fn event() -> impl Strategy<Value = EngineEvent> {
     (
         0u32..5,
         0u32..=u32::MAX,
-        (finite(), finite(), 0.0f64..1.0e6, 0.0f64..=1.0, finite(), finite()),
+        (
+            finite(),
+            finite(),
+            0.0f64..1.0e6,
+            0.0f64..=1.0,
+            finite(),
+            finite(),
+        ),
         (flag(), flag()),
     )
-        .prop_map(|(kind, id, (a, b, c, unit, e, f), (opt1, opt2))| match kind {
-            0 => {
-                let window = TimeWindow::new(e, e + c).unwrap();
-                EngineEvent::TaskArrived(if opt1 {
-                    Task::with_beta(TaskId(id), Point::new(a, b), window, unit).unwrap()
-                } else {
-                    Task::new(TaskId(id), Point::new(a, b), window)
-                })
-            }
-            1 => EngineEvent::TaskExpired(TaskId(id)),
-            2 => EngineEvent::WorkerCheckIn(
-                Worker::new(
-                    WorkerId(id),
-                    Point::new(a, b),
-                    c,
-                    if opt2 { AngleRange::new(e, f) } else { AngleRange::full() },
-                    Confidence::new(unit).unwrap(),
-                )
-                .unwrap()
-                .with_available_from(f),
-            ),
-            3 => EngineEvent::WorkerMoved(WorkerId(id), Point::new(a, b)),
-            _ => EngineEvent::WorkerLeft(WorkerId(id)),
-        })
+        .prop_map(
+            |(kind, id, (a, b, c, unit, e, f), (opt1, opt2))| match kind {
+                0 => {
+                    let window = TimeWindow::new(e, e + c).unwrap();
+                    EngineEvent::TaskArrived(if opt1 {
+                        Task::with_beta(TaskId(id), Point::new(a, b), window, unit).unwrap()
+                    } else {
+                        Task::new(TaskId(id), Point::new(a, b), window)
+                    })
+                }
+                1 => EngineEvent::TaskExpired(TaskId(id)),
+                2 => EngineEvent::WorkerCheckIn(
+                    Worker::new(
+                        WorkerId(id),
+                        Point::new(a, b),
+                        c,
+                        if opt2 {
+                            AngleRange::new(e, f)
+                        } else {
+                            AngleRange::full()
+                        },
+                        Confidence::new(unit).unwrap(),
+                    )
+                    .unwrap()
+                    .with_available_from(f),
+                ),
+                3 => EngineEvent::WorkerMoved(WorkerId(id), Point::new(a, b)),
+                _ => EngineEvent::WorkerLeft(WorkerId(id)),
+            },
+        )
 }
 
 /// One partition request with arbitrary fields: the data-path body.
@@ -163,13 +174,18 @@ fn request() -> impl Strategy<Value = RequestFrame> {
 }
 
 fn pair() -> impl Strategy<Value = ValidPair> {
-    (0u32..=u32::MAX, 0u32..=u32::MAX, 0.0f64..=1.0, finite(), finite()).prop_map(
-        |(task, worker, confidence, angle, arrival)| ValidPair {
+    (
+        0u32..=u32::MAX,
+        0u32..=u32::MAX,
+        0.0f64..=1.0,
+        finite(),
+        finite(),
+    )
+        .prop_map(|(task, worker, confidence, angle, arrival)| ValidPair {
             task: TaskId(task),
             worker: WorkerId(worker),
             contribution: Contribution::new(Confidence::new(confidence).unwrap(), angle, arrival),
-        },
-    )
+        })
 }
 
 /// A full tick: every `StageTimings` slot non-zero and every counter
@@ -215,7 +231,11 @@ fn tick() -> impl Strategy<Value = PartitionTick> {
                         tcell_rebuilds: index[2],
                     },
                     stages: rdbsc_obs::StageTimings::from_values([
-                        stage_us[0], stage_us[1], stage_us[2], stage_us[3], stage_us[4],
+                        stage_us[0],
+                        stage_us[1],
+                        stage_us[2],
+                        stage_us[3],
+                        stage_us[4],
                         stage_us[5],
                     ]),
                 },
@@ -275,7 +295,13 @@ fn snapshot() -> impl Strategy<Value = EngineSnapshot> {
 
 fn reply() -> impl Strategy<Value = ReplyFrame> {
     (
-        (0u32..15, 0u64..=u64::MAX, 0u32..=u32::MAX, flag(), 0u16..=u16::MAX),
+        (
+            0u32..15,
+            0u64..=u64::MAX,
+            0u32..=u32::MAX,
+            flag(),
+            0u16..=u16::MAX,
+        ),
         text(),
         proptest::collection::vec(pair(), 0..6),
         tick(),
@@ -501,7 +527,11 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
         body: RequestBody::Partition(PartitionRequest::Apply { trace: 0, command }),
     };
 
-    let task = Task::new(TaskId(1), Point::new(0.4, 0.5), TimeWindow::new(0.0, 5.0).unwrap());
+    let task = Task::new(
+        TaskId(1),
+        Point::new(0.4, 0.5),
+        TimeWindow::new(0.0, 5.0).unwrap(),
+    );
     let worker = Worker::new(
         WorkerId(1),
         Point::new(0.4, 0.45),
@@ -514,14 +544,18 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
         EngineEvent::TaskArrived(task),
         EngineEvent::WorkerCheckIn(worker),
     ];
-    let reply = conn.exchange(&command(1, PartitionCommand::Submit(good))).unwrap();
+    let reply = conn
+        .exchange(&command(1, PartitionCommand::Submit(good)))
+        .unwrap();
     let submitted = CommandOutcome::Submitted { events: 2 };
     assert!(
         matches!(&reply, ReplyBody::Partition(PartitionReply::Applied(outcome)) if *outcome == submitted),
         "{reply:?}"
     );
     // Commit the worker, so an admitted answer for it *would* change state.
-    let reply = conn.exchange(&command(2, PartitionCommand::Tick { now: 0.0 })).unwrap();
+    let reply = conn
+        .exchange(&command(2, PartitionCommand::Tick { now: 0.0 }))
+        .unwrap();
     let ReplyBody::Partition(PartitionReply::Applied(CommandOutcome::Ticked(tick))) = reply else {
         panic!("tick reply: {reply:?}");
     };
@@ -565,21 +599,33 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
             panic!("hostile command {i} was accepted: {reply:?}");
         };
         assert_eq!(status, 400, "{detail}");
-        assert!(detail.contains(names), "error must name the field: {detail}");
-        assert_eq!(snapshot_digest(daemon.addr()), before, "hostile command {i}");
+        assert!(
+            detail.contains(names),
+            "error must name the field: {detail}"
+        );
+        assert_eq!(
+            snapshot_digest(daemon.addr()),
+            before,
+            "hostile command {i}"
+        );
     }
 
     // An invalid confidence cannot be built even through public fields:
     // patch the bytes of an encoded check-in (trace, count, then tag, id,
     // x, y, speed, heading start + width, then confidence) and of an
     // encoded answer (worker, then confidence).
-    let check_in = command(98, PartitionCommand::Submit(vec![EngineEvent::WorkerCheckIn(worker)]));
+    let check_in = command(
+        98,
+        PartitionCommand::Submit(vec![EngineEvent::WorkerCheckIn(worker)]),
+    );
     let patched = [
         (check_in, HEADER_LEN + 8 + 4 + 1 + 4 + 16 + 8 + 16),
         (command(99, answer_at(1.0)), HEADER_LEN + 4),
     ];
     let mut raw_conn = std::net::TcpStream::connect(daemon.addr()).unwrap();
-    raw_conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw_conn
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
     let mut replies = std::io::BufReader::new(raw_conn.try_clone().unwrap());
     for (request, confidence_at) in patched {
         let mut wire = Vec::new();
@@ -594,24 +640,44 @@ fn hostile_submit_values_are_answered_400_and_change_nothing() {
         }
         // And a daemon handed those bytes says the same, in-band.
         raw_conn.write_all(&wire).unwrap();
-        let raw = frame::read_raw(&mut replies, MAX_PAYLOAD).unwrap().expect("a reply");
+        let raw = frame::read_raw(&mut replies, MAX_PAYLOAD)
+            .unwrap()
+            .expect("a reply");
         let reply = ReplyFrame::decode(&raw).unwrap();
         let ReplyBody::Error { status, detail } = &reply.body else {
             panic!("patched {request:?} was accepted: {reply:?}");
         };
-        assert_eq!((*status, reply.request_id), (400, request.request_id), "{detail}");
+        assert_eq!(
+            (*status, reply.request_id),
+            (400, request.request_id),
+            "{detail}"
+        );
         assert!(detail.contains("confidence"), "{detail}");
-        assert_eq!(snapshot_digest(daemon.addr()), before, "patched {request:?}");
+        assert_eq!(
+            snapshot_digest(daemon.addr()),
+            before,
+            "patched {request:?}"
+        );
     }
 
     // Both connections survived all of it — and what admission passes is
     // normalised before it is applied: an answer at angle −1 banks, and
     // lands in [0, 2π).
     let is_active = RequestBody::Partition(PartitionRequest::IsActive);
-    RequestFrame { request_id: 100, body: is_active }.write_to(&mut raw_conn).unwrap();
-    let raw = frame::read_raw(&mut replies, MAX_PAYLOAD).unwrap().expect("a reply");
+    RequestFrame {
+        request_id: 100,
+        body: is_active,
+    }
+    .write_to(&mut raw_conn)
+    .unwrap();
+    let raw = frame::read_raw(&mut replies, MAX_PAYLOAD)
+        .unwrap()
+        .expect("a reply");
     let reply = ReplyFrame::decode(&raw).unwrap().body;
-    assert!(matches!(reply, ReplyBody::Partition(PartitionReply::Active(true))), "{reply:?}");
+    assert!(
+        matches!(reply, ReplyBody::Partition(PartitionReply::Active(true))),
+        "{reply:?}"
+    );
     let reply = conn.exchange(&command(101, answer_at(-1.0))).unwrap();
     let banked = CommandOutcome::Answered { banked: true };
     assert!(

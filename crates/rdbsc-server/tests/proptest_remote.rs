@@ -108,10 +108,7 @@ fn mixed_engine(
             }
         })
         .collect();
-    (
-        PartitionedEngine::new(partition.clone(), clients),
-        daemon,
-    )
+    (PartitionedEngine::new(partition.clone(), clients), daemon)
 }
 
 proptest! {

@@ -9,9 +9,7 @@ use rdbsc_geo::{AngleRange, Point, Rect};
 use rdbsc_index::geometry::GridGeometry;
 use rdbsc_index::FlatGridIndex;
 use rdbsc_model::{Confidence, Task, TaskId, TimeWindow, Worker, WorkerId};
-use rdbsc_platform::{
-    AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, WalConfig,
-};
+use rdbsc_platform::{AssignmentEngine, EngineConfig, EngineEvent, EnginePartition, WalConfig};
 use rdbsc_server::frame::{ReplyBody, RequestBody, RequestFrame};
 use rdbsc_server::{
     connect_remote_partition, FrameConn, HttpClient, Json, Server, ServerConfig, ServerError,
@@ -136,7 +134,10 @@ fn remote_digest(addr: SocketAddr) -> u64 {
     assert!(response.is_success(), "snapshot failed: {}", response.body);
     let json = response.json().expect("snapshot json");
     let Some(Json::Str(hex)) = json.get("state_digest") else {
-        panic!("snapshot missing state_digest: {}", json.to_string_compact());
+        panic!(
+            "snapshot missing state_digest: {}",
+            json.to_string_compact()
+        );
     };
     u64::from_str_radix(hex, 16).expect("hex digest")
 }
@@ -192,7 +193,9 @@ fn sigkilled_daemon_recovers_the_acknowledged_state_exactly() {
         );
         // Bank an answer for the first fresh pair so answers hit the log.
         if let Some(pair) = oracle_tick.report.new_assignments.first() {
-            let banked = remote.record_answer(pair.worker, pair.contribution).unwrap();
+            let banked = remote
+                .record_answer(pair.worker, pair.contribution)
+                .unwrap();
             assert_eq!(banked, oracle.record_answer(pair.worker, pair.contribution));
         }
     }
@@ -379,7 +382,10 @@ fn router_survives_a_daemon_killed_mid_run() {
             confidence: 0.9,
             available_from: 0.0,
         };
-        assert!(http.post("/workers", &worker.to_json()).unwrap().is_success());
+        assert!(http
+            .post("/workers", &worker.to_json())
+            .unwrap()
+            .is_success());
     }
     let tick = |http: &mut HttpClient, now: f64| {
         let body = Json::obj([("now", Json::Num(now))]);
@@ -430,6 +436,9 @@ fn router_survives_a_daemon_killed_mid_run() {
 
     // Reads still serve the surviving region.
     assert!(http.get("/snapshot").unwrap().is_success());
-    assert!(http.post("/admin/shutdown", &Json::obj([])).unwrap().is_success());
+    assert!(http
+        .post("/admin/shutdown", &Json::obj([]))
+        .unwrap()
+        .is_success());
     server.join();
 }

@@ -114,10 +114,13 @@ fn server_matches_offline_engine_on_the_same_event_stream() {
     // the offline engine ran on the reference grid — matching outputs here
     // is the router's and the index's determinism contracts observed end to
     // end over the wire.
-    assert_eq!(online, offline, "served assignments must equal the offline run");
+    assert_eq!(
+        online, offline,
+        "served assignments must equal the offline run"
+    );
 
-    let snapshot = SnapshotDto::from_json(&client.get("/snapshot").unwrap().json().unwrap())
-        .unwrap();
+    let snapshot =
+        SnapshotDto::from_json(&client.get("/snapshot").unwrap().json().unwrap()).unwrap();
     assert_eq!(snapshot.total_assignments as usize, online.len());
     assert_eq!(snapshot.live_tasks as usize, tasks.len());
     assert_eq!(snapshot.live_workers as usize, workers.len());
@@ -219,9 +222,7 @@ fn partitioned_server_matches_replica(remote_regions: usize) {
         offline_handle.submit(EngineEvent::TaskArrived(t.clone().into_task().unwrap()));
     }
     for w in &workers {
-        offline_handle.submit(EngineEvent::WorkerCheckIn(
-            w.clone().into_worker().unwrap(),
-        ));
+        offline_handle.submit(EngineEvent::WorkerCheckIn(w.clone().into_worker().unwrap()));
     }
     offline_handle.submit(EngineEvent::WorkerMoved(
         rdbsc_model::WorkerId(0),
@@ -244,10 +245,7 @@ fn partitioned_server_matches_replica(remote_regions: usize) {
     assert_eq!(snapshot.live_tasks as usize, tasks.len());
     assert_eq!(snapshot.live_workers as usize, workers.len());
     let metrics = client.get("/metrics").unwrap().json().unwrap();
-    assert_eq!(
-        metrics.get("partitions_count").unwrap().as_num(),
-        Some(2.0)
-    );
+    assert_eq!(metrics.get("partitions_count").unwrap().as_num(), Some(2.0));
     let partitions = metrics.get("partitions").unwrap().as_arr().unwrap();
     assert_eq!(partitions.len(), 2);
     assert_eq!(
@@ -305,10 +303,19 @@ fn auto_flush_assigns_without_explicit_ticks() {
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(assigned > 0.0, "the micro-batch flusher must tick on its own");
+    assert!(
+        assigned > 0.0,
+        "the micro-batch flusher must tick on its own"
+    );
 
     // Completing an answer frees the worker and banks the contribution.
-    let pair = &client.get("/assignments").unwrap().json().unwrap().as_arr().unwrap()[0]
+    let pair = &client
+        .get("/assignments")
+        .unwrap()
+        .json()
+        .unwrap()
+        .as_arr()
+        .unwrap()[0]
         .clone();
     let pair = AssignmentDto::from_json(pair).unwrap();
     let answer = Json::obj([
@@ -319,7 +326,10 @@ fn auto_flush_assigns_without_explicit_ticks() {
     ]);
     let response = client.post("/answers", &answer).unwrap();
     assert_eq!(response.status, 200);
-    assert_eq!(response.json().unwrap().get("banked"), Some(&Json::Bool(true)));
+    assert_eq!(
+        response.json().unwrap().get("banked"),
+        Some(&Json::Bool(true))
+    );
 
     server.shutdown();
     server.join();
@@ -397,7 +407,9 @@ fn bad_requests_get_400s_not_crashes() {
         .unwrap();
     assert_eq!(r.status, 400);
     // Valid JSON, missing fields.
-    let r = client.post("/tasks", &Json::obj([("id", Json::Num(1.0))])).unwrap();
+    let r = client
+        .post("/tasks", &Json::obj([("id", Json::Num(1.0))]))
+        .unwrap();
     assert_eq!(r.status, 400);
     // Valid fields, invalid model object (end < start).
     let mut bad = task_dto(1, 0.5, 0.5);
@@ -441,8 +453,16 @@ fn metrics_report_counters_and_latencies() {
     // The index's maintenance counters are scraped alongside the serving
     // counters.
     assert!(engine.get("index_relocations").unwrap().as_num().is_some());
-    assert!(engine.get("index_cells_repaired").unwrap().as_num().is_some());
-    assert!(engine.get("index_tcell_rebuilds").unwrap().as_num().is_some());
+    assert!(engine
+        .get("index_cells_repaired")
+        .unwrap()
+        .as_num()
+        .is_some());
+    assert!(engine
+        .get("index_tcell_rebuilds")
+        .unwrap()
+        .as_num()
+        .is_some());
 
     server.shutdown();
     server.join();

@@ -35,8 +35,7 @@ use rdbsc_platform::{
     TickReport, WalStats,
 };
 use rdbsc_server::{
-    connect_remote_partition, BinaryPartitionClient, PartitionDaemon, PartitiondConfig,
-    ServerError,
+    connect_remote_partition, BinaryPartitionClient, PartitionDaemon, PartitiondConfig, ServerError,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -289,7 +288,10 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 fn unhex(text: &str) -> Vec<u8> {
-    assert!(!text.is_empty() && text.len().is_multiple_of(2), "a literal is missing");
+    assert!(
+        !text.is_empty() && text.len().is_multiple_of(2),
+        "a literal is missing"
+    );
     (0..text.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&text[i..i + 2], 16).expect("hex digit"))
@@ -347,7 +349,9 @@ fn scripted_peer(replies: &'static [&'static str]) -> (String, JoinHandle<Vec<St
     let addr = listener.local_addr().unwrap().to_string();
     let peer = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         let mut requests = Vec::new();
         for reply in replies {
             requests.push(hex(&read_frame(&mut stream)));
@@ -365,8 +369,14 @@ fn unit_region() -> RegionPartition {
 #[test]
 fn attach_writes_the_handshake_literals_and_reads_the_replies() {
     let (addr, peer) = scripted_peer(&[HELLO_REPLY, CONFIGURE_REPLY]);
-    let attached =
-        connect_remote_partition(&addr, &unit_region(), 0, 0.1, &EngineConfig::default(), None);
+    let attached = connect_remote_partition(
+        &addr,
+        &unit_region(),
+        0,
+        0.1,
+        &EngineConfig::default(),
+        None,
+    );
     assert!(attached.is_ok(), "{:?}", attached.err());
     assert_eq!(peer.join().unwrap(), [HELLO_REQUEST, CONFIGURE_REQUEST]);
 }
@@ -377,10 +387,16 @@ fn attach_writes_the_handshake_literals_and_reads_the_replies() {
 #[test]
 fn a_daemon_without_the_hello_frame_is_refused_with_a_typed_conflict() {
     let (addr, peer) = scripted_peer(&[UNKNOWN_TAG_REPLY]);
-    let refusal =
-        connect_remote_partition(&addr, &unit_region(), 0, 0.1, &EngineConfig::default(), None)
-            .err()
-            .expect("a daemon without the Hello frame cannot be attached");
+    let refusal = connect_remote_partition(
+        &addr,
+        &unit_region(),
+        0,
+        0.1,
+        &EngineConfig::default(),
+        None,
+    )
+    .err()
+    .expect("a daemon without the Hello frame cannot be attached");
     match &refusal {
         ServerError::Conflict(why) => {
             assert!(why.contains(&addr), "{why}");
@@ -435,7 +451,9 @@ fn daemon_reads_the_request_literals_and_writes_the_recorded_replies() {
     .unwrap();
 
     let mut stream = TcpStream::connect(daemon.addr()).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let mut exchange = |request: &str| {
         stream.write_all(&unhex(request)).unwrap();
         read_frame(&mut stream)
@@ -447,7 +465,10 @@ fn daemon_reads_the_request_literals_and_writes_the_recorded_replies() {
     let mut tick = exchange(TICK_REQUEST);
     mask_tick_timings(&mut tick);
     assert_eq!(hex(&tick), DAEMON_TICK_REPLY);
-    assert_eq!(hex(&exchange(ASSIGNMENTS_REQUEST)), DAEMON_ASSIGNMENTS_REPLY);
+    assert_eq!(
+        hex(&exchange(ASSIGNMENTS_REQUEST)),
+        DAEMON_ASSIGNMENTS_REPLY
+    );
     assert_eq!(hex(&exchange(ANSWER_REQUEST)), ANSWER_REPLY);
     assert_eq!(hex(&exchange(RELEASE_REQUEST)), RELEASE_REPLY);
     assert_eq!(hex(&exchange(SNAPSHOT_REQUEST)), DAEMON_SNAPSHOT_REPLY);
@@ -455,7 +476,6 @@ fn daemon_reads_the_request_literals_and_writes_the_recorded_replies() {
     daemon.shutdown();
     daemon.join();
 }
-
 
 // ---------------------------------------------------------------------------
 // Replication. A primary answers the bootstrap, fetch and status requests of
@@ -548,8 +568,11 @@ fn await_reply(stream: &mut TcpStream, request: &str, want: &str) -> String {
 
 #[test]
 fn follower_writes_the_repl_request_literals_and_reads_the_reply_literals() {
-    let (primary, peer) =
-        scripted_peer(&[REPL_BOOTSTRAP_REPLY, REPL_FETCH_REPLY, REPL_FETCH_IDLE_REPLY]);
+    let (primary, peer) = scripted_peer(&[
+        REPL_BOOTSTRAP_REPLY,
+        REPL_FETCH_REPLY,
+        REPL_FETCH_IDLE_REPLY,
+    ]);
     let standby = PartitionDaemon::start(PartitiondConfig {
         addr: "127.0.0.1:0".to_string(),
         follow: Some(primary),
@@ -558,13 +581,19 @@ fn follower_writes_the_repl_request_literals_and_reads_the_reply_literals() {
     .unwrap();
     assert_eq!(
         peer.join().unwrap(),
-        [REPL_BOOTSTRAP_REQUEST, REPL_FETCH_REQUEST, REPL_FETCH_NEXT_REQUEST]
+        [
+            REPL_BOOTSTRAP_REQUEST,
+            REPL_FETCH_REQUEST,
+            REPL_FETCH_NEXT_REQUEST
+        ]
     );
 
     // The standby holds exactly what the replies carried: it reports the
     // recorded standby status and promotes to the recorded digest.
     let mut stream = TcpStream::connect(standby.addr()).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     assert_eq!(
         await_reply(&mut stream, REPL_STATUS_REQUEST, REPL_STATUS_STANDBY_REPLY),
         REPL_STATUS_STANDBY_REPLY
@@ -584,7 +613,9 @@ fn daemons_read_the_repl_request_literals_and_write_the_recorded_replies() {
     })
     .unwrap();
     let mut stream = TcpStream::connect(primary.addr()).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let mut exchange = |request: &str| {
         stream.write_all(&unhex(request)).unwrap();
         read_frame(&mut stream)
@@ -597,7 +628,10 @@ fn daemons_read_the_repl_request_literals_and_write_the_recorded_replies() {
     mask_tick_timings(&mut tick);
     assert_eq!(hex(&tick), DAEMON_TICK_REPLY);
     assert_eq!(hex(&exchange(REPL_FETCH_REQUEST)), REPL_FETCH_REPLY);
-    assert_eq!(hex(&exchange(REPL_STATUS_REQUEST)), REPL_STATUS_PRIMARY_REPLY);
+    assert_eq!(
+        hex(&exchange(REPL_STATUS_REQUEST)),
+        REPL_STATUS_PRIMARY_REPLY
+    );
 
     // A standby of this primary: once its own bootstrap is let in (after
     // the fetch above stops holding the stream), it reports the standby
@@ -609,7 +643,9 @@ fn daemons_read_the_repl_request_literals_and_write_the_recorded_replies() {
     })
     .unwrap();
     let mut stream = TcpStream::connect(standby.addr()).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     assert_eq!(
         await_reply(&mut stream, REPL_STATUS_REQUEST, REPL_STATUS_STANDBY_REPLY),
         REPL_STATUS_STANDBY_REPLY

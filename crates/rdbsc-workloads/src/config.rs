@@ -220,16 +220,10 @@ impl ExperimentConfig {
 
     /// Balance-weight sweep of Table 2.
     pub fn sweep_beta(base: &Self) -> Vec<(String, Self)> {
-        [
-            (0.0, 0.2),
-            (0.2, 0.4),
-            (0.4, 0.6),
-            (0.6, 0.8),
-            (0.8, 1.0),
-        ]
-        .iter()
-        .map(|&(lo, hi)| (format!("({lo},{hi}]"), base.with_beta_range(lo, hi)))
-        .collect()
+        [(0.0, 0.2), (0.2, 0.4), (0.4, 0.6), (0.6, 0.8), (0.8, 1.0)]
+            .iter()
+            .map(|&(lo, hi)| (format!("({lo},{hi}]"), base.with_beta_range(lo, hi)))
+            .collect()
     }
 }
 
@@ -262,7 +256,10 @@ mod tests {
         assert_eq!(ExperimentConfig::sweep_rt(&base).len(), 4);
         assert_eq!(ExperimentConfig::sweep_reliability(&base).len(), 4);
         assert_eq!(ExperimentConfig::sweep_tasks(&base, Scale::Paper).len(), 5);
-        assert_eq!(ExperimentConfig::sweep_workers(&base, Scale::Small).len(), 5);
+        assert_eq!(
+            ExperimentConfig::sweep_workers(&base, Scale::Small).len(),
+            5
+        );
         assert_eq!(ExperimentConfig::sweep_velocity(&base).len(), 4);
         assert_eq!(ExperimentConfig::sweep_angle(&base).len(), 5);
         assert_eq!(ExperimentConfig::sweep_beta(&base).len(), 5);

@@ -141,8 +141,7 @@ pub fn generate_metro_instance<R: Rng + ?Sized>(
             let center = centers[j % centers.len()];
             let speed = rng.gen_range(config.velocity_range.0..=config.velocity_range.1);
             let alpha_minus = rng.gen_range(0.0..std::f64::consts::TAU);
-            let width =
-                rng.gen_range(f64::EPSILON..=config.max_angle_range.max(f64::EPSILON));
+            let width = rng.gen_range(f64::EPSILON..=config.max_angle_range.max(f64::EPSILON));
             Worker::new(
                 WorkerId(0),
                 place(center, rng),
@@ -205,7 +204,10 @@ mod tests {
 
     #[test]
     fn one_city_degenerates_to_a_single_cluster() {
-        let config = MetroConfig::default().with_cities(1).with_tasks(50).with_workers(50);
+        let config = MetroConfig::default()
+            .with_cities(1)
+            .with_tasks(50)
+            .with_workers(50);
         let mut rng = StdRng::seed_from_u64(6);
         let instance = generate_metro_instance(&config, &mut rng);
         for t in &instance.tasks {

@@ -82,7 +82,10 @@ impl PeerRatingModel {
         users: &[RatedUser],
         rng: &mut R,
     ) -> Vec<Confidence> {
-        users.iter().map(|u| self.user_reliability(u, rng)).collect()
+        users
+            .iter()
+            .map(|u| self.user_reliability(u, rng))
+            .collect()
     }
 }
 
@@ -96,8 +99,14 @@ mod tests {
     fn photo_scores_track_latent_quality() {
         let model = PeerRatingModel::default();
         let mut rng = StdRng::seed_from_u64(1);
-        let good: f64 = (0..200).map(|_| model.score_photo(0.9, &mut rng)).sum::<f64>() / 200.0;
-        let bad: f64 = (0..200).map(|_| model.score_photo(0.3, &mut rng)).sum::<f64>() / 200.0;
+        let good: f64 = (0..200)
+            .map(|_| model.score_photo(0.9, &mut rng))
+            .sum::<f64>()
+            / 200.0;
+        let bad: f64 = (0..200)
+            .map(|_| model.score_photo(0.3, &mut rng))
+            .sum::<f64>()
+            / 200.0;
         assert!(good > bad + 0.3);
         assert!((good - 0.9).abs() < 0.1);
     }
@@ -126,7 +135,11 @@ mod tests {
             let c = model.user_reliability(&user, &mut rng);
             assert!((0.0..=1.0).contains(&c.value()));
             // Estimated reliability should land near the latent quality.
-            assert!((c.value() - q).abs() < 0.15, "quality {q} estimated as {}", c.value());
+            assert!(
+                (c.value() - q).abs() < 0.15,
+                "quality {q} estimated as {}",
+                c.value()
+            );
         }
     }
 

@@ -151,7 +151,9 @@ mod tests {
     #[test]
     fn full_simulated_real_instance_builds() {
         let gen = PoiGenerator::default();
-        let config = ExperimentConfig::small_default().with_tasks(100).with_workers(60);
+        let config = ExperimentConfig::small_default()
+            .with_tasks(100)
+            .with_workers(60);
         let mut rng = StdRng::seed_from_u64(4);
         let instance = gen.instance_with_trajectory_workers(&config, &mut rng);
         assert_eq!(instance.num_tasks(), 100);

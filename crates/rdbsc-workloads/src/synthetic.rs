@@ -25,8 +25,7 @@ pub fn sample_location<R: Rng + ?Sized>(distribution: Distribution, rng: &mut R)
         Distribution::Uniform => Point::new(rng.gen::<f64>(), rng.gen::<f64>()),
         Distribution::Skewed => {
             if rng.gen::<f64>() < 0.9 {
-                let normal: Normal<f64> =
-                    Normal::new(0.5, 0.2).expect("valid normal parameters");
+                let normal: Normal<f64> = Normal::new(0.5, 0.2).expect("valid normal parameters");
                 Point::new(
                     normal.sample(rng).clamp(0.0, 1.0),
                     normal.sample(rng).clamp(0.0, 1.0),
@@ -73,8 +72,13 @@ pub fn sample_worker<R: Rng + ?Sized>(config: &ExperimentConfig, rng: &mut R) ->
 }
 
 /// Generates a full problem instance for an experiment configuration.
-pub fn generate_instance<R: Rng + ?Sized>(config: &ExperimentConfig, rng: &mut R) -> ProblemInstance {
-    let tasks: Vec<Task> = (0..config.num_tasks).map(|_| sample_task(config, rng)).collect();
+pub fn generate_instance<R: Rng + ?Sized>(
+    config: &ExperimentConfig,
+    rng: &mut R,
+) -> ProblemInstance {
+    let tasks: Vec<Task> = (0..config.num_tasks)
+        .map(|_| sample_task(config, rng))
+        .collect();
     let workers: Vec<Worker> = (0..config.num_workers)
         .map(|_| sample_worker(config, rng))
         .collect();
@@ -163,13 +167,18 @@ mod tests {
             quadrants[q] += 1;
         }
         for q in quadrants {
-            assert!(q > 300, "quadrant too empty for a uniform distribution: {quadrants:?}");
+            assert!(
+                q > 300,
+                "quadrant too empty for a uniform distribution: {quadrants:?}"
+            );
         }
     }
 
     #[test]
     fn generation_is_deterministic_per_seed() {
-        let config = ExperimentConfig::small_default().with_tasks(50).with_workers(50);
+        let config = ExperimentConfig::small_default()
+            .with_tasks(50)
+            .with_workers(50);
         let a = generate_instance(&config, &mut rng(7));
         let b = generate_instance(&config, &mut rng(7));
         for (ta, tb) in a.tasks.iter().zip(b.tasks.iter()) {

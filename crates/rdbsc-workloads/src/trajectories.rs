@@ -24,7 +24,10 @@ pub struct Trajectory {
 impl Trajectory {
     /// Start point of the trajectory.
     pub fn start(&self) -> Point {
-        self.points.first().map(|(_, p)| *p).unwrap_or(Point::ORIGIN)
+        self.points
+            .first()
+            .map(|(_, p)| *p)
+            .unwrap_or(Point::ORIGIN)
     }
 
     /// Start time of the trajectory.
@@ -110,7 +113,8 @@ impl TrajectoryGenerator {
         let mut now = start_time;
         let mut here = start;
         for _ in 0..n {
-            let turn = (1.0 - self.persistence) * rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
+            let turn = (1.0 - self.persistence)
+                * rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
             heading += turn;
             let leg = diag * rng.gen_range(self.leg_length.0..=self.leg_length.1);
             let next = self.bbox.clamp_point(here.translate_polar(heading, leg));
@@ -224,7 +228,10 @@ mod tests {
             let t = gen.sample_trajectory(&config(), &mut rng);
             let sector = t.enclosing_sector();
             for (_, p) in t.points.iter().skip(1) {
-                assert!(sector.contains(*p), "sector must contain trajectory point {p}");
+                assert!(
+                    sector.contains(*p),
+                    "sector must contain trajectory point {p}"
+                );
             }
         }
     }
@@ -259,7 +266,10 @@ mod tests {
                 narrow += 1;
             }
         }
-        assert!(narrow as f64 > 0.6 * total as f64, "only {narrow}/{total} sectors narrow");
+        assert!(
+            narrow as f64 > 0.6 * total as f64,
+            "only {narrow}/{total} sectors narrow"
+        );
     }
 
     #[test]

@@ -12,7 +12,13 @@ fn main() {
     println!("gMission-style deployment: 5 sites, 10 users, 15-minute task openings\n");
     println!(
         "{:>10} {:>8} {:>10} {:>16} {:>12} {:>14} {:>10}",
-        "t_interval", "rounds", "answers", "min reliability", "total_STD", "mean accuracy", "coverage"
+        "t_interval",
+        "rounds",
+        "answers",
+        "min reliability",
+        "total_STD",
+        "mean accuracy",
+        "coverage"
     );
 
     // Sweep the update interval from 1 to 4 minutes, as in Figure 18.

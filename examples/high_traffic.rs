@@ -16,8 +16,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdbsc::prelude::*;
 use rdbsc::platform::engine::{AssignmentEngine, EngineConfig, EngineEvent};
+use rdbsc::prelude::*;
 use std::time::Instant;
 
 fn main() {

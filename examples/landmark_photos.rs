@@ -37,12 +37,12 @@ fn main() {
         .with_available_from(check_in)
     };
     let workers = vec![
-        make(0.20, 0.50, 0.0, 0.90, 18.5),        // w1: from the west, daytime
-        make(0.50, 0.15, PI / 2.0, 0.85, 18.8),   // w2: from the south
-        make(0.85, 0.50, PI, 0.80, 19.0),         // w3: from the east
-        make(0.25, 0.45, 0.1, 0.95, 20.2),        // w4: also from the west, but at night
-        make(0.80, 0.55, PI - 0.1, 0.75, 19.3),   // w5: from the east
-        make(0.50, 0.95, 1.5 * PI, 0.70, 19.2),   // w6: from the north
+        make(0.20, 0.50, 0.0, 0.90, 18.5), // w1: from the west, daytime
+        make(0.50, 0.15, PI / 2.0, 0.85, 18.8), // w2: from the south
+        make(0.85, 0.50, PI, 0.80, 19.0),  // w3: from the east
+        make(0.25, 0.45, 0.1, 0.95, 20.2), // w4: also from the west, but at night
+        make(0.80, 0.55, PI - 0.1, 0.75, 19.3), // w5: from the east
+        make(0.50, 0.95, 1.5 * PI, 0.70, 19.2), // w6: from the north
     ];
 
     let instance = ProblemInstance::new(vec![statue], workers, 0.6);
@@ -82,12 +82,7 @@ fn main() {
         .iter()
         .map(|(_, _, c)| (c.angle, c.arrival))
         .collect();
-    let coverage = coverage_report(
-        &answers,
-        instance.tasks[0].window,
-        FRAC_PI_3,
-        0.5,
-    );
+    let coverage = coverage_report(&answers, instance.tasks[0].window, FRAC_PI_3, 0.5);
     println!(
         "angular coverage          : {:.0}% of the statue's sides",
         coverage.angular * 100.0
@@ -106,7 +101,8 @@ fn main() {
         naive.assign_pair(pair).expect("workers are unassigned");
     }
     let naive_value = evaluate(&instance, &naive);
-    let naive_answers: Vec<(f64, f64)> = naive.iter().map(|(_, _, c)| (c.angle, c.arrival)).collect();
+    let naive_answers: Vec<(f64, f64)> =
+        naive.iter().map(|(_, _, c)| (c.angle, c.arrival)).collect();
     let naive_coverage = coverage_report(&naive_answers, instance.tasks[0].window, FRAC_PI_3, 0.5);
     println!(
         "\nnaive 'two most reliable' policy: reliability {:.4}, diversity {:.4}, angular coverage {:.0}%",
@@ -125,7 +121,11 @@ fn main() {
         instance.tasks[0].window,
         &rdbsc::model::aggregation::AggregationConfig::default(),
     );
-    println!("\nanswer aggregation: {} photos -> {} representative views", contributions.len(), groups.len());
+    println!(
+        "\nanswer aggregation: {} photos -> {} representative views",
+        contributions.len(),
+        groups.len()
+    );
     for (i, group) in groups.iter().enumerate() {
         println!(
             "  view {} — {} photo(s), mean angle {:>6.1}°, mean time {:>5.2} h",

@@ -87,8 +87,10 @@ fn main() {
     }
 
     let merged = engine.snapshot();
-    println!("\nmerged snapshot: {} live tasks, {} live workers, {} answers banked",
-        merged.live_tasks, merged.live_workers, merged.banked_answers);
+    println!(
+        "\nmerged snapshot: {} live tasks, {} live workers, {} answers banked",
+        merged.live_tasks, merged.live_workers, merged.banked_answers
+    );
     for (i, snap) in engine.partition_snapshots().iter().enumerate() {
         println!(
             "  partition {i}: {:>3} tasks, {:>3} workers, {:>4} answers",
@@ -101,13 +103,8 @@ fn main() {
     // --- The determinism contract: 1 partition == the plain engine --------
     let single = RegionPartition::single(geometry);
     let rect = single.region_rect(0);
-    let mut plain = AssignmentEngine::new(
-        FlatGridIndex::new(rect, CELL),
-        engine_config.clone(),
-    );
-    let mut one = PartitionedEngine::build(single, engine_config, |r| {
-        FlatGridIndex::new(r, CELL)
-    });
+    let mut plain = AssignmentEngine::new(FlatGridIndex::new(rect, CELL), engine_config.clone());
+    let mut one = PartitionedEngine::build(single, engine_config, |r| FlatGridIndex::new(r, CELL));
     plain.submit_all(instance.tasks.iter().map(|t| EngineEvent::TaskArrived(*t)));
     plain.submit_all(
         instance

@@ -33,7 +33,11 @@ fn main() {
     println!(
         "valid pairs: {} ({} connected workers) in {:?}",
         candidates.num_pairs(),
-        candidates.by_worker.iter().filter(|a| !a.is_empty()).count(),
+        candidates
+            .by_worker
+            .iter()
+            .filter(|a| !a.is_empty())
+            .count(),
         started.elapsed()
     );
 

@@ -70,19 +70,16 @@ pub use rdbsc_workloads as workloads;
 pub mod prelude {
     pub use rdbsc_algos::{
         divide_and_conquer, exact_best, greedy, ground_truth, max_task_coverage_assignment,
-        nearest_task_assignment, sampling, DncConfig, ExactConfig, GreedyConfig,
-        GroundTruthConfig, IncrementalAssigner, IncrementalConfig, SamplingConfig, SolveRequest,
-        Solver,
+        nearest_task_assignment, sampling, DncConfig, ExactConfig, GreedyConfig, GroundTruthConfig,
+        IncrementalAssigner, IncrementalConfig, SamplingConfig, SolveRequest, Solver,
     };
     pub use rdbsc_geo::{AngleRange, MotionModel, Point, Rect, Sector};
-    pub use rdbsc_index::{
-        FlatGridIndex, GridIndex, GridStats, MaintenanceCounters, SpatialIndex,
-    };
+    pub use rdbsc_index::{FlatGridIndex, GridIndex, GridStats, MaintenanceCounters, SpatialIndex};
     pub use rdbsc_model::{
-        aggregate_answers, compute_valid_pairs, evaluate, expected_std, reliability, spatial_diversity,
-        std_diversity, temporal_diversity, Assignment, BipartiteCandidates, Confidence,
-        Contribution, ObjectiveValue, ProblemInstance, Task, TaskId, TaskPriors, TimeWindow,
-        ValidPair, Worker, WorkerId,
+        aggregate_answers, compute_valid_pairs, evaluate, expected_std, reliability,
+        spatial_diversity, std_diversity, temporal_diversity, Assignment, BipartiteCandidates,
+        Confidence, Contribution, ObjectiveValue, ProblemInstance, Task, TaskId, TaskPriors,
+        TimeWindow, ValidPair, Worker, WorkerId,
     };
     pub use rdbsc_platform::{
         AssignmentEngine, EngineConfig, EngineEvent, EngineHandle, PlatformConfig, PlatformSim,

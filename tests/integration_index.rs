@@ -116,7 +116,10 @@ fn both_backends_agree_on_generated_workloads() {
             stream(&from_flat),
             "backends diverged for {distribution:?}"
         );
-        assert_eq!(pair_set(&from_flat), pair_set(&compute_valid_pairs(&instance)));
+        assert_eq!(
+            pair_set(&from_flat),
+            pair_set(&compute_valid_pairs(&instance))
+        );
     }
 }
 
@@ -132,11 +135,17 @@ fn solvers_work_identically_from_index_and_bruteforce_candidates() {
     // objective values rather than the assignments themselves.
     let g_brute = evaluate(
         &instance,
-        &greedy(&SolveRequest::new(&instance, &brute), &GreedyConfig::default()),
+        &greedy(
+            &SolveRequest::new(&instance, &brute),
+            &GreedyConfig::default(),
+        ),
     );
     let g_index = evaluate(
         &instance,
-        &greedy(&SolveRequest::new(&instance, &indexed), &GreedyConfig::default()),
+        &greedy(
+            &SolveRequest::new(&instance, &indexed),
+            &GreedyConfig::default(),
+        ),
     );
     assert_eq!(g_brute.assigned_workers, g_index.assigned_workers);
     assert!((g_brute.min_reliability - g_index.min_reliability).abs() < 1e-6);

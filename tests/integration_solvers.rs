@@ -156,11 +156,19 @@ fn priors_are_respected_across_the_whole_pipeline() {
     let mut priors = TaskPriors::empty(instance.num_tasks());
     priors.add(
         TaskId(0),
-        Contribution::new(Confidence::new(0.95).unwrap(), 1.0, instance.tasks[0].window.start),
+        Contribution::new(
+            Confidence::new(0.95).unwrap(),
+            1.0,
+            instance.tasks[0].window.start,
+        ),
     );
     priors.add(
         TaskId(0),
-        Contribution::new(Confidence::new(0.9).unwrap(), 4.0, instance.tasks[0].window.end),
+        Contribution::new(
+            Confidence::new(0.9).unwrap(),
+            4.0,
+            instance.tasks[0].window.end,
+        ),
     );
     let request = SolveRequest::new(&instance, &candidates).with_priors(&priors);
     for solver in Solver::paper_lineup() {

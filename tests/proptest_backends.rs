@@ -99,13 +99,11 @@ fn apply<I: SpatialIndex>(index: &mut I, op: Op, now: &mut f64) {
         Op::MoveTask(id, x, y) => index.relocate_task(TaskId(id), Point::new(x, y)),
         Op::RemoveWorker(id) => index.remove_worker(WorkerId(id)),
         Op::RemoveTask(id) => index.remove_task(TaskId(id)),
-        Op::InsertTask(id, x, y, start, len) => index.insert_task(
-            Task::new(
-                TaskId(id),
-                Point::new(x, y),
-                TimeWindow::new(start, start + len).unwrap(),
-            ),
-        ),
+        Op::InsertTask(id, x, y, start, len) => index.insert_task(Task::new(
+            TaskId(id),
+            Point::new(x, y),
+            TimeWindow::new(start, start + len).unwrap(),
+        )),
         Op::InsertWorker(id, x, y, speed, heading) => index.insert_worker(
             Worker::new(
                 WorkerId(id),

@@ -25,6 +25,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdbsc::platform::engine::{AssignmentEngine, EngineConfig, EngineEvent};
+use rdbsc::platform::repl::{FOLLOWER_LIVENESS, FOLLOW_BATCH};
 use rdbsc::platform::wal::{
     decode_command, encode_command, encode_partition_state, FailpointWriter, FaultPlan,
     SegmentFactory, Wal, WalConfig, WalFile, WalRecord,
@@ -33,7 +34,6 @@ use rdbsc::platform::{
     EnginePartition, PartitionCommand, PartitionState, Poll, ReplEngine, ReplFailure, ReplReply,
     ReplRequest, Replication,
 };
-use rdbsc::platform::repl::{FOLLOWER_LIVENESS, FOLLOW_BATCH};
 use rdbsc::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,7 +143,10 @@ fn fresh_index() -> FlatGridIndex {
 }
 
 fn fresh_primary() -> EnginePartition<FlatGridIndex> {
-    EnginePartition::new(AssignmentEngine::new(fresh_index(), EngineConfig::default()))
+    EnginePartition::new(AssignmentEngine::new(
+        fresh_index(),
+        EngineConfig::default(),
+    ))
 }
 
 /// An engine slot for [`Replication`]: the partition (once there is one)
@@ -155,7 +158,9 @@ impl ReplEngine for Slot {
     type Index = FlatGridIndex;
 
     fn configured(&mut self) -> Option<(&mut EnginePartition<FlatGridIndex>, &str)> {
-        self.0.as_mut().map(|(part, configure)| (part, configure.as_str()))
+        self.0
+            .as_mut()
+            .map(|(part, configure)| (part, configure.as_str()))
     }
 
     fn install(&mut self, configure: &str, state: PartitionState) -> Result<(), String> {
@@ -207,7 +212,10 @@ impl Pair {
     fn answer(&mut self, request: ReplRequest) -> Result<ReplReply, ReplFailure> {
         let (repl, slot) = &mut self.primary;
         repl.serve(self.now, request, slot)
-            .map_err(|detail| ReplFailure::Refused { status: 409, detail })
+            .map_err(|detail| ReplFailure::Refused {
+                status: 409,
+                detail,
+            })
     }
 
     /// Hands `reply` to the follower.

@@ -152,7 +152,9 @@ fn random_records(seed: u64, n: usize) -> Vec<WalRecord> {
                     .map(|_| random_event(&mut rng, &mut next_id, i as f64))
                     .collect(),
             ),
-            1 => PartitionCommand::Tick { now: i as f64 * 0.25 },
+            1 => PartitionCommand::Tick {
+                now: i as f64 * 0.25,
+            },
             2 => PartitionCommand::Answer {
                 worker: WorkerId(rng.gen_range(0..64)),
                 contribution: Contribution::new(

@@ -80,7 +80,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// The checkpointed state: every worker checked in and ticked once.
 fn checkpoint() -> PartitionState {
-    let mut part = Partition::new(AssignmentEngine::new(fresh_index(), EngineConfig::default()));
+    let mut part = Partition::new(AssignmentEngine::new(
+        fresh_index(),
+        EngineConfig::default(),
+    ));
     part.submit(
         (0..WORKERS)
             .map(|j| {
@@ -130,9 +133,13 @@ fn write_log(dir: &Path, state: &PartitionState, submits: u32) {
 fn recovery_peak(dir: &Path, submits: u32) -> usize {
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
-    let (part, scan) =
-        Partition::open_durable(dir, WalConfig::default(), EngineConfig::default(), fresh_index)
-            .unwrap();
+    let (part, scan) = Partition::open_durable(
+        dir,
+        WalConfig::default(),
+        EngineConfig::default(),
+        fresh_index,
+    )
+    .unwrap();
     let peak = PEAK.load(Ordering::Relaxed) - baseline;
     assert!(!scan.found_damage());
     let stats = part.wal_stats().unwrap();

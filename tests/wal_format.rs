@@ -108,7 +108,10 @@ fn file_names(dir: &Path) -> Vec<std::ffi::OsString> {
 
 #[test]
 fn a_data_dir_written_by_the_previous_build_recovers_digest_identical() {
-    assert_eq!(SEGMENT_VERSION, 1, "a format bump needs a new fixture, not an edit");
+    assert_eq!(
+        SEGMENT_VERSION, 1,
+        "a format bump needs a new fixture, not an edit"
+    );
     let dir = scratch_dir("recover");
     std::fs::create_dir_all(&dir).unwrap();
     for name in file_names(&fixture_dir()) {
@@ -121,7 +124,10 @@ fn a_data_dir_written_by_the_previous_build_recovers_digest_identical() {
     kinds.dedup();
     assert_eq!(kinds[0], "checkpoint");
     for kind in ["events", "tick", "answer", "release"] {
-        assert!(kinds.contains(&kind), "the tail holds a {kind} record: {kinds:?}");
+        assert!(
+            kinds.contains(&kind),
+            "the tail holds a {kind} record: {kinds:?}"
+        );
     }
 
     let (recovered, _) =
