@@ -28,13 +28,14 @@
 //!   and the rest rebuild it on a buffer truncated back to the
 //!   already-merged base.
 
-use crate::sampling::{best_sample, ActiveTask, SamplingConfig, SamplingScratch};
+use crate::sampling::{assignment_of, ActiveTask, Draw, SamplingConfig, Valuer};
 use crate::solver::SolveRequest;
 use crate::valuation::MAX_MEMBERS;
 use rand::Rng;
 use rdbsc_cluster::balanced_two_way_split;
 use rdbsc_model::objective::{task_expected_std_with, task_reliability_of};
 use rdbsc_model::{Assignment, Contribution, TaskId, WorkerId};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Configuration of the divide-and-conquer solver.
 #[derive(Debug, Clone, Copy)]
@@ -69,17 +70,24 @@ const OUTSIDE: u8 = 0;
 /// "No conflicting worker seen yet" in [`Workspace::last_conflict`].
 const NONE: usize = usize::MAX;
 
-/// Buffers shared by every node of one solve. The dense tables are indexed
-/// by task and hold their neutral value between uses.
+/// Buffers of the calling thread, shared by every node of one solve. The
+/// dense tables are indexed by task and hold their neutral value between
+/// uses.
 struct Workspace {
-    sampling: SamplingScratch,
+    /// Values the leaves the calling thread keeps, then the merges.
+    valuer: Valuer,
+    /// The buffer the next leaf is drawn into.
+    spare: Leaf,
     /// Which part of the node at hand a task belongs to: [`OUTSIDE`], or 1
     /// or 2 for the halves of a split (1 for the tasks of a leaf).
     side: Vec<u8>,
     /// The tasks holding priors, ascending.
     prior_tasks: Vec<ActiveTask>,
-    /// The tasks a leaf's samples are evaluated over.
-    active: Vec<ActiveTask>,
+    /// The tree walked so far, in pre-order.
+    nodes: Vec<Node>,
+    /// Per leaf, in pre-order: the pair indices of its best sample, once
+    /// valued.
+    winners: Vec<Vec<u32>>,
     /// During a merge: the last conflicting worker (as an index into the
     /// merge's conflict list) seen on a task.
     last_conflict: Vec<usize>,
@@ -90,17 +98,19 @@ struct Workspace {
 impl Workspace {
     fn new(request: &SolveRequest<'_>) -> Self {
         let num_tasks = request.instance.num_tasks();
-        let mut sampling = SamplingScratch::default();
+        let mut valuer = Valuer::default();
         let prior_tasks = (0..num_tasks)
             .map(TaskId::from)
             .filter(|&t| !request.priors_of(t).is_empty())
-            .map(|t| ActiveTask::new(request, t, &mut sampling.expected))
+            .map(|t| ActiveTask::new(request, t, &mut valuer.expected))
             .collect();
         Self {
-            sampling,
+            valuer,
+            spare: Leaf::default(),
             side: vec![OUTSIDE; num_tasks],
             prior_tasks,
-            active: Vec::new(),
+            nodes: Vec::new(),
+            winners: Vec::new(),
             last_conflict: vec![NONE; num_tasks],
             affected_sets: Vec::new(),
         }
@@ -128,7 +138,124 @@ struct Landing {
     contribution: Contribution,
 }
 
+/// A node of the walked tree.
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    /// Followed by its first half's subtree, then its second half's.
+    Split,
+    Leaf,
+}
+
+/// One leaf's sub-problem, drawn and waiting to be valued.
+#[derive(Debug, Default)]
+struct Leaf {
+    /// Its place among the leaves, in pre-order.
+    number: usize,
+    /// The tasks its samples are valued over, ascending.
+    tasks: Vec<ActiveTask>,
+    draw: Draw,
+}
+
+impl Leaf {
+    /// The pair indices of the leaf's best sample.
+    fn value(&self, request: &SolveRequest<'_>, valuer: &mut Valuer) -> Vec<u32> {
+        valuer
+            .best(request, &self.tasks, &self.draw)
+            .map(|best| self.draw.sample(best))
+            .unwrap_or_default()
+    }
+}
+
+/// The drawn leaves handed to helper threads, and what comes back. At most
+/// one leaf waits in the queue, so with `h` helpers at most `h + 2` drawn
+/// leaves exist at once: one per helper, the queued one and the one the
+/// calling thread holds.
+#[derive(Default)]
+struct Pool {
+    state: Mutex<PoolState>,
+    queued: Condvar,
+}
+
+#[derive(Default)]
+struct PoolState {
+    queue: Option<Leaf>,
+    /// No more leaves will be queued.
+    closed: bool,
+    /// `(leaf number, winners)` of the leaves valued by helpers.
+    valued: Vec<(usize, Vec<u32>)>,
+    /// Buffers of valued leaves, to draw the next ones into.
+    spare: Vec<Leaf>,
+}
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().expect("D&C pool lock")
+    }
+
+    /// Queues `leaf` and returns a buffer for the next one, or hands `leaf`
+    /// back when a leaf is queued already.
+    fn offer(&self, leaf: Leaf) -> Result<Leaf, Leaf> {
+        let mut state = self.lock();
+        if state.queue.is_some() {
+            return Err(leaf);
+        }
+        state.queue = Some(leaf);
+        let spare = state.spare.pop().unwrap_or_default();
+        drop(state);
+        self.queued.notify_one();
+        Ok(spare)
+    }
+
+    /// The queued leaf, if any, without waiting.
+    fn take(&self) -> Option<Leaf> {
+        self.lock().queue.take()
+    }
+
+    /// A helper's loop: value queued leaves until the pool closes.
+    fn help(&self, request: &SolveRequest<'_>) {
+        let mut valuer = Valuer::default();
+        let mut state = self.lock();
+        loop {
+            if let Some(leaf) = state.queue.take() {
+                drop(state);
+                let winners = leaf.value(request, &mut valuer);
+                state = self.lock();
+                state.valued.push((leaf.number, winners));
+                state.spare.push(leaf);
+            } else if state.closed {
+                return;
+            } else {
+                state = self.queued.wait(state).expect("D&C pool lock");
+            }
+        }
+    }
+}
+
+/// Closes the pool when dropped — the helpers stop once the queue is
+/// empty — also when the walk unwinds.
+struct CloseOnDrop<'a>(&'a Pool);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        // A poisoned lock means a helper panicked; the scope reports it.
+        if let Ok(mut state) = self.0.state.lock() {
+            state.closed = true;
+        }
+        self.0.queued.notify_all();
+    }
+}
+
 /// Runs the divide-and-conquer solver.
+///
+/// The calling thread walks the tree: it splits each node and draws each
+/// leaf's samples in the order of the recursion of Figure 6, so the
+/// generator is consumed the same way at any thread count. With
+/// [`SolveRequest::threads`] above 1, drawn leaves go to
+/// `threads − 1` helpers through a one-slot queue; when the slot is taken
+/// the calling thread values the leaf itself. `SA_Merge` then runs over
+/// the walked tree, bottom-up in the recursion's order, on the calling
+/// thread. A leaf's best sample depends on its picks alone, so the
+/// assignment is the same at any thread count.
 pub fn divide_and_conquer<R: Rng + ?Sized>(
     request: &SolveRequest<'_>,
     config: &DncConfig,
@@ -138,78 +265,145 @@ pub fn divide_and_conquer<R: Rng + ?Sized>(
     let all_tasks: Vec<TaskId> = instance.tasks.iter().map(|t| t.id).collect();
     let all_workers: Vec<WorkerId> = instance.workers.iter().map(|w| w.id).collect();
     let mut workspace = Workspace::new(request);
-    solve_recursive(
+    let root_is_leaf = all_tasks.len() <= config.gamma.max(1) || config.max_depth == 0;
+    if request.threads <= 1 || root_is_leaf {
+        walk(
+            request,
+            config,
+            &all_tasks,
+            &all_workers,
+            0,
+            &mut workspace,
+            None,
+            rng,
+        );
+    } else {
+        let pool = Pool::default();
+        std::thread::scope(|scope| {
+            let _close = CloseOnDrop(&pool);
+            let (pool, request) = (&pool, request);
+            let helpers = (1..request.threads)
+                .take_while(|_| {
+                    std::thread::Builder::new()
+                        .name("rdbsc-dnc".into())
+                        .spawn_scoped(scope, move || pool.help(request))
+                        .is_ok()
+                })
+                .count();
+            let pool = (helpers > 0).then_some(pool);
+            walk(
+                request,
+                config,
+                &all_tasks,
+                &all_workers,
+                0,
+                &mut workspace,
+                pool,
+                rng,
+            );
+            if let Some(pool) = pool {
+                while let Some(leaf) = pool.take() {
+                    workspace.winners[leaf.number] = leaf.value(request, &mut workspace.valuer);
+                }
+            }
+        });
+        let state = pool.state.into_inner().expect("D&C pool lock");
+        for (number, winners) in state.valued {
+            workspace.winners[number] = winners;
+        }
+    }
+
+    let nodes = std::mem::take(&mut workspace.nodes);
+    let winners = std::mem::take(&mut workspace.winners);
+    merge_tree(
         request,
         config,
-        &all_tasks,
-        &all_workers,
-        0,
+        &mut nodes.into_iter(),
+        &mut winners.into_iter(),
         &mut workspace,
-        rng,
     )
 }
 
-/// Solves a sub-problem directly: the sampling solver on the candidate pairs
-/// between `workers` and `tasks`.
+/// Draws a leaf — the sampling solver's draw on the candidate pairs between
+/// `workers` and `tasks` — and values it here or hands it to the pool.
 fn solve_leaf<R: Rng + ?Sized>(
     request: &SolveRequest<'_>,
     config: &DncConfig,
     tasks: &[TaskId],
     workers: &[WorkerId],
     workspace: &mut Workspace,
+    pool: Option<&Pool>,
     rng: &mut R,
-) -> Assignment {
+) {
     let candidates = request.candidates;
-    let Workspace {
-        sampling,
-        side,
-        prior_tasks,
-        active,
-        ..
-    } = workspace;
+    let mut leaf = std::mem::take(&mut workspace.spare);
+    leaf.number = workspace.winners.len();
+    workspace.winners.push(Vec::new());
+    workspace.nodes.push(Node::Leaf);
+
+    let side = &mut workspace.side;
     for t in tasks {
         side[t.index()] = 1;
     }
-    sampling.adjacency.clear();
+    leaf.draw.adjacency.clear();
     for w in workers {
-        sampling.adjacency.push_row(
+        leaf.draw.adjacency.push_row(
             candidates.by_worker[w.index()]
                 .iter()
                 .copied()
                 .filter(|&idx| side[candidates.pairs[idx].task.index()] != OUTSIDE),
         );
     }
-    // A sample is valued over the whole instance: the leaf's tasks plus
-    // every other task holding priors, in ascending id.
-    active.clear();
-    active.extend(
-        prior_tasks
-            .iter()
-            .filter(|a| side[a.task.index()] == OUTSIDE),
-    );
-    active.extend(
-        tasks
-            .iter()
-            .map(|&t| ActiveTask::new(request, t, &mut sampling.expected)),
-    );
-    active.sort_unstable_by_key(|a| a.task);
     for t in tasks {
         side[t.index()] = OUTSIDE;
     }
-    best_sample(request, &config.sampling, active, sampling, rng)
+    // A sample is valued over the whole instance: the leaf's tasks plus
+    // every other task holding priors, in ascending id. A leaf task with
+    // priors is among the prior tasks already.
+    leaf.tasks.clear();
+    leaf.tasks.extend_from_slice(&workspace.prior_tasks);
+    leaf.tasks.extend(
+        tasks
+            .iter()
+            .filter(|&&t| request.priors_of(t).is_empty())
+            .map(|&task| ActiveTask {
+                task,
+                priors_alone: None,
+            }),
+    );
+    leaf.tasks.sort_unstable_by_key(|a| a.task);
+    leaf.draw.draw(&config.sampling, rng);
+
+    if leaf.draw.samples() > 0 {
+        if let Some(pool) = pool {
+            match pool.offer(leaf) {
+                Ok(spare) => {
+                    workspace.spare = spare;
+                    return;
+                }
+                Err(back) => leaf = back,
+            }
+        }
+        workspace.winners[leaf.number] = leaf.value(request, &mut workspace.valuer);
+    }
+    workspace.spare = leaf;
 }
 
-fn solve_recursive<R: Rng + ?Sized>(
+/// Walks the sub-problem's tree: splits it (`BG_Partition`) or draws it as
+/// a leaf, recording each node in `workspace.nodes`.
+#[allow(clippy::too_many_arguments)]
+fn walk<R: Rng + ?Sized>(
     request: &SolveRequest<'_>,
     config: &DncConfig,
     tasks: &[TaskId],
     workers: &[WorkerId],
     depth: usize,
     workspace: &mut Workspace,
+    pool: Option<&Pool>,
     rng: &mut R,
-) -> Assignment {
+) {
     if tasks.len() <= config.gamma.max(1) || depth >= config.max_depth {
-        return solve_leaf(request, config, tasks, workers, workspace, rng);
+        return solve_leaf(request, config, tasks, workers, workspace, pool, rng);
     }
 
     // ---- BG_Partition ----------------------------------------------------
@@ -219,7 +413,7 @@ fn solve_recursive<R: Rng + ?Sized>(
         .collect();
     let (idx1, idx2) = balanced_two_way_split(&points, rng);
     if idx1.is_empty() || idx2.is_empty() {
-        return solve_leaf(request, config, tasks, workers, workspace, rng);
+        return solve_leaf(request, config, tasks, workers, workspace, pool, rng);
     }
     let t1: Vec<TaskId> = idx1.iter().map(|&i| tasks[i]).collect();
     let t2: Vec<TaskId> = idx2.iter().map(|&i| tasks[i]).collect();
@@ -260,11 +454,28 @@ fn solve_recursive<R: Rng + ?Sized>(
     }
 
     // ---- Recurse ----------------------------------------------------------
-    let s1 = solve_recursive(request, config, &t1, &w1, depth + 1, workspace, rng);
-    let s2 = solve_recursive(request, config, &t2, &w2, depth + 1, workspace, rng);
+    workspace.nodes.push(Node::Split);
+    walk(request, config, &t1, &w1, depth + 1, workspace, pool, rng);
+    walk(request, config, &t2, &w2, depth + 1, workspace, pool, rng);
+}
 
-    // ---- SA_Merge ----------------------------------------------------------
-    merge_answers(request, config, &s1, &s2, workspace)
+/// The answer of the subtree whose pre-order walk `nodes` continues with:
+/// a leaf's best sample, or `SA_Merge` of a split's two answers.
+fn merge_tree(
+    request: &SolveRequest<'_>,
+    config: &DncConfig,
+    nodes: &mut impl Iterator<Item = Node>,
+    winners: &mut impl Iterator<Item = Vec<u32>>,
+    workspace: &mut Workspace,
+) -> Assignment {
+    match nodes.next().expect("a split is followed by both halves") {
+        Node::Leaf => assignment_of(request, winners.next().expect("one winner per leaf")),
+        Node::Split => {
+            let s1 = merge_tree(request, config, nodes, winners, workspace);
+            let s2 = merge_tree(request, config, nodes, winners, workspace);
+            merge_answers(request, config, &s1, &s2, workspace)
+        }
+    }
 }
 
 /// Merges the answers of two subproblems by resolving conflicting workers.
@@ -424,9 +635,24 @@ fn resolve_group(
     // copy). A task's value depends on the choices of the workers landing on
     // it only, which most of the 2^k vectors share: the memo is keyed by
     // those.
-    let expected = &mut workspace.sampling.expected;
-    let memo = &mut workspace.sampling.memo;
-    memo.begin();
+    // Enumeration evaluates `2^k` choice vectors, the fallback two per
+    // worker; a task sees at most `2^landings` of them differently.
+    let enumerate =
+        group.len() <= config.max_group_enumeration && group.len() < usize::BITS as usize;
+    let choices = if enumerate {
+        1usize << group.len()
+    } else {
+        2 * group.len()
+    };
+    let expected = &mut workspace.valuer.expected;
+    let memo = &mut workspace.valuer.memo;
+    memo.begin(
+        sets.iter()
+            .map(|set| set.landings.len())
+            .filter(|&landings| landings <= MAX_MEMBERS)
+            .map(|landings| 1usize.checked_shl(landings as u32).unwrap_or(usize::MAX))
+            .fold(0usize, |keys, sets| keys.saturating_add(sets.min(choices))),
+    );
     let mut evaluate_choice = |second: &[bool]| -> (f64, f64) {
         let mut min_rel = f64::INFINITY;
         let mut total_std = 0.0;
@@ -463,7 +689,7 @@ fn resolve_group(
         }
         (min_rel, total_std)
     };
-    let ranker = &mut workspace.sampling.ranker;
+    let ranker = &mut workspace.valuer.ranker;
     let mut second = vec![false; group.len()];
     let set_mask = |second: &mut [bool], mask: usize| {
         for (i, s) in second.iter_mut().enumerate() {
@@ -471,7 +697,7 @@ fn resolve_group(
         }
     };
     // `1 << k` must fit a `usize` whatever the configured limit.
-    if group.len() <= config.max_group_enumeration && group.len() < usize::BITS as usize {
+    if enumerate {
         // Exhaustive enumeration of the 2^k copy choices, as the bits of a
         // mask.
         let options: Vec<(f64, f64)> = (0..(1usize << group.len()))

@@ -97,4 +97,4 @@ pub use gtruth::{ground_truth, GroundTruthConfig};
 pub use incremental::{IncrementalAssigner, IncrementalConfig, RoundOutcome};
 pub use sample_size::{certified_sample_size, determine_sample_size, simple_sample_size};
 pub use sampling::{sampling, SamplingConfig};
-pub use solver::{BatchSolver, SolveRequest, Solver};
+pub use solver::{default_parallelism, BatchSolver, SolveRequest, Solver};

@@ -8,8 +8,9 @@
 //!
 //! Implementation notes — a sample costs what its own picks cost:
 //!
-//! * a sample is one row of picked pair indices (`u32`), not an
-//!   `Assignment`; only the winner is materialised;
+//! * a sample is one offset per adjacency row (a byte while no row is
+//!   longer than 256 entries), not an `Assignment`; only the winner is
+//!   materialised;
 //! * a sample is evaluated over the tasks that can receive a worker or hold
 //!   priors (`ActiveTask`), in ascending task id — the order
 //!   `evaluate_with_priors` sums in — on per-task contribution buckets and
@@ -17,9 +18,13 @@
 //!   its priors is worth the same in every sample, computed once; a task
 //!   sent the same workers as in an earlier sample is worth what it was
 //!   worth then (`ValuationMemo`);
-//! * the divide-and-conquer leaves run the same core (`best_sample`) on
-//!   their own `Adjacency`, so a leaf costs its own pairs × `K`, not the
-//!   whole instance × `K`.
+//! * drawing and valuing are two steps: `Draw` consumes the generator,
+//!   one `gen_range` per row and sample; `Valuer` turns the picks into
+//!   values on its own buffers and never touches the generator, so the
+//!   samples can be valued on any thread without changing a bit;
+//! * the divide-and-conquer leaves run the same two steps on their own
+//!   `Adjacency`, so a leaf costs its own pairs × `K`, not the whole
+//!   instance × `K`.
 
 use crate::sample_size::certified_sample_size;
 use crate::solver::SolveRequest;
@@ -154,7 +159,129 @@ impl ActiveTask {
     }
 }
 
-/// What the sample being drawn sends one task.
+/// The samples drawn over one sub-problem: its adjacency and, per sample,
+/// one pick per row. Drawing is the only step of SAMPLING that consumes the
+/// generator; valuing the picks ([`Valuer`]) is a pure function of them.
+#[derive(Debug, Default)]
+pub(crate) struct Draw {
+    /// The sub-problem to sample; the caller fills it in.
+    pub(crate) adjacency: Adjacency,
+    picks: Picks,
+}
+
+/// Per sample, one offset into each row of the adjacency, `width` offsets
+/// a sample: a byte each while no row is longer than 256 entries (every
+/// D&C leaf of up to 256 tasks), four otherwise.
+#[derive(Debug)]
+enum Picks {
+    Narrow(Vec<u8>),
+    Wide(Vec<u32>),
+}
+
+impl Default for Picks {
+    fn default() -> Self {
+        Picks::Narrow(Vec::new())
+    }
+}
+
+/// An offset into a row, as [`Picks`] stores it.
+trait Offset: Copy + TryFrom<usize> {
+    fn get(self) -> usize;
+}
+
+impl Offset for u8 {
+    fn get(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl Offset for u32 {
+    fn get(self) -> usize {
+        self as usize
+    }
+}
+
+/// Replaces `picks` with `samples` samples' offsets: per sample, one
+/// `gen_range` per row, in row order.
+fn draw_into<T: Offset, R: Rng + ?Sized>(
+    picks: &mut Vec<T>,
+    adjacency: &Adjacency,
+    samples: usize,
+    rng: &mut R,
+) {
+    picks.clear();
+    picks.reserve(samples * adjacency.len());
+    for _ in 0..samples {
+        for row in adjacency.rows() {
+            let offset = rng.gen_range(0..row.len());
+            picks.push(
+                T::try_from(offset)
+                    .ok()
+                    .expect("row longer than its offsets"),
+            );
+        }
+    }
+}
+
+impl Draw {
+    /// Draws the certified number of samples over the adjacency: per
+    /// sample, one `gen_range` per row, in row order. An adjacency without
+    /// rows draws nothing.
+    pub(crate) fn draw<R: Rng + ?Sized>(&mut self, config: &SamplingConfig, rng: &mut R) {
+        let adjacency = &self.adjacency;
+        let narrow = adjacency.rows().all(|row| row.len() <= 1 << u8::BITS);
+        let k = if adjacency.len() == 0 {
+            0
+        } else {
+            config.sample_count(adjacency.ln_population())
+        };
+        if narrow != matches!(self.picks, Picks::Narrow(_)) {
+            self.picks = if narrow {
+                Picks::Narrow(Vec::new())
+            } else {
+                Picks::Wide(Vec::new())
+            };
+        }
+        match &mut self.picks {
+            Picks::Narrow(picks) => draw_into(picks, adjacency, k, rng),
+            Picks::Wide(picks) => draw_into(picks, adjacency, k, rng),
+        }
+    }
+
+    /// Number of samples drawn.
+    pub(crate) fn samples(&self) -> usize {
+        let drawn = match &self.picks {
+            Picks::Narrow(picks) => picks.len(),
+            Picks::Wide(picks) => picks.len(),
+        };
+        drawn.checked_div(self.adjacency.len()).unwrap_or(0)
+    }
+
+    /// The positions in `adjacency.pairs` that sample `i` picks, given the
+    /// offsets of all samples.
+    fn positions<'a, T: Offset>(
+        &'a self,
+        picks: &'a [T],
+        i: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let width = self.adjacency.len();
+        self.adjacency
+            .rows()
+            .zip(&picks[i * width..(i + 1) * width])
+            .map(|(row, offset)| row.start + offset.get())
+    }
+
+    /// The pair indices of sample `i`.
+    pub(crate) fn sample(&self, i: usize) -> Vec<u32> {
+        let pairs = &self.adjacency.pairs;
+        match &self.picks {
+            Picks::Narrow(picks) => self.positions(picks, i).map(|at| pairs[at]).collect(),
+            Picks::Wide(picks) => self.positions(picks, i).map(|at| pairs[at]).collect(),
+        }
+    }
+}
+
+/// What the sample being valued sends one task.
 #[derive(Debug, Default)]
 struct Bucket {
     contributions: Vec<Contribution>,
@@ -165,144 +292,227 @@ struct Bucket {
     candidates: usize,
 }
 
-/// Buffers of [`best_sample`], reusable across calls on the same instance.
+/// The buffers a thread values samples on, reusable across sub-problems of
+/// the same instance.
 #[derive(Debug, Default)]
-pub(crate) struct SamplingScratch {
-    /// The sub-problem to sample; the caller fills it in.
-    pub(crate) adjacency: Adjacency,
+pub(crate) struct Valuer {
     pub(crate) expected: ExpectedScratch,
     pub(crate) memo: ValuationMemo,
     /// Per task of the instance. Empty and zero between calls.
     buckets: Vec<Bucket>,
-    /// Per entry of `adjacency.pairs`, its bit in [`Bucket::members`].
+    /// Per entry of the adjacency's pairs, its bit in [`Bucket::members`].
     member_bit: Vec<u64>,
-    /// The picks of every sample so far, one row of `adjacency.len()` each.
-    picks: Vec<u32>,
+    /// The values of the samples valued so far, in sample order.
     values: Vec<(f64, f64)>,
     pub(crate) ranker: DominanceRanker,
 }
 
-/// Draws the certified number of samples over `scratch.adjacency` and
-/// returns the best one. `tasks` lists, in ascending id, every task that
-/// has a pair in the adjacency or holds priors.
-pub(crate) fn best_sample<R: Rng + ?Sized>(
-    request: &SolveRequest<'_>,
-    config: &SamplingConfig,
-    tasks: &[ActiveTask],
-    scratch: &mut SamplingScratch,
-    rng: &mut R,
-) -> Assignment {
-    let instance = request.instance;
-    let pairs = &request.candidates.pairs;
-    let mut best = Assignment::for_instance(instance);
-    let SamplingScratch {
-        adjacency,
-        expected,
-        memo,
-        buckets,
-        member_bit,
-        picks,
-        values,
-        ranker,
-    } = scratch;
-    let width = adjacency.len();
-    if width == 0 {
-        return best;
-    }
-    let k = config.sample_count(adjacency.ln_population());
-    buckets.resize_with(instance.num_tasks(), Bucket::default);
-    member_bit.clear();
-    for &idx in &adjacency.pairs {
-        let bucket = &mut buckets[pairs[idx as usize].task.index()];
-        // A task with more candidates than a key has bits is not memoised.
-        member_bit.push(1u64.checked_shl(bucket.candidates as u32).unwrap_or(0));
-        bucket.candidates += 1;
-    }
-    memo.begin();
-    picks.clear();
-    values.clear();
-
-    for _ in 0..k {
-        for row in adjacency.rows() {
-            let at = row.start + rng.gen_range(0..row.len());
-            let pick = adjacency.pairs[at];
-            picks.push(pick);
-            let pair = &pairs[pick as usize];
-            let bucket = &mut buckets[pair.task.index()];
-            bucket.contributions.push(pair.contribution);
-            bucket.members |= member_bit[at];
+impl Valuer {
+    /// Appends the `(min reliability, total E[STD])` of the samples
+    /// `samples` of `draw` to [`Self::values`]. `tasks` lists, in ascending
+    /// id, every task that has a pair in the adjacency or holds priors.
+    fn value(
+        &mut self,
+        request: &SolveRequest<'_>,
+        tasks: &[ActiveTask],
+        draw: &Draw,
+        samples: Range<usize>,
+    ) {
+        match &draw.picks {
+            Picks::Narrow(picks) => self.value_picks(request, tasks, draw, picks, samples),
+            Picks::Wide(picks) => self.value_picks(request, tasks, draw, picks, samples),
         }
-        // `evaluate_with_priors` under the non-empty scope, over the only
-        // tasks that can be non-empty.
-        let mut min_rel = f64::INFINITY;
-        let mut total_std = 0.0;
-        for active in tasks {
-            let bucket = &mut buckets[active.task.index()];
-            let (rel, std) = if bucket.contributions.is_empty() {
-                match active.priors_alone {
-                    Some(value) => value,
-                    None => continue,
-                }
-            } else {
-                let Bucket {
-                    contributions,
-                    members,
-                    candidates,
-                } = bucket;
-                let mut evaluate = || {
-                    contributions.extend_from_slice(request.priors_of(active.task));
-                    (
-                        task_reliability_of(contributions),
-                        task_expected_std_with(instance, active.task, contributions, expected),
-                    )
-                };
-                let value = if *candidates <= MAX_MEMBERS {
-                    memo.get_or_compute(active.task.index(), *members, evaluate)
+    }
+
+    fn value_picks<T: Offset>(
+        &mut self,
+        request: &SolveRequest<'_>,
+        tasks: &[ActiveTask],
+        draw: &Draw,
+        picks: &[T],
+        samples: Range<usize>,
+    ) {
+        let instance = request.instance;
+        let pairs = &request.candidates.pairs;
+        let Valuer {
+            expected,
+            memo,
+            buckets,
+            member_bit,
+            values,
+            ..
+        } = self;
+        buckets.resize_with(instance.num_tasks(), Bucket::default);
+        member_bit.clear();
+        for &idx in &draw.adjacency.pairs {
+            let bucket = &mut buckets[pairs[idx as usize].task.index()];
+            // A task with more candidates than a key has bits is not memoised.
+            member_bit.push(1u64.checked_shl(bucket.candidates as u32).unwrap_or(0));
+            bucket.candidates += 1;
+        }
+        // A task can be sent at most one member set per sample, and at most
+        // `2^candidates` sets in all.
+        memo.begin(
+            tasks
+                .iter()
+                .map(|a| buckets[a.task.index()].candidates)
+                .filter(|&c| c > 0 && c <= MAX_MEMBERS)
+                .map(|c| 1usize.checked_shl(c as u32).unwrap_or(usize::MAX))
+                .fold(0usize, |keys, sets| {
+                    keys.saturating_add(sets.min(samples.len()))
+                }),
+        );
+
+        for sample in samples {
+            for at in draw.positions(picks, sample) {
+                let pair = &pairs[draw.adjacency.pairs[at] as usize];
+                let bucket = &mut buckets[pair.task.index()];
+                bucket.contributions.push(pair.contribution);
+                bucket.members |= member_bit[at];
+            }
+            // `evaluate_with_priors` under the non-empty scope, over the only
+            // tasks that can be non-empty.
+            let mut min_rel = f64::INFINITY;
+            let mut total_std = 0.0;
+            for active in tasks {
+                let bucket = &mut buckets[active.task.index()];
+                let (rel, std) = if bucket.contributions.is_empty() {
+                    match active.priors_alone {
+                        Some(value) => value,
+                        None => continue,
+                    }
                 } else {
-                    evaluate()
+                    let Bucket {
+                        contributions,
+                        members,
+                        candidates,
+                    } = bucket;
+                    let mut evaluate = || {
+                        contributions.extend_from_slice(request.priors_of(active.task));
+                        (
+                            task_reliability_of(contributions),
+                            task_expected_std_with(instance, active.task, contributions, expected),
+                        )
+                    };
+                    let value = if *candidates <= MAX_MEMBERS {
+                        memo.get_or_compute(active.task.index(), *members, evaluate)
+                    } else {
+                        evaluate()
+                    };
+                    contributions.clear();
+                    *members = 0;
+                    value
                 };
-                contributions.clear();
-                *members = 0;
-                value
-            };
-            min_rel = min_rel.min(rel);
-            total_std += std;
+                min_rel = min_rel.min(rel);
+                total_std += std;
+            }
+            if min_rel == f64::INFINITY {
+                min_rel = 1.0;
+            }
+            values.push((min_rel, total_std));
         }
-        if min_rel == f64::INFINITY {
-            min_rel = 1.0;
+        for &idx in &draw.adjacency.pairs {
+            buckets[pairs[idx as usize].task.index()].candidates = 0;
         }
-        values.push((min_rel, total_std));
-    }
-    for &idx in &adjacency.pairs {
-        buckets[pairs[idx as usize].task.index()].candidates = 0;
     }
 
-    if let Some(best_idx) = ranker.rank(values) {
-        for &pick in &picks[best_idx * width..(best_idx + 1) * width] {
-            best.assign_pair(&pairs[pick as usize])
-                .expect("sampled pair references an unassigned worker");
-        }
+    /// The index of the best sample of `draw` under the dominating-count
+    /// ranking; `None` when nothing was drawn.
+    pub(crate) fn best(
+        &mut self,
+        request: &SolveRequest<'_>,
+        tasks: &[ActiveTask],
+        draw: &Draw,
+    ) -> Option<usize> {
+        self.values.clear();
+        self.value(request, tasks, draw, 0..draw.samples());
+        self.ranker.rank(&self.values)
     }
-    best
+}
+
+/// The assignment made of the given pairs.
+pub(crate) fn assignment_of(
+    request: &SolveRequest<'_>,
+    pairs: impl IntoIterator<Item = u32>,
+) -> Assignment {
+    let mut assignment = Assignment::for_instance(request.instance);
+    for pick in pairs {
+        assignment
+            .assign_pair(&request.candidates.pairs[pick as usize])
+            .expect("sampled pair references an unassigned worker");
+    }
+    assignment
 }
 
 /// Runs the sampling solver.
+///
+/// The samples are drawn on the calling thread; with
+/// [`SolveRequest::threads`] above 1 they are valued in that many
+/// contiguous runs, one per thread, each on its own buffers. A sample's
+/// value depends on its picks alone, so the ranking, and the assignment,
+/// is the same at any thread count.
 pub fn sampling<R: Rng + ?Sized>(
     request: &SolveRequest<'_>,
     config: &SamplingConfig,
     rng: &mut R,
 ) -> Assignment {
     let candidates = request.candidates;
-    let mut scratch = SamplingScratch::default();
+    let mut draw = Draw::default();
+    let mut valuer = Valuer::default();
     for adj in &candidates.by_worker {
-        scratch.adjacency.push_row(adj.iter().copied());
+        draw.adjacency.push_row(adj.iter().copied());
     }
     let tasks: Vec<ActiveTask> = (0..request.instance.num_tasks())
         .map(TaskId::from)
         .filter(|&t| !candidates.by_task[t.index()].is_empty() || !request.priors_of(t).is_empty())
-        .map(|t| ActiveTask::new(request, t, &mut scratch.expected))
+        .map(|t| ActiveTask::new(request, t, &mut valuer.expected))
         .collect();
-    best_sample(request, config, &tasks, &mut scratch, rng)
+    draw.draw(config, rng);
+
+    let samples = draw.samples();
+    let runs = request.threads.clamp(1, samples.max(1));
+    valuer.values.clear();
+    if runs == 1 {
+        valuer.value(request, &tasks, &draw, 0..samples);
+    } else {
+        let run = |i: usize| samples * i / runs..samples * (i + 1) / runs;
+        let (request, tasks, draw) = (request, &tasks, &draw);
+        // Runs `1..runs` on helpers (each returns its values), run 0 here;
+        // a run whose helper cannot be spawned is valued here too.
+        let helped: Vec<Vec<(f64, f64)>> = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..runs)
+                .map(|i| {
+                    std::thread::Builder::new()
+                        .name("rdbsc-sampling".into())
+                        .spawn_scoped(scope, move || {
+                            let mut valuer = Valuer::default();
+                            valuer.value(request, tasks, draw, run(i));
+                            valuer.values
+                        })
+                        .map_err(|_| i)
+                })
+                .collect();
+            valuer.value(request, tasks, draw, run(0));
+            helpers
+                .into_iter()
+                .map(|helper| match helper {
+                    Ok(handle) => handle.join().expect("a sampling helper panicked"),
+                    Err(i) => {
+                        let mut own = Valuer::default();
+                        own.value(request, tasks, draw, run(i));
+                        own.values
+                    }
+                })
+                .collect()
+        });
+        for values in helped {
+            valuer.values.extend(values);
+        }
+    }
+    match valuer.ranker.rank(&valuer.values) {
+        Some(best) => assignment_of(request, draw.sample(best)),
+        None => Assignment::for_instance(request.instance),
+    }
 }
 
 #[cfg(test)]

@@ -9,6 +9,20 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rdbsc_model::objective::TaskPriors;
 use rdbsc_model::{Assignment, BipartiteCandidates, ProblemInstance};
+use std::sync::OnceLock;
+
+/// The number of threads a solve uses by default: the machine's available
+/// parallelism (1 when it cannot be determined), read once per process.
+/// The count never reaches a result: every solver returns the same bits at
+/// any thread count.
+pub fn default_parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
 
 /// The input shared by every RDB-SC solver: the problem instance, the graph
 /// of valid task-and-worker pairs, and (for incremental rounds) the
@@ -23,21 +37,33 @@ pub struct SolveRequest<'a> {
     /// Banked contributions per task (answers already received); `None`
     /// means a fresh, static assignment.
     pub priors: Option<&'a TaskPriors>,
+    /// Threads the solve may use, the calling one included (at least 1).
+    /// D&C values its leaves' samples and SAMPLING its samples on that
+    /// many threads; the assignment is the same at any count.
+    pub threads: usize,
 }
 
 impl<'a> SolveRequest<'a> {
-    /// A request with no banked priors.
+    /// A request with no banked priors, solved on
+    /// [`default_parallelism`] threads.
     pub fn new(instance: &'a ProblemInstance, candidates: &'a BipartiteCandidates) -> Self {
         Self {
             instance,
             candidates,
             priors: None,
+            threads: default_parallelism(),
         }
     }
 
     /// Sets the banked priors.
     pub fn with_priors(mut self, priors: &'a TaskPriors) -> Self {
         self.priors = Some(priors);
+        self
+    }
+
+    /// Sets the thread count (0 counts as 1).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
         self
     }
 

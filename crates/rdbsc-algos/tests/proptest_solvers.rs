@@ -376,6 +376,68 @@ fn sampling_matches_its_reference_on_tasks_wider_than_a_memo_key() {
     assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
 }
 
+/// A worker with more than 256 candidate tasks has its picks stored four
+/// bytes wide instead of one; SAMPLING and a D&C whose root is its only
+/// leaf must still draw and return what the pre-rewrite bodies do.
+#[test]
+fn solvers_match_their_references_on_rows_wider_than_a_byte() {
+    let tasks = (0..300)
+        .map(|i| {
+            Task::new(
+                TaskId(0),
+                Point::new(0.2 + 0.002 * i as f64, 0.4 + 0.0005 * i as f64),
+                TimeWindow::new(0.0, 10.0).unwrap(),
+            )
+        })
+        .collect();
+    let workers = (0..3)
+        .map(|j| {
+            Worker::new(
+                WorkerId(0),
+                Point::new(0.5, 0.3 + 0.1 * j as f64),
+                0.5,
+                AngleRange::full(),
+                Confidence::new(0.8 + 0.05 * j as f64).unwrap(),
+            )
+            .unwrap()
+        })
+        .collect();
+    let instance = ProblemInstance::new(tasks, workers, 0.5);
+    let candidates = compute_valid_pairs(&instance);
+    assert!(candidates.by_worker.iter().all(|adj| adj.len() > 256));
+    let sampling_config = SamplingConfig {
+        min_samples: 40,
+        max_samples: 40,
+        ..SamplingConfig::default()
+    };
+    let dnc_config = DncConfig {
+        gamma: 300,
+        sampling: sampling_config,
+        ..DncConfig::default()
+    };
+    for threads in [1, 2] {
+        let request = SolveRequest::new(&instance, &candidates).with_threads(threads);
+        let (mut rng, mut reference_rng) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        assert_eq!(
+            committed(&sampling(&request, &sampling_config, &mut rng)),
+            committed(&reference::sampling(
+                &request,
+                &sampling_config,
+                &mut reference_rng
+            ))
+        );
+        assert_eq!(
+            committed(&divide_and_conquer(&request, &dnc_config, &mut rng)),
+            committed(&reference::divide_and_conquer(
+                &request,
+                &dnc_config,
+                &mut reference_rng
+            ))
+        );
+        assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -583,4 +645,55 @@ fn check_greedy_through_priors(
         );
     }
     Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// D&C and SAMPLING commit the same pairs, with the same contribution
+    /// bits, and leave the generator in the same state at 1, 2 and 3
+    /// threads: with and without priors, with the root as the only leaf
+    /// (`max_depth` 0 or `gamma` ≥ the task count), with leaves cut off at
+    /// `max_depth` above `gamma`, and with every task at one point, where
+    /// 2-means cannot separate the tasks and each split is the rebalancing's.
+    #[test]
+    fn solvers_return_the_same_bits_at_any_thread_count(
+        instance in differential_instance(),
+        spec in prior_spec(),
+        seed in 0u64..1_000_000,
+        gamma in 1usize..=8,
+        max_depth in 0usize..=4,
+        colocated in 0u8..2,
+    ) {
+        let mut instance = instance;
+        if colocated == 1 {
+            let at = instance.tasks[0].location;
+            for task in &mut instance.tasks {
+                task.location = at;
+            }
+        }
+        let candidates = compute_valid_pairs(&instance);
+        let priors = build_priors(&instance, &spec);
+        let sampling_config =
+            SamplingConfig { min_samples: 2, max_samples: 24, ..SamplingConfig::default() };
+        let dnc_config = DncConfig {
+            gamma,
+            sampling: sampling_config,
+            max_depth,
+            max_group_enumeration: 4,
+        };
+        let solve_at = |threads: usize| {
+            let request = request_with(&instance, &candidates, &priors).with_threads(threads);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dnc = committed(&divide_and_conquer(&request, &dnc_config, &mut rng));
+            let after_dnc = rng.gen::<u64>();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sampled = committed(&sampling(&request, &sampling_config, &mut rng));
+            (dnc, after_dnc, sampled, rng.gen::<u64>())
+        };
+        let inline = solve_at(1);
+        for threads in [2, 3] {
+            prop_assert_eq!(&solve_at(threads), &inline, "{} threads", threads);
+        }
+    }
 }

@@ -16,7 +16,9 @@
 
 #![forbid(unsafe_code)]
 
-use rdbsc_bench::{all_figure_ids, resolve_figure_ids, run_figure, Figure, HarnessOptions};
+use rdbsc_bench::{
+    all_figure_ids, resolve_figure_ids, run_figure, Figure, HarnessOptions, SOLVER_THREADS,
+};
 use rdbsc_workloads::Scale;
 use std::time::Instant;
 
@@ -82,6 +84,7 @@ fn main() {
         std::process::exit(2);
     });
 
+    eprintln!("[solving on {SOLVER_THREADS} thread(s), as the paper's sequential algorithms]");
     let mut rendered: Vec<Figure> = Vec::new();
     for id in figure_ids {
         let started = Instant::now();

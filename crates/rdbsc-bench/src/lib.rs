@@ -25,4 +25,4 @@ pub use figures::{
     all_figure_ids, figures_to_json, resolve_figure_ids, run_figure, Figure, FigureRow,
     SolverMetric,
 };
-pub use runner::{run_lineup_on, HarnessOptions};
+pub use runner::{run_lineup_on, HarnessOptions, SOLVER_THREADS};

@@ -42,10 +42,16 @@ pub struct SolverMeasurement {
     pub seconds: f64,
 }
 
-/// Runs the full paper line-up on an instance.
+/// The threads every figure's solves run on: one, so that the running-time
+/// figures compare the paper's sequential algorithms. (The assignments are
+/// the same at any thread count.)
+pub const SOLVER_THREADS: usize = 1;
+
+/// Runs the full paper line-up on an instance, on [`SOLVER_THREADS`]
+/// threads.
 pub fn run_lineup_on(instance: &ProblemInstance, seed: u64) -> Vec<SolverMeasurement> {
     let candidates = compute_valid_pairs(instance);
-    let request = SolveRequest::new(instance, &candidates);
+    let request = SolveRequest::new(instance, &candidates).with_threads(SOLVER_THREADS);
     Solver::paper_lineup()
         .into_iter()
         .map(|solver| {

@@ -27,10 +27,10 @@
 //! merged in shard order — so a run's output does not depend on thread
 //! scheduling or the number of threads.
 
-use crate::par::{default_parallelism, parallel_map};
+use crate::par::parallel_map;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rdbsc_algos::solver::{BatchSolver, SolveRequest};
+use rdbsc_algos::solver::{default_parallelism, BatchSolver, SolveRequest};
 use rdbsc_algos::{DncConfig, GreedyConfig, SamplingConfig, Solver};
 use rdbsc_geo::{Point, Rect};
 use rdbsc_index::cost_model::estimate_fractal_dimension;
@@ -68,7 +68,10 @@ pub enum EngineEvent {
 pub struct EngineConfig {
     /// Diversity balance weight `β` used when building shard instances.
     pub beta: f64,
-    /// Worker threads for the sharded solve; `0` means "use all cores".
+    /// Threads for the sharded solve; `0` means "use all cores". The
+    /// shards are solved side by side, and each shard's own solve
+    /// ([`SolveRequest::threads`]) gets an even share of these threads (at
+    /// least one). At `1` the tick spawns no thread.
     pub parallelism: usize,
     /// Base seed; every `(tick, shard)` derives its own generator from it.
     pub seed: u64,
@@ -499,6 +502,10 @@ impl<I: SpatialIndex> AssignmentEngine<I> {
         } else {
             self.config.parallelism
         };
+        // The shards are solved side by side; each shard's own solve gets
+        // an even share of the threads, so a tick runs at most `threads`
+        // solver threads (and none beyond its own at `parallelism: 1`).
+        let shard_threads = (threads / num_shards.max(1)).max(1);
         let base_seed = mix_seed(self.config.seed, self.tick_count);
         let solver = self.solver.as_ref();
 
@@ -508,7 +515,9 @@ impl<I: SpatialIndex> AssignmentEngine<I> {
             threads,
             |shard_idx, (shard, available, priors)| {
                 let shard_started = Instant::now(); // lint:allow(D002): stage stopwatch — observational timing only, reported but never read by a decision
-                let request = SolveRequest::new(&shard.instance, &available).with_priors(&priors);
+                let request = SolveRequest::new(&shard.instance, &available)
+                    .with_priors(&priors)
+                    .with_threads(shard_threads);
                 let mut rng = StdRng::seed_from_u64(mix_seed(base_seed, shard_idx as u64));
                 let (strategy, assignment) = solver.solve_shard_named(&request, &mut rng);
                 (
@@ -1066,23 +1075,60 @@ mod tests {
 
     #[test]
     fn engine_result_is_independent_of_parallelism() {
-        let run = |threads: usize| {
-            let mut engine = engine_with(clustered_events(5, 8), threads);
-            let report = engine.tick(0.0);
-            let mut pairs: Vec<(TaskId, WorkerId)> = report
-                .new_assignments
-                .iter()
-                .map(|p| (p.task, p.worker))
-                .collect();
-            pairs.sort();
-            pairs
-        };
-        let sequential = run(1);
-        let parallel = run(4);
-        assert_eq!(
-            sequential, parallel,
-            "thread count must not change the result"
-        );
+        // The clustered world's small GREEDY shards, then a world of one
+        // shard: two tight task clusters that every one of its workers
+        // reaches. That shard is large and clustered, so the adaptive
+        // solver sends it to D&C, which gets every thread of the tick and
+        // values its leaves on helpers.
+        let mut dnc_world = Vec::new();
+        for i in 0..72u32 {
+            let x = if i % 2 == 0 { 0.3 } else { 0.5 };
+            let (dx, dy) = (0.005 * ((i / 2) % 6) as f64, 0.005 * ((i / 12) % 6) as f64);
+            dnc_world.push(EngineEvent::TaskArrived(task(
+                i,
+                x + dx,
+                0.88 + dy,
+                0.0,
+                3.0,
+            )));
+        }
+        for j in 0..30u32 {
+            dnc_world.push(EngineEvent::WorkerCheckIn(worker(
+                j,
+                0.3 + 0.2 * (j % 6) as f64 / 5.0,
+                0.9,
+                0.1,
+            )));
+        }
+        for (world, strategy) in [(clustered_events(5, 8), "GREEDY"), (dnc_world, "D&C")] {
+            let run = |threads: usize| {
+                let mut engine = engine_with(world.clone(), threads);
+                let report = engine.tick(0.0);
+                let mut pairs: Vec<(TaskId, WorkerId, u64, u64)> = report
+                    .new_assignments
+                    .iter()
+                    .map(|p| {
+                        let c = p.contribution;
+                        (p.task, p.worker, c.angle.to_bits(), c.arrival.to_bits())
+                    })
+                    .collect();
+                pairs.sort();
+                (pairs, report.strategies)
+            };
+            let sequential = run(1);
+            assert!(
+                sequential.1.contains(&strategy),
+                "no shard went to {strategy}: {:?}",
+                sequential.1
+            );
+            for threads in [2, 4] {
+                assert_eq!(
+                    run(threads),
+                    sequential,
+                    "thread count must not change the result"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,14 +9,6 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// The number of worker threads to use by default: the machine's available
-/// parallelism (1 when it cannot be determined).
-pub fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Applies `f` to every item, using up to `threads` OS threads, and returns
 /// the results in item order. With `threads <= 1` (or one item) the map runs
 /// inline, paying no thread overhead.

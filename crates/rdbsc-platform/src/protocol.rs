@@ -1412,6 +1412,45 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A standby's log holds replication notes beside its commands; the
+    /// recovery counts only the commands it replays after the checkpoint,
+    /// while the scan still counts every frame.
+    #[test]
+    fn recovery_counts_the_replayed_commands_not_the_notes() {
+        let dir = tempdir("notes");
+        let mut part = open_durable(&dir, WalConfig::default());
+        part.submit(batch(0));
+        part.tick(0.0);
+        let state = part.dump_state();
+        let wal = part.wal.as_mut().unwrap();
+        wal.append_checkpoint(&state, 1).unwrap();
+        for acked in 1..=3 {
+            wal.append(&WalRecord::ReplMeta {
+                acked,
+                sealed: false,
+            })
+            .unwrap();
+        }
+        part.submit(batch(1));
+        part.tick(1.0);
+        drop(part);
+
+        let make_index = || GridIndex::new(Rect::unit(), 0.2);
+        let (recovered, scan) = Part::open_durable(
+            &dir,
+            WalConfig::default(),
+            EngineConfig::default(),
+            make_index,
+        )
+        .unwrap();
+        let stats = recovered.wal_stats().unwrap();
+        assert!(stats.recovered_checkpoint);
+        assert_eq!(stats.recovered_records, 2, "one event batch, one tick");
+        assert_eq!(scan.recovered_records, 5, "three notes, two commands");
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn oversize_checkpoint_crashes_the_partition_with_its_log_intact() {
         let dir = tempdir("oversize");

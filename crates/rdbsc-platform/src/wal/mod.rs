@@ -242,7 +242,10 @@ pub struct WalStats {
     pub checkpoints: u64,
     /// The engine tick of the latest checkpoint (the checkpoint epoch).
     pub last_checkpoint_tick: u64,
-    /// Records replayed from disk when this handle was opened.
+    /// Commands replayed from disk when this handle was opened: those
+    /// after the latest checkpoint. Replication notes are not replayed and
+    /// not counted ([`ScannedLog::recovered_records`] counts every frame
+    /// after the checkpoint).
     pub recovered_records: u64,
     /// Whether the open recovered from a checkpoint (vs full replay).
     pub recovered_checkpoint: bool,
@@ -712,10 +715,18 @@ impl Wal {
         dir: &Path,
         config: WalConfig,
         factory: SegmentFactory,
-        visit: impl FnMut(WalRecord),
+        mut visit: impl FnMut(WalRecord),
     ) -> Result<(Self, ScannedLog), WalError> {
         fs::create_dir_all(dir)?;
-        let scan = scan_dir(dir, visit)?;
+        let mut replayed = 0;
+        let scan = scan_dir(dir, |record| {
+            match record {
+                WalRecord::Checkpoint(_) => replayed = 0,
+                WalRecord::Command(_) => replayed += 1,
+                WalRecord::ReplMeta { .. } => {}
+            }
+            visit(record);
+        })?;
         if let Some((path, valid_bytes)) = &scan.truncate {
             let file = fs::OpenOptions::new().write(true).open(path)?;
             file.set_len(*valid_bytes)?;
@@ -735,7 +746,7 @@ impl Wal {
             next_lsn: scan.next_lsn,
             stats: WalStats {
                 segments: scan.segments,
-                recovered_records: scan.recovered_records,
+                recovered_records: replayed,
                 recovered_checkpoint: scan.recovered_checkpoint,
                 ..WalStats::default()
             },

@@ -445,7 +445,7 @@ pub struct WalStatsDto {
     pub checkpoints: f64,
     /// Engine tick of the most recent checkpoint.
     pub last_checkpoint_tick: f64,
-    /// Records replayed by the boot-time recovery.
+    /// Commands replayed by the boot-time recovery (after its checkpoint).
     pub recovered_records: f64,
     /// Did the boot-time recovery restart from a checkpoint?
     pub recovered_checkpoint: bool,

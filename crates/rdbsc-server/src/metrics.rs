@@ -346,7 +346,7 @@ const WAL_FIELDS: [Field<WalStatsDto>; 9] = [
         "recovered_records",
         "wal_recovered_records",
         Kind::Gauge,
-        "Records replayed by the boot-time recovery",
+        "Commands replayed by the boot-time recovery (after its checkpoint)",
         |w| w.recovered_records,
     ),
     (

@@ -441,7 +441,7 @@ fn configure(state: &DaemonState, text: &str) -> Result<bool, ServerError> {
                 .filter(|s| s.recovered_records > 0 || s.recovered_checkpoint)
             {
                 eprintln!(
-                    "rdbsc-partitiond: recovered region {} from {} ({} record(s) replayed, checkpoint {})",
+                    "rdbsc-partitiond: recovered region {} from {} ({} command(s) replayed, checkpoint {})",
                     accepted.region_index,
                     dir.display(),
                     stats.recovered_records,
