@@ -35,7 +35,7 @@ use rand::Rng;
 use rdbsc_cluster::balanced_two_way_split;
 use rdbsc_model::objective::{task_expected_std_with, task_reliability_of};
 use rdbsc_model::{Assignment, Contribution, TaskId, WorkerId};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Configuration of the divide-and-conquer solver.
 #[derive(Debug, Clone, Copy)]
@@ -83,11 +83,14 @@ struct Workspace {
     side: Vec<u8>,
     /// The tasks holding priors, ascending.
     prior_tasks: Vec<ActiveTask>,
-    /// The tree walked so far, in pre-order.
-    nodes: Vec<Node>,
-    /// Per leaf, in pre-order: the pair indices of its best sample, once
-    /// valued.
-    winners: Vec<Vec<u32>>,
+    /// The tree walked so far, in pre-order, each finished subtree
+    /// replaced by its answer.
+    stack: Vec<Item>,
+    /// Leaves drawn so far.
+    leaves: usize,
+    /// `(leaf number, pair indices of its best sample)` of the pending
+    /// leaves valued since they were pushed.
+    valued: Vec<(usize, Vec<u32>)>,
     /// During a merge: the last conflicting worker (as an index into the
     /// merge's conflict list) seen on a task.
     last_conflict: Vec<usize>,
@@ -109,8 +112,9 @@ impl Workspace {
             spare: Leaf::default(),
             side: vec![OUTSIDE; num_tasks],
             prior_tasks,
-            nodes: Vec::new(),
-            winners: Vec::new(),
+            stack: Vec::new(),
+            leaves: 0,
+            valued: Vec::new(),
             last_conflict: vec![NONE; num_tasks],
             affected_sets: Vec::new(),
         }
@@ -138,12 +142,14 @@ struct Landing {
     contribution: Contribution,
 }
 
-/// A node of the walked tree.
-#[derive(Debug, Clone, Copy)]
-enum Node {
-    /// Followed by its first half's subtree, then its second half's.
+/// An item of [`Workspace::stack`].
+enum Item {
+    /// A split: its first half's items follow, then its second half's.
     Split,
-    Leaf,
+    /// A leaf a helper is valuing, by number.
+    Pending(usize),
+    /// The answer of a finished subtree.
+    Answer(Assignment),
 }
 
 /// One leaf's sub-problem, drawn and waiting to be valued.
@@ -173,7 +179,10 @@ impl Leaf {
 #[derive(Default)]
 struct Pool {
     state: Mutex<PoolState>,
+    /// Signalled when a leaf is queued or the pool closes.
     queued: Condvar,
+    /// Signalled when a helper hands a leaf back or stops.
+    valued: Condvar,
 }
 
 #[derive(Default)]
@@ -181,6 +190,8 @@ struct PoolState {
     queue: Option<Leaf>,
     /// No more leaves will be queued.
     closed: bool,
+    /// A helper panicked: the leaf it held will never come back.
+    failed: bool,
     /// `(leaf number, winners)` of the leaves valued by helpers.
     valued: Vec<(usize, Vec<u32>)>,
     /// Buffers of valued leaves, to draw the next ones into.
@@ -211,8 +222,20 @@ impl Pool {
         self.lock().queue.take()
     }
 
+    /// Moves the leaves helpers handed back into `valued`. With `wait`, and
+    /// none handed back yet, first waits for one.
+    fn collect(&self, valued: &mut Vec<(usize, Vec<u32>)>, wait: bool) {
+        let mut state = self.lock();
+        while wait && state.valued.is_empty() {
+            assert!(!state.failed, "a D&C helper panicked");
+            state = self.valued.wait(state).expect("D&C pool lock");
+        }
+        valued.append(&mut state.valued);
+    }
+
     /// A helper's loop: value queued leaves until the pool closes.
     fn help(&self, request: &SolveRequest<'_>) {
+        let _failed = FailOnUnwind(self);
         let mut valuer = Valuer::default();
         let mut state = self.lock();
         loop {
@@ -222,11 +245,27 @@ impl Pool {
                 state = self.lock();
                 state.valued.push((leaf.number, winners));
                 state.spare.push(leaf);
+                self.valued.notify_one();
             } else if state.closed {
                 return;
             } else {
                 state = self.queued.wait(state).expect("D&C pool lock");
             }
+        }
+    }
+}
+
+/// Tells the calling thread, when a helper unwinds, that the leaf the
+/// helper held will never come back.
+struct FailOnUnwind<'a>(&'a Pool);
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.failed = true;
+            drop(state);
+            self.0.valued.notify_all();
         }
     }
 }
@@ -252,10 +291,12 @@ impl Drop for CloseOnDrop<'_> {
 /// generator is consumed the same way at any thread count. With
 /// [`SolveRequest::threads`] above 1, drawn leaves go to
 /// `threads − 1` helpers through a one-slot queue; when the slot is taken
-/// the calling thread values the leaf itself. `SA_Merge` then runs over
-/// the walked tree, bottom-up in the recursion's order, on the calling
-/// thread. A leaf's best sample depends on its picks alone, so the
-/// assignment is the same at any thread count.
+/// the calling thread first merges what the answers back so far allow and
+/// then, if the slot is still taken, values the leaf itself. `SA_Merge`
+/// runs on the calling thread over the walked tree, each split as soon as
+/// both its halves have answers. A leaf's best sample depends on its picks
+/// alone, and a merge on its halves' answers alone, so the assignment is
+/// the same at any thread count.
 pub fn divide_and_conquer<R: Rng + ?Sized>(
     request: &SolveRequest<'_>,
     config: &DncConfig,
@@ -303,29 +344,60 @@ pub fn divide_and_conquer<R: Rng + ?Sized>(
             );
             if let Some(pool) = pool {
                 while let Some(leaf) = pool.take() {
-                    workspace.winners[leaf.number] = leaf.value(request, &mut workspace.valuer);
+                    let winners = leaf.value(request, &mut workspace.valuer);
+                    workspace.valued.push((leaf.number, winners));
+                }
+                while !settle(request, config, &mut workspace) {
+                    pool.collect(&mut workspace.valued, true);
                 }
             }
         });
-        let state = pool.state.into_inner().expect("D&C pool lock");
-        for (number, winners) in state.valued {
-            workspace.winners[number] = winners;
+    }
+    match workspace.stack.pop() {
+        Some(Item::Answer(answer)) if workspace.stack.is_empty() => answer,
+        _ => unreachable!("a finished walk leaves exactly the root's answer"),
+    }
+}
+
+/// Gives every pending leaf in `workspace.valued` its answer, then merges
+/// (`SA_Merge`) every split whose two halves have answers, innermost
+/// first. Each merge sees the very answers the sequential recursion would
+/// have merged, so merging as early as the leaves allow changes no bit.
+/// Returns whether the stack holds the root's answer alone.
+fn settle(request: &SolveRequest<'_>, config: &DncConfig, workspace: &mut Workspace) -> bool {
+    let items = std::mem::take(&mut workspace.stack);
+    let mut stack = Vec::with_capacity(items.len());
+    for item in items {
+        stack.push(match item {
+            Item::Pending(number) => {
+                match workspace.valued.iter().position(|(n, _)| *n == number) {
+                    Some(at) => {
+                        let (_, winners) = workspace.valued.swap_remove(at);
+                        Item::Answer(assignment_of(request, winners))
+                    }
+                    None => Item::Pending(number),
+                }
+            }
+            item => item,
+        });
+        while let [.., Item::Split, Item::Answer(_), Item::Answer(_)] = stack[..] {
+            let (Some(Item::Answer(s2)), Some(Item::Answer(s1)), Some(Item::Split)) =
+                (stack.pop(), stack.pop(), stack.pop())
+            else {
+                unreachable!("matched above");
+            };
+            stack.push(Item::Answer(merge_answers(
+                request, config, &s1, &s2, workspace,
+            )));
         }
     }
-
-    let nodes = std::mem::take(&mut workspace.nodes);
-    let winners = std::mem::take(&mut workspace.winners);
-    merge_tree(
-        request,
-        config,
-        &mut nodes.into_iter(),
-        &mut winners.into_iter(),
-        &mut workspace,
-    )
+    workspace.stack = stack;
+    matches!(workspace.stack[..], [Item::Answer(_)])
 }
 
 /// Draws a leaf — the sampling solver's draw on the candidate pairs between
-/// `workers` and `tasks` — and values it here or hands it to the pool.
+/// `workers` and `tasks` — values it here or hands it to the pool, and
+/// merges what the answers so far allow.
 fn solve_leaf<R: Rng + ?Sized>(
     request: &SolveRequest<'_>,
     config: &DncConfig,
@@ -337,9 +409,8 @@ fn solve_leaf<R: Rng + ?Sized>(
 ) {
     let candidates = request.candidates;
     let mut leaf = std::mem::take(&mut workspace.spare);
-    leaf.number = workspace.winners.len();
-    workspace.winners.push(Vec::new());
-    workspace.nodes.push(Node::Leaf);
+    leaf.number = workspace.leaves;
+    workspace.leaves += 1;
 
     let side = &mut workspace.side;
     for t in tasks {
@@ -374,23 +445,41 @@ fn solve_leaf<R: Rng + ?Sized>(
     leaf.tasks.sort_unstable_by_key(|a| a.task);
     leaf.draw.draw(&config.sampling, rng);
 
-    if leaf.draw.samples() > 0 {
-        if let Some(pool) = pool {
-            match pool.offer(leaf) {
-                Ok(spare) => {
-                    workspace.spare = spare;
-                    return;
-                }
-                Err(back) => leaf = back,
+    let number = leaf.number;
+    let pool = pool.filter(|_| leaf.draw.samples() > 0);
+    let item = match pool {
+        // When the queue is full, merge what the answers back so far allow,
+        // then offer once more; if it is still full, value the leaf here.
+        Some(pool) => match pool.offer(leaf).or_else(|back| {
+            pool.collect(&mut workspace.valued, false);
+            settle(request, config, workspace);
+            pool.offer(back)
+        }) {
+            Ok(spare) => {
+                workspace.spare = spare;
+                Item::Pending(number)
             }
+            Err(back) => {
+                let answer = assignment_of(request, back.value(request, &mut workspace.valuer));
+                workspace.spare = back;
+                Item::Answer(answer)
+            }
+        },
+        None => {
+            let answer = assignment_of(request, leaf.value(request, &mut workspace.valuer));
+            workspace.spare = leaf;
+            Item::Answer(answer)
         }
-        workspace.winners[leaf.number] = leaf.value(request, &mut workspace.valuer);
+    };
+    workspace.stack.push(item);
+    if let Some(pool) = pool {
+        pool.collect(&mut workspace.valued, false);
     }
-    workspace.spare = leaf;
+    settle(request, config, workspace);
 }
 
 /// Walks the sub-problem's tree: splits it (`BG_Partition`) or draws it as
-/// a leaf, recording each node in `workspace.nodes`.
+/// a leaf, pushing each node on `workspace.stack`.
 #[allow(clippy::too_many_arguments)]
 fn walk<R: Rng + ?Sized>(
     request: &SolveRequest<'_>,
@@ -454,28 +543,9 @@ fn walk<R: Rng + ?Sized>(
     }
 
     // ---- Recurse ----------------------------------------------------------
-    workspace.nodes.push(Node::Split);
+    workspace.stack.push(Item::Split);
     walk(request, config, &t1, &w1, depth + 1, workspace, pool, rng);
     walk(request, config, &t2, &w2, depth + 1, workspace, pool, rng);
-}
-
-/// The answer of the subtree whose pre-order walk `nodes` continues with:
-/// a leaf's best sample, or `SA_Merge` of a split's two answers.
-fn merge_tree(
-    request: &SolveRequest<'_>,
-    config: &DncConfig,
-    nodes: &mut impl Iterator<Item = Node>,
-    winners: &mut impl Iterator<Item = Vec<u32>>,
-    workspace: &mut Workspace,
-) -> Assignment {
-    match nodes.next().expect("a split is followed by both halves") {
-        Node::Leaf => assignment_of(request, winners.next().expect("one winner per leaf")),
-        Node::Split => {
-            let s1 = merge_tree(request, config, nodes, winners, workspace);
-            let s2 = merge_tree(request, config, nodes, winners, workspace);
-            merge_answers(request, config, &s1, &s2, workspace)
-        }
-    }
 }
 
 /// Merges the answers of two subproblems by resolving conflicting workers.
@@ -635,24 +705,9 @@ fn resolve_group(
     // copy). A task's value depends on the choices of the workers landing on
     // it only, which most of the 2^k vectors share: the memo is keyed by
     // those.
-    // Enumeration evaluates `2^k` choice vectors, the fallback two per
-    // worker; a task sees at most `2^landings` of them differently.
-    let enumerate =
-        group.len() <= config.max_group_enumeration && group.len() < usize::BITS as usize;
-    let choices = if enumerate {
-        1usize << group.len()
-    } else {
-        2 * group.len()
-    };
     let expected = &mut workspace.valuer.expected;
     let memo = &mut workspace.valuer.memo;
-    memo.begin(
-        sets.iter()
-            .map(|set| set.landings.len())
-            .filter(|&landings| landings <= MAX_MEMBERS)
-            .map(|landings| 1usize.checked_shl(landings as u32).unwrap_or(usize::MAX))
-            .fold(0usize, |keys, sets| keys.saturating_add(sets.min(choices))),
-    );
+    memo.begin();
     let mut evaluate_choice = |second: &[bool]| -> (f64, f64) {
         let mut min_rel = f64::INFINITY;
         let mut total_std = 0.0;
@@ -697,7 +752,7 @@ fn resolve_group(
         }
     };
     // `1 << k` must fit a `usize` whatever the configured limit.
-    if enumerate {
+    if group.len() <= config.max_group_enumeration && group.len() < usize::BITS as usize {
         // Exhaustive enumeration of the 2^k copy choices, as the bits of a
         // mask.
         let options: Vec<(f64, f64)> = (0..(1usize << group.len()))

@@ -350,18 +350,7 @@ impl Valuer {
             member_bit.push(1u64.checked_shl(bucket.candidates as u32).unwrap_or(0));
             bucket.candidates += 1;
         }
-        // A task can be sent at most one member set per sample, and at most
-        // `2^candidates` sets in all.
-        memo.begin(
-            tasks
-                .iter()
-                .map(|a| buckets[a.task.index()].candidates)
-                .filter(|&c| c > 0 && c <= MAX_MEMBERS)
-                .map(|c| 1usize.checked_shl(c as u32).unwrap_or(usize::MAX))
-                .fold(0usize, |keys, sets| {
-                    keys.saturating_add(sets.min(samples.len()))
-                }),
-        );
+        memo.begin();
 
         for sample in samples {
             for at in draw.positions(picks, sample) {

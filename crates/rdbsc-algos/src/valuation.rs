@@ -8,18 +8,13 @@
 //! by `(task slot, member bitmask)`. A hit returns what was computed the
 //! first time — the very same bits — so memoising never changes a result.
 //!
-//! The table is direct-mapped: a colliding key evicts, which only costs a
-//! recomputation. It is sized to the sub-problem at hand — the power of two
-//! at or above the number of keys the caller can produce, at most
-//! `2^13` entries — and its buffer keeps the largest size asked for, so a
-//! thread that values small sub-problems only holds a small table.
+//! The table is direct-mapped and of fixed size: a colliding key evicts,
+//! which only costs a recomputation.
 
 /// The widest member set a key can describe.
 pub(crate) const MAX_MEMBERS: usize = u64::BITS as usize;
 
-/// The fewest and the most index bits a table has.
-const MIN_INDEX_BITS: u32 = 4;
-const MAX_INDEX_BITS: u32 = 13;
+const INDEX_BITS: u32 = 13;
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -33,34 +28,25 @@ struct Entry {
 /// See the module documentation.
 #[derive(Debug, Default)]
 pub(crate) struct ValuationMemo {
-    /// Empty until first used; the sub-problem at hand uses the first
-    /// `1 << index_bits` entries.
+    /// Empty until first used, then `1 << INDEX_BITS` entries.
     entries: Vec<Entry>,
-    index_bits: u32,
     /// Entries of other generations are stale; starts at 1 once in use.
     generation: u32,
 }
 
 impl ValuationMemo {
-    /// Starts a new sub-problem that can produce at most `keys` distinct
-    /// keys: everything stored so far is forgotten.
-    pub(crate) fn begin(&mut self, keys: usize) {
-        self.index_bits = keys
-            .checked_next_power_of_two()
-            .map_or(MAX_INDEX_BITS, |size| size.trailing_zeros())
-            .clamp(MIN_INDEX_BITS, MAX_INDEX_BITS);
-        let size = 1 << self.index_bits;
+    /// Starts a new sub-problem: everything stored so far is forgotten.
+    pub(crate) fn begin(&mut self) {
         self.generation = self.generation.wrapping_add(1);
-        if self.entries.len() < size || self.generation == 0 {
+        if self.entries.is_empty() || self.generation == 0 {
             let blank = Entry {
                 generation: 0,
                 slot: 0,
                 members: 0,
                 value: (0.0, 0.0),
             };
-            let size = size.max(self.entries.len());
             self.entries.clear();
-            self.entries.resize(size, blank);
+            self.entries.resize(1 << INDEX_BITS, blank);
             self.generation = 1;
         }
     }
@@ -75,7 +61,7 @@ impl ValuationMemo {
     ) -> (f64, f64) {
         let slot = slot as u32;
         let mixed = (members ^ u64::from(slot).rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let entry = &mut self.entries[(mixed >> (u64::BITS - self.index_bits)) as usize];
+        let entry = &mut self.entries[(mixed >> (u64::BITS - INDEX_BITS)) as usize];
         if (entry.generation, entry.slot, entry.members) != (self.generation, slot, members) {
             *entry = Entry {
                 generation: self.generation,
@@ -95,7 +81,7 @@ mod tests {
     #[test]
     fn remembers_within_a_generation_and_forgets_across() {
         let mut memo = ValuationMemo::default();
-        memo.begin(4);
+        memo.begin();
         let computed = std::cell::Cell::new(0);
         let value_of = |memo: &mut ValuationMemo, slot: usize, members: u64| {
             memo.get_or_compute(slot, members, || {
@@ -108,7 +94,7 @@ mod tests {
         assert_eq!(value_of(&mut memo, 4, 0b101), (4.0, 5.0));
         assert_eq!(value_of(&mut memo, 3, 0b100), (3.0, 4.0));
         assert_eq!(computed.get(), 3);
-        memo.begin(4);
+        memo.begin();
         assert_eq!(value_of(&mut memo, 3, 0b101), (3.0, 5.0));
         assert_eq!(computed.get(), 4);
     }
@@ -116,22 +102,15 @@ mod tests {
     #[test]
     fn colliding_keys_evict_but_never_alias() {
         let mut memo = ValuationMemo::default();
-        // Far more keys than entries, in the largest table and in a small
-        // one cut from its buffer: every lookup must still return its own
+        memo.begin();
+        // Far more keys than entries: every lookup must still return its own
         // key's value.
-        for keys in [usize::MAX, 4] {
-            memo.begin(keys);
-            for round in 0..2 {
-                for slot in 0..64usize {
-                    for members in 0..1024u64 {
-                        let value =
-                            memo.get_or_compute(slot, members, || (slot as f64, members as f64));
-                        assert_eq!(
-                            value,
-                            (slot as f64, members as f64),
-                            "{keys} keys, round {round}"
-                        );
-                    }
+        for round in 0..2 {
+            for slot in 0..64usize {
+                for members in 0..1024u64 {
+                    let value =
+                        memo.get_or_compute(slot, members, || (slot as f64, members as f64));
+                    assert_eq!(value, (slot as f64, members as f64), "round {round}");
                 }
             }
         }
