@@ -26,7 +26,12 @@
 //!   only on the workers whose copies can land on it, so most of the `2^k`
 //!   choices of a group find it in the `ValuationMemo`,
 //!   and the rest rebuild it on a buffer truncated back to the
-//!   already-merged base.
+//!   already-merged base;
+//! * the randomness is in the splits and the leaves' sample draws only, so
+//!   the calling thread walks the tree in the recursion's order and does
+//!   both; valuing a leaf's samples and merging two answers never touch
+//!   the generator, so leaves can be valued on helper threads and each
+//!   split merged as soon as its halves are answered, with the same bits.
 
 use crate::sampling::{assignment_of, ActiveTask, Draw, SamplingConfig, Valuer};
 use crate::solver::SolveRequest;
@@ -74,7 +79,7 @@ const NONE: usize = usize::MAX;
 /// dense tables are indexed by task and hold their neutral value between
 /// uses.
 struct Workspace {
-    /// Values the leaves the calling thread keeps, then the merges.
+    /// Values the leaves the calling thread keeps, and the merges.
     valuer: Valuer,
     /// The buffer the next leaf is drawn into.
     spare: Leaf,
